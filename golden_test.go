@@ -24,7 +24,10 @@ import (
 	"repro/internal/clog2"
 	"repro/internal/collisions"
 	"repro/internal/core"
+	"repro/internal/jumpshot"
 	"repro/internal/lab2"
+	"repro/internal/serve"
+	"repro/internal/slog2"
 	"repro/internal/stats"
 	"repro/internal/thumbnail"
 	"repro/vis"
@@ -189,6 +192,44 @@ func TestGoldenThumbnail(t *testing.T) {
 	compareGolden(t, "thumbnail.slog2", slogBytes)
 	compareGolden(t, "thumbnail.profile.json", profJSON)
 	compareGolden(t, "thumbnail.analyze.json", analyzeGoldenJSON(t, "thumbnail.clog2"))
+}
+
+// TestGoldenTiles pins the SVG renderer's bytes on the three golden
+// traces: full span, a 1 % window, a three-rank cut, an annotated view
+// whose title needs every escape, one low-threshold view that takes the
+// striped preview path, and one RenderHTML page. The renderer may
+// be rewritten for speed, never for output.
+func TestGoldenTiles(t *testing.T) {
+	for _, name := range []string{"lab2", "collisions", "thumbnail"} {
+		f, err := slog2.ReadFile(goldenPath(name + ".slog2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &serve.Trace{ID: name, File: f}
+		span := f.End - f.Start
+		full := jumpshot.Window{T0: f.Start, T1: f.End, RankLo: 0, RankHi: -1}
+		onePct := jumpshot.Window{T0: f.Start + 0.40*span, T1: f.Start + 0.41*span, RankLo: 0, RankHi: -1}
+		cut := jumpshot.Window{T0: f.Start, T1: f.End, RankLo: 1, RankHi: 3}
+		compareGolden(t, name+".tile-full.svg", serve.RenderTileSVG(tr, full, 0))
+		compareGolden(t, name+".tile-1pct.svg", serve.RenderTileSVG(tr, onePct, 1))
+		compareGolden(t, name+".tile-ranks.svg", serve.RenderTileSVG(tr, cut, 0))
+		compareGolden(t, name+".tile-annotated.svg", []byte(jumpshot.RenderSVG(f, jumpshot.View{
+			Title: name + ` & <verdicts> "quoted"`,
+			Annotations: []jumpshot.Annotation{
+				{Rank: -1, Label: "send-recv-imbalance ch5", Detail: `channel 5: 2 sends vs 1 recvs & "more"`},
+				{Rank: 2, Time: f.Start + 0.5*span, Label: "barrier-straggler", Detail: "rank 2 <late>"},
+			},
+		})))
+		if name == "thumbnail" {
+			// The only golden with a real time span (lab2 and collisions
+			// run under Manual clocks), so the only one with stripes.
+			compareGolden(t, name+".tile-preview.svg", []byte(jumpshot.RenderSVG(f, jumpshot.View{PreviewThreshold: 8})))
+		}
+		if name == "lab2" {
+			f.Warnings = append(f.Warnings, `Equal Drawables: <demo> & "warning"`)
+			compareGolden(t, "lab2.page.html", []byte(jumpshot.RenderHTML(f, jumpshot.View{Title: "lab2 <golden>"})))
+		}
+	}
 }
 
 // chanTotals is one channel's independently recounted traffic.
