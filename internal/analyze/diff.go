@@ -11,6 +11,7 @@ package analyze
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -78,76 +79,235 @@ type DiffReport struct {
 	First *Divergence `json:"first,omitempty"`
 }
 
-// opSignature renders one record as a timestamp-free op string, the
-// same field set the chaos suite's replay-determinism assertions use.
-func opSignature(r *clog2.Record) string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s",
-		r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.Text, r.CargoText())
+// appendOpKey appends rec's normalized op in packed form: the ten
+// fields the chaos suite's replay-determinism assertions compare, the
+// numbers at fixed offsets and the four texts length-prefixed. Two ops
+// are the same op exactly when their keys are the same bytes.
+func appendOpKey(dst []byte, rec *clog2.Record) []byte {
+	dst = append(dst, byte(rec.Type), rec.Dir)
+	for _, v := range [...]int32{rec.ID, rec.Aux1, rec.Aux2, rec.Aux3} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	for _, s := range [...]string{rec.Name, rec.Color, rec.Text} {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	dst = append(dst, rec.CargoLen)
+	return append(dst, rec.CargoBytes()...)
 }
 
-// opSequences reduces a CLOG-2 stream to per-rank normalized op
-// sequences: events, state transitions and message halves in rank
-// order; definitions, timeshifts and block markers are metadata and
-// excluded.
-func opSequences(r io.Reader) (map[int32][]string, error) {
-	br, err := clog2.NewBlockReader(r)
-	if err != nil {
-		return nil, err
+// opSignature renders a packed op as the timestamp-free text a report
+// shows. Only the context lines of a divergence are ever rendered.
+func opSignature(key []byte) string {
+	var nums [4]int32
+	for i := range nums {
+		nums[i] = int32(binary.LittleEndian.Uint32(key[2+4*i:]))
 	}
-	seqs := map[int32][]string{}
-	for {
-		b, err := br.Next()
-		if err == io.EOF {
-			return seqs, nil
+	rest := key[18:]
+	var texts [3][]byte
+	for i := range texts {
+		n, w := binary.Uvarint(rest)
+		texts[i], rest = rest[w:w+int(n)], rest[w+int(n):]
+	}
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s", clog2.RecType(key[0]),
+		nums[0], nums[1], nums[2], nums[3], key[1], texts[0], texts[1], texts[2], rest[1:])
+}
+
+// opQueue is a FIFO of packed ops in one reusable buffer, each framed
+// by its length.
+type opQueue struct {
+	buf  []byte
+	head int // offset of the oldest op's frame
+	n    int // ops queued
+}
+
+func (q *opQueue) push(rec *clog2.Record) {
+	if q.n == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	} else if q.head > len(q.buf)/2 {
+		// Mostly consumed: slide the rest down instead of growing.
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	at := len(q.buf)
+	q.buf = appendOpKey(append(q.buf, 0, 0, 0, 0), rec)
+	binary.LittleEndian.PutUint32(q.buf[at:], uint32(len(q.buf)-at-4))
+	q.n++
+}
+
+// pop returns the oldest op; the slice is valid until the next push.
+func (q *opQueue) pop() []byte {
+	at := q.head + 4
+	end := at + int(binary.LittleEndian.Uint32(q.buf[q.head:]))
+	q.head = end
+	q.n--
+	return q.buf[at:end]
+}
+
+// rankDiff is one rank's alignment state. Until the rank diverges the
+// two sides' ops are compared pairwise in order: the side that is ahead
+// waits in pending, and the last Context matched ops (the same on both
+// sides) are kept for the report. After the divergence ops are only
+// counted, the first Context of each side going into the report.
+type rankDiff struct {
+	n       [2]int // ops seen per side
+	pending opQueue
+	ahead   int      // the side pending belongs to
+	recent  [][]byte // ring of the last matched ops: op i is in slot i mod Context
+	div     *Divergence
+	owed    [2]int // context lines each side may still add after the divergence
+}
+
+// differ aligns two logs as their blocks arrive; sides are 0 = A, 1 = B.
+type differ struct {
+	context int
+	ranks   map[int32]*rankDiff
+	// last short-circuits the map: a block is one rank's records.
+	lastRank int32
+	last     *rankDiff
+	ended    [2]bool // the side has been read to its end
+	key      []byte  // scratch for the op in hand
+}
+
+func (d *differ) rank(rank int32) *rankDiff {
+	if d.last != nil && d.lastRank == rank {
+		return d.last
+	}
+	rd := d.ranks[rank]
+	if rd == nil {
+		rd = &rankDiff{}
+		d.ranks[rank] = rd
+	}
+	d.lastRank, d.last = rank, rd
+	return rd
+}
+
+// op takes the next op of one side.
+func (d *differ) op(side int, rec *clog2.Record) {
+	rd := d.rank(rec.Rank)
+	i := rd.n[side]
+	rd.n[side]++
+	switch {
+	case rd.div != nil:
+		if rd.owed[side] > 0 {
+			d.key = appendOpKey(d.key[:0], rec)
+			rd.trail(side, i, d.key)
 		}
-		if err != nil {
-			return nil, err
+	case rd.pending.n > 0 && rd.ahead != side:
+		d.key = appendOpKey(d.key[:0], rec)
+		theirs := rd.pending.pop()
+		if !bytes.Equal(theirs, d.key) {
+			rd.diverge(d.context, rec.Rank, i, "mismatch", side, d.key, theirs)
+		} else if d.context > 0 {
+			if i < d.context {
+				rd.recent = append(rd.recent, nil)
+			}
+			slot := &rd.recent[i%d.context]
+			*slot = append((*slot)[:0], d.key...)
 		}
-		for i := range b.Records {
-			rec := &b.Records[i]
-			switch rec.Type {
-			case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
-				seqs[rec.Rank] = append(seqs[rec.Rank], opSignature(rec))
+	case d.ended[1-side]:
+		// Nothing is pending and the other side is over: it stops short.
+		d.key = appendOpKey(d.key[:0], rec)
+		rd.diverge(d.context, rec.Rank, i, shortKind(1-side, i), side, d.key, nil)
+	default:
+		rd.pending.push(rec)
+		rd.ahead = side
+	}
+}
+
+// end marks one side as read to its end: it stops short on every rank
+// the other side is ahead on.
+func (d *differ) end(side int) {
+	d.ended[side] = true
+	for rank, rd := range d.ranks {
+		if rd.div == nil && rd.pending.n > 0 && rd.ahead != side {
+			i := rd.n[side]
+			rd.diverge(d.context, rank, i, shortKind(side, i), rd.ahead, rd.pending.pop(), nil)
+		}
+	}
+}
+
+// shortKind names the divergence of a side whose sequence ends at op i.
+func shortKind(side, i int) string {
+	if i == 0 {
+		return "ab"[side:side+1] + "-missing-rank"
+	}
+	return "ab"[side:side+1] + "-short"
+}
+
+// diverge records the rank's first divergence, at op i: mine is side's
+// op there and theirs the other side's, nil when that side has ended.
+// What is still pending follows op i on the side that is ahead.
+func (rd *rankDiff) diverge(context int, rank int32, i int, kind string, side int, mine, theirs []byte) {
+	dv := &Divergence{Rank: int(rank), Op: i, Kind: kind}
+	rd.div = dv
+	var ops [2][]byte
+	ops[side], ops[1-side] = mine, theirs
+	if ops[0] != nil {
+		dv.A = opSignature(ops[0])
+	}
+	if ops[1] != nil {
+		dv.B = opSignature(ops[1])
+	}
+	if context > 0 {
+		for k := max(0, i-context); k < i; k++ {
+			dv.addLine(0, ' ', k, rd.recent[k%context])
+			dv.addLine(1, ' ', k, rd.recent[k%context])
+		}
+		for s, key := range ops {
+			if key != nil {
+				dv.addLine(s, '>', i, key)
+				rd.owed[s] = context
 			}
 		}
 	}
+	rd.recent = nil
+	for k := i + 1; rd.pending.n > 0; k++ {
+		rd.trail(rd.ahead, k, rd.pending.pop())
+	}
+	rd.pending = opQueue{}
 }
 
-// Diff aligns two per-rank op-sequence maps and reports each rank's
-// first divergence.
-func Diff(a, b map[int32][]string, nameA, nameB string, opts DiffOptions) *DiffReport {
-	opts = opts.withDefaults()
+// trail adds an op after the divergence to side's context while that
+// side is still owed lines.
+func (rd *rankDiff) trail(side, k int, key []byte) {
+	if rd.owed[side] > 0 {
+		rd.owed[side]--
+		rd.div.addLine(side, ' ', k, key)
+	}
+}
+
+// addLine appends op k to one side's context, one line per op,
+// prefixed with its index and marked when it is the divergence itself.
+func (dv *Divergence) addLine(side int, marker byte, k int, key []byte) {
+	lines := &dv.ContextA
+	if side == 1 {
+		lines = &dv.ContextB
+	}
+	*lines = append(*lines, fmt.Sprintf("%c op %d: %s", marker, k, opSignature(key)))
+}
+
+// report closes the alignment once both sides have ended.
+func (d *differ) report(nameA, nameB string) *DiffReport {
 	rep := &DiffReport{
 		Schema:      DiffSchema,
 		FileA:       nameA,
 		FileB:       nameB,
 		Divergences: []Divergence{},
 	}
-	ranks := map[int32]bool{}
-	for r := range a {
-		ranks[r] = true
-	}
-	for r := range b {
-		ranks[r] = true
-	}
-	ids := make([]int32, 0, len(ranks))
-	for r := range ranks {
-		ids = append(ids, r)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, rank := range ids {
-		sa, sb := a[rank], b[rank]
-		if d := diffRank(int(rank), sa, sb, opts.Context); d != nil {
-			rep.Divergences = append(rep.Divergences, *d)
+	for _, rd := range d.ranks {
+		if rd.div != nil {
+			rd.div.LenA, rd.div.LenB = rd.n[0], rd.n[1]
+			rep.Divergences = append(rep.Divergences, *rd.div)
 		}
 	}
+	sort.Slice(rep.Divergences, func(i, j int) bool { return rep.Divergences[i].Rank < rep.Divergences[j].Rank })
 	rep.Identical = len(rep.Divergences) == 0
 	if !rep.Identical {
 		first := rep.Divergences[0]
-		for _, d := range rep.Divergences[1:] {
-			if d.Op < first.Op || (d.Op == first.Op && d.Rank < first.Rank) {
-				first = d
+		for _, dv := range rep.Divergences[1:] {
+			if dv.Op < first.Op || (dv.Op == first.Op && dv.Rank < first.Rank) {
+				first = dv
 			}
 		}
 		rep.First = &first
@@ -155,105 +315,87 @@ func Diff(a, b map[int32][]string, nameA, nameB string, opts DiffOptions) *DiffR
 	return rep
 }
 
-// diffRank finds one rank's first divergence, or nil when the
-// sequences agree completely.
-func diffRank(rank int, sa, sb []string, context int) *Divergence {
-	switch {
-	case len(sa) == 0 && len(sb) == 0:
+// diffSide is one of the two logs being read.
+type diffSide struct {
+	br    *clog2.BlockReader
+	label string         // names the log in errors
+	recs  []clog2.Record // NextReuse's buffer
+	ops   int            // ops read so far
+}
+
+// next reads one block and hands its ops to d: events, state
+// transitions and message halves in rank order; definitions, timeshifts
+// and block markers are metadata and excluded.
+func (s *diffSide) next(d *differ, side int) error {
+	blk, err := s.br.NextReuse(s.recs)
+	if err == io.EOF {
+		d.end(side)
 		return nil
-	case len(sa) == 0:
-		return &Divergence{Rank: rank, Op: 0, Kind: "a-missing-rank",
-			B: sb[0], ContextB: contextLines(sb, 0, context), LenA: 0, LenB: len(sb)}
-	case len(sb) == 0:
-		return &Divergence{Rank: rank, Op: 0, Kind: "b-missing-rank",
-			A: sa[0], ContextA: contextLines(sa, 0, context), LenA: len(sa), LenB: 0}
 	}
-	n := len(sa)
-	if len(sb) < n {
-		n = len(sb)
+	if err != nil {
+		return fmt.Errorf("analyze: diff %s: %w", s.label, err)
 	}
-	for i := 0; i < n; i++ {
-		if sa[i] != sb[i] {
-			return &Divergence{Rank: rank, Op: i, Kind: "mismatch",
-				A: sa[i], B: sb[i],
-				ContextA: contextLines(sa, i, context),
-				ContextB: contextLines(sb, i, context),
-				LenA:     len(sa), LenB: len(sb)}
+	s.recs = blk.Records
+	for i := range blk.Records {
+		rec := &blk.Records[i]
+		switch rec.Type {
+		case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
+			d.op(side, rec)
+			s.ops++
 		}
-	}
-	switch {
-	case len(sa) < len(sb):
-		return &Divergence{Rank: rank, Op: n, Kind: "a-short",
-			B: sb[n], ContextB: contextLines(sb, n, context),
-			ContextA: contextLines(sa, n, context),
-			LenA:     len(sa), LenB: len(sb)}
-	case len(sb) < len(sa):
-		return &Divergence{Rank: rank, Op: n, Kind: "b-short",
-			A: sa[n], ContextA: contextLines(sa, n, context),
-			ContextB: contextLines(sb, n, context),
-			LenA:     len(sa), LenB: len(sb)}
 	}
 	return nil
 }
 
-// contextLines renders ops [i-context, i+context] with indices; i may
-// sit one past the end for truncation divergences.
-func contextLines(seq []string, i, context int) []string {
-	lo := i - context
-	if lo < 0 {
-		lo = 0
-	}
-	hi := i + context
-	if hi >= len(seq) {
-		hi = len(seq) - 1
-	}
-	var out []string
-	for k := lo; k <= hi; k++ {
-		marker := " "
-		if k == i {
-			marker = ">"
+// diffStreams aligns two CLOG-2 streams, reading them a block at a time
+// and always from the side that has shown fewer ops, so that what waits
+// to be compared is the skew between the two block layouts, not a log.
+// The first unreadable block of either log ends the diff with an error.
+func diffStreams(ra, rb io.Reader, labelA, labelB string, opts DiffOptions) (*DiffReport, error) {
+	sides := [2]diffSide{{label: labelA}, {label: labelB}}
+	for side, r := range [2]io.Reader{ra, rb} {
+		br, err := clog2.NewBlockReader(r)
+		if err != nil {
+			return nil, fmt.Errorf("analyze: diff %s: %w", sides[side].label, err)
 		}
-		out = append(out, fmt.Sprintf("%s op %d: %s", marker, k, seq[k]))
+		sides[side].br = br
 	}
-	return out
+	d := &differ{context: opts.withDefaults().Context, ranks: map[int32]*rankDiff{}}
+	for !d.ended[0] || !d.ended[1] {
+		side := 0
+		if d.ended[0] || (!d.ended[1] && sides[1].ops < sides[0].ops) {
+			side = 1
+		}
+		if err := sides[side].next(d, side); err != nil {
+			return nil, err
+		}
+	}
+	return d.report(labelA, labelB), nil
 }
 
 // DiffBytes diffs two in-memory CLOG-2 images.
 func DiffBytes(a, b []byte, nameA, nameB string, opts DiffOptions) (*DiffReport, error) {
-	sa, err := opSequences(bytes.NewReader(a))
-	if err != nil {
-		return nil, fmt.Errorf("analyze: diff %s: %w", nameA, err)
-	}
-	sb, err := opSequences(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("analyze: diff %s: %w", nameB, err)
-	}
-	return Diff(sa, sb, nameA, nameB, opts), nil
+	return diffStreams(bytes.NewReader(a), bytes.NewReader(b), nameA, nameB, opts)
 }
 
 // DiffFiles diffs two CLOG-2 files.
 func DiffFiles(pathA, pathB string, opts DiffOptions) (*DiffReport, error) {
-	seqOf := func(path string) (map[int32][]string, error) {
-		fh, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer fh.Close()
-		s, err := opSequences(fh)
-		if err != nil {
-			return nil, fmt.Errorf("analyze: diff %s: %w", path, err)
-		}
-		return s, nil
-	}
-	sa, err := seqOf(pathA)
+	fa, err := os.Open(pathA)
 	if err != nil {
 		return nil, err
 	}
-	sb, err := seqOf(pathB)
+	defer fa.Close()
+	fb, err := os.Open(pathB)
 	if err != nil {
 		return nil, err
 	}
-	return Diff(sa, sb, filepath.Base(pathA), filepath.Base(pathB), opts), nil
+	defer fb.Close()
+	rep, err := diffStreams(fa, fb, pathA, pathB, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.FileA, rep.FileB = filepath.Base(pathA), filepath.Base(pathB)
+	return rep, nil
 }
 
 // JSON renders the diff report indented with a trailing newline.

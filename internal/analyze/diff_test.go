@@ -125,9 +125,16 @@ func TestDiffMissingRank(t *testing.T) {
 
 func TestDiffFirstPicksEarliestOp(t *testing.T) {
 	// Rank 2 diverges at op 0, rank 0 at op 1: First must be rank 2.
-	a := map[int32][]string{0: {"x", "y"}, 2: {"p"}}
-	b := map[int32][]string{0: {"x", "z"}, 2: {"q"}}
-	rep := Diff(a, b, "a", "b", DiffOptions{})
+	mk := func(rank0, rank2 int32) []byte {
+		b := newTB(t, 3).withReadWrite()
+		b.bare(0, 0.1, 2).bare(0, 0.2, rank0)
+		b.bare(2, 0.1, rank2)
+		return b.bytes()
+	}
+	rep, err := DiffBytes(mk(3, 4), mk(5, 6), "a", "b", DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.First.Rank != 2 || rep.First.Op != 0 {
 		t.Fatalf("First = %+v, want rank 2 op 0", rep.First)
 	}

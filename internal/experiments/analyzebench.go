@@ -11,9 +11,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"repro/internal/analyze"
 )
+
+// DiffAllocCeilingMB is what one diff may allocate whatever the size of
+// the logs: the diff keeps per-rank queues of the ops one log is ahead
+// of the other by, never the sequences themselves.
+const DiffAllocCeilingMB = 16
 
 // AnalyzeRow is one analyzer measurement on the synthesized log.
 type AnalyzeRow struct {
@@ -31,20 +37,27 @@ type AnalyzeRow struct {
 	// log's send-only message pattern trips the imbalance detector, so a
 	// nonzero count here proves the detectors actually ran).
 	Findings int `json:"findings"`
+	// AllocMB is what one pass allocated (diff_self only, where it is
+	// held under DiffAllocCeilingMB).
+	AllocMB float64 `json:"alloc_mb,omitempty"`
 }
 
 // String renders the row for the pilot-bench console output.
 func (r AnalyzeRow) String() string {
-	return fmt.Sprintf("%-20s %7.1f MB %10d records  p50 %12.0f ns  %10.0f ns/MB  %7.1f MB/s  (%d findings)",
+	s := fmt.Sprintf("%-20s %7.1f MB %10d records  p50 %12.0f ns  %10.0f ns/MB  %7.1f MB/s  (%d findings)",
 		r.Name, r.LogMB, r.Records, r.P50Ns, r.NsPerMB, r.MBPerSec, r.Findings)
+	if r.AllocMB > 0 {
+		s += fmt.Sprintf("  %.1f MB allocated", r.AllocMB)
+	}
+	return s
 }
 
 // RunAnalyzeBench synthesizes a sizeMB log under opt.OutDir and measures
 // the full pilot-analyze pass and a self-diff over it (median of reps
 // runs each). The verdict and diff are sanity-checked before their
 // timings are reported: a fast pass that missed the log's planted
-// imbalance, or a self-diff that found divergences, is a bug rather than
-// a row.
+// imbalance, or a self-diff that found divergences or allocated in
+// proportion to the log, is a bug rather than a row.
 func RunAnalyzeBench(opt Options, sizeMB, reps int) ([]AnalyzeRow, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -96,9 +109,12 @@ func RunAnalyzeBench(opt Options, sizeMB, reps int) ([]AnalyzeRow, error) {
 	rows = append(rows, row)
 	opt.logf("AN %s", row)
 
-	// Row 2: self-diff — two aligned scans plus the per-rank sequence
-	// comparison, the `pilot-analyze -diff` cost model.
+	// Row 2: self-diff — two scans advanced in step plus the per-rank
+	// op comparison, the `pilot-analyze -diff` cost model.
 	var drep *analyze.DiffReport
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	alloc0 := ms.TotalAlloc
 	p50, err = medianNs(reps, func() error {
 		drep, err = analyze.DiffFiles(path, path, analyze.DiffOptions{})
 		return err
@@ -106,10 +122,16 @@ func RunAnalyzeBench(opt Options, sizeMB, reps int) ([]AnalyzeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	runtime.ReadMemStats(&ms)
+	allocMB := float64(ms.TotalAlloc-alloc0) / float64(reps) / (1 << 20)
 	if !drep.Identical {
 		return nil, fmt.Errorf("analyzebench: self-diff reported %d divergences", len(drep.Divergences))
 	}
+	if allocMB > DiffAllocCeilingMB {
+		return nil, fmt.Errorf("analyzebench: self-diff of a %.0f MB log allocated %.1f MB, ceiling %d MB", logMB, allocMB, DiffAllocCeilingMB)
+	}
 	row = finish("diff_self", p50, rep.Records, 0)
+	row.AllocMB = allocMB
 	rows = append(rows, row)
 	opt.logf("AN %s", row)
 	return rows, nil

@@ -1,7 +1,7 @@
 package jumpshot
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/slog2"
 )
@@ -54,12 +54,7 @@ func exclusiveBuckets(rs []slog2.State, from, span float64, n int) []map[int]flo
 	}
 
 	sorted := append([]slog2.State(nil), rs...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Start != sorted[j].Start {
-			return sorted[i].Start < sorted[j].Start
-		}
-		return sorted[i].End > sorted[j].End
-	})
+	slices.SortStableFunc(sorted, byStartThenLongest)
 	type openIv struct {
 		cat int
 		end float64

@@ -15,7 +15,7 @@ import (
 // warnings. Pure stdlib output: one .html file, no external assets.
 func RenderHTML(f *slog2.File, v View) string {
 	v = v.normalized(f)
-	svg := RenderSVG(f, v)
+	svg := AppendSVG(nil, f, v)
 	legend := Legend(f, v.From, v.To)
 	SortLegend(legend, "incl")
 
@@ -40,7 +40,7 @@ h2 { font-size:14px; }
 	b.WriteString(`</h2>
 <p>wheel: zoom around cursor &middot; drag: scroll &middot; double-click: reset &middot; hover: popups</p>
 <div id="viewport">`)
-	b.WriteString(svg)
+	b.Write(svg)
 	b.WriteString(`</div>
 <script>
 (function() {

@@ -2,7 +2,9 @@ package jumpshot
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/colors"
@@ -90,21 +92,59 @@ func (v View) normalized(f *slog2.File) View {
 // yellow event bubbles, white message arrows, an axis in global seconds,
 // and popup details as SVG tooltips.
 func RenderSVG(f *slog2.File, v View) string {
+	return string(AppendSVG(nil, f, v))
+}
+
+// row is one rank's place on the canvas.
+type row struct {
+	shown bool
+	top   float64
+	h     int
+}
+
+// layout is one render's geometry: the normalized view and, per rank,
+// whether and where its timeline is drawn.
+type layout struct {
+	v     View
+	plotW float64
+	rows  []row // indexed by rank
+}
+
+func (l *layout) x(t float64) float64 {
+	return float64(marginLeft) + l.plotW*(t-l.v.From)/(l.v.To-l.v.From)
+}
+
+func (l *layout) shown(rank int) bool { return uint(rank) < uint(len(l.rows)) && l.rows[rank].shown }
+
+func (l *layout) mid(rank int) float64 { return l.rows[rank].top + float64(l.rows[rank].h)/2 }
+
+// catText is what a drawable needs of its category, resolved once per
+// render instead of once per drawable.
+type catText struct {
+	hex  string
+	name []byte // escaped
+}
+
+// Measured markup sizes, for sizing the document buffer from the
+// drawable counts before the first append: an arrow whole, an event and
+// a state without their category name and cargo, one rectangle of a
+// preview bucket. An underestimate only costs a regrowth.
+const (
+	arrowBytes   = 248
+	eventBytes   = 116
+	stateBytes   = 184
+	previewBytes = 96
+)
+
+// AppendSVG appends the document RenderSVG describes to dst. The text
+// of every drawable is appended in place (no fmt, no intermediate
+// strings) to a buffer sized from the drawable counts, so a render
+// allocates the document once.
+func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	v = v.normalized(f)
 	states, arrows, events := f.Query(v.From, v.To)
 
 	// Decide which ranks to draw and in what order (timeline cut/paste).
-	present := map[int]bool{}
-	for _, s := range states {
-		present[s.Rank] = true
-	}
-	for _, e := range events {
-		present[e.Rank] = true
-	}
-	for _, a := range arrows {
-		present[a.SrcRank] = true
-		present[a.DstRank] = true
-	}
 	var ranks []int
 	if v.RankOrder != nil {
 		for _, r := range v.RankOrder {
@@ -113,53 +153,90 @@ func RenderSVG(f *slog2.File, v View) string {
 			}
 		}
 	} else {
+		present := make([]bool, f.NumRanks)
+		mark := func(r int) {
+			if uint(r) < uint(len(present)) {
+				present[r] = true
+			}
+		}
+		for i := range states {
+			mark(states[i].Rank)
+		}
+		for i := range events {
+			mark(events[i].Rank)
+		}
+		for i := range arrows {
+			mark(arrows[i].SrcRank)
+			mark(arrows[i].DstRank)
+		}
 		for r := 0; r < f.NumRanks; r++ {
 			if present[r] || !v.HideEmptyRanks {
 				ranks = append(ranks, r)
 			}
 		}
 	}
-	shown := map[int]bool{}
-	for _, r := range ranks {
-		shown[r] = true
-	}
 	// Per-timeline heights (vertical expansion) and row layout.
-	heightOf := func(rank int) int {
-		mul := v.Expand[rank]
+	l := &layout{v: v, rows: make([]row, f.NumRanks)}
+	y := marginTop
+	for _, r := range ranks {
+		mul := v.Expand[r]
 		if mul < 1 {
 			mul = 1
 		}
-		return v.RowHeight * mul
+		l.rows[r] = row{shown: true, top: float64(y), h: v.RowHeight * mul}
+		y += l.rows[r].h
 	}
-	rowTops := map[int]float64{}
-	rowHeights := map[int]int{}
-	y := marginTop
-	for _, r := range ranks {
-		rowTops[r] = float64(y)
-		rowHeights[r] = heightOf(r)
-		y += rowHeights[r]
-	}
-
 	width := v.Width
 	height := y + marginBottom
-	plotW := float64(width - marginLeft - marginRight)
-	xOf := func(t float64) float64 {
-		return float64(marginLeft) + plotW*(t-v.From)/(v.To-v.From)
-	}
-	rowTop := func(rank int) float64 { return rowTops[rank] }
-	rowMid := func(rank int) float64 { return rowTops[rank] + float64(rowHeights[rank])/2 }
+	l.plotW = float64(width - marginLeft - marginRight)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`+"\n", width, height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="#101010"/>`+"\n", width, height)
+	cats := make([]catText, len(f.Categories))
+	for i, c := range f.Categories {
+		cats[i] = catText{hex: hexOf(c.Color), name: appendEsc(nil, c.Name)}
+	}
+
+	// States per shown rank, in query order.
+	perRank := make([]int, f.NumRanks)
+	for i := range states {
+		if l.shown(states[i].Rank) {
+			perRank[states[i].Rank]++
+		}
+	}
+	byRank := make([][]slog2.State, f.NumRanks)
+	for _, r := range ranks {
+		byRank[r] = make([]slog2.State, 0, perRank[r])
+	}
+	for i := range states {
+		if r := states[i].Rank; l.shown(r) {
+			byRank[r] = append(byRank[r], states[i])
+		}
+	}
+
+	size := 4096 + arrowBytes*len(arrows)
+	for i := range events {
+		size += eventBytes + len(cats[events[i].Cat].name) + len(events[i].Cargo)
+	}
+	for _, r := range ranks {
+		if l.preview(len(byRank[r])) {
+			size += previewBytes * previewBuckets(l.plotW) * 4
+			continue
+		}
+		for i := range byRank[r] {
+			size += stateBytes + len(cats[byRank[r][i].Cat].name) + len(byRank[r][i].StartCargo)
+		}
+	}
+	m := markup(slices.Grow(dst, size))
+
+	m.f(`<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`+"\n", width, height)
+	m.f(`<rect width="%d" height="%d" fill="#101010"/>`+"\n", width, height)
 	if v.Title != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="16" fill="#e0e0e0" font-size="13">%s</text>`+"\n", marginLeft, esc(v.Title))
+		m.f(`<text x="%d" y="16" fill="#e0e0e0" font-size="13">%s</text>`+"\n", marginLeft, esc(v.Title))
 	}
 
 	// Row separators and labels.
 	for _, r := range ranks {
-		y := rowTop(r)
-		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#303030"/>`+"\n",
+		y := l.rows[r].top
+		m.f(`<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#303030"/>`+"\n",
 			marginLeft, y, width-marginRight, y)
 		label := v.RankNames[r]
 		if label == "" {
@@ -169,138 +246,175 @@ func RenderSVG(f *slog2.File, v View) string {
 				label = fmt.Sprintf("P%d", r)
 			}
 		}
-		fmt.Fprintf(&b, `<text x="6" y="%.1f" fill="#c0c0c0">%s</text>`+"\n", rowMid(r)+4, esc(label))
+		m.f(`<text x="6" y="%.1f" fill="#c0c0c0">%s</text>`+"\n", l.mid(r)+4, esc(label))
 	}
 
 	// Axis ticks.
 	for i := 0; i <= 8; i++ {
 		t := v.From + (v.To-v.From)*float64(i)/8
-		x := xOf(t)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#404040"/>`+"\n",
+		x := l.x(t)
+		m.f(`<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#404040"/>`+"\n",
 			x, marginTop, x, height-marginBottom)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" fill="#909090" text-anchor="middle">%.4gs</text>`+"\n",
+		m.f(`<text x="%.1f" y="%d" fill="#909090" text-anchor="middle">%.4gs</text>`+"\n",
 			x, height-8, t)
 	}
 
 	// States per rank, individually or as striped previews.
-	byRank := map[int][]slog2.State{}
-	for _, s := range states {
-		byRank[s.Rank] = append(byRank[s.Rank], s)
-	}
 	for _, r := range ranks {
 		rs := byRank[r]
 		if len(rs) == 0 {
 			continue
 		}
-		if v.PreviewThreshold > 0 && len(rs) > v.PreviewThreshold {
-			b.WriteString(renderPreviewRow(f, rs, v, xOf, rowTop(r), rowHeights[r]))
+		if l.preview(len(rs)) {
+			m.previewRow(l, cats, rs, r)
 			continue
 		}
-		b.WriteString(renderStateRow(f, rs, v, xOf, rowTop(r), rowHeights[r]))
+		m.stateRow(l, cats, rs, r)
 	}
 
 	// Arrows: white, drawn over states, with the popup the paper lists.
 	if !v.HideArrows {
-		for _, a := range arrows {
-			if !shown[a.SrcRank] || !shown[a.DstRank] {
-				continue
+		hex := colors.ArrowColor.Hex()
+		for i := range arrows {
+			if a := &arrows[i]; l.shown(a.SrcRank) && l.shown(a.DstRank) {
+				m.arrow(l, hex, a)
 			}
-			x1, y1 := xOf(a.Start), rowMid(a.SrcRank)
-			x2, y2 := xOf(a.End), rowMid(a.DstRank)
-			fmt.Fprintf(&b, `<g><line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1"/>`,
-				x1, y1, x2, y2, colors.ArrowColor.Hex())
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="1.6" fill="%s"/>`, x2, y2, colors.ArrowColor.Hex())
-			fmt.Fprintf(&b, `<title>message P%d-&gt;P%d start: %.6f end: %.6f dur: %.6f tag: %d size: %d</title></g>`+"\n",
-				a.SrcRank, a.DstRank, a.Start, a.End, a.End-a.Start, a.Tag, a.Size)
 		}
 	}
 
 	// Event bubbles on top.
 	if !v.HideEvents {
-		for _, e := range events {
-			if !shown[e.Rank] {
-				continue
+		for i := range events {
+			if e := &events[i]; l.shown(e.Rank) {
+				m.event(l, &cats[e.Cat], e)
 			}
-			fmt.Fprintf(&b, `<g><circle cx="%.1f" cy="%.1f" r="2.6" fill="%s" stroke="#806000"/>`,
-				xOf(e.Time), rowMid(e.Rank), hexOf(f.Categories[e.Cat].Color))
-			fmt.Fprintf(&b, `<title>%s t: %.6f %s</title></g>`+"\n",
-				esc(f.Categories[e.Cat].Name), e.Time, esc(e.Cargo))
 		}
 	}
 
 	// Verdict annotations over everything else, so findings land where
 	// the viewer is already looking.
-	if len(v.Annotations) > 0 {
-		b.WriteString(renderAnnotations(v, xOf, rowTop, rowHeights, shown, width))
-	}
+	m.annotations(l, width)
 
-	b.WriteString(renderInlineLegend(f, width, height))
-	b.WriteString("</svg>\n")
-	return b.String()
+	m.inlineLegend(f, cats, width, height)
+	return m.s("</svg>\n").bytes()
 }
 
-// renderAnnotations draws verdict markers: an orange flag plus a dashed
-// drop line on the annotated rank's timeline, or a banner chip in the
-// top margin when the finding is not scoped to a rank.
-func renderAnnotations(v View, xOf func(float64) float64, rowTop func(int) float64,
-	rowHeights map[int]int, shown map[int]bool, width int) string {
-	var b strings.Builder
+// preview reports whether a rank with n states in the viewport is drawn
+// as striped previews.
+func (l *layout) preview(n int) bool {
+	return l.v.PreviewThreshold > 0 && n > l.v.PreviewThreshold
+}
+
+// markup is the document being appended to. Its piece methods append
+// one thing each and chain, so a drawable's markup reads like the format
+// string it replaced while costing no fmt call and no string.
+type markup []byte
+
+func (m *markup) bytes() []byte { return *m }
+
+// s and raw append text as it is; esc appends it with the four
+// XML-special bytes replaced by their entities.
+func (m *markup) s(text string) *markup   { *m = append(*m, text...); return m }
+func (m *markup) raw(text []byte) *markup { *m = append(*m, text...); return m }
+func (m *markup) esc(text string) *markup { *m = appendEsc(*m, text); return m }
+
+// f1, f6 and d are fmt's %.1f, %.6f and %d.
+func (m *markup) f1(x float64) *markup { *m = strconv.AppendFloat(*m, x, 'f', 1, 64); return m }
+func (m *markup) f6(x float64) *markup { *m = strconv.AppendFloat(*m, x, 'f', 6, 64); return m }
+func (m *markup) d(n int) *markup      { *m = strconv.AppendInt(*m, int64(n), 10); return m }
+
+// f is fmt itself, for the parts of the document that come once per
+// render or per rank, not per drawable.
+func (m *markup) f(format string, args ...any) { *m = fmt.Appendf(*m, format, args...) }
+
+func (m *markup) arrow(l *layout, hex string, a *slog2.Arrow) {
+	x1, y1 := l.x(a.Start), l.mid(a.SrcRank)
+	x2, y2 := l.x(a.End), l.mid(a.DstRank)
+	m.s(`<g><line x1="`).f1(x1).s(`" y1="`).f1(y1).s(`" x2="`).f1(x2).s(`" y2="`).f1(y2).
+		s(`" stroke="`).s(hex).s(`" stroke-width="1"/>`).
+		s(`<circle cx="`).f1(x2).s(`" cy="`).f1(y2).s(`" r="1.6" fill="`).s(hex).s(`"/>`).
+		s(`<title>message P`).d(a.SrcRank).s(`-&gt;P`).d(a.DstRank).
+		s(` start: `).f6(a.Start).s(` end: `).f6(a.End).s(` dur: `).f6(a.End - a.Start).
+		s(` tag: `).d(a.Tag).s(` size: `).d(a.Size).s("</title></g>\n")
+}
+
+func (m *markup) event(l *layout, cat *catText, e *slog2.Event) {
+	m.s(`<g><circle cx="`).f1(l.x(e.Time)).s(`" cy="`).f1(l.mid(e.Rank)).
+		s(`" r="2.6" fill="`).s(cat.hex).s(`" stroke="#806000"/>`).
+		s(`<title>`).raw(cat.name).s(` t: `).f6(e.Time).s(` `).esc(e.Cargo).s("</title></g>\n")
+}
+
+// annotations draws verdict markers: an orange flag plus a dashed drop
+// line on the annotated rank's timeline, or a banner chip in the top
+// margin when the finding is not scoped to a rank.
+func (m *markup) annotations(l *layout, width int) {
 	hex := colors.FaultEventColor.Hex()
 	bannerX := marginLeft
-	for _, a := range v.Annotations {
+	for _, a := range l.v.Annotations {
 		if a.Rank < 0 {
 			if bannerX > width-160 {
 				continue // out of banner room; remaining chips are in the report anyway
 			}
-			fmt.Fprintf(&b, `<g><rect x="%d" y="19" width="9" height="9" fill="%s"/>`, bannerX, hex)
-			fmt.Fprintf(&b, `<text x="%d" y="27" fill="%s">%s</text>`, bannerX+12, hex, esc(a.Label))
-			fmt.Fprintf(&b, `<title>%s</title></g>`+"\n", esc(a.Detail))
+			m.s(`<g><rect x="`).d(bannerX).s(`" y="19" width="9" height="9" fill="`).s(hex).s(`"/>`).
+				s(`<text x="`).d(bannerX + 12).s(`" y="27" fill="`).s(hex).s(`">`).esc(a.Label).s(`</text>`).
+				s(`<title>`).esc(a.Detail).s("</title></g>\n")
 			bannerX += 13 + 7*len(a.Label) + 12
 			continue
 		}
-		if !shown[a.Rank] {
+		if !l.shown(a.Rank) {
 			continue
 		}
-		x := xOf(clampF(a.Time, v.From, v.To))
-		top := rowTop(a.Rank)
-		bot := top + float64(rowHeights[a.Rank])
-		fmt.Fprintf(&b, `<g><line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-dasharray="3,2"/>`,
-			x, top, x, bot, hex)
-		fmt.Fprintf(&b, `<path d="M %.1f %.1f L %.1f %.1f L %.1f %.1f Z" fill="%s"/>`,
-			x, top, x+8, top+3, x, top+7, hex)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" fill="%s">%s</text>`,
-			x+10, top+10, hex, esc(a.Label))
-		fmt.Fprintf(&b, `<title>%s</title></g>`+"\n", esc(a.Detail))
+		x := l.x(clampF(a.Time, l.v.From, l.v.To))
+		top := l.rows[a.Rank].top
+		bot := top + float64(l.rows[a.Rank].h)
+		m.s(`<g><line x1="`).f1(x).s(`" y1="`).f1(top).s(`" x2="`).f1(x).s(`" y2="`).f1(bot).
+			s(`" stroke="`).s(hex).s(`" stroke-dasharray="3,2"/>`).
+			s(`<path d="M `).f1(x).s(` `).f1(top).s(` L `).f1(x + 8).s(` `).f1(top + 3).
+			s(` L `).f1(x).s(` `).f1(top + 7).s(` Z" fill="`).s(hex).s(`"/>`).
+			s(`<text x="`).f1(x + 10).s(`" y="`).f1(top + 10).s(`" fill="`).s(hex).s(`">`).esc(a.Label).s(`</text>`).
+			s(`<title>`).esc(a.Detail).s("</title></g>\n")
 	}
-	return b.String()
 }
 
-// renderStateRow draws one rank's states as nested rectangles: outer
-// states first, each nesting level inset vertically, exactly how Jumpshot
-// shows "state B fully nested within A ... as another rectangle within A".
-func renderStateRow(f *slog2.File, rs []slog2.State, v View, xOf func(float64) float64, top float64, rowHeight int) string {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Start != rs[j].Start {
-			return rs[i].Start < rs[j].Start
+// byStartThenLongest orders states outermost first: by start, and at
+// equal starts the longer (enclosing) one first.
+func byStartThenLongest(a, b slog2.State) int {
+	if a.Start != b.Start {
+		if a.Start < b.Start {
+			return -1
 		}
-		return rs[i].End > rs[j].End
-	})
-	var b strings.Builder
-	type openIv struct{ end float64 }
-	var stack []openIv
-	for _, s := range rs {
-		for len(stack) > 0 && stack[len(stack)-1].end <= s.Start {
-			stack = stack[:len(stack)-1]
+		return 1
+	}
+	if a.End > b.End {
+		return -1
+	}
+	if a.End < b.End {
+		return 1
+	}
+	return 0
+}
+
+// stateRow draws one rank's states as nested rectangles: outer states
+// first, each nesting level inset vertically, exactly how Jumpshot shows
+// "state B fully nested within A ... as another rectangle within A".
+func (m *markup) stateRow(l *layout, cats []catText, rs []slog2.State, rank int) {
+	slices.SortStableFunc(rs, byStartThenLongest)
+	top, rowHeight := l.rows[rank].top, l.rows[rank].h
+	var open []float64 // ends of the states open at this point
+	for i := range rs {
+		s := &rs[i]
+		for len(open) > 0 && open[len(open)-1] <= s.Start {
+			open = open[:len(open)-1]
 		}
-		depth := len(stack)
-		stack = append(stack, openIv{end: s.End})
+		depth := len(open)
+		open = append(open, s.End)
 
 		inset := float64(depth * 4)
 		maxInset := float64(rowHeight)/2 - 4
 		if inset > maxInset {
 			inset = maxInset
 		}
-		x1, x2 := xOf(clampF(s.Start, v.From, v.To)), xOf(clampF(s.End, v.From, v.To))
+		x1, x2 := l.x(clampF(s.Start, l.v.From, l.v.To)), l.x(clampF(s.End, l.v.From, l.v.To))
 		w := x2 - x1
 		if w < 0.5 {
 			w = 0.5
@@ -310,90 +424,104 @@ func renderStateRow(f *slog2.File, rs []slog2.State, v View, xOf func(float64) f
 		if h < 2 {
 			h = 2
 		}
-		cat := f.Categories[s.Cat]
-		fmt.Fprintf(&b, `<g><rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" stroke="#000000" stroke-width="0.4"/>`,
-			x1, y, w, h, hexOf(cat.Color))
-		fmt.Fprintf(&b, `<title>%s start: %.6f end: %.6f dur: %.6f %s</title></g>`+"\n",
-			esc(cat.Name), s.Start, s.End, s.Duration(), esc(s.StartCargo))
+		m.state(&cats[s.Cat], s, x1, y, w, h)
 	}
-	return b.String()
 }
 
-// renderPreviewRow draws one rank's states as Jumpshot's zoomed-out
-// preview: outline rectangles per bucket containing horizontal stripes
-// whose thicknesses "indicate the relative proportions of each colour
-// within that interval".
-func renderPreviewRow(f *slog2.File, rs []slog2.State, v View, xOf func(float64) float64, top float64, rowHeight int) string {
+func (m *markup) state(cat *catText, s *slog2.State, x, y, w, h float64) {
+	m.rect(`<g><rect x="`, x, y, w, h).
+		s(`" fill="`).s(cat.hex).s(`" stroke="#000000" stroke-width="0.4"/>`).
+		s(`<title>`).raw(cat.name).s(` start: `).f6(s.Start).s(` end: `).f6(s.End).
+		s(` dur: `).f6(s.Duration()).s(` `).esc(s.StartCargo).s("</title></g>\n")
+}
+
+// rect appends open (a tag up to `x="`) and the rectangle's geometry, up
+// to the closing quote of its height.
+func (m *markup) rect(open string, x, y, w, h float64) *markup {
+	return m.s(open).f1(x).s(`" y="`).f1(y).s(`" width="`).f1(w).s(`" height="`).f1(h)
+}
+
+// previewBuckets is how many 10-pixel preview buckets span the plot.
+func previewBuckets(plotW float64) int {
 	const bucketPx = 10.0
-	plotW := xOf(v.To) - xOf(v.From)
-	nBuckets := int(plotW / bucketPx)
-	if nBuckets < 1 {
-		nBuckets = 1
+	n := int(plotW / bucketPx)
+	if n < 1 {
+		n = 1
 	}
+	return n
+}
+
+// previewRow draws one rank's states as Jumpshot's zoomed-out preview:
+// outline rectangles per bucket containing horizontal stripes whose
+// thicknesses "indicate the relative proportions of each colour within
+// that interval".
+func (m *markup) previewRow(l *layout, cats []catText, rs []slog2.State, rank int) {
+	v := l.v
+	plotW := l.x(v.To) - l.x(v.From)
+	nBuckets := previewBuckets(plotW)
 	span := (v.To - v.From) / float64(nBuckets)
 	// Per bucket, per category, exclusive (innermost-wins) state time, so
 	// the stripes show the proportions a viewer actually perceives.
 	buckets := exclusiveBuckets(rs, v.From, span, nBuckets)
-	var b strings.Builder
-	rowH := float64(rowHeight) - 6
-	for bi, m := range buckets {
-		if m == nil {
+	top := l.rows[rank].top
+	rowH := float64(l.rows[rank].h) - 6
+	var ids []int
+	for bi, bucket := range buckets {
+		if bucket == nil {
 			continue
 		}
-		x := xOf(v.From + float64(bi)*span)
+		x := l.x(v.From + float64(bi)*span)
 		w := plotW / float64(nBuckets)
 		var total float64
-		var cats []int
-		for cat, d := range m {
+		ids = ids[:0]
+		for cat, d := range bucket {
 			total += d
-			cats = append(cats, cat)
+			ids = append(ids, cat)
 		}
 		if total <= 0 {
 			continue
 		}
-		sort.Ints(cats)
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" stroke="#707070" stroke-width="0.5"/>`+"\n",
-			x, top+3, w, rowH)
+		sort.Ints(ids)
+		m.rect(`<rect x="`, x, top+3, w, rowH).s(`" fill="none" stroke="#707070" stroke-width="0.5"/>` + "\n")
 		y := top + 3.0
-		for _, cat := range cats {
-			frac := m[cat] / total
+		for _, cat := range ids {
+			frac := bucket[cat] / total
 			h := rowH * frac
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`+"\n",
-				x, y, w, h, hexOf(f.Categories[cat].Color))
+			m.rect(`<rect x="`, x, y, w, h).s(`" fill="`).s(cats[cat].hex).s(`"/>` + "\n")
 			y += h
 		}
 	}
-	return b.String()
 }
 
-// renderInlineLegend draws colour swatches along the bottom margin.
-func renderInlineLegend(f *slog2.File, width, height int) string {
-	var b strings.Builder
+// inlineLegend draws colour swatches along the bottom margin.
+func (m *markup) inlineLegend(f *slog2.File, cats []catText, width, height int) {
 	x := marginLeft
 	y := height - 8
-	for _, c := range f.Categories {
+	for i, c := range f.Categories {
 		if c.Kind != slog2.KindState {
 			continue
 		}
 		if x > width-140 {
 			break
 		}
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="9" height="9" fill="%s"/>`, x, y-9, hexOf(c.Color))
-		fmt.Fprintf(&b, `<text x="%d" y="%d" fill="#909090">%s</text>`+"\n", x+12, y, esc(c.Name))
+		m.f(`<rect x="%d" y="%d" width="9" height="9" fill="%s"/>`, x, y-9, cats[i].hex)
+		m.f(`<text x="%d" y="%d" fill="#909090">%s</text>`+"\n", x+12, y, cats[i].name)
 		x += 13 + 7*len(c.Name) + 10
 	}
-	return b.String()
 }
+
+// palette is the colour plan's named colours, for hexOf.
+var palette = [...]colors.Color{colors.Red, colors.Green, colors.ForestGreen,
+	colors.DarkGreen, colors.IndianRed, colors.Firebrick, colors.Salmon,
+	colors.Bisque, colors.Gray, colors.Yellow, colors.White,
+	colors.Orange, colors.Magenta}
 
 // hexOf maps a colour name from the log to a hex value via the palette,
 // falling back to the name itself (SVG understands X11 names).
 func hexOf(name string) string {
-	for _, c := range []colors.Color{colors.Red, colors.Green, colors.ForestGreen,
-		colors.DarkGreen, colors.IndianRed, colors.Firebrick, colors.Salmon,
-		colors.Bisque, colors.Gray, colors.Yellow, colors.White,
-		colors.Orange, colors.Magenta} {
-		if c.Name == name {
-			return c.Hex()
+	for i := range palette {
+		if palette[i].Name == name {
+			return palette[i].Hex()
 		}
 	}
 	return name
@@ -409,7 +537,35 @@ func clampF(x, lo, hi float64) float64 {
 	return x
 }
 
+// appendEsc appends s with the four XML-special bytes replaced by their
+// entities; text without any is one copy.
+func appendEsc(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var ent string
+		switch s[i] {
+		case '&':
+			ent = "&amp;"
+		case '<':
+			ent = "&lt;"
+		case '>':
+			ent = "&gt;"
+		case '"':
+			ent = "&quot;"
+		default:
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, ent...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
+}
+
+// esc is appendEsc for callers that build strings.
 func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	if !strings.ContainsAny(s, `&<>"`) {
+		return s
+	}
+	return string(appendEsc(nil, s))
 }

@@ -307,6 +307,31 @@ func TestSingleflightCollapsesColdHits(t *testing.T) {
 	}
 }
 
+// Two windows that agree to twelve significant digits are still two
+// windows: each gets its own render, body and ETag (a "%.12g" cache key
+// used to hand the second viewer the first one's bytes).
+func TestTileCacheKeyKeepsNearbyWindowsApart(t *testing.T) {
+	s, ts := newTestServer(t, goldenDir)
+	var bodies [2][]byte
+	var etags [2]string
+	for i, t0 := range []string{"1234.500000001", "1234.500000002"} {
+		resp, body := get(t, ts.URL+"/trace/lab2/tile?t0="+t0+"&t1=1235", nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("t0=%s: status %d", t0, resp.StatusCode)
+		}
+		if !bytes.Contains(body, []byte(`"t0":`+t0+",")) {
+			t.Errorf("t0=%s: body is another window's: %s", t0, body)
+		}
+		bodies[i], etags[i] = body, resp.Header.Get("ETag")
+	}
+	if bytes.Equal(bodies[0], bodies[1]) || etags[0] == etags[1] {
+		t.Errorf("windows 1 ns apart were served the same tile (ETags %s, %s)", etags[0], etags[1])
+	}
+	if got := s.tilesRendered.Load(); got != 2 {
+		t.Errorf("tiles_rendered = %d, want 2", got)
+	}
+}
+
 func TestLegendAndSearchMatchDirect(t *testing.T) {
 	_, ts := newTestServer(t, goldenDir)
 	f, err := slog2.ReadFile(filepath.Join(goldenDir, "lab2.slog2"))

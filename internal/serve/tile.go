@@ -93,10 +93,28 @@ func parseTileParams(q url.Values, f *slog2.File) (tileParams, error) {
 }
 
 // cacheKey identifies one rendered tile: trace identity+generation
-// crossed with every parameter that affects the bytes.
+// crossed with every parameter that affects the bytes. The window's
+// bounds are written shortest-exact, so two windows share a key only
+// when they are the same window.
 func (p tileParams) cacheKey(tr *Trace) string {
-	return fmt.Sprintf("tile\x00%s\x00%s\x00%s|t0=%.12g|t1=%.12g|r0=%d|r1=%d|z=%d",
-		tr.ID, tr.Gen, p.format, p.win.T0, p.win.T1, p.win.RankLo, p.win.RankHi, p.zoom)
+	b := make([]byte, 0, 96+len(tr.ID)+len(tr.Gen))
+	b = append(b, "tile\x00"...)
+	b = append(b, tr.ID...)
+	b = append(b, 0)
+	b = append(b, tr.Gen...)
+	b = append(b, 0)
+	b = append(b, p.format...)
+	b = append(b, "|t0="...)
+	b = strconv.AppendFloat(b, p.win.T0, 'g', -1, 64)
+	b = append(b, "|t1="...)
+	b = strconv.AppendFloat(b, p.win.T1, 'g', -1, 64)
+	b = append(b, "|r0="...)
+	b = strconv.AppendInt(b, int64(p.win.RankLo), 10)
+	b = append(b, "|r1="...)
+	b = strconv.AppendInt(b, int64(p.win.RankHi), 10)
+	b = append(b, "|z="...)
+	b = strconv.AppendInt(b, int64(p.zoom), 10)
+	return string(b)
 }
 
 // Tile JSON DTOs: the wire schema, decoupled from the slog2 structs.
@@ -174,7 +192,7 @@ func RenderTileSVG(tr *Trace, win jumpshot.Window, zoom int) []byte {
 		RankOrder: jumpshot.TileRankOrder(tr.File, win),
 		Title:     fmt.Sprintf("%s [%.6g, %.6g]", tr.ID, win.T0, win.T1),
 	}
-	return []byte(jumpshot.RenderSVG(tr.File, v))
+	return jumpshot.AppendSVG(nil, tr.File, v)
 }
 
 // renderTile dispatches on format and returns (body, content type).
