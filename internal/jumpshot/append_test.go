@@ -39,7 +39,7 @@ func TestAppendersMatchFmt(t *testing.T) {
 	}
 	for _, x := range floats {
 		var m markup
-		if got, want := string(m.s("x=").f1(x).s(" t: ").f6(x).bytes()), fmt.Sprintf("x=%.1f t: %.6f", x, x); got != want {
+		if got, want := string(*m.s("x=").f1(x).s(" t: ").f6(x)), fmt.Sprintf("x=%.1f t: %.6f", x, x); got != want {
 			t.Fatalf("f1, f6 of %v give %q, %%.1f and %%.6f give %q", x, got, want)
 		}
 	}
@@ -49,7 +49,7 @@ func TestAppendersMatchFmt(t *testing.T) {
 	}
 	for _, n := range ints {
 		var m markup
-		if got, want := string(m.d(n).bytes()), fmt.Sprintf("%d", n); got != want {
+		if got, want := string(*m.d(n)), fmt.Sprintf("%d", n); got != want {
 			t.Fatalf("d(%d) gives %q, %%d gives %q", n, got, want)
 		}
 	}
@@ -81,7 +81,7 @@ func TestEscMatchesReplacer(t *testing.T) {
 			t.Fatalf("esc(%q) = %q, the Replacer gives %q", s, got, want)
 		}
 		var m markup
-		if got := string(m.s("x").esc(s).bytes()); got != "x"+want {
+		if got := string(*m.s("x").esc(s)); got != "x"+want {
 			t.Fatalf("markup.esc(%q) gives %q, the Replacer gives %q", s, got, "x"+want)
 		}
 	}

@@ -296,7 +296,7 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	m.annotations(l, width)
 
 	m.inlineLegend(f, cats, width, height)
-	return m.s("</svg>\n").bytes()
+	return *m.s("</svg>\n")
 }
 
 // preview reports whether a rank with n states in the viewport is drawn
@@ -309,8 +309,6 @@ func (l *layout) preview(n int) bool {
 // one thing each and chain, so a drawable's markup reads like the format
 // string it replaced while costing no fmt call and no string.
 type markup []byte
-
-func (m *markup) bytes() []byte { return *m }
 
 // s and raw append text as it is; esc appends it with the four
 // XML-special bytes replaced by their entities.
