@@ -93,10 +93,11 @@ cover:
 # The logging-overhead harness (ns/op, B/op, allocs/op per Pilot call,
 # with and without logging — BENCH_overhead.json), then the conversion
 # and merge benchmarks: the parallel CLOG-2 -> SLOG-2 pipeline at
-# several worker counts, plus the MPE wrap-up merge.
+# several worker counts, the bare CLOG-2 scan (MB/s) and the sequential
+# converter (B/op) on a 500 000-record log, plus the MPE wrap-up merge.
 bench:
 	$(GO) run ./cmd/pilot-bench -overhead -overhead-out BENCH_overhead.json
-	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox' -benchmem ./internal/mpi/
 
 # Re-measure the logging hot path and diff against the committed
@@ -109,10 +110,12 @@ bench:
 bench-compare:
 	$(GO) run ./cmd/pilot-bench -overhead -overhead-out out/BENCH_overhead.json -compare BENCH_overhead.json
 
-# Short fuzz pass over the CLOG-2 reader (seed corpus runs in plain
-# `make test` as well).
+# Short fuzz pass over every target fuzz-smoke runs (seed corpora run in
+# plain `make test` as well).
 fuzz:
 	$(GO) test ./internal/clog2/ -fuzz FuzzReadFile -fuzztime 30s
+	$(GO) test ./internal/clog2/ -fuzz FuzzSalvageSegments -fuzztime 30s
+	$(GO) test ./internal/mpe/ -fuzz FuzzSalvageFragment -fuzztime 30s
 	$(GO) test ./internal/slog2/ -fuzz FuzzReadSLOG2 -fuzztime 30s
 	$(GO) test ./internal/idx/ -fuzz FuzzReadIndex -fuzztime 30s
 	$(GO) test ./internal/analyze/ -fuzz FuzzAnalyze -fuzztime 30s

@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clog2"
 	"repro/internal/collisions"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -278,6 +279,118 @@ func BenchmarkConvertParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// scanCLOG generates an 8-rank log of about records timed records in
+// 2048-record rank blocks: nested states with cargo, matched messages and
+// solo events, each rank in time order — the shape of a merged run, at
+// the size where a tool's cost is its cost per record.
+func scanCLOG(b *testing.B, records int) []byte {
+	b.Helper()
+	const ranks, perBlock = 8, 2048
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, ranks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.WriteBlock(0, []clog2.Record{
+		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"},
+		{Type: clog2.RecStateDef, ID: 2, Aux1: 4, Aux2: 5, Color: "red", Name: "PI_Read"},
+		{Type: clog2.RecEventDef, ID: 1<<20 + 1, Color: "yellow", Name: "MsgArrival"},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	cargo := func(t float64, rank, etype int32, text string) clog2.Record {
+		r := clog2.Record{Type: clog2.RecCargoEvt, Time: t, Rank: rank, ID: etype}
+		r.SetCargo(text)
+		return r
+	}
+	blocks := make([][]clog2.Record, ranks)
+	emit := func(rank int32, recs ...clog2.Record) {
+		blocks[rank] = append(blocks[rank], recs...)
+		if len(blocks[rank]) >= perBlock {
+			if err := w.WriteBlock(rank, blocks[rank]); err != nil {
+				b.Fatal(err)
+			}
+			blocks[rank] = blocks[rank][:0]
+		}
+	}
+	for i, n := 0, 0; n < records; i, n = i+1, n+7 {
+		src := int32(i % ranks)
+		dst := (src + 1) % ranks
+		t := float64(i) * 1e-5
+		emit(src, cargo(t, src, 2, "line: 17 proc: P3"),
+			clog2.Record{Type: clog2.RecMsgEvt, Time: t + 1e-6, Rank: src, Dir: clog2.DirSend, Aux1: dst, Aux2: src % 4, Aux3: 256},
+			clog2.Record{Type: clog2.RecBareEvt, Time: t + 4e-6, Rank: src, ID: 3})
+		emit(dst, cargo(t+5e-6, dst, 4, "line: 42"),
+			clog2.Record{Type: clog2.RecMsgEvt, Time: t + 6e-6, Rank: dst, Dir: clog2.DirRecv, Aux1: src, Aux2: src % 4, Aux3: 256},
+			cargo(t+7e-6, dst, 1<<20+1, "arrived"),
+			clog2.Record{Type: clog2.RecBareEvt, Time: t + 8e-6, Rank: dst, ID: 5})
+	}
+	for rank, recs := range blocks {
+		if err := w.WriteBlock(int32(rank), recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkBlockReaderScan is the floor under every post-run tool: one
+// NextReuse walk of a 500 000-record log, nothing done with the records.
+// MB/s is the figure to watch. The reader is opened once and sought back
+// behind the definitions block for every walk, so allocs/op is what
+// decoding timed records costs: nothing.
+func BenchmarkBlockReaderScan(b *testing.B) {
+	data := scanCLOG(b, 500_000)
+	br, err := clog2.NewBlockReaderAt(bytes.NewReader(data), int64(clog2.HeaderSize), 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defs, err := br.Next()
+	if err != nil || defs.Records[0].Type != clog2.RecStateDef {
+		b.Fatalf("first block %+v, err %v", defs, err)
+	}
+	_, timed := br.BlockBounds()
+	buf := make([]clog2.Record, 0, 4096)
+	b.SetBytes(int64(len(data)) - timed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := br.SeekTo(timed); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			blk, err := br.NextReuse(buf)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = blk.Records
+		}
+	}
+}
+
+// BenchmarkConvertReader converts the same log sequentially; B/op over
+// 500 000 is the converter's allocation per record.
+func BenchmarkConvertReader(b *testing.B) {
+	data := scanCLOG(b, 500_000)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := slog2.ConvertReader(bytes.NewReader(data), slog2.ConvertOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.NestingErrors != 0 || len(rep.Warnings) != 0 {
+			b.Fatalf("conversion report %+v", rep)
+		}
 	}
 }
 

@@ -95,6 +95,11 @@ func FuzzReadFile(f *testing.F) {
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("Read err=%v but BlockReader err=%v", err, serr)
 		}
+		// The slice decoder agrees with the field-by-field decoder it
+		// replaced on blocks, bounds and error class.
+		compareDrained(t, "fuzz input",
+			drain(NewBlockReader(bytes.NewReader(data))),
+			drain(newOracleReader(bytes.NewReader(data))), false)
 		if err == nil {
 			if len(blocks) != len(full.Blocks) {
 				t.Fatalf("BlockReader saw %d blocks, Read saw %d", len(blocks), len(full.Blocks))
@@ -179,5 +184,51 @@ func TestBlockReaderNextReuse(t *testing.T) {
 	}
 	if _, err := br.NextReuse(buf); err != io.EOF {
 		t.Fatalf("want io.EOF on repeat call, got %v", err)
+	}
+}
+
+// Steady state — timed records, a buffer already grown to the block size —
+// NextReuse allocates nothing: records are decoded in place in the
+// caller's slice out of the reader's one byte buffer.
+func TestNextReuseSteadyStateAllocatesNothing(t *testing.T) {
+	const blocks, perBlock = 400, 1500 // 9 MB: the buffer refills ~150 times
+	recs := make([]Record, perBlock)
+	for i := range recs {
+		switch i % 3 {
+		case 0:
+			recs[i] = Record{Type: RecBareEvt, Time: float64(i), ID: 2}
+		case 1:
+			recs[i] = Record{Type: RecCargoEvt, Time: float64(i), ID: 3}
+			recs[i].SetCargo("line: 17 proc: P3")
+		default:
+			recs[i] = Record{Type: RecMsgEvt, Time: float64(i), Dir: DirSend, Aux1: 1, Aux2: 9, Aux3: 800}
+		}
+	}
+	var file bytes.Buffer
+	w, err := NewWriter(&file, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < blocks; b++ {
+		if err := w.WriteBlock(int32(b%4), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBlockReader(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Record, 0, perBlock)
+	allocs := testing.AllocsPerRun(blocks-50, func() {
+		b, err := br.NextReuse(buf)
+		if err != nil || len(b.Records) != perBlock {
+			t.Fatalf("%d records, err %v", len(b.Records), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state NextReuse allocates %.2f times a block", allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic begins every file; the trailing digits are this format's version.
@@ -77,7 +78,7 @@ func (w *Writer) WriteBlockChunks(rank int32, chunks ...[]Record) error {
 		total += len(c)
 	}
 	// Ranks are shifted by +1 on the wire so a block header's first byte
-	// can never equal the RecEndLog marker (see decoder.peekType).
+	// can never equal the RecEndLog marker (see BlockReader.NextReuse).
 	w.put32(rank + 1)
 	w.put32(int32(total))
 	for _, c := range chunks {
@@ -258,12 +259,17 @@ func ReadLenient(r io.Reader) (*File, bool, error) {
 // multi-gigabyte allocation before a single record has been decoded.
 const maxRecordPrealloc = 4096
 
+// decodeBufSize is the size of a streaming decoder's one buffer. It holds
+// the longest field the format can declare (a 65 535-byte string) whole,
+// so the buffer is never grown and never sized from a length field.
+const decodeBufSize = 64 << 10
+
 // BlockReader streams a CLOG-2 file one block at a time, without ever
 // materializing File.Blocks: the converter's partitioning phase and the
 // end-of-run merge both consume blocks as they arrive. Next returns io.EOF
 // after the end-log marker.
 type BlockReader struct {
-	d        *decoder
+	d        decoder
 	numRanks int
 	done     bool
 	// rs is the underlying seekable source when the reader was opened via
@@ -278,22 +284,24 @@ type BlockReader struct {
 // NewBlockReader reads the file header from r and returns a streaming
 // block iterator.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	br := &BlockReader{d: decoder{src: r, buf: make([]byte, decodeBufSize)}}
+	d := &br.d
+	if err := d.fill(len(Magic)); err != nil {
 		return nil, fmt.Errorf("clog2: reading magic: %w", err)
 	}
-	if string(magic) != Magic {
+	if magic := d.buf[d.r : d.r+len(Magic)]; string(magic) != Magic {
 		return nil, fmt.Errorf("clog2: bad magic %q (not a CLOG-2 file?)", magic)
 	}
-	var nranks int32
-	if err := binary.Read(br, binary.LittleEndian, &nranks); err != nil {
+	d.r += len(Magic)
+	if err := d.fill(4); err != nil {
 		return nil, fmt.Errorf("clog2: reading rank count: %w", err)
 	}
+	nranks := d.get32()
 	if nranks < 1 || nranks > 1<<20 {
 		return nil, fmt.Errorf("clog2: implausible rank count %d", nranks)
 	}
-	return &BlockReader{d: &decoder{r: br, off: int64(HeaderSize)}, numRanks: int(nranks)}, nil
+	br.numRanks = int(nranks)
+	return br, nil
 }
 
 // NewBlockReaderAt opens a block iterator positioned at offset in rs — a
@@ -312,7 +320,7 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 		return nil, err
 	}
 	return &BlockReader{
-		d:        &decoder{r: bufio.NewReader(rs), off: offset},
+		d:        decoder{src: rs, buf: make([]byte, decodeBufSize), base: offset},
 		numRanks: numRanks,
 		rs:       rs,
 	}, nil
@@ -330,9 +338,7 @@ func (br *BlockReader) SeekTo(offset int64) error {
 	if _, err := br.rs.Seek(offset, io.SeekStart); err != nil {
 		return err
 	}
-	br.d.r.Reset(br.rs)
-	br.d.off = offset
-	br.d.err = nil
+	br.d = decoder{src: br.rs, buf: br.d.buf, base: offset}
 	br.done = false
 	return nil
 }
@@ -357,18 +363,16 @@ func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
 	if br.done {
 		return Block{}, io.EOF
 	}
-	d := br.d
-	// Either a block header (rank, nrec) or the end-log marker.
-	t, err := d.peekType()
-	if err != nil {
-		return Block{}, err
+	d := &br.d
+	if !d.need(1) {
+		return Block{}, d.err
 	}
-	start := d.off
-	if t == RecEndLog {
-		d.getByte()
-		if d.err != nil {
-			return Block{}, d.err
-		}
+	start := d.offset()
+	// Block ranks are +1 on the wire, so a leading 0 byte is the end-log
+	// marker, not a header. (Known limit of the format: the header of rank
+	// 255, 256 on the wire, begins with a 0 byte too and ends the log.)
+	if RecType(d.buf[d.r]) == RecEndLog {
+		d.r++
 		br.done = true
 		return Block{}, io.EOF
 	}
@@ -377,34 +381,12 @@ func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
 	if d.err != nil {
 		return Block{}, d.err
 	}
-	if n < 0 || n > 1<<28 {
-		return Block{}, fmt.Errorf("clog2: implausible record count %d", n)
+	recs, err := d.readRecords(buf, rank, n, "block")
+	if err != nil {
+		return Block{}, err
 	}
-	recs := buf[:0]
-	if cap(recs) == 0 {
-		prealloc := n
-		if prealloc > maxRecordPrealloc {
-			prealloc = maxRecordPrealloc
-		}
-		recs = make([]Record, 0, prealloc)
-	}
-	b := Block{Rank: rank}
-	for i := int32(0); i < n; i++ {
-		rec, err := d.readRecord()
-		if err != nil {
-			return Block{}, err
-		}
-		recs = append(recs, rec)
-	}
-	if tt := RecType(d.getByte()); d.err == nil && tt != RecEndBlock {
-		return Block{}, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, tt)
-	}
-	if d.err != nil {
-		return Block{}, d.err
-	}
-	br.lastStart, br.lastEnd = start, d.off
-	b.Records = recs
-	return b, nil
+	br.lastStart, br.lastEnd = start, d.offset()
+	return Block{Rank: rank, Records: recs}, nil
 }
 
 // Read parses a complete CLOG-2 file.
@@ -436,46 +418,137 @@ type partialError struct {
 func (e *partialError) Error() string { return e.err.Error() }
 func (e *partialError) Unwrap() error { return e.err }
 
+// decoder reads fields out of one byte buffer it owns: buf[r:w] holds the
+// bytes read from src and not yet decoded. A decoder over bytes already in
+// memory has no src; buf is then the caller's slice, whole.
 type decoder struct {
-	r   *bufio.Reader
-	err error
-	// off is the byte offset of the next unread byte, counted from the
-	// start of the file — the source of block-bounds reporting.
-	off int64
-	// num is the fixed-size field scratch buffer: local [N]byte arrays
-	// escape to the heap when passed through io.ReadFull, costing an
-	// allocation per record field; a struct field does not.
-	num [8]byte
-	// scratch is the reusable string-read buffer: getStr decodes into it
-	// and allocates only the final string, so record decoding costs one
-	// allocation per non-empty string instead of two.
-	scratch []byte
-	// cargo is the cargo-read staging buffer: reading straight into
-	// r.Cargo[:n] would slice the caller's record through the io.Reader
-	// interface and force the whole Record to escape, one heap
-	// allocation per cargo record on the merge path.
-	cargo [MaxCargo]byte
+	src  io.Reader
+	buf  []byte
+	r, w int
+	// base is the file offset of buf[0]; offset() derives the position of
+	// the next unread byte from it — the source of block-bounds reporting.
+	base int64
+	// err is the first decode failure and is sticky; srcErr is what src
+	// returned beside the last bytes it gave, reported once they run out.
+	err, srcErr error
 }
 
-// peekType distinguishes an end-log byte from a block header. A block
-// header begins with a rank int32 whose first byte could collide with
-// RecEndLog (0); disambiguate by peeking 1 byte and treating exactly the
-// single-byte RecEndLog value followed by EOF-or-anything as end only when
-// the next 8 bytes cannot form a header. To avoid that ambiguity entirely,
-// block ranks are written shifted by +1 on the wire.
-func (d *decoder) peekType() (RecType, error) {
-	b, err := d.r.Peek(1)
-	if err != nil {
-		return 0, fmt.Errorf("clog2: truncated file: %w", err)
+// timedPrefix is the longest fixed-layout prefix of a timed record (a
+// RecMsgEvt, whole): with that many bytes buffered readRecord decodes
+// without a bounds or refill check per field.
+const timedPrefix = 26
+
+func (d *decoder) offset() int64 { return d.base + int64(d.r) }
+
+// fill makes at least n unread bytes available, compacting the buffer and
+// reading src until they are there. n never exceeds len(buf): no field is
+// longer than decodeBufSize. The error is what io.ReadFull would give for
+// the same field: io.EOF with nothing left, io.ErrUnexpectedEOF when the
+// field is cut, src's own error otherwise — and io.ErrNoProgress, as
+// bufio, for a source that keeps returning (0, nil).
+func (d *decoder) fill(n int) error {
+	if d.w-d.r >= n {
+		return nil
 	}
-	if b[0] == uint8(RecEndLog) {
-		return RecEndLog, nil
+	if d.src != nil && d.srcErr == nil {
+		d.base += int64(d.r)
+		d.w = copy(d.buf, d.buf[d.r:d.w])
+		d.r = 0
+		for empty := 0; d.w < n && d.srcErr == nil; {
+			m, err := d.src.Read(d.buf[d.w:])
+			d.w += m
+			switch {
+			case err != nil:
+				d.srcErr = err
+			case m > 0:
+				empty = 0
+			default:
+				if empty++; empty >= 100 {
+					d.srcErr = io.ErrNoProgress
+				}
+			}
+		}
+		if d.w >= n {
+			return nil
+		}
 	}
-	return RecEndBlock, nil // "not end-log"; caller reads the header
+	err := d.srcErr
+	if err == nil {
+		err = io.EOF // no source: buf was the whole input
+	}
+	if err == io.EOF && d.w > d.r {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
-func (d *decoder) readRecord() (Record, error) {
-	var r Record
+// need is fill for record fields: a failure becomes the sticky d.err.
+func (d *decoder) need(n int) bool {
+	if d.err != nil {
+		return false
+	}
+	if d.w-d.r >= n {
+		return true
+	}
+	if err := d.fill(n); err != nil {
+		d.err = fmt.Errorf("clog2: truncated file: %w", err)
+		return false
+	}
+	return true
+}
+
+// readRecords decodes the n records a block header declared into buf's
+// backing array (grown as append would), then the end-block marker.
+func (d *decoder) readRecords(buf []Record, rank, n int32, what string) ([]Record, error) {
+	if n < 0 || n > 1<<28 {
+		return nil, fmt.Errorf("clog2: implausible record count %d", n)
+	}
+	recs := buf[:0]
+	if cap(recs) == 0 {
+		recs = make([]Record, 0, min(n, maxRecordPrealloc))
+	}
+	for i := int32(0); i < n; i++ {
+		if len(recs) == cap(recs) {
+			recs = slices.Grow(recs, 1)
+		}
+		recs = recs[:len(recs)+1]
+		if err := d.readRecord(&recs[len(recs)-1]); err != nil {
+			return nil, err
+		}
+	}
+	if tt := RecType(d.getByte()); d.err == nil && tt != RecEndBlock {
+		return nil, fmt.Errorf("clog2: %s for rank %d not terminated (got %v)", what, rank, tt)
+	}
+	return recs, d.err
+}
+
+// readRecord decodes one record into *r, overwriting every field.
+func (d *decoder) readRecord(r *Record) error {
+	if d.w-d.r >= timedPrefix {
+		// Fast path: the fixed prefix of every timed record type is
+		// buffered whole.
+		b := d.buf[d.r : d.r+timedPrefix]
+		switch t := RecType(b[0]); t {
+		case RecBareEvt:
+			*r = Record{Type: t, Time: leF64(b[1:]), Rank: le32(b[9:]), ID: le32(b[13:])}
+			d.r += 17
+			return nil
+		case RecMsgEvt:
+			*r = Record{Type: t, Time: leF64(b[1:]), Rank: le32(b[9:]), Dir: b[13],
+				Aux1: le32(b[14:]), Aux2: le32(b[18:]), Aux3: le32(b[22:])}
+			d.r += 26
+			return nil
+		case RecCargoEvt:
+			body := d.r + 19
+			if end := body + int(binary.LittleEndian.Uint16(b[17:])); end <= d.w {
+				*r = Record{Type: t, Time: leF64(b[1:]), Rank: le32(b[9:]), ID: le32(b[13:])}
+				r.CargoLen = uint8(copy(r.Cargo[:], d.buf[body:end]))
+				d.r = end
+				return nil
+			}
+		}
+	}
+	*r = Record{}
 	r.Type = RecType(d.getByte())
 	r.Time = d.getF64()
 	r.Rank = d.get32()
@@ -498,7 +571,7 @@ func (d *decoder) readRecord() (Record, error) {
 		r.ID = d.get32()
 	case RecCargoEvt:
 		r.ID = d.get32()
-		d.getCargo(&r)
+		d.getCargo(r)
 	case RecMsgEvt:
 		r.Dir = d.getByte()
 		r.Aux1 = d.get32()
@@ -514,44 +587,43 @@ func (d *decoder) readRecord() (Record, error) {
 			d.err = fmt.Errorf("clog2: unknown record type %d", r.Type)
 		}
 	}
-	return r, d.err
+	return d.err
 }
 
+func le32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
+
+func leF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
 func (d *decoder) getByte() uint8 {
-	if d.err != nil {
+	if !d.need(1) {
 		return 0
 	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
+	d.r++
+	return d.buf[d.r-1]
+}
+
+func (d *decoder) get16() int {
+	if !d.need(2) {
 		return 0
 	}
-	d.off++
-	return b
+	d.r += 2
+	return int(binary.LittleEndian.Uint16(d.buf[d.r-2:]))
 }
 
 func (d *decoder) get32() int32 {
-	if d.err != nil {
+	if !d.need(4) {
 		return 0
 	}
-	if _, err := io.ReadFull(d.r, d.num[:4]); err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
-		return 0
-	}
-	d.off += 4
-	return int32(binary.LittleEndian.Uint32(d.num[:4]))
+	d.r += 4
+	return le32(d.buf[d.r-4:])
 }
 
 func (d *decoder) getF64() float64 {
-	if d.err != nil {
+	if !d.need(8) {
 		return 0
 	}
-	if _, err := io.ReadFull(d.r, d.num[:8]); err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
-		return 0
-	}
-	d.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.num[:8]))
+	d.r += 8
+	return leF64(d.buf[d.r-8:])
 }
 
 // getCargo reads a length-prefixed cargo string straight into the
@@ -559,54 +631,34 @@ func (d *decoder) getF64() float64 {
 // never emits more than MaxCargo bytes, but a hostile file may declare
 // more; the excess is consumed and dropped.
 func (d *decoder) getCargo(r *Record) {
-	if d.err != nil {
+	n := d.get16()
+	keep := min(n, MaxCargo)
+	if !d.need(keep) {
 		return
 	}
-	if _, err := io.ReadFull(d.r, d.num[:2]); err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
-		return
-	}
-	n := int(binary.LittleEndian.Uint16(d.num[:2]))
-	keep := n
-	if keep > MaxCargo {
-		keep = MaxCargo
-	}
-	if _, err := io.ReadFull(d.r, d.cargo[:keep]); err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
-		return
-	}
-	copy(r.Cargo[:], d.cargo[:keep])
-	r.CargoLen = uint8(keep)
-	if n > keep {
-		if _, err := d.r.Discard(n - keep); err != nil {
-			d.err = fmt.Errorf("clog2: truncated file: %w", err)
-			return
-		}
-	}
-	d.off += 2 + int64(n)
+	r.CargoLen = uint8(copy(r.Cargo[:], d.buf[d.r:d.r+keep]))
+	d.r += keep
+	d.skip(n - keep)
 }
 
+// skip drops n bytes that belong to no field. Cut short it fails with the
+// source's own error once the bytes run out — a plain io.EOF, not
+// io.ErrUnexpectedEOF — which is what the oracle's Discard reports.
+func (d *decoder) skip(n int) {
+	for n > 0 && d.need(1) {
+		m := min(n, d.w-d.r)
+		d.r += m
+		n -= m
+	}
+}
+
+// getStr reads a length-prefixed string into fresh memory: definition
+// names outlive the buffer.
 func (d *decoder) getStr() string {
-	if d.err != nil {
+	n := d.get16()
+	if n == 0 || !d.need(n) {
 		return ""
 	}
-	if _, err := io.ReadFull(d.r, d.num[:2]); err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
-		return ""
-	}
-	n := int(binary.LittleEndian.Uint16(d.num[:2]))
-	if n == 0 {
-		d.off += 2
-		return ""
-	}
-	if cap(d.scratch) < n {
-		d.scratch = make([]byte, n)
-	}
-	s := d.scratch[:n]
-	if _, err := io.ReadFull(d.r, s); err != nil {
-		d.err = fmt.Errorf("clog2: truncated file: %w", err)
-		return ""
-	}
-	d.off += 2 + int64(n)
-	return string(s)
+	d.r += n
+	return string(d.buf[d.r-n : d.r])
 }

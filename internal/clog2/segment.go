@@ -243,10 +243,11 @@ func EncodeBlockPayload(buf *bytes.Buffer, rank int32, recs []Record) error {
 }
 
 // DecodeBlockPayload parses one bare block encoding, as produced by
-// EncodeBlockPayload. Trailing bytes after the end-block marker are an
-// error: a segment payload is exactly one block.
+// EncodeBlockPayload, decoding straight out of data. Trailing bytes after
+// the end-block marker are an error: a segment payload is exactly one
+// block.
 func DecodeBlockPayload(data []byte) (Block, error) {
-	d := &decoder{r: bufio.NewReader(bytes.NewReader(data))}
+	d := decoder{buf: data, w: len(data)}
 	rank := d.get32() - 1 // undo the +1 wire shift
 	n := d.get32()
 	if d.err != nil {
@@ -255,29 +256,12 @@ func DecodeBlockPayload(data []byte) (Block, error) {
 	if rank < 0 {
 		return Block{}, fmt.Errorf("clog2: block payload with negative rank %d", rank)
 	}
-	if n < 0 || n > 1<<28 {
-		return Block{}, fmt.Errorf("clog2: implausible record count %d", n)
+	recs, err := d.readRecords(nil, rank, n, "block payload")
+	if err != nil {
+		return Block{}, err
 	}
-	prealloc := n
-	if prealloc > maxRecordPrealloc {
-		prealloc = maxRecordPrealloc
-	}
-	recs := make([]Record, 0, prealloc)
-	for i := int32(0); i < n; i++ {
-		rec, err := d.readRecord()
-		if err != nil {
-			return Block{}, err
-		}
-		recs = append(recs, rec)
-	}
-	if tt := RecType(d.getByte()); d.err == nil && tt != RecEndBlock {
-		return Block{}, fmt.Errorf("clog2: block payload for rank %d not terminated (got %v)", rank, tt)
-	}
-	if d.err != nil {
-		return Block{}, d.err
-	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return Block{}, fmt.Errorf("clog2: %d trailing bytes after block payload", d.r.Buffered()+1)
+	if d.r != d.w {
+		return Block{}, fmt.Errorf("clog2: %d trailing bytes after block payload", d.w-d.r)
 	}
 	return Block{Rank: rank, Records: recs}, nil
 }

@@ -280,3 +280,22 @@ func TestDecodeBlockPayloadRejects(t *testing.T) {
 		t.Fatal("empty payload decoded")
 	}
 }
+
+// A payload is decoded straight out of the caller's bytes: no reader, no
+// buffer, only the record slice it returns.
+func TestDecodeBlockPayloadAllocatesOnlyRecords(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeBlockPayload(&buf, 3, []Record{{Type: RecBareEvt, Time: 1, Rank: 3, ID: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		b, err := DecodeBlockPayload(payload)
+		if err != nil || b.Rank != 3 || len(b.Records) != 1 {
+			t.Fatalf("%+v, err %v", b, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("decoding a one-record payload allocates %.0f times, want 1 (the record slice)", allocs)
+	}
+}

@@ -3,7 +3,9 @@ package slog2
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,70 +54,132 @@ type Report struct {
 	UnmatchedSends int
 	UnmatchedRecvs int
 	NestingErrors  int // mismatched state start/end pairs
-	Warnings       []string
+	// OutOfRange counts records and message halves dropped because their
+	// rank, or their peer's, lies outside [0, NumRanks).
+	OutOfRange int
+	Warnings   []string
 }
 
 func (r *Report) warnf(format string, args ...any) {
 	r.Warnings = append(r.Warnings, fmt.Sprintf(format, args...))
 }
 
+// timed is what the converter keeps of one timed record: the fields
+// pairing reads, and where its cargo text sits in the rank's arena — 32
+// bytes where a clog2.Record is 136.
+type timed struct {
+	t                    float64
+	id, aux1, aux2, aux3 int32
+	cargoOff             uint32
+	typ                  clog2.RecType
+	dir, cargoLen        uint8
+}
+
+// rankLog is one rank's timed records in file order (the per-rank
+// sequence used as the sort tie-break) and, end to end, their cargo text.
+type rankLog struct {
+	recs  []timed
+	cargo []byte
+}
+
 // partition is the phase-1 product: definition records in file order and
-// each rank's timed records in file order (the per-rank sequence used as
-// the sort tie-break).
+// each rank's timed records. perRank is keyed, not indexed, by rank: a
+// header may declare 2^20 ranks and log on two.
 type partition struct {
 	numRanks  int
 	stateDefs []clog2.Record
 	eventDefs []clog2.Record
-	perRank   map[int][]clog2.Record
+	perRank   map[int]*rankLog
+	// dropped counts, by rank, the records whose rank lies outside
+	// [0, numRanks): slog2.Read rejects a drawable on such a rank.
+	dropped map[int]int
 }
 
 func newPartition(numRanks int) *partition {
-	return &partition{numRanks: numRanks, perRank: map[int][]clog2.Record{}}
+	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}}
 }
 
-func (p *partition) addBlock(b *clog2.Block) {
-	for _, rec := range b.Records {
+// addBlock copies what the conversion needs out of b, whose records the
+// caller is free to overwrite afterwards.
+func (p *partition) addBlock(b *clog2.Block) error {
+	var rl *rankLog // the log of rank cur; blocks rarely mix ranks
+	cur := int32(-1)
+	for i := range b.Records {
+		rec := &b.Records[i]
 		switch rec.Type {
 		case clog2.RecStateDef:
-			p.stateDefs = append(p.stateDefs, rec)
+			p.stateDefs = append(p.stateDefs, *rec)
 			continue
 		case clog2.RecEventDef:
-			p.eventDefs = append(p.eventDefs, rec)
+			p.eventDefs = append(p.eventDefs, *rec)
 			continue
 		case clog2.RecConstDef, clog2.RecTimeShift, clog2.RecSrcLoc:
 			continue
 		}
-		p.perRank[int(rec.Rank)] = append(p.perRank[int(rec.Rank)], rec)
+		if rec.Rank < 0 || int(rec.Rank) >= p.numRanks {
+			if p.dropped == nil {
+				p.dropped = map[int]int{}
+			}
+			p.dropped[int(rec.Rank)]++
+			continue
+		}
+		if rl == nil || rec.Rank != cur {
+			cur = rec.Rank
+			if rl = p.perRank[int(cur)]; rl == nil {
+				rl = &rankLog{}
+				p.perRank[int(cur)] = rl
+			}
+			// At most one doubling a block instead of append's 1.25x
+			// steps, which re-copy a long rank five times over.
+			if need := len(b.Records) - i; cap(rl.recs)-len(rl.recs) < need {
+				rl.recs = slices.Grow(rl.recs, max(need, len(rl.recs)))
+			}
+		}
+		if len(rl.cargo)+int(rec.CargoLen) > math.MaxUint32 {
+			return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", cur)
+		}
+		rl.recs = append(rl.recs, timed{
+			t: rec.Time, id: rec.ID, aux1: rec.Aux1, aux2: rec.Aux2, aux3: rec.Aux3,
+			cargoOff: uint32(len(rl.cargo)), typ: rec.Type, dir: rec.Dir, cargoLen: rec.CargoLen,
+		})
+		rl.cargo = append(rl.cargo, rec.CargoBytes()...)
 	}
+	return nil
 }
 
 // Convert builds an SLOG-2 file from a parsed CLOG-2 log.
 func Convert(in *clog2.File, opts ConvertOptions) (*File, *Report, error) {
 	p := newPartition(in.NumRanks)
 	for i := range in.Blocks {
-		p.addBlock(&in.Blocks[i])
+		if err := p.addBlock(&in.Blocks[i]); err != nil {
+			return nil, nil, err
+		}
 	}
 	return convertPartitioned(p, opts)
 }
 
 // ConvertReader streams a CLOG-2 file from r straight into the conversion,
-// one block at a time, without materializing clog2.File.Blocks — the
-// low-memory path used by vis.Convert and the command-line tools.
+// one block at a time through one reused record buffer — the low-memory
+// path used by vis.Convert and the command-line tools.
 func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	p := newPartition(br.NumRanks())
+	var buf []clog2.Record
 	for {
-		b, err := br.Next()
+		b, err := br.NextReuse(buf)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		p.addBlock(&b)
+		buf = b.Records
+		if err := p.addBlock(&b); err != nil {
+			return nil, nil, err
+		}
 	}
 	return convertPartitioned(p, opts)
 }
@@ -137,6 +201,7 @@ type rankResult struct {
 	sends    map[msgKey][]endpoint
 	recvs    map[msgKey][]endpoint
 	nesting  int
+	badPeers int // message halves dropped for a peer outside [0, numRanks)
 	warnings []string
 }
 
@@ -144,61 +209,80 @@ func (rr *rankResult) warnf(format string, args ...any) {
 	rr.warnings = append(rr.warnings, fmt.Sprintf(format, args...))
 }
 
-// processRank runs the per-rank pairing phase: sort the rank's records by
-// (time, original sequence) and fold start/end pairs into states, solo
-// events into events, and message halves into per-key FIFO queues.
+// byTime orders records by time alone; under a stable sort, ties keep
+// their original sequence.
+func byTime(a, b timed) int { return cmpLess(a.t, b.t) }
+
+// orderByTime puts one rank's records in (time, original sequence) order:
+// one pass when they already are, as in every merged log, else a stable
+// sort by time.
+func orderByTime(recs []timed) {
+	if !slices.IsSortedFunc(recs, byTime) {
+		slices.SortStableFunc(recs, byTime)
+	}
+}
+
+// processRank runs the per-rank pairing phase: put the rank's records in
+// (time, original sequence) order and fold start/end pairs into states,
+// solo events into events, and message halves into per-key FIFO queues.
 // stateCat/eventCat are read-only shared tables, so many processRank calls
 // may run concurrently.
-func processRank(rank int, recs []clog2.Record, stateCat map[mpe.StateID]int, eventCat map[mpe.EventID]int) *rankResult {
-	// Index sort: ties on Time resolve to original record sequence, so a
-	// state-end and the next state-start logged at an identical (coarse-
-	// resolution) timestamp can never reorder and desynchronize the
-	// pairing stack.
-	order := make([]int, len(recs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := &recs[order[a]], &recs[order[b]]
-		if ra.Time != rb.Time {
-			return ra.Time < rb.Time
-		}
-		return order[a] < order[b]
-	})
+func processRank(rank, numRanks int, rl *rankLog, stateCat map[mpe.StateID]int, eventCat map[mpe.EventID]int) *rankResult {
+	// Ties on time resolve to original record sequence, so a state-end and
+	// the next state-start logged at an identical (coarse-resolution)
+	// timestamp can never reorder and desynchronize the pairing stack. A
+	// merged log is already in that order, rank by rank.
+	recs := rl.recs
+	orderByTime(recs)
+	// Every cargo of the rank is a substring of this one string.
+	text := string(rl.cargo)
 
-	rr := &rankResult{}
+	// Size the outputs from what the records can at most produce.
+	var ends, solos int
+	for i := range recs {
+		if recs[i].typ == clog2.RecMsgEvt {
+			continue
+		}
+		if _, ok := mpe.IsEndEtype(recs[i].id); ok {
+			ends++
+		} else if _, ok := mpe.IsSoloEtype(recs[i].id); ok {
+			solos++
+		}
+	}
+	rr := &rankResult{states: make([]State, 0, ends), events: make([]Event, 0, solos)}
 	type open struct {
 		sid   mpe.StateID
 		start float64
 		cargo string
 	}
 	var stack []open
-	for _, i := range order {
+	var badPeers map[int]int
+	for i := range recs {
 		rec := &recs[i]
-		switch rec.Type {
+		cargo := text[rec.cargoOff : rec.cargoOff+uint32(rec.cargoLen)]
+		switch rec.typ {
 		case clog2.RecBareEvt, clog2.RecCargoEvt:
-			if sid, ok := mpe.IsStartEtype(rec.ID); ok {
-				stack = append(stack, open{sid: sid, start: rec.Time, cargo: rec.CargoText()})
+			if sid, ok := mpe.IsStartEtype(rec.id); ok {
+				stack = append(stack, open{sid: sid, start: rec.t, cargo: cargo})
 				continue
 			}
-			if sid, ok := mpe.IsEndEtype(rec.ID); ok {
+			if sid, ok := mpe.IsEndEtype(rec.id); ok {
 				if len(stack) == 0 {
 					rr.nesting++
-					rr.warnf("rank %d: end of state %d at %v with no open state", rank, sid, rec.Time)
+					rr.warnf("rank %d: end of state %d at %v with no open state", rank, sid, rec.t)
 					continue
 				}
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				if top.sid != sid {
 					rr.nesting++
-					rr.warnf("rank %d: state %d closed while %d open at %v", rank, sid, top.sid, rec.Time)
+					rr.warnf("rank %d: state %d closed while %d open at %v", rank, sid, top.sid, rec.t)
 				}
-				endCargo := rec.CargoText()
-				if endCargo == mpe.SyntheticEndCargo {
+				if cargo == mpe.SyntheticEndCargo {
 					// The logger closed this state for us at wrap-up; it is
 					// still a nesting error in the program being debugged.
 					rr.nesting++
-					rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, sid, rec.Time)
+					rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, sid, rec.t)
 				}
 				cat, ok := stateCat[top.sid]
 				if !ok {
@@ -207,35 +291,43 @@ func processRank(rank int, recs []clog2.Record, stateCat map[mpe.StateID]int, ev
 				}
 				rr.states = append(rr.states, State{
 					Rank: rank, Cat: cat,
-					Start: top.start, End: rec.Time,
-					StartCargo: top.cargo, EndCargo: endCargo,
+					Start: top.start, End: rec.t,
+					StartCargo: top.cargo, EndCargo: cargo,
 				})
 				continue
 			}
-			if eid, ok := mpe.IsSoloEtype(rec.ID); ok {
+			if eid, ok := mpe.IsSoloEtype(rec.id); ok {
 				cat, ok := eventCat[eid]
 				if !ok {
 					rr.warnf("rank %d: event %d has no definition", rank, eid)
 					continue
 				}
-				rr.events = append(rr.events, Event{Rank: rank, Cat: cat, Time: rec.Time, Cargo: rec.CargoText()})
+				rr.events = append(rr.events, Event{Rank: rank, Cat: cat, Time: rec.t, Cargo: cargo})
 				continue
 			}
-			rr.warnf("rank %d: unclassifiable etype %d", rank, rec.ID)
+			rr.warnf("rank %d: unclassifiable etype %d", rank, rec.id)
 
 		case clog2.RecMsgEvt:
-			if rec.Dir == clog2.DirSend {
-				k := msgKey{src: rank, dst: int(rec.Aux1), tag: int(rec.Aux2)}
+			peer := int(rec.aux1)
+			if peer < 0 || peer >= numRanks {
+				if badPeers == nil {
+					badPeers = map[int]int{}
+				}
+				badPeers[peer]++
+				continue
+			}
+			if rec.dir == clog2.DirSend {
+				k := msgKey{src: rank, dst: peer, tag: int(rec.aux2)}
 				if rr.sends == nil {
 					rr.sends = map[msgKey][]endpoint{}
 				}
-				rr.sends[k] = append(rr.sends[k], endpoint{t: rec.Time, size: int(rec.Aux3)})
+				rr.sends[k] = append(rr.sends[k], endpoint{t: rec.t, size: int(rec.aux3)})
 			} else {
-				k := msgKey{src: int(rec.Aux1), dst: rank, tag: int(rec.Aux2)}
+				k := msgKey{src: peer, dst: rank, tag: int(rec.aux2)}
 				if rr.recvs == nil {
 					rr.recvs = map[msgKey][]endpoint{}
 				}
-				rr.recvs[k] = append(rr.recvs[k], endpoint{t: rec.Time, size: int(rec.Aux3)})
+				rr.recvs[k] = append(rr.recvs[k], endpoint{t: rec.t, size: int(rec.aux3)})
 			}
 		}
 	}
@@ -243,7 +335,20 @@ func processRank(rank int, recs []clog2.Record, stateCat map[mpe.StateID]int, ev
 		rr.nesting++
 		rr.warnf("rank %d: state %d opened at %v never closed", rank, o.sid, o.start)
 	}
+	for _, peer := range sortedKeys(badPeers) {
+		rr.badPeers += badPeers[peer]
+		rr.warnf("rank %d: %d message half(s) dropped, peer rank %d outside [0,%d)", rank, badPeers[peer], peer, numRanks)
+	}
 	return rr
+}
+
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // convertPartitioned runs phases 2..4: per-rank pairing on a worker pool,
@@ -279,20 +384,21 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindEvent})
 	}
 
+	for _, rank := range sortedKeys(p.dropped) {
+		rep.OutOfRange += p.dropped[rank]
+		rep.warnf("rank %d: %d record(s) dropped, rank outside [0,%d)", rank, p.dropped[rank], p.numRanks)
+	}
+
 	// Phase 2: per-rank pairing, fanned out over the worker pool. Ranks
 	// are processed in any order but collected in ascending rank order.
-	ranks := make([]int, 0, len(p.perRank))
-	for rank := range p.perRank {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
+	ranks := sortedKeys(p.perRank)
 	results := make([]*rankResult, len(ranks))
 	if w := len(ranks); workers > w {
 		workers = w
 	}
 	if workers <= 1 {
 		for i, rank := range ranks {
-			results[i] = processRank(rank, p.perRank[rank], stateCat, eventCat)
+			results[i] = processRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat)
 		}
 	} else {
 		var next int64 = -1
@@ -307,7 +413,7 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 						return
 					}
 					rank := ranks[i]
-					results[i] = processRank(rank, p.perRank[rank], stateCat, eventCat)
+					results[i] = processRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat)
 				}
 			}()
 		}
@@ -317,14 +423,20 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 	// Merge rank results in rank order. Per-rank slices are already in
 	// (time, sequence) order, so concatenation yields the global
 	// (rank, time, sequence) order required for deterministic frames.
-	var states []State
-	var events []Event
+	var nStates, nEvents int
+	for _, rr := range results {
+		nStates += len(rr.states)
+		nEvents += len(rr.events)
+	}
+	states := make([]State, 0, nStates)
+	events := make([]Event, 0, nEvents)
 	sendQ := map[msgKey][]endpoint{}
 	recvQ := map[msgKey][]endpoint{}
 	for _, rr := range results {
 		states = append(states, rr.states...)
 		events = append(events, rr.events...)
 		rep.NestingErrors += rr.nesting
+		rep.OutOfRange += rr.badPeers
 		rep.Warnings = append(rep.Warnings, rr.warnings...)
 		// A send key's src and a recv key's dst are the logging rank, so
 		// no two ranks ever contribute to the same map entry.
@@ -361,13 +473,14 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		}
 		return a.tag < b.tag
 	})
-	var arrows []Arrow
+	nArrows := 0
+	for _, k := range keys {
+		nArrows += min(len(sendQ[k]), len(recvQ[k]))
+	}
+	arrows := make([]Arrow, 0, nArrows)
 	for _, k := range keys {
 		sends, recvs := sendQ[k], recvQ[k]
-		n := len(sends)
-		if len(recvs) < n {
-			n = len(recvs)
-		}
+		n := min(len(sends), len(recvs))
 		for i := 0; i < n; i++ {
 			if sends[i].size != recvs[i].size {
 				rep.warnf("message %d->%d tag %d: send size %d != recv size %d",
@@ -390,7 +503,7 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 			rep.warnf("message %d->%d tag %d: %d receive(s) without send", k.src, k.dst, k.tag, extra)
 		}
 	}
-	sort.SliceStable(arrows, func(i, j int) bool { return arrows[i].Start < arrows[j].Start })
+	slices.SortStableFunc(arrows, byArrowStart)
 
 	rep.EqualDrawables = countEqualDrawables(states, arrows, events, rep)
 
@@ -404,7 +517,7 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		Warnings:   rep.Warnings,
 	}
 	fb := newFrameBuilder(capacity, workers)
-	f.Root = fb.build(minT, maxT, states, arrows, events, 0)
+	f.Root = fb.build(minT, maxT, withScratch(states), withScratch(arrows), withScratch(events), 0)
 	fb.wait()
 	computePreviews(f.Root)
 
@@ -450,39 +563,66 @@ func bounds(states []State, arrows []Arrow, events []Event) (minT, maxT float64)
 
 // countEqualDrawables reproduces the converter's "Equal Drawables" warning:
 // it counts drawables beyond the first in any group sharing a category and
-// identical start and end times.
+// identical start and end times. States and events collide only on the
+// same timeline; arrows collide when the same endpoints get identical
+// times (the collective fan-out case the paper hit).
+//
+// No table of every drawable is needed: the slices arrive ordered so that
+// equal drawables share a run — states by (rank, end), because a rank's
+// states are appended as they close; arrows by start; events by (rank,
+// time) — and nearly every run is one drawable long.
 func countEqualDrawables(states []State, arrows []Arrow, events []Event, rep *Report) int {
-	count := 0
-	type key struct {
-		kind     int
-		cat      int
-		lo, hi   float64
+	var count, groups int
+	type stateKey struct {
+		cat   int
+		start float64
+	}
+	countEqualRuns(states, &count, &groups,
+		func(a, b *State) bool { return a.Rank == b.Rank && a.End == b.End },
+		func(s *State) stateKey { return stateKey{s.Cat, s.Start} })
+	type arrowKey struct {
+		end      float64
 		src, dst int
 	}
-	// States and events collide only on the same timeline; arrows collide
-	// when the same endpoints get identical times (the collective fan-out
-	// case the paper hit).
-	seen := map[key]int{}
-	for _, s := range states {
-		seen[key{kind: 0, cat: s.Cat, lo: s.Start, hi: s.End, src: s.Rank}]++
-	}
-	for _, a := range arrows {
-		seen[key{kind: 1, lo: a.Start, hi: a.End, src: a.SrcRank, dst: a.DstRank}]++
-	}
-	for _, e := range events {
-		seen[key{kind: 2, cat: e.Cat, lo: e.Time, hi: e.Time, src: e.Rank}]++
-	}
-	groups := 0
-	for _, n := range seen {
-		if n > 1 {
-			count += n - 1
-			groups++
-		}
-	}
+	countEqualRuns(arrows, &count, &groups,
+		func(a, b *Arrow) bool { return a.Start == b.Start },
+		func(a *Arrow) arrowKey { return arrowKey{a.End, a.SrcRank, a.DstRank} })
+	countEqualRuns(events, &count, &groups,
+		func(a, b *Event) bool { return a.Rank == b.Rank && a.Time == b.Time },
+		func(e *Event) int { return e.Cat })
 	if count > 0 {
 		rep.warnf("Equal Drawables: %d drawable(s) in %d group(s) share identical timestamps (limited clock resolution?)", count, groups)
 	}
 	return count
+}
+
+// countEqualRuns cuts xs into maximal runs of neighbours that sameRun
+// accepts and, inside each run longer than one, groups by rest — the key
+// fields sameRun did not compare.
+func countEqualRuns[T any, K comparable](xs []T, count, groups *int, sameRun func(a, b *T) bool, rest func(*T) K) {
+	var seen map[K]int
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && sameRun(&xs[i], &xs[j]) {
+			j++
+		}
+		if j-i > 1 {
+			if seen == nil {
+				seen = map[K]int{}
+			}
+			clear(seen)
+			for k := i; k < j; k++ {
+				seen[rest(&xs[k])]++
+			}
+			for _, n := range seen {
+				if n > 1 {
+					*count += n - 1
+					*groups++
+				}
+			}
+		}
+		i = j
+	}
 }
 
 // frameBuilder constructs the bounding-box tree, building sibling subtrees
@@ -504,53 +644,76 @@ func newFrameBuilder(capacity, workers int) *frameBuilder {
 
 func (fb *frameBuilder) wait() { fb.wg.Wait() }
 
+// span is one kind's drawables on their way down the tree: in holds them
+// in (rank, time, sequence) order, tmp is scratch of the same length. Each
+// level partitions in into tmp and hands its children the two swapped, so
+// the whole tree is carved out of two arrays a kind instead of a fresh
+// slice per frame; the tree's frames alias them, capped at their own end.
+type span[T any] struct{ in, tmp []T }
+
+func withScratch[T any](in []T) span[T] { return span[T]{in: in, tmp: make([]T, len(in))} }
+
+// Where a drawable goes at a split point.
+const (
+	goLeft = iota
+	goRight
+	stayHere
+)
+
+// sideOf places the interval [lo, hi]: fully inside a half it goes down,
+// spanning mid it stays.
+func sideOf(lo, hi, mid float64) int {
+	switch {
+	case hi <= mid:
+		return goLeft
+	case lo >= mid:
+		return goRight
+	}
+	return stayHere
+}
+
+// split stably partitions s.in into s.tmp as [left | right | here].
+func split[T any](s span[T], side func(*T) int) (left, right span[T], here []T) {
+	var n [3]int
+	for i := range s.in {
+		n[side(&s.in[i])]++
+	}
+	at := [3]int{0, n[goLeft], n[goLeft] + n[goRight]}
+	for i := range s.in {
+		k := side(&s.in[i])
+		s.tmp[at[k]] = s.in[i]
+		at[k]++
+	}
+	l, r := n[goLeft], n[goLeft]+n[goRight]
+	return span[T]{s.tmp[:l:l], s.in[:l:l]}, span[T]{s.tmp[l:r:r], s.in[l:r:r]}, s.tmp[r:]
+}
+
 // build constructs the subtree for [start, end]. Drawables fully inside a
 // half go down; spanners stay at this node.
-func (fb *frameBuilder) build(start, end float64, states []State, arrows []Arrow, events []Event, depth int) *Frame {
+func (fb *frameBuilder) build(start, end float64, states span[State], arrows span[Arrow], events span[Event], depth int) *Frame {
 	fr := &Frame{Start: start, End: end}
-	total := len(states) + len(arrows) + len(events)
+	total := len(states.in) + len(arrows.in) + len(events.in)
 	if total <= fb.capacity || depth >= MaxTreeDepth || end <= start {
-		fr.States, fr.Arrows, fr.Events = states, arrows, events
+		fr.States, fr.Arrows, fr.Events = states.in, arrows.in, events.in
 		return fr
 	}
 	mid := (start + end) / 2
-	var lStates, rStates, here []State
-	for _, s := range states {
-		switch {
-		case s.End <= mid:
-			lStates = append(lStates, s)
-		case s.Start >= mid:
-			rStates = append(rStates, s)
-		default:
-			here = append(here, s)
+	lStates, rStates, here := split(states, func(s *State) int { return sideOf(s.Start, s.End, mid) })
+	lArrows, rArrows, hereA := split(arrows, func(a *Arrow) int {
+		if a.End < a.Start {
+			return sideOf(a.End, a.Start, mid)
 		}
-	}
-	var lArrows, rArrows, hereA []Arrow
-	for _, a := range arrows {
-		lo, hi := a.Start, a.End
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		switch {
-		case hi <= mid:
-			lArrows = append(lArrows, a)
-		case lo >= mid:
-			rArrows = append(rArrows, a)
-		default:
-			hereA = append(hereA, a)
-		}
-	}
-	var lEvents, rEvents []Event
-	for _, e := range events {
+		return sideOf(a.Start, a.End, mid)
+	})
+	lEvents, rEvents, _ := split(events, func(e *Event) int {
 		if e.Time < mid {
-			lEvents = append(lEvents, e)
-		} else {
-			rEvents = append(rEvents, e)
+			return goLeft
 		}
-	}
+		return goRight
+	})
 	fr.States, fr.Arrows = here, hereA
-	left := len(lStates)+len(lArrows)+len(lEvents) > 0
-	right := len(rStates)+len(rArrows)+len(rEvents) > 0
+	left := len(lStates.in)+len(lArrows.in)+len(lEvents.in) > 0
+	right := len(rStates.in)+len(rArrows.in)+len(rEvents.in) > 0
 	buildLeft := func() { fr.Left = fb.build(start, mid, lStates, lArrows, lEvents, depth+1) }
 	if left && right && fb.sem != nil {
 		// Both siblings have work: hand the left one to a spare worker if

@@ -13,7 +13,7 @@ package slog2
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CategoryKind distinguishes state categories from event categories.
@@ -142,11 +142,26 @@ func (f *File) Query(t0, t1 float64) (states []State, arrows []Arrow, events []E
 		rec(fr.Right)
 	}
 	rec(f.Root)
-	sort.SliceStable(states, func(i, j int) bool { return states[i].Start < states[j].Start })
-	sort.SliceStable(arrows, func(i, j int) bool { return arrows[i].Start < arrows[j].Start })
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	slices.SortStableFunc(states, func(a, b State) int { return cmpLess(a.Start, b.Start) })
+	slices.SortStableFunc(arrows, byArrowStart)
+	slices.SortStableFunc(events, func(a, b Event) int { return cmpLess(a.Time, b.Time) })
 	return states, arrows, events
 }
+
+// cmpLess is the comparator form of "a < b": -1 when a < b, +1 when b < a,
+// else 0 — so ties and NaN order under a stable sort exactly as they did
+// under sort.SliceStable with that less.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
+func byArrowStart(a, b Arrow) int { return cmpLess(a.Start, b.Start) }
 
 // All returns every drawable in the file.
 func (f *File) All() (states []State, arrows []Arrow, events []Event) {

@@ -1,11 +1,16 @@
 package vis_test
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/clog2"
 	"repro/internal/lab2"
 	"repro/internal/serve"
 	"repro/vis"
@@ -154,5 +159,64 @@ func TestPipelineToRepo(t *testing.T) {
 	}
 	if _, _, _, err := vis.PipelineToRepo(clog, filepath.Join(repoDir, "nope"), "x", vis.ConvertOptions{}); err == nil {
 		t.Error("missing repo dir accepted")
+	}
+}
+
+// A log with a state pair on a rank its header does not declare, and a
+// send to a negative peer, used to register a trace pilot-serve answered
+// 422 for: the converter wrote drawables its own reader rejects. They are
+// dropped with a warning, and the registered trace serves its tile.
+func TestPipelineToRepoOutOfRangeRankServes(t *testing.T) {
+	clog := filepath.Join(t.TempDir(), "stray.clog2")
+	fh, err := os.Create(clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := clog2.NewWriter(fh, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evt := func(rank int32, time float64, etype int32) clog2.Record {
+		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: time, ID: etype}
+	}
+	for _, blk := range [][]clog2.Record{
+		{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}},
+		{evt(0, 1, 2), evt(0, 2, 3),
+			{Type: clog2.RecMsgEvt, Rank: 0, Time: 1.5, Dir: clog2.DirSend, Aux1: -5, Aux2: 1, Aux3: 8}},
+		{evt(1, 1, 2), evt(1, 3, 3), evt(7, 1, 2), evt(7, 2, 3)},
+	} {
+		if err := w.WriteBlock(blk[0].Rank, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	repoDir := t.TempDir()
+	_, rep, _, err := vis.PipelineToRepo(clog, repoDir, "stray", vis.ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.States != 2 || rep.OutOfRange != 3 {
+		t.Fatalf("report %+v", rep)
+	}
+	s, err := serve.New(serve.Config{RepoDir: repoDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/trace/stray/tile?t0=0&t1=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || bytes.Count(body, []byte(`"rank":`)) != 2 {
+		t.Fatalf("tile of the registered trace: status %d, body %.200q", resp.StatusCode, body)
 	}
 }
