@@ -4,12 +4,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-bench race ci cover bench bench-compare fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
+.PHONY: all build fmt vet test test-bench race ci cover bench bench-compare fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...
@@ -28,7 +32,7 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-ci: build vet race test-bench fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
+ci: build fmt vet race test-bench fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
 
 # Multi-process smoke: the lab2 exercise with every rank as its own OS
 # process over the socket transport (-pitransport=socket re-executes the
@@ -93,11 +97,12 @@ cover:
 # The logging-overhead harness (ns/op, B/op, allocs/op per Pilot call,
 # with and without logging — BENCH_overhead.json), then the conversion
 # and merge benchmarks: the parallel CLOG-2 -> SLOG-2 pipeline at
-# several worker counts, the bare CLOG-2 scan (MB/s) and the sequential
-# converter (B/op) on a 500 000-record log, plus the MPE wrap-up merge.
+# several worker counts, the bare CLOG-2 scan (MB/s), the fold under the
+# profile (MB/s, next to the scan's) and the sequential converter (B/op)
+# on a 500 000-record log, plus the MPE wrap-up merge.
 bench:
 	$(GO) run ./cmd/pilot-bench -overhead -overhead-out BENCH_overhead.json
-	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox' -benchmem ./internal/mpi/
 
 # Re-measure the logging hot path and diff against the committed

@@ -32,6 +32,7 @@ import (
 	"repro/internal/mpe"
 	"repro/internal/mpi"
 	"repro/internal/slog2"
+	"repro/internal/stats"
 	"repro/internal/thumbnail"
 	"repro/vis"
 )
@@ -372,6 +373,26 @@ func BenchmarkBlockReaderScan(b *testing.B) {
 				b.Fatal(err)
 			}
 			buf = blk.Records
+		}
+	}
+}
+
+// BenchmarkFoldProfile profiles the same log: the scan above plus the
+// fold and the profile's observer on every record, so the difference
+// between the two MB/s figures is the fold's per-record cost.
+func BenchmarkFoldProfile(b *testing.B) {
+	data := scanCLOG(b, 500_000)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := stats.ComputeProfile(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The generator writes seven records a message, one of them the send.
+		if p.Totals.Records < 500_000 || p.Totals.Records != 7*p.Totals.Sends || p.Unpaired != 0 {
+			b.Fatalf("profiled %d record(s), %d send(s), %d unpaired", p.Totals.Records, p.Totals.Sends, p.Unpaired)
 		}
 	}
 }

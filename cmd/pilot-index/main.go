@@ -18,7 +18,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -243,19 +242,16 @@ func verifySelection(path string, ix *idx.Index, q idx.Query) error {
 	if err != nil {
 		return err
 	}
-	for {
-		b, err := br.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
+	err = br.Each(func(b clog2.Block) error {
 		for i := range b.Records {
 			if q.Matches(&b.Records[i]) {
 				scanned = append(scanned, b.Records[i])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if len(indexed) != len(scanned) {
 		return fmt.Errorf("query %+v: indexed selected %d record(s), full scan %d", q, len(indexed), len(scanned))

@@ -28,9 +28,7 @@ func main() {
 	out := flag.String("o", "", "output CLOG-2 path (default: PREFIX itself)")
 	keep := flag.Bool("keep", false, "keep the spill fragments after salvaging")
 	quiet := flag.Bool("q", false, "suppress the per-rank report (errors still print)")
-	ranks := flag.Int("ranks", 0, "deprecated, ignored: fragments are discovered by globbing")
 	flag.Parse()
-	_ = *ranks
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: pilot-salvage [-o out.clog2] [-keep] [-q] PREFIX")
 		os.Exit(2)

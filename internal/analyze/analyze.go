@@ -25,10 +25,6 @@ var (
 	posInf = math.Inf(1)
 )
 
-// soloBase mirrors the mpe etype split: solo (non-state) event etypes
-// live at 1<<20 and above, state start/end etypes below it.
-const soloBase = 1 << 20
-
 // faultEventName / deadlockEventName are the runtime's solo-event
 // definitions for injected faults and deadlock diagnoses.
 const (
@@ -36,25 +32,16 @@ const (
 	deadlockEventName = "Deadlock"
 )
 
-// openState is one entry of a rank's in-flight state stack.
-type openState struct {
-	etype    int32
-	start    float64
-	childSec float64
-}
-
 // rankPass accumulates one rank's analyzer-side numbers.
 type rankPass struct {
-	rank  int32
-	stack []openState
+	// fr carries the rank's id, record count and wall span.
+	fr *clog2.FoldRank
 	// Self-time split one level finer than the profile's busy/blocked:
 	// output-blocked is its own bucket because clean Pilot writes are
 	// eager (≈0s), making it the dominator detector's zero-FP signal.
 	outBlockedSec float64
 	inBlockedSec  float64
 	busySec       float64
-	wall0, wall1  float64
-	haveWall      bool
 	states        map[int32]*rankState
 }
 
@@ -87,46 +74,23 @@ type faultEvent struct {
 	cargo string
 }
 
-// collector is the analyzer's one-pass state.
+// collector is the analyzer's observer on a clog2.Fold: the fold
+// decides which records count and pairs the states, the collector keeps
+// what the detectors need about them.
 type collector struct {
 	opts     Options
+	fold     *clog2.Fold
 	numRanks int
-	records  int64
-	wall0    float64
-	wall1    float64
-	haveWall bool
 
-	startOf   map[int32]int32
-	endOf     map[int32]int32
-	stateName map[int32]string
-	eventName map[int32]string
-
-	ranks     map[int32]*rankPass
+	ranks     []*rankPass // by FoldRank.Index
 	chans     map[int32]*chanPass
 	msgEvents int
 	truncated bool
 	faults    []faultEvent
 }
 
-func newCollector(opts Options) *collector {
-	return &collector{
-		opts:      opts,
-		startOf:   map[int32]int32{},
-		endOf:     map[int32]int32{},
-		stateName: map[int32]string{},
-		eventName: map[int32]string{},
-		ranks:     map[int32]*rankPass{},
-		chans:     map[int32]*chanPass{},
-	}
-}
-
-func (c *collector) rank(id int32) *rankPass {
-	rp := c.ranks[id]
-	if rp == nil {
-		rp = &rankPass{rank: id, states: map[int32]*rankState{}}
-		c.ranks[id] = rp
-	}
-	return rp
+func newCollector(fold *clog2.Fold, opts Options) *collector {
+	return &collector{opts: opts, fold: fold, chans: map[int32]*chanPass{}}
 }
 
 func (c *collector) channel(id int32) *chanPass {
@@ -138,63 +102,17 @@ func (c *collector) channel(id int32) *chanPass {
 	return cp
 }
 
-// classify maps a state-space etype to (state ID, isStart, name) with
-// the same parity fallback the profiler and salvage use, so defs-less
-// logs still pair.
-func (c *collector) classify(etype int32) (int32, bool, string) {
-	if id, ok := c.startOf[etype]; ok {
-		return id, true, c.stateName[id]
-	}
-	if id, ok := c.endOf[etype]; ok {
-		return id, false, c.stateName[id]
-	}
-	id := etype / 2
-	name := fmt.Sprintf("state %d", id)
-	return id, etype%2 == 0, name
-}
-
-func (c *collector) addRecord(rec *clog2.Record) {
-	switch rec.Type {
-	case clog2.RecStateDef:
-		c.startOf[rec.Aux1] = rec.ID
-		c.endOf[rec.Aux2] = rec.ID
-		c.stateName[rec.ID] = rec.Name
-		return
-	case clog2.RecEventDef:
-		c.eventName[rec.ID] = rec.Name
-		return
-	case clog2.RecConstDef, clog2.RecSrcLoc, clog2.RecEndBlock, clog2.RecEndLog:
+// observe accounts for rec, which the fold has just made step of.
+func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
+	if step == clog2.StepSkip {
 		return
 	}
-	// Hostile traces can carry NaN/Inf timestamps; every timing
-	// computation below assumes finite time, so drop such records the
-	// way a window drops out-of-range ones.
-	if math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0) {
-		return
+	fr := c.fold.Rank
+	if fr.Index == len(c.ranks) {
+		c.ranks = append(c.ranks, &rankPass{fr: fr, states: map[int32]*rankState{}})
 	}
-	if rec.Time < c.opts.T0 || rec.Time > c.opts.T1 {
-		return
-	}
-	c.records++
-	if !c.haveWall || rec.Time < c.wall0 {
-		c.wall0 = rec.Time
-	}
-	if !c.haveWall || rec.Time > c.wall1 {
-		c.wall1 = rec.Time
-	}
-	c.haveWall = true
-
-	rp := c.rank(rec.Rank)
-	if !rp.haveWall || rec.Time < rp.wall0 {
-		rp.wall0 = rec.Time
-	}
-	if !rp.haveWall || rec.Time > rp.wall1 {
-		rp.wall1 = rec.Time
-	}
-	rp.haveWall = true
-
-	switch rec.Type {
-	case clog2.RecMsgEvt:
+	switch step {
+	case clog2.StepMsg:
 		cp := c.channel(rec.Aux2)
 		if rec.Dir == clog2.DirSend {
 			cp.sendCount++
@@ -213,159 +131,151 @@ func (c *collector) addRecord(rec *clog2.Record) {
 		} else {
 			cp.recvs = append(cp.recvs, rec.Time)
 		}
-	case clog2.RecBareEvt, clog2.RecCargoEvt:
-		etype := rec.ID
-		if etype >= soloBase {
-			switch c.eventName[etype] {
-			case faultEventName, deadlockEventName:
-				c.faults = append(c.faults, faultEvent{
-					time:  rec.Time,
-					rank:  rec.Rank,
-					name:  c.eventName[etype],
-					cargo: rec.CargoText(),
-				})
-			}
-			return
+	case clog2.StepSolo:
+		switch name := c.fold.EventName(rec.ID); name {
+		case faultEventName, deadlockEventName:
+			c.faults = append(c.faults, faultEvent{
+				time:  rec.Time,
+				rank:  rec.Rank,
+				name:  name,
+				cargo: rec.CargoText(),
+			})
 		}
-		id, isStart, name := c.classify(etype)
-		if isStart {
-			rp.stack = append(rp.stack, openState{etype: etype, start: rec.Time})
-			return
-		}
-		n := len(rp.stack)
-		if n == 0 {
-			return // unpaired end; the profile already accounts for it
-		}
-		top := rp.stack[n-1]
-		rp.stack = rp.stack[:n-1]
-		dur := rec.Time - top.start
-		if dur < 0 {
-			dur = 0
-		}
-		self := dur - top.childSec
-		if self < 0 {
-			self = 0
-		}
-		if len(rp.stack) > 0 {
-			rp.stack[len(rp.stack)-1].childSec += dur
-		}
-		st := rp.states[id]
+	case clog2.StepClose:
+		rp, occ := c.ranks[fr.Index], &c.fold.Closed
+		st := rp.states[occ.ID]
 		if st == nil {
-			st = &rankState{name: name}
-			rp.states[id] = st
+			st = &rankState{name: occ.Name}
+			rp.states[occ.ID] = st
 		}
 		st.count++
-		if dur > st.max {
+		if occ.Dur > st.max {
 			st.second = st.max
-			st.max = dur
-			st.maxStart = top.start
-		} else if dur > st.second {
-			st.second = dur
+			st.max = occ.Dur
+			st.maxStart = occ.Start
+		} else if occ.Dur > st.second {
+			st.second = occ.Dur
 		}
-		switch colors.CategoryOf(name) {
+		switch colors.CategoryOf(occ.Name) {
 		case colors.Output:
-			rp.outBlockedSec += self
+			rp.outBlockedSec += occ.Self
 		case colors.Input:
-			rp.inBlockedSec += self
+			rp.inBlockedSec += occ.Self
 		default:
-			rp.busySec += self
+			rp.busySec += occ.Self
 		}
 	}
 }
 
-// scan feeds every record of the CLOG-2 stream through the collector.
-func (c *collector) scan(r io.Reader) error {
+// scan folds every record of the CLOG-2 stream once, feeding the
+// collector and, when the profile has to come from the same records,
+// a stats.Profiler on the same fold.
+func scan(r io.Reader, opts Options, withProfile bool) (*collector, *stats.Profiler, error) {
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	fold := clog2.NewFold(opts.T0, opts.T1)
+	c := newCollector(fold, opts)
 	c.numRanks = br.NumRanks()
-	var buf []clog2.Record
-	for {
-		b, err := br.NextReuse(buf)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		buf = b.Records
+	var prof *stats.Profiler
+	if withProfile {
+		prof = stats.NewProfiler(fold, c.numRanks)
+	}
+	err = br.Each(func(b clog2.Block) error {
 		for i := range b.Records {
-			c.addRecord(&b.Records[i])
+			rec := &b.Records[i]
+			step := fold.Add(rec)
+			c.observe(step, rec)
+			if prof != nil {
+				prof.Observe(step, rec)
+			}
+		}
+		return nil
+	})
+	return c, prof, err
+}
+
+// records is the number of records the fold counted.
+func (c *collector) records() int64 {
+	var n int64
+	for _, fr := range c.fold.Ranks() {
+		n += fr.Records
+	}
+	return n
+}
+
+// wall is the whole-trace record time span; both zero when nothing was
+// counted.
+func (c *collector) wall() (first, last float64) {
+	for i, fr := range c.fold.Ranks() {
+		if i == 0 || fr.First < first {
+			first = fr.First
+		}
+		if i == 0 || fr.Last > last {
+			last = fr.Last
 		}
 	}
+	return first, last
 }
 
-// wallSec is the whole-trace record time span.
-func (c *collector) wallSec() float64 {
-	if !c.haveWall {
-		return 0
-	}
-	return c.wall1 - c.wall0
-}
-
-// Analyze runs the detector catalogue over a CLOG-2 stream. The
-// profile is computed from the same stream (the reader must deliver
-// the whole file); use AnalyzeFile to reuse sidecars and the index.
+// Analyze runs the detector catalogue over a CLOG-2 stream; the
+// profile comes from the same pass. Use AnalyzeFile to reuse sidecars
+// and the index.
 func Analyze(r io.Reader, opts Options) (*Report, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeBytes(data, opts)
-}
-
-// AnalyzeBytes analyzes an in-memory CLOG-2 image: the collection pass
-// plus a profile recomputation over the same bytes.
-func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	c := newCollector(opts)
-	if err := c.scan(bytes.NewReader(data)); err != nil {
+	c, prof, err := scan(r, opts, true)
+	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
-	prof, err := stats.ComputeProfileWindowed(bytes.NewReader(data), opts.T0, opts.T1)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: profile: %w", err)
-	}
-	return buildReport(c, prof, opts, "computed", false), nil
+	return buildReport(c, prof.Profile(), opts, "computed", false), nil
+}
+
+// AnalyzeBytes is Analyze over an in-memory CLOG-2 image.
+func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
+	return Analyze(bytes.NewReader(data), opts)
 }
 
 // AnalyzeFile analyzes a CLOG-2 file. For whole-run analyses a
 // matching "<base>.profile.json" sidecar is reused instead of
 // recomputing the profile (validated against the trace's own record
-// count); windowed analyses go through stats' index-accelerated
-// windowed profile, falling back to the full scan like every other
-// ".idx" consumer.
+// count), and without a parseable one the profile comes from the same
+// pass; windowed analyses go through stats' index-accelerated windowed
+// profile, falling back to the full scan like every other ".idx"
+// consumer.
 func AnalyzeFile(path string, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
+	var sidecar *stats.Profile
+	wholeRun := math.IsInf(opts.T0, -1) && math.IsInf(opts.T1, 1)
+	if wholeRun {
+		sidecar = sidecarProfile(path)
+	}
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	c := newCollector(opts)
-	scanErr := c.scan(fh)
+	c, prof, scanErr := scan(fh, opts, wholeRun && sidecar == nil)
 	fh.Close()
 	if scanErr != nil {
 		return nil, fmt.Errorf("analyze: %s: %w", path, scanErr)
 	}
-
-	wholeRun := math.IsInf(opts.T0, -1) && math.IsInf(opts.T1, 1)
-	if wholeRun {
-		if prof := sidecarProfile(path, c.records); prof != nil {
-			return buildReport(c, prof, opts, "sidecar", false), nil
-		}
+	switch {
+	case sidecar != nil && sidecar.Totals.Records == c.records():
+		return buildReport(c, sidecar, opts, "sidecar", false), nil
+	case prof != nil:
+		return buildReport(c, prof.Profile(), opts, "computed", false), nil
 	}
-	prof, usedIndex, err := stats.ComputeProfileFileWindowed(path, opts.T0, opts.T1)
+	// A window, or a sidecar that counts another log's records.
+	p, usedIndex, err := stats.ComputeProfileFileWindowed(path, opts.T0, opts.T1)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %s: profile: %w", path, err)
 	}
-	return buildReport(c, prof, opts, "computed", usedIndex), nil
+	return buildReport(c, p, opts, "computed", usedIndex), nil
 }
 
 // sidecarProfile loads "<base>.profile.json" next to a ".clog2" when
-// it exists, parses, and agrees with the trace's record count;
-// anything else returns nil and the profile is recomputed.
-func sidecarProfile(clogPath string, wantRecords int64) *stats.Profile {
+// it exists and parses; anything else returns nil.
+func sidecarProfile(clogPath string) *stats.Profile {
 	base, ok := strings.CutSuffix(clogPath, ".clog2")
 	if !ok {
 		return nil
@@ -375,10 +285,7 @@ func sidecarProfile(clogPath string, wantRecords int64) *stats.Profile {
 		return nil
 	}
 	var p stats.Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil
-	}
-	if p.Schema != stats.ProfileSchema || p.Totals.Records != wantRecords {
+	if err := json.Unmarshal(data, &p); err != nil || p.Schema != stats.ProfileSchema {
 		return nil
 	}
 	return &p

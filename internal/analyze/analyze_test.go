@@ -2,9 +2,11 @@ package analyze
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -268,7 +270,7 @@ func TestBacklogStandingAtEndOfTrace(t *testing.T) {
 
 func TestDetectFaults(t *testing.T) {
 	b := newTB(t, 2).withReadWrite()
-	const faultE = soloBase + 1
+	const faultE = clog2.SoloBase + 1
 	b.eventDef(faultE, "FaultInjected")
 	b.cargo(1, 0.5, faultE, "stall rank=1 op=2")
 	b.cargo(1, 0.6, faultE, "stall rank=1 op=3")
@@ -288,7 +290,7 @@ func TestDetectFaults(t *testing.T) {
 
 func TestDeadlockEventCorrelated(t *testing.T) {
 	b := newTB(t, 1)
-	const dlE = soloBase + 2
+	const dlE = clog2.SoloBase + 2
 	b.eventDef(dlE, "Deadlock")
 	b.cargo(0, 0.1, dlE, "cycle: 0 -> 1 -> 0")
 	rep := b.analyze(Options{})
@@ -330,7 +332,7 @@ func TestEmptyTrace(t *testing.T) {
 
 func TestAllDefsTrace(t *testing.T) {
 	b := newTB(t, 1).withReadWrite()
-	b.eventDef(soloBase+1, "FaultInjected")
+	b.eventDef(clog2.SoloBase+1, "FaultInjected")
 	rep := b.analyze(Options{})
 	if !rep.Clean || rep.Records != 0 {
 		t.Fatalf("defs-only trace report: clean=%v records=%d", rep.Clean, rep.Records)
@@ -484,6 +486,49 @@ func TestAnalyzeReaderMatchesBytes(t *testing.T) {
 	j2, _ := r2.JSON()
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("Analyze and AnalyzeBytes disagree")
+	}
+}
+
+// readCounter counts the bytes a reader hands out.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (rc *readCounter) Read(p []byte) (int, error) {
+	n, err := rc.r.Read(p)
+	rc.n += n
+	return n, err
+}
+
+// The collector and the profile come out of one decode of the log:
+// Analyze reads its stream once, and AnalyzeBytes (a reader over the
+// image) allocates one 64 KiB decoder buffer, not two.
+func TestAnalyzeDecodesTheLogOnce(t *testing.T) {
+	b := newTB(t, 2).withReadWrite()
+	for i := 0; i < 200; i++ {
+		b.state(int32(i%2), float64(i), float64(i)+0.5, 2, 3)
+	}
+	data := b.bytes()
+	rc := &readCounter{r: bytes.NewReader(data)}
+	rep, err := Analyze(rc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.n != len(data) {
+		t.Fatalf("Analyze read %d bytes of a %d-byte log", rc.n, len(data))
+	}
+	if rep.Records != 400 || rep.ProfileSource != "computed" {
+		t.Fatalf("report %+v", rep)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := AnalyzeBytes(data, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*64<<10 {
+		t.Fatalf("AnalyzeBytes allocated %d bytes: room for two decoder buffers", got)
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 
 // buildReport runs every detector and assembles the Report.
 func buildReport(c *collector, prof *stats.Profile, opts Options, profileSource string, usedIndex bool) *Report {
+	first, last := c.wall()
 	rep := &Report{
 		Schema:        Schema,
 		NumRanks:      c.numRanks,
-		Records:       c.records,
-		WallSec:       c.wallSec(),
+		Records:       c.records(),
+		WallSec:       last - first,
 		ProfileSource: profileSource,
 		UsedIndex:     usedIndex,
 		Thresholds: Thresholds{
@@ -165,9 +166,7 @@ func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding 
 		name        string
 	}
 	tops := map[int32]*top{}
-	rankIDs := sortedRanks(c)
-	for _, r := range rankIDs {
-		rp := c.ranks[r]
+	for _, rp := range sortedRanks(c) {
 		for id, st := range rp.states {
 			t := tops[id]
 			if t == nil {
@@ -179,7 +178,7 @@ func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding 
 					t.second = t.max
 					t.max = d
 					if d == st.max {
-						t.rank, t.start = rp.rank, st.maxStart
+						t.rank, t.start = rp.fr.Rank, st.maxStart
 					}
 				} else if d > t.second {
 					t.second = d
@@ -226,24 +225,20 @@ func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding 
 // the critical-path signature of a slow or faulted link.
 func detectDominator(c *collector, opts Options) []Finding {
 	var fs []Finding
-	for _, r := range sortedRanks(c) {
-		rp := c.ranks[r]
-		if !rp.haveWall {
-			continue
-		}
-		wall := rp.wall1 - rp.wall0
+	for _, rp := range sortedRanks(c) {
+		wall := rp.fr.Last - rp.fr.First
 		if rp.outBlockedSec < opts.DominatorMinSec || rp.outBlockedSec < opts.DominatorShare*wall {
 			continue
 		}
 		fs = append(fs, Finding{
 			Detector:  DetDominator,
 			Severity:  "warning",
-			Rank:      int(rp.rank),
+			Rank:      int(rp.fr.Rank),
 			Channel:   -1,
 			Value:     rp.outBlockedSec,
 			Threshold: opts.DominatorMinSec,
 			Detail: fmt.Sprintf("rank %d spent %.3fs of %.3fs wall (%.0f%%) blocked in output operations",
-				rp.rank, rp.outBlockedSec, wall, 100*rp.outBlockedSec/math.Max(wall, 1e-12)),
+				rp.fr.Rank, rp.outBlockedSec, wall, 100*rp.outBlockedSec/math.Max(wall, 1e-12)),
 		})
 	}
 	return fs
@@ -290,9 +285,10 @@ func detectBacklog(c *collector, opts Options) []Finding {
 		chans = append(chans, ch)
 	}
 	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
+	_, traceEnd := c.wall()
 	for _, ch := range chans {
 		cp := c.chans[ch]
-		peak, peakT, dwell := backlogWalk(cp.sends, cp.recvs, opts.BacklogMin, c.wall1)
+		peak, peakT, dwell := backlogWalk(cp.sends, cp.recvs, opts.BacklogMin, traceEnd)
 		if peak < opts.BacklogMin || dwell < opts.BacklogDwellSec {
 			continue
 		}
@@ -436,13 +432,10 @@ func detectFaults(c *collector) []Finding {
 	return fs
 }
 
-// sortedRanks returns the collector's rank ids ascending, for
+// sortedRanks returns the collector's ranks by ascending rank id, for
 // deterministic detector iteration.
-func sortedRanks(c *collector) []int32 {
-	ids := make([]int32, 0, len(c.ranks))
-	for r := range c.ranks {
-		ids = append(ids, r)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+func sortedRanks(c *collector) []*rankPass {
+	rs := append([]*rankPass(nil), c.ranks...)
+	sort.Slice(rs, func(i, j int) bool { return rs[i].fr.Rank < rs[j].fr.Rank })
+	return rs
 }

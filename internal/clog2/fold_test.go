@@ -1,0 +1,270 @@
+package clog2
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+)
+
+func foldDef(id, start, end int32, name string) Record {
+	return Record{Type: RecStateDef, ID: id, Aux1: start, Aux2: end, Name: name}
+}
+
+func foldEvt(rank int32, t float64, etype int32) Record {
+	return Record{Type: RecBareEvt, Rank: rank, Time: t, ID: etype}
+}
+
+// foldResult is everything a fold reports, flattened for comparison.
+type foldResult struct {
+	steps    []Step
+	closed   []Occurrence
+	unpaired int64
+	// ranks in Index order: rank id, records, first, last.
+	ranks [][4]float64
+}
+
+func runFold(t0, t1 float64, recs []Record) foldResult {
+	f := NewFold(t0, t1)
+	var res foldResult
+	for i := range recs {
+		step := f.Add(&recs[i])
+		res.steps = append(res.steps, step)
+		if step == StepClose {
+			res.closed = append(res.closed, f.Closed)
+		}
+		if step != StepSkip && f.Rank.Rank != recs[i].Rank {
+			panic("Fold.Rank is not the counted record's rank")
+		}
+	}
+	res.unpaired = f.Unpaired
+	for i, r := range f.Ranks() {
+		if r.Index != i {
+			panic("FoldRank.Index is not dense in order of first appearance")
+		}
+		res.ranks = append(res.ranks, [4]float64{float64(r.Rank), float64(r.Records), r.First, r.Last})
+	}
+	return res
+}
+
+func TestFold(t *testing.T) {
+	inf := math.Inf(1)
+	defs := []Record{foldDef(1, 2, 3, "Outer"), foldDef(2, 4, 5, "Inner")}
+	with := func(recs ...Record) []Record { return append(append([]Record(nil), defs...), recs...) }
+	skip2 := []Step{StepSkip, StepSkip}
+
+	for _, tc := range []struct {
+		name   string
+		t0, t1 float64
+		recs   []Record
+		want   foldResult
+	}{
+		{
+			name: "nesting with self time",
+			t0:   -inf, t1: inf,
+			recs: with(foldEvt(0, 1, 2), foldEvt(0, 2, 4), foldEvt(0, 3, 5), foldEvt(0, 4, 4), foldEvt(0, 4.5, 5), foldEvt(0, 6, 3)),
+			want: foldResult{
+				steps: append(skip2, StepOpen, StepOpen, StepClose, StepOpen, StepClose, StepClose),
+				closed: []Occurrence{
+					{ID: 2, Name: "Inner", Start: 2, End: 3, Dur: 1, Self: 1},
+					{ID: 2, Name: "Inner", Start: 4, End: 4.5, Dur: 0.5, Self: 0.5},
+					{ID: 1, Name: "Outer", Start: 1, End: 6, Dur: 5, Self: 3.5},
+				},
+				ranks: [][4]float64{{0, 6, 1, 6}},
+			},
+		},
+		{
+			// The end names Outer while Inner is innermost: Inner's entry is
+			// popped, the occurrence is attributed to the state the end names.
+			name: "end naming another state than the innermost open one",
+			t0:   -inf, t1: inf,
+			recs: with(foldEvt(0, 1, 2), foldEvt(0, 2, 4), foldEvt(0, 5, 3), foldEvt(0, 7, 5)),
+			want: foldResult{
+				steps: append(skip2, StepOpen, StepOpen, StepClose, StepClose),
+				closed: []Occurrence{
+					{ID: 1, Name: "Outer", Start: 2, End: 5, Dur: 3, Self: 3},
+					{ID: 2, Name: "Inner", Start: 1, End: 7, Dur: 6, Self: 3},
+				},
+				ranks: [][4]float64{{0, 4, 1, 7}},
+			},
+		},
+		{
+			name: "orphan end, and a state left open",
+			t0:   -inf, t1: inf,
+			recs: with(foldEvt(0, 1, 3), foldEvt(0, 2, 2)),
+			want: foldResult{
+				steps:    append(skip2, StepOrphan, StepOpen),
+				unpaired: 1,
+				ranks:    [][4]float64{{0, 2, 1, 2}},
+			},
+		},
+		{
+			name: "defs-less stream pairs by parity",
+			t0:   -inf, t1: inf,
+			recs: []Record{foldEvt(0, 1, 14), foldEvt(0, 3, 15), foldEvt(0, 4, SoloBase), foldEvt(0, 5, SoloBase-1)},
+			want: foldResult{
+				steps:    []Step{StepOpen, StepClose, StepSolo, StepOrphan},
+				closed:   []Occurrence{{ID: 7, Name: "state 7", Start: 1, End: 3, Dur: 2, Self: 2}},
+				unpaired: 1,
+				ranks:    [][4]float64{{0, 4, 1, 5}},
+			},
+		},
+		{
+			// A definition beats parity both ways: 7 is odd but defined a
+			// start, 8 even but defined an end.
+			name: "StateDef before parity",
+			t0:   -inf, t1: inf,
+			recs: []Record{foldDef(9, 7, 8, "Odd"), foldEvt(0, 1, 7), foldEvt(0, 2, 8)},
+			want: foldResult{
+				steps:  []Step{StepSkip, StepOpen, StepClose},
+				closed: []Occurrence{{ID: 9, Name: "Odd", Start: 1, End: 2, Dur: 1, Self: 1}},
+				ranks:  [][4]float64{{0, 2, 1, 2}},
+			},
+		},
+		{
+			// Both edges are inside; the start before T0 is skipped whole, so
+			// its end is an orphan; the definitions sit outside the window
+			// (time 0) and after the first events, and still apply.
+			name: "window edges inclusive, definitions applied whatever the window",
+			t0:   2, t1: 4,
+			recs: []Record{
+				foldEvt(0, 1, 2), foldEvt(0, 2, 4),
+				foldDef(1, 2, 3, "Outer"), foldDef(2, 4, 5, "Inner"),
+				foldEvt(0, 4, 5), foldEvt(0, 4, 3), foldEvt(0, math.Nextafter(4, 5), 2), foldEvt(0, math.Nextafter(2, 1), 2),
+			},
+			want: foldResult{
+				steps:    []Step{StepSkip, StepOpen, StepSkip, StepSkip, StepClose, StepOrphan, StepSkip, StepSkip},
+				closed:   []Occurrence{{ID: 2, Name: "Inner", Start: 2, End: 4, Dur: 2, Self: 2}},
+				unpaired: 1,
+				ranks:    [][4]float64{{0, 3, 2, 4}},
+			},
+		},
+		{
+			// A time shift is counted and widens the span; so is a message
+			// half; constants, source locations and markers are not.
+			name: "what counts",
+			t0:   -inf, t1: inf,
+			recs: []Record{
+				{Type: RecTimeShift, Rank: 1, Time: 9, Shift: 0.5},
+				{Type: RecMsgEvt, Rank: 1, Time: 3, Dir: DirSend},
+				{Type: RecConstDef, Rank: 1, Time: 100},
+				{Type: RecSrcLoc, Rank: 1, Time: 100},
+				{Type: RecEventDef, ID: SoloBase + 1, Name: "Mark"},
+				{Type: RecEndBlock}, {Type: RecEndLog},
+			},
+			want: foldResult{
+				steps: []Step{StepShift, StepMsg, StepSkip, StepSkip, StepSkip, StepSkip, StepSkip},
+				ranks: [][4]float64{{1, 2, 3, 9}},
+			},
+		},
+		{
+			// Non-finite timestamps are skipped whole: no count, no span, no
+			// push, no pop. The state they would have closed stays open.
+			name: "non-finite times",
+			t0:   -inf, t1: inf,
+			recs: with(foldEvt(0, 1, 2), foldEvt(0, inf, 3), foldEvt(0, math.NaN(), 3), foldEvt(0, -inf, 2),
+				Record{Type: RecMsgEvt, Rank: 3, Time: math.NaN()}, foldEvt(0, 2, 3)),
+			want: foldResult{
+				steps:  append(skip2, StepOpen, StepSkip, StepSkip, StepSkip, StepSkip, StepClose),
+				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 1, End: 2, Dur: 1, Self: 1}},
+				ranks:  [][4]float64{{0, 2, 1, 2}},
+			},
+		},
+		{
+			// Ranks index by first appearance, whatever their ids; a rank id
+			// far beyond any header's count sizes nothing.
+			name: "ranks first seen out of numeric order",
+			t0:   -inf, t1: inf,
+			recs: with(foldEvt(5, 1, 2), foldEvt(1<<30, 2, 2), foldEvt(-4, 3, 2), foldEvt(5, 4, 3), foldEvt(0, 5, SoloBase+7)),
+			want: foldResult{
+				steps:  append(skip2, StepOpen, StepOpen, StepOpen, StepClose, StepSolo),
+				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 1, End: 4, Dur: 3, Self: 3}},
+				ranks:  [][4]float64{{5, 2, 1, 4}, {1 << 30, 1, 2, 2}, {-4, 1, 3, 3}, {0, 1, 5, 5}},
+			},
+		},
+		{
+			// An end before its start in time: duration and self floor at 0.
+			name: "negative duration floors at zero",
+			t0:   -inf, t1: inf,
+			recs: with(foldEvt(0, 5, 2), foldEvt(0, 3, 3)),
+			want: foldResult{
+				steps:  append(skip2, StepOpen, StepClose),
+				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 5, End: 3}},
+				ranks:  [][4]float64{{0, 2, 3, 5}},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runFold(tc.t0, tc.t1, tc.recs)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("fold\n got %+v\nwant %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestFoldNamesSoloEvents(t *testing.T) {
+	f := NewFold(math.Inf(-1), math.Inf(1))
+	f.Add(&Record{Type: RecEventDef, ID: SoloBase + 1, Name: "FaultInjected"})
+	if got := f.EventName(SoloBase + 1); got != "FaultInjected" {
+		t.Fatalf("EventName = %q", got)
+	}
+	if got := f.EventName(SoloBase + 2); got != "" {
+		t.Fatalf("EventName of an undefined etype = %q", got)
+	}
+	if t0, t1 := f.Window(); !math.IsInf(t0, -1) || !math.IsInf(t1, 1) {
+		t.Fatalf("Window = [%g, %g]", t0, t1)
+	}
+}
+
+// Each visits every block in file order through one buffer, stops at the
+// callback's error and passes a decode error on.
+func TestBlockReaderEach(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int32(0); i < 3; i++ {
+		if err := w.WriteBlock(i%2, []Record{foldEvt(i%2, float64(i), 2), foldEvt(i%2, float64(i)+0.5, 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	open := func(data []byte) *BlockReader {
+		br, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	var times []float64
+	var first *Record
+	err = open(data).Each(func(b Block) error {
+		if first == nil {
+			first = &b.Records[0]
+		} else if first != &b.Records[0] {
+			t.Error("Each did not reuse its record buffer")
+		}
+		times = append(times, b.Records[0].Time)
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(times, []float64{0, 1, 2}) {
+		t.Fatalf("Each visited blocks starting at %v, err %v", times, err)
+	}
+
+	stop := errors.New("stop")
+	n := 0
+	if err := open(data).Each(func(Block) error { n++; return stop }); err != stop || n != 1 {
+		t.Fatalf("Each returned %v after %d block(s); want the callback's error after 1", err, n)
+	}
+	n = 0
+	if err := open(data[:len(data)-8]).Each(func(Block) error { n++; return nil }); err == nil || n != 2 {
+		t.Fatalf("Each over a torn file returned %v after %d block(s); want an error after 2", err, n)
+	}
+}

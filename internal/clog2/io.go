@@ -389,6 +389,26 @@ func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
 	return Block{Rank: rank, Records: recs}, nil
 }
 
+// Each calls fn with every remaining block of the stream, in file
+// order, and returns nil after the end-log marker. Blocks share one
+// record buffer: b.Records is valid until fn returns.
+func (br *BlockReader) Each(fn func(Block) error) error {
+	var buf []Record
+	for {
+		b, err := br.NextReuse(buf)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+		buf = b.Records
+	}
+}
+
 // Read parses a complete CLOG-2 file.
 func Read(r io.Reader) (*File, error) {
 	br, err := NewBlockReader(r)

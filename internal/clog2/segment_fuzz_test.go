@@ -61,9 +61,9 @@ func lab2ShapedSpill(t testing.TB) []byte {
 func FuzzSalvageSegments(f *testing.F) {
 	spill := lab2ShapedSpill(f)
 	f.Add(spill)
-	f.Add(spill[:len(spill)/2])        // torn mid-segment
-	f.Add(spill[3:])                   // head shorn off
-	f.Add([]byte{})                    // empty fragment
+	f.Add(spill[:len(spill)/2])                // torn mid-segment
+	f.Add(spill[3:])                           // head shorn off
+	f.Add([]byte{})                            // empty fragment
 	f.Add(bytes.Repeat(clog2.SegMarker(), 40)) // marker-dense junk
 	flipped := append([]byte(nil), spill...)
 	flipped[len(flipped)/3] ^= 0xFF

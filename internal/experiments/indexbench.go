@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -133,23 +132,15 @@ func countScanned(path string, q idx.Query) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	var buf []clog2.Record
-	for {
-		b, err := br.NextReuse(buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
+	err = br.Each(func(b clog2.Block) error {
 		for i := range b.Records {
 			if q.Matches(&b.Records[i]) {
 				n++
 			}
 		}
-		buf = b.Records[:0]
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // RunIndexQuery synthesizes a sizeMB log under opt.OutDir, indexes it,

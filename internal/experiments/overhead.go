@@ -312,12 +312,11 @@ func benchStatsObserve(enabled bool) testing.BenchmarkResult {
 	})
 }
 
-func benchSpillStatePair(dir string, batch, format int) (testing.BenchmarkResult, error) {
+func benchSpillStatePair(dir string, batch int) (testing.BenchmarkResult, error) {
 	w := mpi.NewWorld(1, mpi.Options{})
 	g := mpe.NewGroup(w, true)
-	g.EnableSpill(filepath.Join(dir, fmt.Sprintf("spill-v%d-batch%d.clog2", format, batch)))
+	g.EnableSpill(filepath.Join(dir, fmt.Sprintf("spill-batch%d.clog2", batch)))
 	g.SetSpillBatch(batch)
-	g.SetSpillFormat(format)
 	sid := g.DescribeState("PI_Write", "green")
 	if err := g.SpillDefs(); err != nil {
 		return testing.BenchmarkResult{}, err
@@ -473,36 +472,23 @@ func RunOverhead(opt Options) (*OverheadReport, error) {
 	// the per-rank shard and channel cell, "off" the nil-collector gate.
 	addMicro(OverheadRow{Name: "stats/send_observed", Logging: "on"}, best3(func() testing.BenchmarkResult { return benchStatsObserve(true) }))
 	addMicro(OverheadRow{Name: "stats/send_observed", Logging: "off"}, best3(func() testing.BenchmarkResult { return benchStatsObserve(false) }))
-	// Spill write-through at batch 1 vs 64, in both on-disk formats: the
-	// "mpe/spill_state_pair" rows track the default (v2, framed segments),
-	// the "mpe/spill_v1_state_pair" rows the legacy raw stream they
-	// replaced — the framing-overhead budget is v2 at most 15% over v1 at
-	// batch 1 (in practice the CRC and 25-byte header disappear inside the
-	// write syscall).
+	// Spill write-through at batch 1 vs 64.
 	for _, batch := range []int{1, 64} {
-		for _, v := range []struct {
-			version int
-			name    string
-		}{
-			{2, "mpe/spill_state_pair"},
-			{1, "mpe/spill_v1_state_pair"},
-		} {
-			var res testing.BenchmarkResult
-			for i := 0; i < 3; i++ {
-				r, err := benchSpillStatePair(opt.OutDir, batch, v.version)
-				if err != nil {
-					return nil, fmt.Errorf("spill v%d batch %d: %w", v.version, batch, err)
-				}
-				if i == 0 {
-					res = r
-				} else {
-					res = faster(res, r)
-				}
+		var res testing.BenchmarkResult
+		for i := 0; i < 3; i++ {
+			r, err := benchSpillStatePair(opt.OutDir, batch)
+			if err != nil {
+				return nil, fmt.Errorf("spill batch %d: %w", batch, err)
 			}
-			addMicro(OverheadRow{
-				Name: fmt.Sprintf("%s/batch=%d", v.name, batch), Logging: "on", CallsPerOp: 2,
-			}, res)
+			if i == 0 {
+				res = r
+			} else {
+				res = faster(res, r)
+			}
 		}
+		addMicro(OverheadRow{
+			Name: fmt.Sprintf("mpe/spill_state_pair/batch=%d", batch), Logging: "on", CallsPerOp: 2,
+		}, res)
 	}
 
 	cells := []struct{ workers, msgs int }{

@@ -1,7 +1,6 @@
 package idx
 
 import (
-	"io"
 	"math"
 
 	"repro/internal/clog2"
@@ -170,18 +169,13 @@ func (b *Builder) Index() *Index {
 // clog2slog). The reader must be positioned at the file start.
 func BuildReader(br *clog2.BlockReader) (*Index, error) {
 	b := NewBuilder(br.NumRanks())
-	var buf []clog2.Record
-	for {
-		blk, err := br.NextReuse(buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	err := br.Each(func(blk clog2.Block) error {
 		start, end := br.BlockBounds()
 		b.AddBlock(blk, start, end)
-		buf = blk.Records[:0]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b.Index(), nil
 }

@@ -463,7 +463,7 @@ func TestDecodeHostile(t *testing.T) {
 		{"bad-version", mutate(func(d []byte) { le32at(d, offVersion, 99) })},
 		{"zero-ranks", mutate(func(d []byte) { le32at(d, offNumRanks, 0) })},
 		{"absurd-ranks", mutate(func(d []byte) { le32at(d, offNumRanks, 1<<21) })},
-		{"huge-block-table", mutate(func(d []byte) { le32at(d, offNBlocks, 1 << 30) })},
+		{"huge-block-table", mutate(func(d []byte) { le32at(d, offNBlocks, 1<<30) })},
 		{"offset-before-header", mutate(func(d []byte) { le64at(d, offBlock0, 0) })},
 		{"negative-length", mutate(func(d []byte) { le64at(d, offBlock0+8, ^uint64(0)) })},
 		{"overlapping-blocks", mutate(func(d []byte) {

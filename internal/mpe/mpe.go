@@ -34,15 +34,13 @@ type StateID int32
 // EventID names a defined solo event.
 type EventID int32
 
-const soloBase = 1 << 20 // solo etypes live above all state etypes
-
 // MaxStates is the largest allocatable StateID: state s uses etypes 2s and
-// 2s+1, which must stay below soloBase or they would collide with solo
-// event etypes and silently corrupt the log.
-const MaxStates = soloBase/2 - 1
+// 2s+1, which must stay below clog2.SoloBase or they would collide with
+// solo event etypes and silently corrupt the log.
+const MaxStates = clog2.SoloBase/2 - 1
 
-// MaxEvents is the largest allocatable EventID: soloBase+e must fit int32.
-const MaxEvents = math.MaxInt32 - soloBase
+// MaxEvents is the largest allocatable EventID: clog2.SoloBase+e must fit int32.
+const MaxEvents = math.MaxInt32 - clog2.SoloBase
 
 // SyntheticEndCargo marks a state-end record that Finish fabricated for a
 // state still open at wrap-up (a rank that returned early). The converter
@@ -52,11 +50,11 @@ const SyntheticEndCargo = "mpe: synthetic end (open at finish)"
 
 func startEtype(s StateID) int32 { return int32(s) * 2 }
 func endEtype(s StateID) int32   { return int32(s)*2 + 1 }
-func soloEtype(e EventID) int32  { return soloBase + int32(e) }
+func soloEtype(e EventID) int32  { return clog2.SoloBase + int32(e) }
 
 // IsStartEtype reports whether etype marks a state start, and the state.
 func IsStartEtype(etype int32) (StateID, bool) {
-	if etype >= soloBase || etype%2 != 0 {
+	if etype >= clog2.SoloBase || etype%2 != 0 {
 		return 0, false
 	}
 	return StateID(etype / 2), true
@@ -64,7 +62,7 @@ func IsStartEtype(etype int32) (StateID, bool) {
 
 // IsEndEtype reports whether etype marks a state end, and the state.
 func IsEndEtype(etype int32) (StateID, bool) {
-	if etype >= soloBase || etype%2 == 0 {
+	if etype >= clog2.SoloBase || etype%2 == 0 {
 		return 0, false
 	}
 	return StateID(etype / 2), true
@@ -72,10 +70,10 @@ func IsEndEtype(etype int32) (StateID, bool) {
 
 // IsSoloEtype reports whether etype is a solo event, and which.
 func IsSoloEtype(etype int32) (EventID, bool) {
-	if etype < soloBase {
+	if etype < clog2.SoloBase {
 		return 0, false
 	}
-	return EventID(etype - soloBase), true
+	return EventID(etype - clog2.SoloBase), true
 }
 
 // Group owns the logging state for one MPI world: the definition tables
@@ -90,11 +88,9 @@ type Group struct {
 	// spillPrefix, when non-empty, makes every logger write each record
 	// through to an abort-surviving spill file (see spill.go);
 	// spillBatch (default 1) sets how many records one spill encode
-	// covers (see SetSpillBatch); spillFormat (default 2, framed
-	// segments) selects the on-disk format (see SetSpillFormat).
+	// covers (see SetSpillBatch).
 	spillPrefix string
 	spillBatch  int
-	spillFormat int
 
 	loggers []*Logger
 }

@@ -322,8 +322,8 @@ func readFile(path string) ([]byte, error) { return os.ReadFile(path) }
 func TestDescribeStateBoundaryGuard(t *testing.T) {
 	// The arithmetic the guard protects: the last legal ID's etypes stay
 	// below soloBase, the first illegal ID's start etype IS a solo etype.
-	if e := endEtype(StateID(MaxStates)); e >= soloBase {
-		t.Fatalf("endEtype(MaxStates) = %d, reaches soloBase %d", e, soloBase)
+	if e := endEtype(StateID(MaxStates)); e >= clog2.SoloBase {
+		t.Fatalf("endEtype(MaxStates) = %d, reaches SoloBase %d", e, clog2.SoloBase)
 	}
 	if _, ok := IsSoloEtype(startEtype(StateID(MaxStates + 1))); !ok {
 		t.Fatalf("startEtype(MaxStates+1) = %d should collide with solo etypes", startEtype(StateID(MaxStates+1)))

@@ -17,7 +17,7 @@ import (
 func FuzzSalvageFragment(f *testing.F) {
 	// Build the run once; per exec only the four small files are written.
 	seedPrefix := filepath.Join(f.TempDir(), "seed.clog2")
-	abortedRun(f, seedPrefix, 0)
+	abortedRun(f, seedPrefix)
 	readPart := func(suffix string) []byte {
 		data, err := os.ReadFile(seedPrefix + suffix)
 		if err != nil {

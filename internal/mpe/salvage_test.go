@@ -17,14 +17,11 @@ import (
 // spilling on, never Finishes (the abort), and returns the group. Each
 // rank r writes 2*(r+2) state-half records plus one message record, all
 // write-through, so rank r's fragment holds 2*(r+2)+1 segments.
-func abortedRun(t testing.TB, prefix string, format int) *mpe.Group {
+func abortedRun(t testing.TB, prefix string) *mpe.Group {
 	t.Helper()
 	w := mpi.NewWorld(3, mpi.Options{})
 	g := mpe.NewGroup(w, true)
 	g.EnableSpill(prefix)
-	if format != 0 {
-		g.SetSpillFormat(format)
-	}
 	read := g.DescribeState("PI_Read", "red")
 	arrival := g.DescribeEvent("MsgArrival", "yellow")
 	if err := g.SpillDefs(); err != nil {
@@ -44,6 +41,56 @@ func abortedRun(t testing.TB, prefix string, format int) *mpe.Group {
 	return g
 }
 
+// rewriteAsV1 turns the spill family an abortedRun left into what a run
+// before v2 would have left: each rank fragment a raw CLOG-2 stream from
+// clog2.NewWriter, one flushed block per write and no end-log marker
+// (the abort), the defs file the bare miniature CLOG-2 file.
+func rewriteAsV1(t testing.TB, prefix string) {
+	t.Helper()
+	for _, fr := range mpe.FindSpillFragments(prefix) {
+		data, err := os.ReadFile(fr.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, stats := clog2.ScanSegments(data)
+		if !stats.Clean() {
+			t.Fatalf("%s scans dirty: %+v", fr.Path, stats)
+		}
+		var v1 bytes.Buffer
+		w, err := clog2.NewWriter(&v1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			b, err := clog2.DecodeBlockPayload(seg.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteBlock(b.Rank, b.Records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fr.Path, v1.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defsPath := prefix + ".defs.spill"
+	data, err := os.ReadFile(defsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := clog2.ScanSegments(data)
+	if len(segs) != 1 {
+		t.Fatalf("defs spill holds %d segments, want 1", len(segs))
+	}
+	if err := os.WriteFile(defsPath, segs[0].Payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func salvageToFile(t testing.TB, prefix string) (*mpe.SalvageReport, []byte) {
 	t.Helper()
 	var out bytes.Buffer
@@ -56,7 +103,7 @@ func salvageToFile(t testing.TB, prefix string) (*mpe.SalvageReport, []byte) {
 
 func TestSalvageReportCleanRun(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, 0)
+	abortedRun(t, prefix)
 	rep, merged := salvageToFile(t, prefix)
 	if !rep.Clean() {
 		t.Fatalf("clean run reported dirty:\n%s", rep)
@@ -91,7 +138,7 @@ func TestSalvageReportCleanRun(t *testing.T) {
 // readable.
 func TestSalvageByteFlipSweep(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, 0)
+	abortedRun(t, prefix)
 	fragPath := prefix + ".rank1.spill"
 	pristine, err := os.ReadFile(fragPath)
 	if err != nil {
@@ -151,7 +198,7 @@ func TestSalvageByteFlipSweep(t *testing.T) {
 // SLOG-2 with every record categorised (no "no definition" drops).
 func TestSalvageSynthesizesDefs(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, 0)
+	abortedRun(t, prefix)
 	if err := os.Remove(prefix + ".defs.spill"); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +240,7 @@ func TestSalvageSynthesizesDefs(t *testing.T) {
 // A corrupted (not just missing) defs spill also degrades to synthesis.
 func TestSalvageDamagedDefs(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, 0)
+	abortedRun(t, prefix)
 	if err := os.WriteFile(prefix+".defs.spill", []byte("scribbled over"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +257,8 @@ func TestSalvageDamagedDefs(t *testing.T) {
 // version-detecting path.
 func TestSalvageLegacyV1(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, clog2.SpillFormatV1)
+	abortedRun(t, prefix)
+	rewriteAsV1(t, prefix)
 	rep, merged := salvageToFile(t, prefix)
 	if rep.RanksRecovered != 3 {
 		t.Fatalf("salvaged %d ranks, want 3", rep.RanksRecovered)
@@ -218,6 +266,9 @@ func TestSalvageLegacyV1(t *testing.T) {
 	for _, r := range rep.Ranks {
 		if r.Format != clog2.SpillFormatV1 {
 			t.Fatalf("rank %d detected as format %d", r.Rank, r.Format)
+		}
+		if want := 2*(r.Rank+2) + 1; r.Records != want || !r.TailTorn {
+			t.Fatalf("rank %d: %d record(s), tail torn %v; want %d from an unterminated stream", r.Rank, r.Records, r.TailTorn, want)
 		}
 		if r.Damaged() {
 			t.Fatalf("clean v1 fragment reported damaged: %+v", r)
@@ -258,7 +309,7 @@ func TestFindSpillFragments(t *testing.T) {
 // probe could never even find it.
 func TestSalvageHighRankWidensWorld(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, 0)
+	abortedRun(t, prefix)
 	var payload bytes.Buffer
 	rec := clog2.Record{Type: clog2.RecBareEvt, Time: 9.0, Rank: 4096, ID: 0}
 	if err := clog2.EncodeBlockPayload(&payload, 4096, []clog2.Record{rec}); err != nil {
@@ -284,7 +335,7 @@ func TestSalvageHighRankWidensWorld(t *testing.T) {
 // warned about; the other ranks still salvage.
 func TestSalvageGarbageFragment(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	abortedRun(t, prefix, 0)
+	abortedRun(t, prefix)
 	if err := os.WriteFile(prefix+".rank2.spill", bytes.Repeat([]byte{0x5a}, 300), 0o644); err != nil {
 		t.Fatal(err)
 	}

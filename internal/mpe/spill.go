@@ -3,7 +3,6 @@ package mpe
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/clog2"
@@ -18,18 +17,15 @@ import (
 // an abort, Salvage merges the surviving fragments into a complete CLOG-2
 // file.
 //
-// Two spill formats exist on disk:
-//
-//   - v2 (default): each write is one self-synchronizing segment — magic
-//     marker, version, rank, per-rank sequence number, payload length and
-//     a CRC-32C over header+payload, wrapping the bare CLOG-2 block
-//     encoding (see clog2/segment.go). One corrupted byte costs at most
-//     the segment holding it; salvage resynchronizes on the next marker
-//     and detects interior losses via sequence gaps.
-//   - v1 (legacy, SetSpillFormat(1)): a raw CLOG-2 stream. Survives clean
-//     truncation via clog2.ReadLenient, but a torn write or flipped byte
-//     mid-file silently discards everything after it. Kept for fragments
-//     from old runs and as the framing-overhead baseline.
+// One spill format is written, v2: each write is one self-synchronizing
+// segment — magic marker, version, rank, per-rank sequence number, payload
+// length and a CRC-32C over header+payload, wrapping the bare CLOG-2 block
+// encoding (see clog2/segment.go). One corrupted byte costs at most the
+// segment holding it; salvage resynchronizes on the next marker and
+// detects interior losses via sequence gaps. Salvage also reads v1, the
+// raw CLOG-2 stream that runs before v2 left behind: it survives clean
+// truncation via clog2.ReadLenient, but a torn write or flipped byte
+// mid-file silently discards everything after it.
 //
 // Caveat inherited from the design: records in spill files carry raw,
 // unsynchronised per-rank clocks, because MPE_Log_sync_clocks runs during
@@ -37,21 +33,14 @@ import (
 // the salvaged log is still perfectly usable for debugging — and
 // debugging an aborted program is exactly when you want it.
 
-// spill is a per-rank write-through fragment: a raw CLOG-2 stream in v1,
-// a segment stream in v2.
+// spill is a per-rank write-through fragment: a segment stream.
 type spill struct {
-	f       *os.File
-	version int
+	f *os.File
 
-	// v1 state: a persistent stream writer (file header written once)
-	// over a counting shim, so spilled bytes are observable.
-	w  *clog2.Writer
-	cw *countingWriter
-
-	// v2 state: a reusable frame buffer (header placeholder + payload,
-	// encoded in place), the bare block writer over it, and the per-rank
-	// segment sequence counter. All reused so steady-state spilling
-	// allocates nothing.
+	// A reusable frame buffer (header placeholder + payload, encoded in
+	// place), the bare block writer over it, and the per-rank segment
+	// sequence counter. All reused so steady-state spilling allocates
+	// nothing.
 	buf bytes.Buffer
 	bw  *clog2.Writer
 	seq uint64
@@ -60,19 +49,7 @@ type spill struct {
 	mx *stats.Collector
 }
 
-// countingWriter tracks cumulative bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// segHeaderPlaceholder reserves room for the v2 frame header; the real
+// segHeaderPlaceholder reserves room for the frame header; the real
 // header is patched in after the payload is encoded behind it.
 var segHeaderPlaceholder [clog2.SegHeaderSize]byte
 
@@ -121,29 +98,6 @@ func (g *Group) SpillBatch() int {
 	return g.spillBatch
 }
 
-// SetSpillFormat selects the on-disk spill format: 2 (default) writes
-// checksummed self-synchronizing segments, 1 writes the legacy raw
-// CLOG-2 stream. Anything else is clamped to the default. Call before
-// any logging happens, alongside EnableSpill.
-func (g *Group) SetSpillFormat(v int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v != clog2.SpillFormatV1 && v != clog2.SpillFormatV2 {
-		v = clog2.SpillFormatV2
-	}
-	g.spillFormat = v
-}
-
-// SpillFormat returns the active spill format (1 or 2).
-func (g *Group) SpillFormat() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.spillFormat == clog2.SpillFormatV1 {
-		return clog2.SpillFormatV1
-	}
-	return clog2.SpillFormatV2
-}
-
 func spillRankPath(prefix string, rank int) string {
 	return fmt.Sprintf("%s.rank%d.spill", prefix, rank)
 }
@@ -152,9 +106,9 @@ func spillDefsPath(prefix string) string { return prefix + ".defs.spill" }
 
 // SpillDefs writes the definition tables to the defs spill file. Pilot
 // calls it once, after all states and events are described (at
-// PI_StartAll). In v2 the defs — a complete miniature CLOG-2 file — are
-// wrapped in a single checksummed segment, so salvage can tell a damaged
-// defs table from an intact one and fall back to synthesized defs.
+// PI_StartAll). The defs — a complete miniature CLOG-2 file — are wrapped
+// in a single checksummed segment, so salvage can tell a damaged defs
+// table from an intact one and fall back to synthesized defs.
 func (g *Group) SpillDefs() error {
 	prefix := g.SpillPrefix()
 	if prefix == "" || !g.enabled {
@@ -171,13 +125,7 @@ func (g *Group) SpillDefs() error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	var data []byte
-	if g.SpillFormat() == clog2.SpillFormatV1 {
-		data = inner.Bytes()
-	} else {
-		data = clog2.AppendSegment(nil, 0, 0, inner.Bytes())
-	}
-	return os.WriteFile(spillDefsPath(prefix), data, 0o644)
+	return os.WriteFile(spillDefsPath(prefix), clog2.AppendSegment(nil, 0, 0, inner.Bytes()), 0o644)
 }
 
 // ensureSpill lazily opens the logger's spill file (on the logger's own
@@ -193,46 +141,20 @@ func (l *Logger) ensureSpill() *spill {
 	if prefix == "" {
 		return nil
 	}
-	version := l.g.SpillFormat()
 	f, err := os.Create(spillRankPath(prefix, l.rank.ID()))
 	if err != nil {
 		l.spErr = err
 		l.sp = &spill{} // degraded: stop retrying
 		return nil
 	}
-	sp := &spill{f: f, version: version, mx: l.g.world.Metrics()}
-	if version == clog2.SpillFormatV1 {
-		sp.cw = &countingWriter{w: f}
-		w, err := clog2.NewWriter(sp.cw, l.rank.Size())
-		if err != nil {
-			f.Close()
-			l.spErr = err
-			l.sp = &spill{}
-			return nil
-		}
-		sp.w = w
-	} else {
-		sp.bw = clog2.NewBareBlockWriter(&sp.buf)
-	}
-	l.sp = sp
+	l.sp = &spill{f: f, mx: l.g.world.Metrics()}
+	l.sp.bw = clog2.NewBareBlockWriter(&l.sp.buf)
 	return l.sp
 }
 
-// writeBlock lands one batch of records on disk: a flushed stream block
-// in v1, one framed segment in v2 (a single write call, so a torn write
-// damages at most this segment).
+// writeBlock lands one batch of records on disk as one framed segment (a
+// single write call, so a torn write damages at most this segment).
 func (sp *spill) writeBlock(rank int32, recs []clog2.Record) error {
-	if sp.version == clog2.SpillFormatV1 {
-		before := sp.cw.n
-		if err := sp.w.WriteBlock(rank, recs); err != nil {
-			return err
-		}
-		if err := sp.w.Flush(); err != nil {
-			return err
-		}
-		sp.mx.SpillWrite(int(rank), int(sp.cw.n-before))
-		return nil
-	}
 	sp.buf.Reset()
 	sp.buf.Write(segHeaderPlaceholder[:])
 	if err := sp.bw.WriteBlockChunks(rank, recs); err != nil {
@@ -293,9 +215,6 @@ func (l *Logger) closeSpill(remove bool) {
 		return
 	}
 	l.flushSpillBatch(l.sp)
-	if l.sp.version == clog2.SpillFormatV1 {
-		l.sp.w.Close()
-	}
 	l.sp.f.Close()
 	if remove {
 		os.Remove(l.sp.f.Name())

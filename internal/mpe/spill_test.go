@@ -64,48 +64,37 @@ func TestSpillWritesThrough(t *testing.T) {
 	}
 }
 
-// SetSpillFormat(1) keeps writing the legacy raw CLOG-2 stream, readable
-// by the lenient v1 reader.
+// A v1 fragment is a raw CLOG-2 stream, which is what clog2.NewWriter
+// writes: a run before v2 flushed one block per record and an abort left
+// the stream without its end-log marker. Nothing writes one any more;
+// salvage still has to read it, whole and torn mid-record.
 func TestSpillFormatV1Legacy(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	w := mpi.NewWorld(2, mpi.Options{})
-	g := NewGroup(w, true)
-	g.EnableSpill(prefix)
-	g.SetSpillFormat(1)
-	sid := g.DescribeState("PI_Write", "green")
-	if err := g.SpillDefs(); err != nil {
-		t.Fatal(err)
-	}
-	l := g.Logger(1)
-	l.StateStart(sid, "line: a.go:1")
-	l.StateEnd(sid, "")
-	if err := l.SpillError(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(prefix + ".rank1.spill")
+	var v1 bytes.Buffer
+	w, err := clog2.NewWriter(&v1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	frag, complete, err := clog2.ReadLenient(f)
-	if err != nil {
-		t.Fatal(err)
+	for i, etype := range []int32{startEtype(1), endEtype(1)} {
+		rec := clog2.Record{Type: clog2.RecBareEvt, Rank: 1, Time: float64(i), ID: etype}
+		if err := w.WriteBlock(1, []clog2.Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if complete {
-		t.Error("open spill should not be a complete file yet")
+	data := v1.Bytes()
+	if got := clog2.DetectSpillFormat(data); got != clog2.SpillFormatV1 {
+		t.Fatalf("raw stream detected as format %d", got)
 	}
-	var n int
-	for _, b := range frag.Blocks {
-		n += len(b.Records)
+	recs, rs := salvageFragment(1, "run.clog2.rank1.spill", data)
+	if rs.Format != clog2.SpillFormatV1 || len(recs) != 2 || rs.Records != 2 || !rs.TailTorn || rs.Damaged() {
+		t.Fatalf("open v1 fragment salvaged as %+v with %d record(s)", rs, len(recs))
 	}
-	if n != 2 {
-		t.Fatalf("spill has %d records, want 2", n)
-	}
-	// Nonsense formats clamp to the default.
-	g2 := NewGroup(mpi.NewWorld(1, mpi.Options{}), true)
-	g2.SetSpillFormat(7)
-	if got := g2.SpillFormat(); got != clog2.SpillFormatV2 {
-		t.Errorf("SetSpillFormat(7) -> %d, want v2", got)
+	// Torn inside the second block: the first survives.
+	recs, rs = salvageFragment(1, "run.clog2.rank1.spill", data[:len(data)-5])
+	if len(recs) != 1 || recs[0].ID != startEtype(1) || !rs.TailTorn {
+		t.Fatalf("torn v1 fragment salvaged as %+v with %d record(s)", rs, len(recs))
 	}
 }
 

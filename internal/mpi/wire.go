@@ -76,14 +76,14 @@ const flagNeedAck byte = 1 << 0
 // type are meaningful.
 type frame struct {
 	typ     byte
-	rank    int // hello, barrier, bye: the sending rank
-	world   int // hello: expected world size
+	rank    int    // hello, barrier, bye: the sending rank
+	world   int    // hello: expected world size
 	epoch   int    // hello, welcome: link resume epoch (0 = first connect)
 	ack     uint64 // hello, welcome: sender's cumulative link ack
-	dst     int // msg, ack: routing destination
-	ctx     int // msg
-	src     int // msg: originating rank
-	tag     int // msg
+	dst     int    // msg, ack: routing destination
+	ctx     int    // msg
+	src     int    // msg: originating rank
+	tag     int    // msg
 	flags   byte
 	seq     uint64 // msg, ack: rendezvous sequence number
 	code    int    // abort
@@ -235,4 +235,3 @@ func decodeFrame(b []byte) (*frame, error) {
 	}
 	return fr, nil
 }
-

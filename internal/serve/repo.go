@@ -3,10 +3,10 @@
 // .profile.json sidecars) and answering tile queries — time window ×
 // rank window at a zoom level — by walking only the frames that
 // intersect the viewport, exactly the level-of-detail access pattern
-// the SLOG-2 frame tree exists for. Production posture: LRU caches
-// over decoded files and rendered tiles, singleflight collapse on hot
-// misses, ETag revalidation and gzip on the wire, graceful shutdown,
-// and expvar/pprof observability.
+// the SLOG-2 frame tree exists for. Production posture: compute-once
+// LRU caches over decoded files and rendered tiles (memo), ETag
+// revalidation and gzip on the wire, graceful shutdown, and
+// expvar/pprof observability.
 package serve
 
 import (
@@ -40,15 +40,13 @@ var (
 const maxProfileSidecar = 64 << 20
 
 // Repo is the trace repository: a directory of <id>.slog2 files and
-// optional <id>.profile.json sidecars, fronted by an LRU of decoded
-// files with singleflight collapse so a thundering herd on a cold
-// trace costs one decode.
+// optional <id>.profile.json sidecars, fronted by a memo of decoded
+// files so a thundering herd on a cold trace costs one decode.
 type Repo struct {
 	dir    string
-	traces *lruCache // id+"\x00"+generation -> *Trace
-	sf     flightGroup
+	traces *memo[*Trace] // id+"\x00"+generation -> *Trace
 
-	// decodes counts real slog2.ReadFile calls — the singleflight
+	// decodes counts real slog2.ReadFile calls — the compute-once
 	// verification hook the load harness and tests assert on.
 	decodes atomic.Int64
 }
@@ -66,7 +64,7 @@ func NewRepo(dir string, maxTraces int) (*Repo, error) {
 	if maxTraces < 1 {
 		maxTraces = 8
 	}
-	return &Repo{dir: dir, traces: newLRU(maxTraces)}, nil
+	return &Repo{dir: dir, traces: newMemo[*Trace](maxTraces)}, nil
 }
 
 // Dir returns the repository directory.
@@ -229,8 +227,8 @@ func (r *Repo) AnalyzeJSON(id string, t0, t1 float64) ([]byte, error) {
 	return rep.JSON()
 }
 
-// Open returns the decoded trace for id, via the LRU, collapsing
-// concurrent cold opens into one decode.
+// Open returns the decoded trace for id, via the memo: concurrent cold
+// opens cost one decode.
 func (r *Repo) Open(id string) (*Trace, error) {
 	if !validID(id) {
 		return nil, ErrBadID
@@ -243,29 +241,15 @@ func (r *Repo) Open(id string) (*Trace, error) {
 		return nil, err
 	}
 	gen := fmt.Sprintf("%d-%d", info.ModTime().UnixNano(), info.Size())
-	key := id + "\x00" + gen
-	if v, ok := r.traces.get(key); ok {
-		return v.(*Trace), nil
-	}
-	v, err, _ := r.sf.Do("decode\x00"+key, func() (any, error) {
-		// Double-check under the flight: a racing caller may have
-		// populated the cache between our miss and the flight start.
-		if v, ok := r.traces.get(key); ok {
-			return v, nil
-		}
+	tr, _, err := r.traces.get(id+"\x00"+gen, func() (*Trace, error) {
 		r.decodes.Add(1)
 		f, err := slog2.ReadFile(r.tracePath(id))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
 		}
-		tr := &Trace{ID: id, File: f, Gen: gen}
-		r.traces.add(key, tr)
-		return tr, nil
+		return &Trace{ID: id, File: f, Gen: gen}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Trace), nil
+	return tr, err
 }
 
 // Profile returns the raw profile sidecar JSON for id, or ErrNotFound.

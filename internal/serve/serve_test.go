@@ -167,6 +167,36 @@ func TestBadParamsAnswer400(t *testing.T) {
 	}
 }
 
+// Every route that takes an optional float parameter parses it the same
+// way: absent keeps the default, a number is taken, and NaN or garbage is
+// a 400 (legend and search used to answer NaN with an empty or unfiltered
+// 200).
+func TestFloatParamsParseAlikeOnEveryRoute(t *testing.T) {
+	_, ts := newTestServer(t, goldenDir)
+	for _, route := range []struct {
+		path string
+		keys []string
+	}{
+		{"/trace/lab2/tile?", []string{"t0", "t1"}},
+		{"/trace/lab2/legend?", []string{"t0", "t1"}},
+		{"/trace/lab2/profile?", []string{"t0", "t1"}},
+		{"/trace/lab2/analyze?", []string{"t0", "t1"}},
+		{"/search?trace=lab2&", []string{"from", "to", "mindur"}},
+	} {
+		if resp, body := get(t, ts.URL+route.path, nil); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d with no parameters: %.120s", route.path, resp.StatusCode, body)
+		}
+		for _, key := range route.keys {
+			for value, want := range map[string]int{"0": 200, "0e0": 200, "NaN": 400, "nan": 400, "abc": 400, "1,5": 400} {
+				url := ts.URL + route.path + key + "=" + value
+				if resp, body := get(t, url, nil); resp.StatusCode != want {
+					t.Errorf("%s: status %d, want %d: %.120s", url, resp.StatusCode, want, body)
+				}
+			}
+		}
+	}
+}
+
 func TestRepoRejectsTraversalIDs(t *testing.T) {
 	repo, err := NewRepo(goldenDir, 4)
 	if err != nil {
@@ -450,73 +480,3 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatalf("Serve returned %v after graceful shutdown", err)
 	}
 }
-
-func TestLRUCache(t *testing.T) {
-	c := newLRU(2)
-	c.add("a", 1)
-	c.add("b", 2)
-	if v, ok := c.get("a"); !ok || v.(int) != 1 {
-		t.Fatal("a missing")
-	}
-	c.add("c", 3) // evicts b (a was refreshed)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b not evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted out of order")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Fatal("c missing")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len %d", c.len())
-	}
-	c.add("a", 10) // refresh in place
-	if v, _ := c.get("a"); v.(int) != 10 {
-		t.Fatal("refresh lost")
-	}
-	if c.hits.Load() == 0 || c.misses.Load() == 0 {
-		t.Fatal("hit/miss counters dead")
-	}
-}
-
-func TestFlightGroupCollapses(t *testing.T) {
-	var g flightGroup
-	var calls, shared atomic_int
-	var wg sync.WaitGroup
-	gate := make(chan struct{})
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err, sh := g.Do("k", func() (any, error) {
-				calls.add(1)
-				<-gate
-				return 7, nil
-			})
-			if err != nil || v.(int) != 7 {
-				panic("wrong flight result")
-			}
-			if sh {
-				shared.add(1)
-			}
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if calls.load()+shared.load() != 16 {
-		t.Fatalf("calls %d + shared %d != 16", calls.load(), shared.load())
-	}
-	if calls.load() < 1 {
-		t.Fatal("no call ran")
-	}
-}
-
-// tiny atomic int to avoid importing sync/atomic twice in tests.
-type atomic_int struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic_int) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
-func (a *atomic_int) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }

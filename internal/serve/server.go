@@ -25,9 +25,9 @@ import (
 type Config struct {
 	// RepoDir is the trace repository directory (required).
 	RepoDir string
-	// MaxTraces bounds the decoded-file LRU (default 8).
+	// MaxTraces bounds the decoded-file cache (default 8).
 	MaxTraces int
-	// MaxTiles bounds the rendered-tile LRU (default 4096).
+	// MaxTiles bounds the rendered-tile cache (default 4096).
 	MaxTiles int
 	// Logf, when set, receives one line per request error; nil is quiet.
 	Logf func(format string, args ...any)
@@ -38,8 +38,7 @@ type Config struct {
 // posture (graceful shutdown included).
 type Server struct {
 	repo  *Repo
-	tiles *lruCache
-	sf    flightGroup
+	tiles *memo[*cachedBody]
 	mux   *http.ServeMux
 	logf  func(string, ...any)
 
@@ -47,7 +46,7 @@ type Server struct {
 	requests      atomic.Int64
 	errors        atomic.Int64
 	tilesRendered atomic.Int64
-	tilesShared   atomic.Int64 // singleflight-collapsed tile renders
+	tilesShared   atomic.Int64 // tile requests that waited on another's render
 	notModified   atomic.Int64
 	bytesSent     atomic.Int64
 	// windowed-profile accounting: how many t0/t1 profile queries ran,
@@ -56,7 +55,7 @@ type Server struct {
 	profilesWindowed atomic.Int64
 	profilesIndexed  atomic.Int64
 	// analysis accounting: verdict reports actually computed (cache
-	// misses that did real work) and computes collapsed by singleflight.
+	// misses that did real work) and requests that waited on another's.
 	analyzesComputed atomic.Int64
 	analyzesShared   atomic.Int64
 }
@@ -72,7 +71,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		repo:  repo,
-		tiles: newLRU(cfg.MaxTiles),
+		tiles: newMemo[*cachedBody](cfg.MaxTiles),
 		logf:  cfg.Logf,
 	}
 	if s.logf == nil {
@@ -398,24 +397,13 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		s.failBadRequest(w, r, err)
 		return
 	}
-	key := p.cacheKey(tr)
-	if v, ok := s.tiles.get(key); ok {
-		cb := v.(*cachedBody)
-		s.writeBodyGz(w, r, cb.ctype, cb.etag, cb.body, cb.gz)
-		return
-	}
-	v, err, shared := s.sf.Do(key, func() (any, error) {
-		if v, ok := s.tiles.get(key); ok {
-			return v, nil
-		}
+	cb, shared, err := s.tiles.get(p.cacheKey(tr), func() (*cachedBody, error) {
 		body, ctype, err := renderTile(tr, p)
 		if err != nil {
 			return nil, err
 		}
 		s.tilesRendered.Add(1)
-		cb := newCachedBody(body, ctype)
-		s.tiles.add(key, cb)
-		return cb, nil
+		return newCachedBody(body, ctype), nil
 	})
 	if err != nil {
 		s.fail(w, r, err)
@@ -424,7 +412,6 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		s.tilesShared.Add(1)
 	}
-	cb := v.(*cachedBody)
 	s.writeBodyGz(w, r, cb.ctype, cb.etag, cb.body, cb.gz)
 }
 
@@ -434,19 +421,10 @@ func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	q := r.URL.Query()
 	t0, t1 := tr.File.Start, tr.File.End
-	if v := q.Get("t0"); v != "" {
-		if t0, err = strconv.ParseFloat(v, 64); err != nil {
-			s.failBadRequest(w, r, fmt.Errorf("serve: bad t0=%q", v))
-			return
-		}
-	}
-	if v := q.Get("t1"); v != "" {
-		if t1, err = strconv.ParseFloat(v, 64); err != nil {
-			s.failBadRequest(w, r, fmt.Errorf("serve: bad t1=%q", v))
-			return
-		}
+	if err := queryWindow(r.URL.Query(), &t0, &t1); err != nil {
+		s.failBadRequest(w, r, err)
+		return
 	}
 	body, err := RenderLegendJSON(tr, t0, t1)
 	if err != nil {
@@ -471,18 +449,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	// Windowed profile: recompute from the registered raw CLOG-2,
 	// through the index sidecar when one is valid.
 	t0, t1 := math.Inf(-1), math.Inf(1)
-	var err error
-	if v := q.Get("t0"); v != "" {
-		if t0, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(t0) {
-			s.failBadRequest(w, r, fmt.Errorf("serve: bad t0=%q", v))
-			return
-		}
-	}
-	if v := q.Get("t1"); v != "" {
-		if t1, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(t1) {
-			s.failBadRequest(w, r, fmt.Errorf("serve: bad t1=%q", v))
-			return
-		}
+	if err := queryWindow(q, &t0, &t1); err != nil {
+		s.failBadRequest(w, r, err)
+		return
 	}
 	p, usedIndex, err := s.repo.WindowedProfile(r.PathValue("id"), t0, t1)
 	if err != nil {
@@ -503,25 +472,15 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 // handleAnalyze serves the pathology-analysis verdict for a trace's
 // registered raw CLOG-2, with the same cache posture as tiles: results
-// live in the rendered-body LRU keyed by the raw log's generation (a
-// re-registered trace invalidates naturally), cold misses collapse via
-// singleflight, and the body goes out with ETag revalidation and gzip.
+// live in the rendered-body memo keyed by the raw log's generation (a
+// re-registered trace invalidates naturally), concurrent cold misses
+// compute once, and the body goes out with ETag revalidation and gzip.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	q := r.URL.Query()
 	t0, t1 := math.Inf(-1), math.Inf(1)
-	var err error
-	if v := q.Get("t0"); v != "" {
-		if t0, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(t0) {
-			s.failBadRequest(w, r, fmt.Errorf("serve: bad t0=%q", v))
-			return
-		}
-	}
-	if v := q.Get("t1"); v != "" {
-		if t1, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(t1) {
-			s.failBadRequest(w, r, fmt.Errorf("serve: bad t1=%q", v))
-			return
-		}
+	if err := queryWindow(r.URL.Query(), &t0, &t1); err != nil {
+		s.failBadRequest(w, r, err)
+		return
 	}
 	gen, err := s.repo.ClogGen(id)
 	if err != nil {
@@ -529,23 +488,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("analyze\x00%s\x00%s\x00%g\x00%g", id, gen, t0, t1)
-	if v, ok := s.tiles.get(key); ok {
-		cb := v.(*cachedBody)
-		s.writeBodyGz(w, r, cb.ctype, cb.etag, cb.body, cb.gz)
-		return
-	}
-	v, err, shared := s.sf.Do(key, func() (any, error) {
-		if v, ok := s.tiles.get(key); ok {
-			return v, nil
-		}
+	cb, shared, err := s.tiles.get(key, func() (*cachedBody, error) {
 		body, err := s.repo.AnalyzeJSON(id, t0, t1)
 		if err != nil {
 			return nil, err
 		}
 		s.analyzesComputed.Add(1)
-		cb := newCachedBody(body, "application/json; charset=utf-8")
-		s.tiles.add(key, cb)
-		return cb, nil
+		return newCachedBody(body, "application/json; charset=utf-8"), nil
 	})
 	if err != nil {
 		s.fail(w, r, err)
@@ -554,7 +503,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		s.analyzesShared.Add(1)
 	}
-	cb := v.(*cachedBody)
 	s.writeBodyGz(w, r, cb.ctype, cb.etag, cb.body, cb.gz)
 }
 
@@ -573,27 +521,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	opts := jumpshot.SearchOptions{Rank: -1, Limit: 1000}
 	opts.Name = q.Get("name")
 	opts.Cargo = q.Get("cargo")
-	parse := func(key string, set func(float64)) error {
-		if v := q.Get(key); v != "" {
-			x, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return fmt.Errorf("serve: bad %s=%q", key, v)
-			}
-			set(x)
+	for _, f := range []struct {
+		key string
+		dst *float64
+	}{{"from", &opts.From}, {"to", &opts.To}, {"mindur", &opts.MinDuration}} {
+		if err := queryFloat(q, f.key, f.dst); err != nil {
+			s.failBadRequest(w, r, err)
+			return
 		}
-		return nil
-	}
-	if err := parse("from", func(x float64) { opts.From = x }); err != nil {
-		s.failBadRequest(w, r, err)
-		return
-	}
-	if err := parse("to", func(x float64) { opts.To = x }); err != nil {
-		s.failBadRequest(w, r, err)
-		return
-	}
-	if err := parse("mindur", func(x float64) { opts.MinDuration = x }); err != nil {
-		s.failBadRequest(w, r, err)
-		return
 	}
 	for _, key := range []string{"rank", "limit"} {
 		if v := q.Get(key); v != "" {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 
@@ -25,6 +26,30 @@ const (
 	maxZoom       = 6
 )
 
+// queryFloat parses q's optional float parameter key into *dst, which
+// keeps its value when the parameter is absent. NaN is refused with the
+// unparseable: it poisons window math and compares false with everything.
+func queryFloat(q url.Values, key string, dst *float64) error {
+	s := q.Get(key)
+	if s == "" {
+		return nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(v) {
+		return fmt.Errorf("serve: bad %s=%q", key, s)
+	}
+	*dst = v
+	return nil
+}
+
+// queryWindow parses the optional t0 and t1 parameters.
+func queryWindow(q url.Values, t0, t1 *float64) error {
+	if err := queryFloat(q, "t0", t0); err != nil {
+		return err
+	}
+	return queryFloat(q, "t1", t1)
+}
+
 // parseTileParams reads t0/t1/r0/r1/zoom/format from the query,
 // defaulting to the whole log, all ranks, zoom 0, JSON. Hostile or
 // nonsensical values come back as errors for a 400, never a panic.
@@ -32,18 +57,6 @@ func parseTileParams(q url.Values, f *slog2.File) (tileParams, error) {
 	p := tileParams{
 		win:    jumpshot.Window{T0: f.Start, T1: f.End, RankLo: 0, RankHi: -1},
 		format: "json",
-	}
-	getF := func(key string, dst *float64) error {
-		s := q.Get(key)
-		if s == "" {
-			return nil
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v != v { // reject NaN: it poisons window math
-			return fmt.Errorf("serve: bad %s=%q", key, s)
-		}
-		*dst = v
-		return nil
 	}
 	getI := func(key string, dst *int) error {
 		s := q.Get(key)
@@ -57,10 +70,7 @@ func parseTileParams(q url.Values, f *slog2.File) (tileParams, error) {
 		*dst = v
 		return nil
 	}
-	if err := getF("t0", &p.win.T0); err != nil {
-		return p, err
-	}
-	if err := getF("t1", &p.win.T1); err != nil {
+	if err := queryWindow(q, &p.win.T0, &p.win.T1); err != nil {
 		return p, err
 	}
 	if err := getI("r0", &p.win.RankLo); err != nil {

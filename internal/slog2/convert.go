@@ -167,19 +167,8 @@ func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 		return nil, nil, err
 	}
 	p := newPartition(br.NumRanks())
-	var buf []clog2.Record
-	for {
-		b, err := br.NextReuse(buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		buf = b.Records
-		if err := p.addBlock(&b); err != nil {
-			return nil, nil, err
-		}
+	if err := br.Each(func(b clog2.Block) error { return p.addBlock(&b) }); err != nil {
+		return nil, nil, err
 	}
 	return convertPartitioned(p, opts)
 }

@@ -24,12 +24,6 @@ import (
 // ProfileSchema names the JSON schema version written by Profile.JSON.
 const ProfileSchema = "pilot-profile/1"
 
-// profSoloBase mirrors the mpe etype split (solo etypes live at 1<<20
-// and above; state s uses etypes 2s/2s+1 below it). Restated here rather
-// than imported: mpe sits above mpi, which depends on this package, and
-// the split is a stable on-disk property of the log format.
-const profSoloBase = 1 << 20
-
 // ChannelProfile is one channel's message accounting. Chan is the wire
 // tag (Pilot channel IDs are 1-based).
 type ChannelProfile struct {
@@ -116,13 +110,6 @@ type Profile struct {
 	Window *ProfileWindow `json:"window,omitempty"`
 }
 
-// openState is one entry of a rank's pairing stack.
-type openState struct {
-	etype    int32
-	start    float64
-	childSec float64
-}
-
 // stateAgg accumulates one state's occurrences during the pass.
 type stateAgg struct {
 	name    string
@@ -133,125 +120,45 @@ type stateAgg struct {
 	durHist hist
 }
 
-// profRank is one rank's in-pass state.
-type profRank struct {
-	rp       RankProfile
-	stack    []openState
-	haveWall bool
-	wall0    float64
-	wall1    float64
+// Profiler is the profile's observer on a clog2.Fold: the fold decides
+// which records count and pairs the states, the Profiler adds up what
+// the profile reports about them. The streaming scan, the windowed scan,
+// the index-accelerated scan and the analyzer's pass all drive one, which
+// is what makes "indexed answers == full-scan answers" an identity rather
+// than an approximation.
+type Profiler struct {
+	fold     *clog2.Fold
+	numRanks int
+	states   map[int32]*stateAgg // keyed by state def ID (or parity etype/2)
+	ranks    []RankProfile       // by FoldRank.Index
+	chans    map[int32]*ChannelProfile
 }
 
-// profiler is the in-pass state of one profile computation: the
-// streaming full scan, the windowed scan, and the index-accelerated
-// windowed scan all feed the same addBlock/finish pair, which is what
-// makes "indexed answers == full-scan answers" an identity rather than
-// an approximation.
-type profiler struct {
-	p      *Profile
-	t0, t1 float64
-
-	startOf   map[int32]int32 // start etype -> state def ID
-	endOf     map[int32]int32 // end etype -> state def ID
-	stateName map[int32]string
-	states    map[int32]*stateAgg // keyed by state def ID (or synthetic etype/2)
-	ranks     map[int32]*profRank
-	chans     map[int32]*ChannelProfile
-}
-
-// newProfiler builds a profiler over the inclusive window [t0, t1]; an
-// unbounded window (-Inf, +Inf) reproduces the whole-run profile.
-func newProfiler(numRanks int, t0, t1 float64) *profiler {
-	return &profiler{
-		p:         &Profile{Schema: ProfileSchema, NumRanks: numRanks},
-		t0:        t0,
-		t1:        t1,
-		startOf:   map[int32]int32{},
-		endOf:     map[int32]int32{},
-		stateName: map[int32]string{},
-		states:    map[int32]*stateAgg{},
-		ranks:     map[int32]*profRank{},
-		chans:     map[int32]*ChannelProfile{},
+// NewProfiler returns a Profiler observing fold; numRanks is the rank
+// count from the log's header.
+func NewProfiler(fold *clog2.Fold, numRanks int) *Profiler {
+	return &Profiler{
+		fold:     fold,
+		numRanks: numRanks,
+		states:   map[int32]*stateAgg{},
+		chans:    map[int32]*ChannelProfile{},
 	}
 }
 
-func (pp *profiler) agg(id int32, name string) *stateAgg {
-	a := pp.states[id]
-	if a == nil {
-		a = &stateAgg{name: name}
-		a.durHist.min.Store(math.MaxInt64)
-		pp.states[id] = a
+// rank returns the accumulator of the rank the fold last counted.
+func (pp *Profiler) rank() *RankProfile {
+	i := pp.fold.Rank.Index
+	for len(pp.ranks) <= i {
+		pp.ranks = append(pp.ranks, RankProfile{})
 	}
-	return a
+	return &pp.ranks[i]
 }
 
-func (pp *profiler) rank(id int32) *profRank {
-	pr := pp.ranks[id]
-	if pr == nil {
-		pr = &profRank{rp: RankProfile{Rank: int(id)}}
-		pp.ranks[id] = pr
-	}
-	return pr
-}
-
-// classify maps an event etype to (state ID, isStart, isEnd, name).
-func (pp *profiler) classify(etype int32) (int32, bool, bool, string) {
-	if id, ok := pp.startOf[etype]; ok {
-		return id, true, false, pp.stateName[id]
-	}
-	if id, ok := pp.endOf[etype]; ok {
-		return id, false, true, pp.stateName[id]
-	}
-	if etype < profSoloBase {
-		// No def for this etype: fall back to the mpe parity rule so
-		// salvaged logs still pair.
-		id := etype / 2
-		name := fmt.Sprintf("state %d", id)
-		if etype%2 == 0 {
-			return id, true, false, name
-		}
-		return id, false, true, name
-	}
-	return 0, false, false, ""
-}
-
-// addBlock feeds one block's records through the profiler. Blocks must
-// arrive in file order — the order both the full scan and idx.ScanFile
-// deliver.
-func (pp *profiler) addBlock(b clog2.Block) {
-	for i := range b.Records {
-		pp.addRecord(&b.Records[i])
-	}
-}
-
-func (pp *profiler) addRecord(rec *clog2.Record) {
-	switch rec.Type {
-	case clog2.RecStateDef:
-		// Definitions are metadata: always processed, whatever the
-		// window, so windowed classification matches the whole run's.
-		pp.startOf[rec.Aux1] = rec.ID
-		pp.endOf[rec.Aux2] = rec.ID
-		pp.stateName[rec.ID] = rec.Name
-		return
-	case clog2.RecEventDef, clog2.RecConstDef, clog2.RecSrcLoc,
-		clog2.RecEndBlock, clog2.RecEndLog:
-		return
-	}
-	if rec.Time < pp.t0 || rec.Time > pp.t1 {
-		return
-	}
-	pr := pp.rank(rec.Rank)
-	pr.rp.Records++
-	if !pr.haveWall || rec.Time < pr.wall0 {
-		pr.wall0 = rec.Time
-	}
-	if !pr.haveWall || rec.Time > pr.wall1 {
-		pr.wall1 = rec.Time
-	}
-	pr.haveWall = true
-
-	switch rec.Type {
-	case clog2.RecMsgEvt:
+// Observe accounts for rec, which the fold has just made step of.
+func (pp *Profiler) Observe(step clog2.Step, rec *clog2.Record) {
+	switch step {
+	case clog2.StepMsg:
+		rp := pp.rank()
 		cp := pp.chans[rec.Aux2]
 		if cp == nil {
 			cp = &ChannelProfile{Chan: int(rec.Aux2)}
@@ -260,74 +167,60 @@ func (pp *profiler) addRecord(rec *clog2.Record) {
 		if rec.Dir == clog2.DirSend {
 			cp.Sends++
 			cp.SendBytes += int64(rec.Aux3)
-			pr.rp.Sends++
-			pr.rp.SendBytes += int64(rec.Aux3)
+			rp.Sends++
+			rp.SendBytes += int64(rec.Aux3)
 		} else {
 			cp.Recvs++
 			cp.RecvBytes += int64(rec.Aux3)
-			pr.rp.Recvs++
-			pr.rp.RecvBytes += int64(rec.Aux3)
+			rp.Recvs++
+			rp.RecvBytes += int64(rec.Aux3)
 		}
-	case clog2.RecBareEvt, clog2.RecCargoEvt:
-		etype := rec.ID
-		if etype >= profSoloBase {
-			pr.rp.Events++
-			return
+	case clog2.StepSolo:
+		pp.rank().Events++
+	case clog2.StepClose:
+		occ := &pp.fold.Closed
+		a := pp.states[occ.ID]
+		if a == nil {
+			a = &stateAgg{name: occ.Name}
+			a.durHist.min.Store(math.MaxInt64)
+			pp.states[occ.ID] = a
 		}
-		id, isStart, _, name := pp.classify(etype)
-		if isStart {
-			pr.stack = append(pr.stack, openState{etype: etype, start: rec.Time})
-			return
-		}
-		// State end: pop the innermost open state (the converter
-		// reports mismatches as nesting errors; the profile just
-		// keeps the stack depth honest, as mpe.popOpenState does).
-		n := len(pr.stack)
-		if n == 0 {
-			pp.p.Unpaired++
-			return
-		}
-		top := pr.stack[n-1]
-		pr.stack = pr.stack[:n-1]
-		dur := rec.Time - top.start
-		if dur < 0 {
-			dur = 0
-		}
-		self := dur - top.childSec
-		if self < 0 {
-			self = 0
-		}
-		if len(pr.stack) > 0 {
-			pr.stack[len(pr.stack)-1].childSec += dur
-		}
-		a := pp.agg(id, name)
 		a.count++
-		a.total += dur
-		a.self += self
-		if dur > a.max {
-			a.max = dur
+		a.total += occ.Dur
+		a.self += occ.Self
+		if occ.Dur > a.max {
+			a.max = occ.Dur
 		}
-		a.durHist.observe(int64(dur * 1e9))
-		switch colors.CategoryOf(name) {
+		a.durHist.observe(int64(occ.Dur * 1e9))
+		switch colors.CategoryOf(occ.Name) {
 		case colors.Input, colors.Output:
-			pr.rp.BlockedSec += self
+			pp.rank().BlockedSec += occ.Self
 		default:
-			pr.rp.BusySec += self
+			pp.rank().BusySec += occ.Self
 		}
 	}
 }
 
-// finish assembles the sorted tables and returns the Profile.
-func (pp *profiler) finish() *Profile {
-	p := pp.p
-	if !math.IsInf(pp.t0, -1) || !math.IsInf(pp.t1, 1) {
+// observeBlock folds and observes one block's records. Blocks must
+// arrive in file order — the order both the full scan and idx.ScanFile
+// deliver.
+func (pp *Profiler) observeBlock(b clog2.Block) error {
+	for i := range b.Records {
+		rec := &b.Records[i]
+		pp.Observe(pp.fold.Add(rec), rec)
+	}
+	return nil
+}
+
+// Profile assembles the sorted tables and returns the Profile.
+func (pp *Profiler) Profile() *Profile {
+	p := &Profile{Schema: ProfileSchema, NumRanks: pp.numRanks, Unpaired: pp.fold.Unpaired}
+	if t0, t1 := pp.fold.Window(); !math.IsInf(t0, -1) || !math.IsInf(t1, 1) {
 		p.Window = &ProfileWindow{}
-		if !math.IsInf(pp.t0, -1) {
-			t0 := pp.t0
+		if !math.IsInf(t0, -1) {
 			p.Window.T0 = &t0
 		}
-		if !math.IsInf(pp.t1, 1) {
-			t1 := pp.t1
+		if !math.IsInf(t1, 1) {
 			p.Window.T1 = &t1
 		}
 	}
@@ -340,22 +233,23 @@ func (pp *profiler) finish() *Profile {
 		p.Channels = append(p.Channels, *pp.chans[int32(id)])
 	}
 
-	rankIDs := make([]int, 0, len(pp.ranks))
-	for id := range pp.ranks {
-		rankIDs = append(rankIDs, int(id))
+	for _, fr := range pp.fold.Ranks() {
+		var rp RankProfile
+		if fr.Index < len(pp.ranks) {
+			rp = pp.ranks[fr.Index]
+		}
+		rp.Rank = int(fr.Rank)
+		rp.Records = fr.Records
+		rp.WallSec = fr.Last - fr.First
+		p.Ranks = append(p.Ranks, rp)
+		p.Totals.Records += rp.Records
+		p.Totals.Sends += rp.Sends
+		p.Totals.Recvs += rp.Recvs
+		p.Totals.SendBytes += rp.SendBytes
+		p.Totals.RecvBytes += rp.RecvBytes
+		p.Totals.Events += rp.Events
 	}
-	sort.Ints(rankIDs)
-	for _, id := range rankIDs {
-		pr := pp.ranks[int32(id)]
-		pr.rp.WallSec = pr.wall1 - pr.wall0
-		p.Ranks = append(p.Ranks, pr.rp)
-		p.Totals.Records += pr.rp.Records
-		p.Totals.Sends += pr.rp.Sends
-		p.Totals.Recvs += pr.rp.Recvs
-		p.Totals.SendBytes += pr.rp.SendBytes
-		p.Totals.RecvBytes += pr.rp.RecvBytes
-		p.Totals.Events += pr.rp.Events
-	}
+	sort.Slice(p.Ranks, func(i, j int) bool { return p.Ranks[i].Rank < p.Ranks[j].Rank })
 
 	stateIDs := make([]int, 0, len(pp.states))
 	for id := range pp.states {
@@ -382,52 +276,29 @@ func (pp *profiler) finish() *Profile {
 
 // ComputeProfile streams the CLOG-2 file in r (via clog2.BlockReader, so
 // the raw log is never fully materialized) and computes its Profile.
-// State and event classification comes from the StateDef/EventDef
-// records in the stream itself, with the etype parity rules as fallback
-// for defs-less salvaged fragments.
+// Which records count and how states pair is clog2.Fold's policy.
 func ComputeProfile(r io.Reader) (*Profile, error) {
 	return ComputeProfileWindowed(r, math.Inf(-1), math.Inf(1))
 }
 
 // ComputeProfileWindowed is ComputeProfile restricted to records whose
-// timestamps fall in the inclusive window [t0, t1]. Definition records
-// are always processed (classification must not depend on where the
-// window lands); everything else outside the window is skipped entirely.
-// An unbounded window reproduces ComputeProfile exactly, without the
-// Window field.
+// timestamps fall in the inclusive window [t0, t1]. An unbounded window
+// reproduces ComputeProfile exactly, without the Window field.
 func ComputeProfileWindowed(r io.Reader, t0, t1 float64) (*Profile, error) {
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
 		return nil, err
 	}
-	pp := newProfiler(br.NumRanks(), t0, t1)
-	var buf []clog2.Record
-	for {
-		b, err := br.NextReuse(buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		pp.addBlock(b)
-		buf = b.Records[:0]
+	pp := NewProfiler(clog2.NewFold(t0, t1), br.NumRanks())
+	if err := br.Each(pp.observeBlock); err != nil {
+		return nil, err
 	}
-	return pp.finish(), nil
+	return pp.Profile(), nil
 }
 
 // ComputeProfileFile is ComputeProfile over the CLOG-2 file at path.
 func ComputeProfileFile(path string) (*Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p, err := ComputeProfile(f)
-	if err != nil {
-		return nil, fmt.Errorf("stats: profiling %s: %w", path, err)
-	}
-	return p, nil
+	return computeProfileScan(path, math.Inf(-1), math.Inf(1))
 }
 
 // JSON renders the profile as indented JSON with a trailing newline.

@@ -53,13 +53,13 @@ func TestComputeProfileSynthetic(t *testing.T) {
 		0: {
 			stateDef(1, 2, 3, "PI_Read"),
 			stateDef(2, 4, 5, "Compute"),
-			bare(0, 0.0, 4),                           // Compute start
-			bare(0, 0.5, 2),                           // PI_Read start (nested)
-			msg(0, 0.70, clog2.DirRecv, 1, 7, 100),    // recv 100 B on chan 7
-			bare(0, 0.75, 3),                          // PI_Read end: 0.25 s
-			bare(0, 1.0, 5),                           // Compute end: 1.0 s total, 0.75 s self
-			bare(0, 1.0, profSoloBase+1),              // a solo event
-			msg(0, 1.25, clog2.DirSend, 1, 9, 40),     // send 40 B on chan 9
+			bare(0, 0.0, 4),                        // Compute start
+			bare(0, 0.5, 2),                        // PI_Read start (nested)
+			msg(0, 0.70, clog2.DirRecv, 1, 7, 100), // recv 100 B on chan 7
+			bare(0, 0.75, 3),                       // PI_Read end: 0.25 s
+			bare(0, 1.0, 5),                        // Compute end: 1.0 s total, 0.75 s self
+			bare(0, 1.0, clog2.SoloBase+1),         // a solo event
+			msg(0, 1.25, clog2.DirSend, 1, 9, 40),  // send 40 B on chan 9
 		},
 		1: {
 			bare(1, 0.1, 4),
@@ -274,5 +274,38 @@ func TestComputeProfileBadInput(t *testing.T) {
 	}
 	if _, err := ComputeProfileFile("/nonexistent/path.clog2"); err == nil {
 		t.Error("missing file did not error")
+	}
+}
+
+// The fold numbers ranks by first appearance; the profile still lists
+// them by rank id, and a rank whose only record opened a state (so the
+// observer never touched it) keeps its record count and span.
+func TestProfileRanksSortedWhateverTheFoldOrder(t *testing.T) {
+	fold := clog2.NewFold(NoLimit())
+	pp := NewProfiler(fold, 4)
+	for _, rec := range []clog2.Record{
+		bare(3, 1.0, clog2.SoloBase+1),
+		msg(1, 2.0, clog2.DirSend, 3, 7, 64),
+		bare(3, 4.0, clog2.SoloBase+1),
+		bare(2, 3.0, 2),
+	} {
+		pp.Observe(fold.Add(&rec), &rec)
+	}
+	p := pp.Profile()
+	want := []RankProfile{
+		{Rank: 1, Records: 1, Sends: 1, SendBytes: 64},
+		{Rank: 2, Records: 1},
+		{Rank: 3, Records: 2, Events: 2, WallSec: 3},
+	}
+	if len(p.Ranks) != len(want) {
+		t.Fatalf("ranks %+v", p.Ranks)
+	}
+	for i := range want {
+		if p.Ranks[i] != want[i] {
+			t.Errorf("rank row %d = %+v, want %+v", i, p.Ranks[i], want[i])
+		}
+	}
+	if p.NumRanks != 4 || p.Totals.Records != 4 || p.Totals.Events != 2 || p.Totals.Sends != 1 {
+		t.Fatalf("totals %+v over %d ranks", p.Totals, p.NumRanks)
 	}
 }

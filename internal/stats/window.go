@@ -2,7 +2,7 @@
 // whose time fences intersect [t0, t1] by seeking through the ".idx"
 // sidecar, degrading to the streaming windowed scan whenever the sidecar
 // is absent, stale, or fails validation. Both paths feed the same
-// profiler, so their answers are identical by construction: the index
+// Profiler, so their answers are identical by construction: the index
 // only skips blocks that contain no in-window non-definition records,
 // definition-bearing blocks are always visited (IncludeDefs), and blocks
 // arrive in file order either way.
@@ -61,14 +61,11 @@ func ComputeProfileIndexed(path string, ix *idx.Index, t0, t1 float64) (*Profile
 	q.T0, q.T1 = t0, t1
 	q.IncludeDefs = true
 	sel := ix.Select(q)
-	pp := newProfiler(ix.NumRanks, t0, t1)
-	if err := idx.ScanFile(path, ix, sel, func(b clog2.Block) error {
-		pp.addBlock(b)
-		return nil
-	}); err != nil {
+	pp := NewProfiler(clog2.NewFold(t0, t1), ix.NumRanks)
+	if err := idx.ScanFile(path, ix, sel, pp.observeBlock); err != nil {
 		return nil, err
 	}
-	return pp.finish(), nil
+	return pp.Profile(), nil
 }
 
 // NoLimit returns the unbounded window bounds — a convenience for

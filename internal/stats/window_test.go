@@ -245,10 +245,10 @@ func TestWindowSemantics(t *testing.T) {
 	raw := writeTestLog(t, 2, map[int32][]clog2.Record{
 		0: {
 			stateDef(1, 2, 3, "PI_Read"),
-			bare(0, 0.1, 2),                        // starts before the window
-			bare(0, 0.5, 3),                        // ends inside it: unpaired
-			msg(0, 0.6, clog2.DirSend, 1, 7, 100),  // inside
-			msg(0, 2.0, clog2.DirSend, 1, 7, 999),  // outside
+			bare(0, 0.1, 2),                       // starts before the window
+			bare(0, 0.5, 3),                       // ends inside it: unpaired
+			msg(0, 0.6, clog2.DirSend, 1, 7, 100), // inside
+			msg(0, 2.0, clog2.DirSend, 1, 7, 999), // outside
 		},
 		1: {
 			msg(1, 0.65, clog2.DirRecv, 0, 7, 100), // inside

@@ -3,6 +3,7 @@ package vis_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/clog2"
 	"repro/internal/lab2"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/vis"
 )
 
@@ -217,6 +220,80 @@ func TestPipelineToRepoOutOfRangeRankServes(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || bytes.Count(body, []byte(`"rank":`)) != 2 {
+		t.Fatalf("tile of the registered trace: status %d, body %.200q", resp.StatusCode, body)
+	}
+}
+
+// A state end stamped +Inf (and one each NaN and -Inf) used to be counted
+// by the profile and dropped by the analyzer: the profile then carried an
+// infinite duration, its JSON would not serialise and the whole log was
+// refused ("vis: writing profile: json: unsupported value: +Inf"). Both
+// now read the log through one fold, which skips such records: the log
+// profiles, registers and serves, and the analyzer trusts the sidecar
+// because the two record counts agree.
+func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
+	evt := func(rank int32, time float64, etype int32) clog2.Record {
+		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: time, ID: etype}
+	}
+	var raw bytes.Buffer
+	w, err := clog2.NewWriter(&raw, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range [][]clog2.Record{
+		{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}},
+		{evt(0, 1, 2), evt(0, math.Inf(1), 3), evt(0, 2, 3)},
+		{evt(1, 1, 2), evt(1, math.NaN(), 3), evt(1, math.Inf(-1), 3), evt(1, 3, 3)},
+	} {
+		if err := w.WriteBlock(blk[0].Rank, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clog := filepath.Join(t.TempDir(), "inf.clog2")
+	if err := os.WriteFile(clog, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	prof, err := stats.ComputeProfile(bytes.NewReader(raw.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prof.JSON(); err != nil {
+		t.Fatalf("profile does not serialise: %v", err)
+	}
+	if prof.Totals.Records != 4 || prof.Unpaired != 0 || len(prof.States) != 1 || prof.States[0].TotalSec != 3 {
+		t.Fatalf("profile counts the non-finite records: %+v", prof)
+	}
+
+	repoDir := t.TempDir()
+	if _, _, _, err := vis.PipelineToRepo(clog, repoDir, "inf", vis.ConvertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := analyze.AnalyzeFile(filepath.Join(repoDir, "inf.clog2"), analyze.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ProfileSource != "sidecar" || rep.Records != prof.Totals.Records {
+		t.Fatalf("analyzer: profile_source %q, %d record(s); want the sidecar and the profile's %d",
+			rep.ProfileSource, rep.Records, prof.Totals.Records)
+	}
+
+	s, err := serve.New(serve.Config{RepoDir: repoDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/trace/inf/tile?t0=0&t1=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tile of the registered trace: status %d, body %.200q", resp.StatusCode, body)
 	}
 }
