@@ -99,11 +99,13 @@ cover:
 # and merge benchmarks: the parallel CLOG-2 -> SLOG-2 pipeline at
 # several worker counts, the bare CLOG-2 scan (MB/s), the fold under the
 # profile (MB/s, next to the scan's) and the sequential converter (B/op)
-# on a 500 000-record log, plus the MPE wrap-up merge.
+# on a 500 000-record log, plus the MPE wrap-up merge; then what a
+# pilot-serve tile-cache miss costs (render + ETag + gzip, MB/s and B/op).
 bench:
 	$(GO) run ./cmd/pilot-bench -overhead -overhead-out BENCH_overhead.json
 	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox' -benchmem ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem ./internal/serve/
 
 # Re-measure the logging hot path and diff against the committed
 # BENCH_overhead.json baseline; fails when a micro row's ns/op regressed
@@ -124,6 +126,7 @@ fuzz:
 	$(GO) test ./internal/slog2/ -fuzz FuzzReadSLOG2 -fuzztime 30s
 	$(GO) test ./internal/idx/ -fuzz FuzzReadIndex -fuzztime 30s
 	$(GO) test ./internal/analyze/ -fuzz FuzzAnalyze -fuzztime 30s
+	$(GO) test ./internal/jumpshot/ -fuzz FuzzAppendFixed -fuzztime 30s
 
 # CI fuzz smoke: 5 seconds of coverage-guided fuzzing per target. Go only
 # accepts one -fuzz target per invocation, hence one line per target.
@@ -134,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSLOG2$$' -fuzztime 5s ./internal/slog2/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime 5s ./internal/idx/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s ./internal/analyze/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime 5s ./internal/jumpshot/
 
 # The kill/corrupt chaos harness: a real example under RobustLog is
 # SIGKILLed at seeded points, its spill files further damaged, and every

@@ -190,6 +190,12 @@ func runSmoke(srv *serve.Server, repoDir string) error {
 		if resp, _, err = get("/healthz", nil); err != nil || resp.StatusCode != 200 {
 			return fmt.Errorf("healthz: %v %v", resp.StatusCode, err)
 		}
+		// The tiles above were compressed once each; /debug/vars reads
+		// the same counters.
+		m := srv.MetricsSnapshot()
+		if raw, gz := m["tile_bytes_raw"], m["tile_bytes_gz"]; !(0 < gz && gz < raw) {
+			return fmt.Errorf("tile_bytes_gz %d, tile_bytes_raw %d, want 0 < gz < raw", gz, raw)
+		}
 		return nil
 	}
 

@@ -93,18 +93,19 @@ func TestDrawablesAppendWithoutAllocating(t *testing.T) {
 	l := &layout{
 		v:     View{From: 0, To: 10},
 		plotW: 1112,
-		rows:  []row{{shown: true, top: 34, h: 36}, {shown: true, top: 70, h: 36}},
+		rows:  []row{{shown: true, top: 34, h: 36, mid: []byte("52.0")}, {shown: true, top: 70, h: 36, mid: []byte("88.0")}},
 	}
 	cat := &catText{hex: "#ff0000", name: []byte("PI_Read")}
 	arrow := &slog2.Arrow{SrcRank: 0, DstRank: 1, Start: 1.25, End: 1.5, Tag: 7, Size: 4096}
 	event := &slog2.Event{Rank: 1, Time: 2.5, Cargo: `chan: C3 <&> "q"`}
 	state := &slog2.State{Rank: 0, Start: 3, End: 4.5, StartCargo: "line: lab2.go:147"}
+	lv := newLevel(37, 30)
 	m := make(markup, 0, 4096)
 	allocs := testing.AllocsPerRun(100, func() {
 		m = m[:0]
 		m.arrow(l, "#ffffff", arrow)
 		m.event(l, cat, event)
-		m.state(cat, state, 12.5, 37, 80.25, 30)
+		m.state(cat, state, 12.5, 80.25, &lv)
 	})
 	if len(m) == 0 {
 		t.Fatal("nothing rendered")

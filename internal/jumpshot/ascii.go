@@ -24,14 +24,8 @@ func RenderASCII(f *slog2.File, v View) string {
 	if span <= 0 {
 		span = 1e-9
 	}
-	states, _, events := f.Query(v.From, v.To)
-
-	byRank := make([][]slog2.State, f.NumRanks)
-	for _, s := range states {
-		if s.Rank >= 0 && s.Rank < f.NumRanks {
-			byRank[s.Rank] = append(byRank[s.Rank], s)
-		}
-	}
+	events := f.Events(v.From, v.To)
+	byRank := statesByRank(f, v.From, v.To, nil)
 	grid := make([][]map[int]float64, f.NumRanks)
 	hasEvent := make([][]bool, f.NumRanks)
 	for r := range grid {
@@ -48,8 +42,8 @@ func RenderASCII(f *slog2.File, v View) string {
 		}
 		return c
 	}
-	for _, e := range events {
-		if e.Rank >= 0 && e.Rank < f.NumRanks {
+	for _, r := range events {
+		if e := r.D; e.Rank >= 0 && e.Rank < f.NumRanks {
 			hasEvent[e.Rank][colOf(e.Time)] = true
 		}
 	}

@@ -1,18 +1,15 @@
 package jumpshot
 
-import (
-	"slices"
+import "repro/internal/slog2"
 
-	"repro/internal/slog2"
-)
-
-// exclusiveBuckets distributes one rank's states over n equal buckets of
+// exclusiveBuckets distributes one rank's states (outermostFirst, as
+// statesByRank returns them) over n equal buckets of
 // width span starting at from, returning per-bucket, per-category
 // *exclusive* time: a nested state's time is subtracted from its immediate
 // parent, so an instant is attributed to the innermost state covering it.
 // This is what makes a PI_Read visible inside a long Compute rectangle in
 // the downsampled views.
-func exclusiveBuckets(rs []slog2.State, from, span float64, n int) []map[int]float64 {
+func exclusiveBuckets(rs []slog2.Ref[*slog2.State], from, span float64, n int) []map[int]float64 {
 	buckets := make([]map[int]float64, n)
 	if n == 0 || span <= 0 {
 		return buckets
@@ -53,14 +50,13 @@ func exclusiveBuckets(rs []slog2.State, from, span float64, n int) []map[int]flo
 		}
 	}
 
-	sorted := append([]slog2.State(nil), rs...)
-	slices.SortStableFunc(sorted, byStartThenLongest)
 	type openIv struct {
 		cat int
 		end float64
 	}
 	var stack []openIv
-	for _, s := range sorted {
+	for _, r := range rs {
+		s := r.D
 		for len(stack) > 0 && stack[len(stack)-1].end <= s.Start {
 			stack = stack[:len(stack)-1]
 		}

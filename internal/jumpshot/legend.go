@@ -39,40 +39,35 @@ type LegendEntry struct {
 // [t0, t1] (pass f.Start, f.End for the whole log). Entries appear in
 // category order.
 func Legend(f *slog2.File, t0, t1 float64) []LegendEntry {
-	states, _, events := f.Query(t0, t1)
 	entries := make([]LegendEntry, len(f.Categories))
 	for i, c := range f.Categories {
 		entries[i] = LegendEntry{Name: c.Name, Color: c.Color, Kind: c.Kind}
 	}
-	for _, s := range states {
-		entries[s.Cat].Count++
-		entries[s.Cat].Incl += s.Duration()
-		entries[s.Cat].Excl += s.Duration()
+	// Durations are summed in start order, so the sums do not depend on
+	// how the converter cut the frames.
+	for _, r := range f.States(t0, t1) {
+		entries[r.D.Cat].Count++
+		entries[r.D.Cat].Incl += r.D.Duration()
+		entries[r.D.Cat].Excl += r.D.Duration()
 	}
-	for _, e := range events {
-		entries[e.Cat].Count++
-	}
-	// Subtract directly nested children from their parents' exclusive
-	// time, per rank, with a containment stack.
-	perRank := map[int][]slog2.State{}
-	for _, s := range states {
-		perRank[s.Rank] = append(perRank[s.Rank], s)
-	}
-	for _, rs := range perRank {
-		sort.SliceStable(rs, func(i, j int) bool {
-			if rs[i].Start != rs[j].Start {
-				return rs[i].Start < rs[j].Start
+	f.Frames(t0, t1, func(fr *slog2.Frame) {
+		for i := range fr.Events {
+			if e := &fr.Events[i]; e.In(t0, t1) {
+				entries[e.Cat].Count++
 			}
-			return rs[i].End > rs[j].End // outer first on ties
-		})
-		var stack []slog2.State
-		for _, s := range rs {
+		}
+	})
+	// Subtract directly nested children from their parents' exclusive
+	// time, rank by rank, with a containment stack.
+	for _, rs := range statesByRank(f, t0, t1, nil) {
+		var stack []*slog2.State
+		for _, r := range rs {
+			s := r.D
 			for len(stack) > 0 && stack[len(stack)-1].End <= s.Start {
 				stack = stack[:len(stack)-1]
 			}
-			if len(stack) > 0 && containsState(stack[len(stack)-1], s) {
-				parent := stack[len(stack)-1]
-				entries[parent.Cat].Excl -= s.Duration()
+			if n := len(stack); n > 0 && containsState(stack[n-1], s) {
+				entries[stack[n-1].Cat].Excl -= s.Duration()
 			}
 			stack = append(stack, s)
 		}
@@ -80,7 +75,7 @@ func Legend(f *slog2.File, t0, t1 float64) []LegendEntry {
 	return entries
 }
 
-func containsState(outer, inner slog2.State) bool {
+func containsState(outer, inner *slog2.State) bool {
 	return outer.Start <= inner.Start && inner.End <= outer.End
 }
 

@@ -2,7 +2,6 @@ package jumpshot
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/slog2"
@@ -40,71 +39,77 @@ type SearchOptions struct {
 }
 
 // Search scans the log for drawables matching opts, returning hits in
-// start-time order.
+// start-time order; at equal starts states come before events before
+// arrows, each kind in slog2.SortRefs' tie order. The frames under the
+// window are filtered in place and only the hits that survive the limit
+// are built.
 func Search(f *slog2.File, opts SearchOptions) []Hit {
 	t0, t1 := opts.From, opts.To
 	if t1 <= t0 {
 		t0, t1 = f.Start, f.End
 	}
 	nameMatch := func(name string) bool {
-		if opts.Name == "" {
-			return true
-		}
 		return strings.Contains(strings.ToLower(name), strings.ToLower(opts.Name))
 	}
-	cargoMatch := func(cargo string) bool {
-		if opts.Cargo == "" {
-			return true
-		}
-		return strings.Contains(strings.ToLower(cargo), strings.ToLower(opts.Cargo))
+	catMatch := make([]bool, len(f.Categories))
+	for i, c := range f.Categories {
+		catMatch[i] = nameMatch(c.Name)
+	}
+	cargo := strings.ToLower(opts.Cargo)
+	cargoMatch := func(text string) bool {
+		return cargo == "" || strings.Contains(strings.ToLower(text), cargo)
 	}
 	rankMatch := func(rank int) bool { return opts.Rank < 0 || rank == opts.Rank }
+	wantEvents, wantArrows := !(opts.MinDuration > 0), nameMatch("arrow") && cargo == ""
 
-	states, arrows, events := f.Query(t0, t1)
+	var states, events, arrows []slog2.Ref[any]
+	f.Frames(t0, t1, func(fr *slog2.Frame) {
+		for i := range fr.States {
+			s := &fr.States[i]
+			if s.In(t0, t1) && catMatch[s.Cat] && rankMatch(s.Rank) && !(s.Duration() < opts.MinDuration) &&
+				(cargoMatch(s.StartCargo) || cargoMatch(s.EndCargo)) {
+				states = append(states, slog2.Ref[any]{At: s.Start, D: s})
+			}
+		}
+		for i := 0; wantEvents && i < len(fr.Events); i++ {
+			e := &fr.Events[i]
+			if e.In(t0, t1) && catMatch[e.Cat] && rankMatch(e.Rank) && cargoMatch(e.Cargo) {
+				events = append(events, slog2.Ref[any]{At: e.Time, D: e})
+			}
+		}
+		for i := 0; wantArrows && i < len(fr.Arrows); i++ {
+			a := &fr.Arrows[i]
+			if a.In(t0, t1) && (rankMatch(a.SrcRank) || rankMatch(a.DstRank)) && !(a.End-a.Start < opts.MinDuration) {
+				arrows = append(arrows, slog2.Ref[any]{At: a.Start, D: a})
+			}
+		}
+	})
+	found := slog2.SortRefs(append(append(states, events...), arrows...))
+	if opts.Limit > 0 && len(found) > opts.Limit {
+		found = found[:opts.Limit]
+	}
 	var hits []Hit
-	for _, s := range states {
-		name := f.Categories[s.Cat].Name
-		if !nameMatch(name) || !rankMatch(s.Rank) || s.Duration() < opts.MinDuration {
-			continue
-		}
-		if !cargoMatch(s.StartCargo) && !cargoMatch(s.EndCargo) {
-			continue
-		}
-		hits = append(hits, Hit{
-			Kind: "state", Name: name, Rank: s.Rank, Start: s.Start, End: s.End,
-			Detail: fmt.Sprintf("dur: %.6fs %s", s.Duration(), s.StartCargo),
-		})
-	}
-	for _, e := range events {
-		name := f.Categories[e.Cat].Name
-		if !nameMatch(name) || !rankMatch(e.Rank) || !cargoMatch(e.Cargo) || opts.MinDuration > 0 {
-			continue
-		}
-		hits = append(hits, Hit{
-			Kind: "event", Name: name, Rank: e.Rank, Start: e.Time, End: e.Time,
-			Detail: e.Cargo,
-		})
-	}
-	if nameMatch("arrow") && opts.Cargo == "" {
-		for _, a := range arrows {
-			if !rankMatch(a.SrcRank) && !rankMatch(a.DstRank) {
-				continue
-			}
-			if a.End-a.Start < opts.MinDuration {
-				continue
-			}
+	for _, r := range found {
+		switch d := r.D.(type) {
+		case *slog2.State:
+			hits = append(hits, Hit{
+				Kind: "state", Name: f.Categories[d.Cat].Name, Rank: d.Rank, Start: d.Start, End: d.End,
+				Detail: fmt.Sprintf("dur: %.6fs %s", d.Duration(), d.StartCargo),
+			})
+		case *slog2.Event:
+			hits = append(hits, Hit{
+				Kind: "event", Name: f.Categories[d.Cat].Name, Rank: d.Rank, Start: d.Time, End: d.Time,
+				Detail: d.Cargo,
+			})
+		case *slog2.Arrow:
 			// The arrow popup: "the start and end times of the
 			// transmission, its duration, the MPI tag, and message size."
 			hits = append(hits, Hit{
-				Kind: "arrow", Name: "arrow", Rank: a.SrcRank, Start: a.Start, End: a.End,
+				Kind: "arrow", Name: "arrow", Rank: d.SrcRank, Start: d.Start, End: d.End,
 				Detail: fmt.Sprintf("dur: %.6fs to: P%d tag: %d size: %d",
-					a.End-a.Start, a.DstRank, a.Tag, a.Size),
+					d.End-d.Start, d.DstRank, d.Tag, d.Size),
 			})
 		}
-	}
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].Start < hits[j].Start })
-	if opts.Limit > 0 && len(hits) > opts.Limit {
-		hits = hits[:opts.Limit]
 	}
 	return hits
 }

@@ -95,11 +95,13 @@ func RenderSVG(f *slog2.File, v View) string {
 	return string(AppendSVG(nil, f, v))
 }
 
-// row is one rank's place on the canvas.
+// row is one rank's place on the canvas; mid is the row's centre line as
+// arrows and events write it, formatted once.
 type row struct {
 	shown bool
 	top   float64
 	h     int
+	mid   []byte
 }
 
 // layout is one render's geometry: the normalized view and, per rank,
@@ -115,8 +117,6 @@ func (l *layout) x(t float64) float64 {
 }
 
 func (l *layout) shown(rank int) bool { return uint(rank) < uint(len(l.rows)) && l.rows[rank].shown }
-
-func (l *layout) mid(rank int) float64 { return l.rows[rank].top + float64(l.rows[rank].h)/2 }
 
 // catText is what a drawable needs of its category, resolved once per
 // render instead of once per drawable.
@@ -142,35 +142,38 @@ const (
 // allocates the document once.
 func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	v = v.normalized(f)
-	states, arrows, events := f.Query(v.From, v.To)
+	arrows, events := f.Arrows(v.From, v.To), f.Events(v.From, v.To)
 
-	// Decide which ranks to draw and in what order (timeline cut/paste).
+	// Decide which ranks to draw and in what order (timeline cut/paste),
+	// and take their states straight from the frames.
 	var ranks []int
+	var want []bool // the ranks RankOrder keeps; nil when it keeps all
 	if v.RankOrder != nil {
+		want = make([]bool, f.NumRanks)
 		for _, r := range v.RankOrder {
 			if r >= 0 && r < f.NumRanks {
 				ranks = append(ranks, r)
+				want[r] = true
 			}
 		}
-	} else {
+	}
+	byRank := statesByRank(f, v.From, v.To, want)
+	if v.RankOrder == nil {
 		present := make([]bool, f.NumRanks)
 		mark := func(r int) {
 			if uint(r) < uint(len(present)) {
 				present[r] = true
 			}
 		}
-		for i := range states {
-			mark(states[i].Rank)
-		}
 		for i := range events {
-			mark(events[i].Rank)
+			mark(events[i].D.Rank)
 		}
 		for i := range arrows {
-			mark(arrows[i].SrcRank)
-			mark(arrows[i].DstRank)
+			mark(arrows[i].D.SrcRank)
+			mark(arrows[i].D.DstRank)
 		}
 		for r := 0; r < f.NumRanks; r++ {
-			if present[r] || !v.HideEmptyRanks {
+			if len(byRank[r]) > 0 || present[r] || !v.HideEmptyRanks {
 				ranks = append(ranks, r)
 			}
 		}
@@ -179,12 +182,9 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	l := &layout{v: v, rows: make([]row, f.NumRanks)}
 	y := marginTop
 	for _, r := range ranks {
-		mul := v.Expand[r]
-		if mul < 1 {
-			mul = 1
-		}
-		l.rows[r] = row{shown: true, top: float64(y), h: v.RowHeight * mul}
-		y += l.rows[r].h
+		h := v.RowHeight * max(v.Expand[r], 1)
+		l.rows[r] = row{shown: true, top: float64(y), h: h, mid: appendFixed(nil, float64(y)+float64(h)/2, 1)}
+		y += h
 	}
 	width := v.Width
 	height := y + marginBottom
@@ -195,34 +195,17 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 		cats[i] = catText{hex: hexOf(c.Color), name: appendEsc(nil, c.Name)}
 	}
 
-	// States per shown rank, in query order.
-	perRank := make([]int, f.NumRanks)
-	for i := range states {
-		if l.shown(states[i].Rank) {
-			perRank[states[i].Rank]++
-		}
-	}
-	byRank := make([][]slog2.State, f.NumRanks)
-	for _, r := range ranks {
-		byRank[r] = make([]slog2.State, 0, perRank[r])
-	}
-	for i := range states {
-		if r := states[i].Rank; l.shown(r) {
-			byRank[r] = append(byRank[r], states[i])
-		}
-	}
-
 	size := 4096 + arrowBytes*len(arrows)
 	for i := range events {
-		size += eventBytes + len(cats[events[i].Cat].name) + len(events[i].Cargo)
+		size += eventBytes + len(cats[events[i].D.Cat].name) + len(events[i].D.Cargo)
 	}
 	for _, r := range ranks {
 		if l.preview(len(byRank[r])) {
 			size += previewBytes * previewBuckets(l.plotW) * 4
 			continue
 		}
-		for i := range byRank[r] {
-			size += stateBytes + len(cats[byRank[r][i].Cat].name) + len(byRank[r][i].StartCargo)
+		for _, s := range byRank[r] {
+			size += stateBytes + len(cats[s.D.Cat].name) + len(s.D.StartCargo)
 		}
 	}
 	m := markup(slices.Grow(dst, size))
@@ -246,7 +229,7 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 				label = fmt.Sprintf("P%d", r)
 			}
 		}
-		m.f(`<text x="6" y="%.1f" fill="#c0c0c0">%s</text>`+"\n", l.mid(r)+4, esc(label))
+		m.f(`<text x="6" y="%.1f" fill="#c0c0c0">%s</text>`+"\n", y+float64(l.rows[r].h)/2+4, esc(label))
 	}
 
 	// Axis ticks.
@@ -276,7 +259,7 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	if !v.HideArrows {
 		hex := colors.ArrowColor.Hex()
 		for i := range arrows {
-			if a := &arrows[i]; l.shown(a.SrcRank) && l.shown(a.DstRank) {
+			if a := arrows[i].D; l.shown(a.SrcRank) && l.shown(a.DstRank) {
 				m.arrow(l, hex, a)
 			}
 		}
@@ -285,7 +268,7 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	// Event bubbles on top.
 	if !v.HideEvents {
 		for i := range events {
-			if e := &events[i]; l.shown(e.Rank) {
+			if e := events[i].D; l.shown(e.Rank) {
 				m.event(l, &cats[e.Cat], e)
 			}
 		}
@@ -317,8 +300,8 @@ func (m *markup) raw(text []byte) *markup { *m = append(*m, text...); return m }
 func (m *markup) esc(text string) *markup { *m = appendEsc(*m, text); return m }
 
 // f1, f6 and d are fmt's %.1f, %.6f and %d.
-func (m *markup) f1(x float64) *markup { *m = strconv.AppendFloat(*m, x, 'f', 1, 64); return m }
-func (m *markup) f6(x float64) *markup { *m = strconv.AppendFloat(*m, x, 'f', 6, 64); return m }
+func (m *markup) f1(x float64) *markup { *m = appendFixed(*m, x, 1); return m }
+func (m *markup) f6(x float64) *markup { *m = appendFixed(*m, x, 6); return m }
 func (m *markup) d(n int) *markup      { *m = strconv.AppendInt(*m, int64(n), 10); return m }
 
 // f is fmt itself, for the parts of the document that come once per
@@ -326,18 +309,18 @@ func (m *markup) d(n int) *markup      { *m = strconv.AppendInt(*m, int64(n), 10
 func (m *markup) f(format string, args ...any) { *m = fmt.Appendf(*m, format, args...) }
 
 func (m *markup) arrow(l *layout, hex string, a *slog2.Arrow) {
-	x1, y1 := l.x(a.Start), l.mid(a.SrcRank)
-	x2, y2 := l.x(a.End), l.mid(a.DstRank)
-	m.s(`<g><line x1="`).f1(x1).s(`" y1="`).f1(y1).s(`" x2="`).f1(x2).s(`" y2="`).f1(y2).
+	var buf [24]byte
+	x2, y2 := appendFixed(buf[:0], l.x(a.End), 1), l.rows[a.DstRank].mid
+	m.s(`<g><line x1="`).f1(l.x(a.Start)).s(`" y1="`).raw(l.rows[a.SrcRank].mid).s(`" x2="`).raw(x2).s(`" y2="`).raw(y2).
 		s(`" stroke="`).s(hex).s(`" stroke-width="1"/>`).
-		s(`<circle cx="`).f1(x2).s(`" cy="`).f1(y2).s(`" r="1.6" fill="`).s(hex).s(`"/>`).
+		s(`<circle cx="`).raw(x2).s(`" cy="`).raw(y2).s(`" r="1.6" fill="`).s(hex).s(`"/>`).
 		s(`<title>message P`).d(a.SrcRank).s(`-&gt;P`).d(a.DstRank).
 		s(` start: `).f6(a.Start).s(` end: `).f6(a.End).s(` dur: `).f6(a.End - a.Start).
 		s(` tag: `).d(a.Tag).s(` size: `).d(a.Size).s("</title></g>\n")
 }
 
 func (m *markup) event(l *layout, cat *catText, e *slog2.Event) {
-	m.s(`<g><circle cx="`).f1(l.x(e.Time)).s(`" cy="`).f1(l.mid(e.Rank)).
+	m.s(`<g><circle cx="`).f1(l.x(e.Time)).s(`" cy="`).raw(l.rows[e.Rank].mid).
 		s(`" r="2.6" fill="`).s(cat.hex).s(`" stroke="#806000"/>`).
 		s(`<title>`).raw(cat.name).s(` t: `).f6(e.Time).s(` `).esc(e.Cargo).s("</title></g>\n")
 }
@@ -374,60 +357,92 @@ func (m *markup) annotations(l *layout, width int) {
 	}
 }
 
-// byStartThenLongest orders states outermost first: by start, and at
-// equal starts the longer (enclosing) one first.
-func byStartThenLongest(a, b slog2.State) int {
-	if a.Start != b.Start {
-		if a.Start < b.Start {
+// outermostFirst orders one rank's states by start and, at equal starts,
+// the longer (enclosing) one first; states equal in both keep the order
+// they came in.
+func outermostFirst(rs []slog2.Ref[*slog2.State]) {
+	slices.SortStableFunc(rs, func(a, b slog2.Ref[*slog2.State]) int {
+		switch {
+		case a.At < b.At:
 			return -1
+		case a.At != b.At:
+			return 1
+		case a.D.End > b.D.End:
+			return -1
+		case a.D.End < b.D.End:
+			return 1
 		}
-		return 1
+		return 0
+	})
+}
+
+// statesByRank buckets the states intersecting [t0, t1] per rank straight
+// from the frames (no copy, no global sort), each rank outermostFirst. A
+// non-nil want keeps only the ranks it marks.
+func statesByRank(f *slog2.File, t0, t1 float64, want []bool) [][]slog2.Ref[*slog2.State] {
+	each := func(visit func(s *slog2.State)) {
+		f.Frames(t0, t1, func(fr *slog2.Frame) {
+			for i := range fr.States {
+				s := &fr.States[i]
+				if s.In(t0, t1) && uint(s.Rank) < uint(f.NumRanks) && (want == nil || want[s.Rank]) {
+					visit(s)
+				}
+			}
+		})
 	}
-	if a.End > b.End {
-		return -1
+	counts := make([]int, f.NumRanks)
+	each(func(s *slog2.State) { counts[s.Rank]++ })
+	byRank := make([][]slog2.Ref[*slog2.State], f.NumRanks)
+	for r, n := range counts {
+		byRank[r] = make([]slog2.Ref[*slog2.State], 0, n)
 	}
-	if a.End < b.End {
-		return 1
+	each(func(s *slog2.State) {
+		byRank[s.Rank] = append(byRank[s.Rank], slog2.Ref[*slog2.State]{At: s.Start, D: s})
+	})
+	for _, rs := range byRank {
+		outermostFirst(rs)
 	}
-	return 0
+	return byRank
 }
 
 // stateRow draws one rank's states as nested rectangles: outer states
 // first, each nesting level inset vertically, exactly how Jumpshot shows
 // "state B fully nested within A ... as another rectangle within A".
-func (m *markup) stateRow(l *layout, cats []catText, rs []slog2.State, rank int) {
-	slices.SortStableFunc(rs, byStartThenLongest)
+func (m *markup) stateRow(l *layout, cats []catText, rs []slog2.Ref[*slog2.State], rank int) {
 	top, rowHeight := l.rows[rank].top, l.rows[rank].h
 	var open []float64 // ends of the states open at this point
-	for i := range rs {
-		s := &rs[i]
+	var levels []level // by nesting depth
+	for _, r := range rs {
+		s := r.D
 		for len(open) > 0 && open[len(open)-1] <= s.Start {
 			open = open[:len(open)-1]
 		}
 		depth := len(open)
 		open = append(open, s.End)
 
-		inset := float64(depth * 4)
-		maxInset := float64(rowHeight)/2 - 4
-		if inset > maxInset {
-			inset = maxInset
+		for len(levels) <= depth {
+			inset := min(float64(len(levels)*4), float64(rowHeight)/2-4)
+			levels = append(levels, newLevel(top+3+inset, max(float64(rowHeight)-6-2*inset, 2)))
 		}
 		x1, x2 := l.x(clampF(s.Start, l.v.From, l.v.To)), l.x(clampF(s.End, l.v.From, l.v.To))
-		w := x2 - x1
-		if w < 0.5 {
-			w = 0.5
-		}
-		y := top + 3 + inset
-		h := float64(rowHeight) - 6 - 2*inset
-		if h < 2 {
-			h = 2
-		}
-		m.state(&cats[s.Cat], s, x1, y, w, h)
+		m.state(&cats[s.Cat], s, x1, max(x2-x1, 0.5), &levels[depth])
 	}
 }
 
-func (m *markup) state(cat *catText, s *slog2.State, x, y, w, h float64) {
-	m.rect(`<g><rect x="`, x, y, w, h).
+// level is the y and height of every state rectangle at one nesting depth
+// of a row, formatted once: what rect writes after x and after the width.
+type level struct{ y, h []byte }
+
+func newLevel(y, h float64) level {
+	var m markup
+	m.s(`" y="`).f1(y).s(`" width="`)
+	at := len(m)
+	m.s(`" height="`).f1(h)
+	return level{y: m[:at:at], h: m[at:]}
+}
+
+func (m *markup) state(cat *catText, s *slog2.State, x, w float64, lv *level) {
+	m.s(`<g><rect x="`).f1(x).raw(lv.y).f1(w).raw(lv.h).
 		s(`" fill="`).s(cat.hex).s(`" stroke="#000000" stroke-width="0.4"/>`).
 		s(`<title>`).raw(cat.name).s(` start: `).f6(s.Start).s(` end: `).f6(s.End).
 		s(` dur: `).f6(s.Duration()).s(` `).esc(s.StartCargo).s("</title></g>\n")
@@ -453,7 +468,7 @@ func previewBuckets(plotW float64) int {
 // outline rectangles per bucket containing horizontal stripes whose
 // thicknesses "indicate the relative proportions of each colour within
 // that interval".
-func (m *markup) previewRow(l *layout, cats []catText, rs []slog2.State, rank int) {
+func (m *markup) previewRow(l *layout, cats []catText, rs []slog2.Ref[*slog2.State], rank int) {
 	v := l.v
 	plotW := l.x(v.To) - l.x(v.From)
 	nBuckets := previewBuckets(plotW)

@@ -1,6 +1,10 @@
 package jumpshot
 
-import "repro/internal/slog2"
+import (
+	"slices"
+
+	"repro/internal/slog2"
+)
 
 // Window is a tile query: a time window crossed with a rank window —
 // the unit a trace-serving viewer fetches. RankLo/RankHi of (0, -1)
@@ -18,41 +22,21 @@ func (w Window) contains(rank int) bool {
 	return w.AllRanks() || (rank >= w.RankLo && rank <= w.RankHi)
 }
 
-// Tile fetches the drawables of one tile: Query over the time window,
-// then the rank-window cut. States and events need their own rank
-// inside the window; an arrow stays when either endpoint does, so a
-// tile never shows a message stub without its context.
-func Tile(f *slog2.File, w Window) (states []slog2.State, arrows []slog2.Arrow, events []slog2.Event) {
-	states, arrows, events = f.Query(w.T0, w.T1)
-	if w.AllRanks() {
-		return states, arrows, events
+// Tile fetches the drawables of one tile: the time window's drawables in
+// Query's order, cut by the rank window before any is copied. States and
+// events need their own rank inside the window; an arrow stays when
+// either endpoint does, so a tile never shows a message stub without its
+// context.
+func Tile(f *slog2.File, w Window) ([]slog2.State, []slog2.Arrow, []slog2.Event) {
+	states, arrows, events := f.States(w.T0, w.T1), f.Arrows(w.T0, w.T1), f.Events(w.T0, w.T1)
+	if !w.AllRanks() {
+		states = slices.DeleteFunc(states, func(r slog2.Ref[*slog2.State]) bool { return !w.contains(r.D.Rank) })
+		arrows = slices.DeleteFunc(arrows, func(r slog2.Ref[*slog2.Arrow]) bool {
+			return !w.contains(r.D.SrcRank) && !w.contains(r.D.DstRank)
+		})
+		events = slices.DeleteFunc(events, func(r slog2.Ref[*slog2.Event]) bool { return !w.contains(r.D.Rank) })
 	}
-	return FilterRanks(states, arrows, events, w.RankLo, w.RankHi)
-}
-
-// FilterRanks narrows query results to ranks in [lo, hi]. The inputs
-// are filtered in place-style copies; order is preserved.
-func FilterRanks(states []slog2.State, arrows []slog2.Arrow, events []slog2.Event, lo, hi int) ([]slog2.State, []slog2.Arrow, []slog2.Event) {
-	w := Window{RankLo: lo, RankHi: hi}
-	fs := make([]slog2.State, 0, len(states))
-	for _, s := range states {
-		if w.contains(s.Rank) {
-			fs = append(fs, s)
-		}
-	}
-	fa := make([]slog2.Arrow, 0, len(arrows))
-	for _, a := range arrows {
-		if w.contains(a.SrcRank) || w.contains(a.DstRank) {
-			fa = append(fa, a)
-		}
-	}
-	fe := make([]slog2.Event, 0, len(events))
-	for _, e := range events {
-		if w.contains(e.Rank) {
-			fe = append(fe, e)
-		}
-	}
-	return fs, fa, fe
+	return slog2.Gather(states), slog2.Gather(arrows), slog2.Gather(events)
 }
 
 // TileRankOrder lists the ranks a tile's SVG rendering shows, in

@@ -289,6 +289,40 @@ func TestGzipOnTiles(t *testing.T) {
 	}
 }
 
+// A q-value of zero refuses a coding: such a client gets identity, any
+// other weight (or none) gets gzip.
+func TestGzipHonoursQValues(t *testing.T) {
+	s, ts := newTestServer(t, goldenDir)
+	url := ts.URL + "/trace/thumbnail/tile"
+	_, raw := get(t, url, nil)
+	for header, wantGzip := range map[string]bool{
+		"gzip;q=0":               false,
+		"gzip; q=0.000, br":      false,
+		"br, gzip ; Q=0":         false,
+		"identity, gzip;q=0.0":   false,
+		"gzip;q=0.001":           true,
+		"deflate;q=0, gzip;q=1":  true,
+		"gzip;level=9":           true,
+		"gzip;q=0.5, identity":   true,
+		"x-gzip, gzipped;q=1":    false,
+		"deflate, gzip":          true,
+		"":                       false,
+		"gzip;q=bogus, identity": true,
+	} {
+		resp, body := get(t, url, map[string]string{"Accept-Encoding": header})
+		if got := resp.Header.Get("Content-Encoding") == "gzip"; got != wantGzip {
+			t.Errorf("Accept-Encoding %q: gzip %v, want %v", header, got, wantGzip)
+		} else if !wantGzip && !bytes.Equal(body, raw) {
+			t.Errorf("Accept-Encoding %q: identity body differs from the plain one", header)
+		}
+	}
+	// One render, one compression, and the counters say what it saved.
+	m := s.MetricsSnapshot()
+	if rawN, gzN := m["tile_bytes_raw"], m["tile_bytes_gz"]; rawN != int64(len(raw)) || gzN <= 0 || gzN >= rawN {
+		t.Errorf("tile_bytes_raw %d (tile is %d bytes), tile_bytes_gz %d", rawN, len(raw), gzN)
+	}
+}
+
 // Concurrent first hits must collapse to one decode per trace and one
 // render per tile (singleflight).
 func TestSingleflightCollapsesColdHits(t *testing.T) {
@@ -478,5 +512,31 @@ func TestServeGracefulShutdown(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve returned %v after graceful shutdown", err)
+	}
+}
+
+// BenchmarkColdTile is what a tile-cache miss costs past the decode: the
+// SVG render of the middle tenth of the thumbnail golden log, its ETag
+// and its gzip form. MB/s is of rendered SVG.
+func BenchmarkColdTile(b *testing.B) {
+	log, err := os.Open(filepath.Join(goldenDir, "thumbnail.clog2"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	f, _, err := slog2.ConvertReader(log, slog2.ConvertOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, span := &Trace{ID: "thumbnail", File: f}, f.End-f.Start
+	win := jumpshot.Window{T0: f.Start + 0.45*span, T1: f.Start + 0.55*span, RankLo: 0, RankHi: -1}
+	var s Server
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body := RenderTileSVG(tr, win, 0)
+		b.SetBytes(int64(len(body)))
+		if cb := s.newCachedBody(body, "image/svg+xml; charset=utf-8"); cb.gz == nil {
+			b.Fatalf("%d-byte tile went uncompressed", len(body))
+		}
 	}
 }

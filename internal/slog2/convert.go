@@ -492,7 +492,7 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 			rep.warnf("message %d->%d tag %d: %d receive(s) without send", k.src, k.dst, k.tag, extra)
 		}
 	}
-	slices.SortStableFunc(arrows, byArrowStart)
+	slices.SortStableFunc(arrows, func(a, b Arrow) int { return cmpLess(a.Start, b.Start) })
 
 	rep.EqualDrawables = countEqualDrawables(states, arrows, events, rep)
 

@@ -13,6 +13,7 @@ package slog2
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -97,10 +98,16 @@ type File struct {
 }
 
 // Walk visits every frame depth-first (parent before children).
-func (f *File) Walk(visit func(*Frame)) {
-	var rec func(*Frame)
+func (f *File) Walk(visit func(*Frame)) { f.Frames(math.Inf(-1), math.Inf(1), visit) }
+
+// Frames visits the frames overlapping [t0, t1] in tree order: a frame
+// before its children, left before right. This is the viewer's fetch
+// path: only frames under the viewport are touched, which is the point of
+// the frame tree.
+func (f *File) Frames(t0, t1 float64, visit func(*Frame)) {
+	var rec func(fr *Frame)
 	rec = func(fr *Frame) {
-		if fr == nil {
+		if fr == nil || fr.End < t0 || fr.Start > t1 {
 			return
 		}
 		visit(fr)
@@ -110,47 +117,35 @@ func (f *File) Walk(visit func(*Frame)) {
 	rec(f.Root)
 }
 
-// Query returns the drawables intersecting [t0, t1], in start-time order.
-// This is the viewer's fetch path: only frames overlapping the viewport
-// are touched, which is the point of the frame tree.
-func (f *File) Query(t0, t1 float64) (states []State, arrows []Arrow, events []Event) {
-	var rec func(fr *Frame)
-	rec = func(fr *Frame) {
-		if fr == nil || fr.End < t0 || fr.Start > t1 {
-			return
-		}
-		for _, s := range fr.States {
-			if s.End >= t0 && s.Start <= t1 {
-				states = append(states, s)
-			}
-		}
-		for _, a := range fr.Arrows {
-			lo, hi := a.Start, a.End
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			if hi >= t0 && lo <= t1 {
-				arrows = append(arrows, a)
-			}
-		}
-		for _, e := range fr.Events {
-			if e.Time >= t0 && e.Time <= t1 {
-				events = append(events, e)
-			}
-		}
-		rec(fr.Left)
-		rec(fr.Right)
-	}
-	rec(f.Root)
-	slices.SortStableFunc(states, func(a, b State) int { return cmpLess(a.Start, b.Start) })
-	slices.SortStableFunc(arrows, byArrowStart)
-	slices.SortStableFunc(events, func(a, b Event) int { return cmpLess(a.Time, b.Time) })
-	return states, arrows, events
+// In reports whether the drawable intersects [t0, t1].
+func (s *State) In(t0, t1 float64) bool { return s.End >= t0 && s.Start <= t1 }
+
+// In reports whether the arrow intersects [t0, t1], whichever way it points.
+func (a *Arrow) In(t0, t1 float64) bool {
+	return max(a.Start, a.End) >= t0 && min(a.Start, a.End) <= t1
 }
 
-// cmpLess is the comparator form of "a < b": -1 when a < b, +1 when b < a,
-// else 0 — so ties and NaN order under a stable sort exactly as they did
-// under sort.SliceStable with that less.
+// In reports whether the event falls inside [t0, t1].
+func (e *Event) In(t0, t1 float64) bool { return e.Time >= t0 && e.Time <= t1 }
+
+// Ref is a drawable where it lives in its frame (D is a *State, *Arrow or
+// *Event) with the time it sorts by: 16 bytes to sort and hand on instead
+// of the drawable itself.
+type Ref[P any] struct {
+	At float64
+	D  P
+}
+
+// SortRefs puts refs in time order. The sort is stable, so refs collected
+// under Frames keep, among equal times, frame order (parent, left, right)
+// and then their order inside the frame. That tie order is a contract:
+// it decides document order in every tile, legend and search result.
+// The comparison is "a < b" as sort.SliceStable had it, NaN included.
+func SortRefs[P any](refs []Ref[P]) []Ref[P] {
+	slices.SortStableFunc(refs, func(a, b Ref[P]) int { return cmpLess(a.At, b.At) })
+	return refs
+}
+
 func cmpLess(a, b float64) int {
 	switch {
 	case a < b:
@@ -161,7 +156,55 @@ func cmpLess(a, b float64) int {
 	return 0
 }
 
-func byArrowStart(a, b Arrow) int { return cmpLess(a.Start, b.Start) }
+// pick returns, in SortRefs order, the drawables in the frames under
+// [t0, t1] that at admits, keyed by the time it gives.
+func pick[T any](f *File, t0, t1 float64, list func(*Frame) []T, at func(*T) (float64, bool)) (refs []Ref[*T]) {
+	f.Frames(t0, t1, func(fr *Frame) {
+		ds := list(fr)
+		for i := range ds {
+			if t, ok := at(&ds[i]); ok {
+				refs = append(refs, Ref[*T]{t, &ds[i]})
+			}
+		}
+	})
+	return SortRefs(refs)
+}
+
+// States, Arrows and Events return the drawables of one kind intersecting
+// [t0, t1], in place, in start-time order (arrows by send time).
+func (f *File) States(t0, t1 float64) []Ref[*State] {
+	return pick(f, t0, t1, func(fr *Frame) []State { return fr.States },
+		func(s *State) (float64, bool) { return s.Start, s.In(t0, t1) })
+}
+
+func (f *File) Arrows(t0, t1 float64) []Ref[*Arrow] {
+	return pick(f, t0, t1, func(fr *Frame) []Arrow { return fr.Arrows },
+		func(a *Arrow) (float64, bool) { return a.Start, a.In(t0, t1) })
+}
+
+func (f *File) Events(t0, t1 float64) []Ref[*Event] {
+	return pick(f, t0, t1, func(fr *Frame) []Event { return fr.Events },
+		func(e *Event) (float64, bool) { return e.Time, e.In(t0, t1) })
+}
+
+// Query returns copies of the drawables intersecting [t0, t1], in the
+// order of States, Arrows and Events.
+func (f *File) Query(t0, t1 float64) ([]State, []Arrow, []Event) {
+	return Gather(f.States(t0, t1)), Gather(f.Arrows(t0, t1)), Gather(f.Events(t0, t1))
+}
+
+// Gather copies the drawables refs point at, once, into a slice of the
+// final size: what sorting refs instead of drawables leaves to do.
+func Gather[T any](refs []Ref[*T]) []T {
+	if len(refs) == 0 {
+		return nil
+	}
+	out := make([]T, len(refs))
+	for i, r := range refs {
+		out[i] = *r.D
+	}
+	return out
+}
 
 // All returns every drawable in the file.
 func (f *File) All() (states []State, arrows []Arrow, events []Event) {

@@ -3,8 +3,8 @@ package thumbnail
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/jpeglite"
@@ -120,32 +120,56 @@ func TestPipelineVisualLogClean(t *testing.T) {
 	}
 }
 
-// Scaling shape: doubling workers speeds the pipeline up. This is the
-// backbone of the Section III.E table (14.42 s at 10 workers vs 30.97 s
-// at 5).
+// Scaling shape: the decompressors work side by side, which is what makes
+// the Section III.E table (14.42 s at 10 workers vs 30.97 s at 5) possible.
+// Read off the run's own log instead of a stopwatch: with 4 workers more
+// than one D rank has its Compute state open at the same instant, with 1
+// worker never.
 func TestPipelineScalesWithWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	mk := func(w int) Config {
-		cfg := smallConfig(t, w, "")
+	openTogether := func(workers int) int {
+		cfg := smallConfig(t, workers, "j")
 		cfg.NumImages = 40
-		cfg.ImageW, cfg.ImageH = 160, 120
-		// Think-time stage model: raw DCT work cannot show wall-clock
-		// speedup on a single-core machine (see DESIGN.md substitutions).
-		cfg.StageDelay = 4 * time.Millisecond
-		return cfg
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := vis.ConvertFile(cfg.Core.JumpshotPath, vis.ConvertOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sweep the D ranks' (2 and up) Compute states: +1 at a start,
+		// -1 at an end, ends first where the two coincide.
+		type edge struct {
+			at   float64
+			step int
+		}
+		var edges []edge
+		states, _, _ := f.All()
+		for _, s := range states {
+			if s.Rank >= 2 && f.Categories[s.Cat].Name == "Compute" {
+				edges = append(edges, edge{s.Start, +1}, edge{s.End, -1})
+			}
+		}
+		if len(edges) != 2*workers {
+			t.Fatalf("%d workers: %d Compute states on the D ranks", workers, len(edges)/2)
+		}
+		sort.Slice(edges, func(i, j int) bool {
+			if edges[i].at != edges[j].at {
+				return edges[i].at < edges[j].at
+			}
+			return edges[i].step < edges[j].step
+		})
+		open, most := 0, 0
+		for _, e := range edges {
+			open += e.step
+			most = max(most, open)
+		}
+		return most
 	}
-	r1, err := Run(mk(1))
-	if err != nil {
-		t.Fatal(err)
+	if got := openTogether(1); got != 1 {
+		t.Errorf("1 worker: %d D ranks computing at once, want 1", got)
 	}
-	r4, err := Run(mk(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.Elapsed >= r1.Elapsed {
-		t.Errorf("4 workers (%v) not faster than 1 (%v)", r4.Elapsed, r1.Elapsed)
+	if got := openTogether(4); got < 2 {
+		t.Errorf("4 workers: at most %d D rank computing at any instant, want several", got)
 	}
 }
 

@@ -74,7 +74,7 @@ func RenderSVG(f *File, v View) string { return jumpshot.RenderSVG(f, v) }
 
 // RenderSVGFile renders straight to a file.
 func RenderSVGFile(path string, f *File, v View) error {
-	return os.WriteFile(path, []byte(RenderSVG(f, v)), 0o644)
+	return os.WriteFile(path, jumpshot.AppendSVG(nil, f, v), 0o644)
 }
 
 // RenderHTML wraps the timeline in a self-contained interactive page:
