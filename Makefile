@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-bench race ci cover bench bench-compare fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
+.PHONY: all build fmt vet test test-bench race ci cover lines bench bench-compare fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
 
 all: ci
 
@@ -45,13 +45,16 @@ smoke-multiproc:
 	$(GO) run ./cmd/clog2slog -q -o out/lab2-multiproc.slog2 out/lab2-multiproc.clog2
 
 # Trace-service smoke: stand pilot-serve up on a repository of the three
-# golden traces (ephemeral port) and run its end-to-end self-test —
-# tiles byte-agree with a direct Query+render, legend/search answer,
-# ETag revalidation 304s, and hostile requests get HTTP errors instead
-# of killing the server.
+# golden traces (ephemeral port), built the way README's "Serving
+# traces" says (the raw logs copied in and indexed), and run its
+# end-to-end self-test — tiles byte-agree with a direct Query+render,
+# legend/search answer, ETag revalidation 304s, windowed profiles and
+# verdicts answer from the raw logs, and hostile requests get HTTP
+# errors instead of killing the server.
 smoke-serve:
 	@mkdir -p out/serve-repo
-	cp testdata/golden/*.slog2 testdata/golden/*.profile.json out/serve-repo/
+	cp testdata/golden/*.slog2 testdata/golden/*.profile.json testdata/golden/*.clog2 out/serve-repo/
+	for f in out/serve-repo/*.clog2; do $(GO) run ./cmd/pilot-index build $$f || exit 1; done
 	$(GO) run ./cmd/pilot-serve -repo out/serve-repo -smoke -q
 
 # Index-sidecar smoke: build a ".idx" for each golden trace and prove
@@ -93,6 +96,14 @@ cover:
 		-floor repro/internal/idx=85 \
 		-floor repro/internal/analyze=85 \
 		out/cover.out
+
+# Non-test Go lines outside bench/ and out/: the total, then one line
+# per package directory. The one definition of "lines" that CHANGES.md
+# entries and ROADMAP 5(f) count by.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './out/*' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	END { printf "%7d total\n", t; for (d in n) printf "%7d %s\n", n[d], d | "sort -k2" }'
 
 # The logging-overhead harness (ns/op, B/op, allocs/op per Pilot call,
 # with and without logging — BENCH_overhead.json), then the conversion

@@ -57,10 +57,8 @@ func main() {
 	// Best-effort (the sidecar only accelerates; consumers degrade to the
 	// full scan without it), and skipped when a valid one already exists.
 	if !*noIndex && idx.Probe(in) != idx.StatusOK {
-		if ix, ierr := idx.BuildFile(in); ierr == nil {
-			if werr := idx.WriteFileFor(in, ix); werr == nil && !*quiet {
-				fmt.Printf("index -> %s\n", idx.SidecarPath(in))
-			}
+		if _, ierr := idx.Rebuild(in); ierr == nil && !*quiet {
+			fmt.Printf("index -> %s\n", idx.SidecarPath(in))
 		}
 	}
 	if *profile {

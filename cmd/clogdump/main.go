@@ -43,6 +43,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] [-noindex] in.clog2")
 		os.Exit(2)
 	}
+	if *t1 < *t0 {
+		fmt.Fprintf(os.Stderr, "clogdump: empty time window [%g,%g]\n", *t0, *t1)
+		os.Exit(2)
+	}
 	path := flag.Arg(0)
 
 	q := idx.Query{T0: *t0, T1: *t1, Rank: int32(*rank), Chan: int32(*channel), IncludeDefs: true}

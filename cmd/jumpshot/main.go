@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/vis"
@@ -49,6 +50,37 @@ func main() {
 	}
 	in := flag.Arg(0)
 
+	// Flag values are parsed before the file is opened: a bad one is exit 2.
+	num := func(name, value, s string) int {
+		n, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "jumpshot: bad -%s value %q: %q is not an integer\n", name, value, s)
+			os.Exit(2)
+		}
+		return n
+	}
+	view := vis.View{Width: *width, Title: *title}
+	if *order != "" {
+		for _, part := range strings.Split(*order, ",") {
+			view.RankOrder = append(view.RankOrder, num("order", *order, part))
+		}
+	}
+	if *expand != "" {
+		view.Expand = map[int]int{}
+		for _, part := range strings.Split(*expand, ",") {
+			r, m, _ := strings.Cut(part, "=")
+			view.Expand[num("expand", *expand, r)] = num("expand", *expand, m)
+		}
+	}
+	var atRank int
+	var atTime float64
+	if *at != "" {
+		if _, err := fmt.Sscanf(*at, "%d:%g", &atRank, &atTime); err != nil {
+			fmt.Fprintf(os.Stderr, "jumpshot: bad -at value %q (want RANK:TIME)\n", *at)
+			os.Exit(2)
+		}
+	}
+
 	var f *vis.File
 	var err error
 	if strings.HasSuffix(in, ".clog2") {
@@ -71,24 +103,7 @@ func main() {
 	if t1 <= t0 {
 		t0, t1 = f.Start, f.End
 	}
-	view := vis.View{From: t0, To: t1, Width: *width, Title: *title}
-	if *order != "" {
-		for _, part := range strings.Split(*order, ",") {
-			var r int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &r); err == nil {
-				view.RankOrder = append(view.RankOrder, r)
-			}
-		}
-	}
-	if *expand != "" {
-		view.Expand = map[int]int{}
-		for _, part := range strings.Split(*expand, ",") {
-			var r, m int
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d=%d", &r, &m); err == nil {
-				view.Expand[r] = m
-			}
-		}
-	}
+	view.From, view.To = t0, t1
 
 	did := false
 	if *htmlOut != "" {
@@ -158,13 +173,7 @@ func main() {
 		did = true
 	}
 	if *at != "" {
-		var rank int
-		var tm float64
-		if _, err := fmt.Sscanf(*at, "%d:%g", &rank, &tm); err != nil {
-			fmt.Fprintf(os.Stderr, "bad -at value %q (want RANK:TIME)\n", *at)
-			os.Exit(2)
-		}
-		for _, line := range vis.At(f, rank, tm) {
+		for _, line := range vis.At(f, atRank, atTime) {
 			fmt.Println(line)
 		}
 		did = true

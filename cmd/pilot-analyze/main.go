@@ -89,6 +89,10 @@ func main() {
 	if flag.NArg() != 1 {
 		usage()
 	}
+	if *t1 < *t0 {
+		fmt.Fprintf(os.Stderr, "pilot-analyze: empty time window [%g,%g]\n", *t0, *t1)
+		os.Exit(2)
+	}
 	path := flag.Arg(0)
 	rep, err := analyze.AnalyzeFile(path, analyze.Options{T0: *t0, T1: *t1})
 	if err != nil {

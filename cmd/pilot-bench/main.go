@@ -79,14 +79,6 @@ func main() {
 		compare     = flag.String("compare", "", "baseline BENCH_overhead.json to diff against (exit 1 on >2x micro ns/op regression)")
 		transports  = flag.String("transport", "inproc,socket", "comma list of rank substrates the -overhead harness times ping-pong rows on: inproc,socket,tcp")
 		indexMB     = flag.Int("index-mb", 256, "size of the synthesized log the -overhead index-query rows run seek-vs-scan queries on (0 = skip)")
-
-		analyzeBench = flag.Bool("analyze", false, "run the analyzer-throughput harness (pilot-analyze verdict and self-diff passes over a synthesized log, ns per MB) and merge the rows into -overhead-out")
-		analyzeMB    = flag.Int("analyze-mb", 64, "size of the synthesized log the -analyze harness measures verdict/diff passes on")
-
-		serveLoad    = flag.Bool("serve", false, "run the tile-service load harness (cold vs cached tile latency, singleflight check) and merge the rows into -overhead-out")
-		serveRepo    = flag.String("serve-repo", "", "trace repository the -serve harness serves (empty = synthesize a dense one)")
-		serveClients = flag.Int("serve-clients", 32, "concurrent clients for the -serve harness")
-		serveReqs    = flag.Int("serve-requests", 16, "tile requests per client per phase for the -serve harness")
 	)
 	flag.Parse()
 	opt := experiments.Options{
@@ -121,16 +113,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "pilot-bench: metrics server: %v\n", err)
 			}
 		}()
-	}
-
-	if *analyzeBench {
-		runAnalyzeBench(opt, *analyzeMB, *overheadOut)
-		return
-	}
-
-	if *serveLoad {
-		runServeLoad(*serveRepo, *serveClients, *serveReqs, *overheadOut)
-		return
 	}
 
 	if *overhead {
@@ -310,72 +292,6 @@ func runOverhead(opt experiments.Options, outPath, comparePath string, indexMB i
 		os.Exit(1)
 	}
 	fmt.Println("no regression beyond tolerance")
-}
-
-// runAnalyzeBench runs the analyzer-throughput harness and merges its
-// rows into the BENCH_overhead.json report at outPath, updating the
-// analyze section in place when the report already exists so the other
-// sections survive a re-run.
-func runAnalyzeBench(opt experiments.Options, sizeMB int, outPath string) {
-	fmt.Println("== analyze: verdict/diff throughput harness ==")
-	rows, err := experiments.RunAnalyzeBench(opt, sizeMB, 5)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rep, err := experiments.ReadOverheadReport(outPath)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "pilot-bench: reading %s: %v\n", outPath, err)
-			os.Exit(1)
-		}
-		rep = &experiments.OverheadReport{}
-	}
-	rep.Analyze = rows
-	if err := rep.WriteJSON(outPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("analyze rows merged into %s\n", outPath)
-}
-
-// runServeLoad runs the tile-service load harness and merges its rows
-// into the BENCH_overhead.json report at outPath — updating the serve
-// section in place when the report already exists, so the logging rows
-// survive a -serve re-run (and vice versa).
-func runServeLoad(repoDir string, clients, perClient int, outPath string) {
-	fmt.Println("== serve: tile-service load harness ==")
-	rows, err := experiments.RunServeLoad(experiments.ServeLoadOptions{
-		RepoDir:   repoDir,
-		Clients:   clients,
-		PerClient: perClient,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rep, err := experiments.ReadOverheadReport(outPath)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "pilot-bench: reading %s: %v\n", outPath, err)
-			os.Exit(1)
-		}
-		rep = &experiments.OverheadReport{}
-	}
-	rep.Serve = rows
-	if err := rep.WriteJSON(outPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("serve rows merged into %s\n", outPath)
-	cold, cached := rows[0], rows[1]
-	verdict("singleflight: one decode per trace", cold.Decodes == int64(cold.Traces),
-		fmt.Sprintf("%d decodes / %d traces at %d clients", cold.Decodes, cold.Traces, cold.Clients))
-	verdict("cached p50 at least 5x faster than cold", cached.P50Ms*5 <= cold.P50Ms,
-		fmt.Sprintf("cold %.3f ms vs cached %.3f ms (%.1fx)", cold.P50Ms, cached.P50Ms, cold.P50Ms/cached.P50Ms))
 }
 
 // newMetricsListener binds the -metrics-addr endpoint up front so a bad

@@ -54,11 +54,8 @@ func usage() {
 }
 
 func runBuild(path string) error {
-	ix, err := idx.BuildFile(path)
+	ix, err := idx.Rebuild(path)
 	if err != nil {
-		return err
-	}
-	if err := idx.WriteFileFor(path, ix); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d block(s), %d record(s), %d channel(s), %d etype(s) -> %s\n",
@@ -108,10 +105,7 @@ func runVerify(path string) error {
 	ix, err := idx.Load(path)
 	if err != nil {
 		fmt.Printf("sidecar %s: %v; rebuilding\n", idx.SidecarPath(path), err)
-		if ix, err = idx.BuildFile(path); err != nil {
-			return err
-		}
-		if err := idx.WriteFileFor(path, ix); err != nil {
+		if ix, err = idx.Rebuild(path); err != nil {
 			return err
 		}
 	}
@@ -186,7 +180,7 @@ func runVerify(path string) error {
 }
 
 func verifyProfileWindow(path string, ix *idx.Index, t0, t1 float64) error {
-	indexed, err := profileIndexed(path, ix, t0, t1)
+	indexed, err := stats.ComputeProfileIndexed(path, ix, t0, t1)
 	if err != nil {
 		return fmt.Errorf("indexed profile [%g,%g]: %w", t0, t1, err)
 	}
@@ -211,12 +205,6 @@ func verifyProfileWindow(path string, ix *idx.Index, t0, t1 float64) error {
 		return fmt.Errorf("window [%g,%g]: indexed profile differs from full scan", t0, t1)
 	}
 	return nil
-}
-
-// profileIndexed forces the index path (unlike ComputeProfileFileWindowed,
-// which silently falls back — useless for proving equality).
-func profileIndexed(path string, ix *idx.Index, t0, t1 float64) (*stats.Profile, error) {
-	return stats.ComputeProfileIndexed(path, ix, t0, t1)
 }
 
 func verifySelection(path string, ix *idx.Index, q idx.Query) error {

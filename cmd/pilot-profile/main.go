@@ -39,6 +39,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pilot-profile [-json] [-o out] [-t0 T] [-t1 T] run.clog2")
 		os.Exit(2)
 	}
+	if *t1 < *t0 {
+		fmt.Fprintf(os.Stderr, "pilot-profile: empty time window [%g,%g]\n", *t0, *t1)
+		os.Exit(2)
+	}
 
 	p, _, err := stats.ComputeProfileFileWindowed(flag.Arg(0), *t0, *t1)
 	if err != nil {

@@ -60,10 +60,8 @@ func main() {
 	// Rebuild the index sidecar for the salvaged log, like the normal
 	// merge does inline. Best-effort: the sidecar is an accelerator and
 	// every consumer degrades to the full scan without it.
-	if ix, ierr := idx.BuildFile(dst); ierr == nil {
-		if werr := idx.WriteFileFor(dst, ix); werr == nil && !*quiet {
-			fmt.Printf("index -> %s\n", idx.SidecarPath(dst))
-		}
+	if _, ierr := idx.Rebuild(dst); ierr == nil && !*quiet {
+		fmt.Printf("index -> %s\n", idx.SidecarPath(dst))
 	}
 	if !*quiet {
 		fmt.Println(rep)

@@ -13,13 +13,15 @@
 //
 // -smoke starts the server on an ephemeral port, runs an end-to-end
 // client check (tiles byte-agree with a direct render, legend, search,
-// ETag revalidation, corrupt-file handling), then exits; it is what
-// `make smoke-serve` runs against the golden traces.
+// ETag revalidation, corrupt-file handling, and for every trace with a
+// registered raw log a windowed profile and verdict), then exits; it is
+// what `make smoke-serve` runs against the golden traces.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -118,6 +120,19 @@ func runSmoke(srv *serve.Server, repoDir string) error {
 		return resp, body, err
 	}
 
+	expect := func(want int, paths ...string) error {
+		for _, path := range paths {
+			resp, _, err := get(path, nil)
+			if err != nil {
+				return err
+			}
+			if resp.StatusCode != want {
+				return fmt.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
+			}
+		}
+		return nil
+	}
+
 	check := func() error {
 		traces, err := srv.Repo().List()
 		if err != nil {
@@ -162,33 +177,26 @@ func runSmoke(srv *serve.Server, repoDir string) error {
 				return fmt.Errorf("%s: revalidation got %d with %d bytes, want empty 304",
 					info.ID, resp.StatusCode, len(body))
 			}
-			if resp, _, err = get(tileURL+"&format=svg&zoom=1", nil); err != nil || resp.StatusCode != 200 {
-				return fmt.Errorf("%s: svg tile status %v %v", info.ID, resp.StatusCode, err)
+			ok := []string{tileURL + "&format=svg&zoom=1", "/trace/" + info.ID + "/legend", "/search?trace=" + info.ID + "&limit=3"}
+			if info.HasClog {
+				// A registered raw log answers the windowed half of the API.
+				window := fmt.Sprintf("?t0=%v&t1=%v", win.T0, win.T1)
+				ok = append(ok, "/trace/"+info.ID+"/profile"+window, "/trace/"+info.ID+"/analyze"+window)
+				if err := expect(400, "/trace/"+info.ID+"/analyze?t0=5&t1=1"); err != nil {
+					return err
+				}
 			}
-			if resp, _, err = get("/trace/"+info.ID+"/legend", nil); err != nil || resp.StatusCode != 200 {
-				return fmt.Errorf("%s: legend status %v %v", info.ID, resp.StatusCode, err)
-			}
-			if resp, _, err = get("/search?trace="+info.ID+"&limit=3", nil); err != nil || resp.StatusCode != 200 {
-				return fmt.Errorf("%s: search status %v %v", info.ID, resp.StatusCode, err)
+			if err := expect(200, ok...); err != nil {
+				return err
 			}
 		}
 		// Hostile input must be an HTTP error, never a dead server.
-		resp, _, err := get("/trace/no-such-trace/tile", nil)
-		if err != nil {
+		if err := errors.Join(
+			expect(404, "/trace/no-such-trace/tile"),
+			expect(400, "/trace/"+traces[0].ID+"/tile?zoom=99"),
+			expect(200, "/healthz"),
+		); err != nil {
 			return err
-		}
-		if resp.StatusCode != 404 {
-			return fmt.Errorf("missing trace: status %d, want 404", resp.StatusCode)
-		}
-		resp, _, err = get("/trace/"+traces[0].ID+"/tile?zoom=99", nil)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != 400 {
-			return fmt.Errorf("bad zoom: status %d, want 400", resp.StatusCode)
-		}
-		if resp, _, err = get("/healthz", nil); err != nil || resp.StatusCode != 200 {
-			return fmt.Errorf("healthz: %v %v", resp.StatusCode, err)
 		}
 		// The tiles above were compressed once each; /debug/vars reads
 		// the same counters.

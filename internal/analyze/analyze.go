@@ -17,12 +17,8 @@ import (
 
 	"repro/internal/clog2"
 	"repro/internal/colors"
+	"repro/internal/idx"
 	"repro/internal/stats"
-)
-
-var (
-	negInf = math.Inf(-1)
-	posInf = math.Inf(1)
 )
 
 // faultEventName / deadlockEventName are the runtime's solo-event
@@ -81,6 +77,9 @@ type collector struct {
 	opts     Options
 	fold     *clog2.Fold
 	numRanks int
+	// prof observes the same fold when the profile has to come from the
+	// same records; nil when a sidecar profile may stand in for it.
+	prof *stats.Profiler
 
 	ranks     []*rankPass // by FoldRank.Index
 	chans     map[int32]*chanPass
@@ -89,8 +88,12 @@ type collector struct {
 	faults    []faultEvent
 }
 
-func newCollector(fold *clog2.Fold, opts Options) *collector {
-	return &collector{opts: opts, fold: fold, chans: map[int32]*chanPass{}}
+func newCollector(opts Options, numRanks int, withProfile bool) *collector {
+	c := &collector{opts: opts, fold: clog2.NewFold(opts.T0, opts.T1), numRanks: numRanks, chans: map[int32]*chanPass{}}
+	if withProfile {
+		c.prof = stats.NewProfiler(c.fold, numRanks)
+	}
+	return c
 }
 
 func (c *collector) channel(id int32) *chanPass {
@@ -167,33 +170,28 @@ func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
 	}
 }
 
-// scan folds every record of the CLOG-2 stream once, feeding the
-// collector and, when the profile has to come from the same records,
-// a stats.Profiler on the same fold.
-func scan(r io.Reader, opts Options, withProfile bool) (*collector, *stats.Profiler, error) {
+// block folds one block's records once, for the collector and, when
+// there is one, the profiler.
+func (c *collector) block(b clog2.Block) error {
+	for i := range b.Records {
+		rec := &b.Records[i]
+		step := c.fold.Add(rec)
+		c.observe(step, rec)
+		if c.prof != nil {
+			c.prof.Observe(step, rec)
+		}
+	}
+	return nil
+}
+
+// scan reads every block of the CLOG-2 stream once.
+func scan(r io.Reader, opts Options, withProfile bool) (*collector, error) {
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fold := clog2.NewFold(opts.T0, opts.T1)
-	c := newCollector(fold, opts)
-	c.numRanks = br.NumRanks()
-	var prof *stats.Profiler
-	if withProfile {
-		prof = stats.NewProfiler(fold, c.numRanks)
-	}
-	err = br.Each(func(b clog2.Block) error {
-		for i := range b.Records {
-			rec := &b.Records[i]
-			step := fold.Add(rec)
-			c.observe(step, rec)
-			if prof != nil {
-				prof.Observe(step, rec)
-			}
-		}
-		return nil
-	})
-	return c, prof, err
+	c := newCollector(opts, br.NumRanks(), withProfile)
+	return c, br.Each(c.block)
 }
 
 // records is the number of records the fold counted.
@@ -224,11 +222,11 @@ func (c *collector) wall() (first, last float64) {
 // and the index.
 func Analyze(r io.Reader, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	c, prof, err := scan(r, opts, true)
+	c, err := scan(r, opts, true)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
-	return buildReport(c, prof.Profile(), opts, "computed", false), nil
+	return buildReport(c, c.prof.Profile(), "computed", false), nil
 }
 
 // AnalyzeBytes is Analyze over an in-memory CLOG-2 image.
@@ -236,41 +234,50 @@ func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 	return Analyze(bytes.NewReader(data), opts)
 }
 
-// AnalyzeFile analyzes a CLOG-2 file. For whole-run analyses a
-// matching "<base>.profile.json" sidecar is reused instead of
-// recomputing the profile (validated against the trace's own record
-// count), and without a parseable one the profile comes from the same
-// pass; windowed analyses go through stats' index-accelerated windowed
-// profile, falling back to the full scan like every other ".idx"
-// consumer.
+// AnalyzeFile analyzes a CLOG-2 file. A windowed analysis makes one
+// pass under idx.Walk, collector and profiler on the same fold, so it
+// reads only the blocks the ".idx" sidecar selects when one is valid and
+// every block otherwise. A whole-run analysis reads every block without
+// opening the index, and reuses a matching "<base>.profile.json" sidecar
+// (validated against the trace's own record count) instead of computing
+// the profile.
 func AnalyzeFile(path string, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	var sidecar *stats.Profile
-	wholeRun := math.IsInf(opts.T0, -1) && math.IsInf(opts.T1, 1)
-	if wholeRun {
-		sidecar = sidecarProfile(path)
+	if !math.IsInf(opts.T0, -1) || !math.IsInf(opts.T1, 1) {
+		q := idx.MatchAll()
+		q.T0, q.T1, q.IncludeDefs = opts.T0, opts.T1, true
+		var c *collector
+		st, err := idx.Walk(path, q, func(numRanks int) func(clog2.Block) error {
+			c = newCollector(opts, numRanks, true)
+			return c.block
+		})
+		if err != nil {
+			return nil, fmt.Errorf("analyze: %s: %w", path, err)
+		}
+		return buildReport(c, c.prof.Profile(), "computed", st == idx.StatusOK), nil
 	}
+	sidecar := sidecarProfile(path)
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	c, prof, scanErr := scan(fh, opts, wholeRun && sidecar == nil)
+	c, err := scan(fh, opts, sidecar == nil)
 	fh.Close()
-	if scanErr != nil {
-		return nil, fmt.Errorf("analyze: %s: %w", path, scanErr)
+	if err != nil {
+		return nil, fmt.Errorf("analyze: %s: %w", path, err)
 	}
 	switch {
-	case sidecar != nil && sidecar.Totals.Records == c.records():
-		return buildReport(c, sidecar, opts, "sidecar", false), nil
-	case prof != nil:
-		return buildReport(c, prof.Profile(), opts, "computed", false), nil
+	case sidecar == nil:
+		return buildReport(c, c.prof.Profile(), "computed", false), nil
+	case sidecar.Totals.Records == c.records():
+		return buildReport(c, sidecar, "sidecar", false), nil
 	}
-	// A window, or a sidecar that counts another log's records.
-	p, usedIndex, err := stats.ComputeProfileFileWindowed(path, opts.T0, opts.T1)
+	// The sidecar counts another log's records: profile this one.
+	p, err := stats.ComputeProfileFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %s: profile: %w", path, err)
 	}
-	return buildReport(c, p, opts, "computed", usedIndex), nil
+	return buildReport(c, p, "computed", false), nil
 }
 
 // sidecarProfile loads "<base>.profile.json" next to a ".clog2" when

@@ -1,8 +1,9 @@
 // The detector catalogue: each detector is a pure function of the
-// collection pass plus the reused profile, tuned by Options and
-// emitting Findings. Calibration contract (enforced by the labelled
-// corpus in the repo root): every seeded pathology fires its detector,
-// and clean runs of the example programs produce zero findings.
+// collection pass plus the reused profile, tuned by the calibrated
+// Thresholds and emitting Findings. Calibration contract (enforced by
+// the labelled corpus in the repo root): every seeded pathology fires
+// its detector, and clean runs of the example programs produce zero
+// findings.
 package analyze
 
 import (
@@ -16,25 +17,17 @@ import (
 )
 
 // buildReport runs every detector and assembles the Report.
-func buildReport(c *collector, prof *stats.Profile, opts Options, profileSource string, usedIndex bool) *Report {
+func buildReport(c *collector, prof *stats.Profile, profileSource string, usedIndex bool) *Report {
+	opts := c.opts
 	first, last := c.wall()
 	rep := &Report{
-		Schema:        Schema,
-		NumRanks:      c.numRanks,
-		Records:       c.records(),
-		WallSec:       last - first,
-		ProfileSource: profileSource,
-		UsedIndex:     usedIndex,
-		Thresholds: Thresholds{
-			HotspotMinSec:   opts.HotspotMinSec,
-			HotspotShare:    opts.HotspotShare,
-			StragglerMinSec: opts.StragglerMinSec,
-			StragglerFactor: opts.StragglerFactor,
-			BacklogMin:      opts.BacklogMin,
-			BacklogDwellSec: opts.BacklogDwellSec,
-			DominatorShare:  opts.DominatorShare,
-			DominatorMinSec: opts.DominatorMinSec,
-		},
+		Schema:             Schema,
+		NumRanks:           c.numRanks,
+		Records:            c.records(),
+		WallSec:            last - first,
+		ProfileSource:      profileSource,
+		UsedIndex:          usedIndex,
+		Thresholds:         calibrated,
 		MsgEventsTruncated: c.truncated,
 		Findings:           []Finding{},
 	}
@@ -56,12 +49,12 @@ func buildReport(c *collector, prof *stats.Profile, opts Options, profileSource 
 
 	var fs []Finding
 	fs = append(fs, detectImbalance(prof)...)
-	fs = append(fs, detectStraggler(c, prof, opts)...)
-	fs = append(fs, detectDominator(c, opts)...)
+	fs = append(fs, detectStraggler(c, prof)...)
+	fs = append(fs, detectDominator(c)...)
 	fs = append(fs, detectFaults(c)...)
 	if !rep.ClockSuspect {
-		fs = append(fs, detectHotspot(pairs, opts)...)
-		fs = append(fs, detectBacklog(c, opts)...)
+		fs = append(fs, detectHotspot(pairs)...)
+		fs = append(fs, detectBacklog(c)...)
 	}
 	for _, f := range fs {
 		if math.IsNaN(f.Value) || math.IsInf(f.Value, 0) {
@@ -150,7 +143,7 @@ func detectImbalance(prof *stats.Profile) []Finding {
 // both past an absolute floor and far beyond its cohort baseline (the
 // larger of the second-longest occurrence and the state's p50 from
 // the profile histogram).
-func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding {
+func detectStraggler(c *collector, prof *stats.Profile) []Finding {
 	p50 := map[string]float64{}
 	count := map[string]int64{}
 	for _, sp := range prof.States {
@@ -200,7 +193,7 @@ func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding 
 		if p := p50[t.name]; p > baseline {
 			baseline = p
 		}
-		if t.max < opts.StragglerMinSec || t.max < opts.StragglerFactor*baseline {
+		if t.max < calibrated.StragglerMinSec || t.max < calibrated.StragglerFactor*baseline {
 			continue
 		}
 		fs = append(fs, Finding{
@@ -211,9 +204,9 @@ func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding 
 			State:     t.name,
 			Time:      t.start,
 			Value:     t.max,
-			Threshold: opts.StragglerMinSec,
+			Threshold: calibrated.StragglerMinSec,
 			Detail: fmt.Sprintf("rank %d: one %s took %.3fs vs %.6fs for the rest of the cohort (%.0fx floor %gs)",
-				t.rank, t.name, t.max, baseline, opts.StragglerFactor, opts.StragglerMinSec),
+				t.rank, t.name, t.max, baseline, calibrated.StragglerFactor, calibrated.StragglerMinSec),
 		})
 	}
 	return fs
@@ -223,11 +216,11 @@ func detectStraggler(c *collector, prof *stats.Profile, opts Options) []Finding 
 // their wall time. Clean Pilot writes are eager and near-instant, so
 // any substantial output-blocked share means senders were held up —
 // the critical-path signature of a slow or faulted link.
-func detectDominator(c *collector, opts Options) []Finding {
+func detectDominator(c *collector) []Finding {
 	var fs []Finding
 	for _, rp := range sortedRanks(c) {
 		wall := rp.fr.Last - rp.fr.First
-		if rp.outBlockedSec < opts.DominatorMinSec || rp.outBlockedSec < opts.DominatorShare*wall {
+		if rp.outBlockedSec < calibrated.DominatorMinSec || rp.outBlockedSec < calibrated.DominatorShare*wall {
 			continue
 		}
 		fs = append(fs, Finding{
@@ -236,7 +229,7 @@ func detectDominator(c *collector, opts Options) []Finding {
 			Rank:      int(rp.fr.Rank),
 			Channel:   -1,
 			Value:     rp.outBlockedSec,
-			Threshold: opts.DominatorMinSec,
+			Threshold: calibrated.DominatorMinSec,
 			Detail: fmt.Sprintf("rank %d spent %.3fs of %.3fs wall (%.0f%%) blocked in output operations",
 				rp.fr.Rank, rp.outBlockedSec, wall, 100*rp.outBlockedSec/math.Max(wall, 1e-12)),
 		})
@@ -246,7 +239,7 @@ func detectDominator(c *collector, opts Options) []Finding {
 
 // detectHotspot flags the channel carrying a dominating share of the
 // run's total in-flight message latency.
-func detectHotspot(pairs *channelPairs, opts Options) []Finding {
+func detectHotspot(pairs *channelPairs) []Finding {
 	var fs []Finding
 	chans := make([]int32, 0, len(pairs.inflight))
 	for ch := range pairs.inflight {
@@ -255,11 +248,11 @@ func detectHotspot(pairs *channelPairs, opts Options) []Finding {
 	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
 	for _, ch := range chans {
 		lat := pairs.inflight[ch]
-		if lat < opts.HotspotMinSec || pairs.matched[ch] == 0 {
+		if lat < calibrated.HotspotMinSec || pairs.matched[ch] == 0 {
 			continue
 		}
 		share := lat / pairs.total
-		if share < opts.HotspotShare {
+		if share < calibrated.HotspotShare {
 			continue
 		}
 		fs = append(fs, Finding{
@@ -268,7 +261,7 @@ func detectHotspot(pairs *channelPairs, opts Options) []Finding {
 			Rank:      -1,
 			Channel:   int(ch),
 			Value:     lat,
-			Threshold: opts.HotspotMinSec,
+			Threshold: calibrated.HotspotMinSec,
 			Detail: fmt.Sprintf("channel %d carried %.3fs of in-flight latency over %d messages (%.0f%% of the run's total)",
 				ch, lat, pairs.matched[ch], 100*share),
 		})
@@ -278,7 +271,7 @@ func detectHotspot(pairs *channelPairs, opts Options) []Finding {
 
 // detectBacklog flags channels whose outstanding (sent-but-unread)
 // count rose past the floor and sat there with the reader silent.
-func detectBacklog(c *collector, opts Options) []Finding {
+func detectBacklog(c *collector) []Finding {
 	var fs []Finding
 	chans := make([]int32, 0, len(c.chans))
 	for ch := range c.chans {
@@ -288,8 +281,8 @@ func detectBacklog(c *collector, opts Options) []Finding {
 	_, traceEnd := c.wall()
 	for _, ch := range chans {
 		cp := c.chans[ch]
-		peak, peakT, dwell := backlogWalk(cp.sends, cp.recvs, opts.BacklogMin, traceEnd)
-		if peak < opts.BacklogMin || dwell < opts.BacklogDwellSec {
+		peak, peakT, dwell := backlogWalk(cp.sends, cp.recvs, calibrated.BacklogMin, traceEnd)
+		if peak < calibrated.BacklogMin || dwell < calibrated.BacklogDwellSec {
 			continue
 		}
 		fs = append(fs, Finding{
@@ -299,9 +292,9 @@ func detectBacklog(c *collector, opts Options) []Finding {
 			Channel:   int(ch),
 			Time:      peakT,
 			Value:     float64(peak),
-			Threshold: float64(opts.BacklogMin),
+			Threshold: float64(calibrated.BacklogMin),
 			Detail: fmt.Sprintf("channel %d backlog peaked at %d unread messages and held >=%d for %.3fs with the reader silent",
-				ch, peak, opts.BacklogMin, dwell),
+				ch, peak, calibrated.BacklogMin, dwell),
 		})
 	}
 	return fs

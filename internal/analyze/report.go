@@ -20,6 +20,7 @@ package analyze
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -56,74 +57,22 @@ const (
 	DetFault = "fault-correlation"
 )
 
-// Options tunes the detectors. The zero value means "defaults", which
-// are calibrated against the labelled chaos corpus: low enough that
-// every seeded pathology fires, high enough that clean runs of the
-// example programs stay silent on a loaded CI machine.
+// Options bounds an analysis. The zero value means the whole run.
 type Options struct {
 	// T0/T1 bound the analysis window (inclusive), like the windowed
 	// profile. Both zero means the whole run.
 	T0, T1 float64
 
-	// HotspotMinSec is the minimum total in-flight latency (sum of
-	// recv-send over matched messages) a channel needs before it can be
-	// a hotspot; HotspotShare is the minimum fraction of the whole
-	// run's in-flight latency it must carry.
-	HotspotMinSec float64
-	HotspotShare  float64
-
-	// StragglerMinSec is the absolute floor on the outlier occurrence;
-	// StragglerFactor is how many times longer than the baseline (the
-	// larger of the state's second-longest occurrence and its p50) the
-	// outlier must run.
-	StragglerMinSec float64
-	StragglerFactor float64
-
-	// BacklogMin is the outstanding-message floor; BacklogDwellSec is
-	// how long the backlog must sit at or above that floor with the
-	// reader silent.
-	BacklogMin      int
-	BacklogDwellSec float64
-
-	// DominatorShare is the minimum fraction of a rank's wall time
-	// spent output-blocked; DominatorMinSec the absolute floor.
-	DominatorShare  float64
-	DominatorMinSec float64
-
 	// MaxMsgEvents caps how many per-channel message timestamps the
 	// pass records (memory bound on hostile or enormous traces); past
 	// the cap the timing detectors run on the prefix and the report is
-	// marked truncated.
+	// marked truncated. Zero means 1<<22.
 	MaxMsgEvents int
 }
 
 func (o Options) withDefaults() Options {
 	if o.T0 == 0 && o.T1 == 0 {
-		o.T0, o.T1 = negInf, posInf
-	}
-	if o.HotspotMinSec == 0 {
-		o.HotspotMinSec = 0.1
-	}
-	if o.HotspotShare == 0 {
-		o.HotspotShare = 0.6
-	}
-	if o.StragglerMinSec == 0 {
-		o.StragglerMinSec = 0.15
-	}
-	if o.StragglerFactor == 0 {
-		o.StragglerFactor = 8
-	}
-	if o.BacklogMin == 0 {
-		o.BacklogMin = 8
-	}
-	if o.BacklogDwellSec == 0 {
-		o.BacklogDwellSec = 0.05
-	}
-	if o.DominatorShare == 0 {
-		o.DominatorShare = 0.4
-	}
-	if o.DominatorMinSec == 0 {
-		o.DominatorMinSec = 0.1
+		o.T0, o.T1 = math.Inf(-1), math.Inf(1)
 	}
 	if o.MaxMsgEvents == 0 {
 		o.MaxMsgEvents = 1 << 22
@@ -131,17 +80,48 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Thresholds echoes the effective detector tuning into the report, so
-// a verdict is reproducible from its own JSON.
+// Thresholds is the detector tuning, echoed into every report so a
+// verdict is reproducible from its own JSON.
 type Thresholds struct {
-	HotspotMinSec   float64 `json:"hotspot_min_sec"`
-	HotspotShare    float64 `json:"hotspot_share"`
+	// HotspotMinSec is the minimum total in-flight latency (sum of
+	// recv-send over matched messages) a channel needs before it can be
+	// a hotspot; HotspotShare is the minimum fraction of the whole
+	// run's in-flight latency it must carry.
+	HotspotMinSec float64 `json:"hotspot_min_sec"`
+	HotspotShare  float64 `json:"hotspot_share"`
+
+	// StragglerMinSec is the absolute floor on the outlier occurrence;
+	// StragglerFactor is how many times longer than the baseline (the
+	// larger of the state's second-longest occurrence and its p50) the
+	// outlier must run.
 	StragglerMinSec float64 `json:"straggler_min_sec"`
 	StragglerFactor float64 `json:"straggler_factor"`
+
+	// BacklogMin is the outstanding-message floor; BacklogDwellSec is
+	// how long the backlog must sit at or above that floor with the
+	// reader silent.
 	BacklogMin      int     `json:"backlog_min"`
 	BacklogDwellSec float64 `json:"backlog_dwell_sec"`
+
+	// DominatorShare is the minimum fraction of a rank's wall time
+	// spent output-blocked; DominatorMinSec the absolute floor.
 	DominatorShare  float64 `json:"dominator_share"`
 	DominatorMinSec float64 `json:"dominator_min_sec"`
+}
+
+// calibrated is the one tuning the detectors run with, set against the
+// labelled chaos corpus: low enough that every seeded pathology fires,
+// high enough that clean runs of the example programs stay silent on a
+// loaded CI machine.
+var calibrated = Thresholds{
+	HotspotMinSec:   0.1,
+	HotspotShare:    0.6,
+	StragglerMinSec: 0.15,
+	StragglerFactor: 8,
+	BacklogMin:      8,
+	BacklogDwellSec: 0.05,
+	DominatorShare:  0.4,
+	DominatorMinSec: 0.1,
 }
 
 // Finding is one detector verdict. Rank and Channel are -1 when the

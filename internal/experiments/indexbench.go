@@ -170,11 +170,8 @@ func RunIndexQuery(opt Options, sizeMB, reps int) ([]IndexQueryRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := idx.BuildFile(path)
+	ix, err := idx.Rebuild(path)
 	if err != nil {
-		return nil, err
-	}
-	if err := idx.WriteFileFor(path, ix); err != nil {
 		return nil, err
 	}
 	base := IndexQueryRow{

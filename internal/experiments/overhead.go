@@ -99,18 +99,10 @@ type OverheadReport struct {
 	// table cells with the ns/op divided down to one Pilot call.
 	Micro    []OverheadRow `json:"micro"`
 	Workload []OverheadRow `json:"workload"`
-	// Serve rows are tile-service load-harness phases from
-	// `pilot-bench -serve` (cold vs cached latency, singleflight check);
-	// informational, never gated by CompareOverhead.
-	Serve []ServeRow `json:"serve,omitempty"`
 	// IndexQuery rows measure seek-based ".idx" sidecar queries against
 	// the full scan on a synthesized large log (pilot-bench's -index-mb
 	// flag sizes it); informational, never gated by CompareOverhead.
 	IndexQuery []IndexQueryRow `json:"index_query,omitempty"`
-	// Analyze rows measure pilot-analyze verdict and diff passes over a
-	// synthesized large log (`pilot-bench -analyze`, sized by
-	// -analyze-mb); informational, never gated by CompareOverhead.
-	Analyze []AnalyzeRow `json:"analyze,omitempty"`
 }
 
 // WriteJSON writes the report, indented, to path.

@@ -163,19 +163,3 @@ func (b *Builder) Index() *Index {
 	sortEtypes(ix.Etypes)
 	return ix
 }
-
-// BuildReader indexes a CLOG-2 stream from its header on: the full-scan
-// rebuild used when no merge-time index exists (pilot-index build,
-// clog2slog). The reader must be positioned at the file start.
-func BuildReader(br *clog2.BlockReader) (*Index, error) {
-	b := NewBuilder(br.NumRanks())
-	err := br.Each(func(blk clog2.Block) error {
-		start, end := br.BlockBounds()
-		b.AddBlock(blk, start, end)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Index(), nil
-}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/clog2"
 )
@@ -594,5 +595,147 @@ func TestWriteFileForStampsGeneration(t *testing.T) {
 	}
 	if math.IsNaN(ix.Blocks[0].TMin) {
 		t.Error("fence decoded as NaN")
+	}
+}
+
+// Walk is the one place that chooses between the index and the scan:
+// for every state a sidecar can be in, the Status it reports, the blocks
+// it visits and how often it starts the consumer over are pinned here.
+func TestWalk(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "thumbnail.clog2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type visit struct {
+		rank    int32
+		records int
+	}
+	flip := func(t *testing.T, path string) {
+		side := SidecarPath(path)
+		data, err := os.ReadFile(side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(side, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		sabotage func(t *testing.T, path string, sel []int)
+		want     Status
+		begins   int
+	}{
+		{"none", func(t *testing.T, path string, _ []int) { os.Remove(SidecarPath(path)) }, StatusNone, 1},
+		{"ok", func(*testing.T, string, []int) {}, StatusOK, 1},
+		{"stale", func(t *testing.T, path string, _ []int) {
+			// The log is touched after indexing: same bytes, later mtime.
+			later := time.Now().Add(time.Hour)
+			if err := os.Chtimes(path, later, later); err != nil {
+				t.Fatal(err)
+			}
+		}, StatusStale, 1},
+		{"corrupt", func(t *testing.T, path string, _ []int) { flip(t, path) }, StatusCorrupt, 1},
+		// Valid CRC, valid sums, but the last block the query selects
+		// holds one record fewer than its entry says: Load accepts it and
+		// ScanFile catches it after the earlier blocks were delivered.
+		{"lying", func(t *testing.T, path string, sel []int) {
+			ix, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.Blocks[sel[len(sel)-1]].Records++
+			ix.TotalRecords++
+			if err := WriteFileFor(path, ix); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path); err != nil {
+				t.Fatalf("lying sidecar should pass validation, got %v", err)
+			}
+		}, StatusCorrupt, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "thumbnail.clog2")
+			if err := os.WriteFile(path, golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Rebuild(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The defs and the last rank: a selection that skips blocks
+			// and still spans more than one.
+			q := MatchAll()
+			q.Rank, q.IncludeDefs = int32(ix.NumRanks-1), true
+			sel := ix.Select(q)
+			if len(sel) < 2 || len(sel) >= len(ix.Blocks) {
+				t.Fatalf("query selects %d of %d blocks; the test needs a proper subset of two or more", len(sel), len(ix.Blocks))
+			}
+			var all, selected []visit
+			for _, b := range ix.Blocks {
+				all = append(all, visit{b.Rank, int(b.Records)})
+			}
+			for _, i := range sel {
+				selected = append(selected, all[i])
+			}
+			tc.sabotage(t, path, sel)
+
+			var attempts [][]visit
+			st, err := Walk(path, q, func(numRanks int) func(clog2.Block) error {
+				if numRanks != ix.NumRanks {
+					t.Errorf("begin(%d), the log has %d ranks", numRanks, ix.NumRanks)
+				}
+				attempts = append(attempts, nil)
+				return func(b clog2.Block) error {
+					last := &attempts[len(attempts)-1]
+					*last = append(*last, visit{b.Rank, len(b.Records)})
+					return nil
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != tc.want {
+				t.Errorf("Status = %v, want %v", st, tc.want)
+			}
+			if len(attempts) != tc.begins {
+				t.Fatalf("begin called %d time(s), want %d", len(attempts), tc.begins)
+			}
+			want := all
+			if tc.want == StatusOK {
+				want = selected
+			}
+			if got := attempts[len(attempts)-1]; !reflect.DeepEqual(got, want) {
+				t.Errorf("the answer rests on blocks %v, want %v", got, want)
+			}
+			if tc.begins == 2 {
+				if got := attempts[0]; !reflect.DeepEqual(got, selected[:len(selected)-1]) {
+					t.Errorf("abandoned attempt saw %v, want %v (everything before the block that lies)", got, selected[:len(selected)-1])
+				}
+			}
+		})
+	}
+}
+
+// Walk reports the log's own errors, whatever the sidecar said.
+func TestWalkUnreadableLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "junk.clog2")
+	if err := os.WriteFile(path, []byte("not a clog2 file at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	begun := 0
+	st, err := Walk(path, MatchAll(), func(int) func(clog2.Block) error {
+		begun++
+		return func(clog2.Block) error { return nil }
+	})
+	if err == nil || st != StatusNone || begun != 0 {
+		t.Errorf("Walk = %v, %v after %d begin(s); want an error, none, 0", st, err, begun)
+	}
+	if _, err := Rebuild(path); err == nil {
+		t.Error("Rebuild indexed a file that is not a log")
+	}
+	if _, err := os.Stat(SidecarPath(path)); err == nil {
+		t.Error("Rebuild left a sidecar beside a file that is not a log")
 	}
 }

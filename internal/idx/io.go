@@ -390,6 +390,11 @@ func ProbeHeader(clogPath string) Status {
 // index.
 func Probe(clogPath string) Status {
 	_, err := Load(clogPath)
+	return statusOf(err)
+}
+
+// statusOf classifies Load's error.
+func statusOf(err error) Status {
 	switch {
 	case err == nil:
 		return StatusOK
@@ -414,7 +419,55 @@ func BuildFile(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildReader(br)
+	b := NewBuilder(br.NumRanks())
+	err = br.Each(func(blk clog2.Block) error {
+		start, end := br.BlockBounds()
+		b.AddBlock(blk, start, end)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b.Index(), nil
+}
+
+// Rebuild scans the log at path and writes a fresh sidecar beside it.
+func Rebuild(path string) (*Index, error) {
+	ix, err := BuildFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return ix, WriteFileFor(path, ix)
+}
+
+// Walk is the one place that decides between the index and the scan. It
+// visits, in file order, the blocks of the log at path that can hold a
+// record q matches: those a valid sidecar selects (Load, Select,
+// ScanFile), or every block of the file. begin takes the log's rank count
+// and returns the visitor for one attempt; when a sidecar validates and
+// then disagrees with the file mid-scan, Walk calls begin again and reads
+// every block, so a consumer keeps only what its latest begin started.
+// The Status says what the answer rests on: StatusOK, the index selected
+// the blocks; any other, why it did not (one caught lying is Corrupt).
+func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error) (Status, error) {
+	ix, err := Load(path)
+	st := statusOf(err)
+	if err == nil {
+		if err = ScanFile(path, ix, ix.Select(q), begin(ix.NumRanks)); err == nil {
+			return StatusOK, nil
+		}
+		st = StatusCorrupt
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return st, err
+	}
+	defer f.Close()
+	br, err := clog2.NewBlockReader(f)
+	if err != nil {
+		return st, err
+	}
+	return st, br.Each(begin(br.NumRanks()))
 }
 
 // ScanFile visits the selected blocks of the log at path in file order,

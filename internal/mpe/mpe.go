@@ -369,14 +369,6 @@ var recordBufPool = sync.Pool{New: func() any { return new([]clog2.Record) }}
 // behaviour the paper documents for PI_Abort.
 func (l *Logger) Finish(w io.Writer) error { return l.finishInto(w, nil) }
 
-// FinishInto is Finish with an index builder riding the merge: as rank 0
-// streams each block into w, b records its byte offsets, time fences and
-// counts — the inline production of the ".idx" sidecar, at the cost of
-// one extra pass over records already in cache and no allocations (b is
-// Reset-reused; see the merge benchmarks' with/without-index rows). Only
-// rank 0 consults b; other ranks may pass nil.
-func (l *Logger) FinishInto(w io.Writer, b *idx.Builder) error { return l.finishInto(w, b) }
-
 // FinishIndexed is Finish returning the index of the file it just wrote
 // (rank 0; other ranks get nil). The generation stamp is left zero —
 // WriteFileFor fills it when the index is written beside a real file.

@@ -197,6 +197,24 @@ func TestFloatParamsParseAlikeOnEveryRoute(t *testing.T) {
 	}
 }
 
+// A window that ends before it starts is a client error on every route
+// that takes one, not an empty 200 (a "clean" verdict over no records).
+func TestInvertedWindowIsBadRequestOnEveryRoute(t *testing.T) {
+	_, ts := newTestServer(t, goldenDir)
+	for _, route := range []string{"tile", "legend", "profile", "analyze"} {
+		for query, want := range map[string]int{"t0=1&t1=5": 200, "t0=5&t1=5": 200, "t0=5&t1=1": 400, "t0=Inf&t1=-Inf": 400} {
+			url := ts.URL + "/trace/lab2/" + route + "?" + query
+			resp, body := get(t, url, nil)
+			if resp.StatusCode != want {
+				t.Errorf("%s: status %d, want %d: %.120s", url, resp.StatusCode, want, body)
+			}
+			if want == 400 && !strings.Contains(string(body), "empty time window") {
+				t.Errorf("%s: body does not name the window: %.120s", url, body)
+			}
+		}
+	}
+}
+
 func TestRepoRejectsTraversalIDs(t *testing.T) {
 	repo, err := NewRepo(goldenDir, 4)
 	if err != nil {

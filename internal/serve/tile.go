@@ -42,12 +42,19 @@ func queryFloat(q url.Values, key string, dst *float64) error {
 	return nil
 }
 
-// queryWindow parses the optional t0 and t1 parameters.
+// queryWindow parses the optional t0 and t1 parameters and refuses a
+// window that ends before it starts.
 func queryWindow(q url.Values, t0, t1 *float64) error {
 	if err := queryFloat(q, "t0", t0); err != nil {
 		return err
 	}
-	return queryFloat(q, "t1", t1)
+	if err := queryFloat(q, "t1", t1); err != nil {
+		return err
+	}
+	if *t1 < *t0 {
+		return fmt.Errorf("serve: empty time window [%g,%g]", *t0, *t1)
+	}
+	return nil
 }
 
 // parseTileParams reads t0/t1/r0/r1/zoom/format from the query,
@@ -81,9 +88,6 @@ func parseTileParams(q url.Values, f *slog2.File) (tileParams, error) {
 	}
 	if err := getI("zoom", &p.zoom); err != nil {
 		return p, err
-	}
-	if p.win.T1 < p.win.T0 {
-		return p, fmt.Errorf("serve: empty time window [%g,%g]", p.win.T0, p.win.T1)
 	}
 	if p.zoom < 0 || p.zoom > maxZoom {
 		return p, fmt.Errorf("serve: zoom %d outside [0,%d]", p.zoom, maxZoom)

@@ -298,7 +298,16 @@ func ComputeProfileWindowed(r io.Reader, t0, t1 float64) (*Profile, error) {
 
 // ComputeProfileFile is ComputeProfile over the CLOG-2 file at path.
 func ComputeProfileFile(path string) (*Profile, error) {
-	return computeProfileScan(path, math.Inf(-1), math.Inf(1))
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	p, err := ComputeProfile(f)
+	if err != nil {
+		return nil, fmt.Errorf("stats: profiling %s: %w", path, err)
+	}
+	return p, nil
 }
 
 // JSON renders the profile as indented JSON with a trailing newline.

@@ -281,7 +281,7 @@ func TestComputeProfileBadInput(t *testing.T) {
 // them by rank id, and a rank whose only record opened a state (so the
 // observer never touched it) keeps its record count and span.
 func TestProfileRanksSortedWhateverTheFoldOrder(t *testing.T) {
-	fold := clog2.NewFold(NoLimit())
+	fold := clog2.NewFold(math.Inf(-1), math.Inf(1))
 	pp := NewProfiler(fold, 4)
 	for _, rec := range []clog2.Record{
 		bare(3, 1.0, clog2.SoloBase+1),

@@ -1,17 +1,14 @@
 // The windowed, index-accelerated profile path: profile only the blocks
-// whose time fences intersect [t0, t1] by seeking through the ".idx"
-// sidecar, degrading to the streaming windowed scan whenever the sidecar
-// is absent, stale, or fails validation. Both paths feed the same
-// Profiler, so their answers are identical by construction: the index
-// only skips blocks that contain no in-window non-definition records,
-// definition-bearing blocks are always visited (IncludeDefs), and blocks
-// arrive in file order either way.
+// whose time fences intersect [t0, t1]. idx.Walk decides whether the
+// ".idx" sidecar selects those blocks or every block is read; either way
+// the blocks feed the same Profiler in file order, so the answers are
+// identical by construction: the index only skips blocks that contain no
+// in-window non-definition records, and definition-bearing blocks are
+// always visited (IncludeDefs).
 package stats
 
 import (
 	"fmt"
-	"math"
-	"os"
 
 	"repro/internal/clog2"
 	"repro/internal/idx"
@@ -21,53 +18,32 @@ import (
 // inclusive time window [t0, t1] (use math.Inf bounds for "no limit").
 // When a valid index sidecar sits next to the file, only the blocks the
 // window can touch are decoded; the boolean result reports whether the
-// index was used. Every degradation — no sidecar, stale sidecar,
-// validation failure, or an index that turns out to lie about the file —
-// falls back to the full streaming scan.
+// index was used. Every degradation idx.Walk names falls back to reading
+// every block.
 func ComputeProfileFileWindowed(path string, t0, t1 float64) (*Profile, bool, error) {
-	if ix, err := idx.Load(path); err == nil {
-		p, err := ComputeProfileIndexed(path, ix, t0, t1)
-		if err == nil {
-			return p, true, nil
-		}
-		// The sidecar validated but disagreed with the file (or the file
-		// grew unreadable mid-scan): re-answer from the log itself.
-	}
-	p, err := computeProfileScan(path, t0, t1)
-	return p, false, err
-}
-
-func computeProfileScan(path string, t0, t1 float64) (*Profile, error) {
-	f, err := os.Open(path)
+	q := idx.MatchAll()
+	q.T0, q.T1, q.IncludeDefs = t0, t1, true
+	var pp *Profiler
+	st, err := idx.Walk(path, q, func(numRanks int) func(clog2.Block) error {
+		pp = NewProfiler(clog2.NewFold(t0, t1), numRanks)
+		return pp.observeBlock
+	})
 	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("stats: profiling %s: %w", path, err)
 	}
-	defer f.Close()
-	p, err := ComputeProfileWindowed(f, t0, t1)
-	if err != nil {
-		return nil, fmt.Errorf("stats: profiling %s: %w", path, err)
-	}
-	return p, nil
+	return pp.Profile(), st == idx.StatusOK, nil
 }
 
 // ComputeProfileIndexed profiles through a specific, already-validated
 // index, with no fallback: an index/file disagreement surfaces as an
-// error. Callers that want graceful degradation use
-// ComputeProfileFileWindowed; this entry point exists for equality
-// verification (pilot-index verify), where a silent fallback would
-// defeat the purpose.
+// error. It exists for equality verification (pilot-index verify), where
+// a silent fallback would defeat the purpose.
 func ComputeProfileIndexed(path string, ix *idx.Index, t0, t1 float64) (*Profile, error) {
 	q := idx.MatchAll()
-	q.T0, q.T1 = t0, t1
-	q.IncludeDefs = true
-	sel := ix.Select(q)
+	q.T0, q.T1, q.IncludeDefs = t0, t1, true
 	pp := NewProfiler(clog2.NewFold(t0, t1), ix.NumRanks)
-	if err := idx.ScanFile(path, ix, sel, pp.observeBlock); err != nil {
+	if err := idx.ScanFile(path, ix, ix.Select(q), pp.observeBlock); err != nil {
 		return nil, err
 	}
 	return pp.Profile(), nil
 }
-
-// NoLimit returns the unbounded window bounds — a convenience for
-// callers threading optional -t0/-t1 flags.
-func NoLimit() (t0, t1 float64) { return math.Inf(-1), math.Inf(1) }

@@ -30,6 +30,17 @@ func copyGolden(t *testing.T, name string) string {
 	return dst
 }
 
+// computeProfileScan is the reference answer: the windowed profile from
+// a plain reading of every block, with no sidecar consulted.
+func computeProfileScan(path string, t0, t1 float64) (*Profile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ComputeProfileWindowed(f, t0, t1)
+}
+
 func mustJSON(t *testing.T, p *Profile) []byte {
 	t.Helper()
 	data, err := p.JSON()

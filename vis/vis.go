@@ -302,9 +302,5 @@ func registerRawLog(src, dst string) {
 		os.Remove(dst)
 		return
 	}
-	ix, err := idx.BuildFile(dst)
-	if err != nil {
-		return
-	}
-	_ = idx.WriteFileFor(dst, ix)
+	_, _ = idx.Rebuild(dst)
 }
