@@ -110,11 +110,14 @@ lines:
 # and merge benchmarks: the parallel CLOG-2 -> SLOG-2 pipeline at
 # several worker counts, the bare CLOG-2 scan (MB/s), the fold under the
 # profile (MB/s, next to the scan's) and the sequential converter (B/op)
-# on a 500 000-record log, plus the MPE wrap-up merge; then what a
-# pilot-serve tile-cache miss costs (render + ETag + gzip, MB/s and B/op).
+# on a 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000
+# state pairs, and 2 of 100 000: a rank's block in megabytes) and the
+# record encoder under it; then what a pilot-serve tile-cache miss costs
+# (render + ETag + gzip, MB/s and B/op).
 bench:
 	$(GO) run ./cmd/pilot-bench -overhead -overhead-out BENCH_overhead.json
 	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem ./internal/clog2/
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox' -benchmem ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem ./internal/serve/
 
@@ -122,7 +125,7 @@ bench:
 # BENCH_overhead.json baseline; fails when a micro row's ns/op regressed
 # past 2x. The tolerance sits above the shared-machine noise band
 # (identical code swings up to ~60% between machine load modes); tight
-# budgets — the <=5% index-emission cost, the 0-alloc hot paths — are
+# budgets — index emission at <=25 ns a record, the 0-alloc hot paths — are
 # gated within a single run instead, where both sides see the same
 # machine conditions.
 bench-compare:

@@ -417,32 +417,36 @@ func BenchmarkConvertReader(b *testing.B) {
 
 // BenchmarkMPE_FinishMerge exercises the collective wrap-up: every rank
 // logs a fixed load of state pairs, then Finish syncs clocks and merges
-// all buffers into one CLOG-2 stream on rank 0. The merge path (encode
-// buffers, block decode, string cargo) dominates allocs/op.
+// all buffers into one CLOG-2 stream on rank 0. 8x1000 is the shape of a
+// lab run, where the world's set-up dominates allocs/op; 2x200000 is the
+// ping-pong benchmark's, where a rank's block is megabytes and whatever
+// the merge holds per record shows in B/op.
 func BenchmarkMPE_FinishMerge(b *testing.B) {
-	const ranks = 8
-	const recsPerRank = 1000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := mpi.NewWorld(ranks, mpi.Options{})
-		g := mpe.NewGroup(w, true)
-		sid := g.DescribeState("PI_Write", "green")
-		errs := w.Run(func(r *mpi.Rank) error {
-			l := g.Logger(r.ID())
-			for j := 0; j < recsPerRank; j++ {
-				l.StateStart(sid, "line: bench.go:1")
-				l.StateEnd(sid, "cargo")
+	for _, shape := range []struct{ ranks, pairs int }{{8, 1000}, {2, 100000}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.ranks, shape.pairs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := mpi.NewWorld(shape.ranks, mpi.Options{})
+				g := mpe.NewGroup(w, true)
+				sid := g.DescribeState("PI_Write", "green")
+				errs := w.Run(func(r *mpi.Rank) error {
+					l := g.Logger(r.ID())
+					for j := 0; j < shape.pairs; j++ {
+						l.StateStart(sid, "line: bench.go:1")
+						l.StateEnd(sid, "cargo")
+					}
+					if r.ID() == 0 {
+						return l.Finish(io.Discard)
+					}
+					return l.Finish(nil)
+				})
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-			if r.ID() == 0 {
-				return l.Finish(io.Discard)
-			}
-			return l.Finish(nil)
 		})
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 

@@ -1,0 +1,115 @@
+package repro_test
+
+import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/analyze"
+	"repro/internal/clog2"
+	"repro/internal/idx"
+	"repro/internal/stats"
+)
+
+// A merged log is one block a rank (mpe.Finish writes it so), and a long
+// run's block holds the whole rank. The readers that only walk records go
+// through BlockReader.Each, which never holds more than one run of them:
+// over two blocks of 200 000 records each (28.8 MB a block as
+// []clog2.Record, which is what each of these calls allocated, and
+// re-allocated on the way there, when Each handed out whole blocks), the
+// index rebuild, the profile and the verdict each stay under 4 MB.
+func TestBigBlockReadersAllocateBounded(t *testing.T) {
+	const perRank = 200_000
+	path := filepath.Join(t.TempDir(), "bigblock.clog2")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := clog2.NewWriter(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cargo := func(tm float64, rank, etype int32, text string) clog2.Record {
+		r := clog2.Record{Type: clog2.RecCargoEvt, Time: tm, Rank: rank, ID: etype}
+		r.SetCargo(text)
+		return r
+	}
+	for rank := int32(0); rank < 2; rank++ {
+		recs := make([]clog2.Record, 0, perRank+2)
+		if rank == 0 {
+			recs = append(recs,
+				clog2.Record{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"},
+				clog2.Record{Type: clog2.RecStateDef, ID: 2, Aux1: 4, Aux2: 5, Color: "red", Name: "PI_Read"})
+		}
+		// A ping-pong: rank 0 writes at t, rank 1 reads it 2 µs later. One
+		// call in four logs its arrow half: the verdict keeps 8 bytes for
+		// each, which is its own state and not a block of records.
+		for i := 0; len(recs) < perRank; i++ {
+			tm := float64(i)*1e-5 + float64(rank)*2e-6
+			dir, etype := clog2.DirSend, int32(2)
+			if rank == 1 {
+				dir, etype = clog2.DirRecv, 4
+			}
+			recs = append(recs, cargo(tm, rank, etype, "line: pingpong.go:88"), cargo(tm+1.5e-6, rank, etype+1, ""))
+			if i%4 == 0 {
+				recs = append(recs, clog2.Record{Type: clog2.RecMsgEvt, Time: tm + 1.6e-6, Rank: rank, Dir: dir, Aux1: 1 - rank, Aux2: 7, Aux3: 8})
+			}
+		}
+		if err := w.WriteBlock(rank, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func() (int64, error){
+		"idx.BuildFile": func() (int64, error) {
+			ix, err := idx.BuildFile(path)
+			if err != nil {
+				return 0, err
+			}
+			return ix.TotalRecords, nil
+		},
+		"stats.ComputeProfileFile": func() (int64, error) {
+			p, err := stats.ComputeProfileFile(path)
+			if err != nil {
+				return 0, err
+			}
+			return p.Totals.Records, nil
+		},
+		"analyze.Analyze": func() (int64, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return 0, err
+			}
+			defer f.Close()
+			rep, err := analyze.Analyze(f, analyze.Options{})
+			if err != nil {
+				return 0, err
+			}
+			return rep.Records, nil
+		},
+	}
+	for name, call := range calls {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		records, err := call()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if records < 2*perRank-2 { // every one but rank 0's two definitions
+			t.Fatalf("%s saw %d records of %d", name, records, 2*perRank)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%s allocated %d bytes over two blocks of %d records: it holds more than a run of them", name, got, perRank)
+		} else {
+			t.Logf("%s allocated %d bytes", name, got)
+		}
+	}
+}

@@ -178,16 +178,29 @@ func runSmoke(srv *serve.Server, repoDir string) error {
 					info.ID, resp.StatusCode, len(body))
 			}
 			ok := []string{tileURL + "&format=svg&zoom=1", "/trace/" + info.ID + "/legend", "/search?trace=" + info.ID + "&limit=3"}
+			windowed := []string{"tile", "legend"}
 			if info.HasClog {
 				// A registered raw log answers the windowed half of the API.
 				window := fmt.Sprintf("?t0=%v&t1=%v", win.T0, win.T1)
 				ok = append(ok, "/trace/"+info.ID+"/profile"+window, "/trace/"+info.ID+"/analyze"+window)
+				windowed = append(windowed, "profile", "analyze")
 				if err := expect(400, "/trace/"+info.ID+"/analyze?t0=5&t1=1"); err != nil {
 					return err
 				}
 			}
 			if err := expect(200, ok...); err != nil {
 				return err
+			}
+			// An infinite bound on its own side is no bound; on the wrong
+			// side it is an empty window, on every route alike.
+			for _, route := range windowed {
+				base := "/trace/" + info.ID + "/" + route
+				if err := errors.Join(
+					expect(200, base+"?t0=-Inf", base+"?t1=Inf", base+"?t0=-Inf&t1=Inf"),
+					expect(400, base+"?t0=Inf", base+"?t1=-Inf"),
+				); err != nil {
+					return err
+				}
 			}
 		}
 		// Hostile input must be an HTTP error, never a dead server.

@@ -77,6 +77,8 @@ func FuzzReadFile(f *testing.F) {
 	bad := append([]byte(nil), valid...)
 	bad[len(Magic)+4+4+4] = 0xEE // clobber first record's type byte
 	f.Add(bad)
+	f.Add(rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1)))) // cargo the decoder cuts
+	f.Add(append(append([]byte(nil), valid...), 0))                          // a byte after the end-log marker
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		full, err := Read(bytes.NewReader(data))
@@ -108,6 +110,44 @@ func FuzzReadFile(f *testing.F) {
 				if !sameBlock(blocks[i], full.Blocks[i]) {
 					t.Fatalf("block %d differs between streaming and full read", i)
 				}
+			}
+		}
+		// Each hands out, in runs, the blocks Next returns, with Next's
+		// bounds and Next's error.
+		whole := drain(NewBlockReader(bytes.NewReader(data)))
+		if br, oerr := NewBlockReader(bytes.NewReader(data)); oerr == nil {
+			runs, bounds, eerr := drainEach(t, br)
+			if errClass(eerr) != errClass(whole.err) {
+				t.Fatalf("Each ends in %v, Next in %v", eerr, whole.err)
+			}
+			if eerr != nil && len(runs) > len(whole.blocks) {
+				runs = runs[:len(whole.blocks)] // the runs of the block that failed
+			}
+			if len(runs) != len(whole.blocks) {
+				t.Fatalf("Each saw %d blocks, Next %d", len(runs), len(whole.blocks))
+			}
+			for i := range runs {
+				if !sameBlock(runs[i], whole.blocks[i]) || bounds[i] != whole.bounds[i] {
+					t.Fatalf("block %d at %v differs between Each and Next (at %v)", i, bounds[i], whole.bounds[i])
+				}
+			}
+		}
+		// Whatever decodes re-encodes to the bytes it was decoded from,
+		// block by block, unless the decoder had to repair it (a cargo cut
+		// to MaxCargo encodes shorter, a negative rank not at all); and
+		// what the strict reader takes needed no repair anywhere.
+		strict := false
+		if br, serr := NewStrictBlockReader(data); serr == nil {
+			strict = br.Each(func(Block) error { return nil }) == nil
+		}
+		if strict && err != nil {
+			t.Fatalf("the strict reader takes what Read refuses with %v", err)
+		}
+		for i, b := range whole.blocks {
+			raw := data[whole.bounds[i][0]:whole.bounds[i][1]]
+			enc, eerr := AppendBlock(nil, b.Rank, b.Records)
+			if exact := eerr == nil && len(enc) == len(raw); exact != bytes.Equal(enc, raw) || strict && !exact {
+				t.Fatalf("block %d (strict %v): %d bytes re-encode to %d, %v", i, strict, len(raw), len(enc), eerr)
 			}
 		}
 	})

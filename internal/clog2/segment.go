@@ -1,12 +1,10 @@
 package clog2
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // Spill segment framing, version 2.
@@ -225,38 +223,19 @@ func DetectSpillFormat(data []byte) int {
 	return SpillFormatUnknown
 }
 
-// NewBareBlockWriter returns a Writer that emits no file header: it
-// encodes naked rank blocks, the payload encoding spill segments carry.
-func NewBareBlockWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// EncodeBlockPayload appends the bare block encoding of recs (block
-// header, records, end-block marker) for rank onto buf — the segment
-// payload a v2 spill write frames.
-func EncodeBlockPayload(buf *bytes.Buffer, rank int32, recs []Record) error {
-	w := NewBareBlockWriter(buf)
-	if err := w.WriteBlockChunks(rank, recs); err != nil {
-		return err
-	}
-	return w.w.Flush()
-}
-
 // DecodeBlockPayload parses one bare block encoding, as produced by
-// EncodeBlockPayload, decoding straight out of data. Trailing bytes after
-// the end-block marker are an error: a segment payload is exactly one
-// block.
+// AppendBlock, decoding straight out of data. Trailing bytes after the
+// end-block marker are an error: a segment payload is exactly one block.
 func DecodeBlockPayload(data []byte) (Block, error) {
 	d := decoder{buf: data, w: len(data)}
-	rank := d.get32() - 1 // undo the +1 wire shift
-	n := d.get32()
-	if d.err != nil {
-		return Block{}, d.err
+	rank, n, err := d.blockHeader()
+	if err != nil {
+		return Block{}, err
 	}
 	if rank < 0 {
 		return Block{}, fmt.Errorf("clog2: block payload with negative rank %d", rank)
 	}
-	recs, err := d.readRecords(nil, rank, n, "block payload")
+	recs, err := d.readBlock(nil, rank, n, "block payload")
 	if err != nil {
 		return Block{}, err
 	}

@@ -70,15 +70,15 @@ func FuzzSalvageSegments(f *testing.F) {
 	f.Add(flipped)
 
 	// Fixed valid segments to splice around the fuzz input.
-	var payload bytes.Buffer
 	rec := clog2.Record{Type: clog2.RecCargoEvt, Time: 1.5, Rank: 2, ID: 4}
 	rec.SetCargo("line: splice.go:1")
-	if err := clog2.EncodeBlockPayload(&payload, 2, []clog2.Record{rec}); err != nil {
+	payload, err := clog2.AppendBlock(nil, 2, []clog2.Record{rec})
+	if err != nil {
 		f.Fatal(err)
 	}
 	valid := make([][]byte, 3)
 	for i := range valid {
-		valid[i] = clog2.AppendSegment(nil, 2, uint64(i), payload.Bytes())
+		valid[i] = clog2.AppendSegment(nil, 2, uint64(i), payload)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,7 +108,7 @@ func FuzzSalvageSegments(f *testing.F) {
 		got, _ := clog2.ScanSegments(file)
 		found := make([]bool, len(valid))
 		for _, s := range got {
-			if s.Rank == 2 && s.Seq < uint64(len(valid)) && bytes.Equal(s.Payload, payload.Bytes()) {
+			if s.Rank == 2 && s.Seq < uint64(len(valid)) && bytes.Equal(s.Payload, payload) {
 				found[s.Seq] = true
 			}
 		}

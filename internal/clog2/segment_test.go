@@ -28,11 +28,10 @@ func buildSegmentFile(t testing.TB, rank int32, nseg int) ([]byte, [][]byte) {
 	var file []byte
 	var payloads [][]byte
 	for s := 0; s < nseg; s++ {
-		var buf bytes.Buffer
-		if err := EncodeBlockPayload(&buf, rank, segRecords(rank, 3, float64(s)*10)); err != nil {
+		p, err := AppendBlock(nil, rank, segRecords(rank, 3, float64(s)*10))
+		if err != nil {
 			t.Fatal(err)
 		}
-		p := append([]byte(nil), buf.Bytes()...)
 		payloads = append(payloads, p)
 		file = AppendSegment(file, rank, uint64(s), p)
 	}
@@ -71,11 +70,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 // FinalizeSegmentHeader (the spill hot path's copy-free framing) must
 // produce the byte-identical frame AppendSegment does.
 func TestFinalizeSegmentHeaderMatchesAppend(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeBlockPayload(&buf, 5, segRecords(5, 3, 2.0)); err != nil {
+	payload, err := AppendBlock(nil, 5, segRecords(5, 3, 2.0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload := buf.Bytes()
 	want := AppendSegment(nil, 5, 77, payload)
 	got := make([]byte, SegHeaderSize+len(payload))
 	copy(got[SegHeaderSize:], payload)
@@ -176,11 +174,10 @@ func TestSegmentTruncationSweep(t *testing.T) {
 // Garbage between segments — and garbage that itself contains marker
 // bytes — is skipped, with the segments on both sides recovered.
 func TestSegmentResyncAcrossGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeBlockPayload(&buf, 2, segRecords(2, 4, 0)); err != nil {
+	payload, err := AppendBlock(nil, 2, segRecords(2, 4, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload := buf.Bytes()
 	garbage := append([]byte("torn write debris"), segMarker[:]...)
 	garbage = append(garbage, 0xF8, 0xF8, 0x00)
 
@@ -262,11 +259,10 @@ func TestDetectSpillFormat(t *testing.T) {
 }
 
 func TestDecodeBlockPayloadRejects(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeBlockPayload(&buf, 1, segRecords(1, 2, 0)); err != nil {
+	good, err := AppendBlock(nil, 1, segRecords(1, 2, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
 	if _, err := DecodeBlockPayload(good); err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +280,10 @@ func TestDecodeBlockPayloadRejects(t *testing.T) {
 // A payload is decoded straight out of the caller's bytes: no reader, no
 // buffer, only the record slice it returns.
 func TestDecodeBlockPayloadAllocatesOnlyRecords(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeBlockPayload(&buf, 3, []Record{{Type: RecBareEvt, Time: 1, Rank: 3, ID: 4}}); err != nil {
+	payload, err := AppendBlock(nil, 3, []Record{{Type: RecBareEvt, Time: 1, Rank: 3, ID: 4}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload := buf.Bytes()
 	allocs := testing.AllocsPerRun(100, func() {
 		b, err := DecodeBlockPayload(payload)
 		if err != nil || b.Rank != 3 || len(b.Records) != 1 {

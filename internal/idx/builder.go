@@ -73,12 +73,20 @@ func (b *Builder) AddRecords(recs []clog2.Record) {
 	}
 }
 
-// AddBlock is StartBlock + AddRecords + EndBlock for a fully decoded
-// block spanning [start, end) — the full-scan rebuild path.
-func (b *Builder) AddBlock(blk clog2.Block, start, end int64) {
-	b.StartBlock(blk.Rank, start)
-	b.AddRecords(blk.Records)
-	b.EndBlock(end)
+// AddRun accounts one run that br.Each handed out — the rebuild's path,
+// and the merge's for the blocks it splices. A block's first run opens it
+// and its last closes it, where br reports its bounds, moved by shift
+// (the merge reads a rank's blocks at one offset and writes them at
+// another).
+func (b *Builder) AddRun(br *clog2.BlockReader, run clog2.Block, shift int64) {
+	start, end := br.BlockBounds()
+	if !b.inBlock {
+		b.StartBlock(run.Rank, start+shift)
+	}
+	b.AddRecords(run.Records)
+	if end != 0 {
+		b.EndBlock(end + shift)
+	}
 }
 
 func (b *Builder) addRecord(r *clog2.Record) {

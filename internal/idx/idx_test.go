@@ -161,8 +161,7 @@ func TestBuilderReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			start, end := br.BlockBounds()
-			b.AddBlock(blk, start, end)
+			b.AddRun(br, blk, 0)
 			buf = blk.Records[:0]
 		}
 		f.Close()

@@ -420,9 +420,8 @@ func BuildFile(path string) (*Index, error) {
 		return nil, err
 	}
 	b := NewBuilder(br.NumRanks())
-	err = br.Each(func(blk clog2.Block) error {
-		start, end := br.BlockBounds()
-		b.AddBlock(blk, start, end)
+	err = br.Each(func(run clog2.Block) error {
+		b.AddRun(br, run, 0)
 		return nil
 	})
 	if err != nil {
@@ -446,7 +445,9 @@ func Rebuild(path string) (*Index, error) {
 // ScanFile), or every block of the file. begin takes the log's rank count
 // and returns the visitor for one attempt; when a sidecar validates and
 // then disagrees with the file mid-scan, Walk calls begin again and reads
-// every block, so a consumer keeps only what its latest begin started.
+// every block, so a consumer keeps only what its latest begin started. A
+// visitor may only walk the records it is handed: a selected block comes
+// whole, the blocks of a full read in runs (clog2's Each).
 // The Status says what the answer rests on: StatusOK, the index selected
 // the blocks; any other, why it did not (one caught lying is Corrupt).
 func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error) (Status, error) {

@@ -15,7 +15,6 @@
 package mpe
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -348,13 +347,6 @@ const (
 
 const syncRounds = 4
 
-// bufPool recycles the per-rank encode buffers the merge ships over MPI,
-// and recordBufPool the decode buffers rank 0 streams blocks into — the
-// end-of-run merge reuses both instead of allocating per record.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-var recordBufPool = sync.Pool{New: func() any { return new([]clog2.Record) }}
-
 // Finish is the collective log wrap-up (MPE_Log_sync_clocks followed by
 // MPE_Finish_log): every rank must call it. Any state still open (a start
 // with no end, e.g. a rank that returned early) is closed with a synthetic
@@ -385,8 +377,8 @@ func (l *Logger) FinishIndexed(w io.Writer) (*idx.Index, error) {
 	return b.Index(), nil
 }
 
-// idxBuilderPool recycles the merge's index builders, like bufPool does
-// the encode buffers: steady-state emission allocates nothing.
+// idxBuilderPool recycles the merge's index builders: steady-state
+// emission allocates nothing.
 var idxBuilderPool = sync.Pool{New: func() any { return idx.NewBuilder(1) }}
 
 func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
@@ -416,22 +408,15 @@ func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
 	ts.Shift = offset
 
 	if l.rank.ID() != 0 {
-		buf := bufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer bufPool.Put(buf)
-		cw, err := clog2.NewWriter(buf, l.rank.Size())
+		// One block per rank, encoded once, straight from the arena chunks
+		// into a buffer sized for it: the bytes rank 0 will put in the file.
+		chunks := l.recs.slices(nil)
+		payload, err := appendLog(make([]byte, 0, clog2.HeaderSize+clog2.BlockCap(chunks...)+1),
+			l.rank.Size(), int32(l.rank.ID()), chunks...)
 		if err != nil {
 			return err
 		}
-		// One block per rank, assembled straight from the arena chunks —
-		// byte-identical to encoding a flat record slice.
-		if err := cw.WriteBlockChunks(int32(l.rank.ID()), l.recs.slices(nil)...); err != nil {
-			return err
-		}
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		if err := l.rank.SendCtx(mpi.CtxLog, 0, tagCollect, buf.Bytes()); err != nil {
+		if err := l.rank.SendCtx(mpi.CtxLog, 0, tagCollect, payload); err != nil {
 			l.closeSpill(false) // keep the fragment; the merge failed
 			return err
 		}
@@ -461,44 +446,20 @@ func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
 	if b != nil {
 		b.EndBlock(cw.Offset())
 	}
-	recBuf := recordBufPool.Get().(*[]clog2.Record)
-	defer recordBufPool.Put(recBuf)
 	for src := 1; src < l.rank.Size(); src++ {
 		m, err := l.rank.RecvCtx(mpi.CtxLog, src, tagCollect)
 		if err != nil {
 			l.closeSpill(false)
 			return fmt.Errorf("mpe: collecting rank %d log: %w", src, err)
 		}
-		// Stream blocks from the payload straight into the output writer,
-		// reusing one pooled record buffer across all ranks and blocks.
-		br, err := clog2.NewBlockReader(bytes.NewReader(m.Data))
+		blocks, err := checkRankLog(m.Data, src, cw.Offset(), b)
 		if err != nil {
 			l.closeSpill(false)
 			return fmt.Errorf("mpe: parsing rank %d log: %w", src, err)
 		}
-		for {
-			blk, err := br.NextReuse(*recBuf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				l.closeSpill(false)
-				return fmt.Errorf("mpe: parsing rank %d log: %w", src, err)
-			}
-			if cap(blk.Records) > cap(*recBuf) {
-				*recBuf = blk.Records
-			}
-			if b != nil {
-				b.StartBlock(blk.Rank, cw.Offset())
-				b.AddRecords(blk.Records)
-			}
-			if err := cw.WriteBlock(blk.Rank, blk.Records); err != nil {
-				l.closeSpill(false)
-				return err
-			}
-			if b != nil {
-				b.EndBlock(cw.Offset())
-			}
+		if err := cw.Splice(blocks); err != nil {
+			l.closeSpill(false)
+			return err
 		}
 	}
 	if err := cw.Close(); err != nil {
@@ -511,6 +472,43 @@ func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
 		os.Remove(spillDefsPath(prefix))
 	}
 	return nil
+}
+
+// appendLog appends a whole one-block CLOG-2 log (file header, rank's
+// block, end-log marker) to dst: what a rank ships to rank 0, and what
+// the defs spill frames.
+func appendLog(dst []byte, numRanks int, rank int32, chunks ...[]clog2.Record) ([]byte, error) {
+	dst, err := clog2.AppendBlock(clog2.AppendHeader(dst, numRanks), rank, chunks...)
+	return append(dst, byte(clog2.RecEndLog)), err
+}
+
+// checkRankLog is every check rank 0 makes on the log rank src shipped
+// before a byte of it reaches the merged file. It decodes every record,
+// a bounded run at a time (clog2's Each), strictly: the log must be what
+// appendLog encodes — a header, blocks of src's own rank with the counts
+// they declare and their end-block markers, the end-log marker, nothing
+// after it. What it returns are the blocks' bytes, now known to be the
+// encoding a Writer would produce from the decoded records, so splicing
+// them equals writing those. b, when not nil, indexes the blocks at the
+// file offsets they will have once spliced in at offset at.
+func checkRankLog(log []byte, src int, at int64, b *idx.Builder) ([]byte, error) {
+	br, err := clog2.NewStrictBlockReader(log)
+	if err != nil {
+		return nil, err
+	}
+	err = br.Each(func(run clog2.Block) error {
+		if int(run.Rank) != src {
+			return fmt.Errorf("it holds a block of rank %d", run.Rank)
+		}
+		if b != nil {
+			b.AddRun(br, run, at-int64(clog2.HeaderSize))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return log[clog2.HeaderSize : len(log)-1], nil
 }
 
 // FinishFile is Finish writing to a file path on rank 0, plus the index

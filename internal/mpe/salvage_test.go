@@ -56,24 +56,17 @@ func rewriteAsV1(t testing.TB, prefix string) {
 		if !stats.Clean() {
 			t.Fatalf("%s scans dirty: %+v", fr.Path, stats)
 		}
-		var v1 bytes.Buffer
-		w, err := clog2.NewWriter(&v1, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v1 := clog2.AppendHeader(nil, 3)
 		for _, seg := range segs {
 			b, err := clog2.DecodeBlockPayload(seg.Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.WriteBlock(b.Rank, b.Records); err != nil {
+			if v1, err = clog2.AppendBlock(v1, b.Rank, b.Records); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fr.Path, v1.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(fr.Path, v1, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,12 +303,12 @@ func TestFindSpillFragments(t *testing.T) {
 func TestSalvageHighRankWidensWorld(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
 	abortedRun(t, prefix)
-	var payload bytes.Buffer
 	rec := clog2.Record{Type: clog2.RecBareEvt, Time: 9.0, Rank: 4096, ID: 0}
-	if err := clog2.EncodeBlockPayload(&payload, 4096, []clog2.Record{rec}); err != nil {
+	payload, err := clog2.AppendBlock(nil, 4096, []clog2.Record{rec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	frag := clog2.AppendSegment(nil, 4096, 0, payload.Bytes())
+	frag := clog2.AppendSegment(nil, 4096, 0, payload)
 	if err := os.WriteFile(prefix+".rank4096.spill", frag, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package mpe
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 
@@ -38,11 +37,9 @@ type spill struct {
 	f *os.File
 
 	// A reusable frame buffer (header placeholder + payload, encoded in
-	// place), the bare block writer over it, and the per-rank segment
-	// sequence counter. All reused so steady-state spilling allocates
-	// nothing.
-	buf bytes.Buffer
-	bw  *clog2.Writer
+	// place) and the per-rank segment sequence counter: steady-state
+	// spilling allocates nothing.
+	buf []byte
 	seq uint64
 
 	// mx mirrors spill traffic into the live metrics (nil = disabled).
@@ -114,18 +111,12 @@ func (g *Group) SpillDefs() error {
 	if prefix == "" || !g.enabled {
 		return nil
 	}
-	var inner bytes.Buffer
-	w, err := clog2.NewWriter(&inner, g.world.Size())
+	frame, err := appendLog(make([]byte, clog2.SegHeaderSize), g.world.Size(), 0, g.defRecords())
 	if err != nil {
 		return err
 	}
-	if err := w.WriteBlock(0, g.defRecords()); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return os.WriteFile(spillDefsPath(prefix), clog2.AppendSegment(nil, 0, 0, inner.Bytes()), 0o644)
+	clog2.FinalizeSegmentHeader(frame, 0, 0)
+	return os.WriteFile(spillDefsPath(prefix), frame, 0o644)
 }
 
 // ensureSpill lazily opens the logger's spill file (on the logger's own
@@ -148,22 +139,17 @@ func (l *Logger) ensureSpill() *spill {
 		return nil
 	}
 	l.sp = &spill{f: f, mx: l.g.world.Metrics()}
-	l.sp.bw = clog2.NewBareBlockWriter(&l.sp.buf)
 	return l.sp
 }
 
 // writeBlock lands one batch of records on disk as one framed segment (a
 // single write call, so a torn write damages at most this segment).
 func (sp *spill) writeBlock(rank int32, recs []clog2.Record) error {
-	sp.buf.Reset()
-	sp.buf.Write(segHeaderPlaceholder[:])
-	if err := sp.bw.WriteBlockChunks(rank, recs); err != nil {
+	frame, err := clog2.AppendBlock(append(sp.buf[:0], segHeaderPlaceholder[:]...), rank, recs)
+	if err != nil {
 		return err
 	}
-	if err := sp.bw.Flush(); err != nil {
-		return err
-	}
-	frame := sp.buf.Bytes()
+	sp.buf = frame
 	clog2.FinalizeSegmentHeader(frame, rank, sp.seq)
 	if _, err := sp.f.Write(frame); err != nil {
 		return err

@@ -64,26 +64,19 @@ func TestSpillWritesThrough(t *testing.T) {
 	}
 }
 
-// A v1 fragment is a raw CLOG-2 stream, which is what clog2.NewWriter
-// writes: a run before v2 flushed one block per record and an abort left
-// the stream without its end-log marker. Nothing writes one any more;
+// A v1 fragment is a raw CLOG-2 stream, a file header and then blocks: a
+// run before v2 flushed one block per record and an abort left the
+// stream without its end-log marker. Nothing writes one any more;
 // salvage still has to read it, whole and torn mid-record.
 func TestSpillFormatV1Legacy(t *testing.T) {
-	var v1 bytes.Buffer
-	w, err := clog2.NewWriter(&v1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := clog2.AppendHeader(nil, 2)
 	for i, etype := range []int32{startEtype(1), endEtype(1)} {
 		rec := clog2.Record{Type: clog2.RecBareEvt, Rank: 1, Time: float64(i), ID: etype}
-		if err := w.WriteBlock(1, []clog2.Record{rec}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
+		var err error
+		if data, err = clog2.AppendBlock(data, 1, []clog2.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data := v1.Bytes()
 	if got := clog2.DetectSpillFormat(data); got != clog2.SpillFormatV1 {
 		t.Fatalf("raw stream detected as format %d", got)
 	}

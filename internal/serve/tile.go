@@ -42,18 +42,30 @@ func queryFloat(q url.Values, key string, dst *float64) error {
 	return nil
 }
 
-// queryWindow parses the optional t0 and t1 parameters and refuses a
-// window that ends before it starts.
+// queryWindow parses the optional t0 and t1 parameters over the route's
+// own unbounded window, which the caller passes in: the file's span for a
+// tile or a legend, [-Inf, +Inf] for a profile or a verdict. An infinite
+// bound on its own side (t0=-Inf, t1=+Inf) asks for no bound and leaves
+// that default; on the wrong side it selects nothing, as a window that
+// ends before it starts does, and both are refused.
 func queryWindow(q url.Values, t0, t1 *float64) error {
-	if err := queryFloat(q, "t0", t0); err != nil {
+	lo, hi := *t0, *t1
+	if err := queryFloat(q, "t0", &lo); err != nil {
 		return err
 	}
-	if err := queryFloat(q, "t1", t1); err != nil {
+	if err := queryFloat(q, "t1", &hi); err != nil {
 		return err
 	}
-	if *t1 < *t0 {
-		return fmt.Errorf("serve: empty time window [%g,%g]", *t0, *t1)
+	if math.IsInf(lo, -1) {
+		lo = *t0
 	}
+	if math.IsInf(hi, 1) {
+		hi = *t1
+	}
+	if hi < lo || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
+		return fmt.Errorf("serve: empty time window [%g,%g]", lo, hi)
+	}
+	*t0, *t1 = lo, hi
 	return nil
 }
 

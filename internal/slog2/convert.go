@@ -129,8 +129,9 @@ func (p *partition) addBlock(b *clog2.Block) error {
 				rl = &rankLog{}
 				p.perRank[int(cur)] = rl
 			}
-			// At most one doubling a block instead of append's 1.25x
-			// steps, which re-copy a long rank five times over.
+			// At most one doubling a run (Each hands a long block over
+			// in runs) instead of append's 1.25x steps, which re-copy a
+			// long rank five times over.
 			if need := len(b.Records) - i; cap(rl.recs)-len(rl.recs) < need {
 				rl.recs = slices.Grow(rl.recs, max(need, len(rl.recs)))
 			}
@@ -159,7 +160,7 @@ func Convert(in *clog2.File, opts ConvertOptions) (*File, *Report, error) {
 }
 
 // ConvertReader streams a CLOG-2 file from r straight into the conversion,
-// one block at a time through one reused record buffer — the low-memory
+// one run of records at a time through Each's one buffer — the low-memory
 // path used by vis.Convert and the command-line tools.
 func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 	br, err := clog2.NewBlockReader(r)
