@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-bench race ci cover lines bench bench-compare fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
+.PHONY: all build fmt vet test test-bench race ci cover lines bench fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
 
 all: ci
 
@@ -105,31 +105,26 @@ lines:
 	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 	END { printf "%7d total\n", t; for (d in n) printf "%7d %s\n", n[d], d | "sort -k2" }'
 
-# The logging-overhead harness (ns/op, B/op, allocs/op per Pilot call,
-# with and without logging — BENCH_overhead.json), then the conversion
-# and merge benchmarks: the parallel CLOG-2 -> SLOG-2 pipeline at
-# several worker counts, the bare CLOG-2 scan (MB/s), the fold under the
-# profile (MB/s, next to the scan's) and the sequential converter (B/op)
-# on a 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000
-# state pairs, and 2 of 100 000: a rank's block in megabytes) and the
-# record encoder under it; then what a pilot-serve tile-cache miss costs
-# (render + ETag + gzip, MB/s and B/op).
+# Go benchmarks beside the code they time, with allocs/op; nothing is
+# written and nothing compared (the committed numbers are bench/'s, see
+# BENCHMARK.json). The parallel CLOG-2 -> SLOG-2 pipeline at several
+# worker counts, the bare CLOG-2 scan (MB/s), the fold under the profile
+# (MB/s, next to the scan's) and the sequential converter (B/op) on a
+# 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000 state
+# pairs, and 2 of 100 000: a rank's block in megabytes) and the record
+# encoder under it; what a pilot-serve tile-cache miss costs (render +
+# ETag + gzip, MB/s and B/op); and the three rows bench/ does not measure
+# yet: a state pair written through to the spill, one live-metrics
+# observation with the collector on and off, and a raw round trip per rank
+# substrate (in-process, unix socket, TCP; the last two spawn the test
+# binary as rank 1).
 bench:
-	$(GO) run ./cmd/pilot-bench -overhead -overhead-out BENCH_overhead.json
 	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem ./internal/clog2/
-	$(GO) test -run '^$$' -bench 'BenchmarkMailbox' -benchmem ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem ./internal/mpe/
+	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem ./internal/serve/
-
-# Re-measure the logging hot path and diff against the committed
-# BENCH_overhead.json baseline; fails when a micro row's ns/op regressed
-# past 2x. The tolerance sits above the shared-machine noise band
-# (identical code swings up to ~60% between machine load modes); tight
-# budgets — index emission at <=25 ns a record, the 0-alloc hot paths — are
-# gated within a single run instead, where both sides see the same
-# machine conditions.
-bench-compare:
-	$(GO) run ./cmd/pilot-bench -overhead -overhead-out out/BENCH_overhead.json -compare BENCH_overhead.json
 
 # Short fuzz pass over every target fuzz-smoke runs (seed corpora run in
 # plain `make test` as well).

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,11 +15,12 @@ import (
 
 // A merged log is one block a rank (mpe.Finish writes it so), and a long
 // run's block holds the whole rank. The readers that only walk records go
-// through BlockReader.Each, which never holds more than one run of them:
-// over two blocks of 200 000 records each (28.8 MB a block as
+// through BlockReader.NextRun, which never holds more than one run of
+// them: over two blocks of 200 000 records each (28.8 MB a block as
 // []clog2.Record, which is what each of these calls allocated, and
-// re-allocated on the way there, when Each handed out whole blocks), the
-// index rebuild, the profile and the verdict each stay under 4 MB.
+// re-allocated on the way there, while it was handed whole blocks), the
+// index rebuild, the profile, the verdict, a 0.5 % window through the index
+// and the diff of the log against itself each stay under 4 MB.
 func TestBigBlockReadersAllocateBounded(t *testing.T) {
 	const perRank = 200_000
 	path := filepath.Join(t.TempDir(), "bigblock.clog2")
@@ -66,22 +68,51 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	calls := map[string]func() (int64, error){
-		"idx.BuildFile": func() (int64, error) {
+	if _, err := idx.Rebuild(path); err != nil {
+		t.Fatal(err)
+	}
+	const whole = 2*perRank - 2 // every record but rank 0's two definitions
+	calls := []struct {
+		name string
+		want int64 // records the call must at least have seen
+		call func() (int64, error)
+	}{
+		{"idx.BuildFile", whole, func() (int64, error) {
 			ix, err := idx.BuildFile(path)
 			if err != nil {
 				return 0, err
 			}
 			return ix.TotalRecords, nil
-		},
-		"stats.ComputeProfileFile": func() (int64, error) {
+		}},
+		{"stats.ComputeProfileFile", whole, func() (int64, error) {
 			p, err := stats.ComputeProfileFile(path)
 			if err != nil {
 				return 0, err
 			}
 			return p.Totals.Records, nil
-		},
-		"analyze.Analyze": func() (int64, error) {
+		}},
+		{"stats.ComputeProfileFileWindowed", 1, func() (int64, error) {
+			span := float64(perRank) / 2.25 * 1e-5 // a record in 2.25 moves i on
+			p, indexed, err := stats.ComputeProfileFileWindowed(path, 0.4*span, 0.405*span)
+			if err != nil {
+				return 0, err
+			}
+			if !indexed {
+				return 0, errors.New("the window was not answered through the index")
+			}
+			return p.Totals.Records, nil
+		}},
+		{"analyze.DiffFiles", 1, func() (int64, error) {
+			rep, err := analyze.DiffFiles(path, path, analyze.DiffOptions{})
+			if err != nil {
+				return 0, err
+			}
+			if !rep.Identical {
+				return 0, errors.New("the log differs from itself")
+			}
+			return 1, nil
+		}},
+		{"analyze.Analyze", whole, func() (int64, error) {
 			f, err := os.Open(path)
 			if err != nil {
 				return 0, err
@@ -92,24 +123,24 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 				return 0, err
 			}
 			return rep.Records, nil
-		},
+		}},
 	}
-	for name, call := range calls {
+	for _, c := range calls {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		records, err := call()
+		records, err := c.call()
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if records < 2*perRank-2 { // every one but rank 0's two definitions
-			t.Fatalf("%s saw %d records of %d", name, records, 2*perRank)
+		if records < c.want {
+			t.Fatalf("%s saw %d records, want at least %d", c.name, records, c.want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-			t.Errorf("%s allocated %d bytes over two blocks of %d records: it holds more than a run of them", name, got, perRank)
+			t.Errorf("%s allocated %d bytes over two blocks of %d records: it holds more than a run of them", c.name, got, perRank)
 		} else {
-			t.Logf("%s allocated %d bytes", name, got)
+			t.Logf("%s allocated %d bytes", c.name, got)
 		}
 	}
 }

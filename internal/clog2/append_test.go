@@ -274,15 +274,21 @@ func TestWriterErrorIsSticky(t *testing.T) {
 	}
 }
 
-// drainEach reassembles blocks from Each's runs and checks the run
-// contract on the way: no run longer than runRecords, one rank a block,
-// the block's start known from its first run, its end 0 until the last.
-func drainEach(t testing.TB, br *BlockReader) (blocks []Block, bounds [][2]int64, err error) {
+// runCaps are the buffers the run contract is checked at: Each's pooled
+// one (0), and NextRun's own around a record and around a run.
+var runCaps = []int{0, 1, 2, runRecords - 1, runRecords, runRecords + 1}
+
+// drainRuns reassembles blocks from the runs NextRun decodes into a buffer
+// of the given capacity (0: from the runs Each hands out) and checks the
+// run contract on the way: a run fits the buffer and lies in it, one rank
+// a block, no empty run inside a block, the block's start known from its
+// first run, its end 0 until the run that is called last.
+func drainRuns(t testing.TB, br *BlockReader, capacity int) (blocks []Block, bounds [][2]int64, err error) {
 	open := false
-	err = br.Each(func(run Block) error {
+	take := func(run Block, limit int) {
 		start, end := br.BlockBounds()
-		if len(run.Records) > runRecords {
-			t.Fatalf("a run of %d records", len(run.Records))
+		if len(run.Records) > limit {
+			t.Fatalf("a run of %d records in room for %d", len(run.Records), limit)
 		}
 		if !open {
 			blocks = append(blocks, Block{Rank: run.Rank, Records: []Record{}})
@@ -298,16 +304,37 @@ func drainEach(t testing.TB, br *BlockReader) (blocks []Block, bounds [][2]int64
 		b.Records = append(b.Records, run.Records...)
 		bounds[len(bounds)-1][1] = end
 		open = end == 0
-		return nil
-	})
+	}
+	if capacity == 0 {
+		err = br.Each(func(run Block) error { take(run, runRecords); return nil })
+	} else {
+		buf := make([]Record, 3, capacity+3)[3:] // the buffer need not start its array
+		for err == nil {
+			var run Block
+			var last bool
+			if run, last, err = br.NextRun(buf); err == nil {
+				take(run, capacity)
+				if last == open {
+					t.Fatalf("last is %v on a run whose block ends at %d", last, bounds[len(bounds)-1][1])
+				}
+				if len(run.Records) > 0 && &run.Records[0] != &buf[:1][0] {
+					t.Fatal("a run decoded outside the buffer it was given")
+				}
+			}
+		}
+		if err == io.EOF {
+			err = nil
+		}
+	}
 	if err == nil && open {
-		t.Fatal("Each returned nil inside a block")
+		t.Fatal("the stream ended inside a block")
 	}
 	return blocks, bounds, err
 }
 
-// Each hands out exactly the blocks Next returns, with Next's bounds, in
-// runs: on blocks of every size around the run length.
+// NextRun hands out exactly the blocks Next returns, with Next's bounds,
+// in runs: on blocks of every size around the run length, at every
+// capacity in runCaps, from every kind of source.
 func TestEachRunsAreNextsBlocks(t *testing.T) {
 	sizes := []int{0, 1, runRecords - 1, runRecords, runRecords + 1, 3*runRecords + 1, 0, 2 * runRecords}
 	var file bytes.Buffer
@@ -333,32 +360,35 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 	if want.err != nil || len(want.blocks) != len(sizes) {
 		t.Fatalf("Next: %d blocks, %v", len(want.blocks), want.err)
 	}
-	for _, open := range []func() (*BlockReader, error){
-		func() (*BlockReader, error) { return NewBlockReader(bytes.NewReader(file.Bytes())) },
-		func() (*BlockReader, error) {
+	for name, open := range map[string]func() (*BlockReader, error){
+		"plain": func() (*BlockReader, error) { return NewBlockReader(bytes.NewReader(file.Bytes())) },
+		"one byte": func() (*BlockReader, error) {
 			return NewBlockReader(iotest.OneByteReader(bytes.NewReader(file.Bytes())))
 		},
-		func() (*BlockReader, error) { return NewStrictBlockReader(file.Bytes()) },
+		"strict, in memory": func() (*BlockReader, error) { return NewStrictBlockReader(file.Bytes()) },
 	} {
-		br, err := open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks, bounds, err := drainEach(t, br)
-		if err != nil || len(blocks) != len(sizes) {
-			t.Fatalf("Each: %d blocks, %v", len(blocks), err)
-		}
-		for i := range blocks {
-			if !sameBlock(blocks[i], want.blocks[i]) || bounds[i] != want.bounds[i] {
-				t.Fatalf("block %d: Each gives %d records at %v, Next %d at %v",
-					i, len(blocks[i].Records), bounds[i], len(want.blocks[i].Records), want.bounds[i])
+		for _, capacity := range runCaps {
+			br, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, bounds, err := drainRuns(t, br, capacity)
+			if err != nil || len(blocks) != len(sizes) {
+				t.Fatalf("%s, capacity %d: %d blocks, %v", name, capacity, len(blocks), err)
+			}
+			for i := range blocks {
+				if !sameBlock(blocks[i], want.blocks[i]) || bounds[i] != want.bounds[i] {
+					t.Fatalf("%s, capacity %d, block %d: runs give %d records at %v, Next %d at %v",
+						name, capacity, i, len(blocks[i].Records), bounds[i], len(want.blocks[i].Records), want.bounds[i])
+				}
 			}
 		}
 	}
 }
 
-// Each ends a block that breaks off, declares the wrong count or is not
-// terminated with the error Next gives for it, and fn's error ends it.
+// NextRun ends a block that breaks off, declares the wrong count or is not
+// terminated with the error Next gives for it, whatever the capacity; a
+// buffer without capacity is refused by name; Each passes fn's error on.
 func TestEachErrors(t *testing.T) {
 	valid := validFileBytes(t)
 	cases := map[string][]byte{
@@ -370,21 +400,62 @@ func TestEachErrors(t *testing.T) {
 	}
 	for name, data := range cases {
 		_, want := drainBlockReader(bytes.NewReader(data))
-		br, err := NewBlockReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, got := drainEach(t, br)
-		if want == nil || got == nil || got.Error() != want.Error() {
-			t.Errorf("%s: Each gives %v, Next %v", name, got, want)
+		for _, capacity := range runCaps {
+			br, err := NewBlockReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, got := drainRuns(t, br, capacity)
+			if want == nil || got == nil || got.Error() != want.Error() {
+				t.Errorf("%s, capacity %d: runs give %v, Next %v", name, capacity, got, want)
+			}
 		}
 	}
 	br, err := NewBlockReader(bytes.NewReader(valid))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, buf := range [][]Record{nil, {}, make([]Record, 4)[4:]} {
+		if _, _, err := br.NextRun(buf); err == nil || !strings.Contains(err.Error(), "NextRun") {
+			t.Fatalf("NextRun without room for a record: %v", err)
+		}
+	}
 	if err := br.Each(func(Block) error { return io.ErrClosedPipe }); err != io.ErrClosedPipe {
 		t.Fatalf("fn's error came back as %v", err)
+	}
+}
+
+// A block NextRun began can be finished by NextReuse, which returns what is
+// left of it, or forgotten by SeekTo, which starts over at a block header.
+func TestHalfReadBlock(t *testing.T) {
+	valid := validFileBytes(t)
+	want := drain(NewBlockReader(bytes.NewReader(valid)))
+	br, err := NewBlockReaderAt(bytes.NewReader(valid), want.bounds[0][0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Record, 0, 2)
+	for _, seek := range []bool{false, true} {
+		if run, last, err := br.NextRun(buf); err != nil || last || len(run.Records) != 2 {
+			t.Fatalf("first run: %d records, last %v, %v", len(run.Records), last, err)
+		}
+		first, rest := want.blocks[0], 2
+		if seek {
+			if err := br.SeekTo(want.bounds[1][0]); err != nil {
+				t.Fatal(err)
+			}
+			first, rest = want.blocks[1], 0
+		}
+		b, err := br.Next()
+		if err != nil || !sameBlock(b, Block{Rank: first.Rank, Records: first.Records[rest:]}) {
+			t.Fatalf("seek %v: Next after half a block gives %d records of rank %d, %v", seek, len(b.Records), b.Rank, err)
+		}
+		if _, end := br.BlockBounds(); end == 0 {
+			t.Fatalf("seek %v: no block end after Next", seek)
+		}
+		if err := br.SeekTo(want.bounds[0][0]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

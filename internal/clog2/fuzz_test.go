@@ -62,25 +62,26 @@ func drainBlockReader(r io.Reader) ([]Block, error) {
 // FuzzReadFile feeds arbitrary bytes to every reader entry point. The
 // contract under fuzzing: return errors, never panic, never over-allocate
 // from untrusted length fields — and the streaming BlockReader must agree
-// with Read on what a file contains.
+// with Read on what a file contains, whole blocks and runs alike (room is
+// the capacity NextRun is given, less one).
 func FuzzReadFile(f *testing.F) {
 	valid := validFileBytes(f)
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte(Magic))                                                // header cut before rank count
-	f.Add(valid[:len(Magic)+4+4])                                       // truncated inside a block header
-	f.Add(valid[:len(valid)-1])                                         // missing end-log marker
-	f.Add(valid[:len(valid)/2])                                         // torn mid-block
-	f.Add(corruptRecordCount(f, -5))                                    // negative record count
-	f.Add(corruptRecordCount(f, 1<<28))                                 // huge record count
-	f.Add(bytes.Replace(valid, []byte(Magic), []byte("XLOG-R0260"), 1)) // bad magic
+	f.Add(valid, uint8(0))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte(Magic), uint8(2))                                                // header cut before rank count
+	f.Add(valid[:len(Magic)+4+4], uint8(3))                                       // truncated inside a block header
+	f.Add(valid[:len(valid)-1], uint8(4))                                         // missing end-log marker
+	f.Add(valid[:len(valid)/2], uint8(5))                                         // torn mid-block
+	f.Add(corruptRecordCount(f, -5), uint8(6))                                    // negative record count
+	f.Add(corruptRecordCount(f, 1<<28), uint8(7))                                 // huge record count
+	f.Add(bytes.Replace(valid, []byte(Magic), []byte("XLOG-R0260"), 1), uint8(8)) // bad magic
 	bad := append([]byte(nil), valid...)
 	bad[len(Magic)+4+4+4] = 0xEE // clobber first record's type byte
-	f.Add(bad)
-	f.Add(rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1)))) // cargo the decoder cuts
-	f.Add(append(append([]byte(nil), valid...), 0))                          // a byte after the end-log marker
+	f.Add(bad, uint8(9))
+	f.Add(rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1))), uint8(10)) // cargo the decoder cuts
+	f.Add(append(append([]byte(nil), valid...), 0), uint8(11))                          // a byte after the end-log marker
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, room uint8) {
 		full, err := Read(bytes.NewReader(data))
 		if err == nil && full == nil {
 			t.Fatal("Read returned nil file with nil error")
@@ -112,23 +113,27 @@ func FuzzReadFile(f *testing.F) {
 				}
 			}
 		}
-		// Each hands out, in runs, the blocks Next returns, with Next's
-		// bounds and Next's error.
+		// NextRun hands out, in runs of any capacity, and Each in its own,
+		// the blocks Next returns, with Next's bounds and Next's error.
 		whole := drain(NewBlockReader(bytes.NewReader(data)))
-		if br, oerr := NewBlockReader(bytes.NewReader(data)); oerr == nil {
-			runs, bounds, eerr := drainEach(t, br)
-			if errClass(eerr) != errClass(whole.err) {
-				t.Fatalf("Each ends in %v, Next in %v", eerr, whole.err)
+		for _, capacity := range []int{0, 1 + int(room)} {
+			br, oerr := NewBlockReader(bytes.NewReader(data))
+			if oerr != nil {
+				break
 			}
-			if eerr != nil && len(runs) > len(whole.blocks) {
+			runs, bounds, rerr := drainRuns(t, br, capacity)
+			if errClass(rerr) != errClass(whole.err) {
+				t.Fatalf("capacity %d: runs end in %v, Next in %v", capacity, rerr, whole.err)
+			}
+			if rerr != nil && len(runs) > len(whole.blocks) {
 				runs = runs[:len(whole.blocks)] // the runs of the block that failed
 			}
 			if len(runs) != len(whole.blocks) {
-				t.Fatalf("Each saw %d blocks, Next %d", len(runs), len(whole.blocks))
+				t.Fatalf("capacity %d: runs make %d blocks, Next %d", capacity, len(runs), len(whole.blocks))
 			}
 			for i := range runs {
 				if !sameBlock(runs[i], whole.blocks[i]) || bounds[i] != whole.bounds[i] {
-					t.Fatalf("block %d at %v differs between Each and Next (at %v)", i, bounds[i], whole.bounds[i])
+					t.Fatalf("capacity %d: block %d at %v differs between runs and Next (at %v)", capacity, i, bounds[i], whole.bounds[i])
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package clog2
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -265,13 +266,15 @@ const runRecords = 4096
 // so the buffer is never grown and never sized from a length field.
 const decodeBufSize = 64 << 10
 
-// BlockReader streams a CLOG-2 file one block at a time (Next, NextReuse)
-// or one bounded run of records at a time (Each), without ever
-// materializing File.Blocks. Next returns io.EOF after the end-log marker.
+// BlockReader streams a CLOG-2 file one bounded run of records at a time
+// (NextRun, and Each over it) or one whole block at a time (Next,
+// NextReuse), without ever materializing File.Blocks.
 type BlockReader struct {
 	d        decoder
 	numRanks int
 	done     bool
+	// rank and left are the block in hand and its records still to decode.
+	rank, left int32
 	// rs is the underlying seekable source when the reader was opened via
 	// NewBlockReaderAt; nil for plain streams (SeekTo then fails).
 	rs io.ReadSeeker
@@ -340,7 +343,8 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 }
 
 // SeekTo repositions the reader at a block-start offset, discarding any
-// buffered bytes. Only readers opened with NewBlockReaderAt are seekable.
+// buffered bytes and what was left of a half-read block. Only readers
+// opened with NewBlockReaderAt are seekable.
 func (br *BlockReader) SeekTo(offset int64) error {
 	if br.rs == nil {
 		return fmt.Errorf("clog2: block reader over a plain stream is not seekable")
@@ -352,7 +356,7 @@ func (br *BlockReader) SeekTo(offset int64) error {
 		return err
 	}
 	br.d = decoder{src: br.rs, buf: br.d.buf, base: offset}
-	br.done = false
+	br.done, br.left = false, 0
 	return nil
 }
 
@@ -361,7 +365,7 @@ func (br *BlockReader) NumRanks() int { return br.numRanks }
 
 // BlockBounds returns the byte range [start, end) of the block most
 // recently returned by Next/NextReuse: its header through its end-block
-// marker. Zero before the first successful Next. Inside Each's fn it
+// marker. Zero before the first successful Next. After NextRun it
 // describes the block the run belongs to, and end is 0 until that block's
 // last run.
 func (br *BlockReader) BlockBounds() (start, end int64) { return br.lastStart, br.lastEnd }
@@ -372,33 +376,37 @@ func (br *BlockReader) Next() (Block, error) { return br.NextReuse(nil) }
 
 // NextReuse is Next reusing buf's backing array for the record slice (buf
 // may be nil). The returned Block.Records aliases buf and is only valid
-// until the next NextReuse call with the same buffer. The block is
-// decoded whole, whatever it holds: a caller that only walks the records
-// uses Each.
+// until the next NextReuse call with the same buffer. The block, or what
+// NextRun left of it, is decoded whole, whatever it holds: a caller that
+// only walks the records uses NextRun or Each.
 func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
-	start, rank, n, err := br.header()
+	if err := br.header(); err != nil {
+		return Block{}, err
+	}
+	recs, err := br.d.readBlock(buf, br.rank, br.left, "block")
+	br.left = 0
 	if err != nil {
 		return Block{}, err
 	}
-	recs, err := br.d.readBlock(buf, rank, n, "block")
-	if err != nil {
-		return Block{}, err
-	}
-	br.lastStart, br.lastEnd = start, br.d.offset()
-	return Block{Rank: rank, Records: recs}, nil
+	br.lastEnd = br.d.offset()
+	return Block{Rank: br.rank, Records: recs}, nil
 }
 
-// header reads the next block's header: where it starts, its rank and how
-// many records it declares; io.EOF at the end-log marker.
-func (br *BlockReader) header() (start int64, rank, n int32, err error) {
+// header makes the next block the block in hand, unless one is half read:
+// where it starts, its rank and how many records it declares; io.EOF at
+// the end-log marker.
+func (br *BlockReader) header() error {
+	if br.left > 0 {
+		return nil
+	}
 	if br.done {
-		return 0, 0, 0, io.EOF
+		return io.EOF
 	}
 	d := &br.d
 	if !d.need(1) {
-		return 0, 0, 0, d.err
+		return d.err
 	}
-	start = d.offset()
+	start := d.offset()
 	// Block ranks are +1 on the wire, so a leading 0 byte is the end-log
 	// marker, not a header. (Known limit of the format: the header of rank
 	// 255, 256 on the wire, begins with a 0 byte too and ends the log.)
@@ -406,54 +414,70 @@ func (br *BlockReader) header() (start int64, rank, n int32, err error) {
 		d.r++
 		br.done = true
 		if d.strict && d.r != d.w {
-			return 0, 0, 0, fmt.Errorf("clog2: %d trailing bytes after the end-log marker", d.w-d.r)
+			return fmt.Errorf("clog2: %d trailing bytes after the end-log marker", d.w-d.r)
 		}
-		return 0, 0, 0, io.EOF
+		return io.EOF
 	}
-	if rank, n, err = d.blockHeader(); err == nil && d.strict && rank < 0 {
+	rank, n, err := d.blockHeader()
+	if err == nil && d.strict && rank < 0 {
 		err = fmt.Errorf("clog2: block with negative rank %d", rank)
 	}
-	return start, rank, n, err
+	if err == nil {
+		br.rank, br.left, br.lastStart, br.lastEnd = rank, n, start, 0
+	}
+	return err
+}
+
+// NextRun returns the next run of the stream, or io.EOF after the end-log
+// marker: at most cap(buf) consecutive records of one block, decoded into
+// buf's backing array, under that block's rank. A block arrives as one run
+// or several, an empty block as one empty run, so no block, however long,
+// is ever held whole; run.Records is valid until buf is decoded into
+// again. last marks a block's final run, handed over once its end-block
+// marker has been checked: from then until the next call BlockBounds gives
+// the block's full extent, on earlier runs its end is 0. A buf without
+// capacity could never finish a block and is refused.
+func (br *BlockReader) NextRun(buf []Record) (run Block, last bool, err error) {
+	if cap(buf) == 0 {
+		return Block{}, false, errors.New("clog2: NextRun needs a buffer with room for a record")
+	}
+	if err := br.header(); err != nil {
+		return Block{}, false, err
+	}
+	k := int32(min(int(br.left), cap(buf)))
+	br.left -= k
+	recs, err := br.d.readRecords(buf[:0], k)
+	if last = br.left == 0; last && err == nil {
+		err = br.d.endBlock(br.rank, "block")
+		br.lastEnd = br.d.offset()
+	}
+	if err != nil {
+		br.left = 0
+		return Block{}, false, err
+	}
+	return Block{Rank: br.rank, Records: recs}, last, nil
 }
 
 // runPool holds Each's record buffers, so a walk allocates none.
 var runPool = sync.Pool{New: func() any { return new([runRecords]Record) }}
 
 // Each walks every remaining record of the stream, in file order, and
-// returns nil after the end-log marker. It calls fn with runs: at most
-// runRecords consecutive records of one block, under that block's rank. A
-// block arrives as one run or several, an empty block as one empty run,
-// and every run shares one fixed buffer, so run.Records is valid until fn
-// returns and no block, however long, is ever held whole. A block's last
-// run is handed over once its end-block marker has been checked, and from
-// then until fn returns BlockBounds gives the block's full extent; on
-// earlier runs its end is 0.
+// returns nil after the end-log marker: it calls fn with each run NextRun
+// yields into one pooled buffer of runRecords records, so run.Records is
+// valid until fn returns, and inside fn BlockBounds is as NextRun left it.
 func (br *BlockReader) Each(fn func(run Block) error) error {
 	buf := runPool.Get().(*[runRecords]Record)
 	defer runPool.Put(buf)
 	for {
-		start, rank, n, err := br.header()
+		run, _, err := br.NextRun(buf[:0])
 		if err == io.EOF {
 			return nil
 		}
+		if err == nil {
+			err = fn(run)
+		}
 		if err != nil {
 			return err
-		}
-		br.lastStart, br.lastEnd = start, 0
-		for last := false; !last; {
-			k := min(n, runRecords)
-			n -= k
-			recs, err := br.d.readRecords(buf[:0], k)
-			if last = n == 0; last && err == nil {
-				err = br.d.endBlock(rank, "block")
-				br.lastEnd = br.d.offset()
-			}
-			if err == nil {
-				err = fn(Block{Rank: rank, Records: recs})
-			}
-			if err != nil {
-				return err
-			}
 		}
 	}
 }
@@ -584,8 +608,8 @@ func (d *decoder) blockHeader() (rank, n int32, err error) {
 }
 
 // readRecords appends the next n records to recs, which grows as append
-// would when it is full: the one record loop, under NextReuse,
-// DecodeBlockPayload (whole blocks) and Each (runs that fit recs).
+// would when it is full: the one record loop, under NextRun (runs that
+// fit recs) and readBlock (whole blocks).
 func (d *decoder) readRecords(recs []Record, n int32) ([]Record, error) {
 	for ; n > 0; n-- {
 		if len(recs) == cap(recs) {

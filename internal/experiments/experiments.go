@@ -51,16 +51,6 @@ type Options struct {
 	// Metrics enables the live stats collector in every workload run
 	// (pilot-bench's -metrics-addr flag serves the collected numbers).
 	Metrics bool
-	// Transports lists the rank substrates the overhead harness times
-	// raw ping-pong rows on ("inproc", "socket", "tcp"; pilot-bench's
-	// -transport flag). Empty runs no transport rows: the multi-process
-	// ones spawn rank processes by re-executing the host binary, which
-	// must route spawned invocations to TransportPingPongChild.
-	Transports []string
-	// SpawnCommand overrides the child command for multi-process
-	// transport rows (nil = re-execute the host binary with its own
-	// arguments).
-	SpawnCommand []string
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
 }

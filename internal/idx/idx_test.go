@@ -77,6 +77,45 @@ func mustBuild(t *testing.T, path string) *Index {
 	return ix
 }
 
+// writeLongLog writes a two-rank log whose first block (rank 0: two
+// definitions, then events) holds 10 000 records, more than two runs of a
+// scan, and whose second is short.
+func writeLongLog(t *testing.T) string {
+	t.Helper()
+	long := []clog2.Record{
+		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "red", Name: "A"},
+		{Type: clog2.RecEventDef, ID: 7, Color: "blue", Name: "E"},
+	}
+	for i := 0; len(long) < 10_000; i++ {
+		long = append(long, clog2.Record{Type: clog2.RecBareEvt, Time: float64(i) * 1e-3, ID: int32(2 + i%2)})
+	}
+	short := []clog2.Record{{Type: clog2.RecBareEvt, Rank: 1, Time: 0.5, ID: 7}}
+	log, err := clog2.AppendBlock(clog2.AppendHeader(nil, 2), 0, long)
+	if err == nil {
+		log, err = clog2.AppendBlock(log, 1, short)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "long.clog2")
+	if err := os.WriteFile(path, append(log, byte(clog2.RecEndLog)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// longBlockLies are the ways the entry of writeLongLog's first block can
+// disagree with the block while every sum Decode checks still adds up.
+var longBlockLies = []struct {
+	name string
+	lie  func(ix *Index)
+	runs int // runs of the block a scan delivers before it finds out
+}{
+	{"one record fewer", func(ix *Index) { ix.Blocks[0].Records--; ix.TotalRecords-- }, 2},
+	{"one record more", func(ix *Index) { ix.Blocks[0].Records++; ix.TotalRecords++ }, 2},
+	{"wrong rank", func(ix *Index) { ix.Blocks[0].Rank = 1 }, 0},
+}
+
 // restamp recomputes the CRC trailer after a mutation, so the result
 // passes the checksum and exercises the structural validation instead.
 func restamp(data []byte) []byte {
@@ -404,17 +443,34 @@ func TestLoadDegradations(t *testing.T) {
 // An index that passes every structural check but lies about the file
 // must be caught by ScanFile's per-block verification.
 func TestScanFileDetectsLyingIndex(t *testing.T) {
+	scan := func(path string, ix *Index) (runs int, err error) {
+		t.Helper()
+		if _, err := Decode(Encode(ix)); err != nil {
+			t.Fatalf("mutant failed structural validation (wanted it to pass): %v", err)
+		}
+		err = ScanFile(path, ix, ix.Select(MatchAll()), func(clog2.Block) error { runs++; return nil })
+		return runs, err
+	}
 	path := writeLog(t)
 	ix := mustBuild(t, path)
 	// Swap the rank labels of two blocks; offsets, counts and sums all
 	// stay plausible, so Decode accepts the mutant.
 	ix.Blocks[2].Rank, ix.Blocks[4].Rank = ix.Blocks[4].Rank, ix.Blocks[2].Rank
-	if _, err := Decode(Encode(ix)); err != nil {
-		t.Fatalf("mutant failed structural validation (wanted it to pass): %v", err)
-	}
-	err := ScanFile(path, ix, ix.Select(MatchAll()), func(clog2.Block) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
+	if _, err := scan(path, ix); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("lying index: err = %v, want ErrCorrupt", err)
+	}
+	// A block of several runs: a lie about its length is found on its last
+	// run, after the earlier ones were handed over.
+	path = writeLongLog(t)
+	for _, c := range longBlockLies {
+		ix := mustBuild(t, path)
+		c.lie(ix)
+		if runs, err := scan(path, ix); !errors.Is(err, ErrCorrupt) || runs != c.runs {
+			t.Errorf("%s: err = %v after %d runs, want ErrCorrupt after %d", c.name, err, runs, c.runs)
+		}
+	}
+	if runs, err := scan(path, mustBuild(t, path)); err != nil || runs != 4 {
+		t.Errorf("honest index: err = %v after %d runs, want nil after 4", err, runs)
 	}
 }
 
@@ -714,6 +770,47 @@ func TestWalk(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A sidecar that lies about a block of several runs is caught after some
+// of them were delivered: Walk starts the consumer over, and what the
+// second begin collects is what the plain scan reads.
+func TestWalkLyingLongBlock(t *testing.T) {
+	for _, c := range longBlockLies {
+		path := writeLongLog(t)
+		ix, err := Rebuild(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.lie(ix)
+		if err := WriteFileFor(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		var attempts [][]clog2.Record
+		collect := func(int) func(clog2.Block) error {
+			attempts = append(attempts, nil)
+			return func(b clog2.Block) error {
+				attempts[len(attempts)-1] = append(attempts[len(attempts)-1], b.Records...)
+				return nil
+			}
+		}
+		q := MatchAll()
+		q.IncludeDefs = true
+		st, err := Walk(path, q, collect)
+		if err != nil || st != StatusCorrupt || len(attempts) != 2 {
+			t.Fatalf("%s: Walk = %v, %v after %d begin(s); want corrupt, nil, 2", c.name, st, err, len(attempts))
+		}
+		if got := len(attempts[0]); got != c.runs*scanRun {
+			t.Errorf("%s: the abandoned attempt saw %d records, want %d runs", c.name, got, c.runs)
+		}
+		os.Remove(SidecarPath(path))
+		if st, err := Walk(path, q, collect); err != nil || st != StatusNone {
+			t.Fatalf("%s: plain scan = %v, %v", c.name, st, err)
+		}
+		if !reflect.DeepEqual(attempts[1], attempts[2]) {
+			t.Errorf("%s: the answer rests on %d records, the plain scan on %d, or they differ", c.name, len(attempts[1]), len(attempts[2]))
+		}
 	}
 }
 

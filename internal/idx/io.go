@@ -445,9 +445,10 @@ func Rebuild(path string) (*Index, error) {
 // ScanFile), or every block of the file. begin takes the log's rank count
 // and returns the visitor for one attempt; when a sidecar validates and
 // then disagrees with the file mid-scan, Walk calls begin again and reads
-// every block, so a consumer keeps only what its latest begin started. A
-// visitor may only walk the records it is handed: a selected block comes
-// whole, the blocks of a full read in runs (clog2's Each).
+// every block, so a consumer keeps only what its latest begin started:
+// the disagreement can come after runs of the lying block were delivered.
+// A visitor may only walk the records it is handed: every block, selected
+// or not, comes in runs (clog2's NextRun).
 // The Status says what the answer rests on: StatusOK, the index selected
 // the blocks; any other, why it did not (one caught lying is Corrupt).
 func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error) (Status, error) {
@@ -471,21 +472,29 @@ func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error
 	return st, br.Each(begin(br.NumRanks()))
 }
 
+// scanRun is the most records ScanFile hands fn at once: clog2.Each's run.
+const scanRun = 4096
+
 // ScanFile visits the selected blocks of the log at path in file order,
 // seeking over everything in between; consecutive selected blocks are
-// read without a seek. Each visited block is checked against its index
-// entry (rank and record count) — a mismatch means the index lies about
-// the file and surfaces as an ErrCorrupt-wrapped error, so callers can
-// degrade to the full scan. Block record slices are reused across
-// callbacks: fn must not retain them.
+// read without a seek. fn gets each block in runs of at most scanRun
+// records (clog2's NextRun) that share one buffer: it must not retain them.
+// Every run is checked against the block's index entry (its rank, and a
+// running record count that may not pass the entry's and must equal it on
+// the last run); a mismatch means the index lies about the file and
+// surfaces as an ErrCorrupt-wrapped error, so callers can degrade to the
+// full scan. A lie about a block's length can surface after fn has seen
+// earlier runs of that block: what fn built is then to be thrown away.
 func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) error {
 	if len(sel) == 0 {
 		return nil
 	}
+	most := int32(1)
 	for _, i := range sel {
 		if i < 0 || i >= len(ix.Blocks) {
 			return fmt.Errorf("idx: block selection %d out of range", i)
 		}
+		most = max(most, ix.Blocks[i].Records)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -497,7 +506,7 @@ func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) err
 		return err
 	}
 	pos := ix.Blocks[sel[0]].Offset
-	var buf []clog2.Record
+	buf := make([]clog2.Record, 0, min(most, scanRun))
 	for _, i := range sel {
 		bm := &ix.Blocks[i]
 		if bm.Offset != pos {
@@ -505,16 +514,18 @@ func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) err
 				return err
 			}
 		}
-		blk, err := br.NextReuse(buf)
-		if err != nil {
-			return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
-		}
-		if blk.Rank != bm.Rank || int32(len(blk.Records)) != bm.Records {
-			return fmt.Errorf("%w: block %d at offset %d does not match its index entry", ErrCorrupt, i, bm.Offset)
-		}
-		buf = blk.Records[:0]
-		if err := fn(blk); err != nil {
-			return err
+		for n, last := int32(0), false; !last; {
+			var run clog2.Block
+			if run, last, err = br.NextRun(buf); err != nil {
+				return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
+			}
+			n += int32(len(run.Records))
+			if run.Rank != bm.Rank || n > bm.Records || last && n != bm.Records {
+				return fmt.Errorf("%w: block %d at offset %d does not match its index entry", ErrCorrupt, i, bm.Offset)
+			}
+			if err := fn(run); err != nil {
+				return err
+			}
 		}
 		pos = bm.Offset + bm.Length
 	}

@@ -1,6 +1,7 @@
 package mpe
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/mpi"
@@ -96,5 +97,49 @@ func TestArenaRecyclesChunks(t *testing.T) {
 		l.popOpenState()
 	}); n > 0.05 {
 		t.Errorf("refill after release allocates %.3f per run, want ~0 (pooled chunks)", n)
+	}
+}
+
+// The inline index builder adds no steady-state allocations to the wrap-up
+// merge: over 8 ranks of 1 000 state pairs (16 009 records) FinishIndexed
+// allocates what Finish does. The band (1 % and 16) covers what differs
+// between two set-ups of an 8-rank world, a few hundred allocations each,
+// and the builder's own tables (+4 to +9 measured; +7 to +12 under the
+// race detector, whose sync.Pool drops a quarter of what it is given, at
+// these 50 runs a side and +2 to +17 at 25); one allocation a record would
+// be a thousand times past it.
+func TestFinishIndexedAllocatesWhatFinishDoes(t *testing.T) {
+	merge := func(indexed bool) func() {
+		return func() {
+			w := mpi.NewWorld(8, mpi.Options{})
+			g := NewGroup(w, true)
+			sid := g.DescribeState("PI_Write", "green")
+			errs := w.Run(func(r *mpi.Rank) error {
+				l := g.Logger(r.ID())
+				for j := 0; j < 1000; j++ {
+					l.StateStart(sid, "line: bench.go:1")
+					l.StateEnd(sid, "cargo")
+				}
+				var out io.Writer
+				if r.ID() == 0 {
+					out = io.Discard
+				}
+				if !indexed {
+					return l.Finish(out)
+				}
+				_, err := l.FinishIndexed(out)
+				return err
+			})
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	plain, indexed := testing.AllocsPerRun(50, merge(false)), testing.AllocsPerRun(50, merge(true))
+	t.Logf("Finish %.0f allocations a merge, FinishIndexed %.0f", plain, indexed)
+	if indexed > plain*1.01+16 {
+		t.Errorf("FinishIndexed allocates %.0f a merge, Finish %.0f: the index builder allocates as it goes", indexed, plain)
 	}
 }

@@ -85,11 +85,8 @@ type Group struct {
 	states []def // index = StateID-1
 	events []def // index = EventID-1
 	// spillPrefix, when non-empty, makes every logger write each record
-	// through to an abort-surviving spill file (see spill.go);
-	// spillBatch (default 1) sets how many records one spill encode
-	// covers (see SetSpillBatch).
+	// through to an abort-surviving spill file (see spill.go).
 	spillPrefix string
-	spillBatch  int
 
 	loggers []*Logger
 }
@@ -185,12 +182,9 @@ type Logger struct {
 	spErr     error
 	spChecked bool
 	spPrefix  string
-	spBatch   int
 	// spillArr is the reusable single-record encode buffer for the
 	// write-through spill path, so spilling never allocates per record.
 	spillArr [1]clog2.Record
-	// spPend holds records awaiting a batched spill encode (spBatch > 1).
-	spPend []clog2.Record
 }
 
 // Rank returns the MPI rank this logger belongs to.
@@ -203,8 +197,8 @@ func (l *Logger) Enabled() bool { return l.g.enabled }
 func (l *Logger) Len() int { return l.recs.len() }
 
 // Discard drops every buffered record and recycles the arena chunks
-// without the collective merge. The overhead harness uses it to keep
-// long measurement loops memory-bounded; a real run ends with Finish.
+// without the collective merge. Benchmarks use it to keep long
+// measurement loops memory-bounded; a real run ends with Finish.
 func (l *Logger) Discard() {
 	l.recs.release()
 	l.openStates = l.openStates[:0]
@@ -226,9 +220,8 @@ func (l *Logger) newRecord(t clog2.RecType, id int32) *clog2.Record {
 func (l *Logger) commit(r *clog2.Record) {
 	if !l.spChecked {
 		// EnableSpill happens before any logging (configuration phase),
-		// so the prefix and batch size can be cached on first use.
+		// so the prefix can be cached on first use.
 		l.spPrefix = l.g.SpillPrefix()
-		l.spBatch = l.g.SpillBatch()
 		l.spChecked = true
 	}
 	if l.spPrefix != "" {

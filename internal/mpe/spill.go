@@ -70,31 +70,6 @@ func (g *Group) SpillPrefix() string {
 	return g.spillPrefix
 }
 
-// SetSpillBatch sets how many records a spill encode covers. The default
-// of 1 writes and flushes every record immediately — the abort-proof
-// discipline RobustLog depends on. Larger batches amortise the encode
-// and flush over n records at the cost of losing up to n-1 trailing
-// records on an abort; the overhead harness measures the difference.
-// Call before any logging happens, alongside EnableSpill.
-func (g *Group) SetSpillBatch(n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	g.spillBatch = n
-}
-
-// SpillBatch returns the spill batch size (minimum 1).
-func (g *Group) SpillBatch() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.spillBatch < 1 {
-		return 1
-	}
-	return g.spillBatch
-}
-
 func spillRankPath(prefix string, rank int) string {
 	return fmt.Sprintf("%s.rank%d.spill", prefix, rank)
 }
@@ -142,8 +117,8 @@ func (l *Logger) ensureSpill() *spill {
 	return l.sp
 }
 
-// writeBlock lands one batch of records on disk as one framed segment (a
-// single write call, so a torn write damages at most this segment).
+// writeBlock lands recs on disk as one framed segment (a single write
+// call, so a torn write damages at most this segment).
 func (sp *spill) writeBlock(rank int32, recs []clog2.Record) error {
 	frame, err := clog2.AppendBlock(append(sp.buf[:0], segHeaderPlaceholder[:]...), rank, recs)
 	if err != nil {
@@ -159,38 +134,18 @@ func (sp *spill) writeBlock(rank int32, recs []clog2.Record) error {
 	return nil
 }
 
-// spillRecord writes one record through to disk immediately (batch 1),
-// or queues it for a block-sized encode (batch > 1).
+// spillRecord writes one record through to disk immediately: a record
+// the logger has taken is in the spill file before the call returns, which
+// is what makes the log abort-proof.
 func (l *Logger) spillRecord(rec *clog2.Record) {
 	sp := l.ensureSpill()
 	if sp == nil {
 		return
 	}
-	if l.spBatch <= 1 {
-		l.spillArr[0] = *rec
-		if err := sp.writeBlock(int32(l.rank.ID()), l.spillArr[:]); err != nil {
-			l.spErr = err
-		}
-		return
-	}
-	if l.spPend == nil {
-		l.spPend = make([]clog2.Record, 0, l.spBatch)
-	}
-	l.spPend = append(l.spPend, *rec)
-	if len(l.spPend) >= l.spBatch {
-		l.flushSpillBatch(sp)
-	}
-}
-
-// flushSpillBatch encodes the pending batch as one block and flushes it.
-func (l *Logger) flushSpillBatch(sp *spill) {
-	if len(l.spPend) == 0 {
-		return
-	}
-	if err := sp.writeBlock(int32(l.rank.ID()), l.spPend); err != nil {
+	l.spillArr[0] = *rec
+	if err := sp.writeBlock(int32(l.rank.ID()), l.spillArr[:]); err != nil {
 		l.spErr = err
 	}
-	l.spPend = l.spPend[:0]
 }
 
 // closeSpill finalises the logger's spill file; when remove is true
@@ -200,7 +155,6 @@ func (l *Logger) closeSpill(remove bool) {
 	if l.sp == nil || l.sp.dead() {
 		return
 	}
-	l.flushSpillBatch(l.sp)
 	l.sp.f.Close()
 	if remove {
 		os.Remove(l.sp.f.Name())

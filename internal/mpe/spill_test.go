@@ -91,71 +91,6 @@ func TestSpillFormatV1Legacy(t *testing.T) {
 	}
 }
 
-// With SetSpillBatch(n) records are held until a full batch can be
-// encoded as one block: n-1 records stay pending (at risk, by contract),
-// the n-th lands the whole batch on disk, and Finish-time closeSpill
-// flushes any remainder.
-func TestSpillBatchAmortisesWrites(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "run.clog2")
-	w := mpi.NewWorld(2, mpi.Options{})
-	g := NewGroup(w, true)
-	g.EnableSpill(prefix)
-	g.SetSpillBatch(4)
-	sid := g.DescribeState("PI_Write", "green")
-	if err := g.SpillDefs(); err != nil {
-		t.Fatal(err)
-	}
-
-	countSpilled := func() int {
-		return len(readV2Fragment(t, prefix+".rank1.spill"))
-	}
-
-	l := g.Logger(1)
-	for i := 0; i < 3; i++ {
-		l.StateStart(sid, "line: a.go:1")
-		l.popOpenState()
-	}
-	if err := l.SpillError(); err != nil {
-		t.Fatal(err)
-	}
-	if n := countSpilled(); n != 0 {
-		t.Fatalf("partial batch already spilled %d records, want 0 on disk", n)
-	}
-	l.StateStart(sid, "line: a.go:2") // 4th record completes the batch
-	l.popOpenState()
-	if n := countSpilled(); n != 4 {
-		t.Fatalf("full batch spilled %d records, want 4", n)
-	}
-	// Two more stay pending until closeSpill flushes the remainder.
-	l.StateStart(sid, "line: a.go:3")
-	l.popOpenState()
-	l.StateStart(sid, "line: a.go:4")
-	l.popOpenState()
-	if n := countSpilled(); n != 4 {
-		t.Fatalf("pending tail already on disk: %d records", n)
-	}
-	l.closeSpill(false)
-	if n := countSpilled(); n != 6 {
-		t.Fatalf("after closeSpill %d records, want 6", n)
-	}
-}
-
-// SetSpillBatch clamps nonsense values to the write-through default.
-func TestSpillBatchClamped(t *testing.T) {
-	w := mpi.NewWorld(1, mpi.Options{})
-	g := NewGroup(w, true)
-	for _, n := range []int{0, -3} {
-		g.SetSpillBatch(n)
-		if got := g.SpillBatch(); got != 1 {
-			t.Errorf("SetSpillBatch(%d) -> %d, want 1", n, got)
-		}
-	}
-	g.SetSpillBatch(64)
-	if got := g.SpillBatch(); got != 64 {
-		t.Errorf("SetSpillBatch(64) -> %d", got)
-	}
-}
-
 func TestSalvageMergesFragments(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
 	w := mpi.NewWorld(3, mpi.Options{})
@@ -278,4 +213,32 @@ func TestRemoveSpills(t *testing.T) {
 			t.Errorf("%s not removed", p)
 		}
 	}
+}
+
+// BenchmarkSpillStatePair times a logged state pair with the spill on: two
+// records, each framed, checksummed and written through to the rank's
+// spill file before its call returns. Next to the root
+// BenchmarkMPE_StateStartEnd it is what RobustLog costs a Pilot call.
+func BenchmarkSpillStatePair(b *testing.B) {
+	g := NewGroup(mpi.NewWorld(1, mpi.Options{}), true)
+	g.EnableSpill(filepath.Join(b.TempDir(), "run.clog2"))
+	sid := g.DescribeState("PI_Write", "green")
+	if err := g.SpillDefs(); err != nil {
+		b.Fatal(err)
+	}
+	l := g.Logger(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.StateStart(sid, "line: x.go:1")
+		l.StateEnd(sid, "")
+		if i%1024 == 1023 {
+			l.Discard() // the arena's steady state, as Finish leaves it
+		}
+	}
+	b.StopTimer()
+	if err := l.SpillError(); err != nil {
+		b.Fatal(err)
+	}
+	l.closeSpill(true)
 }

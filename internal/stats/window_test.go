@@ -226,6 +226,47 @@ func TestWindowedDegradation(t *testing.T) {
 	}
 }
 
+// A sidecar that lies about a block of several runs, by one record either
+// way or in its rank, is found out after the profiler has folded some of
+// them: Walk starts it over and the answer is the full scan's, byte for
+// byte.
+func TestWindowedLyingLongBlock(t *testing.T) {
+	long := []clog2.Record{stateDef(1, 2, 3, "PI_Read")}
+	for i := 0; len(long) < 10_000; i++ {
+		long = append(long, bare(0, float64(i)*1e-3, int32(2+i%2)))
+	}
+	raw := writeTestLog(t, 2, map[int32][]clog2.Record{0: long, 1: {bare(1, 0.5, 2), bare(1, 0.7, 3)}})
+	for name, lie := range map[string]func(ix *idx.Index){
+		"one record fewer": func(ix *idx.Index) { ix.Blocks[0].Records--; ix.TotalRecords-- },
+		"one record more":  func(ix *idx.Index) { ix.Blocks[0].Records++; ix.TotalRecords++ },
+		"wrong rank":       func(ix *idx.Index) { ix.Blocks[0].Rank = 1 },
+	} {
+		path := filepath.Join(t.TempDir(), "long.clog2")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := idx.Rebuild(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie(ix)
+		if err := idx.WriteFileFor(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		p, used, err := ComputeProfileFileWindowed(path, 0.25, 7.5)
+		if err != nil || used {
+			t.Fatalf("%s: indexed %v, %v; want the fallback", name, used, err)
+		}
+		scan, err := computeProfileScan(path, 0.25, 7.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := mustJSON(t, p), mustJSON(t, scan); !bytes.Equal(a, b) {
+			t.Errorf("%s: the answer differs from the full scan\ngot:  %s\nscan: %s", name, a, b)
+		}
+	}
+}
+
 // The unbounded window is the plain profile: same answer, no Window
 // stanza in the JSON.
 func TestWindowedUnboundedIsPlainProfile(t *testing.T) {
