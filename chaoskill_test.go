@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clog2"
 	"repro/internal/collisions"
 	"repro/internal/core"
 	"repro/internal/mpe"
@@ -149,12 +148,11 @@ func chaosKillOnce(t *testing.T, seed int64) {
 			seed, flips, truncs, defsGone, err)
 	}
 
-	// The report's segment accounting must close for every v2 rank:
+	// The report's segment accounting must close for every rank:
 	// recovered + skipped + missing == written.
 	var recovered int
 	for _, r := range rep.Ranks {
-		if r.Format == clog2.SpillFormatV2 &&
-			int64(r.SegmentsRecovered+r.SegmentsSkipped+r.SegmentsMissing) != r.SegmentsWritten {
+		if int64(r.SegmentsRecovered+r.SegmentsSkipped+r.SegmentsMissing) != r.SegmentsWritten {
 			t.Fatalf("seed %d: rank %d accounting open: %+v\n%s", seed, r.Rank, r, rep)
 		}
 		recovered += r.SegmentsRecovered

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/clog2"
 	"repro/internal/idx"
@@ -58,9 +59,8 @@ func runBuild(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d block(s), %d record(s), %d channel(s), %d etype(s) -> %s\n",
-		path, len(ix.Blocks), ix.TotalRecords, len(ix.Channels), len(ix.Etypes),
-		idx.SidecarPath(path))
+	fmt.Printf("%s: %d block(s), %d record(s) -> %s\n",
+		path, len(ix.Blocks), ix.TotalRecords, idx.SidecarPath(path))
 	return nil
 }
 
@@ -79,11 +79,7 @@ func runInfo(path string) error {
 	if tmin <= tmax {
 		fmt.Printf("time span: [%.6f, %.6f]s\n", tmin, tmax)
 	}
-	for _, c := range ix.Channels {
-		fmt.Printf("chan C%-4d %8d send(s) / %8d recv(s), %10d / %10d byte(s)\n",
-			c.Chan, c.Sends, c.Recvs, c.SendBytes, c.RecvBytes)
-	}
-	fmt.Printf("%d etype(s) counted\n", len(ix.Etypes))
+	fmt.Println("per-channel totals: pilot-profile", path)
 	return nil
 }
 
@@ -154,14 +150,14 @@ func runVerify(path string) error {
 		q.IncludeDefs = true
 		queries = append(queries, q)
 	}
-	for i, c := range ix.Channels {
-		if i == 8 {
-			break
-		}
+	// Up to eight channels the block fences name: each carries a message.
+	for i, most := 0, len(queries)+8; i < len(ix.Blocks) && len(queries) < most; i++ {
 		q := idx.MatchAll()
-		q.Chan = c.Chan
+		q.Chan = ix.Blocks[i].ChanMin
 		q.IncludeDefs = true
-		queries = append(queries, q)
+		if ix.Blocks[i].Msgs > 0 && !slices.Contains(queries, q) {
+			queries = append(queries, q)
+		}
 	}
 	for _, w := range windows {
 		q := idx.MatchAll()

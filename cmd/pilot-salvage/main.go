@@ -68,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("salvaged %s -> %s\n", rep.Summary(), dst)
 	if !*keep {
-		mpe.RemoveSpills(prefix, 0)
+		mpe.RemoveSpills(prefix)
 	}
 	if !rep.Clean() {
 		os.Exit(4)

@@ -7,14 +7,13 @@ import (
 	"hash/crc32"
 )
 
-// Spill segment framing, version 2.
+// Spill segment framing: the one spill format.
 //
-// A v1 spill file is a raw CLOG-2 stream: the per-record write-through
-// keeps it abort-proof against clean truncation, but a single torn write
-// or flipped byte mid-file desynchronizes the decoder and silently
-// discards everything after it — exactly the records needed when
-// debugging a dirty death. v2 wraps every spill write in a
-// self-synchronizing segment:
+// A raw CLOG-2 stream written through per record is abort-proof against
+// clean truncation, but a single torn write or flipped byte mid-file
+// desynchronizes the decoder and silently discards everything after it —
+// exactly the records needed when debugging a dirty death. So every spill
+// write is wrapped in a self-synchronizing segment:
 //
 //	offset size  field
 //	0      4     marker  0xF8 'S' 'G' '2'
@@ -119,7 +118,7 @@ type ScanStats struct {
 // Clean reports a scan with nothing quarantined.
 func (s ScanStats) Clean() bool { return s.BytesQuarantined == 0 }
 
-// ScanSegments walks data for valid v2 segments. It is the resync half of
+// ScanSegments walks data for valid segments. It is the resync half of
 // the corruption-tolerance contract: after any checksum, version or
 // length failure it advances to the next candidate marker instead of
 // aborting, so one damaged byte quarantines at most the segment holding
@@ -197,30 +196,6 @@ func validSegmentAt(data []byte, i int) (Segment, bool) {
 		Seq:     binary.LittleEndian.Uint64(h[9:17]),
 		Payload: data[i+SegHeaderSize : i+SegHeaderSize+plen],
 	}, true
-}
-
-// Spill file formats, as detected by DetectSpillFormat.
-const (
-	// SpillFormatUnknown marks data that is neither a CLOG-2 stream nor
-	// contains a single valid v2 segment.
-	SpillFormatUnknown = 0
-	// SpillFormatV1 is the legacy raw CLOG-2 stream.
-	SpillFormatV1 = 1
-	// SpillFormatV2 is the framed self-synchronizing segment stream.
-	SpillFormatV2 = 2
-)
-
-// DetectSpillFormat classifies a spill fragment: a CLOG-2 magic prefix
-// means legacy v1; otherwise any recoverable v2 segment means v2. A
-// damaged v1 head is indistinguishable from garbage and reports unknown.
-func DetectSpillFormat(data []byte) int {
-	if bytes.HasPrefix(data, []byte(Magic)) {
-		return SpillFormatV1
-	}
-	if segs, _ := ScanSegments(data); len(segs) > 0 {
-		return SpillFormatV2
-	}
-	return SpillFormatUnknown
 }
 
 // DecodeBlockPayload parses one bare block encoding, as produced by

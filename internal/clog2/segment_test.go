@@ -231,9 +231,12 @@ func TestScanSegmentsDegenerate(t *testing.T) {
 	}
 }
 
-func TestDetectSpillFormat(t *testing.T) {
-	var v1 bytes.Buffer
-	w, err := NewWriter(&v1, 2)
+// What salvage detects a spill fragment by: the scan finds a segment.
+// A raw CLOG-2 stream (the first spill format, long unwritten), garbage
+// and nothing at all hold none, and what is there is quarantined whole.
+func TestScanSegmentsRecognizesOnlySegments(t *testing.T) {
+	var raw bytes.Buffer
+	w, err := NewWriter(&raw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,18 +246,19 @@ func TestDetectSpillFormat(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := DetectSpillFormat(v1.Bytes()); got != SpillFormatV1 {
-		t.Fatalf("v1 detected as %d", got)
+	framed, _ := buildSegmentFile(t, 0, 2)
+	if segs, stats := ScanSegments(framed); len(segs) != 2 || !stats.Clean() {
+		t.Fatalf("segment stream scanned as %d segment(s), %+v", len(segs), stats)
 	}
-	v2, _ := buildSegmentFile(t, 0, 2)
-	if got := DetectSpillFormat(v2); got != SpillFormatV2 {
-		t.Fatalf("v2 detected as %d", got)
-	}
-	if got := DetectSpillFormat([]byte("not a spill at all")); got != SpillFormatUnknown {
-		t.Fatalf("garbage detected as %d", got)
-	}
-	if got := DetectSpillFormat(nil); got != SpillFormatUnknown {
-		t.Fatalf("empty detected as %d", got)
+	for name, data := range map[string][]byte{"raw stream": raw.Bytes(), "garbage": []byte("not a spill at all"), "empty": nil} {
+		segs, stats := ScanSegments(data)
+		want := ScanStats{BytesScanned: int64(len(data))}
+		if len(data) > 0 {
+			want.BytesQuarantined, want.DamagedRegions, want.TailTorn = int64(len(data)), 1, true
+		}
+		if len(segs) != 0 || stats != want {
+			t.Errorf("%s scanned as %d segment(s), %+v; want none, %+v", name, len(segs), stats, want)
+		}
 	}
 }
 

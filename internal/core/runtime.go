@@ -538,7 +538,7 @@ func (r *Runtime) salvageLog() error {
 			r.warnf("pilot: warning: salvage: %s", w)
 		}
 	}
-	mpe.RemoveSpills(r.cfg.JumpshotPath, r.cfg.NumProcs)
+	mpe.RemoveSpills(r.cfg.JumpshotPath)
 	return nil
 }
 

@@ -10,20 +10,15 @@ import (
 // MPE Finish merge feeds: StartBlock before a block's records are
 // written, AddRecords for each chunk, EndBlock after the end-block
 // marker. It is built to ride the merge's zero-allocation path: Reset
-// keeps every slice's capacity and clears (not reallocates) the lookup
-// maps, so a pooled Builder adds no per-record allocations in steady
-// state (the mpe alloc gates hold it to that).
+// keeps the block slice's capacity, so a pooled Builder adds no
+// per-record allocations in steady state (the mpe alloc gates hold it to
+// that).
 type Builder struct {
 	numRanks int
 	total    int64
 	blocks   []BlockMeta
 	cur      BlockMeta
 	inBlock  bool
-
-	chanIdx  map[int32]int
-	chans    []ChannelCount
-	etypeIdx map[int32]int
-	etypes   []EtypeCount
 }
 
 // NewBuilder returns a Builder for a log with numRanks ranks.
@@ -40,15 +35,6 @@ func (b *Builder) Reset(numRanks int) {
 	b.blocks = b.blocks[:0]
 	b.cur = BlockMeta{}
 	b.inBlock = false
-	if b.chanIdx == nil {
-		b.chanIdx = make(map[int32]int)
-		b.etypeIdx = make(map[int32]int)
-	} else {
-		clear(b.chanIdx)
-		clear(b.etypeIdx)
-	}
-	b.chans = b.chans[:0]
-	b.etypes = b.etypes[:0]
 }
 
 // StartBlock opens a block beginning at byte offset for rank.
@@ -108,8 +94,7 @@ func (b *Builder) addRecord(r *clog2.Record) {
 	if r.Rank > b.cur.RankMax {
 		b.cur.RankMax = r.Rank
 	}
-	switch r.Type {
-	case clog2.RecMsgEvt:
+	if r.Type == clog2.RecMsgEvt {
 		b.cur.Msgs++
 		ch := r.Aux2
 		if ch < b.cur.ChanMin {
@@ -118,28 +103,6 @@ func (b *Builder) addRecord(r *clog2.Record) {
 		if ch > b.cur.ChanMax {
 			b.cur.ChanMax = ch
 		}
-		j, ok := b.chanIdx[ch]
-		if !ok {
-			j = len(b.chans)
-			b.chanIdx[ch] = j
-			b.chans = append(b.chans, ChannelCount{Chan: ch})
-		}
-		cc := &b.chans[j]
-		if r.Dir == clog2.DirSend {
-			cc.Sends++
-			cc.SendBytes += int64(r.Aux3)
-		} else {
-			cc.Recvs++
-			cc.RecvBytes += int64(r.Aux3)
-		}
-	case clog2.RecBareEvt, clog2.RecCargoEvt:
-		j, ok := b.etypeIdx[r.ID]
-		if !ok {
-			j = len(b.etypes)
-			b.etypeIdx[r.ID] = j
-			b.etypes = append(b.etypes, EtypeCount{Etype: r.ID})
-		}
-		b.etypes[j].Count++
 	}
 }
 
@@ -154,20 +117,14 @@ func (b *Builder) EndBlock(end int64) {
 	b.inBlock = false
 }
 
-// Index assembles the accumulated metadata. Channel and etype tables are
-// sorted by id for a deterministic encoding; the generation fields are
+// Index assembles the accumulated metadata. The generation fields are
 // zero until WriteFileFor stamps them from the source file. The returned
-// Index copies the Builder's slices, so the Builder may be Reset and
+// Index copies the Builder's blocks, so the Builder may be Reset and
 // reused while the Index lives on.
 func (b *Builder) Index() *Index {
-	ix := &Index{
+	return &Index{
 		NumRanks:     b.numRanks,
 		TotalRecords: b.total,
 		Blocks:       append([]BlockMeta(nil), b.blocks...),
-		Channels:     append([]ChannelCount(nil), b.chans...),
-		Etypes:       append([]EtypeCount(nil), b.etypes...),
 	}
-	sortChannels(ix.Channels)
-	sortEtypes(ix.Etypes)
-	return ix
 }

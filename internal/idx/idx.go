@@ -1,8 +1,8 @@
 // Package idx implements the CLOG-2 index sidecar: a compact ".idx" file
 // written next to a raw log that records where every block lives
-// (byte offsets), what it contains (record/definition/message counts,
-// a time fence of min/max timestamps, rank and channel fences), and the
-// whole-file per-channel and per-etype totals. Consumers use it to seek
+// (byte offsets) and what it contains (record/definition/message counts,
+// a time fence of min/max timestamps, rank and channel fences): what
+// Select reads and nothing else. Consumers use it to seek
 // straight to the blocks a time/rank/channel query can touch instead of
 // streaming the entire multi-gigabyte log — the raw-log analogue of the
 // level-of-detail index SLOG-2 keeps on the render side.
@@ -22,10 +22,10 @@ import (
 )
 
 // Magic begins every sidecar; the trailing digits are the format version.
-const Magic = "CLOGIDX-01"
+const Magic = "CLOGIDX-02"
 
 // Version is the encoded format version (also implied by Magic).
-const Version = 1
+const Version = 2
 
 // Degradation sentinels: why a sidecar was not used. Consumers treat all
 // three the same way — fall back to the full scan — but report them
@@ -69,20 +69,6 @@ type BlockMeta struct {
 	ChanMin, ChanMax int32
 }
 
-// ChannelCount is one channel's whole-file message totals.
-type ChannelCount struct {
-	Chan                 int32
-	Sends, Recvs         int64
-	SendBytes, RecvBytes int64
-}
-
-// EtypeCount is one event type's whole-file occurrence count
-// (BareEvt/CargoEvt records by etype).
-type EtypeCount struct {
-	Etype int32
-	Count int64
-}
-
 // Index is a decoded sidecar.
 type Index struct {
 	// NumRanks mirrors the source file header.
@@ -94,8 +80,6 @@ type Index struct {
 	// TotalRecords sums Blocks[i].Records.
 	TotalRecords int64
 	Blocks       []BlockMeta
-	Channels     []ChannelCount
-	Etypes       []EtypeCount
 }
 
 // Query selects blocks. The zero Query matches nothing useful — start

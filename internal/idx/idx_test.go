@@ -156,22 +156,6 @@ func TestBuilderCountsAndFences(t *testing.T) {
 	if b0.ChanMin != 10 || b0.ChanMax != 10 {
 		t.Errorf("rank-0 chan fence = [%d, %d], want [10, 10]", b0.ChanMin, b0.ChanMax)
 	}
-	// Channels: rank r sends on 10+r and the peer receives on the same
-	// channel, so each of 10..13 carries 1 send + 1 recv of 100 bytes.
-	if len(ix.Channels) != 4 {
-		t.Fatalf("channels = %+v", ix.Channels)
-	}
-	for i, c := range ix.Channels {
-		want := ChannelCount{Chan: int32(10 + i), Sends: 1, Recvs: 1, SendBytes: 100, RecvBytes: 100}
-		if c != want {
-			t.Errorf("channel[%d] = %+v, want %+v", i, c, want)
-		}
-	}
-	// Etypes: 2, 3 and 7 each fire once per rank.
-	want := []EtypeCount{{2, 4}, {3, 4}, {7, 4}}
-	if !reflect.DeepEqual(ix.Etypes, want) {
-		t.Errorf("etypes = %+v, want %+v", ix.Etypes, want)
-	}
 }
 
 // The pooled-builder path: Reset must produce the same index as a fresh
@@ -692,6 +676,23 @@ func TestWalk(t *testing.T) {
 			}
 		}, StatusStale, 1},
 		{"corrupt", func(t *testing.T, path string, _ []int) { flip(t, path) }, StatusCorrupt, 1},
+		// What CLOGIDX-01 was: the same head and block table, then a
+		// channel and an etype table (empty here), under a valid CRC.
+		{"sidecar of the previous version", func(t *testing.T, path string, _ []int) {
+			side := SidecarPath(path)
+			data, err := os.ReadFile(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := append([]byte("CLOGIDX-01\x01\x00\x00\x00"), data[len(Magic)+4:len(data)-4]...)
+			old = restamp(append(old, make([]byte, 4+4+4)...))
+			if err := os.WriteFile(side, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := ProbeHeader(path); got != StatusCorrupt {
+				t.Errorf("ProbeHeader = %v, want corrupt", got)
+			}
+		}, StatusCorrupt, 1},
 		// Valid CRC, valid sums, but the last block the query selects
 		// holds one record fewer than its entry says: Load accepts it and
 		// ScanFile catches it after the earlier blocks were delivered.

@@ -9,14 +9,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/clog2"
 )
 
 // On-disk layout (all integers little-endian):
 //
-//	magic        10 bytes  "CLOGIDX-01"
+//	magic        10 bytes  "CLOGIDX-02"
 //	version      u32
 //	sourceSize   i64   ┐ generation stamp of the indexed log
 //	sourceMtime  i64   ┘ (UnixNano; 0,0 = unstamped, always stale)
@@ -25,21 +24,15 @@ import (
 //	nblocks      u32, then per block (64 bytes):
 //	  offset i64, length i64, rank i32, records i32, defs i32, msgs i32,
 //	  tmin f64, tmax f64, rankMin i32, rankMax i32, chanMin i32, chanMax i32
-//	nchannels    u32, then per channel (36 bytes):
-//	  chan i32, sends i64, recvs i64, sendBytes i64, recvBytes i64
-//	netypes      u32, then per etype (12 bytes):
-//	  etype i32, count i64
 //	crc32        u32 (IEEE, over every preceding byte)
 
 const (
 	blockEntrySize = 64
-	chanEntrySize  = 36
-	etypeEntrySize = 12
 	fixedHeadSize  = len(Magic) + 4 + 8 + 8 + 4 + 8
 )
 
 // Encode serialises the index. The byte form is deterministic for a
-// given Index (tables are kept sorted by Builder.Index).
+// given Index.
 func Encode(ix *Index) []byte {
 	return AppendEncode(nil, ix)
 }
@@ -48,8 +41,7 @@ func Encode(ix *Index) []byte {
 // when dst's capacity already fits (mpe's pooled emission reuses one
 // buffer across runs).
 func AppendEncode(dst []byte, ix *Index) []byte {
-	need := fixedHeadSize + 4 + len(ix.Blocks)*blockEntrySize +
-		4 + len(ix.Channels)*chanEntrySize + 4 + len(ix.Etypes)*etypeEntrySize + 4
+	need := fixedHeadSize + 4 + len(ix.Blocks)*blockEntrySize + 4
 	if cap(dst)-len(dst) < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
@@ -78,21 +70,6 @@ func AppendEncode(dst []byte, ix *Index) []byte {
 		dst = le32(dst, uint32(b.ChanMin))
 		dst = le32(dst, uint32(b.ChanMax))
 	}
-	dst = le32(dst, uint32(len(ix.Channels)))
-	for i := range ix.Channels {
-		c := &ix.Channels[i]
-		dst = le32(dst, uint32(c.Chan))
-		dst = le64(dst, uint64(c.Sends))
-		dst = le64(dst, uint64(c.Recvs))
-		dst = le64(dst, uint64(c.SendBytes))
-		dst = le64(dst, uint64(c.RecvBytes))
-	}
-	dst = le32(dst, uint32(len(ix.Etypes)))
-	for i := range ix.Etypes {
-		e := &ix.Etypes[i]
-		dst = le32(dst, uint32(e.Etype))
-		dst = le64(dst, uint64(e.Count))
-	}
 	dst = le32(dst, crc32.ChecksumIEEE(dst[base:]))
 	return dst
 }
@@ -111,7 +88,7 @@ func le64(dst []byte, v uint64) []byte {
 // ErrCorrupt, so consumers can treat "fails validation" as one
 // degradation case.
 func Decode(data []byte) (*Index, error) {
-	if len(data) < fixedHeadSize+3*4+4 {
+	if len(data) < fixedHeadSize+4+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any index", ErrCorrupt, len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
@@ -171,28 +148,6 @@ func Decode(data []byte) (*Index, error) {
 	}
 	if sum != ix.TotalRecords {
 		return nil, fmt.Errorf("%w: block records sum to %d, header says %d", ErrCorrupt, sum, ix.TotalRecords)
-	}
-	nchans := int(c.u32())
-	if c.err != nil || nchans < 0 || !c.fits(nchans, chanEntrySize) {
-		return nil, fmt.Errorf("%w: channel table overruns the file", ErrCorrupt)
-	}
-	ix.Channels = make([]ChannelCount, nchans)
-	for i := range ix.Channels {
-		cc := &ix.Channels[i]
-		cc.Chan = int32(c.u32())
-		cc.Sends = int64(c.u64())
-		cc.Recvs = int64(c.u64())
-		cc.SendBytes = int64(c.u64())
-		cc.RecvBytes = int64(c.u64())
-	}
-	netypes := int(c.u32())
-	if c.err != nil || netypes < 0 || !c.fits(netypes, etypeEntrySize) {
-		return nil, fmt.Errorf("%w: etype table overruns the file", ErrCorrupt)
-	}
-	ix.Etypes = make([]EtypeCount, netypes)
-	for i := range ix.Etypes {
-		ix.Etypes[i].Etype = int32(c.u32())
-		ix.Etypes[i].Count = int64(c.u64())
 	}
 	if c.err != nil {
 		return nil, fmt.Errorf("%w: truncated", ErrCorrupt)
@@ -530,12 +485,4 @@ func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) err
 		pos = bm.Offset + bm.Length
 	}
 	return nil
-}
-
-func sortChannels(cs []ChannelCount) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Chan < cs[j].Chan })
-}
-
-func sortEtypes(es []EtypeCount) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Etype < es[j].Etype })
 }

@@ -38,6 +38,10 @@ func runWorld(t *testing.T, n int, seed int64) ([]byte, *idx.Index) {
 			if i%4 == 0 {
 				l.Event(eid, "e")
 			}
+			if i%3 == 0 { // messages, so the channel fences are compared too
+				l.LogSend((r.ID()+1)%n, 10+i%5, 8*i)
+				l.LogRecv((r.ID()+n-1)%n, 10+i%7, 8*i)
+			}
 		}
 		if r.ID() == 0 {
 			got, err := l.FinishIndexed(&out)

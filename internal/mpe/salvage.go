@@ -19,23 +19,21 @@ import (
 // than surviving a polite abort: the fragments on disk after a SIGKILL
 // mid-write, a torn page, or bit-rot are exactly the evidence needed to
 // debug the death, so salvage must recover everything intact rather than
-// discarding from the first damaged byte. v2 fragments (framed,
-// checksummed segments) are scanned with resynchronization; v1 fragments
-// fall back to the lenient stream reader; a missing or damaged defs
-// table degrades to synthesized placeholder definitions instead of
-// failing the whole salvage.
+// discarding from the first damaged byte. A fragment (framed,
+// checksummed segments: the one spill format) is scanned once, with
+// resynchronization; a missing or damaged defs table degrades to
+// synthesized placeholder definitions instead of failing the whole
+// salvage.
 
-// RankSalvage is the per-rank damage accounting of one salvage run. For
-// v2 fragments the segment counts close exactly over the sequence-number
-// space: Recovered + Skipped + Missing == Written, where Written is the
-// lower bound maxSeq+1 established by the highest sequence number seen.
+// RankSalvage is the per-rank damage accounting of one salvage run. The
+// segment counts close exactly over the sequence-number space:
+// Recovered + Skipped + Missing == Written, where Written is the lower
+// bound maxSeq+1 established by the highest sequence number seen.
 type RankSalvage struct {
-	Rank   int
-	Path   string
-	Format int // clog2.SpillFormatV1/V2, or Unknown for unreadable data
+	Rank int
+	Path string
 
-	// SegmentsRecovered counts segments decoded into records (v1: blocks
-	// read by the lenient reader).
+	// SegmentsRecovered counts segments decoded into records.
 	SegmentsRecovered int
 	// SegmentsSkipped counts frames that validated (CRC) but could not
 	// be decoded — a writer bug or version skew, normally zero.
@@ -59,15 +57,15 @@ type RankSalvage struct {
 	// log.
 	Records int
 
-	// Note carries a human-readable problem ("unreadable: ...", "empty"),
-	// empty for a healthy fragment.
+	// Note says why a fragment held no segment to scan ("unreadable: ...",
+	// "empty", "unrecognized spill data"); empty otherwise.
 	Note string
 }
 
 // Damaged reports whether this rank's fragment shows any loss or damage.
 func (r *RankSalvage) Damaged() bool {
 	return r.SegmentsSkipped > 0 || r.SegmentsMissing > 0 ||
-		r.BytesQuarantined > 0 || r.Format == clog2.SpillFormatUnknown
+		r.BytesQuarantined > 0 || r.Note != ""
 }
 
 // SalvageReport is the full account of one salvage run.
@@ -116,8 +114,7 @@ func (rep *SalvageReport) RecoveryPct() float64 {
 }
 
 // Clean reports a full recovery: real defs, and no rank lost a segment
-// or quarantined a byte. (A v1 fragment without its end-log marker is
-// still clean — that is the normal shape of a write-through spill.)
+// or quarantined a byte.
 func (rep *SalvageReport) Clean() bool {
 	if rep.DefsSynthesized {
 		return false
@@ -152,12 +149,8 @@ func (rep *SalvageReport) String() string {
 	fmt.Fprintf(&b, "salvage report for %s: %s\n", rep.Prefix, rep.Summary())
 	for i := range rep.Ranks {
 		r := &rep.Ranks[i]
-		fmt.Fprintf(&b, "  rank %d (v%d): %d recovered", r.Rank, r.Format, r.SegmentsRecovered)
-		if r.Format == clog2.SpillFormatV2 {
-			fmt.Fprintf(&b, " / %d skipped / %d missing of %d written",
-				r.SegmentsSkipped, r.SegmentsMissing, r.SegmentsWritten)
-		}
-		fmt.Fprintf(&b, ", %d record(s)", r.Records)
+		fmt.Fprintf(&b, "  rank %d: %d recovered / %d skipped / %d missing of %d written, %d record(s)",
+			r.Rank, r.SegmentsRecovered, r.SegmentsSkipped, r.SegmentsMissing, r.SegmentsWritten, r.Records)
 		if r.BytesQuarantined > 0 {
 			fmt.Fprintf(&b, ", %d byte(s) quarantined in %d region(s)", r.BytesQuarantined, r.DamagedRegions)
 		}
@@ -225,89 +218,54 @@ func salvageFragment(rank int, path string, data []byte) ([]clog2.Record, RankSa
 		rs.Note = "empty"
 		return nil, rs
 	}
-	switch clog2.DetectSpillFormat(data) {
-	case clog2.SpillFormatV1:
-		rs.Format = clog2.SpillFormatV1
-		frag, complete, err := clog2.ReadLenient(bytes.NewReader(data))
-		if err != nil {
-			rs.Format = clog2.SpillFormatUnknown
-			rs.BytesQuarantined = int64(len(data))
-			rs.DamagedRegions = 1
-			rs.TailTorn = true
-			rs.Note = "unreadable: " + err.Error()
-			return nil, rs
-		}
-		var recs []clog2.Record
-		for _, b := range frag.Blocks {
-			recs = append(recs, b.Records...)
-		}
-		rs.SegmentsRecovered = len(frag.Blocks)
-		rs.TailTorn = !complete
-		rs.Records = len(recs)
-		return recs, rs
-
-	case clog2.SpillFormatV2:
-		rs.Format = clog2.SpillFormatV2
-		segs, stats := clog2.ScanSegments(data)
-		rs.BytesQuarantined = stats.BytesQuarantined
-		rs.DamagedRegions = stats.DamagedRegions
-		rs.TailTorn = stats.TailTorn
-		var recs []clog2.Record
-		seen := make(map[uint64]bool, len(segs))
-		maxSeq := int64(-1)
-		for _, seg := range segs {
-			if seen[seg.Seq] {
-				continue // duplicate frame; first occurrence won
-			}
-			seen[seg.Seq] = true
-			if int64(seg.Seq) > maxSeq {
-				maxSeq = int64(seg.Seq)
-			}
-			block, err := clog2.DecodeBlockPayload(seg.Payload)
-			if err != nil || int(seg.Rank) != rank || int(block.Rank) != rank {
-				rs.SegmentsSkipped++
-				continue
-			}
-			rs.SegmentsRecovered++
-			recs = append(recs, block.Records...)
-		}
-		rs.SegmentsWritten = maxSeq + 1
-		rs.SegmentsMissing = int(rs.SegmentsWritten) - rs.SegmentsRecovered - rs.SegmentsSkipped
-		rs.Records = len(recs)
-		return recs, rs
-
-	default:
-		rs.Format = clog2.SpillFormatUnknown
-		rs.BytesQuarantined = int64(len(data))
-		rs.DamagedRegions = 1
-		rs.TailTorn = true
+	segs, stats := clog2.ScanSegments(data)
+	rs.BytesQuarantined = stats.BytesQuarantined
+	rs.DamagedRegions = stats.DamagedRegions
+	rs.TailTorn = stats.TailTorn
+	if len(segs) == 0 {
+		// The scan has quarantined the whole fragment as one torn region.
 		rs.Note = "unrecognized spill data"
 		return nil, rs
 	}
+	var recs []clog2.Record
+	seen := make(map[uint64]bool, len(segs))
+	maxSeq := int64(-1)
+	for _, seg := range segs {
+		if seen[seg.Seq] {
+			continue // duplicate frame; first occurrence won
+		}
+		seen[seg.Seq] = true
+		if int64(seg.Seq) > maxSeq {
+			maxSeq = int64(seg.Seq)
+		}
+		block, err := clog2.DecodeBlockPayload(seg.Payload)
+		if err != nil || int(seg.Rank) != rank || int(block.Rank) != rank {
+			rs.SegmentsSkipped++
+			continue
+		}
+		rs.SegmentsRecovered++
+		recs = append(recs, block.Records...)
+	}
+	rs.SegmentsWritten = maxSeq + 1
+	rs.SegmentsMissing = int(rs.SegmentsWritten) - rs.SegmentsRecovered - rs.SegmentsSkipped
+	rs.Records = len(recs)
+	return recs, rs
 }
 
-// loadSpillDefs reads the defs spill, in either format. It returns the
-// definition records and the world size the defs file recorded; a
-// missing or damaged file returns no records and a warning note.
+// loadSpillDefs reads the defs spill: one segment whose payload is a
+// whole CLOG-2 stream. It returns the definition records and the world
+// size the defs file recorded; a missing or damaged file returns no
+// records and a warning note.
 func loadSpillDefs(prefix string) (defs []clog2.Record, numRanks int, note string) {
 	data, err := os.ReadFile(spillDefsPath(prefix))
 	if err != nil {
 		return nil, 0, "defs spill unreadable: " + err.Error()
 	}
-	var inner []byte
-	switch clog2.DetectSpillFormat(data) {
-	case clog2.SpillFormatV1:
-		inner = data
-	case clog2.SpillFormatV2:
-		segs, _ := clog2.ScanSegments(data)
-		if len(segs) == 0 {
-			return nil, 0, "defs spill damaged: no intact segment"
-		}
-		inner = segs[0].Payload
-	default:
+	segs, _ := clog2.ScanSegments(data)
+	if len(segs) == 0 {
 		return nil, 0, "defs spill damaged: unrecognized data"
 	}
-	f, _, err := clog2.ReadLenient(bytes.NewReader(inner))
+	f, _, err := clog2.ReadLenient(bytes.NewReader(segs[0].Payload))
 	if err != nil {
 		return nil, 0, "defs spill damaged: " + err.Error()
 	}
@@ -371,11 +329,9 @@ func synthesizeDefs(perRank map[int][]clog2.Record) []clog2.Record {
 // SalvageWithReport merges the spill fragments of a dead run into one
 // complete CLOG-2 file written to out, and reports exactly what was
 // recovered, skipped and lost. Fragments are discovered by globbing, so
-// no rank is out of range; v1 and v2 fragments may be mixed (an old
-// run's leftovers next to a new run's); a missing or damaged defs spill
-// degrades to synthesized definitions with a warning instead of an
-// error. The spill files are left in place; callers delete them once
-// satisfied.
+// no rank is out of range; a missing or damaged defs spill degrades to
+// synthesized definitions with a warning instead of an error. The spill
+// files are left in place; callers delete them once satisfied.
 //
 // The error is non-nil only when nothing at all could be salvaged or the
 // output could not be written.
@@ -456,22 +412,9 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 	return rep, w.Close()
 }
 
-// Salvage merges the spill fragments of an aborted run into one complete
-// CLOG-2 file at out and reports how many ranks contributed. It is the
-// report-free form of SalvageWithReport.
-func Salvage(prefix string, out *os.File) (ranks int, err error) {
-	rep, err := SalvageWithReport(prefix, out)
-	if err != nil {
-		return 0, err
-	}
-	return rep.RanksRecovered, nil
-}
-
 // RemoveSpills deletes every spill file of the prefix family. Fragments
-// are discovered by globbing; the numRanks argument is kept for
-// compatibility and ignored.
-func RemoveSpills(prefix string, numRanks int) {
-	_ = numRanks
+// are discovered by globbing.
+func RemoveSpills(prefix string) {
 	os.Remove(spillDefsPath(prefix))
 	for _, frag := range FindSpillFragments(prefix) {
 		os.Remove(frag.Path)

@@ -65,7 +65,7 @@ func FuzzSalvageFragment(f *testing.F) {
 			if r.Rank != 1 && (r.SegmentsMissing > 0 || r.SegmentsSkipped > 0 || r.BytesQuarantined > 0) {
 				t.Fatalf("fuzzed rank 1 fragment damaged rank %d: %+v", r.Rank, r)
 			}
-			if r.Rank == 1 && r.Format == clog2.SpillFormatV2 &&
+			if r.Rank == 1 &&
 				int64(r.SegmentsRecovered+r.SegmentsSkipped+r.SegmentsMissing) != r.SegmentsWritten {
 				t.Fatalf("accounting open on fuzzed fragment: %+v", r)
 			}

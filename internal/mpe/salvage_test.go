@@ -2,6 +2,7 @@ package mpe_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,49 +42,6 @@ func abortedRun(t testing.TB, prefix string) *mpe.Group {
 	return g
 }
 
-// rewriteAsV1 turns the spill family an abortedRun left into what a run
-// before v2 would have left: each rank fragment a raw CLOG-2 stream from
-// clog2.NewWriter, one flushed block per write and no end-log marker
-// (the abort), the defs file the bare miniature CLOG-2 file.
-func rewriteAsV1(t testing.TB, prefix string) {
-	t.Helper()
-	for _, fr := range mpe.FindSpillFragments(prefix) {
-		data, err := os.ReadFile(fr.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs, stats := clog2.ScanSegments(data)
-		if !stats.Clean() {
-			t.Fatalf("%s scans dirty: %+v", fr.Path, stats)
-		}
-		v1 := clog2.AppendHeader(nil, 3)
-		for _, seg := range segs {
-			b, err := clog2.DecodeBlockPayload(seg.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v1, err = clog2.AppendBlock(v1, b.Rank, b.Records); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(fr.Path, v1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defsPath := prefix + ".defs.spill"
-	data, err := os.ReadFile(defsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := clog2.ScanSegments(data)
-	if len(segs) != 1 {
-		t.Fatalf("defs spill holds %d segments, want 1", len(segs))
-	}
-	if err := os.WriteFile(defsPath, segs[0].Payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func salvageToFile(t testing.TB, prefix string) (*mpe.SalvageReport, []byte) {
 	t.Helper()
 	var out bytes.Buffer
@@ -106,7 +64,7 @@ func TestSalvageReportCleanRun(t *testing.T) {
 	}
 	for _, r := range rep.Ranks {
 		wantSegs := 2*(r.Rank+2) + 1
-		if r.Format != clog2.SpillFormatV2 || r.SegmentsRecovered != wantSegs ||
+		if r.Note != "" || r.SegmentsRecovered != wantSegs ||
 			r.SegmentsMissing != 0 || r.SegmentsSkipped != 0 ||
 			r.SegmentsWritten != int64(wantSegs) || r.BytesQuarantined != 0 {
 			t.Fatalf("rank %d accounting: %+v", r.Rank, r)
@@ -246,29 +204,65 @@ func TestSalvageDamagedDefs(t *testing.T) {
 	}
 }
 
-// Legacy v1 fragments (raw CLOG-2 streams) still salvage through the
-// version-detecting path.
-func TestSalvageLegacyV1(t *testing.T) {
+// A raw CLOG-2 stream is what the first spill format was; nothing has
+// written one since the segment format replaced it, and salvage no longer
+// reads it. Such a fragment is one rank's loss, accounted like any other
+// unrecognized data (whole length quarantined, one region, tail torn):
+// the other ranks salvage and the merged log still converts. An empty
+// fragment next to it keeps its own accounting.
+func TestSalvageRawStreamFragment(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
 	abortedRun(t, prefix)
-	rewriteAsV1(t, prefix)
+	raw := clog2.AppendHeader(nil, 3)
+	for i, at := range []float64{1, 2} {
+		rec := clog2.Record{Type: clog2.RecBareEvt, Rank: 1, Time: at, ID: int32(i)}
+		var err error
+		if raw, err = clog2.AppendBlock(raw, 1, []clog2.Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := clog2.ReadLenient(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("the fragment is not the raw stream it is meant to be: %v", err)
+	}
+	if err := os.WriteFile(prefix+".rank1.spill", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prefix+".rank7.spill", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	rep, merged := salvageToFile(t, prefix)
-	if rep.RanksRecovered != 3 {
-		t.Fatalf("salvaged %d ranks, want 3", rep.RanksRecovered)
+	if rep.RanksRecovered != 2 || rep.Clean() {
+		t.Fatalf("salvaged %d ranks (clean %v), want 2 and not clean:\n%s", rep.RanksRecovered, rep.Clean(), rep)
 	}
 	for _, r := range rep.Ranks {
-		if r.Format != clog2.SpillFormatV1 {
-			t.Fatalf("rank %d detected as format %d", r.Rank, r.Format)
+		want := mpe.RankSalvage{Rank: r.Rank, Path: r.Path}
+		switch r.Rank {
+		case 1:
+			want.Note = "unrecognized spill data"
+			want.BytesQuarantined, want.DamagedRegions, want.TailTorn = int64(len(raw)), 1, true
+		case 7:
+			want.Note = "empty"
+		default:
+			n := 2*(r.Rank+2) + 1
+			want.SegmentsRecovered, want.SegmentsWritten, want.Records = n, int64(n), n
 		}
-		if want := 2*(r.Rank+2) + 1; r.Records != want || !r.TailTorn {
-			t.Fatalf("rank %d: %d record(s), tail torn %v; want %d from an unterminated stream", r.Rank, r.Records, r.TailTorn, want)
-		}
-		if r.Damaged() {
-			t.Fatalf("clean v1 fragment reported damaged: %+v", r)
+		if r != want || r.Damaged() != (want.Note != "") {
+			t.Errorf("rank %d: %+v (damaged %v), want %+v", r.Rank, r, r.Damaged(), want)
 		}
 	}
-	if _, err := clog2.Read(bytes.NewReader(merged)); err != nil {
+	if want := "rank 1: 0 recovered / 0 skipped / 0 missing of 0 written, 0 record(s), " +
+		fmt.Sprint(len(raw)) + " byte(s) quarantined in 1 region(s), tail torn (unrecognized spill data)"; !strings.Contains(rep.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, rep)
+	}
+	if got := rep.RecoveryPct(); got != 100 {
+		t.Errorf("RecoveryPct = %v, want 100: no segment of the surviving ranks was lost", got)
+	}
+	f, err := clog2.Read(bytes.NewReader(merged))
+	if err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
+	}
+	if _, srep, err := slog2.Convert(f, slog2.ConvertOptions{}); err != nil || srep.States != 2+4 {
+		t.Fatalf("converted %+v, err %v; want the 2+4 states of ranks 0 and 2", srep, err)
 	}
 }
 
@@ -342,7 +336,7 @@ func TestSalvageGarbageFragment(t *testing.T) {
 			r2 = &rep.Ranks[i]
 		}
 	}
-	if r2 == nil || r2.Format != clog2.SpillFormatUnknown || r2.BytesQuarantined != 300 {
+	if r2 == nil || r2.Note != "unrecognized spill data" || r2.BytesQuarantined != 300 {
 		t.Fatalf("garbage fragment accounting: %+v", r2)
 	}
 	if rep.Clean() {

@@ -13,18 +13,16 @@ import (
 // enabled, every rank writes each record through to a per-rank spill file
 // as it is logged (the same write-per-entry discipline that makes the
 // native log abort-proof). A clean Finish removes the spill files; after
-// an abort, Salvage merges the surviving fragments into a complete CLOG-2
-// file.
+// an abort, SalvageWithReport merges the surviving fragments into a
+// complete CLOG-2 file.
 //
-// One spill format is written, v2: each write is one self-synchronizing
+// There is one spill format: each write is one self-synchronizing
 // segment — magic marker, version, rank, per-rank sequence number, payload
 // length and a CRC-32C over header+payload, wrapping the bare CLOG-2 block
 // encoding (see clog2/segment.go). One corrupted byte costs at most the
 // segment holding it; salvage resynchronizes on the next marker and
-// detects interior losses via sequence gaps. Salvage also reads v1, the
-// raw CLOG-2 stream that runs before v2 left behind: it survives clean
-// truncation via clog2.ReadLenient, but a torn write or flipped byte
-// mid-file silently discards everything after it.
+// detects interior losses via sequence gaps. Anything else in a fragment,
+// a raw CLOG-2 stream included, is quarantined as unrecognized.
 //
 // Caveat inherited from the design: records in spill files carry raw,
 // unsynchronised per-rank clocks, because MPE_Log_sync_clocks runs during

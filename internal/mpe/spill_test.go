@@ -48,46 +48,16 @@ func TestSpillWritesThrough(t *testing.T) {
 	}
 
 	// The spill is already on disk, before any Finish — and it is a clean
-	// v2 segment stream.
+	// segment stream.
 	data, err := os.ReadFile(prefix + ".rank1.spill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clog2.DetectSpillFormat(data); got != clog2.SpillFormatV2 {
-		t.Fatalf("spill format = %d, want v2", got)
-	}
-	if _, stats := clog2.ScanSegments(data); !stats.Clean() {
-		t.Fatalf("open spill scans dirty: %+v", stats)
+	if segs, stats := clog2.ScanSegments(data); len(segs) == 0 || !stats.Clean() {
+		t.Fatalf("open spill scans as %d segment(s), %+v", len(segs), stats)
 	}
 	if n := len(readV2Fragment(t, prefix+".rank1.spill")); n != 2 {
 		t.Fatalf("spill has %d records, want 2", n)
-	}
-}
-
-// A v1 fragment is a raw CLOG-2 stream, a file header and then blocks: a
-// run before v2 flushed one block per record and an abort left the
-// stream without its end-log marker. Nothing writes one any more;
-// salvage still has to read it, whole and torn mid-record.
-func TestSpillFormatV1Legacy(t *testing.T) {
-	data := clog2.AppendHeader(nil, 2)
-	for i, etype := range []int32{startEtype(1), endEtype(1)} {
-		rec := clog2.Record{Type: clog2.RecBareEvt, Rank: 1, Time: float64(i), ID: etype}
-		var err error
-		if data, err = clog2.AppendBlock(data, 1, []clog2.Record{rec}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := clog2.DetectSpillFormat(data); got != clog2.SpillFormatV1 {
-		t.Fatalf("raw stream detected as format %d", got)
-	}
-	recs, rs := salvageFragment(1, "run.clog2.rank1.spill", data)
-	if rs.Format != clog2.SpillFormatV1 || len(recs) != 2 || rs.Records != 2 || !rs.TailTorn || rs.Damaged() {
-		t.Fatalf("open v1 fragment salvaged as %+v with %d record(s)", rs, len(recs))
-	}
-	// Torn inside the second block: the first survives.
-	recs, rs = salvageFragment(1, "run.clog2.rank1.spill", data[:len(data)-5])
-	if len(recs) != 1 || recs[0].ID != startEtype(1) || !rs.TailTorn {
-		t.Fatalf("torn v1 fragment salvaged as %+v with %d record(s)", rs, len(recs))
 	}
 }
 
@@ -116,13 +86,13 @@ func TestSalvageMergesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks, err := Salvage(prefix, out)
+	rep, err := SalvageWithReport(prefix, out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Close()
-	if ranks != 3 {
-		t.Fatalf("salvaged %d ranks, want 3", ranks)
+	if rep.RanksRecovered != 3 {
+		t.Fatalf("salvaged %d ranks, want 3", rep.RanksRecovered)
 	}
 	data, err := os.ReadFile(outPath)
 	if err != nil {
@@ -159,7 +129,7 @@ func TestSalvageNothingToSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	if _, err := Salvage(prefix, out); err == nil {
+	if _, err := SalvageWithReport(prefix, out); err == nil {
 		t.Fatal("salvage with nothing on disk succeeded")
 	}
 }
@@ -207,7 +177,7 @@ func TestRemoveSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	RemoveSpills(prefix, 2)
+	RemoveSpills(prefix)
 	for _, p := range []string{spillDefsPath(prefix), spillRankPath(prefix, 0), spillRankPath(prefix, 1)} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s not removed", p)

@@ -125,8 +125,19 @@ func TestCorruptTraceAnswersHTTPError(t *testing.T) {
 		"00000000\x00\x00\x00\x00\x00\x00\x00\x00\x00")) // fuzz-found shape: header only, no root
 	writeTrace("empty", nil)
 	writeTrace("ok", good)
+	// Half-overwritten and concatenated files decode to their root frame
+	// and go on; a file of the previous version is refused by name.
+	writeTrace("trailing", append(append([]byte(nil), good...), "garbage"...))
+	writeTrace("twice", append(append([]byte(nil), good...), good...))
+	writeTrace("previous", append([]byte("SLOG-R0206"), good[len(slog2.Magic):]...))
 
 	_, ts := newTestServer(t, dir)
+	for id, want := range map[string]string{"trailing": "trailing bytes", "twice": "trailing bytes", "previous": "clog2slog"} {
+		resp, body := get(t, ts.URL+"/trace/"+id+"/tile", nil)
+		if resp.StatusCode != 422 || !strings.Contains(string(body), want) {
+			t.Errorf("%s/tile: status %d %q, want 422 naming %q", id, resp.StatusCode, body, want)
+		}
+	}
 	for _, id := range []string{"garbage", "truncated", "rootless", "empty"} {
 		for _, ep := range []string{"/tile", "/legend", ""} {
 			resp, _ := get(t, ts.URL+"/trace/"+id+ep, nil)

@@ -509,7 +509,6 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 	fb := newFrameBuilder(capacity, workers)
 	f.Root = fb.build(minT, maxT, withScratch(states), withScratch(arrows), withScratch(events), 0)
 	fb.wait()
-	computePreviews(f.Root)
 
 	rep.States = len(states)
 	rep.Arrows = len(arrows)
@@ -726,31 +725,4 @@ func (fb *frameBuilder) build(start, end float64, states span[State], arrows spa
 		fr.Right = fb.build(mid, end, rStates, rArrows, rEvents, depth+1)
 	}
 	return fr
-}
-
-// computePreviews fills each frame's per-rank, per-category state-time
-// summary from its subtree (exact, bottom-up).
-func computePreviews(fr *Frame) map[int]map[int]float64 {
-	if fr == nil {
-		return nil
-	}
-	p := map[int]map[int]float64{}
-	add := func(rank, cat int, d float64) {
-		if p[rank] == nil {
-			p[rank] = map[int]float64{}
-		}
-		p[rank][cat] += d
-	}
-	for _, s := range fr.States {
-		add(s.Rank, s.Cat, s.Duration())
-	}
-	for _, child := range []map[int]map[int]float64{computePreviews(fr.Left), computePreviews(fr.Right)} {
-		for rank, cats := range child {
-			for cat, d := range cats {
-				add(rank, cat, d)
-			}
-		}
-	}
-	fr.Preview = p
-	return p
 }

@@ -22,6 +22,12 @@ func FuzzReadSLOG2(f *testing.F) {
 	}
 	f.Add([]byte(Magic))
 	f.Add([]byte(Magic + "\x01\x00\x00\x00"))
+	// A whole file, then one byte more.
+	var whole bytes.Buffer
+	if err := Write(&whole, &File{Root: &Frame{}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(whole.Bytes(), 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := Read(bytes.NewReader(data))
 		if err != nil {

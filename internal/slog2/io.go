@@ -8,13 +8,18 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/clog2"
 )
 
 // Magic begins every SLOG-2 file; the digits are this format's version.
-const Magic = "SLOG-R0206"
+// previousMagic files stored a per-frame preview table nothing read; Read
+// refuses them by name instead of keeping a second decoder, because an
+// SLOG-2 is always regenerable from its CLOG-2.
+const (
+	Magic         = "SLOG-R0207"
+	previousMagic = "SLOG-R0206"
+)
 
 // maxFrameDepth bounds the frame-tree recursion while decoding. The
 // converter builds a height-balanced tree (depth ~ log2(drawables /
@@ -102,6 +107,9 @@ func Read(r io.Reader) (*File, error) {
 	if _, err := io.ReadFull(d.r, magic); err != nil {
 		return nil, fmt.Errorf("slog2: reading magic: %w", err)
 	}
+	if string(magic) == previousMagic {
+		return nil, fmt.Errorf("slog2: %s file, this version reads %s: rebuild it with `clog2slog <run>.clog2`", previousMagic, Magic)
+	}
 	if string(magic) != Magic {
 		return nil, fmt.Errorf("slog2: bad magic %q (not an SLOG-2 file?)", magic)
 	}
@@ -143,6 +151,12 @@ func Read(r io.Reader) (*File, error) {
 	// root-less stream can only be hand-crafted: reject it for symmetry.
 	if f.Root == nil {
 		return nil, fmt.Errorf("slog2: file has no root frame")
+	}
+	// A half-overwritten or concatenated file is not a clean one.
+	if _, err := d.r.ReadByte(); err == nil {
+		return nil, fmt.Errorf("slog2: trailing bytes after the root frame")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("slog2: reading past the root frame: %w", err)
 	}
 	return f, nil
 }
@@ -237,26 +251,6 @@ func (e *encoder) frame(fr *Frame) {
 		e.i32(int32(ev.Cat))
 		e.f64(ev.Time)
 		e.str(ev.Cargo)
-	}
-	// Preview in deterministic (rank, cat) order.
-	ranks := make([]int, 0, len(fr.Preview))
-	for rank := range fr.Preview {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
-	e.i32(int32(len(ranks)))
-	for _, rank := range ranks {
-		cats := make([]int, 0, len(fr.Preview[rank]))
-		for cat := range fr.Preview[rank] {
-			cats = append(cats, cat)
-		}
-		sort.Ints(cats)
-		e.i32(int32(rank))
-		e.i32(int32(len(cats)))
-		for _, cat := range cats {
-			e.i32(int32(cat))
-			e.f64(fr.Preview[rank][cat])
-		}
 	}
 	e.frame(fr.Left)
 	e.frame(fr.Right)
@@ -405,20 +399,6 @@ func (d *decoder) frame(depth int) *Frame {
 		ev.Time = d.f64()
 		ev.Cargo = d.str()
 		fr.Events = append(fr.Events, ev)
-	}
-	nr := d.count(1 << 24)
-	if nr > 0 {
-		fr.Preview = map[int]map[int]float64{}
-	}
-	for i := int32(0); i < nr && d.err == nil; i++ {
-		rank := d.rank()
-		nc := d.count(1 << 20)
-		m := map[int]float64{}
-		for j := int32(0); j < nc && d.err == nil; j++ {
-			cat := d.cat()
-			m[cat] = d.f64()
-		}
-		fr.Preview[rank] = m
 	}
 	fr.Left = d.frame(depth + 1)
 	fr.Right = d.frame(depth + 1)

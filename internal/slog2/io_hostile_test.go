@@ -79,6 +79,64 @@ func TestReadRejectsOutOfRangeIndices(t *testing.T) {
 	}
 }
 
+// A file that decodes to its root frame and then goes on is a
+// half-overwritten or concatenated one: Read used to serve it as clean.
+// A file of the previous version is refused at the magic with the
+// command that rebuilds it.
+func TestReadRefusesTrailingBytesAndPreviousVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, smallFile(t)); err != nil {
+		t.Fatal(err)
+	}
+	small := buf.Bytes()
+	lab2, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "lab2.slog2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSeed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadSLOG2", "7126b1c645bb9e82"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"garbage appended", join(lab2, []byte("garbage")), "trailing bytes"},
+		{"one absent-frame byte appended", join(small, []byte{0}), "trailing bytes"},
+		{"two files concatenated", join(small, lab2), "trailing bytes"},
+		{"the same file twice", join(lab2, lab2), "trailing bytes"},
+		{"previous version", join([]byte(previousMagic), small[len(Magic):]), "clog2slog"},
+		{"previous version, committed fuzz seed", oldSeed[bytes.Index(oldSeed, []byte(previousMagic)):], "clog2slog"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(c.data))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one naming %q", err, c.want)
+			}
+		})
+	}
+	// Control: the clean files decode, and encode back to the same bytes.
+	clean := map[string][]byte{"small": small, "lab2": lab2}
+	for _, name := range []string{"thumbnail", "collisions"} {
+		if clean[name], err = os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".slog2")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range clean {
+		f, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("control %s: %v", name, err)
+		}
+		var back bytes.Buffer
+		if err := Write(&back, f); err != nil || !bytes.Equal(back.Bytes(), data) {
+			t.Errorf("control %s: Write(Read(x)) != x (err %v)", name, err)
+		}
+	}
+}
+
 // A crafted left-spine chain of frames must be rejected before it can
 // exhaust the stack; a plausibly deep (but bounded) tree still parses.
 func TestReadRejectsExcessiveFrameDepth(t *testing.T) {

@@ -6,9 +6,9 @@
 // symptom of limited MPI_Wtime resolution), and organises everything into
 // a binary bounding-box tree of frames whose capacity — the "frame size"
 // conversion parameter — controls how much data a viewer touches at any
-// zoom level. Internal tree nodes carry preview summaries: per-rank,
-// per-category time fractions, which Jumpshot renders as the striped
-// rectangles seen in zoomed-out views.
+// zoom level. A file stores drawables and nothing derived from them: the
+// striped rectangles of zoomed-out views are computed by the renderer
+// from the states under its viewport.
 package slog2
 
 import (
@@ -76,11 +76,8 @@ type Frame struct {
 	States     []State
 	Arrows     []Arrow
 	Events     []Event
-	// Preview summarises the whole subtree: Preview[rank][cat] is the total
-	// state time of that category on that rank within this frame's subtree.
-	Preview map[int]map[int]float64
-	Left    *Frame
-	Right   *Frame
+	Left       *Frame
+	Right      *Frame
 }
 
 // leaf reports whether the frame has no children.
@@ -243,9 +240,8 @@ func (f *File) Depth() int {
 }
 
 // CheckInvariants verifies structural soundness: every drawable fully
-// inside its frame's interval, children inside parents, previews
-// consistent with subtree contents. Tests and the converter's self-check
-// use it; a well-behaved producer never trips it.
+// inside its frame's interval, children inside parents. Tests call it;
+// a well-behaved producer never trips it.
 func (f *File) CheckInvariants() error {
 	if f.Root == nil {
 		return fmt.Errorf("slog2: nil root frame")
@@ -296,34 +292,6 @@ func (f *File) CheckInvariants() error {
 			}
 			if err := rec(child); err != nil {
 				return err
-			}
-		}
-		// Preview equals subtree state time per (rank, cat).
-		want := map[int]map[int]float64{}
-		var sum func(x *Frame)
-		sum = func(x *Frame) {
-			if x == nil {
-				return
-			}
-			for _, s := range x.States {
-				if want[s.Rank] == nil {
-					want[s.Rank] = map[int]float64{}
-				}
-				want[s.Rank][s.Cat] += s.Duration()
-			}
-			sum(x.Left)
-			sum(x.Right)
-		}
-		sum(fr)
-		for rank, cats := range want {
-			for cat, d := range cats {
-				got := 0.0
-				if fr.Preview[rank] != nil {
-					got = fr.Preview[rank][cat]
-				}
-				if diff := got - d; diff > 1e-6 || diff < -1e-6 {
-					return fmt.Errorf("slog2: preview[%d][%d] = %v, subtree has %v", rank, cat, got, d)
-				}
 			}
 		}
 		return nil

@@ -339,28 +339,6 @@ func TestFrameCapacityControlsDepth(t *testing.T) {
 	}
 }
 
-func TestPreviewFractions(t *testing.T) {
-	b := newCLOG(1)
-	b.defState(1, "Compute", "gray")
-	b.defState(2, "PI_Read", "red")
-	// 8 s of compute, 2 s of read within [0,10].
-	b.state(0, 1, 0, 8, "")
-	b.state(0, 2, 8, 10, "")
-	f, _, err := Convert(b.file(), ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := f.Root
-	comp := f.CategoryIndex("Compute")
-	read := f.CategoryIndex("PI_Read")
-	if got := root.Preview[0][comp]; got != 8 {
-		t.Fatalf("compute preview = %v", got)
-	}
-	if got := root.Preview[0][read]; got != 2 {
-		t.Fatalf("read preview = %v", got)
-	}
-}
-
 func TestConvertEmptyLog(t *testing.T) {
 	b := newCLOG(2)
 	b.defState(1, "S", "red")

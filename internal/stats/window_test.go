@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -164,6 +166,21 @@ func TestWindowedDegradation(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(side, data[:len(data)*2/3], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// What CLOGIDX-01 was: the same head and block table, then a
+		// channel and an etype table (empty here), under a valid CRC.
+		{"previous version", func(t *testing.T, p string) {
+			side := idx.SidecarPath(p)
+			data, err := os.ReadFile(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := append([]byte("CLOGIDX-01\x01\x00\x00\x00"), data[len(idx.Magic)+4:len(data)-4]...)
+			old = append(old, make([]byte, 4+4)...)
+			old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+			if err := os.WriteFile(side, old, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
