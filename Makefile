@@ -112,7 +112,9 @@ lines:
 # (MB/s, next to the scan's) and the sequential converter (B/op) on a
 # 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000 state
 # pairs, and 2 of 100 000: a rank's block in megabytes) and the record
-# encoder under it; what a pilot-serve tile-cache miss costs (render +
+# encoder under it; the SLOG-2 codec both ways on a synthesized file of
+# 200 000 drawables with cargo (MB/s, allocs/op: one to write, under four
+# a frame to read); what a pilot-serve tile-cache miss costs (render +
 # ETag + gzip, MB/s and B/op); and the three rows bench/ does not measure
 # yet: a state pair written through to the spill, one live-metrics
 # observation with the collector on and off, and a raw round trip per rank
@@ -121,6 +123,7 @@ lines:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem ./internal/clog2/
+	$(GO) test -run '^$$' -bench 'BenchmarkWrite|BenchmarkRead' -benchmem ./internal/slog2/
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem ./internal/mpe/
 	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem ./internal/stats/

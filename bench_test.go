@@ -559,24 +559,6 @@ func BenchmarkCollisionsParse(b *testing.B) {
 	}
 }
 
-func BenchmarkSLOG2WriteRead(b *testing.B) {
-	clog := fig1CLOG(b)
-	f, _, err := vis.ConvertFile(clog, vis.ConvertOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := slog2.Write(&buf, f); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := slog2.Read(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestExperimentsSmall runs the full experiment suite at a reduced scale:
 // the regression test that every table and figure still regenerates.
 func TestExperimentsSmall(t *testing.T) {

@@ -521,14 +521,21 @@ func TestAnalyzeDecodesTheLogOnce(t *testing.T) {
 	if rep.Records != 400 || rep.ProfileSource != "computed" {
 		t.Fatalf("report %+v", rep)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := AnalyzeBytes(data, Options{}); err != nil {
-		t.Fatal(err)
+	// The walk's 576 KiB run buffer comes from a sync.Pool, which may miss
+	// (it is per P, and under the race detector drops a Put in four): the
+	// least of a few calls is what the call itself allocates.
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 20 && least >= 2*64<<10; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := AnalyzeBytes(data, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*64<<10 {
-		t.Fatalf("AnalyzeBytes allocated %d bytes: room for two decoder buffers", got)
+	if least >= 2*64<<10 {
+		t.Fatalf("AnalyzeBytes allocated %d bytes: room for two decoder buffers", least)
 	}
 }
 

@@ -276,7 +276,7 @@ func TestWriterErrorIsSticky(t *testing.T) {
 
 // runCaps are the buffers the run contract is checked at: Each's pooled
 // one (0), and NextRun's own around a record and around a run.
-var runCaps = []int{0, 1, 2, runRecords - 1, runRecords, runRecords + 1}
+var runCaps = []int{0, 1, 2, RunRecords - 1, RunRecords, RunRecords + 1}
 
 // drainRuns reassembles blocks from the runs NextRun decodes into a buffer
 // of the given capacity (0: from the runs Each hands out) and checks the
@@ -306,7 +306,7 @@ func drainRuns(t testing.TB, br *BlockReader, capacity int) (blocks []Block, bou
 		open = end == 0
 	}
 	if capacity == 0 {
-		err = br.Each(func(run Block) error { take(run, runRecords); return nil })
+		err = br.Each(func(run Block) error { take(run, RunRecords); return nil })
 	} else {
 		buf := make([]Record, 3, capacity+3)[3:] // the buffer need not start its array
 		for err == nil {
@@ -336,7 +336,7 @@ func drainRuns(t testing.TB, br *BlockReader, capacity int) (blocks []Block, bou
 // in runs: on blocks of every size around the run length, at every
 // capacity in runCaps, from every kind of source.
 func TestEachRunsAreNextsBlocks(t *testing.T) {
-	sizes := []int{0, 1, runRecords - 1, runRecords, runRecords + 1, 3*runRecords + 1, 0, 2 * runRecords}
+	sizes := []int{0, 1, RunRecords - 1, RunRecords, RunRecords + 1, 3*RunRecords + 1, 0, 2 * RunRecords}
 	var file bytes.Buffer
 	w, err := NewWriter(&file, len(sizes))
 	if err != nil {

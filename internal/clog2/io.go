@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
+	"os"
 	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -231,6 +234,34 @@ func appendStrs(dst, out []byte, strs ...string) ([]byte, error) {
 	return out, nil
 }
 
+// WriteFileAtomic writes the file at path through fill. The bytes land in
+// a temporary file beside it that is renamed over path only once fill and
+// Close have succeeded, so a failure midway (full disk, crash) leaves path
+// as it was and no torn file where a reader would pick one up. The
+// temporary file is made the way os.Create makes the log it sits beside,
+// 0666 under the umask: os.CreateTemp's 0600 left a registered trace
+// unreadable to a server under another account.
+func WriteFileAtomic(path string, fill func(io.Writer) error) (err error) {
+	name := path + ".tmp-" + strconv.FormatUint(rand.Uint64(), 36)
+	tmp, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(name)
+		}
+	}()
+	if err = fill(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(name, path)
+}
+
 // ReadLenient parses as much of a CLOG-2 stream as possible: complete
 // blocks are returned even when the end-log marker is missing or the tail
 // is torn mid-block, as happens to spill files from an aborted program.
@@ -252,14 +283,14 @@ func ReadLenient(r io.Reader) (*File, bool, error) {
 // multi-gigabyte allocation before a single record has been decoded.
 const maxRecordPrealloc = 4096
 
-// runRecords is the most records Each decodes before it calls fn, and the
+// RunRecords is the most records Each decodes before it calls fn, and the
 // size of its one buffer (576 KiB). The length buys no speed: a 400 000-
 // record block walks in 7.1-8.4 ms (1.3-1.6 GB/s) at every length from 128
 // to 4096 on the 2-CPU bench box (2 MiB of L2 a core). So it is set by
 // what it should not split: a block of a generated log (2 048 records and
 // a few) and a rank of the paper's demos (4 457 records a rank in the
 // thumbnail run) are one run or two.
-const runRecords = 4096
+const RunRecords = 4096
 
 // decodeBufSize is the size of a streaming decoder's one buffer. It holds
 // the longest field the format can declare (a 65 535-byte string) whole,
@@ -285,7 +316,7 @@ type BlockReader struct {
 // NewBlockReader reads the file header from r and returns a streaming
 // block iterator.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	return newBlockReader(decoder{src: r, buf: make([]byte, decodeBufSize)})
+	return newBlockReader(decoder{src: r, buf: decodePool.Get().(*[decodeBufSize]byte)[:]})
 }
 
 // NewStrictBlockReader is NewBlockReader over a whole log held in memory,
@@ -336,7 +367,7 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 		return nil, err
 	}
 	return &BlockReader{
-		d:        decoder{src: rs, buf: make([]byte, decodeBufSize), base: offset},
+		d:        decoder{src: rs, buf: decodePool.Get().(*[decodeBufSize]byte)[:], base: offset},
 		numRanks: numRanks,
 		rs:       rs,
 	}, nil
@@ -458,16 +489,40 @@ func (br *BlockReader) NextRun(buf []Record) (run Block, last bool, err error) {
 	return Block{Rank: br.rank, Records: recs}, last, nil
 }
 
-// runPool holds Each's record buffers, so a walk allocates none.
-var runPool = sync.Pool{New: func() any { return new([runRecords]Record) }}
+// decodePool holds the decode buffers of readers over a stream: a reader
+// takes one when it is opened and keeps it unless Release hands it back.
+var decodePool = sync.Pool{New: func() any { return new([decodeBufSize]byte) }}
+
+// Release ends the reader's life and hands its decode buffer to the next
+// reader opened: for a caller that opens one per query (idx.ScanFile), so
+// that a query does not pay for, and clear, 64 KiB it uses once. Every
+// call on a released reader reports the end of the log.
+func (br *BlockReader) Release() {
+	if br.d.src != nil {
+		decodePool.Put((*[decodeBufSize]byte)(br.d.buf))
+	}
+	*br = BlockReader{numRanks: br.numRanks, done: true}
+}
+
+// RunBuffer is a run's worth of records from the pool Each draws on, for a
+// caller that drives NextRun itself: NextRun(buf[:0]) until done, then Free.
+type RunBuffer [RunRecords]Record
+
+var runPool = sync.Pool{New: func() any { return new(RunBuffer) }}
+
+// NewRunBuffer takes a buffer from the pool; its records are stale.
+func NewRunBuffer() *RunBuffer { return runPool.Get().(*RunBuffer) }
+
+// Free returns b to the pool: no run decoded into it may be used after.
+func (b *RunBuffer) Free() { runPool.Put(b) }
 
 // Each walks every remaining record of the stream, in file order, and
 // returns nil after the end-log marker: it calls fn with each run NextRun
-// yields into one pooled buffer of runRecords records, so run.Records is
+// yields into one pooled buffer of RunRecords records, so run.Records is
 // valid until fn returns, and inside fn BlockBounds is as NextRun left it.
 func (br *BlockReader) Each(fn func(run Block) error) error {
-	buf := runPool.Get().(*[runRecords]Record)
-	defer runPool.Put(buf)
+	buf := NewRunBuffer()
+	defer buf.Free()
 	for {
 		run, _, err := br.NextRun(buf[:0])
 		if err == io.EOF {

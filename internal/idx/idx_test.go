@@ -802,7 +802,7 @@ func TestWalkLyingLongBlock(t *testing.T) {
 		if err != nil || st != StatusCorrupt || len(attempts) != 2 {
 			t.Fatalf("%s: Walk = %v, %v after %d begin(s); want corrupt, nil, 2", c.name, st, err, len(attempts))
 		}
-		if got := len(attempts[0]); got != c.runs*scanRun {
+		if got := len(attempts[0]); got != c.runs*clog2.RunRecords {
 			t.Errorf("%s: the abandoned attempt saw %d records, want %d runs", c.name, got, c.runs)
 		}
 		os.Remove(SidecarPath(path))

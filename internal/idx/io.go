@@ -1,6 +1,7 @@
 package idx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/clog2"
 )
@@ -195,15 +195,20 @@ func (c *cursor) u64() uint64 {
 const maxSidecarSize = 64 << 20
 
 // Read parses a sidecar from r.
-func Read(r io.Reader) (*Index, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxSidecarSize+1))
-	if err != nil {
+func Read(r io.Reader) (*Index, error) { return read(r, 0) }
+
+// read is Read with the size the caller expects r to hold: the buffer is
+// made once for it (capped like the read itself) instead of growing there.
+func read(r io.Reader, size int64) (*Index, error) {
+	var data bytes.Buffer
+	data.Grow(int(min(size, maxSidecarSize)) + bytes.MinRead)
+	if _, err := data.ReadFrom(io.LimitReader(r, maxSidecarSize+1)); err != nil {
 		return nil, err
 	}
-	if len(data) > maxSidecarSize {
+	if data.Len() > maxSidecarSize {
 		return nil, fmt.Errorf("%w: sidecar exceeds %d bytes", ErrCorrupt, maxSidecarSize)
 	}
-	return Decode(data)
+	return Decode(data.Bytes())
 }
 
 // Write serialises ix onto w.
@@ -227,25 +232,7 @@ func WriteFileFor(clogPath string, ix *Index) error {
 		return err
 	}
 	ix.SourceSize, ix.SourceModNanos = Generation(info)
-	dir := filepath.Dir(clogPath)
-	tmp, err := os.CreateTemp(dir, ".idx-*")
-	if err != nil {
-		return err
-	}
-	if err := Write(tmp, ix); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), SidecarPath(clogPath)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return clog2.WriteFileAtomic(SidecarPath(clogPath), func(w io.Writer) error { return Write(w, ix) })
 }
 
 // Load reads and validates the sidecar for clogPath. Degradation is
@@ -261,7 +248,11 @@ func Load(clogPath string) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	ix, err := Read(f)
+	side, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	ix, err := read(f, side.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -427,13 +418,12 @@ func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error
 	return st, br.Each(begin(br.NumRanks()))
 }
 
-// scanRun is the most records ScanFile hands fn at once: clog2.Each's run.
-const scanRun = 4096
-
 // ScanFile visits the selected blocks of the log at path in file order,
 // seeking over everything in between; consecutive selected blocks are
-// read without a seek. fn gets each block in runs of at most scanRun
-// records (clog2's NextRun) that share one buffer: it must not retain them.
+// read without a seek. fn gets each block in runs (clog2's NextRun, into
+// the buffer Each would use) that share that buffer: it must not retain
+// them. Both buffers of the scan go back to their pools when it returns,
+// so a window allocates what it keeps and not what it reads through.
 // Every run is checked against the block's index entry (its rank, and a
 // running record count that may not pass the entry's and must equal it on
 // the last run); a mismatch means the index lies about the file and
@@ -444,12 +434,10 @@ func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) err
 	if len(sel) == 0 {
 		return nil
 	}
-	most := int32(1)
 	for _, i := range sel {
 		if i < 0 || i >= len(ix.Blocks) {
 			return fmt.Errorf("idx: block selection %d out of range", i)
 		}
-		most = max(most, ix.Blocks[i].Records)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -460,8 +448,10 @@ func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) err
 	if err != nil {
 		return err
 	}
+	defer br.Release()
 	pos := ix.Blocks[sel[0]].Offset
-	buf := make([]clog2.Record, 0, min(most, scanRun))
+	buf := clog2.NewRunBuffer()
+	defer buf.Free()
 	for _, i := range sel {
 		bm := &ix.Blocks[i]
 		if bm.Offset != pos {
@@ -471,7 +461,7 @@ func ScanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) err
 		}
 		for n, last := int32(0), false; !last; {
 			var run clog2.Block
-			if run, last, err = br.NextRun(buf); err != nil {
+			if run, last, err = br.NextRun(buf[:0]); err != nil {
 				return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
 			}
 			n += int32(len(run.Records))

@@ -89,15 +89,20 @@ func TestReadRefusesTrailingBytesAndPreviousVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := buf.Bytes()
-	lab2, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "lab2.slog2"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab2 := golden(t, "lab2")
 	oldSeed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadSLOG2", "7126b1c645bb9e82"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// One encoding per file: a byte the writer never emits, where the
+	// reader once took any non-zero marker as 1 and any byte as a kind.
+	patch := func(at int, b byte) []byte {
+		data := bytes.Clone(small)
+		data[at] = b
+		return data
+	}
+	firstKind := len(Magic) + 4 + 8 + 8 + 4
 	cases := []struct {
 		name string
 		data []byte
@@ -107,6 +112,8 @@ func TestReadRefusesTrailingBytesAndPreviousVersion(t *testing.T) {
 		{"one absent-frame byte appended", join(small, []byte{0}), "trailing bytes"},
 		{"two files concatenated", join(small, lab2), "trailing bytes"},
 		{"the same file twice", join(lab2, lab2), "trailing bytes"},
+		{"absent-frame marker that is not 0", patch(len(small)-1, 2), "frame marker 2"},
+		{"category kind past KindEvent", patch(firstKind, byte(KindEvent)+1), "category kind 2"},
 		{"previous version", join([]byte(previousMagic), small[len(Magic):]), "clog2slog"},
 		{"previous version, committed fuzz seed", oldSeed[bytes.Index(oldSeed, []byte(previousMagic)):], "clog2slog"},
 	}
@@ -119,12 +126,7 @@ func TestReadRefusesTrailingBytesAndPreviousVersion(t *testing.T) {
 		})
 	}
 	// Control: the clean files decode, and encode back to the same bytes.
-	clean := map[string][]byte{"small": small, "lab2": lab2}
-	for _, name := range []string{"thumbnail", "collisions"} {
-		if clean[name], err = os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".slog2")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	clean := map[string][]byte{"small": small, "lab2": lab2, "thumbnail": golden(t, "thumbnail"), "collisions": golden(t, "collisions")}
 	for name, data := range clean {
 		f, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -247,7 +249,7 @@ func TestWriteFileAtomicOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, len(Magic), len(orig) / 2, len(orig) - 1} {
-		err := writeFileAtomic(path, func(w io.Writer) error {
+		err := clog2.WriteFileAtomic(path, func(w io.Writer) error {
 			return Write(&failAfter{w: w, n: cut}, f)
 		})
 		if !errors.Is(err, errInjected) {
@@ -264,7 +266,7 @@ func TestWriteFileAtomicOnError(t *testing.T) {
 
 	// Fresh destination + failure: no partial file appears at all.
 	fresh := filepath.Join(dir, "fresh.slog2")
-	err = writeFileAtomic(fresh, func(w io.Writer) error {
+	err = clog2.WriteFileAtomic(fresh, func(w io.Writer) error {
 		return Write(&failAfter{w: w, n: 32}, f)
 	})
 	if !errors.Is(err, errInjected) {

@@ -133,9 +133,19 @@ func TestPipelineToRepo(t *testing.T) {
 	if rep.States == 0 || p == nil || f.NumRanks != 4 {
 		t.Fatalf("rep=%+v profile=%v ranks=%d", rep, p != nil, f.NumRanks)
 	}
-	for _, name := range []string{"lab2-run.slog2", "lab2-run.profile.json"} {
-		if _, err := os.Stat(filepath.Join(repoDir, name)); err != nil {
-			t.Errorf("%s not registered: %v", name, err)
+	// Whoever can read the log can read the trace: the two files written
+	// through a temporary file used to keep its 0600 beside the others' 0644.
+	var mode os.FileMode
+	for _, name := range []string{"lab2-run.clog2", "lab2-run.profile.json", "lab2-run.slog2", "lab2-run.clog2.idx"} {
+		info, err := os.Stat(filepath.Join(repoDir, name))
+		if err != nil {
+			t.Fatalf("%s not registered: %v", name, err)
+		}
+		if mode == 0 {
+			mode = info.Mode()
+		}
+		if info.Mode() != mode {
+			t.Errorf("%s has mode %v, lab2-run.clog2 has %v", name, info.Mode(), mode)
 		}
 	}
 	// The registered trace must round-trip through the serve repository.
