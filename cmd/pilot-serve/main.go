@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	pilot-serve -repo DIR [-addr :8080] [-max-traces N] [-max-tiles N]
+//	pilot-serve -repo DIR [-addr :8080] [-max-traces N] [-tile-cache-mb N]
 //	pilot-serve -repo DIR -smoke
 //
 // -smoke starts the server on an ephemeral port, runs an end-to-end
@@ -43,13 +43,13 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		repoDir   = flag.String("repo", "", "trace repository directory (required)")
 		maxTraces = flag.Int("max-traces", 8, "decoded-trace LRU size")
-		maxTiles  = flag.Int("max-tiles", 4096, "rendered-tile LRU size")
+		tileMB    = flag.Int64("tile-cache-mb", 64, "rendered-tile LRU budget, in MiB of cached bytes")
 		smoke     = flag.Bool("smoke", false, "start on an ephemeral port, self-test, exit")
 		quiet     = flag.Bool("q", false, "suppress per-error request logging")
 	)
 	flag.Parse()
-	if *repoDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: pilot-serve -repo DIR [-addr :8080] [-smoke]")
+	if *repoDir == "" || *tileMB < 1 {
+		fmt.Fprintln(os.Stderr, "usage: pilot-serve -repo DIR [-addr :8080] [-max-traces N] [-tile-cache-mb N] [-smoke]")
 		os.Exit(2)
 	}
 
@@ -57,18 +57,19 @@ func main() {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
+	tileBudget := *tileMB << 20
 	srv, err := serve.New(serve.Config{
-		RepoDir:   *repoDir,
-		MaxTraces: *maxTraces,
-		MaxTiles:  *maxTiles,
-		Logf:      logf,
+		RepoDir:        *repoDir,
+		MaxTraces:      *maxTraces,
+		TileCacheBytes: tileBudget,
+		Logf:           logf,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	if *smoke {
-		if err := runSmoke(srv, *repoDir); err != nil {
+		if err := runSmoke(srv, *repoDir, tileBudget); err != nil {
 			log.Fatalf("smoke: FAIL: %v", err)
 		}
 		fmt.Println("smoke: ok")
@@ -91,9 +92,9 @@ func main() {
 // runSmoke drives the server end to end through a real TCP client:
 // every trace's tile must byte-agree with a direct Query+render, the
 // legend and search endpoints must answer, ETag revalidation must 304,
-// and a corrupt file must come back as an HTTP error, not a dead
-// server.
-func runSmoke(srv *serve.Server, repoDir string) error {
+// a corrupt file must come back as an HTTP error, not a dead server, and
+// the tile cache must hold something and stay inside tileBudget bytes.
+func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -211,11 +212,14 @@ func runSmoke(srv *serve.Server, repoDir string) error {
 		); err != nil {
 			return err
 		}
-		// The tiles above were compressed once each; /debug/vars reads
-		// the same counters.
+		// The tiles above were compressed once each and are cached;
+		// /debug/vars reads the same counters.
 		m := srv.MetricsSnapshot()
 		if raw, gz := m["tile_bytes_raw"], m["tile_bytes_gz"]; !(0 < gz && gz < raw) {
 			return fmt.Errorf("tile_bytes_gz %d, tile_bytes_raw %d, want 0 < gz < raw", gz, raw)
+		}
+		if held := m["tile_cache_bytes"]; !(0 < held && held <= tileBudget) {
+			return fmt.Errorf("tile_cache_bytes %d, want 0 < bytes <= %d", held, tileBudget)
 		}
 		return nil
 	}

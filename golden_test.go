@@ -194,12 +194,22 @@ func TestGoldenThumbnail(t *testing.T) {
 	compareGolden(t, "thumbnail.analyze.json", analyzeGoldenJSON(t, "thumbnail.clog2"))
 }
 
-// TestGoldenTiles pins the SVG renderer's bytes on the three golden
-// traces: full span, a 1 % window, a three-rank cut, an annotated view
-// whose title needs every escape, one low-threshold view that takes the
-// striped preview path, and one RenderHTML page. The renderer may
-// be rewritten for speed, never for output.
+// TestGoldenTiles pins the tile renderers' bytes on the three golden
+// traces: full span, a 1 % window and a three-rank cut as SVG and as
+// JSON, an annotated view whose title needs every escape, one
+// low-threshold view that takes the striped preview path, one RenderHTML
+// page, and one JSON tile whose trace ID needs every escape JSON has.
+// The JSON files were written by encoding/json; the renderers may be
+// rewritten for speed, never for output.
 func TestGoldenTiles(t *testing.T) {
+	tileJSON := func(tr *serve.Trace, win jumpshot.Window) []byte {
+		t.Helper()
+		body, err := serve.RenderTileJSON(tr, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
 	for _, name := range []string{"lab2", "collisions", "thumbnail"} {
 		f, err := slog2.ReadFile(goldenPath(name + ".slog2"))
 		if err != nil {
@@ -213,6 +223,13 @@ func TestGoldenTiles(t *testing.T) {
 		compareGolden(t, name+".tile-full.svg", serve.RenderTileSVG(tr, full, 0))
 		compareGolden(t, name+".tile-1pct.svg", serve.RenderTileSVG(tr, onePct, 1))
 		compareGolden(t, name+".tile-ranks.svg", serve.RenderTileSVG(tr, cut, 0))
+		compareGolden(t, name+".tile-full.json", tileJSON(tr, full))
+		compareGolden(t, name+".tile-1pct.json", tileJSON(tr, onePct))
+		compareGolden(t, name+".tile-ranks.json", tileJSON(tr, cut))
+		if name == "lab2" {
+			escaped := &serve.Trace{ID: "lab2 <a> & \"b\" \\ \x01\t \u2028 \xff é", File: f}
+			compareGolden(t, name+".tile-escaped.json", tileJSON(escaped, cut))
+		}
 		compareGolden(t, name+".tile-annotated.svg", []byte(jumpshot.RenderSVG(f, jumpshot.View{
 			Title: name + ` & <verdicts> "quoted"`,
 			Annotations: []jumpshot.Annotation{

@@ -345,8 +345,11 @@ func (w *World) Run(f func(r *Rank) error) []error {
 	for i := 0; i < w.size; i++ {
 		wg.Add(1)
 		go func(id int) {
-			defer wg.Done()
 			runOne(id)
+			// Not deferred: a re-panicking rank must not release Wait,
+			// or Run could return (and the process exit cleanly) before
+			// the invariant panic takes the process down.
+			wg.Done()
 		}(i)
 	}
 	wg.Wait()

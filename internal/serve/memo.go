@@ -6,18 +6,23 @@ import (
 	"sync/atomic"
 )
 
-// memo is pilot-serve's one cache: a mutex-guarded, entry-bounded LRU
-// whose misses are computed once among concurrent callers, so n requests
-// for the same cold tile (or the same undecoded trace) cost one render
-// (one decode) and n-1 waits. The server keeps two: decoded traces (few
-// entries, each potentially large) and rendered bodies (many small
-// entries). Bounding by entry count keeps the policy obvious; keys embed
-// the trace generation, so entries of a replaced trace fall out by never
-// being asked for again. A failed compute is not cached. The lock covers
-// map and list operations only, never compute.
+// memo is pilot-serve's one cache: a mutex-guarded LRU bounded by the
+// total weight of its entries, whose misses are computed once among
+// concurrent callers, so n requests for the same cold tile (or the same
+// undecoded trace) cost one render (one decode) and n-1 waits. The server
+// keeps two: decoded traces, each weighing 1 against a budget of
+// MaxTraces, and rendered bodies, each weighing its bytes against a byte
+// budget. Eviction drops least recently used entries until the total is
+// back under the budget; a value heavier than the whole budget is
+// returned but never cached. Keys embed the trace generation, so entries
+// of a replaced trace fall out by never being asked for again. A failed
+// compute is not cached. The lock covers map and list operations only,
+// never compute.
 type memo[V any] struct {
 	mu      sync.Mutex
-	max     int
+	budget  int64
+	weigh   func(key string, val V) int64
+	weight  int64 // of the cached entries, at most budget
 	items   map[string]*memoEntry[V]
 	lru     memoEntry[V] // list sentinel: lru.next is the most recently used
 	flights map[string]*memoFlight[V]
@@ -31,6 +36,7 @@ type memo[V any] struct {
 type memoEntry[V any] struct {
 	key        string
 	val        V
+	weight     int64
 	prev, next *memoEntry[V]
 }
 
@@ -45,15 +51,19 @@ type memoFlight[V any] struct {
 // errComputePanicked is what the waiters of a compute that panicked get.
 var errComputePanicked = errors.New("serve: concurrent request panicked")
 
-func newMemo[V any](max int) *memo[V] {
+func newMemo[V any](budget int64, weigh func(key string, val V) int64) *memo[V] {
 	m := &memo[V]{
-		max:     max,
+		budget:  budget,
+		weigh:   weigh,
 		items:   map[string]*memoEntry[V]{},
 		flights: map[string]*memoFlight[V]{},
 	}
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	return m
 }
+
+// weighOne counts entries: a memo built with it is bounded by entry count.
+func weighOne[V any](string, V) int64 { return 1 }
 
 // get returns key's value, from the cache or else from compute, which
 // runs once however many callers ask meanwhile; shared reports that the
@@ -84,20 +94,39 @@ func (m *memo[V]) get(key string, compute func() (V, error)) (val V, shared bool
 		m.mu.Lock()
 		delete(m.flights, key)
 		if f.err == nil {
-			e := &memoEntry[V]{key: key, val: f.val}
-			m.items[key] = e
-			m.pushFront(e)
-			if len(m.items) > m.max {
-				last := m.lru.prev
-				m.unlink(last)
-				delete(m.items, last.key)
-			}
+			m.add(key, f.val)
 		}
 		m.mu.Unlock()
 		close(f.done)
 	}()
 	f.val, f.err = compute()
 	return f.val, false, f.err
+}
+
+// add caches val unless it outweighs the whole budget, then evicts from
+// the cold end until the total is back under it. m.mu must be held.
+func (m *memo[V]) add(key string, val V) {
+	w := m.weigh(key, val)
+	if w > m.budget {
+		return
+	}
+	e := &memoEntry[V]{key: key, val: val, weight: w}
+	m.items[key] = e
+	m.pushFront(e)
+	m.weight += w
+	for m.weight > m.budget {
+		last := m.lru.prev
+		m.unlink(last)
+		delete(m.items, last.key)
+		m.weight -= last.weight
+	}
+}
+
+// size reports the cached entries' total weight and their number.
+func (m *memo[V]) size() (weight, entries int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.weight, int64(len(m.items))
 }
 
 func (m *memo[V]) unlink(e *memoEntry[V]) {

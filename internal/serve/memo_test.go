@@ -14,7 +14,7 @@ func constant(v int, runs *int) func() (int, error) {
 }
 
 func TestMemoLRU(t *testing.T) {
-	m := newMemo[int](2)
+	m := newMemo(2, weighOne[int])
 	var runs int
 	mustGet := func(key string, v, wantRuns int) {
 		t.Helper()
@@ -40,8 +40,37 @@ func TestMemoLRU(t *testing.T) {
 	}
 }
 
+// Weighed by value, the memo evicts from the cold end until it is back
+// under its budget, and a value heavier than the whole budget is returned
+// without being cached.
+func TestMemoByteBudget(t *testing.T) {
+	m := newMemo(10, func(_ string, v int) int64 { return int64(v) })
+	var runs int
+	for _, c := range []struct {
+		key           string
+		v, wantRuns   int
+		weight, count int64
+	}{
+		{"a", 4, 1, 4, 1},
+		{"b", 4, 2, 8, 2},
+		{"a", 4, 2, 8, 2},  // a hit: b is now the least recently used
+		{"c", 6, 3, 10, 2}, // evicts b only
+		{"d", 9, 4, 9, 1},  // evicts a and c
+		{"e", 11, 5, 9, 1}, // heavier than the budget: served, not cached
+		{"e", 11, 6, 9, 1},
+		{"d", 9, 6, 9, 1},
+	} {
+		got, _, err := m.get(c.key, constant(c.v, &runs))
+		weight, count := m.size()
+		if err != nil || got != c.v || runs != c.wantRuns || weight != c.weight || count != c.count {
+			t.Fatalf("get(%q) = %d, %v after %d compute(s), cache %d in %d; want %d after %d, cache %d in %d",
+				c.key, got, err, runs, weight, count, c.v, c.wantRuns, c.weight, c.count)
+		}
+	}
+}
+
 func TestMemoFailedComputeIsNotCached(t *testing.T) {
-	m := newMemo[int](4)
+	m := newMemo(4, weighOne[int])
 	boom := errors.New("boom")
 	if _, _, err := m.get("k", func() (int, error) { return 0, boom }); err != boom {
 		t.Fatalf("err = %v, want the compute's", err)
@@ -58,7 +87,7 @@ func TestMemoFailedComputeIsNotCached(t *testing.T) {
 // Sixteen callers of one cold key: one computes and the other fifteen,
 // all committed to its result before it is allowed to finish, share it.
 func TestMemoComputesOnce(t *testing.T) {
-	m := newMemo[int](4)
+	m := newMemo(4, weighOne[int])
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -96,7 +125,7 @@ func TestMemoComputesOnce(t *testing.T) {
 // error, the panic reaches the computing caller, and the key computes
 // again afterwards.
 func TestMemoPanickingCompute(t *testing.T) {
-	m := newMemo[int](4)
+	m := newMemo(4, weighOne[int])
 	release := make(chan struct{})
 	panicked := make(chan any, 1)
 	go func() {

@@ -64,7 +64,7 @@ func NewRepo(dir string, maxTraces int) (*Repo, error) {
 	if maxTraces < 1 {
 		maxTraces = 8
 	}
-	return &Repo{dir: dir, traces: newMemo[*Trace](maxTraces)}, nil
+	return &Repo{dir: dir, traces: newMemo(int64(maxTraces), weighOne[*Trace])}, nil
 }
 
 // Dir returns the repository directory.

@@ -273,9 +273,20 @@ func TestETagRevalidation(t *testing.T) {
 	if resp.StatusCode != 304 {
 		t.Fatalf("list revalidation: status %d, want 304", resp.StatusCode)
 	}
-	resp, _ = get(t, url, map[string]string{"If-None-Match": `"stale"`})
-	if resp.StatusCode != 200 {
-		t.Fatalf("stale tag: status %d, want 200", resp.StatusCode)
+	// Comparison is weak (RFC 9110 §13.1.2): a proxy that weakens the
+	// tag when it recompresses still revalidates.
+	for header, want := range map[string]int{
+		`"stale"`:                 200,
+		`W/"stale"`:               200,
+		"W/" + etag:               304,
+		`"deadbeef", W/` + etag:   304,
+		`W/"deadbeef",W/` + etag:  304,
+		`W/"stale", "deadbeef"`:   200,
+		etag[:len(etag)-1] + `x"`: 200,
+	} {
+		if resp, _ = get(t, url, map[string]string{"If-None-Match": header}); resp.StatusCode != want {
+			t.Errorf("If-None-Match %s: status %d, want %d", header, resp.StatusCode, want)
+		}
 	}
 
 	// Rewriting the trace invalidates: new generation, new tile, and the
@@ -320,6 +331,113 @@ func TestGzipOnTiles(t *testing.T) {
 	}
 	if len(body) >= len(raw) {
 		t.Fatalf("gzip did not shrink the tile: %d >= %d", len(body), len(raw))
+	}
+}
+
+// A cached tile is kept as gzip only, and a client that refuses gzip gets
+// it inflated: the same bytes a gzip client decompresses, with the raw
+// length as Content-Length, whichever kind of client rendered it.
+func TestIdentityReplyFromGzipEntry(t *testing.T) {
+	for _, first := range []string{"identity", "gzip"} {
+		_, ts := newTestServer(t, goldenDir)
+		url := ts.URL + "/trace/thumbnail/tile?format=svg"
+		replies := map[string][]byte{}
+		for _, enc := range []string{first, map[string]string{"identity": "gzip", "gzip": "identity"}[first]} {
+			resp, body := get(t, url, map[string]string{"Accept-Encoding": enc})
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s first, %s: status %d", first, enc, resp.StatusCode)
+			}
+			if got := resp.Header.Get("Content-Encoding") == "gzip"; got != (enc == "gzip") {
+				t.Fatalf("%s first, %s: Content-Encoding %q", first, enc, resp.Header.Get("Content-Encoding"))
+			}
+			if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+				t.Errorf("%s first, %s: Content-Length %s for %d bytes", first, enc, cl, len(body))
+			}
+			if enc == "gzip" {
+				zr, err := gzip.NewReader(bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if body, err = io.ReadAll(zr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			replies[enc] = body
+		}
+		if !bytes.Equal(replies["identity"], replies["gzip"]) {
+			t.Errorf("%s first: identity reply differs from the decompressed gzip reply", first)
+		}
+	}
+}
+
+// No cache entry holds a body and its gzip: a large body is kept as gzip
+// only, a small one (an empty window's JSON) as itself.
+func TestCachedEntryHoldsOneForm(t *testing.T) {
+	s, ts := newTestServer(t, goldenDir)
+	for _, q := range []string{"", "?format=svg", "?t0=5&t1=6"} {
+		if resp, body := get(t, ts.URL+"/trace/lab2/tile"+q, nil); resp.StatusCode != 200 {
+			t.Fatalf("tile%s: status %d: %s", q, resp.StatusCode, body)
+		}
+	}
+	var small, large int
+	for key, e := range s.tiles.items {
+		cb := e.val
+		switch {
+		case (cb.body == nil) == (cb.gz == nil):
+			t.Errorf("%q: body %d bytes, gzip %d bytes; want exactly one", key, len(cb.body), len(cb.gz))
+		case cb.gz == nil:
+			small++
+			if len(cb.body) >= gzipMinBytes || cb.rawLen != len(cb.body) {
+				t.Errorf("%q: %d-byte body kept raw (rawLen %d)", key, len(cb.body), cb.rawLen)
+			}
+		default:
+			large++
+			if cb.rawLen < gzipMinBytes {
+				t.Errorf("%q: %d-byte body kept as gzip", key, cb.rawLen)
+			}
+		}
+	}
+	if small != 1 || large != 2 {
+		t.Errorf("%d raw and %d gzip entries, want 1 and 2", small, large)
+	}
+}
+
+// The tile cache is bounded in bytes: asking for more tile bytes than
+// the budget keeps the tile_cache_bytes gauge under it, evicts, and a
+// tile past its eviction renders again.
+func TestTileCacheStaysInBudget(t *testing.T) {
+	const budget = 24 << 10
+	s, err := New(Config{RepoDir: goldenDir, TileCacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var asked int64
+	for zoom := 0; zoom <= 3; zoom++ {
+		for _, id := range goldenIDs {
+			url := fmt.Sprintf("%s/trace/%s/tile?format=svg&zoom=%d", ts.URL, id, zoom)
+			resp, body := get(t, url, map[string]string{"Accept-Encoding": "gzip"})
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: status %d", url, resp.StatusCode)
+			}
+			asked += int64(len(body))
+			m := s.MetricsSnapshot()
+			if held := m["tile_cache_bytes"]; held <= 0 || held > budget {
+				t.Fatalf("after %s: tile_cache_bytes %d, budget %d", url, held, budget)
+			}
+		}
+	}
+	m := s.MetricsSnapshot()
+	if asked <= budget || m["tile_cache_entries"] >= int64(4*len(goldenIDs)) {
+		t.Fatalf("asked for %d gzip bytes over a %d budget, %d entries kept", asked, budget, m["tile_cache_entries"])
+	}
+	// The first tile was the least recently used: it was evicted and
+	// renders again.
+	rendered := s.tilesRendered.Load()
+	get(t, ts.URL+"/trace/"+goldenIDs[0]+"/tile?format=svg&zoom=0", nil)
+	if s.tilesRendered.Load() != rendered+1 {
+		t.Errorf("the least recently used tile was still cached")
 	}
 }
 
@@ -549,9 +667,10 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// BenchmarkColdTile is what a tile-cache miss costs past the decode: the
-// SVG render of the middle tenth of the thumbnail golden log, its ETag
-// and its gzip form. MB/s is of rendered SVG.
+// BenchmarkColdTile is what a tile-cache miss costs past the decode:
+// the middle tenth of the thumbnail golden log rendered into a reused
+// buffer, as SVG and as JSON, then its ETag, its gzip and the entry's
+// copy of it. MB/s is of the rendered body; allocs/op is per tile.
 func BenchmarkColdTile(b *testing.B) {
 	log, err := os.Open(filepath.Join(goldenDir, "thumbnail.clog2"))
 	if err != nil {
@@ -564,13 +683,21 @@ func BenchmarkColdTile(b *testing.B) {
 	}
 	tr, span := &Trace{ID: "thumbnail", File: f}, f.End-f.Start
 	win := jumpshot.Window{T0: f.Start + 0.45*span, T1: f.Start + 0.55*span, RankLo: 0, RankHi: -1}
-	var s Server
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		body := RenderTileSVG(tr, win, 0)
-		b.SetBytes(int64(len(body)))
-		if cb := s.newCachedBody(body, "image/svg+xml; charset=utf-8"); cb.gz == nil {
-			b.Fatalf("%d-byte tile went uncompressed", len(body))
-		}
+	for _, format := range []string{"svg", "json"} {
+		b.Run(format, func(b *testing.B) {
+			var s Server
+			p := tileParams{win: win, format: format}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cb, err := s.renderCached(tr, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if cb.gz == nil {
+					b.Fatalf("%d-byte tile went uncompressed", cb.rawLen)
+				}
+				b.SetBytes(int64(cb.rawLen))
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"expvar"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -22,14 +23,19 @@ import (
 	"repro/internal/jumpshot"
 )
 
+// defaultTileCacheBytes is the tile cache's budget when Config leaves it
+// zero: four times the 15.8 MB of gzip one bench serve_session caches.
+const defaultTileCacheBytes = 64 << 20
+
 // Config tunes a Server.
 type Config struct {
 	// RepoDir is the trace repository directory (required).
 	RepoDir string
 	// MaxTraces bounds the decoded-file cache (default 8).
 	MaxTraces int
-	// MaxTiles bounds the rendered-tile cache (default 4096).
-	MaxTiles int
+	// TileCacheBytes bounds the rendered-body cache by what its entries
+	// hold: body or gzip bytes plus key (default 64 MiB).
+	TileCacheBytes int64
 	// Logf, when set, receives one line per request error; nil is quiet.
 	Logf func(format string, args ...any)
 }
@@ -71,12 +77,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxTiles < 1 {
-		cfg.MaxTiles = 4096
+	if cfg.TileCacheBytes < 1 {
+		cfg.TileCacheBytes = defaultTileCacheBytes
 	}
 	s := &Server{
 		repo:  repo,
-		tiles: newMemo[*cachedBody](cfg.MaxTiles),
+		tiles: newMemo(cfg.TileCacheBytes, weighBody),
 		logf:  cfg.Logf,
 	}
 	if s.logf == nil {
@@ -190,8 +196,10 @@ func etagOf(body []byte) string {
 	return fmt.Sprintf(`"%016x"`, crc64.Checksum(body, etagTable))
 }
 
-// etagMatch implements the If-None-Match comparison (strong tags only,
-// plus the "*" wildcard).
+// etagMatch implements the If-None-Match comparison against the
+// server's strong etag: the "*" wildcard, or any listed tag equal to it
+// under weak comparison (RFC 9110 §13.1.2), so W/"x" matches "x" — the
+// form a proxy that recompresses turns a strong tag into.
 func etagMatch(header, etag string) bool {
 	if header == "" {
 		return false
@@ -200,7 +208,7 @@ func etagMatch(header, etag string) bool {
 		return true
 	}
 	for _, part := range splitComma(header) {
-		if part == etag {
+		if strings.TrimPrefix(part, "W/") == etag {
 			return true
 		}
 	}
@@ -263,18 +271,11 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// writeBody sends body with ETag revalidation and optional gzip: a
-// matching If-None-Match costs a 304 and zero payload bytes — the
-// cache policy that makes a browser viewer cheap to refresh.
-func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, ctype, etag string, body []byte) {
-	s.writeBodyGz(w, r, ctype, etag, body, nil)
-}
-
-// writeBodyGz is writeBody with an optional pre-compressed form: when
-// gz is non-nil and the client accepts gzip, it goes out as-is — the
-// hot path for cached tiles, which compress once at render time and
-// never again.
-func (s *Server) writeBodyGz(w http.ResponseWriter, r *http.Request, ctype, etag string, body, gz []byte) {
+// writeHeaders sets the headers every body reply carries and answers a
+// matching If-None-Match with a 304 and zero payload bytes — the cache
+// policy that makes a browser viewer cheap to refresh. It reports
+// whether the caller still has a body to send.
+func (s *Server) writeHeaders(w http.ResponseWriter, r *http.Request, ctype, etag string) bool {
 	h := w.Header()
 	h.Set("Content-Type", ctype)
 	h.Set("ETag", etag)
@@ -283,29 +284,62 @@ func (s *Server) writeBodyGz(w http.ResponseWriter, r *http.Request, ctype, etag
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		s.notModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
+		return false
+	}
+	return true
+}
+
+// writeBody sends an uncached body with ETag revalidation, gzipped on
+// the way out when it is large enough and the client accepts gzip.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, ctype, etag string, body []byte) {
+	if !s.writeHeaders(w, r, ctype, etag) {
 		return
 	}
-	if acceptsGzip(r) {
-		if gz != nil {
-			h.Set("Content-Encoding", "gzip")
-			h.Set("Content-Length", strconv.Itoa(len(gz)))
-			n, _ := w.Write(gz)
-			s.bytesSent.Add(int64(n))
-			return
-		}
-		if len(body) >= gzipMinBytes {
-			h.Set("Content-Encoding", "gzip")
-			zw := gzipPool.Get().(*gzip.Writer)
-			zw.Reset(&countingWriter{w: w, n: &s.bytesSent})
-			zw.Write(body)
-			zw.Close()
-			gzipPool.Put(zw)
-			return
-		}
+	if len(body) >= gzipMinBytes && acceptsGzip(r) {
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzipPool.Get().(*gzip.Writer)
+		zw.Reset(&countingWriter{w: w, n: &s.bytesSent})
+		zw.Write(body)
+		zw.Close()
+		gzipPool.Put(zw)
+		return
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	s.writeIdentity(w, body)
+}
+
+func (s *Server) writeIdentity(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	n, _ := w.Write(body)
 	s.bytesSent.Add(int64(n))
+}
+
+// writeCached sends a cache entry with ETag revalidation. Its gzip bytes
+// go out as they are to a client that accepts gzip — the hot path, which
+// compressed once at render time and never again — and are inflated on
+// the fly for the rare one that does not.
+func (s *Server) writeCached(w http.ResponseWriter, r *http.Request, cb *cachedBody) {
+	if !s.writeHeaders(w, r, cb.ctype, cb.etag) {
+		return
+	}
+	if cb.gz == nil {
+		s.writeIdentity(w, cb.body)
+		return
+	}
+	h := w.Header()
+	if acceptsGzip(r) {
+		h.Set("Content-Encoding", "gzip")
+		h.Set("Content-Length", strconv.Itoa(len(cb.gz)))
+		n, _ := w.Write(cb.gz)
+		s.bytesSent.Add(int64(n))
+		return
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(cb.gz))
+	if err != nil { // the server's own gzip: cannot happen
+		s.fail(w, r, err)
+		return
+	}
+	h.Set("Content-Length", strconv.Itoa(cb.rawLen))
+	io.Copy(&countingWriter{w: w, n: &s.bytesSent}, zr)
 }
 
 type countingWriter struct {
@@ -319,32 +353,64 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// cachedBody is one tile-cache entry: the rendered bytes, their
-// precomputed ETag, and (for bodies worth compressing) the gzip form,
-// built once so cache hits never pay for compression again.
+// cachedBody is one tile-cache entry: a rendered body in exactly one
+// form, with its ETag (of the raw bytes) computed once. A body worth
+// compressing is kept only as its gzip, which is what nearly every
+// client is sent; a smaller one is kept as it is.
 type cachedBody struct {
-	body  []byte
-	gz    []byte // nil when body is below gzipMinBytes
-	ctype string
-	etag  string
+	body   []byte // the body, when it is below gzipMinBytes; else nil
+	gz     []byte // its gzip, when it is not; else nil
+	rawLen int    // len of the body: an identity reply's Content-Length
+	ctype  string
+	etag   string
 }
 
-// newCachedBody precomputes the ETag and, for large bodies, the gzip
-// form of one rendered tile.
+// weighBody is what a tile-cache entry holds, in bytes.
+func weighBody(key string, cb *cachedBody) int64 {
+	return int64(len(key) + len(cb.body) + len(cb.gz))
+}
+
+// Pools for the buffers of a cache miss: the rendered body and its gzip
+// are scratch, and the entry keeps an exact-size copy of one of them.
+var (
+	renderPool = sync.Pool{New: func() any { return new([]byte) }}
+	gzBufPool  = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
+
+// newCachedBody builds the cache entry for body, which the caller may
+// reuse once it returns: the ETag, and either a copy of the body or its
+// gzip form.
 func (s *Server) newCachedBody(body []byte, ctype string) *cachedBody {
-	cb := &cachedBody{body: body, ctype: ctype, etag: etagOf(body)}
-	if len(body) >= gzipMinBytes {
-		var buf bytes.Buffer
-		zw := gzipPool.Get().(*gzip.Writer)
-		zw.Reset(&buf)
-		zw.Write(body)
-		zw.Close()
-		gzipPool.Put(zw)
-		cb.gz = buf.Bytes()
-		s.tileBytesRaw.Add(int64(len(body)))
-		s.tileBytesGz.Add(int64(len(cb.gz)))
+	cb := &cachedBody{rawLen: len(body), ctype: ctype, etag: etagOf(body)}
+	if len(body) < gzipMinBytes {
+		cb.body = bytes.Clone(body)
+		return cb
 	}
+	buf := gzBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	zw := gzipPool.Get().(*gzip.Writer)
+	zw.Reset(buf)
+	zw.Write(body)
+	zw.Close()
+	gzipPool.Put(zw)
+	cb.gz = bytes.Clone(buf.Bytes())
+	gzBufPool.Put(buf)
+	s.tileBytesRaw.Add(int64(len(body)))
+	s.tileBytesGz.Add(int64(len(cb.gz)))
 	return cb
+}
+
+// renderCached is a tile-cache miss: the tile rendered into a pooled
+// buffer and made into an entry, the buffer handed back.
+func (s *Server) renderCached(tr *Trace, p tileParams) (*cachedBody, error) {
+	buf := renderPool.Get().(*[]byte)
+	defer renderPool.Put(buf)
+	body, ctype, err := renderTile((*buf)[:0], tr, p)
+	*buf = body
+	if err != nil {
+		return nil, err
+	}
+	return s.newCachedBody(body, ctype), nil
 }
 
 // ---- handlers ----
@@ -426,12 +492,11 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cb, shared, err := s.tiles.get(p.cacheKey(tr), func() (*cachedBody, error) {
-		body, ctype, err := renderTile(tr, p)
-		if err != nil {
-			return nil, err
+		cb, err := s.renderCached(tr, p)
+		if err == nil {
+			s.tilesRendered.Add(1)
 		}
-		s.tilesRendered.Add(1)
-		return s.newCachedBody(body, ctype), nil
+		return cb, err
 	})
 	if err != nil {
 		s.fail(w, r, err)
@@ -440,7 +505,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		s.tilesShared.Add(1)
 	}
-	s.writeBodyGz(w, r, cb.ctype, cb.etag, cb.body, cb.gz)
+	s.writeCached(w, r, cb)
 }
 
 func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
@@ -531,7 +596,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		s.analyzesShared.Add(1)
 	}
-	s.writeBodyGz(w, r, cb.ctype, cb.etag, cb.body, cb.gz)
+	s.writeCached(w, r, cb)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -609,6 +674,7 @@ func publishServeExpvar(s *Server) {
 // MetricsSnapshot returns the server's counters as a flat map — the
 // "pilot_serve" expvar payload.
 func (s *Server) MetricsSnapshot() map[string]int64 {
+	tileBytes, tileEntries := s.tiles.size()
 	return map[string]int64{
 		"requests":                  s.requests.Load(),
 		"errors":                    s.errors.Load(),
@@ -616,6 +682,8 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 		"tiles_singleflight_shared": s.tilesShared.Load(),
 		"tile_cache_hits":           s.tiles.hits.Load(),
 		"tile_cache_misses":         s.tiles.misses.Load(),
+		"tile_cache_bytes":          tileBytes,
+		"tile_cache_entries":        tileEntries,
 		"trace_cache_hits":          s.repo.traces.hits.Load(),
 		"trace_cache_misses":        s.repo.traces.misses.Load(),
 		"trace_decodes":             s.repo.Decodes(),

@@ -143,90 +143,160 @@ func (p tileParams) cacheKey(tr *Trace) string {
 	return string(b)
 }
 
-// Tile JSON DTOs: the wire schema, decoupled from the slog2 structs.
-type tileStateJSON struct {
-	Rank  int     `json:"rank"`
-	Cat   int     `json:"cat"`
-	Start float64 `json:"t0"`
-	End   float64 `json:"t1"`
-	Cargo string  `json:"cargo,omitempty"`
-}
-
-type tileArrowJSON struct {
-	Src   int     `json:"src"`
-	Dst   int     `json:"dst"`
-	Start float64 `json:"t0"`
-	End   float64 `json:"t1"`
-	Tag   int     `json:"tag"`
-	Size  int     `json:"size"`
-}
-
-type tileEventJSON struct {
-	Rank  int     `json:"rank"`
-	Cat   int     `json:"cat"`
-	Time  float64 `json:"t"`
-	Cargo string  `json:"cargo,omitempty"`
-}
-
-type tileJSON struct {
-	Trace  string          `json:"trace"`
-	T0     float64         `json:"t0"`
-	T1     float64         `json:"t1"`
-	RankLo int             `json:"r0"`
-	RankHi int             `json:"r1"`
-	States []tileStateJSON `json:"states"`
-	Arrows []tileArrowJSON `json:"arrows"`
-	Events []tileEventJSON `json:"events"`
-}
-
 // RenderTileJSON fetches the tile's drawables via the frame tree and
-// marshals them. Exported so tests and the smoke client can byte-compare
-// a served tile against a direct render.
+// writes them as JSON. Exported so tests and the smoke client can
+// byte-compare a served tile against a direct render.
 func RenderTileJSON(tr *Trace, win jumpshot.Window) ([]byte, error) {
+	return appendTileJSON(nil, tr, win)
+}
+
+// appendTileJSON appends the tile's JSON to dst, byte for byte what
+// encoding/json made of the wire schema it replaced:
+//
+//	{"trace","t0","t1","r0","r1",
+//	 "states":[{"rank","cat","t0","t1","cargo" (omitted when empty)}],
+//	 "arrows":[{"src","dst","t0","t1","tag","size"}],
+//	 "events":[{"rank","cat","t","cargo" (omitted when empty)}]}
+//
+// A NaN or infinite time is an error, as it was for encoding/json; dst
+// comes back as it was passed.
+func appendTileJSON(dst []byte, tr *Trace, win jumpshot.Window) ([]byte, error) {
 	states, arrows, events := jumpshot.Tile(tr.File, win)
-	out := tileJSON{
-		Trace: tr.ID, T0: win.T0, T1: win.T1, RankLo: win.RankLo, RankHi: win.RankHi,
-		States: make([]tileStateJSON, 0, len(states)),
-		Arrows: make([]tileArrowJSON, 0, len(arrows)),
-		Events: make([]tileEventJSON, 0, len(events)),
+	j := jsonAppender{b: dst}
+	j.lit(`{"trace":`).str(tr.ID)
+	j.lit(`,"t0":`).float(win.T0)
+	j.lit(`,"t1":`).float(win.T1)
+	j.lit(`,"r0":`).int(win.RankLo)
+	j.lit(`,"r1":`).int(win.RankHi)
+	j.lit(`,"states":[`)
+	for i := range states {
+		s := &states[i]
+		j.item(i, `{"rank":`).int(s.Rank)
+		j.lit(`,"cat":`).int(s.Cat)
+		j.lit(`,"t0":`).float(s.Start)
+		j.lit(`,"t1":`).float(s.End)
+		if s.StartCargo != "" {
+			j.lit(`,"cargo":`).str(s.StartCargo)
+		}
+		j.lit(`}`)
 	}
-	for _, s := range states {
-		out.States = append(out.States, tileStateJSON{
-			Rank: s.Rank, Cat: s.Cat, Start: s.Start, End: s.End, Cargo: s.StartCargo,
-		})
+	j.lit(`],"arrows":[`)
+	for i := range arrows {
+		a := &arrows[i]
+		j.item(i, `{"src":`).int(a.SrcRank)
+		j.lit(`,"dst":`).int(a.DstRank)
+		j.lit(`,"t0":`).float(a.Start)
+		j.lit(`,"t1":`).float(a.End)
+		j.lit(`,"tag":`).int(a.Tag)
+		j.lit(`,"size":`).int(a.Size)
+		j.lit(`}`)
 	}
-	for _, a := range arrows {
-		out.Arrows = append(out.Arrows, tileArrowJSON{
-			Src: a.SrcRank, Dst: a.DstRank, Start: a.Start, End: a.End, Tag: a.Tag, Size: a.Size,
-		})
+	j.lit(`],"events":[`)
+	for i := range events {
+		e := &events[i]
+		j.item(i, `{"rank":`).int(e.Rank)
+		j.lit(`,"cat":`).int(e.Cat)
+		j.lit(`,"t":`).float(e.Time)
+		if e.Cargo != "" {
+			j.lit(`,"cargo":`).str(e.Cargo)
+		}
+		j.lit(`}`)
 	}
-	for _, e := range events {
-		out.Events = append(out.Events, tileEventJSON{
-			Rank: e.Rank, Cat: e.Cat, Time: e.Time, Cargo: e.Cargo,
-		})
+	j.lit(`]}`)
+	if j.err != nil {
+		return dst, j.err
 	}
-	return json.Marshal(out)
+	return j.b, nil
+}
+
+// jsonAppender writes JSON values the way encoding/json does, with the
+// first error sticky.
+type jsonAppender struct {
+	b   []byte
+	err error
+}
+
+// lit appends literal JSON: punctuation and key names.
+func (j *jsonAppender) lit(s string) *jsonAppender {
+	j.b = append(j.b, s...)
+	return j
+}
+
+// item appends the i-th array element's opening, after a comma unless
+// it is the first.
+func (j *jsonAppender) item(i int, s string) *jsonAppender {
+	if i > 0 {
+		j.b = append(j.b, ',')
+	}
+	return j.lit(s)
+}
+
+func (j *jsonAppender) int(v int) {
+	j.b = strconv.AppendInt(j.b, int64(v), 10)
+}
+
+// float is encoding/json's float64 rule: shortest 'f', or 'e' below 1e-6
+// and from 1e21 up with a two-digit negative exponent cut to one digit
+// (1e-07 → 1e-7). NaN and ±Inf have no JSON form.
+func (j *jsonAppender) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if j.err == nil {
+			j.err = fmt.Errorf("serve: tile time %v has no JSON form", f)
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	j.b = strconv.AppendFloat(j.b, f, format, -1, 64)
+	if n := len(j.b); format == 'e' && j.b[n-4] == 'e' && j.b[n-3] == '-' && j.b[n-2] == '0' {
+		j.b[n-2] = j.b[n-1]
+		j.b = j.b[:n-1]
+	}
+}
+
+// str appends s quoted. Printable ASCII other than `"\<>&` needs no
+// escape; anything else goes through encoding/json itself, so escaping
+// (HTML-safe, U+2028, invalid UTF-8 as U+FFFD) stays the standard
+// library's.
+func (j *jsonAppender) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			j.b = append(j.b, q...)
+			return
+		}
+	}
+	j.b = append(j.b, '"')
+	j.b = append(j.b, s...)
+	j.b = append(j.b, '"')
 }
 
 // RenderTileSVG renders the tile as an SVG document via the jumpshot
 // renderer, rank-windowed through View.RankOrder; zoom picks the raster
 // width (512px at zoom 0, doubling per level).
 func RenderTileSVG(tr *Trace, win jumpshot.Window, zoom int) []byte {
+	return appendTileSVG(nil, tr, win, zoom)
+}
+
+func appendTileSVG(dst []byte, tr *Trace, win jumpshot.Window, zoom int) []byte {
 	v := jumpshot.View{
 		From: win.T0, To: win.T1,
 		Width:     tileBaseWidth << zoom,
 		RankOrder: jumpshot.TileRankOrder(tr.File, win),
 		Title:     fmt.Sprintf("%s [%.6g, %.6g]", tr.ID, win.T0, win.T1),
 	}
-	return jumpshot.AppendSVG(nil, tr.File, v)
+	return jumpshot.AppendSVG(dst, tr.File, v)
 }
 
-// renderTile dispatches on format and returns (body, content type).
-func renderTile(tr *Trace, p tileParams) ([]byte, string, error) {
+// renderTile appends the tile to dst in its format and returns it with
+// its content type.
+func renderTile(dst []byte, tr *Trace, p tileParams) ([]byte, string, error) {
 	if p.format == "svg" {
-		return RenderTileSVG(tr, p.win, p.zoom), "image/svg+xml; charset=utf-8", nil
+		return appendTileSVG(dst, tr, p.win, p.zoom), "image/svg+xml; charset=utf-8", nil
 	}
-	body, err := RenderTileJSON(tr, p.win)
+	body, err := appendTileJSON(dst, tr, p.win)
 	return body, "application/json; charset=utf-8", err
 }
 
