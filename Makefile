@@ -37,40 +37,48 @@ ci: build fmt vet race test-bench fuzz-smoke cover smoke-multiproc smoke-serve s
 # Multi-process smoke: the lab2 exercise with every rank as its own OS
 # process over the socket transport (-pitransport=socket re-executes the
 # binary per rank), then the merged CLOG-2 — collected over the wire by
-# rank 0 — must still convert to SLOG-2.
+# rank 0 — must still convert to SLOG-2, and nothing may have written a
+# ".idx" beside it (the log carries its own block table).
 smoke-multiproc:
 	@mkdir -p out
 	$(GO) build -o out/pilot-lab2 ./cmd/pilot-lab2
 	./out/pilot-lab2 -pisvc=j -pitransport=socket -w 3 -num 3000 -clog out/lab2-multiproc.clog2
 	$(GO) run ./cmd/clog2slog -q -o out/lab2-multiproc.slog2 out/lab2-multiproc.clog2
+	test -z "$$(find out -maxdepth 1 -name '*.idx')"
 
 # Trace-service smoke: stand pilot-serve up on a repository of the three
 # golden traces (ephemeral port), built the way README's "Serving
-# traces" says (the raw logs copied in and indexed), and run its
-# end-to-end self-test — tiles byte-agree with a direct Query+render,
-# legend/search answer, ETag revalidation 304s, windowed profiles and
-# verdicts answer from the raw logs, and hostile requests get HTTP
-# errors instead of killing the server.
+# traces" says (the raw logs copied in), and run its end-to-end self-test
+# — tiles byte-agree with a direct Query+render, legend/search answer,
+# ETag revalidation 304s, windowed profiles and verdicts answer from the
+# raw logs, and hostile requests get HTTP errors instead of killing the
+# server. Nothing may write a ".idx" into the repository.
 smoke-serve:
+	rm -rf out/serve-repo
 	@mkdir -p out/serve-repo
 	cp testdata/golden/*.slog2 testdata/golden/*.profile.json testdata/golden/*.clog2 out/serve-repo/
-	for f in out/serve-repo/*.clog2; do $(GO) run ./cmd/pilot-index build $$f || exit 1; done
 	$(GO) run ./cmd/pilot-serve -repo out/serve-repo -smoke -q
+	test -z "$$(find out/serve-repo -name '*.idx')"
 
-# Index-sidecar smoke: build a ".idx" for each golden trace and prove
-# every indexed answer (windowed profiles, filtered record selections)
-# byte-identical to the full scan; pilot-index exits 1 on the first
-# disagreement. Runs on copies so the goldens stay pristine.
+# Block-table smoke: prove every answer through each golden trace's block
+# table (windowed profiles, filtered record selections) byte-identical to
+# the full scan, and the table itself the one a scan makes; pilot-index
+# exits 1 on the first disagreement. A copy cut short of its 22-byte
+# footer (clog2.FooterSize) must report the degraded status and still
+# agree with the scan. Runs on copies so the goldens stay pristine.
 smoke-index:
+	rm -rf out/idx-smoke
 	@mkdir -p out/idx-smoke
 	cp testdata/golden/*.clog2 out/idx-smoke/
+	head -c -22 testdata/golden/lab2.clog2 > out/idx-smoke/lab2-nofooter.clog2
 	$(GO) build -o out/pilot-index ./cmd/pilot-index
-	./out/pilot-index build out/idx-smoke/lab2.clog2
-	./out/pilot-index build out/idx-smoke/collisions.clog2
-	./out/pilot-index build out/idx-smoke/thumbnail.clog2
 	./out/pilot-index verify out/idx-smoke/lab2.clog2
 	./out/pilot-index verify out/idx-smoke/collisions.clog2
 	./out/pilot-index verify out/idx-smoke/thumbnail.clog2
+	./out/pilot-index verify out/idx-smoke/lab2-nofooter.clog2 > out/idx-smoke/nofooter.txt
+	cat out/idx-smoke/nofooter.txt
+	grep -q '^table: degraded' out/idx-smoke/nofooter.txt
+	test -z "$$(find out/idx-smoke -name '*.idx')"
 
 # Analyzer corpus smoke: the labelled chaos corpus. Each cell runs a
 # real example program under a seeded fault plan and asserts its

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/clog2"
-	"repro/internal/idx"
 	"repro/internal/stats"
 )
 
@@ -19,13 +18,13 @@ import (
 // through BlockReader.NextRun, which never holds more than one run of
 // them: over two blocks of 200 000 records each (28.8 MB a block as
 // []clog2.Record, which is what each of these calls allocated, and
-// re-allocated on the way there, while it was handed whole blocks), the
-// index rebuild, the profile, the verdict, a 0.5 % window through the index
-// and the diff of the log against itself each stay under 4 MB.
+// re-allocated on the way there, while it was handed whole blocks), a scan
+// for the block table, the profile, the verdict, a 0.5 % window through the
+// table and the diff of the log against itself each stay under 4 MB.
 //
-// A window through the index, once the pools are warm, allocates what it
+// A window through the table, once the pools are warm, allocates what it
 // keeps: over a log of 200 blocks of 2 048 records a 1 % window stays under
-// 64 KB (the scan's run buffer and decode buffer are pooled and the sidecar
+// 64 KB (the scan's run buffer and decode buffer are pooled and the table
 // is read into a buffer of its size; it was 451 KB).
 func TestBigBlockReadersAllocateBounded(t *testing.T) {
 	const perRank = 200_000
@@ -74,21 +73,23 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.Rebuild(path); err != nil {
-		t.Fatal(err)
-	}
 	const whole = 2*perRank - 2 // every record but rank 0's two definitions
 	calls := []struct {
 		name string
 		want int64 // records the call must at least have seen
 		call func() (int64, error)
 	}{
-		{"idx.BuildFile", whole, func() (int64, error) {
-			ix, err := idx.BuildFile(path)
+		{"clog2.ScanTable", whole, func() (int64, error) {
+			f, err := os.Open(path)
 			if err != nil {
 				return 0, err
 			}
-			return ix.TotalRecords, nil
+			defer f.Close()
+			table, err := clog2.ScanTable(f)
+			if err != nil {
+				return 0, err
+			}
+			return table.TotalRecords, nil
 		}},
 		{"stats.ComputeProfileFile", whole, func() (int64, error) {
 			p, err := stats.ComputeProfileFile(path)
@@ -104,7 +105,7 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 				return 0, err
 			}
 			if !indexed {
-				return 0, errors.New("the window was not answered through the index")
+				return 0, errors.New("the window was not answered through the table")
 			}
 			return p.Totals.Records, nil
 		}},
@@ -176,9 +177,6 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.Rebuild(many); err != nil {
 		t.Fatal(err)
 	}
 	span := float64(blocks*perBlock) * 1e-5

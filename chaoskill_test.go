@@ -111,6 +111,7 @@ func corruptSpills(t *testing.T, prefix string, rng *rand.Rand) (flips, truncs i
 func chaosKillOnce(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
+	defer assertNoSidecar(t, dir)
 	prefix := filepath.Join(dir, "chaos.clog2")
 
 	cmd := exec.Command(os.Args[0], "-test.run=^TestChaosKillChildProcess$")

@@ -130,6 +130,7 @@ func TestChaosWireChild(t *testing.T) {
 func chaosWireOnce(t *testing.T, program, faults string) {
 	t.Helper()
 	prefix := filepath.Join(t.TempDir(), "chaoswire.clog2")
+	defer assertNoSidecar(t, filepath.Dir(prefix))
 
 	type outcome struct {
 		err   error

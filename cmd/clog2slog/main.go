@@ -10,9 +10,7 @@
 //	clog2slog [-framesize N] [-workers N] [-o out.slog2] in.clog2
 //
 // -workers sizes the conversion worker pool (0 = one per CPU); the output
-// is byte-identical at any worker count. Unless -noindex is given, the
-// conversion also rebuilds the input's ".idx" index sidecar when it is
-// missing or stale, so converted logs answer windowed queries fast.
+// is byte-identical at any worker count.
 package main
 
 import (
@@ -20,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/idx"
 	"repro/vis"
 )
 
@@ -30,7 +27,6 @@ func main() {
 	out := flag.String("o", "", "output path (default: input with .slog2 suffix)")
 	quiet := flag.Bool("q", false, "suppress per-warning output")
 	profile := flag.Bool("profile", false, "also write a stats profile next to the SLOG-2 (*.profile.json)")
-	noIndex := flag.Bool("noindex", false, "do not rebuild the input's .idx index sidecar")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: clog2slog [-framesize N] [-workers N] [-o out.slog2] [-profile] in.clog2")
@@ -53,14 +49,6 @@ func main() {
 	}
 	fmt.Printf("%s: %d states, %d arrows, %d events over [%.6f, %.6f]s, %d ranks -> %s\n",
 		in, rep.States, rep.Arrows, rep.Events, f.Start, f.End, f.NumRanks, dst)
-	// Rebuild the input's index sidecar when it is missing or stale.
-	// Best-effort (the sidecar only accelerates; consumers degrade to the
-	// full scan without it), and skipped when a valid one already exists.
-	if !*noIndex && idx.Probe(in) != idx.StatusOK {
-		if _, ierr := idx.Rebuild(in); ierr == nil && !*quiet {
-			fmt.Printf("index -> %s\n", idx.SidecarPath(in))
-		}
-	}
 	if *profile {
 		p, err := vis.ComputeProfileFile(in)
 		if err != nil {

@@ -5,19 +5,19 @@
 //
 // Usage:
 //
-//	clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] [-noindex] in.clog2
+//	clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] in.clog2
 //
 // -t0/-t1 bound the time window (inclusive; definition records are
 // metadata and always pass the window), -rank keeps one rank's records,
-// -channel keeps message events on one channel (tag). When a valid
-// ".idx" sidecar sits next to the file, filtered dumps seek straight to
-// the blocks the query can touch instead of decoding the whole log; the
-// output is identical either way, and -noindex forces the full scan.
-// Works on spill fragments from aborted runs too (lenient parsing).
+// -channel keeps message events on one channel (tag). The records are
+// read through idx.Walk: when the log ends in a valid block table, a
+// filtered dump seeks straight to the blocks the query can touch instead
+// of decoding the whole log; the output is identical either way. Works on
+// spill fragments from aborted runs too: a file with no end-log marker
+// shows its complete blocks.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -37,17 +37,15 @@ func main() {
 	t0 := flag.Float64("t0", math.Inf(-1), "only records at or after this timestamp (defs always pass)")
 	t1 := flag.Float64("t1", math.Inf(1), "only records at or before this timestamp (defs always pass)")
 	channel := flag.Int("channel", -1, "only message events on this channel (tag)")
-	noIndex := flag.Bool("noindex", false, "ignore any .idx sidecar and scan the whole file")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] [-noindex] in.clog2")
+		fmt.Fprintln(os.Stderr, "usage: clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] in.clog2")
 		os.Exit(2)
 	}
 	if *t1 < *t0 {
 		fmt.Fprintf(os.Stderr, "clogdump: empty time window [%g,%g]\n", *t0, *t1)
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
 
 	q := idx.Query{T0: *t0, T1: *t1, Rank: int32(*rank), Chan: int32(*channel), IncludeDefs: true}
 	match := func(rec *clog2.Record) bool {
@@ -66,76 +64,56 @@ func main() {
 		}
 		return true
 	}
-
-	if !*noIndex {
-		if ix, err := idx.Load(path); err == nil {
-			if dumpIndexed(path, ix, q, match) {
-				return
-			}
-			// The index validated but disagreed with the file mid-scan;
-			// fall through to the authoritative full scan.
-		}
+	if err := dump(os.Stdout, os.Stderr, flag.Arg(0), q, match); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	dumpScan(path, match)
 }
 
-// dumpIndexed seeks through only the blocks the query can touch. Output
-// is buffered until the scan completes so a mid-scan index/file mismatch
-// can fall back to the full scan without half a dump already printed;
-// filtered dumps are small by construction (that is the point of the
-// filters).
-func dumpIndexed(path string, ix *idx.Index, q idx.Query, match func(*clog2.Record) bool) bool {
+// dump writes the records of the log at path that match to w, through
+// idx.Walk. The output is buffered until the walk ends, and starts over
+// whenever Walk begins again (a table caught lying mid-scan), so that no
+// half-answer is printed. A log the walk cannot read to its end-log marker
+// is dumped as far as its complete blocks go (ReadLenient: a spill
+// fragment from an aborted run), with a warning to warn.
+func dump(w, warn io.Writer, path string, q idx.Query, match func(*clog2.Record) bool) error {
 	var out bytes.Buffer
-	fmt.Fprintf(&out, "ranks: %d, blocks: %d\n", ix.NumRanks, len(ix.Blocks))
 	n := 0
-	err := idx.ScanFile(path, ix, ix.Select(q), func(b clog2.Block) error {
-		for i := range b.Records {
-			if match(&b.Records[i]) {
-				fmt.Fprintln(&out, formatRecord(b.Records[i]))
-				n++
+	begin := func(numRanks int) func(clog2.Block) error {
+		out.Reset()
+		n = 0
+		fmt.Fprintf(&out, "ranks: %d\n", numRanks)
+		return func(b clog2.Block) error {
+			for i := range b.Records {
+				if match(&b.Records[i]) {
+					fmt.Fprintln(&out, formatRecord(b.Records[i]))
+					n++
+				}
 			}
+			return nil
 		}
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "warning: index disagrees with the file (%v); re-answering with a full scan\n", err)
-		return false
+	}
+	if _, err := idx.Walk(path, q, begin); err != nil {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		log, complete, err := clog2.ReadLenient(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		if !complete {
+			fmt.Fprintln(warn, "warning: file is torn (no end-log marker); showing complete blocks only")
+		}
+		visit := begin(log.NumRanks)
+		for _, b := range log.Blocks {
+			visit(b)
+		}
 	}
 	fmt.Fprintf(&out, "%d record(s)\n", n)
-	io.Copy(os.Stdout, &out)
-	return true
-}
-
-// dumpScan is the authoritative full scan: every block decoded in file
-// order, lenient about torn tails from aborted runs.
-func dumpScan(path string, match func(*clog2.Record) bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	log, complete, err := clog2.ReadLenient(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if !complete {
-		fmt.Fprintln(os.Stderr, "warning: file is torn (no end-log marker); showing complete blocks only")
-	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	fmt.Fprintf(w, "ranks: %d, blocks: %d\n", log.NumRanks, len(log.Blocks))
-	n := 0
-	for _, b := range log.Blocks {
-		for i := range b.Records {
-			if match(&b.Records[i]) {
-				fmt.Fprintln(w, formatRecord(b.Records[i]))
-				n++
-			}
-		}
-	}
-	fmt.Fprintf(w, "%d record(s)\n", n)
+	_, err := out.WriteTo(w)
+	return err
 }
 
 func formatRecord(r clog2.Record) string {

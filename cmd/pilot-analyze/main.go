@@ -14,7 +14,7 @@
 // "pilot-analyze-diff/1" with -diff). -o writes to a file instead of
 // stdout. -t0/-t1 restrict the analysis window like pilot-profile; a
 // matching ".profile.json" sidecar is reused for whole-run analyses and
-// a ".idx" sidecar accelerates windowed ones. -svg/-html additionally
+// the log's block table accelerates windowed ones. -svg/-html additionally
 // render the run's timeline with each finding drawn as an annotation
 // where it happened. Exits 0 when the run is clean (or the diff is
 // identical), 3 when findings or a divergence were reported, 1 on a

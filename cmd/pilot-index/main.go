@@ -1,22 +1,26 @@
-// Command pilot-index manages the ".idx" index sidecars that let
-// CLOG-2 consumers seek to the blocks a time/rank/channel query can
-// touch instead of streaming the whole log.
+// Command pilot-index reports on the block table a CLOG-2 log carries at
+// its end, which lets consumers seek to the blocks a time/rank/channel
+// query can touch instead of streaming the whole log.
 //
 // Usage:
 //
-//	pilot-index build  run.clog2   rebuild the sidecar (full scan)
-//	pilot-index info   run.clog2   print the sidecar's state and summary
+//	pilot-index info   run.clog2   print the table's state and summary
 //	pilot-index verify run.clog2   prove indexed == full-scan answers
 //
-// verify builds a sidecar if none is valid, then replays a battery of
-// windowed profile and record-selection queries through both the
-// indexed and full-scan paths and exits 1 on any disagreement — the
-// equality contract the whole index design rests on, checkable on any
+// A log without a usable table (written before logs carried one, cut
+// short, or failing validation) is "degraded": every consumer answers it
+// with the full scan, and the reason is printed. verify checks that a
+// valid table is the one a scan of the log makes, then replays a battery
+// of windowed profile and record-selection queries through the path every
+// consumer takes (idx.Walk) and through the full scan, and exits 1 on any
+// disagreement, or when a table that validated was not what answered —
+// the equality contract the whole index design rests on, checkable on any
 // log. Exits 0 on success, 1 on error or mismatch, 2 on usage errors.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -34,8 +38,6 @@ func main() {
 	cmd, path := os.Args[1], os.Args[2]
 	var err error
 	switch cmd {
-	case "build":
-		err = runBuild(path)
 	case "info":
 		err = runInfo(path)
 	case "verify":
@@ -50,28 +52,29 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pilot-index build|info|verify run.clog2")
+	fmt.Fprintln(os.Stderr, "usage: pilot-index info|verify run.clog2")
 	os.Exit(2)
 }
 
-func runBuild(path string) error {
-	ix, err := idx.Rebuild(path)
-	if err != nil {
-		return err
+// load reads the table of the log at path and prints its state: ok, or
+// degraded and why. Only an error that is not about the table (the file
+// cannot be opened) is returned.
+func load(path string) (*idx.Index, error) {
+	ix, err := idx.Load(path)
+	switch {
+	case err == nil:
+		fmt.Printf("table: %s\n", idx.StatusOK)
+	case errors.Is(err, clog2.ErrNoTable):
+		fmt.Printf("table: %s (%v)\n", idx.StatusDegraded, err)
+	default:
+		return nil, err
 	}
-	fmt.Printf("%s: %d block(s), %d record(s) -> %s\n",
-		path, len(ix.Blocks), ix.TotalRecords, idx.SidecarPath(path))
-	return nil
+	return ix, nil
 }
 
 func runInfo(path string) error {
-	st := idx.Probe(path)
-	fmt.Printf("sidecar: %s (%s)\n", idx.SidecarPath(path), st)
-	if st != idx.StatusOK {
-		return nil
-	}
-	ix, err := idx.Load(path)
-	if err != nil {
+	ix, err := load(path)
+	if err != nil || ix == nil {
 		return err
 	}
 	tmin, tmax := timeSpan(ix)
@@ -98,27 +101,31 @@ func timeSpan(ix *idx.Index) (tmin, tmax float64) {
 }
 
 func runVerify(path string) error {
-	ix, err := idx.Load(path)
-	if err != nil {
-		fmt.Printf("sidecar %s: %v; rebuilding\n", idx.SidecarPath(path), err)
-		if ix, err = idx.Rebuild(path); err != nil {
-			return err
-		}
-	}
-	// Invariant 1: the sidecar on disk must equal a from-scratch rebuild
-	// (modulo the generation stamp) — inline merge emission and the
-	// full-scan rebuild describe the same file identically.
-	rebuilt, err := idx.BuildFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	rebuilt.SourceSize, rebuilt.SourceModNanos = ix.SourceSize, ix.SourceModNanos
-	if !bytes.Equal(idx.Encode(rebuilt), idx.Encode(ix)) {
-		return fmt.Errorf("%s: sidecar does not match a full-scan rebuild", path)
+	scanned, err := clog2.ScanTable(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	ix, err := load(path)
+	if err != nil {
+		return err
+	}
+	want := idx.StatusOK
+	if ix == nil {
+		// Every answer is the scan's; the battery is drawn from it.
+		want, ix = idx.StatusDegraded, (*idx.Index)(scanned)
+	} else if !bytes.Equal(clog2.AppendTable(nil, (*clog2.Table)(ix)), clog2.AppendTable(nil, scanned)) {
+		// Invariant 1: the table the log carries is the one a scan of the
+		// log makes, entry for entry.
+		return fmt.Errorf("%s: the table differs from a scan of the log", path)
 	}
 
-	// Invariant 2: windowed profiles agree between the indexed and
-	// full-scan paths, across a battery of windows derived from the
+	// Invariant 2: windowed profiles agree between the path consumers take
+	// and the full scan, across a battery of windows derived from the
 	// file's own time span (plus an empty window past the end).
 	tmin, tmax := timeSpan(ix)
 	if tmin > tmax {
@@ -135,7 +142,7 @@ func runVerify(path string) error {
 	}
 	checked := 0
 	for _, w := range windows {
-		if err := verifyProfileWindow(path, ix, w[0], w[1]); err != nil {
+		if err := verifyProfileWindow(path, want, w[0], w[1]); err != nil {
 			return err
 		}
 		checked++
@@ -166,19 +173,22 @@ func runVerify(path string) error {
 		queries = append(queries, q)
 	}
 	for _, q := range queries {
-		if err := verifySelection(path, ix, q); err != nil {
+		if err := verifySelection(path, want, q); err != nil {
 			return err
 		}
 		checked++
 	}
-	fmt.Printf("%s: %d indexed quer(ies) byte-identical to the full scan\n", path, checked)
+	fmt.Printf("%s: %d quer(ies) byte-identical to the full scan (table %s)\n", path, checked, want)
 	return nil
 }
 
-func verifyProfileWindow(path string, ix *idx.Index, t0, t1 float64) error {
-	indexed, err := stats.ComputeProfileIndexed(path, ix, t0, t1)
+func verifyProfileWindow(path string, want idx.Status, t0, t1 float64) error {
+	walked, used, err := stats.ComputeProfileFileWindowed(path, t0, t1)
 	if err != nil {
-		return fmt.Errorf("indexed profile [%g,%g]: %w", t0, t1, err)
+		return fmt.Errorf("windowed profile [%g,%g]: %w", t0, t1, err)
+	}
+	if used != (want == idx.StatusOK) {
+		return fmt.Errorf("window [%g,%g]: the table answered: %v, but it is %s", t0, t1, used, want)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -189,7 +199,7 @@ func verifyProfileWindow(path string, ix *idx.Index, t0, t1 float64) error {
 	if err != nil {
 		return err
 	}
-	a, err := indexed.JSON()
+	a, err := walked.JSON()
 	if err != nil {
 		return err
 	}
@@ -198,25 +208,31 @@ func verifyProfileWindow(path string, ix *idx.Index, t0, t1 float64) error {
 		return err
 	}
 	if !bytes.Equal(a, b) {
-		return fmt.Errorf("window [%g,%g]: indexed profile differs from full scan", t0, t1)
+		return fmt.Errorf("window [%g,%g]: windowed profile differs from full scan", t0, t1)
 	}
 	return nil
 }
 
-func verifySelection(path string, ix *idx.Index, q idx.Query) error {
-	var indexed []clog2.Record
-	err := idx.ScanFile(path, ix, ix.Select(q), func(b clog2.Block) error {
-		for i := range b.Records {
-			if q.Matches(&b.Records[i]) {
-				indexed = append(indexed, b.Records[i])
+func verifySelection(path string, want idx.Status, q idx.Query) error {
+	var walked, scanned []clog2.Record
+	collect := func(dst *[]clog2.Record) func(clog2.Block) error {
+		*dst = (*dst)[:0]
+		return func(b clog2.Block) error {
+			for i := range b.Records {
+				if q.Matches(&b.Records[i]) {
+					*dst = append(*dst, b.Records[i])
+				}
 			}
+			return nil
 		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("indexed selection %+v: %w", q, err)
 	}
-	var scanned []clog2.Record
+	st, err := idx.Walk(path, q, func(int) func(clog2.Block) error { return collect(&walked) })
+	if err != nil {
+		return fmt.Errorf("selection %+v: %w", q, err)
+	}
+	if st != want {
+		return fmt.Errorf("query %+v: answered %s, but the table is %s", q, st, want)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -226,23 +242,15 @@ func verifySelection(path string, ix *idx.Index, q idx.Query) error {
 	if err != nil {
 		return err
 	}
-	err = br.Each(func(b clog2.Block) error {
-		for i := range b.Records {
-			if q.Matches(&b.Records[i]) {
-				scanned = append(scanned, b.Records[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := br.Each(collect(&scanned)); err != nil {
 		return err
 	}
-	if len(indexed) != len(scanned) {
-		return fmt.Errorf("query %+v: indexed selected %d record(s), full scan %d", q, len(indexed), len(scanned))
+	if len(walked) != len(scanned) {
+		return fmt.Errorf("query %+v: the table selected %d record(s), full scan %d", q, len(walked), len(scanned))
 	}
-	for i := range indexed {
-		if indexed[i] != scanned[i] {
-			return fmt.Errorf("query %+v: record %d differs between indexed and full scan", q, i)
+	for i := range walked {
+		if walked[i] != scanned[i] {
+			return fmt.Errorf("query %+v: record %d differs between the table's answer and the full scan", q, i)
 		}
 	}
 	return nil

@@ -11,10 +11,10 @@
 // machine-readable form (schema "pilot-profile/1"). -o writes to a file
 // instead of stdout. -t0/-t1 restrict the profile to records whose
 // timestamps fall in the inclusive window [t0, t1] — the windowed
-// profile of a long run without streaming the world: when a valid
-// ".idx" sidecar sits next to the log, only the blocks the window can
-// touch are decoded (falling back to the full scan when the sidecar is
-// absent, stale, or invalid; the answers are identical either way).
+// profile of a long run without streaming the world: when the log ends
+// in a valid block table, only the blocks the window can touch are
+// decoded (falling back to the full scan when the table is absent or
+// invalid; the answers are identical either way).
 // Definition records always pass the window, so state classification
 // does not depend on where it lands. Exits 0 on success, 1 on a read or
 // decode error, 2 on usage errors.

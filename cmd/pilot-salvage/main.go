@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/idx"
 	"repro/internal/mpe"
 )
 
@@ -56,12 +55,6 @@ func main() {
 		os.Remove(dst)
 		fmt.Fprintln(os.Stderr, "pilot-salvage: no records recovered from any rank fragment")
 		os.Exit(1)
-	}
-	// Rebuild the index sidecar for the salvaged log, like the normal
-	// merge does inline. Best-effort: the sidecar is an accelerator and
-	// every consumer degrades to the full scan without it.
-	if _, ierr := idx.Rebuild(dst); ierr == nil && !*quiet {
-		fmt.Printf("index -> %s\n", idx.SidecarPath(dst))
 	}
 	if !*quiet {
 		fmt.Println(rep)

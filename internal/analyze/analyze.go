@@ -236,9 +236,9 @@ func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 
 // AnalyzeFile analyzes a CLOG-2 file. A windowed analysis makes one
 // pass under idx.Walk, collector and profiler on the same fold, so it
-// reads only the blocks the ".idx" sidecar selects when one is valid and
-// every block otherwise. A whole-run analysis reads every block without
-// opening the index, and reuses a matching "<base>.profile.json" sidecar
+// reads only the blocks the log's block table selects when it has a valid
+// one and every block otherwise. A whole-run analysis reads every block
+// without opening the table, and reuses a matching "<base>.profile.json" sidecar
 // (validated against the trace's own record count) instead of computing
 // the profile.
 func AnalyzeFile(path string, opts Options) (*Report, error) {

@@ -372,11 +372,15 @@ func TestDiffMatchesOracleAcrossBlockLayouts(t *testing.T) {
 func TestDiffMatchesOracleOnDamagedLogs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	good := encodeLog(t, 2, layOut(rng, genOps(rng, 2, 30), 8))
+	table, err := clog2.ReadTable(bytes.NewReader(good), int64(len(good)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, bad := range map[string][]byte{
 		"garbage":   []byte("garbage"),
 		"empty":     nil,
 		"torn":      good[:len(good)/2],
-		"no endlog": good[:len(good)-1],
+		"no endlog": good[:table.LogSize()-1],
 	} {
 		mustMatchOracle(t, name, good, bad, DiffOptions{})
 		for i, pair := range [][2][]byte{{bad, good}, {good, bad}} {

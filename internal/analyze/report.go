@@ -158,7 +158,7 @@ type Report struct {
 	// "sidecar" (a matching .profile.json was reused).
 	ProfileSource string `json:"profile_source"`
 	// UsedIndex reports whether a windowed profile was answered
-	// through the ".idx" sidecar.
+	// through the log's block table.
 	UsedIndex bool `json:"used_index,omitempty"`
 	// ClockSuspect means matched messages were observed with recv
 	// timestamps before their send (skewed or synthetic clocks); the

@@ -73,13 +73,13 @@ func writeBlockyLog(t *testing.T, path string, steps, statesPerBlock int) {
 	}
 }
 
-// A windowed verdict makes one pass, and with a valid sidecar that pass
-// reads the window's blocks and nothing else. (It used to read the whole
+// A windowed verdict makes one pass, and through the log's valid table
+// that pass reads the window's blocks and nothing else. (It used to read the whole
 // log for the collector and the indexed blocks again for the profile.)
 func TestAnalyzeWindowedReadsItsBlocksOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocky.clog2")
 	writeBlockyLog(t, path, 150, 600)
-	ix, err := idx.Rebuild(path)
+	ix, err := idx.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAnalyzeWindowedReadsItsBlocksOnce(t *testing.T) {
 	}
 	read := bytesRead(t) - before
 	if !rep.UsedIndex {
-		t.Error("a valid sidecar was not used")
+		t.Error("a valid table was not used")
 	}
 	if rep.Records == 0 || rep.Records >= ix.TotalRecords/20 {
 		t.Errorf("window holds %d of %d records; the test wants a small, non-empty share", rep.Records, ix.TotalRecords)
@@ -107,8 +107,8 @@ func TestAnalyzeWindowedReadsItsBlocksOnce(t *testing.T) {
 		t.Errorf("a 1 %% window read %d bytes of a %d-byte log, want under a fifth", read, info.Size())
 	}
 
-	// The whole run beside the same sidecar is a plain scan: it does not
-	// open the index and does not claim to have used it, not even when
+	// The whole run of the same log is a plain scan: it does not read the
+	// table and does not claim to have used it, not even when
 	// its .profile.json counts another log's records and the profile has
 	// to be computed after all.
 	for _, sidecar := range []string{"", `{"schema":"pilot-profile/1","totals":{"records":7}}`} {
@@ -140,7 +140,7 @@ func TestAnalyzeFileWindowedEqualsPlainReader(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := idx.Rebuild(path)
+		ix, err := idx.Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestAnalyzeFileWindowedEqualsPlainReader(t *testing.T) {
 				t.Fatalf("%s %v: %v", name, w, err)
 			}
 			if got.Window == nil || !got.UsedIndex {
-				t.Errorf("%s %v: window %v, used_index %v; want a windowed verdict through the valid sidecar", name, w, got.Window, got.UsedIndex)
+				t.Errorf("%s %v: window %v, used_index %v; want a windowed verdict through the valid table", name, w, got.Window, got.UsedIndex)
 			}
 			got.UsedIndex = false
 			want, err := Analyze(bytes.NewReader(data), opts)

@@ -176,10 +176,26 @@ func TestAppendRejects(t *testing.T) {
 	}
 }
 
-// A Writer's file is the header, AppendBlock's bytes block by block and
-// the end-log marker, whatever the blocks' size against its buffer, and
-// Offset counts what it has encoded whether or not it was handed on.
-// Splice puts encoded blocks where WriteBlock would have.
+// entriesAt makes the table entries of encoded blocks that land at offset
+// at, the way the merge does: from a strict walk of them.
+func entriesAt(t testing.TB, blocks []byte, at int64) []BlockMeta {
+	t.Helper()
+	br, err := NewStrictBlockReader(append(append(AppendHeader(nil, 1), blocks...), byte(RecEndLog)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table Table
+	if err := br.Each(func(run Block) error { table.AddRun(br, run, at-int64(HeaderSize)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return table.Blocks
+}
+
+// A Writer's file is the header, AppendBlock's bytes block by block, the
+// end-log marker and the table a scan of those makes, whatever the blocks'
+// size against its buffer, and Offset counts what it has encoded whether
+// or not it was handed on. Splice puts encoded blocks where WriteBlock
+// would have, and their entries where WriteBlock makes them.
 func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	long := strings.Repeat("x", math.MaxUint16)
@@ -219,13 +235,21 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 			if rank%2 == 0 {
 				err = ws.WriteBlockChunks(rank, recs[:perBlock/2], recs[perBlock/2:])
 			} else {
-				err = ws.Splice(want[start:])
+				if ws.Splice(want[start:], nil) == nil {
+					t.Fatal("Splice took blocks without their entries")
+				}
+				err = ws.Splice(want[start:], entriesAt(t, want[start:], int64(start)))
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		want = append(want, byte(RecEndLog))
+		table, err := ScanTable(bytes.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = AppendTable(want, table)
 		for _, w := range []*Writer{ws, ww} {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -235,9 +259,9 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(written.Bytes(), want) || !bytes.Equal(spliced.Bytes(), want) {
-			t.Fatalf("%d records a block: the Writer's file is not header + AppendBlock... + end-log", perBlock)
+			t.Fatalf("%d records a block: the Writer's file is not header + AppendBlock... + end-log + table", perBlock)
 		}
-		if err := ws.Splice(nil); err == nil {
+		if err := ws.Splice(nil, nil); err == nil {
 			t.Fatal("Splice after Close succeeded")
 		}
 	}
@@ -266,7 +290,7 @@ func TestWriterErrorIsSticky(t *testing.T) {
 	if err := w.WriteBlock(0, recs); err != io.ErrShortWrite {
 		t.Fatalf("WriteBlock over a failing writer: %v", err)
 	}
-	if err := w.Splice([]byte{1}); err != io.ErrShortWrite {
+	if err := w.Splice([]byte{1}, nil); err != io.ErrShortWrite {
 		t.Fatalf("Splice after a failed write: %v", err)
 	}
 	if err := w.Close(); err != io.ErrShortWrite {
@@ -365,7 +389,7 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 		"one byte": func() (*BlockReader, error) {
 			return NewBlockReader(iotest.OneByteReader(bytes.NewReader(file.Bytes())))
 		},
-		"strict, in memory": func() (*BlockReader, error) { return NewStrictBlockReader(file.Bytes()) },
+		"strict, in memory": func() (*BlockReader, error) { return NewStrictBlockReader(file.Bytes()[:w.Table().LogSize()]) },
 	} {
 		for _, capacity := range runCaps {
 			br, err := open()

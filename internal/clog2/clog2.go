@@ -6,7 +6,8 @@
 // A file is a header followed by per-rank blocks of time-stamped records —
 // state and event definitions, bare events, cargo events (with the MPE
 // 40-byte text limit), point-to-point message events, and timeshift
-// records from clock synchronisation — terminated by an end-log marker.
+// records from clock synchronisation — terminated by an end-log marker,
+// behind which a Writer puts the log's block table (table.go).
 // Like real CLOG-2, the file is unmerged and unsorted across ranks: sorting
 // and pairing are the converter's job, and diagnosing problems by reading
 // the raw records is exactly the use case the paper quotes for keeping the
@@ -41,6 +42,16 @@ func (t RecType) String() string {
 		return names[t]
 	}
 	return "RecType(?)"
+}
+
+// IsDef reports whether t is a definition: metadata a windowed reader
+// processes wherever its window lies, and that no time fence covers.
+func (t RecType) IsDef() bool {
+	switch t {
+	case RecStateDef, RecEventDef, RecConstDef, RecSrcLoc:
+		return true
+	}
+	return false
 }
 
 // MaxCargo is the cargo-text byte limit, matching MPE's 40-byte field (the

@@ -235,9 +235,9 @@ func TestReadRejectsTruncated(t *testing.T) {
 	w, _ := NewWriter(&buf, 2)
 	w.WriteBlock(1, sampleRecords())
 	w.Close()
-	full := buf.Bytes()
-	// Every proper prefix (beyond the header) must fail, not crash or
-	// silently succeed.
+	full := buf.Bytes()[:w.Table().LogSize()]
+	// Every proper prefix (beyond the header) of the log, up to its end-log
+	// marker, must fail, not crash or silently succeed.
 	for cut := len(Magic) + 4; cut < len(full)-1; cut += 7 {
 		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes read successfully", cut)

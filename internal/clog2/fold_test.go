@@ -234,7 +234,7 @@ func TestBlockReaderEach(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	data := buf.Bytes()[:w.Table().LogSize()]
 
 	open := func(data []byte) *BlockReader {
 		br, err := NewBlockReader(bytes.NewReader(data))

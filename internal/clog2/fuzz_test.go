@@ -8,7 +8,9 @@ import (
 	"testing"
 )
 
-// validFileBytes serialises a small, well-formed two-block file.
+// validFileBytes serialises a small, well-formed two-block log, as far as
+// its end-log marker: the block table a Writer puts behind it is cut off
+// (table_test.go tests that).
 func validFileBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -25,7 +27,7 @@ func validFileBytes(t testing.TB) []byte {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes()[:w.Table().LogSize()]
 }
 
 // corruptHeader returns a valid file with the block's declared record
@@ -80,6 +82,11 @@ func FuzzReadFile(f *testing.F) {
 	f.Add(bad, uint8(9))
 	f.Add(rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1))), uint8(10)) // cargo the decoder cuts
 	f.Add(append(append([]byte(nil), valid...), 0), uint8(11))                          // a byte after the end-log marker
+	table, err := ScanTable(bytes.NewReader(valid))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(AppendTable(append([]byte(nil), valid...), table), uint8(12)) // as a Writer closes it
 
 	f.Fuzz(func(t *testing.T, data []byte, room uint8) {
 		full, err := Read(bytes.NewReader(data))

@@ -21,10 +21,11 @@ const Magic = "CLOG-R0260"
 const HeaderSize = len(Magic) + 4
 
 // Writer emits a CLOG-2 file incrementally: a header, then blocks of
-// records, then Close writes the end-log marker. Everything is encoded by
-// AppendRecord into one buffer, which the Writer hands to the underlying
-// writer whenever a timed record might not fit: only a definition with
-// strings longer than the buffer ever grows it.
+// records, then Close writes the end-log marker and the log's block table
+// (table.go). Everything is encoded by AppendRecord into one buffer, which
+// the Writer hands to the underlying writer whenever a timed record might
+// not fit: only a definition with strings longer than the buffer ever
+// grows it.
 type Writer struct {
 	w   io.Writer // nil under AppendBlock: buf then takes the whole block
 	buf []byte    // encoded bytes not yet handed to w
@@ -32,6 +33,7 @@ type Writer struct {
 	off    int64
 	closed bool
 	err    error
+	table  Table // an entry for each block written, unless w is nil
 }
 
 const writerBufSize = 64 << 10
@@ -45,7 +47,7 @@ func NewWriter(w io.Writer, numRanks int) (*Writer, error) {
 	if numRanks < 1 {
 		return nil, fmt.Errorf("clog2: writer with %d ranks", numRanks)
 	}
-	return &Writer{w: w, buf: AppendHeader(make([]byte, 0, writerBufSize), numRanks)}, nil
+	return &Writer{w: w, buf: AppendHeader(make([]byte, 0, writerBufSize), numRanks), table: Table{NumRanks: numRanks}}, nil
 }
 
 // AppendHeader appends the file header for numRanks ranks.
@@ -68,7 +70,8 @@ func (w *Writer) WriteBlock(rank int32, recs []Record) error {
 // consecutive chunks (as handed out by the mpe record arenas), producing
 // exactly the bytes WriteBlock would for the concatenated records: one
 // header carrying the total count, every record in chunk order, then the
-// end-block marker.
+// end-block marker. A Writer over an underlying writer enters the block in
+// its table; under AppendBlock there is none.
 func (w *Writer) WriteBlockChunks(rank int32, chunks ...[]Record) error {
 	if err := w.writable(); err != nil {
 		return err
@@ -76,6 +79,7 @@ func (w *Writer) WriteBlockChunks(rank int32, chunks ...[]Record) error {
 	if rank < 0 {
 		return fmt.Errorf("clog2: block with negative rank %d", rank)
 	}
+	start := w.Offset()
 	total := 0
 	for _, c := range chunks {
 		total += len(c)
@@ -98,6 +102,15 @@ func (w *Writer) WriteBlockChunks(rank int32, chunks ...[]Record) error {
 		}
 	}
 	w.buf = append(buf, byte(RecEndBlock))
+	if w.w != nil {
+		m := newBlockMeta(rank, start)
+		for _, c := range chunks {
+			m.addRecords(c)
+		}
+		m.Length = w.Offset() - start
+		w.table.Blocks = append(w.table.Blocks, m)
+		w.table.TotalRecords += int64(m.Records)
+	}
 	return nil
 }
 
@@ -140,11 +153,27 @@ func BlockCap(chunks ...[]Record) int {
 // Splice appends blocks that are already encoded: bytes a strict
 // BlockReader has walked to their last end-block marker, which are
 // therefore the bytes WriteBlock would produce for the records it
-// decoded. They go to the underlying writer as they are, uncopied.
-func (w *Writer) Splice(blocks []byte) error {
+// decoded. They go to the underlying writer as they are, uncopied, and
+// their entries, which that walk made (Table.AddRun) at the offsets the
+// blocks land at, go into the table; entries that do not tile the blocks
+// from Offset on are refused.
+func (w *Writer) Splice(blocks []byte, entries []BlockMeta) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
+	at, records := w.Offset(), int64(0)
+	for _, m := range entries {
+		if m.Offset != at || m.Length <= 0 {
+			return fmt.Errorf("clog2: a spliced block's entry spans [%d,+%d), the block starts at %d", m.Offset, m.Length, at)
+		}
+		at += m.Length
+		records += int64(m.Records)
+	}
+	if at != w.Offset()+int64(len(blocks)) {
+		return fmt.Errorf("clog2: entries for %d bytes, %d bytes spliced", at-w.Offset(), len(blocks))
+	}
+	w.table.Blocks = append(w.table.Blocks, entries...)
+	w.table.TotalRecords += records
 	w.emit(w.buf)
 	w.emit(blocks)
 	w.buf = w.buf[:0]
@@ -170,8 +199,8 @@ func (w *Writer) emit(p []byte) {
 	}
 }
 
-// Close writes the end-log marker and flushes. The underlying writer is
-// not closed.
+// Close writes the end-log marker and the block table behind it, and
+// flushes. The underlying writer is not closed.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
@@ -180,10 +209,14 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.emit(append(w.buf, byte(RecEndLog)))
+	w.emit(AppendTable(append(w.buf, byte(RecEndLog)), &w.table))
 	w.buf = w.buf[:0]
 	return w.err
 }
+
+// Table is the block table of what the Writer has written: once Close has
+// succeeded, the table it wrote.
+func (w *Writer) Table() *Table { return &w.table }
 
 // AppendRecord appends r's encoding to dst: the mirror of readRecord, and
 // the one encoder behind the Writer, AppendBlock and the spill frames. dst
@@ -320,12 +353,13 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 }
 
 // NewStrictBlockReader is NewBlockReader over a whole log held in memory,
-// decoded where it lies, that accepts the log only as a Writer encodes it:
-// a cargo longer than MaxCargo, which other readers cut short, and a byte
-// after the end-log marker are errors. Decoding is then one-to-one, so
-// once Each has walked the log to its end, log[HeaderSize:len(log)-1] are
-// the bytes a Writer would produce for the records Each yielded, and can
-// be spliced instead of re-encoded.
+// decoded where it lies, that accepts the log only as AppendHeader,
+// AppendBlock and an end-log marker assemble it: a cargo longer than
+// MaxCargo, which other readers cut short, and a byte after the end-log
+// marker (a Writer's block table among them) are errors. Decoding is then
+// one-to-one, so once Each has walked the log to its end,
+// log[HeaderSize:len(log)-1] are the bytes a Writer would produce for the
+// records Each yielded, and can be spliced instead of re-encoded.
 func NewStrictBlockReader(log []byte) (*BlockReader, error) {
 	return newBlockReader(decoder{buf: log, w: len(log), strict: true})
 }
@@ -353,9 +387,9 @@ func newBlockReader(dec decoder) (*BlockReader, error) {
 
 // NewBlockReaderAt opens a block iterator positioned at offset in rs — a
 // block-start byte offset previously reported by BlockBounds or recorded
-// in an index sidecar. The file header is not re-read or re-validated
-// (the caller brings numRanks, typically from the index); the returned
-// reader supports SeekTo for jumping between blocks.
+// in a block table. The file header is not re-read or re-validated (the
+// caller brings numRanks, typically from the table); the returned reader
+// supports SeekTo for jumping between blocks.
 func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReader, error) {
 	if numRanks < 1 || numRanks > 1<<20 {
 		return nil, fmt.Errorf("clog2: implausible rank count %d", numRanks)
@@ -494,7 +528,7 @@ func (br *BlockReader) NextRun(buf []Record) (run Block, last bool, err error) {
 var decodePool = sync.Pool{New: func() any { return new([decodeBufSize]byte) }}
 
 // Release ends the reader's life and hands its decode buffer to the next
-// reader opened: for a caller that opens one per query (idx.ScanFile), so
+// reader opened: for a caller that opens one per query (idx.Walk), so
 // that a query does not pay for, and clear, 64 KiB it uses once. Every
 // call on a released reader reports the end of the log.
 func (br *BlockReader) Release() {

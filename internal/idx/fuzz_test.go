@@ -3,25 +3,20 @@ package idx
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/clog2"
 )
 
-// fuzzSeedIndex builds a small real index to seed the corpus with a
-// structurally valid encoding (mutations of which probe every
-// validation branch, not just the magic check).
-func fuzzSeedIndex(f *testing.F) []byte {
+// fuzzSeedLog writes a small real log, table and footer included, to seed
+// the corpus with a structurally valid tail (mutations of which probe
+// every validation branch, not just the signature check).
+func fuzzSeedLog(f *testing.F) []byte {
 	f.Helper()
-	path := filepath.Join(f.TempDir(), "seed.clog2")
-	fh, err := os.Create(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	w, err := clog2.NewWriter(fh, 2)
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -39,52 +34,71 @@ func fuzzSeedIndex(f *testing.F) []byte {
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
-	fh.Close()
-	ix, err := BuildFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ix.SourceSize, ix.SourceModNanos = 1000, 2000
-	return Encode(ix)
+	return buf.Bytes()
 }
 
-// FuzzReadIndex asserts the sidecar decoder never panics or
-// over-allocates on hostile bytes, and that anything it does accept
-// round-trips: Decode(Encode(Decode(data))) is identity.
+// FuzzReadIndex asserts the table and footer decoder never panics or
+// over-allocates on hostile bytes; that anything it accepts re-encodes to
+// the bytes it was read from (the format has exactly one encoding per
+// table); and that every table it accepts either passes scan's
+// checked reading of all its blocks, reading then what the plain scan
+// reads, or is caught by it as corrupt.
 func FuzzReadIndex(f *testing.F) {
-	valid := fuzzSeedIndex(f)
+	valid := fuzzSeedLog(f)
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte(Magic))
+	f.Add([]byte(clog2.Magic))
 	// A few targeted mutants so the fuzzer starts at the deep branches.
 	flip := append([]byte(nil), valid...)
-	flip[len(flip)/2] ^= 0x40
+	flip[len(flip)-clog2.FooterSize-40] ^= 0x40
 	f.Add(flip)
 	short := append([]byte(nil), valid[:len(valid)-9]...)
 	f.Add(short)
-	noCRC := append([]byte(nil), valid[:len(valid)-4]...)
-	f.Add(noCRC)
+	noFooter := append([]byte(nil), valid[:len(valid)-clog2.FooterSize]...)
+	f.Add(noFooter)
 	bigCounts := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(bigCounts[len(Magic)+4+8+8:], math.MaxUint32)
-	f.Add(bigCounts)
+	at := binary.LittleEndian.Uint64(bigCounts[len(bigCounts)-clog2.FooterSize:])
+	binary.LittleEndian.PutUint32(bigCounts[at+8:], math.MaxUint32)
+	f.Add(restamp(bigCounts))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := Read(bytes.NewReader(data))
+		table, err := clog2.ReadTable(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
+			if !errors.Is(err, clog2.ErrNoTable) {
+				t.Fatalf("ReadTable failed without ErrNoTable: %v", err)
+			}
 			return
 		}
-		// Accepted: the re-encoding must byte-match the input (the format
-		// has exactly one encoding per index) and decode to the same index.
-		re := Encode(ix)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted input does not re-encode identically:\n in  %x\n out %x", data, re)
+		if re := clog2.AppendTable(nil, table); !bytes.Equal(re, data[table.LogSize():]) {
+			t.Fatalf("accepted tail does not re-encode identically:\n in  %x\n out %x", data[table.LogSize():], re)
 		}
-		back, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-encoded index failed to decode: %v", err)
+		ix := (*Index)(table)
+		all := make([]int, len(ix.Blocks))
+		for i := range all {
+			all[i] = i
 		}
-		if len(back.Blocks) != len(ix.Blocks) || back.TotalRecords != ix.TotalRecords {
-			t.Fatalf("round trip changed the index: %+v vs %+v", back, ix)
+		// The records each scan reads, encoded: NaN times compare too.
+		var checked, plain []byte
+		collect := func(dst *[]byte) func(clog2.Block) error {
+			return func(b clog2.Block) error {
+				for i := range b.Records {
+					*dst, _ = clog2.AppendRecord(*dst, &b.Records[i])
+				}
+				return nil
+			}
+		}
+		if err := scan(bytes.NewReader(data), ix, all, collect(&checked)); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("the checked scan of an accepted table failed without ErrCorrupt: %v", err)
+			}
+			return
+		}
+		br, err := clog2.NewBlockReader(bytes.NewReader(data))
+		if err == nil {
+			err = br.Each(collect(&plain))
+		}
+		if err != nil || !bytes.Equal(checked, plain) {
+			t.Fatalf("the table passed the checked scan of %d bytes of records, the plain scan read %d (%v)", len(checked), len(plain), err)
 		}
 	})
 }

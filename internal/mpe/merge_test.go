@@ -2,6 +2,7 @@ package mpe
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -12,7 +13,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/clog2"
-	"repro/internal/idx"
 	"repro/internal/mpi"
 )
 
@@ -128,7 +128,7 @@ func logLoad(l *Logger, clk *clock.Manual, sids []StateID, records int) (open in
 // definitions, one record, a record either side of an arena chunk's end,
 // several chunks, a state left open) and however many they are, the file
 // rank 0 writes is the file a Writer produces from the records read back
-// out of it, and the index emitted on the way is the rebuild's. The first
+// out of it, and the table written on the way is a scan's. The first
 // is what lets rank 0 copy a rank's block where it used to re-encode it.
 func TestFinishMergeMatrix(t *testing.T) {
 	// sixBut gives every rank six records but the one idle picks.
@@ -155,7 +155,7 @@ func TestFinishMergeMatrix(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 8} {
 			w, g, sids, clocks := mergeWorld(n)
 			var out bytes.Buffer
-			var inline *idx.Index
+			var inline *clog2.Table
 			want := make([]int, n) // records in each rank's block
 			errs := w.Run(func(r *mpi.Rank) error {
 				l := g.Logger(r.ID())
@@ -204,17 +204,7 @@ func TestFinishMergeMatrix(t *testing.T) {
 			if !bytes.Equal(out.Bytes(), again.Bytes()) {
 				t.Fatalf("%s, %d ranks: the merged file differs from its own re-encoding", name, n)
 			}
-			path := filepath.Join(t.TempDir(), "merged.clog2")
-			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rebuilt, err := idx.BuildFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(idx.Encode(inline), idx.Encode(rebuilt)) {
-				t.Fatalf("%s, %d ranks: inline index differs from rebuild:\ninline  %+v\nrebuilt %+v", name, n, inline, rebuilt)
-			}
+			checkTable(t, fmt.Sprintf("%s, %d ranks", name, n), out.Bytes(), inline)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/clog2"
-	"repro/internal/idx"
 	"repro/internal/mpi"
 )
 
@@ -352,29 +351,14 @@ const syncRounds = 4
 //
 // If the world has aborted, Finish fails and the log is lost — the
 // behaviour the paper documents for PI_Abort.
-func (l *Logger) Finish(w io.Writer) error { return l.finishInto(w, nil) }
-
-// FinishIndexed is Finish returning the index of the file it just wrote
-// (rank 0; other ranks get nil). The generation stamp is left zero —
-// WriteFileFor fills it when the index is written beside a real file.
-func (l *Logger) FinishIndexed(w io.Writer) (*idx.Index, error) {
-	if l.rank.ID() != 0 {
-		return nil, l.finishInto(nil, nil)
-	}
-	b := idxBuilderPool.Get().(*idx.Builder)
-	b.Reset(l.rank.Size())
-	defer idxBuilderPool.Put(b)
-	if err := l.finishInto(w, b); err != nil {
-		return nil, err
-	}
-	return b.Index(), nil
+func (l *Logger) Finish(w io.Writer) error {
+	_, err := l.FinishIndexed(w)
+	return err
 }
 
-// idxBuilderPool recycles the merge's index builders: steady-state
-// emission allocates nothing.
-var idxBuilderPool = sync.Pool{New: func() any { return idx.NewBuilder(1) }}
-
-func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
+// FinishIndexed is Finish returning the block table it wrote at the end of
+// the file (rank 0; other ranks get nil).
+func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	// Unwind still-open states innermost-first so the log keeps proper
 	// nesting; all synthetic ends share the rank's log-final timestamp.
 	for i := len(l.openStates) - 1; i >= 0; i-- {
@@ -386,7 +370,7 @@ func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
 
 	offset, err := l.syncClocks()
 	if err != nil {
-		return fmt.Errorf("mpe: clock sync: %w", err)
+		return nil, fmt.Errorf("mpe: clock sync: %w", err)
 	}
 	if offset != 0 {
 		l.recs.forEach(func(r *clog2.Record) { r.Time -= offset })
@@ -407,69 +391,62 @@ func (l *Logger) finishInto(w io.Writer, b *idx.Builder) error {
 		payload, err := appendLog(make([]byte, 0, clog2.HeaderSize+clog2.BlockCap(chunks...)+1),
 			l.rank.Size(), int32(l.rank.ID()), chunks...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := l.rank.SendCtx(mpi.CtxLog, 0, tagCollect, payload); err != nil {
 			l.closeSpill(false) // keep the fragment; the merge failed
-			return err
+			return nil, err
 		}
 		l.closeSpill(true) // merged log supersedes the spill
 		l.recs.release()
-		return nil
+		return nil, nil
 	}
 
 	// Rank 0: write definitions + own block, then collect the others.
 	if w == nil {
-		return fmt.Errorf("mpe: rank 0 Finish needs an output writer")
+		return nil, fmt.Errorf("mpe: rank 0 Finish needs an output writer")
 	}
 	cw, err := clog2.NewWriter(w, l.rank.Size())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	chunks := l.recs.slices([][]clog2.Record{l.g.defRecords()})
-	if b != nil {
-		b.StartBlock(0, cw.Offset())
-		for _, c := range chunks {
-			b.AddRecords(c)
-		}
+	if err := cw.WriteBlockChunks(0, l.recs.slices([][]clog2.Record{l.g.defRecords()})...); err != nil {
+		return nil, err
 	}
-	if err := cw.WriteBlockChunks(0, chunks...); err != nil {
-		return err
-	}
-	if b != nil {
-		b.EndBlock(cw.Offset())
-	}
+	var entries clog2.Table // one rank's, reused
 	for src := 1; src < l.rank.Size(); src++ {
 		m, err := l.rank.RecvCtx(mpi.CtxLog, src, tagCollect)
 		if err != nil {
 			l.closeSpill(false)
-			return fmt.Errorf("mpe: collecting rank %d log: %w", src, err)
+			return nil, fmt.Errorf("mpe: collecting rank %d log: %w", src, err)
 		}
-		blocks, err := checkRankLog(m.Data, src, cw.Offset(), b)
+		entries.Blocks = entries.Blocks[:0]
+		blocks, err := checkRankLog(m.Data, src, cw.Offset(), &entries)
 		if err != nil {
 			l.closeSpill(false)
-			return fmt.Errorf("mpe: parsing rank %d log: %w", src, err)
+			return nil, fmt.Errorf("mpe: parsing rank %d log: %w", src, err)
 		}
-		if err := cw.Splice(blocks); err != nil {
+		if err := cw.Splice(blocks, entries.Blocks); err != nil {
 			l.closeSpill(false)
-			return err
+			return nil, err
 		}
 	}
 	if err := cw.Close(); err != nil {
 		l.closeSpill(false)
-		return err
+		return nil, err
 	}
 	l.closeSpill(true)
 	l.recs.release()
 	if prefix := l.g.SpillPrefix(); prefix != "" {
 		os.Remove(spillDefsPath(prefix))
 	}
-	return nil
+	return cw.Table(), nil
 }
 
 // appendLog appends a whole one-block CLOG-2 log (file header, rank's
 // block, end-log marker) to dst: what a rank ships to rank 0, and what
-// the defs spill frames.
+// the defs spill frames. It carries no block table: rank 0 makes the
+// entries as it checks the log.
 func appendLog(dst []byte, numRanks int, rank int32, chunks ...[]clog2.Record) ([]byte, error) {
 	dst, err := clog2.AppendBlock(clog2.AppendHeader(dst, numRanks), rank, chunks...)
 	return append(dst, byte(clog2.RecEndLog)), err
@@ -482,9 +459,9 @@ func appendLog(dst []byte, numRanks int, rank int32, chunks ...[]clog2.Record) (
 // they declare and their end-block markers, the end-log marker, nothing
 // after it. What it returns are the blocks' bytes, now known to be the
 // encoding a Writer would produce from the decoded records, so splicing
-// them equals writing those. b, when not nil, indexes the blocks at the
+// them equals writing those; on the way it enters the blocks in t at the
 // file offsets they will have once spliced in at offset at.
-func checkRankLog(log []byte, src int, at int64, b *idx.Builder) ([]byte, error) {
+func checkRankLog(log []byte, src int, at int64, t *clog2.Table) ([]byte, error) {
 	br, err := clog2.NewStrictBlockReader(log)
 	if err != nil {
 		return nil, err
@@ -493,9 +470,7 @@ func checkRankLog(log []byte, src int, at int64, b *idx.Builder) ([]byte, error)
 		if int(run.Rank) != src {
 			return fmt.Errorf("it holds a block of rank %d", run.Rank)
 		}
-		if b != nil {
-			b.AddRun(br, run, at-int64(clog2.HeaderSize))
-		}
+		t.AddRun(br, run, at-int64(clog2.HeaderSize))
 		return nil
 	})
 	if err != nil {
@@ -504,11 +479,7 @@ func checkRankLog(log []byte, src int, at int64, b *idx.Builder) ([]byte, error)
 	return log[clog2.HeaderSize : len(log)-1], nil
 }
 
-// FinishFile is Finish writing to a file path on rank 0, plus the index
-// sidecar: the merged CLOG-2 lands at path and its ".idx" lands beside
-// it, built inline with the merge. The sidecar is strictly an
-// accelerator, so a failure writing it never fails the run — consumers
-// fall back to the full scan when it is missing.
+// FinishFile is Finish writing to a file path on rank 0.
 func (l *Logger) FinishFile(path string) error {
 	if l.rank.ID() != 0 {
 		return l.Finish(nil)
@@ -517,16 +488,11 @@ func (l *Logger) FinishFile(path string) error {
 	if err != nil {
 		return err
 	}
-	ix, err := l.FinishIndexed(f)
-	if err != nil {
+	if err := l.Finish(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	_ = idx.WriteFileFor(path, ix) // best-effort: the log itself is complete
-	return nil
+	return f.Close()
 }
 
 // syncClocks estimates this rank's clock offset relative to rank 0 using

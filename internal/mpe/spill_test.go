@@ -102,6 +102,7 @@ func TestSalvageMergesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("salvaged log unreadable: %v", err)
 	}
+	checkTable(t, "salvaged log", data, nil)
 	if len(merged.StateDefs()) != 1 {
 		t.Fatalf("defs lost: %d", len(merged.StateDefs()))
 	}

@@ -93,9 +93,9 @@ type TraceInfo struct {
 	// HasClog reports a registered raw CLOG-2 next to the trace — the
 	// prerequisite for windowed (t0/t1) profile queries.
 	HasClog bool `json:"has_clog"`
-	// Index is the raw log's ".idx" sidecar state ("ok", "stale",
-	// "corrupt", "none"), classified from its header (idx.ProbeHeader —
-	// stat-cheap, no body read); empty when there is no raw log.
+	// Index is the state of the raw log's block table ("ok", "degraded"),
+	// validated as every reader does (idx.Probe: about 64 bytes a block);
+	// empty when there is no raw log.
 	Index string `json:"index,omitempty"`
 }
 
@@ -140,7 +140,7 @@ func (r *Repo) List() ([]TraceInfo, error) {
 		}
 		if _, cerr := os.Stat(r.clogPath(id)); cerr == nil {
 			ti.HasClog = true
-			ti.Index = idx.ProbeHeader(r.clogPath(id)).String()
+			ti.Index = idx.Probe(r.clogPath(id)).String()
 		}
 		out = append(out, ti)
 	}
@@ -153,21 +153,20 @@ func (r *Repo) profilePath(id string) string { return filepath.Join(r.dir, id+".
 func (r *Repo) clogPath(id string) string    { return filepath.Join(r.dir, id+".clog2") }
 
 // IndexStatus reports whether id has a registered raw CLOG-2 and, if
-// so, the fully validated state of its ".idx" sidecar (idx.Probe: CRC
-// and geometry checked, not just the header).
+// so, the state of its block table (idx.Probe).
 func (r *Repo) IndexStatus(id string) (hasClog bool, status idx.Status) {
 	if !validID(id) {
-		return false, idx.StatusNone
+		return false, idx.StatusDegraded
 	}
 	if _, err := os.Stat(r.clogPath(id)); err != nil {
-		return false, idx.StatusNone
+		return false, idx.StatusDegraded
 	}
 	return true, idx.Probe(r.clogPath(id))
 }
 
 // WindowedProfile computes a profile of id's raw CLOG-2 restricted to
-// the time window [t0, t1], through the index sidecar when one is valid
-// (the returned bool reports which path answered). Traces registered
+// the time window [t0, t1], through the log's block table when it has a
+// valid one (the returned bool reports which path answered). Traces registered
 // without a raw log cannot answer windowed queries — ErrNotFound.
 func (r *Repo) WindowedProfile(id string, t0, t1 float64) (*stats.Profile, bool, error) {
 	if !validID(id) {
@@ -207,8 +206,8 @@ func (r *Repo) ClogGen(id string) (string, error) {
 // AnalyzeJSON runs the pathology analyzer over id's registered raw
 // CLOG-2 restricted to [t0, t1] (math.Inf bounds for the whole run)
 // and returns the verdict report as JSON. The analyzer reuses the
-// trace's .profile.json sidecar for whole-run queries and the ".idx"
-// sidecar for windowed ones, like every other raw-log consumer.
+// trace's .profile.json sidecar for whole-run queries and the log's block
+// table for windowed ones, like every other raw-log consumer.
 func (r *Repo) AnalyzeJSON(id string, t0, t1 float64) ([]byte, error) {
 	if !validID(id) {
 		return nil, ErrBadID

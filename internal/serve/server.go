@@ -61,7 +61,7 @@ type Server struct {
 	tileBytesRaw atomic.Int64
 	tileBytesGz  atomic.Int64
 	// windowed-profile accounting: how many t0/t1 profile queries ran,
-	// and how many of those the index sidecar answered (the rest fell
+	// and how many of those the block table answered (the rest fell
 	// back to the full streaming scan).
 	profilesWindowed atomic.Int64
 	profilesIndexed  atomic.Int64
@@ -439,10 +439,9 @@ type traceMetaJSON struct {
 	Categories []legendEntryJSON `json:"categories"`
 	Warnings   []string          `json:"warnings,omitempty"`
 	HasProfile bool              `json:"has_profile"`
-	// HasClog/Index surface the raw-log index sidecar: whether windowed
-	// (t0/t1) profile queries are possible and whether they will go
-	// through the index ("ok") or degrade to a full scan ("stale",
-	// "corrupt", "none"). Index here is fully validated (CRC included).
+	// HasClog/Index surface the raw log and its block table: whether
+	// windowed (t0/t1) profile queries are possible and whether they will
+	// go through the table ("ok") or degrade to a full scan ("degraded").
 	HasClog bool   `json:"has_clog"`
 	Index   string `json:"index,omitempty"`
 }
@@ -540,7 +539,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Windowed profile: recompute from the registered raw CLOG-2,
-	// through the index sidecar when one is valid.
+	// through its block table when it has a valid one.
 	t0, t1 := math.Inf(-1), math.Inf(1)
 	if err := queryWindow(q, &t0, &t1); err != nil {
 		s.failBadRequest(w, r, err)
@@ -698,9 +697,9 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 	}
 }
 
-// TraceIndexSnapshot reports each registered trace's raw-log index
-// sidecar state ("ok"/"stale"/"corrupt"; "none" covers both no sidecar
-// and no raw log) — the per-trace half of the "pilot_serve" expvar.
+// TraceIndexSnapshot reports the state of each registered trace's raw-log
+// block table ("ok"/"degraded"; "none" when no raw log is registered) —
+// the per-trace half of the "pilot_serve" expvar.
 func (s *Server) TraceIndexSnapshot() map[string]string {
 	out := map[string]string{}
 	list, err := s.repo.List()

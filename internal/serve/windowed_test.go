@@ -8,12 +8,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/clog2"
 	"repro/internal/idx"
 	"repro/internal/stats"
 )
 
 // stageTrace copies one golden trace (slog2 + profile + raw clog) into
-// dir so sidecar sabotage cannot touch the committed goldens.
+// dir so sabotage of the log's table cannot touch the committed goldens.
 func stageTrace(t *testing.T, dir, id string) {
 	t.Helper()
 	for _, suffix := range []string{".slog2", ".profile.json", ".clog2"} {
@@ -31,16 +32,9 @@ func TestWindowedProfileEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	stageTrace(t, dir, "lab2")
 	clog := filepath.Join(dir, "lab2.clog2")
-	ix, err := idx.BuildFile(clog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.WriteFileFor(clog, ix); err != nil {
-		t.Fatal(err)
-	}
 	srv, ts := newTestServer(t, dir)
 
-	// Trace meta reports the raw log and a healthy index.
+	// Trace meta reports the raw log and a healthy table.
 	resp, body := get(t, ts.URL+"/trace/lab2", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("meta: status %d", resp.StatusCode)
@@ -63,7 +57,7 @@ func TestWindowedProfileEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !used {
-		t.Fatal("library did not use the index the test just built")
+		t.Fatal("library did not use the log's table")
 	}
 	wantJSON, err := want.JSON()
 	if err != nil {
@@ -98,14 +92,13 @@ func TestWindowedProfileEndpoint(t *testing.T) {
 		t.Errorf("TraceIndexSnapshot = %v", ti)
 	}
 
-	// Sabotage the sidecar: meta degrades to "corrupt", windowed queries
-	// still answer (full scan), and the answer matches the library scan.
-	side := idx.SidecarPath(clog)
-	data, err := os.ReadFile(side)
+	// Cut the log's footer off: meta degrades, windowed queries still
+	// answer (full scan), and the answer matches the library scan.
+	data, err := os.ReadFile(clog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(side, data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(clog, data[:len(data)-clog2.FooterSize], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	resp, body = get(t, ts.URL+"/trace/lab2", nil)
@@ -116,8 +109,8 @@ func TestWindowedProfileEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &meta); err != nil {
 		t.Fatal(err)
 	}
-	if meta.Index != "corrupt" {
-		t.Errorf("index after truncation = %q, want corrupt", meta.Index)
+	if meta.Index != "degraded" {
+		t.Errorf("index after the cut = %q, want degraded", meta.Index)
 	}
 	resp, body = get(t, ts.URL+"/trace/lab2/profile?t0=0&t1=1", nil)
 	if resp.StatusCode != 200 {
@@ -177,8 +170,8 @@ func TestRepoWindowedProfileDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used {
-		t.Error("no sidecar exists, yet the index was reportedly used")
+	if !used {
+		t.Error("the log's table was not used")
 	}
 	if p.NumRanks < 1 {
 		t.Errorf("profile = %+v", p)
@@ -186,8 +179,10 @@ func TestRepoWindowedProfileDirect(t *testing.T) {
 	if _, _, err := repo.WindowedProfile("../evil", 0, 1); err == nil {
 		t.Error("traversal id did not error")
 	}
-	hasClog, status := repo.IndexStatus("collisions")
-	if !hasClog || status != idx.StatusNone {
-		t.Errorf("IndexStatus = %v, %v; want true, none", hasClog, status)
+	if hasClog, status := repo.IndexStatus("collisions"); !hasClog || status != idx.StatusOK {
+		t.Errorf("IndexStatus = %v, %v; want true, ok", hasClog, status)
+	}
+	if hasClog, status := repo.IndexStatus("absent"); hasClog || status != idx.StatusDegraded {
+		t.Errorf("IndexStatus of a trace without a log = %v, %v; want false, degraded", hasClog, status)
 	}
 }

@@ -1,6 +1,6 @@
 // The windowed, index-accelerated profile path: profile only the blocks
-// whose time fences intersect [t0, t1]. idx.Walk decides whether the
-// ".idx" sidecar selects those blocks or every block is read; either way
+// whose time fences intersect [t0, t1]. idx.Walk decides whether the log's
+// block table selects those blocks or every block is read; either way
 // the blocks feed the same Profiler in file order, so the answers are
 // identical by construction: the index only skips blocks that contain no
 // in-window non-definition records, and definition-bearing blocks are
@@ -16,10 +16,10 @@ import (
 
 // ComputeProfileFileWindowed profiles the CLOG-2 file at path over the
 // inclusive time window [t0, t1] (use math.Inf bounds for "no limit").
-// When a valid index sidecar sits next to the file, only the blocks the
-// window can touch are decoded; the boolean result reports whether the
-// index was used. Every degradation idx.Walk names falls back to reading
-// every block.
+// When the log ends in a valid block table, only the blocks the window can
+// touch are decoded; the boolean result reports whether the table was
+// used. Every degradation idx.Walk names falls back to reading every
+// block.
 func ComputeProfileFileWindowed(path string, t0, t1 float64) (*Profile, bool, error) {
 	q := idx.MatchAll()
 	q.T0, q.T1, q.IncludeDefs = t0, t1, true
@@ -32,18 +32,4 @@ func ComputeProfileFileWindowed(path string, t0, t1 float64) (*Profile, bool, er
 		return nil, false, fmt.Errorf("stats: profiling %s: %w", path, err)
 	}
 	return pp.Profile(), st == idx.StatusOK, nil
-}
-
-// ComputeProfileIndexed profiles through a specific, already-validated
-// index, with no fallback: an index/file disagreement surfaces as an
-// error. It exists for equality verification (pilot-index verify), where
-// a silent fallback would defeat the purpose.
-func ComputeProfileIndexed(path string, ix *idx.Index, t0, t1 float64) (*Profile, error) {
-	q := idx.MatchAll()
-	q.T0, q.T1, q.IncludeDefs = t0, t1, true
-	pp := NewProfiler(clog2.NewFold(t0, t1), ix.NumRanks)
-	if err := idx.ScanFile(path, ix, ix.Select(q), pp.observeBlock); err != nil {
-		return nil, err
-	}
-	return pp.Profile(), nil
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -16,8 +15,8 @@ import (
 
 var goldenLogs = []string{"lab2", "collisions", "thumbnail"}
 
-// copyGolden stages one golden CLOG-2 in a temp dir (sidecar games must
-// not touch the committed files).
+// copyGolden stages one golden CLOG-2 in a temp dir (games with its
+// table must not touch the committed files).
 func copyGolden(t *testing.T, name string) string {
 	t.Helper()
 	src := filepath.Join("..", "..", "testdata", "golden", name+".clog2")
@@ -32,8 +31,25 @@ func copyGolden(t *testing.T, name string) string {
 	return dst
 }
 
+// rewrite replaces the log at p by what edit makes of its bytes, given
+// the table it carries.
+func rewrite(t *testing.T, p string, edit func(data []byte, table *clog2.Table) []byte) {
+	t.Helper()
+	ix, err := idx.Load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(p, edit(data, (*clog2.Table)(ix)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // computeProfileScan is the reference answer: the windowed profile from
-// a plain reading of every block, with no sidecar consulted.
+// a plain reading of every block, with no table consulted.
 func computeProfileScan(path string, t0, t1 float64) (*Profile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -96,25 +112,19 @@ func windowsFor(t *testing.T, path string) [][2]float64 {
 }
 
 // The tentpole equality contract on real logs: for every golden and
-// every window, the indexed profile is byte-identical to the full scan.
+// every window, the profile through the log's table is byte-identical to
+// the full scan.
 func TestWindowedIndexedEqualsScanOnGoldens(t *testing.T) {
 	for _, name := range goldenLogs {
 		t.Run(name, func(t *testing.T) {
 			path := copyGolden(t, name)
-			ix, err := idx.BuildFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := idx.WriteFileFor(path, ix); err != nil {
-				t.Fatal(err)
-			}
 			for _, w := range windowsFor(t, path) {
 				p, used, err := ComputeProfileFileWindowed(path, w[0], w[1])
 				if err != nil {
 					t.Fatalf("window %v: %v", w, err)
 				}
 				if !used {
-					t.Fatalf("window %v: valid sidecar was not used", w)
+					t.Fatalf("window %v: the valid table was not used", w)
 				}
 				scan, err := computeProfileScan(path, w[0], w[1])
 				if err != nil {
@@ -128,108 +138,58 @@ func TestWindowedIndexedEqualsScanOnGoldens(t *testing.T) {
 	}
 }
 
-// Every way a sidecar can go bad must degrade to the full scan with an
+// Every way a log's table can go bad must degrade to the full scan with an
 // identical answer — never an error, never a wrong profile.
 func TestWindowedDegradation(t *testing.T) {
 	sabotages := []struct {
 		name string
-		do   func(t *testing.T, clogPath string)
+		edit func(data []byte, table *clog2.Table) []byte
 	}{
-		{"missing", func(t *testing.T, p string) {
-			os.Remove(idx.SidecarPath(p))
+		// What a writer before tables left: the log and nothing behind it.
+		{"missing", func(data []byte, table *clog2.Table) []byte { return data[:table.LogSize()] }},
+		// The blocks were rewritten after the table was: the definitions'
+		// block, which every window reads, now names rank 1 in its header.
+		{"stale", func(data []byte, table *clog2.Table) []byte {
+			binary.LittleEndian.PutUint32(data[table.Blocks[0].Offset:], 2) // rank 1, +1 on the wire
+			return data
 		}},
-		{"stale", func(t *testing.T, p string) {
-			f, err := os.OpenFile(p, os.O_APPEND|os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte{0}); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
+		{"corrupt", func(data []byte, table *clog2.Table) []byte {
+			data[table.LogSize()+20] ^= 0x80
+			return data
 		}},
-		{"corrupt", func(t *testing.T, p string) {
-			side := idx.SidecarPath(p)
-			data, err := os.ReadFile(side)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/3] ^= 0x80
-			if err := os.WriteFile(side, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"truncated", func(data []byte, table *clog2.Table) []byte {
+			return data[:table.LogSize()+(int64(len(data))-table.LogSize())*2/3]
 		}},
-		{"truncated", func(t *testing.T, p string) {
-			side := idx.SidecarPath(p)
-			data, err := os.ReadFile(side)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(side, data[:len(data)*2/3], 0o644); err != nil {
-				t.Fatal(err)
-			}
+		// A table of another version under a valid CRC.
+		{"previous version", func(data []byte, _ *clog2.Table) []byte {
+			copy(data[len(data)-len(clog2.TableMagic):], "CLOGTAB-00")
+			return data
 		}},
-		// What CLOGIDX-01 was: the same head and block table, then a
-		// channel and an etype table (empty here), under a valid CRC.
-		{"previous version", func(t *testing.T, p string) {
-			side := idx.SidecarPath(p)
-			data, err := os.ReadFile(side)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := append([]byte("CLOGIDX-01\x01\x00\x00\x00"), data[len(idx.Magic)+4:len(data)-4]...)
-			old = append(old, make([]byte, 4+4)...)
-			old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
-			if err := os.WriteFile(side, old, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		// A structurally valid sidecar that lies about the file: Load
+		// A table that lies about the file under a valid CRC: ReadTable
 		// accepts it, the mid-scan block check catches it, and the
 		// consumer silently re-answers with the full scan.
-		{"lying", func(t *testing.T, p string) {
-			ix, err := idx.Load(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			swapped := false
-			for i := 1; i < len(ix.Blocks); i++ {
-				if ix.Blocks[i].Rank != ix.Blocks[0].Rank {
-					ix.Blocks[0].Rank, ix.Blocks[i].Rank = ix.Blocks[i].Rank, ix.Blocks[0].Rank
-					swapped = true
-					break
+		{"lying", func(data []byte, table *clog2.Table) []byte {
+			for i := 1; i < len(table.Blocks); i++ {
+				if table.Blocks[i].Rank != table.Blocks[0].Rank {
+					table.Blocks[0].Rank, table.Blocks[i].Rank = table.Blocks[i].Rank, table.Blocks[0].Rank
+					return clog2.AppendTable(data[:table.LogSize()], table)
 				}
 			}
-			if !swapped {
-				t.Skip("single-rank log: no ranks to swap")
-			}
-			if err := idx.WriteFileFor(p, ix); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := idx.Load(p); err != nil {
-				t.Fatalf("lying sidecar should pass validation, got %v", err)
-			}
+			panic("a golden of one rank")
 		}},
 	}
 	for _, name := range goldenLogs {
 		for _, sb := range sabotages {
 			t.Run(name+"/"+sb.name, func(t *testing.T) {
 				path := copyGolden(t, name)
-				ix, err := idx.BuildFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := idx.WriteFileFor(path, ix); err != nil {
-					t.Fatal(err)
-				}
-				sb.do(t, path)
+				rewrite(t, path, sb.edit)
 				w := windowsFor(t, path)[1] // a real, non-trivial window
 				p, used, err := ComputeProfileFileWindowed(path, w[0], w[1])
 				if err != nil {
 					t.Fatalf("degraded profile errored: %v", err)
 				}
 				if used {
-					t.Error("a sabotaged sidecar was reported as used")
+					t.Error("a sabotaged table was reported as used")
 				}
 				scan, err := computeProfileScan(path, w[0], w[1])
 				if err != nil {
@@ -243,7 +203,7 @@ func TestWindowedDegradation(t *testing.T) {
 	}
 }
 
-// A sidecar that lies about a block of several runs, by one record either
+// A table that lies about a block of several runs, by one record either
 // way or in its rank, is found out after the profiler has folded some of
 // them: Walk starts it over and the answer is the full scan's, byte for
 // byte.
@@ -253,23 +213,19 @@ func TestWindowedLyingLongBlock(t *testing.T) {
 		long = append(long, bare(0, float64(i)*1e-3, int32(2+i%2)))
 	}
 	raw := writeTestLog(t, 2, map[int32][]clog2.Record{0: long, 1: {bare(1, 0.5, 2), bare(1, 0.7, 3)}})
-	for name, lie := range map[string]func(ix *idx.Index){
-		"one record fewer": func(ix *idx.Index) { ix.Blocks[0].Records--; ix.TotalRecords-- },
-		"one record more":  func(ix *idx.Index) { ix.Blocks[0].Records++; ix.TotalRecords++ },
-		"wrong rank":       func(ix *idx.Index) { ix.Blocks[0].Rank = 1 },
+	for name, lie := range map[string]func(b *clog2.BlockMeta) int64{
+		"one record fewer": func(b *clog2.BlockMeta) int64 { b.Records--; return -1 },
+		"one record more":  func(b *clog2.BlockMeta) int64 { b.Records++; return 1 },
+		"wrong rank":       func(b *clog2.BlockMeta) int64 { b.Rank = 1; return 0 },
 	} {
 		path := filepath.Join(t.TempDir(), "long.clog2")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := idx.Rebuild(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lie(ix)
-		if err := idx.WriteFileFor(path, ix); err != nil {
-			t.Fatal(err)
-		}
+		rewrite(t, path, func(data []byte, table *clog2.Table) []byte {
+			table.TotalRecords += lie(&table.Blocks[0])
+			return clog2.AppendTable(data[:table.LogSize()], table)
+		})
 		p, used, err := ComputeProfileFileWindowed(path, 0.25, 7.5)
 		if err != nil || used {
 			t.Fatalf("%s: indexed %v, %v; want the fallback", name, used, err)
@@ -296,8 +252,8 @@ func TestWindowedUnboundedIsPlainProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used {
-		t.Error("no sidecar exists, yet the index was reportedly used")
+	if !used {
+		t.Error("the golden's table was not used")
 	}
 	if p.Window != nil {
 		t.Errorf("unbounded profile has Window = %+v", p.Window)

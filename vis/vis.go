@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/analyze"
-	"repro/internal/idx"
+	"repro/internal/clog2"
 	"repro/internal/jumpshot"
 	"repro/internal/slog2"
 	"repro/internal/stats"
@@ -256,11 +256,10 @@ func PipelineWithProfile(clogPath, slogPath, svgPath string, opts ConvertOptions
 // in a pilot-serve trace repository: repoDir/<id>.slog2 plus the
 // repoDir/<id>.profile.json sidecar, and — so the service can answer
 // windowed queries without streaming the whole raw log — a copy of the
-// raw CLOG-2 as repoDir/<id>.clog2 with its ".idx" index sidecar built
-// beside it. The id must be a valid pilot-serve trace id (no
-// separators, no leading dot). Raw-log registration is best-effort: a
-// failure copying or indexing never fails the registration, it only
-// costs the service its windowed fast path.
+// raw CLOG-2 as repoDir/<id>.clog2, which carries its own block table. The
+// id must be a valid pilot-serve trace id (no separators, no leading dot).
+// Raw-log registration is best-effort: a failure copying never fails the
+// registration, it only costs the service its windowed routes.
 func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *Report, *Profile, error) {
 	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") || id[0] == '.' {
 		return nil, nil, nil, fmt.Errorf("vis: invalid repository trace id %q", id)
@@ -276,31 +275,21 @@ func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	registerRawLog(clogPath, filepath.Join(repoDir, id+".clog2"))
+	_ = registerRawLog(clogPath, filepath.Join(repoDir, id+".clog2"))
 	return f, rep, p, nil
 }
 
-// registerRawLog copies the raw CLOG-2 to dst and builds its index
-// sidecar there. Best-effort by design: the sidecar is an accelerator
-// and every consumer degrades to the full scan without it.
-func registerRawLog(src, dst string) {
+// registerRawLog copies the raw CLOG-2 to dst through a temporary file
+// renamed over it, so a copy that fails leaves a log registered before in
+// place, and a reader never sees a torn one.
+func registerRawLog(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
-		return
+		return err
 	}
 	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(dst)
-		return
-	}
-	_, _ = idx.Rebuild(dst)
+	return clog2.WriteFileAtomic(dst, func(w io.Writer) error {
+		_, err := io.Copy(w, in)
+		return err
+	})
 }

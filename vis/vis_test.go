@@ -133,10 +133,14 @@ func TestPipelineToRepo(t *testing.T) {
 	if rep.States == 0 || p == nil || f.NumRanks != 4 {
 		t.Fatalf("rep=%+v profile=%v ranks=%d", rep, p != nil, f.NumRanks)
 	}
-	// Whoever can read the log can read the trace: the two files written
+	// Whoever can read the log can read the trace: the files written
 	// through a temporary file used to keep its 0600 beside the others' 0644.
+	// The raw log carries its own table: nothing else is registered.
+	if ents, err := os.ReadDir(repoDir); err != nil || len(ents) != 3 {
+		t.Fatalf("the repository holds %d files (%v), want 3", len(ents), err)
+	}
 	var mode os.FileMode
-	for _, name := range []string{"lab2-run.clog2", "lab2-run.profile.json", "lab2-run.slog2", "lab2-run.clog2.idx"} {
+	for _, name := range []string{"lab2-run.clog2", "lab2-run.profile.json", "lab2-run.slog2"} {
 		info, err := os.Stat(filepath.Join(repoDir, name))
 		if err != nil {
 			t.Fatalf("%s not registered: %v", name, err)
