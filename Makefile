@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-bench race ci cover lines bench fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
+.PHONY: all build fmt vet test test-bench race ci cover lines bench bench-smoke fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
 
 all: ci
 
@@ -32,7 +32,7 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-ci: build fmt vet race test-bench fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
+ci: build fmt vet race test-bench bench-smoke fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
 
 # Multi-process smoke: the lab2 exercise with every rank as its own OS
 # process over the socket transport (-pitransport=socket re-executes the
@@ -127,15 +127,21 @@ lines:
 # yet: a state pair written through to the spill, one live-metrics
 # observation with the collector on and off, and a raw round trip per rank
 # substrate (in-process, unix socket, TCP; the last two spawn the test
-# binary as rank 1).
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem ./internal/clog2/
-	$(GO) test -run '^$$' -bench 'BenchmarkWrite|BenchmarkRead' -benchmem ./internal/slog2/
-	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem ./internal/mpi/
-	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem ./internal/mpe/
-	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem ./internal/stats/
-	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem ./internal/serve/
+# binary as rank 1); last, the layer-knockout rows of a Pilot round trip
+# (check level, MPE log, spill), at a fixed count because a logged row
+# keeps its log in memory. bench-smoke runs every one of them once
+# (-benchtime 1x), so a benchmark whose body fails at run time fails
+# `make ci` instead of rotting.
+bench-smoke: BENCHTIME = -benchtime 1x
+bench bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem $(BENCHTIME) ./internal/clog2/
+	$(GO) test -run '^$$' -bench 'BenchmarkWrite|BenchmarkRead' -benchmem $(BENCHTIME) ./internal/slog2/
+	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem $(BENCHTIME) ./internal/mpi/
+	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem $(BENCHTIME) ./internal/mpe/
+	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem $(BENCHTIME) ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem $(BENCHTIME) ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .
 
 # Short fuzz pass over every target fuzz-smoke runs (seed corpora run in
 # plain `make test` as well).

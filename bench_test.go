@@ -478,14 +478,31 @@ func BenchmarkMPE_Disabled(b *testing.B) {
 	}
 }
 
+// BenchmarkChannelRoundTrip bounces a %d between PI_MAIN and a worker:
+// one op is a round trip, two Writes and two Reads. Its rows switch the
+// runtime's layers on one at a time through Config alone: the error-check
+// level (0 against 3), the MPE log ("j") and the spill that writes every
+// record through to disk (RobustLog). The difference between two rows is
+// what a layer costs a round trip, in ns, B and allocs;
+// BenchmarkTransportPingPong (internal/mpi) is the bare transport under
+// them all. A logged row keeps its whole log until StopMain (about 0.6 KB
+// a round trip), so run it at a fixed -benchtime count.
 func BenchmarkChannelRoundTrip(b *testing.B) {
-	for _, logged := range []string{"", "j"} {
-		name := "nolog"
-		if logged == "j" {
-			name = "mpe"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.Config{NumProcs: 2, Services: logged,
+	rows := []struct {
+		name     string
+		level    int
+		services string
+		spill    bool
+	}{
+		{"level0/nolog", 0, "", false},
+		{"level3/nolog", 3, "", false},
+		{"level0/mpe", 0, "j", false},
+		{"level3/mpe", 3, "j", false},
+		{"level3/mpe+spill", 3, "j", true},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := core.Config{NumProcs: 2, Services: row.services, CheckLevel: row.level, RobustLog: row.spill,
 				JumpshotPath: filepath.Join(b.TempDir(), "x.clog2")}
 			r, err := core.NewRuntime(cfg)
 			if err != nil {
@@ -511,6 +528,7 @@ func BenchmarkChannelRoundTrip(b *testing.B) {
 			if _, err := r.StartAll(); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var v int
@@ -522,8 +540,12 @@ func BenchmarkChannelRoundTrip(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			toW.Write("%d", -1)
-			r.StopMain(0)
+			if err := toW.Write("%d", -1); err != nil {
+				b.Fatal(err)
+			}
+			if err := r.StopMain(0); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }

@@ -96,7 +96,7 @@ func randomRecord(rng *rand.Rand, t RecType) Record {
 
 // decode(append(r)) == r for every record type, AppendRecord writes the
 // bytes of the field-by-field encoder it replaced, appends behind what
-// dst holds, and BlockCap holds the block.
+// dst holds, and TimedSize reads a timed record's length off its bytes.
 func TestAppendRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 4000; i++ {
@@ -122,12 +122,12 @@ func TestAppendRecordRoundTrip(t *testing.T) {
 		if !sameBlock(Block{Records: []Record{got}}, Block{Records: []Record{rec}}) {
 			t.Fatalf("%v: decoded %+v, encoded %+v", typ, got, rec)
 		}
-		block, err := AppendBlock(nil, 3, []Record{rec}, nil, []Record{rec})
-		if err != nil {
-			t.Fatal(err)
+		want := len(enc)
+		if hasStrings(typ) {
+			want = 0
 		}
-		if n := BlockCap([]Record{rec}, nil, []Record{rec}); n < len(block) || !hasStrings(typ) && n != len(block) {
-			t.Fatalf("%v: BlockCap %d for a block of %d bytes", typ, n, len(block))
+		if n, cut := TimedSize(enc), TimedSize(enc[:len(enc)-1]); n != want || cut != 0 {
+			t.Fatalf("%v: TimedSize %d for a %d-byte record, %d cut short", typ, n, len(enc), cut)
 		}
 	}
 }
@@ -221,7 +221,7 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 				}
 			}
 			start := len(want)
-			if want, err = AppendBlock(want, rank, recs[:perBlock/2], recs[perBlock/2:]); err != nil {
+			if want, err = AppendBlock(want, rank, recs); err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []*Writer{ws, ww} {
@@ -233,7 +233,7 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rank%2 == 0 {
-				err = ws.WriteBlockChunks(rank, recs[:perBlock/2], recs[perBlock/2:])
+				err = ws.WriteBlock(rank, recs)
 			} else {
 				if ws.Splice(want[start:], nil) == nil {
 					t.Fatal("Splice took blocks without their entries")
@@ -540,8 +540,13 @@ func BenchmarkAppendRecord(b *testing.B) {
 			recs[i] = Record{Type: RecCargoEvt, Time: float64(i), Rank: 1, ID: 9}
 		}
 	}
-	buf := make([]byte, 0, BlockCap(recs))
-	b.SetBytes(int64(BlockCap(recs)) / int64(len(recs)))
+	size := 0
+	for i := range recs {
+		enc, _ := AppendRecord(nil, &recs[i])
+		size += len(enc)
+	}
+	buf := make([]byte, 0, size)
+	b.SetBytes(int64(size / len(recs)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%len(recs) == 0 {

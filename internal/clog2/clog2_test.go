@@ -165,37 +165,42 @@ func TestCargoTruncationRuneSafe(t *testing.T) {
 	}
 }
 
-// WriteBlockChunks must produce bytes identical to WriteBlock over the
-// concatenated records, however the records are split into chunks.
-func TestWriteBlockChunksMatchesWriteBlock(t *testing.T) {
-	recs := sampleRecords()
-	flat := func() []byte {
+// Records handed to WriteBlock already encoded, in pages, make the bytes
+// and the table entry they make handed over as records, however they are
+// split between the two and across pages; a page holding anything but
+// whole timed records is refused.
+func TestWriteBlockPagesMatchWriteBlock(t *testing.T) {
+	recs := sampleRecords()[:8] // the definitions, then every timed type
+	write := func(recs []Record, pages ...[]byte) ([]byte, *Table) {
 		var buf bytes.Buffer
 		w, _ := NewWriter(&buf, 2)
-		w.WriteBlock(1, recs)
-		w.Close()
-		return buf.Bytes()
-	}()
-	for split := 0; split <= len(recs); split++ {
-		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, 2)
-		if err := w.WriteBlockChunks(1, recs[:split], recs[split:]); err != nil {
+		if err := w.WriteBlock(1, recs, pages...); err != nil {
 			t.Fatal(err)
 		}
 		w.Close()
-		if !bytes.Equal(buf.Bytes(), flat) {
-			t.Fatalf("split at %d: chunked bytes differ from flat WriteBlock", split)
+		return buf.Bytes(), w.Table()
+	}
+	flat, flatTable := write(recs)
+	for split := 3; split <= len(recs); split++ {
+		for cut := split; cut <= len(recs); cut++ {
+			var pages [2][]byte
+			for i, r := range recs[split:] {
+				pages[min(1, (split+i)/cut)], _ = AppendRecord(pages[min(1, (split+i)/cut)], &r)
+			}
+			got, table := write(recs[:split], pages[0], nil, pages[1])
+			if !bytes.Equal(got, flat) || !reflect.DeepEqual(table, flatTable) {
+				t.Fatalf("split at %d, pages cut at %d: the bytes or the table differ from WriteBlock's", split, cut)
+			}
 		}
 	}
-	// Empty and nil chunks contribute nothing.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 2)
-	if err := w.WriteBlockChunks(1, nil, recs, nil, []Record{}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if !bytes.Equal(buf.Bytes(), flat) {
-		t.Fatal("nil/empty chunks changed the output")
+	def, _ := AppendRecord(nil, &recs[0])
+	timed, _ := AppendRecord(nil, &recs[4])
+	for _, page := range [][]byte{def, timed[:len(timed)-1]} {
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf, 2)
+		if err := w.WriteBlock(1, nil, page); err == nil {
+			t.Errorf("a page of % x was taken", page)
+		}
 	}
 }
 

@@ -22,10 +22,11 @@ const HeaderSize = len(Magic) + 4
 
 // Writer emits a CLOG-2 file incrementally: a header, then blocks of
 // records, then Close writes the end-log marker and the log's block table
-// (table.go). Everything is encoded by AppendRecord into one buffer, which
+// (table.go). What it encodes, AppendRecord encodes into one buffer, which
 // the Writer hands to the underlying writer whenever a timed record might
 // not fit: only a definition with strings longer than the buffer ever
-// grows it.
+// grows it. Records that come already encoded (WriteBlock's pages) are
+// handed on as they are.
 type Writer struct {
 	w   io.Writer // nil under AppendBlock: buf then takes the whole block
 	buf []byte    // encoded bytes not yet handed to w
@@ -38,9 +39,9 @@ type Writer struct {
 
 const writerBufSize = 64 << 10
 
-// maxTimedRecord is the longest encoding of a record without strings (a
+// MaxTimedRecord is the longest encoding of a record without strings (a
 // RecCargoEvt with MaxCargo bytes of cargo).
-const maxTimedRecord = 19 + MaxCargo
+const MaxTimedRecord = 19 + MaxCargo
 
 // NewWriter writes the file header for numRanks ranks onto w.
 func NewWriter(w io.Writer, numRanks int) (*Writer, error) {
@@ -61,93 +62,67 @@ func AppendHeader(dst []byte, numRanks int) []byte {
 // immediately after, the offset one past its end-block marker.
 func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 
-// WriteBlock appends one rank's block of records.
-func (w *Writer) WriteBlock(rank int32, recs []Record) error {
-	return w.WriteBlockChunks(rank, recs)
-}
-
-// WriteBlockChunks appends one rank block whose records arrive in
-// consecutive chunks (as handed out by the mpe record arenas), producing
-// exactly the bytes WriteBlock would for the concatenated records: one
-// header carrying the total count, every record in chunk order, then the
-// end-block marker. A Writer over an underlying writer enters the block in
-// its table; under AppendBlock there is none.
-func (w *Writer) WriteBlockChunks(rank int32, chunks ...[]Record) error {
+// WriteBlock appends one rank's block: recs, encoded here, then the
+// records pages hold already encoded, whole and of the timed types (an mpe
+// rank's log), handed to the underlying writer uncopied. The block header
+// carries the total. A Writer over an underlying writer enters the block
+// in its table; under AppendBlock, which has no pages, there is none.
+func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
 	if rank < 0 {
 		return fmt.Errorf("clog2: block with negative rank %d", rank)
 	}
-	start := w.Offset()
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
+	m := newBlockMeta(rank, w.Offset())
+	m.addRecords(recs)
+	for _, p := range pages {
+		if err := m.addEncoded(p); err != nil {
+			return err
+		}
 	}
-	// Ranks are shifted by +1 on the wire so a block header's first byte
-	// can never equal the RecEndLog marker (see BlockReader.header).
-	buf := binary.LittleEndian.AppendUint32(w.buf, uint32(rank+1))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(total))
-	for _, c := range chunks {
-		for i := range c {
-			if w.w != nil && cap(buf)-len(buf) < maxTimedRecord {
-				if w.emit(buf); w.err != nil {
-					return w.err
-				}
-				buf = buf[:0]
-			}
-			if buf, w.err = AppendRecord(buf, &c[i]); w.err != nil {
+	buf := AppendBlockHeader(w.buf, rank, int(m.Records))
+	for i := range recs {
+		if w.w != nil && cap(buf)-len(buf) < MaxTimedRecord {
+			if w.emit(buf); w.err != nil {
 				return w.err
 			}
+			buf = buf[:0]
 		}
+		if buf, w.err = AppendRecord(buf, &recs[i]); w.err != nil {
+			return w.err
+		}
+	}
+	for _, p := range pages {
+		w.emit(buf)
+		w.emit(p)
+		buf = buf[:0]
 	}
 	w.buf = append(buf, byte(RecEndBlock))
 	if w.w != nil {
-		m := newBlockMeta(rank, start)
-		for _, c := range chunks {
-			m.addRecords(c)
-		}
-		m.Length = w.Offset() - start
+		m.Length = w.Offset() - m.Offset
 		w.table.Blocks = append(w.table.Blocks, m)
 		w.table.TotalRecords += int64(m.Records)
 	}
-	return nil
+	return w.err
+}
+
+// AppendBlockHeader appends the header of a block of n records of rank.
+// Ranks are shifted by +1 on the wire so a block header's first byte can
+// never equal the RecEndLog marker (see BlockReader.header).
+func AppendBlockHeader(dst []byte, rank int32, n int) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, uint32(rank+1)), uint32(n))
 }
 
 // AppendBlock appends the bare encoding of one rank block, what
-// WriteBlockChunks puts in a file, to dst: the payload a spill segment
-// frames, and a log assembled in memory. On an error dst comes back as
-// it was.
-func AppendBlock(dst []byte, rank int32, chunks ...[]Record) ([]byte, error) {
+// WriteBlock puts in a file, to dst: the payload a spill segment frames,
+// and a log assembled in memory. On an error dst comes back as it was.
+func AppendBlock(dst []byte, rank int32, recs []Record) ([]byte, error) {
 	w := Writer{buf: dst}
-	if err := w.WriteBlockChunks(rank, chunks...); err != nil {
+	if err := w.WriteBlock(rank, recs); err != nil {
 		return dst, err
 	}
 	return w.buf, nil
-}
-
-// BlockCap returns a capacity that holds what AppendBlock appends for
-// chunks, so a caller can size its buffer once: exactly that many bytes
-// when no record carries strings, as in every block but the definitions'.
-func BlockCap(chunks ...[]Record) int {
-	size := 4 + 4 + 1 // rank, count, end-block marker
-	for _, c := range chunks {
-		for i := range c {
-			switch r := &c[i]; r.Type {
-			case RecBareEvt:
-				size += 17
-			case RecCargoEvt:
-				size += 19 + int(r.CargoLen)
-			case RecMsgEvt:
-				size += 26
-			case RecTimeShift:
-				size += 21
-			default: // prefix, at most three int32s and two strings
-				size += 13 + 12 + 4 + len(r.Color) + len(r.Name) + len(r.Text)
-			}
-		}
-	}
-	return size
 }
 
 // Splice appends blocks that are already encoded: bytes a strict
@@ -219,7 +194,7 @@ func (w *Writer) Close() error {
 func (w *Writer) Table() *Table { return &w.table }
 
 // AppendRecord appends r's encoding to dst: the mirror of readRecord, and
-// the one encoder behind the Writer, AppendBlock and the spill frames. dst
+// the one encoder behind the Writer, AppendBlock and an mpe rank's pages. dst
 // grows by exactly the record's size, when it has to; on an error (a
 // string past the format's 65 535 bytes, a type with no encoding) it
 // comes back as it was.
@@ -246,6 +221,33 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 		return appendStrs(dst, append32(out, r.Aux1), r.Text)
 	}
 	return dst, fmt.Errorf("clog2: cannot write record type %v", r.Type)
+}
+
+// TimedSize returns the length of the timed record p begins with, as
+// AppendRecord encodes it: 17 bytes a bare event, 19 and its cargo a cargo
+// event, 26 a message half, 21 a timeshift. It is 0 when p begins with
+// another type or cuts the record short.
+func TimedSize(p []byte) int {
+	if len(p) == 0 {
+		return 0
+	}
+	n := 0
+	switch RecType(p[0]) {
+	case RecBareEvt:
+		n = 17
+	case RecMsgEvt:
+		n = timedPrefix
+	case RecTimeShift:
+		n = 21
+	case RecCargoEvt:
+		if len(p) >= 19 {
+			n = 19 + int(binary.LittleEndian.Uint16(p[17:]))
+		}
+	}
+	if n > len(p) {
+		return 0
+	}
+	return n
 }
 
 func append32(out []byte, vs ...int32) []byte {

@@ -83,25 +83,49 @@ func newBlockMeta(rank int32, offset int64) BlockMeta {
 func (m *BlockMeta) addRecords(recs []Record) {
 	for i := range recs {
 		r := &recs[i]
-		m.Records++
-		if r.Type.IsDef() {
-			m.Defs++
-			continue
+		m.add(r.Type, r.Time, r.Rank, r.Aux2)
+	}
+}
+
+// addEncoded is addRecords over records p holds encoded, whole and of the
+// timed types: it reads the fields the fences need where they lie.
+func (m *BlockMeta) addEncoded(p []byte) error {
+	for len(p) > 0 {
+		n := TimedSize(p)
+		if n == 0 {
+			return fmt.Errorf("clog2: an encoded %v record is not timed or is cut short", RecType(p[0]))
 		}
-		// Comparisons, not min and max: a NaN time stays out of the fence.
-		if r.Time < m.TMin {
-			m.TMin = r.Time
+		var tag int32
+		if RecType(p[0]) == RecMsgEvt {
+			tag = le32(p[18:])
 		}
-		if r.Time > m.TMax {
-			m.TMax = r.Time
-		}
-		m.RankMin = min(m.RankMin, r.Rank)
-		m.RankMax = max(m.RankMax, r.Rank)
-		if r.Type == RecMsgEvt {
-			m.Msgs++
-			m.ChanMin = min(m.ChanMin, r.Aux2)
-			m.ChanMax = max(m.ChanMax, r.Aux2)
-		}
+		m.add(RecType(p[0]), leF64(p[1:]), le32(p[9:]), tag)
+		p = p[n:]
+	}
+	return nil
+}
+
+// add counts one record of type t into the entry: a definition by its type
+// alone, any other by its time and rank, and a message half by its tag too.
+func (m *BlockMeta) add(t RecType, time float64, rank, tag int32) {
+	m.Records++
+	if t.IsDef() {
+		m.Defs++
+		return
+	}
+	// Comparisons, not min and max: a NaN time stays out of the fence.
+	if time < m.TMin {
+		m.TMin = time
+	}
+	if time > m.TMax {
+		m.TMax = time
+	}
+	m.RankMin = min(m.RankMin, rank)
+	m.RankMax = max(m.RankMax, rank)
+	if t == RecMsgEvt {
+		m.Msgs++
+		m.ChanMin = min(m.ChanMin, tag)
+		m.ChanMax = max(m.ChanMax, tag)
 	}
 }
 

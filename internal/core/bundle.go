@@ -212,23 +212,11 @@ func (b *Bundle) Broadcast(format string, args ...any) error {
 		return err
 	}
 	// Encode once; fan out N copies.
-	type enc struct {
-		spec    fmtspec.Spec
-		payload []byte
+	f, err := encodeFrames(format, specs, args)
+	if err != nil {
+		return errorf(op, loc, "%v", err)
 	}
-	var encs []enc
-	i := 0
-	for _, spec := range specs {
-		payload, consumed, err := fmtspec.Encode(spec, args[i:])
-		if err != nil {
-			return errorf(op, loc, "%v", err)
-		}
-		i += consumed
-		encs = append(encs, enc{spec, payload})
-	}
-	if i != len(args) {
-		return errorf(op, loc, "format %q consumed %d arguments, %d supplied", format, i, len(args))
-	}
+	defer f.free()
 	end := b.startCollective(op, loc)
 	defer end()
 	for _, c := range b.chans {
@@ -236,8 +224,8 @@ func (b *Bundle) Broadcast(format string, args ...any) error {
 		// creation by inserting delays" — before every arrow, so arrows
 		// from back-to-back collectives cannot collide either.
 		r.arrowSpread()
-		for _, e := range encs {
-			if err := c.sendOne(op, loc, e.spec, e.payload, r.logger(b.endpoint.rank).Enabled()); err != nil {
+		for i, spec := range specs {
+			if err := c.sendOne(op, loc, spec, f.msg(i), r.logger(b.endpoint.rank).Enabled()); err != nil {
 				return err
 			}
 		}
@@ -262,7 +250,7 @@ func (b *Bundle) Scatter(format string, args ...any) error {
 	if err != nil {
 		return err
 	}
-	payload, consumed, err := fmtspec.Encode(spec, args)
+	payload, consumed, err := fmtspec.AppendEncode(nil, spec, args)
 	if err != nil {
 		return errorf(op, loc, "%v", err)
 	}
@@ -279,10 +267,11 @@ func (b *Bundle) Scatter(format string, args ...any) error {
 	wire := fmtspec.Spec{Kind: spec.Kind, Mode: fmtspec.Star}
 	end := b.startCollective(op, loc)
 	defer end()
+	var msg []byte
 	for ci, c := range b.chans {
 		r.arrowSpread()
-		part := payload[ci*per*es : (ci+1)*per*es]
-		if err := c.sendOne(op, loc, wire, part, r.logger(b.endpoint.rank).Enabled()); err != nil {
+		msg = append(appendFrameHead(msg[:0], wire), payload[ci*per*es:(ci+1)*per*es]...)
+		if err := c.sendOne(op, loc, wire, msg, r.logger(b.endpoint.rank).Enabled()); err != nil {
 			return err
 		}
 	}
@@ -326,7 +315,7 @@ func (b *Bundle) Gather(format string, args ...any) error {
 		if log.Enabled() {
 			log.LogRecv(c.from.rank, c.id, len(m.Data))
 			var cb mpe.Cargo
-			log.EventBytes(r.events["MsgArrival"], cb.KV("chan", c.Name()).
+			log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
 				Str(" part: ").Int(ci+1).Str("/").Int(len(b.chans)).Bytes())
 		}
 		if r.cfg.CheckLevel >= 2 {

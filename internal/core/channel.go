@@ -89,26 +89,79 @@ func (r *Runtime) parseFormat(op, loc, format string) ([]fmtspec.Spec, error) {
 	return specs, nil
 }
 
-// frameMessage prepends the canonical conversion spec to a payload. The
-// header lets error-check level 2 verify "that reader and writer format
-// strings match" without a separate exchange.
-func frameMessage(spec string, payload []byte) []byte {
-	msg := make([]byte, 2+len(spec)+len(payload))
-	binary.LittleEndian.PutUint16(msg, uint16(len(spec)))
-	copy(msg[2:], spec)
-	copy(msg[2+len(spec):], payload)
-	return msg
+// Every Pilot wire message is one conversion's payload behind a header:
+// the canonical text of its spec, behind its uint16 length. The header
+// lets error-check level 2 verify "that reader and writer format strings
+// match" without a separate exchange.
+
+// appendFrameHead appends a message's header for spec to dst.
+func appendFrameHead(dst []byte, spec fmtspec.Spec) []byte {
+	start := len(dst)
+	dst = spec.AppendText(append(dst, 0, 0))
+	binary.LittleEndian.PutUint16(dst[start:], uint16(len(dst)-start-2))
+	return dst
 }
 
-func parseFrame(b []byte) (spec string, payload []byte, err error) {
+func parseFrame(b []byte) (spec, payload []byte, err error) {
 	if len(b) < 2 {
-		return "", nil, fmt.Errorf("short message frame (%d bytes)", len(b))
+		return nil, nil, fmt.Errorf("short message frame (%d bytes)", len(b))
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("message frame truncated")
+		return nil, nil, fmt.Errorf("message frame truncated")
 	}
-	return string(b[2 : 2+n]), b[2+n:], nil
+	return b[2 : 2+n], b[2+n:], nil
+}
+
+// frames is one call's messages, back to back in one buffer: message i
+// ends at ends[i].
+type frames struct {
+	buf  []byte
+	ends []int
+}
+
+var framesPool = sync.Pool{New: func() any { return new(frames) }}
+
+// encodeFrames encodes every conversion of format from args straight into
+// its message, before anything is sent: a call whose arguments do not fit
+// its format fails having transmitted nothing, at every check level. The
+// caller frees the frames once the messages are sent (the transport copies
+// what it sends).
+func encodeFrames(format string, specs []fmtspec.Spec, args []any) (*frames, error) {
+	f := framesPool.Get().(*frames)
+	f.buf, f.ends = f.buf[:0], f.ends[:0]
+	i := 0
+	for _, spec := range specs {
+		buf, n, err := fmtspec.AppendEncode(appendFrameHead(f.buf, spec), spec, args[i:])
+		if err != nil {
+			f.free()
+			return nil, err
+		}
+		f.buf, i = buf, i+n
+		f.ends = append(f.ends, len(f.buf))
+	}
+	if i != len(args) {
+		f.free()
+		return nil, fmt.Errorf("format %q consumed %d arguments, %d supplied", format, i, len(args))
+	}
+	return f, nil
+}
+
+// msg returns message i.
+func (f *frames) msg(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = f.ends[i-1]
+	}
+	return f.buf[start:f.ends[i]]
+}
+
+// free returns f to the pool, unless a large call grew its buffer past
+// what a pooled buffer should pin.
+func (f *frames) free() {
+	if cap(f.buf) <= 64<<10 {
+		framesPool.Put(f)
+	}
 }
 
 // Write is PI_Write: encode each conversion of format from args and send
@@ -128,53 +181,43 @@ func (c *Channel) write(op, loc, format string, args []any) error {
 	if err != nil {
 		return err
 	}
-	if r.cfg.CheckLevel >= 3 {
-		if err := validateWriteArgs(specs, args); err != nil {
-			return errorf(op, loc, "%v", err)
-		}
+	f, err := encodeFrames(format, specs, args)
+	if err != nil {
+		return errorf(op, loc, "%v", err)
 	}
+	defer f.free()
 	log := r.logger(c.from.rank)
 	if log.Enabled() {
 		var cb mpe.Cargo
-		log.StateStartBytes(r.states[op], cb.KV("line", loc).
+		log.StateStartBytes(r.stWrite, cb.KV("line", loc).
 			KV("proc", c.from.Name()).Str(" idx: ").Int(c.from.index).Bytes())
-		defer log.StateEnd(r.states[op], "")
+		defer log.StateEnd(r.stWrite, "")
 	}
 	if r.nativeOn() {
 		r.nativeLog(c.from.rank, fmt.Sprintf("%s %s chan %s fmt %q %s",
 			c.from.Name(), op, c.Name(), format, loc))
 	}
-
-	i := 0
-	for _, spec := range specs {
-		payload, consumed, err := fmtspec.Encode(spec, args[i:])
-		if err != nil {
-			return errorf(op, loc, "%v", err)
-		}
-		i += consumed
-		if err := c.sendOne(op, loc, spec, payload, log.Enabled()); err != nil {
+	for i, spec := range specs {
+		if err := c.sendOne(op, loc, spec, f.msg(i), log.Enabled()); err != nil {
 			return err
 		}
-	}
-	if i != len(args) {
-		return errorf(op, loc, "format %q consumed %d arguments, %d supplied", format, i, len(args))
 	}
 	return nil
 }
 
-// sendOne ships one conversion's payload, with deadlock-detector
+// sendOne ships one conversion's message, with deadlock-detector
 // notifications around the potentially blocking send and the MPE message
 // record and output-side bubble ("the data length and the value of the
 // first element are also shown").
-func (c *Channel) sendOne(op, loc string, spec fmtspec.Spec, payload []byte, logOn bool) error {
+func (c *Channel) sendOne(op, loc string, spec fmtspec.Spec, msg []byte, logOn bool) error {
 	r := c.r
-	msg := frameMessage(spec.String(), payload)
 	log := r.logger(c.from.rank)
 	if logOn {
+		_, payload, _ := parseFrame(msg)
 		log.LogSend(c.to.rank, c.id, len(msg))
 		var db [fmtspec.DescribeMax]byte
 		var cb mpe.Cargo
-		log.EventBytes(r.events["MsgDeparture"], cb.KV("chan", c.Name()).
+		log.EventBytes(r.evDeparture, cb.KV("chan", c.Name()).
 			Str(" ").Raw(fmtspec.AppendDescribe(db[:0], spec, payload)).Bytes())
 	}
 	r.svcWait(c.from.rank, op, []int{c.to.rank}, false, loc)
@@ -211,9 +254,9 @@ func (c *Channel) read(op, loc, format string, args []any) error {
 	log := r.logger(c.to.rank)
 	if log.Enabled() {
 		var cb mpe.Cargo
-		log.StateStartBytes(r.states[op], cb.KV("line", loc).
+		log.StateStartBytes(r.stRead, cb.KV("line", loc).
 			KV("proc", c.to.Name()).Str(" idx: ").Int(c.to.index).Bytes())
-		defer log.StateEnd(r.states[op], "")
+		defer log.StateEnd(r.stRead, "")
 	}
 	if r.nativeOn() {
 		r.nativeLog(c.to.rank, fmt.Sprintf("%s %s chan %s fmt %q %s",
@@ -233,7 +276,7 @@ func (c *Channel) read(op, loc, format string, args []any) error {
 		if log.Enabled() {
 			log.LogRecv(c.from.rank, c.id, len(m.Data))
 			var cb mpe.Cargo
-			log.EventBytes(r.events["MsgArrival"], cb.KV("chan", c.Name()).
+			log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
 				Str(" msg: ").Int(si+1).Str("/").Int(len(specs)).Bytes())
 		}
 		if r.cfg.CheckLevel >= 2 {
@@ -278,13 +321,18 @@ func (c *Channel) recvOne(op, loc string) (mpi.Message, error) {
 }
 
 // checkWireFormat implements error-check level 2: the reader's spec must
-// be compatible with what the writer actually sent.
-func checkWireFormat(wireFmt string, readerSpec fmtspec.Spec) error {
-	wspecs, err := fmtspec.Parse(wireFmt)
-	if err != nil {
-		return fmt.Errorf("undecodable wire format %q: %v", wireFmt, err)
+// be compatible with what the writer actually sent. A wire spec spelled as
+// the reader's is; any other is parsed and compared.
+func checkWireFormat(wire []byte, reader fmtspec.Spec) error {
+	var text [24]byte
+	if string(wire) == string(reader.AppendText(text[:0])) {
+		return nil
 	}
-	return fmtspec.Compatible(wspecs, []fmtspec.Spec{readerSpec})
+	wspecs, err := fmtspec.Parse(string(wire))
+	if err != nil {
+		return fmt.Errorf("undecodable wire format %q: %v", wire, err)
+	}
+	return fmtspec.Compatible(wspecs, []fmtspec.Spec{reader})
 }
 
 // HasData is PI_ChannelHasData: a non-blocking check whether a Read would
@@ -312,35 +360,18 @@ func (c *Channel) HasData() (bool, error) {
 	return ok, nil
 }
 
-// validateWriteArgs is error-check level 3 for the write side: every
-// argument present and of the right type, verified before any message is
-// sent so a bad call transmits nothing.
-func validateWriteArgs(specs []fmtspec.Spec, args []any) error {
-	i := 0
-	for _, spec := range specs {
-		if _, consumed, err := fmtspec.Encode(spec, args[i:]); err != nil {
-			return err
-		} else {
-			i += consumed
-		}
-	}
-	if i != len(args) {
-		return fmt.Errorf("format consumed %d arguments, %d supplied", i, len(args))
-	}
-	return nil
-}
-
-// validateReadArgs is error-check level 3 for the read side: destinations
-// must be pointers (or count+slice pairs) of the right types. Verified by
-// decoding zero payloads where possible; the real decode still re-checks.
+// validateReadArgs is error-check level 3 for the read side: every
+// destination present and of the type its conversion decodes into (the
+// check Decode makes), verified before any message is received so a bad
+// call consumes nothing.
 func validateReadArgs(specs []fmtspec.Spec, args []any) error {
 	i := 0
 	for _, spec := range specs {
-		need := spec.ArgsRead()
-		if len(args[i:]) < need {
-			return fmt.Errorf("%s needs %d argument(s), %d left", spec, need, len(args[i:]))
+		n, err := fmtspec.CheckRead(spec, args[i:])
+		if err != nil {
+			return err
 		}
-		i += need
+		i += n
 	}
 	if i != len(args) {
 		return fmt.Errorf("format consumed %d arguments, %d supplied", i, len(args))

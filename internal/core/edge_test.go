@@ -114,10 +114,25 @@ func TestLevel3ReadValidationPreservesStream(t *testing.T) {
 	if _, err := r.StartAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Wrong arity: rejected before consuming the first message.
+	// Wrong arity or a destination of the wrong type: rejected before the
+	// first message is consumed.
 	var v int
-	if err := ch.Read("%d %d", &v); err == nil {
-		t.Fatal("short arg list accepted at level 3")
+	var f float64
+	var fs []float64
+	bad := map[string]func() error{
+		"short arg list":              func() error { return ch.Read("%d %d", &v) },
+		"wrong pointer type":          func() error { return ch.Read("%d", &f) },
+		"wrong slice type for %*d":    func() error { return ch.Read("%*d", 1, []float64{0}) },
+		"wrong slice type for %^d":    func() error { return ch.Read("%^d", &fs) },
+		"second destination wrong":    func() error { return ch.Read("%d %d", &v, &f) },
+		"slice shorter than %*d":      func() error { return ch.Read("%*d", 2, []int{0}) },
+		"non-pointer scalar":          func() error { return ch.Read("%d", v) },
+		"slice for a %^d destination": func() error { return ch.Read("%^d", []int{0}) },
+	}
+	for name, read := range bad {
+		if err := read(); err == nil {
+			t.Fatalf("%s accepted at level 3", name)
+		}
 	}
 	// The stream is intact: both values still readable in order.
 	var a, b int

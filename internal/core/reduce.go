@@ -82,7 +82,7 @@ func (b *Bundle) Reduce(op ReduceOp, format string, args ...any) error {
 			if log.Enabled() {
 				log.LogRecv(c.from.rank, c.id, len(m.Data))
 				var cb mpe.Cargo
-				log.EventBytes(r.events["MsgArrival"], cb.KV("chan", c.Name()).
+				log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
 					Str(" part: ").Int(ci+1).Str("/").Int(len(b.chans)).Bytes())
 			}
 			if r.cfg.CheckLevel >= 2 {

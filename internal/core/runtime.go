@@ -51,6 +51,9 @@ type Runtime struct {
 	mpe    *mpe.Group
 	states map[string]mpe.StateID
 	events map[string]mpe.EventID
+	// The IDs every message logs under, resolved from the maps once.
+	stWrite, stRead        mpe.StateID
+	evDeparture, evArrival mpe.EventID
 
 	formatCache sync.Map // format string -> []fmtspec.Spec
 
@@ -199,6 +202,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	// modes are visible at a glance in the converted timeline.
 	r.events["FaultInjected"] = r.mpe.DescribeEvent("FaultInjected", colors.FaultEventColor.Name)
 	r.events["Deadlock"] = r.mpe.DescribeEvent("Deadlock", colors.DeadlockEventColor.Name)
+	r.stWrite, r.stRead = r.states["PI_Write"], r.states["PI_Read"]
+	r.evDeparture, r.evArrival = r.events["MsgDeparture"], r.events["MsgArrival"]
 
 	if r.jlog && cfg.RobustLog && r.world.Local(0) {
 		// Definitions are rank 0's to spill; in a multi-process world a

@@ -21,6 +21,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -63,25 +65,29 @@ type Spec struct {
 	N int
 }
 
-var kindLetters = map[string]Kind{
-	"c":  KindChar,
-	"hd": KindInt16,
-	"d":  KindInt,
-	"ld": KindInt64,
-	"hu": KindUint16,
-	"u":  KindUint,
-	"lu": KindUint64,
-	"f":  KindFloat32,
-	"lf": KindFloat64,
-	"s":  KindString,
+// kinds describes each Kind, indexed by it: its conversion letters and the
+// Go type of one element.
+var kinds = [...]struct {
+	letters string
+	elem    reflect.Type
+}{
+	KindInvalid: {"?", nil},
+	KindChar:    {"c", reflect.TypeOf(byte(0))},
+	KindInt16:   {"hd", reflect.TypeOf(int16(0))},
+	KindInt:     {"d", reflect.TypeOf(int(0))},
+	KindInt64:   {"ld", reflect.TypeOf(int64(0))},
+	KindUint16:  {"hu", reflect.TypeOf(uint16(0))},
+	KindUint:    {"u", reflect.TypeOf(uint(0))},
+	KindUint64:  {"lu", reflect.TypeOf(uint64(0))},
+	KindFloat32: {"f", reflect.TypeOf(float32(0))},
+	KindFloat64: {"lf", reflect.TypeOf(float64(0))},
+	KindString:  {"s", reflect.TypeOf("")},
 }
 
 // letter returns the conversion letters for k.
 func (k Kind) letter() string {
-	for s, kk := range kindLetters {
-		if kk == k {
-			return s
-		}
+	if int(k) < len(kinds) {
+		return kinds[k].letters
 	}
 	return "?"
 }
@@ -103,19 +109,29 @@ func (k Kind) ElemSize() int {
 	}
 }
 
-// String renders the spec back in format syntax, e.g. "%*d" or "%25f".
-func (s Spec) String() string {
+// AppendText appends the spec in format syntax, e.g. "%*d" or "%25f", to
+// dst: String without the allocation, for a wire message's header and the
+// level-2 comparison against it.
+func (s Spec) AppendText(dst []byte) []byte {
+	dst = append(dst, '%')
 	switch s.Mode {
 	case Scalar:
-		return "%" + s.Kind.letter()
 	case Fixed:
-		return fmt.Sprintf("%%%d%s", s.N, s.Kind.letter())
+		dst = strconv.AppendInt(dst, int64(s.N), 10)
 	case Star:
-		return "%*" + s.Kind.letter()
+		dst = append(dst, '*')
 	case Caret:
-		return "%^" + s.Kind.letter()
+		dst = append(dst, '^')
+	default:
+		return append(dst, '?')
 	}
-	return "%?"
+	return append(dst, s.Kind.letter()...)
+}
+
+// String renders the spec back in format syntax, e.g. "%*d" or "%25f".
+func (s Spec) String() string {
+	var buf [24]byte
+	return string(s.AppendText(buf[:0]))
 }
 
 // Parse splits format into conversion specs. It rejects malformed formats
@@ -166,25 +182,31 @@ func parseToken(tok string) (Spec, error) {
 			body = body[i:]
 		}
 	}
-	kind, ok := kindLetters[body]
-	if !ok {
+	for k := KindChar; k <= KindString; k++ {
+		if kinds[k].letters == body {
+			s.Kind = k
+		}
+	}
+	if s.Kind == KindInvalid {
 		return Spec{}, fmt.Errorf("fmtspec: token %q has unknown conversion %q", tok, body)
 	}
-	if kind == KindString && s.Mode != Scalar {
+	if s.Kind == KindString && s.Mode != Scalar {
 		return Spec{}, fmt.Errorf("fmtspec: token %q: %%s does not support array forms", tok)
 	}
-	s.Kind = kind
 	return s, nil
 }
 
 // Canonical renders specs back to a normalised format string; two formats
 // with equal Canonical forms are identical.
 func Canonical(specs []Spec) string {
-	parts := make([]string, len(specs))
+	var b []byte
 	for i, s := range specs {
-		parts[i] = s.String()
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = s.AppendText(b)
 	}
-	return strings.Join(parts, " ")
+	return string(b)
 }
 
 // Compatible reports whether a writer using w may talk to a reader using r.
@@ -238,509 +260,288 @@ func (s Spec) ArgsRead() int {
 	return 1
 }
 
-// ---- encoding ----
+// ---- arguments ----
 
-func putElem(dst []byte, k Kind, v any) error {
-	switch k {
-	case KindChar:
-		b, ok := v.(byte)
-		if !ok {
-			return typeErr(k, "byte", v)
-		}
-		dst[0] = b
-	case KindInt16:
-		x, ok := v.(int16)
-		if !ok {
-			return typeErr(k, "int16", v)
-		}
-		binary.LittleEndian.PutUint16(dst, uint16(x))
-	case KindUint16:
-		x, ok := v.(uint16)
-		if !ok {
-			return typeErr(k, "uint16", v)
-		}
-		binary.LittleEndian.PutUint16(dst, x)
-	case KindInt:
-		x, ok := v.(int)
-		if !ok {
-			return typeErr(k, "int", v)
-		}
-		binary.LittleEndian.PutUint64(dst, uint64(x))
-	case KindInt64:
-		x, ok := v.(int64)
-		if !ok {
-			return typeErr(k, "int64", v)
-		}
-		binary.LittleEndian.PutUint64(dst, uint64(x))
-	case KindUint:
-		x, ok := v.(uint)
-		if !ok {
-			return typeErr(k, "uint", v)
-		}
-		binary.LittleEndian.PutUint64(dst, uint64(x))
-	case KindUint64:
-		x, ok := v.(uint64)
-		if !ok {
-			return typeErr(k, "uint64", v)
-		}
-		binary.LittleEndian.PutUint64(dst, x)
-	case KindFloat32:
-		x, ok := v.(float32)
-		if !ok {
-			return typeErr(k, "float32", v)
-		}
-		binary.LittleEndian.PutUint32(dst, math.Float32bits(x))
-	case KindFloat64:
-		x, ok := v.(float64)
-		if !ok {
-			return typeErr(k, "float64", v)
-		}
-		binary.LittleEndian.PutUint64(dst, math.Float64bits(x))
-	default:
-		return fmt.Errorf("fmtspec: cannot encode kind %v as element", k)
-	}
-	return nil
-}
+// argTypes[read][mode][kind] is the Go type of the argument a value of that
+// kind and mode passes through: T written as a scalar and *T read as one,
+// []T for an array (after its int count, for %*), and *[]T read as %^,
+// whose slice Decode makes. A string has no array forms, so no types.
+var argTypes [2][Caret + 1][len(kinds)]reflect.Type
 
-func typeErr(k Kind, want string, got any) error {
-	return fmt.Errorf("fmtspec: %%%s requires %s argument, got %T", k.letter(), want, got)
-}
-
-// sliceLen returns the length of a slice argument of the kind's element
-// type, or an error if v is not such a slice.
-func sliceInfo(k Kind, v any) (length int, get func(i int) any, err error) {
-	switch k {
-	case KindChar:
-		s, ok := v.([]byte)
-		if !ok {
-			return 0, nil, typeErr(k, "[]byte", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindInt16:
-		s, ok := v.([]int16)
-		if !ok {
-			return 0, nil, typeErr(k, "[]int16", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindUint16:
-		s, ok := v.([]uint16)
-		if !ok {
-			return 0, nil, typeErr(k, "[]uint16", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindInt:
-		s, ok := v.([]int)
-		if !ok {
-			return 0, nil, typeErr(k, "[]int", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindInt64:
-		s, ok := v.([]int64)
-		if !ok {
-			return 0, nil, typeErr(k, "[]int64", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindUint:
-		s, ok := v.([]uint)
-		if !ok {
-			return 0, nil, typeErr(k, "[]uint", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindUint64:
-		s, ok := v.([]uint64)
-		if !ok {
-			return 0, nil, typeErr(k, "[]uint64", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindFloat32:
-		s, ok := v.([]float32)
-		if !ok {
-			return 0, nil, typeErr(k, "[]float32", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	case KindFloat64:
-		s, ok := v.([]float64)
-		if !ok {
-			return 0, nil, typeErr(k, "[]float64", v)
-		}
-		return len(s), func(i int) any { return s[i] }, nil
-	}
-	return 0, nil, fmt.Errorf("fmtspec: kind %v has no array form", k)
-}
-
-// Encode serialises the spec's value(s) drawn from args into a wire
-// payload, returning the payload and the number of arguments consumed.
-func Encode(s Spec, args []any) (payload []byte, consumed int, err error) {
-	need := s.ArgsWrite()
-	if len(args) < need {
-		return nil, 0, fmt.Errorf("fmtspec: %s needs %d argument(s), %d left", s, need, len(args))
-	}
-	switch s.Mode {
-	case Scalar:
-		if s.Kind == KindString {
-			str, ok := args[0].(string)
-			if !ok {
-				return nil, 0, typeErr(s.Kind, "string", args[0])
+func init() {
+	for k := KindChar; k <= KindString; k++ {
+		for m := Scalar; m <= Caret; m++ {
+			t := kinds[k].elem
+			if m != Scalar {
+				if k == KindString {
+					break
+				}
+				t = reflect.SliceOf(t)
 			}
-			return []byte(str), 1, nil
+			argTypes[0][m][k], argTypes[1][m][k] = t, t
+			if m == Scalar || m == Caret {
+				argTypes[1][m][k] = reflect.PointerTo(t)
+			}
 		}
-		buf := make([]byte, s.Kind.ElemSize())
-		if err := putElem(buf, s.Kind, args[0]); err != nil {
-			return nil, 0, err
-		}
-		return buf, 1, nil
+	}
+}
 
-	case Fixed:
-		n, get, err := sliceInfo(s.Kind, args[0])
-		if err != nil {
-			return nil, 0, err
+// arg checks that args begin with what s takes a value from (read false)
+// or decodes one into (read true): an int count of at least 0 for %*, then
+// an argument of s's type, a slice as long as the array at least. It
+// returns that argument, the array's element count and how many arguments
+// s consumes.
+func (s Spec) arg(args []any, read bool) (v any, n, consumed int, err error) {
+	var want reflect.Type
+	if s.Mode <= Caret && int(s.Kind) < len(kinds) {
+		side := 0
+		if read {
+			side = 1
 		}
-		if n < s.N {
-			return nil, 0, fmt.Errorf("fmtspec: %s requires at least %d elements, slice has %d", s, s.N, n)
-		}
-		return encodeElems(s.Kind, s.N, get, 0)
-
-	case Star:
+		want = argTypes[side][s.Mode][s.Kind]
+	}
+	if want == nil {
+		return nil, 0, 0, fmt.Errorf("fmtspec: %s has no Go type to transfer", s)
+	}
+	consumed = s.ArgsRead()
+	if len(args) < consumed {
+		return nil, 0, 0, fmt.Errorf("fmtspec: %s needs %d argument(s), %d left", s, consumed, len(args))
+	}
+	v, n = args[consumed-1], s.N
+	if s.Mode == Star {
 		count, ok := args[0].(int)
 		if !ok {
-			return nil, 0, fmt.Errorf("fmtspec: %s requires an int count before the slice, got %T", s, args[0])
+			return nil, 0, 0, fmt.Errorf("fmtspec: %s requires an int count before the slice, got %T", s, args[0])
 		}
 		if count < 0 {
-			return nil, 0, fmt.Errorf("fmtspec: %s with negative count %d", s, count)
+			return nil, 0, 0, fmt.Errorf("fmtspec: %s with negative count %d", s, count)
 		}
-		n, get, err := sliceInfo(s.Kind, args[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		if n < count {
-			return nil, 0, fmt.Errorf("fmtspec: %s count %d exceeds slice length %d", s, count, n)
-		}
-		p, _, err := encodeElems(s.Kind, count, get, 0)
-		return p, 2, err
-
-	case Caret:
-		n, get, err := sliceInfo(s.Kind, args[0])
-		if err != nil {
-			return nil, 0, err
-		}
-		header := make([]byte, 4)
-		binary.LittleEndian.PutUint32(header, uint32(n))
-		body, _, err := encodeElems(s.Kind, n, get, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		return append(header, body...), 1, nil
+		n = count
 	}
-	return nil, 0, fmt.Errorf("fmtspec: unknown mode %v", s.Mode)
+	if reflect.TypeOf(v) != want {
+		name := strings.ReplaceAll(want.String(), "uint8", "byte")
+		return nil, 0, 0, fmt.Errorf("fmtspec: %%%s requires %s argument, got %T", s.Kind.letter(), name, v)
+	}
+	if s.Mode == Fixed || s.Mode == Star {
+		if have := reflect.ValueOf(v).Len(); have < n {
+			return nil, 0, 0, fmt.Errorf("fmtspec: %s needs %d elements, the slice has %d", s, n, have)
+		}
+	}
+	return v, n, consumed, nil
 }
 
-func encodeElems(k Kind, n int, get func(i int) any, consumed int) ([]byte, int, error) {
-	es := k.ElemSize()
-	buf := make([]byte, n*es)
-	for i := 0; i < n; i++ {
-		if err := putElem(buf[i*es:], k, get(i)); err != nil {
-			return nil, 0, err
-		}
+// CheckRead checks that args begin with what Decode needs for s: an int
+// count for %*, then a destination of the type s decodes into (a pointer
+// for a scalar, a slice at least as long as the array, a pointer to a
+// slice for %^). It returns how many arguments those are. Decode makes
+// the same check before it reads a byte, so a caller can check a whole
+// format's destinations before it receives a message.
+func CheckRead(s Spec, args []any) (int, error) {
+	_, _, consumed, err := s.arg(args, true)
+	return consumed, err
+}
+
+// ---- encoding ----
+
+// AppendEncode appends the wire form of the value(s) s takes from args to
+// dst and returns it with the number of arguments consumed: the one
+// encoder. On an error dst comes back as it was.
+func AppendEncode(dst []byte, s Spec, args []any) ([]byte, int, error) {
+	v, n, consumed, err := s.arg(args, false)
+	if err != nil {
+		return dst, 0, err
 	}
-	return buf, consumed + 1, nil
+	if s.Mode == Caret {
+		n = reflect.ValueOf(v).Len()
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	}
+	return appendValue(slices.Grow(dst, n*s.Kind.ElemSize()), v, n), consumed, nil
+}
+
+// Encode is AppendEncode into a fresh buffer.
+func Encode(s Spec, args []any) (payload []byte, consumed int, err error) {
+	return AppendEncode(nil, s, args)
+}
+
+// One function a kind each way between a Go value and its little-endian
+// wire bytes; appendValue and decodeValue apply them to a scalar or to
+// every element of an array.
+func putI16(b []byte, x int16) []byte  { return binary.LittleEndian.AppendUint16(b, uint16(x)) }
+func putU16(b []byte, x uint16) []byte { return binary.LittleEndian.AppendUint16(b, x) }
+func putInt(b []byte, x int) []byte    { return binary.LittleEndian.AppendUint64(b, uint64(x)) }
+func putI64(b []byte, x int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(x)) }
+func putUint(b []byte, x uint) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(x)) }
+func putU64(b []byte, x uint64) []byte { return binary.LittleEndian.AppendUint64(b, x) }
+func putF32(b []byte, x float32) []byte {
+	return binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+}
+func putF64(b []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+}
+
+func getI16(b []byte) int16   { return int16(binary.LittleEndian.Uint16(b)) }
+func getU16(b []byte) uint16  { return binary.LittleEndian.Uint16(b) }
+func getInt(b []byte) int     { return int(binary.LittleEndian.Uint64(b)) }
+func getI64(b []byte) int64   { return int64(binary.LittleEndian.Uint64(b)) }
+func getUint(b []byte) uint   { return uint(binary.LittleEndian.Uint64(b)) }
+func getU64(b []byte) uint64  { return binary.LittleEndian.Uint64(b) }
+func getF32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+func appendAll[T any](dst []byte, s []T, put func([]byte, T) []byte) []byte {
+	for _, x := range s {
+		dst = put(dst, x)
+	}
+	return dst
+}
+
+func fill[T any](dst []T, src []byte, es int, get func([]byte) T) {
+	for i := range dst {
+		dst[i] = get(src[i*es:])
+	}
+}
+
+// fresh stores a new slice of n elements through p and returns it.
+func fresh[T any](p *[]T, n int) []T {
+	*p = make([]T, n)
+	return *p
+}
+
+// appendValue appends v, whose type arg has checked, in wire form: a
+// scalar whole, the first n elements of an array.
+func appendValue(dst []byte, v any, n int) []byte {
+	switch x := v.(type) {
+	case string:
+		return append(dst, x...)
+	case byte:
+		return append(dst, x)
+	case int16:
+		return putI16(dst, x)
+	case uint16:
+		return putU16(dst, x)
+	case int:
+		return putInt(dst, x)
+	case int64:
+		return putI64(dst, x)
+	case uint:
+		return putUint(dst, x)
+	case uint64:
+		return putU64(dst, x)
+	case float32:
+		return putF32(dst, x)
+	case float64:
+		return putF64(dst, x)
+	case []byte:
+		return append(dst, x[:n]...)
+	case []int16:
+		return appendAll(dst, x[:n], putI16)
+	case []uint16:
+		return appendAll(dst, x[:n], putU16)
+	case []int:
+		return appendAll(dst, x[:n], putInt)
+	case []int64:
+		return appendAll(dst, x[:n], putI64)
+	case []uint:
+		return appendAll(dst, x[:n], putUint)
+	case []uint64:
+		return appendAll(dst, x[:n], putU64)
+	case []float32:
+		return appendAll(dst, x[:n], putF32)
+	case []float64:
+		return appendAll(dst, x[:n], putF64)
+	}
+	return dst
 }
 
 // ---- decoding ----
 
-func getElem(src []byte, k Kind, dst any) error {
-	switch k {
-	case KindChar:
-		p, ok := dst.(*byte)
-		if !ok {
-			return typeErr(k, "*byte", dst)
-		}
-		*p = src[0]
-	case KindInt16:
-		p, ok := dst.(*int16)
-		if !ok {
-			return typeErr(k, "*int16", dst)
-		}
-		*p = int16(binary.LittleEndian.Uint16(src))
-	case KindUint16:
-		p, ok := dst.(*uint16)
-		if !ok {
-			return typeErr(k, "*uint16", dst)
-		}
-		*p = binary.LittleEndian.Uint16(src)
-	case KindInt:
-		p, ok := dst.(*int)
-		if !ok {
-			return typeErr(k, "*int", dst)
-		}
-		*p = int(binary.LittleEndian.Uint64(src))
-	case KindInt64:
-		p, ok := dst.(*int64)
-		if !ok {
-			return typeErr(k, "*int64", dst)
-		}
-		*p = int64(binary.LittleEndian.Uint64(src))
-	case KindUint:
-		p, ok := dst.(*uint)
-		if !ok {
-			return typeErr(k, "*uint", dst)
-		}
-		*p = uint(binary.LittleEndian.Uint64(src))
-	case KindUint64:
-		p, ok := dst.(*uint64)
-		if !ok {
-			return typeErr(k, "*uint64", dst)
-		}
-		*p = binary.LittleEndian.Uint64(src)
-	case KindFloat32:
-		p, ok := dst.(*float32)
-		if !ok {
-			return typeErr(k, "*float32", dst)
-		}
-		*p = math.Float32frombits(binary.LittleEndian.Uint32(src))
-	case KindFloat64:
-		p, ok := dst.(*float64)
-		if !ok {
-			return typeErr(k, "*float64", dst)
-		}
-		*p = math.Float64frombits(binary.LittleEndian.Uint64(src))
-	default:
-		return fmt.Errorf("fmtspec: cannot decode kind %v as element", k)
-	}
-	return nil
-}
-
-// sliceSet returns length and element-setter for a destination slice.
-func sliceSet(k Kind, v any) (length int, set func(i int, src []byte) error, err error) {
-	wrap := func(n int, f func(i int, src []byte)) (int, func(int, []byte) error, error) {
-		return n, func(i int, src []byte) error { f(i, src); return nil }, nil
-	}
-	switch k {
-	case KindChar:
-		s, ok := v.([]byte)
-		if !ok {
-			return 0, nil, typeErr(k, "[]byte", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = src[0] })
-	case KindInt16:
-		s, ok := v.([]int16)
-		if !ok {
-			return 0, nil, typeErr(k, "[]int16", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = int16(binary.LittleEndian.Uint16(src)) })
-	case KindUint16:
-		s, ok := v.([]uint16)
-		if !ok {
-			return 0, nil, typeErr(k, "[]uint16", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = binary.LittleEndian.Uint16(src) })
-	case KindInt:
-		s, ok := v.([]int)
-		if !ok {
-			return 0, nil, typeErr(k, "[]int", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = int(binary.LittleEndian.Uint64(src)) })
-	case KindInt64:
-		s, ok := v.([]int64)
-		if !ok {
-			return 0, nil, typeErr(k, "[]int64", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = int64(binary.LittleEndian.Uint64(src)) })
-	case KindUint:
-		s, ok := v.([]uint)
-		if !ok {
-			return 0, nil, typeErr(k, "[]uint", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = uint(binary.LittleEndian.Uint64(src)) })
-	case KindUint64:
-		s, ok := v.([]uint64)
-		if !ok {
-			return 0, nil, typeErr(k, "[]uint64", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = binary.LittleEndian.Uint64(src) })
-	case KindFloat32:
-		s, ok := v.([]float32)
-		if !ok {
-			return 0, nil, typeErr(k, "[]float32", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = math.Float32frombits(binary.LittleEndian.Uint32(src)) })
-	case KindFloat64:
-		s, ok := v.([]float64)
-		if !ok {
-			return 0, nil, typeErr(k, "[]float64", v)
-		}
-		return wrap(len(s), func(i int, src []byte) { s[i] = math.Float64frombits(binary.LittleEndian.Uint64(src)) })
-	}
-	return 0, nil, fmt.Errorf("fmtspec: kind %v has no array form", k)
-}
-
-// makeSlice allocates a fresh slice of n elements of the kind's type and
-// stores it through the caret-mode destination pointer (*[]T). It returns
-// the setter for filling elements.
-func makeSlice(k Kind, n int, dst any) (set func(i int, src []byte) error, err error) {
-	switch k {
-	case KindChar:
-		p, ok := dst.(*[]byte)
-		if !ok {
-			return nil, typeErr(k, "*[]byte", dst)
-		}
-		*p = make([]byte, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindInt16:
-		p, ok := dst.(*[]int16)
-		if !ok {
-			return nil, typeErr(k, "*[]int16", dst)
-		}
-		*p = make([]int16, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindUint16:
-		p, ok := dst.(*[]uint16)
-		if !ok {
-			return nil, typeErr(k, "*[]uint16", dst)
-		}
-		*p = make([]uint16, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindInt:
-		p, ok := dst.(*[]int)
-		if !ok {
-			return nil, typeErr(k, "*[]int", dst)
-		}
-		*p = make([]int, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindInt64:
-		p, ok := dst.(*[]int64)
-		if !ok {
-			return nil, typeErr(k, "*[]int64", dst)
-		}
-		*p = make([]int64, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindUint:
-		p, ok := dst.(*[]uint)
-		if !ok {
-			return nil, typeErr(k, "*[]uint", dst)
-		}
-		*p = make([]uint, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindUint64:
-		p, ok := dst.(*[]uint64)
-		if !ok {
-			return nil, typeErr(k, "*[]uint64", dst)
-		}
-		*p = make([]uint64, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindFloat32:
-		p, ok := dst.(*[]float32)
-		if !ok {
-			return nil, typeErr(k, "*[]float32", dst)
-		}
-		*p = make([]float32, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	case KindFloat64:
-		p, ok := dst.(*[]float64)
-		if !ok {
-			return nil, typeErr(k, "*[]float64", dst)
-		}
-		*p = make([]float64, n)
-		_, set, err := sliceSet(k, *p)
-		return set, err
-	}
-	return nil, fmt.Errorf("fmtspec: kind %v has no array form", k)
-}
-
 // Decode deserialises payload into the destination argument(s) drawn from
-// args, returning the number of arguments consumed.
+// args, returning the number of arguments consumed. It checks the
+// destinations first, as CheckRead does, then the payload's length against
+// them.
 func Decode(s Spec, payload []byte, args []any) (consumed int, err error) {
-	need := s.ArgsRead()
-	if len(args) < need {
-		return 0, fmt.Errorf("fmtspec: %s needs %d argument(s), %d left", s, need, len(args))
+	v, n, consumed, err := s.arg(args, true)
+	if err != nil {
+		return 0, err
 	}
-	es := s.Kind.ElemSize()
 	switch s.Mode {
 	case Scalar:
-		if s.Kind == KindString {
-			p, ok := args[0].(*string)
-			if !ok {
-				return 0, typeErr(s.Kind, "*string", args[0])
-			}
-			*p = string(payload)
-			return 1, nil
-		}
-		if len(payload) != es {
-			return 0, fmt.Errorf("fmtspec: %s expected %d payload bytes, got %d", s, es, len(payload))
-		}
-		if err := getElem(payload, s.Kind, args[0]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-
-	case Fixed:
-		want := s.N * es
-		if len(payload) != want {
-			return 0, fmt.Errorf("fmtspec: %s expected %d payload bytes, got %d", s, want, len(payload))
-		}
-		n, set, err := sliceSet(s.Kind, args[0])
-		if err != nil {
-			return 0, err
-		}
-		if n < s.N {
-			return 0, fmt.Errorf("fmtspec: %s requires at least %d elements, slice has %d", s, s.N, n)
-		}
-		return 1, fillElems(s.Kind, s.N, payload, set)
-
-	case Star:
-		count, ok := args[0].(int)
-		if !ok {
-			return 0, fmt.Errorf("fmtspec: %s requires an int count before the slice, got %T", s, args[0])
-		}
-		if count < 0 {
-			return 0, fmt.Errorf("fmtspec: %s with negative count %d", s, count)
-		}
-		want := count * es
-		if len(payload) != want {
-			return 0, fmt.Errorf("fmtspec: %s reader count %d (=%d bytes) but writer sent %d bytes", s, count, want, len(payload))
-		}
-		n, set, err := sliceSet(s.Kind, args[1])
-		if err != nil {
-			return 0, err
-		}
-		if n < count {
-			return 0, fmt.Errorf("fmtspec: %s count %d exceeds slice length %d", s, count, n)
-		}
-		return 2, fillElems(s.Kind, count, payload, set)
-
+		n = 1
 	case Caret:
 		if len(payload) < 4 {
 			return 0, fmt.Errorf("fmtspec: %s payload missing length header", s)
 		}
-		n := int(binary.LittleEndian.Uint32(payload))
-		body := payload[4:]
-		if len(body) != n*es {
-			return 0, fmt.Errorf("fmtspec: %s header says %d elements (%d bytes), payload has %d bytes", s, n, n*es, len(body))
-		}
-		set, err := makeSlice(s.Kind, n, args[0])
-		if err != nil {
-			return 0, err
-		}
-		return 1, fillElems(s.Kind, n, body, set)
+		n, payload = int(binary.LittleEndian.Uint32(payload)), payload[4:]
 	}
-	return 0, fmt.Errorf("fmtspec: unknown mode %v", s.Mode)
+	if want := n * s.Kind.ElemSize(); s.Kind != KindString && len(payload) != want {
+		return 0, fmt.Errorf("fmtspec: %s expected %d payload bytes (%d elements), got %d", s, want, n, len(payload))
+	}
+	decodeValue(v, payload, n)
+	return consumed, nil
 }
 
-func fillElems(k Kind, n int, payload []byte, set func(i int, src []byte) error) error {
-	es := k.ElemSize()
-	for i := 0; i < n; i++ {
-		if err := set(i, payload[i*es:]); err != nil {
-			return err
-		}
+// decodeValue stores src, whose length Decode has checked, through v,
+// whose type arg has checked: into a scalar's pointer, or into the first n
+// elements of an array (a slice made to fit, for %^).
+func decodeValue(v any, src []byte, n int) {
+	switch p := v.(type) {
+	case *string:
+		*p = string(src)
+	case *byte:
+		*p = src[0]
+	case *int16:
+		*p = getI16(src)
+	case *uint16:
+		*p = getU16(src)
+	case *int:
+		*p = getInt(src)
+	case *int64:
+		*p = getI64(src)
+	case *uint:
+		*p = getUint(src)
+	case *uint64:
+		*p = getU64(src)
+	case *float32:
+		*p = getF32(src)
+	case *float64:
+		*p = getF64(src)
+	case []byte:
+		copy(p[:n], src)
+	case []int16:
+		fill(p[:n], src, 2, getI16)
+	case []uint16:
+		fill(p[:n], src, 2, getU16)
+	case []int:
+		fill(p[:n], src, 8, getInt)
+	case []int64:
+		fill(p[:n], src, 8, getI64)
+	case []uint:
+		fill(p[:n], src, 8, getUint)
+	case []uint64:
+		fill(p[:n], src, 8, getU64)
+	case []float32:
+		fill(p[:n], src, 4, getF32)
+	case []float64:
+		fill(p[:n], src, 8, getF64)
+	case *[]byte:
+		copy(fresh(p, n), src)
+	case *[]int16:
+		fill(fresh(p, n), src, 2, getI16)
+	case *[]uint16:
+		fill(fresh(p, n), src, 2, getU16)
+	case *[]int:
+		fill(fresh(p, n), src, 8, getInt)
+	case *[]int64:
+		fill(fresh(p, n), src, 8, getI64)
+	case *[]uint:
+		fill(fresh(p, n), src, 8, getUint)
+	case *[]uint64:
+		fill(fresh(p, n), src, 8, getU64)
+	case *[]float32:
+		fill(fresh(p, n), src, 4, getF32)
+	case *[]float64:
+		fill(fresh(p, n), src, 8, getF64)
 	}
-	return nil
 }
 
 // DescribeMax bounds the length of any Describe summary: "len: " plus a

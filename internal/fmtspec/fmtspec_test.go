@@ -408,3 +408,47 @@ func TestElemSizes(t *testing.T) {
 		}
 	}
 }
+
+// AppendEncode appends behind what dst holds the bytes Encode returns, and
+// hands dst back as it was when the arguments do not fit; CheckRead refuses
+// what Decode would, before any payload is seen.
+func TestAppendEncodeAndCheckRead(t *testing.T) {
+	for _, tc := range []struct {
+		format string
+		args   []any
+	}{{"%d", []any{7}}, {"%3hd", []any{[]int16{1, -2, 3}}}, {"%*lf", []any{2, []float64{1.5, 2.5, 9}}}, {"%^c", []any{[]byte("xyz")}}, {"%s", []any{"hi"}}} {
+		spec := mustParse(t, tc.format)[0]
+		want, _, err := Encode(spec, tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := AppendEncode([]byte("kept"), spec, tc.args)
+		if err != nil || n != len(tc.args) || string(got) != "kept"+string(want) {
+			t.Errorf("AppendEncode(%q) = %q, %d, %v; want %q", tc.format, got, n, err, "kept"+string(want))
+		}
+	}
+	if got, _, err := AppendEncode([]byte("kept"), mustParse(t, "%d")[0], []any{1.5}); err == nil || string(got) != "kept" {
+		t.Errorf("AppendEncode of a float64 for %%d gives %q, %v", got, err)
+	}
+	var d int
+	var f float64
+	for _, tc := range []struct {
+		format string
+		args   []any
+		ok     bool
+	}{
+		{"%d", []any{&d}, true},
+		{"%d", []any{&f}, false},
+		{"%d", []any{d}, false},
+		{"%*d", []any{2, make([]int, 2)}, true},
+		{"%*d", []any{3, make([]int, 2)}, false},
+		{"%2d", []any{make([]float64, 2)}, false},
+		{"%^d", []any{new([]int)}, true},
+		{"%^d", []any{make([]int, 1)}, false},
+	} {
+		n, err := CheckRead(mustParse(t, tc.format)[0], tc.args)
+		if (err == nil) != tc.ok || tc.ok && n != len(tc.args) {
+			t.Errorf("CheckRead(%q, %T) = %d, %v", tc.format, tc.args[len(tc.args)-1], n, err)
+		}
+	}
+}

@@ -124,9 +124,25 @@ func logLoad(l *Logger, clk *clock.Manual, sids []StateID, records int) (open in
 	return len(l.openStates)
 }
 
+// pageRecords is how many of logLoad's records a page holds.
+func pageRecords(t *testing.T) int {
+	_, g, sids, clocks := mergeWorld(1)
+	l := g.Logger(0)
+	logLoad(l, clocks[0], sids, pageSize/8) // 8 KiB records of 17 bytes or more
+	n := 0
+	for p := l.pages[0]; len(p) > 0; p = p[clog2.TimedSize(p):] {
+		n++
+	}
+	if len(l.pages) < 2 || n < pageSize/clog2.MaxTimedRecord {
+		t.Fatalf("%d records on the first of %d pages", n, len(l.pages))
+	}
+	l.Discard()
+	return n
+}
+
 // The merge matrix: whatever the ranks hold (nothing, only rank 0's
-// definitions, one record, a record either side of an arena chunk's end,
-// several chunks, a state left open) and however many they are, the file
+// definitions, one record, a record either side of a page's end, several
+// pages, a state left open) and however many they are, the file
 // rank 0 writes is the file a Writer produces from the records read back
 // out of it, and the table written on the way is a scan's. The first
 // is what lets rank 0 copy a rank's block where it used to re-encode it.
@@ -140,15 +156,16 @@ func TestFinishMergeMatrix(t *testing.T) {
 			return 6
 		}
 	}
+	page := pageRecords(t)
 	shapes := map[string]func(rank, n int) int{
 		"last rank empty":  sixBut(func(rank, n int) bool { return rank == n-1 }),
 		"rank 0 defs only": sixBut(func(rank, n int) bool { return rank == 0 }),
 		"one record":       func(rank, n int) int { return 1 },
-		"chunk less two":   func(rank, n int) int { return chunkRecords - 2 },
-		"chunk less one":   func(rank, n int) int { return chunkRecords - 1 }, // the timeshift fills the chunk
-		"chunk":            func(rank, n int) int { return chunkRecords },
-		"chunk and one":    func(rank, n int) int { return chunkRecords + 1 },
-		"three chunks":     func(rank, n int) int { return 3*chunkRecords + rank },
+		"page less two":    func(rank, n int) int { return page - 2 },
+		"page less one":    func(rank, n int) int { return page - 1 },
+		"page":             func(rank, n int) int { return page },
+		"page and one":     func(rank, n int) int { return page + 1 },
+		"three pages":      func(rank, n int) int { return 3*page + rank },
 		"open state":       func(rank, n int) int { return 9 + 2*rank },
 	}
 	for name, load := range shapes {
@@ -273,10 +290,7 @@ func TestFinishRejectsHostilePayloads(t *testing.T) {
 				if _, err := l.syncClocks(); err != nil {
 					return err
 				}
-				good, err := appendLog(nil, 3, 2, l.recs.slices(nil)...)
-				if err != nil {
-					return err
-				}
+				good := l.appendLog(nil)
 				if good[cargoLen] != 10 {
 					t.Errorf("the first record's cargo length is %d: the table's offsets are off", good[cargoLen])
 				}
@@ -313,10 +327,10 @@ func TestFinishRejectsHostilePayloads(t *testing.T) {
 	}
 }
 
-// The wrap-up's memory is the encoded log, not the records: a rank encodes
-// its block once into a buffer sized for it (one payload), the transport
-// copies it (another), and rank 0 decodes it a run at a time into one
-// fixed buffer. The decoding merge grew a []clog2.Record to hold a whole
+// The wrap-up's memory is the encoded log, not the records: a rank copies
+// its pages into a buffer sized for them (one payload, pooled), the
+// transport copies it (another), and rank 0 decodes it a run at a time
+// into one fixed buffer. The decoding merge grew a []clog2.Record to hold a whole
 // foreign rank, about five times 144 B for each of its records.
 func TestFinishMemoryIsTheEncodedLog(t *testing.T) {
 	const records = 100_000

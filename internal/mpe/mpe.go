@@ -164,15 +164,25 @@ func (g *Group) defRecords() []clog2.Record {
 	return recs
 }
 
+// pageSize is the size of the pages a rank logs into: a record goes on
+// the last page when the longest timed record still fits there and on a
+// fresh one otherwise, so no record straddles two pages. A page holds no
+// pointers, so the collector never scans what a rank has logged.
+const pageSize = 64 << 10
+
+// pagePool recycles pages across Finish and Discard.
+var pagePool = sync.Pool{New: func() any { return new([pageSize]byte) }}
+
 // Logger is one rank's event log. A Logger must only be used from the
 // goroutine acting as its rank, mirroring MPE's per-process logging.
 type Logger struct {
 	g    *Group
 	rank *mpi.Rank
-	// recs is the chunked record arena: appends never copy records, and
-	// the chunks are recycled through a pool at Finish, so steady-state
-	// logging allocates nothing.
-	recs arena
+	// pages hold the rank's records as CLOG-2 encodes them, in log order,
+	// each a pooled pageSize array cut to the bytes it holds; n counts the
+	// records.
+	pages [][]byte
+	n     int
 	// openStates mirrors the converter's pairing stack: states started but
 	// not yet ended. Finish closes any leftovers with synthetic ends.
 	openStates []StateID
@@ -181,9 +191,6 @@ type Logger struct {
 	spErr     error
 	spChecked bool
 	spPrefix  string
-	// spillArr is the reusable single-record encode buffer for the
-	// write-through spill path, so spilling never allocates per record.
-	spillArr [1]clog2.Record
 }
 
 // Rank returns the MPI rank this logger belongs to.
@@ -193,30 +200,31 @@ func (l *Logger) Rank() int { return l.rank.ID() }
 func (l *Logger) Enabled() bool { return l.g.enabled }
 
 // Len returns the number of buffered records (diagnostics and tests).
-func (l *Logger) Len() int { return l.recs.len() }
+func (l *Logger) Len() int { return l.n }
 
-// Discard drops every buffered record and recycles the arena chunks
-// without the collective merge. Benchmarks use it to keep long
-// measurement loops memory-bounded; a real run ends with Finish.
+// Discard drops every buffered record and recycles the pages without the
+// collective merge. Benchmarks use it to keep long measurement loops
+// memory-bounded; a real run ends with Finish.
 func (l *Logger) Discard() {
-	l.recs.release()
+	l.release()
 	l.openStates = l.openStates[:0]
 }
 
-// newRecord hands out the next record slot, stamped with this rank's
-// clock. The caller fills the payload fields and then calls commit.
-func (l *Logger) newRecord(t clog2.RecType, id int32) *clog2.Record {
-	r := l.recs.alloc()
-	r.Time = l.rank.Wtime()
-	r.Rank = int32(l.rank.ID())
-	r.Type = t
-	r.ID = id
-	return r
+// release hands every page back to the pool, leaving the log empty.
+func (l *Logger) release() {
+	for i, p := range l.pages {
+		pagePool.Put((*[pageSize]byte)(p[:pageSize]))
+		l.pages[i] = nil
+	}
+	l.pages, l.n = l.pages[:0], 0
 }
 
-// commit finishes a record handed out by newRecord: once the payload is
-// complete it can be written through to the spill file.
-func (l *Logger) commit(r *clog2.Record) {
+// log stamps r with this rank's clock and appends it; with the spill on,
+// the bytes appended are written through before the call returns.
+func (l *Logger) log(r *clog2.Record) {
+	r.Time = l.rank.Wtime()
+	r.Rank = int32(l.rank.ID())
+	rec := l.append(r)
 	if !l.spChecked {
 		// EnableSpill happens before any logging (configuration phase),
 		// so the prefix can be cached on first use.
@@ -224,8 +232,24 @@ func (l *Logger) commit(r *clog2.Record) {
 		l.spChecked = true
 	}
 	if l.spPrefix != "" {
-		l.spillRecord(r)
+		l.spillRecord(rec)
 	}
+}
+
+// append encodes r at the end of the last page, or of a fresh one when the
+// longest timed record might not fit, and returns the bytes it took.
+func (l *Logger) append(r *clog2.Record) []byte {
+	last := len(l.pages) - 1
+	if last < 0 || pageSize-len(l.pages[last]) < clog2.MaxTimedRecord {
+		l.pages = append(l.pages, pagePool.Get().(*[pageSize]byte)[:0])
+		last++
+	}
+	p := l.pages[last]
+	at := len(p)
+	// A timed record always has an encoding: there is no error to return.
+	p, _ = clog2.AppendRecord(p, r)
+	l.pages[last], l.n = p, l.n+1
+	return p[at:]
 }
 
 // StateStart logs the beginning of an instance of state s. cargo is
@@ -235,9 +259,9 @@ func (l *Logger) StateStart(s StateID, cargo string) {
 		return
 	}
 	l.openStates = append(l.openStates, s)
-	r := l.newRecord(clog2.RecCargoEvt, startEtype(s))
+	r := clog2.Record{Type: clog2.RecCargoEvt, ID: startEtype(s)}
 	r.SetCargo(cargo)
-	l.commit(r)
+	l.log(&r)
 }
 
 // StateStartBytes is StateStart taking the cargo as bytes — the form the
@@ -248,9 +272,9 @@ func (l *Logger) StateStartBytes(s StateID, cargo []byte) {
 		return
 	}
 	l.openStates = append(l.openStates, s)
-	r := l.newRecord(clog2.RecCargoEvt, startEtype(s))
+	r := clog2.Record{Type: clog2.RecCargoEvt, ID: startEtype(s)}
 	r.SetCargoBytes(cargo)
-	l.commit(r)
+	l.log(&r)
 }
 
 // StateEnd logs the end of an instance of state s.
@@ -259,9 +283,9 @@ func (l *Logger) StateEnd(s StateID, cargo string) {
 		return
 	}
 	l.popOpenState()
-	r := l.newRecord(clog2.RecCargoEvt, endEtype(s))
+	r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(s)}
 	r.SetCargo(cargo)
-	l.commit(r)
+	l.log(&r)
 }
 
 // StateEndBytes is StateEnd taking the cargo as bytes.
@@ -270,9 +294,9 @@ func (l *Logger) StateEndBytes(s StateID, cargo []byte) {
 		return
 	}
 	l.popOpenState()
-	r := l.newRecord(clog2.RecCargoEvt, endEtype(s))
+	r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(s)}
 	r.SetCargoBytes(cargo)
-	l.commit(r)
+	l.log(&r)
 }
 
 // popOpenState pops the innermost open state; a mismatched ID is the
@@ -289,9 +313,9 @@ func (l *Logger) Event(e EventID, cargo string) {
 	if !l.g.enabled {
 		return
 	}
-	r := l.newRecord(clog2.RecCargoEvt, soloEtype(e))
+	r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
 	r.SetCargo(cargo)
-	l.commit(r)
+	l.log(&r)
 }
 
 // EventBytes is Event taking the cargo as bytes.
@@ -299,34 +323,24 @@ func (l *Logger) EventBytes(e EventID, cargo []byte) {
 	if !l.g.enabled {
 		return
 	}
-	r := l.newRecord(clog2.RecCargoEvt, soloEtype(e))
+	r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
 	r.SetCargoBytes(cargo)
-	l.commit(r)
+	l.log(&r)
 }
 
 // LogSend records the sending half of a message arrow. The converter
 // pairs it with a LogRecv carrying the same (peer, tag) — "MPE_Log_send
 // and MPE_Log_receive should be called in pairs with matching tag number
 // and length of data".
-func (l *Logger) LogSend(dst, tag, size int) {
-	if !l.g.enabled {
-		return
-	}
-	r := l.newRecord(clog2.RecMsgEvt, 0)
-	r.Dir = clog2.DirSend
-	r.Aux1, r.Aux2, r.Aux3 = int32(dst), int32(tag), int32(size)
-	l.commit(r)
-}
+func (l *Logger) LogSend(dst, tag, size int) { l.logMsg(clog2.DirSend, dst, tag, size) }
 
 // LogRecv records the receiving half of a message arrow.
-func (l *Logger) LogRecv(src, tag, size int) {
-	if !l.g.enabled {
-		return
+func (l *Logger) LogRecv(src, tag, size int) { l.logMsg(clog2.DirRecv, src, tag, size) }
+
+func (l *Logger) logMsg(dir uint8, peer, tag, size int) {
+	if l.g.enabled {
+		l.log(&clog2.Record{Type: clog2.RecMsgEvt, Dir: dir, Aux1: int32(peer), Aux2: int32(tag), Aux3: int32(size)})
 	}
-	r := l.newRecord(clog2.RecMsgEvt, 0)
-	r.Dir = clog2.DirRecv
-	r.Aux1, r.Aux2, r.Aux3 = int32(src), int32(tag), int32(size)
-	l.commit(r)
 }
 
 // Clock-sync message tags within mpi.CtxLog.
@@ -362,9 +376,9 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	// Unwind still-open states innermost-first so the log keeps proper
 	// nesting; all synthetic ends share the rank's log-final timestamp.
 	for i := len(l.openStates) - 1; i >= 0; i-- {
-		r := l.newRecord(clog2.RecCargoEvt, endEtype(l.openStates[i]))
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(l.openStates[i])}
 		r.SetCargo(SyntheticEndCargo)
-		l.commit(r)
+		l.log(&r)
 	}
 	l.openStates = nil
 
@@ -373,32 +387,23 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 		return nil, fmt.Errorf("mpe: clock sync: %w", err)
 	}
 	if offset != 0 {
-		l.recs.forEach(func(r *clog2.Record) { r.Time -= offset })
+		l.shift(offset)
 	}
-	// The timeshift record is metadata stamped at wrap-up; like the old
-	// flat-slice path it bypasses the spill (an abort can no longer lose
-	// the log at this point anyway).
-	ts := l.recs.alloc()
-	ts.Type = clog2.RecTimeShift
-	ts.Time = l.rank.Wtime() - offset
-	ts.Rank = int32(l.rank.ID())
-	ts.Shift = offset
+	// The timeshift record is metadata stamped at wrap-up; it bypasses the
+	// spill (an abort can no longer lose the log at this point anyway).
+	l.append(&clog2.Record{Type: clog2.RecTimeShift, Time: l.rank.Wtime() - offset, Rank: int32(l.rank.ID()), Shift: offset})
 
 	if l.rank.ID() != 0 {
-		// One block per rank, encoded once, straight from the arena chunks
-		// into a buffer sized for it: the bytes rank 0 will put in the file.
-		chunks := l.recs.slices(nil)
-		payload, err := appendLog(make([]byte, 0, clog2.HeaderSize+clog2.BlockCap(chunks...)+1),
-			l.rank.Size(), int32(l.rank.ID()), chunks...)
+		buf := payloadPool.Get().(*[]byte)
+		*buf = l.appendLog((*buf)[:0])
+		err := l.rank.SendCtx(mpi.CtxLog, 0, tagCollect, *buf)
+		payloadPool.Put(buf)
 		if err != nil {
-			return nil, err
-		}
-		if err := l.rank.SendCtx(mpi.CtxLog, 0, tagCollect, payload); err != nil {
 			l.closeSpill(false) // keep the fragment; the merge failed
 			return nil, err
 		}
 		l.closeSpill(true) // merged log supersedes the spill
-		l.recs.release()
+		l.release()
 		return nil, nil
 	}
 
@@ -410,7 +415,7 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cw.WriteBlockChunks(0, l.recs.slices([][]clog2.Record{l.g.defRecords()})...); err != nil {
+	if err := cw.WriteBlock(0, l.g.defRecords(), l.pages...); err != nil {
 		return nil, err
 	}
 	var entries clog2.Table // one rank's, reused
@@ -436,26 +441,54 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 		return nil, err
 	}
 	l.closeSpill(true)
-	l.recs.release()
+	l.release()
 	if prefix := l.g.SpillPrefix(); prefix != "" {
 		os.Remove(spillDefsPath(prefix))
 	}
 	return cw.Table(), nil
 }
 
-// appendLog appends a whole one-block CLOG-2 log (file header, rank's
-// block, end-log marker) to dst: what a rank ships to rank 0, and what
-// the defs spill frames. It carries no block table: rank 0 makes the
-// entries as it checks the log.
-func appendLog(dst []byte, numRanks int, rank int32, chunks ...[]clog2.Record) ([]byte, error) {
-	dst, err := clog2.AppendBlock(clog2.AppendHeader(dst, numRanks), rank, chunks...)
-	return append(dst, byte(clog2.RecEndLog)), err
+// shift moves every record logged onto rank 0's timebase, in place: a
+// timed record's time is the 8 bytes behind its type byte.
+func (l *Logger) shift(offset float64) {
+	for _, p := range l.pages {
+		for n := 0; len(p) > 0; p = p[n:] {
+			t := math.Float64frombits(binary.LittleEndian.Uint64(p[1:]))
+			binary.LittleEndian.PutUint64(p[1:], math.Float64bits(t-offset))
+			if n = clog2.TimedSize(p); n == 0 {
+				break
+			}
+		}
+	}
+}
+
+// payloadPool recycles the buffers ranks assemble their logs in for rank
+// 0: the transport sends a copy.
+var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendLog appends the rank's log to dst as a whole one-block CLOG-2 log
+// (file header, block header, the pages as they are, end-block and end-log
+// markers), growing dst once: what a rank ships to rank 0. It carries no
+// block table: rank 0 makes the entries as it checks the log.
+func (l *Logger) appendLog(dst []byte) []byte {
+	size := clog2.HeaderSize + 8 + 2
+	for _, p := range l.pages {
+		size += len(p)
+	}
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	dst = clog2.AppendBlockHeader(clog2.AppendHeader(dst, l.rank.Size()), int32(l.rank.ID()), l.n)
+	for _, p := range l.pages {
+		dst = append(dst, p...)
+	}
+	return append(dst, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
 }
 
 // checkRankLog is every check rank 0 makes on the log rank src shipped
 // before a byte of it reaches the merged file. It decodes every record,
 // a bounded run at a time (clog2's Each), strictly: the log must be what
-// appendLog encodes — a header, blocks of src's own rank with the counts
+// appendLog assembles — a header, blocks of src's own rank with the counts
 // they declare and their end-block markers, the end-log marker, nothing
 // after it. What it returns are the blocks' bytes, now known to be the
 // encoding a Writer would produce from the decoded records, so splicing

@@ -34,7 +34,7 @@ import (
 type spill struct {
 	f *os.File
 
-	// A reusable frame buffer (header placeholder + payload, encoded in
+	// A reusable frame buffer (header placeholder + payload, assembled in
 	// place) and the per-rank segment sequence counter: steady-state
 	// spilling allocates nothing.
 	buf []byte
@@ -45,7 +45,7 @@ type spill struct {
 }
 
 // segHeaderPlaceholder reserves room for the frame header; the real
-// header is patched in after the payload is encoded behind it.
+// header is patched in after the payload is placed behind it.
 var segHeaderPlaceholder [clog2.SegHeaderSize]byte
 
 // dead reports a degraded spill (open failed; writes are dropped).
@@ -84,10 +84,11 @@ func (g *Group) SpillDefs() error {
 	if prefix == "" || !g.enabled {
 		return nil
 	}
-	frame, err := appendLog(make([]byte, clog2.SegHeaderSize), g.world.Size(), 0, g.defRecords())
+	frame, err := clog2.AppendBlock(clog2.AppendHeader(make([]byte, clog2.SegHeaderSize), g.world.Size()), 0, g.defRecords())
 	if err != nil {
 		return err
 	}
+	frame = append(frame, byte(clog2.RecEndLog))
 	clog2.FinalizeSegmentHeader(frame, 0, 0)
 	return os.WriteFile(spillDefsPath(prefix), frame, 0o644)
 }
@@ -115,13 +116,12 @@ func (l *Logger) ensureSpill() *spill {
 	return l.sp
 }
 
-// writeBlock lands recs on disk as one framed segment (a single write
-// call, so a torn write damages at most this segment).
-func (sp *spill) writeBlock(rank int32, recs []clog2.Record) error {
-	frame, err := clog2.AppendBlock(append(sp.buf[:0], segHeaderPlaceholder[:]...), rank, recs)
-	if err != nil {
-		return err
-	}
+// writeRecord lands one record, as the logger encoded it, on disk as a
+// framed segment holding a one-record block (a single write call, so a
+// torn write damages at most this segment).
+func (sp *spill) writeRecord(rank int32, rec []byte) error {
+	frame := clog2.AppendBlockHeader(append(sp.buf[:0], segHeaderPlaceholder[:]...), rank, 1)
+	frame = append(append(frame, rec...), byte(clog2.RecEndBlock))
 	sp.buf = frame
 	clog2.FinalizeSegmentHeader(frame, rank, sp.seq)
 	if _, err := sp.f.Write(frame); err != nil {
@@ -134,14 +134,14 @@ func (sp *spill) writeBlock(rank int32, recs []clog2.Record) error {
 
 // spillRecord writes one record through to disk immediately: a record
 // the logger has taken is in the spill file before the call returns, which
-// is what makes the log abort-proof.
-func (l *Logger) spillRecord(rec *clog2.Record) {
+// is what makes the log abort-proof. rec is the record's bytes on the
+// logger's page, framed as they are.
+func (l *Logger) spillRecord(rec []byte) {
 	sp := l.ensureSpill()
 	if sp == nil {
 		return
 	}
-	l.spillArr[0] = *rec
-	if err := sp.writeBlock(int32(l.rank.ID()), l.spillArr[:]); err != nil {
+	if err := sp.writeRecord(int32(l.rank.ID()), rec); err != nil {
 		l.spErr = err
 	}
 }

@@ -655,6 +655,25 @@ type waiter struct {
 	ready         chan *Envelope
 }
 
+// waiterPool recycles the waiters that were handed their envelope; one
+// whose channel an abort closed is dropped.
+var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan *Envelope, 1)} }}
+
+// wait registers a waiter for (ctx, src, tag), unlocks the mailbox and
+// blocks until put hands it an envelope: nil means the world aborted.
+func (b *mailbox) wait(ctx, src, tag int, take bool) *Envelope {
+	w := waiterPool.Get().(*waiter)
+	w.ctx, w.src, w.tag, w.take = ctx, src, tag, take
+	b.waiters = append(b.waiters, w)
+	b.mu.Unlock()
+	env, ok := <-w.ready
+	if !ok {
+		return nil
+	}
+	waiterPool.Put(w)
+	return env
+}
+
 func newMailbox() *mailbox {
 	return &mailbox{}
 }
@@ -680,10 +699,10 @@ func (b *mailbox) put(env *Envelope) bool {
 				kept = append(kept, w)
 				continue
 			}
+			// Read take first: once woken, the waiter may go back to its
+			// pool and be reused by another call.
+			taken = w.take
 			w.ready <- env
-			if w.take {
-				taken = true
-			}
 		}
 		for i := len(kept); i < len(b.waiters); i++ {
 			b.waiters[i] = nil
@@ -723,14 +742,8 @@ func (b *mailbox) take(ctx, src, tag int) (*Envelope, bool) {
 			return env, true
 		}
 	}
-	w := &waiter{ctx: ctx, src: src, tag: tag, take: true, ready: make(chan *Envelope, 1)}
-	b.waiters = append(b.waiters, w)
-	b.mu.Unlock()
-	env, ok := <-w.ready
-	if !ok {
-		return nil, false
-	}
-	return env, true
+	env := b.wait(ctx, src, tag, true)
+	return env, env != nil
 }
 
 func (b *mailbox) probe(ctx, src, tag int, block bool) (Status, bool) {
@@ -750,11 +763,8 @@ func (b *mailbox) probe(ctx, src, tag int, block bool) (Status, bool) {
 		b.mu.Unlock()
 		return Status{}, false
 	}
-	w := &waiter{ctx: ctx, src: src, tag: tag, ready: make(chan *Envelope, 1)}
-	b.waiters = append(b.waiters, w)
-	b.mu.Unlock()
-	env, ok := <-w.ready
-	if !ok {
+	env := b.wait(ctx, src, tag, false)
+	if env == nil {
 		return Status{}, false
 	}
 	return Status{Source: env.Src, Tag: env.Tag, Len: len(env.Data)}, true
