@@ -1,10 +1,10 @@
 # Repro of "Log Visualization Tool for Message-Passing Programming in
-# Pilot". `make ci` is the tier-1 gate: build, vet, and the full test
-# suite under the race detector.
+# Pilot". `make ci` is the tier-1 gate: build, vet, the full test suite
+# under the race detector, and both call-site paths (loc-paths).
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-bench race ci cover lines bench bench-smoke fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
+.PHONY: all build fmt vet test test-bench race loc-paths ci cover lines bench bench-smoke fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
 
 all: ci
 
@@ -32,7 +32,16 @@ test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-ci: build fmt vet race test-bench bench-smoke fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
+# A Pilot call's source line comes off the frame-pointer chain on amd64
+# and through runtime.Callers on every other GOARCH. Vet and build the
+# other path so it cannot rot, and run the call-shape tests with inlining
+# off as well (the chain counts physical frames).
+loc-paths:
+	GOARCH=arm64 $(GO) vet ./internal/core
+	GOARCH=386 $(GO) build ./...
+	$(GO) test -gcflags=all=-l ./internal/core
+
+ci: build fmt vet race loc-paths test-bench bench-smoke fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
 
 # Multi-process smoke: the lab2 exercise with every rank as its own OS
 # process over the socket transport (-pitransport=socket re-executes the
@@ -127,7 +136,8 @@ lines:
 # yet: a state pair written through to the spill, one live-metrics
 # observation with the collector on and off, and a raw round trip per rank
 # substrate (in-process, unix socket, TCP; the last two spawn the test
-# binary as rank 1); last, the layer-knockout rows of a Pilot round trip
+# binary as rank 1); a call-site location both ways (frame chain,
+# runtime.Callers); last, the layer-knockout rows of a Pilot round trip
 # (check level, MPE log, spill), at a fixed count because a logged row
 # keeps its log in memory. bench-smoke runs every one of them once
 # (-benchtime 1x), so a benchmark whose body fails at run time fails
@@ -141,6 +151,7 @@ bench bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem $(BENCHTIME) ./internal/mpe/
 	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem $(BENCHTIME) ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem $(BENCHTIME) ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkCallerLoc' -benchmem $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .
 
 # Short fuzz pass over every target fuzz-smoke runs (seed corpora run in

@@ -70,36 +70,14 @@ func runAllocGate(t *testing.T, metrics bool) {
 	}
 }
 
-// callerLoc must return the same "file.go:line" through the PC cache as
-// the direct runtime.Caller formatting did, on both cold and warm paths.
-func TestCallerLocStable(t *testing.T) {
-	loc1 := callerLoc(0)
-	loc2 := callerLoc(0)
-	if loc1 == "" || loc2 == "" {
-		t.Fatal("callerLoc returned empty location")
-	}
-	// Different lines of the same file; prefix identical, line differs.
-	if loc1 == loc2 {
-		t.Fatalf("distinct call sites produced identical locations %q", loc1)
-	}
-	same := func() string { return callerLoc(1) }
-	a, b := same(), same()
-	if a != b {
-		t.Fatalf("one call site produced %q then %q", a, b)
-	}
-	const want = "alloc_test.go"
-	if len(loc1) < len(want) || loc1[:len(want)] != want {
-		t.Fatalf("callerLoc = %q, want prefix %q", loc1, want)
-	}
-}
-
 // A logged round trip at check level 3 (two Writes and two Reads of a %d,
 // under -pisvc=j) allocates what the transport and the boxed arguments
 // need, and nothing a layer above them could keep: each message is
 // encoded and framed once into a pooled buffer, checked without parsing,
-// received through a pooled waiter and logged into a pooled page.
-// Measured: 10 a round trip, 13 under the race detector, whose
-// sync.Pool drops a quarter of what it is given.
+// received through a pooled waiter and logged into a pooled page, and
+// each call's location is read off the frame-pointer chain. Measured: 6
+// a round trip, 9 under the race detector, whose sync.Pool drops a
+// quarter of what it is given.
 func TestLoggedRoundTripAllocs(t *testing.T) {
 	cfg, _ := testConfig(t, 2, "j")
 	r := mustRuntime(t, cfg)
@@ -140,7 +118,11 @@ func TestLoggedRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%.2f allocations a logged level-3 round trip", n)
-	if n > 14 {
-		t.Errorf("a logged level-3 round trip allocates %.2f times", n)
+	limit := 6.0
+	if raceEnabled {
+		limit = 9
+	}
+	if n > limit {
+		t.Errorf("a logged level-3 round trip allocates %.2f times, want at most %v", n, limit)
 	}
 }

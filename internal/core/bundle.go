@@ -105,6 +105,8 @@ func (b *Bundle) SetName(name string) {
 // correct side (the writer side for broadcast/scatter, the reader side for
 // gather/reduce/select), belong to this runtime, and not already be in a
 // bundle. Pilot does not support all-to-all communication.
+//
+//go:noinline
 func (r *Runtime) CreateBundle(usage BundleUsage, chans ...*Channel) (*Bundle, error) {
 	loc := callerLoc(1)
 	if err := r.requirePhase("PI_CreateBundle", loc, phaseConfig); err != nil {
@@ -198,6 +200,8 @@ func (b *Bundle) startCollective(op, loc string) func() {
 // channel of the bundle; each receiver obtains them with an ordinary
 // PI_Read on its own channel — Pilot's pure MPMD answer to MPI_Bcast's
 // "receivers call broadcast too" confusion.
+//
+//go:noinline
 func (b *Bundle) Broadcast(format string, args ...any) error {
 	op, loc := "PI_Broadcast", callerLoc(1)
 	r := b.r
@@ -237,6 +241,8 @@ func (b *Bundle) Broadcast(format string, args ...any) error {
 // bundle's channels; receiver i reads its portion with an ordinary Read.
 // The format must be a single array conversion (%Nk or %*k) whose element
 // count divides evenly by the bundle size.
+//
+//go:noinline
 func (b *Bundle) Scatter(format string, args ...any) error {
 	op, loc := "PI_Scatter", callerLoc(1)
 	r := b.r
@@ -282,6 +288,8 @@ func (b *Bundle) Scatter(format string, args ...any) error {
 // channel, in channel order, into a single destination array. Writers send
 // their portions with ordinary Writes. The format must be a single array
 // conversion sized for the whole result.
+//
+//go:noinline
 func (b *Bundle) Gather(format string, args ...any) error {
 	op, loc := "PI_Gather", callerLoc(1)
 	r := b.r
@@ -353,6 +361,8 @@ func singleArraySpec(r *Runtime, op, loc, format string) (fmtspec.Spec, error) {
 // it should be represented as state. On the other hand, no message is
 // actually received ... therefore it does not have an event bubble. Its
 // information popup gives the index of the channel that is ready."
+//
+//go:noinline
 func (b *Bundle) Select() (int, error) {
 	op, loc := "PI_Select", callerLoc(1)
 	r := b.r
@@ -391,6 +401,8 @@ func (b *Bundle) Select() (int, error) {
 
 // TrySelect is PI_TrySelect: a single non-blocking sweep, returning the
 // ready channel index or -1. Shown as a bubble with the result.
+//
+//go:noinline
 func (b *Bundle) TrySelect() (int, error) {
 	op, loc := "PI_TrySelect", callerLoc(1)
 	r := b.r

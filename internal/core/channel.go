@@ -53,6 +53,8 @@ func (c *Channel) SetName(name string) {
 
 // CreateChannel is PI_CreateChannel: a channel from `from` to `to`. Only
 // legal in the configuration phase.
+//
+//go:noinline
 func (r *Runtime) CreateChannel(from, to *Process) (*Channel, error) {
 	loc := callerLoc(1)
 	if err := r.requirePhase("PI_CreateChannel", loc, phaseConfig); err != nil {
@@ -168,6 +170,8 @@ func (f *frames) free() {
 // it down the channel. Writing has "an interprocess synchronization effect
 // — signalling to wake up a waiting reader — as well as a communication
 // effect"; large payloads additionally rendezvous with the reader.
+//
+//go:noinline
 func (c *Channel) Write(format string, args ...any) error {
 	return c.write("PI_Write", callerLoc(1), format, args)
 }
@@ -233,6 +237,8 @@ func (c *Channel) sendOne(op, loc string, spec fmtspec.Spec, msg []byte, logOn b
 // decode it into args. "Reading always blocks in Pilot"; the arrival of
 // each wire message drops a bubble into the visual log marking the moment
 // the message arrived, with the channel name in its popup.
+//
+//go:noinline
 func (c *Channel) Read(format string, args ...any) error {
 	return c.read("PI_Read", callerLoc(1), format, args)
 }
@@ -338,6 +344,8 @@ func checkWireFormat(wire []byte, reader fmtspec.Spec) error {
 // HasData is PI_ChannelHasData: a non-blocking check whether a Read would
 // find at least one message waiting. Logged as a bubble with the result in
 // the popup.
+//
+//go:noinline
 func (c *Channel) HasData() (bool, error) {
 	loc := callerLoc(1)
 	r := c.r

@@ -41,6 +41,8 @@ func (o ReduceOp) String() string {
 // args (pointer arguments, as for Read). Workers send their contributions
 // with ordinary Writes using a matching format. Contributions combine in
 // channel order; %s is not reducible.
+//
+//go:noinline
 func (b *Bundle) Reduce(op ReduceOp, format string, args ...any) error {
 	fn, loc := "PI_Reduce", callerLoc(1)
 	r := b.r

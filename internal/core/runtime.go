@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -301,6 +299,8 @@ func (r *Runtime) requirePhase(op, loc string, want int) error {
 
 // CreateProcess is PI_CreateProcess: it registers a work function to run
 // as the next free rank. Only legal in the configuration phase.
+//
+//go:noinline
 func (r *Runtime) CreateProcess(fn WorkFunc, index int, arg any) (*Process, error) {
 	loc := callerLoc(1)
 	if err := r.requirePhase("PI_CreateProcess", loc, phaseConfig); err != nil {
@@ -336,6 +336,8 @@ func svcNote(svcRank int) string {
 // StartAll is PI_StartAll: every created process begins executing its work
 // function on its own rank, the service process starts if configured, and
 // the caller continues as PI_MAIN. It returns PI_MAIN's Self.
+//
+//go:noinline
 func (r *Runtime) StartAll() (*Self, error) {
 	loc := callerLoc(1)
 	if err := r.requirePhase("PI_StartAll", loc, phaseConfig); err != nil {
@@ -443,6 +445,8 @@ func (r *Runtime) workerMain(p *Process) {
 // performs the MPE log wrap-up (clock sync, collection, merge, single
 // CLOG-2 file — the termination cost measured in the paper), and ends the
 // execution phase.
+//
+//go:noinline
 func (r *Runtime) StopMain(status int) error {
 	loc := callerLoc(1)
 	if err := r.requirePhase("PI_StopMain", loc, phaseRunning); err != nil {
@@ -545,46 +549,4 @@ func (r *Runtime) salvageLog() error {
 	}
 	mpe.RemoveSpills(r.cfg.JumpshotPath)
 	return nil
-}
-
-// locCache memoises callerLoc results by program counter. A Pilot
-// program calls the API from a fixed set of source lines, so after
-// warm-up every call is a read-locked map hit returning a shared string
-// — the runtime.FuncForPC walk and the "file.go:123" formatting happen
-// once per call site instead of once per call.
-var (
-	locMu    sync.RWMutex
-	locCache = map[uintptr]string{}
-)
-
-// callerLoc returns "file.go:123" for the caller skip+1 frames up.
-func callerLoc(skip int) string {
-	var pcs [1]uintptr
-	// runtime.Callers(skip) counts itself at skip 0 where runtime.Caller
-	// counts its caller, hence +2 to keep the old skip semantics.
-	if runtime.Callers(skip+2, pcs[:]) == 0 {
-		return ""
-	}
-	pc := pcs[0]
-	locMu.RLock()
-	loc, ok := locCache[pc]
-	locMu.RUnlock()
-	if ok {
-		return loc
-	}
-	frame, _ := runtime.CallersFrames(pcs[:]).Next()
-	file, line := frame.File, frame.Line
-	// Trim the path to the base name, as Pilot reports "the line number
-	// where it is called in the original .c file".
-	for i := len(file) - 1; i >= 0; i-- {
-		if file[i] == '/' {
-			file = file[i+1:]
-			break
-		}
-	}
-	loc = file + ":" + strconv.Itoa(line)
-	locMu.Lock()
-	locCache[pc] = loc
-	locMu.Unlock()
-	return loc
 }

@@ -39,6 +39,8 @@ func (s *Self) IsLogging(service rune) bool {
 // Log is PI_Log: an arbitrary text entry in whichever logs are active —
 // a bubble in the visual log, a line in the native log. With neither log
 // active the call does no formatting work at all.
+//
+//go:noinline
 func (s *Self) Log(text string) error {
 	log := s.r.logger(s.proc.rank)
 	natOn := s.r.nativeOn()
@@ -58,6 +60,8 @@ func (s *Self) Log(text string) error {
 
 // StartTime is PI_StartTime: it returns the caller's wallclock in seconds
 // and drops a bubble in the visual log.
+//
+//go:noinline
 func (s *Self) StartTime() float64 {
 	t := s.r.world.Rank(s.proc.rank).Wtime()
 	if log := s.r.logger(s.proc.rank); log.Enabled() {
@@ -70,6 +74,8 @@ func (s *Self) StartTime() float64 {
 
 // EndTime is PI_EndTime: identical to StartTime but logged distinctly so
 // the pair brackets a user-timed region in the display.
+//
+//go:noinline
 func (s *Self) EndTime() float64 {
 	t := s.r.world.Rank(s.proc.rank).Wtime()
 	if log := s.r.logger(s.proc.rank); log.Enabled() {
@@ -83,6 +89,8 @@ func (s *Self) EndTime() float64 {
 // Abort is PI_Abort: print a diagnostic pinpointing the call site and
 // bring down every rank via MPI_Abort. As the paper documents, this loses
 // any MPE log, while the native log survives because it streams to disk.
+//
+//go:noinline
 func (s *Self) Abort(code int, msg string) {
 	loc := callerLoc(1)
 	s.r.warnf("pilot: PI_Abort at %s by %s (rank %d), code %d: %s",

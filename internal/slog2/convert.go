@@ -136,7 +136,7 @@ func (p *partition) addBlock(b *clog2.Block) error {
 				rl.recs = slices.Grow(rl.recs, max(need, len(rl.recs)))
 			}
 		}
-		if len(rl.cargo)+int(rec.CargoLen) > math.MaxUint32 {
+		if uint64(len(rl.cargo))+uint64(rec.CargoLen) > math.MaxUint32 {
 			return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", cur)
 		}
 		rl.recs = append(rl.recs, timed{
