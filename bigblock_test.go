@@ -50,7 +50,7 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 				clog2.Record{Type: clog2.RecStateDef, ID: 2, Aux1: 4, Aux2: 5, Color: "red", Name: "PI_Read"})
 		}
 		// A ping-pong: rank 0 writes at t, rank 1 reads it 2 µs later. One
-		// call in four logs its arrow half: the verdict keeps 8 bytes for
+		// call in four logs its arrow half: the verdict keeps 16 bytes for
 		// each, which is its own state and not a block of records.
 		for i := 0; len(recs) < perRank; i++ {
 			tm := float64(i)*1e-5 + float64(rank)*2e-6

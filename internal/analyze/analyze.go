@@ -51,17 +51,6 @@ type rankState struct {
 	second   float64
 }
 
-// chanPass records one channel's message timing.
-type chanPass struct {
-	ch        int32
-	sends     []float64
-	recvs     []float64
-	sendCount int64
-	recvCount int64
-	sendRanks map[int32]bool
-	recvRanks map[int32]bool
-}
-
 // faultEvent is one FaultInjected/Deadlock solo event from the trace.
 type faultEvent struct {
 	time  float64
@@ -82,27 +71,18 @@ type collector struct {
 	prof *stats.Profiler
 
 	ranks     []*rankPass // by FoldRank.Index
-	chans     map[int32]*chanPass
+	msgs      clog2.Messages
 	msgEvents int
 	truncated bool
 	faults    []faultEvent
 }
 
 func newCollector(opts Options, numRanks int, withProfile bool) *collector {
-	c := &collector{opts: opts, fold: clog2.NewFold(opts.T0, opts.T1), numRanks: numRanks, chans: map[int32]*chanPass{}}
+	c := &collector{opts: opts, fold: clog2.NewFold(opts.T0, opts.T1), numRanks: numRanks}
 	if withProfile {
 		c.prof = stats.NewProfiler(c.fold, numRanks)
 	}
 	return c
-}
-
-func (c *collector) channel(id int32) *chanPass {
-	cp := c.chans[id]
-	if cp == nil {
-		cp = &chanPass{ch: id, sendRanks: map[int32]bool{}, recvRanks: map[int32]bool{}}
-		c.chans[id] = cp
-	}
-	return cp
 }
 
 // observe accounts for rec, which the fold has just made step of.
@@ -116,24 +96,12 @@ func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
 	}
 	switch step {
 	case clog2.StepMsg:
-		cp := c.channel(rec.Aux2)
-		if rec.Dir == clog2.DirSend {
-			cp.sendCount++
-			cp.sendRanks[rec.Rank] = true
-		} else {
-			cp.recvCount++
-			cp.recvRanks[rec.Rank] = true
-		}
 		if c.msgEvents >= c.opts.MaxMsgEvents {
 			c.truncated = true
 			return
 		}
 		c.msgEvents++
-		if rec.Dir == clog2.DirSend {
-			cp.sends = append(cp.sends, rec.Time)
-		} else {
-			cp.recvs = append(cp.recvs, rec.Time)
-		}
+		c.msgs.Add(rec.Rank, rec.Aux1, rec.Aux2, rec.Dir, clog2.MsgHalf{Time: rec.Time, Size: rec.Aux3})
 	case clog2.StepSolo:
 		switch name := c.fold.EventName(rec.ID); name {
 		case faultEventName, deadlockEventName:

@@ -544,3 +544,22 @@ func TestAnalyzeCorruptInputErrors(t *testing.T) {
 		t.Fatalf("corrupt input accepted")
 	}
 }
+
+// Messages match per (src, dst, tag), as the converter draws its arrows:
+// rank 0's unread send on tag 5 is not paired with rank 1's receive from
+// rank 2, which matching per tag alone did, reading 1.5s in flight
+// where the one real message spent 0.5s.
+func TestMatchChannelsPerRankPair(t *testing.T) {
+	data := newTB(t, 3).withReadWrite().
+		msg(0, 0, clog2.DirSend, 1, 5, 8).
+		msg(2, 1, clog2.DirSend, 1, 5, 8).
+		msg(1, 1.5, clog2.DirRecv, 2, 5, 8).
+		bytes()
+	c, err := scan(bytes.NewReader(data), Options{}.withDefaults(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := matchChannels(c); ps.matched[5] != 1 || ps.inflight[5] != 0.5 {
+		t.Fatalf("channel 5: %d matched, %gs in flight; want 1 and 0.5s", ps.matched[5], ps.inflight[5])
+	}
+}

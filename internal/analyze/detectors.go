@@ -9,9 +9,11 @@ package analyze
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/clog2"
 	"repro/internal/colors"
 	"repro/internal/stats"
 )
@@ -67,8 +69,8 @@ func buildReport(c *collector, prof *stats.Profile, profileSource string, usedIn
 	return rep
 }
 
-// channelPairs is the FIFO send/recv matching over every channel's
-// recorded timestamps.
+// channelPairs is clog2's FIFO send/recv matching summed per channel
+// (tag).
 type channelPairs struct {
 	// inflight is each channel's summed matched recv-send latency.
 	inflight map[int32]float64
@@ -84,32 +86,36 @@ type channelPairs struct {
 // transport's sync leaves behind.
 const causalSlack = 1e-3
 
-// matchChannels pairs each channel's k-th send with its k-th recv in
-// time order — exact for Pilot's point-to-point FIFO channels.
+// matchChannels sums, per channel, the message pairs clog2.Messages
+// matches: first in, first out per (src, dst, tag), in time order.
 func matchChannels(c *collector) *channelPairs {
 	ps := &channelPairs{inflight: map[int32]float64{}, matched: map[int32]int{}}
-	for ch, cp := range c.chans {
-		sends := append([]float64(nil), cp.sends...)
-		recvs := append([]float64(nil), cp.recvs...)
-		sort.Float64s(sends)
-		sort.Float64s(recvs)
-		n := len(sends)
-		if len(recvs) < n {
-			n = len(recvs)
-		}
-		ps.matched[ch] = n
-		for i := 0; i < n; i++ {
-			d := recvs[i] - sends[i]
+	c.msgs.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
+		n := min(len(sends), len(recvs))
+		ps.matched[k.Tag] += n
+		for i, s := range sends[:n] {
+			d := recvs[i].Time - s.Time
 			if d < -causalSlack {
 				ps.nonCausal++
 			}
 			if d > 0 {
-				ps.inflight[ch] += d
+				ps.inflight[k.Tag] += d
 			}
 		}
+	})
+	for _, ch := range sortedChans(ps.inflight) {
 		ps.total += ps.inflight[ch]
 	}
 	return ps
+}
+
+func sortedChans(m map[int32]float64) []int32 {
+	chans := make([]int32, 0, len(m))
+	for ch := range m {
+		chans = append(chans, ch)
+	}
+	slices.Sort(chans)
+	return chans
 }
 
 // detectImbalance flags channels whose send and recv counts disagree —
@@ -241,12 +247,7 @@ func detectDominator(c *collector) []Finding {
 // run's total in-flight message latency.
 func detectHotspot(pairs *channelPairs) []Finding {
 	var fs []Finding
-	chans := make([]int32, 0, len(pairs.inflight))
-	for ch := range pairs.inflight {
-		chans = append(chans, ch)
-	}
-	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-	for _, ch := range chans {
+	for _, ch := range sortedChans(pairs.inflight) {
 		lat := pairs.inflight[ch]
 		if lat < calibrated.HotspotMinSec || pairs.matched[ch] == 0 {
 			continue
@@ -269,48 +270,38 @@ func detectHotspot(pairs *channelPairs) []Finding {
 	return fs
 }
 
-// detectBacklog flags channels whose outstanding (sent-but-unread)
+// detectBacklog flags message queues whose outstanding (sent-but-unread)
 // count rose past the floor and sat there with the reader silent.
 func detectBacklog(c *collector) []Finding {
 	var fs []Finding
-	chans := make([]int32, 0, len(c.chans))
-	for ch := range c.chans {
-		chans = append(chans, ch)
-	}
-	sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
 	_, traceEnd := c.wall()
-	for _, ch := range chans {
-		cp := c.chans[ch]
-		peak, peakT, dwell := backlogWalk(cp.sends, cp.recvs, calibrated.BacklogMin, traceEnd)
+	c.msgs.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
+		peak, peakT, dwell := backlogWalk(sends, recvs, calibrated.BacklogMin, traceEnd)
 		if peak < calibrated.BacklogMin || dwell < calibrated.BacklogDwellSec {
-			continue
+			return
 		}
 		fs = append(fs, Finding{
 			Detector:  DetBacklog,
 			Severity:  "warning",
 			Rank:      -1,
-			Channel:   int(ch),
+			Channel:   int(k.Tag),
 			Time:      peakT,
 			Value:     float64(peak),
 			Threshold: float64(calibrated.BacklogMin),
 			Detail: fmt.Sprintf("channel %d backlog peaked at %d unread messages and held >=%d for %.3fs with the reader silent",
-				ch, peak, calibrated.BacklogMin, dwell),
+				k.Tag, peak, calibrated.BacklogMin, dwell),
 		})
-	}
+	})
 	return fs
 }
 
-// backlogWalk merges a channel's send (+1) and recv (-1) timestamps in
-// time order (recvs first on ties) and returns the peak outstanding
+// backlogWalk merges a queue's send (+1) and recv (-1) halves, each
+// already in time order, into one (recvs first on ties) and returns the peak outstanding
 // count, its timestamp, and the longest contiguous span the
 // outstanding count stayed at or above min. A trace that ends with the
 // backlog still standing (crashed reader) extends the span to the last
 // record timestamp in the trace.
-func backlogWalk(sends, recvs []float64, min int, endOfTrace float64) (peak int, peakT, maxDwell float64) {
-	s := append([]float64(nil), sends...)
-	r := append([]float64(nil), recvs...)
-	sort.Float64s(s)
-	sort.Float64s(r)
+func backlogWalk(s, r []clog2.MsgHalf, min int, endOfTrace float64) (peak int, peakT, maxDwell float64) {
 	outstanding := 0
 	spanStart := 0.0
 	inSpan := false
@@ -331,16 +322,16 @@ func backlogWalk(sends, recvs []float64, min int, endOfTrace float64) (peak int,
 			isRecv = true
 		case j >= len(r):
 		default:
-			isRecv = r[j] <= s[i]
+			isRecv = r[j].Time <= s[i].Time
 		}
 		if isRecv {
-			t = r[j]
+			t = r[j].Time
 			j++
 			if outstanding > 0 {
 				outstanding--
 			}
 		} else {
-			t = s[i]
+			t = s[i].Time
 			i++
 			outstanding++
 		}

@@ -1,17 +1,25 @@
 package analyze
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/clog2"
+	"repro/internal/slog2"
 )
 
 // FuzzAnalyze hammers the full analysis pass (collection scan, profile
 // recomputation, detector catalogue, diff normalization, JSON render)
 // with mutated inputs, seeded from the three golden CLOG-2 traces.
 // Contract: hostile bytes produce a diagnosed error, never a panic, a
-// hang, or a report that fails to marshal.
+// hang, or a report that fails to marshal; and whatever analyzes also
+// converts, and reads the way the converter reads it (agreeWithConverter).
 func FuzzAnalyze(f *testing.F) {
 	for _, name := range []string{"lab2", "thumbnail", "collisions"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".clog2"))
@@ -49,5 +57,104 @@ func FuzzAnalyze(f *testing.F) {
 		if !d.Identical {
 			t.Fatalf("self-diff diverged: %+v", d.Divergences)
 		}
+		agreeWithConverter(t, data)
 	})
+}
+
+// agreeWithConverter converts a log that analyzes and checks the SLOG-2
+// round-trips with finite bounds and sound frames. Where the converter
+// reads the log as the fold does (no rank out of range, every rank in
+// time order: DESIGN §4's two exceptions), its states must be the fold's
+// closed occurrences of defined states and its arrows the analyzer's
+// matched pairs.
+func agreeWithConverter(t *testing.T, data []byte) {
+	f, rep, err := slog2.ConvertReader(bytes.NewReader(data), slog2.ConvertOptions{})
+	if err != nil {
+		t.Fatalf("analyzable input failed to convert: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := slog2.Write(&buf, f); err != nil {
+		t.Fatalf("converted file does not write: %v", err)
+	}
+	back, err := slog2.Read(&buf)
+	if err != nil {
+		t.Fatalf("converted file does not read back: %v", err)
+	}
+	for _, b := range []float64{back.Start, back.End} {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			t.Fatalf("converted file spans [%v, %v]", back.Start, back.End)
+		}
+	}
+	if err := back.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	in, err := clog2.Read(bytes.NewReader(data))
+	if err != nil || rep.OutOfRange != 0 {
+		return
+	}
+	type state struct {
+		rank, id   int32
+		start, end float64
+	}
+	var defs []int32 // state IDs in category order
+	defined := map[int32]bool{}
+	last := map[int32]float64{}
+	fold := clog2.NewFold(math.Inf(-1), math.Inf(1))
+	var occs []state
+	for _, rec := range in.Records() {
+		if rec.Type == clog2.RecStateDef {
+			defs = append(defs, rec.ID)
+			defined[rec.ID] = true
+		}
+		switch rec.Type {
+		case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
+			if t0, ok := last[rec.Rank]; ok && rec.Time < t0 {
+				return // the converter sorts this rank first
+			}
+			if !math.IsNaN(rec.Time) && !math.IsInf(rec.Time, 0) {
+				last[rec.Rank] = rec.Time
+			}
+		}
+		if fold.Add(&rec) == clog2.StepClose {
+			occs = append(occs, state{fold.Rank.Rank, fold.Closed.ID, fold.Closed.Start, fold.Closed.End})
+		}
+	}
+	occs = slices.DeleteFunc(occs, func(s state) bool { return !defined[s.id] })
+	var states []state
+	for _, r := range f.States(math.Inf(-1), math.Inf(1)) {
+		states = append(states, state{int32(r.D.Rank), defs[r.D.Cat], r.D.Start, r.D.End})
+	}
+	byState := func(a, b state) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end), cmp.Compare(a.id, b.id))
+	}
+	slices.SortFunc(occs, byState)
+	slices.SortFunc(states, byState)
+	if !slices.Equal(states, occs) {
+		t.Fatalf("converter states %v, fold occurrences %v", states, occs)
+	}
+
+	c, err := scan(bytes.NewReader(data), Options{}.withDefaults(), false)
+	if err != nil || c.truncated {
+		return
+	}
+	var pairs, arrows []slog2.Arrow
+	c.msgs.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
+		for i := range min(len(sends), len(recvs)) {
+			pairs = append(pairs, slog2.Arrow{SrcRank: int(k.Src), DstRank: int(k.Dst),
+				Start: sends[i].Time, End: recvs[i].Time, Tag: int(k.Tag), Size: int(sends[i].Size)})
+		}
+	})
+	for _, r := range f.Arrows(math.Inf(-1), math.Inf(1)) {
+		arrows = append(arrows, *r.D)
+	}
+	byArrow := func(a, b slog2.Arrow) int {
+		return cmp.Or(cmp.Compare(a.SrcRank, b.SrcRank), cmp.Compare(a.DstRank, b.DstRank), cmp.Compare(a.Tag, b.Tag),
+			cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End), cmp.Compare(a.Size, b.Size))
+	}
+	slices.SortFunc(pairs, byArrow)
+	slices.SortFunc(arrows, byArrow)
+	if !slices.Equal(arrows, pairs) {
+		t.Fatalf("converter arrows %v, analyzer pairs %v", arrows, pairs)
+	}
 }

@@ -1,7 +1,9 @@
 package clog2
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -11,16 +13,194 @@ import (
 // format, so every reader of it reads it here.
 const SoloBase = 1 << 20
 
+// EtypeKind says what a bare or cargo event marks.
+type EtypeKind uint8
+
+const (
+	EtypeStart EtypeKind = iota + 1 // a state start
+	EtypeEnd                        // a state end
+	EtypeSolo                       // a solo event
+)
+
+// Etypes is the one reading of a bare or cargo event's etype: an etype a
+// StateDef names is that state's start or end; any other etype below
+// SoloBase is, by parity, 2s a start and 2s+1 an end of state s (a
+// defs-less salvaged fragment), and one at or above SoloBase a solo
+// event. The zero value reads every etype by parity.
+type Etypes struct {
+	marks     map[int32]mark // etype -> what a StateDef made it
+	stateName map[int32]string
+	eventName map[int32]string
+}
+
+type mark struct {
+	kind  EtypeKind
+	state int32
+}
+
+// Define absorbs rec when it is a StateDef or an EventDef, and reports
+// whether it was.
+func (e *Etypes) Define(rec *Record) bool {
+	switch rec.Type {
+	case RecStateDef:
+		if e.marks == nil {
+			e.marks, e.stateName = map[int32]mark{}, map[int32]string{}
+		}
+		e.marks[rec.Aux2] = mark{EtypeEnd, rec.ID}
+		e.marks[rec.Aux1] = mark{EtypeStart, rec.ID}
+		e.stateName[rec.ID] = rec.Name
+	case RecEventDef:
+		if e.eventName == nil {
+			e.eventName = map[int32]string{}
+		}
+		e.eventName[rec.ID] = rec.Name
+	default:
+		return false
+	}
+	return true
+}
+
+// Classify says what an event of this etype marks and, for a start or an
+// end, of which state; a solo event's id is its etype.
+func (e *Etypes) Classify(etype int32) (kind EtypeKind, id int32) {
+	if m, ok := e.marks[etype]; ok {
+		return m.kind, m.state
+	}
+	switch {
+	case etype >= SoloBase:
+		return EtypeSolo, etype
+	case etype%2 == 0:
+		return EtypeStart, etype / 2
+	}
+	return EtypeEnd, etype / 2
+}
+
+// nameOf is the name a StateDef gave state id, else "state id".
+func (e *Etypes) nameOf(id int32) string {
+	if name, ok := e.stateName[id]; ok {
+		return name
+	}
+	return "state " + strconv.Itoa(int(id))
+}
+
+// Stack is one rank's open states, innermost last: a start pushes, and an
+// end closes the innermost open state whichever state it names.
+type Stack struct{ open []Opened }
+
+// Opened is one open state: the state its start named, when it started,
+// and Ref, which the caller chooses (the converter keeps its start
+// record's index there to find its cargo; the fold ignores it).
+type Opened struct {
+	ID       int32
+	Start    float64
+	Ref      int
+	childSec float64
+}
+
+// Push opens state id at t.
+func (s *Stack) Push(id int32, t float64, ref int) {
+	s.open = append(s.open, Opened{ID: id, Start: t, Ref: ref})
+}
+
+// Close pairs an end of state id at t with the innermost open state: it
+// pops that state and returns it with the occurrence the pair makes,
+// which takes its ID from the end (the caller adds the Name). Dur is
+// End-Start, Self is Dur less the Dur of the states closed directly
+// inside it, both floored at zero. An end with nothing open is an orphan:
+// ok is false and nothing changes. The caller tells a mismatched end by
+// top.ID != id.
+func (s *Stack) Close(id int32, t float64) (top Opened, occ Occurrence, ok bool) {
+	n := len(s.open)
+	if n == 0 {
+		return top, occ, false
+	}
+	top = s.open[n-1]
+	s.open = s.open[:n-1]
+	dur := max(t-top.Start, 0)
+	if n > 1 {
+		s.open[n-2].childSec += dur
+	}
+	return top, Occurrence{ID: id, Start: top.Start, End: t, Dur: dur, Self: max(dur-top.childSec, 0)}, true
+}
+
+// Open returns the states still open, outermost first.
+func (s *Stack) Open() []Opened { return s.open }
+
+// MsgKey is one message queue: MPE pairs a send with a receive of the
+// same source, destination and tag ("MPE_Log_send and MPE_Log_receive
+// should be called in pairs with matching tag number and length of
+// data").
+type MsgKey struct{ Src, Dst, Tag int32 }
+
+// MsgHalf is a message's send or receive: when, and the size it logged.
+type MsgHalf struct {
+	Time float64
+	Size int32
+}
+
+// Messages holds message halves by key until Match pairs them.
+type Messages struct{ sends, recvs map[MsgKey][]MsgHalf }
+
+// Add files a half that rank logged with peer: a send under (rank, peer,
+// tag), a receive under (peer, rank, tag).
+func (m *Messages) Add(rank, peer, tag int32, dir uint8, h MsgHalf) {
+	q, k := &m.recvs, MsgKey{peer, rank, tag}
+	if dir == DirSend {
+		q, k = &m.sends, MsgKey{rank, peer, tag}
+	}
+	if *q == nil {
+		*q = map[MsgKey][]MsgHalf{}
+	}
+	hs := (*q)[k]
+	if len(hs) == cap(hs) {
+		// Double, where append would grow a long queue by a quarter and
+		// allocate five times its final size on the way.
+		hs = slices.Grow(hs, max(len(hs), 16))
+	}
+	(*q)[k] = append(hs, h)
+}
+
+// Match pairs message halves first in, first out per key, in time order:
+// the i-th send of a key with its i-th receive. It walks the keys in
+// (Src, Dst, Tag) order and hands visit each key's sends and receives in
+// time order: sends[i] and recvs[i] are a matched pair for every i below
+// the shorter length, and what the longer side holds past it is
+// unmatched. A key's halves are sorted, stably, only when they were added
+// out of time order.
+func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
+	keys := make([]MsgKey, 0, len(m.sends)+len(m.recvs))
+	for k := range m.sends {
+		keys = append(keys, k)
+	}
+	for k := range m.recvs {
+		if _, ok := m.sends[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b MsgKey) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Tag, b.Tag))
+	})
+	byTime := func(a, b MsgHalf) int { return cmp.Compare(a.Time, b.Time) }
+	for _, k := range keys {
+		for _, hs := range [][]MsgHalf{m.sends[k], m.recvs[k]} {
+			if !slices.IsSortedFunc(hs, byTime) {
+				slices.SortStableFunc(hs, byTime)
+			}
+		}
+		visit(k, m.sends[k], m.recvs[k])
+	}
+}
+
 // Fold is the one reading of a merged CLOG-2 stream that the post-run
 // tools share: which records count, which rank they belong to, and how
 // a rank's state starts and ends pair up. A consumer feeds records to
 // Add in file order and switches on the Step it returns; what it keeps
-// per rank it keeps in a slice indexed by FoldRank.Index.
+// per rank it keeps in a slice indexed by FoldRank.Index. The converter
+// reads a log by the same Etypes, Stack and Messages (DESIGN §4).
 //
 // The policy, in full:
 //
-//   - Definitions are absorbed whatever the window: a StateDef names its
-//     start etype, end etype and state, an EventDef names a solo etype.
+//   - Definitions are absorbed whatever the window (Etypes.Define).
 //     Definitions, constants, source locations and the block and log
 //     markers are never counted.
 //   - Every other record is counted when its timestamp is finite and
@@ -32,26 +212,17 @@ const SoloBase = 1 << 20
 //   - A counted record adds one to its rank's Records and widens the
 //     rank's [First, Last] span. Ranks exist by first appearance; the
 //     header's rank count sizes nothing.
-//   - A message half is StepMsg; an etype at or above SoloBase is
-//     StepSolo. A time shift (and any record type this list does not
-//     name) is StepShift: counted, and nothing else.
-//   - An etype below SoloBase is a state start or end: by StateDef
-//     first, and for an etype no StateDef names (a defs-less salvaged
-//     fragment) by parity, 2s a start and 2s+1 an end of "state s".
-//   - A start pushes onto its rank's stack (StepOpen). An end closes the
+//   - A message half is StepMsg. A time shift (and any record type this
+//     list does not name) is StepShift: counted, and nothing else.
+//   - A bare or cargo event is what Etypes.Classify makes of its etype:
+//     StepSolo, or a state start or end.
+//   - A start pushes onto its rank's Stack (StepOpen). An end closes the
 //     innermost open state of its rank, whichever state it names
 //     (StepClose); the occurrence takes its ID and Name from the end
-//     record and its Start from the popped entry. Dur is End-Start, Self
-//     is Dur less the Dur of the states closed directly inside it, both
-//     floored at zero.
+//     record and its Start from the popped entry.
 //   - An end with nothing open is counted in Unpaired and otherwise
 //     ignored (StepOrphan).
 //   - States still open when the stream ends contribute nothing.
-//
-// The converter does not fold: it sorts each rank by time before
-// pairing, carries cargo across the pair and reports an end that names
-// the wrong state, and a stack that served both would branch on its
-// caller.
 type Fold struct {
 	// Rank is the rank of the record Add last counted.
 	Rank *FoldRank
@@ -60,13 +231,10 @@ type Fold struct {
 	// Unpaired counts the orphan ends seen so far.
 	Unpaired int64
 
-	t0, t1    float64
-	startOf   map[int32]int32 // start etype -> state ID
-	endOf     map[int32]int32 // end etype -> state ID
-	stateName map[int32]string
-	eventName map[int32]string
-	byRank    map[int32]*FoldRank
-	ranks     []*FoldRank
+	t0, t1 float64
+	etypes Etypes
+	byRank map[int32]*FoldRank
+	ranks  []*FoldRank
 }
 
 // Step says what Add made of a record.
@@ -100,23 +268,13 @@ type FoldRank struct {
 	Records     int64
 	First, Last float64
 
-	stack []openState
+	stack Stack
 }
-
-type openState struct{ start, childSec float64 }
 
 // NewFold returns a fold over the inclusive window [t0, t1]; infinite
 // bounds leave that side open.
 func NewFold(t0, t1 float64) *Fold {
-	return &Fold{
-		t0:        t0,
-		t1:        t1,
-		startOf:   map[int32]int32{},
-		endOf:     map[int32]int32{},
-		stateName: map[int32]string{},
-		eventName: map[int32]string{},
-		byRank:    map[int32]*FoldRank{},
-	}
+	return &Fold{t0: t0, t1: t1, byRank: map[int32]*FoldRank{}}
 }
 
 // Window returns the bounds the fold was built over.
@@ -126,19 +284,14 @@ func (f *Fold) Window() (t0, t1 float64) { return f.t0, f.t1 }
 func (f *Fold) Ranks() []*FoldRank { return f.ranks }
 
 // EventName returns the name an EventDef gave a solo etype, "" if none.
-func (f *Fold) EventName(etype int32) string { return f.eventName[etype] }
+func (f *Fold) EventName(etype int32) string { return f.etypes.eventName[etype] }
 
 // Add folds one record in.
 func (f *Fold) Add(rec *Record) Step {
+	if f.etypes.Define(rec) {
+		return StepSkip
+	}
 	switch rec.Type {
-	case RecStateDef:
-		f.startOf[rec.Aux1] = rec.ID
-		f.endOf[rec.Aux2] = rec.ID
-		f.stateName[rec.ID] = rec.Name
-		return StepSkip
-	case RecEventDef:
-		f.eventName[rec.ID] = rec.Name
-		return StepSkip
 	case RecConstDef, RecSrcLoc, RecEndBlock, RecEndLog:
 		return StepSkip
 	}
@@ -170,47 +323,20 @@ func (f *Fold) Add(rec *Record) Step {
 	default:
 		return StepShift
 	}
-	if rec.ID >= SoloBase {
+	switch kind, id := f.etypes.Classify(rec.ID); kind {
+	case EtypeSolo:
 		return StepSolo
-	}
-	id, name, isEnd := f.stateEnd(rec.ID)
-	if !isEnd {
-		r.stack = append(r.stack, openState{start: t})
+	case EtypeStart:
+		r.stack.Push(id, t, 0)
 		return StepOpen
+	default:
+		_, occ, ok := r.stack.Close(id, t)
+		if !ok {
+			f.Unpaired++
+			return StepOrphan
+		}
+		occ.Name = f.etypes.nameOf(id)
+		f.Closed = occ
+		return StepClose
 	}
-	n := len(r.stack)
-	if n == 0 {
-		f.Unpaired++
-		return StepOrphan
-	}
-	top := r.stack[n-1]
-	r.stack = r.stack[:n-1]
-	dur := t - top.start
-	if dur < 0 {
-		dur = 0
-	}
-	self := dur - top.childSec
-	if self < 0 {
-		self = 0
-	}
-	if n > 1 {
-		r.stack[n-2].childSec += dur
-	}
-	f.Closed = Occurrence{ID: id, Name: name, Start: top.start, End: t, Dur: dur, Self: self}
-	return StepClose
-}
-
-// stateEnd reports whether a state-space etype is an end, and of which
-// state.
-func (f *Fold) stateEnd(etype int32) (id int32, name string, ok bool) {
-	if _, ok := f.startOf[etype]; ok {
-		return 0, "", false
-	}
-	if id, ok := f.endOf[etype]; ok {
-		return id, f.stateName[id], true
-	}
-	if etype%2 == 0 {
-		return 0, "", false
-	}
-	return etype / 2, "state " + strconv.Itoa(int(etype/2)), true
 }

@@ -86,12 +86,12 @@ func RenderChromeTrace(f *slog2.File) ([]byte, error) {
 // for detailed information". States are reported innermost first.
 func At(f *slog2.File, rank int, t float64) []string {
 	const eventSlop = 1e-6
-	states, arrows, events := f.Query(t-eventSlop, t+eventSlop)
+	t0, t1 := t-eventSlop, t+eventSlop
 	var out []string
 	// Innermost = shortest containing state first.
-	var containing []slog2.State
-	for _, s := range states {
-		if s.Rank == rank && s.Start <= t && t <= s.End {
+	var containing []*slog2.State
+	for _, r := range f.States(t0, t1) {
+		if s := r.D; s.Rank == rank && s.Start <= t && t <= s.End {
 			containing = append(containing, s)
 		}
 	}
@@ -106,14 +106,14 @@ func At(f *slog2.File, rank int, t float64) []string {
 		out = append(out, fmt.Sprintf("state %s start: %.6f end: %.6f dur: %.6f %s",
 			f.Categories[s.Cat].Name, s.Start, s.End, s.Duration(), s.StartCargo))
 	}
-	for _, e := range events {
-		if e.Rank == rank {
+	for _, r := range f.Events(t0, t1) {
+		if e := r.D; e.Rank == rank {
 			out = append(out, fmt.Sprintf("event %s t: %.6f %s",
 				f.Categories[e.Cat].Name, e.Time, e.Cargo))
 		}
 	}
-	for _, a := range arrows {
-		if (a.SrcRank == rank && withinSlop(a.Start, t, eventSlop)) ||
+	for _, r := range f.Arrows(t0, t1) {
+		if a := r.D; (a.SrcRank == rank && withinSlop(a.Start, t, eventSlop)) ||
 			(a.DstRank == rank && withinSlop(a.End, t, eventSlop)) {
 			out = append(out, fmt.Sprintf("message P%d->P%d start: %.6f end: %.6f dur: %.6f tag: %d size: %d",
 				a.SrcRank, a.DstRank, a.Start, a.End, a.End-a.Start, a.Tag, a.Size))

@@ -18,9 +18,9 @@ type Interval struct {
 // is what the eye extracts from the paper's figures — "the partial
 // overlapping of gray bars" — turned into a number.
 func BusyIntervals(f *slog2.File, rank int, t0, t1 float64) []Interval {
-	states, _, _ := f.Query(t0, t1)
 	var compute, blocked []Interval
-	for _, s := range states {
+	for _, r := range f.States(t0, t1) {
+		s := r.D
 		if s.Rank != rank {
 			continue
 		}

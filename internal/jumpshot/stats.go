@@ -30,10 +30,10 @@ func Stats(f *slog2.File, t0, t1 float64) []RankStats {
 	if t1 <= t0 {
 		return nil
 	}
-	states, _, _ := f.Query(t0, t1)
 	window := t1 - t0
 	byRank := map[int]*RankStats{}
-	for _, s := range states {
+	for _, r := range f.States(t0, t1) {
+		s := r.D
 		rs := byRank[s.Rank]
 		if rs == nil {
 			rs = &RankStats{Rank: s.Rank, Time: map[int]float64{}, Fraction: map[int]float64{}}
@@ -158,17 +158,15 @@ func Overlap(f *slog2.File, name string, rankA, rankB int, t0, t1 float64) float
 	if idx < 0 {
 		return 0
 	}
-	states, _, _ := f.Query(t0, t1)
-	var as, bs []slog2.State
-	for _, s := range states {
-		if s.Cat != idx {
-			continue
-		}
-		switch s.Rank {
-		case rankA:
-			as = append(as, s)
-		case rankB:
-			bs = append(bs, s)
+	var as, bs []*slog2.State
+	for _, r := range f.States(t0, t1) {
+		if s := r.D; s.Cat == idx {
+			switch s.Rank {
+			case rankA:
+				as = append(as, s)
+			case rankB:
+				bs = append(bs, s)
+			}
 		}
 	}
 	var total float64

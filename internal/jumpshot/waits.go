@@ -29,7 +29,6 @@ type WaitEdge struct {
 // States containing no arrival (e.g. a PI_Select that returned without a
 // message record) are attributed to sender -1.
 func WaitMatrix(f *slog2.File, t0, t1 float64) []WaitEdge {
-	states, arrows, _ := f.Query(t0, t1)
 	type key struct{ waiter, sender int }
 	acc := map[key]*WaitEdge{}
 	add := func(waiter, sender int, d float64) {
@@ -44,16 +43,17 @@ func WaitMatrix(f *slog2.File, t0, t1 float64) []WaitEdge {
 	}
 
 	// Arrows ending on a rank, sorted by arrival time for binary search.
-	arrivals := map[int][]slog2.Arrow{}
-	for _, a := range arrows {
-		arrivals[a.DstRank] = append(arrivals[a.DstRank], a)
+	arrivals := map[int][]*slog2.Arrow{}
+	for _, r := range f.Arrows(t0, t1) {
+		arrivals[r.D.DstRank] = append(arrivals[r.D.DstRank], r.D)
 	}
 	for r := range arrivals {
 		as := arrivals[r]
 		sort.Slice(as, func(i, j int) bool { return as[i].End < as[j].End })
 	}
 
-	for _, s := range states {
+	for _, r := range f.States(t0, t1) {
+		s := r.D
 		if colors.CategoryOf(f.Categories[s.Cat].Name) != colors.Input {
 			continue
 		}

@@ -50,30 +50,6 @@ func startEtype(s StateID) int32 { return int32(s) * 2 }
 func endEtype(s StateID) int32   { return int32(s)*2 + 1 }
 func soloEtype(e EventID) int32  { return clog2.SoloBase + int32(e) }
 
-// IsStartEtype reports whether etype marks a state start, and the state.
-func IsStartEtype(etype int32) (StateID, bool) {
-	if etype >= clog2.SoloBase || etype%2 != 0 {
-		return 0, false
-	}
-	return StateID(etype / 2), true
-}
-
-// IsEndEtype reports whether etype marks a state end, and the state.
-func IsEndEtype(etype int32) (StateID, bool) {
-	if etype >= clog2.SoloBase || etype%2 == 0 {
-		return 0, false
-	}
-	return StateID(etype / 2), true
-}
-
-// IsSoloEtype reports whether etype is a solo event, and which.
-func IsSoloEtype(etype int32) (EventID, bool) {
-	if etype < clog2.SoloBase {
-		return 0, false
-	}
-	return EventID(etype - clog2.SoloBase), true
-}
-
 // Group owns the logging state for one MPI world: the definition tables
 // and one Logger per rank.
 type Group struct {

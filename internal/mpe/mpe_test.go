@@ -14,23 +14,24 @@ import (
 	"repro/internal/mpi"
 )
 
+// classify reads an etype the way every reader of a log does when no
+// definition names it.
+func classify(etype int32) (clog2.EtypeKind, int32) {
+	var byParity clog2.Etypes
+	return byParity.Classify(etype)
+}
+
 func TestEtypeMapping(t *testing.T) {
 	s := StateID(7)
-	if st, ok := IsStartEtype(startEtype(s)); !ok || st != s {
-		t.Errorf("IsStartEtype(start(7)) = %v %v", st, ok)
+	if k, id := classify(startEtype(s)); k != clog2.EtypeStart || id != int32(s) {
+		t.Errorf("classify(start(7)) = %v %v", k, id)
 	}
-	if st, ok := IsEndEtype(endEtype(s)); !ok || st != s {
-		t.Errorf("IsEndEtype(end(7)) = %v %v", st, ok)
-	}
-	if _, ok := IsStartEtype(endEtype(s)); ok {
-		t.Error("end etype classified as start")
+	if k, id := classify(endEtype(s)); k != clog2.EtypeEnd || id != int32(s) {
+		t.Errorf("classify(end(7)) = %v %v", k, id)
 	}
 	e := EventID(3)
-	if ev, ok := IsSoloEtype(soloEtype(e)); !ok || ev != e {
-		t.Errorf("IsSoloEtype = %v %v", ev, ok)
-	}
-	if _, ok := IsSoloEtype(startEtype(s)); ok {
-		t.Error("state etype classified as solo")
+	if k, id := classify(soloEtype(e)); k != clog2.EtypeSolo || id != soloEtype(e) {
+		t.Errorf("classify(solo(3)) = %v %v", k, id)
 	}
 }
 
@@ -325,7 +326,7 @@ func TestDescribeStateBoundaryGuard(t *testing.T) {
 	if e := endEtype(StateID(MaxStates)); e >= clog2.SoloBase {
 		t.Fatalf("endEtype(MaxStates) = %d, reaches SoloBase %d", e, clog2.SoloBase)
 	}
-	if _, ok := IsSoloEtype(startEtype(StateID(MaxStates + 1))); !ok {
+	if k, _ := classify(startEtype(StateID(MaxStates + 1))); k != clog2.EtypeSolo {
 		t.Fatalf("startEtype(MaxStates+1) = %d should collide with solo etypes", startEtype(StateID(MaxStates+1)))
 	}
 
@@ -337,8 +338,8 @@ func TestDescribeStateBoundaryGuard(t *testing.T) {
 	if sid != StateID(MaxStates) {
 		t.Fatalf("last legal StateID = %d, want %d", sid, MaxStates)
 	}
-	if got, ok := IsStartEtype(startEtype(sid)); !ok || got != sid {
-		t.Fatalf("etype roundtrip broken at boundary: %v %v", got, ok)
+	if k, got := classify(startEtype(sid)); k != clog2.EtypeStart || got != int32(sid) {
+		t.Fatalf("etype roundtrip broken at boundary: %v %v", k, got)
 	}
 	defer func() {
 		r := recover()
@@ -359,8 +360,8 @@ func TestDescribeEventBoundary(t *testing.T) {
 	if got := soloEtype(EventID(MaxEvents)); got != math.MaxInt32 {
 		t.Fatalf("soloEtype(MaxEvents) = %d, want MaxInt32", got)
 	}
-	if eid, ok := IsSoloEtype(soloEtype(EventID(MaxEvents))); !ok || eid != EventID(MaxEvents) {
-		t.Fatalf("solo etype roundtrip broken at boundary: %v %v", eid, ok)
+	if k, _ := classify(soloEtype(EventID(MaxEvents))); k != clog2.EtypeSolo {
+		t.Fatalf("solo etype roundtrip broken at boundary: %v", k)
 	}
 }
 
@@ -404,10 +405,10 @@ func TestFinishSyntheticEndForOpenState(t *testing.T) {
 		t.Fatalf("%d synthetic ends, want 2", len(synth))
 	}
 	// Innermost-first: B's end must precede A's end in the block.
-	if sid, ok := IsEndEtype(synth[0].ID); !ok || sid != sidB {
+	if k, sid := classify(synth[0].ID); k != clog2.EtypeEnd || sid != int32(sidB) {
 		t.Fatalf("first synthetic end closes state %v, want inner %v", sid, sidB)
 	}
-	if sid, ok := IsEndEtype(synth[1].ID); !ok || sid != sidA {
+	if k, sid := classify(synth[1].ID); k != clog2.EtypeEnd || sid != int32(sidA) {
 		t.Fatalf("second synthetic end closes state %v, want outer %v", sid, sidA)
 	}
 	if synth[0].Rank != 1 || synth[1].Rank != 1 {

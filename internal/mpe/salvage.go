@@ -283,18 +283,17 @@ func loadSpillDefs(prefix string) (defs []clog2.Record, numRanks int, note strin
 func synthesizeDefs(perRank map[int][]clog2.Record) []clog2.Record {
 	states := map[StateID]bool{}
 	events := map[EventID]bool{}
+	var byParity clog2.Etypes
 	for _, recs := range perRank {
 		for i := range recs {
 			r := &recs[i]
 			if r.Type != clog2.RecBareEvt && r.Type != clog2.RecCargoEvt {
 				continue
 			}
-			if sid, ok := IsStartEtype(r.ID); ok {
-				states[sid] = true
-			} else if sid, ok := IsEndEtype(r.ID); ok {
-				states[sid] = true
-			} else if eid, ok := IsSoloEtype(r.ID); ok {
-				events[eid] = true
+			if kind, id := byParity.Classify(r.ID); kind == clog2.EtypeSolo {
+				events[EventID(id-clog2.SoloBase)] = true
+			} else {
+				states[StateID(id)] = true
 			}
 		}
 	}

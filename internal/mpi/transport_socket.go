@@ -78,44 +78,26 @@ const (
 	byeDrainTimeout = 2 * time.Second
 )
 
-// sockTuning carries the transport timeouts, each overridable through a
-// PILOT_MPI_* environment variable (Go duration syntax) so slow CI
-// machines can stretch them without code changes. The environment is
-// inherited by spawned rank processes, so one setting covers the world.
-type sockTuning struct {
-	join, dialRetry, heartbeat, liveness, write, reconnect time.Duration
-}
-
-func loadSockTuning() sockTuning {
-	tn := sockTuning{
-		join: joinTimeout, dialRetry: dialRetry, heartbeat: heartbeatInterval,
-		liveness: livenessTimeout, write: wireWriteTimeout, reconnect: reconnectWindow,
+// loadReconnectWindow returns reconnectWindow, or the
+// PILOT_MPI_RECONNECT_WINDOW override (Go duration syntax) when it parses
+// to a positive duration. The environment is inherited by spawned rank
+// processes, so one setting covers the world.
+func loadReconnectWindow() time.Duration {
+	if p, err := time.ParseDuration(os.Getenv("PILOT_MPI_RECONNECT_WINDOW")); err == nil && p > 0 {
+		return p
 	}
-	envDur := func(name string, d *time.Duration) {
-		if v := os.Getenv(name); v != "" {
-			if p, err := time.ParseDuration(v); err == nil && p > 0 {
-				*d = p
-			}
-		}
-	}
-	envDur("PILOT_MPI_JOIN_TIMEOUT", &tn.join)
-	envDur("PILOT_MPI_DIAL_RETRY", &tn.dialRetry)
-	envDur("PILOT_MPI_HEARTBEAT", &tn.heartbeat)
-	envDur("PILOT_MPI_LIVENESS", &tn.liveness)
-	envDur("PILOT_MPI_WRITE_TIMEOUT", &tn.write)
-	envDur("PILOT_MPI_RECONNECT_WINDOW", &tn.reconnect)
-	return tn
+	return reconnectWindow
 }
 
 type socketTransport struct {
-	w       *World
-	size    int
-	local   int
-	network string // "unix" or "tcp"
-	addr    string // join form: "unix:<path>" or "tcp:<host:port>"
-	box     *mailbox
-	tune    sockTuning
-	wf      *wireFaults
+	w         *World
+	size      int
+	local     int
+	network   string // "unix" or "tcp"
+	addr      string // join form: "unix:<path>" or "tcp:<host:port>"
+	box       *mailbox
+	reconnect time.Duration
+	wf        *wireFaults
 
 	// Rendezvous bookkeeping: outbound seq → the sender's Done channel,
 	// closed when the matching ACK comes back.
@@ -154,13 +136,13 @@ func newSocketTransport(w *World, n int, opts Options) (*socketTransport, error)
 		network = "tcp"
 	}
 	t := &socketTransport{
-		w:       w,
-		size:    n,
-		network: network,
-		box:     newMailbox(),
-		tune:    loadSockTuning(),
-		acks:    map[uint64]chan struct{}{},
-		barCh:   make(chan struct{}, 1),
+		w:         w,
+		size:      n,
+		network:   network,
+		box:       newMailbox(),
+		reconnect: loadReconnectWindow(),
+		acks:      map[uint64]chan struct{}{},
+		barCh:     make(chan struct{}, 1),
 	}
 	if addr, rank, ok := joinTarget(opts); ok {
 		if rank < 1 || rank >= n {
@@ -233,7 +215,7 @@ func (t *socketTransport) join(addr string, rank int) error {
 	t.network = network
 	t.addr = addr
 	var conn net.Conn
-	deadline := time.Now().Add(t.tune.dialRetry)
+	deadline := time.Now().Add(dialRetry)
 	backoff := 10 * time.Millisecond
 	for {
 		conn, err = net.DialTimeout(network, target, time.Second)
@@ -246,10 +228,10 @@ func (t *socketTransport) join(addr string, rank int) error {
 		backoffSleep(&backoff, 500*time.Millisecond)
 	}
 	r := bufio.NewReader(conn)
-	err = writeRawFrame(conn, &frame{typ: frHello, rank: rank, world: t.size}, t.tune.write)
+	err = writeRawFrame(conn, &frame{typ: frHello, rank: rank, world: t.size}, wireWriteTimeout)
 	if err == nil {
 		var welcome *frame
-		welcome, err = readRawFrame(conn, r, t.tune.join)
+		welcome, err = readRawFrame(conn, r, joinTimeout)
 		if err == nil && welcome.typ != frWelcome {
 			err = fmt.Errorf("frame type %d", welcome.typ)
 		}
@@ -258,7 +240,7 @@ func (t *socketTransport) join(addr string, rank int) error {
 		conn.Close()
 		return fmt.Errorf("mpi: rank %d handshake: %w", rank, err)
 	}
-	t.hub = newWireLink(conn, r, t.w.metrics, rank, rank, wireSideRank, t.wf, t.tune.write)
+	t.hub = newWireLink(conn, r, t.w.metrics, rank, rank, wireSideRank, t.wf, wireWriteTimeout)
 	return nil
 }
 
@@ -325,7 +307,7 @@ func (t *socketTransport) orchestrate(opts Options) error {
 
 	type deadliner interface{ SetDeadline(time.Time) error }
 	if d, ok := ln.(deadliner); ok {
-		d.SetDeadline(time.Now().Add(t.tune.join))
+		d.SetDeadline(time.Now().Add(joinTimeout))
 	}
 	for joined := 1; joined < t.size; joined++ {
 		conn, err := ln.Accept()
@@ -333,7 +315,7 @@ func (t *socketTransport) orchestrate(opts Options) error {
 			return fail(fmt.Errorf("mpi: waiting for %d more ranks: %w", t.size-joined, err))
 		}
 		r := bufio.NewReader(conn)
-		hello, err := readRawFrame(conn, r, t.tune.join)
+		hello, err := readRawFrame(conn, r, joinTimeout)
 		if err == nil && hello.typ != frHello {
 			err = fmt.Errorf("frame type %d", hello.typ)
 		}
@@ -350,11 +332,11 @@ func (t *socketTransport) orchestrate(opts Options) error {
 			conn.Close()
 			return fail(fmt.Errorf("mpi: bad or duplicate hello for rank %d", hello.rank))
 		}
-		if err := writeRawFrame(conn, &frame{typ: frWelcome}, t.tune.write); err != nil {
+		if err := writeRawFrame(conn, &frame{typ: frWelcome}, wireWriteTimeout); err != nil {
 			conn.Close()
 			return fail(fmt.Errorf("mpi: rank %d welcome: %v", hello.rank, err))
 		}
-		t.links[hello.rank] = newWireLink(conn, r, t.w.metrics, 0, hello.rank, wireSideHub, t.wf, t.tune.write)
+		t.links[hello.rank] = newWireLink(conn, r, t.w.metrics, 0, hello.rank, wireSideHub, t.wf, wireWriteTimeout)
 	}
 	if d, ok := ln.(deadliner); ok {
 		d.SetDeadline(time.Time{})
@@ -422,7 +404,7 @@ func (t *socketTransport) startReaders() {
 // heartbeat or payload — has arrived within the timeout. "EOF is the
 // only death signal" becomes "silence is a death signal too".
 func (t *socketTransport) heartbeat(l *wireLink) {
-	tick := time.NewTicker(t.tune.heartbeat)
+	tick := time.NewTicker(heartbeatInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -435,7 +417,7 @@ func (t *socketTransport) heartbeat(l *wireLink) {
 		if t.closing.Load() || l.isDown() {
 			continue // a down link is the recovery path's problem
 		}
-		if l.sinceRead() > t.tune.liveness {
+		if l.sinceRead() > livenessTimeout {
 			l.fail() // wakes the blocked reader into recovery
 			continue
 		}
@@ -479,7 +461,7 @@ func (t *socketTransport) handleResume(conn net.Conn) {
 	}
 	l := t.links[hello.rank]
 	welcome := &frame{typ: frWelcome, epoch: hello.epoch, ack: l.recvSeq.Load()}
-	if writeRawFrame(conn, welcome, t.tune.write) != nil {
+	if writeRawFrame(conn, welcome, wireWriteTimeout) != nil {
 		conn.Close()
 		return
 	}
@@ -507,7 +489,7 @@ func (t *socketTransport) hubReader(rank int, l *wireLink) {
 			select {
 			case <-t.resumed[rank]:
 				continue
-			case <-time.After(t.tune.reconnect):
+			case <-time.After(t.reconnect):
 				if !t.byed[rank].Load() && !t.expectedEOF() {
 					// Lost rank: the process died, or its link could not
 					// resume in time. Tear the job down like an injected
@@ -591,7 +573,7 @@ func (t *socketTransport) rankRecover() bool {
 	if err != nil {
 		return false
 	}
-	deadline := time.Now().Add(t.tune.reconnect)
+	deadline := time.Now().Add(t.reconnect)
 	backoff := 10 * time.Millisecond
 	// Gate on Aborted, not expectedEOF: Shutdown also recovers through
 	// here to flush a goodbye lost to a link failure (the reader itself
@@ -615,7 +597,7 @@ func (t *socketTransport) rankRecover() bool {
 func (t *socketTransport) resumeHub(conn net.Conn) bool {
 	epoch := t.hub.nextEpoch()
 	hello := &frame{typ: frHello, rank: t.local, world: t.size, epoch: int(epoch), ack: t.hub.recvSeq.Load()}
-	if writeRawFrame(conn, hello, t.tune.write) != nil {
+	if writeRawFrame(conn, hello, wireWriteTimeout) != nil {
 		conn.Close()
 		return false
 	}

@@ -468,21 +468,22 @@ func TestSocketWorldHelloWorldMismatch(t *testing.T) {
 	}
 }
 
-// The transport timeouts are tunable through PILOT_MPI_* durations;
-// malformed or non-positive values fall back to the defaults.
+// The reconnect window is tunable through PILOT_MPI_RECONNECT_WINDOW;
+// malformed or non-positive values fall back to the default.
 func TestLoadSockTuningEnv(t *testing.T) {
-	t.Setenv("PILOT_MPI_JOIN_TIMEOUT", "3s")
-	t.Setenv("PILOT_MPI_DIAL_RETRY", "250ms")
-	t.Setenv("PILOT_MPI_HEARTBEAT", "123ms")
-	t.Setenv("PILOT_MPI_LIVENESS", "nonsense")
-	t.Setenv("PILOT_MPI_WRITE_TIMEOUT", "-5s")
-	t.Setenv("PILOT_MPI_RECONNECT_WINDOW", "7s")
-	tn := loadSockTuning()
-	if tn.join != 3*time.Second || tn.dialRetry != 250*time.Millisecond ||
-		tn.heartbeat != 123*time.Millisecond || tn.reconnect != 7*time.Second {
-		t.Errorf("tuning = %+v: env overrides not applied", tn)
-	}
-	if tn.liveness != livenessTimeout || tn.write != wireWriteTimeout {
-		t.Errorf("tuning = %+v: bad values must keep defaults", tn)
+	for _, c := range []struct {
+		env  string
+		want time.Duration
+	}{
+		{"7s", 7 * time.Second},
+		{"1ns", time.Nanosecond},
+		{"nonsense", reconnectWindow},
+		{"-5s", reconnectWindow},
+		{"", reconnectWindow},
+	} {
+		t.Setenv("PILOT_MPI_RECONNECT_WINDOW", c.env)
+		if got := loadReconnectWindow(); got != c.want {
+			t.Errorf("PILOT_MPI_RECONNECT_WINDOW=%q: window %v, want %v", c.env, got, c.want)
+		}
 	}
 }

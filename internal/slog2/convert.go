@@ -27,10 +27,9 @@ const MaxTreeDepth = 24
 type ConvertOptions struct {
 	// FrameCapacity is the maximum drawable count per frame (0 = default).
 	FrameCapacity int
-	// Workers is the worker-pool size for the per-rank phases (record
-	// partitioning, state/arrow pairing) and for concurrent sibling-frame
-	// construction. 0 means runtime.GOMAXPROCS(0); 1 runs fully
-	// sequentially. The output is byte-identical at every worker count:
+	// Workers is the worker-pool size for the per-rank pairing phase and
+	// for concurrent sibling-frame construction. 0 means
+	// runtime.GOMAXPROCS(0). The output is byte-identical at every worker count:
 	// drawables are ordered by (rank, time, sequence) before frame
 	// insertion, so parallelism never changes the result.
 	Workers int
@@ -64,39 +63,56 @@ func (r *Report) warnf(format string, args ...any) {
 	r.Warnings = append(r.Warnings, fmt.Sprintf(format, args...))
 }
 
-// timed is what the converter keeps of one timed record: the fields
-// pairing reads, and where its cargo text sits in the rank's arena — 32
-// bytes where a clog2.Record is 136.
+// timed is what the converter keeps of one bare or cargo event: its time,
+// what clog2.Etypes.Classify made of its etype as it streamed in, and
+// where its cargo text sits in the rank's arena — 24 bytes where a
+// clog2.Record is 136.
 type timed struct {
-	t                    float64
-	id, aux1, aux2, aux3 int32
-	cargoOff             uint32
-	typ                  clog2.RecType
-	dir, cargoLen        uint8
+	t        float64
+	id       int32
+	cargoOff uint32
+	kind     clog2.EtypeKind
+	cargoLen uint8
 }
 
-// rankLog is one rank's timed records in file order (the per-rank
-// sequence used as the sort tie-break) and, end to end, their cargo text.
+// rankLog is one rank's events in file order (the per-rank sequence used
+// as the sort tie-break) and, end to end, their cargo text.
 type rankLog struct {
 	recs  []timed
 	cargo []byte
+	// badPeers counts, by peer, the rank's message halves whose peer lies
+	// outside [0, numRanks).
+	badPeers map[int]int
 }
 
-// partition is the phase-1 product: definition records in file order and
-// each rank's timed records. perRank is keyed, not indexed, by rank: a
-// header may declare 2^20 ranks and log on two.
+// partition is the phase-1 product: definition records in file order,
+// each rank's events and every message half. perRank is keyed, not
+// indexed, by rank: a header may declare 2^20 ranks and log on two.
 type partition struct {
 	numRanks  int
+	etypes    clog2.Etypes
 	stateDefs []clog2.Record
 	eventDefs []clog2.Record
 	perRank   map[int]*rankLog
+	msgs      clog2.Messages
+	sends     int
 	// dropped counts, by rank, the records whose rank lies outside
 	// [0, numRanks): slog2.Read rejects a drawable on such a rank.
 	dropped map[int]int
+	// nonFinite counts, by rank, the records stamped NaN or ±Inf, which
+	// the fold skips too.
+	nonFinite map[int]int
 }
 
 func newPartition(numRanks int) *partition {
 	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}}
+}
+
+func count(m *map[int]int, rank int32) {
+	if *m == nil {
+		*m = map[int]int{}
+	}
+	(*m)[int(rank)]++
 }
 
 // addBlock copies what the conversion needs out of b, whose records the
@@ -106,21 +122,21 @@ func (p *partition) addBlock(b *clog2.Block) error {
 	cur := int32(-1)
 	for i := range b.Records {
 		rec := &b.Records[i]
-		switch rec.Type {
-		case clog2.RecStateDef:
-			p.stateDefs = append(p.stateDefs, *rec)
-			continue
-		case clog2.RecEventDef:
-			p.eventDefs = append(p.eventDefs, *rec)
-			continue
-		case clog2.RecConstDef, clog2.RecTimeShift, clog2.RecSrcLoc:
-			continue
-		}
-		if rec.Rank < 0 || int(rec.Rank) >= p.numRanks {
-			if p.dropped == nil {
-				p.dropped = map[int]int{}
+		switch {
+		case p.etypes.Define(rec):
+			if rec.Type == clog2.RecStateDef {
+				p.stateDefs = append(p.stateDefs, *rec)
+			} else {
+				p.eventDefs = append(p.eventDefs, *rec)
 			}
-			p.dropped[int(rec.Rank)]++
+			continue
+		case rec.Type == clog2.RecConstDef || rec.Type == clog2.RecTimeShift || rec.Type == clog2.RecSrcLoc:
+			continue
+		case rec.Rank < 0 || int(rec.Rank) >= p.numRanks:
+			count(&p.dropped, rec.Rank)
+			continue
+		case math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0):
+			count(&p.nonFinite, rec.Rank)
 			continue
 		}
 		if rl == nil || rec.Rank != cur {
@@ -136,14 +152,23 @@ func (p *partition) addBlock(b *clog2.Block) error {
 				rl.recs = slices.Grow(rl.recs, max(need, len(rl.recs)))
 			}
 		}
-		if uint64(len(rl.cargo))+uint64(rec.CargoLen) > math.MaxUint32 {
-			return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", cur)
+		switch {
+		case rec.Type == clog2.RecMsgEvt && (rec.Aux1 < 0 || int(rec.Aux1) >= p.numRanks):
+			count(&rl.badPeers, rec.Aux1)
+		case rec.Type == clog2.RecMsgEvt:
+			if rec.Dir == clog2.DirSend {
+				p.sends++
+			}
+			p.msgs.Add(rec.Rank, rec.Aux1, rec.Aux2, rec.Dir, clog2.MsgHalf{Time: rec.Time, Size: rec.Aux3})
+		case rec.Type == clog2.RecBareEvt || rec.Type == clog2.RecCargoEvt:
+			if uint64(len(rl.cargo))+uint64(rec.CargoLen) > math.MaxUint32 {
+				return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", cur)
+			}
+			tr := timed{t: rec.Time, cargoOff: uint32(len(rl.cargo)), cargoLen: rec.CargoLen}
+			tr.kind, tr.id = p.etypes.Classify(rec.ID)
+			rl.recs = append(rl.recs, tr)
+			rl.cargo = append(rl.cargo, rec.CargoBytes()...)
 		}
-		rl.recs = append(rl.recs, timed{
-			t: rec.Time, id: rec.ID, aux1: rec.Aux1, aux2: rec.Aux2, aux3: rec.Aux3,
-			cargoOff: uint32(len(rl.cargo)), typ: rec.Type, dir: rec.Dir, cargoLen: rec.CargoLen,
-		})
-		rl.cargo = append(rl.cargo, rec.CargoBytes()...)
 	}
 	return nil
 }
@@ -174,22 +199,11 @@ func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 	return convertPartitioned(p, opts)
 }
 
-// endpoint is one half of a message: a send or receive instant.
-type endpoint struct {
-	t    float64
-	size int
-}
-
-// msgKey identifies a FIFO message queue per MPE's matching rule.
-type msgKey struct{ src, dst, tag int }
-
-// rankResult is one rank's phase-2 output: paired states, events, message
-// halves and diagnostics, all in deterministic (time, sequence) order.
+// rankResult is one rank's phase-2 output: paired states, events and
+// diagnostics, all in deterministic (time, sequence) order.
 type rankResult struct {
 	states   []State
 	events   []Event
-	sends    map[msgKey][]endpoint
-	recvs    map[msgKey][]endpoint
 	nesting  int
 	badPeers int // message halves dropped for a peer outside [0, numRanks)
 	warnings []string
@@ -212,12 +226,11 @@ func orderByTime(recs []timed) {
 	}
 }
 
-// processRank runs the per-rank pairing phase: put the rank's records in
-// (time, original sequence) order and fold start/end pairs into states,
-// solo events into events, and message halves into per-key FIFO queues.
-// stateCat/eventCat are read-only shared tables, so many processRank calls
-// may run concurrently.
-func processRank(rank, numRanks int, rl *rankLog, stateCat map[mpe.StateID]int, eventCat map[mpe.EventID]int) *rankResult {
+// processRank runs the per-rank pairing phase: put the rank's events in
+// (time, original sequence) order, pair starts and ends on a clog2.Stack
+// into states, and turn solo events into events. stateCat/eventCat are
+// read-only shared tables, so many processRank calls may run concurrently.
+func processRank(rank, numRanks int, rl *rankLog, stateCat, eventCat map[int32]int) *rankResult {
 	// Ties on time resolve to original record sequence, so a state-end and
 	// the next state-start logged at an identical (coarse-resolution)
 	// timestamp can never reorder and desynchronize the pairing stack. A
@@ -226,108 +239,69 @@ func processRank(rank, numRanks int, rl *rankLog, stateCat map[mpe.StateID]int, 
 	orderByTime(recs)
 	// Every cargo of the rank is a substring of this one string.
 	text := string(rl.cargo)
+	cargo := func(i int) string { return text[recs[i].cargoOff : recs[i].cargoOff+uint32(recs[i].cargoLen)] }
 
 	// Size the outputs from what the records can at most produce.
 	var ends, solos int
 	for i := range recs {
-		if recs[i].typ == clog2.RecMsgEvt {
-			continue
-		}
-		if _, ok := mpe.IsEndEtype(recs[i].id); ok {
+		switch recs[i].kind {
+		case clog2.EtypeEnd:
 			ends++
-		} else if _, ok := mpe.IsSoloEtype(recs[i].id); ok {
+		case clog2.EtypeSolo:
 			solos++
 		}
 	}
 	rr := &rankResult{states: make([]State, 0, ends), events: make([]Event, 0, solos)}
-	type open struct {
-		sid   mpe.StateID
-		start float64
-		cargo string
-	}
-	var stack []open
-	var badPeers map[int]int
+	var stack clog2.Stack
 	for i := range recs {
 		rec := &recs[i]
-		cargo := text[rec.cargoOff : rec.cargoOff+uint32(rec.cargoLen)]
-		switch rec.typ {
-		case clog2.RecBareEvt, clog2.RecCargoEvt:
-			if sid, ok := mpe.IsStartEtype(rec.id); ok {
-				stack = append(stack, open{sid: sid, start: rec.t, cargo: cargo})
+		switch rec.kind {
+		case clog2.EtypeStart:
+			stack.Push(rec.id, rec.t, i)
+		case clog2.EtypeEnd:
+			top, _, ok := stack.Close(rec.id, rec.t)
+			if !ok {
+				rr.nesting++
+				rr.warnf("rank %d: end of state %d at %v with no open state", rank, rec.id, rec.t)
 				continue
 			}
-			if sid, ok := mpe.IsEndEtype(rec.id); ok {
-				if len(stack) == 0 {
-					rr.nesting++
-					rr.warnf("rank %d: end of state %d at %v with no open state", rank, sid, rec.t)
-					continue
-				}
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if top.sid != sid {
-					rr.nesting++
-					rr.warnf("rank %d: state %d closed while %d open at %v", rank, sid, top.sid, rec.t)
-				}
-				if cargo == mpe.SyntheticEndCargo {
-					// The logger closed this state for us at wrap-up; it is
-					// still a nesting error in the program being debugged.
-					rr.nesting++
-					rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, sid, rec.t)
-				}
-				cat, ok := stateCat[top.sid]
-				if !ok {
-					rr.warnf("rank %d: state %d has no definition", rank, top.sid)
-					continue
-				}
-				rr.states = append(rr.states, State{
-					Rank: rank, Cat: cat,
-					Start: top.start, End: rec.t,
-					StartCargo: top.cargo, EndCargo: cargo,
-				})
+			if top.ID != rec.id {
+				rr.nesting++
+				rr.warnf("rank %d: state %d closed while %d open at %v", rank, rec.id, top.ID, rec.t)
+			}
+			end := cargo(i)
+			if end == mpe.SyntheticEndCargo {
+				// The logger closed this state for us at wrap-up; it is
+				// still a nesting error in the program being debugged.
+				rr.nesting++
+				rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, rec.id, rec.t)
+			}
+			cat, ok := stateCat[rec.id]
+			if !ok {
+				rr.warnf("rank %d: state %d has no definition", rank, rec.id)
 				continue
 			}
-			if eid, ok := mpe.IsSoloEtype(rec.id); ok {
-				cat, ok := eventCat[eid]
-				if !ok {
-					rr.warnf("rank %d: event %d has no definition", rank, eid)
-					continue
-				}
-				rr.events = append(rr.events, Event{Rank: rank, Cat: cat, Time: rec.t, Cargo: cargo})
+			rr.states = append(rr.states, State{
+				Rank: rank, Cat: cat,
+				Start: top.Start, End: rec.t,
+				StartCargo: cargo(top.Ref), EndCargo: end,
+			})
+		case clog2.EtypeSolo:
+			cat, ok := eventCat[rec.id]
+			if !ok {
+				rr.warnf("rank %d: event %d has no definition", rank, rec.id-clog2.SoloBase)
 				continue
 			}
-			rr.warnf("rank %d: unclassifiable etype %d", rank, rec.id)
-
-		case clog2.RecMsgEvt:
-			peer := int(rec.aux1)
-			if peer < 0 || peer >= numRanks {
-				if badPeers == nil {
-					badPeers = map[int]int{}
-				}
-				badPeers[peer]++
-				continue
-			}
-			if rec.dir == clog2.DirSend {
-				k := msgKey{src: rank, dst: peer, tag: int(rec.aux2)}
-				if rr.sends == nil {
-					rr.sends = map[msgKey][]endpoint{}
-				}
-				rr.sends[k] = append(rr.sends[k], endpoint{t: rec.t, size: int(rec.aux3)})
-			} else {
-				k := msgKey{src: peer, dst: rank, tag: int(rec.aux2)}
-				if rr.recvs == nil {
-					rr.recvs = map[msgKey][]endpoint{}
-				}
-				rr.recvs[k] = append(rr.recvs[k], endpoint{t: rec.t, size: int(rec.aux3)})
-			}
+			rr.events = append(rr.events, Event{Rank: rank, Cat: cat, Time: rec.t, Cargo: cargo(i)})
 		}
 	}
-	for _, o := range stack {
+	for _, o := range stack.Open() {
 		rr.nesting++
-		rr.warnf("rank %d: state %d opened at %v never closed", rank, o.sid, o.start)
+		rr.warnf("rank %d: state %d opened at %v never closed", rank, o.ID, o.Start)
 	}
-	for _, peer := range sortedKeys(badPeers) {
-		rr.badPeers += badPeers[peer]
-		rr.warnf("rank %d: %d message half(s) dropped, peer rank %d outside [0,%d)", rank, badPeers[peer], peer, numRanks)
+	for _, peer := range sortedKeys(rl.badPeers) {
+		rr.badPeers += rl.badPeers[peer]
+		rr.warnf("rank %d: %d message half(s) dropped, peer rank %d outside [0,%d)", rank, rl.badPeers[peer], peer, numRanks)
 	}
 	return rr
 }
@@ -353,30 +327,26 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 	workers := opts.workers()
 	rep := &Report{}
 
-	// Category table: states first, then events, keyed by their etypes.
+	// Category table: states first, then events, in file order; a state
+	// is keyed by its ID and an event by its etype.
 	var cats []Category
-	stateCat := map[mpe.StateID]int{} // state id -> category index
-	eventCat := map[mpe.EventID]int{} // event id -> category index
+	stateCat := map[int32]int{}
+	eventCat := map[int32]int{}
 	for _, d := range p.stateDefs {
-		sid, ok := mpe.IsStartEtype(d.Aux1)
-		if !ok {
-			return nil, nil, fmt.Errorf("slog2: state def %q has non-start etype %d", d.Name, d.Aux1)
-		}
-		stateCat[sid] = len(cats)
+		stateCat[d.ID] = len(cats)
 		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindState})
 	}
 	for _, d := range p.eventDefs {
-		eid, ok := mpe.IsSoloEtype(d.ID)
-		if !ok {
-			return nil, nil, fmt.Errorf("slog2: event def %q has non-solo etype %d", d.Name, d.ID)
-		}
-		eventCat[eid] = len(cats)
+		eventCat[d.ID] = len(cats)
 		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindEvent})
 	}
 
 	for _, rank := range sortedKeys(p.dropped) {
 		rep.OutOfRange += p.dropped[rank]
 		rep.warnf("rank %d: %d record(s) dropped, rank outside [0,%d)", rank, p.dropped[rank], p.numRanks)
+	}
+	for _, rank := range sortedKeys(p.nonFinite) {
+		rep.warnf("rank %d: %d record(s) dropped, timestamp not finite", rank, p.nonFinite[rank])
 	}
 
 	// Phase 2: per-rank pairing, fanned out over the worker pool. Ranks
@@ -386,29 +356,23 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 	if w := len(ranks); workers > w {
 		workers = w
 	}
-	if workers <= 1 {
-		for i, rank := range ranks {
-			results[i] = processRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(ranks) {
-						return
-					}
-					rank := ranks[i]
-					results[i] = processRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat)
+	var next int64 = -1
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(atomic.AddInt64(&next, 1))
+				if i >= len(ranks) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				rank := ranks[i]
+				results[i] = processRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat)
+			}
+		}()
 	}
+	wg.Wait()
 
 	// Merge rank results in rank order. Per-rank slices are already in
 	// (time, sequence) order, so concatenation yields the global
@@ -420,79 +384,41 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 	}
 	states := make([]State, 0, nStates)
 	events := make([]Event, 0, nEvents)
-	sendQ := map[msgKey][]endpoint{}
-	recvQ := map[msgKey][]endpoint{}
 	for _, rr := range results {
 		states = append(states, rr.states...)
 		events = append(events, rr.events...)
 		rep.NestingErrors += rr.nesting
 		rep.OutOfRange += rr.badPeers
 		rep.Warnings = append(rep.Warnings, rr.warnings...)
-		// A send key's src and a recv key's dst are the logging rank, so
-		// no two ranks ever contribute to the same map entry.
-		for k, v := range rr.sends {
-			sendQ[k] = v
-		}
-		for k, v := range rr.recvs {
-			recvQ[k] = v
-		}
 	}
 
-	// Phase 3 — the only cross-rank join: pair sends with receives FIFO
-	// per (src, dst, tag), MPE's matching rule ("called in pairs with
-	// matching tag number and length"). Keys are visited in sorted order
-	// so arrows and warnings come out deterministically.
-	keySet := map[msgKey]struct{}{}
-	for k := range sendQ {
-		keySet[k] = struct{}{}
-	}
-	for k := range recvQ {
-		keySet[k] = struct{}{}
-	}
-	keys := make([]msgKey, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		return a.tag < b.tag
-	})
-	nArrows := 0
-	for _, k := range keys {
-		nArrows += min(len(sendQ[k]), len(recvQ[k]))
-	}
-	arrows := make([]Arrow, 0, nArrows)
-	for _, k := range keys {
-		sends, recvs := sendQ[k], recvQ[k]
+	// Phase 3 — the only cross-rank join: clog2.Messages pairs sends with
+	// receives FIFO per (src, dst, tag) in key order, so arrows and
+	// warnings come out deterministically.
+	arrows := make([]Arrow, 0, p.sends)
+	var recvWarnings []string
+	p.msgs.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
 		n := min(len(sends), len(recvs))
-		for i := 0; i < n; i++ {
-			if sends[i].size != recvs[i].size {
-				rep.warnf("message %d->%d tag %d: send size %d != recv size %d",
-					k.src, k.dst, k.tag, sends[i].size, recvs[i].size)
+		for i, s := range sends[:n] {
+			if r := recvs[i]; s.Size != r.Size {
+				rep.warnf("message %d->%d tag %d: send size %d != recv size %d", k.Src, k.Dst, k.Tag, s.Size, r.Size)
 			}
 			arrows = append(arrows, Arrow{
-				SrcRank: k.src, DstRank: k.dst,
-				Start: sends[i].t, End: recvs[i].t,
-				Tag: k.tag, Size: sends[i].size,
+				SrcRank: int(k.Src), DstRank: int(k.Dst),
+				Start: s.Time, End: recvs[i].Time,
+				Tag: int(k.Tag), Size: int(s.Size),
 			})
 		}
 		if extra := len(sends) - n; extra > 0 {
 			rep.UnmatchedSends += extra
-			rep.warnf("message %d->%d tag %d: %d send(s) without receive", k.src, k.dst, k.tag, extra)
+			rep.warnf("message %d->%d tag %d: %d send(s) without receive", k.Src, k.Dst, k.Tag, extra)
 		}
-	}
-	for _, k := range keys {
-		if extra := len(recvQ[k]) - len(sendQ[k]); extra > 0 {
+		if extra := len(recvs) - n; extra > 0 {
 			rep.UnmatchedRecvs += extra
-			rep.warnf("message %d->%d tag %d: %d receive(s) without send", k.src, k.dst, k.tag, extra)
+			recvWarnings = append(recvWarnings, fmt.Sprintf("message %d->%d tag %d: %d receive(s) without send", k.Src, k.Dst, k.Tag, extra))
 		}
-	}
+	})
+	rep.Warnings = append(rep.Warnings, recvWarnings...)
 	slices.SortStableFunc(arrows, func(a, b Arrow) int { return cmpLess(a.Start, b.Start) })
 
 	rep.EqualDrawables = countEqualDrawables(states, arrows, events, rep)

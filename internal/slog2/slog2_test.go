@@ -2,7 +2,9 @@ package slog2
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,22 +159,100 @@ func TestConvertNestedStates(t *testing.T) {
 	}
 }
 
+// The converter pairs states and matches messages through clog2, so an
+// ill-formed log reads the way the fold and the analyzer read it: an end
+// closes the innermost open state and names the occurrence (a mismatch is
+// counted), messages match per (src, dst, tag), a rank is sorted before
+// pairing, and a non-finite timestamp is dropped with a warning.
 func TestConvertNestingErrors(t *testing.T) {
-	b := newCLOG(1)
-	b.defState(1, "A", "red")
-	b.defState(2, "B", "green")
-	b.blocks[0] = append(b.blocks[0],
-		clog2.Record{Type: clog2.RecCargoEvt, Time: 1, Rank: 0, ID: 2}, // A start
-		clog2.Record{Type: clog2.RecCargoEvt, Time: 2, Rank: 0, ID: 5}, // B end (mismatch)
-		clog2.Record{Type: clog2.RecCargoEvt, Time: 3, Rank: 0, ID: 5}, // B end, stack empty
-		clog2.Record{Type: clog2.RecCargoEvt, Time: 4, Rank: 0, ID: 4}, // B start, never closed
-	)
-	_, rep, err := Convert(b.file(), ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
+	evt := func(rank int32, time float64, etype int32) clog2.Record {
+		return clog2.Record{Type: clog2.RecCargoEvt, Time: time, Rank: rank, ID: etype}
 	}
-	if rep.NestingErrors != 3 {
-		t.Fatalf("nesting errors = %d, want 3 (%v)", rep.NestingErrors, rep.Warnings)
+	type state struct {
+		rank, cat  int
+		start, end float64
+	}
+	type arrow struct {
+		src, dst   int
+		start, end float64
+	}
+	for _, c := range []struct {
+		name                 string
+		ranks                int
+		recs                 []clog2.Record
+		nesting, sends, recv int
+		states               []state
+		arrows               []arrow
+		warning              string
+	}{{
+		name:  "unpaired",
+		ranks: 1,
+		recs: []clog2.Record{
+			evt(0, 1, 2), // A start
+			evt(0, 2, 5), // B end (mismatch)
+			evt(0, 3, 5), // B end, stack empty
+			evt(0, 4, 4), // B start, never closed
+		},
+		nesting: 3,
+		states:  []state{{0, 1, 1, 2}},
+	}, {
+		name:    "mismatched end names the occurrence",
+		ranks:   1,
+		recs:    []clog2.Record{evt(0, 1, 2), evt(0, 1.5, 4), evt(0, 2, 3), evt(0, 3, 5)},
+		nesting: 2,
+		states:  []state{{0, 1, 1, 3}, {0, 0, 1.5, 2}},
+		warning: "state 1 closed while 2 open",
+	}, {
+		name:  "one tag on two rank pairs, one send unmatched",
+		ranks: 3,
+		recs: []clog2.Record{
+			{Type: clog2.RecMsgEvt, Time: 1, Rank: 0, Dir: clog2.DirSend, Aux1: 1, Aux2: 5, Aux3: 8},
+			{Type: clog2.RecMsgEvt, Time: 3, Rank: 1, Dir: clog2.DirRecv, Aux1: 2, Aux2: 5, Aux3: 8},
+			{Type: clog2.RecMsgEvt, Time: 2, Rank: 2, Dir: clog2.DirSend, Aux1: 1, Aux2: 5, Aux3: 8},
+		},
+		sends:   1,
+		arrows:  []arrow{{2, 1, 2, 3}},
+		warning: "message 0->1 tag 5: 1 send(s) without receive",
+	}, {
+		name:  "out-of-order rank with a NaN end",
+		ranks: 1,
+		recs: []clog2.Record{
+			evt(0, 3, 2), evt(0, math.NaN(), 3), evt(0, 4, 3),
+			evt(0, 1, 2), evt(0, 2, 3),
+		},
+		states:  []state{{0, 0, 1, 2}, {0, 0, 3, 4}},
+		warning: "rank 0: 1 record(s) dropped, timestamp not finite",
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			b := newCLOG(c.ranks)
+			b.defState(1, "A", "red")
+			b.defState(2, "B", "green")
+			for _, r := range c.recs {
+				b.blocks[r.Rank] = append(b.blocks[r.Rank], r)
+			}
+			f, rep, err := Convert(b.file(), ConvertOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.NestingErrors != c.nesting || rep.UnmatchedSends != c.sends || rep.UnmatchedRecvs != c.recv {
+				t.Errorf("nesting %d, unmatched sends %d, recvs %d; want %d, %d, %d (%q)",
+					rep.NestingErrors, rep.UnmatchedSends, rep.UnmatchedRecvs, c.nesting, c.sends, c.recv, rep.Warnings)
+			}
+			var states []state
+			for _, r := range f.States(math.Inf(-1), math.Inf(1)) {
+				states = append(states, state{r.D.Rank, r.D.Cat, r.D.Start, r.D.End})
+			}
+			var arrows []arrow
+			for _, r := range f.Arrows(math.Inf(-1), math.Inf(1)) {
+				arrows = append(arrows, arrow{r.D.SrcRank, r.D.DstRank, r.D.Start, r.D.End})
+			}
+			if !slices.Equal(states, c.states) || !slices.Equal(arrows, c.arrows) {
+				t.Errorf("states %v, arrows %v; want %v, %v", states, arrows, c.states, c.arrows)
+			}
+			if c.warning != "" && !slices.ContainsFunc(rep.Warnings, func(w string) bool { return strings.Contains(w, c.warning) }) {
+				t.Errorf("no warning %q in %q", c.warning, rep.Warnings)
+			}
+		})
 	}
 }
 

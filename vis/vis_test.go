@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/clog2"
+	"repro/internal/jumpshot"
 	"repro/internal/lab2"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -244,7 +245,10 @@ func TestPipelineToRepoOutOfRangeRankServes(t *testing.T) {
 // refused ("vis: writing profile: json: unsupported value: +Inf"). Both
 // now read the log through one fold, which skips such records: the log
 // profiles, registers and serves, and the analyzer trusts the sidecar
-// because the two record counts agree.
+// because the two record counts agree. The converter pairs states by the
+// same policy, so the timeline holds the profile's two states where it
+// used to pair rank 1's start with its NaN end and report three nesting
+// errors.
 func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
 	evt := func(rank int32, time float64, etype int32) clog2.Record {
 		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: time, ID: etype}
@@ -283,8 +287,22 @@ func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
 	}
 
 	repoDir := t.TempDir()
-	if _, _, _, err := vis.PipelineToRepo(clog, repoDir, "inf", vis.ConvertOptions{}); err != nil {
+	_, crep, _, err := vis.PipelineToRepo(clog, repoDir, "inf", vis.ConvertOptions{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	sf, err := vis.ReadSLOG2(filepath.Join(repoDir, "inf.slog2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total float64
+	states := sf.States(math.Inf(-1), math.Inf(1))
+	for _, r := range states {
+		total += r.D.Duration()
+	}
+	if len(states) != 2 || total != prof.States[0].TotalSec || crep.NestingErrors != 0 {
+		t.Fatalf(".slog2: %d state(s) over %gs and %d nesting error(s); want the profile's 2 over %gs and none (%q)",
+			len(states), total, crep.NestingErrors, prof.States[0].TotalSec, crep.Warnings)
 	}
 	rep, err := analyze.AnalyzeFile(filepath.Join(repoDir, "inf.clog2"), analyze.Options{})
 	if err != nil {
@@ -309,5 +327,44 @@ func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tile of the registered trace: status %d, body %.200q", resp.StatusCode, body)
+	}
+}
+
+// A receive stamped +Inf used to become an arrow ending at +Inf: the file's
+// End was +Inf and the SVG drew NaN and Inf coordinates. The converter now
+// drops the record, as the fold does, and the send is left unmatched.
+func TestConvertInfiniteReceive(t *testing.T) {
+	var raw bytes.Buffer
+	w, err := clog2.NewWriter(&raw, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range [][]clog2.Record{{
+		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"},
+		{Type: clog2.RecBareEvt, Rank: 0, Time: 0, ID: 2},
+		{Type: clog2.RecMsgEvt, Rank: 0, Time: 0.5, Dir: clog2.DirSend, Aux1: 1, Aux2: 1, Aux3: 8},
+		{Type: clog2.RecBareEvt, Rank: 0, Time: 1, ID: 3},
+	}, {
+		{Type: clog2.RecBareEvt, Rank: 1, Time: 0, ID: 2},
+		{Type: clog2.RecMsgEvt, Rank: 1, Time: math.Inf(1), Dir: clog2.DirRecv, Aux1: 0, Aux2: 1, Aux3: 8},
+		{Type: clog2.RecBareEvt, Rank: 1, Time: 2, ID: 3},
+	}} {
+		if err := w.WriteBlock(blk[len(blk)-1].Rank, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, rep, err := vis.Convert(&raw, vis.ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Start != 0 || f.End != 2 || rep.Arrows != 0 || rep.UnmatchedSends != 1 {
+		t.Fatalf("file over [%v, %v], %d arrow(s), %d unmatched send(s); want [0, 2], none and 1",
+			f.Start, f.End, rep.Arrows, rep.UnmatchedSends)
+	}
+	if svg := jumpshot.AppendSVG(nil, f, vis.View{}); bytes.Contains(svg, []byte("NaN")) || bytes.Contains(svg, []byte("Inf")) {
+		t.Fatalf("SVG draws a non-finite coordinate: %.300q", svg)
 	}
 }
