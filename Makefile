@@ -132,14 +132,15 @@ lines:
 # encoder under it; the SLOG-2 codec both ways on a synthesized file of
 # 200 000 drawables with cargo (MB/s, allocs/op: one to write, under four
 # a frame to read); what a pilot-serve tile-cache miss costs (render +
-# ETag + gzip, MB/s and B/op); and the three rows bench/ does not measure
-# yet: a state pair written through to the spill, one live-metrics
-# observation with the collector on and off, and a raw round trip per rank
-# substrate (in-process, unix socket, TCP; the last two spawn the test
-# binary as rank 1); a call-site location both ways (frame chain,
-# runtime.Callers); last, the layer-knockout rows of a Pilot round trip
-# (check level, MPE log, spill), at a fixed count because a logged row
-# keeps its log in memory. bench-smoke runs every one of them once
+# ETag + gzip, MB/s and B/op); a 1 % windowed profile through the block
+# table (records decoded and stepped over an op); and the three rows
+# bench/ does not measure yet: a state pair written through to the spill,
+# one live-metrics observation with the collector on and off, and a raw
+# round trip per rank substrate (in-process, unix socket, TCP; the last
+# two spawn the test binary as rank 1); a call-site location both ways
+# (frame chain, runtime.Callers); last, the layer-knockout rows of a Pilot
+# round trip (check level, MPE log, spill), at a fixed count because a
+# logged row keeps its log in memory. bench-smoke runs every one of them once
 # (-benchtime 1x), so a benchmark whose body fails at run time fails
 # `make ci` instead of rotting.
 bench-smoke: BENCHTIME = -benchtime 1x
@@ -149,7 +150,7 @@ bench bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkWrite|BenchmarkRead' -benchmem $(BENCHTIME) ./internal/slog2/
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem $(BENCHTIME) ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem $(BENCHTIME) ./internal/mpe/
-	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem $(BENCHTIME) ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved|BenchmarkWindowedProfile' -benchmem $(BENCHTIME) ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdTile' -benchmem $(BENCHTIME) ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkCallerLoc' -benchmem $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .

@@ -19,6 +19,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,21 +31,32 @@ import (
 	"repro/internal/idx"
 )
 
-func main() {
-	rank := flag.Int("rank", -1, "only records from this rank")
-	typ := flag.String("type", "", "only records of this type (StateDef, CargoEvt, MsgEvt, ...)")
-	defsOnly := flag.Bool("defs", false, "only definition records")
-	t0 := flag.Float64("t0", math.Inf(-1), "only records at or after this timestamp (defs always pass)")
-	t1 := flag.Float64("t1", math.Inf(1), "only records at or before this timestamp (defs always pass)")
-	channel := flag.Int("channel", -1, "only message events on this channel (tag)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] in.clog2")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command over args, writing to stdout and stderr; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("clogdump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rank := fs.Int("rank", -1, "only records from this rank")
+	typ := fs.String("type", "", "only records of this type (StateDef, CargoEvt, MsgEvt, ...)")
+	defsOnly := fs.Bool("defs", false, "only definition records")
+	t0 := fs.Float64("t0", math.Inf(-1), "only records at or after this timestamp (defs always pass)")
+	t1 := fs.Float64("t1", math.Inf(1), "only records at or before this timestamp (defs always pass)")
+	channel := fs.Int("channel", -1, "only message events on this channel (tag)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *t1 < *t0 {
-		fmt.Fprintf(os.Stderr, "clogdump: empty time window [%g,%g]\n", *t0, *t1)
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] in.clog2")
+		return 2
+	}
+	if err := idx.CheckWindow(*t0, *t1); err != nil {
+		fmt.Fprintln(stderr, "clogdump:", err)
+		return 2
 	}
 
 	q := idx.Query{T0: *t0, T1: *t1, Rank: int32(*rank), Chan: int32(*channel), IncludeDefs: true}
@@ -64,10 +76,11 @@ func main() {
 		}
 		return true
 	}
-	if err := dump(os.Stdout, os.Stderr, flag.Arg(0), q, match); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := dump(stdout, stderr, fs.Arg(0), q, match); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }
 
 // dump writes the records of the log at path that match to w, through

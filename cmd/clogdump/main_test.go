@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/clog2"
@@ -92,5 +93,25 @@ func TestDumpTornLog(t *testing.T) {
 	}
 	if warn.Len() == 0 {
 		t.Error("no warning for a torn log")
+	}
+}
+
+// A NaN bound compares false with every time, so it used to read as no
+// bound and dump every record; it is refused by name, as an inverted or
+// wrong-side infinite window is, and a window that is only open on one
+// side still dumps.
+func TestRunRefusesNaNWindow(t *testing.T) {
+	golden := filepath.Join("..", "..", "testdata", "golden", "thumbnail.clog2")
+	for _, args := range [][]string{
+		{"-t0", "NaN"}, {"-t1", "NaN"}, {"-t0", "NaN", "-t1", "-5"}, {"-t0", "0", "-t1", "-5"}, {"-t0", "+Inf"}, {"-t1", "-Inf"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(append(args, golden), &out, &errOut); code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "empty time window") {
+			t.Errorf("clogdump %v: exit %d, stdout %q, stderr %q; want 2, nothing, the window named", args, code, out.String(), errOut.String())
+		}
+	}
+	var out bytes.Buffer
+	if code := run([]string{"-t0", "-Inf", "-t1", "+Inf", golden}, &out, io.Discard); code != 0 || !strings.HasSuffix(out.String(), " record(s)\n") {
+		t.Errorf("clogdump over (-Inf, +Inf): exit %d, output ends %q", code, out.String()[max(0, out.Len()-30):])
 	}
 }

@@ -22,113 +22,113 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
 	"repro/internal/analyze"
+	"repro/internal/idx"
 	"repro/vis"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pilot-analyze:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pilot-analyze [-json] [-o out] [-t0 T] [-t1 T] [-svg out.svg] [-html out.html] run.clog2")
-	fmt.Fprintln(os.Stderr, "       pilot-analyze -diff [-json] [-o out] clean.clog2 faulted.clog2")
-	os.Exit(2)
-}
-
-func emit(data []byte, out string) {
-	if out == "" {
-		os.Stdout.Write(data)
-		return
+// run is the command over args, writing to stdout and stderr; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pilot-analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	diff := fs.Bool("diff", false, "diff two runs by per-rank op sequence instead of analyzing one")
+	asJSON := fs.Bool("json", false, "emit the verdict as JSON instead of text")
+	out := fs.String("o", "", "write the report to this file (default: stdout)")
+	t0 := fs.Float64("t0", math.Inf(-1), "analyze only records at or after this timestamp")
+	t1 := fs.Float64("t1", math.Inf(1), "analyze only records at or before this timestamp")
+	svgOut := fs.String("svg", "", "also render the timeline with findings annotated to this SVG file")
+	htmlOut := fs.String("html", "", "also render the interactive timeline with findings annotated to this HTML file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fail(err)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pilot-analyze:", err)
+		return 1
 	}
-}
-
-func main() {
-	diff := flag.Bool("diff", false, "diff two runs by per-rank op sequence instead of analyzing one")
-	asJSON := flag.Bool("json", false, "emit the verdict as JSON instead of text")
-	out := flag.String("o", "", "write the report to this file (default: stdout)")
-	t0 := flag.Float64("t0", math.Inf(-1), "analyze only records at or after this timestamp")
-	t1 := flag.Float64("t1", math.Inf(1), "analyze only records at or before this timestamp")
-	svgOut := flag.String("svg", "", "also render the timeline with findings annotated to this SVG file")
-	htmlOut := flag.String("html", "", "also render the interactive timeline with findings annotated to this HTML file")
-	flag.Parse()
+	usage := func() int {
+		fmt.Fprintln(stderr, "usage: pilot-analyze [-json] [-o out] [-t0 T] [-t1 T] [-svg out.svg] [-html out.html] run.clog2")
+		fmt.Fprintln(stderr, "       pilot-analyze -diff [-json] [-o out] clean.clog2 faulted.clog2")
+		return 2
+	}
+	// emit writes rep as text or JSON to -o or stdout and returns the exit
+	// code: 3 when found, that is when rep reports findings or divergences.
+	emit := func(rep interface {
+		JSON() ([]byte, error)
+		Format() string
+	}, found bool) int {
+		var data []byte
+		if !*asJSON {
+			data = []byte(rep.Format())
+		} else if j, err := rep.JSON(); err != nil {
+			return fail(err)
+		} else {
+			data = j
+		}
+		if *out == "" {
+			stdout.Write(data)
+		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
+			return fail(err)
+		}
+		if found {
+			return 3
+		}
+		return 0
+	}
 
 	if *diff {
-		if flag.NArg() != 2 || *svgOut != "" || *htmlOut != "" {
-			usage()
+		if fs.NArg() != 2 || *svgOut != "" || *htmlOut != "" {
+			return usage()
 		}
-		rep, err := analyze.DiffFiles(flag.Arg(0), flag.Arg(1), analyze.DiffOptions{})
+		rep, err := analyze.DiffFiles(fs.Arg(0), fs.Arg(1), analyze.DiffOptions{})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		var data []byte
-		if *asJSON {
-			data, err = rep.JSON()
-			if err != nil {
-				fail(err)
-			}
-		} else {
-			data = []byte(rep.Format())
-		}
-		emit(data, *out)
-		if !rep.Identical {
-			os.Exit(3)
-		}
-		return
+		return emit(rep, !rep.Identical)
 	}
 
-	if flag.NArg() != 1 {
-		usage()
+	if fs.NArg() != 1 {
+		return usage()
 	}
-	if *t1 < *t0 {
-		fmt.Fprintf(os.Stderr, "pilot-analyze: empty time window [%g,%g]\n", *t0, *t1)
-		os.Exit(2)
+	if err := idx.CheckWindow(*t0, *t1); err != nil {
+		fmt.Fprintln(stderr, "pilot-analyze:", err)
+		return 2
 	}
-	path := flag.Arg(0)
+	path := fs.Arg(0)
 	rep, err := analyze.AnalyzeFile(path, analyze.Options{T0: *t0, T1: *t1})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-
-	var data []byte
-	if *asJSON {
-		data, err = rep.JSON()
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		data = []byte(rep.Format())
+	code := emit(rep, !rep.Clean)
+	if code == 1 || *svgOut == "" && *htmlOut == "" {
+		return code
 	}
-	emit(data, *out)
-
-	if *svgOut != "" || *htmlOut != "" {
-		f, _, err := vis.ConvertFile(path, vis.ConvertOptions{})
-		if err != nil {
-			fail(err)
-		}
-		v := vis.View{Title: path, Annotations: vis.Annotations(rep)}
-		if *svgOut != "" {
-			if err := vis.RenderSVGFile(*svgOut, f, v); err != nil {
-				fail(err)
-			}
-		}
-		if *htmlOut != "" {
-			if err := vis.RenderHTMLFile(*htmlOut, f, v); err != nil {
-				fail(err)
-			}
+	f, _, err := vis.ConvertFile(path, vis.ConvertOptions{})
+	if err != nil {
+		return fail(err)
+	}
+	v := vis.View{Title: path, Annotations: vis.Annotations(rep)}
+	if *svgOut != "" {
+		if err := vis.RenderSVGFile(*svgOut, f, v); err != nil {
+			return fail(err)
 		}
 	}
-
-	if !rep.Clean {
-		os.Exit(3)
+	if *htmlOut != "" {
+		if err := vis.RenderHTMLFile(*htmlOut, f, v); err != nil {
+			return fail(err)
+		}
 	}
+	return code
 }

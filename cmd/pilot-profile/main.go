@@ -21,52 +21,67 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
+	"repro/internal/idx"
 	"repro/internal/stats"
 )
 
-func main() {
-	asJSON := flag.Bool("json", false, "emit the profile as JSON instead of text tables")
-	out := flag.String("o", "", "write the report to this file (default: stdout)")
-	t0 := flag.Float64("t0", math.Inf(-1), "profile only records at or after this timestamp")
-	t1 := flag.Float64("t1", math.Inf(1), "profile only records at or before this timestamp")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pilot-profile [-json] [-o out] [-t0 T] [-t1 T] run.clog2")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command over args, writing to stdout and stderr; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pilot-profile", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit the profile as JSON instead of text tables")
+	out := fs.String("o", "", "write the report to this file (default: stdout)")
+	t0 := fs.Float64("t0", math.Inf(-1), "profile only records at or after this timestamp")
+	t1 := fs.Float64("t1", math.Inf(1), "profile only records at or before this timestamp")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *t1 < *t0 {
-		fmt.Fprintf(os.Stderr, "pilot-profile: empty time window [%g,%g]\n", *t0, *t1)
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: pilot-profile [-json] [-o out] [-t0 T] [-t1 T] run.clog2")
+		return 2
+	}
+	if err := idx.CheckWindow(*t0, *t1); err != nil {
+		fmt.Fprintln(stderr, "pilot-profile:", err)
+		return 2
 	}
 
-	p, _, err := stats.ComputeProfileFileWindowed(flag.Arg(0), *t0, *t1)
+	p, _, err := stats.ComputeProfileFileWindowed(fs.Arg(0), *t0, *t1)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pilot-profile:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pilot-profile:", err)
+		return 1
 	}
 
 	var data []byte
 	if *asJSON {
 		data, err = p.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pilot-profile:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pilot-profile:", err)
+			return 1
 		}
 	} else {
 		data = []byte(p.Format())
 	}
 
 	if *out == "" {
-		os.Stdout.Write(data)
-		return
+		stdout.Write(data)
+		return 0
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "pilot-profile:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pilot-profile:", err)
+		return 1
 	}
+	return 0
 }

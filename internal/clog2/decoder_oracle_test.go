@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -589,6 +590,61 @@ func TestStalledSourceEndsInErrNoProgress(t *testing.T) {
 		d := drain(NewBlockReader(&stallReader{valid[:cut]}))
 		if !errors.Is(d.err, io.ErrNoProgress) {
 			t.Fatalf("stall after %d bytes: %v", cut, d.err)
+		}
+	}
+}
+
+// NextRunIn keeps exactly the records a full decode yields that are not
+// bare, cargo or message records stamped outside its window, in order,
+// however the source hands its bytes over (one at a time, records
+// straddle every refill of the decode buffer and take the path that
+// decodes them and drops them after), and the counts it reports add up to
+// each block's declared count.
+func TestNextRunInKeepsWhatTheWindowKeeps(t *testing.T) {
+	data := bigLog(t, 5000, 3)
+	full, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	for _, w := range [][2]float64{{1e-3, 2e-3}, {-inf, 5e-4}, {4e-3, inf}, {3e-3, 3e-3}, {1, 2}, {-inf, inf}} {
+		for _, sh := range sourceShapes[:3] {
+			br, err := NewBlockReader(sh.wrap(bytes.NewReader(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]Record, 0, 700)
+			for bi, b := range full.Blocks {
+				var want, got []Record
+				for _, r := range b.Records {
+					switch r.Type {
+					case RecBareEvt, RecCargoEvt, RecMsgEvt:
+						if r.Time < w[0] || r.Time > w[1] {
+							continue
+						}
+					}
+					want = append(want, r)
+				}
+				read := int32(0)
+				for last := false; !last; {
+					var run Block
+					var n int32
+					if run, n, last, err = br.NextRunIn(buf[:0], w[0], w[1]); err != nil {
+						t.Fatalf("window %v, %s, block %d: %v", w, sh.name, bi, err)
+					}
+					if run.Rank != b.Rank || len(run.Records) > int(n) {
+						t.Fatalf("window %v, %s, block %d: a run of %d records of rank %d read %d", w, sh.name, bi, len(run.Records), run.Rank, n)
+					}
+					read += n
+					got = append(got, run.Records...)
+				}
+				if int(read) != len(b.Records) || !slices.Equal(got, want) {
+					t.Fatalf("window %v, %s, block %d: read %d of %d records, kept %d, want %d", w, sh.name, bi, read, len(b.Records), len(got), len(want))
+				}
+			}
+			if _, _, _, err := br.NextRunIn(buf[:0], w[0], w[1]); err != io.EOF {
+				t.Fatalf("window %v, %s: after the last block, err = %v", w, sh.name, err)
+			}
 		}
 	}
 }

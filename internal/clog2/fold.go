@@ -88,17 +88,17 @@ func (e *Etypes) nameOf(id int32) string {
 type Stack struct{ open []Opened }
 
 // Opened is one open state: the state its start named, when it started,
-// and Ref, which the caller chooses (the converter keeps its start
-// record's index there to find its cargo; the fold ignores it).
+// and Ref, which the caller chooses (the converter keeps where its start
+// record's cargo lies there; the fold ignores it).
 type Opened struct {
 	ID       int32
 	Start    float64
-	Ref      int
+	Ref      uint64
 	childSec float64
 }
 
 // Push opens state id at t.
-func (s *Stack) Push(id int32, t float64, ref int) {
+func (s *Stack) Push(id int32, t float64, ref uint64) {
 	s.open = append(s.open, Opened{ID: id, Start: t, Ref: ref})
 }
 
@@ -139,25 +139,55 @@ type MsgHalf struct {
 }
 
 // Messages holds message halves by key until Match pairs them.
-type Messages struct{ sends, recvs map[MsgKey][]MsgHalf }
+type Messages struct{ sends, recvs queues }
+
+// queues is one direction's halves by key. last is the queue Add filed a
+// half into most recently, under lastKey: a rank's halves run to a few
+// keys, so most Adds find their queue without a map lookup.
+type queues struct {
+	byKey   map[MsgKey]*[]MsgHalf
+	lastKey MsgKey
+	last    *[]MsgHalf
+}
 
 // Add files a half that rank logged with peer: a send under (rank, peer,
 // tag), a receive under (peer, rank, tag).
 func (m *Messages) Add(rank, peer, tag int32, dir uint8, h MsgHalf) {
-	q, k := &m.recvs, MsgKey{peer, rank, tag}
 	if dir == DirSend {
-		q, k = &m.sends, MsgKey{rank, peer, tag}
+		m.sends.add(MsgKey{rank, peer, tag}, h)
+	} else {
+		m.recvs.add(MsgKey{peer, rank, tag}, h)
 	}
-	if *q == nil {
-		*q = map[MsgKey][]MsgHalf{}
+}
+
+func (q *queues) add(k MsgKey, h MsgHalf) {
+	hs := q.last
+	if hs == nil || k != q.lastKey {
+		if hs = q.byKey[k]; hs == nil {
+			if q.byKey == nil {
+				q.byKey = map[MsgKey]*[]MsgHalf{}
+			}
+			hs = new([]MsgHalf)
+			q.byKey[k] = hs
+		}
+		q.lastKey, q.last = k, hs
 	}
-	hs := (*q)[k]
-	if len(hs) == cap(hs) {
+	if len(*hs) == cap(*hs) {
 		// Double, where append would grow a long queue by a quarter and
 		// allocate five times its final size on the way.
-		hs = slices.Grow(hs, max(len(hs), 16))
+		grown := make([]MsgHalf, len(*hs), 2*len(*hs)+16)
+		copy(grown, *hs)
+		*hs = grown
 	}
-	(*q)[k] = append(hs, h)
+	*hs = append(*hs, h)
+}
+
+// get returns the halves filed under k, nil if none.
+func (q *queues) get(k MsgKey) []MsgHalf {
+	if hs := q.byKey[k]; hs != nil {
+		return *hs
+	}
+	return nil
 }
 
 // Match pairs message halves first in, first out per key, in time order:
@@ -166,28 +196,39 @@ func (m *Messages) Add(rank, peer, tag int32, dir uint8, h MsgHalf) {
 // time order: sends[i] and recvs[i] are a matched pair for every i below
 // the shorter length, and what the longer side holds past it is
 // unmatched. A key's halves are sorted, stably, only when they were added
-// out of time order.
+// out of time order. The slices stay valid, and in that order, after
+// visit returns, until the next Add: the converter merges the keys' runs
+// of sends into one time order after the walk, which is right only
+// because each run arrives sorted.
 func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
-	keys := make([]MsgKey, 0, len(m.sends)+len(m.recvs))
-	for k := range m.sends {
+	keys := make([]MsgKey, 0, len(m.sends.byKey)+len(m.recvs.byKey))
+	for k := range m.sends.byKey {
 		keys = append(keys, k)
 	}
-	for k := range m.recvs {
-		if _, ok := m.sends[k]; !ok {
+	for k := range m.recvs.byKey {
+		if _, ok := m.sends.byKey[k]; !ok {
 			keys = append(keys, k)
 		}
 	}
 	slices.SortFunc(keys, func(a, b MsgKey) int {
 		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Tag, b.Tag))
 	})
-	byTime := func(a, b MsgHalf) int { return cmp.Compare(a.Time, b.Time) }
 	for _, k := range keys {
-		for _, hs := range [][]MsgHalf{m.sends[k], m.recvs[k]} {
-			if !slices.IsSortedFunc(hs, byTime) {
-				slices.SortStableFunc(hs, byTime)
-			}
+		sends, recvs := m.sends.get(k), m.recvs.get(k)
+		sortByTime(sends)
+		sortByTime(recvs)
+		visit(k, sends, recvs)
+	}
+}
+
+// sortByTime sorts hs by time, stably, unless it already is: the one
+// pass a log in time order costs.
+func sortByTime(hs []MsgHalf) {
+	for i := 1; i < len(hs); i++ {
+		if cmp.Less(hs[i].Time, hs[i-1].Time) {
+			slices.SortStableFunc(hs, func(a, b MsgHalf) int { return cmp.Compare(a.Time, b.Time) })
+			return
 		}
-		visit(k, m.sends[k], m.recvs[k])
 	}
 }
 

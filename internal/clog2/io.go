@@ -505,24 +505,45 @@ func (br *BlockReader) header() error {
 // the block's full extent, on earlier runs its end is 0. A buf without
 // capacity could never finish a block and is refused.
 func (br *BlockReader) NextRun(buf []Record) (run Block, last bool, err error) {
+	run, _, last, err = br.NextRunIn(buf, math.Inf(-1), math.Inf(1))
+	return run, last, err
+}
+
+// NextRunIn is NextRun over the inclusive time window [t0, t1]: a bare,
+// cargo or message record stamped outside it (t < t0 || t > t1) is
+// stepped over undecoded, read no further than its type, time and length,
+// and every other record is decoded as NextRun decodes it. The run holds
+// at most cap(buf) of the records kept, consecutive in the block; read is
+// how many of the block's records the call went through, kept and stepped
+// over, so a caller can hold a block to the count it declared. A record
+// whose fixed layout is not whole in the decode buffer is decoded in full
+// and dropped afterwards if it is stamped outside, so which records come
+// back never depends on the buffering. With both bounds
+// infinite nothing is stepped over and read is len(run.Records).
+func (br *BlockReader) NextRunIn(buf []Record, t0, t1 float64) (run Block, read int32, last bool, err error) {
 	if cap(buf) == 0 {
-		return Block{}, false, errors.New("clog2: NextRun needs a buffer with room for a record")
+		return Block{}, 0, false, errors.New("clog2: NextRun needs a buffer with room for a record")
 	}
 	if err := br.header(); err != nil {
-		return Block{}, false, err
+		return Block{}, 0, false, err
 	}
-	k := int32(min(int(br.left), cap(buf)))
-	br.left -= k
-	recs, err := br.d.readRecords(buf[:0], k)
+	var recs []Record
+	if math.IsInf(t0, -1) && math.IsInf(t1, 1) {
+		read = int32(min(int(br.left), cap(buf)))
+		recs, err = br.d.readRecords(buf[:0], read)
+	} else {
+		recs, read, err = br.d.readRecordsIn(buf[:0], br.left, t0, t1)
+	}
+	br.left -= read
 	if last = br.left == 0; last && err == nil {
 		err = br.d.endBlock(br.rank, "block")
 		br.lastEnd = br.d.offset()
 	}
 	if err != nil {
 		br.left = 0
-		return Block{}, false, err
+		return Block{}, 0, false, err
 	}
-	return Block{Rank: br.rank, Records: recs}, last, nil
+	return Block{Rank: br.rank, Records: recs}, read, last, nil
 }
 
 // decodePool holds the decode buffers of readers over a stream: a reader
@@ -557,10 +578,16 @@ func (b *RunBuffer) Free() { runPool.Put(b) }
 // yields into one pooled buffer of RunRecords records, so run.Records is
 // valid until fn returns, and inside fn BlockBounds is as NextRun left it.
 func (br *BlockReader) Each(fn func(run Block) error) error {
+	return br.EachIn(math.Inf(-1), math.Inf(1), fn)
+}
+
+// EachIn is Each over NextRunIn's window [t0, t1]: fn gets every run,
+// empty ones included, of the records NextRunIn keeps.
+func (br *BlockReader) EachIn(t0, t1 float64, fn func(run Block) error) error {
 	buf := NewRunBuffer()
 	defer buf.Free()
 	for {
-		run, _, err := br.NextRun(buf[:0])
+		run, _, _, err := br.NextRunIn(buf[:0], t0, t1)
 		if err == io.EOF {
 			return nil
 		}
@@ -712,6 +739,37 @@ func (d *decoder) readRecords(recs []Record, n int32) ([]Record, error) {
 		}
 	}
 	return recs, nil
+}
+
+// readRecordsIn is readRecords over the window [t0, t1], up to n records
+// and until recs is full: a bare, cargo or message record stamped outside
+// the window is stepped over when its fixed layout is buffered whole, and
+// dropped after readRecord otherwise. read counts both kinds.
+func (d *decoder) readRecordsIn(recs []Record, n int32, t0, t1 float64) (_ []Record, read int32, err error) {
+	for ; read < n && len(recs) < cap(recs); read++ {
+		if b := d.buf[d.r:d.w]; len(b) >= 9 { // type and time
+			// A record readRecord would refuse (a strict decoder's long
+			// cargo) is left to it.
+			if t := leF64(b[1:]); (t < t0 || t > t1) && RecType(b[0]) != RecTimeShift {
+				if size := TimedSize(b); size > 0 && (size <= MaxTimedRecord || !d.strict) {
+					d.r += size
+					continue
+				}
+			}
+		}
+		recs = recs[:len(recs)+1]
+		r := &recs[len(recs)-1]
+		if err := d.readRecord(r); err != nil {
+			return nil, read, err
+		}
+		if r.Time < t0 || r.Time > t1 {
+			switch r.Type {
+			case RecBareEvt, RecCargoEvt, RecMsgEvt:
+				recs = recs[:len(recs)-1]
+			}
+		}
+	}
+	return recs, read, nil
 }
 
 // readBlock decodes the n records a block header declared into buf's

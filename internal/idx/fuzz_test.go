@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -40,9 +41,13 @@ func fuzzSeedLog(f *testing.F) []byte {
 // FuzzReadIndex asserts the table and footer decoder never panics or
 // over-allocates on hostile bytes; that anything it accepts re-encodes to
 // the bytes it was read from (the format has exactly one encoding per
-// table); and that every table it accepts either passes scan's
-// checked reading of all its blocks, reading then what the plain scan
-// reads, or is caught by it as corrupt.
+// table); that every table it accepts either passes scan's checked
+// reading of all its blocks, reading then what the plain scan reads, or
+// is caught by it as corrupt; and, for every log the plain scan reads to
+// its end, that windows derived from the input (infinite bounds, record
+// times, NaN ones among them) are refused by CheckWindow or answered, by
+// the table's selection and by the degraded scan alike, with exactly the
+// records the plain scan keeps under Matches.
 func FuzzReadIndex(f *testing.F) {
 	valid := fuzzSeedLog(f)
 	f.Add(valid)
@@ -62,43 +67,135 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(restamp(bigCounts))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		table, err := clog2.ReadTable(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
+		// The records the plain scan reads, when it reads to the end-log
+		// marker.
+		var plain []clog2.Record
+		br, err := clog2.NewBlockReader(bytes.NewReader(data))
+		if err == nil {
+			err = br.Each(func(b clog2.Block) error {
+				plain = append(plain, b.Records...)
+				return nil
+			})
+		}
+		decoded := err == nil
+
+		var ix *Index
+		if table, err := clog2.ReadTable(bytes.NewReader(data), int64(len(data))); err != nil {
 			if !errors.Is(err, clog2.ErrNoTable) {
 				t.Fatalf("ReadTable failed without ErrNoTable: %v", err)
 			}
-			return
-		}
-		if re := clog2.AppendTable(nil, table); !bytes.Equal(re, data[table.LogSize():]) {
-			t.Fatalf("accepted tail does not re-encode identically:\n in  %x\n out %x", data[table.LogSize():], re)
-		}
-		ix := (*Index)(table)
-		all := make([]int, len(ix.Blocks))
-		for i := range all {
-			all[i] = i
-		}
-		// The records each scan reads, encoded: NaN times compare too.
-		var checked, plain []byte
-		collect := func(dst *[]byte) func(clog2.Block) error {
-			return func(b clog2.Block) error {
-				for i := range b.Records {
-					*dst, _ = clog2.AppendRecord(*dst, &b.Records[i])
+		} else {
+			if re := clog2.AppendTable(nil, table); !bytes.Equal(re, data[table.LogSize():]) {
+				t.Fatalf("accepted tail does not re-encode identically:\n in  %x\n out %x", data[table.LogSize():], re)
+			}
+			ix = (*Index)(table)
+			all := make([]int, len(ix.Blocks))
+			for i := range all {
+				all[i] = i
+			}
+			var checked []clog2.Record
+			if err := scan(bytes.NewReader(data), ix, all, MatchAll(), collectInto(&checked)); err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("the checked scan of an accepted table failed without ErrCorrupt: %v", err)
 				}
-				return nil
+				ix = nil
+			} else if !decoded || !bytes.Equal(encode(checked), encode(plain)) {
+				t.Fatalf("the table passed the checked scan of %d records, the plain scan read %d (decoded to the end: %v)", len(checked), len(plain), decoded)
 			}
 		}
-		if err := scan(bytes.NewReader(data), ix, all, collect(&checked)); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("the checked scan of an accepted table failed without ErrCorrupt: %v", err)
-			}
-			return
-		}
-		br, err := clog2.NewBlockReader(bytes.NewReader(data))
-		if err == nil {
-			err = br.Each(collect(&plain))
-		}
-		if err != nil || !bytes.Equal(checked, plain) {
-			t.Fatalf("the table passed the checked scan of %d bytes of records, the plain scan read %d (%v)", len(checked), len(plain), err)
+		if decoded {
+			fuzzWindows(t, data, ix, plain)
 		}
 	})
+}
+
+// collectInto appends every record a walk hands over to *dst.
+func collectInto(dst *[]clog2.Record) func(clog2.Block) error {
+	return func(b clog2.Block) error {
+		*dst = append(*dst, b.Records...)
+		return nil
+	}
+}
+
+// encode is recs as AppendRecord writes them, so that NaN times compare.
+func encode(recs []clog2.Record) []byte {
+	var out []byte
+	for i := range recs {
+		out, _ = clog2.AppendRecord(out, &recs[i])
+	}
+	return out
+}
+
+// fuzzWindows walks data, which the plain scan read to its end as plain,
+// over windows derived from it: through ix's selection when ix is a table
+// that passed the checked scan, and by the degraded scan.
+func fuzzWindows(t *testing.T, data []byte, ix *Index, plain []clog2.Record) {
+	seed := crc32.ChecksumIEEE(data)
+	bound := func(k uint32) float64 {
+		switch k % 4 {
+		case 0:
+			return math.Inf(-1)
+		case 1:
+			return math.Inf(1)
+		}
+		if len(plain) == 0 {
+			return 0
+		}
+		t := plain[int(k/4)%len(plain)].Time
+		if k%4 == 3 && !math.IsNaN(t) && !math.IsInf(t, 0) {
+			t += 1e-9 * (1 + math.Abs(t))
+		}
+		return t
+	}
+	for w := uint32(0); w < 6; w++ {
+		q := MatchAll()
+		q.IncludeDefs = true
+		q.T0, q.T1 = bound(seed>>(w*5)+w), bound(seed>>(w*3)+7*w+1)
+		if err := CheckWindow(q.T0, q.T1); err != nil {
+			if !math.IsNaN(q.T0) && !math.IsNaN(q.T1) && q.T0 <= q.T1 && !math.IsInf(q.T0, 1) && !math.IsInf(q.T1, -1) {
+				t.Fatalf("window [%v,%v] refused: %v", q.T0, q.T1, err)
+			}
+			continue
+		}
+		var want []clog2.Record
+		for i := range plain {
+			if q.Matches(&plain[i]) {
+				want = append(want, plain[i])
+			}
+		}
+		answer := func(how string, handed []clog2.Record) {
+			var got []clog2.Record
+			for i := range handed {
+				r := &handed[i]
+				switch r.Type {
+				case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
+					if r.Time < q.T0 || r.Time > q.T1 {
+						t.Fatalf("window [%v,%v], %s: handed over %v at %v", q.T0, q.T1, how, r.Type, r.Time)
+					}
+				}
+				if q.Matches(r) {
+					got = append(got, *r)
+				}
+			}
+			if !bytes.Equal(encode(got), encode(want)) {
+				t.Fatalf("window [%v,%v], %s: kept %d record(s), the plain scan %d", q.T0, q.T1, how, len(got), len(want))
+			}
+		}
+		if ix != nil {
+			var handed []clog2.Record
+			if err := scan(bytes.NewReader(data), ix, ix.Select(q), q, collectInto(&handed)); err != nil {
+				t.Fatalf("window [%v,%v]: a table the checked scan passed failed the windowed one: %v", q.T0, q.T1, err)
+			}
+			answer("the table's selection", handed)
+		}
+		var handed []clog2.Record
+		br, err := clog2.NewBlockReader(bytes.NewReader(data))
+		if err == nil {
+			err = br.EachIn(q.T0, q.T1, collectInto(&handed))
+		}
+		if err != nil {
+			t.Fatalf("window [%v,%v]: the degraded scan failed where the plain one did not: %v", q.T0, q.T1, err)
+		}
+		answer("the degraded scan", handed)
+	}
 }

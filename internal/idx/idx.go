@@ -11,6 +11,7 @@
 package idx
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/clog2"
@@ -38,6 +39,20 @@ type Query struct {
 // MatchAll returns the query that selects every block.
 func MatchAll() Query {
 	return Query{T0: math.Inf(-1), T1: math.Inf(1), Rank: -1, Chan: -1}
+}
+
+// CheckWindow refuses a time window [t0, t1] that selects nothing by its
+// bounds alone: a NaN bound, which compares false with every time and so
+// would read as no bound at all, a window that ends before it starts, and
+// an infinite bound on the wrong side (t0 = +Inf, t1 = -Inf). An infinite
+// bound on its own side is no bound. Walk and every command that takes a
+// window check it here, so that the records a windowed decoder steps over
+// are exactly those Matches drops for their time.
+func CheckWindow(t0, t1 float64) error {
+	if math.IsNaN(t0) || math.IsNaN(t1) || t1 < t0 || math.IsInf(t0, 1) || math.IsInf(t1, -1) {
+		return fmt.Errorf("empty time window [%g,%g]", t0, t1)
+	}
+	return nil
 }
 
 // Select returns the indices (in file order) of the blocks a scan for q

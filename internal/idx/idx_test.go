@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/clog2"
@@ -71,13 +72,13 @@ func writeLog(t *testing.T) string {
 }
 
 // scanFile is scan over the log at path.
-func scanFile(path string, ix *Index, sel []int, fn func(clog2.Block) error) error {
+func scanFile(path string, ix *Index, sel []int, q Query, fn func(clog2.Block) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return scan(f, ix, sel, fn)
+	return scan(f, ix, sel, q, fn)
 }
 
 func mustLoad(t *testing.T, path string) *Index {
@@ -291,7 +292,7 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 				t.Errorf("query selected all %d blocks; fences pruned nothing", len(sel))
 			}
 			var got []clog2.Record
-			err := scanFile(path, ix, sel, func(b clog2.Block) error {
+			err := scanFile(path, ix, sel, tc.q, func(b clog2.Block) error {
 				for i := range b.Records {
 					if matches(tc.q, &b.Records[i]) {
 						got = append(got, b.Records[i])
@@ -397,7 +398,7 @@ func TestScanFileDetectsLyingIndex(t *testing.T) {
 	scan := func(path string, ix *Index) (runs int, err error) {
 		t.Helper()
 		validates(t, path, ix)
-		err = scanFile(path, ix, ix.Select(MatchAll()), func(clog2.Block) error { runs++; return nil })
+		err = scanFile(path, ix, ix.Select(MatchAll()), MatchAll(), func(clog2.Block) error { runs++; return nil })
 		return runs, err
 	}
 	path := writeLog(t)
@@ -427,13 +428,13 @@ func TestScanFileEmptySelection(t *testing.T) {
 	path := writeLog(t)
 	ix := mustLoad(t, path)
 	called := false
-	if err := scanFile(path, ix, nil, func(clog2.Block) error { called = true; return nil }); err != nil {
+	if err := scanFile(path, ix, nil, MatchAll(), func(clog2.Block) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
 		t.Error("empty selection visited a block")
 	}
-	if err := scanFile(path, ix, []int{len(ix.Blocks)}, func(clog2.Block) error { return nil }); err == nil {
+	if err := scanFile(path, ix, []int{len(ix.Blocks)}, MatchAll(), func(clog2.Block) error { return nil }); err == nil {
 		t.Error("out-of-range selection did not error")
 	}
 }
@@ -713,6 +714,116 @@ func TestWalk(t *testing.T) {
 			}
 		})
 	}
+	t.Run("window", walkWindow)
+}
+
+// walkWindow is TestWalk's matrix for a time window: whatever state the
+// table is in, the windowed walk hands over the records a full decode
+// keeps under q.Matches, in order, and never a bare, cargo or message
+// record stamped outside the window, which the decoder steps over. The
+// window selects the definitions' block only for its definitions, its
+// timed records all lie outside and are stepped over undecoded, and a
+// table that lies about that block is still caught by its count.
+func walkWindow(t *testing.T) {
+	q := MatchAll()
+	q.T0, q.T1, q.IncludeDefs = 1.0, 1.9, true
+	for _, tc := range []struct {
+		name     string
+		sabotage func(t *testing.T, path string, ix *Index)
+		want     Status
+		begins   int
+	}{
+		{"ok", func(*testing.T, string, *Index) {}, StatusOK, 1},
+		{"none", func(t *testing.T, path string, ix *Index) {
+			writeFile(t, path, readFile(t, path)[:(*clog2.Table)(ix).LogSize()])
+		}, StatusDegraded, 1},
+		{"lying outside the window", func(t *testing.T, path string, ix *Index) {
+			ix.Blocks[0].Records++
+			ix.TotalRecords++
+			validates(t, path, ix)
+		}, StatusDegraded, 2},
+		{"lying inside the window", func(t *testing.T, path string, ix *Index) {
+			ix.Blocks[3].Records--
+			ix.TotalRecords--
+			validates(t, path, ix)
+		}, StatusDegraded, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeLog(t)
+			ix := mustLoad(t, path)
+			if sel := ix.Select(q); !reflect.DeepEqual(sel, []int{0, 2, 3}) {
+				t.Fatalf("the window selects blocks %v, the test needs the defs' block and rank 1's", sel)
+			}
+			if b := ix.Blocks[0]; b.TMax >= q.T0 {
+				t.Fatalf("the defs' block has timed records up to %v, inside the window", b.TMax)
+			}
+			var want []clog2.Record
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br, err := clog2.NewBlockReader(f)
+			if err == nil {
+				err = br.Each(func(b clog2.Block) error {
+					for i := range b.Records {
+						if q.Matches(&b.Records[i]) {
+							want = append(want, b.Records[i])
+						}
+					}
+					return nil
+				})
+			}
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			tc.sabotage(t, path, mustLoad(t, path))
+			var handed []clog2.Record
+			begins := 0
+			st, err := Walk(path, q, func(int) func(clog2.Block) error {
+				begins++
+				handed = handed[:0]
+				return func(b clog2.Block) error {
+					handed = append(handed, b.Records...)
+					return nil
+				}
+			})
+			if err != nil || st != tc.want || begins != tc.begins {
+				t.Fatalf("Walk = %v, %v after %d begin(s); want %v, nil, %d", st, err, begins, tc.want, tc.begins)
+			}
+			var got []clog2.Record
+			for i := range handed {
+				r := &handed[i]
+				switch r.Type {
+				case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
+					if r.Time < q.T0 || r.Time > q.T1 {
+						t.Errorf("handed over %v at %v, outside the window", r.Type, r.Time)
+					}
+				}
+				if q.Matches(r) {
+					got = append(got, *r)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("the walk kept %d record(s), the full decode %d, or they differ", len(got), len(want))
+			}
+		})
+	}
+	// A window no record can match by its bounds alone ends the walk
+	// before the log is opened.
+	for _, w := range [][2]float64{{math.NaN(), 1}, {0, math.NaN()}, {2, 1}, {math.Inf(1), math.Inf(1)}, {math.Inf(-1), math.Inf(-1)}} {
+		q := MatchAll()
+		q.T0, q.T1 = w[0], w[1]
+		begins := 0
+		st, err := Walk(filepath.Join(t.TempDir(), "absent.clog2"), q, func(int) func(clog2.Block) error {
+			begins++
+			return func(clog2.Block) error { return nil }
+		})
+		if err == nil || !strings.Contains(err.Error(), "empty time window") || st != StatusDegraded || begins != 0 {
+			t.Errorf("window %v: Walk = %v, %v after %d begin(s); want the window refused by name", w, st, err, begins)
+		}
+	}
 }
 
 // A table that lies about a block of several runs is caught after some
@@ -807,7 +918,7 @@ func TestWalkVisitorErrorEndsTheWalk(t *testing.T) {
 		all[i] = i
 	}
 	f := &failingFile{Reader: bytes.NewReader(goldenThumbnail(t)), n: int(ix.Blocks[1].Offset) + 100}
-	err = scan(f, ix, all, func(clog2.Block) error { return nil })
+	err = scan(f, ix, all, MatchAll(), func(clog2.Block) error { return nil })
 	if pe := (*fs.PathError)(nil); !errors.As(err, &pe) || errors.Is(err, ErrCorrupt) {
 		t.Errorf("a read failing mid-scan: err = %v, want the file system's, not ErrCorrupt", err)
 	}

@@ -72,18 +72,27 @@ func readTable(f *os.File) (*Index, error) {
 // begin again and reads every block, so a consumer keeps only what its
 // latest begin started: the disagreement can come after runs of the lying
 // block were delivered. Any other error, the visitor's own among them,
-// ends the walk at once. A visitor may only walk the records it is handed:
-// every block, selected or not, comes in runs (clog2's NextRun).
+// ends the walk at once; a window CheckWindow refuses ends it before the
+// log is opened. A visitor may only walk the records it is handed: every
+// block, selected or not, comes in runs (clog2's NextRunIn over q's
+// window), and a run holds every record of its block in file order except
+// the bare, cargo and message records stamped outside [q.T0, q.T1], which
+// the decoder steps over undecoded because Matches drops them anyway.
+// Definitions, time shifts, source locations and records that fail q's
+// rank or channel filter are handed over; a run may be empty.
 // The Status says what the answer rests on: StatusOK, the table selected
 // the blocks; StatusDegraded, it could not.
 func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error) (Status, error) {
+	if err := CheckWindow(q.T0, q.T1); err != nil {
+		return StatusDegraded, fmt.Errorf("idx: %w", err)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return StatusDegraded, err
 	}
 	defer f.Close()
 	if ix, err := readTable(f); err == nil {
-		if err := scan(f, ix, ix.Select(q), begin(ix.NumRanks)); !errors.Is(err, ErrCorrupt) {
+		if err := scan(f, ix, ix.Select(q), q, begin(ix.NumRanks)); !errors.Is(err, ErrCorrupt) {
 			return StatusOK, err
 		}
 	}
@@ -94,24 +103,24 @@ func Walk(path string, q Query, begin func(numRanks int) func(clog2.Block) error
 	if err != nil {
 		return StatusDegraded, err
 	}
-	return StatusDegraded, br.Each(begin(br.NumRanks()))
+	return StatusDegraded, br.EachIn(q.T0, q.T1, begin(br.NumRanks()))
 }
 
 // scan visits the selected blocks of the log rs holds in file order,
 // seeking over everything in between; consecutive selected blocks are
-// read without a seek. fn gets each block in runs (clog2's NextRun, into
-// the buffer Each would use) that share that buffer: it must not retain
-// them. Both buffers of the scan go back to their pools when it returns,
-// so a window allocates what it keeps and not what it reads through.
-// Every run is checked against the block's table entry (its rank, and a
-// running record count that may not pass the entry's and must equal it on
-// the last run); a mismatch, or a block that does not decode, means the
-// table lies about the file and surfaces as an ErrCorrupt-wrapped error,
-// so callers can degrade to the full scan. A lie about a block's length
-// can surface after fn has seen earlier runs of that block: what fn built
-// is then to be thrown away. The file system's errors and fn's are
-// returned as they are.
-func scan(rs io.ReadSeeker, ix *Index, sel []int, fn func(clog2.Block) error) error {
+// read without a seek. fn gets each block in runs (clog2's NextRunIn over
+// q's window, into the buffer Each would use) that share that buffer: it
+// must not retain them. Both buffers of the scan go back to their pools
+// when it returns, so a window allocates what it keeps and not what it
+// reads through. Every run is checked against the block's table entry (its
+// rank, and a running count of the records read, kept or stepped over,
+// that may not pass the entry's and must equal it on the last run); a
+// mismatch, or a block that does not decode, means the table lies about
+// the file and surfaces as an ErrCorrupt-wrapped error, so callers can
+// degrade to the full scan. A lie about a block's length can surface after
+// fn has seen earlier runs of that block: what fn built is then to be
+// thrown away. The file system's errors and fn's are returned as they are.
+func scan(rs io.ReadSeeker, ix *Index, sel []int, q Query, fn func(clog2.Block) error) error {
 	if len(sel) == 0 {
 		return nil
 	}
@@ -137,13 +146,14 @@ func scan(rs io.ReadSeeker, ix *Index, sel []int, fn func(clog2.Block) error) er
 		}
 		for n, last := int32(0), false; !last; {
 			var run clog2.Block
-			if run, last, err = br.NextRun(buf[:0]); err != nil {
+			var read int32
+			if run, read, last, err = br.NextRunIn(buf[:0], q.T0, q.T1); err != nil {
 				if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
 					return err
 				}
 				return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
 			}
-			n += int32(len(run.Records))
+			n += read
 			if run.Rank != bm.Rank || n > bm.Records || last && n != bm.Records {
 				return fmt.Errorf("%w: block %d at offset %d does not match its table entry", ErrCorrupt, i, bm.Offset)
 			}

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"strconv"
 
+	"repro/internal/idx"
 	"repro/internal/jumpshot"
 	"repro/internal/slog2"
 )
@@ -47,7 +48,7 @@ func queryFloat(q url.Values, key string, dst *float64) error {
 // tile or a legend, [-Inf, +Inf] for a profile or a verdict. An infinite
 // bound on its own side (t0=-Inf, t1=+Inf) asks for no bound and leaves
 // that default; on the wrong side it selects nothing, as a window that
-// ends before it starts does, and both are refused.
+// ends before it starts does, and both are refused (idx.CheckWindow).
 func queryWindow(q url.Values, t0, t1 *float64) error {
 	lo, hi := *t0, *t1
 	if err := queryFloat(q, "t0", &lo); err != nil {
@@ -62,8 +63,8 @@ func queryWindow(q url.Values, t0, t1 *float64) error {
 	if math.IsInf(hi, 1) {
 		hi = *t1
 	}
-	if hi < lo || math.IsInf(lo, 1) || math.IsInf(hi, -1) {
-		return fmt.Errorf("serve: empty time window [%g,%g]", lo, hi)
+	if err := idx.CheckWindow(lo, hi); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	*t0, *t1 = lo, hi
 	return nil

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -75,14 +76,83 @@ type timed struct {
 	cargoLen uint8
 }
 
+// maxChunk is the most records a chunk of a rank's log holds: chunks
+// double up to it, so a long rank is kept in pieces of 384 KiB that are
+// never copied to grow, and a short one in one small piece.
+const maxChunk = 16 << 10
+
+// textPiece is the most cargo text one piece of a rank's text holds, so
+// that a long rank's text is never copied to grow either; a cargo never
+// straddles two pieces.
+const textPiece = 64 << 10
+
 // rankLog is one rank's events in file order (the per-rank sequence used
-// as the sort tie-break) and, end to end, their cargo text.
+// as the sort tie-break), in chunks, and their cargo text, in pieces.
 type rankLog struct {
-	recs  []timed
-	cargo []byte
+	chunks [][]timed
+	n      int // records in all chunks
+	// ends and solos count the state ends and solo events among them:
+	// what the rank's pairing can at most produce.
+	ends, solos int
+	// texts are the full pieces of the rank's cargo text and text the one
+	// being filled. A cargoOff counts from the start of texts[0], so its
+	// piece is cargoOff/textPiece.
+	texts []string
+	text  strings.Builder
 	// badPeers counts, by peer, the rank's message halves whose peer lies
 	// outside [0, numRanks).
 	badPeers map[int]int
+}
+
+// add appends tr with its cargo, starting a chunk when the last one is
+// full and a piece of text when the cargo does not fit the last one. It
+// adds nothing and reports false once the rank's text would pass what a
+// cargoOff can address.
+func (rl *rankLog) add(tr timed, cargo []byte) bool {
+	if rl.text.Len()+len(cargo) > textPiece {
+		rl.texts = append(rl.texts, rl.text.String())
+		rl.text = strings.Builder{}
+	}
+	at := len(rl.texts)*textPiece + rl.text.Len()
+	if uint64(at)+uint64(len(cargo)) > math.MaxUint32 {
+		return false
+	}
+	if rl.text.Cap()-rl.text.Len() < len(cargo) {
+		// The first piece doubles from 1 KiB, where appending would grow
+		// it by a quarter; every later one is whole from the start.
+		grow := max(1024-rl.text.Cap(), len(cargo))
+		if len(rl.texts) > 0 {
+			grow = textPiece
+		}
+		rl.text.Grow(grow)
+	}
+	rl.text.Write(cargo)
+	tr.cargoOff, tr.cargoLen = uint32(at), uint8(len(cargo))
+
+	last := len(rl.chunks) - 1
+	if last < 0 || len(rl.chunks[last]) == cap(rl.chunks[last]) {
+		rl.chunks = append(rl.chunks, make([]timed, 0, min(max(rl.n, 256), maxChunk)))
+		last++
+	}
+	rl.chunks[last] = append(rl.chunks[last], tr)
+	rl.n++
+	switch tr.kind {
+	case clog2.EtypeEnd:
+		rl.ends++
+	case clog2.EtypeSolo:
+		rl.solos++
+	}
+	return true
+}
+
+// cargoOf returns the cargo text a start or an end carries, given as
+// cargoOff<<8 | cargoLen.
+func (rl *rankLog) cargoOf(ref uint64) string {
+	off, n := ref>>8, ref&0xff
+	if off/textPiece == uint64(len(rl.texts)) {
+		return rl.text.String()[off%textPiece:][:n]
+	}
+	return rl.texts[off/textPiece][off%textPiece:][:n]
 }
 
 // partition is the phase-1 product: definition records in file order,
@@ -95,7 +165,6 @@ type partition struct {
 	eventDefs []clog2.Record
 	perRank   map[int]*rankLog
 	msgs      clog2.Messages
-	sends     int
 	// dropped counts, by rank, the records whose rank lies outside
 	// [0, numRanks): slog2.Read rejects a drawable on such a rank.
 	dropped map[int]int
@@ -145,29 +214,18 @@ func (p *partition) addBlock(b *clog2.Block) error {
 				rl = &rankLog{}
 				p.perRank[int(cur)] = rl
 			}
-			// At most one doubling a run (Each hands a long block over
-			// in runs) instead of append's 1.25x steps, which re-copy a
-			// long rank five times over.
-			if need := len(b.Records) - i; cap(rl.recs)-len(rl.recs) < need {
-				rl.recs = slices.Grow(rl.recs, max(need, len(rl.recs)))
-			}
 		}
 		switch {
 		case rec.Type == clog2.RecMsgEvt && (rec.Aux1 < 0 || int(rec.Aux1) >= p.numRanks):
 			count(&rl.badPeers, rec.Aux1)
 		case rec.Type == clog2.RecMsgEvt:
-			if rec.Dir == clog2.DirSend {
-				p.sends++
-			}
 			p.msgs.Add(rec.Rank, rec.Aux1, rec.Aux2, rec.Dir, clog2.MsgHalf{Time: rec.Time, Size: rec.Aux3})
 		case rec.Type == clog2.RecBareEvt || rec.Type == clog2.RecCargoEvt:
-			if uint64(len(rl.cargo))+uint64(rec.CargoLen) > math.MaxUint32 {
+			tr := timed{t: rec.Time}
+			tr.kind, tr.id = p.etypes.Classify(rec.ID)
+			if !rl.add(tr, rec.CargoBytes()) {
 				return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", cur)
 			}
-			tr := timed{t: rec.Time, cargoOff: uint32(len(rl.cargo)), cargoLen: rec.CargoLen}
-			tr.kind, tr.id = p.etypes.Classify(rec.ID)
-			rl.recs = append(rl.recs, tr)
-			rl.cargo = append(rl.cargo, rec.CargoBytes()...)
 		}
 	}
 	return nil
@@ -199,14 +257,13 @@ func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 	return convertPartitioned(p, opts)
 }
 
-// rankResult is one rank's phase-2 output: paired states, events and
-// diagnostics, all in deterministic (time, sequence) order.
+// rankResult is what one rank's pairing reports beside the drawables it
+// writes: how many of each, and its diagnostics in (time, sequence) order.
 type rankResult struct {
-	states   []State
-	events   []Event
-	nesting  int
-	badPeers int // message halves dropped for a peer outside [0, numRanks)
-	warnings []string
+	states, events int
+	nesting        int
+	badPeers       int // message halves dropped for a peer outside [0, numRanks)
+	warnings       []string
 }
 
 func (rr *rankResult) warnf(format string, args ...any) {
@@ -218,81 +275,94 @@ func (rr *rankResult) warnf(format string, args ...any) {
 func byTime(a, b timed) int { return cmpLess(a.t, b.t) }
 
 // orderByTime puts one rank's records in (time, original sequence) order:
-// one pass when they already are, as in every merged log, else a stable
-// sort by time.
-func orderByTime(recs []timed) {
-	if !slices.IsSortedFunc(recs, byTime) {
-		slices.SortStableFunc(recs, byTime)
+// one pass over the chunks when they already are, as in every merged log,
+// else a stable sort by time of the chunks laid end to end, returned as
+// one chunk.
+func orderByTime(chunks [][]timed) [][]timed {
+	prev := math.Inf(-1)
+	for _, c := range chunks {
+		for i := range c {
+			if c[i].t < prev {
+				n := 0
+				for _, c := range chunks {
+					n += len(c)
+				}
+				all := make([]timed, 0, n)
+				for _, c := range chunks {
+					all = append(all, c...)
+				}
+				slices.SortStableFunc(all, byTime)
+				return [][]timed{all}
+			}
+			prev = c[i].t
+		}
 	}
+	return chunks
 }
 
-// processRank runs the per-rank pairing phase: put the rank's events in
+// pairRank runs the per-rank pairing phase: put the rank's events in
 // (time, original sequence) order, pair starts and ends on a clog2.Stack
-// into states, and turn solo events into events. stateCat/eventCat are
-// read-only shared tables, so many processRank calls may run concurrently.
-func processRank(rank, numRanks int, rl *rankLog, stateCat, eventCat map[int32]int) *rankResult {
+// into states, and turn solo events into events. They are written to
+// states and events, which have room for the rank's every end and solo
+// event. stateCat/eventCat are read-only shared tables, so many pairRank
+// calls may run concurrently on disjoint states and events.
+func pairRank(rank, numRanks int, rl *rankLog, stateCat, eventCat map[int32]int, states []State, events []Event) *rankResult {
 	// Ties on time resolve to original record sequence, so a state-end and
 	// the next state-start logged at an identical (coarse-resolution)
 	// timestamp can never reorder and desynchronize the pairing stack. A
 	// merged log is already in that order, rank by rank.
-	recs := rl.recs
-	orderByTime(recs)
-	// Every cargo of the rank is a substring of this one string.
-	text := string(rl.cargo)
-	cargo := func(i int) string { return text[recs[i].cargoOff : recs[i].cargoOff+uint32(recs[i].cargoLen)] }
+	chunks := orderByTime(rl.chunks)
+	// Every cargo of the rank is a substring of a piece of its text; a
+	// start's Ref on the stack is where its cargo lies.
+	cargo := rl.cargoOf
 
-	// Size the outputs from what the records can at most produce.
-	var ends, solos int
-	for i := range recs {
-		switch recs[i].kind {
-		case clog2.EtypeEnd:
-			ends++
-		case clog2.EtypeSolo:
-			solos++
-		}
-	}
-	rr := &rankResult{states: make([]State, 0, ends), events: make([]Event, 0, solos)}
+	rr := &rankResult{}
 	var stack clog2.Stack
-	for i := range recs {
-		rec := &recs[i]
-		switch rec.kind {
-		case clog2.EtypeStart:
-			stack.Push(rec.id, rec.t, i)
-		case clog2.EtypeEnd:
-			top, _, ok := stack.Close(rec.id, rec.t)
-			if !ok {
-				rr.nesting++
-				rr.warnf("rank %d: end of state %d at %v with no open state", rank, rec.id, rec.t)
-				continue
+	for _, c := range chunks {
+		for i := range c {
+			rec := &c[i]
+			ref := uint64(rec.cargoOff)<<8 | uint64(rec.cargoLen)
+			switch rec.kind {
+			case clog2.EtypeStart:
+				stack.Push(rec.id, rec.t, ref)
+			case clog2.EtypeEnd:
+				top, _, ok := stack.Close(rec.id, rec.t)
+				if !ok {
+					rr.nesting++
+					rr.warnf("rank %d: end of state %d at %v with no open state", rank, rec.id, rec.t)
+					continue
+				}
+				if top.ID != rec.id {
+					rr.nesting++
+					rr.warnf("rank %d: state %d closed while %d open at %v", rank, rec.id, top.ID, rec.t)
+				}
+				end := cargo(ref)
+				if end == mpe.SyntheticEndCargo {
+					// The logger closed this state for us at wrap-up; it is
+					// still a nesting error in the program being debugged.
+					rr.nesting++
+					rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, rec.id, rec.t)
+				}
+				cat, ok := stateCat[rec.id]
+				if !ok {
+					rr.warnf("rank %d: state %d has no definition", rank, rec.id)
+					continue
+				}
+				states[rr.states] = State{
+					Rank: rank, Cat: cat,
+					Start: top.Start, End: rec.t,
+					StartCargo: cargo(top.Ref), EndCargo: end,
+				}
+				rr.states++
+			case clog2.EtypeSolo:
+				cat, ok := eventCat[rec.id]
+				if !ok {
+					rr.warnf("rank %d: event %d has no definition", rank, rec.id-clog2.SoloBase)
+					continue
+				}
+				events[rr.events] = Event{Rank: rank, Cat: cat, Time: rec.t, Cargo: cargo(ref)}
+				rr.events++
 			}
-			if top.ID != rec.id {
-				rr.nesting++
-				rr.warnf("rank %d: state %d closed while %d open at %v", rank, rec.id, top.ID, rec.t)
-			}
-			end := cargo(i)
-			if end == mpe.SyntheticEndCargo {
-				// The logger closed this state for us at wrap-up; it is
-				// still a nesting error in the program being debugged.
-				rr.nesting++
-				rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, rec.id, rec.t)
-			}
-			cat, ok := stateCat[rec.id]
-			if !ok {
-				rr.warnf("rank %d: state %d has no definition", rank, rec.id)
-				continue
-			}
-			rr.states = append(rr.states, State{
-				Rank: rank, Cat: cat,
-				Start: top.Start, End: rec.t,
-				StartCargo: cargo(top.Ref), EndCargo: end,
-			})
-		case clog2.EtypeSolo:
-			cat, ok := eventCat[rec.id]
-			if !ok {
-				rr.warnf("rank %d: event %d has no definition", rank, rec.id-clog2.SoloBase)
-				continue
-			}
-			rr.events = append(rr.events, Event{Rank: rank, Cat: cat, Time: rec.t, Cargo: cargo(i)})
 		}
 	}
 	for _, o := range stack.Open() {
@@ -318,7 +388,9 @@ func sortedKeys[V any](m map[int]V) []int {
 // convertPartitioned runs phases 2..4: per-rank pairing on a worker pool,
 // the cross-rank arrow join, and the frame-tree build. Every merge step
 // iterates ranks and message keys in sorted order, so the output — down to
-// warning order — is identical at any worker count.
+// warning order — is identical at any worker count. Each kind's drawables
+// live in one array from the phase that makes them to the frames that
+// hold them (DESIGN §4).
 func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, error) {
 	capacity := opts.FrameCapacity
 	if capacity <= 0 {
@@ -349,9 +421,21 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		rep.warnf("rank %d: %d record(s) dropped, timestamp not finite", rank, p.nonFinite[rank])
 	}
 
-	// Phase 2: per-rank pairing, fanned out over the worker pool. Ranks
-	// are processed in any order but collected in ascending rank order.
+	// Phase 2: per-rank pairing, fanned out over the worker pool. Rank i
+	// writes its states from stateAt[i] and its events from eventAt[i]
+	// on: stretches of one array a kind, in ascending rank order, as long
+	// as the rank's ends and solo events. That is what it writes unless an
+	// end closes nothing or names an undefined state; the ranks behind
+	// such a gap then move down over it, so that states and events end up
+	// in global (rank, time, sequence) order, the order frames need.
 	ranks := sortedKeys(p.perRank)
+	stateAt, eventAt := make([]int, len(ranks)+1), make([]int, len(ranks)+1)
+	for i, rank := range ranks {
+		stateAt[i+1] = stateAt[i] + p.perRank[rank].ends
+		eventAt[i+1] = eventAt[i] + p.perRank[rank].solos
+	}
+	states := make([]State, stateAt[len(ranks)])
+	events := make([]Event, eventAt[len(ranks)])
 	results := make([]*rankResult, len(ranks))
 	if w := len(ranks); workers > w {
 		workers = w
@@ -368,58 +452,32 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 					return
 				}
 				rank := ranks[i]
-				results[i] = processRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat)
+				results[i] = pairRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat,
+					states[stateAt[i]:stateAt[i+1]], events[eventAt[i]:eventAt[i+1]])
 			}
 		}()
 	}
 	wg.Wait()
-
-	// Merge rank results in rank order. Per-rank slices are already in
-	// (time, sequence) order, so concatenation yields the global
-	// (rank, time, sequence) order required for deterministic frames.
 	var nStates, nEvents int
-	for _, rr := range results {
-		nStates += len(rr.states)
-		nEvents += len(rr.events)
-	}
-	states := make([]State, 0, nStates)
-	events := make([]Event, 0, nEvents)
-	for _, rr := range results {
-		states = append(states, rr.states...)
-		events = append(events, rr.events...)
+	for i, rr := range results {
+		if nStates != stateAt[i] {
+			copy(states[nStates:], states[stateAt[i]:stateAt[i]+rr.states])
+		}
+		if nEvents != eventAt[i] {
+			copy(events[nEvents:], events[eventAt[i]:eventAt[i]+rr.events])
+		}
+		nStates += rr.states
+		nEvents += rr.events
 		rep.NestingErrors += rr.nesting
 		rep.OutOfRange += rr.badPeers
 		rep.Warnings = append(rep.Warnings, rr.warnings...)
 	}
+	clear(states[nStates:])
+	clear(events[nEvents:])
+	states, events = states[:nStates:nStates], events[:nEvents:nEvents]
 
-	// Phase 3 — the only cross-rank join: clog2.Messages pairs sends with
-	// receives FIFO per (src, dst, tag) in key order, so arrows and
-	// warnings come out deterministically.
-	arrows := make([]Arrow, 0, p.sends)
-	var recvWarnings []string
-	p.msgs.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
-		n := min(len(sends), len(recvs))
-		for i, s := range sends[:n] {
-			if r := recvs[i]; s.Size != r.Size {
-				rep.warnf("message %d->%d tag %d: send size %d != recv size %d", k.Src, k.Dst, k.Tag, s.Size, r.Size)
-			}
-			arrows = append(arrows, Arrow{
-				SrcRank: int(k.Src), DstRank: int(k.Dst),
-				Start: s.Time, End: recvs[i].Time,
-				Tag: int(k.Tag), Size: int(s.Size),
-			})
-		}
-		if extra := len(sends) - n; extra > 0 {
-			rep.UnmatchedSends += extra
-			rep.warnf("message %d->%d tag %d: %d send(s) without receive", k.Src, k.Dst, k.Tag, extra)
-		}
-		if extra := len(recvs) - n; extra > 0 {
-			rep.UnmatchedRecvs += extra
-			recvWarnings = append(recvWarnings, fmt.Sprintf("message %d->%d tag %d: %d receive(s) without send", k.Src, k.Dst, k.Tag, extra))
-		}
-	})
-	rep.Warnings = append(rep.Warnings, recvWarnings...)
-	slices.SortStableFunc(arrows, func(a, b Arrow) int { return cmpLess(a.Start, b.Start) })
+	// Phase 3 — the only cross-rank join.
+	arrows := joinMessages(&p.msgs, rep)
 
 	rep.EqualDrawables = countEqualDrawables(states, arrows, events, rep)
 
@@ -432,14 +490,107 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		Categories: cats,
 		Warnings:   rep.Warnings,
 	}
-	fb := newFrameBuilder(capacity, workers)
-	f.Root = fb.build(minT, maxT, withScratch(states), withScratch(arrows), withScratch(events), 0)
-	fb.wait()
+	f.Root = buildFrames(minT, maxT, states, arrows, events, capacity, workers)
 
 	rep.States = len(states)
 	rep.Arrows = len(arrows)
 	rep.Events = len(events)
 	return f, rep, nil
+}
+
+// joinMessages makes the arrows: clog2.Messages pairs sends with
+// receives FIFO per (src, dst, tag) in key order, so arrows and warnings
+// come out deterministically, and mergeArrows puts the arrows in the
+// order of their Start.
+func joinMessages(msgs *clog2.Messages, rep *Report) []Arrow {
+	var runs []arrowRun
+	var n int
+	var recvWarnings []string
+	msgs.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
+		m := min(len(sends), len(recvs))
+		for i, s := range sends[:m] {
+			if r := recvs[i]; s.Size != r.Size {
+				rep.warnf("message %d->%d tag %d: send size %d != recv size %d", k.Src, k.Dst, k.Tag, s.Size, r.Size)
+			}
+		}
+		if m > 0 {
+			runs = append(runs, arrowRun{k, sends[:m], recvs[:m]})
+			n += m
+		}
+		if extra := len(sends) - m; extra > 0 {
+			rep.UnmatchedSends += extra
+			rep.warnf("message %d->%d tag %d: %d send(s) without receive", k.Src, k.Dst, k.Tag, extra)
+		}
+		if extra := len(recvs) - m; extra > 0 {
+			rep.UnmatchedRecvs += extra
+			recvWarnings = append(recvWarnings, fmt.Sprintf("message %d->%d tag %d: %d receive(s) without send", k.Src, k.Dst, k.Tag, extra))
+		}
+	})
+	rep.Warnings = append(rep.Warnings, recvWarnings...)
+	return mergeArrows(runs, n)
+}
+
+// arrowRun is one message key's matched pairs, which Messages.Match hands
+// over in time order: sends[i] went to recvs[i].
+type arrowRun struct {
+	k            clog2.MsgKey
+	sends, recvs []clog2.MsgHalf
+}
+
+// mergeArrows makes the n arrows of runs, in the order of their Start: a
+// k-way merge of the runs, each in that order already, that takes a tie
+// from the earlier run and then from the earlier pair of the run. So it is
+// the stable sort by Start of the runs' arrows laid end to end, in key
+// order, and every arrow is written once, into an array of exactly n.
+func mergeArrows(runs []arrowRun, n int) []Arrow {
+	arrows := make([]Arrow, 0, n)
+	// heap holds the runs that have arrows left, least head first, with
+	// the time of each one's head.
+	type head struct {
+		t   float64
+		run int
+	}
+	heap := make([]head, len(runs))
+	for i := range heap {
+		heap[i] = head{runs[i].sends[0].Time, i}
+	}
+	less := func(a, b head) bool { return a.t < b.t || a.t == b.t && a.run < b.run }
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heap) > 0 {
+		r := &runs[heap[0].run]
+		s, rv := r.sends[0], r.recvs[0]
+		arrows = append(arrows, Arrow{
+			SrcRank: int(r.k.Src), DstRank: int(r.k.Dst),
+			Start: s.Time, End: rv.Time,
+			Tag: int(r.k.Tag), Size: int(s.Size),
+		})
+		if r.sends, r.recvs = r.sends[1:], r.recvs[1:]; len(r.sends) > 0 {
+			heap[0].t = r.sends[0].Time
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return arrows
 }
 
 func bounds(states []State, arrows []Arrow, events []Event) (minT, maxT float64) {
@@ -538,117 +689,4 @@ func countEqualRuns[T any, K comparable](xs []T, count, groups *int, sameRun fun
 		}
 		i = j
 	}
-}
-
-// frameBuilder constructs the bounding-box tree, building sibling subtrees
-// concurrently when spare worker tokens are available. The tree's shape
-// and contents depend only on its inputs, never on scheduling.
-type frameBuilder struct {
-	capacity int
-	sem      chan struct{} // spare-worker tokens (nil/empty = sequential)
-	wg       sync.WaitGroup
-}
-
-func newFrameBuilder(capacity, workers int) *frameBuilder {
-	fb := &frameBuilder{capacity: capacity}
-	if workers > 1 {
-		fb.sem = make(chan struct{}, workers-1)
-	}
-	return fb
-}
-
-func (fb *frameBuilder) wait() { fb.wg.Wait() }
-
-// span is one kind's drawables on their way down the tree: in holds them
-// in (rank, time, sequence) order, tmp is scratch of the same length. Each
-// level partitions in into tmp and hands its children the two swapped, so
-// the whole tree is carved out of two arrays a kind instead of a fresh
-// slice per frame; the tree's frames alias them, capped at their own end.
-type span[T any] struct{ in, tmp []T }
-
-func withScratch[T any](in []T) span[T] { return span[T]{in: in, tmp: make([]T, len(in))} }
-
-// Where a drawable goes at a split point.
-const (
-	goLeft = iota
-	goRight
-	stayHere
-)
-
-// sideOf places the interval [lo, hi]: fully inside a half it goes down,
-// spanning mid it stays.
-func sideOf(lo, hi, mid float64) int {
-	switch {
-	case hi <= mid:
-		return goLeft
-	case lo >= mid:
-		return goRight
-	}
-	return stayHere
-}
-
-// split stably partitions s.in into s.tmp as [left | right | here].
-func split[T any](s span[T], side func(*T) int) (left, right span[T], here []T) {
-	var n [3]int
-	for i := range s.in {
-		n[side(&s.in[i])]++
-	}
-	at := [3]int{0, n[goLeft], n[goLeft] + n[goRight]}
-	for i := range s.in {
-		k := side(&s.in[i])
-		s.tmp[at[k]] = s.in[i]
-		at[k]++
-	}
-	l, r := n[goLeft], n[goLeft]+n[goRight]
-	return span[T]{s.tmp[:l:l], s.in[:l:l]}, span[T]{s.tmp[l:r:r], s.in[l:r:r]}, s.tmp[r:]
-}
-
-// build constructs the subtree for [start, end]. Drawables fully inside a
-// half go down; spanners stay at this node.
-func (fb *frameBuilder) build(start, end float64, states span[State], arrows span[Arrow], events span[Event], depth int) *Frame {
-	fr := &Frame{Start: start, End: end}
-	total := len(states.in) + len(arrows.in) + len(events.in)
-	if total <= fb.capacity || depth >= MaxTreeDepth || end <= start {
-		fr.States, fr.Arrows, fr.Events = states.in, arrows.in, events.in
-		return fr
-	}
-	mid := (start + end) / 2
-	lStates, rStates, here := split(states, func(s *State) int { return sideOf(s.Start, s.End, mid) })
-	lArrows, rArrows, hereA := split(arrows, func(a *Arrow) int {
-		if a.End < a.Start {
-			return sideOf(a.End, a.Start, mid)
-		}
-		return sideOf(a.Start, a.End, mid)
-	})
-	lEvents, rEvents, _ := split(events, func(e *Event) int {
-		if e.Time < mid {
-			return goLeft
-		}
-		return goRight
-	})
-	fr.States, fr.Arrows = here, hereA
-	left := len(lStates.in)+len(lArrows.in)+len(lEvents.in) > 0
-	right := len(rStates.in)+len(rArrows.in)+len(rEvents.in) > 0
-	buildLeft := func() { fr.Left = fb.build(start, mid, lStates, lArrows, lEvents, depth+1) }
-	if left && right && fb.sem != nil {
-		// Both siblings have work: hand the left one to a spare worker if
-		// a token is free, otherwise build inline.
-		select {
-		case fb.sem <- struct{}{}:
-			fb.wg.Add(1)
-			go func() {
-				defer fb.wg.Done()
-				defer func() { <-fb.sem }()
-				buildLeft()
-			}()
-		default:
-			buildLeft()
-		}
-	} else if left {
-		buildLeft()
-	}
-	if right {
-		fr.Right = fb.build(mid, end, rStates, rArrows, rEvents, depth+1)
-	}
-	return fr
 }

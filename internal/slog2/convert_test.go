@@ -3,6 +3,7 @@ package slog2
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -62,41 +63,250 @@ func encodeSLOG(t *testing.T, f *File) []byte {
 	return buf.Bytes()
 }
 
+// depthOf is the number of levels of the tree under fr.
+func depthOf(fr *Frame) int {
+	if fr == nil {
+		return 0
+	}
+	return 1 + max(depthOf(fr.Left), depthOf(fr.Right))
+}
+
 // The tentpole guarantee: parallel conversion output is byte-identical to
-// sequential output, including warning order, at every worker count.
+// sequential output, including warning order, at every worker count: on
+// messy logs, and on one whose frame tree is deep enough that the builder
+// hands subtrees below its first block of levels to spare workers.
 func TestConvertParallelByteIdentical(t *testing.T) {
+	type tc struct {
+		cf   *clog2.File
+		opts ConvertOptions
+	}
+	var cases []tc
 	for seed := int64(0); seed < 6; seed++ {
-		cf := randomCLOG(seed, 1+int(seed))
-		ref, refRep, err := Convert(cf, ConvertOptions{Workers: 1})
+		cases = append(cases, tc{randomCLOG(seed, 1+int(seed)), ConvertOptions{}})
+	}
+	deep := tc{randomCLOG(99, 6), ConvertOptions{FrameCapacity: 2}}
+	cases = append(cases, deep)
+	for i, c := range cases {
+		c.opts.Workers = 1
+		ref, refRep, err := Convert(c.cf, c.opts)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("log %d: %v", i, err)
+		}
+		if c.cf == deep.cf && depthOf(ref.Root) < 2*blockDepth {
+			t.Fatalf("the deep log's tree is %d levels deep, want %d or more", depthOf(ref.Root), 2*blockDepth)
 		}
 		refBytes := encodeSLOG(t, ref)
-		for _, workers := range []int{2, 4, 8} {
-			got, gotRep, err := Convert(cf, ConvertOptions{Workers: workers})
+		for workers := 1; workers <= 8; workers++ {
+			c.opts.Workers = workers
+			got, gotRep, err := Convert(c.cf, c.opts)
 			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+				t.Fatalf("log %d workers %d: %v", i, workers, err)
 			}
 			if gotRep.States != refRep.States || gotRep.Arrows != refRep.Arrows ||
 				gotRep.Events != refRep.Events || gotRep.NestingErrors != refRep.NestingErrors ||
 				gotRep.UnmatchedSends != refRep.UnmatchedSends || gotRep.UnmatchedRecvs != refRep.UnmatchedRecvs ||
 				gotRep.EqualDrawables != refRep.EqualDrawables {
-				t.Fatalf("seed %d workers %d: report %+v != %+v", seed, workers, gotRep, refRep)
+				t.Fatalf("log %d workers %d: report %+v != %+v", i, workers, gotRep, refRep)
 			}
-			if len(gotRep.Warnings) != len(refRep.Warnings) {
-				t.Fatalf("seed %d workers %d: %d warnings != %d", seed, workers, len(gotRep.Warnings), len(refRep.Warnings))
-			}
-			for i := range gotRep.Warnings {
-				if gotRep.Warnings[i] != refRep.Warnings[i] {
-					t.Fatalf("seed %d workers %d: warning %d %q != %q", seed, workers, i, gotRep.Warnings[i], refRep.Warnings[i])
-				}
+			if !slices.Equal(gotRep.Warnings, refRep.Warnings) {
+				t.Fatalf("log %d workers %d: warnings %q != %q", i, workers, gotRep.Warnings, refRep.Warnings)
 			}
 			if !bytes.Equal(encodeSLOG(t, got), refBytes) {
-				t.Fatalf("seed %d workers %d: serialized output differs from sequential", seed, workers)
+				t.Fatalf("log %d workers %d: serialized output differs from sequential", i, workers)
 			}
 			if err := got.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+				t.Fatalf("log %d workers %d: %v", i, workers, err)
 			}
+		}
+	}
+}
+
+// refTree is the frame tree as its definition reads, one level at a
+// time: a node over [start, end] at depth keeps every drawable it is
+// handed when they are at most capacity, it is MaxTreeDepth deep or it
+// has no width; otherwise it keeps the states and arrows that span its
+// midpoint and hands every other drawable, in the order it came, to the
+// half it lies in: hi <= mid left, lo >= mid right, an event right from
+// the midpoint on.
+func refTree(start, end float64, states []State, arrows []Arrow, events []Event, capacity, depth int) *Frame {
+	fr := &Frame{Start: start, End: end}
+	if len(states)+len(arrows)+len(events) <= capacity || depth >= MaxTreeDepth || end <= start {
+		fr.States, fr.Arrows, fr.Events = states, arrows, events
+		return fr
+	}
+	mid := (start + end) / 2
+	var ls, rs []State
+	for _, s := range states {
+		switch {
+		case s.End <= mid:
+			ls = append(ls, s)
+		case s.Start >= mid:
+			rs = append(rs, s)
+		default:
+			fr.States = append(fr.States, s)
+		}
+	}
+	var la, ra []Arrow
+	for _, a := range arrows {
+		switch lo, hi := min(a.Start, a.End), max(a.Start, a.End); {
+		case hi <= mid:
+			la = append(la, a)
+		case lo >= mid:
+			ra = append(ra, a)
+		default:
+			fr.Arrows = append(fr.Arrows, a)
+		}
+	}
+	var le, re []Event
+	for _, e := range events {
+		if e.Time < mid {
+			le = append(le, e)
+		} else {
+			re = append(re, e)
+		}
+	}
+	if len(ls)+len(la)+len(le) > 0 {
+		fr.Left = refTree(start, mid, ls, la, le, capacity, depth+1)
+	}
+	if len(rs)+len(ra)+len(re) > 0 {
+		fr.Right = refTree(mid, end, rs, ra, re, capacity, depth+1)
+	}
+	return fr
+}
+
+// sameTree reports where the trees under a and b first differ, "" if
+// nowhere.
+func sameTree(a, b *Frame, path string) string {
+	switch {
+	case a == nil || b == nil:
+		if a != b {
+			return path + ": one tree has a frame the other lacks"
+		}
+		return ""
+	case a.Start != b.Start || a.End != b.End:
+		return fmt.Sprintf("%s: frame [%v,%v] against [%v,%v]", path, a.Start, a.End, b.Start, b.End)
+	case !slices.Equal(a.States, b.States) || !slices.Equal(a.Arrows, b.Arrows) || !slices.Equal(a.Events, b.Events):
+		return fmt.Sprintf("%s: %d/%d/%d drawables against %d/%d/%d", path,
+			len(a.States), len(a.Arrows), len(a.Events), len(b.States), len(b.Arrows), len(b.Events))
+	}
+	if d := sameTree(a.Left, b.Left, path+"L"); d != "" {
+		return d
+	}
+	return sameTree(a.Right, b.Right, path+"R")
+}
+
+// The block builder decides blockDepth levels at a time from each
+// drawable's route; its tree must be refTree's, drawable for drawable and
+// in the same order, at every worker count. The times sit on a grid of
+// 1/64 so that many drawables start, end or happen exactly at a split
+// point, and some are stacked on one instant; a capacity of 1 to 3 drives
+// the tree down to MaxTreeDepth, through three blocks.
+func TestConvertFrameTreeMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	at := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.Float64()
+		}
+		return float64(rng.Intn(65)) / 64
+	}
+	deepest := 0
+	for trial := 0; trial < 60; trial++ {
+		var states []State
+		var arrows []Arrow
+		var events []Event
+		for i := rng.Intn(2000); i > 0; i-- {
+			switch t0, t1 := at(), at(); rng.Intn(3) {
+			case 0:
+				states = append(states, State{Rank: i, Start: min(t0, t1), End: max(t0, t1)})
+			case 1:
+				arrows = append(arrows, Arrow{SrcRank: i, Start: t0, End: t1})
+			default:
+				events = append(events, Event{Rank: i, Time: t0})
+			}
+		}
+		if trial%10 == 9 {
+			for i := range states {
+				states[i].Start, states[i].End = 0.5, 0.5
+			}
+		}
+		minT, maxT := bounds(states, arrows, events)
+		capacity := 1 + trial%3
+		if trial%4 == 3 {
+			capacity = DefaultFrameCapacity
+		}
+		want := refTree(minT, maxT, slices.Clone(states), slices.Clone(arrows), slices.Clone(events), capacity, 0)
+		deepest = max(deepest, depthOf(want))
+		for _, workers := range []int{1, 3} {
+			got := buildFrames(minT, maxT, slices.Clone(states), slices.Clone(arrows), slices.Clone(events), capacity, workers)
+			if d := sameTree(got, want, "root "); d != "" {
+				t.Fatalf("trial %d (capacity %d, workers %d): %s", trial, capacity, workers, d)
+			}
+		}
+	}
+	if deepest <= 2*blockDepth {
+		t.Fatalf("the deepest tree has %d levels, want more than %d", deepest, 2*blockDepth)
+	}
+}
+
+// The arrows come out of the k-way merge of the keys' runs in the order a
+// stable sort by Start gives the runs laid end to end in key order, with
+// their warnings: on random message queues with ties on Start across
+// keys, sends and receives added out of time order within a key, keys
+// that have only sends or only receives, and sizes that disagree.
+func TestConvertArrowMergeEqualsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		var a, b clog2.Messages
+		add := func(rank, peer, tag int32, dir uint8, h clog2.MsgHalf) {
+			a.Add(rank, peer, tag, dir, h)
+			b.Add(rank, peer, tag, dir, h)
+		}
+		keys := 1 + rng.Intn(12)
+		for i := rng.Intn(300); i > 0; i-- {
+			k := int32(rng.Intn(keys))
+			src, dst, tag := k%3, (k+1)%3, k/3
+			h := clog2.MsgHalf{Time: float64(rng.Intn(40)) / 4, Size: int32(rng.Intn(2) * 8)}
+			switch {
+			case k%5 == 1: // only sends
+				add(src, dst, tag, clog2.DirSend, h)
+			case k%5 == 2: // only receives
+				add(dst, src, tag, clog2.DirRecv, h)
+			case rng.Intn(2) == 0:
+				add(src, dst, tag, clog2.DirSend, h)
+			default:
+				add(dst, src, tag, clog2.DirRecv, h)
+			}
+		}
+		var wantRep Report
+		var want []Arrow
+		var recvWarnings []string
+		b.Match(func(k clog2.MsgKey, sends, recvs []clog2.MsgHalf) {
+			n := min(len(sends), len(recvs))
+			for i := range n {
+				if sends[i].Size != recvs[i].Size {
+					wantRep.warnf("message %d->%d tag %d: send size %d != recv size %d", k.Src, k.Dst, k.Tag, sends[i].Size, recvs[i].Size)
+				}
+				want = append(want, Arrow{SrcRank: int(k.Src), DstRank: int(k.Dst), Start: sends[i].Time, End: recvs[i].Time, Tag: int(k.Tag), Size: int(sends[i].Size)})
+			}
+			if len(sends) > n {
+				wantRep.UnmatchedSends += len(sends) - n
+				wantRep.warnf("message %d->%d tag %d: %d send(s) without receive", k.Src, k.Dst, k.Tag, len(sends)-n)
+			}
+			if len(recvs) > n {
+				wantRep.UnmatchedRecvs += len(recvs) - n
+				recvWarnings = append(recvWarnings, fmt.Sprintf("message %d->%d tag %d: %d receive(s) without send", k.Src, k.Dst, k.Tag, len(recvs)-n))
+			}
+		})
+		wantRep.Warnings = append(wantRep.Warnings, recvWarnings...)
+		slices.SortStableFunc(want, func(x, y Arrow) int { return cmpLess(x.Start, y.Start) })
+
+		var rep Report
+		got := joinMessages(&a, &rep)
+		if !slices.Equal(got, want) || len(got) != cap(got) {
+			t.Fatalf("trial %d: merged %d arrows (capacity %d) unlike the stable sort's %d:\n got %v\nwant %v", trial, len(got), cap(got), len(want), got, want)
+		}
+		if rep.UnmatchedSends != wantRep.UnmatchedSends || rep.UnmatchedRecvs != wantRep.UnmatchedRecvs || !slices.Equal(rep.Warnings, wantRep.Warnings) {
+			t.Fatalf("trial %d: report %+v, want %+v", trial, rep, wantRep)
 		}
 	}
 }
@@ -248,7 +458,7 @@ func TestConvertSyntheticEndCounted(t *testing.T) {
 
 // orderByTime against the index sort it replaced: sort.Slice over record
 // indices with (time, index) as the key — on sorted, reversed, shuffled
-// and heavily tied input.
+// and heavily tied input, cut into chunks.
 func TestOrderByTimeMatchesSortSliceReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -278,7 +488,13 @@ func TestOrderByTimeMatchesSortSliceReference(t *testing.T) {
 			}
 			return order[a] < order[b]
 		})
-		orderByTime(recs)
+		// The rank's log comes in chunks, cut anywhere.
+		var chunks [][]timed
+		for rest := recs; len(rest) > 0; {
+			k := 1 + rng.Intn(len(rest))
+			chunks, rest = append(chunks, rest[:k:k]), rest[k:]
+		}
+		recs = slices.Concat(orderByTime(chunks)...)
 		for i := range recs {
 			if int(recs[i].id) != order[i] {
 				t.Fatalf("trial %d: position %d holds record %d, reference %d", trial, i, recs[i].id, order[i])
@@ -369,10 +585,14 @@ func TestConvertDropsOutOfRangeRanks(t *testing.T) {
 }
 
 // The converter's allocation, per record of a synthesized 200 000-record
-// log: a slice re-grown from nil at every tree level, or a record kept as
-// a whole clog2.Record, fails here rather than in a benchmark run.
+// log: 111 B (amd64), against 177 B when each rank's pairing had its own
+// result slices, every level of the frame tree copied its drawables and
+// arrows were sorted after the fact. The ceiling is that measurement and
+// a fifth more; the least of three conversions is what is held to it,
+// because the decoder's buffers come from pools that the race detector
+// drops a Put of in four.
 func TestConvertReaderAllocationCeiling(t *testing.T) {
-	const ranks, records, ceiling = 8, 200_000, 500
+	const ranks, records, ceiling = 8, 200_000, 133
 	b := newCLOG(ranks)
 	b.defState(1, "PI_Write", "green")
 	b.defState(2, "PI_Read", "red")
@@ -391,17 +611,21 @@ func TestConvertReaderAllocationCeiling(t *testing.T) {
 	}
 	data := encodeCLOG(t, b.file())
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, rep, err := ConvertReader(bytes.NewReader(data), ConvertOptions{Workers: 1})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, rep, err := ConvertReader(bytes.NewReader(data), ConvertOptions{Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.States*2+rep.Arrows*2+rep.Events != n || len(rep.Warnings) != 0 {
+			t.Fatalf("%d records in, report %+v", n, rep)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if rep.States*2+rep.Arrows*2+rep.Events != n || len(rep.Warnings) != 0 {
-		t.Fatalf("%d records in, report %+v", n, rep)
-	}
-	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	perRecord := float64(least) / float64(n)
 	t.Logf("%.0f B allocated a record (%d records)", perRecord, n)
 	if perRecord > ceiling {
 		t.Fatalf("ConvertReader allocates %.0f B a record, ceiling %d", perRecord, ceiling)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -296,4 +297,94 @@ func TestWindowSemantics(t *testing.T) {
 	if len(p.States) != 0 {
 		t.Errorf("no state completes inside the window, got %+v", p.States)
 	}
+}
+
+// BenchmarkWindowedProfile profiles 1 % windows of a synthesized log of
+// 8 ranks in blocks of 2 048 records (about 400 000 records, states with
+// cargo, message halves and solo events, interleaved in time the way a
+// merged log is) through its block table, one window an op. Beside ns/op
+// it reports the records an op decodes (those the visitor is handed) and
+// the ones the decoder steps over undecoded in the blocks it visits:
+// bare, cargo and message records stamped outside the window.
+func BenchmarkWindowedProfile(b *testing.B) {
+	const ranks, perBlock, blocksPerRank = 8, 2048, 24
+	path := filepath.Join(b.TempDir(), "windows.clog2")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := clog2.NewWriter(f, ranks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cargo := func(tm float64, rank, etype int32, text string) clog2.Record {
+		r := clog2.Record{Type: clog2.RecCargoEvt, Time: tm, Rank: rank, ID: etype}
+		r.SetCargo(text)
+		return r
+	}
+	pending := make([][]clog2.Record, ranks)
+	pending[0] = []clog2.Record{
+		stateDef(1, 2, 3, "PI_Write"), stateDef(2, 4, 5, "PI_Read"),
+		{Type: clog2.RecEventDef, ID: clog2.SoloBase + 1, Color: "yellow", Name: "MsgArrival"},
+	}
+	emit := func(rank int32, recs ...clog2.Record) {
+		if pending[rank] = append(pending[rank], recs...); len(pending[rank]) >= perBlock {
+			if err := w.WriteBlock(rank, pending[rank]); err != nil {
+				b.Fatal(err)
+			}
+			pending[rank] = pending[rank][:0]
+		}
+	}
+	var span float64
+	for i := 0; i < ranks*blocksPerRank*perBlock/6; i++ {
+		src := int32(i % ranks)
+		dst := (src + 1) % ranks
+		t0 := float64(i) * 1e-5
+		span = t0 + 1e-5
+		emit(src, cargo(t0, src, 2, "line: 17"), msg(src, t0+1e-6, clog2.DirSend, dst, src%4, 64), cargo(t0+2e-6, src, 3, ""))
+		emit(dst, cargo(t0+3e-6, dst, 4, "line: 42"), msg(dst, t0+4e-6, clog2.DirRecv, src, src%4, 64),
+			cargo(t0+5e-6, dst, clog2.SoloBase+1, "arrived"), cargo(t0+6e-6, dst, 5, ""))
+	}
+	for rank, recs := range pending {
+		if err := w.WriteBlock(int32(rank), recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := idx.Load(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	windows := make([][2]float64, 64)
+	var decoded, read int64
+	for i := range windows {
+		t0 := rng.Float64() * 0.99 * span
+		windows[i] = [2]float64{t0, t0 + span/100}
+		q := idx.MatchAll()
+		q.T0, q.T1, q.IncludeDefs = t0, t0+span/100, true
+		for _, j := range ix.Select(q) {
+			read += int64(ix.Blocks[j].Records)
+		}
+		if _, err := idx.Walk(path, q, func(int) func(clog2.Block) error {
+			return func(b clog2.Block) error { decoded += int64(len(b.Records)); return nil }
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		win := windows[i%len(windows)]
+		if _, indexed, err := ComputeProfileFileWindowed(path, win[0], win[1]); err != nil || !indexed {
+			b.Fatalf("window %v: indexed %v, err %v", win, indexed, err)
+		}
+	}
+	b.ReportMetric(float64(decoded)/float64(len(windows)), "decoded/op")
+	b.ReportMetric(float64(read-decoded)/float64(len(windows)), "skipped/op")
 }
