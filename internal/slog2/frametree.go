@@ -291,21 +291,18 @@ func (fb *frameBuilder) build(start, end float64, ks [kinds]keys, depth int) *Fr
 		}
 		copy(fb.perm[kind][k.at:], k.tmp)
 	}
-	subKeys := make([][kinds]keys, len(subtrees))
-	for i, sub := range subtrees {
-		for kind := range ks {
-			k := ks[kind]
+	for _, sub := range subtrees {
+		var sk [kinds]keys
+		for kind, k := range ks {
 			hi := int(b.next[kind][sub.node])
 			lo := hi - int(b.through[kind][sub.node])
-			subKeys[i][kind] = keys{k.tmp[lo:hi:hi], k.in[lo:hi:hi], k.at + lo}
+			sk[kind] = keys{k.tmp[lo:hi:hi], k.in[lo:hi:hi], k.at + lo}
 		}
+		fb.spawn(func() { *sub.dst = fb.build(sub.start, sub.end, sk, depth+blockDepth) })
 	}
 	select {
 	case fb.blocks <- b:
 	default:
-	}
-	for i, sub := range subtrees {
-		fb.spawn(func() { *sub.dst = fb.build(sub.start, sub.end, subKeys[i], depth+blockDepth) })
 	}
 	return root
 }
