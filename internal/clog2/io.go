@@ -527,13 +527,7 @@ func (br *BlockReader) NextRunIn(buf []Record, t0, t1 float64) (run Block, read 
 	if err := br.header(); err != nil {
 		return Block{}, 0, false, err
 	}
-	var recs []Record
-	if math.IsInf(t0, -1) && math.IsInf(t1, 1) {
-		read = int32(min(int(br.left), cap(buf)))
-		recs, err = br.d.readRecords(buf[:0], read)
-	} else {
-		recs, read, err = br.d.readRecordsIn(buf[:0], br.left, t0, t1)
-	}
+	recs, read, err := br.d.readRecordsIn(buf[:0], br.left, t0, t1)
 	br.left -= read
 	if last = br.left == 0; last && err == nil {
 		err = br.d.endBlock(br.rank, "block")
@@ -726,8 +720,7 @@ func (d *decoder) blockHeader() (rank, n int32, err error) {
 }
 
 // readRecords appends the next n records to recs, which grows as append
-// would when it is full: the one record loop, under NextRun (runs that
-// fit recs) and readBlock (whole blocks).
+// would when it is full: readBlock's loop over a whole block.
 func (d *decoder) readRecords(recs []Record, n int32) ([]Record, error) {
 	for ; n > 0; n-- {
 		if len(recs) == cap(recs) {
@@ -741,8 +734,8 @@ func (d *decoder) readRecords(recs []Record, n int32) ([]Record, error) {
 	return recs, nil
 }
 
-// readRecordsIn is readRecords over the window [t0, t1], up to n records
-// and until recs is full: a bare, cargo or message record stamped outside
+// readRecordsIn is NextRunIn's record loop: it appends up to n records,
+// and no more than recs has room for, over the window [t0, t1]: a bare, cargo or message record stamped outside
 // the window is stepped over when its fixed layout is buffered whole, and
 // dropped after readRecord otherwise. read counts both kinds.
 func (d *decoder) readRecordsIn(recs []Record, n int32, t0, t1 float64) (_ []Record, read int32, err error) {

@@ -146,9 +146,13 @@ func (rl *rankLog) add(tr timed, cargo []byte) bool {
 }
 
 // cargoOf returns the cargo text a start or an end carries, given as
-// cargoOff<<8 | cargoLen.
+// cargoOff<<8 | cargoLen. An empty cargo may be addressed just past a full
+// piece, where no piece begins until a later cargo needs one.
 func (rl *rankLog) cargoOf(ref uint64) string {
 	off, n := ref>>8, ref&0xff
+	if n == 0 {
+		return ""
+	}
 	if off/textPiece == uint64(len(rl.texts)) {
 		return rl.text.String()[off%textPiece:][:n]
 	}

@@ -456,6 +456,31 @@ func TestConvertSyntheticEndCounted(t *testing.T) {
 	}
 }
 
+// A rank whose cargo text fills a piece of its text to the byte, followed
+// by an end that carries none: the empty cargo is addressed past the full
+// piece, where no piece begins until a later cargo needs one.
+func TestConvertCargoFillingATextPiece(t *testing.T) {
+	const cargo = "line: 01"
+	b := newCLOG(1)
+	b.defState(1, "S", "red")
+	for i := range textPiece / len(cargo) {
+		b.state(0, 1, float64(i), float64(i)+0.5, cargo)
+	}
+	f, rep, err := Convert(b.file(), ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, _, _ := f.All()
+	if rep.States != textPiece/len(cargo) || len(states) != rep.States {
+		t.Fatalf("%d states, report %+v", len(states), rep)
+	}
+	for _, s := range states {
+		if s.StartCargo != cargo || s.EndCargo != "" {
+			t.Fatalf("state %+v, want start cargo %q", s, cargo)
+		}
+	}
+}
+
 // orderByTime against the index sort it replaced: sort.Slice over record
 // indices with (time, index) as the key — on sorted, reversed, shuffled
 // and heavily tied input, cut into chunks.

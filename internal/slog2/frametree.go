@@ -13,7 +13,6 @@ type frameBuilder struct {
 	capacity int
 	sem      chan struct{} // spare-worker tokens (nil/empty = sequential)
 	wg       sync.WaitGroup
-	blocks   chan *block // scratch blocks no build is using, one a worker
 	states   []State
 	arrows   []Arrow
 	events   []Event
@@ -35,7 +34,7 @@ const (
 // frames alias. The tree is decided on keys alone, before any drawable
 // moves; each then moves once, to its frame's slot.
 func buildFrames(start, end float64, states []State, arrows []Arrow, events []Event, capacity, workers int) *Frame {
-	fb := &frameBuilder{capacity: capacity, blocks: make(chan *block, workers), states: states, arrows: arrows, events: events}
+	fb := &frameBuilder{capacity: capacity, states: states, arrows: arrows, events: events}
 	if workers > 1 {
 		fb.sem = make(chan struct{}, workers-1)
 	}
@@ -212,14 +211,8 @@ func (fb *frameBuilder) build(start, end float64, ks [kinds]keys, depth int) *Fr
 		return fr
 	}
 
-	var b *block
-	select {
-	case b = <-fb.blocks:
-	default:
-		b = new(block)
-	}
+	b := new(block)
 	b.init(start, end)
-	clear(b.ends[:])
 	for kind := range ks {
 		b.route(fb, kind, ks[kind].in)
 		t := &b.through[kind]
@@ -299,10 +292,6 @@ func (fb *frameBuilder) build(start, end float64, ks [kinds]keys, depth int) *Fr
 			sk[kind] = keys{k.tmp[lo:hi:hi], k.in[lo:hi:hi], k.at + lo}
 		}
 		fb.spawn(func() { *sub.dst = fb.build(sub.start, sub.end, sk, depth+blockDepth) })
-	}
-	select {
-	case fb.blocks <- b:
-	default:
 	}
 	return root
 }
