@@ -14,12 +14,14 @@
 // -smoke starts the server on an ephemeral port, runs an end-to-end
 // client check (tiles byte-agree with a direct render, legend, search,
 // ETag revalidation, corrupt-file handling, and for every trace with a
-// registered raw log a windowed profile and verdict), then exits; it is
-// what `make smoke-serve` runs against the golden traces.
+// registered raw log a windowed profile and verdict; every reply fetched
+// as gzip and as identity, the one inflating to the other), then exits;
+// it is what `make smoke-serve` runs against the golden traces.
 package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"flag"
@@ -92,8 +94,9 @@ func main() {
 // runSmoke drives the server end to end through a real TCP client:
 // every trace's tile must byte-agree with a direct Query+render, the
 // legend and search endpoints must answer, ETag revalidation must 304,
-// a corrupt file must come back as an HTTP error, not a dead server, and
-// the tile cache must hold something and stay inside tileBudget bytes.
+// a corrupt file must come back as an HTTP error, not a dead server,
+// every reply must inflate from gzip to the identity reply, and the tile
+// cache must hold something and stay inside tileBudget bytes.
 func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -103,8 +106,12 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
+	gzipped := 0 // replies that came back gzip
 
-	get := func(path string, hdr map[string]string) (*http.Response, []byte, error) {
+	// The client sees the gzip layer: net/http would ask for gzip and
+	// inflate it out of sight.
+	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	fetch := func(path, encoding string, hdr map[string]string) (*http.Response, []byte, error) {
 		req, err := http.NewRequest("GET", base+path, nil)
 		if err != nil {
 			return nil, nil, err
@@ -112,13 +119,38 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 		for k, v := range hdr {
 			req.Header.Set(k, v)
 		}
-		resp, err := http.DefaultClient.Do(req)
+		req.Header.Set("Accept-Encoding", encoding)
+		resp, err := client.Do(req)
 		if err != nil {
 			return nil, nil, err
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err == nil && resp.Header.Get("Content-Encoding") == "gzip" {
+			gzipped++
+			var zr *gzip.Reader
+			if zr, err = gzip.NewReader(bytes.NewReader(body)); err == nil {
+				body, err = io.ReadAll(zr)
+			}
+		}
 		return resp, body, err
+	}
+	// get fetches path as a gzip client and as an identity one: the same
+	// status, and the gzip reply inflates to the identity reply's bytes.
+	get := func(path string, hdr map[string]string) (*http.Response, []byte, error) {
+		zresp, zbody, err := fetch(path, "gzip", hdr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s as gzip: %v", path, err)
+		}
+		resp, body, err := fetch(path, "identity", hdr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if zresp.StatusCode != resp.StatusCode || !bytes.Equal(zbody, body) {
+			return nil, nil, fmt.Errorf("%s: gzip reply (%d, %d bytes inflated) differs from identity reply (%d, %d bytes)",
+				path, zresp.StatusCode, len(zbody), resp.StatusCode, len(body))
+		}
+		return resp, body, nil
 	}
 
 	expect := func(want int, paths ...string) error {
@@ -212,11 +244,17 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 		); err != nil {
 			return err
 		}
-		// The tiles above were compressed once each and are cached;
-		// /debug/vars reads the same counters.
+		if gzipped == 0 {
+			return fmt.Errorf("no reply came back gzip")
+		}
+		// The tiles above were drawn and compressed once each and are
+		// cached; /debug/vars reads the same counters.
 		m := srv.MetricsSnapshot()
 		if raw, gz := m["tile_bytes_raw"], m["tile_bytes_gz"]; !(0 < gz && gz < raw) {
 			return fmt.Errorf("tile_bytes_gz %d, tile_bytes_raw %d, want 0 < gz < raw", gz, raw)
+		}
+		if render, compress := m["tile_render_ns"], m["tile_compress_ns"]; !(render > 0 && compress > 0) {
+			return fmt.Errorf("tile_render_ns %d, tile_compress_ns %d, want both above 0", render, compress)
 		}
 		if held := m["tile_cache_bytes"]; !(0 < held && held <= tileBudget) {
 			return fmt.Errorf("tile_cache_bytes %d, want 0 < bytes <= %d", held, tileBudget)

@@ -475,6 +475,73 @@ func TestGzipHonoursQValues(t *testing.T) {
 	}
 }
 
+// A HEAD reply has the GET reply's status, ETag and coding but no body,
+// and bytes_sent counts none: net/http routes HEAD to the GET handlers
+// and drops what they write while reporting it written. Cached tiles,
+// a legend and the trace list, as gzip and as identity.
+func TestHeadCountsNoBodyBytes(t *testing.T) {
+	s, err := New(Config{RepoDir: goldenDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path, encoding string) (*httptest.ResponseRecorder, int64) {
+		req := httptest.NewRequest(method, path, nil)
+		req.Header.Set("Accept-Encoding", encoding)
+		rec := httptest.NewRecorder()
+		before := s.bytesSent.Load()
+		s.Handler().ServeHTTP(rec, req)
+		return rec, s.bytesSent.Load() - before
+	}
+	for _, path := range []string{"/trace/thumbnail/tile", "/trace/thumbnail/tile?format=svg", "/trace/thumbnail/legend", "/traces"} {
+		for _, enc := range []string{"gzip", "identity"} {
+			head, headSent := do("HEAD", path, enc)
+			get, getSent := do("GET", path, enc)
+			if head.Code != 200 || get.Code != 200 {
+				t.Fatalf("%s (%s): HEAD %d, GET %d", path, enc, head.Code, get.Code)
+			}
+			if headSent != 0 || head.Body.Len() != 0 {
+				t.Errorf("%s (%s): HEAD wrote %d body bytes and counted %d sent", path, enc, head.Body.Len(), headSent)
+			}
+			if getSent != int64(get.Body.Len()) {
+				t.Errorf("%s (%s): GET wrote %d body bytes and counted %d sent", path, enc, get.Body.Len(), getSent)
+			}
+			for _, h := range []string{"ETag", "Content-Encoding", "Content-Type"} {
+				if head.Header().Get(h) != get.Header().Get(h) {
+					t.Errorf("%s (%s): HEAD %s %q, GET %q", path, enc, h, head.Header().Get(h), get.Header().Get(h))
+				}
+			}
+		}
+	}
+}
+
+// The ETag depends on the bytes alone: two servers over one repository
+// tag a tile alike, and a body one byte different gets another tag.
+func TestETagDependsOnTheBytesAlone(t *testing.T) {
+	var tags []string
+	for i := 0; i < 2; i++ {
+		_, ts := newTestServer(t, goldenDir)
+		resp, _ := get(t, ts.URL+"/trace/lab2/tile", nil)
+		tags = append(tags, resp.Header.Get("ETag"))
+	}
+	if tags[0] != tags[1] || len(tags[0]) != 18 {
+		t.Fatalf("two servers tagged one tile %s and %s, want one 16-digit tag", tags[0], tags[1])
+	}
+	body, err := os.ReadFile(filepath.Join(goldenDir, "lab2.tile-full.svg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := etagOf(body)
+	for i := range body {
+		for _, flip := range []byte{1, 0x80, 0xff} {
+			body[i] ^= flip
+			if etagOf(body) == tag {
+				t.Fatalf("byte %d xor %#x: same tag %s", i, flip, tag)
+			}
+			body[i] ^= flip
+		}
+	}
+}
+
 // Concurrent first hits must collapse to one decode per trace and one
 // render per tile (singleflight).
 func TestSingleflightCollapsesColdHits(t *testing.T) {
