@@ -69,22 +69,21 @@ smoke-serve:
 	$(GO) run ./cmd/pilot-serve -repo out/serve-repo -smoke -q
 	test -z "$$(find out/serve-repo -name '*.idx')"
 
-# Block-table smoke: prove every answer through each golden trace's block
-# table (windowed profiles, filtered record selections) byte-identical to
-# the full scan, and the table itself the one a scan makes; pilot-index
-# exits 1 on the first disagreement. A copy cut short of its 22-byte
-# footer (clog2.FooterSize) must report the degraded status and still
-# agree with the scan. Runs on copies so the goldens stay pristine.
+# Block-table smoke: each golden trace's block table must be the one a
+# scan of the log makes, entry for entry (clogdump -verify exits 1 naming
+# the first entry that differs). A copy cut short of its 22-byte footer
+# (clog2.FooterSize) must report the degraded status. Runs on copies so
+# the goldens stay pristine.
 smoke-index:
 	rm -rf out/idx-smoke
 	@mkdir -p out/idx-smoke
 	cp testdata/golden/*.clog2 out/idx-smoke/
 	head -c -22 testdata/golden/lab2.clog2 > out/idx-smoke/lab2-nofooter.clog2
-	$(GO) build -o out/pilot-index ./cmd/pilot-index
-	./out/pilot-index verify out/idx-smoke/lab2.clog2
-	./out/pilot-index verify out/idx-smoke/collisions.clog2
-	./out/pilot-index verify out/idx-smoke/thumbnail.clog2
-	./out/pilot-index verify out/idx-smoke/lab2-nofooter.clog2 > out/idx-smoke/nofooter.txt
+	$(GO) build -o out/clogdump ./cmd/clogdump
+	./out/clogdump -verify out/idx-smoke/lab2.clog2
+	./out/clogdump -verify out/idx-smoke/collisions.clog2
+	./out/clogdump -verify out/idx-smoke/thumbnail.clog2
+	./out/clogdump -verify out/idx-smoke/lab2-nofooter.clog2 > out/idx-smoke/nofooter.txt
 	cat out/idx-smoke/nofooter.txt
 	grep -q '^table: degraded' out/idx-smoke/nofooter.txt
 	test -z "$$(find out/idx-smoke -name '*.idx')"
@@ -164,7 +163,7 @@ fuzz:
 	$(GO) test ./internal/clog2/ -fuzz FuzzSalvageSegments -fuzztime 30s
 	$(GO) test ./internal/mpe/ -fuzz FuzzSalvageFragment -fuzztime 30s
 	$(GO) test ./internal/slog2/ -fuzz FuzzReadSLOG2 -fuzztime 30s
-	$(GO) test ./internal/idx/ -fuzz FuzzReadIndex -fuzztime 30s
+	$(GO) test ./internal/clog2/ -fuzz FuzzReadTable -fuzztime 30s
 	$(GO) test ./internal/analyze/ -fuzz FuzzAnalyze -fuzztime 30s
 	$(GO) test ./internal/jumpshot/ -fuzz FuzzAppendFixed -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzGzip -fuzztime 30s
@@ -176,7 +175,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSalvageSegments$$' -fuzztime 5s ./internal/clog2/
 	$(GO) test -run '^$$' -fuzz '^FuzzSalvageFragment$$' -fuzztime 5s ./internal/mpe/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSLOG2$$' -fuzztime 5s ./internal/slog2/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime 5s ./internal/idx/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 5s ./internal/clog2/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s ./internal/analyze/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime 5s ./internal/jumpshot/
 	$(GO) test -run '^$$' -fuzz '^FuzzGzip$$' -fuzztime 5s ./internal/serve/

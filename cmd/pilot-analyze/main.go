@@ -30,7 +30,7 @@ import (
 	"os"
 
 	"repro/internal/analyze"
-	"repro/internal/idx"
+	"repro/internal/clog2"
 	"repro/vis"
 )
 
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 1 {
 		return usage()
 	}
-	if err := idx.CheckWindow(*t0, *t1); err != nil {
+	if err := clog2.CheckWindow(*t0, *t1); err != nil {
 		fmt.Fprintln(stderr, "pilot-analyze:", err)
 		return 2
 	}

@@ -28,7 +28,7 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/idx"
+	"repro/internal/clog2"
 	"repro/internal/stats"
 )
 
@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: pilot-profile [-json] [-o out] [-t0 T] [-t1 T] run.clog2")
 		return 2
 	}
-	if err := idx.CheckWindow(*t0, *t1); err != nil {
+	if err := clog2.CheckWindow(*t0, *t1); err != nil {
 		fmt.Fprintln(stderr, "pilot-profile:", err)
 		return 2
 	}

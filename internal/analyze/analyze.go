@@ -1,9 +1,10 @@
-// The streaming collection pass: one BlockReader scan gathering what
-// the post-run profile does not keep — per-(rank,state) outlier
-// attribution, per-channel message timing, per-rank category
-// self-times, and injected-fault events — plus the entry points that
-// pair it with a reused or recomputed stats.Profile and run the
-// detector catalogue over both.
+// The streaming collection pass: one BlockReader scan, or one clog2.Walk
+// through the log's block table for a window, gathering what the post-run
+// profile does not keep — per-(rank,state) outlier attribution,
+// per-channel message timing, per-rank category self-times, and
+// injected-fault events — plus the entry points that pair it with a
+// reused or recomputed stats.Profile and run the detector catalogue over
+// both.
 package analyze
 
 import (
@@ -17,7 +18,6 @@ import (
 
 	"repro/internal/clog2"
 	"repro/internal/colors"
-	"repro/internal/idx"
 	"repro/internal/stats"
 )
 
@@ -203,7 +203,7 @@ func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 }
 
 // AnalyzeFile analyzes a CLOG-2 file. A windowed analysis makes one
-// pass under idx.Walk, collector and profiler on the same fold, so it
+// pass under clog2.Walk, collector and profiler on the same fold, so it
 // reads only the blocks the log's block table selects when it has a valid
 // one and every block otherwise. A whole-run analysis reads every block
 // without opening the table, and reuses a matching "<base>.profile.json" sidecar
@@ -212,17 +212,17 @@ func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 func AnalyzeFile(path string, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if !math.IsInf(opts.T0, -1) || !math.IsInf(opts.T1, 1) {
-		q := idx.MatchAll()
+		q := clog2.MatchAll()
 		q.T0, q.T1, q.IncludeDefs = opts.T0, opts.T1, true
 		var c *collector
-		st, err := idx.Walk(path, q, func(numRanks int) func(clog2.Block) error {
+		used, err := clog2.Walk(path, q, func(numRanks int) func(clog2.Block) error {
 			c = newCollector(opts, numRanks, true)
 			return c.block
 		})
 		if err != nil {
 			return nil, fmt.Errorf("analyze: %s: %w", path, err)
 		}
-		return buildReport(c, c.prof.Profile(), "computed", st == idx.StatusOK), nil
+		return buildReport(c, c.prof.Profile(), "computed", used), nil
 	}
 	sidecar := sidecarProfile(path)
 	fh, err := os.Open(path)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/clog2"
-	"repro/internal/idx"
 )
 
 // bytesRead is what this process has asked the kernel to read so far
@@ -79,7 +78,7 @@ func writeBlockyLog(t *testing.T, path string, steps, statesPerBlock int) {
 func TestAnalyzeWindowedReadsItsBlocksOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blocky.clog2")
 	writeBlockyLog(t, path, 150, 600)
-	ix, err := idx.Load(path)
+	ix, err := clog2.LoadTable(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestAnalyzeFileWindowedEqualsPlainReader(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := idx.Load(path)
+		ix, err := clog2.LoadTable(path)
 		if err != nil {
 			t.Fatal(err)
 		}

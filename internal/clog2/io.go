@@ -545,7 +545,7 @@ func (br *BlockReader) NextRunIn(buf []Record, t0, t1 float64) (run Block, read 
 var decodePool = sync.Pool{New: func() any { return new([decodeBufSize]byte) }}
 
 // Release ends the reader's life and hands its decode buffer to the next
-// reader opened: for a caller that opens one per query (idx.Walk), so
+// reader opened: for a caller that opens one per query (Walk), so
 // that a query does not pay for, and clear, 64 KiB it uses once. Every
 // call on a released reader reports the end of the log.
 func (br *BlockReader) Release() {

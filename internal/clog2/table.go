@@ -14,7 +14,7 @@ import (
 // size layout of a log header, placed at the end of the file, where a
 // writer that appends puts it last). A reader of records stops at the
 // end-log marker and never sees either; a reader that seeks to the blocks
-// a query needs (internal/idx) reads the footer, then the table, and
+// a query needs (Walk, walk.go) reads the footer, then the table, and
 // trusts neither before ReadTable has validated both. Little-endian:
 //
 //	table   totalRecords i64, nblocks u32, then per block (64 bytes):
@@ -206,7 +206,7 @@ func AppendTable(dst []byte, t *Table) []byte {
 // end-log marker without a gap, and a record total they sum to. Every
 // failure wraps ErrNoTable and names the reason. An entry that passes all
 // of that and still lies about its block (a rank, a record count) is found
-// by the reader of that block: idx.Walk checks each run it reads.
+// by the reader of that block: Walk checks each run it reads.
 func ReadTable(r io.ReaderAt, size int64) (*Table, error) {
 	if size < int64(HeaderSize+1+tableHeadSize+FooterSize) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a log with a table", ErrNoTable, size)

@@ -1,0 +1,240 @@
+package clog2
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"math"
+	"os"
+)
+
+// The query side of the block table: time, rank and channel queries over a
+// log that seek straight to the blocks a query can touch instead of
+// streaming the whole log — the raw-log analogue of the level-of-detail
+// index SLOG-2 keeps on the render side.
+//
+// The table is strictly an accelerator: every answer computed through it
+// must be identical to the full-scan answer, and Walk degrades to the full
+// scan when a log has no table (an older writer, a cut), when the table
+// fails validation, or when it lies about a block it selected.
+
+// ErrCorrupt wraps Walk's report of a table that validated and then
+// disagreed with a block it selected: the table lies about the log.
+var ErrCorrupt = errors.New("clog2: block table does not match the log")
+
+// Query selects blocks. The zero Query matches nothing useful — start
+// from MatchAll and narrow.
+type Query struct {
+	// T0/T1 bound the time window (inclusive); non-definition records
+	// with Time outside [T0, T1] are out of scope.
+	T0, T1 float64
+	// Rank restricts to records of one rank; negative means any.
+	Rank int32
+	// Chan restricts to messages on one channel; negative means any.
+	Chan int32
+	// IncludeDefs also selects every block containing definition
+	// records, whatever its fences say — windowed profiling needs the
+	// defs to classify states no matter where the window lands.
+	IncludeDefs bool
+}
+
+// MatchAll returns the query that selects every block.
+func MatchAll() Query {
+	return Query{T0: math.Inf(-1), T1: math.Inf(1), Rank: -1, Chan: -1}
+}
+
+// CheckWindow refuses a time window [t0, t1] that selects nothing by its
+// bounds alone: a NaN bound, which compares false with every time and so
+// would read as no bound at all, a window that ends before it starts, and
+// an infinite bound on the wrong side (t0 = +Inf, t1 = -Inf). An infinite
+// bound on its own side is no bound. Walk and every command that takes a
+// window check it here, so that the records a windowed decoder steps over
+// are exactly those Matches drops for their time.
+func CheckWindow(t0, t1 float64) error {
+	if math.IsNaN(t0) || math.IsNaN(t1) || t1 < t0 || math.IsInf(t0, 1) || math.IsInf(t1, -1) {
+		return fmt.Errorf("empty time window [%g,%g]", t0, t1)
+	}
+	return nil
+}
+
+// Select returns the indices (in file order) of the blocks a scan for q
+// must visit: blocks whose fences intersect the query, plus — with
+// q.IncludeDefs — every block holding definition records. The selection
+// is conservative: a selected block may hold no matching record, but no
+// unselected block can.
+func (t *Table) Select(q Query) []int {
+	sel := make([]int, 0, len(t.Blocks))
+	for i := range t.Blocks {
+		if blockMatches(&t.Blocks[i], q) {
+			sel = append(sel, i)
+		}
+	}
+	return sel
+}
+
+func blockMatches(b *BlockMeta, q Query) bool {
+	if q.IncludeDefs && b.Defs > 0 {
+		return true
+	}
+	// Only definition records left? Nothing a filtered scan wants.
+	if b.Records <= b.Defs {
+		return false
+	}
+	if b.TMax < q.T0 || b.TMin > q.T1 {
+		return false
+	}
+	if q.Rank >= 0 && (q.Rank < b.RankMin || q.Rank > b.RankMax) {
+		return false
+	}
+	if q.Chan >= 0 {
+		if b.Msgs == 0 || q.Chan < b.ChanMin || q.Chan > b.ChanMax {
+			return false
+		}
+	}
+	return true
+}
+
+// Matches reports whether one decoded record is in scope for q — the
+// record-level filter every consumer applies inside visited blocks, so
+// the indexed and full-scan paths agree answer-for-answer. Definition
+// records are metadata: they skip the time window (their timestamps mark
+// when they were defined, not when anything happened) but still honour
+// the rank and channel filters. A consumer that wants definitions must
+// therefore select blocks with IncludeDefs set; Select's fences only
+// cover non-definition records.
+func (q Query) Matches(r *Record) bool {
+	if !r.Type.IsDef() && (r.Time < q.T0 || r.Time > q.T1) {
+		return false
+	}
+	if q.Rank >= 0 && r.Rank != q.Rank {
+		return false
+	}
+	if q.Chan >= 0 && (r.Type != RecMsgEvt || r.Aux2 != q.Chan) {
+		return false
+	}
+	return true
+}
+
+// LoadTable reads and validates the block table at the end of the log at
+// path (ReadTable). When the log has no usable table, the error wraps
+// ErrNoTable and says why.
+func LoadTable(path string) (*Table, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return readTableFile(f)
+}
+
+func readTableFile(f *os.File) (*Table, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadTable(f, info.Size())
+}
+
+// Walk is the one place that decides between the table and the scan. It
+// opens the log at path once and visits, in file order, the blocks that
+// can hold a record q matches: those its validated table selects (Select,
+// then scan's checked reading), or every block of the file. begin
+// takes the log's rank count and returns the visitor for one attempt. When
+// the table validates and then disagrees with a block mid-scan, Walk calls
+// begin again and reads every block, so a consumer keeps only what its
+// latest begin started: the disagreement can come after runs of the lying
+// block were delivered. Any other error, the visitor's own among them,
+// ends the walk at once; a window CheckWindow refuses ends it before the
+// log is opened. A visitor may only walk the records it is handed: every
+// block, selected or not, comes in runs (NextRunIn over q's window), and a
+// run holds every record of its block in file order except the bare,
+// cargo and message records stamped outside [q.T0, q.T1], which the
+// decoder steps over undecoded because Matches drops them anyway.
+// Definitions, time shifts, source locations and records that fail q's
+// rank or channel filter are handed over; a run may be empty.
+// tableUsed says what the answer rests on: true, the table selected the
+// blocks; false, it could not and every block was read.
+func Walk(path string, q Query, begin func(numRanks int) func(Block) error) (tableUsed bool, err error) {
+	if err := CheckWindow(q.T0, q.T1); err != nil {
+		return false, fmt.Errorf("clog2: %w", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	if t, err := readTableFile(f); err == nil {
+		if err := scan(f, t, t.Select(q), q, begin(t.NumRanks)); !errors.Is(err, ErrCorrupt) {
+			return true, err
+		}
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return false, err
+	}
+	br, err := NewBlockReader(f)
+	if err != nil {
+		return false, err
+	}
+	return false, br.EachIn(q.T0, q.T1, begin(br.NumRanks()))
+}
+
+// scan visits the selected blocks of the log rs holds in file order,
+// seeking over everything in between; consecutive selected blocks are
+// read without a seek. fn gets each block in runs (NextRunIn over q's
+// window, into the buffer Each would use) that share that buffer: it
+// must not retain them. Both buffers of the scan go back to their pools
+// when it returns, so a window allocates what it keeps and not what it
+// reads through. Every run is checked against the block's table entry (its
+// rank, and a running count of the records read, kept or stepped over,
+// that may not pass the entry's and must equal it on the last run); a
+// mismatch, or a block that does not decode, means the table lies about
+// the file and surfaces as an ErrCorrupt-wrapped error, so callers can
+// degrade to the full scan. A lie about a block's length can surface after
+// fn has seen earlier runs of that block: what fn built is then to be
+// thrown away. The file system's errors and fn's are returned as they are.
+func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) error {
+	if len(sel) == 0 {
+		return nil
+	}
+	for _, i := range sel {
+		if i < 0 || i >= len(t.Blocks) {
+			return fmt.Errorf("clog2: block selection %d out of range", i)
+		}
+	}
+	br, err := NewBlockReaderAt(rs, t.Blocks[sel[0]].Offset, t.NumRanks)
+	if err != nil {
+		return err
+	}
+	defer br.Release()
+	pos := t.Blocks[sel[0]].Offset
+	buf := NewRunBuffer()
+	defer buf.Free()
+	for _, i := range sel {
+		bm := &t.Blocks[i]
+		if bm.Offset != pos {
+			if err := br.SeekTo(bm.Offset); err != nil {
+				return err
+			}
+		}
+		for n, last := int32(0), false; !last; {
+			var run Block
+			var read int32
+			if run, read, last, err = br.NextRunIn(buf[:0], q.T0, q.T1); err != nil {
+				if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
+					return err
+				}
+				return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
+			}
+			n += read
+			if run.Rank != bm.Rank || n > bm.Records || last && n != bm.Records {
+				return fmt.Errorf("%w: block %d at offset %d does not match its table entry", ErrCorrupt, i, bm.Offset)
+			}
+			if err := fn(run); err != nil {
+				return err
+			}
+		}
+		pos = bm.Offset + bm.Length
+	}
+	return nil
+}

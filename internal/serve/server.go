@@ -481,10 +481,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	if _, perr := s.repo.Profile(tr.ID); perr == nil {
 		meta.HasProfile = true
 	}
-	if hasClog, st := s.repo.IndexStatus(tr.ID); hasClog {
-		meta.HasClog = true
-		meta.Index = st.String()
-	}
+	meta.Index = s.repo.IndexStatus(tr.ID)
+	meta.HasClog = meta.Index != ""
 	body, err := json.Marshal(meta)
 	if err != nil {
 		s.fail(w, r, err)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/clog2"
-	"repro/internal/idx"
 	"repro/internal/stats"
 )
 
@@ -179,10 +178,10 @@ func TestRepoWindowedProfileDirect(t *testing.T) {
 	if _, _, err := repo.WindowedProfile("../evil", 0, 1); err == nil {
 		t.Error("traversal id did not error")
 	}
-	if hasClog, status := repo.IndexStatus("collisions"); !hasClog || status != idx.StatusOK {
-		t.Errorf("IndexStatus = %v, %v; want true, ok", hasClog, status)
+	if status := repo.IndexStatus("collisions"); status != "ok" {
+		t.Errorf("IndexStatus = %q, want ok", status)
 	}
-	if hasClog, status := repo.IndexStatus("absent"); hasClog || status != idx.StatusDegraded {
-		t.Errorf("IndexStatus of a trace without a log = %v, %v; want false, degraded", hasClog, status)
+	if status := repo.IndexStatus("absent"); status != "" {
+		t.Errorf("IndexStatus of a trace without a log = %q, want none", status)
 	}
 }

@@ -202,7 +202,7 @@ func (pp *Profiler) Observe(step clog2.Step, rec *clog2.Record) {
 }
 
 // observeBlock folds and observes one block's records. Blocks must
-// arrive in file order — the order both the full scan and idx.Walk
+// arrive in file order — the order both the full scan and clog2.Walk
 // deliver.
 func (pp *Profiler) observeBlock(b clog2.Block) error {
 	for i := range b.Records {

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/idx"
+	"repro/internal/clog2"
 	"repro/vis"
 )
 
@@ -38,8 +38,8 @@ func TestNoSidecarWritten(t *testing.T) {
 	assertNoSidecar(t, run)
 	assertNoSidecar(t, repo)
 	for _, p := range []string{clog, filepath.Join(repo, "lab2.clog2")} {
-		if st := idx.Probe(p); st != idx.StatusOK {
-			t.Errorf("%s: table %v, want ok", p, st)
+		if _, err := clog2.LoadTable(p); err != nil {
+			t.Errorf("%s: %v, want a usable table", p, err)
 		}
 	}
 }
