@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-bench race loc-paths ci cover lines bench bench-smoke fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire clean
+.PHONY: all build fmt vet test test-bench race loc-paths ci cover lines bench bench-smoke fuzz fuzz-smoke smoke-multiproc smoke-serve smoke-index smoke-analyze chaos chaos-wire unreached clean
 
 all: ci
 
@@ -196,6 +196,29 @@ chaos:
 # rank processes). Race-clean.
 chaos-wire:
 	$(GO) test -race -run '^TestChaosWireSweep$$|^TestChaosWireReplay$$' -v .
+
+# Functions declared outside package main that no program links. Every
+# main under cmd/, examples/ and bench/ is built with inlining off into
+# out/unreached/bin; each function a package's `go list -export` archive
+# defines from its source (compiler wrappers are <autogenerated> there)
+# that is missing from the union of the binaries' text symbols is printed.
+# Closures, generic shape instantiations and package init are skipped.
+# Not part of ci: what is left are test facilities and interface methods,
+# which CHANGES.md accounts for.
+UNREACHED = out/unreached
+unreached:
+	rm -rf $(UNREACHED)
+	@mkdir -p $(UNREACHED)/bin
+	$(GO) build -gcflags=all=-l -o $(UNREACHED)/bin/ ./cmd/... ./examples/...
+	$(GO) build -C bench -gcflags=all=-l -o $(CURDIR)/$(UNREACHED)/bin/bench .
+	for b in $(UNREACHED)/bin/*; do $(GO) tool nm $$b; done | \
+	awk '$$2 == "T" || $$2 == "t" { print $$3 }' | LC_ALL=C sort -u > $(UNREACHED)/linked
+	{ $(GO) list -export -gcflags=all=-l -f '{{if ne .Name "main"}}{{.Export}}{{end}}' ./... && \
+	  $(GO) list -C bench -export -gcflags=all=-l -f '{{if ne .Name "main"}}{{.Export}}{{end}}' ./...; } | \
+	while read a; do [ -z "$$a" ] || $(GO) tool objdump $$a; done | \
+	awk '$$1 == "TEXT" && $$3 != "<autogenerated>" && $$2 ~ /^repro\// { sub(/\(SB\)$$/, "", $$2); print $$2 }' | \
+	grep -vE '\.(func|deferwrap|gowrap)[0-9]|[[·]|^repro/[^.]*\.init(\.[0-9]+)?$$' | LC_ALL=C sort -u > $(UNREACHED)/declared
+	@LC_ALL=C comm -23 $(UNREACHED)/declared $(UNREACHED)/linked
 
 clean:
 	rm -rf out

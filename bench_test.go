@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/jpeglite"
+	"repro/internal/jumpshot"
 	"repro/internal/lab2"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
@@ -120,7 +121,7 @@ func BenchmarkF1_RenderSVG(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := vis.RenderSVG(f, vis.View{}); len(out) == 0 {
+		if out := jumpshot.AppendSVG(nil, f, vis.View{}); len(out) == 0 {
 			b.Fatal("empty render")
 		}
 	}
@@ -135,7 +136,7 @@ func BenchmarkF2_RenderZoomed(b *testing.B) {
 	span := f.End - f.Start
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vis.RenderSVG(f, vis.View{From: f.Start + span*0.45, To: f.Start + span*0.55})
+		jumpshot.AppendSVG(nil, f, vis.View{From: f.Start + span*0.45, To: f.Start + span*0.55})
 	}
 }
 
@@ -256,7 +257,10 @@ func BenchmarkA2_FrameSize(b *testing.B) {
 					b.Fatal(err)
 				}
 				span := f.End - f.Start
-				f.Query(f.Start+span*0.45, f.Start+span*0.55)
+				t0, t1 := f.Start+span*0.45, f.Start+span*0.55
+				f.States(t0, t1)
+				f.Arrows(t0, t1)
+				f.Events(t0, t1)
 			}
 		})
 	}

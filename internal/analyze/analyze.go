@@ -265,7 +265,3 @@ func sidecarProfile(clogPath string) *stats.Profile {
 	}
 	return &p
 }
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}

@@ -236,15 +236,6 @@ func (r *Report) JSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WriteJSON writes the JSON form to path.
-func (r *Report) WriteJSON(path string) error {
-	data, err := r.JSON()
-	if err != nil {
-		return err
-	}
-	return writeFile(path, data)
-}
-
 // Format renders the report as human-readable text.
 func (r *Report) Format() string {
 	var b strings.Builder

@@ -141,39 +141,3 @@ func (m *Monotonic) Now() float64 {
 	m.last = t
 	return t
 }
-
-// SyncResult describes the correction computed for one clock by Sync.
-type SyncResult struct {
-	// Offset is the estimated value of (local - reference) at the moment of
-	// synchronisation: subtract it from local readings to map them onto the
-	// reference timebase.
-	Offset float64
-	// RTT is the round-trip time observed for the best estimation exchange,
-	// an error bound on Offset.
-	RTT float64
-}
-
-// Sync estimates the offset of local relative to ref using the classic
-// ping-pong scheme MPE employs in MPE_Log_sync_clocks: sample ref, sample
-// local, sample ref again, and take the local reading against the midpoint
-// of the two ref readings. rounds exchanges are performed and the one with
-// the smallest round trip wins.
-//
-// In the simulated world both sources are cheap to read, so this converges
-// with tiny RTTs; the algorithm is nevertheless the real one.
-func Sync(ref, local Source, rounds int) SyncResult {
-	if rounds < 1 {
-		rounds = 1
-	}
-	best := SyncResult{RTT: math.Inf(1)}
-	for i := 0; i < rounds; i++ {
-		t0 := ref.Now()
-		l := local.Now()
-		t1 := ref.Now()
-		rtt := t1 - t0
-		if rtt < best.RTT {
-			best = SyncResult{Offset: l - (t0+t1)/2, RTT: rtt}
-		}
-	}
-	return best
-}

@@ -132,43 +132,6 @@ type sourceFunc func() float64
 
 func (f sourceFunc) Now() float64 { return f() }
 
-func TestSyncRecoversOffset(t *testing.T) {
-	base := NewReal()
-	const trueOffset = 1.75
-	local := NewSkewed(base, trueOffset, 0, 0)
-	res := Sync(base, local, 10)
-	if math.Abs(res.Offset-trueOffset) > 1e-3 {
-		t.Fatalf("Sync offset = %v, want ~%v (rtt %v)", res.Offset, trueOffset, res.RTT)
-	}
-	if res.RTT < 0 {
-		t.Fatalf("negative RTT %v", res.RTT)
-	}
-}
-
-func TestSyncRoundsClamped(t *testing.T) {
-	base := NewManual(10)
-	local := NewSkewed(base, 0.5, 0, 0)
-	res := Sync(base, local, 0) // clamps to 1 round
-	if math.Abs(res.Offset-0.5) > 1e-9 {
-		t.Fatalf("Sync offset = %v, want 0.5", res.Offset)
-	}
-}
-
-// Property: for random offsets (drift-free), Sync recovers the offset to
-// within the observed RTT.
-func TestSyncOffsetProperty(t *testing.T) {
-	f := func(raw int16) bool {
-		offset := float64(raw) / 100 // -327.68 .. 327.67 s
-		base := NewReal()
-		local := NewSkewed(base, offset, 0, 0)
-		res := Sync(base, local, 5)
-		return math.Abs(res.Offset-offset) <= res.RTT+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Skewed with positive resolution always yields a multiple of the
 // resolution (within floating error).
 func TestSkewedResolutionProperty(t *testing.T) {

@@ -146,19 +146,3 @@ func CategoryOf(name string) Category {
 	}
 	return Other
 }
-
-// CategoryColor returns a representative colour per category, used for the
-// striped preview rectangles Jumpshot draws in zoomed-out intervals (the
-// paper's "red, green or gray" stripes).
-func CategoryColor(c Category) Color {
-	switch c {
-	case Output:
-		return Green
-	case Input:
-		return Red
-	case Admin:
-		return Gray
-	default:
-		return Yellow
-	}
-}

@@ -118,10 +118,3 @@ func TestCategoryString(t *testing.T) {
 		t.Errorf("invalid category String() = %q", got)
 	}
 }
-
-func TestCategoryColors(t *testing.T) {
-	if CategoryColor(Input) != Red || CategoryColor(Output) != Green ||
-		CategoryColor(Admin) != Gray || CategoryColor(Other) != Yellow {
-		t.Error("category preview colours diverge from the paper's stripes (red, green, gray)")
-	}
-}

@@ -39,23 +39,6 @@ func (u BundleUsage) String() string {
 	return fmt.Sprintf("BundleUsage(%d)", uint8(u))
 }
 
-// opName returns the Pilot function name performed on this bundle.
-func (u BundleUsage) opName() string {
-	switch u {
-	case UsageBroadcast:
-		return "PI_Broadcast"
-	case UsageScatter:
-		return "PI_Scatter"
-	case UsageGather:
-		return "PI_Gather"
-	case UsageReduce:
-		return "PI_Reduce"
-	case UsageSelect:
-		return "PI_Select"
-	}
-	return "PI_?"
-}
-
 // Bundle is a set of channels sharing a common endpoint, created during
 // configuration to serve as the argument of a collective operation
 // (PI_BUNDLE*). "A bundle with N channels will result in N arrows being

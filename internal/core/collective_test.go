@@ -437,6 +437,60 @@ func TestDeadlockReadFromExited(t *testing.T) {
 	}
 }
 
+// A PI_Select blocked in its sweep must return an error once another
+// process calls PI_Abort, not poll an aborted world forever.
+func TestSelectReleasedByAbort(t *testing.T) {
+	cfg, _ := testConfig(t, 3, "")
+	r := mustRuntime(t, cfg)
+	fn := func(self *Self, index int, arg any) int {
+		if index == 0 {
+			time.Sleep(10 * time.Millisecond) // let PI_MAIN block in the select
+			self.Abort(5, "giving up")
+		}
+		return 0
+	}
+	_, from, _ := buildStar(t, r, 2, fn)
+	sel, err := r.CreateBundle(UsageSelect, from...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := sel.Select(); err == nil {
+		t.Fatalf("select in an aborted world returned %d", idx)
+	}
+	if err := r.StopMain(0); err == nil || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("StopMain: %v", err)
+	}
+}
+
+// A PI_Select whose writers all exited without writing is the any-of form
+// of reading from an exited process: the detector must release it with an
+// error and report the deadlock.
+func TestDeadlockSelectFromExited(t *testing.T) {
+	cfg, _ := testConfig(t, 4, "d") // PI_MAIN, two writers, the detector
+	cfg.DeadlockGrace = 30 * time.Millisecond
+	r := mustRuntime(t, cfg)
+	fn := func(self *Self, index int, arg any) int {
+		return 0 // exits immediately, writing nothing
+	}
+	_, from, _ := buildStar(t, r, 2, fn)
+	sel, err := r.CreateBundle(UsageSelect, from...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.StartAll(); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := sel.Select(); err == nil {
+		t.Fatalf("select over exited writers returned %d", idx)
+	}
+	if err := r.StopMain(0); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("StopMain: %v", err)
+	}
+}
+
 // Buffered data from an exited writer must NOT be flagged: the message is
 // already in flight.
 func TestNoFalseDeadlockOnBufferedData(t *testing.T) {

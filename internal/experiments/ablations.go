@@ -139,7 +139,8 @@ type A2Row struct {
 	// "amount of data initially displayed" the paper attributes to the
 	// frame-size parameter.
 	MaxFrameDrawables int
-	// QueryMicros is the time to fetch a 10% viewport.
+	// QueryMicros is the time to fetch a 10% viewport's states, arrows
+	// and events, as the viewers do.
 	QueryMicros float64
 }
 
@@ -173,7 +174,9 @@ func RunA2(opt Options, f1 *F1Result) ([]A2Row, error) {
 		const reps = 50
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			f.Query(t0, t1)
+			f.States(t0, t1)
+			f.Arrows(t0, t1)
+			f.Events(t0, t1)
 		}
 		rows = append(rows, A2Row{
 			FrameCapacity:     capacity,

@@ -242,17 +242,9 @@ func modesCompatible(a, b Mode) bool {
 	return arrayish(a) && arrayish(b)
 }
 
-// ArgsWrite returns how many caller arguments the spec consumes on the
-// write side: Star consumes a count plus the slice; everything else one.
-func (s Spec) ArgsWrite() int {
-	if s.Mode == Star {
-		return 2
-	}
-	return 1
-}
-
-// ArgsRead returns how many caller arguments the spec consumes on the read
-// side (same rule as ArgsWrite; Caret reads into a single *[]T).
+// ArgsRead returns how many caller arguments the spec consumes: Star
+// consumes a count plus the slice, everything else one (Caret reads into
+// a single *[]T).
 func (s Spec) ArgsRead() int {
 	if s.Mode == Star {
 		return 2

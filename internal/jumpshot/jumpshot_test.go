@@ -159,30 +159,6 @@ func TestCategoryFraction(t *testing.T) {
 	}
 }
 
-func TestLoadImbalance(t *testing.T) {
-	f := makeLog(t)
-	// Compute time equal on both ranks → ratio 1.
-	if got := LoadImbalance(f, "Compute", []int{0, 1}, 0, 10); math.Abs(got-1) > 1e-9 {
-		t.Errorf("balanced imbalance = %v", got)
-	}
-	// Read time exists only on rank 1 → infinite imbalance.
-	if got := LoadImbalance(f, "PI_Read", []int{0, 1}, 0, 10); !math.IsInf(got, 1) {
-		t.Errorf("one-sided imbalance = %v", got)
-	}
-}
-
-func TestOverlap(t *testing.T) {
-	f := makeLog(t)
-	// Compute [0,10] on both ranks: full overlap.
-	if got := Overlap(f, "Compute", 0, 1, 0, 10); math.Abs(got-10) > 1e-9 {
-		t.Errorf("compute overlap = %v", got)
-	}
-	// Read on rank 1 only: zero overlap with rank 0.
-	if got := Overlap(f, "PI_Read", 0, 1, 0, 10); got != 0 {
-		t.Errorf("read overlap = %v", got)
-	}
-}
-
 func TestSearch(t *testing.T) {
 	f := makeLog(t)
 	hits := Search(f, SearchOptions{Name: "read", Rank: -1})

@@ -2,7 +2,6 @@ package jumpshot
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -87,38 +86,6 @@ func CategoryFraction(f *slog2.File, name string, t0, t1 float64) float64 {
 	return named / total
 }
 
-// LoadImbalance returns the ratio of the maximum to the minimum per-rank
-// time in the named category across the given ranks (1.0 = perfectly
-// balanced). Ranks absent from the window count as zero, yielding +Inf.
-func LoadImbalance(f *slog2.File, name string, ranks []int, t0, t1 float64) float64 {
-	idx := f.CategoryIndex(name)
-	if idx < 0 || len(ranks) == 0 {
-		return 0
-	}
-	stats := Stats(f, t0, t1)
-	byRank := map[int]float64{}
-	for _, rs := range stats {
-		byRank[rs.Rank] = rs.Time[idx]
-	}
-	min, max := -1.0, 0.0
-	for _, r := range ranks {
-		v := byRank[r]
-		if v > max {
-			max = v
-		}
-		if min < 0 || v < min {
-			min = v
-		}
-	}
-	if min <= 0 {
-		if max == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return max / min
-}
-
 // FormatStats renders per-rank statistics as an aligned table with one
 // column per category present.
 func FormatStats(f *slog2.File, stats []RankStats) string {
@@ -147,48 +114,4 @@ func FormatStats(f *slog2.File, stats []RankStats) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Overlap measures how much the named category's states on two ranks run
-// concurrently within [t0,t1]: the summed intersection of their intervals.
-// The student "instance A" diagnosis rests on this: serialized query
-// processing shows ~zero pairwise overlap of worker Compute states.
-func Overlap(f *slog2.File, name string, rankA, rankB int, t0, t1 float64) float64 {
-	idx := f.CategoryIndex(name)
-	if idx < 0 {
-		return 0
-	}
-	var as, bs []*slog2.State
-	for _, r := range f.States(t0, t1) {
-		if s := r.D; s.Cat == idx {
-			switch s.Rank {
-			case rankA:
-				as = append(as, s)
-			case rankB:
-				bs = append(bs, s)
-			}
-		}
-	}
-	var total float64
-	for _, a := range as {
-		for _, b := range bs {
-			lo, hi := a.Start, a.End
-			if b.Start > lo {
-				lo = b.Start
-			}
-			if b.End < hi {
-				hi = b.End
-			}
-			if lo < t0 {
-				lo = t0
-			}
-			if hi > t1 {
-				hi = t1
-			}
-			if hi > lo {
-				total += hi - lo
-			}
-		}
-	}
-	return total
 }

@@ -96,15 +96,3 @@ func FormatWaitMatrix(edges []WaitEdge) string {
 	}
 	return b.String()
 }
-
-// TopBlocker returns the rank the given waiter spends the most blocked
-// time on within [t0, t1], with that time; sender -1 means unattributed.
-func TopBlocker(f *slog2.File, waiter int, t0, t1 float64) (sender int, blocked float64) {
-	sender = -1
-	for _, e := range WaitMatrix(f, t0, t1) {
-		if e.Waiter == waiter {
-			return e.Sender, e.Blocked
-		}
-	}
-	return sender, 0
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -237,13 +238,14 @@ func runConformance(t *testing.T, seed int64) {
 	}
 }
 
-// Probe-then-receive: a receive anchored to exactly what a blocking Probe
-// reported must deliver that same message, for every message, while
-// senders keep racing new envelopes into the mailbox. Because only this
-// rank consumes its mailbox and matching is non-overtaking, the probed
-// message is the oldest of its (source, tag) pair — so the anchored
-// receive must return a message whose status matches the probe's exactly,
-// length included.
+// Probe-then-receive: a receive anchored to exactly what Iprobe reported
+// must deliver that same message, for every message, while senders keep
+// racing new envelopes into the mailbox. PI_Select sweeps its bundle with
+// Iprobe and PI_Read then receives on the channel it named, so this is
+// the guarantee that pairing relies on. Because only this rank consumes
+// its mailbox and matching is non-overtaking, the probed message is the
+// oldest of its (source, tag) pair — so the anchored receive must return
+// a message whose status matches the probe's exactly, length included.
 func TestConformanceProbeThenRecv(t *testing.T) {
 	const (
 		nSenders  = 3
@@ -261,11 +263,16 @@ func TestConformanceProbeThenRecv(t *testing.T) {
 			}
 			return nil
 		}
-		for got := 0; got < nSenders*perSender; got++ {
-			st, err := r.Probe(AnySource, AnyTag)
+		for got := 0; got < nSenders*perSender; {
+			st, ok, err := r.Iprobe(AnySource, AnyTag)
 			if err != nil {
 				return err
 			}
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			got++
 			m, err := r.Recv(st.Source, st.Tag)
 			if err != nil {
 				return err

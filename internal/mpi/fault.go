@@ -316,8 +316,7 @@ func (w *World) FaultEvents() []FaultEvent {
 // faulted reports whether ctx operations are subject to injection.
 func faultedCtx(ctx int) bool { return ctx == CtxUser || ctx == CtxColl }
 
-// crashedErr is the cheap check used by non-counted operations (Probe,
-// Iprobe): a crashed rank can do nothing in the user world.
+// crashedErr is the cheap check used by the non-counted Iprobe: a crashed rank can do nothing in the user world.
 func (w *World) crashedErr(id, ctx int) error {
 	if w.faults == nil || !faultedCtx(ctx) {
 		return nil

@@ -1,7 +1,6 @@
 package mpi
 
-// Regression tests for the mailbox matching fixes: the put wake-pass must
-// never hand a consumed envelope to a probe waiter, take must not pin a
+// Regression tests for the mailbox matching fixes: take must not pin a
 // consumed envelope through the compacted queue's tail slot, and the
 // receive side must validate its arguments as strictly as the send side
 // (a typo'd tag must fail fast, not block forever).
@@ -11,129 +10,6 @@ import (
 	"testing"
 	"time"
 )
-
-// waitForWaiters polls until the mailbox has n registered waiters.
-func waitForWaiters(t *testing.T, b *mailbox, n int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.mu.Lock()
-		got := len(b.waiters)
-		b.mu.Unlock()
-		if got == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mailbox never reached %d waiters (have %d)", n, got)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// A probe waiter registered behind a take waiter must not be woken by the
-// envelope the take consumes: probe promises that a subsequent receive
-// can match what it reported, and a consumed envelope no longer exists.
-func TestPutDoesNotHandConsumedEnvelopeToProbe(t *testing.T) {
-	b := newMailbox()
-
-	takeGot := make(chan *Envelope, 1)
-	go func() {
-		if env, ok := b.take(CtxUser, 0, 5); ok {
-			takeGot <- env
-		}
-	}()
-	waitForWaiters(t, b, 1)
-
-	probeGot := make(chan Status, 1)
-	go func() {
-		if st, ok := b.probe(CtxUser, 0, 5, true); ok {
-			probeGot <- st
-		}
-	}()
-	waitForWaiters(t, b, 2)
-
-	if !b.put(&Envelope{Ctx: CtxUser, Src: 0, Tag: 5, Data: []byte("one")}) {
-		t.Fatal("put failed")
-	}
-	select {
-	case env := <-takeGot:
-		if string(env.Data) != "one" {
-			t.Fatalf("take got %q, want %q", env.Data, "one")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("take waiter never woke")
-	}
-	select {
-	case st := <-probeGot:
-		t.Fatalf("probe reported %+v for an envelope the take had already consumed", st)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// A second envelope satisfies the probe AND stays receivable.
-	if !b.put(&Envelope{Ctx: CtxUser, Src: 0, Tag: 5, Data: []byte("two")}) {
-		t.Fatal("second put failed")
-	}
-	select {
-	case st := <-probeGot:
-		if st.Source != 0 || st.Tag != 5 || st.Len != 3 {
-			t.Fatalf("probe status %+v", st)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("probe never woke for the second envelope")
-	}
-	env, ok := b.take(CtxUser, 0, 5)
-	if !ok || string(env.Data) != "two" {
-		t.Fatalf("probed envelope not receivable: ok=%v data=%q", ok, env.Data)
-	}
-}
-
-// In the reverse registration order one put may serve both: the probe
-// observes the envelope and the take behind it consumes it — exactly the
-// queue semantics (a queued envelope is probed, then received).
-func TestPutServesProbeRegisteredBeforeTake(t *testing.T) {
-	b := newMailbox()
-
-	probeGot := make(chan Status, 1)
-	go func() {
-		if st, ok := b.probe(CtxUser, AnySource, AnyTag, true); ok {
-			probeGot <- st
-		}
-	}()
-	waitForWaiters(t, b, 1)
-
-	takeGot := make(chan *Envelope, 1)
-	go func() {
-		if env, ok := b.take(CtxUser, AnySource, AnyTag); ok {
-			takeGot <- env
-		}
-	}()
-	waitForWaiters(t, b, 2)
-
-	if !b.put(&Envelope{Ctx: CtxUser, Src: 2, Tag: 9, Data: []byte("both")}) {
-		t.Fatal("put failed")
-	}
-	select {
-	case st := <-probeGot:
-		if st.Source != 2 || st.Tag != 9 || st.Len != 4 {
-			t.Fatalf("probe status %+v", st)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("probe waiter never woke")
-	}
-	select {
-	case env := <-takeGot:
-		if string(env.Data) != "both" {
-			t.Fatalf("take got %q", env.Data)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("take waiter never woke")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.queue) != 0 {
-		t.Fatalf("consumed envelope still queued (%d entries)", len(b.queue))
-	}
-}
 
 // Taking from the middle of the queue must nil the vacated tail slot so
 // the consumed envelope's payload is not pinned until the slot is reused.
@@ -172,7 +48,6 @@ func TestRecvSideValidation(t *testing.T) {
 		{"recv negative tag", func() error { _, err := r.Recv(1, -2); return err }, "invalid tag -2"},
 		{"recv context too high", func() error { _, err := r.RecvCtx(numCtx, 1, 0); return err }, "invalid context"},
 		{"recv negative context", func() error { _, err := r.RecvCtx(-1, 1, 0); return err }, "invalid context"},
-		{"probe negative tag", func() error { _, err := r.Probe(1, -2); return err }, "invalid tag -2"},
 		{"iprobe negative tag", func() error { _, _, err := r.Iprobe(1, -3); return err }, "invalid tag -3"},
 		{"iprobe bad context", func() error { _, _, err := r.IprobeCtx(99, 1, 0); return err }, "invalid context 99"},
 	}

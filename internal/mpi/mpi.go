@@ -7,7 +7,7 @@
 // equivalent that exercises the same code paths the paper's tooling
 // observes: rank identity, blocking matched receives, eager versus
 // rendezvous sends, per-rank wallclocks (MPI_Wtime) that may drift, an
-// MPI_Abort that tears down every rank, and collectives.
+// MPI_Abort that tears down every rank, and a barrier.
 //
 // Ranks live behind a pluggable Transport. The default in-process
 // transport runs every rank as a goroutine in one address space; the
@@ -18,12 +18,13 @@
 //
 // Message contexts play the role of MPI communicators: traffic in one
 // context never matches receives in another, so library-internal messages
-// (collectives, log collection) cannot be stolen by user wildcard receives.
+// (log collection, services) cannot be stolen by user wildcard receives.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +33,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Wildcards for Recv and Probe, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
+// Wildcards for Recv and Iprobe, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -42,7 +43,8 @@ const (
 const (
 	// CtxUser carries application point-to-point traffic.
 	CtxUser = 0
-	// CtxColl carries collective-operation traffic.
+	// CtxColl is the collective context: Barrier counts in it for fault
+	// injection. Pilot's collectives are per-channel user messages.
 	CtxColl = 1
 	// CtxLog carries log-collection traffic (MPE final merge).
 	CtxLog = 2
@@ -530,33 +532,6 @@ type Message struct {
 	Data []byte
 }
 
-// Probe blocks until a message matching (src, tag) in the user context is
-// available and returns its status without removing it.
-func (r *Rank) Probe(src, tag int) (Status, error) {
-	if err := r.checkWildPeer(src); err != nil {
-		return Status{}, err
-	}
-	if err := checkRecvArgs("probe", CtxUser, tag); err != nil {
-		return Status{}, err
-	}
-	if err := r.w.crashedErr(r.id, CtxUser); err != nil {
-		return Status{}, err
-	}
-	mx := r.w.metrics
-	var t0 time.Time
-	if mx != nil {
-		t0 = time.Now()
-	}
-	st, ok := r.w.t.Probe(r.id, CtxUser, src, tag, true)
-	if !ok {
-		return Status{}, ErrAborted
-	}
-	if mx != nil {
-		mx.ProbeWait(r.id, time.Since(t0).Nanoseconds())
-	}
-	return st, nil
-}
-
 // Iprobe reports whether a message matching (src, tag) in the user context
 // is immediately available, and its status if so.
 func (r *Rank) Iprobe(src, tag int) (Status, bool, error) {
@@ -577,7 +552,7 @@ func (r *Rank) IprobeCtx(ctx, src, tag int) (Status, bool, error) {
 	if err := r.w.crashedErr(r.id, ctx); err != nil {
 		return Status{}, false, err
 	}
-	st, ok := r.w.t.Probe(r.id, ctx, src, tag, false)
+	st, ok := r.w.t.Probe(r.id, ctx, src, tag)
 	return st, ok, nil
 }
 
@@ -624,22 +599,17 @@ func cloneBytes(b []byte) []byte {
 	return out
 }
 
-// Sleep pauses the calling rank. It exists so workloads can inject think
-// time without importing package time everywhere.
-func (r *Rank) Sleep(d time.Duration) { time.Sleep(d) }
-
 // mailbox is a per-rank queue of in-flight messages with matched receives.
 // Queue order is arrival order, which yields MPI's non-overtaking guarantee
 // for any fixed (context, source, tag).
 //
-// Blocked take/probe calls register a waiter carrying their match pattern
-// instead of sleeping on a shared condition variable. put checks each new
-// envelope against the registered patterns — O(waiters), which is O(1) in
-// practice since only the owning rank receives — and hands the envelope
-// directly to the first matching take. The previous cond.Broadcast design
-// woke every blocked caller to rescan the whole queue on every arrival:
-// O(n²) thundering herd under an unmatched backlog (see
-// BenchmarkMailboxBacklog).
+// A blocked take registers a waiter carrying its match pattern instead of
+// sleeping on a shared condition variable. put checks each new envelope
+// against the registered patterns — O(waiters), which is O(1) in practice
+// since only the owning rank receives — and hands it directly to the
+// first matching one. Waking every blocked caller to rescan the whole
+// queue on every arrival would be an O(n²) thundering herd under an
+// unmatched backlog (see BenchmarkMailboxBacklog).
 type mailbox struct {
 	mu      sync.Mutex
 	queue   []*Envelope
@@ -647,32 +617,16 @@ type mailbox struct {
 	closed  bool
 }
 
-// waiter is one blocked take or probe call. ready is buffered so put
-// never blocks delivering; close(ready) signals world abort.
+// waiter is one blocked take. ready is buffered so put never blocks
+// delivering; close(ready) signals world abort.
 type waiter struct {
 	ctx, src, tag int
-	take          bool // take removes the message; probe only observes it
 	ready         chan *Envelope
 }
 
 // waiterPool recycles the waiters that were handed their envelope; one
 // whose channel an abort closed is dropped.
 var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan *Envelope, 1)} }}
-
-// wait registers a waiter for (ctx, src, tag), unlocks the mailbox and
-// blocks until put hands it an envelope: nil means the world aborted.
-func (b *mailbox) wait(ctx, src, tag int, take bool) *Envelope {
-	w := waiterPool.Get().(*waiter)
-	w.ctx, w.src, w.tag, w.take = ctx, src, tag, take
-	b.waiters = append(b.waiters, w)
-	b.mu.Unlock()
-	env, ok := <-w.ready
-	if !ok {
-		return nil
-	}
-	waiterPool.Put(w)
-	return env
-}
 
 func newMailbox() *mailbox {
 	return &mailbox{}
@@ -684,34 +638,18 @@ func (b *mailbox) put(env *Envelope) bool {
 		b.mu.Unlock()
 		return false
 	}
-	// Wake exactly the waiters whose pattern matches: probes observe the
-	// envelope, the first matching take consumes it (FIFO among waiters,
-	// preserving non-overtaking order — a registered taker found no
-	// earlier match when it scanned the queue). Once a take has consumed
-	// the envelope NO later waiter may see it — not even a probe: a probe
-	// handed a consumed envelope would report a message that can never be
-	// received, violating the probe-then-recv guarantee.
-	taken := false
-	if len(b.waiters) > 0 {
-		kept := b.waiters[:0]
-		for _, w := range b.waiters {
-			if taken || !match(env, w.ctx, w.src, w.tag) {
-				kept = append(kept, w)
-				continue
-			}
-			// Read take first: once woken, the waiter may go back to its
-			// pool and be reused by another call.
-			taken = w.take
+	// The first matching waiter gets the envelope (FIFO among waiters,
+	// preserving non-overtaking order: a registered waiter found no
+	// earlier match when it scanned the queue).
+	for i, w := range b.waiters {
+		if match(env, w.ctx, w.src, w.tag) {
+			b.waiters = slices.Delete(b.waiters, i, i+1)
 			w.ready <- env
+			b.mu.Unlock()
+			return true
 		}
-		for i := len(kept); i < len(b.waiters); i++ {
-			b.waiters[i] = nil
-		}
-		b.waiters = kept
 	}
-	if !taken {
-		b.queue = append(b.queue, env)
-	}
+	b.queue = append(b.queue, env)
 	b.mu.Unlock()
 	return true
 }
@@ -732,42 +670,39 @@ func (b *mailbox) take(ctx, src, tag int) (*Envelope, bool) {
 	}
 	for i, env := range b.queue {
 		if match(env, ctx, src, tag) {
-			// Shift left and nil the vacated tail slot so the consumed
+			// Delete clears the vacated tail slot, so the consumed
 			// envelope's payload is not pinned until the slot is reused.
-			copy(b.queue[i:], b.queue[i+1:])
-			last := len(b.queue) - 1
-			b.queue[last] = nil
-			b.queue = b.queue[:last]
+			b.queue = slices.Delete(b.queue, i, i+1)
 			b.mu.Unlock()
 			return env, true
 		}
 	}
-	env := b.wait(ctx, src, tag, true)
-	return env, env != nil
+	w := waiterPool.Get().(*waiter)
+	w.ctx, w.src, w.tag = ctx, src, tag
+	b.waiters = append(b.waiters, w)
+	b.mu.Unlock()
+	env, ok := <-w.ready
+	if !ok {
+		return nil, false
+	}
+	waiterPool.Put(w)
+	return env, true
 }
 
-func (b *mailbox) probe(ctx, src, tag int, block bool) (Status, bool) {
+// probe reports the status of the first matching message without
+// removing it; ok=false means none is queued (or the world aborted).
+func (b *mailbox) probe(ctx, src, tag int) (Status, bool) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return Status{}, false
 	}
 	for _, env := range b.queue {
 		if match(env, ctx, src, tag) {
-			st := Status{Source: env.Src, Tag: env.Tag, Len: len(env.Data)}
-			b.mu.Unlock()
-			return st, true
+			return Status{Source: env.Src, Tag: env.Tag, Len: len(env.Data)}, true
 		}
 	}
-	if !block {
-		b.mu.Unlock()
-		return Status{}, false
-	}
-	env := b.wait(ctx, src, tag, false)
-	if env == nil {
-		return Status{}, false
-	}
-	return Status{Source: env.Src, Tag: env.Tag, Len: len(env.Data)}, true
+	return Status{}, false
 }
 
 func (b *mailbox) close() {

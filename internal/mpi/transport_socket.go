@@ -714,9 +714,9 @@ func (t *socketTransport) Take(me, ctx, src, tag int) (*Envelope, bool) {
 	return t.box.take(ctx, src, tag)
 }
 
-func (t *socketTransport) Probe(me, ctx, src, tag int, block bool) (Status, bool) {
+func (t *socketTransport) Probe(me, ctx, src, tag int) (Status, bool) {
 	t.checkLocal(me)
-	return t.box.probe(ctx, src, tag, block)
+	return t.box.probe(ctx, src, tag)
 }
 
 func (t *socketTransport) checkLocal(me int) {

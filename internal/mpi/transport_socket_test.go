@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,8 +80,7 @@ func runSocketRanks(t *testing.T, worlds []*World, f func(r *Rank) error) []erro
 }
 
 // Point-to-point over the wire: child-to-hub delivery, hub-relayed
-// child-to-child delivery, wildcard matching, probe and iprobe, and a
-// full barrier.
+// child-to-child delivery, wildcard matching, iprobe, and a full barrier.
 func TestSocketWorldBasics(t *testing.T) {
 	worlds := socketWorlds(t, 3, Options{})
 	if addr := worlds[0].Addr(); addr == "" {
@@ -89,7 +89,10 @@ func TestSocketWorldBasics(t *testing.T) {
 	errs := runSocketRanks(t, worlds, func(r *Rank) error {
 		switch r.ID() {
 		case 0:
-			st, err := r.Probe(1, 7)
+			st, ok, err := r.Iprobe(1, 7)
+			for ; err == nil && !ok; st, ok, err = r.Iprobe(1, 7) {
+				runtime.Gosched()
+			}
 			if err != nil {
 				return err
 			}
@@ -146,7 +149,7 @@ func TestSocketWorldRendezvous(t *testing.T) {
 			}
 			return nil
 		}
-		r.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 		matched.Store(true)
 		m, err := r.Recv(0, 1)
 		if err != nil {
@@ -164,29 +167,28 @@ func TestSocketWorldRendezvous(t *testing.T) {
 	}
 }
 
-// Collectives are built on SendCtx/RecvCtx, so they must work unchanged
-// over the socket transport.
-func TestSocketWorldCollectives(t *testing.T) {
-	worlds := socketWorlds(t, 3, Options{})
+// Message contexts must survive the wire: the same (source, tag) sent
+// first in the log-collection context and then in the user context is
+// two messages, and the user receive gets the user payload.
+func TestSocketWorldContextsDoNotCross(t *testing.T) {
+	worlds := socketWorlds(t, 2, Options{})
 	errs := runSocketRanks(t, worlds, func(r *Rank) error {
-		got, err := r.Bcast(0, []byte("seed"))
-		if err != nil {
-			return err
-		}
-		if string(got) != "seed" {
-			return fmt.Errorf("bcast delivered %q", got)
-		}
-		all, err := r.Gather(0, []byte{byte('a' + r.ID())})
-		if err != nil {
-			return err
-		}
-		if r.ID() == 0 {
-			joined := ""
-			for _, part := range all {
-				joined += string(part)
+		if r.ID() == 1 {
+			if err := r.SendCtx(CtxLog, 0, 5, []byte("log")); err != nil {
+				return err
 			}
-			if joined != "abc" {
-				return fmt.Errorf("gather assembled %q", joined)
+			return r.Send(0, 5, []byte("user"))
+		}
+		for _, want := range []struct {
+			ctx  int
+			data string
+		}{{CtxUser, "user"}, {CtxLog, "log"}} {
+			m, err := r.RecvCtx(want.ctx, 1, 5)
+			if err != nil {
+				return err
+			}
+			if string(m.Data) != want.data {
+				return fmt.Errorf("context %d received %q, want %q", want.ctx, m.Data, want.data)
 			}
 		}
 		return nil
@@ -205,7 +207,7 @@ func TestSocketWorldAbortFanOut(t *testing.T) {
 	errs := runSocketRanks(t, worlds, func(r *Rank) error {
 		switch r.ID() {
 		case 1:
-			r.Sleep(30 * time.Millisecond)
+			time.Sleep(30 * time.Millisecond)
 			r.Abort(42)
 			return nil
 		default:

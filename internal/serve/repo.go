@@ -68,9 +68,6 @@ func NewRepo(dir string, maxTraces int) (*Repo, error) {
 	return &Repo{dir: dir, traces: newMemo(int64(maxTraces), weighOne[*Trace])}, nil
 }
 
-// Dir returns the repository directory.
-func (r *Repo) Dir() string { return r.dir }
-
 // Decodes returns how many times a trace file was actually decoded
 // (cache misses that did real work).
 func (r *Repo) Decodes() int64 { return r.decodes.Load() }

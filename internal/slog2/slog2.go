@@ -80,9 +80,6 @@ type Frame struct {
 	Right      *Frame
 }
 
-// leaf reports whether the frame has no children.
-func (fr *Frame) leaf() bool { return fr.Left == nil && fr.Right == nil }
-
 // File is a complete SLOG-2 log.
 type File struct {
 	NumRanks   int

@@ -39,8 +39,6 @@ const (
 	CtrBarriers
 	// CtrSelects counts PI_Select completions.
 	CtrSelects
-	// CtrProbes counts blocking Probe completions.
-	CtrProbes
 	// CtrSpillSegments / CtrSpillBytes count RobustLog write-through spill
 	// traffic (one segment per writeBlock, bytes as landed on disk).
 	CtrSpillSegments
@@ -72,7 +70,7 @@ const (
 // counterNames index-aligns with the counter constants (JSON keys).
 var counterNames = [numCounters]string{
 	"msgs_sent", "msgs_recv", "bytes_sent", "bytes_recv",
-	"barriers", "selects", "probes",
+	"barriers", "selects",
 	"spill_segments", "spill_bytes", "faults_injected",
 	"wire_frames", "wire_bytes",
 	"wire_faults_injected", "crc_failures", "heartbeats",
@@ -87,7 +85,7 @@ const (
 	HistReadBlockNs
 	// HistBarrierWaitNs is time blocked inside Barrier.
 	HistBarrierWaitNs
-	// HistProbeWaitNs is time blocked inside a blocking Probe or Select.
+	// HistProbeWaitNs is the time a PI_Select waited for a ready channel.
 	HistProbeWaitNs
 	// HistSelectFanIn is the channel count of each completed Select.
 	HistSelectFanIn
@@ -260,17 +258,6 @@ func (c *Collector) BarrierWait(rank int, ns int64) {
 	if s := c.shard(rank); s != nil {
 		s.counters[CtrBarriers].Add(1)
 		s.hists[HistBarrierWaitNs].observe(ns)
-	}
-}
-
-// ProbeWait records one completed blocking probe and its blocked time.
-func (c *Collector) ProbeWait(rank int, ns int64) {
-	if c == nil {
-		return
-	}
-	if s := c.shard(rank); s != nil {
-		s.counters[CtrProbes].Add(1)
-		s.hists[HistProbeWaitNs].observe(ns)
 	}
 }
 

@@ -18,7 +18,6 @@ func TestCountersAndChannels(t *testing.T) {
 	c.SendObserved(2, 2, 8, 1)
 	c.RecvObserved(0, 2, 8, 1)
 	c.BarrierWait(1, 10)
-	c.ProbeWait(2, 20)
 	c.SelectObserved(0, 4, 30)
 	c.SpillWrite(1, 64)
 	c.SpillWrite(1, 64)
@@ -61,7 +60,7 @@ func TestCountersAndChannels(t *testing.T) {
 	if ch2.Chan != 2 || ch2.Sent != 1 || ch2.SentBytes != 8 {
 		t.Errorf("channel 2 snapshot wrong: %+v", ch2)
 	}
-	if snap.Totals["msgs_sent"] != 3 || snap.Totals["selects"] != 1 || snap.Totals["probes"] != 1 {
+	if snap.Totals["msgs_sent"] != 3 || snap.Totals["selects"] != 1 {
 		t.Errorf("snapshot totals wrong: %v", snap.Totals)
 	}
 	fan, ok := snap.Hists["select_fan_in"]
@@ -112,7 +111,6 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.SendObserved(0, 1, 10, 5)
 	c.RecvObserved(0, 1, 10, 5)
 	c.BarrierWait(0, 1)
-	c.ProbeWait(0, 1)
 	c.SelectObserved(0, 2, 1)
 	c.SpillWrite(0, 10)
 	c.FaultInjected(0)
@@ -235,7 +233,6 @@ func TestObservationsDoNotAllocate(t *testing.T) {
 		"SendObserved":   func() { c.SendObserved(1, 3, 128, 250) },
 		"RecvObserved":   func() { c.RecvObserved(2, 3, 128, 250) },
 		"BarrierWait":    func() { c.BarrierWait(0, 10) },
-		"ProbeWait":      func() { c.ProbeWait(0, 10) },
 		"SelectObserved": func() { c.SelectObserved(1, 5, 99) },
 		"SpillWrite":     func() { c.SpillWrite(2, 4096) },
 		"FaultInjected":  func() { c.FaultInjected(3) },

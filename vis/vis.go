@@ -4,7 +4,7 @@
 // a tool or test needs:
 //
 //	sf, rep, err := vis.ConvertFile("pilot.clog2", vis.ConvertOptions{})
-//	svg := vis.RenderSVG(sf, vis.View{Title: "my run"})
+//	err = vis.RenderSVGFile("run.svg", sf, vis.View{Title: "my run"})
 //	fmt.Print(vis.FormatLegend(vis.Legend(sf, sf.Start, sf.End)))
 package vis
 
@@ -69,10 +69,7 @@ func WriteSLOG2(path string, f *File) error { return slog2.WriteFile(path, f) }
 // ReadSLOG2 parses the SLOG-2 file at path.
 func ReadSLOG2(path string) (*File, error) { return slog2.ReadFile(path) }
 
-// RenderSVG draws the log Jumpshot-style as an SVG document.
-func RenderSVG(f *File, v View) string { return jumpshot.RenderSVG(f, v) }
-
-// RenderSVGFile renders straight to a file.
+// RenderSVGFile draws the log Jumpshot-style as an SVG document at path.
 func RenderSVGFile(path string, f *File, v View) error {
 	return os.WriteFile(path, jumpshot.AppendSVG(nil, f, v), 0o644)
 }
@@ -122,18 +119,6 @@ func FormatStats(f *File, stats []RankStats) string { return jumpshot.FormatStat
 // occupies in [t0, t1].
 func CategoryFraction(f *File, name string, t0, t1 float64) float64 {
 	return jumpshot.CategoryFraction(f, name, t0, t1)
-}
-
-// Overlap reports how much of the named category's time runs concurrently
-// on two ranks — the serialization metric behind the paper's Fig. 4
-// diagnosis.
-func Overlap(f *File, name string, rankA, rankB int, t0, t1 float64) float64 {
-	return jumpshot.Overlap(f, name, rankA, rankB, t0, t1)
-}
-
-// LoadImbalance reports max/min per-rank time in the named category.
-func LoadImbalance(f *File, name string, ranks []int, t0, t1 float64) float64 {
-	return jumpshot.LoadImbalance(f, name, ranks, t0, t1)
 }
 
 // BusyOverlapRatio quantifies how parallel a set of ranks really ran:
@@ -218,9 +203,6 @@ func Annotations(rep *analyze.Report) []Annotation {
 // stream (see stats.ComputeProfile): per-channel and per-rank message
 // totals, per-state duration quantiles, busy-vs-blocked breakdown.
 type Profile = stats.Profile
-
-// ComputeProfile profiles the CLOG-2 stream in r.
-func ComputeProfile(r io.Reader) (*Profile, error) { return stats.ComputeProfile(r) }
 
 // ComputeProfileFile profiles the CLOG-2 file at path.
 func ComputeProfileFile(path string) (*Profile, error) { return stats.ComputeProfileFile(path) }

@@ -115,13 +115,6 @@ func TestFacadeRenderers(t *testing.T) {
 	if r := vis.BusyOverlapRatio(f, []int{1, 2, 3}, f.Start, f.End); r < 0 || r > 1.2 {
 		t.Errorf("overlap ratio %v", r)
 	}
-	if v := vis.LoadImbalance(f, "Compute", []int{1, 2, 3}, f.Start, f.End); v < 1 {
-		t.Errorf("imbalance %v", v)
-	}
-	// PI_MAIN's Compute spans the whole run, so it overlaps any worker's.
-	if o := vis.Overlap(f, "Compute", 0, 1, f.Start, f.End); o <= 0 {
-		t.Errorf("overlap %v", o)
-	}
 }
 
 func TestPipelineToRepo(t *testing.T) {
