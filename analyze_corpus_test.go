@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lab2"
 	"repro/internal/mpi"
+	"repro/internal/stats"
 	"repro/internal/thumbnail"
 )
 
@@ -92,13 +94,75 @@ func corpusThumbnail(t *testing.T, name, clog, spec string, workers, images int)
 
 // mustAnalyze analyzes one corpus log, failing the test on any decode or
 // analysis error — a corpus log that cannot be analyzed is itself a bug.
+// The log is analyzed beside a doctored profile, and the verdict must be
+// the one its own bytes give.
 func mustAnalyze(t *testing.T, name, clog string) *analyze.Report {
 	t.Helper()
+	plantDoctoredProfile(t, clog)
 	rep, err := analyze.AnalyzeFile(clog, analyze.Options{})
 	if err != nil {
 		t.Fatalf("%s: analyze %s: %v", name, clog, err)
 	}
+	assertVerdictOfTheLog(t, name, clog, rep)
 	return rep
+}
+
+// plantDoctoredProfile writes beside clog a .profile.json that agrees
+// with the log on its record count and on nothing a detector reads:
+// every state's p50 is 1s, which would hide a straggler, and every
+// channel counts one send more, which would report an imbalance.
+func plantDoctoredProfile(t *testing.T, clog string) {
+	t.Helper()
+	p, err := stats.ComputeProfileFile(clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.States {
+		p.States[i].P50Sec = 1
+	}
+	for i := range p.Channels {
+		p.Channels[i].Sends++
+	}
+	if err := p.WriteJSON(strings.TrimSuffix(clog, ".clog2") + ".profile.json"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertVerdictOfTheLog fails unless rep is byte for byte the verdict
+// Analyze gives from a plain reading of clog.
+func assertVerdictOfTheLog(t *testing.T, name, clog string, rep *analyze.Report) {
+	t.Helper()
+	f, err := os.Open(clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := analyze.Analyze(f, analyze.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, _ := rep.JSON()
+	if wantJSON, _ := want.JSON(); !bytes.Equal(got, wantJSON) {
+		t.Fatalf("%s: AnalyzeFile differs from Analyze of the log's bytes:\n%s\nwant:\n%s", name, got, wantJSON)
+	}
+}
+
+// Every golden log, beside a doctored profile, gets its own verdict.
+func TestGoldenVerdictsReadTheLogAlone(t *testing.T) {
+	for _, name := range []string{"lab2", "collisions", "thumbnail"} {
+		data, err := os.ReadFile(goldenPath(name + ".clog2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clog := filepath.Join(t.TempDir(), name+".clog2")
+		if err := os.WriteFile(clog, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := mustAnalyze(t, name, clog).JSON()
+		if want, _ := os.ReadFile(goldenPath(name + ".analyze.json")); !bytes.Equal(got, want) {
+			t.Errorf("%s: verdict beside a doctored profile differs from the golden", name)
+		}
+	}
 }
 
 // TestAnalyzeCorpusCleanRuns is the zero-false-positive half of the

@@ -10,13 +10,12 @@
 //	pilot-analyze -diff [-json] [-o out] clean.clog2 faulted.clog2
 //
 // By default the verdict prints as text; -json emits the
-// machine-readable form (schema "pilot-analyze/1", or
+// machine-readable form (schema "pilot-analyze/2", or
 // "pilot-analyze-diff/1" with -diff). -o writes to a file instead of
-// stdout. -t0/-t1 restrict the analysis window like pilot-profile; a
-// matching ".profile.json" sidecar is reused for whole-run analyses and
-// the log's block table accelerates windowed ones. -svg/-html additionally
-// render the run's timeline with each finding drawn as an annotation
-// where it happened. Exits 0 when the run is clean (or the diff is
+// stdout. -t0/-t1 restrict the analysis window like pilot-profile, and
+// the log's block table accelerates windowed ones; the verdict reads
+// the log and nothing else. -svg/-html additionally render the run's
+// timeline with each finding drawn as an annotation where it happened. Exits 0 when the run is clean (or the diff is
 // identical), 3 when findings or a divergence were reported, 1 on a
 // read or decode error, 2 on usage errors.
 package main
@@ -107,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	path := fs.Arg(0)
-	rep, err := analyze.AnalyzeFile(path, analyze.Options{T0: *t0, T1: *t1})
+	rep, err := analyze.AnalyzeFileWindowed(path, *t0, *t1)
 	if err != nil {
 		return fail(err)
 	}

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/analyze"
+	"repro/internal/stats"
 )
 
 var golden = filepath.Join("..", "..", "testdata", "golden", "thumbnail.clog2")
@@ -25,5 +29,25 @@ func TestRunRefusesNaNWindow(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{"-json", "-t0", "0", golden}, &out, io.Discard); code != 0 && code != 3 || !strings.Contains(out.String(), `"schema"`) {
 		t.Errorf("pilot-analyze -t0 0: exit %d, output %.200q", code, out.String())
+	}
+}
+
+// -t0 0 -t1 0 is the point window at 0, not the whole run: the verdict
+// echoes the window and counts the records the windowed profile counts.
+func TestZeroWindowIsAWindow(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-json", "-t0", "0", "-t1", "0", golden}, &out, io.Discard); code != 0 {
+		t.Fatalf("exit %d: %s", code, out.String())
+	}
+	var rep analyze.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := stats.ComputeProfileFileWindowed(golden, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Window == nil || rep.Records != prof.Totals.Records {
+		t.Fatalf("window %v, %d records; want a window and the profile's %d", rep.Window, rep.Records, prof.Totals.Records)
 	}
 }

@@ -225,7 +225,8 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 				return err
 			}
 			// An infinite bound on its own side is no bound; on the wrong
-			// side it is an empty window, on every route alike.
+			// side it is an empty window, on every route alike, /search's
+			// from and to included.
 			for _, route := range windowed {
 				base := "/trace/" + info.ID + "/" + route
 				if err := errors.Join(
@@ -234,6 +235,13 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 				); err != nil {
 					return err
 				}
+			}
+			search := "/search?trace=" + info.ID
+			if err := errors.Join(
+				expect(200, search+"&from=-Inf", search+"&to=Inf", search+"&from=-Inf&to=Inf"),
+				expect(400, search+"&from=Inf", search+"&to=-Inf", fmt.Sprintf("%s&from=%v&to=%v", search, mid+1, mid)),
+			); err != nil {
+				return err
 			}
 		}
 		// Hostile input must be an HTTP error, never a dead server.

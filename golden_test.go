@@ -118,8 +118,8 @@ func snapshotArtifacts(t *testing.T, clog string) ([]byte, []byte) {
 }
 
 // analyzeGoldenJSON runs the pathology analyzer over a checked-in
-// golden CLOG-2 (in place, so the .profile.json sidecar reuse path is
-// pinned too) and returns the verdict JSON. Golden runs are clean by
+// golden CLOG-2 (in place, beside its .profile.json, which the verdict
+// must not read) and returns the verdict JSON. Golden runs are clean by
 // construction: any finding here is a detector false positive.
 func analyzeGoldenJSON(t *testing.T, name string) []byte {
 	t.Helper()

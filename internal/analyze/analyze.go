@@ -1,20 +1,18 @@
-// The streaming collection pass: one BlockReader scan, or one clog2.Walk
-// through the log's block table for a window, gathering what the post-run
-// profile does not keep — per-(rank,state) outlier attribution,
-// per-channel message timing, per-rank category self-times, and
-// injected-fault events — plus the entry points that pair it with a
-// reused or recomputed stats.Profile and run the detector catalogue over
-// both.
+// The streaming collection pass: one BlockReader scan of the whole run,
+// or one clog2.Walk through the log's block table for a window. One fold
+// feeds the collector, which gathers what the post-run profile does not
+// keep — per-(rank,state) outlier attribution, per-channel message
+// timing, output-blocked self-time and injected-fault events — and a
+// stats.Profiler, so the verdict and its profile come from the same
+// records of the same log.
 package analyze
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"repro/internal/clog2"
 	"repro/internal/colors"
@@ -32,12 +30,10 @@ const (
 type rankPass struct {
 	// fr carries the rank's id, record count and wall span.
 	fr *clog2.FoldRank
-	// Self-time split one level finer than the profile's busy/blocked:
-	// output-blocked is its own bucket because clean Pilot writes are
-	// eager (≈0s), making it the dominator detector's zero-FP signal.
+	// outBlockedSec is the rank's self-time in output states: clean
+	// Pilot writes are eager (≈0s), making it the dominator detector's
+	// zero-FP signal.
 	outBlockedSec float64
-	inBlockedSec  float64
-	busySec       float64
 	states        map[int32]*rankState
 }
 
@@ -45,7 +41,6 @@ type rankPass struct {
 // attribute a global outlier to its rank and start time.
 type rankState struct {
 	name     string
-	count    int64
 	max      float64
 	maxStart float64
 	second   float64
@@ -63,11 +58,9 @@ type faultEvent struct {
 // decides which records count and pairs the states, the collector keeps
 // what the detectors need about them.
 type collector struct {
-	opts     Options
-	fold     *clog2.Fold
-	numRanks int
-	// prof observes the same fold when the profile has to come from the
-	// same records; nil when a sidecar profile may stand in for it.
+	opts Options
+	fold *clog2.Fold
+	// prof observes the same fold, so the profile counts the same records.
 	prof *stats.Profiler
 
 	ranks     []*rankPass // by FoldRank.Index
@@ -77,12 +70,11 @@ type collector struct {
 	faults    []faultEvent
 }
 
-func newCollector(opts Options, numRanks int, withProfile bool) *collector {
-	c := &collector{opts: opts, fold: clog2.NewFold(opts.T0, opts.T1), numRanks: numRanks}
-	if withProfile {
-		c.prof = stats.NewProfiler(c.fold, numRanks)
-	}
-	return c
+// newCollector folds the records in [t0, t1] (math.Inf bounds for no
+// limit).
+func newCollector(opts Options, t0, t1 float64, numRanks int) *collector {
+	fold := clog2.NewFold(t0, t1)
+	return &collector{opts: opts.withDefaults(), fold: fold, prof: stats.NewProfiler(fold, numRanks)}
 }
 
 // observe accounts for rec, which the fold has just made step of.
@@ -119,7 +111,6 @@ func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
 			st = &rankState{name: occ.Name}
 			rp.states[occ.ID] = st
 		}
-		st.count++
 		if occ.Dur > st.max {
 			st.second = st.max
 			st.max = occ.Dur
@@ -127,48 +118,32 @@ func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
 		} else if occ.Dur > st.second {
 			st.second = occ.Dur
 		}
-		switch colors.CategoryOf(occ.Name) {
-		case colors.Output:
+		if colors.CategoryOf(occ.Name) == colors.Output {
 			rp.outBlockedSec += occ.Self
-		case colors.Input:
-			rp.inBlockedSec += occ.Self
-		default:
-			rp.busySec += occ.Self
 		}
 	}
 }
 
-// block folds one block's records once, for the collector and, when
-// there is one, the profiler.
+// block folds one block's records once, for the collector and the
+// profiler.
 func (c *collector) block(b clog2.Block) error {
 	for i := range b.Records {
 		rec := &b.Records[i]
 		step := c.fold.Add(rec)
 		c.observe(step, rec)
-		if c.prof != nil {
-			c.prof.Observe(step, rec)
-		}
+		c.prof.Observe(step, rec)
 	}
 	return nil
 }
 
-// scan reads every block of the CLOG-2 stream once.
-func scan(r io.Reader, opts Options, withProfile bool) (*collector, error) {
+// scan reads every block of the CLOG-2 stream once, folding [t0, t1].
+func scan(r io.Reader, opts Options, t0, t1 float64) (*collector, error) {
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
 		return nil, err
 	}
-	c := newCollector(opts, br.NumRanks(), withProfile)
+	c := newCollector(opts, t0, t1, br.NumRanks())
 	return c, br.Each(c.block)
-}
-
-// records is the number of records the fold counted.
-func (c *collector) records() int64 {
-	var n int64
-	for _, fr := range c.fold.Ranks() {
-		n += fr.Records
-	}
-	return n
 }
 
 // wall is the whole-trace record time span; both zero when nothing was
@@ -185,16 +160,14 @@ func (c *collector) wall() (first, last float64) {
 	return first, last
 }
 
-// Analyze runs the detector catalogue over a CLOG-2 stream; the
-// profile comes from the same pass. Use AnalyzeFile to reuse sidecars
-// and the index.
+// Analyze runs the detector catalogue over the whole run in a CLOG-2
+// stream; the profile comes from the same pass.
 func Analyze(r io.Reader, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	c, err := scan(r, opts, true)
+	c, err := scan(r, opts, math.Inf(-1), math.Inf(1))
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
-	return buildReport(c, c.prof.Profile(), "computed", false), nil
+	return buildReport(c, false), nil
 }
 
 // AnalyzeBytes is Analyze over an in-memory CLOG-2 image.
@@ -202,66 +175,39 @@ func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 	return Analyze(bytes.NewReader(data), opts)
 }
 
-// AnalyzeFile analyzes a CLOG-2 file. A windowed analysis makes one
-// pass under clog2.Walk, collector and profiler on the same fold, so it
-// reads only the blocks the log's block table selects when it has a valid
-// one and every block otherwise. A whole-run analysis reads every block
-// without opening the table, and reuses a matching "<base>.profile.json" sidecar
-// (validated against the trace's own record count) instead of computing
-// the profile.
+// AnalyzeFile is Analyze over the CLOG-2 file at path. It reads every
+// block without opening the block table.
 func AnalyzeFile(path string, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	if !math.IsInf(opts.T0, -1) || !math.IsInf(opts.T1, 1) {
-		q := clog2.MatchAll()
-		q.T0, q.T1, q.IncludeDefs = opts.T0, opts.T1, true
-		var c *collector
-		used, err := clog2.Walk(path, q, func(numRanks int) func(clog2.Block) error {
-			c = newCollector(opts, numRanks, true)
-			return c.block
-		})
-		if err != nil {
-			return nil, fmt.Errorf("analyze: %s: %w", path, err)
-		}
-		return buildReport(c, c.prof.Profile(), "computed", used), nil
-	}
-	sidecar := sidecarProfile(path)
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	c, err := scan(fh, opts, sidecar == nil)
-	fh.Close()
+	defer fh.Close()
+	c, err := scan(fh, opts, math.Inf(-1), math.Inf(1))
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %s: %w", path, err)
 	}
-	switch {
-	case sidecar == nil:
-		return buildReport(c, c.prof.Profile(), "computed", false), nil
-	case sidecar.Totals.Records == c.records():
-		return buildReport(c, sidecar, "sidecar", false), nil
-	}
-	// The sidecar counts another log's records: profile this one.
-	p, err := stats.ComputeProfileFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %s: profile: %w", path, err)
-	}
-	return buildReport(c, p, "computed", false), nil
+	return buildReport(c, false), nil
 }
 
-// sidecarProfile loads "<base>.profile.json" next to a ".clog2" when
-// it exists and parses; anything else returns nil.
-func sidecarProfile(clogPath string) *stats.Profile {
-	base, ok := strings.CutSuffix(clogPath, ".clog2")
-	if !ok {
-		return nil
+// AnalyzeFileWindowed analyzes the CLOG-2 file at path over the
+// inclusive window [t0, t1] (math.Inf bounds for no limit), like
+// stats.ComputeProfileFileWindowed: one pass under clog2.Walk reads only
+// the blocks the log's block table selects when it has a valid one, and
+// every block otherwise. An unbounded window is AnalyzeFile.
+func AnalyzeFileWindowed(path string, t0, t1 float64) (*Report, error) {
+	if math.IsInf(t0, -1) && math.IsInf(t1, 1) {
+		return AnalyzeFile(path, Options{})
 	}
-	data, err := os.ReadFile(base + ".profile.json")
+	q := clog2.MatchAll()
+	q.T0, q.T1, q.IncludeDefs = t0, t1, true
+	var c *collector
+	used, err := clog2.Walk(path, q, func(numRanks int) func(clog2.Block) error {
+		c = newCollector(Options{}, t0, t1, numRanks)
+		return c.block
+	})
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("analyze: %s: %w", path, err)
 	}
-	var p stats.Profile
-	if err := json.Unmarshal(data, &p); err != nil || p.Schema != stats.ProfileSchema {
-		return nil
-	}
-	return &p
+	return buildReport(c, used), nil
 }

@@ -85,6 +85,16 @@ func (b *tb) bytes() []byte {
 	return buf.Bytes()
 }
 
+// file writes the image to a fresh run.clog2 and returns its path.
+func (b *tb) file() string {
+	b.t.Helper()
+	path := filepath.Join(b.t.TempDir(), "run.clog2")
+	if err := os.WriteFile(path, b.bytes(), 0o644); err != nil {
+		b.t.Fatal(err)
+	}
+	return path
+}
+
 func (b *tb) analyze(opts Options) *Report {
 	b.t.Helper()
 	rep, err := AnalyzeBytes(b.bytes(), opts)
@@ -384,7 +394,10 @@ func TestWindowedAnalysis(t *testing.T) {
 	b := newTB(t, 1).withReadWrite()
 	b.state(0, 0, 0.01, 2, 3)
 	b.state(0, 10, 10.01, 2, 3)
-	rep := b.analyze(Options{T0: math.Inf(-1), T1: 5})
+	rep, err := AnalyzeFileWindowed(b.file(), math.Inf(-1), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Records != 2 {
 		t.Fatalf("windowed records = %d, want 2", rep.Records)
 	}
@@ -405,54 +418,78 @@ func TestMsgEventCapTruncates(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFileSidecarReuse(t *testing.T) {
+// writeProfile writes p as the .profile.json a repository keeps beside
+// the raw log at clogPath.
+func writeProfile(t *testing.T, clogPath string, p *stats.Profile) {
+	t.Helper()
+	pj, err := p.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(strings.TrimSuffix(clogPath, ".clog2")+".profile.json", pj, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The log alone decides: with no profile beside it, its own, or one
+// that counts another log's records, AnalyzeFile gives the verdict
+// Analyze gives from the bytes.
+func TestAnalyzeFileIgnoresSidecar(t *testing.T) {
 	b := newTB(t, 2).withReadWrite()
 	b.state(0, 0, 0.001, 4, 5)
 	b.state(1, 0.1, 0.101, 2, 3)
 	data := b.bytes()
-
-	dir := t.TempDir()
-	clog := filepath.Join(dir, "run.clog2")
-	if err := os.WriteFile(clog, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Without a sidecar: computed.
-	rep, err := AnalyzeFile(clog, Options{})
+	clog := b.file()
+	want, err := AnalyzeBytes(data, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ProfileSource != "computed" {
-		t.Fatalf("profile source %q, want computed", rep.ProfileSource)
+	wantJSON, _ := want.JSON()
+	check := func(what string) {
+		t.Helper()
+		rep, err := AnalyzeFile(clog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := rep.JSON(); !bytes.Equal(got, wantJSON) {
+			t.Fatalf("%s: AnalyzeFile differs from Analyze of the bytes:\n%s", what, got)
+		}
 	}
-	// With a matching sidecar: reused.
+	check("no sidecar")
 	prof, err := stats.ComputeProfile(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := prof.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "run.profile.json"), pj, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = AnalyzeFile(clog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ProfileSource != "sidecar" {
-		t.Fatalf("profile source %q, want sidecar", rep.ProfileSource)
-	}
-	// A stale sidecar (wrong record count) is rejected.
+	writeProfile(t, clog, prof)
+	check("matching sidecar")
 	prof.Totals.Records += 7
-	pj, _ = prof.JSON()
-	os.WriteFile(filepath.Join(dir, "run.profile.json"), pj, 0o644)
-	rep, err = AnalyzeFile(clog, Options{})
+	writeProfile(t, clog, prof)
+	check("stale sidecar")
+}
+
+// A profile beside the log that agrees on the record count but not on
+// the durations cannot hide a straggler: the baseline is the log's.
+func TestDoctoredSidecarCannotHideStraggler(t *testing.T) {
+	b := newTB(t, 3).withReadWrite()
+	b.state(0, 0.00, 0.01, 2, 3)
+	b.state(0, 0.02, 0.03, 2, 3)
+	b.state(2, 0.00, 0.01, 2, 3)
+	b.state(1, 0.00, 2.00, 2, 3)
+	clog := b.file()
+	prof, err := stats.ComputeProfileFile(clog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ProfileSource != "computed" {
-		t.Fatalf("stale sidecar reused (source %q)", rep.ProfileSource)
+	for i := range prof.States {
+		prof.States[i].P50Sec = 1
+	}
+	writeProfile(t, clog, prof)
+	rep, err := AnalyzeFile(clog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.HasDetector(DetStraggler) {
+		t.Fatalf("straggler hidden by the doctored profile: %v", rep.Detectors())
 	}
 }
 
@@ -518,7 +555,7 @@ func TestAnalyzeDecodesTheLogOnce(t *testing.T) {
 	if rc.n != len(data) {
 		t.Fatalf("Analyze read %d bytes of a %d-byte log", rc.n, len(data))
 	}
-	if rep.Records != 400 || rep.ProfileSource != "computed" {
+	if rep.Records != 400 {
 		t.Fatalf("report %+v", rep)
 	}
 	// The walk's 576 KiB run buffer comes from a sync.Pool, which may miss
@@ -555,7 +592,7 @@ func TestMatchChannelsPerRankPair(t *testing.T) {
 		msg(2, 1, clog2.DirSend, 1, 5, 8).
 		msg(1, 1.5, clog2.DirRecv, 2, 5, 8).
 		bytes()
-	c, err := scan(bytes.NewReader(data), Options{}.withDefaults(), false)
+	c, err := scan(bytes.NewReader(data), Options{}, math.Inf(-1), math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // The detector catalogue: each detector is a pure function of the
-// collection pass plus the reused profile, tuned by the calibrated
-// Thresholds and emitting Findings. Calibration contract (enforced by
-// the labelled corpus in the repo root): every seeded pathology fires
-// its detector, and clean runs of the example programs produce zero
-// findings.
+// collection pass and the profile computed beside it, tuned by the
+// calibrated Thresholds and emitting Findings. Calibration contract
+// (enforced by the labelled corpus in the repo root): every seeded
+// pathology fires its detector, and clean runs of the example programs
+// produce zero findings.
 package analyze
 
 import (
@@ -19,31 +19,19 @@ import (
 )
 
 // buildReport runs every detector and assembles the Report.
-func buildReport(c *collector, prof *stats.Profile, profileSource string, usedIndex bool) *Report {
-	opts := c.opts
+func buildReport(c *collector, usedIndex bool) *Report {
+	prof := c.prof.Profile()
 	first, last := c.wall()
 	rep := &Report{
 		Schema:             Schema,
-		NumRanks:           c.numRanks,
-		Records:            c.records(),
+		NumRanks:           prof.NumRanks,
+		Records:            prof.Totals.Records,
 		WallSec:            last - first,
-		ProfileSource:      profileSource,
 		UsedIndex:          usedIndex,
 		Thresholds:         calibrated,
 		MsgEventsTruncated: c.truncated,
+		Window:             prof.Window,
 		Findings:           []Finding{},
-	}
-	if !math.IsInf(opts.T0, -1) || !math.IsInf(opts.T1, 1) {
-		w := &Window{}
-		if !math.IsInf(opts.T0, -1) {
-			t0 := opts.T0
-			w.T0 = &t0
-		}
-		if !math.IsInf(opts.T1, 1) {
-			t1 := opts.T1
-			w.T1 = &t1
-		}
-		rep.Window = w
 	}
 
 	pairs := matchChannels(c)

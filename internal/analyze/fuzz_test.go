@@ -134,7 +134,7 @@ func agreeWithConverter(t *testing.T, data []byte) {
 		t.Fatalf("converter states %v, fold occurrences %v", states, occs)
 	}
 
-	c, err := scan(bytes.NewReader(data), Options{}.withDefaults(), false)
+	c, err := scan(bytes.NewReader(data), Options{}, math.Inf(-1), math.Inf(1))
 	if err != nil || c.truncated {
 		return
 	}

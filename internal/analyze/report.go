@@ -11,23 +11,25 @@
 // chaos corpus: seeded fault plans with known pathologies must be
 // flagged (recall 1.0) and clean runs must stay silent (zero false
 // positives). Where a number already exists in the post-run profile
-// (channel totals, per-state histograms), the pass reuses
-// stats.ComputeProfile instead of re-deriving it; the analyzer's own
-// scan only adds what the profile does not keep — per-(rank,state)
+// (channel totals, per-state histograms), the detectors read it from a
+// stats.Profiler fed by the same pass, never from a profile stored
+// beside the log: a verdict is a function of its log alone. The
+// collector only adds what the profile does not keep — per-(rank,state)
 // outlier attribution, per-channel message timing, and fault events.
 package analyze
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Schema versions the Report JSON so downstream consumers can detect
 // drift; bump on any incompatible change.
-const Schema = "pilot-analyze/1"
+const Schema = "pilot-analyze/2"
 
 // Detector names, as they appear in Finding.Detector. Stable strings:
 // the labelled corpus keys its recall assertions on them.
@@ -57,12 +59,8 @@ const (
 	DetFault = "fault-correlation"
 )
 
-// Options bounds an analysis. The zero value means the whole run.
+// Options tunes an analysis; a window is AnalyzeFileWindowed's.
 type Options struct {
-	// T0/T1 bound the analysis window (inclusive), like the windowed
-	// profile. Both zero means the whole run.
-	T0, T1 float64
-
 	// MaxMsgEvents caps how many per-channel message timestamps the
 	// pass records (memory bound on hostile or enormous traces); past
 	// the cap the timing detectors run on the prefix and the report is
@@ -71,9 +69,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.T0 == 0 && o.T1 == 0 {
-		o.T0, o.T1 = math.Inf(-1), math.Inf(1)
-	}
 	if o.MaxMsgEvents == 0 {
 		o.MaxMsgEvents = 1 << 22
 	}
@@ -147,16 +142,13 @@ type Finding struct {
 type Report struct {
 	Schema   string `json:"schema"`
 	NumRanks int    `json:"num_ranks"`
-	// Records counts the non-definition records analyzed (matches the
-	// profile's totals.records accounting).
+	// Records counts the non-definition records analyzed: the profile's
+	// totals.records.
 	Records int64 `json:"records"`
 	// WallSec spans the earliest to latest analyzed record timestamp.
 	WallSec float64 `json:"wall_sec"`
-	// Window is present on windowed analyses only.
-	Window *Window `json:"window,omitempty"`
-	// ProfileSource is "computed" (profile derived from the trace) or
-	// "sidecar" (a matching .profile.json was reused).
-	ProfileSource string `json:"profile_source"`
+	// Window is present on windowed analyses only: the profile's own.
+	Window *stats.ProfileWindow `json:"window,omitempty"`
 	// UsedIndex reports whether a windowed profile was answered
 	// through the log's block table.
 	UsedIndex bool `json:"used_index,omitempty"`
@@ -172,12 +164,6 @@ type Report struct {
 	Thresholds Thresholds `json:"thresholds"`
 	Findings   []Finding  `json:"findings"`
 	Clean      bool       `json:"clean"`
-}
-
-// Window mirrors the profile's windowed-query bounds.
-type Window struct {
-	T0 *float64 `json:"t0,omitempty"`
-	T1 *float64 `json:"t1,omitempty"`
 }
 
 // sortFindings orders findings deterministically for stable JSON and
@@ -226,8 +212,8 @@ func (r *Report) Detectors() []string {
 	return out
 }
 
-// JSON renders the report indented with a trailing newline, like the
-// profile sidecars.
+// JSON renders the report indented with a trailing newline, like
+// stats.Profile.JSON.
 func (r *Report) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -240,8 +226,7 @@ func (r *Report) JSON() ([]byte, error) {
 func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pilot-analyze report (%s)\n", r.Schema)
-	fmt.Fprintf(&b, "ranks %d  records %d  wall %.6fs  profile %s\n",
-		r.NumRanks, r.Records, r.WallSec, r.ProfileSource)
+	fmt.Fprintf(&b, "ranks %d  records %d  wall %.6fs\n", r.NumRanks, r.Records, r.WallSec)
 	if r.ClockSuspect {
 		b.WriteString("note: non-causal message timestamps; timing detectors skipped\n")
 	}

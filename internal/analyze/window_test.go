@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/clog2"
+	"repro/internal/stats"
 )
 
 // bytesRead is what this process has asked the kernel to read so far
@@ -91,7 +92,7 @@ func TestAnalyzeWindowedReadsItsBlocksOnce(t *testing.T) {
 	}
 
 	before := bytesRead(t)
-	rep, err := AnalyzeFile(path, Options{T0: 70.2, T1: 71.7}) // 1 % of [0, 150)
+	rep, err := AnalyzeFileWindowed(path, 70.2, 71.7) // 1 % of [0, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,28 +108,36 @@ func TestAnalyzeWindowedReadsItsBlocksOnce(t *testing.T) {
 	}
 
 	// The whole run of the same log is a plain scan: it does not read the
-	// table and does not claim to have used it, not even when
-	// its .profile.json counts another log's records and the profile has
-	// to be computed after all.
+	// table and does not claim to have used it, and a .profile.json
+	// beside it that counts another log's records changes nothing: the
+	// log alone decides.
 	for _, sidecar := range []string{"", `{"schema":"pilot-profile/1","totals":{"records":7}}`} {
 		if sidecar != "" {
 			if err := os.WriteFile(strings.TrimSuffix(path, ".clog2")+".profile.json", []byte(sidecar), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rep, err := AnalyzeFile(path, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.UsedIndex || rep.ProfileSource != "computed" || rep.Records != ix.TotalRecords-1 {
-			t.Errorf("whole run (profile sidecar %q): used_index %v, source %q, %d records; want false, computed, %d",
-				sidecar, rep.UsedIndex, rep.ProfileSource, rep.Records, ix.TotalRecords-1)
+		for _, whole := range []func() (*Report, error){
+			func() (*Report, error) { return AnalyzeFile(path, Options{}) },
+			func() (*Report, error) { return AnalyzeFileWindowed(path, math.Inf(-1), math.Inf(1)) },
+		} {
+			rep, err := whole()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.UsedIndex || rep.Window != nil || rep.Records != ix.TotalRecords-1 {
+				t.Errorf("whole run (profile sidecar %q): used_index %v, window %v, %d records; want false, none, %d",
+					sidecar, rep.UsedIndex, rep.Window, rep.Records, ix.TotalRecords-1)
+			}
 		}
 	}
 }
 
-// Whatever blocks the index lets a windowed AnalyzeFile skip, its
-// verdict is the one Analyze gives from a plain reading of every block.
+// Whatever blocks the index lets AnalyzeFileWindowed skip, its verdict
+// is the one a plain reading of every block gives for the same window,
+// and it counts the records the windowed profile counts. A window is a
+// window at any width: [0, 0] and a point at a record's own timestamp
+// are not read as the whole run.
 func TestAnalyzeFileWindowedEqualsPlainReader(t *testing.T) {
 	for _, name := range []string{"lab2", "collisions", "thumbnail"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".clog2"))
@@ -150,28 +159,38 @@ func TestAnalyzeFileWindowedEqualsPlainReader(t *testing.T) {
 			}
 		}
 		span := tmax - tmin
-		// Two of the goldens ran under a frozen clock (span 0), so every
-		// window is anchored off the span: {0, 0} would mean the whole run.
+		// Two of the goldens ran under a frozen clock (span 0), so most
+		// windows are anchored off the span.
 		for _, w := range [][2]float64{
 			{tmin - 1, tmin + span/2},
 			{tmin + span/2, tmax + 1},
 			{math.Inf(-1), tmin + span/3},
 			{tmin + 2*span/3, math.Inf(1)},
 			{tmax + 1, tmax + 2}, // empty
+			{0, 0},
+			{tmax, tmax},
+			{tmin + span/2, tmin + span/2 + span/100},
 		} {
-			opts := Options{T0: w[0], T1: w[1]}
-			got, err := AnalyzeFile(path, opts)
+			got, err := AnalyzeFileWindowed(path, w[0], w[1])
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, w, err)
 			}
 			if got.Window == nil || !got.UsedIndex {
 				t.Errorf("%s %v: window %v, used_index %v; want a windowed verdict through the valid table", name, w, got.Window, got.UsedIndex)
 			}
-			got.UsedIndex = false
-			want, err := Analyze(bytes.NewReader(data), opts)
+			prof, _, err := stats.ComputeProfileFileWindowed(path, w[0], w[1])
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got.Records != prof.Totals.Records || w[0] == tmax && got.Records == 0 {
+				t.Errorf("%s %v: %d records; the windowed profile counts %d", name, w, got.Records, prof.Totals.Records)
+			}
+			got.UsedIndex = false
+			c, err := scan(bytes.NewReader(data), Options{}, w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := buildReport(c, false)
 			a, _ := got.JSON()
 			b, _ := want.JSON()
 			if !bytes.Equal(a, b) {

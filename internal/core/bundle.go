@@ -288,31 +288,15 @@ func (b *Bundle) Gather(format string, args ...any) error {
 	}
 	end := b.startCollective(op, loc)
 	defer end()
-	log := r.logger(b.endpoint.rank)
 	var concat []byte
 	for ci, c := range b.chans {
 		// Spread applies to each arrow creation — receive side included:
 		// draining already-queued contributions would otherwise stamp
 		// several arrival bubbles into one clock tick.
 		r.arrowSpread()
-		m, err := c.recvOne(op, loc)
+		payload, err := c.recvPayload(op, loc, fmtspec.Spec{Kind: spec.Kind, Mode: fmtspec.Star}, " part: ", ci+1, len(b.chans))
 		if err != nil {
 			return err
-		}
-		wireFmt, payload, err := parseFrame(m.Data)
-		if err != nil {
-			return errorf(op, loc, "on %s: %v", c.Name(), err)
-		}
-		if log.Enabled() {
-			log.LogRecv(c.from.rank, c.id, len(m.Data))
-			var cb mpe.Cargo
-			log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
-				Str(" part: ").Int(ci+1).Str("/").Int(len(b.chans)).Bytes())
-		}
-		if r.cfg.CheckLevel >= 2 {
-			if err := checkWireFormat(wireFmt, fmtspec.Spec{Kind: spec.Kind, Mode: fmtspec.Star}); err != nil {
-				return errorf(op, loc, "on %s: %v", c.Name(), err)
-			}
 		}
 		concat = append(concat, payload...)
 	}

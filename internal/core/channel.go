@@ -271,24 +271,9 @@ func (c *Channel) read(op, loc, format string, args []any) error {
 
 	i := 0
 	for si, spec := range specs {
-		m, err := c.recvOne(op, loc)
+		payload, err := c.recvPayload(op, loc, spec, " msg: ", si+1, len(specs))
 		if err != nil {
 			return err
-		}
-		wireFmt, payload, err := parseFrame(m.Data)
-		if err != nil {
-			return errorf(op, loc, "on %s: %v", c.Name(), err)
-		}
-		if log.Enabled() {
-			log.LogRecv(c.from.rank, c.id, len(m.Data))
-			var cb mpe.Cargo
-			log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
-				Str(" msg: ").Int(si+1).Str("/").Int(len(specs)).Bytes())
-		}
-		if r.cfg.CheckLevel >= 2 {
-			if err := checkWireFormat(wireFmt, spec); err != nil {
-				return errorf(op, loc, "on %s: %v", c.Name(), err)
-			}
 		}
 		consumed, err := fmtspec.Decode(spec, payload, args[i:])
 		if err != nil {
@@ -300,6 +285,34 @@ func (c *Channel) read(op, loc, format string, args []any) error {
 		return errorf(op, loc, "format %q consumed %d arguments, %d supplied", format, i, len(args))
 	}
 	return nil
+}
+
+// recvPayload is one logged receive: it takes the next wire message,
+// logs its arrival with a bubble whose popup reads "chan: <name><label>k/n",
+// checks its wire format against spec at check level 2, and returns the
+// payload.
+func (c *Channel) recvPayload(op, loc string, spec fmtspec.Spec, label string, k, n int) ([]byte, error) {
+	r := c.r
+	m, err := c.recvOne(op, loc)
+	if err != nil {
+		return nil, err
+	}
+	wireFmt, payload, err := parseFrame(m.Data)
+	if err != nil {
+		return nil, errorf(op, loc, "on %s: %v", c.Name(), err)
+	}
+	if log := r.logger(c.to.rank); log.Enabled() {
+		log.LogRecv(c.from.rank, c.id, len(m.Data))
+		var cb mpe.Cargo
+		log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
+			Str(label).Int(k).Str("/").Int(n).Bytes())
+	}
+	if r.cfg.CheckLevel >= 2 {
+		if err := checkWireFormat(wireFmt, spec); err != nil {
+			return nil, errorf(op, loc, "on %s: %v", c.Name(), err)
+		}
+	}
+	return payload, nil
 }
 
 // recvOne receives one wire message, announcing the wait to the deadlock

@@ -86,9 +86,6 @@ type Config struct {
 	// share one real clock.
 	Clocks []clock.Source
 
-	// EagerLimit is passed to the MPI substrate (0 = default).
-	EagerLimit int
-
 	// Transport selects the rank substrate: "" or "inproc" runs every
 	// rank as a goroutine in this process (the default — deterministic,
 	// supports Manual clocks); "socket" and "tcp" run every rank as its

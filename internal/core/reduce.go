@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/fmtspec"
-	"repro/internal/mpe"
 )
 
 // ReduceOp selects the combining operation for PI_Reduce, mirroring
@@ -63,7 +62,6 @@ func (b *Bundle) Reduce(op ReduceOp, format string, args ...any) error {
 	}
 	end := b.startCollective(fn, loc)
 	defer end()
-	log := r.logger(b.endpoint.rank)
 
 	// Per spec: one message per channel, combined as they arrive. The
 	// per-channel FIFO order guarantees spec k from channel i precedes
@@ -73,24 +71,9 @@ func (b *Bundle) Reduce(op ReduceOp, format string, args ...any) error {
 		var combined []byte
 		for ci, c := range b.chans {
 			r.arrowSpread() // per-arrow spread, receive side included
-			m, err := c.recvOne(fn, loc)
+			payload, err := c.recvPayload(fn, loc, spec, " part: ", ci+1, len(b.chans))
 			if err != nil {
 				return err
-			}
-			wireFmt, payload, err := parseFrame(m.Data)
-			if err != nil {
-				return errorf(fn, loc, "on %s: %v", c.Name(), err)
-			}
-			if log.Enabled() {
-				log.LogRecv(c.from.rank, c.id, len(m.Data))
-				var cb mpe.Cargo
-				log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
-					Str(" part: ").Int(ci+1).Str("/").Int(len(b.chans)).Bytes())
-			}
-			if r.cfg.CheckLevel >= 2 {
-				if err := checkWireFormat(wireFmt, spec); err != nil {
-					return errorf(fn, loc, "on %s: %v", c.Name(), err)
-				}
 			}
 			if combined == nil {
 				combined = append([]byte(nil), payload...)

@@ -159,7 +159,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	r.metrics = metrics
 	r.world, err = mpi.Start(cfg.NumProcs, mpi.Options{
 		Clocks:       cfg.Clocks,
-		EagerLimit:   cfg.EagerLimit,
 		Faults:       faults,
 		Metrics:      metrics,
 		Transport:    cfg.Transport,

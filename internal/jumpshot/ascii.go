@@ -61,7 +61,6 @@ func RenderASCII(f *slog2.File, v View) string {
 	fmt.Fprintf(&b, "time %.6fs .. %.6fs, %d columns of %.6fs\n", v.From, v.To, cols, span)
 	for r := 0; r < f.NumRanks; r++ {
 		row := make([]byte, cols)
-		empty := true
 		for c := 0; c < cols; c++ {
 			cell := grid[r][c]
 			switch {
@@ -73,26 +72,13 @@ func RenderASCII(f *slog2.File, v View) string {
 					}
 				}
 				row[c] = initial(best)
-				empty = false
 			case hasEvent[r][c]:
 				row[c] = '*'
-				empty = false
 			default:
 				row[c] = '.'
 			}
 		}
-		if empty && v.HideEmptyRanks {
-			continue
-		}
-		label := v.RankNames[r]
-		if label == "" {
-			if r == 0 {
-				label = "PI_MAIN"
-			} else {
-				label = fmt.Sprintf("P%d", r)
-			}
-		}
-		fmt.Fprintf(&b, "%-8s |%s|\n", label, row)
+		fmt.Fprintf(&b, "%-8s |%s|\n", rankLabel(r), row)
 	}
 	return b.String()
 }

@@ -28,7 +28,8 @@ type SearchOptions struct {
 	Name string
 	// Rank, if non-negative, restricts hits to one timeline.
 	Rank int
-	// From/To bound the scan window; zero values mean the whole log.
+	// From/To bound the scan window (inclusive); both zero means the
+	// whole log.
 	From, To float64
 	// MinDuration drops states shorter than this (seconds).
 	MinDuration float64
@@ -45,7 +46,7 @@ type SearchOptions struct {
 // are built.
 func Search(f *slog2.File, opts SearchOptions) []Hit {
 	t0, t1 := opts.From, opts.To
-	if t1 <= t0 {
+	if t0 == 0 && t1 == 0 {
 		t0, t1 = f.Start, f.End
 	}
 	nameMatch := func(name string) bool {

@@ -19,23 +19,12 @@ type View struct {
 	From, To float64
 	// Width is the canvas width in pixels (default 1200).
 	Width int
-	// RowHeight is the per-timeline height in pixels (default 36).
-	RowHeight int
 	// PreviewThreshold is the per-rank state count above which the rank is
 	// drawn as striped previews instead of individual rectangles (default
 	// 512, 0 = default; negative disables previews).
 	PreviewThreshold int
-	// HideArrows/HideEvents suppress those drawable kinds.
-	HideArrows bool
-	HideEvents bool
-	// HideEmptyRanks drops timelines with no drawables in the viewport
-	// (Pilot's service rank logs nothing, like the real thing).
-	HideEmptyRanks bool
 	// Title is drawn above the canvas.
 	Title string
-	// RankNames optionally labels timelines (default "P<rank>", rank 0
-	// labelled PI_MAIN as in the paper's figures).
-	RankNames map[int]string
 	// RankOrder, when non-nil, selects and orders the timelines shown —
 	// Jumpshot's "timeline cut and paste". Ranks not listed are dropped.
 	RankOrder []int
@@ -61,6 +50,7 @@ type Annotation struct {
 }
 
 const (
+	rowHeight    = 36 // per-timeline height in pixels
 	marginLeft   = 74
 	marginTop    = 34
 	marginBottom = 26
@@ -76,9 +66,6 @@ func (v View) normalized(f *slog2.File) View {
 	}
 	if v.Width <= 0 {
 		v.Width = 1200
-	}
-	if v.RowHeight <= 0 {
-		v.RowHeight = 36
 	}
 	if v.PreviewThreshold == 0 {
 		v.PreviewThreshold = 512
@@ -159,30 +146,15 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	}
 	byRank := statesByRank(f, v.From, v.To, want)
 	if v.RankOrder == nil {
-		present := make([]bool, f.NumRanks)
-		mark := func(r int) {
-			if uint(r) < uint(len(present)) {
-				present[r] = true
-			}
-		}
-		for i := range events {
-			mark(events[i].D.Rank)
-		}
-		for i := range arrows {
-			mark(arrows[i].D.SrcRank)
-			mark(arrows[i].D.DstRank)
-		}
-		for r := 0; r < f.NumRanks; r++ {
-			if len(byRank[r]) > 0 || present[r] || !v.HideEmptyRanks {
-				ranks = append(ranks, r)
-			}
+		for r := range f.NumRanks {
+			ranks = append(ranks, r)
 		}
 	}
 	// Per-timeline heights (vertical expansion) and row layout.
 	l := &layout{v: v, rows: make([]row, f.NumRanks)}
 	y := marginTop
 	for _, r := range ranks {
-		h := v.RowHeight * max(v.Expand[r], 1)
+		h := rowHeight * max(v.Expand[r], 1)
 		l.rows[r] = row{shown: true, top: float64(y), h: h, mid: appendFixed(nil, float64(y)+float64(h)/2, 1)}
 		y += h
 	}
@@ -221,15 +193,7 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 		y := l.rows[r].top
 		m.f(`<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#303030"/>`+"\n",
 			marginLeft, y, width-marginRight, y)
-		label := v.RankNames[r]
-		if label == "" {
-			if r == 0 {
-				label = "PI_MAIN"
-			} else {
-				label = fmt.Sprintf("P%d", r)
-			}
-		}
-		m.f(`<text x="6" y="%.1f" fill="#c0c0c0">%s</text>`+"\n", y+float64(l.rows[r].h)/2+4, esc(label))
+		m.f(`<text x="6" y="%.1f" fill="#c0c0c0">%s</text>`+"\n", y+float64(l.rows[r].h)/2+4, rankLabel(r))
 	}
 
 	// Axis ticks.
@@ -256,21 +220,17 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 	}
 
 	// Arrows: white, drawn over states, with the popup the paper lists.
-	if !v.HideArrows {
-		hex := colors.ArrowColor.Hex()
-		for i := range arrows {
-			if a := arrows[i].D; l.shown(a.SrcRank) && l.shown(a.DstRank) {
-				m.arrow(l, hex, a)
-			}
+	hex := colors.ArrowColor.Hex()
+	for i := range arrows {
+		if a := arrows[i].D; l.shown(a.SrcRank) && l.shown(a.DstRank) {
+			m.arrow(l, hex, a)
 		}
 	}
 
 	// Event bubbles on top.
-	if !v.HideEvents {
-		for i := range events {
-			if e := events[i].D; l.shown(e.Rank) {
-				m.event(l, &cats[e.Cat], e)
-			}
+	for i := range events {
+		if e := events[i].D; l.shown(e.Rank) {
+			m.event(l, &cats[e.Cat], e)
 		}
 	}
 
@@ -280,6 +240,15 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 
 	m.inlineLegend(f, cats, width, height)
 	return *m.s("</svg>\n")
+}
+
+// rankLabel names a timeline as the paper's figures do: PI_MAIN for
+// rank 0, P<rank> for the rest.
+func rankLabel(r int) string {
+	if r == 0 {
+		return "PI_MAIN"
+	}
+	return "P" + strconv.Itoa(r)
 }
 
 // preview reports whether a rank with n states in the viewport is drawn

@@ -91,8 +91,7 @@ func TestAnalyzeWindowed(t *testing.T) {
 	if rep.Window == nil || rep.Window.T0 == nil || rep.Window.T1 == nil {
 		t.Fatalf("window not echoed: %+v", rep.Window)
 	}
-	want, err := analyze.AnalyzeFile(filepath.Join(goldenDir, "lab2.clog2"),
-		analyze.Options{T0: 0, T1: 1e9})
+	want, err := analyze.AnalyzeFileWindowed(filepath.Join(goldenDir, "lab2.clog2"), 0, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +101,21 @@ func TestAnalyzeWindowed(t *testing.T) {
 	}
 	if resp, _ := get(t, ts.URL+"/trace/lab2/analyze?t0=nan", nil); resp.StatusCode != 400 {
 		t.Fatalf("bad t0 status %d, want 400", resp.StatusCode)
+	}
+	// [0, 0] is a window like any other: the verdict counts the records
+	// the windowed profile counts, not the whole run's.
+	_, body = get(t, ts.URL+"/trace/thumbnail/analyze?t0=0&t1=0", nil)
+	var point struct{ Records int64 }
+	if err := json.Unmarshal(body, &point); err != nil {
+		t.Fatal(err)
+	}
+	_, body = get(t, ts.URL+"/trace/thumbnail/profile?t0=0&t1=0", nil)
+	var prof struct{ Totals struct{ Records int64 } }
+	if err := json.Unmarshal(body, &prof); err != nil {
+		t.Fatal(err)
+	}
+	if point.Records != prof.Totals.Records {
+		t.Fatalf("[0, 0]: the verdict counts %d records, the profile %d", point.Records, prof.Totals.Records)
 	}
 }
 
@@ -164,9 +178,18 @@ func TestRepoAnalyzeJSON(t *testing.T) {
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatal(err)
 	}
-	// The repo layout puts the profile sidecar next to the raw log, so
-	// whole-run analyses must reuse it instead of recomputing.
-	if rep.ProfileSource != "sidecar" {
-		t.Fatalf("profile source %q, want sidecar", rep.ProfileSource)
+	// The repo layout puts the profile sidecar next to the raw log; the
+	// verdict reads the log alone.
+	f, err := os.Open(filepath.Join(goldenDir, "lab2.clog2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := analyze.Analyze(f, analyze.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantJSON, _ := want.JSON(); !bytes.Equal(body, wantJSON) {
+		t.Fatalf("repo verdict differs from the log's:\n%s", body)
 	}
 }

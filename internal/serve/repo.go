@@ -205,9 +205,9 @@ func (r *Repo) ClogGen(id string) (string, error) {
 
 // AnalyzeJSON runs the pathology analyzer over id's registered raw
 // CLOG-2 restricted to [t0, t1] (math.Inf bounds for the whole run)
-// and returns the verdict report as JSON. The analyzer reuses the
-// trace's .profile.json sidecar for whole-run queries and the log's block
-// table for windowed ones, like every other raw-log consumer.
+// and returns the verdict report as JSON. The verdict reads the raw log
+// alone, never the trace's .profile.json; a window goes through the log's
+// block table, like every other raw-log consumer.
 func (r *Repo) AnalyzeJSON(id string, t0, t1 float64) ([]byte, error) {
 	if !validID(id) {
 		return nil, ErrBadID
@@ -219,7 +219,7 @@ func (r *Repo) AnalyzeJSON(id string, t0, t1 float64) ([]byte, error) {
 		}
 		return nil, err
 	}
-	rep, err := analyze.AnalyzeFile(path, analyze.Options{T0: t0, T1: t1})
+	rep, err := analyze.AnalyzeFileWindowed(path, t0, t1)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
 	}

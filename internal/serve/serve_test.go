@@ -210,16 +210,21 @@ func TestFloatParamsParseAlikeOnEveryRoute(t *testing.T) {
 
 // A window that ends before it starts is a client error on every route
 // that takes one, not an empty 200 (a "clean" verdict over no records).
+// /search names its bounds from and to, and parses them by the same rules.
 func TestInvertedWindowIsBadRequestOnEveryRoute(t *testing.T) {
 	_, ts := newTestServer(t, goldenDir)
-	for _, route := range []string{"tile", "legend", "profile", "analyze"} {
+	for _, route := range []string{"/trace/lab2/tile?", "/trace/lab2/legend?", "/trace/lab2/profile?", "/trace/lab2/analyze?", "/search?trace=lab2&"} {
+		keys := strings.NewReplacer()
+		if strings.HasPrefix(route, "/search") {
+			keys = strings.NewReplacer("t0=", "from=", "t1=", "to=")
+		}
 		for query, want := range map[string]int{
 			"t0=1&t1=5": 200, "t0=5&t1=5": 200, "t0=5&t1=1": 400, "t0=Inf&t1=-Inf": 400,
 			// An infinite bound on its own side is no bound; on the wrong
 			// side it is an empty window. Never a 500 from encoding an Inf.
 			"t0=-Inf": 200, "t1=Inf": 200, "t0=-Inf&t1=Inf": 200, "t0=Inf": 400, "t1=-Inf": 400,
 		} {
-			url := ts.URL + "/trace/lab2/" + route + "?" + query
+			url := ts.URL + route + keys.Replace(query)
 			resp, body := get(t, url, nil)
 			if resp.StatusCode != want {
 				t.Errorf("%s: status %d, want %d: %.120s", url, resp.StatusCode, want, body)
@@ -227,6 +232,29 @@ func TestInvertedWindowIsBadRequestOnEveryRoute(t *testing.T) {
 			if want == 400 && !strings.Contains(string(body), "empty time window") {
 				t.Errorf("%s: body does not name the window: %.120s", url, body)
 			}
+		}
+	}
+}
+
+// A search bound left out is the log's own start or end, as on every
+// other windowed route: from alone searches [from, end], not the whole log.
+func TestSearchFromAloneNarrowsTheWindow(t *testing.T) {
+	_, ts := newTestServer(t, goldenDir)
+	f, err := slog2.ReadFile(filepath.Join(goldenDir, "thumbnail.slog2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := f.Start + (f.End-f.Start)/2
+	want, err := RenderSearchJSON(&Trace{ID: "thumbnail", File: f}, jumpshot.SearchOptions{Rank: -1, Limit: 1000, From: mid, To: f.End})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, all := get(t, ts.URL+"/search?trace=thumbnail", nil)
+	for _, query := range []string{fmt.Sprintf("from=%v", mid), fmt.Sprintf("from=%v&to=%v", mid, f.End), fmt.Sprintf("from=%v&to=Inf", mid)} {
+		resp, body := get(t, ts.URL+"/search?trace=thumbnail&"+query, nil)
+		if resp.StatusCode != 200 || !bytes.Equal(body, want) || bytes.Equal(body, all) {
+			t.Errorf("%s: status %d, %d bytes; want the %d bytes of [mid, end], not the whole log's %d",
+				query, resp.StatusCode, len(body), len(want), len(all))
 		}
 	}
 }

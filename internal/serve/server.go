@@ -526,7 +526,7 @@ func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0, t1 := tr.File.Start, tr.File.End
-	if err := queryWindow(r.URL.Query(), &t0, &t1); err != nil {
+	if err := queryWindow(r.URL.Query(), "t0", "t1", &t0, &t1); err != nil {
 		s.failBadRequest(w, r, err)
 		return
 	}
@@ -553,7 +553,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	// Windowed profile: recompute from the registered raw CLOG-2,
 	// through its block table when it has a valid one.
 	t0, t1 := math.Inf(-1), math.Inf(1)
-	if err := queryWindow(q, &t0, &t1); err != nil {
+	if err := queryWindow(q, "t0", "t1", &t0, &t1); err != nil {
 		s.failBadRequest(w, r, err)
 		return
 	}
@@ -582,7 +582,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	t0, t1 := math.Inf(-1), math.Inf(1)
-	if err := queryWindow(r.URL.Query(), &t0, &t1); err != nil {
+	if err := queryWindow(r.URL.Query(), "t0", "t1", &t0, &t1); err != nil {
 		s.failBadRequest(w, r, err)
 		return
 	}
@@ -625,17 +625,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	opts := jumpshot.SearchOptions{Rank: -1, Limit: 1000}
+	opts := jumpshot.SearchOptions{Rank: -1, Limit: 1000, From: tr.File.Start, To: tr.File.End}
 	opts.Name = q.Get("name")
 	opts.Cargo = q.Get("cargo")
-	for _, f := range []struct {
-		key string
-		dst *float64
-	}{{"from", &opts.From}, {"to", &opts.To}, {"mindur", &opts.MinDuration}} {
-		if err := queryFloat(q, f.key, f.dst); err != nil {
-			s.failBadRequest(w, r, err)
-			return
-		}
+	if err := queryWindow(q, "from", "to", &opts.From, &opts.To); err != nil {
+		s.failBadRequest(w, r, err)
+		return
+	}
+	if err := queryFloat(q, "mindur", &opts.MinDuration); err != nil {
+		s.failBadRequest(w, r, err)
+		return
 	}
 	for _, key := range []string{"rank", "limit"} {
 		if v := q.Get(key); v != "" {

@@ -43,18 +43,19 @@ func queryFloat(q url.Values, key string, dst *float64) error {
 	return nil
 }
 
-// queryWindow parses the optional t0 and t1 parameters over the route's
-// own unbounded window, which the caller passes in: the file's span for a
-// tile or a legend, [-Inf, +Inf] for a profile or a verdict. An infinite
-// bound on its own side (t0=-Inf, t1=+Inf) asks for no bound and leaves
-// that default; on the wrong side it selects nothing, as a window that
-// ends before it starts does, and both are refused (clog2.CheckWindow).
-func queryWindow(q url.Values, t0, t1 *float64) error {
+// queryWindow parses the optional lower and upper bound parameters (t0
+// and t1; from and to on /search) over the route's own unbounded window,
+// which the caller passes in: the file's span for a tile, a legend or a
+// search, [-Inf, +Inf] for a profile or a verdict. An infinite bound on
+// its own side (-Inf below, +Inf above) asks for no bound and leaves that
+// default; on the wrong side it selects nothing, as a window that ends
+// before it starts does, and both are refused (clog2.CheckWindow).
+func queryWindow(q url.Values, loKey, hiKey string, t0, t1 *float64) error {
 	lo, hi := *t0, *t1
-	if err := queryFloat(q, "t0", &lo); err != nil {
+	if err := queryFloat(q, loKey, &lo); err != nil {
 		return err
 	}
-	if err := queryFloat(q, "t1", &hi); err != nil {
+	if err := queryFloat(q, hiKey, &hi); err != nil {
 		return err
 	}
 	if math.IsInf(lo, -1) {
@@ -90,7 +91,7 @@ func parseTileParams(q url.Values, f *slog2.File) (tileParams, error) {
 		*dst = v
 		return nil
 	}
-	if err := queryWindow(q, &p.win.T0, &p.win.T1); err != nil {
+	if err := queryWindow(q, "t0", "t1", &p.win.T0, &p.win.T1); err != nil {
 		return p, err
 	}
 	if err := getI("r0", &p.win.RankLo); err != nil {
