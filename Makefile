@@ -131,7 +131,9 @@ lines:
 # encoder under it; the SLOG-2 codec both ways on a synthesized file of
 # 200 000 drawables with cargo (MB/s, allocs/op: one to write, under four
 # a frame to read); what a pilot-serve tile-cache miss costs (render +
-# ETag + gzip, MB/s and B/op) and its gzip encoder alone over the golden
+# ETag + gzip, MB/s and B/op), the full-span tile of 100 000 drawables
+# over 8 ranks as SVG and as JSON (render alone, MB/s and B/op), and the
+# gzip encoder alone over the golden
 # tiles, against compress/gzip at BestSpeed (MB/s, ratio); a 1 % windowed
 # profile through the block
 # table (records decoded and stepped over an op); and the three rows
@@ -152,7 +154,7 @@ bench bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem $(BENCHTIME) ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem $(BENCHTIME) ./internal/mpe/
 	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved|BenchmarkWindowedProfile' -benchmem $(BENCHTIME) ./internal/stats/
-	$(GO) test -run '^$$' -bench 'BenchmarkColdTile|BenchmarkGzip' -benchmem $(BENCHTIME) ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkColdTile|BenchmarkFullSpanTile|BenchmarkGzip' -benchmem $(BENCHTIME) ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkCallerLoc' -benchmem $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .
 

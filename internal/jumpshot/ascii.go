@@ -2,6 +2,7 @@ package jumpshot
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/slog2"
@@ -26,10 +27,10 @@ func RenderASCII(f *slog2.File, v View) string {
 	}
 	events := f.Events(v.From, v.To)
 	byRank := statesByRank(f, v.From, v.To, nil)
-	grid := make([][]map[int]float64, f.NumRanks)
+	grid := make([]buckets, f.NumRanks)
 	hasEvent := make([][]bool, f.NumRanks)
 	for r := range grid {
-		grid[r] = exclusiveBuckets(byRank[r], v.From, span, cols)
+		grid[r] = exclusiveBuckets(byRank[r], v.From, span, cols, len(f.Categories))
 		hasEvent[r] = make([]bool, cols)
 	}
 	colOf := func(t float64) int {
@@ -62,12 +63,12 @@ func RenderASCII(f *slog2.File, v View) string {
 	for r := 0; r < f.NumRanks; r++ {
 		row := make([]byte, cols)
 		for c := 0; c < cols; c++ {
-			cell := grid[r][c]
+			times, in := grid[r].bucket(c)
 			switch {
-			case len(cell) > 0:
+			case slices.Contains(in, true):
 				best, bestD := -1, 0.0
-				for cat, d := range cell {
-					if d > bestD || (d == bestD && (best < 0 || cat < best)) {
+				for cat, d := range times {
+					if in[cat] && (d > bestD || (d == bestD && best < 0)) {
 						best, bestD = cat, d
 					}
 				}

@@ -8,11 +8,11 @@ import "repro/internal/slog2"
 // *exclusive* time: a nested state's time is subtracted from its immediate
 // parent, so an instant is attributed to the innermost state covering it.
 // This is what makes a PI_Read visible inside a long Compute rectangle in
-// the downsampled views.
-func exclusiveBuckets(rs []slog2.Ref[*slog2.State], from, span float64, n int) []map[int]float64 {
-	buckets := make([]map[int]float64, n)
+// the downsampled views. cats is the number of categories.
+func exclusiveBuckets(rs []slog2.Ref[*slog2.State], from, span float64, n, cats int) buckets {
+	bs := buckets{cats: cats, times: make([]float64, n*cats), in: make([]bool, n*cats)}
 	if n == 0 || span <= 0 {
-		return buckets
+		return bs
 	}
 	to := from + span*float64(n)
 	addRange := func(cat int, lo, hi, sign float64) {
@@ -43,10 +43,8 @@ func exclusiveBuckets(rs []slog2.Ref[*slog2.State], from, span float64, n int) [
 			if h <= l {
 				continue
 			}
-			if buckets[bi] == nil {
-				buckets[bi] = map[int]float64{}
-			}
-			buckets[bi][cat] += sign * (h - l)
+			bs.times[bi*cats+cat] += sign * (h - l)
+			bs.in[bi*cats+cat] = true
 		}
 	}
 
@@ -67,14 +65,25 @@ func exclusiveBuckets(rs []slog2.Ref[*slog2.State], from, span float64, n int) [
 		stack = append(stack, openIv{cat: s.Cat, end: s.End})
 	}
 	// Clamp tiny negative residues from floating arithmetic.
-	for _, m := range buckets {
-		for cat, d := range m {
-			if d < 0 {
-				if d > -1e-9 {
-					m[cat] = 0
-				}
-			}
+	for i, d := range bs.times {
+		if d < 0 && d > -1e-9 {
+			bs.times[i] = 0
 		}
 	}
-	return buckets
+	return bs
+}
+
+// buckets is exclusiveBuckets' answer, dense: bucket b's time in
+// category c is times[b*cats+c], and in[b*cats+c] says whether any state
+// of the category reached the bucket at all (a time that came to 0 did).
+type buckets struct {
+	cats  int
+	times []float64
+	in    []bool
+}
+
+// bucket returns bucket b's times and reached flags, by category.
+func (bs buckets) bucket(b int) ([]float64, []bool) {
+	lo, hi := b*bs.cats, (b+1)*bs.cats
+	return bs.times[lo:hi:hi], bs.in[lo:hi:hi]
 }

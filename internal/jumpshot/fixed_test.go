@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// pow10[i] is 1e(i-6): the powers of ten either side of which the fuzz
+// seeds sit, where a digit-count formatter once went wrong.
+var pow10 = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1,
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
 // checkFixed compares appendFixed with strconv at both precisions the
 // renderer uses.
 func checkFixed(t testing.TB, x float64) {

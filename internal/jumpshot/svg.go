@@ -3,9 +3,9 @@ package jumpshot
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/colors"
 	"repro/internal/slog2"
@@ -79,7 +79,11 @@ func (v View) normalized(f *slog2.File) View {
 // yellow event bubbles, white message arrows, an axis in global seconds,
 // and popup details as SVG tooltips.
 func RenderSVG(f *slog2.File, v View) string {
-	return string(AppendSVG(nil, f, v))
+	b := AppendSVG(nil, f, v)
+	// b is this call's alone and never written again, so it becomes the
+	// string as it is, as strings.Builder's bytes do, not through a
+	// second copy of the document (24 MB on the benchmark's big log).
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // row is one rank's place on the canvas; mid is the row's centre line as
@@ -326,48 +330,56 @@ func (m *markup) annotations(l *layout, width int) {
 	}
 }
 
-// outermostFirst orders one rank's states by start and, at equal starts,
-// the longer (enclosing) one first; states equal in both keep the order
-// they came in.
+// outermostFirst orders one rank's states, given in start order
+// (SortRefs), so that at equal starts the longer (enclosing) one comes
+// first; states equal in both keep the order they came in. Each run of
+// equal starts is sorted by SortRefs again, on the negated end.
 func outermostFirst(rs []slog2.Ref[*slog2.State]) {
-	slices.SortStableFunc(rs, func(a, b slog2.Ref[*slog2.State]) int {
-		switch {
-		case a.At < b.At:
-			return -1
-		case a.At != b.At:
-			return 1
-		case a.D.End > b.D.End:
-			return -1
-		case a.D.End < b.D.End:
-			return 1
+	for i := 0; i < len(rs); {
+		j := i + 1
+		for j < len(rs) && rs[j].At == rs[i].At {
+			j++
 		}
-		return 0
-	})
+		if run := rs[i:j]; len(run) > 1 {
+			for k := range run {
+				run[k].At = -run[k].D.End
+			}
+			slog2.SortRefs(run)
+			for k := range run {
+				run[k].At = run[k].D.Start
+			}
+		}
+		i = j
+	}
 }
 
-// statesByRank buckets the states intersecting [t0, t1] per rank straight
-// from the frames (no copy, no global sort), each rank outermostFirst. A
-// non-nil want keeps only the ranks it marks.
+// statesByRank buckets the states intersecting [t0, t1] per rank, each
+// rank outermostFirst. They come from one States query, already in start
+// order, and are dealt out to their ranks in that order. A non-nil want
+// keeps only the ranks it marks.
 func statesByRank(f *slog2.File, t0, t1 float64, want []bool) [][]slog2.Ref[*slog2.State] {
-	each := func(visit func(s *slog2.State)) {
-		f.Frames(t0, t1, func(fr *slog2.Frame) {
-			for i := range fr.States {
-				s := &fr.States[i]
-				if s.In(t0, t1) && uint(s.Rank) < uint(f.NumRanks) && (want == nil || want[s.Rank]) {
-					visit(s)
-				}
-			}
-		})
+	all := f.States(t0, t1)
+	keep := func(s *slog2.State) bool {
+		return uint(s.Rank) < uint(f.NumRanks) && (want == nil || want[s.Rank])
 	}
 	counts := make([]int, f.NumRanks)
-	each(func(s *slog2.State) { counts[s.Rank]++ })
-	byRank := make([][]slog2.Ref[*slog2.State], f.NumRanks)
-	for r, n := range counts {
-		byRank[r] = make([]slog2.Ref[*slog2.State], 0, n)
+	n := 0
+	for _, r := range all {
+		if keep(r.D) {
+			counts[r.D.Rank]++
+			n++
+		}
 	}
-	each(func(s *slog2.State) {
-		byRank[s.Rank] = append(byRank[s.Rank], slog2.Ref[*slog2.State]{At: s.Start, D: s})
-	})
+	byRank := make([][]slog2.Ref[*slog2.State], f.NumRanks)
+	dealt := make([]slog2.Ref[*slog2.State], n)
+	for r, c := range counts {
+		byRank[r], dealt = dealt[:0:c], dealt[c:]
+	}
+	for _, r := range all {
+		if keep(r.D) {
+			byRank[r.D.Rank] = append(byRank[r.D.Rank], r)
+		}
+	}
 	for _, rs := range byRank {
 		outermostFirst(rs)
 	}
@@ -444,32 +456,28 @@ func (m *markup) previewRow(l *layout, cats []catText, rs []slog2.Ref[*slog2.Sta
 	span := (v.To - v.From) / float64(nBuckets)
 	// Per bucket, per category, exclusive (innermost-wins) state time, so
 	// the stripes show the proportions a viewer actually perceives.
-	buckets := exclusiveBuckets(rs, v.From, span, nBuckets)
+	bs := exclusiveBuckets(rs, v.From, span, nBuckets, len(cats))
 	top := l.rows[rank].top
 	rowH := float64(l.rows[rank].h) - 6
-	var ids []int
-	for bi, bucket := range buckets {
-		if bucket == nil {
-			continue
-		}
-		x := l.x(v.From + float64(bi)*span)
-		w := plotW / float64(nBuckets)
-		var total float64
-		ids = ids[:0]
-		for cat, d := range bucket {
+	for bi := range nBuckets {
+		times, in := bs.bucket(bi)
+		var total float64 // in category order: the stripes are a function of the file
+		for _, d := range times {
 			total += d
-			ids = append(ids, cat)
 		}
 		if total <= 0 {
 			continue
 		}
-		sort.Ints(ids)
+		x := l.x(v.From + float64(bi)*span)
+		w := plotW / float64(nBuckets)
 		m.rect(`<rect x="`, x, top+3, w, rowH).s(`" fill="none" stroke="#707070" stroke-width="0.5"/>` + "\n")
 		y := top + 3.0
-		for _, cat := range ids {
-			frac := bucket[cat] / total
-			h := rowH * frac
-			m.rect(`<rect x="`, x, y, w, h).s(`" fill="`).s(cats[cat].hex).s(`"/>` + "\n")
+		for c, d := range times {
+			if !in[c] {
+				continue
+			}
+			h := rowH * (d / total)
+			m.rect(`<rect x="`, x, y, w, h).s(`" fill="`).s(cats[c].hex).s(`"/>` + "\n")
 			y += h
 		}
 	}

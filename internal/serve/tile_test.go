@@ -45,7 +45,8 @@ func nonFiniteTrace() *slog2.File {
 }
 
 // A NaN or infinite time has no JSON form: the tile is an error, never a
-// body with "NaN" in it, and over HTTP a 500.
+// body with "NaN" in it. Over HTTP such a file never reaches the
+// renderer: slog2.Read refuses the time by name, and the trace is a 422.
 func TestTileJSONRefusesNonFinite(t *testing.T) {
 	inf := math.Inf(1)
 	all := jumpshot.Window{T0: 0, T1: 10, RankLo: 0, RankHi: -1}
@@ -82,7 +83,7 @@ func TestTileJSONRefusesNonFinite(t *testing.T) {
 	}
 	_, ts := newTestServer(t, dir)
 	resp, body := get(t, ts.URL+"/trace/inf/tile", nil)
-	if resp.StatusCode != 500 || !strings.Contains(string(body), "JSON") {
-		t.Errorf("tile of an infinite state: status %d %q, want a 500", resp.StatusCode, body)
+	if resp.StatusCode != 422 || !strings.Contains(string(body), "not finite") {
+		t.Errorf("tile of an infinite state: status %d %q, want a 422 naming the time", resp.StatusCode, body)
 	}
 }

@@ -2,6 +2,8 @@ package slog2
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -11,7 +13,8 @@ import (
 // safe for every consumer path — Query, All, Depth and re-encoding —
 // because pilot-serve runs exactly those over files it did not write,
 // and must be the one encoding of what it decodes to: Write gives the
-// accepted bytes back.
+// accepted bytes back. Every drawable it accepts has a finite time inside
+// its frame.
 func FuzzReadSLOG2(f *testing.F) {
 	for _, name := range []string{"lab2", "thumbnail", "collisions"} {
 		f.Add(golden(f, name))
@@ -30,6 +33,19 @@ func FuzzReadSLOG2(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(tree.Bytes())
+	// A drawable with a NaN time, and one outside its frame: both refused.
+	for _, mutate := range []func(*File){
+		func(sf *File) { sf.Root.States[0].Start = math.NaN() },
+		func(sf *File) { sf.Root.Events[0].Time = sf.Root.End + 1 },
+	} {
+		sf := synthFile(64)
+		mutate(sf)
+		var b bytes.Buffer
+		if err := Write(&b, sf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -48,6 +64,9 @@ func FuzzReadSLOG2(f *testing.F) {
 			}
 		}
 		_ = sf.Depth()
+		if err := placed(sf); err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
 		if werr := Write(&buf, sf); werr != nil {
 			t.Fatalf("re-encoding a parsed file failed: %v", werr)
@@ -56,4 +75,28 @@ func FuzzReadSLOG2(f *testing.F) {
 			t.Fatalf("Write(Read(x)) != x: %d bytes in, %d out", len(data), buf.Len())
 		}
 	})
+}
+
+// placed checks what Read promises of every drawable it accepts: a finite
+// time, inside its frame.
+func placed(f *File) error {
+	var err error
+	f.Walk(func(fr *Frame) {
+		check := func(what string, lo, hi float64) {
+			finite := lo-lo == 0 && hi-hi == 0 // NaN and ±Inf give NaN
+			if err == nil && (!finite || escapes(lo, hi, fr)) {
+				err = fmt.Errorf("Read accepted a %s at [%v,%v] in frame [%v,%v]", what, lo, hi, fr.Start, fr.End)
+			}
+		}
+		for _, s := range fr.States {
+			check("state", s.Start, s.End)
+		}
+		for _, a := range fr.Arrows {
+			check("arrow", min(a.Start, a.End), max(a.Start, a.End))
+		}
+		for _, e := range fr.Events {
+			check("event", e.Time, e.Time)
+		}
+	})
+	return err
 }

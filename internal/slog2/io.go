@@ -345,6 +345,19 @@ func (d *decoder) rank(s string) int {
 	return r
 }
 
+// place rejects a drawable spanning [lo, hi] that no query could find
+// or order: a time that is NaN or infinite, which has no place in time
+// order, or one outside its frame (CheckInvariants' rule), which Frames
+// prunes away from every window that holds the drawable but not the frame.
+func (d *decoder) place(what string, lo, hi float64, fr *Frame) {
+	switch {
+	case math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0):
+		d.fail(fmt.Errorf("slog2: %s time [%v,%v] is not finite", what, lo, hi))
+	case escapes(lo, hi, fr):
+		d.fail(fmt.Errorf("slog2: %s [%v,%v] escapes frame [%v,%v]", what, lo, hi, fr.Start, fr.End))
+	}
+}
+
 func (d *decoder) frame(depth int) *Frame {
 	if d.err != nil {
 		return nil
@@ -371,6 +384,7 @@ func (d *decoder) frame(depth int) *Frame {
 		s.Start, s.End = getFloat(b[8:]), getFloat(b[16:])
 		s.StartCargo = d.str()
 		s.EndCargo = d.str()
+		d.place("state", s.Start, s.End, fr)
 		if d.err != nil {
 			return nil
 		}
@@ -383,6 +397,7 @@ func (d *decoder) frame(depth int) *Frame {
 		a.SrcRank, a.DstRank = d.rank(b), d.rank(b[4:])
 		a.Start, a.End = getFloat(b[8:]), getFloat(b[16:])
 		a.Tag, a.Size = getInt(b[24:]), getInt(b[28:])
+		d.place("arrow", min(a.Start, a.End), max(a.Start, a.End), fr)
 		if d.err != nil {
 			return nil
 		}
@@ -394,6 +409,7 @@ func (d *decoder) frame(depth int) *Frame {
 		ev, b := &fr.Events[i], d.take(minEvent-2)
 		ev.Rank, ev.Cat, ev.Time = d.rank(b), d.cat(b[4:]), getFloat(b[8:])
 		ev.Cargo = d.str()
+		d.place("event", ev.Time, ev.Time, fr)
 		if d.err != nil {
 			return nil
 		}

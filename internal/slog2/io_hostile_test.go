@@ -79,6 +79,43 @@ func TestReadRejectsOutOfRangeIndices(t *testing.T) {
 	}
 }
 
+// A drawable Read cannot place is refused by name: a NaN or infinite
+// time has no place in time order, and a drawable outside its frame would
+// be missed by every window that Frames prunes the frame from.
+func TestReadRejectsUnplaceableDrawables(t *testing.T) {
+	cases := []struct {
+		name, want string
+		mutate     func(f *File)
+	}{
+		{"state start NaN", "state time [NaN,", func(f *File) { f.Root.States[0].Start = math.NaN() }},
+		{"state end +Inf", "not finite", func(f *File) { f.Root.States[0].End = math.Inf(1) }},
+		{"arrow end NaN", "arrow time", func(f *File) { f.Root.Arrows[0].End = math.NaN() }},
+		{"event at -Inf", "event time [-Inf,-Inf] is not finite", func(f *File) { f.Root.Events[0].Time = math.Inf(-1) }},
+		{"state past its frame", "state [1,3] escapes frame [1,2]", func(f *File) { f.Root.States[0].End = 3 }},
+		{"arrow before its frame", "arrow [0.5,1.6] escapes frame", func(f *File) { f.Root.Arrows[0].Start = 0.5 }},
+		{"event past its frame", "event [2.5,2.5] escapes frame", func(f *File) { f.Root.Events[0].Time = 2.5 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := smallFile(t)
+			if f.Root.Start != 1 || f.Root.End != 2 {
+				t.Fatalf("fixture's frame is [%v,%v], the cases expect [1,2]", f.Root.Start, f.Root.End)
+			}
+			c.mutate(f)
+			if err := reread(f); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one naming %q", err, c.want)
+			}
+		})
+	}
+	// Control: a drawable on its frame's bounds, within the nanosecond
+	// CheckInvariants allows, still reads.
+	f := smallFile(t)
+	f.Root.States[0].End = 2 + 1e-10
+	if err := reread(f); err != nil {
+		t.Fatalf("state on its frame's end: %v", err)
+	}
+}
+
 // A file that decodes to its root frame and then goes on is a
 // half-overwritten or concatenated one: Read used to serve it as clean.
 // A file of the previous version is refused at the magic with the
