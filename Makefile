@@ -41,7 +41,7 @@ loc-paths:
 	GOARCH=386 $(GO) build ./...
 	$(GO) test -gcflags=all=-l ./internal/core
 
-ci: build fmt vet race loc-paths test-bench bench-smoke fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire
+ci: build fmt vet race loc-paths test-bench bench-smoke fuzz-smoke cover smoke-multiproc smoke-serve smoke-index smoke-analyze chaos-wire unreached
 
 # Multi-process smoke: the lab2 exercise with every rank as its own OS
 # process over the socket transport (-pitransport=socket re-executes the
@@ -199,15 +199,19 @@ chaos:
 chaos-wire:
 	$(GO) test -race -run '^TestChaosWireSweep$$|^TestChaosWireReplay$$' -v .
 
-# Functions declared outside package main that no program links. Every
-# main under cmd/, examples/ and bench/ is built with inlining off into
-# out/unreached/bin; each function a package's `go list -export` archive
-# defines from its source (compiler wrappers are <autogenerated> there)
-# that is missing from the union of the binaries' text symbols is printed.
-# Closures, generic shape instantiations and package init are skipped.
-# Not part of ci: what is left are test facilities and interface methods,
-# which CHANGES.md accounts for.
+# Functions declared outside package main that no program links, held to
+# the committed list in testdata/unreached.txt. Every main under cmd/,
+# examples/ and bench/ is built with inlining off into out/unreached/bin;
+# each function a package's `go list -export` archive defines from its
+# source (compiler wrappers are <autogenerated> there) that is missing from
+# the union of the binaries' text symbols is unreached. Closures, generic
+# shape instantiations and package init are skipped. The target fails on
+# an unreached function the list does not name, and on a listed one that a
+# program links again or that no longer exists: each entry says why it
+# stays (public Pilot API under pilot's aliases, a test facility the tests
+# of several packages share), so the list can only shrink.
 UNREACHED = out/unreached
+UNREACHED_LIST = testdata/unreached.txt
 unreached:
 	rm -rf $(UNREACHED)
 	@mkdir -p $(UNREACHED)/bin
@@ -220,7 +224,12 @@ unreached:
 	while read a; do [ -z "$$a" ] || $(GO) tool objdump $$a; done | \
 	awk '$$1 == "TEXT" && $$3 != "<autogenerated>" && $$2 ~ /^repro\// { sub(/\(SB\)$$/, "", $$2); print $$2 }' | \
 	grep -vE '\.(func|deferwrap|gowrap)[0-9]|[[·]|^repro/[^.]*\.init(\.[0-9]+)?$$' | LC_ALL=C sort -u > $(UNREACHED)/declared
-	@LC_ALL=C comm -23 $(UNREACHED)/declared $(UNREACHED)/linked
+	LC_ALL=C comm -23 $(UNREACHED)/declared $(UNREACHED)/linked > $(UNREACHED)/found
+	sed 's/[[:space:]]*#.*//; /^$$/d' $(UNREACHED_LIST) | LC_ALL=C sort > $(UNREACHED)/listed
+	{ LC_ALL=C comm -23 $(UNREACHED)/found $(UNREACHED)/listed | sed 's|^|unreached, not in $(UNREACHED_LIST): |'; \
+	  LC_ALL=C comm -13 $(UNREACHED)/found $(UNREACHED)/listed | sed 's|^|in $(UNREACHED_LIST), linked or gone: |'; } > $(UNREACHED)/report
+	@if [ -s $(UNREACHED)/report ]; then cat $(UNREACHED)/report; exit 1; fi
+	@echo "unreached: the $$(wc -l < $(UNREACHED)/listed) listed function(s) and no other"
 
 clean:
 	rm -rf out

@@ -355,7 +355,7 @@ func BenchmarkBlockReaderScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defs, err := br.Next()
+	defs, err := br.NextReuse(nil)
 	if err != nil || defs.Records[0].Type != clog2.RecStateDef {
 		b.Fatalf("first block %+v, err %v", defs, err)
 	}

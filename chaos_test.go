@@ -208,20 +208,23 @@ func mpeSignature(t *testing.T, path string) map[int32][]string {
 		t.Fatal(err)
 	}
 	defer fh.Close()
-	f, err := clog2.Read(fh)
+	sig := make(map[int32][]string)
+	br, err := clog2.NewBlockReader(fh)
+	if err == nil {
+		err = br.Each(func(run clog2.Block) error {
+			for _, r := range run.Records {
+				if r.Type == clog2.RecTimeShift {
+					continue
+				}
+				sig[run.Rank] = append(sig[run.Rank],
+					fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s",
+						r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.Text, r.CargoText()))
+			}
+			return nil
+		})
+	}
 	if err != nil {
 		t.Fatalf("parse %s: %v", path, err)
-	}
-	sig := make(map[int32][]string)
-	for _, b := range f.Blocks {
-		for _, r := range b.Records {
-			if r.Type == clog2.RecTimeShift {
-				continue
-			}
-			sig[b.Rank] = append(sig[b.Rank],
-				fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s",
-					r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.Text, r.CargoText()))
-		}
 	}
 	return sig
 }

@@ -15,8 +15,13 @@
 // channel (tag). The records are read through clog2.Walk: when the log
 // ends in a valid block table, a filtered dump seeks straight to the
 // blocks the query can touch instead of decoding the whole log; the
-// output is identical either way. Works on spill fragments from aborted
-// runs too: a file with no end-log marker shows its complete blocks.
+// output is identical either way.
+//
+// One rule judges a log that cannot be read to its end-log marker, in a
+// dump and under -verify alike. When its block table validates, the log is
+// corrupt: the error is printed and clogdump exits 1. Without a table it is
+// torn, as a spill fragment from an aborted run is: its complete blocks are
+// shown or summed up, with a warning, and clogdump exits 0.
 //
 // -verify dumps no records. It prints the state of the log's block table
 // ("table: ok", or "table: degraded" and why: a log without a usable table
@@ -25,10 +30,8 @@
 // clog2.ScanTable makes of the log, entry for entry: a fence that lies
 // under a valid CRC passes every check a reader makes and drops records
 // from windowed answers. A mismatch names the first entry that differs and
-// exits 1, and so does a log whose table validates but whose blocks cannot
-// be read to its end-log marker. A torn log (no table, no end-log marker)
-// is summed up as far as its complete blocks go, with a warning, and exits
-// 0. Exits 0 on success, 1 on an error or a mismatch, 2 on usage errors.
+// exits 1. Exits 0 on success, 1 on an error or a mismatch, 2 on usage
+// errors.
 package main
 
 import (
@@ -92,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return q.Matches(rec) && (*typ == "" || rec.Type == want) && (!*defsOnly || rec.Type.IsDef())
 	}
 	if err := dump(stdout, stderr, fs.Arg(0), q, match); err != nil {
-		fmt.Fprintln(stderr, err)
+		fmt.Fprintln(stderr, "clogdump:", err)
 		return 1
 	}
 	return 0
@@ -117,8 +120,9 @@ func parseType(name string) (clog2.RecType, error) {
 // clog2.Walk. The output is buffered until the walk ends, and starts over
 // whenever the walk begins again (a table caught lying mid-scan), so that no
 // half-answer is printed. A log the walk cannot read to its end-log marker
-// is dumped as far as its complete blocks go (ReadLenient: a spill
-// fragment from an aborted run), with a warning to warn.
+// is read again whole block by whole block (clog2's EachBlock) and judged
+// by torn: a spill fragment from an aborted run is dumped as far as its
+// complete blocks go, with a warning to warn.
 func dump(w, warn io.Writer, path string, q clog2.Query, match func(*clog2.Record) bool) error {
 	var out bytes.Buffer
 	n := 0
@@ -137,26 +141,36 @@ func dump(w, warn io.Writer, path string, q clog2.Query, match func(*clog2.Recor
 		}
 	}
 	if _, err := clog2.Walk(path, q, begin); err != nil {
+		_, tableErr := clog2.LoadTable(path)
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		log, complete, err := clog2.ReadLenient(f)
-		f.Close()
+		defer f.Close()
+		br, err := clog2.NewBlockReader(f)
 		if err != nil {
 			return err
 		}
-		if !complete {
-			fmt.Fprintln(warn, "warning: file is torn (no end-log marker); showing complete blocks only")
-		}
-		visit := begin(log.NumRanks)
-		for _, b := range log.Blocks {
-			visit(b)
+		if err := torn(warn, br.EachBlock(begin(br.NumRanks())), tableErr == nil, "showing complete blocks only"); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(&out, "%d record(s)\n", n)
 	_, err := out.WriteTo(w)
 	return err
+}
+
+// torn is the one rule for a log that cannot be read to its end-log marker
+// (err, from clog2's EachBlock): when its block table validates the log is
+// corrupt, and err stands; without one it is torn, a spill fragment from an
+// aborted run, and its complete blocks stand, with a warning to warn that
+// says what is shown of them.
+func torn(warn io.Writer, err error, hasTable bool, shown string) error {
+	if err == nil || hasTable {
+		return err
+	}
+	fmt.Fprintln(warn, "warning: file is torn (no end-log marker); "+shown)
+	return nil
 }
 
 func formatRecord(r clog2.Record) string {
@@ -188,9 +202,9 @@ func formatRecord(r clog2.Record) string {
 
 // verifyTable prints the state of the block table of the log at path and
 // the log's summary to w, and returns an error when the table the log
-// carries is not the one a scan of the log makes. A log without a table
-// that cannot be read to its end-log marker is summed up as far as its
-// complete blocks go, with a warning to warn, as dump does.
+// carries is not the one a scan of the log makes (clog2.ScanTable). A log
+// the scan cannot read to its end-log marker is judged by torn, as dump
+// judges it: a torn one is summed up as far as its complete blocks go.
 func verifyTable(w, warn io.Writer, path string) error {
 	carried, err := clog2.LoadTable(path)
 	switch {
@@ -201,12 +215,17 @@ func verifyTable(w, warn io.Writer, path string) error {
 	default:
 		return err
 	}
-	scanned, err := scanBlocks(path)
-	if scanned == nil || err != nil && carried != nil {
+	f, err := os.Open(path)
+	if err != nil {
 		return err
 	}
-	if err != nil {
-		fmt.Fprintln(warn, "warning: file is torn (no end-log marker); summary of its complete blocks only")
+	defer f.Close()
+	scanned, err := clog2.ScanTable(f)
+	if scanned == nil {
+		return err
+	}
+	if err := torn(warn, err, carried != nil, "summary of its complete blocks only"); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "ranks: %d, blocks: %d, records: %d\n", scanned.NumRanks, len(scanned.Blocks), scanned.TotalRecords)
 	tmin, tmax := math.Inf(1), math.Inf(-1)
@@ -233,28 +252,4 @@ func verifyTable(w, warn io.Writer, path string) error {
 		return fmt.Errorf("%s: the table has %d block(s), a scan of the log %d", path, len(carried.Blocks), len(scanned.Blocks))
 	}
 	return nil
-}
-
-// scanBlocks is clog2.ScanTable of the log at path that keeps the entries
-// of the blocks it read whole when it fails past the log's header.
-func scanBlocks(path string) (*clog2.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br, err := clog2.NewBlockReader(f)
-	if err != nil {
-		return nil, err
-	}
-	t := &clog2.Table{NumRanks: br.NumRanks()}
-	var b clog2.Block
-	for {
-		if b, err = br.NextReuse(b.Records); err == io.EOF {
-			return t, nil
-		} else if err != nil {
-			return t, err
-		}
-		t.AddRun(br, b, 0)
-	}
 }

@@ -111,6 +111,41 @@ func TestDumpTornLog(t *testing.T) {
 	if warn.Len() == 0 {
 		t.Error("no warning for a torn log")
 	}
+
+	// A log whose block table validates is never torn: here block 1's
+	// record count, behind its rank, says 238 records where the block holds
+	// 15. Its complete block 0 used to be dumped as a torn log's, exit 0; the
+	// dump names the error and exits 1, as -verify does.
+	data, err := os.ReadFile(golden("lab2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := clog2.LoadTable(golden("lab2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[table.Blocks[1].Offset+4] = 0xee
+	path = filepath.Join(t.TempDir(), "corrupt.clog2")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clog2.LoadTable(path); err != nil {
+		t.Fatalf("the corrupt log's table does not validate: %v", err)
+	}
+	var named []string
+	for _, args := range [][]string{{path}, {"-verify", path}} {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		if code != 1 || strings.Contains(errOut.String(), "torn") || !strings.HasPrefix(errOut.String(), "clogdump: clog2: ") ||
+			strings.Contains(out.String(), "record(s)") {
+			t.Errorf("clogdump %v on a corrupt log under a valid table: exit %d, stdout %.200q, stderr %q; want 1, no records, the error and no torn warning",
+				args[:len(args)-1], code, out.String(), errOut.String())
+		}
+		named = append(named, errOut.String())
+	}
+	if named[0] != named[1] {
+		t.Errorf("the dump names %q, -verify %q", named[0], named[1])
+	}
 }
 
 // A NaN bound compares false with every time, so it used to read as no

@@ -156,10 +156,6 @@ func TestCargoShapesOnRealRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	log, complete, err := clog2.ReadLenient(f)
-	if err != nil || !complete {
-		t.Fatalf("read clog: complete=%v err=%v", complete, err)
-	}
 	shapes := []*regexp.Regexp{
 		regexp.MustCompile(`^$`),
 		regexp.MustCompile(`^phase: configuration$`),
@@ -174,24 +170,31 @@ func TestCargoShapesOnRealRun(t *testing.T) {
 		regexp.MustCompile(`^mpe: synthetic end`),
 	}
 	checked := 0
-	for _, blk := range log.Blocks {
-		for _, rec := range blk.Records {
-			if rec.Type != clog2.RecCargoEvt {
-				continue
-			}
-			cargo := rec.CargoText()
-			ok := false
-			for _, re := range shapes {
-				if re.MatchString(cargo) {
-					ok = true
-					break
+	br, err := clog2.NewBlockReader(f)
+	if err == nil {
+		err = br.Each(func(run clog2.Block) error {
+			for _, rec := range run.Records {
+				if rec.Type != clog2.RecCargoEvt {
+					continue
 				}
+				cargo := rec.CargoText()
+				ok := false
+				for _, re := range shapes {
+					if re.MatchString(cargo) {
+						ok = true
+						break
+					}
+				}
+				if !ok {
+					t.Errorf("cargo %q matches no known call-site shape", cargo)
+				}
+				checked++
 			}
-			if !ok {
-				t.Errorf("cargo %q matches no known call-site shape", cargo)
-			}
-			checked++
-		}
+			return nil
+		})
+	}
+	if err != nil {
+		t.Fatalf("read clog: %v", err)
 	}
 	if checked < 50 {
 		t.Fatalf("only %d cargo records checked; lab2 run looks wrong", checked)

@@ -270,7 +270,7 @@ func recountCLOG(t *testing.T, path string) map[int]*chanTotals {
 	}
 	chans := map[int]*chanTotals{}
 	for {
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err == io.EOF {
 			break
 		}

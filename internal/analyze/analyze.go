@@ -8,7 +8,6 @@
 package analyze
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -161,18 +160,13 @@ func (c *collector) wall() (first, last float64) {
 }
 
 // Analyze runs the detector catalogue over the whole run in a CLOG-2
-// stream; the profile comes from the same pass.
+// stream; the profile comes from the same pass. The error is the stream's.
 func Analyze(r io.Reader, opts Options) (*Report, error) {
 	c, err := scan(r, opts, math.Inf(-1), math.Inf(1))
 	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
+		return nil, err
 	}
 	return buildReport(c, false), nil
-}
-
-// AnalyzeBytes is Analyze over an in-memory CLOG-2 image.
-func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
-	return Analyze(bytes.NewReader(data), opts)
 }
 
 // AnalyzeFile is Analyze over the CLOG-2 file at path. It reads every
@@ -183,11 +177,11 @@ func AnalyzeFile(path string, opts Options) (*Report, error) {
 		return nil, err
 	}
 	defer fh.Close()
-	c, err := scan(fh, opts, math.Inf(-1), math.Inf(1))
+	rep, err := Analyze(fh, opts)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %s: %w", path, err)
 	}
-	return buildReport(c, false), nil
+	return rep, nil
 }
 
 // AnalyzeFileWindowed analyzes the CLOG-2 file at path over the

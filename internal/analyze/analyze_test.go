@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/clog2"
 	"repro/internal/stats"
@@ -507,11 +509,13 @@ func TestFormatRendersFindings(t *testing.T) {
 	}
 }
 
+// The verdict does not depend on how the stream hands its bytes over: a
+// reader that gives one byte a call reads to the same report as the image.
 func TestAnalyzeReaderMatchesBytes(t *testing.T) {
 	b := newTB(t, 2).withReadWrite()
 	b.msg(0, 0.1, clog2.DirSend, 1, 5, 8)
 	data := b.bytes()
-	r1, err := Analyze(bytes.NewReader(data), Options{})
+	r1, err := Analyze(iotest.OneByteReader(bytes.NewReader(data)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,4 +603,38 @@ func TestMatchChannelsPerRankPair(t *testing.T) {
 	if ps := matchChannels(c); ps.matched[5] != 1 || ps.inflight[5] != 0.5 {
 		t.Fatalf("channel 5: %d matched, %gs in flight; want 1 and 0.5s", ps.matched[5], ps.inflight[5])
 	}
+}
+
+// AnalyzeBytes is Analyze over an in-memory CLOG-2 image.
+func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
+	return Analyze(bytes.NewReader(data), opts)
+}
+
+// DiffBytes diffs two in-memory CLOG-2 images.
+func DiffBytes(a, b []byte, nameA, nameB string, opts DiffOptions) (*DiffReport, error) {
+	return diffStreams(bytes.NewReader(a), bytes.NewReader(b), nameA, nameB, opts)
+}
+
+// HasDetector reports whether any finding came from the named detector.
+func (r *Report) HasDetector(name string) bool {
+	for _, f := range r.Findings {
+		if f.Detector == name {
+			return true
+		}
+	}
+	return false
+}
+
+// Detectors returns the distinct detector names that fired, sorted.
+func (r *Report) Detectors() []string {
+	seen := map[string]bool{}
+	for _, f := range r.Findings {
+		seen[f.Detector] = true
+	}
+	out := make([]string, 0, len(seen))
+	for d := range seen {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -375,11 +375,6 @@ func diffStreams(ra, rb io.Reader, labelA, labelB string, opts DiffOptions) (*Di
 	return d.report(labelA, labelB), nil
 }
 
-// DiffBytes diffs two in-memory CLOG-2 images.
-func DiffBytes(a, b []byte, nameA, nameB string, opts DiffOptions) (*DiffReport, error) {
-	return diffStreams(bytes.NewReader(a), bytes.NewReader(b), nameA, nameB, opts)
-}
-
 // DiffFiles diffs two CLOG-2 files.
 func DiffFiles(pathA, pathB string, opts DiffOptions) (*DiffReport, error) {
 	fa, err := os.Open(pathA)

@@ -30,7 +30,7 @@ func oracleSequences(r io.Reader) (map[int32][]string, error) {
 	}
 	seqs := map[int32][]string{}
 	for {
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err == io.EOF {
 			return seqs, nil
 		}

@@ -72,11 +72,11 @@ func agreeWithConverter(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("analyzable input failed to convert: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := slog2.Write(&buf, f); err != nil {
+	path := filepath.Join(t.TempDir(), "converted.slog2")
+	if err := slog2.WriteFile(path, f); err != nil {
 		t.Fatalf("converted file does not write: %v", err)
 	}
-	back, err := slog2.Read(&buf)
+	back, err := slog2.ReadFile(path)
 	if err != nil {
 		t.Fatalf("converted file does not read back: %v", err)
 	}
@@ -89,7 +89,11 @@ func agreeWithConverter(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 
-	in, err := clog2.Read(bytes.NewReader(data))
+	var recs []clog2.Record
+	br, err := clog2.NewBlockReader(bytes.NewReader(data))
+	if err == nil {
+		err = br.Each(func(run clog2.Block) error { recs = append(recs, run.Records...); return nil })
+	}
 	if err != nil || rep.OutOfRange != 0 {
 		return
 	}
@@ -102,7 +106,7 @@ func agreeWithConverter(t *testing.T, data []byte) {
 	last := map[int32]float64{}
 	fold := clog2.NewFold(math.Inf(-1), math.Inf(1))
 	var occs []state
-	for _, rec := range in.Records() {
+	for _, rec := range recs {
 		if rec.Type == clog2.RecStateDef {
 			defs = append(defs, rec.ID)
 			defined[rec.ID] = true

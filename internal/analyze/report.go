@@ -187,31 +187,6 @@ func sortFindings(fs []Finding) {
 	})
 }
 
-// HasDetector reports whether any finding came from the named
-// detector — the corpus recall assertions' primitive.
-func (r *Report) HasDetector(name string) bool {
-	for _, f := range r.Findings {
-		if f.Detector == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Detectors returns the distinct detector names that fired, sorted.
-func (r *Report) Detectors() []string {
-	seen := map[string]bool{}
-	for _, f := range r.Findings {
-		seen[f.Detector] = true
-	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // JSON renders the report indented with a trailing newline, like
 // stats.Profile.JSON.
 func (r *Report) JSON() ([]byte, error) {

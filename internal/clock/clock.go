@@ -23,7 +23,7 @@ type Source interface {
 }
 
 // Real is a Source backed by the process monotonic clock. All Real sources
-// created from the same Epoch agree exactly, which models ranks running on
+// created from the same epoch agree exactly, which models ranks running on
 // a single node.
 type Real struct {
 	epoch time.Time
@@ -32,15 +32,8 @@ type Real struct {
 // NewReal returns a Real source whose zero is the moment of the call.
 func NewReal() *Real { return &Real{epoch: time.Now()} }
 
-// NewRealAt returns a Real source with an explicit epoch so several sources
-// can share one time base.
-func NewRealAt(epoch time.Time) *Real { return &Real{epoch: epoch} }
-
 // Now implements Source.
 func (r *Real) Now() float64 { return time.Since(r.epoch).Seconds() }
-
-// Epoch returns the source's zero instant.
-func (r *Real) Epoch() time.Time { return r.epoch }
 
 // Skewed wraps a base Source and distorts it the way a remote node's clock
 // is distorted relative to "true" time:
@@ -94,17 +87,6 @@ func (m *Manual) Now() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.now
-}
-
-// Set moves the clock to t. Set panics if t would move time backwards;
-// tests that need a broken clock should build their own Source.
-func (m *Manual) Set(t float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t < m.now {
-		panic(fmt.Sprintf("clock: Manual.Set moving backwards: %v -> %v", m.now, t))
-	}
-	m.now = t
 }
 
 // Advance moves the clock forward by d seconds.

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,13 @@ func TestRealMonotone(t *testing.T) {
 		prev = now
 	}
 }
+
+// NewRealAt returns a Real source with an explicit epoch so several sources
+// can share one time base.
+func NewRealAt(epoch time.Time) *Real { return &Real{epoch: epoch} }
+
+// Epoch returns the source's zero instant.
+func (r *Real) Epoch() time.Time { return r.epoch }
 
 func TestRealSharedEpochAgree(t *testing.T) {
 	epoch := time.Now()
@@ -145,4 +153,15 @@ func TestSkewedResolutionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Set moves the clock to t. Set panics if t would move time backwards;
+// tests that need a broken clock should build their own Source.
+func (m *Manual) Set(t float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t < m.now {
+		panic(fmt.Sprintf("clock: Manual.Set moving backwards: %v -> %v", m.now, t))
+	}
+	m.now = t
 }

@@ -382,7 +382,7 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 	}
 	want := drain(NewBlockReader(bytes.NewReader(file.Bytes())))
 	if want.err != nil || len(want.blocks) != len(sizes) {
-		t.Fatalf("Next: %d blocks, %v", len(want.blocks), want.err)
+		t.Fatalf("NextReuse: %d blocks, %v", len(want.blocks), want.err)
 	}
 	for name, open := range map[string]func() (*BlockReader, error){
 		"plain": func() (*BlockReader, error) { return NewBlockReader(bytes.NewReader(file.Bytes())) },
@@ -402,7 +402,7 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 			}
 			for i := range blocks {
 				if !sameBlock(blocks[i], want.blocks[i]) || bounds[i] != want.bounds[i] {
-					t.Fatalf("%s, capacity %d, block %d: runs give %d records at %v, Next %d at %v",
+					t.Fatalf("%s, capacity %d, block %d: runs give %d records at %v, NextReuse %d at %v",
 						name, capacity, i, len(blocks[i].Records), bounds[i], len(want.blocks[i].Records), want.bounds[i])
 				}
 			}
@@ -411,7 +411,7 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 }
 
 // NextRun ends a block that breaks off, declares the wrong count or is not
-// terminated with the error Next gives for it, whatever the capacity; a
+// terminated with the error NextReuse gives for it, whatever the capacity; a
 // buffer without capacity is refused by name; Each passes fn's error on.
 func TestEachErrors(t *testing.T) {
 	valid := validFileBytes(t)
@@ -423,7 +423,7 @@ func TestEachErrors(t *testing.T) {
 		"count too small": corruptRecordCount(t, int32(len(sampleRecords())-1)),
 	}
 	for name, data := range cases {
-		_, want := drainBlockReader(bytes.NewReader(data))
+		want := drain(NewBlockReader(bytes.NewReader(data))).err
 		for _, capacity := range runCaps {
 			br, err := NewBlockReader(bytes.NewReader(data))
 			if err != nil {
@@ -431,7 +431,7 @@ func TestEachErrors(t *testing.T) {
 			}
 			_, _, got := drainRuns(t, br, capacity)
 			if want == nil || got == nil || got.Error() != want.Error() {
-				t.Errorf("%s, capacity %d: runs give %v, Next %v", name, capacity, got, want)
+				t.Errorf("%s, capacity %d: runs give %v, NextReuse %v", name, capacity, got, want)
 			}
 		}
 	}
@@ -470,12 +470,12 @@ func TestHalfReadBlock(t *testing.T) {
 			}
 			first, rest = want.blocks[1], 0
 		}
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err != nil || !sameBlock(b, Block{Rank: first.Rank, Records: first.Records[rest:]}) {
-			t.Fatalf("seek %v: Next after half a block gives %d records of rank %d, %v", seek, len(b.Records), b.Rank, err)
+			t.Fatalf("seek %v: NextReuse after half a block gives %d records of rank %d, %v", seek, len(b.Records), b.Rank, err)
 		}
 		if _, end := br.BlockBounds(); end == 0 {
-			t.Fatalf("seek %v: no block end after Next", seek)
+			t.Fatalf("seek %v: no block end after NextReuse", seek)
 		}
 		if err := br.SeekTo(want.bounds[0][0]); err != nil {
 			t.Fatal(err)
@@ -519,7 +519,7 @@ func TestStrictBlockReader(t *testing.T) {
 		if err := walk(c.log); err == nil || err.Error() != c.want {
 			t.Errorf("%s: strict reader gives %v, want %s", name, err, c.want)
 		}
-		if _, err := drainBlockReader(bytes.NewReader(c.log)); (err == nil) != c.lenient {
+		if _, _, err := readBlocks(bytes.NewReader(c.log)); (err == nil) != c.lenient {
 			t.Errorf("%s: lenient reader gives %v", name, err)
 		}
 	}

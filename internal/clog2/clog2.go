@@ -153,47 +153,8 @@ func TruncBytes(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// File is a parsed CLOG-2 file.
-type File struct {
-	NumRanks int
-	// Blocks holds each rank's records in the order blocks appear in the
-	// file; one rank may own several blocks.
-	Blocks []Block
-}
-
 // Block is one rank's contiguous run of records.
 type Block struct {
 	Rank    int32
 	Records []Record
-}
-
-// Records returns every record from every block, in file order.
-func (f *File) Records() []Record {
-	var out []Record
-	for _, b := range f.Blocks {
-		out = append(out, b.Records...)
-	}
-	return out
-}
-
-// StateDefs returns the state definitions in file order.
-func (f *File) StateDefs() []Record {
-	var out []Record
-	for _, r := range f.Records() {
-		if r.Type == RecStateDef {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// EventDefs returns the solo-event definitions in file order.
-func (f *File) EventDefs() []Record {
-	var out []Record
-	for _, r := range f.Records() {
-		if r.Type == RecEventDef {
-			out = append(out, r)
-		}
-	}
-	return out
 }

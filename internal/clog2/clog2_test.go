@@ -38,18 +38,18 @@ func TestRoundtripSingleBlock(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Read(&buf)
+	numRanks, blocks, err := readBlocks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumRanks != 3 {
-		t.Fatalf("NumRanks = %d, want 3", f.NumRanks)
+	if numRanks != 3 {
+		t.Fatalf("NumRanks = %d, want 3", numRanks)
 	}
-	if len(f.Blocks) != 1 || f.Blocks[0].Rank != 0 {
-		t.Fatalf("blocks: %+v", f.Blocks)
+	if len(blocks) != 1 || blocks[0].Rank != 0 {
+		t.Fatalf("blocks: %+v", blocks)
 	}
-	if !reflect.DeepEqual(f.Blocks[0].Records, recs) {
-		t.Fatalf("records changed:\n got %+v\nwant %+v", f.Blocks[0].Records, recs)
+	if !reflect.DeepEqual(blocks[0].Records, recs) {
+		t.Fatalf("records changed:\n got %+v\nwant %+v", blocks[0].Records, recs)
 	}
 }
 
@@ -68,14 +68,14 @@ func TestRoundtripMultipleBlocksIncludingRankZero(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Read(&buf)
+	_, blocks, err := readBlocks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Blocks) != 4 {
-		t.Fatalf("got %d blocks, want 4", len(f.Blocks))
+	if len(blocks) != 4 {
+		t.Fatalf("got %d blocks, want 4", len(blocks))
 	}
-	for i, b := range f.Blocks {
+	for i, b := range blocks {
 		if b.Rank != int32(i) {
 			t.Errorf("block %d rank = %d", i, b.Rank)
 		}
@@ -91,12 +91,12 @@ func TestEmptyBlocksAndEmptyFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Read(&buf)
+	_, blocks, err := readBlocks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Blocks) != 1 || len(f.Blocks[0].Records) != 0 {
-		t.Fatalf("blocks: %+v", f.Blocks)
+	if len(blocks) != 1 || len(blocks[0].Records) != 0 {
+		t.Fatalf("blocks: %+v", blocks)
 	}
 
 	buf.Reset()
@@ -104,12 +104,12 @@ func TestEmptyBlocksAndEmptyFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err = Read(&buf)
+	_, blocks, err = readBlocks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Blocks) != 0 {
-		t.Fatalf("empty file has %d blocks", len(f.Blocks))
+	if len(blocks) != 0 {
+		t.Fatalf("empty file has %d blocks", len(blocks))
 	}
 }
 
@@ -121,11 +121,11 @@ func TestCargoTruncatedToMPELimit(t *testing.T) {
 	rec.SetCargo(strings.Repeat("x", 100))
 	w.WriteBlock(0, []Record{rec})
 	w.Close()
-	f, err := Read(&buf)
+	_, blocks, err := readBlocks(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := f.Blocks[0].Records[0].CargoText()
+	got := blocks[0].Records[0].CargoText()
 	if len(got) != MaxCargo {
 		t.Fatalf("cargo length %d, want %d", len(got), MaxCargo)
 	}
@@ -229,8 +229,8 @@ func TestReadRejectsGarbage(t *testing.T) {
 		[]byte("NOTCLOG-22\x01\x00\x00\x00"),
 	}
 	for _, c := range cases {
-		if _, err := Read(bytes.NewReader(c)); err == nil {
-			t.Errorf("Read(%q) succeeded", c)
+		if _, _, err := readBlocks(bytes.NewReader(c)); err == nil {
+			t.Errorf("reading %q succeeded", c)
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestReadRejectsTruncated(t *testing.T) {
 	// Every proper prefix (beyond the header) of the log, up to its end-log
 	// marker, must fail, not crash or silently succeed.
 	for cut := len(Magic) + 4; cut < len(full)-1; cut += 7 {
-		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, err := readBlocks(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes read successfully", cut)
 		}
 	}
@@ -256,22 +256,6 @@ func TestRecTypeString(t *testing.T) {
 	}
 	if RecType(200).String() != "RecType(?)" {
 		t.Error("unknown RecType name wrong")
-	}
-}
-
-func TestFileAccessors(t *testing.T) {
-	f := &File{Blocks: []Block{
-		{Rank: 0, Records: sampleRecords()},
-		{Rank: 1, Records: []Record{{Type: RecStateDef, ID: 5, Name: "PI_Write"}}},
-	}}
-	if got := len(f.Records()); got != len(sampleRecords())+1 {
-		t.Errorf("Records() len = %d", got)
-	}
-	if got := len(f.StateDefs()); got != 2 {
-		t.Errorf("StateDefs() len = %d", got)
-	}
-	if got := len(f.EventDefs()); got != 1 {
-		t.Errorf("EventDefs() len = %d", got)
 	}
 }
 
@@ -341,24 +325,24 @@ func TestRoundtripProperty(t *testing.T) {
 		if err := w.Close(); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		_, got, err := readBlocks(&buf)
 		if err != nil {
 			return false
 		}
-		if len(got.Blocks) != nBlocks {
+		if len(got) != nBlocks {
 			return false
 		}
 		for b := range want {
-			if got.Blocks[b].Rank != want[b].Rank {
+			if got[b].Rank != want[b].Rank {
 				return false
 			}
 			if len(want[b].Records) == 0 {
-				if len(got.Blocks[b].Records) != 0 {
+				if len(got[b].Records) != 0 {
 					return false
 				}
 				continue
 			}
-			if !reflect.DeepEqual(got.Blocks[b].Records, want[b].Records) {
+			if !reflect.DeepEqual(got[b].Records, want[b].Records) {
 				return false
 			}
 		}

@@ -74,7 +74,9 @@ func (d *oracleReader) SeekTo(offset int64) error {
 
 func (d *oracleReader) BlockBounds() (start, end int64) { return d.lastStart, d.lastEnd }
 
-func (d *oracleReader) Next() (Block, error) {
+// NextReuse is the oracle's block read, under BlockReader's name; it
+// ignores buf and returns fresh records every time.
+func (d *oracleReader) NextReuse([]Record) (Block, error) {
 	if d.done {
 		return Block{}, io.EOF
 	}
@@ -236,7 +238,7 @@ func (d *oracleReader) getStr() string {
 
 // blockSource is what the two readers share.
 type blockSource interface {
-	Next() (Block, error)
+	NextReuse(buf []Record) (Block, error)
 	BlockBounds() (start, end int64)
 }
 
@@ -254,7 +256,7 @@ func drain(src blockSource, openErr error) drained {
 	}
 	var d drained
 	for {
-		b, err := src.Next()
+		b, err := src.NextReuse(nil)
 		if err == io.EOF {
 			return d
 		}
@@ -475,7 +477,7 @@ func TestDecoderMatchesOracleOnOverlongCargo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +511,7 @@ func TestDecoderMatchesOracleOnLongNameAcrossRefill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,8 +553,8 @@ func TestSeekToMatchesOracle(t *testing.T) {
 		}
 		// Read a few blocks on, leaving the buffer half consumed.
 		for k := 0; k <= step%3; k++ {
-			got, gerr := br.Next()
-			want, werr := or.Next()
+			got, gerr := br.NextReuse(nil)
+			want, werr := or.NextReuse(nil)
 			if errClass(gerr) != errClass(werr) || (gerr == io.EOF) != (werr == io.EOF) {
 				t.Fatalf("step %d: err %v, oracle %v", step, gerr, werr)
 			}
@@ -602,7 +604,7 @@ func TestStalledSourceEndsInErrNoProgress(t *testing.T) {
 // each block's declared count.
 func TestNextRunInKeepsWhatTheWindowKeeps(t *testing.T) {
 	data := bigLog(t, 5000, 3)
-	full, err := Read(bytes.NewReader(data))
+	_, full, err := readBlocks(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +616,7 @@ func TestNextRunInKeepsWhatTheWindowKeeps(t *testing.T) {
 				t.Fatal(err)
 			}
 			buf := make([]Record, 0, 700)
-			for bi, b := range full.Blocks {
+			for bi, b := range full {
 				var want, got []Record
 				for _, r := range b.Records {
 					switch r.Type {

@@ -3,8 +3,10 @@ package clog2
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -41,31 +43,26 @@ func corruptRecordCount(t testing.TB, n int32) []byte {
 	return data
 }
 
-// drainBlockReader consumes a stream and returns the blocks read before
-// the first error (io.EOF means a clean end).
-func drainBlockReader(r io.Reader) ([]Block, error) {
+// readBlocks reads the log r holds through EachBlock: the header's rank
+// count, a copy of each block EachBlock handed over and its error (nil at
+// the end-log marker), or the header's error and nothing else.
+func readBlocks(r io.Reader) (numRanks int, blocks []Block, err error) {
 	br, err := NewBlockReader(r)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	var blocks []Block
-	for {
-		b, err := br.Next()
-		if err == io.EOF {
-			return blocks, nil
-		}
-		if err != nil {
-			return blocks, err
-		}
-		blocks = append(blocks, b)
-	}
+	err = br.EachBlock(func(b Block) error {
+		blocks = append(blocks, Block{Rank: b.Rank, Records: slices.Clone(b.Records)})
+		return nil
+	})
+	return br.NumRanks(), blocks, err
 }
 
 // FuzzReadFile feeds arbitrary bytes to every reader entry point. The
 // contract under fuzzing: return errors, never panic, never over-allocate
-// from untrusted length fields — and the streaming BlockReader must agree
-// with Read on what a file contains, whole blocks and runs alike (room is
-// the capacity NextRun is given, less one).
+// from untrusted length fields — and every way of reading the stream must
+// agree on what a file contains: EachBlock, NextReuse, and runs of any
+// capacity (room is the capacity NextRun is given, less one).
 func FuzzReadFile(f *testing.F) {
 	valid := validFileBytes(f)
 	f.Add(valid, uint8(0))
@@ -89,40 +86,40 @@ func FuzzReadFile(f *testing.F) {
 	f.Add(AppendTable(append([]byte(nil), valid...), table), uint8(12)) // as a Writer closes it
 
 	f.Fuzz(func(t *testing.T, data []byte, room uint8) {
-		full, err := Read(bytes.NewReader(data))
-		if err == nil && full == nil {
-			t.Fatal("Read returned nil file with nil error")
-		}
-		lenient, complete, lerr := ReadLenient(bytes.NewReader(data))
-		if lerr == nil && lenient == nil {
-			t.Fatal("ReadLenient returned nil file with nil error")
-		}
-		if err == nil && (!complete || lerr != nil) {
-			t.Fatalf("Read succeeded but ReadLenient reported complete=%v err=%v", complete, lerr)
-		}
-		// Streaming reader agrees with Read on parse success and content.
-		blocks, serr := drainBlockReader(bytes.NewReader(data))
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("Read err=%v but BlockReader err=%v", err, serr)
-		}
 		// The slice decoder agrees with the field-by-field decoder it
 		// replaced on blocks, bounds and error class.
-		compareDrained(t, "fuzz input",
-			drain(NewBlockReader(bytes.NewReader(data))),
-			drain(newOracleReader(bytes.NewReader(data))), false)
-		if err == nil {
-			if len(blocks) != len(full.Blocks) {
-				t.Fatalf("BlockReader saw %d blocks, Read saw %d", len(blocks), len(full.Blocks))
+		whole := drain(NewBlockReader(bytes.NewReader(data)))
+		compareDrained(t, "fuzz input", whole, drain(newOracleReader(bytes.NewReader(data))), false)
+		// EachBlock hands over the blocks NextReuse returns before its
+		// first error, and reports a clean end exactly when NextReuse
+		// reaches io.EOF, with NextReuse's error otherwise.
+		_, blocks, err := readBlocks(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(whole.err) {
+			t.Fatalf("EachBlock ends in %v, NextReuse in %v", err, whole.err)
+		}
+		if len(blocks) != len(whole.blocks) {
+			t.Fatalf("EachBlock handed over %d blocks, NextReuse returned %d", len(blocks), len(whole.blocks))
+		}
+		for i := range blocks {
+			if !sameBlock(blocks[i], whole.blocks[i]) {
+				t.Fatalf("block %d differs between EachBlock and NextReuse", i)
 			}
-			for i := range blocks {
-				if !sameBlock(blocks[i], full.Blocks[i]) {
-					t.Fatalf("block %d differs between streaming and full read", i)
-				}
+		}
+		// ScanTable, over the same rule, tables exactly those blocks.
+		tab, terr := ScanTable(bytes.NewReader(data))
+		if fmt.Sprint(terr) != fmt.Sprint(err) {
+			t.Fatalf("ScanTable ends in %v, EachBlock in %v", terr, err)
+		}
+		if tab != nil && len(tab.Blocks) != len(blocks) {
+			t.Fatalf("ScanTable has %d entries for %d complete blocks", len(tab.Blocks), len(blocks))
+		}
+		for i := range blocks {
+			if m := tab.Blocks[i]; [2]int64{m.Offset, m.Offset + m.Length} != whole.bounds[i] || int(m.Records) != len(blocks[i].Records) {
+				t.Fatalf("ScanTable's entry %d %+v is not the block at %v of %d records", i, m, whole.bounds[i], len(blocks[i].Records))
 			}
 		}
 		// NextRun hands out, in runs of any capacity, and Each in its own,
-		// the blocks Next returns, with Next's bounds and Next's error.
-		whole := drain(NewBlockReader(bytes.NewReader(data)))
+		// the blocks NextReuse returns, with its bounds and its error.
 		for _, capacity := range []int{0, 1 + int(room)} {
 			br, oerr := NewBlockReader(bytes.NewReader(data))
 			if oerr != nil {
@@ -130,17 +127,17 @@ func FuzzReadFile(f *testing.F) {
 			}
 			runs, bounds, rerr := drainRuns(t, br, capacity)
 			if errClass(rerr) != errClass(whole.err) {
-				t.Fatalf("capacity %d: runs end in %v, Next in %v", capacity, rerr, whole.err)
+				t.Fatalf("capacity %d: runs end in %v, NextReuse in %v", capacity, rerr, whole.err)
 			}
 			if rerr != nil && len(runs) > len(whole.blocks) {
 				runs = runs[:len(whole.blocks)] // the runs of the block that failed
 			}
 			if len(runs) != len(whole.blocks) {
-				t.Fatalf("capacity %d: runs make %d blocks, Next %d", capacity, len(runs), len(whole.blocks))
+				t.Fatalf("capacity %d: runs make %d blocks, NextReuse %d", capacity, len(runs), len(whole.blocks))
 			}
 			for i := range runs {
 				if !sameBlock(runs[i], whole.blocks[i]) || bounds[i] != whole.bounds[i] {
-					t.Fatalf("capacity %d: block %d at %v differs between runs and Next (at %v)", capacity, i, bounds[i], whole.bounds[i])
+					t.Fatalf("capacity %d: block %d at %v differs between runs and NextReuse (at %v)", capacity, i, bounds[i], whole.bounds[i])
 				}
 			}
 		}
@@ -153,7 +150,7 @@ func FuzzReadFile(f *testing.F) {
 			strict = br.Each(func(Block) error { return nil }) == nil
 		}
 		if strict && err != nil {
-			t.Fatalf("the strict reader takes what Read refuses with %v", err)
+			t.Fatalf("the strict reader takes what EachBlock refuses with %v", err)
 		}
 		for i, b := range whole.blocks {
 			raw := data[whole.bounds[i][0]:whole.bounds[i][1]]
@@ -182,11 +179,11 @@ func TestReaderRejectsCorruptInputs(t *testing.T) {
 	bad[len(Magic)+4+4+4] = 0xEE
 	cases["bad record type"] = bad
 	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: Read succeeded", name)
+		if _, _, err := readBlocks(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: EachBlock succeeded", name)
 		}
-		if _, err := drainBlockReader(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: BlockReader succeeded", name)
+		if d := drain(NewBlockReader(bytes.NewReader(data))); d.err == nil {
+			t.Errorf("%s: NextReuse succeeded", name)
 		}
 	}
 }
@@ -196,7 +193,7 @@ func TestReaderRejectsCorruptInputs(t *testing.T) {
 func TestReaderNoOverAllocationOnHugeCount(t *testing.T) {
 	data := corruptRecordCount(t, 1<<28)
 	allocs := testing.AllocsPerRun(5, func() {
-		Read(bytes.NewReader(data)) //nolint:errcheck — must fail, cheaply
+		readBlocks(bytes.NewReader(data)) //nolint:errcheck — must fail, cheaply
 	})
 	// The exact number is incidental; the point is it is small: record
 	// structs are ~112 bytes, so a faithful 2^28 prealloc would be one

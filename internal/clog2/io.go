@@ -297,22 +297,6 @@ func WriteFileAtomic(path string, fill func(io.Writer) error) (err error) {
 	return os.Rename(name, path)
 }
 
-// ReadLenient parses as much of a CLOG-2 stream as possible: complete
-// blocks are returned even when the end-log marker is missing or the tail
-// is torn mid-block, as happens to spill files from an aborted program.
-// The second result reports whether the file was complete.
-func ReadLenient(r io.Reader) (*File, bool, error) {
-	f, err := Read(r)
-	if err == nil {
-		return f, true, nil
-	}
-	pf, ok := err.(*partialError)
-	if !ok {
-		return nil, false, err
-	}
-	return pf.file, false, nil
-}
-
 // maxRecordPrealloc caps the record-slice capacity reserved from a block
 // header's declared count, so a corrupt or hostile header cannot force a
 // multi-gigabyte allocation before a single record has been decoded.
@@ -333,8 +317,8 @@ const RunRecords = 4096
 const decodeBufSize = 64 << 10
 
 // BlockReader streams a CLOG-2 file one bounded run of records at a time
-// (NextRun, and Each over it) or one whole block at a time (Next,
-// NextReuse), without ever materializing File.Blocks.
+// (NextRun, and Each over it) or one whole block at a time (NextReuse, and
+// EachBlock over it); no reader holds more than one block of the log.
 type BlockReader struct {
 	d        decoder
 	numRanks int
@@ -431,21 +415,19 @@ func (br *BlockReader) SeekTo(offset int64) error {
 func (br *BlockReader) NumRanks() int { return br.numRanks }
 
 // BlockBounds returns the byte range [start, end) of the block most
-// recently returned by Next/NextReuse: its header through its end-block
-// marker. Zero before the first successful Next. After NextRun it
+// recently returned by NextReuse: its header through its end-block
+// marker. Zero before the first successful NextReuse. After NextRun it
 // describes the block the run belongs to, and end is 0 until that block's
 // last run.
 func (br *BlockReader) BlockBounds() (start, end int64) { return br.lastStart, br.lastEnd }
 
-// Next returns the next block, or io.EOF after the end-log marker. The
-// returned Records slice is freshly allocated and owned by the caller.
-func (br *BlockReader) Next() (Block, error) { return br.NextReuse(nil) }
-
-// NextReuse is Next reusing buf's backing array for the record slice (buf
-// may be nil). The returned Block.Records aliases buf and is only valid
-// until the next NextReuse call with the same buffer. The block, or what
-// NextRun left of it, is decoded whole, whatever it holds: a caller that
-// only walks the records uses NextRun or Each.
+// NextReuse returns the next block, or io.EOF after the end-log marker,
+// decoded into buf's backing array, grown as append would (buf may be nil:
+// the records are then the caller's). The returned Block.Records aliases
+// buf and is only valid until the next NextReuse call with the same
+// buffer. The block, or what NextRun left of it, is decoded whole,
+// whatever it holds: a caller that only walks the records uses NextRun or
+// Each.
 func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
 	if err := br.header(); err != nil {
 		return Block{}, err
@@ -567,6 +549,34 @@ func NewRunBuffer() *RunBuffer { return runPool.Get().(*RunBuffer) }
 // Free returns b to the pool: no run decoded into it may be used after.
 func (b *RunBuffer) Free() { runPool.Put(b) }
 
+// EachBlock walks every remaining block of the stream whole, in file
+// order: fn gets each block NextReuse decodes into one buffer, valid until
+// fn returns. It returns nil after the end-log marker, the one clean end of
+// a log, and otherwise the error of the first block it could not read, or
+// fn's. This is the rule for a log that may be torn (a spill fragment of an
+// aborted run, a log cut short): a block is handed over only once it has
+// been read to its end-block marker, so the blocks fn got before an error
+// are the log's complete blocks, and no record of the block that failed
+// reaches fn. Whether the failure is a torn tail or a corrupt log is the
+// caller's to say: a log whose block table validates (ReadTable) is never
+// torn.
+func (br *BlockReader) EachBlock(fn func(b Block) error) error {
+	var buf []Record
+	for {
+		b, err := br.NextReuse(buf)
+		if err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = fn(b)
+		}
+		if err != nil {
+			return err
+		}
+		buf = b.Records[:0]
+	}
+}
+
 // Each walks every remaining record of the stream, in file order, and
 // returns nil after the end-log marker: it calls fn with each run NextRun
 // yields into one pooled buffer of RunRecords records, so run.Records is
@@ -593,35 +603,6 @@ func (br *BlockReader) EachIn(t0, t1 float64, fn func(run Block) error) error {
 		}
 	}
 }
-
-// Read parses a complete CLOG-2 file.
-func Read(r io.Reader) (*File, error) {
-	br, err := NewBlockReader(r)
-	if err != nil {
-		return nil, err
-	}
-	f := &File{NumRanks: br.NumRanks()}
-	for {
-		b, err := br.Next()
-		if err == io.EOF {
-			return f, nil
-		}
-		if err != nil {
-			return nil, &partialError{file: f, err: err}
-		}
-		f.Blocks = append(f.Blocks, b)
-	}
-}
-
-// partialError carries the complete blocks parsed before a failure, so
-// ReadLenient can salvage torn spill files.
-type partialError struct {
-	file *File
-	err  error
-}
-
-func (e *partialError) Error() string { return e.err.Error() }
-func (e *partialError) Unwrap() error { return e.err }
 
 // decoder reads fields out of one byte buffer it owns: buf[r:w] holds the
 // bytes read from src and not yet decoded. A decoder over bytes already in

@@ -55,7 +55,7 @@ func TestBlockBoundsBracketBlocks(t *testing.T) {
 	var spans []span
 	prevEnd := int64(HeaderSize)
 	for {
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err == io.EOF {
 			break
 		}
@@ -82,7 +82,7 @@ func TestBlockBoundsBracketBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := at.Next()
+		b, err := at.NextReuse(nil)
 		if err != nil {
 			t.Fatalf("block %d at offset %d: %v", i, sp.start, err)
 		}
@@ -103,7 +103,7 @@ func TestBlockBoundsBracketBlocks(t *testing.T) {
 		if err := at.SeekTo(spans[i].start); err != nil {
 			t.Fatal(err)
 		}
-		b, err := at.Next()
+		b, err := at.NextReuse(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestSeekGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		if _, err := at.Next(); err != nil {
+		if _, err := at.NextReuse(nil); err != nil {
 			break
 		}
 	}

@@ -46,37 +46,13 @@ const MaxSegPayload = 1 << 24
 // collisions are rejected by the CRC anyway.
 var segMarker = [4]byte{0xF8, 'S', 'G', '2'}
 
-// SegMarker returns the 4-byte segment marker (tests and tools).
-func SegMarker() []byte { return append([]byte(nil), segMarker[:]...) }
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// AppendSegment appends one framed segment carrying payload for rank with
-// sequence number seq, and returns the extended slice.
-func AppendSegment(dst []byte, rank int32, seq uint64, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, segMarker[:]...)
-	dst = append(dst, SegVersion)
-	var num [8]byte
-	binary.LittleEndian.PutUint32(num[:4], uint32(rank))
-	dst = append(dst, num[:4]...)
-	binary.LittleEndian.PutUint64(num[:8], seq)
-	dst = append(dst, num[:8]...)
-	binary.LittleEndian.PutUint32(num[:4], uint32(len(payload)))
-	dst = append(dst, num[:4]...)
-	crc := crc32.Update(0, castagnoli, dst[start:start+21])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(num[:4], crc)
-	dst = append(dst, num[:4]...)
-	return append(dst, payload...)
-}
 
 // FinalizeSegmentHeader fills in the segment header at the front of
 // frame, whose layout must be SegHeaderSize placeholder bytes followed by
-// the payload. It is AppendSegment without the payload copy: the spill
-// hot path encodes the payload directly behind a reserved header and
-// patches the header afterwards, so each spill write moves the record
-// bytes exactly once before the write syscall.
+// the payload: the spill hot path encodes the payload directly behind a
+// reserved header and patches the header afterwards, so each spill write
+// moves the record bytes exactly once before the write syscall.
 func FinalizeSegmentHeader(frame []byte, rank int32, seq uint64) {
 	_ = frame[SegHeaderSize-1]
 	copy(frame, segMarker[:])
@@ -114,9 +90,6 @@ type ScanStats struct {
 	// the signature of a write cut short by SIGKILL or a full disk.
 	TailTorn bool
 }
-
-// Clean reports a scan with nothing quarantined.
-func (s ScanStats) Clean() bool { return s.BytesQuarantined == 0 }
 
 // ScanSegments walks data for valid segments. It is the resync half of
 // the corruption-tolerance contract: after any checksum, version or

@@ -2,6 +2,8 @@ package clog2
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -298,3 +300,29 @@ func TestDecodeBlockPayloadAllocatesOnlyRecords(t *testing.T) {
 		t.Fatalf("decoding a one-record payload allocates %.0f times, want 1 (the record slice)", allocs)
 	}
 }
+
+// SegMarker returns the 4-byte segment marker (tests and tools).
+func SegMarker() []byte { return append([]byte(nil), segMarker[:]...) }
+
+// AppendSegment appends one framed segment carrying payload for rank with
+// sequence number seq, and returns the extended slice.
+func AppendSegment(dst []byte, rank int32, seq uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, segMarker[:]...)
+	dst = append(dst, SegVersion)
+	var num [8]byte
+	binary.LittleEndian.PutUint32(num[:4], uint32(rank))
+	dst = append(dst, num[:4]...)
+	binary.LittleEndian.PutUint64(num[:8], seq)
+	dst = append(dst, num[:8]...)
+	binary.LittleEndian.PutUint32(num[:4], uint32(len(payload)))
+	dst = append(dst, num[:4]...)
+	crc := crc32.Update(0, castagnoli, dst[start:start+21])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(num[:4], crc)
+	dst = append(dst, num[:4]...)
+	return append(dst, payload...)
+}
+
+// Clean reports a scan with nothing quarantined.
+func (s ScanStats) Clean() bool { return s.BytesQuarantined == 0 }

@@ -166,19 +166,25 @@ func (t *Table) LogSize() int64 {
 	return int64(HeaderSize) + 1
 }
 
-// ScanTable reads the log r holds to its end-log marker and returns the
-// table a Writer ends it with: for a log that has none, and to check one
-// that has.
+// ScanTable reads the log r holds to its end-log marker, in Each's runs,
+// and returns the table a Writer ends it with: for a log that has none, and
+// to check one that has. A log that cannot be read to its end-log marker
+// is held to EachBlock's rule: the table is that of its complete blocks,
+// returned beside the error of the first block that could not be read, and
+// the runs read of that block are dropped from it. The table is nil only
+// when r does not begin with a log header.
 func ScanTable(r io.Reader) (*Table, error) {
 	br, err := NewBlockReader(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{NumRanks: br.NumRanks()}
-	if err := br.Each(func(run Block) error { t.AddRun(br, run, 0); return nil }); err != nil {
-		return nil, err
+	err = br.Each(func(run Block) error { t.AddRun(br, run, 0); return nil })
+	if n := len(t.Blocks) - 1; err != nil && n >= 0 && t.Blocks[n].Length == 0 {
+		t.TotalRecords -= int64(t.Blocks[n].Records)
+		t.Blocks = t.Blocks[:n]
 	}
-	return t, nil
+	return t, err
 }
 
 // AppendTable appends t and its footer to dst: the bytes Close writes

@@ -240,7 +240,7 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 		}
 		var out []Record
 		for {
-			b, err := br.Next()
+			b, err := br.NextReuse(nil)
 			if err == io.EOF {
 				break
 			}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clog2"
 	"repro/internal/slog2"
 )
 
@@ -597,11 +596,7 @@ func TestArrowSpreadEliminatesEqualDrawables(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer raw.Close()
-		cf, err := clog2.Read(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rep, err := slog2.Convert(cf, slog2.ConvertOptions{})
+		_, rep, err := slog2.ConvertReader(raw, slog2.ConvertOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clog2"
 	"repro/internal/slog2"
 )
 
@@ -421,11 +420,7 @@ func TestJumpshotLogEndToEnd(t *testing.T) {
 		t.Fatalf("no CLOG-2 produced: %v", err)
 	}
 	defer raw.Close()
-	cf, err := clog2.Read(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, rep, err := slog2.Convert(cf, slog2.ConvertOptions{})
+	sf, rep, err := slog2.ConvertReader(raw, slog2.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

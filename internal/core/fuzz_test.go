@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/clog2"
 	"repro/internal/slog2"
 )
 
@@ -183,11 +182,7 @@ func runRandomProgram(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	cf, err := clog2.Read(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, rep, err := slog2.Convert(cf, slog2.ConvertOptions{FrameCapacity: 32})
+	sf, rep, err := slog2.ConvertReader(raw, slog2.ConvertOptions{FrameCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

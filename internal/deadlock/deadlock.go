@@ -61,12 +61,6 @@ func (g *Graph) SetExited(proc int) {
 	delete(g.waits, proc)
 }
 
-// Waiting reports whether proc currently has a recorded wait.
-func (g *Graph) Waiting(proc int) bool {
-	_, ok := g.waits[proc]
-	return ok
-}
-
 // Report describes a detected deadlock.
 type Report struct {
 	// Procs is the sorted set of stuck processes.

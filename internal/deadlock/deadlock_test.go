@@ -259,3 +259,9 @@ func TestEmptyPeersAnyOfIsDeadlocked(t *testing.T) {
 		t.Fatalf("empty any-of wait: got %v, want P1 stuck", rep)
 	}
 }
+
+// Waiting reports whether proc currently has a recorded wait.
+func (g *Graph) Waiting(proc int) bool {
+	_, ok := g.waits[proc]
+	return ok
+}

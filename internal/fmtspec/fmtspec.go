@@ -196,19 +196,6 @@ func parseToken(tok string) (Spec, error) {
 	return s, nil
 }
 
-// Canonical renders specs back to a normalised format string; two formats
-// with equal Canonical forms are identical.
-func Canonical(specs []Spec) string {
-	var b []byte
-	for i, s := range specs {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = s.AppendText(b)
-	}
-	return string(b)
-}
-
 // Compatible reports whether a writer using w may talk to a reader using r.
 // This is the check behind Pilot's error level 2 ("verifying that reader
 // and writer format strings match"). Kinds and positions must agree
@@ -536,26 +523,20 @@ func decodeValue(v any, src []byte, n int) {
 	}
 }
 
-// DescribeMax bounds the length of any Describe summary: "len: " plus a
+// DescribeMax bounds the length of any AppendDescribe summary: "len: " plus a
 // 20-digit count, " first: ", and a worst-case quoted 8-byte prefix
 // (4 bytes per escaped byte, the quotes, and the ellipsis) stay well
 // under it, so callers can hand AppendDescribe a stack buffer of this
 // size and know the append never spills to the heap.
 const DescribeMax = 96
 
-// Describe summarises an encoded payload for a log-bubble popup: the data
-// length and the value of the first element, as in the paper's PI_Write
-// bubbles. The returned text begins with literal words — the paper's
-// Jumpshot popup workaround ("Lines: %d" rather than "%d lines").
-func Describe(s Spec, payload []byte) string {
-	var buf [DescribeMax]byte
-	return string(AppendDescribe(buf[:0], s, payload))
-}
-
-// AppendDescribe appends Describe's summary to dst, byte-identical to the
-// fmt-based formatting but without allocating: Pilot's MsgDeparture
-// bubble builds its cargo through here on every PI_Write, so the hot
-// path must not pay fmt's interface boxing.
+// AppendDescribe appends to dst a summary of an encoded payload for a
+// log-bubble popup: the data length and the value of the first element,
+// as in the paper's PI_Write bubbles. The text begins with literal words —
+// the paper's Jumpshot popup workaround ("Lines: %d" rather than "%d
+// lines"). It is byte-identical to the fmt-based formatting but allocates
+// nothing: Pilot's MsgDeparture bubble builds its cargo through here on
+// every PI_Write, so the hot path must not pay fmt's interface boxing.
 func AppendDescribe(dst []byte, s Spec, payload []byte) []byte {
 	es := s.Kind.ElemSize()
 	switch {

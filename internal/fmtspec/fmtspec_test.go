@@ -452,3 +452,22 @@ func TestAppendEncodeAndCheckRead(t *testing.T) {
 		}
 	}
 }
+
+// Canonical renders specs back to a normalised format string; two formats
+// with equal Canonical forms are identical.
+func Canonical(specs []Spec) string {
+	var b []byte
+	for i, s := range specs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = s.AppendText(b)
+	}
+	return string(b)
+}
+
+// Describe is AppendDescribe's summary as a string.
+func Describe(s Spec, payload []byte) string {
+	var buf [DescribeMax]byte
+	return string(AppendDescribe(buf[:0], s, payload))
+}

@@ -1,6 +1,7 @@
 package jpeglite
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -219,4 +220,22 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// PSNR computes peak signal-to-noise ratio between two same-size images,
+// in dB; +Inf for identical images.
+func PSNR(a, b *Image) (float64, error) {
+	if a.W != b.W || a.H != b.H {
+		return 0, fmt.Errorf("jpeglite: size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
+	}
+	var mse float64
+	for i := range a.Pix {
+		d := float64(a.Pix[i]) - float64(b.Pix[i])
+		mse += d * d
+	}
+	mse /= float64(len(a.Pix))
+	if mse == 0 {
+		return math.Inf(1), nil
+	}
+	return 10 * math.Log10(255*255/mse), nil
 }

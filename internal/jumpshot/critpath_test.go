@@ -72,16 +72,11 @@ func TestCriticalPathEmptyLog(t *testing.T) {
 // makeLogOneState builds a log with a single Compute state on rank 0.
 func makeLogOneState(t *testing.T) *slog2.File {
 	t.Helper()
-	cf := &clog2.File{NumRanks: 1}
-	cf.Blocks = []clog2.Block{{Rank: 0, Records: []clog2.Record{
+	sf, _ := convertLog(t, 1, slog2.ConvertOptions{}, clog2.Block{Rank: 0, Records: []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "gray", Name: "Compute"},
 		{Type: clog2.RecCargoEvt, Time: 1, Rank: 0, ID: 2},
 		{Type: clog2.RecCargoEvt, Time: 4, Rank: 0, ID: 3},
-	}}}
-	sf, _, err := slog2.Convert(cf, slog2.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	return sf
 }
 

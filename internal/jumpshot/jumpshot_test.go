@@ -1,6 +1,7 @@
 package jumpshot
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -9,9 +10,33 @@ import (
 	"repro/internal/slog2"
 )
 
-// makeLog builds a small SLOG-2 file directly (bypassing conversion):
-// Compute [0,10] on ranks 0 and 1, a Read nested [2,3] on rank 1, a Write
-// [2,2.5] on rank 0, one arrow 0->1, and one event bubble.
+// convertLog encodes blocks, in order, as a numRanks-rank CLOG-2 log
+// through a clog2.Writer and converts it through slog2.ConvertReader.
+func convertLog(t testing.TB, numRanks int, opts slog2.ConvertOptions, blocks ...clog2.Block) (*slog2.File, *slog2.Report) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, numRanks)
+	for _, b := range blocks {
+		if err == nil {
+			err = w.WriteBlock(b.Rank, b.Records)
+		}
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, rep, err := slog2.ConvertReader(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sf, rep
+}
+
+// makeLog builds a small SLOG-2 file: Compute [0,10] on ranks 0 and 1, a
+// Read nested [2,3] on rank 1, a Write [2,2.5] on rank 0, one arrow 0->1,
+// and one event bubble.
 func cargoRec(time float64, rank, id int32, cargo string) clog2.Record {
 	r := clog2.Record{Type: clog2.RecCargoEvt, Time: time, Rank: rank, ID: id}
 	r.SetCargo(cargo)
@@ -20,9 +45,6 @@ func cargoRec(time float64, rank, id int32, cargo string) clog2.Record {
 
 func makeLog(t *testing.T) *slog2.File {
 	t.Helper()
-	b := struct {
-		f *clog2.File
-	}{f: &clog2.File{NumRanks: 2}}
 	defs := []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "gray", Name: "Compute"},
 		{Type: clog2.RecStateDef, ID: 2, Aux1: 4, Aux2: 5, Color: "red", Name: "PI_Read"},
@@ -44,11 +66,7 @@ func makeLog(t *testing.T) *slog2.File {
 		{Type: clog2.RecCargoEvt, Time: 3, Rank: 1, ID: 5},
 		{Type: clog2.RecCargoEvt, Time: 10, Rank: 1, ID: 3},
 	}
-	b.f.Blocks = []clog2.Block{{Rank: 0, Records: append(defs, r0...)}, {Rank: 1, Records: r1}}
-	sf, rep, err := slog2.Convert(b.f, slog2.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf, rep := convertLog(t, 2, slog2.ConvertOptions{}, clog2.Block{Rank: 0, Records: append(defs, r0...)}, clog2.Block{Rank: 1, Records: r1})
 	if rep.NestingErrors != 0 || rep.UnmatchedSends != 0 {
 		t.Fatalf("bad fixture: %+v", rep)
 	}
@@ -235,7 +253,6 @@ func TestRenderSVGViewportClips(t *testing.T) {
 
 func TestRenderSVGPreviewMode(t *testing.T) {
 	// Build a log with many tiny states on one rank to force previews.
-	cf := &clog2.File{NumRanks: 1}
 	recs := []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "gray", Name: "Compute"},
 	}
@@ -246,11 +263,7 @@ func TestRenderSVGPreviewMode(t *testing.T) {
 			clog2.Record{Type: clog2.RecCargoEvt, Time: t0 + 0.005, Rank: 0, ID: 3},
 		)
 	}
-	cf.Blocks = []clog2.Block{{Rank: 0, Records: recs}}
-	sf, _, err := slog2.Convert(cf, slog2.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf, _ := convertLog(t, 1, slog2.ConvertOptions{}, clog2.Block{Rank: 0, Records: recs})
 	svg := RenderSVG(sf, View{PreviewThreshold: 100})
 	// Preview mode draws outline rectangles (fill="none").
 	if !strings.Contains(svg, `fill="none"`) {
@@ -284,16 +297,11 @@ func TestRenderASCII(t *testing.T) {
 }
 
 func TestRenderSVGEscapesCargo(t *testing.T) {
-	cf := &clog2.File{NumRanks: 1}
-	cf.Blocks = []clog2.Block{{Rank: 0, Records: []clog2.Record{
+	sf, _ := convertLog(t, 1, slog2.ConvertOptions{}, clog2.Block{Rank: 0, Records: []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "red", Name: "S<evil>"},
 		cargoRec(0, 0, 2, `<script>"x"&`),
 		{Type: clog2.RecCargoEvt, Time: 1, Rank: 0, ID: 3},
-	}}}
-	sf, _, err := slog2.Convert(cf, slog2.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	svg := RenderSVG(sf, View{})
 	if strings.Contains(svg, "<script>") || strings.Contains(svg, "S<evil>") {
 		t.Error("SVG output not escaped")

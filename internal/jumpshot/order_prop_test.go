@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -55,20 +56,23 @@ func TestQueryOrderMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, err := clog2.Read(r)
+		br, err := clog2.NewBlockReader(r)
+		var blocks []clog2.Block
+		if err == nil {
+			err = br.EachBlock(func(b clog2.Block) error {
+				recs := slices.Clone(b.Records)
+				for k := range recs {
+					recs[k].Time = float64(k / 3)
+				}
+				blocks = append(blocks, clog2.Block{Rank: b.Rank, Records: recs})
+				return nil
+			})
+		}
 		r.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range log.Blocks {
-			for k := range b.Records {
-				b.Records[k].Time = float64(k / 3)
-			}
-		}
-		f, _, err := slog2.Convert(log, slog2.ConvertOptions{FrameCapacity: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, _ := convertLog(t, br.NumRanks(), slog2.ConvertOptions{FrameCapacity: 8}, blocks...)
 		if f.Depth() < 4 {
 			t.Fatalf("%s: tree only %d deep", id, f.Depth())
 		}

@@ -38,11 +38,7 @@ func previewFile() *slog2.File {
 // thumbnail golden's preview tile are each its golden document, and fifty
 // of a log with four categories in every bucket are each one document.
 func TestPreviewDeterministic(t *testing.T) {
-	data, err := os.ReadFile("../../testdata/golden/thumbnail.slog2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	thumb, err := slog2.Read(bytes.NewReader(data))
+	thumb, err := slog2.ReadFile("../../testdata/golden/thumbnail.slog2")
 	if err != nil {
 		t.Fatal(err)
 	}

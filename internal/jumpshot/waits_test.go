@@ -13,7 +13,6 @@ import (
 // 2.8 inside read [2,3]), the other by rank 2 (arrival 5.5 inside [5,6]).
 func waitLog(t *testing.T) *slog2.File {
 	t.Helper()
-	cf := &clog2.File{NumRanks: 3}
 	defs := []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "red", Name: "PI_Read"},
 	}
@@ -31,15 +30,10 @@ func waitLog(t *testing.T) *slog2.File {
 	r2 := []clog2.Record{
 		{Type: clog2.RecMsgEvt, Time: 5.1, Rank: 2, Dir: clog2.DirSend, Aux1: 1, Aux2: 2, Aux3: 8},
 	}
-	cf.Blocks = []clog2.Block{
-		{Rank: 0, Records: append(defs, r0...)},
-		{Rank: 1, Records: r1},
-		{Rank: 2, Records: r2},
-	}
-	sf, rep, err := slog2.Convert(cf, slog2.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf, rep := convertLog(t, 3, slog2.ConvertOptions{},
+		clog2.Block{Rank: 0, Records: append(defs, r0...)},
+		clog2.Block{Rank: 1, Records: r1},
+		clog2.Block{Rank: 2, Records: r2})
 	if rep.Arrows != 2 || rep.States != 2 {
 		t.Fatalf("fixture: %+v", rep)
 	}
@@ -83,16 +77,11 @@ func TestWaitMatrixWindowed(t *testing.T) {
 
 func TestWaitMatrixUnattributed(t *testing.T) {
 	// A read with no arrival inside it goes to sender -1.
-	cf := &clog2.File{NumRanks: 2}
-	cf.Blocks = []clog2.Block{{Rank: 0, Records: []clog2.Record{
+	sf, _ := convertLog(t, 2, slog2.ConvertOptions{}, clog2.Block{Rank: 0, Records: []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "salmon", Name: "PI_Select"},
 		{Type: clog2.RecCargoEvt, Time: 1, Rank: 0, ID: 2},
 		{Type: clog2.RecCargoEvt, Time: 2, Rank: 0, ID: 3},
-	}}}
-	sf, _, err := slog2.Convert(cf, slog2.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	edges := WaitMatrix(sf, sf.Start, sf.End)
 	if len(edges) != 1 || edges[0].Sender != -1 {
 		t.Fatalf("edges %+v", edges)

@@ -75,9 +75,6 @@ type Cargo struct {
 // Bytes returns the assembled cargo, valid until the next builder call.
 func (c *Cargo) Bytes() []byte { return c.buf[:c.n] }
 
-// Reset empties the buffer for reuse.
-func (c *Cargo) Reset() *Cargo { c.n = 0; return c }
-
 // Str appends s.
 func (c *Cargo) Str(s string) *Cargo {
 	c.n = len(AppendStr(c.buf[:c.n], s))

@@ -132,3 +132,6 @@ func TestCargoBuilderBounds(t *testing.T) {
 		t.Fatalf("AppendKV on non-empty = %q", got)
 	}
 }
+
+// Reset empties the buffer for reuse.
+func (c *Cargo) Reset() *Cargo { c.n = 0; return c }

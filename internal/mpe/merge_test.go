@@ -61,13 +61,10 @@ func TestFinishMergePreservesEverythingProperty(t *testing.T) {
 			wantPerRank[r] = 2*loads[r] + (loads[r]+2)/3 // starts+ends+events
 		}
 
-		f, err := clog2.Read(&out)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		_, recs := logRecords(t, &out)
 		gotPerRank := make([]int, n)
 		shifts := 0
-		for _, rec := range f.Records() {
+		for _, rec := range recs {
 			switch rec.Type {
 			case clog2.RecCargoEvt, clog2.RecBareEvt:
 				gotPerRank[rec.Rank]++
@@ -84,7 +81,7 @@ func TestFinishMergePreservesEverythingProperty(t *testing.T) {
 		if shifts != n {
 			t.Fatalf("seed %d: %d timeshifts, want %d", seed, shifts, n)
 		}
-		if got := len(f.StateDefs()); got != 2 {
+		if got := countType(recs, clog2.RecStateDef); got != 2 {
 			t.Fatalf("seed %d: %d state defs", seed, got)
 		}
 	}
@@ -192,31 +189,34 @@ func TestFinishMergeMatrix(t *testing.T) {
 					t.Fatalf("%s, %d ranks: rank %d: %v", name, n, rank, err)
 				}
 			}
-			f, err := clog2.Read(bytes.NewReader(out.Bytes()))
+			br, err := clog2.NewBlockReader(bytes.NewReader(out.Bytes()))
 			if err != nil {
 				t.Fatalf("%s, %d ranks: %v", name, n, err)
 			}
-			if len(f.Blocks) != n {
-				t.Fatalf("%s, %d ranks: %d blocks", name, n, len(f.Blocks))
-			}
 			var again bytes.Buffer
-			cw, err := clog2.NewWriter(&again, f.NumRanks)
+			cw, err := clog2.NewWriter(&again, br.NumRanks())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for rank, b := range f.Blocks {
-				if int(b.Rank) != rank || len(b.Records) != want[rank] {
-					t.Fatalf("%s, %d ranks: block %d is rank %d with %d records, want %d", name, n, rank, b.Rank, len(b.Records), want[rank])
+			rank := 0
+			err = br.EachBlock(func(b clog2.Block) error {
+				if rank >= n || int(b.Rank) != rank || len(b.Records) != want[rank] {
+					t.Fatalf("%s, %d ranks: block %d is rank %d with %d records, want %d", name, n, rank, b.Rank, len(b.Records), want[min(rank, n-1)])
 				}
 				if last := b.Records[len(b.Records)-1]; last.Type != clog2.RecTimeShift || math.Abs(last.Shift-0.5*float64(rank)) > 0.1 {
 					t.Fatalf("%s, %d ranks: rank %d ends in %+v", name, n, rank, last)
 				}
-				if err := cw.WriteBlock(b.Rank, b.Records); err != nil {
-					t.Fatal(err)
-				}
+				rank++
+				return cw.WriteBlock(b.Rank, b.Records)
+			})
+			if err == nil && rank != n {
+				err = fmt.Errorf("%d blocks", rank)
 			}
-			if err := cw.Close(); err != nil {
-				t.Fatal(err)
+			if err == nil {
+				err = cw.Close()
+			}
+			if err != nil {
+				t.Fatalf("%s, %d ranks: %v", name, n, err)
 			}
 			if !bytes.Equal(out.Bytes(), again.Bytes()) {
 				t.Fatalf("%s, %d ranks: the merged file differs from its own re-encoding", name, n)
@@ -309,15 +309,20 @@ func TestFinishRejectsHostilePayloads(t *testing.T) {
 			}
 			// Ranks 0 and 1 are in the output as far as the Writer had handed
 			// them on; of rank 2 there is nothing.
-			f, complete, err := clog2.ReadLenient(bytes.NewReader(out.Bytes()))
-			if out.Len() > 0 && (err != nil || complete) {
-				t.Fatalf("%s: the output of a failed merge reads complete=%v, %v", c.name, complete, err)
-			}
-			if f != nil {
-				for _, b := range f.Blocks {
-					if b.Rank == 2 {
-						t.Errorf("%s: a block of the refused rank reached the output", c.name)
+			if out.Len() > 0 {
+				br, err := clog2.NewBlockReader(bytes.NewReader(out.Bytes()))
+				if err == nil {
+					err = br.EachBlock(func(b clog2.Block) error {
+						if b.Rank == 2 {
+							t.Errorf("%s: a block of the refused rank reached the output", c.name)
+						}
+						return nil
+					})
+					if err == nil {
+						t.Fatalf("%s: the output of a failed merge reads to its end-log marker", c.name)
 					}
+				} else {
+					t.Fatalf("%s: the output of a failed merge has no log header: %v", c.name, err)
 				}
 			}
 			if sent > 0 && out.Len() > 0 && bytes.Contains(out.Bytes(), []byte{3, 0, 0, 0, 11}) {

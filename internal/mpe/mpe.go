@@ -83,9 +83,6 @@ func NewGroup(world *mpi.World, enabled bool) *Group {
 	return g
 }
 
-// Enabled reports whether logging is active.
-func (g *Group) Enabled() bool { return g.enabled }
-
 // DescribeState defines a state with display properties and returns its
 // ID. Definitions are shared by all ranks (Pilot defines every state once,
 // during the configuration phase). Allocating more than MaxStates states
@@ -168,9 +165,6 @@ type Logger struct {
 	spChecked bool
 	spPrefix  string
 }
-
-// Rank returns the MPI rank this logger belongs to.
-func (l *Logger) Rank() int { return l.rank.ID() }
 
 // Enabled reports whether logging is active for this logger's group.
 func (l *Logger) Enabled() bool { return l.g.enabled }

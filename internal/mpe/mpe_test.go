@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -48,7 +49,7 @@ func TestDisabledGroupLogsNothing(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("disabled logger buffered %d records", l.Len())
 	}
-	if g.Enabled() || l.Enabled() {
+	if g.enabled || l.Enabled() {
 		t.Fatal("Enabled() reports true for disabled group")
 	}
 }
@@ -97,41 +98,36 @@ func TestFinishMergesAllRanks(t *testing.T) {
 		}
 	}
 
-	f, err := clog2.Read(&out)
-	if err != nil {
-		t.Fatal(err)
+	numRanks, recs := logRecords(t, &out)
+	if numRanks != 3 {
+		t.Fatalf("NumRanks = %d", numRanks)
 	}
-	if f.NumRanks != 3 {
-		t.Fatalf("NumRanks = %d", f.NumRanks)
-	}
-	if got := len(f.StateDefs()); got != 2 {
+	if got := countType(recs, clog2.RecStateDef); got != 2 {
 		t.Fatalf("state defs = %d, want 2", got)
 	}
-	if got := len(f.EventDefs()); got != 1 {
+	if got := countType(recs, clog2.RecEventDef); got != 1 {
 		t.Fatalf("event defs = %d, want 1", got)
 	}
-	// One block per rank (rank 2 logged nothing but still has a timeshift).
+	// Records of every rank (rank 2 logged nothing but still has a timeshift).
 	ranksSeen := map[int32]bool{}
 	var sends, recvs, shifts, cargo int
-	for _, b := range f.Blocks {
-		ranksSeen[b.Rank] = true
-		for _, rec := range b.Records {
-			switch rec.Type {
-			case clog2.RecMsgEvt:
-				if rec.Dir == clog2.DirSend {
-					sends++
-				} else {
-					recvs++
-				}
-			case clog2.RecTimeShift:
-				shifts++
-			case clog2.RecCargoEvt:
-				cargo++
+	for _, rec := range recs {
+		ranksSeen[rec.Rank] = true
+		switch rec.Type {
+		case clog2.RecMsgEvt:
+			if rec.Dir == clog2.DirSend {
+				sends++
+			} else {
+				recvs++
 			}
+		case clog2.RecTimeShift:
+			shifts++
+		case clog2.RecCargoEvt:
+			cargo++
 		}
 	}
 	if len(ranksSeen) != 3 {
-		t.Fatalf("blocks for ranks %v, want all 3", ranksSeen)
+		t.Fatalf("records of ranks %v, want all 3", ranksSeen)
 	}
 	if sends != 1 || recvs != 1 {
 		t.Fatalf("sends=%d recvs=%d, want 1/1", sends, recvs)
@@ -182,13 +178,10 @@ func TestFinishSynchronisesClocks(t *testing.T) {
 		}
 	}
 
-	f, err := clog2.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := logRecords(t, &out)
 	var sendT, recvT float64 = -1, -1
 	var shift1 float64
-	for _, rec := range f.Records() {
+	for _, rec := range recs {
 		if rec.Type == clog2.RecMsgEvt && rec.Dir == clog2.DirSend {
 			sendT = rec.Time
 		}
@@ -234,7 +227,7 @@ func TestLogLostOnAbort(t *testing.T) {
 	if out.Len() > 0 {
 		// A partial header may have been written before the failure was
 		// detected, but it must not parse as a complete file.
-		if _, err := clog2.Read(bytes.NewReader(out.Bytes())); err == nil {
+		if _, err := clog2.ScanTable(bytes.NewReader(out.Bytes())); err == nil {
 			t.Fatal("aborted run still produced a readable log")
 		}
 	}
@@ -250,11 +243,8 @@ func TestCargoTruncatedAtLimit(t *testing.T) {
 	if err := l.Finish(&out); err != nil {
 		t.Fatal(err)
 	}
-	f, err := clog2.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range f.Records() {
+	_, recs := logRecords(t, &out)
+	for _, rec := range recs {
 		if rec.Type == clog2.RecCargoEvt && len(rec.CargoText()) > clog2.MaxCargo {
 			t.Fatalf("cargo %d bytes exceeds MPE limit", len(rec.CargoText()))
 		}
@@ -274,12 +264,9 @@ func TestTimestampsNondecreasingPerRank(t *testing.T) {
 	if err := l.Finish(&out); err != nil {
 		t.Fatal(err)
 	}
-	f, err := clog2.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := logRecords(t, &out)
 	prev := -1.0
-	for _, rec := range f.Records() {
+	for _, rec := range recs {
 		if rec.Type == clog2.RecStateDef || rec.Type == clog2.RecEventDef {
 			continue
 		}
@@ -310,12 +297,36 @@ func TestFinishFileWritesToDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clog2.Read(bytes.NewReader(b)); err != nil {
+	if _, err := clog2.ScanTable(bytes.NewReader(b)); err != nil {
 		t.Fatalf("written file unreadable: %v", err)
 	}
 }
 
 func readFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+// logRecords reads the log r holds through Each: the header's rank count
+// and every record, in file order.
+func logRecords(t testing.TB, r io.Reader) (numRanks int, recs []clog2.Record) {
+	t.Helper()
+	br, err := clog2.NewBlockReader(r)
+	if err == nil {
+		err = br.Each(func(run clog2.Block) error { recs = append(recs, run.Records...); return nil })
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return br.NumRanks(), recs
+}
+
+// countType is how many of recs are of type typ.
+func countType(recs []clog2.Record, typ clog2.RecType) (n int) {
+	for i := range recs {
+		if recs[i].Type == typ {
+			n++
+		}
+	}
+	return n
+}
 
 // Regression at the ID-space boundary: state etypes must never reach
 // soloBase, or starts/ends would collide with solo event etypes and
@@ -391,12 +402,9 @@ func TestFinishSyntheticEndForOpenState(t *testing.T) {
 			t.Fatalf("rank %d: %v", i, err)
 		}
 	}
-	f, err := clog2.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := logRecords(t, &out)
 	var synth []clog2.Record
-	for _, rec := range f.Records() {
+	for _, rec := range recs {
 		if rec.CargoText() == SyntheticEndCargo {
 			synth = append(synth, rec)
 		}
@@ -434,11 +442,8 @@ func TestFinishNoSyntheticEndWhenBalanced(t *testing.T) {
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	f, err := clog2.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range f.Records() {
+	_, recs := logRecords(t, &out)
+	for _, rec := range recs {
 		if rec.CargoText() == SyntheticEndCargo {
 			t.Fatalf("balanced log contains synthetic end: %+v", rec)
 		}

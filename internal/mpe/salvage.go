@@ -265,14 +265,17 @@ func loadSpillDefs(prefix string) (defs []clog2.Record, numRanks int, note strin
 	if len(segs) == 0 {
 		return nil, 0, "defs spill damaged: unrecognized data"
 	}
-	f, _, err := clog2.ReadLenient(bytes.NewReader(segs[0].Payload))
+	br, err := clog2.NewBlockReader(bytes.NewReader(segs[0].Payload))
 	if err != nil {
 		return nil, 0, "defs spill damaged: " + err.Error()
 	}
-	for _, b := range f.Blocks {
+	// The payload has no block table, so a block that cannot be read is a
+	// torn tail: the complete blocks before it stand.
+	_ = br.EachBlock(func(b clog2.Block) error {
 		defs = append(defs, b.Records...)
-	}
-	return defs, f.NumRanks, ""
+		return nil
+	})
+	return defs, br.NumRanks(), ""
 }
 
 // synthesizeDefs fabricates placeholder state and event definitions for

@@ -58,7 +58,7 @@ func FuzzSalvageFragment(f *testing.F) {
 		if err != nil {
 			t.Fatalf("salvage errored on fuzzed fragment: %v", err)
 		}
-		if _, err := clog2.Read(bytes.NewReader(out.Bytes())); err != nil {
+		if _, err := clog2.ScanTable(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("merged log unreadable: %v", err)
 		}
 		for _, r := range rep.Ranks {

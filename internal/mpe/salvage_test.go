@@ -70,7 +70,7 @@ func TestSalvageReportCleanRun(t *testing.T) {
 			t.Fatalf("rank %d accounting: %+v", r.Rank, r)
 		}
 	}
-	if _, err := clog2.Read(bytes.NewReader(merged)); err != nil {
+	if _, err := clog2.ScanTable(bytes.NewReader(merged)); err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
 	}
 	// The report must mention every rank when rendered.
@@ -135,7 +135,7 @@ func TestSalvageByteFlipSweep(t *testing.T) {
 				}
 			}
 		}
-		if _, err := clog2.Read(bytes.NewReader(merged)); err != nil {
+		if _, err := clog2.ScanTable(bytes.NewReader(merged)); err != nil {
 			t.Fatalf("flip at %d: merged log unreadable: %v", off, err)
 		}
 	}
@@ -163,14 +163,25 @@ func TestSalvageSynthesizesDefs(t *testing.T) {
 	if len(rep.Warnings) == 0 {
 		t.Fatal("no warning for missing defs")
 	}
-	f, err := clog2.Read(bytes.NewReader(merged))
+	br, err := clog2.NewBlockReader(bytes.NewReader(merged))
+	stateDefs := 0
+	if err == nil {
+		err = br.Each(func(run clog2.Block) error {
+			for i := range run.Records {
+				if run.Records[i].Type == clog2.RecStateDef {
+					stateDefs++
+				}
+			}
+			return nil
+		})
+	}
 	if err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
 	}
-	if n := len(f.StateDefs()); n != 1 {
-		t.Fatalf("synthesized %d state defs, want 1", n)
+	if stateDefs != 1 {
+		t.Fatalf("synthesized %d state defs, want 1", stateDefs)
 	}
-	sf, srep, err := slog2.Convert(f, slog2.ConvertOptions{})
+	sf, srep, err := slog2.ConvertReader(bytes.NewReader(merged), slog2.ConvertOptions{})
 	if err != nil {
 		t.Fatalf("convert: %v", err)
 	}
@@ -199,7 +210,7 @@ func TestSalvageDamagedDefs(t *testing.T) {
 	if !rep.DefsSynthesized {
 		t.Fatal("damaged defs not reported as synthesized")
 	}
-	if _, err := clog2.Read(bytes.NewReader(merged)); err != nil {
+	if _, err := clog2.ScanTable(bytes.NewReader(merged)); err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
 	}
 }
@@ -221,7 +232,7 @@ func TestSalvageRawStreamFragment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := clog2.ReadLenient(bytes.NewReader(raw)); err != nil {
+	if table, err := clog2.ScanTable(bytes.NewReader(raw)); table == nil || len(table.Blocks) != 2 {
 		t.Fatalf("the fragment is not the raw stream it is meant to be: %v", err)
 	}
 	if err := os.WriteFile(prefix+".rank1.spill", raw, 0o644); err != nil {
@@ -257,11 +268,7 @@ func TestSalvageRawStreamFragment(t *testing.T) {
 	if got := rep.RecoveryPct(); got != 100 {
 		t.Errorf("RecoveryPct = %v, want 100: no segment of the surviving ranks was lost", got)
 	}
-	f, err := clog2.Read(bytes.NewReader(merged))
-	if err != nil {
-		t.Fatalf("merged log unreadable: %v", err)
-	}
-	if _, srep, err := slog2.Convert(f, slog2.ConvertOptions{}); err != nil || srep.States != 2+4 {
+	if _, srep, err := slog2.ConvertReader(bytes.NewReader(merged), slog2.ConvertOptions{}); err != nil || srep.States != 2+4 {
 		t.Fatalf("converted %+v, err %v; want the 2+4 states of ranks 0 and 2", srep, err)
 	}
 }
@@ -302,7 +309,8 @@ func TestSalvageHighRankWidensWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag := clog2.AppendSegment(nil, 4096, 0, payload)
+	frag := append(make([]byte, clog2.SegHeaderSize), payload...)
+	clog2.FinalizeSegmentHeader(frag, 4096, 0)
 	if err := os.WriteFile(prefix+".rank4096.spill", frag, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +321,7 @@ func TestSalvageHighRankWidensWorld(t *testing.T) {
 	if rep.RanksRecovered != 4 {
 		t.Fatalf("salvaged %d ranks, want 4", rep.RanksRecovered)
 	}
-	if _, err := clog2.Read(bytes.NewReader(merged)); err != nil {
+	if _, err := clog2.ScanTable(bytes.NewReader(merged)); err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
 	}
 }
@@ -342,7 +350,7 @@ func TestSalvageGarbageFragment(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("garbage fragment counted as clean")
 	}
-	if _, err := clog2.Read(bytes.NewReader(merged)); err != nil {
+	if _, err := clog2.ScanTable(bytes.NewReader(merged)); err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
 	}
 }

@@ -159,6 +159,3 @@ func (l *Logger) closeSpill(remove bool) {
 	}
 	l.sp = nil
 }
-
-// SpillError reports the first spill-write failure, if any (diagnostics).
-func (l *Logger) SpillError() error { return l.spErr }

@@ -53,7 +53,7 @@ func TestSpillWritesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs, stats := clog2.ScanSegments(data); len(segs) == 0 || !stats.Clean() {
+	if segs, stats := clog2.ScanSegments(data); len(segs) == 0 || stats.BytesQuarantined != 0 {
 		t.Fatalf("open spill scans as %d segment(s), %+v", len(segs), stats)
 	}
 	if n := len(readV2Fragment(t, prefix+".rank1.spill")); n != 2 {
@@ -98,16 +98,13 @@ func TestSalvageMergesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := clog2.Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("salvaged log unreadable: %v", err)
-	}
+	_, recs := logRecords(t, bytes.NewReader(data))
 	checkTable(t, "salvaged log", data, nil)
-	if len(merged.StateDefs()) != 1 {
-		t.Fatalf("defs lost: %d", len(merged.StateDefs()))
+	if n := countType(recs, clog2.RecStateDef); n != 1 {
+		t.Fatalf("defs lost: %d", n)
 	}
 	var cargo, msgs int
-	for _, rec := range merged.Records() {
+	for _, rec := range recs {
 		switch rec.Type {
 		case clog2.RecCargoEvt:
 			cargo++
@@ -166,7 +163,7 @@ func TestCleanFinishRemovesSpills(t *testing.T) {
 			t.Errorf("spill %s survives a clean finish", path)
 		}
 	}
-	if _, err := clog2.Read(&buf); err != nil {
+	if _, err := clog2.ScanTable(&buf); err != nil {
 		t.Fatalf("merged log unreadable: %v", err)
 	}
 }
@@ -213,3 +210,6 @@ func BenchmarkSpillStatePair(b *testing.B) {
 	}
 	l.closeSpill(true)
 }
+
+// SpillError reports the first spill-write failure, if any (diagnostics).
+func (l *Logger) SpillError() error { return l.spErr }

@@ -247,10 +247,6 @@ func (w *World) LocalRank() int { return w.local }
 // Local reports whether rank id runs in this process.
 func (w *World) Local(id int) bool { return w.local < 0 || w.local == id }
 
-// Addr returns the address rank processes join this world at ("" for the
-// in-process transport).
-func (w *World) Addr() string { return w.t.Addr() }
-
 // Shutdown releases the world's transport after the job completes: the
 // orchestrator of a multi-process world reaps its rank processes
 // (killing stragglers after a grace period), a joined rank announces a
@@ -265,10 +261,11 @@ func (w *World) Shutdown() error {
 // worlds, externally launched ranks, the orchestrator itself). Chaos
 // tests use it to kill a live rank mid-run.
 func (w *World) ChildPID(id int) int {
-	if t, ok := w.t.(*socketTransport); ok {
-		return t.childPID(id)
+	t, ok := w.t.(*socketTransport)
+	if !ok || t.local != 0 || id < 0 || id >= t.size || t.cmds[id] == nil {
+		return -1
 	}
-	return -1
+	return t.cmds[id].Process.Pid
 }
 
 // Rank returns the handle for rank id. It panics on an out-of-range id.
@@ -390,14 +387,8 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.size }
 
-// World returns the world this rank belongs to.
-func (r *Rank) World() *World { return r.w }
-
 // Wtime returns this rank's wallclock reading in seconds (MPI_Wtime).
 func (r *Rank) Wtime() float64 { return r.w.clocks[r.id].Now() }
-
-// Clock exposes the rank's clock source, used by the logging layer.
-func (r *Rank) Clock() clock.Source { return r.w.clocks[r.id] }
 
 // Abort terminates the whole world (MPI_Abort): every blocked operation on
 // every rank fails with ErrAborted and all buffered traffic is lost.

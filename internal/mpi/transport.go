@@ -37,25 +37,10 @@ const (
 )
 
 // Spawned reports whether this process was launched as one rank of a
-// multi-process world. Programs embedding a custom child entry point
-// (benchmark harnesses, test binaries) check it before doing parent-only
-// work.
+// multi-process world: Start then joins it. Programs embedding a custom
+// child entry point (benchmark harnesses, test binaries) check it before
+// doing parent-only work.
 func Spawned() bool { return os.Getenv(EnvAddr) != "" && os.Getenv(EnvRank) != "" }
-
-// SpawnedTransport returns the transport name a spawned rank should pass
-// to Start — derived from the join address the parent handed down — or
-// "" when the process was not spawned.
-func SpawnedTransport() string {
-	addr := os.Getenv(EnvAddr)
-	switch {
-	case addr == "":
-		return ""
-	case len(addr) >= 4 && addr[:4] == "tcp:":
-		return TransportTCP
-	default:
-		return TransportSocket
-	}
-}
 
 // Envelope is one in-flight message as a Transport sees it.
 type Envelope struct {
@@ -74,9 +59,6 @@ type Envelope struct {
 // transport hosts exactly one rank per OS process and carries everything
 // else over the wire.
 type Transport interface {
-	// LocalRank returns the one rank hosted by this process, or -1 when
-	// every rank is local (the in-process transport).
-	LocalRank() int
 	// Put delivers env to dst's mailbox, returning false once the world
 	// is aborted. Put never waits for a rendezvous match; the sender
 	// blocks on env.Done.
@@ -99,8 +81,6 @@ type Transport interface {
 	// announces a clean goodbye. It reports rank processes that exited
 	// abnormally. Idempotent via World.Shutdown.
 	Shutdown() error
-	// Addr returns the address rank processes join at ("" in-process).
-	Addr() string
 }
 
 // Start creates a world of n ranks on the transport opts selects. For
@@ -152,8 +132,6 @@ func newInprocTransport(n int) *inprocTransport {
 	return t
 }
 
-func (t *inprocTransport) LocalRank() int { return -1 }
-
 func (t *inprocTransport) Put(dst int, env *Envelope) bool { return t.boxes[dst].put(env) }
 
 func (t *inprocTransport) Take(me, ctx, src, tag int) (*Envelope, bool) {
@@ -199,8 +177,6 @@ func (t *inprocTransport) Abort(int) {
 }
 
 func (t *inprocTransport) Shutdown() error { return nil }
-
-func (t *inprocTransport) Addr() string { return "" }
 
 type barrierState struct {
 	mu      sync.Mutex

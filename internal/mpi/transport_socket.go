@@ -166,12 +166,11 @@ func joinTarget(opts Options) (addr string, rank int, ok bool) {
 	if opts.JoinAddr != "" {
 		return opts.JoinAddr, opts.JoinRank, true
 	}
-	addr = os.Getenv(EnvAddr)
-	rankStr := os.Getenv(EnvRank)
-	if addr == "" || rankStr == "" {
+	if !Spawned() {
 		return "", 0, false
 	}
-	rank, err := strconv.Atoi(rankStr)
+	addr = os.Getenv(EnvAddr)
+	rank, err := strconv.Atoi(os.Getenv(EnvRank))
 	if err != nil {
 		return "", 0, false
 	}
@@ -672,8 +671,6 @@ func (t *socketTransport) writeTo(dst int, fr *frame) error {
 	return nil
 }
 
-func (t *socketTransport) LocalRank() int { return t.local }
-
 func (t *socketTransport) Put(dst int, env *Envelope) bool {
 	if t.w.Aborted() {
 		return false
@@ -790,15 +787,6 @@ func (t *socketTransport) Abort(code int) {
 			}
 		}
 	})
-}
-
-func (t *socketTransport) Addr() string { return t.addr }
-
-func (t *socketTransport) childPID(rank int) int {
-	if t.local != 0 || rank < 0 || rank >= t.size || t.cmds[rank] == nil {
-		return -1
-	}
-	return t.cmds[rank].Process.Pid
 }
 
 func (t *socketTransport) Shutdown() error {

@@ -5,28 +5,41 @@ package mpi
 // the wire decoder's truncation handling.
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
 
 func TestInprocTransportAccessors(t *testing.T) {
-	tr := newInprocTransport(2)
-	if got := tr.LocalRank(); got != -1 {
+	w := NewWorld(2, Options{})
+	if got := w.LocalRank(); got != -1 {
 		t.Errorf("LocalRank() = %d, want -1 (all ranks local)", got)
 	}
-	if got := tr.Addr(); got != "" {
+	if got := w.Addr(); got != "" {
 		t.Errorf("Addr() = %q, want empty in-process", got)
 	}
 }
 
-func TestRankAccessors(t *testing.T) {
-	w := NewWorld(1, Options{})
-	r := w.Rank(0)
-	if r.World() != w {
-		t.Error("Rank.World() does not return its world")
+// Addr is the address rank processes join w at ("" in-process).
+func (w *World) Addr() string {
+	if t, ok := w.t.(*socketTransport); ok {
+		return t.addr
 	}
-	if r.Clock() == nil {
-		t.Error("Rank.Clock() is nil")
+	return ""
+}
+
+// SpawnedTransport returns the transport name a spawned rank should pass
+// to Start — derived from the join address the parent handed down — or
+// "" when the process was not spawned.
+func SpawnedTransport() string {
+	addr := os.Getenv(EnvAddr)
+	switch {
+	case addr == "":
+		return ""
+	case len(addr) >= 4 && addr[:4] == "tcp:":
+		return TransportTCP
+	default:
+		return TransportSocket
 	}
 }
 
@@ -76,8 +89,8 @@ func TestStartRejectsUnknownTransport(t *testing.T) {
 func TestSocketTransportChecksLocalRank(t *testing.T) {
 	worlds := socketWorlds(t, 2, Options{})
 	st := worlds[1].t.(*socketTransport)
-	if got := st.LocalRank(); got != 1 {
-		t.Fatalf("LocalRank() = %d, want 1", got)
+	if got := worlds[1].LocalRank(); got != 1 || st.local != 1 {
+		t.Fatalf("LocalRank() = %d, the transport's %d, want 1", got, st.local)
 	}
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/clog2"
@@ -38,11 +39,20 @@ func fullSpanFile(tb testing.TB, n int) *slog2.File {
 			clog2.Record{Type: clog2.RecMsgEvt, Time: t + 6e-6, Rank: dst, Dir: clog2.DirRecv, Aux1: src, Aux2: src % 4, Aux3: 256},
 			cargo(t+7e-6, dst, 7, ""), cargo(t+8e-6, dst, 1<<20+1, "chan: C3"))
 	}
-	cf := &clog2.File{NumRanks: ranks}
+	var log bytes.Buffer
+	w, err := clog2.NewWriter(&log, ranks)
 	for rank, rs := range recs {
-		cf.Blocks = append(cf.Blocks, clog2.Block{Rank: int32(rank), Records: rs})
+		if err == nil {
+			err = w.WriteBlock(int32(rank), rs)
+		}
 	}
-	f, _, err := slog2.Convert(cf, slog2.ConvertOptions{})
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, _, err := slog2.ConvertReader(&log, slog2.ConvertOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

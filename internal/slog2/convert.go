@@ -170,7 +170,7 @@ type partition struct {
 	perRank   map[int]*rankLog
 	msgs      clog2.Messages
 	// dropped counts, by rank, the records whose rank lies outside
-	// [0, numRanks): slog2.Read rejects a drawable on such a rank.
+	// [0, numRanks): ReadFile rejects a drawable on such a rank.
 	dropped map[int]int
 	// nonFinite counts, by rank, the records stamped NaN or ±Inf, which
 	// the fold skips too.
@@ -233,17 +233,6 @@ func (p *partition) addBlock(b *clog2.Block) error {
 		}
 	}
 	return nil
-}
-
-// Convert builds an SLOG-2 file from a parsed CLOG-2 log.
-func Convert(in *clog2.File, opts ConvertOptions) (*File, *Report, error) {
-	p := newPartition(in.NumRanks)
-	for i := range in.Blocks {
-		if err := p.addBlock(&in.Blocks[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return convertPartitioned(p, opts)
 }
 
 // ConvertReader streams a CLOG-2 file from r straight into the conversion,

@@ -18,7 +18,7 @@ import (
 // randomCLOG builds a messy multi-rank log: states, events, fan-out
 // messages, duplicate timestamps, and a few nesting errors — everything
 // the converter has diagnostics for.
-func randomCLOG(seed int64, nranks int) *clog2.File {
+func randomCLOG(seed int64, nranks int) *clogBuilder {
 	rng := rand.New(rand.NewSource(seed))
 	b := newCLOG(nranks)
 	b.defState(1, "PI_Write", "green")
@@ -51,7 +51,7 @@ func randomCLOG(seed int64, nranks int) *clog2.File {
 		clog2.Record{Type: clog2.RecCargoEvt, Time: 99, Rank: 0, ID: 3},
 		clog2.Record{Type: clog2.RecCargoEvt, Time: 99.5, Rank: 0, ID: 2},
 	)
-	return b.file()
+	return b
 }
 
 func encodeSLOG(t *testing.T, f *File) []byte {
@@ -77,28 +77,27 @@ func depthOf(fr *Frame) int {
 // hands subtrees below its first block of levels to spare workers.
 func TestConvertParallelByteIdentical(t *testing.T) {
 	type tc struct {
-		cf   *clog2.File
+		log  []byte
 		opts ConvertOptions
 	}
 	var cases []tc
 	for seed := int64(0); seed < 6; seed++ {
-		cases = append(cases, tc{randomCLOG(seed, 1+int(seed)), ConvertOptions{}})
+		cases = append(cases, tc{randomCLOG(seed, 1+int(seed)).log(t), ConvertOptions{}})
 	}
-	deep := tc{randomCLOG(99, 6), ConvertOptions{FrameCapacity: 2}}
-	cases = append(cases, deep)
+	cases = append(cases, tc{randomCLOG(99, 6).log(t), ConvertOptions{FrameCapacity: 2}})
 	for i, c := range cases {
 		c.opts.Workers = 1
-		ref, refRep, err := Convert(c.cf, c.opts)
+		ref, refRep, err := convert(c.log, c.opts)
 		if err != nil {
 			t.Fatalf("log %d: %v", i, err)
 		}
-		if c.cf == deep.cf && depthOf(ref.Root) < 2*blockDepth {
+		if i == len(cases)-1 && depthOf(ref.Root) < 2*blockDepth {
 			t.Fatalf("the deep log's tree is %d levels deep, want %d or more", depthOf(ref.Root), 2*blockDepth)
 		}
 		refBytes := encodeSLOG(t, ref)
 		for workers := 1; workers <= 8; workers++ {
 			c.opts.Workers = workers
-			got, gotRep, err := Convert(c.cf, c.opts)
+			got, gotRep, err := convert(c.log, c.opts)
 			if err != nil {
 				t.Fatalf("log %d workers %d: %v", i, workers, err)
 			}
@@ -314,12 +313,12 @@ func TestConvertArrowMergeEqualsStableSort(t *testing.T) {
 // Sequential conversion itself must be deterministic run to run (the old
 // map-iteration code was not): convert the same log twice, compare bytes.
 func TestConvertDeterministicAcrossRuns(t *testing.T) {
-	cf := randomCLOG(42, 5)
-	a, repA, err := Convert(cf, ConvertOptions{Workers: 1})
+	log := randomCLOG(42, 5).log(t)
+	a, repA, err := convert(log, ConvertOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, repB, err := Convert(cf, ConvertOptions{Workers: 1})
+	b, repB, err := convert(log, ConvertOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,23 +335,49 @@ func TestConvertDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// ConvertReader (streaming blocks from the wire format) must agree with
-// Convert over the parsed file, byte for byte.
-func TestConvertReaderMatchesConvert(t *testing.T) {
-	cf := randomCLOG(7, 4)
-	fromFile, repF, err := Convert(cf, ConvertOptions{})
+// The conversion does not depend on where a rank's records are cut into
+// blocks, nor on how the ranks' blocks interleave in the file: the log with
+// each rank's records in one block converts to the bytes of the same
+// records cut into blocks of 1 to 40 records, dealt round the ranks.
+func TestConvertReaderIgnoresBlockCuts(t *testing.T) {
+	b := randomCLOG(7, 4)
+	whole, repW, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStream, repS, err := ConvertReader(bytes.NewReader(encodeCLOG(t, cf)), ConvertOptions{})
+	rng := rand.New(rand.NewSource(7))
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, b.nranks)
+	if err == nil {
+		err = w.WriteBlock(0, b.defs)
+	}
+	for left := true; left && err == nil; {
+		left = false
+		for r := int32(0); r < int32(b.nranks) && err == nil; r++ {
+			recs := b.blocks[r]
+			n := min(len(recs), 1+rng.Intn(40))
+			if n > 0 {
+				err = w.WriteBlock(r, recs[:n])
+			}
+			b.blocks[r] = recs[n:]
+			left = left || len(recs) > n
+		}
+	}
+	if err == nil {
+		err = w.Close()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repF.States != repS.States || repF.Arrows != repS.Arrows || repF.Events != repS.Events {
-		t.Fatalf("reports differ: %+v vs %+v", repF, repS)
+	cut, repC, err := convert(buf.Bytes(), ConvertOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeSLOG(t, fromFile), encodeSLOG(t, fromStream)) {
-		t.Fatal("streaming conversion differs from in-memory conversion")
+	if repW.States != repC.States || repW.Arrows != repC.Arrows || repW.Events != repC.Events || !slices.Equal(repW.Warnings, repC.Warnings) {
+		t.Fatalf("reports differ: %+v vs %+v", repW, repC)
+	}
+	if !bytes.Equal(encodeSLOG(t, whole), encodeSLOG(t, cut)) {
+		t.Fatal("the log cut into small blocks converts to other bytes")
 	}
 }
 
@@ -375,7 +400,7 @@ func TestConvertCoarseClockTieBreak(t *testing.T) {
 			clog2.Record{Type: clog2.RecCargoEvt, Time: t1, Rank: 0, ID: 3},
 		)
 	}
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +433,7 @@ func TestConvertCoarseClockTieBreakParallel(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
-		_, rep, err := Convert(b.file(), ConvertOptions{Workers: workers})
+		_, rep, err := convert(b.log(t), ConvertOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +456,7 @@ func TestConvertSyntheticEndCounted(t *testing.T) {
 		cargoEvt(1, 0, 2, "line: 5"),
 		cargoEvt(9, 0, 3, mpe.SyntheticEndCargo),
 	)
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +491,7 @@ func TestConvertCargoFillingATextPiece(t *testing.T) {
 	for i := range textPiece / len(cargo) {
 		b.state(0, 1, float64(i), float64(i)+0.5, cargo)
 	}
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,25 +553,6 @@ func TestOrderByTimeMatchesSortSliceReference(t *testing.T) {
 	}
 }
 
-// encodeCLOG serialises a parsed log, block for block.
-func encodeCLOG(t testing.TB, f *clog2.File) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := clog2.NewWriter(&buf, f.NumRanks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range f.Blocks {
-		if err := w.WriteBlock(b.Rank, b.Records); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // A record on a rank the header does not declare, or a message half whose
 // peer is no such rank, used to convert silently into a file slog2.Read
 // rejects. They are dropped, warned about once per offending rank and
@@ -566,7 +572,7 @@ func TestConvertDropsOutOfRangeRanks(t *testing.T) {
 	b.send(0, -5, 5, 1.5, 8) // a send to peer -5
 	b.recv(1, 9, 5, 1.6, 8)  // a receive from peer 9
 	b.recv(1, 9, 6, 1.7, 8)
-	data := encodeCLOG(t, b.file())
+	data := b.log(t)
 
 	var ref []byte
 	for _, workers := range []int{1, 4} {
@@ -634,7 +640,7 @@ func TestConvertReaderAllocationCeiling(t *testing.T) {
 		b.event(peer, 1, t0+7e-6, "arrived")
 		n += 7
 	}
-	data := encodeCLOG(t, b.file())
+	data := b.log(t)
 
 	least := uint64(math.MaxUint64)
 	for range 3 {
@@ -662,7 +668,7 @@ func TestConvertReaderAllocationCeiling(t *testing.T) {
 func TestEqualDrawablesMatchesFullTable(t *testing.T) {
 	tested := 0
 	for seed := int64(0); seed < 40; seed++ {
-		f, rep, err := Convert(randomCLOG(seed, 1+int(seed%6)), ConvertOptions{})
+		f, rep, err := convert(randomCLOG(seed, 1+int(seed%6)).log(t), ConvertOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // Magic begins every SLOG-2 file; the digits are this format's version.
-// previousMagic files stored a per-frame preview table nothing read; Read
-// refuses them by name instead of keeping a second decoder, because an
+// previousMagic files stored a per-frame preview table nothing read; the
+// reader refuses them by name instead of keeping a second decoder, because an
 // SLOG-2 is always regenerable from its CLOG-2.
 const (
 	Magic         = "SLOG-R0207"
@@ -80,9 +80,6 @@ func Write(w io.Writer, f *File) error {
 func WriteFile(path string, f *File) error {
 	return clog2.WriteFileAtomic(path, func(w io.Writer) error { return Write(w, f) })
 }
-
-// Read parses a complete SLOG-2 file.
-func Read(r io.Reader) (*File, error) { return read(r, 0) }
 
 // ReadFile parses the SLOG-2 file at path.
 func ReadFile(path string) (*File, error) {

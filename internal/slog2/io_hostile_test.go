@@ -26,7 +26,7 @@ func smallFile(t *testing.T) *File {
 	b.event(1, 1, 1.5, "chan: C1")
 	b.send(0, 1, 3, 1.1, 16)
 	b.recv(1, 0, 3, 1.6, 16)
-	f, _, err := Convert(b.file(), ConvertOptions{})
+	f, _, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ type Ref[P any] struct {
 // left, right) and then their order inside the frame. That tie order is a
 // contract: it decides document order in every tile, legend and search
 // result. Times compare as numbers, -0 equal to +0, which is the order a
-// stable sort by "a < b" gives. A File that Read returns or Convert makes
+// stable sort by "a < b" gives. A File that ReadFile returns or ConvertReader makes
 // has no NaN time, so that order is total; a NaN in a hand-built File
 // sorts by its bits, past +Inf (or before -Inf, signed).
 //

@@ -2,6 +2,7 @@ package slog2
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,9 +12,10 @@ import (
 	"repro/internal/clog2"
 )
 
-// buildCLOG assembles a clog2.File in memory. States are defined with
-// sequential IDs beginning at 1 (etypes 2/3, 4/5, ...), events at solo
-// etypes.
+// clogBuilder assembles a CLOG-2 log in memory, to encode through a
+// clog2.Writer (log) and convert through ConvertReader (convert). States are
+// defined with sequential IDs beginning at 1 (etypes 2/3, 4/5, ...),
+// events at solo etypes.
 type clogBuilder struct {
 	nranks int
 	defs   []clog2.Record
@@ -64,15 +66,32 @@ func (b *clogBuilder) recv(rank, src, tag int32, t float64, size int32) {
 		clog2.Record{Type: clog2.RecMsgEvt, Time: t, Rank: rank, Dir: clog2.DirRecv, Aux1: src, Aux2: tag, Aux3: size})
 }
 
-func (b *clogBuilder) file() *clog2.File {
-	f := &clog2.File{NumRanks: b.nranks}
-	f.Blocks = append(f.Blocks, clog2.Block{Rank: 0, Records: b.defs})
-	for r := int32(0); r < int32(b.nranks); r++ {
+// log encodes the built log: the definitions as rank 0's first block, then
+// each rank's records as one block, in rank order.
+func (b *clogBuilder) log(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, b.nranks)
+	if err == nil {
+		err = w.WriteBlock(0, b.defs)
+	}
+	for r := int32(0); r < int32(b.nranks) && err == nil; r++ {
 		if recs, ok := b.blocks[r]; ok {
-			f.Blocks = append(f.Blocks, clog2.Block{Rank: r, Records: recs})
+			err = w.WriteBlock(r, recs)
 		}
 	}
-	return f
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// convert is ConvertReader over an encoded log.
+func convert(log []byte, opts ConvertOptions) (*File, *Report, error) {
+	return ConvertReader(bytes.NewReader(log), opts)
 }
 
 func TestConvertBasicStatesAndArrow(t *testing.T) {
@@ -86,7 +105,7 @@ func TestConvertBasicStatesAndArrow(t *testing.T) {
 	b.recv(1, 0, 7, 1.4, 64)
 	b.event(1, 1, 1.4, "chan: C1")
 
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +150,7 @@ func TestConvertNestedStates(t *testing.T) {
 		clog2.Record{Type: clog2.RecCargoEvt, Time: 3, Rank: 0, ID: 5},  // Read end
 		clog2.Record{Type: clog2.RecCargoEvt, Time: 10, Rank: 0, ID: 3}, // Compute end
 	)
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +249,7 @@ func TestConvertNestingErrors(t *testing.T) {
 			for _, r := range c.recs {
 				b.blocks[r.Rank] = append(b.blocks[r.Rank], r)
 			}
-			f, rep, err := Convert(b.file(), ConvertOptions{})
+			f, rep, err := convert(b.log(t), ConvertOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +283,7 @@ func TestConvertUnmatchedMessages(t *testing.T) {
 	b.send(0, 1, 1, 0.2, 8)
 	b.recv(1, 0, 1, 0.5, 8)
 	b.recv(1, 0, 2, 0.6, 8) // tag 2 never sent
-	_, rep, err := Convert(b.file(), ConvertOptions{})
+	_, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +298,7 @@ func TestConvertSizeMismatchWarns(t *testing.T) {
 	b.state(0, 1, 0, 1, "")
 	b.send(0, 1, 1, 0.1, 8)
 	b.recv(1, 0, 1, 0.5, 16)
-	_, rep, err := Convert(b.file(), ConvertOptions{})
+	_, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +327,7 @@ func TestEqualDrawablesDetected(t *testing.T) {
 	b.recv(2, 0, 5, 1.001, 8)
 	b.recv(1, 0, 6, 1.001, 8)
 	b.state(0, 1, 1.000, 1.001, "")
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +356,7 @@ func TestEqualDrawablesAbsentWhenSpread(t *testing.T) {
 	b.send(0, 2, 5, 1.001, 8)
 	b.recv(1, 0, 5, 1.002, 8)
 	b.recv(2, 0, 5, 1.003, 8)
-	_, rep, err := Convert(b.file(), ConvertOptions{})
+	_, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +375,7 @@ func TestFrameTreeSplitsAndQuery(t *testing.T) {
 		t0 := rng.Float64() * 100
 		b.state(rank, 1, t0, t0+rng.Float64(), "")
 	}
-	f, rep, err := Convert(b.file(), ConvertOptions{FrameCapacity: 64})
+	f, rep, err := convert(b.log(t), ConvertOptions{FrameCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +419,7 @@ func TestFrameCapacityControlsDepth(t *testing.T) {
 			t0 := float64(i)
 			b.state(0, 1, t0, t0+0.5, "")
 		}
-		f, _, err := Convert(b.file(), ConvertOptions{FrameCapacity: capacity})
+		f, _, err := convert(b.log(t), ConvertOptions{FrameCapacity: capacity})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +441,7 @@ func TestFrameCapacityControlsDepth(t *testing.T) {
 func TestConvertEmptyLog(t *testing.T) {
 	b := newCLOG(2)
 	b.defState(1, "S", "red")
-	f, rep, err := Convert(b.file(), ConvertOptions{})
+	f, rep, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +467,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 	b.send(0, 1, 1, 3, 10)
 	b.recv(1, 0, 1, 4, 10)
-	f, _, err := Convert(b.file(), ConvertOptions{FrameCapacity: 50})
+	f, _, err := convert(b.log(t), ConvertOptions{FrameCapacity: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +508,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	b := newCLOG(1)
 	b.defState(1, "S", "red")
 	b.state(0, 1, 0, 1, "x")
-	f, _, err := Convert(b.file(), ConvertOptions{})
+	f, _, err := convert(b.log(t), ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +540,7 @@ func TestReadRejectsTruncated(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b.state(0, 1, float64(i), float64(i)+0.5, "cargo")
 	}
-	f, _, err := Convert(b.file(), ConvertOptions{FrameCapacity: 10})
+	f, _, err := convert(b.log(t), ConvertOptions{FrameCapacity: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +587,7 @@ func TestQueryMatchesBruteForceRandomWindows(t *testing.T) {
 			b.recv(dst, rank, int32(i), tm+rng.Float64(), 8)
 		}
 	}
-	f, _, err := Convert(b.file(), ConvertOptions{FrameCapacity: 32})
+	f, _, err := convert(b.log(t), ConvertOptions{FrameCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +648,7 @@ func TestConvertRandomProperty(t *testing.T) {
 					b.event(rank, 1, t0, "")
 				}
 			}
-			f, rep, err := Convert(b.file(), ConvertOptions{FrameCapacity: capacity})
+			f, rep, err := convert(b.log(t), ConvertOptions{FrameCapacity: capacity})
 			if err != nil {
 				t.Fatalf("capacity=%d seed=%d: %v", capacity, seed, err)
 			}
@@ -643,3 +662,6 @@ func TestConvertRandomProperty(t *testing.T) {
 		}
 	}
 }
+
+// Read parses a complete SLOG-2 file.
+func Read(r io.Reader) (*File, error) { return read(r, 0) }

@@ -557,6 +557,3 @@ func Publish(c *Collector) {
 		}))
 	})
 }
-
-// Published returns the collector currently exported via expvar, or nil.
-func Published() *Collector { return publishedC.Load() }

@@ -319,3 +319,6 @@ func BenchmarkSendObserved(b *testing.B) {
 		})
 	}
 }
+
+// Published returns the collector currently exported via expvar, or nil.
+func Published() *Collector { return publishedC.Load() }

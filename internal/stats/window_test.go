@@ -82,7 +82,7 @@ func windowsFor(t *testing.T, path string) [][2]float64 {
 	}
 	tmin, tmax := math.Inf(1), math.Inf(-1)
 	for {
-		b, err := br.Next()
+		b, err := br.NextReuse(nil)
 		if err == io.EOF {
 			break
 		}

@@ -82,15 +82,15 @@ func TestMultiprocLab2Socket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged CLOG-2 missing: %v", err)
 	}
-	cf, err := clog2.Read(f)
+	table, err := clog2.ScanTable(f)
 	f.Close()
 	if err != nil {
 		t.Fatalf("merged CLOG-2 does not parse: %v", err)
 	}
 	// Every rank's stream crossed the wire into the merge.
 	ranksSeen := map[int32]bool{}
-	for _, b := range cf.Blocks {
-		if len(b.Records) > 0 {
+	for _, b := range table.Blocks {
+		if b.Records > 0 {
 			ranksSeen[b.Rank] = true
 		}
 	}
@@ -224,15 +224,15 @@ func TestMultiprocKillRankSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("salvaged CLOG-2 missing: %v", err)
 	}
-	cf, _, err := clog2.ReadLenient(f)
+	table, err := clog2.ScanTable(f)
 	f.Close()
-	if err != nil {
+	if table == nil {
 		t.Fatalf("salvaged CLOG-2 does not parse: %v", err)
 	}
 	victimRecs := 0
-	for _, b := range cf.Blocks {
+	for _, b := range table.Blocks {
 		if b.Rank == victim {
-			victimRecs += len(b.Records)
+			victimRecs += int(b.Records)
 		}
 	}
 	if victimRecs == 0 {

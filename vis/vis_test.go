@@ -303,7 +303,7 @@ func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
 	}
 	// The repository keeps the profile beside the raw log; the verdict
 	// reads the log alone and counts the same records.
-	want, err := analyze.AnalyzeBytes(raw.Bytes(), analyze.Options{})
+	want, err := analyze.Analyze(bytes.NewReader(raw.Bytes()), analyze.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
