@@ -132,9 +132,10 @@ lines:
 # 200 000 drawables with cargo (MB/s, allocs/op: one to write, under four
 # a frame to read); what a pilot-serve tile-cache miss costs (render +
 # ETag + gzip, MB/s and B/op), the full-span tile of 100 000 drawables
-# over 8 ranks as SVG and as JSON (render alone, MB/s and B/op), and the
-# gzip encoder alone over the golden
-# tiles, against compress/gzip at BestSpeed (MB/s, ratio); a 1 % windowed
+# over 8 ranks as SVG and as JSON (render alone, MB/s and B/op), the
+# gzip encoder alone over the golden tiles, against compress/gzip at
+# BestSpeed, and over one large SVG and one large JSON tile (MB/s,
+# ratio), and one JSON tile time against strconv; a 1 % windowed
 # profile through the block
 # table (records decoded and stepped over an op); and the three rows
 # bench/ does not measure yet: a state pair written through to the spill,
@@ -154,7 +155,7 @@ bench bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem $(BENCHTIME) ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem $(BENCHTIME) ./internal/mpe/
 	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved|BenchmarkWindowedProfile' -benchmem $(BENCHTIME) ./internal/stats/
-	$(GO) test -run '^$$' -bench 'BenchmarkColdTile|BenchmarkFullSpanTile|BenchmarkGzip' -benchmem $(BENCHTIME) ./internal/serve/
+	$(GO) test -run '^$$' -bench 'BenchmarkColdTile|BenchmarkFullSpanTile|BenchmarkGzip|BenchmarkTileFloat' -benchmem $(BENCHTIME) ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkCallerLoc' -benchmem $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .
 
@@ -169,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/analyze/ -fuzz FuzzAnalyze -fuzztime 30s
 	$(GO) test ./internal/jumpshot/ -fuzz FuzzAppendFixed -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzGzip -fuzztime 30s
+	$(GO) test ./internal/serve/ -fuzz FuzzTileFloat -fuzztime 30s
 
 # CI fuzz smoke: 5 seconds of coverage-guided fuzzing per target. Go only
 # accepts one -fuzz target per invocation, hence one line per target.
@@ -181,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s ./internal/analyze/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime 5s ./internal/jumpshot/
 	$(GO) test -run '^$$' -fuzz '^FuzzGzip$$' -fuzztime 5s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzTileFloat$$' -fuzztime 5s ./internal/serve/
 
 # The kill/corrupt chaos harness: a real example under RobustLog is
 # SIGKILLed at seeded points, its spill files further damaged, and every

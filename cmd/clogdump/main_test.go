@@ -148,6 +148,49 @@ func TestDumpTornLog(t *testing.T) {
 	}
 }
 
+// The table answers a query from the blocks it selects, so damage in a
+// block it does not select does not reach the answer: on the lab2 copy
+// whose block 1 says 238 records where it holds 15, the rank-0 dump
+// through the table is an intact copy's full scan filtered to rank 0
+// (the copy cut short of its table, which every query scans), while the
+// full scan and -verify, which read block 1, fail.
+func TestIndexedAnswerSkipsUnselectedDamage(t *testing.T) {
+	data, err := os.ReadFile(golden("lab2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := clog2.LoadTable(golden("lab2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := table.Blocks[1]; b.RankMin <= 0 && 0 <= b.RankMax {
+		t.Fatalf("block 1 holds ranks %d..%d: a rank-0 query selects it", b.RankMin, b.RankMax)
+	}
+	dir := t.TempDir()
+	corrupt, scanned := filepath.Join(dir, "corrupt.clog2"), filepath.Join(dir, "scanned.clog2")
+	if err := os.WriteFile(scanned, data[:len(data)-clog2.FooterSize], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data[table.Blocks[1].Offset+4] = 0xee
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dump := func(args ...string) (int, string) {
+		var out bytes.Buffer
+		return run(args, &out, io.Discard), out.String()
+	}
+	code, got := dump("-rank", "0", corrupt)
+	wantCode, want := dump("-rank", "0", scanned)
+	if code != 0 || wantCode != 0 || got != want || !strings.HasSuffix(got, " record(s)\n") {
+		t.Errorf("rank 0 through the table: exit %d, %d bytes; the intact scan: exit %d, %d bytes; want both 0 and equal", code, len(got), wantCode, len(want))
+	}
+	for _, args := range [][]string{{corrupt}, {"-verify", corrupt}} {
+		if code, _ := dump(args...); code != 1 {
+			t.Errorf("clogdump %v on the damaged copy: exit %d, want 1", args[:len(args)-1], code)
+		}
+	}
+}
+
 // A NaN bound compares false with every time, so it used to read as no
 // bound and dump every record; it is refused by name, as an inverted or
 // wrong-side infinite window is, and a window that is only open on one

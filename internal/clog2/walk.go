@@ -14,10 +14,14 @@ import (
 // streaming the whole log — the raw-log analogue of the level-of-detail
 // index SLOG-2 keeps on the render side.
 //
-// The table is strictly an accelerator: every answer computed through it
-// must be identical to the full-scan answer, and Walk degrades to the full
-// scan when a log has no table (an older writer, a cut), when the table
-// fails validation, or when it lies about a block it selected.
+// The table is strictly an accelerator: whenever the full scan of a log
+// succeeds, every answer computed through the table is identical to the
+// full scan's, and Walk degrades to the full scan when a log has no table
+// (an older writer, a cut), when the table fails validation, or when it
+// lies about a block it selected. A query reads only the blocks it
+// selects, so damage in a block it does not select cannot reach its
+// answer, and the answer stands while the full scan fails: that damage
+// is what `clogdump -verify` reports.
 
 // ErrCorrupt wraps Walk's report of a table that validated and then
 // disagreed with a block it selected: the table lies about the log.

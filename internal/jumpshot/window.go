@@ -22,12 +22,12 @@ func (w Window) contains(rank int) bool {
 	return w.AllRanks() || (rank >= w.RankLo && rank <= w.RankHi)
 }
 
-// Tile fetches the drawables of one tile: the time window's drawables in
-// Query's order, cut by the rank window before any is copied. States and
-// events need their own rank inside the window; an arrow stays when
-// either endpoint does, so a tile never shows a message stub without its
-// context.
-func Tile(f *slog2.File, w Window) ([]slog2.State, []slog2.Arrow, []slog2.Event) {
+// Tile fetches the drawables of one tile: refs to the time window's
+// drawables in Query's order, in place in the file's frames, cut by the
+// rank window. States and events need their own rank inside the window;
+// an arrow stays when either endpoint does, so a tile never shows a
+// message stub without its context.
+func Tile(f *slog2.File, w Window) ([]slog2.Ref[*slog2.State], []slog2.Ref[*slog2.Arrow], []slog2.Ref[*slog2.Event]) {
 	states, arrows, events := f.States(w.T0, w.T1), f.Arrows(w.T0, w.T1), f.Events(w.T0, w.T1)
 	if !w.AllRanks() {
 		states = slices.DeleteFunc(states, func(r slog2.Ref[*slog2.State]) bool { return !w.contains(r.D.Rank) })
@@ -36,7 +36,7 @@ func Tile(f *slog2.File, w Window) ([]slog2.State, []slog2.Arrow, []slog2.Event)
 		})
 		events = slices.DeleteFunc(events, func(r slog2.Ref[*slog2.Event]) bool { return !w.contains(r.D.Rank) })
 	}
-	return slog2.Gather(states), slog2.Gather(arrows), slog2.Gather(events)
+	return states, arrows, events
 }
 
 // TileRankOrder lists the ranks a tile's SVG rendering shows, in

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"compress/gzip"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/jumpshot"
 )
 
 // gunzip inflates z through the standard library, failing the test on
@@ -38,17 +41,22 @@ func maxGzipLen(n int) int {
 	return n + n/64 + 18 + 420*blocks
 }
 
+// gzipOf is e's gzip of in, appended to dst.
+func gzipOf(e *gzEncoder, dst, in []byte) []byte {
+	return e.appendGzip(dst, in, crc32.ChecksumIEEE(in))
+}
+
 func checkGzip(t *testing.T, name string, in []byte) []byte {
 	t.Helper()
 	// warm has seen in already: were its stale table entries taken for
 	// live ones, they would all match.
 	var fresh, warm gzEncoder
-	warm.appendGzip(nil, in)
-	z := fresh.appendGzip(nil, in)
+	gzipOf(&warm, nil, in)
+	z := gzipOf(&fresh, nil, in)
 	if out := gunzip(t, z); !bytes.Equal(out, in) {
 		t.Fatalf("%s: %d bytes inflate to %d different bytes", name, len(in), len(out))
 	}
-	if again := warm.appendGzip([]byte("prefix"), in); !bytes.Equal(again[6:], z) {
+	if again := gzipOf(&warm, []byte("prefix"), in); !bytes.Equal(again[6:], z) {
 		t.Fatalf("%s: a reused encoder wrote different bytes", name)
 	}
 	if len(z) > maxGzipLen(len(in)) {
@@ -65,6 +73,14 @@ func randomBytes(seed int64, n int) []byte {
 
 func TestGzipCases(t *testing.T) {
 	sized := func(n int) []byte { return bytes.Repeat([]byte("<rect x=\"12.5\"/>"), n/16+1)[:n] }
+	// Literal runs: random bytes are all literals. 100 000 bytes of text
+	// are 16 literals and 388 matches, so the first block's 16 384 tokens
+	// run out 15 980 bytes into the random run after them. 16 + 3·258
+	// bytes of text end in a match of DEFLATE's longest, 258 bytes, with
+	// a run straight after it.
+	r := randomBytes(8, 20000)
+	closing := append(sized(100000), r...)
+	after258 := append(sized(16+3*258), r[:500]...)
 	for _, c := range []struct {
 		name string
 		in   []byte
@@ -79,6 +95,9 @@ func TestGzipCases(t *testing.T) {
 		{"9 bytes", []byte("abcdabcda")},
 		{"random 1 MiB", randomBytes(1, 1<<20)},
 		{"random then text", append(randomBytes(2, 100000), sized(100000)...)},
+		{"a run longer than a block", randomBytes(7, 70000)},
+		{"a block closing inside a run", closing},
+		{"a run after a 258-byte match", after258},
 	} {
 		checkGzip(t, c.name, c.in)
 	}
@@ -119,8 +138,8 @@ func TestGzipWindowEdge(t *testing.T) {
 func TestGzipForgetsEarlierBodies(t *testing.T) {
 	a, b := []byte("ZabcdEFGH12345678"), []byte("QabcdXXXXabcdEFGH87654321")
 	var fresh, warm gzEncoder
-	warm.appendGzip(nil, a)
-	if !bytes.Equal(warm.appendGzip(nil, b), fresh.appendGzip(nil, b)) {
+	gzipOf(&warm, nil, a)
+	if !bytes.Equal(gzipOf(&warm, nil, b), gzipOf(&fresh, nil, b)) {
 		t.Fatal("a reused encoder took a match from an earlier body")
 	}
 }
@@ -139,7 +158,7 @@ func TestGzipManyBlocks(t *testing.T) {
 		}
 	}
 	var e gzEncoder
-	z := e.appendGzip(nil, in)
+	z := gzipOf(&e, nil, in)
 	if out := gunzip(t, z); !bytes.Equal(out, in) {
 		t.Fatal("a multi-block input does not round-trip")
 	}
@@ -208,7 +227,7 @@ func TestGzipHuffmanLengthLimit(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(lits), func(i, j int) { lits[i], lits[j] = lits[j], lits[i] })
 	lits = lits[:gzBlockTokens-1]
 	var e gzEncoder
-	e.appendGzip(nil, nil) // leaves a block started, its tokens empty
+	gzipOf(&e, nil, nil) // leaves a block started, its tokens empty
 	e.literals(lits)
 	e.writeBlock(1)
 	e.write(0, 7) // out to the byte
@@ -265,7 +284,6 @@ func TestGzipGoldens(t *testing.T) {
 // Concurrent misses each take their own scratch from the free list, and
 // every output is right (run under -race).
 func TestGzipConcurrent(t *testing.T) {
-	var s Server
 	bodies := goldenBodies(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -274,7 +292,7 @@ func TestGzipConcurrent(t *testing.T) {
 			defer wg.Done()
 			for name, body := range bodies {
 				sc := getScratch()
-				cb := s.newCachedBody(sc, body, "text/plain")
+				cb, _ := newCachedBody(sc, body, "text/plain")
 				putScratch(sc)
 				if cb.gz == nil {
 					continue
@@ -304,7 +322,9 @@ func FuzzGzip(f *testing.F) {
 
 // BenchmarkGzip compresses every golden tile and SVG per op: MB/s of
 // input, and the compressed size as a ratio. compress/gzip at BestSpeed,
-// the level the server used before, is the reference row.
+// the level the server used before, is the reference row. The goldens
+// are small and mostly SVG, so the svg and json rows compress one large
+// tile each: the first 10 % of fullSpanFile(100 000 rounds) at zoom 0.
 func BenchmarkGzip(b *testing.B) {
 	bodies := goldenBodies(b)
 	total := 0
@@ -319,7 +339,7 @@ func BenchmarkGzip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := 0
 			for _, body := range bodies {
-				out = e.appendGzip(out[:0], body)
+				out = gzipOf(&e, out[:0], body)
 				n += len(out)
 			}
 			b.ReportMetric(float64(n)/float64(total), "ratio")
@@ -342,4 +362,23 @@ func BenchmarkGzip(b *testing.B) {
 			b.ReportMetric(float64(n)/float64(total), "ratio")
 		}
 	})
+	f := fullSpanFile(b, 100_000)
+	tr := &Trace{ID: "fullspan", File: f}
+	win := jumpshot.Window{T0: f.Start, T1: f.Start + (f.End-f.Start)/10, RankLo: 0, RankHi: -1}
+	for _, format := range []string{"svg", "json"} {
+		body, _, err := renderTile(nil, tr, tileParams{win: win, format: format})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(format, func(b *testing.B) {
+			var e gzEncoder
+			var out []byte
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out = gzipOf(&e, out[:0], body)
+			}
+			b.ReportMetric(float64(len(out))/float64(len(body)), "ratio")
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 
 	"repro/internal/clog2"
@@ -164,15 +165,19 @@ func RenderTileJSON(tr *Trace, win jumpshot.Window) ([]byte, error) {
 // comes back as it was passed.
 func appendTileJSON(dst []byte, tr *Trace, win jumpshot.Window) ([]byte, error) {
 	states, arrows, events := jumpshot.Tile(tr.File, win)
-	j := jsonAppender{b: dst}
+	// Room for the tile in one step, so dst grows at most once more: a
+	// drawable's keys and punctuation, 20 bytes a time and 3 an integer.
+	// Cargo is not counted, as it would take a pass over the drawables.
+	n := 128 + len(tr.ID) + len(states)*(29+2*3+2*20) + len(arrows)*(43+4*3+2*20) + len(events)*(22+2*3+20)
+	j := jsonAppender{b: slices.Grow(dst, n)}
 	j.lit(`{"trace":`).str(tr.ID)
 	j.lit(`,"t0":`).float(win.T0)
 	j.lit(`,"t1":`).float(win.T1)
 	j.lit(`,"r0":`).int(win.RankLo)
 	j.lit(`,"r1":`).int(win.RankHi)
 	j.lit(`,"states":[`)
-	for i := range states {
-		s := &states[i]
+	for i, r := range states {
+		s := r.D
 		j.item(i, `{"rank":`).int(s.Rank)
 		j.lit(`,"cat":`).int(s.Cat)
 		j.lit(`,"t0":`).float(s.Start)
@@ -183,8 +188,8 @@ func appendTileJSON(dst []byte, tr *Trace, win jumpshot.Window) ([]byte, error) 
 		j.lit(`}`)
 	}
 	j.lit(`],"arrows":[`)
-	for i := range arrows {
-		a := &arrows[i]
+	for i, r := range arrows {
+		a := r.D
 		j.item(i, `{"src":`).int(a.SrcRank)
 		j.lit(`,"dst":`).int(a.DstRank)
 		j.lit(`,"t0":`).float(a.Start)
@@ -194,8 +199,8 @@ func appendTileJSON(dst []byte, tr *Trace, win jumpshot.Window) ([]byte, error) 
 		j.lit(`}`)
 	}
 	j.lit(`],"events":[`)
-	for i := range events {
-		e := &events[i]
+	for i, r := range events {
+		e := r.D
 		j.item(i, `{"rank":`).int(e.Rank)
 		j.lit(`,"cat":`).int(e.Cat)
 		j.lit(`,"t":`).float(e.Time)
@@ -239,7 +244,10 @@ func (j *jsonAppender) int(v int) {
 
 // float is encoding/json's float64 rule: shortest 'f', or 'e' below 1e-6
 // and from 1e21 up with a two-digit negative exponent cut to one digit
-// (1e-07 → 1e-7). NaN and ±Inf have no JSON form.
+// (1e-07 → 1e-7). The 'f' digits are jumpshot.AppendShortest's, exact
+// integer arithmetic that leaves strconv only zero and magnitudes from
+// 2^52 up in this range; the 'e' form is strconv's. NaN and ±Inf have no
+// JSON form.
 func (j *jsonAppender) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if j.err == nil {
@@ -247,12 +255,12 @@ func (j *jsonAppender) float(f float64) {
 		}
 		return
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		j.b = jumpshot.AppendShortest(j.b, f)
+		return
 	}
-	j.b = strconv.AppendFloat(j.b, f, format, -1, 64)
-	if n := len(j.b); format == 'e' && j.b[n-4] == 'e' && j.b[n-3] == '-' && j.b[n-2] == '0' {
+	j.b = strconv.AppendFloat(j.b, f, 'e', -1, 64)
+	if n := len(j.b); j.b[n-4] == 'e' && j.b[n-3] == '-' && j.b[n-2] == '0' {
 		j.b[n-2] = j.b[n-1]
 		j.b = j.b[:n-1]
 	}

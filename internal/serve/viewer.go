@@ -7,7 +7,7 @@ import "net/http"
 // endpoint, with the legend table alongside — the Jumpshot experience
 // over HTTP, no assets beyond this page.
 func (s *Server) handleViewer(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, r, "text/html; charset=utf-8", etagOf(viewerHTML), viewerHTML)
+	s.writeBody(w, r, "text/html; charset=utf-8", viewerHTML)
 }
 
 var viewerHTML = []byte(`<!DOCTYPE html>
