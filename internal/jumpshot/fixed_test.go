@@ -13,10 +13,10 @@ var pow10 = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1,
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
 // checkFixed compares appendFixed with strconv at both precisions the
-// renderer uses.
+// renderer uses, and at -1, the shortest form AppendShortest writes.
 func checkFixed(t testing.TB, x float64) {
 	t.Helper()
-	for _, prec := range []int{1, 6} {
+	for _, prec := range []int{1, 6, -1} {
 		want := strconv.AppendFloat(nil, x, 'f', prec, 64)
 		if got := appendFixed(nil, x, prec); string(got) != string(want) {
 			t.Fatalf("appendFixed(%b = %g, %d) = %q, strconv has %q", x, x, prec, got, want)
@@ -34,7 +34,7 @@ func FuzzAppendFixed(f *testing.F) {
 		0.9999996, 0.99999949, 9.9999995, 74, 1186, 1185.95, 123456.789, 1e-5, 9e-6, 1e-6,
 		9.99e-7, 1e-7, 1e-300, 5e-324, 2.2250738585072014e-308, 1e11, 99999999999.95,
 		1e12, 1e14, 999999999999999.9, 1e15, 1e16, 1e22, 1e300, math.MaxFloat64,
-		math.NaN(), math.Inf(1), math.Inf(-1)}
+		0x1p-20, 0x1p-21, 0x1p52, 0x1p52 - 0.5, 0x1p52 + 1, math.NaN(), math.Inf(1), math.Inf(-1)}
 	for i := range pow10 {
 		seeds = append(seeds, pow10[i], math.Nextafter(pow10[i], 0), math.Nextafter(pow10[i], 2*pow10[i]))
 	}
@@ -45,10 +45,17 @@ func FuzzAppendFixed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, x float64) { checkFixed(t, x) })
 }
 
-// TestAppendFixedRandom sweeps what the fuzz seeds cannot: a million
+// TestAppendFixedRandom sweeps what the fuzz seeds cannot: every power
+// of two either side of shortest's range with both neighbours, a million
 // values spread evenly over the exponents a drawing produces, and halves
 // of the last place on short decimals.
 func TestAppendFixedRandom(t *testing.T) {
+	for e := -30; e <= 60; e++ {
+		x := math.Ldexp(1, e)
+		checkFixed(t, x)
+		checkFixed(t, math.Nextafter(x, 0))
+		checkFixed(t, math.Nextafter(x, math.Inf(1)))
+	}
 	rng := rand.New(rand.NewSource(16))
 	n := 1_000_000
 	if testing.Short() {
