@@ -59,13 +59,14 @@ smoke-multiproc:
 # golden traces (ephemeral port), built the way README's "Serving
 # traces" says (the raw logs copied in), and run its end-to-end self-test
 # — tiles byte-agree with a direct Query+render, legend/search answer,
-# ETag revalidation 304s, windowed profiles and verdicts answer from the
-# raw logs, and hostile requests get HTTP errors instead of killing the
-# server. Nothing may write a ".idx" into the repository.
+# ETag revalidation 304s, each profile is its raw log's byte for byte,
+# windowed profiles and verdicts answer from the raw logs, and hostile
+# requests get HTTP errors instead of killing the server. Nothing may
+# write a ".idx" into the repository.
 smoke-serve:
 	rm -rf out/serve-repo
 	@mkdir -p out/serve-repo
-	cp testdata/golden/*.slog2 testdata/golden/*.profile.json testdata/golden/*.clog2 out/serve-repo/
+	cp testdata/golden/*.slog2 testdata/golden/*.clog2 out/serve-repo/
 	$(GO) run ./cmd/pilot-serve -repo out/serve-repo -smoke -q
 	test -z "$$(find out/serve-repo -name '*.idx')"
 

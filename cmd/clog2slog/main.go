@@ -26,10 +26,9 @@ func main() {
 	workers := flag.Int("workers", 0, "conversion worker-pool size (0 = one per CPU)")
 	out := flag.String("o", "", "output path (default: input with .slog2 suffix)")
 	quiet := flag.Bool("q", false, "suppress per-warning output")
-	profile := flag.Bool("profile", false, "also write a stats profile next to the SLOG-2 (*.profile.json)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: clog2slog [-framesize N] [-workers N] [-o out.slog2] [-profile] in.clog2")
+		fmt.Fprintln(os.Stderr, "usage: clog2slog [-framesize N] [-workers N] [-o out.slog2] in.clog2")
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
@@ -49,19 +48,6 @@ func main() {
 	}
 	fmt.Printf("%s: %d states, %d arrows, %d events over [%.6f, %.6f]s, %d ranks -> %s\n",
 		in, rep.States, rep.Arrows, rep.Events, f.Start, f.End, f.NumRanks, dst)
-	if *profile {
-		p, err := vis.ComputeProfileFile(in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		pp := vis.ProfilePath(dst)
-		if err := p.WriteJSON(pp); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("profile -> %s\n", pp)
-	}
 	if !*quiet {
 		for _, w := range rep.Warnings {
 			fmt.Fprintf(os.Stderr, "warning: %s\n", w)

@@ -1,10 +1,11 @@
 // Command pilot-serve hosts a repository of SLOG-2 traces over HTTP:
 // tile queries (time×rank window at a zoom level, JSON or SVG) answered
 // by walking only the frames intersecting the viewport, the legend and
-// search endpoints, the .profile.json sidecars, and a built-in browser
-// viewer at /. Production posture: LRU caches with singleflight
-// collapse, ETag revalidation, gzip, graceful shutdown on
-// SIGINT/SIGTERM, expvar at /debug/vars and pprof at /debug/pprof/.
+// search endpoints, the profile and verdict of each trace's registered
+// raw CLOG-2, and a built-in browser viewer at /. Production posture:
+// LRU caches with singleflight collapse, ETag revalidation, gzip,
+// graceful shutdown on SIGINT/SIGTERM, expvar at /debug/vars and pprof
+// at /debug/pprof/.
 //
 // Usage:
 //
@@ -14,9 +15,10 @@
 // -smoke starts the server on an ephemeral port, runs an end-to-end
 // client check (tiles byte-agree with a direct render, legend, search,
 // ETag revalidation, corrupt-file handling, and for every trace with a
-// registered raw log a windowed profile and verdict; every reply fetched
-// as gzip and as identity, the one inflating to the other), then exits;
-// it is what `make smoke-serve` runs against the golden traces.
+// registered raw log its profile, byte for byte the log's own, and a
+// windowed profile and verdict; every reply fetched as gzip and as
+// identity, the one inflating to the other), then exits; it is what
+// `make smoke-serve` runs against the golden traces.
 package main
 
 import (
@@ -38,6 +40,7 @@ import (
 	"repro/internal/jumpshot"
 	"repro/internal/serve"
 	"repro/internal/slog2"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -213,7 +216,24 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 			ok := []string{tileURL + "&format=svg&zoom=1", "/trace/" + info.ID + "/legend", "/search?trace=" + info.ID + "&limit=3"}
 			windowed := []string{"tile", "legend"}
 			if info.HasClog {
-				// A registered raw log answers the windowed half of the API.
+				// A registered raw log answers the profile, which is its own
+				// byte for byte, and the windowed half of the API.
+				p, err := stats.ComputeProfileFile(filepath.Join(repoDir, info.ID+".clog2"))
+				if err != nil {
+					return fmt.Errorf("%s: direct profile: %v", info.ID, err)
+				}
+				want, err := p.JSON()
+				if err != nil {
+					return err
+				}
+				resp, body, err := get("/trace/"+info.ID+"/profile", nil)
+				if err != nil {
+					return err
+				}
+				if resp.StatusCode != 200 || !bytes.Equal(body, want) {
+					return fmt.Errorf("%s: profile (status %d, %d bytes) differs from the log's (%d bytes)",
+						info.ID, resp.StatusCode, len(body), len(want))
+				}
 				window := fmt.Sprintf("?t0=%v&t1=%v", win.T0, win.T1)
 				ok = append(ok, "/trace/"+info.ID+"/profile"+window, "/trace/"+info.ID+"/analyze"+window)
 				windowed = append(windowed, "profile", "analyze")

@@ -393,31 +393,39 @@ func TestStatsCrossValidation(t *testing.T) {
 	})
 }
 
-// The profile sidecar hook: PipelineWithProfile drops a *.profile.json
-// next to the SLOG-2 whose channel totals match the trace.
-func TestPipelineWithProfile(t *testing.T) {
+// The repository layout PipelineToRepo registers: the raw log copied
+// byte for byte, the SLOG-2 beside it, and the log's profile as
+// <id>.profile.json (vis.ProfilePath), whose channel totals match the trace.
+func TestPipelineToRepoLayout(t *testing.T) {
 	dir := t.TempDir()
-	clog := filepath.Join(dir, "run.clog2")
+	clog := filepath.Join(t.TempDir(), "run.clog2")
 	runLab2Golden(t, clog)
-	slog := filepath.Join(dir, "run.slog2")
-	_, _, p, err := vis.PipelineWithProfile(clog, slog, "", vis.ConvertOptions{}, vis.View{})
+	_, _, p, err := vis.PipelineToRepo(clog, dir, "run", vis.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied, err := os.ReadFile(filepath.Join(dir, "run.clog2")); err != nil || !bytes.Equal(copied, raw) {
+		t.Fatalf("raw log not registered byte for byte (%v)", err)
+	}
+	slog := filepath.Join(dir, "run.slog2")
 	sidecar := vis.ProfilePath(slog)
 	if sidecar != filepath.Join(dir, "run.profile.json") {
-		t.Fatalf("sidecar path = %s", sidecar)
+		t.Fatalf("profile path = %s", sidecar)
 	}
 	onDisk, err := os.ReadFile(sidecar)
 	if err != nil {
-		t.Fatalf("profile sidecar not written: %v", err)
+		t.Fatalf("profile not written: %v", err)
 	}
 	want, err := p.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(onDisk, want) {
-		t.Error("sidecar JSON differs from the returned profile")
+		t.Error("profile JSON differs from the returned profile")
 	}
 	if p.Totals.Sends == 0 {
 		t.Error("profile saw no traffic")

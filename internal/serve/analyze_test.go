@@ -3,7 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"math"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -153,43 +153,29 @@ func TestAnalyzeErrorMapping(t *testing.T) {
 	}
 }
 
-// Repo.AnalyzeJSON validates ids and windows like every repo entry
-// point.
-func TestRepoAnalyzeJSON(t *testing.T) {
+// Repo.rawLog is the one lookup of a registered raw log behind /profile
+// and /analyze: it validates the id, answers ErrNotFound for a trace
+// without a log, and fingerprints the log it finds; IndexStatus names the
+// state of that log's block table.
+func TestRepoRawLog(t *testing.T) {
 	repo, err := NewRepo(goldenDir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.AnalyzeJSON("../evil", math.Inf(-1), math.Inf(1)); err != ErrBadID {
+	if _, _, err := repo.rawLog("../evil"); err != ErrBadID {
 		t.Fatalf("bad id error %v", err)
 	}
-	if _, err := repo.ClogGen("../evil"); err != ErrBadID {
-		t.Fatalf("ClogGen bad id error %v", err)
+	if _, _, err := repo.rawLog("absent"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a trace without a log: error %v, want ErrNotFound", err)
 	}
-	gen, err := repo.ClogGen("lab2")
-	if err != nil || gen == "" {
-		t.Fatalf("ClogGen: %q, %v", gen, err)
+	path, gen, err := repo.rawLog("lab2")
+	if err != nil || path != filepath.Join(goldenDir, "lab2.clog2") || gen == "" {
+		t.Fatalf("rawLog: %q, %q, %v", path, gen, err)
 	}
-	body, err := repo.AnalyzeJSON("lab2", math.Inf(-1), math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
+	if status := repo.IndexStatus("collisions"); status != "ok" {
+		t.Errorf("IndexStatus = %q, want ok", status)
 	}
-	var rep analyze.Report
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatal(err)
-	}
-	// The repo layout puts the profile sidecar next to the raw log; the
-	// verdict reads the log alone.
-	f, err := os.Open(filepath.Join(goldenDir, "lab2.clog2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want, err := analyze.Analyze(f, analyze.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantJSON, _ := want.JSON(); !bytes.Equal(body, wantJSON) {
-		t.Fatalf("repo verdict differs from the log's:\n%s", body)
+	if status := repo.IndexStatus("absent"); status != "" {
+		t.Errorf("IndexStatus of a trace without a log = %q, want none", status)
 	}
 }

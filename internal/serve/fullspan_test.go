@@ -15,6 +15,11 @@ import (
 // and a MsgArrival event after it.
 func fullSpanFile(tb testing.TB, n int) *slog2.File {
 	tb.Helper()
+	return convertRanks(tb, fullSpanRecords(n))
+}
+
+// fullSpanRecords is fullSpanFile's log as each rank's records.
+func fullSpanRecords(n int) [][]clog2.Record {
 	const ranks = 8
 	cargo := func(t float64, rank, id int32, text string) clog2.Record {
 		r := clog2.Record{Type: clog2.RecCargoEvt, Time: t, Rank: rank, ID: id}
@@ -39,8 +44,15 @@ func fullSpanFile(tb testing.TB, n int) *slog2.File {
 			clog2.Record{Type: clog2.RecMsgEvt, Time: t + 6e-6, Rank: dst, Dir: clog2.DirRecv, Aux1: src, Aux2: src % 4, Aux3: 256},
 			cargo(t+7e-6, dst, 7, ""), cargo(t+8e-6, dst, 1<<20+1, "chan: C3"))
 	}
+	return recs
+}
+
+// convertRanks writes each rank's records as one block of a CLOG-2 log and
+// converts it.
+func convertRanks(tb testing.TB, recs [][]clog2.Record) *slog2.File {
+	tb.Helper()
 	var log bytes.Buffer
-	w, err := clog2.NewWriter(&log, ranks)
+	w, err := clog2.NewWriter(&log, len(recs))
 	for rank, rs := range recs {
 		if err == nil {
 			err = w.WriteBlock(int32(rank), rs)

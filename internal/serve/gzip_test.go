@@ -14,7 +14,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clog2"
 	"repro/internal/jumpshot"
+	"repro/internal/slog2"
 )
 
 // gunzip inflates z through the standard library, failing the test on
@@ -325,6 +327,13 @@ func FuzzGzip(f *testing.F) {
 // the level the server used before, is the reference row. The goldens
 // are small and mostly SVG, so the svg and json rows compress one large
 // tile each: the first 10 % of fullSpanFile(100 000 rounds) at zoom 0.
+// Their times are short decimals (0.07768), so literals are 1.1 % and
+// 0.8 % of their bytes (29 833 literal tokens in the json tile's 3 809 544
+// bytes). The json-jittered row is the json tile of the same log with
+// every record's time moved by a seeded jitter under 0.1 µs, so that each
+// time carries full precision: 25.4 % of its bytes are literals (1 080 068
+// of 4 245 747, the literal tokens writeBlock emits over the body's bytes),
+// so it times the literal runs the other rows barely reach.
 func BenchmarkGzip(b *testing.B) {
 	bodies := goldenBodies(b)
 	total := 0
@@ -362,15 +371,31 @@ func BenchmarkGzip(b *testing.B) {
 			b.ReportMetric(float64(n)/float64(total), "ratio")
 		}
 	})
-	f := fullSpanFile(b, 100_000)
-	tr := &Trace{ID: "fullspan", File: f}
-	win := jumpshot.Window{T0: f.Start, T1: f.Start + (f.End-f.Start)/10, RankLo: 0, RankHi: -1}
-	for _, format := range []string{"svg", "json"} {
-		body, _, err := renderTile(nil, tr, tileParams{win: win, format: format})
+	recs := fullSpanRecords(100_000)
+	plain := convertRanks(b, recs)
+	rng := rand.New(rand.NewSource(1))
+	for _, rs := range recs {
+		for i := range rs {
+			if rs[i].Type == clog2.RecCargoEvt || rs[i].Type == clog2.RecMsgEvt {
+				rs[i].Time += rng.Float64() * 1e-7
+			}
+		}
+	}
+	for _, row := range []struct {
+		name, format string
+		f            *slog2.File
+	}{
+		{"svg", "svg", plain},
+		{"json", "json", plain},
+		{"json-jittered", "json", convertRanks(b, recs)},
+	} {
+		f := row.f
+		win := jumpshot.Window{T0: f.Start, T1: f.Start + (f.End-f.Start)/10, RankLo: 0, RankHi: -1}
+		body, _, err := renderTile(nil, &Trace{ID: "fullspan", File: f}, tileParams{win: win, format: row.format})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(format, func(b *testing.B) {
+		b.Run(row.name, func(b *testing.B) {
 			var e gzEncoder
 			var out []byte
 			b.SetBytes(int64(len(body)))

@@ -1,12 +1,12 @@
 // Package serve is the trace-tile HTTP service behind pilot-serve: a
-// long-lived server hosting a repository of SLOG-2 traces (plus their
-// .profile.json sidecars) and answering tile queries — time window ×
-// rank window at a zoom level — by walking only the frames that
-// intersect the viewport, exactly the level-of-detail access pattern
-// the SLOG-2 frame tree exists for. Production posture: compute-once
-// LRU caches over decoded files and rendered tiles (memo), ETag
-// revalidation and gzip on the wire, graceful shutdown, and
-// expvar/pprof observability.
+// long-lived server hosting a repository of SLOG-2 traces (plus the raw
+// CLOG-2 logs their profiles and verdicts are computed from) and
+// answering tile queries — time window × rank window at a zoom level —
+// by walking only the frames that intersect the viewport, exactly the
+// level-of-detail access pattern the SLOG-2 frame tree exists for.
+// Production posture: compute-once LRU caches over decoded files and
+// rendered bodies (memo), ETag revalidation and gzip on the wire,
+// graceful shutdown, and expvar/pprof observability.
 package serve
 
 import (
@@ -19,10 +19,8 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/analyze"
 	"repro/internal/clog2"
 	"repro/internal/slog2"
-	"repro/internal/stats"
 )
 
 // Errors the HTTP layer maps onto status codes.
@@ -37,12 +35,9 @@ var (
 	ErrCorrupt = errors.New("serve: corrupt trace")
 )
 
-// maxProfileSidecar caps how much profile JSON the server will buffer.
-const maxProfileSidecar = 64 << 20
-
 // Repo is the trace repository: a directory of <id>.slog2 files and
-// optional <id>.profile.json sidecars, fronted by a memo of decoded
-// files so a thundering herd on a cold trace costs one decode.
+// the raw <id>.clog2 logs registered beside them, fronted by a memo of
+// decoded files so a thundering herd on a cold trace costs one decode.
 type Repo struct {
 	dir    string
 	traces *memo[*Trace] // id+"\x00"+generation -> *Trace
@@ -84,12 +79,11 @@ type Trace struct {
 // TraceInfo is one /traces listing row: cheap stat-level facts, no
 // decode.
 type TraceInfo struct {
-	ID         string `json:"id"`
-	SizeBytes  int64  `json:"size_bytes"`
-	ModTime    string `json:"mod_time"`
-	HasProfile bool   `json:"has_profile"`
+	ID        string `json:"id"`
+	SizeBytes int64  `json:"size_bytes"`
+	ModTime   string `json:"mod_time"`
 	// HasClog reports a registered raw CLOG-2 next to the trace — the
-	// prerequisite for windowed (t0/t1) profile queries.
+	// prerequisite for profile and verdict queries.
 	HasClog bool `json:"has_clog"`
 	// Index is the state of the raw log's block table (IndexStatus: "ok",
 	// "degraded"); empty when there is no raw log.
@@ -128,12 +122,10 @@ func (r *Repo) List() ([]TraceInfo, error) {
 		if err != nil {
 			continue
 		}
-		_, perr := os.Stat(r.profilePath(id))
 		ti := TraceInfo{
-			ID:         id,
-			SizeBytes:  info.Size(),
-			ModTime:    info.ModTime().UTC().Format("2006-01-02T15:04:05Z"),
-			HasProfile: perr == nil,
+			ID:        id,
+			SizeBytes: info.Size(),
+			ModTime:   info.ModTime().UTC().Format("2006-01-02T15:04:05Z"),
 		}
 		ti.Index = r.IndexStatus(id)
 		ti.HasClog = ti.Index != ""
@@ -143,9 +135,8 @@ func (r *Repo) List() ([]TraceInfo, error) {
 	return out, nil
 }
 
-func (r *Repo) tracePath(id string) string   { return filepath.Join(r.dir, id+".slog2") }
-func (r *Repo) profilePath(id string) string { return filepath.Join(r.dir, id+".profile.json") }
-func (r *Repo) clogPath(id string) string    { return filepath.Join(r.dir, id+".clog2") }
+func (r *Repo) tracePath(id string) string { return filepath.Join(r.dir, id+".slog2") }
+func (r *Repo) clogPath(id string) string  { return filepath.Join(r.dir, id+".clog2") }
 
 // IndexStatus is the state of the block table of id's registered raw
 // CLOG-2, validated as every reader does (clog2.LoadTable: about 64 bytes
@@ -164,66 +155,22 @@ func (r *Repo) IndexStatus(id string) string {
 	return "ok"
 }
 
-// WindowedProfile computes a profile of id's raw CLOG-2 restricted to
-// the time window [t0, t1], through the log's block table when it has a
-// valid one (the returned bool reports which path answered). Traces registered
-// without a raw log cannot answer windowed queries — ErrNotFound.
-func (r *Repo) WindowedProfile(id string, t0, t1 float64) (*stats.Profile, bool, error) {
+// rawLog returns the path of id's registered raw CLOG-2 and its
+// generation (mtime+size), the cache key of everything computed from it.
+// ErrNotFound when the trace was registered without a raw log.
+func (r *Repo) rawLog(id string) (path, gen string, err error) {
 	if !validID(id) {
-		return nil, false, ErrBadID
+		return "", "", ErrBadID
 	}
-	path := r.clogPath(id)
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, fmt.Errorf("%w: %s has no raw log registered", ErrNotFound, id)
-		}
-		return nil, false, err
-	}
-	p, usedIndex, err := stats.ComputeProfileFileWindowed(path, t0, t1)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
-	}
-	return p, usedIndex, nil
-}
-
-// ClogGen fingerprints id's registered raw CLOG-2 (mtime+size), the
-// cache-key generation for analysis results. ErrNotFound when the
-// trace was registered without a raw log.
-func (r *Repo) ClogGen(id string) (string, error) {
-	if !validID(id) {
-		return "", ErrBadID
-	}
-	info, err := os.Stat(r.clogPath(id))
+	path = r.clogPath(id)
+	info, err := os.Stat(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return "", fmt.Errorf("%w: %s has no raw log registered", ErrNotFound, id)
+			return "", "", fmt.Errorf("%w: %s has no raw log registered", ErrNotFound, id)
 		}
-		return "", err
+		return "", "", err
 	}
-	return fmt.Sprintf("%d-%d", info.ModTime().UnixNano(), info.Size()), nil
-}
-
-// AnalyzeJSON runs the pathology analyzer over id's registered raw
-// CLOG-2 restricted to [t0, t1] (math.Inf bounds for the whole run)
-// and returns the verdict report as JSON. The verdict reads the raw log
-// alone, never the trace's .profile.json; a window goes through the log's
-// block table, like every other raw-log consumer.
-func (r *Repo) AnalyzeJSON(id string, t0, t1 float64) ([]byte, error) {
-	if !validID(id) {
-		return nil, ErrBadID
-	}
-	path := r.clogPath(id)
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s has no raw log registered", ErrNotFound, id)
-		}
-		return nil, err
-	}
-	rep, err := analyze.AnalyzeFileWindowed(path, t0, t1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
-	}
-	return rep.JSON()
+	return path, fmt.Sprintf("%d-%d", info.ModTime().UnixNano(), info.Size()), nil
 }
 
 // Open returns the decoded trace for id, via the memo: concurrent cold
@@ -249,22 +196,4 @@ func (r *Repo) Open(id string) (*Trace, error) {
 		return &Trace{ID: id, File: f, Gen: gen}, nil
 	})
 	return tr, err
-}
-
-// Profile returns the raw profile sidecar JSON for id, or ErrNotFound.
-func (r *Repo) Profile(id string) ([]byte, error) {
-	if !validID(id) {
-		return nil, ErrBadID
-	}
-	info, err := os.Stat(r.profilePath(id))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s profile", ErrNotFound, id)
-		}
-		return nil, err
-	}
-	if info.Size() > maxProfileSidecar {
-		return nil, fmt.Errorf("%w: %s profile sidecar is %d bytes", ErrCorrupt, id, info.Size())
-	}
-	return os.ReadFile(r.profilePath(id))
 }

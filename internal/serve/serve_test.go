@@ -704,8 +704,14 @@ func TestTracesMetaProfileViewer(t *testing.T) {
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 3 || list[0].ID != "collisions" || !list[0].HasProfile {
+	if len(list) != 3 || list[0].ID != "collisions" {
 		t.Fatalf("listing %+v", list)
+	}
+	// Every listed trace's profile is its log's.
+	for _, ti := range list {
+		if resp, body := get(t, ts.URL+"/trace/"+ti.ID+"/profile", nil); resp.StatusCode != 200 || !bytes.Equal(body, logProfileJSON(t, goldenDir, ti.ID)) {
+			t.Fatalf("%s: profile (status %d) is not its log's", ti.ID, resp.StatusCode)
+		}
 	}
 
 	resp, body = get(t, ts.URL+"/trace/lab2", nil)
@@ -716,7 +722,7 @@ func TestTracesMetaProfileViewer(t *testing.T) {
 	if err := json.Unmarshal(body, &meta); err != nil {
 		t.Fatal(err)
 	}
-	if meta.NumRanks < 2 || len(meta.Categories) == 0 || !meta.HasProfile {
+	if meta.NumRanks < 2 || len(meta.Categories) == 0 || !meta.HasClog {
 		t.Fatalf("meta %+v", meta)
 	}
 
@@ -724,12 +730,8 @@ func TestTracesMetaProfileViewer(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("profile: status %d", resp.StatusCode)
 	}
-	disk, err := os.ReadFile(filepath.Join(goldenDir, "lab2.profile.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, disk) {
-		t.Fatal("served profile differs from sidecar")
+	if !bytes.Equal(body, logProfileJSON(t, goldenDir, "lab2")) {
+		t.Fatal("served profile differs from the log's")
 	}
 
 	resp, body = get(t, ts.URL+"/", nil)

@@ -21,7 +21,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analyze"
 	"repro/internal/jumpshot"
+	"repro/internal/stats"
 )
 
 // defaultTileCacheBytes is the tile cache's budget when Config leaves it
@@ -63,9 +65,9 @@ type Server struct {
 	tileBytesGz    atomic.Int64
 	tileRenderNs   atomic.Int64
 	tileCompressNs atomic.Int64
-	// windowed-profile accounting: how many t0/t1 profile queries ran,
-	// and how many of those the block table answered (the rest fell
-	// back to the full streaming scan).
+	// profile accounting: profiles actually computed (cache misses that
+	// did real work, at any window), and how many of those the block
+	// table answered (the rest fell back to the full streaming scan).
 	profilesWindowed atomic.Int64
 	profilesIndexed  atomic.Int64
 	// analysis accounting: verdict reports actually computed (cache
@@ -465,9 +467,8 @@ type traceMetaJSON struct {
 	Depth      int               `json:"tree_depth"`
 	Categories []legendEntryJSON `json:"categories"`
 	Warnings   []string          `json:"warnings,omitempty"`
-	HasProfile bool              `json:"has_profile"`
 	// HasClog/Index surface the raw log and its block table: whether
-	// windowed (t0/t1) profile queries are possible and whether they will
+	// profile and verdict queries are possible and whether a window will
 	// go through the table ("ok") or degrade to a full scan ("degraded").
 	HasClog bool   `json:"has_clog"`
 	Index   string `json:"index,omitempty"`
@@ -490,9 +491,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 			kind = "event"
 		}
 		meta.Categories = append(meta.Categories, legendEntryJSON{Name: c.Name, Color: c.Color, Kind: kind})
-	}
-	if _, perr := s.repo.Profile(tr.ID); perr == nil {
-		meta.HasProfile = true
 	}
 	meta.Index = s.repo.IndexStatus(tr.ID)
 	meta.HasClog = meta.Index != ""
@@ -551,66 +549,62 @@ func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, r, "application/json; charset=utf-8", body)
 }
 
+// handleProfile serves the profile of a trace's registered raw CLOG-2
+// over the request's window: what pilot-profile -json prints for it.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Get("t0") == "" && q.Get("t1") == "" {
-		// Whole-run profile: serve the precomputed sidecar JSON.
-		body, err := s.repo.Profile(r.PathValue("id"))
+	s.serveFromLog(w, r, "profile", func(path string, t0, t1 float64) ([]byte, error) {
+		p, usedIndex, err := stats.ComputeProfileFileWindowed(path, t0, t1)
 		if err != nil {
-			s.fail(w, r, err)
-			return
+			return nil, err
 		}
-		s.writeBody(w, r, "application/json; charset=utf-8", body)
-		return
-	}
-	// Windowed profile: recompute from the registered raw CLOG-2,
-	// through its block table when it has a valid one.
-	t0, t1 := math.Inf(-1), math.Inf(1)
-	if err := queryWindow(q, "t0", "t1", &t0, &t1); err != nil {
-		s.failBadRequest(w, r, err)
-		return
-	}
-	p, usedIndex, err := s.repo.WindowedProfile(r.PathValue("id"), t0, t1)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	s.profilesWindowed.Add(1)
-	if usedIndex {
-		s.profilesIndexed.Add(1)
-	}
-	body, err := p.JSON()
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	s.writeBody(w, r, "application/json; charset=utf-8", body)
+		s.profilesWindowed.Add(1)
+		if usedIndex {
+			s.profilesIndexed.Add(1)
+		}
+		return p.JSON()
+	})
 }
 
-// handleAnalyze serves the pathology-analysis verdict for a trace's
-// registered raw CLOG-2, with the same cache posture as tiles: results
-// live in the rendered-body memo keyed by the raw log's generation (a
-// re-registered trace invalidates naturally), concurrent cold misses
-// compute once, and the body goes out with ETag revalidation and gzip.
+// handleAnalyze serves the pathology-analysis verdict of a trace's
+// registered raw CLOG-2 over the request's window.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	t0, t1 := math.Inf(-1), math.Inf(1)
-	if err := queryWindow(r.URL.Query(), "t0", "t1", &t0, &t1); err != nil {
-		s.failBadRequest(w, r, err)
-		return
-	}
-	gen, err := s.repo.ClogGen(id)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	key := fmt.Sprintf("analyze\x00%s\x00%s\x00%g\x00%g", id, gen, t0, t1)
-	cb, shared, err := s.tiles.get(key, func() (*cachedBody, error) {
-		body, err := s.repo.AnalyzeJSON(id, t0, t1)
+	if s.serveFromLog(w, r, "analyze", func(path string, t0, t1 float64) ([]byte, error) {
+		rep, err := analyze.AnalyzeFileWindowed(path, t0, t1)
 		if err != nil {
 			return nil, err
 		}
 		s.analyzesComputed.Add(1)
+		return rep.JSON()
+	}) {
+		s.analyzesShared.Add(1)
+	}
+}
+
+// serveFromLog answers a route computed from a trace's registered raw
+// CLOG-2 alone, over the window t0/t1 (no bound is ±Inf), with the same
+// cache posture as tiles: the body lives in the rendered-body memo keyed
+// on the route, the log's generation and the window, so a repeat
+// computes nothing and a rewritten log computes again; concurrent cold
+// misses compute once, and the body goes out with ETag revalidation and
+// gzip. It reports whether the reply waited on another request's compute.
+func (s *Server) serveFromLog(w http.ResponseWriter, r *http.Request, route string, compute func(path string, t0, t1 float64) ([]byte, error)) bool {
+	id := r.PathValue("id")
+	t0, t1 := math.Inf(-1), math.Inf(1)
+	if err := queryWindow(r.URL.Query(), "t0", "t1", &t0, &t1); err != nil {
+		s.failBadRequest(w, r, err)
+		return false
+	}
+	path, gen, err := s.repo.rawLog(id)
+	if err != nil {
+		s.fail(w, r, err)
+		return false
+	}
+	key := fmt.Sprintf("%s\x00%s\x00%s\x00%g\x00%g", route, id, gen, t0, t1)
+	cb, shared, err := s.tiles.get(key, func() (*cachedBody, error) {
+		body, err := compute(path, t0, t1)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
+		}
 		sc := getScratch()
 		cb, _ := newCachedBody(sc, body, "application/json; charset=utf-8")
 		putScratch(sc)
@@ -618,12 +612,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.fail(w, r, err)
-		return
-	}
-	if shared {
-		s.analyzesShared.Add(1)
+		return false
 	}
 	s.writeCached(w, r, cb)
+	return shared
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

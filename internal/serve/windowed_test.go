@@ -3,20 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/clog2"
 	"repro/internal/stats"
 )
 
-// stageTrace copies one golden trace (slog2 + profile + raw clog) into
-// dir so sabotage of the log's table cannot touch the committed goldens.
+// stageTrace copies one golden trace (slog2 + raw clog) into dir so
+// sabotage of the log's table cannot touch the committed goldens.
 func stageTrace(t *testing.T, dir, id string) {
 	t.Helper()
-	for _, suffix := range []string{".slog2", ".profile.json", ".clog2"} {
+	for _, suffix := range []string{".slog2", ".clog2"} {
 		data, err := os.ReadFile(filepath.Join(goldenDir, id+suffix))
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestWindowedProfileEndpoint(t *testing.T) {
 
 func TestWindowedProfileWithoutClog(t *testing.T) {
 	dir := t.TempDir()
-	// Stage only the rendered artifacts — no raw log.
+	// Stage the rendered trace and a profile beside it, but no raw log.
 	for _, suffix := range []string{".slog2", ".profile.json"} {
 		data, err := os.ReadFile(filepath.Join(goldenDir, "thumbnail"+suffix))
 		if err != nil {
@@ -146,42 +146,121 @@ func TestWindowedProfileWithoutClog(t *testing.T) {
 		t.Errorf("clog-less meta = has_clog %v, index %q", meta.HasClog, meta.Index)
 	}
 
-	// The plain profile still serves from its sidecar JSON...
-	resp, _ = get(t, ts.URL+"/trace/thumbnail/profile", nil)
-	if resp.StatusCode != 200 {
-		t.Fatalf("plain profile: status %d", resp.StatusCode)
-	}
-	// ...but a windowed query needs the raw log: 404.
-	resp, _ = get(t, ts.URL+"/trace/thumbnail/profile?t0=0&t1=1", nil)
-	if resp.StatusCode != 404 {
-		t.Errorf("windowed profile without clog: status %d, want 404", resp.StatusCode)
+	// Every profile is the raw log's, so without it the plain profile is a
+	// 404 like a windowed one: the .profile.json beside the trace is not read.
+	for _, query := range []string{"", "?t0=0&t1=1"} {
+		if resp, _ = get(t, ts.URL+"/trace/thumbnail/profile"+query, nil); resp.StatusCode != 404 {
+			t.Errorf("profile%s without clog: status %d, want 404", query, resp.StatusCode)
+		}
 	}
 }
 
-func TestRepoWindowedProfileDirect(t *testing.T) {
+// A profile is computed once per raw-log generation and window: a repeat
+// of the same /profile computes nothing, another window computes, and a
+// rewritten log (a new generation) computes again. The unwindowed profile
+// goes through the log's block table like any window.
+func TestProfileComputedOncePerLogGeneration(t *testing.T) {
 	dir := t.TempDir()
 	stageTrace(t, dir, "collisions")
-	repo, err := NewRepo(dir, 0)
+	s, ts := newTestServer(t, dir)
+	fetch := func(query string, computed, indexed int64) []byte {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/trace/collisions/profile"+query, nil)
+		if resp.StatusCode != 200 {
+			t.Fatalf("profile%s: status %d (%s)", query, resp.StatusCode, body)
+		}
+		m := s.MetricsSnapshot()
+		if m["profiles_windowed"] != computed || m["profiles_windowed_indexed"] != indexed {
+			t.Fatalf("profile%s: %d computed, %d through the table; want %d, %d",
+				query, m["profiles_windowed"], m["profiles_windowed_indexed"], computed, indexed)
+		}
+		return body
+	}
+	whole := fetch("", 1, 1)
+	if !bytes.Equal(whole, logProfileJSON(t, dir, "collisions")) {
+		t.Fatal("the unwindowed profile is not the log's")
+	}
+	if !bytes.Equal(fetch("", 1, 1), whole) {
+		t.Fatal("a cached profile differs from the computed one")
+	}
+	fetch("?t0=0&t1=1", 2, 2)
+	fetch("?t0=0&t1=1", 2, 2)
+
+	// The same bytes written an hour later are a new generation.
+	later := time.Now().Add(time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, "collisions.clog2"), later, later); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fetch("", 3, 3), whole) {
+		t.Fatal("the recomputed profile differs")
+	}
+	if resp, _ := get(t, ts.URL+"/trace/..%2Fevil/profile", nil); resp.StatusCode != 400 {
+		t.Errorf("traversal id: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// logProfileJSON is what pilot-profile -json prints for dir's <id>.clog2.
+func logProfileJSON(t *testing.T, dir, id string) []byte {
+	t.Helper()
+	p, err := stats.ComputeProfileFile(filepath.Join(dir, id+".clog2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, used, err := repo.WindowedProfile("collisions", math.Inf(-1), math.Inf(1))
+	data, err := p.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !used {
-		t.Error("the log's table was not used")
+	return data
+}
+
+// A .profile.json in the repository is nobody's input. Planted beside
+// each golden trace and doctored the way the analyzer's tests doctor it
+// (every state's p50 1 s, every channel one send more), it changes no
+// reply of any route, as a fresh server after the planting shows.
+func TestDoctoredSidecarChangesNoReply(t *testing.T) {
+	dir := t.TempDir()
+	routes := []string{"/traces"}
+	for _, id := range goldenIDs {
+		stageTrace(t, dir, id)
+		for _, route := range []string{"", "/profile", "/profile?t0=0&t1=1", "/analyze", "/legend", "/tile"} {
+			routes = append(routes, "/trace/"+id+route)
+		}
 	}
-	if p.NumRanks < 1 {
-		t.Errorf("profile = %+v", p)
+	replies := func() map[string][]byte {
+		_, ts := newTestServer(t, dir)
+		out := map[string][]byte{}
+		for _, route := range routes {
+			resp, body := get(t, ts.URL+route, nil)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: status %d (%s)", route, resp.StatusCode, body)
+			}
+			out[route] = body
+		}
+		return out
 	}
-	if _, _, err := repo.WindowedProfile("../evil", 0, 1); err == nil {
-		t.Error("traversal id did not error")
+	before := replies()
+	for _, id := range goldenIDs {
+		if !bytes.Equal(before["/trace/"+id+"/profile"], logProfileJSON(t, dir, id)) {
+			t.Fatalf("%s: the unwindowed profile is not the log's", id)
+		}
+		p, err := stats.ComputeProfileFile(filepath.Join(dir, id+".clog2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.States {
+			p.States[i].P50Sec = 1
+		}
+		for i := range p.Channels {
+			p.Channels[i].Sends++
+		}
+		if err := p.WriteJSON(filepath.Join(dir, id+".profile.json")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if status := repo.IndexStatus("collisions"); status != "ok" {
-		t.Errorf("IndexStatus = %q, want ok", status)
-	}
-	if status := repo.IndexStatus("absent"); status != "" {
-		t.Errorf("IndexStatus of a trace without a log = %q, want none", status)
+	after := replies()
+	for _, route := range routes {
+		if !bytes.Equal(after[route], before[route]) {
+			t.Errorf("%s: the reply changed with a doctored .profile.json beside the log", route)
+		}
 	}
 }

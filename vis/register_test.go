@@ -31,3 +31,20 @@ func TestRegisterRawLogFailureKeepsThePreviousLog(t *testing.T) {
 		t.Errorf("the repository holds %d entries (%v), want the log alone", len(ents), err)
 	}
 }
+
+// A registration whose raw-log copy fails is refused, and publishes no
+// .slog2: every trace PipelineToRepo registers can answer its profile.
+func TestPipelineToRepoFailedCopyPublishesNothing(t *testing.T) {
+	lab2 := filepath.Join("..", "testdata", "golden", "lab2.clog2")
+	repo := t.TempDir()
+	// A directory where the copy is renamed to: the rename fails.
+	if err := os.Mkdir(filepath.Join(repo, "run.clog2"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := PipelineToRepo(lab2, repo, "run", ConvertOptions{}); err == nil {
+		t.Fatal("a registration whose copy failed succeeded")
+	}
+	if ents, err := os.ReadDir(repo); err != nil || len(ents) != 1 || ents[0].Name() != "run.clog2" {
+		t.Errorf("after a failed copy the repository holds %v (%v); want the directory alone", ents, err)
+	}
+}

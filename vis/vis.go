@@ -207,41 +207,22 @@ type Profile = stats.Profile
 // ComputeProfileFile profiles the CLOG-2 file at path.
 func ComputeProfileFile(path string) (*Profile, error) { return stats.ComputeProfileFile(path) }
 
-// ProfilePath derives the profile sidecar name for an SLOG-2 output
-// path: "run.slog2" → "run.profile.json".
+// ProfilePath derives the profile file name for an SLOG-2 output path:
+// "run.slog2" → "run.profile.json".
 func ProfilePath(slogPath string) string {
 	return strings.TrimSuffix(slogPath, ".slog2") + ".profile.json"
 }
 
-// PipelineWithProfile is Pipeline plus the observability hook: after a
-// successful conversion it recomputes a stats.Profile from the same
-// CLOG-2 and drops it as JSON next to the SLOG-2 (ProfilePath). An empty
-// slogPath writes no profile, matching Pipeline's skip semantics.
-func PipelineWithProfile(clogPath, slogPath, svgPath string, opts ConvertOptions, v View) (*File, *Report, *Profile, error) {
-	f, rep, err := Pipeline(clogPath, slogPath, svgPath, opts, v)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	p, err := ComputeProfileFile(clogPath)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if slogPath != "" {
-		if err := p.WriteJSON(ProfilePath(slogPath)); err != nil {
-			return nil, nil, nil, fmt.Errorf("vis: writing profile: %w", err)
-		}
-	}
-	return f, rep, p, nil
-}
-
-// PipelineToRepo converts the CLOG-2 at clogPath and registers the run
-// in a pilot-serve trace repository: repoDir/<id>.slog2 plus the
-// repoDir/<id>.profile.json sidecar, and — so the service can answer
-// windowed queries without streaming the whole raw log — a copy of the
-// raw CLOG-2 as repoDir/<id>.clog2, which carries its own block table. The
-// id must be a valid pilot-serve trace id (no separators, no leading dot).
-// Raw-log registration is best-effort: a failure copying never fails the
-// registration, it only costs the service its windowed routes.
+// PipelineToRepo registers the run whose CLOG-2 is at clogPath in a
+// pilot-serve trace repository. It converts the log, copies it to
+// repoDir/<id>.clog2 (it carries its own block table, and every profile
+// and verdict the service answers is computed from it), and only then
+// writes repoDir/<id>.slog2 and the log's profile as
+// repoDir/<id>.profile.json (the bytes pilot-profile -json prints, which
+// the service never reads). A log that does not convert registers
+// nothing, and a failed copy fails the registration before the .slog2 is
+// written, so every trace registered here can answer its profile. The id
+// must be a valid pilot-serve trace id (no separators, no leading dot).
 func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *Report, *Profile, error) {
 	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") || id[0] == '.' {
 		return nil, nil, nil, fmt.Errorf("vis: invalid repository trace id %q", id)
@@ -253,11 +234,24 @@ func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *
 	if !info.IsDir() {
 		return nil, nil, nil, fmt.Errorf("vis: %s is not a directory", repoDir)
 	}
-	f, rep, p, err := PipelineWithProfile(clogPath, filepath.Join(repoDir, id+".slog2"), "", opts, View{})
+	f, rep, err := ConvertFile(clogPath, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	_ = registerRawLog(clogPath, filepath.Join(repoDir, id+".clog2"))
+	if err := registerRawLog(clogPath, filepath.Join(repoDir, id+".clog2")); err != nil {
+		return nil, nil, nil, fmt.Errorf("vis: registering the raw log: %w", err)
+	}
+	slogPath := filepath.Join(repoDir, id+".slog2")
+	if err := WriteSLOG2(slogPath, f); err != nil {
+		return nil, nil, nil, fmt.Errorf("vis: writing %s: %w", slogPath, err)
+	}
+	p, err := ComputeProfileFile(clogPath)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := p.WriteJSON(ProfilePath(slogPath)); err != nil {
+		return nil, nil, nil, fmt.Errorf("vis: writing profile: %w", err)
+	}
 	return f, rep, p, nil
 }
 

@@ -152,8 +152,24 @@ func TestPipelineToRepo(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos, err := repo.List()
-	if err != nil || len(infos) != 1 || infos[0].ID != "lab2-run" || !infos[0].HasProfile {
+	if err != nil || len(infos) != 1 || infos[0].ID != "lab2-run" || !infos[0].HasClog {
 		t.Fatalf("repo list = %+v, %v", infos, err)
+	}
+	// The registered trace's profile is its log's: the one returned.
+	s, err := serve.New(serve.Config{RepoDir: repoDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/trace/lab2-run/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want, _ := p.JSON(); resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("profile of the registered trace: status %d, %d bytes; want the log's %d", resp.StatusCode, len(body), len(want))
 	}
 	tr, err := repo.Open("lab2-run")
 	if err != nil {
@@ -237,8 +253,8 @@ func TestPipelineToRepoOutOfRangeRankServes(t *testing.T) {
 // infinite duration, its JSON would not serialise and the whole log was
 // refused ("vis: writing profile: json: unsupported value: +Inf"). Both
 // now read the log through one fold, which skips such records: the log
-// profiles, registers and serves, and the analyzer trusts the sidecar
-// because the two record counts agree. The converter pairs states by the
+// profiles, registers and serves, and the analyzer counts the profile's
+// records. The converter pairs states by the
 // same policy, so the timeline holds the profile's two states where it
 // used to pair rank 1's start with its NaN end and report three nesting
 // errors.
