@@ -3,13 +3,14 @@
 // by walking only the frames intersecting the viewport, the legend and
 // search endpoints, the profile and verdict of each trace's registered
 // raw CLOG-2, and a built-in browser viewer at /. Production posture:
-// LRU caches with singleflight collapse, ETag revalidation, gzip,
+// one LRU of decoded traces and rendered bodies under one byte budget
+// (-cache-mb), with singleflight collapse, ETag revalidation, gzip,
 // graceful shutdown on SIGINT/SIGTERM, expvar at /debug/vars and pprof
 // at /debug/pprof/.
 //
 // Usage:
 //
-//	pilot-serve -repo DIR [-addr :8080] [-max-traces N] [-tile-cache-mb N]
+//	pilot-serve -repo DIR [-addr :8080] [-cache-mb N]
 //	pilot-serve -repo DIR -smoke
 //
 // -smoke starts the server on an ephemeral port, runs an end-to-end
@@ -45,16 +46,15 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		repoDir   = flag.String("repo", "", "trace repository directory (required)")
-		maxTraces = flag.Int("max-traces", 8, "decoded-trace LRU size")
-		tileMB    = flag.Int64("tile-cache-mb", 64, "rendered-tile LRU budget, in MiB of cached bytes")
-		smoke     = flag.Bool("smoke", false, "start on an ephemeral port, self-test, exit")
-		quiet     = flag.Bool("q", false, "suppress per-error request logging")
+		addr    = flag.String("addr", ":8080", "listen address")
+		repoDir = flag.String("repo", "", "trace repository directory (required)")
+		cacheMB = flag.Int64("cache-mb", 128, "budget of the LRU of decoded traces and rendered bodies, in MiB of cached bytes")
+		smoke   = flag.Bool("smoke", false, "start on an ephemeral port, self-test, exit")
+		quiet   = flag.Bool("q", false, "suppress per-error request logging")
 	)
 	flag.Parse()
-	if *repoDir == "" || *tileMB < 1 {
-		fmt.Fprintln(os.Stderr, "usage: pilot-serve -repo DIR [-addr :8080] [-max-traces N] [-tile-cache-mb N] [-smoke]")
+	if *repoDir == "" || *cacheMB < 1 {
+		fmt.Fprintln(os.Stderr, "usage: pilot-serve -repo DIR [-addr :8080] [-cache-mb N] [-smoke]")
 		os.Exit(2)
 	}
 
@@ -62,19 +62,14 @@ func main() {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	tileBudget := *tileMB << 20
-	srv, err := serve.New(serve.Config{
-		RepoDir:        *repoDir,
-		MaxTraces:      *maxTraces,
-		TileCacheBytes: tileBudget,
-		Logf:           logf,
-	})
+	budget := *cacheMB << 20
+	srv, err := serve.New(serve.Config{RepoDir: *repoDir, CacheBytes: budget, Logf: logf})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	if *smoke {
-		if err := runSmoke(srv, *repoDir, tileBudget); err != nil {
+		if err := runSmoke(srv, *repoDir, budget); err != nil {
 			log.Fatalf("smoke: FAIL: %v", err)
 		}
 		fmt.Println("smoke: ok")
@@ -98,9 +93,10 @@ func main() {
 // every trace's tile must byte-agree with a direct Query+render, the
 // legend and search endpoints must answer, ETag revalidation must 304,
 // a corrupt file must come back as an HTTP error, not a dead server,
-// every reply must inflate from gzip to the identity reply, and the tile
-// cache must hold something and stay inside tileBudget bytes.
-func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
+// every reply must inflate from gzip to the identity reply, the cache
+// must hold something and stay inside budget bytes, and each trace must
+// have been decoded once.
+func runSmoke(srv *serve.Server, repoDir string, budget int64) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -284,8 +280,11 @@ func runSmoke(srv *serve.Server, repoDir string, tileBudget int64) error {
 		if render, compress := m["tile_render_ns"], m["tile_compress_ns"]; !(render > 0 && compress > 0) {
 			return fmt.Errorf("tile_render_ns %d, tile_compress_ns %d, want both above 0", render, compress)
 		}
-		if held := m["tile_cache_bytes"]; !(0 < held && held <= tileBudget) {
-			return fmt.Errorf("tile_cache_bytes %d, want 0 < bytes <= %d", held, tileBudget)
+		if held := m["cache_bytes"]; !(0 < held && held <= budget) {
+			return fmt.Errorf("cache_bytes %d, want 0 < bytes <= %d", held, budget)
+		}
+		if n := m["trace_decodes"]; n != int64(len(traces)) {
+			return fmt.Errorf("trace_decodes %d for %d traces", n, len(traces))
 		}
 		return nil
 	}

@@ -153,24 +153,24 @@ func TestAnalyzeErrorMapping(t *testing.T) {
 	}
 }
 
-// Repo.rawLog is the one lookup of a registered raw log behind /profile
-// and /analyze: it validates the id, answers ErrNotFound for a trace
-// without a log, and fingerprints the log it finds; IndexStatus names the
-// state of that log's block table.
+// Repo.stat is the one lookup of a repository file, behind Open and
+// behind /profile and /analyze's raw log: it validates the id, answers
+// ErrNotFound for a trace without a log, and fingerprints the log it
+// finds; IndexStatus names the state of that log's block table.
 func TestRepoRawLog(t *testing.T) {
-	repo, err := NewRepo(goldenDir, 2)
+	repo, err := NewRepo(goldenDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := repo.rawLog("../evil"); err != ErrBadID {
+	if _, _, _, err := repo.stat("../evil", ".clog2"); err != ErrBadID {
 		t.Fatalf("bad id error %v", err)
 	}
-	if _, _, err := repo.rawLog("absent"); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := repo.stat("absent", ".clog2"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("a trace without a log: error %v, want ErrNotFound", err)
 	}
-	path, gen, err := repo.rawLog("lab2")
-	if err != nil || path != filepath.Join(goldenDir, "lab2.clog2") || gen == "" {
-		t.Fatalf("rawLog: %q, %q, %v", path, gen, err)
+	path, gen, size, err := repo.stat("lab2", ".clog2")
+	if info, _ := os.Stat(path); err != nil || path != filepath.Join(goldenDir, "lab2.clog2") || gen == "" || info == nil || size != info.Size() {
+		t.Fatalf("stat: %q, %q, %d, %v", path, gen, size, err)
 	}
 	if status := repo.IndexStatus("collisions"); status != "ok" {
 		t.Errorf("IndexStatus = %q, want ok", status)

@@ -4,9 +4,9 @@
 // answering tile queries — time window × rank window at a zoom level —
 // by walking only the frames that intersect the viewport, exactly the
 // level-of-detail access pattern the SLOG-2 frame tree exists for.
-// Production posture: compute-once LRU caches over decoded files and
-// rendered bodies (memo), ETag revalidation and gzip on the wire,
-// graceful shutdown, and expvar/pprof observability.
+// Production posture: one compute-once LRU over decoded traces and
+// rendered bodies under one byte budget (memo), ETag revalidation and
+// gzip on the wire, graceful shutdown, and expvar/pprof observability.
 package serve
 
 import (
@@ -17,7 +17,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/clog2"
 	"repro/internal/slog2"
@@ -36,20 +36,25 @@ var (
 )
 
 // Repo is the trace repository: a directory of <id>.slog2 files and
-// the raw <id>.clog2 logs registered beside them, fronted by a memo of
-// decoded files so a thundering herd on a cold trace costs one decode.
+// the raw <id>.clog2 logs registered beside them, fronted by the server's
+// one cache, so a thundering herd on a cold trace costs one decode.
 type Repo struct {
-	dir    string
-	traces *memo[*Trace] // id+"\x00"+generation -> *Trace
-
-	// decodes counts real slog2.ReadFile calls — the compute-once
-	// verification hook the load harness and tests assert on.
-	decodes atomic.Int64
+	dir string
+	// cache holds the decoded traces ("trace\x00"+id+"\x00"+generation),
+	// each trace miss one slog2.ReadFile, and the bodies the Server
+	// renders beside them.
+	cache *memo
 }
 
-// NewRepo opens the repository at dir, caching up to maxTraces decoded
-// files.
-func NewRepo(dir string, maxTraces int) (*Repo, error) {
+// defaultCacheBytes is the cache's budget when it is given as zero. A
+// bench serve_session caches about 49 MB: four decoded traces of 8.6 MB
+// (traceBytes) and 14.0 MB of gzip bodies. Eight such traces and the
+// 64 MiB rendered bodies once had to themselves make about 136 MB.
+const defaultCacheBytes = 128 << 20
+
+// NewRepo opens the repository at dir, its cache holding up to
+// cacheBytes (below 1: defaultCacheBytes) of traces and bodies.
+func NewRepo(dir string, cacheBytes int64) (*Repo, error) {
 	info, err := os.Stat(dir)
 	if err != nil {
 		return nil, err
@@ -57,15 +62,11 @@ func NewRepo(dir string, maxTraces int) (*Repo, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("serve: %s is not a directory", dir)
 	}
-	if maxTraces < 1 {
-		maxTraces = 8
+	if cacheBytes < 1 {
+		cacheBytes = defaultCacheBytes
 	}
-	return &Repo{dir: dir, traces: newMemo(int64(maxTraces), weighOne[*Trace])}, nil
+	return &Repo{dir: dir, cache: newMemo(cacheBytes)}, nil
 }
-
-// Decodes returns how many times a trace file was actually decoded
-// (cache misses that did real work).
-func (r *Repo) Decodes() int64 { return r.decodes.Load() }
 
 // Trace is one decoded repository entry, immutable once built.
 type Trace struct {
@@ -73,7 +74,28 @@ type Trace struct {
 	File *slog2.File
 	// Gen fingerprints the on-disk bytes (mtime+size); it feeds tile
 	// cache keys and ETags so a rewritten trace invalidates both.
-	Gen string
+	Gen  string
+	size int64 // what it holds (traceBytes); 0 in a Trace built by hand
+}
+
+func (t *Trace) bytes() int64 { return t.size }
+
+// traceBytes is what a decoded trace holds: its file's bytes, which its
+// strings are cut from and keep alive in one object (slog2.ReadFile),
+// plus each of its frames, states, arrows and events at unsafe.Sizeof of
+// one; the slices' spare capacity and the headers are not counted. On the
+// four traces of a bench serve_session (seed 1, each a 4.2 MB CLOG-2)
+// this gives 8.62-8.63 MB a trace against 8.94-8.96 MB of live heap
+// (HeapAlloc after a GC, before and after slog2.ReadFile).
+func traceBytes(fileSize int64, f *slog2.File) int64 {
+	n := fileSize
+	f.Walk(func(fr *slog2.Frame) {
+		n += int64(unsafe.Sizeof(*fr)) +
+			int64(len(fr.States))*int64(unsafe.Sizeof(slog2.State{})) +
+			int64(len(fr.Arrows))*int64(unsafe.Sizeof(slog2.Arrow{})) +
+			int64(len(fr.Events))*int64(unsafe.Sizeof(slog2.Event{}))
+	})
+	return n
 }
 
 // TraceInfo is one /traces listing row: cheap stat-level facts, no
@@ -135,9 +157,6 @@ func (r *Repo) List() ([]TraceInfo, error) {
 	return out, nil
 }
 
-func (r *Repo) tracePath(id string) string { return filepath.Join(r.dir, id+".slog2") }
-func (r *Repo) clogPath(id string) string  { return filepath.Join(r.dir, id+".clog2") }
-
 // IndexStatus is the state of the block table of id's registered raw
 // CLOG-2, validated as every reader does (clog2.LoadTable: about 64 bytes
 // a block): "ok" when it validates, "degraded" when every query of the log
@@ -146,7 +165,7 @@ func (r *Repo) IndexStatus(id string) string {
 	if !validID(id) {
 		return ""
 	}
-	switch _, err := clog2.LoadTable(r.clogPath(id)); {
+	switch _, err := clog2.LoadTable(filepath.Join(r.dir, id+".clog2")); {
 	case errors.Is(err, fs.ErrNotExist):
 		return ""
 	case err != nil:
@@ -155,45 +174,39 @@ func (r *Repo) IndexStatus(id string) string {
 	return "ok"
 }
 
-// rawLog returns the path of id's registered raw CLOG-2 and its
-// generation (mtime+size), the cache key of everything computed from it.
-// ErrNotFound when the trace was registered without a raw log.
-func (r *Repo) rawLog(id string) (path, gen string, err error) {
+// stat finds id's file with extension ext and its generation
+// (mtime+size), which every cache key and ETag made from the file embeds,
+// so a rewritten file is computed again. ErrBadID for an id that could
+// escape the repository; ErrNotFound when there is no such file.
+func (r *Repo) stat(id, ext string) (path, gen string, size int64, err error) {
 	if !validID(id) {
-		return "", "", ErrBadID
+		return "", "", 0, ErrBadID
 	}
-	path = r.clogPath(id)
+	path = filepath.Join(r.dir, id+ext)
 	info, err := os.Stat(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return "", "", fmt.Errorf("%w: %s has no raw log registered", ErrNotFound, id)
+			return "", "", 0, fmt.Errorf("%w: %s has no %s", ErrNotFound, id, ext)
 		}
-		return "", "", err
+		return "", "", 0, err
 	}
-	return path, fmt.Sprintf("%d-%d", info.ModTime().UnixNano(), info.Size()), nil
+	return path, fmt.Sprintf("%d-%d", info.ModTime().UnixNano(), info.Size()), info.Size(), nil
 }
 
-// Open returns the decoded trace for id, via the memo: concurrent cold
+// Open returns the decoded trace for id, via the cache: concurrent cold
 // opens cost one decode.
 func (r *Repo) Open(id string) (*Trace, error) {
-	if !validID(id) {
-		return nil, ErrBadID
-	}
-	info, err := os.Stat(r.tracePath(id))
+	path, gen, size, err := r.stat(id, ".slog2")
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-		}
 		return nil, err
 	}
-	gen := fmt.Sprintf("%d-%d", info.ModTime().UnixNano(), info.Size())
-	tr, _, err := r.traces.get(id+"\x00"+gen, func() (*Trace, error) {
-		r.decodes.Add(1)
-		f, err := slog2.ReadFile(r.tracePath(id))
+	v, _, err := r.cache.get(traceKind, "trace\x00"+id+"\x00"+gen, func() (weighed, error) {
+		f, err := slog2.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
 		}
-		return &Trace{ID: id, File: f, Gen: gen}, nil
+		return &Trace{ID: id, File: f, Gen: gen, size: traceBytes(size, f)}, nil
 	})
+	tr, _ := v.(*Trace)
 	return tr, err
 }

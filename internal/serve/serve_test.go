@@ -261,7 +261,7 @@ func TestSearchFromAloneNarrowsTheWindow(t *testing.T) {
 }
 
 func TestRepoRejectsTraversalIDs(t *testing.T) {
-	repo, err := NewRepo(goldenDir, 4)
+	repo, err := NewRepo(goldenDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,9 +409,11 @@ func TestCachedEntryHoldsOneForm(t *testing.T) {
 		}
 	}
 	var small, large int
-	for key, e := range s.tiles.items {
-		cb := e.val
+	for key, e := range s.repo.cache.items {
+		cb, ok := e.val.(*cachedBody)
 		switch {
+		case !ok:
+			continue // the decoded trace
 		case (cb.body == nil) == (cb.gz == nil):
 			t.Errorf("%q: body %d bytes, gzip %d bytes; want exactly one", key, len(cb.body), len(cb.gz))
 		case cb.gz == nil:
@@ -431,12 +433,24 @@ func TestCachedEntryHoldsOneForm(t *testing.T) {
 	}
 }
 
-// The tile cache is bounded in bytes: asking for more tile bytes than
-// the budget keeps the tile_cache_bytes gauge under it, evicts, and a
-// tile past its eviction renders again.
+// The cache is bounded in bytes: with room for the three decoded traces
+// and 24 KiB more, asking for more tile bytes than that keeps the
+// cache_bytes gauge under the budget, evicts, and a tile past its
+// eviction renders again.
 func TestTileCacheStaysInBudget(t *testing.T) {
-	const budget = 24 << 10
-	s, err := New(Config{RepoDir: goldenDir, TileCacheBytes: budget})
+	const tileRoom = 24 << 10
+	probe, err := NewRepo(goldenDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range goldenIDs {
+		if _, err := probe.Open(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traces, _ := probe.cache.size()
+	budget := traces + tileRoom
+	s, err := New(Config{RepoDir: goldenDir, CacheBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,14 +466,14 @@ func TestTileCacheStaysInBudget(t *testing.T) {
 			}
 			asked += int64(len(body))
 			m := s.MetricsSnapshot()
-			if held := m["tile_cache_bytes"]; held <= 0 || held > budget {
-				t.Fatalf("after %s: tile_cache_bytes %d, budget %d", url, held, budget)
+			if held := m["cache_bytes"]; held <= 0 || held > budget {
+				t.Fatalf("after %s: cache_bytes %d, budget %d", url, held, budget)
 			}
 		}
 	}
 	m := s.MetricsSnapshot()
-	if asked <= budget || m["tile_cache_entries"] >= int64(4*len(goldenIDs)) {
-		t.Fatalf("asked for %d gzip bytes over a %d budget, %d entries kept", asked, budget, m["tile_cache_entries"])
+	if asked <= tileRoom || m["cache_entries"] >= int64(len(goldenIDs)+4*len(goldenIDs)) {
+		t.Fatalf("asked for %d gzip bytes beside the traces' %d in a %d budget, %d entries kept", asked, traces, budget, m["cache_entries"])
 	}
 	// The first tile was the least recently used: it was evicted and
 	// renders again.
@@ -623,7 +637,7 @@ func TestSingleflightCollapsesColdHits(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := s.Repo().Decodes(); got != int64(len(goldenIDs)) {
+	if got := s.MetricsSnapshot()["trace_decodes"]; got != int64(len(goldenIDs)) {
 		t.Fatalf("decodes = %d under concurrent first hits, want %d (one per trace)", got, len(goldenIDs))
 	}
 	if got := s.tilesRendered.Load(); got != int64(len(goldenIDs)) {

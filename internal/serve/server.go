@@ -26,19 +26,13 @@ import (
 	"repro/internal/stats"
 )
 
-// defaultTileCacheBytes is the tile cache's budget when Config leaves it
-// zero: 4.5 times the 14.0 MB of gzip one bench serve_session caches.
-const defaultTileCacheBytes = 64 << 20
-
 // Config tunes a Server.
 type Config struct {
 	// RepoDir is the trace repository directory (required).
 	RepoDir string
-	// MaxTraces bounds the decoded-file cache (default 8).
-	MaxTraces int
-	// TileCacheBytes bounds the rendered-body cache by what its entries
-	// hold: body or gzip bytes plus key (default 64 MiB).
-	TileCacheBytes int64
+	// CacheBytes bounds the one cache, of decoded traces and rendered
+	// bodies, by what its entries hold, keys included (default 128 MiB).
+	CacheBytes int64
 	// Logf, when set, receives one line per request error; nil is quiet.
 	Logf func(format string, args ...any)
 }
@@ -47,10 +41,9 @@ type Config struct {
 // New, mount via Handler, or run with Serve for the full production
 // posture (graceful shutdown included).
 type Server struct {
-	repo  *Repo
-	tiles *memo[*cachedBody]
-	mux   *http.ServeMux
-	logf  func(string, ...any)
+	repo *Repo
+	mux  *http.ServeMux
+	logf func(string, ...any)
 
 	// counters behind the "pilot_serve" expvar.
 	requests      atomic.Int64
@@ -78,18 +71,11 @@ type Server struct {
 
 // New builds a Server over cfg.RepoDir.
 func New(cfg Config) (*Server, error) {
-	repo, err := NewRepo(cfg.RepoDir, cfg.MaxTraces)
+	repo, err := NewRepo(cfg.RepoDir, cfg.CacheBytes)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.TileCacheBytes < 1 {
-		cfg.TileCacheBytes = defaultTileCacheBytes
-	}
-	s := &Server{
-		repo:  repo,
-		tiles: newMemo(cfg.TileCacheBytes, weighBody),
-		logf:  cfg.Logf,
-	}
+	s := &Server{repo: repo, logf: cfg.Logf}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -120,8 +106,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Repo exposes the underlying repository (the load harness asserts on
-// its decode counter).
+// Repo exposes the underlying repository (pilot-serve -smoke lists it).
 func (s *Server) Repo() *Repo { return s.repo }
 
 // Handler returns the server's HTTP handler, wrapped in panic
@@ -224,20 +209,11 @@ func etagMatch(header, etag string) bool {
 
 func splitComma(s string) []string {
 	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			part := s[start:i]
-			for len(part) > 0 && (part[0] == ' ' || part[0] == '\t') {
-				part = part[1:]
-			}
-			for len(part) > 0 && (part[len(part)-1] == ' ' || part[len(part)-1] == '\t') {
-				part = part[:len(part)-1]
-			}
-			if part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
+	for s != "" {
+		var part string
+		part, s, _ = strings.Cut(s, ",")
+		if part = strings.Trim(part, " \t"); part != "" {
+			out = append(out, part)
 		}
 	}
 	return out
@@ -353,7 +329,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// cachedBody is one tile-cache entry: a rendered body in exactly one
+// cachedBody is one rendered-body entry: a body in exactly one
 // form, with its ETag (of the raw bytes) computed once. A body worth
 // compressing is kept only as its gzip, which is what nearly every
 // client is sent; a smaller one is kept as it is.
@@ -365,10 +341,7 @@ type cachedBody struct {
 	etag   string
 }
 
-// weighBody is what a tile-cache entry holds, in bytes.
-func weighBody(key string, cb *cachedBody) int64 {
-	return int64(len(key) + len(cb.body) + len(cb.gz))
-}
+func (cb *cachedBody) bytes() int64 { return int64(len(cb.body) + len(cb.gz)) }
 
 // scratch is what a cache miss or a compressed reply works in.
 type scratch struct {
@@ -513,12 +486,13 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		s.failBadRequest(w, r, err)
 		return
 	}
-	cb, shared, err := s.tiles.get(p.cacheKey(tr), func() (*cachedBody, error) {
+	v, shared, err := s.repo.cache.get(bodyKind, p.cacheKey(tr), func() (weighed, error) {
 		cb, err := s.renderCached(tr, p)
-		if err == nil {
-			s.tilesRendered.Add(1)
+		if err != nil {
+			return nil, err
 		}
-		return cb, err
+		s.tilesRendered.Add(1)
+		return cb, nil
 	})
 	if err != nil {
 		s.fail(w, r, err)
@@ -527,7 +501,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		s.tilesShared.Add(1)
 	}
-	s.writeCached(w, r, cb)
+	s.writeCached(w, r, v.(*cachedBody))
 }
 
 func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
@@ -582,7 +556,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // serveFromLog answers a route computed from a trace's registered raw
 // CLOG-2 alone, over the window t0/t1 (no bound is ±Inf), with the same
-// cache posture as tiles: the body lives in the rendered-body memo keyed
+// cache posture as tiles: the body lives in the cache beside them, keyed
 // on the route, the log's generation and the window, so a repeat
 // computes nothing and a rewritten log computes again; concurrent cold
 // misses compute once, and the body goes out with ETag revalidation and
@@ -594,13 +568,13 @@ func (s *Server) serveFromLog(w http.ResponseWriter, r *http.Request, route stri
 		s.failBadRequest(w, r, err)
 		return false
 	}
-	path, gen, err := s.repo.rawLog(id)
+	path, gen, _, err := s.repo.stat(id, ".clog2")
 	if err != nil {
 		s.fail(w, r, err)
 		return false
 	}
 	key := fmt.Sprintf("%s\x00%s\x00%s\x00%g\x00%g", route, id, gen, t0, t1)
-	cb, shared, err := s.tiles.get(key, func() (*cachedBody, error) {
+	v, shared, err := s.repo.cache.get(bodyKind, key, func() (weighed, error) {
 		body, err := compute(path, t0, t1)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, id, err)
@@ -614,7 +588,7 @@ func (s *Server) serveFromLog(w http.ResponseWriter, r *http.Request, route stri
 		s.fail(w, r, err)
 		return false
 	}
-	s.writeCached(w, r, cb)
+	s.writeCached(w, r, v.(*cachedBody))
 	return shared
 }
 
@@ -692,19 +666,21 @@ func publishServeExpvar(s *Server) {
 // MetricsSnapshot returns the server's counters as a flat map — the
 // "pilot_serve" expvar payload.
 func (s *Server) MetricsSnapshot() map[string]int64 {
-	tileBytes, tileEntries := s.tiles.size()
+	c := s.repo.cache
+	cacheBytes, cacheEntries := c.size()
 	return map[string]int64{
 		"requests":                  s.requests.Load(),
 		"errors":                    s.errors.Load(),
 		"tiles_rendered":            s.tilesRendered.Load(),
 		"tiles_singleflight_shared": s.tilesShared.Load(),
-		"tile_cache_hits":           s.tiles.hits.Load(),
-		"tile_cache_misses":         s.tiles.misses.Load(),
-		"tile_cache_bytes":          tileBytes,
-		"tile_cache_entries":        tileEntries,
-		"trace_cache_hits":          s.repo.traces.hits.Load(),
-		"trace_cache_misses":        s.repo.traces.misses.Load(),
-		"trace_decodes":             s.repo.Decodes(),
+		"tile_cache_hits":           c.hits[bodyKind].Load(),
+		"tile_cache_misses":         c.misses[bodyKind].Load(),
+		"trace_cache_hits":          c.hits[traceKind].Load(),
+		"trace_cache_misses":        c.misses[traceKind].Load(),
+		"cache_bytes":               cacheBytes,
+		"cache_entries":             cacheEntries,
+		"cache_refused":             c.refused.Load(),
+		"trace_decodes":             c.misses[traceKind].Load(), // a trace miss is one decode
 		"responses_304":             s.notModified.Load(),
 		"bytes_sent":                s.bytesSent.Load(),
 		"tile_bytes_raw":            s.tileBytesRaw.Load(),

@@ -147,7 +147,7 @@ func TestPipelineToRepo(t *testing.T) {
 		}
 	}
 	// The registered trace must round-trip through the serve repository.
-	repo, err := serve.NewRepo(repoDir, 2)
+	repo, err := serve.NewRepo(repoDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
