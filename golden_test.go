@@ -14,6 +14,7 @@ package repro_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -432,5 +433,64 @@ func TestPipelineToRepoLayout(t *testing.T) {
 	}
 	if _, err := os.Stat(slog); err != nil {
 		t.Errorf("SLOG-2 not written: %v", err)
+	}
+}
+
+// TestGoldenViewer pins the bytes of the viewer's text, JSON and chart
+// outputs that no tile golden covers, one file per golden trace: the
+// legend under each sort key and over a window, the rank statistics as a
+// table and as a chart, the ASCII timeline, the wait matrix, the critical
+// path, the Chrome trace export, a search that matches everything, the
+// busy-overlap ratio and the legend JSON the service answers. lab2 and collisions run under Manual clocks and span
+// [0, 0], so only thumbnail exercises time (windows, durations, excl).
+func TestGoldenViewer(t *testing.T) {
+	for _, name := range []string{"lab2", "collisions", "thumbnail"} {
+		f, err := slog2.ReadFile(goldenPath(name + ".slog2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &serve.Trace{ID: name, File: f}
+		span := f.End - f.Start
+		w0, w1 := f.Start+0.40*span, f.Start+0.60*span
+		var b bytes.Buffer
+		section := func(title, body string) {
+			b.WriteString("== " + title + " ==\n")
+			b.WriteString(body)
+			if body != "" && body[len(body)-1] != '\n' {
+				b.WriteByte('\n')
+			}
+		}
+		for _, key := range []string{"name", "count", "incl", "excl"} {
+			entries := jumpshot.Legend(f, f.Start, f.End)
+			jumpshot.SortLegend(entries, key)
+			section("legend -sort "+key, jumpshot.FormatLegend(entries))
+		}
+		section("legend window", jumpshot.FormatLegend(jumpshot.Legend(f, w0, w1)))
+		section("stats", jumpshot.FormatStats(f, jumpshot.Stats(f, f.Start, f.End)))
+		section("stats window", jumpshot.FormatStats(f, jumpshot.Stats(f, w0, w1)))
+		section("stats svg", jumpshot.RenderStatsSVG(f, f.Start, f.End, ""))
+		section("ascii", jumpshot.RenderASCII(f, jumpshot.View{Width: 100}))
+		section("ascii window", jumpshot.RenderASCII(f, jumpshot.View{From: w0, To: w1, Width: 100}))
+		section("waits", jumpshot.FormatWaitMatrix(jumpshot.WaitMatrix(f, f.Start, f.End)))
+		section("critpath", jumpshot.FormatCriticalPath(jumpshot.CriticalPath(f)))
+		chrome, err := jumpshot.RenderChromeTrace(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		section("chrome", string(chrome))
+		section("search", jumpshot.FormatHits(jumpshot.Search(f, jumpshot.SearchOptions{Rank: -1, From: f.Start, To: f.End})))
+		var workers []int
+		for r := 1; r < f.NumRanks; r++ {
+			workers = append(workers, r)
+		}
+		section("busy overlap", fmt.Sprintf("%.17g", jumpshot.BusyOverlapRatio(f, workers, f.Start, f.End)))
+		for _, w := range [][2]float64{{f.Start, f.End}, {w0, w1}} {
+			lj, err := serve.RenderLegendJSON(tr, w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			section(fmt.Sprintf("legend json [%g, %g]", w[0], w[1]), string(lj))
+		}
+		compareGolden(t, name+".viewer.txt", b.Bytes())
 	}
 }
