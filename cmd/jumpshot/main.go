@@ -9,10 +9,11 @@
 //	jumpshot [-from T] [-to T] [-svg out.svg] [-ascii] [-legend [-sort KEY]] [-stats] [-search NAME] in.slog2
 //
 // -from and -to bound the viewport; an unset bound is the log's own start
-// or end. A .clog2 input is converted on the fly (the integrated logfile
-// converter the paper mentions). Exits 0 on success, 1 on a read or write
-// error, 2 on usage errors: a bad flag value, an empty window (see
-// clog2.CheckWindow) or an unknown -sort key.
+// or end, and -from T -to T is the instant T. A .clog2 input is converted
+// on the fly (the integrated logfile converter the paper mentions, through
+// vis.ConvertFile); every view is internal/jumpshot's. Exits 0 on success,
+// 1 on a read or write error, 2 on usage errors: a bad flag value, an
+// empty window (see clog2.CheckWindow) or an unknown -sort key.
 package main
 
 import (
@@ -26,6 +27,8 @@ import (
 	"strings"
 
 	"repro/internal/clog2"
+	"repro/internal/jumpshot"
+	"repro/internal/slog2"
 	"repro/vis"
 )
 
@@ -89,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return n
 	}
-	view := vis.View{Width: *width, Title: *title}
+	view := jumpshot.View{Width: *width, Title: *title}
 	if *order != "" {
 		for _, part := range strings.Split(*order, ",") {
 			view.RankOrder = append(view.RankOrder, num("order", *order, part))
@@ -113,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var f *vis.File
+	var f *slog2.File
 	var err error
 	if strings.HasSuffix(in, ".clog2") {
 		var rep *vis.Report
@@ -124,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	} else {
-		f, err = vis.ReadSLOG2(in)
+		f, err = slog2.ReadFile(in)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -163,21 +166,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		did = true
 	}
 	if *ascii {
-		fmt.Fprint(stdout, vis.RenderASCII(f, view))
+		fmt.Fprint(stdout, jumpshot.RenderASCII(f, view))
 		did = true
 	}
 	if *legend {
-		entries := vis.Legend(f, t0, t1)
-		vis.SortLegend(entries, *sortKey)
-		fmt.Fprint(stdout, vis.FormatLegend(entries))
+		entries := jumpshot.Legend(f, t0, t1)
+		jumpshot.SortLegend(entries, *sortKey)
+		fmt.Fprint(stdout, jumpshot.FormatLegend(entries))
 		did = true
 	}
 	if *stats {
-		fmt.Fprint(stdout, vis.FormatStats(f, vis.Stats(f, t0, t1)))
+		fmt.Fprint(stdout, jumpshot.FormatStats(f, jumpshot.Stats(f, t0, t1)))
 		did = true
 	}
 	if *statsSVG != "" {
-		svg := vis.RenderStatsSVG(f, t0, t1, *title)
+		svg := jumpshot.RenderStatsSVG(f, t0, t1, *title)
 		if err := os.WriteFile(*statsSVG, []byte(svg), 0o644); err != nil {
 			return fail(err)
 		}
@@ -185,21 +188,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		did = true
 	}
 	if *search != "" {
-		hits := vis.Search(f, vis.SearchOptions{Name: *search, Rank: -1, From: t0, To: t1})
-		fmt.Fprint(stdout, vis.FormatHits(hits))
+		hits := jumpshot.Search(f, jumpshot.SearchOptions{Name: *search, Rank: -1, From: t0, To: t1})
+		fmt.Fprint(stdout, jumpshot.FormatHits(hits))
 		fmt.Fprintf(stdout, "%d hit(s)\n", len(hits))
 		did = true
 	}
 	if *waits {
-		fmt.Fprint(stdout, vis.FormatWaitMatrix(vis.WaitMatrix(f, t0, t1)))
+		fmt.Fprint(stdout, jumpshot.FormatWaitMatrix(jumpshot.WaitMatrix(f, t0, t1)))
 		did = true
 	}
 	if *critpath {
-		fmt.Fprint(stdout, vis.FormatCriticalPath(vis.CriticalPath(f)))
+		fmt.Fprint(stdout, jumpshot.FormatCriticalPath(jumpshot.CriticalPath(f)))
 		did = true
 	}
 	if *chrome != "" {
-		data, err := vis.RenderChromeTrace(f)
+		data, err := jumpshot.RenderChromeTrace(f)
 		if err != nil {
 			return fail(err)
 		}
@@ -210,7 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		did = true
 	}
 	if *at != "" {
-		for _, line := range vis.At(f, atRank, atTime) {
+		for _, line := range jumpshot.At(f, atRank, atTime) {
 			fmt.Fprintln(stdout, line)
 		}
 		did = true
@@ -219,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Default: a quick summary plus the ASCII view.
 		fmt.Fprintf(stdout, "%s: %d ranks, [%.6f, %.6f]s, %d categories, %d warnings\n",
 			in, f.NumRanks, f.Start, f.End, len(f.Categories), len(f.Warnings))
-		fmt.Fprint(stdout, vis.RenderASCII(f, view))
+		fmt.Fprint(stdout, jumpshot.RenderASCII(f, view))
 	}
 	return 0
 }

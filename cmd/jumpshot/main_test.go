@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/vis"
+	"repro/internal/jumpshot"
+	"repro/internal/slog2"
 )
 
 var golden = filepath.Join("..", "..", "testdata", "golden", "thumbnail.slog2")
@@ -21,13 +23,13 @@ func runJumpshot(t *testing.T, args ...string) (code int, stdout, stderr string)
 // With no window every view covers the whole log: the bytes are the
 // legend and statistics over [Start, End].
 func TestWholeLogByDefault(t *testing.T) {
-	f, err := vis.ReadSLOG2(golden)
+	f, err := slog2.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := vis.Legend(f, f.Start, f.End)
-	vis.SortLegend(entries, "name")
-	want := vis.FormatLegend(entries) + vis.FormatStats(f, vis.Stats(f, f.Start, f.End))
+	entries := jumpshot.Legend(f, f.Start, f.End)
+	jumpshot.SortLegend(entries, "name")
+	want := jumpshot.FormatLegend(entries) + jumpshot.FormatStats(f, jumpshot.Stats(f, f.Start, f.End))
 	if code, out, errOut := runJumpshot(t, "-legend", "-stats"); code != 0 || out != want {
 		t.Errorf("jumpshot -legend -stats: exit %d, stderr %q, output\n%s\nwant\n%s", code, errOut, out, want)
 	}
@@ -36,7 +38,7 @@ func TestWholeLogByDefault(t *testing.T) {
 // -from alone used to be ignored (-to defaulted to 0, and an inverted
 // window meant the whole log): an unset -to is the log's end.
 func TestFromAloneNarrowsTheWindow(t *testing.T) {
-	f, err := vis.ReadSLOG2(golden)
+	f, err := slog2.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +50,10 @@ func TestFromAloneNarrowsTheWindow(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errOut)
 	}
-	if want := vis.FormatStats(f, vis.Stats(f, from, f.End)); out != want {
+	if want := jumpshot.FormatStats(f, jumpshot.Stats(f, from, f.End)); out != want {
 		t.Errorf("-from 0.002 -stats printed\n%s\nwant\n%s", out, want)
 	}
-	if whole := vis.FormatStats(f, vis.Stats(f, f.Start, f.End)); out == whole {
+	if whole := jumpshot.FormatStats(f, jumpshot.Stats(f, f.Start, f.End)); out == whole {
 		t.Error("-from 0.002 -stats printed the whole-run table")
 	}
 }
@@ -82,5 +84,25 @@ func TestRefusesUnknownSortKey(t *testing.T) {
 		if !strings.Contains(errOut, key) {
 			t.Errorf("stderr %q does not name %q", errOut, key)
 		}
+	}
+}
+
+// A window of zero width is that instant, not the whole log: the ASCII
+// view of -from T -to T spans [T, T+1e-9] and shows the states there.
+func TestZeroWidthWindowIsItsInstant(t *testing.T) {
+	f, err := slog2.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mid = 0.0015
+	code, out, errOut := runJumpshot(t, "-from", "0.0015", "-to", "0.0015", "-ascii")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	if want := jumpshot.RenderASCII(f, jumpshot.View{From: mid, To: mid + 1e-9, Width: 1200}); out != want {
+		t.Errorf("-from 0.0015 -to 0.0015 -ascii printed\n%s\nwant\n%s", out, want)
+	}
+	if whole := fmt.Sprintf("time %.6fs .. %.6fs", f.Start, f.End); strings.HasPrefix(out, whole) {
+		t.Errorf("a zero-width window printed the whole log: %.80q", out)
 	}
 }

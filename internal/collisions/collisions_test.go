@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jumpshot"
 	"repro/vis"
 )
 
@@ -199,7 +200,7 @@ func TestInstanceASerializesQueries(t *testing.T) {
 	qFrac := func(f *vis.File, res *Result) float64 {
 		total := res.ReadPhase + res.QueryPhase
 		t0 := f.Start + (f.End-f.Start)*float64(res.ReadPhase)/float64(total)
-		return vis.BusyOverlapRatio(f, workers, t0, f.End)
+		return jumpshot.BusyOverlapRatio(f, workers, t0, f.End)
 	}
 	rFixed := qFrac(fFixed, fixed)
 	rA := qFrac(fA, instA)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/jumpshot"
 	"repro/vis"
 )
 
@@ -76,7 +77,7 @@ func TestOptionalFunctionsAppearAsBubbles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legend := vis.Legend(f, f.Start, f.End)
+	legend := jumpshot.Legend(f, f.Start, f.End)
 	counts := map[string]int{}
 	for _, e := range legend {
 		counts[e.Name] = e.Count
@@ -94,16 +95,16 @@ func TestOptionalFunctionsAppearAsBubbles(t *testing.T) {
 		}
 	}
 	// Bubble popups carry return values / line numbers.
-	for _, opts := range []vis.SearchOptions{
+	for _, opts := range []jumpshot.SearchOptions{
 		{Name: "PI_ChannelHasData", Rank: -1, Cargo: "has: false"},
 		{Name: "PI_TrySelect", Rank: -1, Cargo: "ready: -1"},
 	} {
-		if hits := vis.Search(f, opts); len(hits) != 1 {
+		if hits := jumpshot.Search(f, opts); len(hits) != 1 {
 			t.Errorf("search %+v: %d hits", opts, len(hits))
 		}
 	}
 	// PI_Select's popup gives the ready channel index.
-	selHits := vis.Search(f, vis.SearchOptions{Name: "PI_Select", Rank: -1})
+	selHits := jumpshot.Search(f, jumpshot.SearchOptions{Name: "PI_Select", Rank: -1})
 	okPopup := 0
 	for _, h := range selHits {
 		if h.Kind == "state" && (h.Detail != "") {

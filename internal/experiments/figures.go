@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/collisions"
+	"repro/internal/jumpshot"
 	"repro/internal/lab2"
 	"repro/internal/thumbnail"
 	"repro/vis"
@@ -61,7 +62,7 @@ func RunF1(opt Options) (*F1Result, error) {
 		return nil, err
 	}
 	if err := os.WriteFile(filepath.Join(opt.OutDir, "fig1-stats.svg"),
-		[]byte(vis.RenderStatsSVG(f, f.Start, f.End, "thumbnail: per-process load")), 0o644); err != nil {
+		[]byte(jumpshot.RenderStatsSVG(f, f.Start, f.End, "thumbnail: per-process load")), 0o644); err != nil {
 		return nil, err
 	}
 	out := &F1Result{
@@ -113,9 +114,9 @@ func RunF2(opt Options, f1 *F1Result) (*F2Result, error) {
 	out := &F2Result{
 		SVGPath:         svg,
 		Window:          [2]float64{t0, t1},
-		ComputeFraction: vis.CategoryFraction(f, "Compute", t0, t1),
-		IOFraction: vis.CategoryFraction(f, "PI_Read", t0, t1) +
-			vis.CategoryFraction(f, "PI_Write", t0, t1),
+		ComputeFraction: jumpshot.CategoryFraction(f, "Compute", t0, t1),
+		IOFraction: jumpshot.CategoryFraction(f, "PI_Read", t0, t1) +
+			jumpshot.CategoryFraction(f, "PI_Write", t0, t1),
 	}
 	opt.logf("F2 window=[%.4f,%.4f] compute=%.1f%% io=%.1f%% -> %s",
 		t0, t1, out.ComputeFraction*100, out.IOFraction*100, svg)
@@ -162,7 +163,7 @@ func RunF3(opt Options) (*F3Result, error) {
 	if n := rep.NestingErrors + rep.UnmatchedSends + rep.UnmatchedRecvs; n != 0 {
 		return nil, fmt.Errorf("f3: %d conversion errors", n)
 	}
-	legend := vis.Legend(f, f.Start, f.End)
+	legend := jumpshot.Legend(f, f.Start, f.End)
 	out := &F3Result{SVGPath: svg, ElapsedMS: float64(res.Elapsed.Microseconds()) / 1000}
 	for _, e := range legend {
 		switch e.Name {
@@ -174,11 +175,11 @@ func RunF3(opt Options) (*F3Result, error) {
 			out.Writes = e.Count
 		}
 	}
-	out.Arrows = len(vis.Search(f, vis.SearchOptions{Name: "arrow", Rank: -1}))
+	out.Arrows = len(jumpshot.Search(f, jumpshot.SearchOptions{Name: "arrow", Rank: -1}))
 	out.SequencesOK = true
 	for w := 1; w <= 5; w++ {
 		var seq []string
-		for _, h := range vis.Search(f, vis.SearchOptions{Rank: w}) {
+		for _, h := range jumpshot.Search(f, jumpshot.SearchOptions{Rank: w}) {
 			if h.Name == "PI_Read" || h.Name == "PI_Write" {
 				seq = append(seq, h.Name)
 			}
@@ -254,8 +255,8 @@ func RunF4(opt Options) (*F4Result, error) {
 	t0A, t1A := queryWindow(fA, resA)
 	out := &F4Result{
 		SVGPath:         svg,
-		OverlapFixed:    vis.BusyOverlapRatio(fF, ranks, t0F, t1F),
-		OverlapA:        vis.BusyOverlapRatio(fA, ranks, t0A, t1A),
+		OverlapFixed:    jumpshot.BusyOverlapRatio(fF, ranks, t0F, t1F),
+		OverlapA:        jumpshot.BusyOverlapRatio(fA, ranks, t0A, t1A),
 		ElapsedFixedSec: resF.Elapsed.Seconds(),
 		ElapsedASec:     resA.Elapsed.Seconds(),
 	}

@@ -26,7 +26,7 @@ func RenderASCII(f *slog2.File, v View) string {
 		span = 1e-9
 	}
 	events := f.Events(v.From, v.To)
-	byRank := statesByRank(f, v.From, v.To, nil)
+	byRank := statesByRank(f, f.States(v.From, v.To), nil)
 	grid := make([]buckets, f.NumRanks)
 	hasEvent := make([][]bool, f.NumRanks)
 	for r := range grid {

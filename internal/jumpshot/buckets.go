@@ -48,21 +48,14 @@ func exclusiveBuckets(rs []slog2.Ref[*slog2.State], from, span float64, n, cats 
 		}
 	}
 
-	type openIv struct {
-		cat int
-		end float64
-	}
-	var stack []openIv
+	var walk nesting
 	for _, r := range rs {
 		s := r.D
-		for len(stack) > 0 && stack[len(stack)-1].end <= s.Start {
-			stack = stack[:len(stack)-1]
-		}
+		_, parent := walk.enter(s)
 		addRange(s.Cat, s.Start, s.End, +1)
-		if len(stack) > 0 && stack[len(stack)-1].end >= s.End {
-			addRange(stack[len(stack)-1].cat, s.Start, s.End, -1)
+		if parent != nil {
+			addRange(parent.Cat, s.Start, s.End, -1)
 		}
-		stack = append(stack, openIv{cat: s.Cat, end: s.End})
 	}
 	// Clamp tiny negative residues from floating arithmetic.
 	for i, d := range bs.times {

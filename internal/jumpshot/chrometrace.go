@@ -35,13 +35,9 @@ func RenderChromeTrace(f *slog2.File) ([]byte, error) {
 	out := make([]traceEvent, 0, len(states)+2*len(arrows)+len(events)+f.NumRanks)
 	// Thread names: rank 0 = PI_MAIN, like the timeline labels.
 	for r := 0; r < f.NumRanks; r++ {
-		name := fmt.Sprintf("P%d", r)
-		if r == 0 {
-			name = "PI_MAIN"
-		}
 		out = append(out, traceEvent{
 			Name: "thread_name", Phase: "M", PID: 0, TID: r,
-			Args: map[string]any{"name": name},
+			Args: map[string]any{"name": rankLabel(r)},
 		})
 	}
 	for _, s := range states {

@@ -12,14 +12,15 @@ type Interval struct {
 	Start, End float64
 }
 
-// BusyIntervals returns the spans within [t0, t1] where the rank is
+// busyIntervals returns the spans within [t0, t1] where the rank is
 // actually computing: inside a Compute state but not blocked in an
 // input-category state (PI_Read, PI_Select, PI_Gather, PI_Reduce). This
 // is what the eye extracts from the paper's figures — "the partial
-// overlapping of gray bars" — turned into a number.
-func BusyIntervals(f *slog2.File, rank int, t0, t1 float64) []Interval {
+// overlapping of gray bars" — turned into a number. states is the
+// answer of f.States(t0, t1), shared by every rank asked about.
+func busyIntervals(f *slog2.File, states []slog2.Ref[*slog2.State], rank int, t0, t1 float64) []Interval {
 	var compute, blocked []Interval
-	for _, r := range f.States(t0, t1) {
+	for _, r := range states {
 		s := r.D
 		if s.Rank != rank {
 			continue
@@ -128,10 +129,11 @@ func IntervalTotal(ivs []Interval) float64 {
 // of the paper's instance A, where "the workers never did query
 // processing in parallel at all".
 func BusyOverlapRatio(f *slog2.File, ranks []int, t0, t1 float64) float64 {
+	states := f.States(t0, t1)
 	busy := make([][]Interval, len(ranks))
 	var meanBusy float64
 	for i, r := range ranks {
-		busy[i] = BusyIntervals(f, r, t0, t1)
+		busy[i] = busyIntervals(f, states, r, t0, t1)
 		meanBusy += IntervalTotal(busy[i])
 	}
 	if len(ranks) < 2 || meanBusy == 0 {

@@ -107,12 +107,12 @@ func TestIntervalAlgebraProperty(t *testing.T) {
 
 func TestBusyIntervalsFromLog(t *testing.T) {
 	f := makeLog(t) // Compute [0,10] both ranks; Read [2,3] on rank 1
-	busy := BusyIntervals(f, 1, 0, 10)
+	busy := busyIntervals(f, f.States(0, 10), 1, 0, 10)
 	// Rank 1: busy = [0,2] + [3,10].
 	if got := IntervalTotal(busy); math.Abs(got-9) > 1e-9 {
 		t.Fatalf("rank 1 busy = %v (%v), want 9", got, busy)
 	}
-	busy0 := BusyIntervals(f, 0, 0, 10)
+	busy0 := busyIntervals(f, f.States(0, 10), 0, 0, 10)
 	if got := IntervalTotal(busy0); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("rank 0 busy = %v, want 10 (writes do not block)", got)
 	}

@@ -45,7 +45,8 @@ func Legend(f *slog2.File, t0, t1 float64) []LegendEntry {
 	}
 	// Durations are summed in start order, so the sums do not depend on
 	// how the converter cut the frames.
-	for _, r := range f.States(t0, t1) {
+	states := f.States(t0, t1)
+	for _, r := range states {
 		entries[r.D.Cat].Count++
 		entries[r.D.Cat].Incl += r.D.Duration()
 		entries[r.D.Cat].Excl += r.D.Duration()
@@ -58,25 +59,16 @@ func Legend(f *slog2.File, t0, t1 float64) []LegendEntry {
 		}
 	})
 	// Subtract directly nested children from their parents' exclusive
-	// time, rank by rank, with a containment stack.
-	for _, rs := range statesByRank(f, t0, t1, nil) {
-		var stack []*slog2.State
+	// time, rank by rank.
+	for _, rs := range statesByRank(f, states, nil) {
+		var walk nesting
 		for _, r := range rs {
-			s := r.D
-			for len(stack) > 0 && stack[len(stack)-1].End <= s.Start {
-				stack = stack[:len(stack)-1]
+			if _, parent := walk.enter(r.D); parent != nil {
+				entries[parent.Cat].Excl -= r.D.Duration()
 			}
-			if n := len(stack); n > 0 && containsState(stack[n-1], s) {
-				entries[stack[n-1].Cat].Excl -= s.Duration()
-			}
-			stack = append(stack, s)
 		}
 	}
 	return entries
-}
-
-func containsState(outer, inner *slog2.State) bool {
-	return outer.Start <= inner.Start && inner.End <= outer.End
 }
 
 // SortLegend orders entries by the given key ("name", "count", "incl",
@@ -100,15 +92,11 @@ func FormatLegend(entries []LegendEntry) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-12s %8s %12s %12s\n", "name", "color", "count", "incl (s)", "excl (s)")
 	for _, e := range entries {
-		kind := "state"
 		if e.Kind == slog2.KindEvent {
-			kind = "event"
-		}
-		if e.Kind == slog2.KindEvent {
-			fmt.Fprintf(&b, "%-14s %-12s %8d %12s %12s  (%s)\n", e.Name, e.Color, e.Count, "-", "-", kind)
+			fmt.Fprintf(&b, "%-14s %-12s %8d %12s %12s  (event)\n", e.Name, e.Color, e.Count, "-", "-")
 			continue
 		}
-		fmt.Fprintf(&b, "%-14s %-12s %8d %12.6f %12.6f  (%s)\n", e.Name, e.Color, e.Count, e.Incl, e.Excl, kind)
+		fmt.Fprintf(&b, "%-14s %-12s %8d %12.6f %12.6f  (state)\n", e.Name, e.Color, e.Count, e.Incl, e.Excl)
 	}
 	return b.String()
 }

@@ -45,10 +45,7 @@ type SearchOptions struct {
 // window are filtered in place and only the hits that survive the limit
 // are built.
 func Search(f *slog2.File, opts SearchOptions) []Hit {
-	t0, t1 := opts.From, opts.To
-	if t0 == 0 && t1 == 0 {
-		t0, t1 = f.Start, f.End
-	}
+	t0, t1 := wholeIfZero(f, opts.From, opts.To)
 	nameMatch := func(name string) bool {
 		return strings.Contains(strings.ToLower(name), strings.ToLower(opts.Name))
 	}

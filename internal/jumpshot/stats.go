@@ -38,14 +38,7 @@ func Stats(f *slog2.File, t0, t1 float64) []RankStats {
 			rs = &RankStats{Rank: s.Rank, Time: map[int]float64{}, Fraction: map[int]float64{}}
 			byRank[s.Rank] = rs
 		}
-		lo, hi := s.Start, s.End
-		if lo < t0 {
-			lo = t0
-		}
-		if hi > t1 {
-			hi = t1
-		}
-		if hi > lo {
+		if lo, hi := clampF(s.Start, t0, t1), clampF(s.End, t0, t1); hi > lo {
 			rs.Time[s.Cat] += hi - lo
 		}
 	}
@@ -53,7 +46,6 @@ func Stats(f *slog2.File, t0, t1 float64) []RankStats {
 	for _, rs := range byRank {
 		for cat, d := range rs.Time {
 			rs.Fraction[cat] = d / window
-			_ = cat
 		}
 		out = append(out, *rs)
 	}

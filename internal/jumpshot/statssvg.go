@@ -57,11 +57,7 @@ func RenderStatsSVG(f *slog2.File, t0, t1 float64, title string) string {
 
 	for i, rs := range stats {
 		y := topPad + i*(barH+gap)
-		label := fmt.Sprintf("P%d", rs.Rank)
-		if rs.Rank == 0 {
-			label = "PI_MAIN"
-		}
-		fmt.Fprintf(&b, `<text x="6" y="%d" fill="#c0c0c0">%s</text>`+"\n", y+barH-6, esc(label))
+		fmt.Fprintf(&b, `<text x="6" y="%d" fill="#c0c0c0">%s</text>`+"\n", y+barH-6, rankLabel(rs.Rank))
 		x := float64(left)
 		for _, cat := range cats {
 			frac := rs.Fraction[cat]

@@ -15,7 +15,8 @@ import (
 // the preview threshold beyond which a timeline degrades to Jumpshot's
 // striped proportional rectangles.
 type View struct {
-	// From/To bound the viewport; if To <= From the whole log is shown.
+	// From/To bound the viewport; both zero shows the whole log, and a
+	// window of zero width is drawn over [From, From+1e-9].
 	From, To float64
 	// Width is the canvas width in pixels (default 1200).
 	Width int
@@ -57,10 +58,17 @@ const (
 	marginRight  = 14
 )
 
-func (v View) normalized(f *slog2.File) View {
-	if v.To <= v.From {
-		v.From, v.To = f.Start, f.End
+// wholeIfZero resolves a viewer's window against f: the zero window,
+// [0, 0], stands for the whole log, any other for itself.
+func wholeIfZero(f *slog2.File, from, to float64) (float64, float64) {
+	if from == 0 && to == 0 {
+		return f.Start, f.End
 	}
+	return from, to
+}
+
+func (v View) normalized(f *slog2.File) View {
+	v.From, v.To = wholeIfZero(f, v.From, v.To)
 	if v.To <= v.From {
 		v.To = v.From + 1e-9
 	}
@@ -148,7 +156,7 @@ func AppendSVG(dst []byte, f *slog2.File, v View) []byte {
 			}
 		}
 	}
-	byRank := statesByRank(f, v.From, v.To, want)
+	byRank := statesByRank(f, f.States(v.From, v.To), want)
 	if v.RankOrder == nil {
 		for r := range f.NumRanks {
 			ranks = append(ranks, r)
@@ -353,12 +361,10 @@ func outermostFirst(rs []slog2.Ref[*slog2.State]) {
 	}
 }
 
-// statesByRank buckets the states intersecting [t0, t1] per rank, each
-// rank outermostFirst. They come from one States query, already in start
-// order, and are dealt out to their ranks in that order. A non-nil want
-// keeps only the ranks it marks.
-func statesByRank(f *slog2.File, t0, t1 float64, want []bool) [][]slog2.Ref[*slog2.State] {
-	all := f.States(t0, t1)
+// statesByRank deals the states of all, one States query in start order,
+// out to their ranks in that order, each rank outermostFirst. A non-nil
+// want keeps only the ranks it marks.
+func statesByRank(f *slog2.File, all []slog2.Ref[*slog2.State], want []bool) [][]slog2.Ref[*slog2.State] {
 	keep := func(s *slog2.State) bool {
 		return uint(s.Rank) < uint(f.NumRanks) && (want == nil || want[s.Rank])
 	}
@@ -386,21 +392,37 @@ func statesByRank(f *slog2.File, t0, t1 float64, want []bool) [][]slog2.Ref[*slo
 	return byRank
 }
 
+// nesting walks one rank's states, fed in statesByRank order, through the
+// stack of states still open: the one nesting that the timeline's insets,
+// the preview's exclusive time and the legend's excl all read.
+type nesting struct{ open []*slog2.State }
+
+// enter steps the walk onto s. The states that end at or before s starts
+// close; depth is how many stay open around it, and parent is the
+// innermost of them when s ends inside it, else nil (a partial overlap
+// has a depth and no parent).
+func (n *nesting) enter(s *slog2.State) (depth int, parent *slog2.State) {
+	for len(n.open) > 0 && n.open[len(n.open)-1].End <= s.Start {
+		n.open = n.open[:len(n.open)-1]
+	}
+	depth = len(n.open)
+	if depth > 0 && s.End <= n.open[depth-1].End {
+		parent = n.open[depth-1]
+	}
+	n.open = append(n.open, s)
+	return depth, parent
+}
+
 // stateRow draws one rank's states as nested rectangles: outer states
 // first, each nesting level inset vertically, exactly how Jumpshot shows
 // "state B fully nested within A ... as another rectangle within A".
 func (m *markup) stateRow(l *layout, cats []catText, rs []slog2.Ref[*slog2.State], rank int) {
 	top, rowHeight := l.rows[rank].top, l.rows[rank].h
-	var open []float64 // ends of the states open at this point
+	var walk nesting
 	var levels []level // by nesting depth
 	for _, r := range rs {
 		s := r.D
-		for len(open) > 0 && open[len(open)-1] <= s.Start {
-			open = open[:len(open)-1]
-		}
-		depth := len(open)
-		open = append(open, s.End)
-
+		depth, _ := walk.enter(s)
 		for len(levels) <= depth {
 			inset := min(float64(len(levels)*4), float64(rowHeight)/2-4)
 			levels = append(levels, newLevel(top+3+inset, max(float64(rowHeight)-6-2*inset, 2)))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/jumpshot"
 	"repro/vis"
 )
 
@@ -79,8 +80,8 @@ func TestLab2VisualLogMatchesFig3(t *testing.T) {
 	if rep.UnmatchedSends+rep.UnmatchedRecvs+rep.NestingErrors != 0 {
 		t.Fatalf("conversion not clean: %+v", rep)
 	}
-	legend := vis.Legend(f, f.Start, f.End)
-	byName := map[string]vis.LegendEntry{}
+	legend := jumpshot.Legend(f, f.Start, f.End)
+	byName := map[string]jumpshot.LegendEntry{}
 	for _, e := range legend {
 		byName[e.Name] = e
 	}
@@ -91,13 +92,13 @@ func TestLab2VisualLogMatchesFig3(t *testing.T) {
 		t.Errorf("reads/writes = %d/%d, want 15/15",
 			byName["PI_Read"].Count, byName["PI_Write"].Count)
 	}
-	arrows := vis.Search(f, vis.SearchOptions{Name: "arrow", Rank: -1})
+	arrows := jumpshot.Search(f, jumpshot.SearchOptions{Name: "arrow", Rank: -1})
 	if len(arrows) != 15 {
 		t.Errorf("arrows = %d, want 15", len(arrows))
 	}
 	// Each worker's two reads precede its write (red, red, green).
 	for w := 1; w <= 5; w++ {
-		hits := vis.Search(f, vis.SearchOptions{Rank: w})
+		hits := jumpshot.Search(f, jumpshot.SearchOptions{Rank: w})
 		var seq []string
 		for _, h := range hits {
 			if h.Name == "PI_Read" || h.Name == "PI_Write" {
@@ -128,7 +129,7 @@ func TestLab2CaretVisualLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legend := vis.Legend(f, f.Start, f.End)
+	legend := jumpshot.Legend(f, f.Start, f.End)
 	for _, e := range legend {
 		if e.Name == "PI_Read" && e.Count != 10 { // 1 per worker + 5 on main
 			t.Errorf("caret-form PI_Read count = %d, want 10", e.Count)

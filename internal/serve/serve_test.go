@@ -237,6 +237,39 @@ func TestInvertedWindowIsBadRequestOnEveryRoute(t *testing.T) {
 	}
 }
 
+// A tile of zero width is that instant, not the whole log: the SVG tile
+// of [mid, mid] on thumbnail draws the states the JSON tile of the same
+// window lists, and fewer than the full-span SVG. Only [0, 0] stands for
+// the whole log.
+func TestZeroWidthTileDrawsItsInstant(t *testing.T) {
+	_, ts := newTestServer(t, goldenDir)
+	f, err := slog2.ReadFile(filepath.Join(goldenDir, "thumbnail.slog2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := f.Start + (f.End-f.Start)/2
+	url := fmt.Sprintf("%s/trace/thumbnail/tile?t0=%v&t1=%v", ts.URL, mid, mid)
+	_, js := get(t, url, nil)
+	var tile struct {
+		States []struct{ T0, T1 float64 }
+	}
+	if err := json.Unmarshal(js, &tile); err != nil {
+		t.Fatal(err)
+	}
+	_, svg := get(t, url+"&format=svg", nil)
+	_, full := get(t, ts.URL+"/trace/thumbnail/tile?format=svg", nil)
+	rects := func(svg []byte) int { return bytes.Count(svg, []byte(`<g><rect x="`)) }
+	if n := rects(svg); n == 0 || n != len(tile.States) || n >= rects(full) {
+		t.Fatalf("the SVG tile of [mid, mid] draws %d states, the JSON tile lists %d, the full span %d",
+			n, len(tile.States), rects(full))
+	}
+	for _, s := range tile.States {
+		if title := fmt.Sprintf(" start: %.6f end: %.6f ", s.T0, s.T1); !bytes.Contains(svg, []byte(title)) {
+			t.Errorf("the SVG tile of [mid, mid] does not draw the state%s", title)
+		}
+	}
+}
+
 // A search bound left out is the log's own start or end, as on every
 // other windowed route: from alone searches [from, end], not the whole log.
 func TestSearchFromAloneNarrowsTheWindow(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jpeglite"
+	"repro/internal/jumpshot"
 	"repro/vis"
 )
 
@@ -107,12 +108,12 @@ func TestPipelineVisualLogClean(t *testing.T) {
 	if rep.States < 100 {
 		t.Errorf("only %d states for a 30-image run", rep.States)
 	}
-	frac := vis.CategoryFraction(f, "Compute", f.Start, f.End)
+	frac := jumpshot.CategoryFraction(f, "Compute", f.Start, f.End)
 	if frac < 0.5 {
 		t.Errorf("compute fraction %.2f; pipeline should be compute-dominated", frac)
 	}
 	// Every rank timeline present: main + C + 3 Ds.
-	legend := vis.Legend(f, f.Start, f.End)
+	legend := jumpshot.Legend(f, f.Start, f.End)
 	for _, e := range legend {
 		if e.Name == "Compute" && e.Count != 5 {
 			t.Errorf("compute states = %d, want 5", e.Count)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jumpshot"
+	"repro/internal/slog2"
 	"repro/pilot"
 	"repro/vis"
 )
@@ -115,8 +117,8 @@ func TestLab2ThroughPublicAPI(t *testing.T) {
 	}
 	// Fig. 3 structure: 15 arrows (5 workers × (2 to + 1 from)), 10 reads
 	// on workers + 5 reads on main, 10 writes on main + 5 on workers.
-	legend := vis.Legend(f, f.Start, f.End)
-	byName := map[string]vis.LegendEntry{}
+	legend := jumpshot.Legend(f, f.Start, f.End)
+	byName := map[string]jumpshot.LegendEntry{}
 	for _, e := range legend {
 		byName[e.Name] = e
 	}
@@ -129,15 +131,15 @@ func TestLab2ThroughPublicAPI(t *testing.T) {
 	if got := byName["Compute"].Count; got != 6 {
 		t.Errorf("Compute count = %d, want 6 timelines", got)
 	}
-	hits := vis.Search(f, vis.SearchOptions{Name: "arrow", Rank: -1})
+	hits := jumpshot.Search(f, jumpshot.SearchOptions{Name: "arrow", Rank: -1})
 	if len(hits) != 15 {
 		t.Errorf("arrows = %d, want 15", len(hits))
 	}
-	ascii := vis.RenderASCII(f, vis.View{Width: 80})
+	ascii := jumpshot.RenderASCII(f, vis.View{Width: 80})
 	if !strings.Contains(ascii, "PI_MAIN") {
 		t.Errorf("ascii render:\n%s", ascii)
 	}
-	if rdSLOG, err := vis.ReadSLOG2(slogPath); err != nil || rdSLOG.NumRanks != f.NumRanks {
+	if rdSLOG, err := slog2.ReadFile(slogPath); err != nil || rdSLOG.NumRanks != f.NumRanks {
 		t.Fatalf("slog2 roundtrip: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/jumpshot"
 	"repro/internal/lab2"
 	"repro/internal/serve"
+	"repro/internal/slog2"
 	"repro/internal/stats"
 	"repro/vis"
 )
@@ -56,7 +57,7 @@ func TestPipelineAllStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SLOG-2 roundtrip through the facade.
-	g, err := vis.ReadSLOG2(slogPath)
+	g, err := slog2.ReadFile(slogPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,35 +85,35 @@ func TestFacadeRenderers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := vis.RenderASCII(f, vis.View{Width: 60}); !strings.Contains(s, "PI_MAIN") {
+	if s := jumpshot.RenderASCII(f, vis.View{Width: 60}); !strings.Contains(s, "PI_MAIN") {
 		t.Error("ascii facade broken")
 	}
-	if s := vis.RenderHTML(f, vis.View{}); !strings.Contains(s, "<!DOCTYPE html>") {
+	if s := jumpshot.RenderHTML(f, vis.View{}); !strings.Contains(s, "<!DOCTYPE html>") {
 		t.Error("html facade broken")
 	}
-	if s := vis.RenderStatsSVG(f, f.Start, f.End, ""); !strings.Contains(s, "<svg") {
+	if s := jumpshot.RenderStatsSVG(f, f.Start, f.End, ""); !strings.Contains(s, "<svg") {
 		t.Error("stats svg facade broken")
 	}
 	htmlPath := filepath.Join(t.TempDir(), "v.html")
 	if err := vis.RenderHTMLFile(htmlPath, f, vis.View{}); err != nil {
 		t.Fatal(err)
 	}
-	legend := vis.Legend(f, f.Start, f.End)
-	vis.SortLegend(legend, "count")
-	if out := vis.FormatLegend(legend); !strings.Contains(out, "count") {
+	legend := jumpshot.Legend(f, f.Start, f.End)
+	jumpshot.SortLegend(legend, "count")
+	if out := jumpshot.FormatLegend(legend); !strings.Contains(out, "count") {
 		t.Error("legend facade broken")
 	}
-	stats := vis.Stats(f, f.Start, f.End)
-	if out := vis.FormatStats(f, stats); out == "" {
+	stats := jumpshot.Stats(f, f.Start, f.End)
+	if out := jumpshot.FormatStats(f, stats); out == "" {
 		t.Error("stats facade broken")
 	}
-	if frac := vis.CategoryFraction(f, "Compute", f.Start, f.End); frac <= 0 {
+	if frac := jumpshot.CategoryFraction(f, "Compute", f.Start, f.End); frac <= 0 {
 		t.Errorf("compute fraction %v", frac)
 	}
-	if hits := vis.Search(f, vis.SearchOptions{Name: "arrow", Rank: -1}); len(hits) != 9 {
+	if hits := jumpshot.Search(f, jumpshot.SearchOptions{Name: "arrow", Rank: -1}); len(hits) != 9 {
 		t.Errorf("arrows = %d, want 9 (3 workers x 3 messages)", len(hits))
 	}
-	if r := vis.BusyOverlapRatio(f, []int{1, 2, 3}, f.Start, f.End); r < 0 || r > 1.2 {
+	if r := jumpshot.BusyOverlapRatio(f, []int{1, 2, 3}, f.Start, f.End); r < 0 || r > 1.2 {
 		t.Errorf("overlap ratio %v", r)
 	}
 }
@@ -300,7 +301,7 @@ func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := vis.ReadSLOG2(filepath.Join(repoDir, "inf.slog2"))
+	sf, err := slog2.ReadFile(filepath.Join(repoDir, "inf.slog2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestConvertInfiniteReceive(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, rep, err := vis.Convert(&raw, vis.ConvertOptions{})
+	f, rep, err := slog2.ConvertReader(&raw, vis.ConvertOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
