@@ -47,12 +47,23 @@ ci: build fmt vet race loc-paths test-bench bench-smoke fuzz-smoke cover smoke-m
 # process over the socket transport (-pitransport=socket re-executes the
 # binary per rank), then the merged CLOG-2 — collected over the wire by
 # rank 0 — must still convert to SLOG-2, and nothing may have written a
-# ".idx" beside it (the log carries its own block table).
+# ".idx" beside it (the log carries its own block table). Then a
+# thumbnail run over sockets whose two decompressors log about 4 800
+# records each, more than two 64 KiB pages: its pages cross the wire one
+# message each, and the merged log must verify (its block table is a
+# scan's) and hold more blocks than ranks (blocks are cut every few
+# hundred records, not one a rank).
 smoke-multiproc:
 	@mkdir -p out
 	$(GO) build -o out/pilot-lab2 ./cmd/pilot-lab2
 	./out/pilot-lab2 -pisvc=j -pitransport=socket -w 3 -num 3000 -clog out/lab2-multiproc.clog2
 	$(GO) run ./cmd/clog2slog -q -o out/lab2-multiproc.slog2 out/lab2-multiproc.clog2
+	$(GO) build -o out/pilot-thumbnail ./cmd/pilot-thumbnail
+	./out/pilot-thumbnail -pisvc=j -pitransport=socket -w 2 -n 600 -iw 32 -ih 32 -clog out/thumb-multiproc.clog2
+	$(GO) run ./cmd/clogdump -verify out/thumb-multiproc.clog2 > out/thumb-multiproc.verify
+	cat out/thumb-multiproc.verify
+	grep -q '^table: ok$$' out/thumb-multiproc.verify
+	awk -F'[:,] *' '/^ranks:/ { seen = 1; if ($$4 <= $$2) { print "smoke-multiproc: " $$4 " blocks for " $$2 " ranks"; bad = 1 } } END { exit bad || !seen }' out/thumb-multiproc.verify
 	test -z "$$(find out -maxdepth 1 -name '*.idx')"
 
 # Trace-service smoke: stand pilot-serve up on a repository of the three
@@ -102,10 +113,13 @@ smoke-analyze:
 
 # Statement-coverage floors: run the whole suite with cross-package
 # instrumentation, then hold the observability-critical packages above
-# their checked-in minimums (coverfloor exits 1 below a floor).
+# their checked-in minimums (coverfloor exits 1 below a floor). The
+# suite's output goes to out/cover.txt; when a test fails, its FAIL lines
+# are printed from there.
 cover:
 	@mkdir -p out
-	$(GO) test -coverprofile out/cover.out -coverpkg ./... ./... > /dev/null
+	$(GO) test -coverprofile out/cover.out -coverpkg ./... ./... > out/cover.txt 2>&1 || \
+		{ grep -E '^ *(--- )?FAIL' out/cover.txt; echo "cover: go test failed; its output is in out/cover.txt"; exit 1; }
 	$(GO) run ./cmd/coverfloor \
 		-floor repro/internal/stats=90 \
 		-floor repro/internal/mpi=88 \

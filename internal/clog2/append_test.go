@@ -3,6 +3,7 @@ package clog2
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -114,7 +115,7 @@ func TestAppendRecordRoundTrip(t *testing.T) {
 		if want := oracleEncode(&rec); !bytes.Equal(enc, want) {
 			t.Fatalf("%v: %+v encodes to\n% x\nthe field encoder gives\n% x", typ, rec, enc, want)
 		}
-		d := decoder{buf: enc, w: len(enc), strict: true}
+		d := decoder{buf: enc, w: len(enc)}
 		var got Record
 		if err := d.readRecord(&got); err != nil || d.r != d.w {
 			t.Fatalf("%v: decoding gives %v with %d bytes left", typ, err, d.w-d.r)
@@ -174,38 +175,35 @@ func TestAppendRejects(t *testing.T) {
 			t.Errorf("%s: WriteBlock gives %v", c.name, err)
 		}
 	}
-}
-
-// entriesAt makes the table entries of encoded blocks that land at offset
-// at, the way the merge does: from a strict walk of them.
-func entriesAt(t testing.TB, blocks []byte, at int64) []BlockMeta {
-	t.Helper()
-	br, err := NewStrictBlockReader(append(append(AppendHeader(nil, 1), blocks...), byte(RecEndLog)))
+	// Rank 255 is 256 on the wire, whose first byte is the end-log marker:
+	// a file would end there for every reader, so a Writer refuses it.
+	w, err := NewWriter(io.Discard, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var table Table
-	if err := br.Each(func(run Block) error { table.AddRun(br, run, at-int64(HeaderSize)); return nil }); err != nil {
-		t.Fatal(err)
+	for _, rank := range []int32{254, 256, 510} {
+		if err := w.WriteBlock(rank, nil); err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
 	}
-	return table.Blocks
+	for _, rank := range []int32{255, 511} {
+		want := fmt.Sprintf("clog2: a block of rank %d would begin with the end-log marker", rank)
+		if err := w.WriteBlock(rank, nil); err == nil || err.Error() != want {
+			t.Errorf("rank %d: WriteBlock gives %v, want %s", rank, err, want)
+		}
+	}
 }
 
 // A Writer's file is the header, AppendBlock's bytes block by block, the
 // end-log marker and the table a scan of those makes, whatever the blocks'
 // size against its buffer, and Offset counts what it has encoded whether
-// or not it was handed on. Splice puts encoded blocks where WriteBlock
-// would have, and their entries where WriteBlock makes them.
+// or not it was handed on.
 func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	long := strings.Repeat("x", math.MaxUint16)
 	for _, perBlock := range []int{0, 1, 700, 5000} { // 5000 records: three buffers' worth
 		want := AppendHeader(nil, 4)
-		var spliced, written bytes.Buffer
-		ws, err := NewWriter(&spliced, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var written bytes.Buffer
 		ww, err := NewWriter(&written, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -224,23 +222,10 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 			if want, err = AppendBlock(want, rank, recs); err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []*Writer{ws, ww} {
-				if w.Offset() != int64(start) {
-					t.Fatalf("%d records a block: rank %d starts at %d, Offset says %d", perBlock, rank, start, w.Offset())
-				}
+			if ww.Offset() != int64(start) {
+				t.Fatalf("%d records a block: rank %d starts at %d, Offset says %d", perBlock, rank, start, ww.Offset())
 			}
 			if err := ww.WriteBlock(rank, recs); err != nil {
-				t.Fatal(err)
-			}
-			if rank%2 == 0 {
-				err = ws.WriteBlock(rank, recs)
-			} else {
-				if ws.Splice(want[start:], nil) == nil {
-					t.Fatal("Splice took blocks without their entries")
-				}
-				err = ws.Splice(want[start:], entriesAt(t, want[start:], int64(start)))
-			}
-			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,19 +235,17 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = AppendTable(want, table)
-		for _, w := range []*Writer{ws, ww} {
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if w.Offset() != int64(len(want)) {
-				t.Fatalf("%d records a block: Offset %d after Close of a %d-byte file", perBlock, w.Offset(), len(want))
-			}
+		if err := ww.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(written.Bytes(), want) || !bytes.Equal(spliced.Bytes(), want) {
+		if ww.Offset() != int64(len(want)) {
+			t.Fatalf("%d records a block: Offset %d after Close of a %d-byte file", perBlock, ww.Offset(), len(want))
+		}
+		if !bytes.Equal(written.Bytes(), want) {
 			t.Fatalf("%d records a block: the Writer's file is not header + AppendBlock... + end-log + table", perBlock)
 		}
-		if err := ws.Splice(nil, nil); err == nil {
-			t.Fatal("Splice after Close succeeded")
+		if err := ww.WriteBlock(0, nil); err == nil {
+			t.Fatal("WriteBlock after Close succeeded")
 		}
 	}
 }
@@ -290,8 +273,8 @@ func TestWriterErrorIsSticky(t *testing.T) {
 	if err := w.WriteBlock(0, recs); err != io.ErrShortWrite {
 		t.Fatalf("WriteBlock over a failing writer: %v", err)
 	}
-	if err := w.Splice([]byte{1}, nil); err != io.ErrShortWrite {
-		t.Fatalf("Splice after a failed write: %v", err)
+	if err := w.WriteBlock(0, recs[:1]); err != io.ErrShortWrite {
+		t.Fatalf("WriteBlock after a failed write: %v", err)
 	}
 	if err := w.Close(); err != io.ErrShortWrite {
 		t.Fatalf("Close after a failed write: %v", err)
@@ -389,7 +372,6 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 		"one byte": func() (*BlockReader, error) {
 			return NewBlockReader(iotest.OneByteReader(bytes.NewReader(file.Bytes())))
 		},
-		"strict, in memory": func() (*BlockReader, error) { return NewStrictBlockReader(file.Bytes()[:w.Table().LogSize()]) },
 	} {
 		for _, capacity := range runCaps {
 			br, err := open()
@@ -483,44 +465,52 @@ func TestHalfReadBlock(t *testing.T) {
 	}
 }
 
-// The strict reader takes a Writer's bytes and nothing that merely
-// decodes to the same records: its verdict is what lets the merge copy.
-func TestStrictBlockReader(t *testing.T) {
-	valid := validFileBytes(t)
-	walk := func(log []byte) error {
-		br, err := NewStrictBlockReader(log)
-		if err != nil {
-			return err
+// checkTimed takes the timed records a Logger encodes, of its rank, as
+// many as it is asked for, and refuses by name whatever a Writer would
+// not write as it lies: a cargo past MaxCargo (other readers cut it), a
+// marker, a record that is not timed, a record cut short, and a record of
+// another rank.
+func TestCheckTimed(t *testing.T) {
+	var page []byte
+	sizes := []int{0}
+	for _, r := range sampleRecords() {
+		if TimedSize(oracleEncode(&r)) > 0 {
+			r.Rank = 3
+			page, _ = AppendRecord(page, &r)
+			sizes = append(sizes, len(page))
 		}
-		return br.Each(func(Block) error { return nil })
 	}
-	if err := walk(valid); err != nil {
-		t.Fatalf("a Writer's file: %v", err)
+	if len(sizes) < 5 {
+		t.Fatalf("%d timed sample records", len(sizes)-1)
 	}
-	// A 41-byte cargo, last in its block and with a record behind it:
-	// lenient readers cut it to 40 and go on.
-	long := rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1)))
-	padded := rawFile(2, append(rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1)), rawCargoEvt(2, make([]byte, MaxCargo))...))
-	negative := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(negative[HeaderSize:], uint32(0xFFFFFFFE)) // rank -3 on the wire
+	for max := 0; max <= len(sizes); max++ {
+		want := min(max, len(sizes)-1)
+		if n, size, err := checkTimed(page, 3, max); n != want || size != sizes[want] || err != nil {
+			t.Fatalf("at most %d records: %d records in %d bytes, %v; want %d in %d", max, n, size, err, want, sizes[want])
+		}
+	}
+	long := rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1))
+	def, _ := AppendRecord(nil, &Record{Type: RecStateDef, Name: "A"})
 	cases := map[string]struct {
-		log     []byte
-		want    string
-		lenient bool
+		p    []byte
+		want string
 	}{
-		"overlong cargo":          {long, "clog2: cargo of 41 bytes exceeds the 40 a writer emits", true},
-		"overlong cargo, mid-log": {padded, "clog2: cargo of 41 bytes exceeds the 40 a writer emits", true},
-		"byte after end-log":      {append(append([]byte(nil), valid...), 0), "clog2: 1 trailing bytes after the end-log marker", true},
-		"negative rank":           {negative, "clog2: block with negative rank -3", true},
-		"torn":                    {valid[:len(valid)-3], "clog2: truncated file: unexpected EOF", false},
-		"bad magic":               {[]byte("CLOG-R0261\x01\x00\x00\x00\x00"), `clog2: bad magic "CLOG-R0261" (not a CLOG-2 file?)`, false},
+		"overlong cargo":           {long, "clog2: cargo of 41 bytes exceeds the 40 a writer emits"},
+		"overlong cargo, mid-page": {append(page[:sizes[2]:sizes[2]], long...), "clog2: cargo of 41 bytes exceeds the 40 a writer emits"},
+		"end-block marker":         {append(page[:sizes[1]:sizes[1]], byte(RecEndBlock)), fmt.Sprintf("clog2: marker EndBlock at byte %d among records", sizes[1])},
+		"end-log marker":           {[]byte{byte(RecEndLog)}, "clog2: marker EndLog at byte 0 among records"},
+		"a definition":             {def, "clog2: StateDef record at byte 0 is not a timed record"},
+		"not a record":             {[]byte("hello"), "clog2: RecType(?) record at byte 0 is not a timed record"},
+		"torn":                     {page[:len(page)-1], fmt.Sprintf("clog2: %v record at byte %d cut short by the end at %d", RecType(page[sizes[len(sizes)-2]]), sizes[len(sizes)-2], len(page)-1)},
+		"another rank":             {rawCargoEvt(1, nil), "clog2: record at byte 0 is of rank 0, not 3"},
 	}
 	for name, c := range cases {
-		if err := walk(c.log); err == nil || err.Error() != c.want {
-			t.Errorf("%s: strict reader gives %v, want %s", name, err, c.want)
+		n, size, err := checkTimed(c.p, 3, len(c.p))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: checkTimed gives %v, want %s", name, err, c.want)
 		}
-		if _, _, err := readBlocks(bytes.NewReader(c.log)); (err == nil) != c.lenient {
-			t.Errorf("%s: lenient reader gives %v", name, err)
+		if size > len(c.p) || n > 0 && size == 0 {
+			t.Errorf("%s: %d records in %d of %d bytes", name, n, size, len(c.p))
 		}
 	}
 }

@@ -144,20 +144,20 @@ func FuzzReadFile(f *testing.F) {
 		// Whatever decodes re-encodes to the bytes it was decoded from,
 		// block by block, unless the decoder had to repair it (a cargo cut
 		// to MaxCargo encodes shorter, a negative rank not at all); and
-		// what the strict reader takes needed no repair anywhere.
-		strict := false
-		if br, serr := NewStrictBlockReader(data); serr == nil {
-			strict = br.Each(func(Block) error { return nil }) == nil
-		}
-		if strict && err != nil {
-			t.Fatalf("the strict reader takes what EachBlock refuses with %v", err)
-		}
+		// records checkTimed takes whole needed no repair: it is what lets
+		// the merge write a rank's pages as they lie.
 		for i, b := range whole.blocks {
 			raw := data[whole.bounds[i][0]:whole.bounds[i][1]]
 			enc, eerr := AppendBlock(nil, b.Rank, b.Records)
-			if exact := eerr == nil && len(enc) == len(raw); exact != bytes.Equal(enc, raw) || strict && !exact {
-				t.Fatalf("block %d (strict %v): %d bytes re-encode to %d, %v", i, strict, len(raw), len(enc), eerr)
+			body := raw[8 : len(raw)-1]
+			n, size, cerr := checkTimed(body, b.Rank, len(body))
+			checked := cerr == nil && size == len(body) && n == len(b.Records)
+			if exact := eerr == nil && len(enc) == len(raw); exact != bytes.Equal(enc, raw) || checked && !exact {
+				t.Fatalf("block %d (checked %v): %d bytes re-encode to %d, %v", i, checked, len(raw), len(enc), eerr)
 			}
+		}
+		if n, size, err := checkTimed(data, 0, len(data)); size > len(data) || err == nil && size != len(data) {
+			t.Fatalf("checkTimed over the input: %d records in %d of %d bytes, %v", n, size, len(data), err)
 		}
 	})
 }

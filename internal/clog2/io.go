@@ -25,8 +25,12 @@ const HeaderSize = len(Magic) + 4
 // (table.go). What it encodes, AppendRecord encodes into one buffer, which
 // the Writer hands to the underlying writer whenever a timed record might
 // not fit: only a definition with strings longer than the buffer ever
-// grows it. Records that come already encoded (WriteBlock's pages) are
-// handed on as they are.
+// grows it. Records that come already encoded (WriteBlock's pages) join
+// the buffer when they fit in it and are handed on as they lie when they
+// do not: the merge cuts a rank's pages into pieces of a few kilobytes
+// with a block header between each two, and a write a piece (2 to 3 a
+// block) made a 2 x 100 000-record merge to a file take 25.5 ms, where
+// gathered it takes 19 to 21.5 ms.
 type Writer struct {
 	w   io.Writer // nil under AppendBlock: buf then takes the whole block
 	buf []byte    // encoded bytes not yet handed to w
@@ -64,7 +68,8 @@ func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 
 // WriteBlock appends one rank's block: recs, encoded here, then the
 // records pages hold already encoded, whole and of the timed types (an mpe
-// rank's log), handed to the underlying writer uncopied. The block header
+// rank's pages, or pieces of them cut at record boundaries; checkTimed),
+// neither decoded nor encoded again. The block header
 // carries the total. A Writer over an underlying writer enters the block
 // in its table; under AppendBlock, which has no pages, there is none.
 func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
@@ -73,6 +78,11 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	}
 	if rank < 0 {
 		return fmt.Errorf("clog2: block with negative rank %d", rank)
+	}
+	if w.w != nil && byte(rank+1) == byte(RecEndLog) {
+		// The format's limit (see BlockReader.header): a reader would stop
+		// at this block and read the log as ending there.
+		return fmt.Errorf("clog2: a block of rank %d would begin with the end-log marker", rank)
 	}
 	m := newBlockMeta(rank, w.Offset())
 	m.addRecords(recs)
@@ -94,9 +104,15 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 		}
 	}
 	for _, p := range pages {
-		w.emit(buf)
-		w.emit(p)
-		buf = buf[:0]
+		if len(p) > cap(buf)-len(buf) {
+			w.emit(buf)
+			buf = buf[:0]
+		}
+		if len(p) > cap(buf) {
+			w.emit(p)
+		} else {
+			buf = append(buf, p...)
+		}
 	}
 	w.buf = append(buf, byte(RecEndBlock))
 	if w.w != nil {
@@ -105,6 +121,62 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 		w.table.TotalRecords += int64(m.Records)
 	}
 	return w.err
+}
+
+// Cut is one rank's records that come already encoded in pages (an mpe
+// rank's log at the wrap-up merge), checked as each page is added and cut
+// at record boundaries into blocks of at most a fixed number of records,
+// for WriteCut to write once every page is in: a block header and the
+// pieces of the pages the block spans, neither decoded nor encoded again.
+type Cut struct {
+	rank     int32
+	perBlock int
+	lead     []Record
+	// pieces are sub-slices of the pages, block after block: block i is
+	// pieces[ends[i-1]:ends[i]], and the block still open holds n records.
+	pieces  [][]byte
+	ends    []int
+	n       int
+	records int
+}
+
+// NewCut starts the cut of rank's records into blocks of at most perBlock
+// records, the first led by lead (and counting it).
+func NewCut(rank int32, perBlock int, lead []Record) *Cut {
+	return &Cut{rank: rank, perBlock: max(perBlock, 1), lead: lead, n: len(lead)}
+}
+
+// Add checks page as checkTimed does, refusing by name what a Writer would
+// not write as it lies, and cuts its records into the blocks. The page is
+// held, not copied, until WriteCut.
+func (c *Cut) Add(page []byte) error {
+	for len(page) > 0 {
+		if c.n >= c.perBlock {
+			c.ends, c.n = append(c.ends, len(c.pieces)), 0
+		}
+		n, size, err := checkTimed(page, c.rank, c.perBlock-c.n)
+		if err != nil {
+			return err
+		}
+		c.pieces = append(c.pieces, page[:size])
+		c.n, c.records, page = c.n+n, c.records+n, page[size:]
+	}
+	return nil
+}
+
+// Records counts the records of the pages added.
+func (c *Cut) Records() int { return c.records }
+
+// WriteCut writes c's blocks, its lead records first.
+func (w *Writer) WriteCut(c *Cut) error {
+	lead, start := c.lead, 0
+	for _, end := range append(c.ends, len(c.pieces)) {
+		if err := w.WriteBlock(c.rank, lead, c.pieces[start:end]...); err != nil {
+			return err
+		}
+		lead, start = nil, end
+	}
+	return nil
 }
 
 // AppendBlockHeader appends the header of a block of n records of rank.
@@ -123,36 +195,6 @@ func AppendBlock(dst []byte, rank int32, recs []Record) ([]byte, error) {
 		return dst, err
 	}
 	return w.buf, nil
-}
-
-// Splice appends blocks that are already encoded: bytes a strict
-// BlockReader has walked to their last end-block marker, which are
-// therefore the bytes WriteBlock would produce for the records it
-// decoded. They go to the underlying writer as they are, uncopied, and
-// their entries, which that walk made (Table.AddRun) at the offsets the
-// blocks land at, go into the table; entries that do not tile the blocks
-// from Offset on are refused.
-func (w *Writer) Splice(blocks []byte, entries []BlockMeta) error {
-	if err := w.writable(); err != nil {
-		return err
-	}
-	at, records := w.Offset(), int64(0)
-	for _, m := range entries {
-		if m.Offset != at || m.Length <= 0 {
-			return fmt.Errorf("clog2: a spliced block's entry spans [%d,+%d), the block starts at %d", m.Offset, m.Length, at)
-		}
-		at += m.Length
-		records += int64(m.Records)
-	}
-	if at != w.Offset()+int64(len(blocks)) {
-		return fmt.Errorf("clog2: entries for %d bytes, %d bytes spliced", at-w.Offset(), len(blocks))
-	}
-	w.table.Blocks = append(w.table.Blocks, entries...)
-	w.table.TotalRecords += records
-	w.emit(w.buf)
-	w.emit(blocks)
-	w.buf = w.buf[:0]
-	return w.err
 }
 
 // writable is the sticky first failure, or the refusal to write behind
@@ -250,6 +292,36 @@ func TimedSize(p []byte) int {
 	return n
 }
 
+// checkTimed is the strict check of records that arrive already encoded,
+// a page added to a Cut: it walks at most max records from
+// the start of p and returns how many it walked and the bytes they take.
+// It refuses, by name, a cargo declared longer than MaxCargo (which other
+// readers cut short), a marker, any other record that is not timed, a
+// record cut short by the end of p, and a record of a rank other than
+// rank. What it takes is then AppendRecord's encoding of the records it
+// decodes to, which is what a Writer writes for them, so it can be
+// written as it lies (WriteBlock's pages).
+func checkTimed(p []byte, rank int32, max int) (n, size int, err error) {
+	for ; n < max && size < len(p); n++ {
+		q := p[size:]
+		t, m := RecType(q[0]), TimedSize(q)
+		switch {
+		case t == RecCargoEvt && len(q) >= 19 && binary.LittleEndian.Uint16(q[17:]) > MaxCargo:
+			return n, size, fmt.Errorf("clog2: cargo of %d bytes exceeds the %d a writer emits", binary.LittleEndian.Uint16(q[17:]), MaxCargo)
+		case t == RecEndLog || t == RecEndBlock:
+			return n, size, fmt.Errorf("clog2: marker %v at byte %d among records", t, size)
+		case m == 0 && t >= RecBareEvt && t <= RecTimeShift:
+			return n, size, fmt.Errorf("clog2: %v record at byte %d cut short by the end at %d", t, size, len(p))
+		case m == 0:
+			return n, size, fmt.Errorf("clog2: %v record at byte %d is not a timed record", t, size)
+		case le32(q[9:]) != rank:
+			return n, size, fmt.Errorf("clog2: record at byte %d is of rank %d, not %d", size, le32(q[9:]), rank)
+		}
+		size += m
+	}
+	return n, size, nil
+}
+
 func append32(out []byte, vs ...int32) []byte {
 	for _, v := range vs {
 		out = binary.LittleEndian.AppendUint32(out, uint32(v))
@@ -336,18 +408,6 @@ type BlockReader struct {
 // block iterator.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	return newBlockReader(decoder{src: r, buf: decodePool.Get().(*[decodeBufSize]byte)[:]})
-}
-
-// NewStrictBlockReader is NewBlockReader over a whole log held in memory,
-// decoded where it lies, that accepts the log only as AppendHeader,
-// AppendBlock and an end-log marker assemble it: a cargo longer than
-// MaxCargo, which other readers cut short, and a byte after the end-log
-// marker (a Writer's block table among them) are errors. Decoding is then
-// one-to-one, so once Each has walked the log to its end,
-// log[HeaderSize:len(log)-1] are the bytes a Writer would produce for the
-// records Each yielded, and can be spliced instead of re-encoded.
-func NewStrictBlockReader(log []byte) (*BlockReader, error) {
-	return newBlockReader(decoder{buf: log, w: len(log), strict: true})
 }
 
 func newBlockReader(dec decoder) (*BlockReader, error) {
@@ -462,15 +522,9 @@ func (br *BlockReader) header() error {
 	if RecType(d.buf[d.r]) == RecEndLog {
 		d.r++
 		br.done = true
-		if d.strict && d.r != d.w {
-			return fmt.Errorf("clog2: %d trailing bytes after the end-log marker", d.w-d.r)
-		}
 		return io.EOF
 	}
 	rank, n, err := d.blockHeader()
-	if err == nil && d.strict && rank < 0 {
-		err = fmt.Errorf("clog2: block with negative rank %d", rank)
-	}
 	if err == nil {
 		br.rank, br.left, br.lastStart, br.lastEnd = rank, n, start, 0
 	}
@@ -617,9 +671,6 @@ type decoder struct {
 	// err is the first decode failure and is sticky; srcErr is what src
 	// returned beside the last bytes it gave, reported once they run out.
 	err, srcErr error
-	// strict makes what a Writer never emits an error where a lenient
-	// decoder repairs it (see NewStrictBlockReader).
-	strict bool
 }
 
 // timedPrefix is the longest fixed-layout prefix of a timed record (a
@@ -722,10 +773,8 @@ func (d *decoder) readRecords(recs []Record, n int32) ([]Record, error) {
 func (d *decoder) readRecordsIn(recs []Record, n int32, t0, t1 float64) (_ []Record, read int32, err error) {
 	for ; read < n && len(recs) < cap(recs); read++ {
 		if b := d.buf[d.r:d.w]; len(b) >= 9 { // type and time
-			// A record readRecord would refuse (a strict decoder's long
-			// cargo) is left to it.
 			if t := leF64(b[1:]); (t < t0 || t > t1) && RecType(b[0]) != RecTimeShift {
-				if size := TimedSize(b); size > 0 && (size <= MaxTimedRecord || !d.strict) {
+				if size := TimedSize(b); size > 0 {
 					d.r += size
 					continue
 				}
@@ -786,7 +835,7 @@ func (d *decoder) readRecord(r *Record) error {
 			return nil
 		case RecCargoEvt:
 			body, n := d.r+19, int(binary.LittleEndian.Uint16(b[17:]))
-			if end := body + n; end <= d.w && (n <= MaxCargo || !d.strict) {
+			if end := body + n; end <= d.w {
 				*r = Record{Type: t, Time: leF64(b[1:]), Rank: le32(b[9:]), ID: le32(b[13:])}
 				r.CargoLen = uint8(copy(r.Cargo[:], d.buf[body:end]))
 				d.r = end
@@ -879,9 +928,6 @@ func (d *decoder) getF64() float64 {
 func (d *decoder) getCargo(r *Record) {
 	n := d.get16()
 	keep := min(n, MaxCargo)
-	if d.strict && n > MaxCargo && d.err == nil {
-		d.err = fmt.Errorf("clog2: cargo of %d bytes exceeds the %d a writer emits", n, MaxCargo)
-	}
 	if !d.need(keep) {
 		return
 	}

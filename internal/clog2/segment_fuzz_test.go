@@ -33,8 +33,7 @@ func lab2ShapedSpill(t testing.TB) []byte {
 	l.StateStart(compute, "proc: W1 idx: 0")
 	for i := 0; i < 8; i++ {
 		l.StateStart(read, "line: lab2.go:57")
-		l.LogRecv(0, 21, 8)
-		l.Event(arrival, "chan: C1")
+		l.LogRecvEvent(0, 21, 8, arrival, []byte("chan: C1"))
 		l.StateEnd(read, "")
 		l.StateStart(write, "line: lab2.go:64")
 		l.LogSend(0, 22, 8)

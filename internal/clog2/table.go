@@ -139,21 +139,19 @@ type Table struct {
 
 // AddRun accounts one run of the block br is in, as NextRun or Each hands
 // it out: the block's first run opens its entry at the offset br reports,
-// moved by shift, and its last run closes it. The shift is for a caller
-// that reads blocks at one offset to write them at another (the merge
-// splices a rank's blocks in behind the others').
-func (t *Table) AddRun(br *BlockReader, run Block, shift int64) {
+// and its last run closes it.
+func (t *Table) AddRun(br *BlockReader, run Block) {
 	start, end := br.BlockBounds()
 	// A closed entry has a length (a block is 9 bytes at least): none
 	// means the last entry is the block this run belongs to.
 	if n := len(t.Blocks); n == 0 || t.Blocks[n-1].Length != 0 {
-		t.Blocks = append(t.Blocks, newBlockMeta(run.Rank, start+shift))
+		t.Blocks = append(t.Blocks, newBlockMeta(run.Rank, start))
 	}
 	m := &t.Blocks[len(t.Blocks)-1]
 	m.addRecords(run.Records)
 	t.TotalRecords += int64(len(run.Records))
 	if end != 0 {
-		m.Length = end + shift - m.Offset
+		m.Length = end - m.Offset
 	}
 }
 
@@ -179,7 +177,7 @@ func ScanTable(r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{NumRanks: br.NumRanks()}
-	err = br.Each(func(run Block) error { t.AddRun(br, run, 0); return nil })
+	err = br.Each(func(run Block) error { t.AddRun(br, run); return nil })
 	if n := len(t.Blocks) - 1; err != nil && n >= 0 && t.Blocks[n].Length == 0 {
 		t.TotalRecords -= int64(t.Blocks[n].Records)
 		t.Blocks = t.Blocks[:n]

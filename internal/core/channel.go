@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -127,8 +128,7 @@ var framesPool = sync.Pool{New: func() any { return new(frames) }}
 // encodeFrames encodes every conversion of format from args straight into
 // its message, before anything is sent: a call whose arguments do not fit
 // its format fails having transmitted nothing, at every check level. The
-// caller frees the frames once the messages are sent (the transport copies
-// what it sends).
+// caller frees the frames once the messages are sent.
 func encodeFrames(format string, specs []fmtspec.Spec, args []any) (*frames, error) {
 	f := framesPool.Get().(*frames)
 	f.buf, f.ends = f.buf[:0], f.ends[:0]
@@ -218,14 +218,15 @@ func (c *Channel) sendOne(op, loc string, spec fmtspec.Spec, msg []byte, logOn b
 	log := r.logger(c.from.rank)
 	if logOn {
 		_, payload, _ := parseFrame(msg)
-		log.LogSend(c.to.rank, c.id, len(msg))
 		var db [fmtspec.DescribeMax]byte
 		var cb mpe.Cargo
-		log.EventBytes(r.evDeparture, cb.KV("chan", c.Name()).
+		log.LogSendEvent(c.to.rank, c.id, len(msg), r.evDeparture, cb.KV("chan", c.Name()).
 			Str(" ").Raw(fmtspec.AppendDescribe(db[:0], spec, payload)).Bytes())
 	}
 	r.svcWait(c.from.rank, op, []int{c.to.rank}, false, loc)
-	err := r.world.Rank(c.from.rank).Send(c.to.rank, c.id, msg)
+	// Send keeps what it is given, and msg lies in a buffer the caller
+	// reuses: the transport gets an exact-size copy.
+	err := r.world.Rank(c.from.rank).Send(c.to.rank, c.id, bytes.Clone(msg))
 	r.svcDone(c.from.rank)
 	if err != nil {
 		return errorf(op, loc, "send on %s: %v", c.Name(), err)
@@ -302,9 +303,8 @@ func (c *Channel) recvPayload(op, loc string, spec fmtspec.Spec, label string, k
 		return nil, errorf(op, loc, "on %s: %v", c.Name(), err)
 	}
 	if log := r.logger(c.to.rank); log.Enabled() {
-		log.LogRecv(c.from.rank, c.id, len(m.Data))
 		var cb mpe.Cargo
-		log.EventBytes(r.evArrival, cb.KV("chan", c.Name()).
+		log.LogRecvEvent(c.from.rank, c.id, len(m.Data), r.evArrival, cb.KV("chan", c.Name()).
 			Str(label).Int(k).Str("/").Int(n).Bytes())
 	}
 	if r.cfg.CheckLevel >= 2 {

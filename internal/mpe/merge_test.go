@@ -2,12 +2,15 @@ package mpe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,10 +142,13 @@ func pageRecords(t *testing.T) int {
 
 // The merge matrix: whatever the ranks hold (nothing, only rank 0's
 // definitions, one record, a record either side of a page's end, several
-// pages, a state left open) and however many they are, the file
-// rank 0 writes is the file a Writer produces from the records read back
-// out of it, and the table written on the way is a scan's. The first
-// is what lets rank 0 copy a rank's block where it used to re-encode it.
+// pages, a state left open) and however many they are, the file rank 0
+// writes is the file a Writer produces from the records read back out of
+// it, and the table written on the way is a scan's. The first is what
+// lets rank 0 write a rank's pages where it used to re-encode them. Each
+// rank's records come in rank order, cut into blocks of blockRecords
+// (rank 0's definitions counted in its first), the last block of a rank
+// holding the rest and ending in its timeshift.
 func TestFinishMergeMatrix(t *testing.T) {
 	// sixBut gives every rank six records but the one idle picks.
 	sixBut := func(idle func(rank, n int) bool) func(rank, n int) int {
@@ -155,22 +161,23 @@ func TestFinishMergeMatrix(t *testing.T) {
 	}
 	page := pageRecords(t)
 	shapes := map[string]func(rank, n int) int{
-		"last rank empty":  sixBut(func(rank, n int) bool { return rank == n-1 }),
-		"rank 0 defs only": sixBut(func(rank, n int) bool { return rank == 0 }),
-		"one record":       func(rank, n int) int { return 1 },
-		"page less two":    func(rank, n int) int { return page - 2 },
-		"page less one":    func(rank, n int) int { return page - 1 },
-		"page":             func(rank, n int) int { return page },
-		"page and one":     func(rank, n int) int { return page + 1 },
-		"three pages":      func(rank, n int) int { return 3*page + rank },
-		"open state":       func(rank, n int) int { return 9 + 2*rank },
+		"last rank empty":      sixBut(func(rank, n int) bool { return rank == n-1 }),
+		"rank 0 defs only":     sixBut(func(rank, n int) bool { return rank == 0 }),
+		"one record":           func(rank, n int) int { return 1 },
+		"page less two":        func(rank, n int) int { return page - 2 },
+		"page less one":        func(rank, n int) int { return page - 1 },
+		"page":                 func(rank, n int) int { return page },
+		"page and one":         func(rank, n int) int { return page + 1 },
+		"three pages":          func(rank, n int) int { return 3*page + rank },
+		"five pages and block": func(rank, n int) int { return 5*page + blockRecords + 7*rank },
+		"open state":           func(rank, n int) int { return 9 + 2*rank },
 	}
 	for name, load := range shapes {
 		for _, n := range []int{1, 2, 3, 8} {
 			w, g, sids, clocks := mergeWorld(n)
 			var out bytes.Buffer
 			var inline *clog2.Table
-			want := make([]int, n) // records in each rank's block
+			want := make([]int, n) // records of each rank
 			errs := w.Run(func(r *mpi.Rank) error {
 				l := g.Logger(r.ID())
 				// What was logged, a synthetic end for every state left
@@ -189,178 +196,256 @@ func TestFinishMergeMatrix(t *testing.T) {
 					t.Fatalf("%s, %d ranks: rank %d: %v", name, n, rank, err)
 				}
 			}
+			what := fmt.Sprintf("%s, %d ranks", name, n)
 			br, err := clog2.NewBlockReader(bytes.NewReader(out.Bytes()))
 			if err != nil {
-				t.Fatalf("%s, %d ranks: %v", name, n, err)
+				t.Fatalf("%s: %v", what, err)
 			}
 			var again bytes.Buffer
 			cw, err := clog2.NewWriter(&again, br.NumRanks())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rank := 0
+			var blocks []clog2.Block
 			err = br.EachBlock(func(b clog2.Block) error {
-				if rank >= n || int(b.Rank) != rank || len(b.Records) != want[rank] {
-					t.Fatalf("%s, %d ranks: block %d is rank %d with %d records, want %d", name, n, rank, b.Rank, len(b.Records), want[min(rank, n-1)])
-				}
-				if last := b.Records[len(b.Records)-1]; last.Type != clog2.RecTimeShift || math.Abs(last.Shift-0.5*float64(rank)) > 0.1 {
-					t.Fatalf("%s, %d ranks: rank %d ends in %+v", name, n, rank, last)
-				}
-				rank++
+				blocks = append(blocks, clog2.Block{Rank: b.Rank, Records: slices.Clone(b.Records)})
 				return cw.WriteBlock(b.Rank, b.Records)
 			})
-			if err == nil && rank != n {
-				err = fmt.Errorf("%d blocks", rank)
-			}
 			if err == nil {
 				err = cw.Close()
 			}
 			if err != nil {
-				t.Fatalf("%s, %d ranks: %v", name, n, err)
+				t.Fatalf("%s: %v", what, err)
+			}
+			rank, left := 0, want[0]
+			for i, b := range blocks {
+				if int(b.Rank) != rank || len(b.Records) != min(left, blockRecords) {
+					t.Fatalf("%s: block %d is rank %d with %d records, want rank %d with %d", what, i, b.Rank, len(b.Records), rank, min(left, blockRecords))
+				}
+				if left -= len(b.Records); left > 0 {
+					continue
+				}
+				if last := b.Records[len(b.Records)-1]; last.Type != clog2.RecTimeShift || math.Abs(last.Shift-0.5*float64(rank)) > 0.1 {
+					t.Fatalf("%s: rank %d ends in %+v", what, rank, last)
+				}
+				if rank++; rank < n {
+					left = want[rank]
+				}
+			}
+			if rank != n {
+				t.Fatalf("%s: the blocks end inside rank %d", what, rank)
 			}
 			if !bytes.Equal(out.Bytes(), again.Bytes()) {
-				t.Fatalf("%s, %d ranks: the merged file differs from its own re-encoding", name, n)
+				t.Fatalf("%s: the merged file differs from its own re-encoding", what)
 			}
-			checkTable(t, fmt.Sprintf("%s, %d ranks", name, n), out.Bytes(), inline)
+			checkTable(t, what, out.Bytes(), inline)
 		}
 	}
 }
 
-// Hostile payloads at rank 0. Every check the decoding merge made, the
-// copying merge makes before a byte of the payload reaches the file:
-// Finish fails naming the rank, keeps rank 0's spill, and the output
-// holds nothing of the payload it refused (whole-payload validation, so
-// not even the blocks before the damage).
-func TestFinishRejectsHostilePayloads(t *testing.T) {
-	const (
-		count    = clog2.HeaderSize + 4      // the block header's record count
-		cargoLen = clog2.HeaderSize + 8 + 17 // the first record's cargo length
-	)
-	patch := func(off int, b byte) func([]byte) []byte {
-		return func(p []byte) []byte { p[off] = b; return p }
+// firstCargoLen is the offset in a page of the first record's cargo
+// length: logLoad's first record is a state start with 10 bytes of cargo.
+const firstCargoLen = 17
+
+// refusedMerge runs a 3-rank wrap-up in which rank 2 ships its log by
+// hand, as mutate makes its pages and end message from its one good page
+// of n records, and holds rank 0 to refusing it before a byte of it
+// reaches the file: Finish fails naming rank 2 and saying want, rank 0's
+// spill is kept, and the output holds ranks 0 and 1 as far as the Writer
+// had handed them on and nothing of rank 2.
+func refusedMerge(t *testing.T, name string, indexed bool, mutate func(page []byte, n int) (pages [][]byte, end []byte), want string) {
+	t.Helper()
+	w, g, sids, clocks := mergeWorld(3)
+	prefix := filepath.Join(t.TempDir(), "run.clog2")
+	g.EnableSpill(prefix)
+	var out bytes.Buffer
+	errs := w.Run(func(r *mpi.Rank) error {
+		l := g.Logger(r.ID())
+		logLoad(l, clocks[r.ID()], sids, 10)
+		switch r.ID() {
+		case 0:
+			if indexed {
+				_, err := l.FinishIndexed(&out)
+				return err
+			}
+			return l.Finish(&out)
+		case 1:
+			return l.Finish(nil)
+		}
+		if _, err := l.syncClocks(); err != nil {
+			return err
+		}
+		if len(l.pages) != 1 || l.pages[0][firstCargoLen] != 10 {
+			t.Errorf("%d pages, the first record's cargo length %d: the cases' offsets are off", len(l.pages), l.pages[0][firstCargoLen])
+		}
+		pages, end := mutate(l.pages[0], l.n)
+		for _, p := range pages {
+			if err := r.SendCtx(mpi.CtxLog, 0, tagPage, p); err != nil {
+				return err
+			}
+		}
+		return r.SendCtx(mpi.CtxLog, 0, tagEnd, end)
+	})
+	if errs[1] != nil || errs[2] != nil {
+		t.Fatalf("%s: ranks 1 and 2: %v, %v", name, errs[1], errs[2])
 	}
-	overlong := clog2.Record{Type: clog2.RecCargoEvt, Rank: 1}
+	if errs[0] == nil || !strings.HasPrefix(errs[0].Error(), "mpe: parsing rank 2 log: ") || !strings.Contains(errs[0].Error(), want) {
+		t.Errorf("%s (indexed %v): Finish gives %v, want mpe: parsing rank 2 log: ...%s", name, indexed, errs[0], want)
+	}
+	if _, err := os.Stat(spillRankPath(prefix, 0)); err != nil {
+		t.Errorf("%s: rank 0's spill is gone after a failed merge: %v", name, err)
+	}
+	if out.Len() == 0 {
+		return
+	}
+	br, err := clog2.NewBlockReader(bytes.NewReader(out.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: the output of a failed merge has no log header: %v", name, err)
+	}
+	err = br.EachBlock(func(b clog2.Block) error {
+		if b.Rank == 2 {
+			t.Errorf("%s: a block of the refused rank reached the output", name)
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatalf("%s: the output of a failed merge reads to its end-log marker", name)
+	}
+}
+
+// endCount is the end message of a log of n records.
+func endCount(n int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(n)) }
+
+// Hostile pages at rank 0. Every check the strict reading of a whole
+// shipped log made is made on each page and on the end message, and a rank
+// is refused before any of its blocks is written: what each case did to
+// the one-payload log it did before, it does to the page or to the end
+// message now.
+func TestFinishRejectsHostilePayloads(t *testing.T) {
+	overlong := clog2.Record{Type: clog2.RecCargoEvt, Rank: 2}
 	overlong.CargoLen = clog2.MaxCargo
+	whole := func(mutate func(p []byte) []byte) func([]byte, int) ([][]byte, []byte) {
+		return func(p []byte, n int) ([][]byte, []byte) { return [][]byte{mutate(p)}, endCount(n) }
+	}
 	cases := []struct {
 		name   string
-		mutate func(good []byte) []byte
+		mutate func(page []byte, n int) ([][]byte, []byte)
 		want   string
 	}{
-		{"truncated mid-record", func(p []byte) []byte { return p[:len(p)-30] }, "truncated file"},
-		{"end-log marker missing", func(p []byte) []byte { return p[:len(p)-1] }, "truncated file"},
-		{"header rank is not the sender", patch(clog2.HeaderSize, 2), "it holds a block of rank 1"},
-		{"count one too many", func(p []byte) []byte { p[count]++; return p }, ""},
-		{"count one too few", func(p []byte) []byte { p[count]--; return p }, "not terminated"},
-		{"bytes after the end-log marker", func(p []byte) []byte { return append(p, byte(clog2.RecEndBlock)) }, "1 trailing bytes after the end-log marker"},
-		{"a second log after the first", func(p []byte) []byte { return append(p, p...) }, "trailing bytes after the end-log marker"},
-		{"cargo length, low bit flipped", func(p []byte) []byte { p[cargoLen] ^= 1; return p }, ""},
-		{"cargo length, high byte flipped", func(p []byte) []byte { p[cargoLen+1] ^= 1; return p }, "cargo of 266 bytes exceeds the 40 a writer emits"},
-		{"well-formed cargo of 41 bytes", func(p []byte) []byte {
-			// A record other readers accept, cutting its cargo to 40: copied,
-			// it would put bytes in the file no Writer produces.
+		{"truncated mid-record", whole(func(p []byte) []byte { return p[:len(p)-30] }), "cut short by the end at"},
+		{"end message cut short", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n)[:7] }, "an end message of 7 bytes, not a record count"},
+		{"a record of another rank", whole(func(p []byte) []byte { p[9] = 1; return p }), "record at byte 0 is of rank 1, not 2"},
+		{"count one too many", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n + 1) }, "it counts 11 records, its pages hold 10"},
+		{"count one too few", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n - 1) }, "it counts 9 records, its pages hold 10"},
+		{"a marker after the records", whole(func(p []byte) []byte { return append(p, byte(clog2.RecEndBlock)) }), "marker EndBlock at byte"},
+		{"the page sent twice", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p, p}, endCount(n) }, "it counts 10 records, its pages hold 20"},
+		{"cargo length, low bit flipped", whole(func(p []byte) []byte { p[firstCargoLen] ^= 1; return p }), ""},
+		{"cargo length, high byte flipped", whole(func(p []byte) []byte { p[firstCargoLen+1] ^= 1; return p }), "cargo of 266 bytes exceeds the 40 a writer emits"},
+		{"well-formed cargo of 41 bytes", func(p []byte, n int) ([][]byte, []byte) {
+			// A record other readers accept, cutting its cargo to 40:
+			// written, it would put bytes in the file no Writer produces.
 			rec, _ := clog2.AppendRecord(nil, &overlong)
 			rec[17]++
-			rec = append(rec, 'x')
-			p[count]++
-			return append(p[:count+4], append(rec, p[count+4:]...)...)
+			return [][]byte{append(append(rec, 'x'), p...)}, endCount(n + 1)
 		}, "cargo of 41 bytes exceeds the 40 a writer emits"},
-		{"not a log", func(p []byte) []byte { return []byte("hello") }, "reading magic"},
+		{"not a log", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{[]byte("hello")}, endCount(n) }, "record at byte 0 is not a timed record"},
 	}
 	for _, indexed := range []bool{false, true} {
 		for _, c := range cases {
-			w, g, sids, clocks := mergeWorld(3)
-			prefix := filepath.Join(t.TempDir(), "run.clog2")
-			g.EnableSpill(prefix)
-			var out bytes.Buffer
-			var sent int
-			errs := w.Run(func(r *mpi.Rank) error {
-				l := g.Logger(r.ID())
-				logLoad(l, clocks[r.ID()], sids, 10)
-				switch r.ID() {
-				case 0:
-					if indexed {
-						_, err := l.FinishIndexed(&out)
-						return err
-					}
-					return l.Finish(&out)
-				case 1:
-					return l.Finish(nil)
-				}
-				// Rank 2 goes through the wrap-up by hand and ships a damaged log.
-				if _, err := l.syncClocks(); err != nil {
-					return err
-				}
-				good := l.appendLog(nil)
-				if good[cargoLen] != 10 {
-					t.Errorf("the first record's cargo length is %d: the table's offsets are off", good[cargoLen])
-				}
-				bad := c.mutate(good)
-				sent = len(bad)
-				return r.SendCtx(mpi.CtxLog, 0, tagCollect, bad)
-			})
-			if errs[1] != nil || errs[2] != nil {
-				t.Fatalf("%s: ranks 1 and 2: %v, %v", c.name, errs[1], errs[2])
-			}
-			if errs[0] == nil || !strings.HasPrefix(errs[0].Error(), "mpe: parsing rank 2 log: ") || !strings.Contains(errs[0].Error(), c.want) {
-				t.Errorf("%s (indexed %v): Finish gives %v, want mpe: parsing rank 2 log: ...%s", c.name, indexed, errs[0], c.want)
-			}
-			if _, err := os.Stat(spillRankPath(prefix, 0)); err != nil {
-				t.Errorf("%s: rank 0's spill is gone after a failed merge: %v", c.name, err)
-			}
-			// Ranks 0 and 1 are in the output as far as the Writer had handed
-			// them on; of rank 2 there is nothing.
-			if out.Len() > 0 {
-				br, err := clog2.NewBlockReader(bytes.NewReader(out.Bytes()))
-				if err == nil {
-					err = br.EachBlock(func(b clog2.Block) error {
-						if b.Rank == 2 {
-							t.Errorf("%s: a block of the refused rank reached the output", c.name)
-						}
-						return nil
-					})
-					if err == nil {
-						t.Fatalf("%s: the output of a failed merge reads to its end-log marker", c.name)
-					}
-				} else {
-					t.Fatalf("%s: the output of a failed merge has no log header: %v", c.name, err)
-				}
-			}
-			if sent > 0 && out.Len() > 0 && bytes.Contains(out.Bytes(), []byte{3, 0, 0, 0, 11}) {
-				t.Errorf("%s: rank 2's block header is in the output", c.name)
-			}
+			refusedMerge(t, c.name, indexed, c.mutate, c.want)
 		}
 	}
 }
 
-// The wrap-up's memory is the encoded log, not the records: a rank copies
-// its pages into a buffer sized for them (one payload, pooled), the
-// transport copies it (another), and rank 0 decodes it a run at a time
-// into one fixed buffer. The decoding merge grew a []clog2.Record to hold a whole
-// foreign rank, about five times 144 B for each of its records.
-func TestFinishMemoryIsTheEncodedLog(t *testing.T) {
-	const records = 100_000
+// Each refusal the page check makes by name, one test a case.
+
+func TestFinishRefusesARecordOfAnotherRank(t *testing.T) {
+	refusedMerge(t, "another rank", false, func(p []byte, n int) ([][]byte, []byte) {
+		binary.LittleEndian.PutUint32(p[9:], 0)
+		return [][]byte{p}, endCount(n)
+	}, "clog2: record at byte 0 is of rank 0, not 2")
+}
+
+func TestFinishRefusesARecordCutAtThePageEnd(t *testing.T) {
+	refusedMerge(t, "cut at the end", false, func(p []byte, n int) ([][]byte, []byte) {
+		return [][]byte{p[:len(p)-1]}, endCount(n)
+	}, fmt.Sprintf("clog2: CargoEvt record at byte %d cut short by the end at %d", pageLen10()-19, pageLen10()-1))
+}
+
+func TestFinishRefusesAMarkerInAPage(t *testing.T) {
+	refusedMerge(t, "marker", false, func(p []byte, n int) ([][]byte, []byte) {
+		return [][]byte{append(p[:19+10:19+10], append([]byte{byte(clog2.RecEndLog)}, p[19+10:]...)...)}, endCount(n)
+	}, "clog2: marker EndLog at byte 29 among records")
+}
+
+func TestFinishRefusesAWrongEndCount(t *testing.T) {
+	refusedMerge(t, "end count", false, func(p []byte, n int) ([][]byte, []byte) {
+		return [][]byte{p}, endCount(2 * n)
+	}, "mpe: parsing rank 2 log: it counts 20 records, its pages hold 10")
+}
+
+// pageLen10 is the length of the page logLoad fills with 10 records: its
+// last record is a state end without cargo, 19 bytes.
+func pageLen10() int {
+	_, g, sids, clocks := mergeWorld(1)
+	l := g.Logger(0)
+	logLoad(l, clocks[0], sids, 10)
+	defer l.Discard()
+	return len(l.pages[0])
+}
+
+// The wrap-up copies no rank's log: a rank's pages go to rank 0 as they
+// lie, and rank 0 writes them as they lie, so what Finish allocates is
+// bookkeeping (messages, the block table, the Writer's buffer) and not the
+// log. The merge that assembled each rank's log into one payload and sent
+// it through a copying Send allocated about twice the log.
+func TestFinishCopiesNoRankLog(t *testing.T) {
 	w, g, sids, clocks := mergeWorld(2)
-	for r := 0; r < 2; r++ {
-		logLoad(g.Logger(r), clocks[r], sids, records)
+	l := g.Logger(1)
+	logLoad(l, clocks[1], sids, 160_000)
+	logBytes := 0
+	for _, p := range l.pages {
+		logBytes += len(p)
 	}
-	path := filepath.Join(t.TempDir(), "run.clog2")
+	if logBytes < 4<<20 {
+		t.Fatalf("rank 1 logged %d bytes, want 4 MiB or more", logBytes)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for rank, err := range w.Run(func(r *mpi.Rank) error { return g.Logger(r.ID()).FinishFile(path) }) {
+	errs := w.Run(func(r *mpi.Rank) error {
+		if r.ID() == 0 {
+			return g.Logger(0).Finish(io.Discard)
+		}
+		return g.Logger(1).Finish(nil)
+	})
+	runtime.ReadMemStats(&after)
+	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Finish allocated %d bytes for rank 1's log of %d", got, logBytes)
+	if got >= uint64(logBytes/4) {
+		t.Fatalf("Finish allocated %d bytes, a quarter or more of rank 1's %d-byte log", got, logBytes)
 	}
-	payload := fi.Size() / 2
-	t.Logf("FinishFile of 2 x %d records allocated %d bytes for a %d-byte payload", records, after.TotalAlloc-before.TotalAlloc, payload)
-	if got := int64(after.TotalAlloc - before.TotalAlloc); got > 3*payload {
-		t.Fatalf("FinishFile of 2 x %d records allocated %d bytes: more than 3 x the %d-byte payload (144 B x records is %d)",
-			records, got, payload, 144*records)
+}
+
+// Rank 255's block header begins with the end-log byte (the format's
+// limit): a 256-rank merge fails naming it, where writing it would end
+// the log there for every reader.
+func TestFinishRefusesRank255(t *testing.T) {
+	w := mpi.NewWorld(256, mpi.Options{})
+	g := NewGroup(w, true)
+	errs := w.Run(func(r *mpi.Rank) error {
+		if r.ID() == 0 {
+			return g.Logger(0).Finish(io.Discard)
+		}
+		return g.Logger(r.ID()).Finish(nil)
+	})
+	const want = "clog2: a block of rank 255 would begin with the end-log marker"
+	if errs[0] == nil || errs[0].Error() != want {
+		t.Fatalf("a 256-rank Finish gives %v, want %s", errs[0], want)
 	}
 }

@@ -180,19 +180,25 @@ func (l *Logger) Discard() {
 	l.openStates = l.openStates[:0]
 }
 
-// release hands every page back to the pool, leaving the log empty.
+// release hands every page back to the pool, leaving the log empty; at
+// the merge, a page a transport received whole goes back with them.
 func (l *Logger) release() {
 	for i, p := range l.pages {
-		pagePool.Put((*[pageSize]byte)(p[:pageSize]))
+		if cap(p) == pageSize {
+			pagePool.Put((*[pageSize]byte)(p[:pageSize]))
+		}
 		l.pages[i] = nil
 	}
 	l.pages, l.n = l.pages[:0], 0
 }
 
-// log stamps r with this rank's clock and appends it; with the spill on,
-// the bytes appended are written through before the call returns.
-func (l *Logger) log(r *clog2.Record) {
-	r.Time = l.rank.Wtime()
+// log stamps r with this rank's clock and appends it.
+func (l *Logger) log(r *clog2.Record) { l.logAt(r, l.rank.Wtime()) }
+
+// logAt appends r stamped at t, a reading of this rank's clock; with the
+// spill on, the bytes are written through before the call returns.
+func (l *Logger) logAt(r *clog2.Record, t float64) {
+	r.Time = t
 	r.Rank = int32(l.rank.ID())
 	rec := l.append(r)
 	if !l.spChecked {
@@ -225,48 +231,44 @@ func (l *Logger) append(r *clog2.Record) []byte {
 // StateStart logs the beginning of an instance of state s. cargo is
 // truncated to the MPE 40-byte limit.
 func (l *Logger) StateStart(s StateID, cargo string) {
-	if !l.g.enabled {
-		return
+	if l.g.enabled {
+		l.openStates = append(l.openStates, s)
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: startEtype(s)}
+		r.SetCargo(cargo)
+		l.log(&r)
 	}
-	l.openStates = append(l.openStates, s)
-	r := clog2.Record{Type: clog2.RecCargoEvt, ID: startEtype(s)}
-	r.SetCargo(cargo)
-	l.log(&r)
 }
 
 // StateStartBytes is StateStart taking the cargo as bytes — the form the
 // Pilot call sites use with the Cargo builder, keeping the hot path free
 // of string construction.
 func (l *Logger) StateStartBytes(s StateID, cargo []byte) {
-	if !l.g.enabled {
-		return
+	if l.g.enabled {
+		l.openStates = append(l.openStates, s)
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: startEtype(s)}
+		r.SetCargoBytes(cargo)
+		l.log(&r)
 	}
-	l.openStates = append(l.openStates, s)
-	r := clog2.Record{Type: clog2.RecCargoEvt, ID: startEtype(s)}
-	r.SetCargoBytes(cargo)
-	l.log(&r)
 }
 
 // StateEnd logs the end of an instance of state s.
 func (l *Logger) StateEnd(s StateID, cargo string) {
-	if !l.g.enabled {
-		return
+	if l.g.enabled {
+		l.popOpenState()
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(s)}
+		r.SetCargo(cargo)
+		l.log(&r)
 	}
-	l.popOpenState()
-	r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(s)}
-	r.SetCargo(cargo)
-	l.log(&r)
 }
 
 // StateEndBytes is StateEnd taking the cargo as bytes.
 func (l *Logger) StateEndBytes(s StateID, cargo []byte) {
-	if !l.g.enabled {
-		return
+	if l.g.enabled {
+		l.popOpenState()
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(s)}
+		r.SetCargoBytes(cargo)
+		l.log(&r)
 	}
-	l.popOpenState()
-	r := clog2.Record{Type: clog2.RecCargoEvt, ID: endEtype(s)}
-	r.SetCargoBytes(cargo)
-	l.log(&r)
 }
 
 // popOpenState pops the innermost open state; a mismatched ID is the
@@ -280,45 +282,62 @@ func (l *Logger) popOpenState() {
 
 // Event logs a solo event — a bubble in Jumpshot.
 func (l *Logger) Event(e EventID, cargo string) {
-	if !l.g.enabled {
-		return
+	if l.g.enabled {
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
+		r.SetCargo(cargo)
+		l.log(&r)
 	}
-	r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
-	r.SetCargo(cargo)
-	l.log(&r)
 }
 
 // EventBytes is Event taking the cargo as bytes.
 func (l *Logger) EventBytes(e EventID, cargo []byte) {
-	if !l.g.enabled {
-		return
+	if l.g.enabled {
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
+		r.SetCargoBytes(cargo)
+		l.log(&r)
 	}
-	r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
-	r.SetCargoBytes(cargo)
-	l.log(&r)
 }
 
 // LogSend records the sending half of a message arrow. The converter
-// pairs it with a LogRecv carrying the same (peer, tag) — "MPE_Log_send
-// and MPE_Log_receive should be called in pairs with matching tag number
-// and length of data".
-func (l *Logger) LogSend(dst, tag, size int) { l.logMsg(clog2.DirSend, dst, tag, size) }
+// pairs it with the receiving half that carries the same (peer, tag) —
+// "MPE_Log_send and MPE_Log_receive should be called in pairs with
+// matching tag number and length of data".
+func (l *Logger) LogSend(dst, tag, size int) { l.logMsg(clog2.DirSend, dst, tag, size, 0, nil) }
 
-// LogRecv records the receiving half of a message arrow.
-func (l *Logger) LogRecv(src, tag, size int) { l.logMsg(clog2.DirRecv, src, tag, size) }
+// LogSendEvent is LogSend and then the solo event e with cargo, the bubble
+// beside a sent message: nothing blocks between them, so one reading.
+func (l *Logger) LogSendEvent(dst, tag, size int, e EventID, cargo []byte) {
+	l.logMsg(clog2.DirSend, dst, tag, size, e, cargo)
+}
 
-func (l *Logger) logMsg(dir uint8, peer, tag, size int) {
-	if l.g.enabled {
-		l.log(&clog2.Record{Type: clog2.RecMsgEvt, Dir: dir, Aux1: int32(peer), Aux2: int32(tag), Aux3: int32(size)})
+// LogRecvEvent logs the receiving half of a message arrow and then its
+// arrival bubble, the solo event e with cargo, at one clock reading.
+func (l *Logger) LogRecvEvent(src, tag, size int, e EventID, cargo []byte) {
+	l.logMsg(clog2.DirRecv, src, tag, size, e, cargo)
+}
+
+// logMsg logs a message half and, unless e is 0, the event e behind it
+// at the same reading.
+func (l *Logger) logMsg(dir uint8, peer, tag, size int, e EventID, cargo []byte) {
+	if !l.g.enabled {
+		return
+	}
+	t := l.rank.Wtime()
+	l.logAt(&clog2.Record{Type: clog2.RecMsgEvt, Dir: dir, Aux1: int32(peer), Aux2: int32(tag), Aux3: int32(size)}, t)
+	if e != 0 {
+		r := clog2.Record{Type: clog2.RecCargoEvt, ID: soloEtype(e)}
+		r.SetCargoBytes(cargo)
+		l.logAt(&r, t)
 	}
 }
 
-// Clock-sync message tags within mpi.CtxLog.
+// Clock-sync and wrap-up message tags within mpi.CtxLog.
 const (
 	tagSyncPing = iota
 	tagSyncReply
 	tagSyncOffset
-	tagCollect
+	tagPage // one page of a rank's log
+	tagEnd  // the end of a rank's log: its record count
 )
 
 const syncRounds = 4
@@ -364,20 +383,22 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	l.append(&clog2.Record{Type: clog2.RecTimeShift, Time: l.rank.Wtime() - offset, Rank: int32(l.rank.ID()), Shift: offset})
 
 	if l.rank.ID() != 0 {
-		buf := payloadPool.Get().(*[]byte)
-		*buf = l.appendLog((*buf)[:0])
-		err := l.rank.SendCtx(mpi.CtxLog, 0, tagCollect, *buf)
-		payloadPool.Put(buf)
-		if err != nil {
-			l.closeSpill(false) // keep the fragment; the merge failed
-			return nil, err
+		// A message a page, as it lies (at most pageSize bytes: under the
+		// eager limit, so no send waits), then the record count. The pages
+		// are the transport's from the first Send: dropped, not pooled.
+		for i := 0; i < len(l.pages) && err == nil; i++ {
+			err = l.rank.SendCtx(mpi.CtxLog, 0, tagPage, l.pages[i])
 		}
-		l.closeSpill(true) // merged log supersedes the spill
-		l.release()
-		return nil, nil
+		if err == nil {
+			err = l.rank.SendCtx(mpi.CtxLog, 0, tagEnd, binary.LittleEndian.AppendUint64(nil, uint64(l.n)))
+		}
+		l.pages, l.n = nil, 0
+		l.closeSpill(err == nil) // on success the merged log supersedes the spill
+		return nil, err
 	}
 
-	// Rank 0: write definitions + own block, then collect the others.
+	// Rank 0: its own log, the definitions leading its first block, then
+	// every other rank's in rank order, each cut into blocks.
 	if w == nil {
 		return nil, fmt.Errorf("mpe: rank 0 Finish needs an output writer")
 	}
@@ -385,37 +406,67 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cw.WriteBlock(0, l.g.defRecords(), l.pages...); err != nil {
-		return nil, err
+	cut := clog2.NewCut(0, blockRecords, l.g.defRecords())
+	for i := 0; i < len(l.pages) && err == nil; i++ {
+		err = cut.Add(l.pages[i])
 	}
-	var entries clog2.Table // one rank's, reused
-	for src := 1; src < l.rank.Size(); src++ {
-		m, err := l.rank.RecvCtx(mpi.CtxLog, src, tagCollect)
-		if err != nil {
-			l.closeSpill(false)
-			return nil, fmt.Errorf("mpe: collecting rank %d log: %w", src, err)
-		}
-		entries.Blocks = entries.Blocks[:0]
-		blocks, err := checkRankLog(m.Data, src, cw.Offset(), &entries)
-		if err != nil {
-			l.closeSpill(false)
-			return nil, fmt.Errorf("mpe: parsing rank %d log: %w", src, err)
-		}
-		if err := cw.Splice(blocks, entries.Blocks); err != nil {
-			l.closeSpill(false)
-			return nil, err
-		}
+	if err == nil {
+		err = cw.WriteCut(cut)
 	}
-	if err := cw.Close(); err != nil {
-		l.closeSpill(false)
-		return nil, err
-	}
-	l.closeSpill(true)
 	l.release()
+	for src := 1; src < l.rank.Size() && err == nil; src++ {
+		err = l.collect(cw, src)
+	}
+	if err == nil {
+		err = cw.Close()
+	}
+	l.closeSpill(err == nil)
+	if err != nil {
+		return nil, err
+	}
 	if prefix := l.g.SpillPrefix(); prefix != "" {
 		os.Remove(spillDefsPath(prefix))
 	}
 	return cw.Table(), nil
+}
+
+// blockRecords is the most records the merge puts in a block, so that a
+// block's time fence covers a stretch of a rank's run (clog2.Table.Select).
+// A rank of the thumbnail demo logs about 4 500 records: at 512 it is nine
+// blocks and a 1 % window visits about one a rank, where one block a rank
+// had every window visit them all (idx.visited_ratio 1.0). A block costs 73
+// bytes (header, end marker, table entry), 0.5 % of 512 records.
+const blockRecords = 512
+
+// collect writes rank src's log, its pages up to the end message, which
+// must count their records. All is checked before a byte is written, so a
+// log refused leaves nothing of itself in the merged file. The pages are
+// held in rank 0's emptied l.pages, for release to pool them.
+func (l *Logger) collect(cw *clog2.Writer, src int) error {
+	cut := clog2.NewCut(int32(src), blockRecords, nil)
+	for {
+		m, err := l.rank.RecvCtx(mpi.CtxLog, src, mpi.AnyTag)
+		if err != nil {
+			return fmt.Errorf("mpe: collecting rank %d log: %w", src, err)
+		}
+		switch {
+		case m.Tag != tagEnd:
+			l.pages = append(l.pages, m.Data)
+			err = cut.Add(m.Data)
+		case len(m.Data) != 8:
+			err = fmt.Errorf("an end message of %d bytes, not a record count", len(m.Data))
+		case binary.LittleEndian.Uint64(m.Data) != uint64(cut.Records()):
+			err = fmt.Errorf("it counts %d records, its pages hold %d", binary.LittleEndian.Uint64(m.Data), cut.Records())
+		}
+		if err != nil {
+			return fmt.Errorf("mpe: parsing rank %d log: %w", src, err)
+		}
+		if m.Tag == tagEnd {
+			err = cw.WriteCut(cut)
+			l.release()
+			return err
+		}
+	}
 }
 
 // shift moves every record logged onto rank 0's timebase, in place: a
@@ -430,56 +481,6 @@ func (l *Logger) shift(offset float64) {
 			}
 		}
 	}
-}
-
-// payloadPool recycles the buffers ranks assemble their logs in for rank
-// 0: the transport sends a copy.
-var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendLog appends the rank's log to dst as a whole one-block CLOG-2 log
-// (file header, block header, the pages as they are, end-block and end-log
-// markers), growing dst once: what a rank ships to rank 0. It carries no
-// block table: rank 0 makes the entries as it checks the log.
-func (l *Logger) appendLog(dst []byte) []byte {
-	size := clog2.HeaderSize + 8 + 2
-	for _, p := range l.pages {
-		size += len(p)
-	}
-	if cap(dst)-len(dst) < size {
-		dst = append(make([]byte, 0, len(dst)+size), dst...)
-	}
-	dst = clog2.AppendBlockHeader(clog2.AppendHeader(dst, l.rank.Size()), int32(l.rank.ID()), l.n)
-	for _, p := range l.pages {
-		dst = append(dst, p...)
-	}
-	return append(dst, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
-}
-
-// checkRankLog is every check rank 0 makes on the log rank src shipped
-// before a byte of it reaches the merged file. It decodes every record,
-// a bounded run at a time (clog2's Each), strictly: the log must be what
-// appendLog assembles — a header, blocks of src's own rank with the counts
-// they declare and their end-block markers, the end-log marker, nothing
-// after it. What it returns are the blocks' bytes, now known to be the
-// encoding a Writer would produce from the decoded records, so splicing
-// them equals writing those; on the way it enters the blocks in t at the
-// file offsets they will have once spliced in at offset at.
-func checkRankLog(log []byte, src int, at int64, t *clog2.Table) ([]byte, error) {
-	br, err := clog2.NewStrictBlockReader(log)
-	if err != nil {
-		return nil, err
-	}
-	err = br.Each(func(run clog2.Block) error {
-		if int(run.Rank) != src {
-			return fmt.Errorf("it holds a block of rank %d", run.Rank)
-		}
-		t.AddRun(br, run, at-int64(clog2.HeaderSize))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return log[clog2.HeaderSize : len(log)-1], nil
 }
 
 // FinishFile is Finish writing to a file path on rank 0.
@@ -508,8 +509,7 @@ func (l *Logger) syncClocks() (float64, error) {
 	}
 	if r.ID() == 0 {
 		for peer := 1; peer < r.Size(); peer++ {
-			bestRTT := -1.0
-			bestOff := 0.0
+			bestRTT, bestOff := math.Inf(1), 0.0
 			for round := 0; round < syncRounds; round++ {
 				t0 := r.Wtime()
 				if err := r.SendCtx(mpi.CtxLog, peer, tagSyncPing, nil); err != nil {
@@ -522,7 +522,7 @@ func (l *Logger) syncClocks() (float64, error) {
 				t1 := r.Wtime()
 				remote := decodeF64(m.Data)
 				rtt := t1 - t0
-				if bestRTT < 0 || rtt < bestRTT {
+				if rtt < bestRTT {
 					bestRTT = rtt
 					bestOff = remote - (t0+t1)/2
 				}

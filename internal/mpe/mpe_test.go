@@ -15,6 +15,11 @@ import (
 	"repro/internal/mpi"
 )
 
+// LogRecv logs a receiving half alone, as LogSend logs a sending one: what
+// the tests log one with, where a Pilot call logs it with its bubble
+// (LogRecvEvent).
+func (l *Logger) LogRecv(src, tag, size int) { l.logMsg(clog2.DirRecv, src, tag, size, 0, nil) }
+
 // classify reads an etype the way every reader of a log does when no
 // definition names it.
 func classify(etype int32) (clog2.EtypeKind, int32) {

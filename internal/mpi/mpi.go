@@ -397,6 +397,11 @@ func (r *Rank) Abort(code int) { r.w.abort(code) }
 // Send transmits data to rank dst with the given tag in the user context.
 // Sends up to the world's eager limit buffer and return immediately; larger
 // sends block until the receiver has matched the message (rendezvous).
+//
+// Send does not copy data: once it is called, data belongs to the
+// transport, and then to the receiver, whose Message.Data it becomes in
+// the same process. The sender must neither write nor read it again, even
+// when Send fails; a caller that reuses a buffer sends a copy of it.
 func (r *Rank) Send(dst, tag int, data []byte) error {
 	return r.SendCtx(CtxUser, dst, tag, data)
 }
@@ -432,7 +437,7 @@ func (r *Rank) SendCtx(ctx, dst, tag int, data []byte) error {
 			return ErrAborted
 		}
 	}
-	env := &Envelope{Ctx: ctx, Src: r.id, Tag: tag, Data: cloneBytes(data)}
+	env := &Envelope{Ctx: ctx, Src: r.id, Tag: tag, Data: data}
 	rendezvous := r.w.eagerLimit < 0 || len(data) > r.w.eagerLimit || forceRdv
 	if rendezvous {
 		env.Done = make(chan struct{})
@@ -517,7 +522,8 @@ func (r *Rank) RecvCtx(ctx, src, tag int) (Message, error) {
 	}, nil
 }
 
-// Message is a received payload plus its matching metadata.
+// Message is a received payload plus its matching metadata. Data is the
+// receiver's: no sender or transport touches it again (see Send).
 type Message struct {
 	Status
 	Data []byte
@@ -579,15 +585,6 @@ func (r *Rank) checkWildPeer(p int) error {
 		return nil
 	}
 	return r.checkPeer(p)
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 // mailbox is a per-rank queue of in-flight messages with matched receives.

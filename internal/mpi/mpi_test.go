@@ -54,31 +54,32 @@ func TestSendRecvBasic(t *testing.T) {
 	}
 }
 
-func TestSendBufferIsCopied(t *testing.T) {
+// Send hands its buffer over: in one process the receiver gets the
+// sender's bytes themselves, no copy made, and may write them.
+func TestSendHandsItsBufferOver(t *testing.T) {
 	w := NewWorld(2, Options{})
 	buf := []byte("original")
 	errs := w.Run(func(r *Rank) error {
 		if r.ID() == 0 {
-			if err := r.Send(1, 0, buf); err != nil {
-				return err
-			}
-			copy(buf, "CLOBBER!")
-			return nil
+			return r.Send(1, 0, buf)
 		}
-		time.Sleep(10 * time.Millisecond)
 		m, err := r.Recv(0, 0)
 		if err != nil {
 			return err
 		}
-		if string(m.Data) != "original" {
-			return fmt.Errorf("sender mutation leaked: %q", m.Data)
+		if string(m.Data) != "original" || &m.Data[0] != &buf[0] {
+			return fmt.Errorf("received %q at %p, sent at %p", m.Data, &m.Data[0], &buf[0])
 		}
+		copy(m.Data, "RECEIVED")
 		return nil
 	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", i, err)
 		}
+	}
+	if string(buf) != "RECEIVED" {
+		t.Fatalf("the receiver's write did not land in the sent buffer: %q", buf)
 	}
 }
 
