@@ -81,23 +81,26 @@ smoke-serve:
 	$(GO) run ./cmd/pilot-serve -repo out/serve-repo -smoke -q
 	test -z "$$(find out/serve-repo -name '*.idx')"
 
-# Block-table smoke: each golden trace's block table must be the one a
+# Block-table smoke: every committed log's block table must be the one a
 # scan of the log makes, entry for entry (clogdump -verify exits 1 naming
 # the first entry that differs). A copy cut short of its 22-byte footer
-# (clog2.FooterSize) must report the degraded status. Runs on copies so
-# the goldens stay pristine.
+# (clog2.FooterSize) must report the degraded status, and a copy under the
+# previous format's magic must be refused, exit 1, naming that version.
+# Runs on copies so the goldens stay pristine.
 smoke-index:
 	rm -rf out/idx-smoke
 	@mkdir -p out/idx-smoke
-	cp testdata/golden/*.clog2 out/idx-smoke/
-	head -c -22 testdata/golden/lab2.clog2 > out/idx-smoke/lab2-nofooter.clog2
+	cp testdata/golden/*.clog2 internal/mpe/testdata/*.clog2 out/idx-smoke/
 	$(GO) build -o out/clogdump ./cmd/clogdump
-	./out/clogdump -verify out/idx-smoke/lab2.clog2
-	./out/clogdump -verify out/idx-smoke/collisions.clog2
-	./out/clogdump -verify out/idx-smoke/thumbnail.clog2
+	for f in out/idx-smoke/*.clog2; do ./out/clogdump -verify $$f || exit 1; done
+	head -c -22 testdata/golden/lab2.clog2 > out/idx-smoke/lab2-nofooter.clog2
 	./out/clogdump -verify out/idx-smoke/lab2-nofooter.clog2 > out/idx-smoke/nofooter.txt
 	cat out/idx-smoke/nofooter.txt
 	grep -q '^table: degraded' out/idx-smoke/nofooter.txt
+	{ printf CLOG-R0260; tail -c +11 testdata/golden/lab2.clog2; } > out/idx-smoke/lab2-r0260.clog2
+	./out/clogdump -verify out/idx-smoke/lab2-r0260.clog2 2> out/idx-smoke/r0260.txt; test $$? -eq 1
+	cat out/idx-smoke/r0260.txt
+	grep -q 'CLOG-R0260 log; this version reads' out/idx-smoke/r0260.txt
 	test -z "$$(find out/idx-smoke -name '*.idx')"
 
 # Analyzer corpus smoke: the labelled chaos corpus. Each cell runs a

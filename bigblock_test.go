@@ -1,33 +1,35 @@
 package repro_test
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/analyze"
 	"repro/internal/clog2"
 	"repro/internal/stats"
 )
 
-// A merged log is one block a rank (mpe.Finish writes it so), and a long
-// run's block holds the whole rank. The readers that only walk records go
-// through BlockReader.NextRun, which never holds more than one run of
-// them: over two blocks of 200 000 records each (28.8 MB a block as
-// []clog2.Record, which is what each of these calls allocated, and
-// re-allocated on the way there, while it was handed whole blocks), a scan
-// for the block table, the profile, the verdict, a 0.5 % window through the
-// table and the diff of the log against itself each stay under 4 MB.
+// A block holds at most clog2.MaxBlockRecords records (a Writer refuses
+// more, a reader refuses a header that declares more), so a reader that
+// holds a block holds 576 KiB of records at most: over a log of 100 full
+// blocks (409 600 records, 56 MB as []clog2.Record), a scan for the block
+// table, the profile, the verdict, a 0.5 % window through the table and the
+// diff of the log against itself each stay under 4 MB.
 //
 // A window through the table, once the pools are warm, allocates what it
 // keeps: over a log of 200 blocks of 2 048 records a 1 % window stays under
-// 64 KB (the scan's run buffer and decode buffer are pooled and the table
+// 64 KB (the scan's block buffer and decode buffer are pooled and the table
 // is read into a buffer of its size; it was 451 KB).
 func TestBigBlockReadersAllocateBounded(t *testing.T) {
-	const perRank = 200_000
+	const perRank = 50 * clog2.MaxBlockRecords
 	path := filepath.Join(t.TempDir(), "bigblock.clog2")
 	f, err := os.Create(path)
 	if err != nil {
@@ -63,8 +65,10 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 				recs = append(recs, clog2.Record{Type: clog2.RecMsgEvt, Time: tm + 1.6e-6, Rank: rank, Dir: dir, Aux1: 1 - rank, Aux2: 7, Aux3: 8})
 			}
 		}
-		if err := w.WriteBlock(rank, recs); err != nil {
-			t.Fatal(err)
+		for recs = recs[:perRank]; len(recs) > 0; recs = recs[clog2.MaxBlockRecords:] {
+			if err := w.WriteBlock(rank, recs[:clog2.MaxBlockRecords]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -145,7 +149,7 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 			t.Fatalf("%s saw %d records, want at least %d", c.name, records, c.want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-			t.Errorf("%s allocated %d bytes over two blocks of %d records: it holds more than a run of them", c.name, got, perRank)
+			t.Errorf("%s allocated %d bytes over 100 blocks of %d records: it holds more than a block of them", c.name, got, clog2.MaxBlockRecords)
 		} else {
 			t.Logf("%s allocated %d bytes", c.name, got)
 		}
@@ -202,5 +206,48 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 		t.Errorf("a warm indexed 1 %% window over %d blocks allocated %d bytes", blocks, least)
 	} else {
 		t.Logf("a warm indexed 1 %% window over %d blocks allocated %d bytes", blocks, least)
+	}
+}
+
+// The bound holds by construction: a Writer refuses a block of
+// MaxBlockRecords+1 records by name, and a reader refuses a header that
+// declares that many by name before it decodes a record, here with every
+// record it declares lying behind it.
+func TestBlocksAreBoundedByConstruction(t *testing.T) {
+	recs := make([]clog2.Record, clog2.MaxBlockRecords+1)
+	for i := range recs {
+		recs[i] = clog2.Record{Type: clog2.RecBareEvt, Time: float64(i), ID: 2}
+	}
+	w, err := clog2.NewWriter(io.Discard, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBlock(0, recs); err == nil || !strings.Contains(err.Error(), "MaxBlockRecords") {
+		t.Fatalf("WriteBlock of %d records: %v", len(recs), err)
+	}
+	if err := w.WriteBlock(0, recs[:clog2.MaxBlockRecords]); err != nil {
+		t.Fatalf("WriteBlock of a full block: %v", err)
+	}
+
+	log := clog2.AppendBlockHeader(clog2.AppendHeader(nil, 1), 0, len(recs))
+	for i := range recs {
+		if log, err = clog2.AppendRecord(log, &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log = append(log, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
+	br, err := clog2.NewBlockReader(bytes.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = br.NextReuse(nil)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "declares 4097 records (MaxBlockRecords is 4096)") {
+		t.Fatalf("a header declaring %d records: %v", len(recs), err)
+	}
+	if got, block := after.TotalAlloc-before.TotalAlloc, uint64(clog2.MaxBlockRecords)*uint64(unsafe.Sizeof(clog2.Record{})); got >= block {
+		t.Fatalf("refusing the header allocated %d bytes, a block of records is %d", got, block)
 	}
 }

@@ -119,16 +119,16 @@ func parseType(name string) (clog2.RecType, error) {
 // dump writes the records of the log at path that match to w, through
 // clog2.Walk. The output is buffered until the walk ends, and starts over
 // whenever the walk begins again (a table caught lying mid-scan), so that no
-// half-answer is printed. A log the walk cannot read to its end-log marker
-// is read again whole block by whole block (clog2's EachBlock) and judged
-// by torn: a spill fragment from an aborted run is dumped as far as its
-// complete blocks go, with a warning to warn.
+// half-answer is printed. A log the walk began and could not read to its
+// end-log marker is judged by torn: the walk has handed over its complete
+// blocks, so a spill fragment from an aborted run is dumped as far as they
+// go, with a warning to warn.
 func dump(w, warn io.Writer, path string, q clog2.Query, match func(*clog2.Record) bool) error {
 	var out bytes.Buffer
-	n := 0
+	n, began := 0, false
 	begin := func(numRanks int) func(clog2.Block) error {
 		out.Reset()
-		n = 0
+		n, began = 0, true
 		fmt.Fprintf(&out, "ranks: %d\n", numRanks)
 		return func(b clog2.Block) error {
 			for i := range b.Records {
@@ -141,17 +141,11 @@ func dump(w, warn io.Writer, path string, q clog2.Query, match func(*clog2.Recor
 		}
 	}
 	if _, err := clog2.Walk(path, q, begin); err != nil {
+		if !began {
+			return err
+		}
 		_, tableErr := clog2.LoadTable(path)
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		br, err := clog2.NewBlockReader(f)
-		if err != nil {
-			return err
-		}
-		if err := torn(warn, br.EachBlock(begin(br.NumRanks())), tableErr == nil, "showing complete blocks only"); err != nil {
+		if err := torn(warn, err, tableErr == nil, "showing complete blocks only"); err != nil {
 			return err
 		}
 	}
@@ -161,7 +155,7 @@ func dump(w, warn io.Writer, path string, q clog2.Query, match func(*clog2.Recor
 }
 
 // torn is the one rule for a log that cannot be read to its end-log marker
-// (err, from clog2's EachBlock): when its block table validates the log is
+// (err, from clog2's Each): when its block table validates the log is
 // corrupt, and err stands; without one it is torn, a spill fragment from an
 // aborted run, and its complete blocks stand, with a warning to warn that
 // says what is shown of them.

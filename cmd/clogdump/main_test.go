@@ -113,7 +113,7 @@ func TestDumpTornLog(t *testing.T) {
 	}
 
 	// A log whose block table validates is never torn: here block 1's
-	// record count, behind its rank, says 238 records where the block holds
+	// record count, behind its marker and rank, says 238 records where the block holds
 	// 15. Its complete block 0 used to be dumped as a torn log's, exit 0; the
 	// dump names the error and exits 1, as -verify does.
 	data, err := os.ReadFile(golden("lab2"))
@@ -124,7 +124,7 @@ func TestDumpTornLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[table.Blocks[1].Offset+4] = 0xee
+	data[table.Blocks[1].Offset+5] = 0xee
 	path = filepath.Join(t.TempDir(), "corrupt.clog2")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestIndexedAnswerSkipsUnselectedDamage(t *testing.T) {
 	if err := os.WriteFile(scanned, data[:len(data)-clog2.FooterSize], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data[table.Blocks[1].Offset+4] = 0xee
+	data[table.Blocks[1].Offset+5] = 0xee
 	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

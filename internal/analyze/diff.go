@@ -315,22 +315,19 @@ func (d *differ) report(nameA, nameB string) *DiffReport {
 	return rep
 }
 
-// diffRun is the most records a side reads at a time: clog2.Each's run.
-const diffRun = 4096
-
 // diffSide is one of the two logs being read.
 type diffSide struct {
 	br    *clog2.BlockReader
 	label string         // names the log in errors
-	recs  []clog2.Record // NextRun's buffer
+	recs  []clog2.Record // NextReuse's buffer
 	ops   int            // ops read so far
 }
 
-// next reads one run and hands its ops to d: events, state
+// next reads one block and hands its ops to d: events, state
 // transitions and message halves in rank order; definitions, timeshifts
 // and block markers are metadata and excluded.
 func (s *diffSide) next(d *differ, side int) error {
-	run, _, err := s.br.NextRun(s.recs)
+	b, err := s.br.NextReuse(s.recs)
 	if err == io.EOF {
 		d.end(side)
 		return nil
@@ -338,8 +335,9 @@ func (s *diffSide) next(d *differ, side int) error {
 	if err != nil {
 		return fmt.Errorf("analyze: diff %s: %w", s.label, err)
 	}
-	for i := range run.Records {
-		rec := &run.Records[i]
+	s.recs = b.Records[:0]
+	for i := range b.Records {
+		rec := &b.Records[i]
 		switch rec.Type {
 		case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
 			d.op(side, rec)
@@ -349,10 +347,11 @@ func (s *diffSide) next(d *differ, side int) error {
 	return nil
 }
 
-// diffStreams aligns two CLOG-2 streams, reading them a run at a time
+// diffStreams aligns two CLOG-2 streams, reading them a block at a time
 // and always from the side that has shown fewer ops, so that what waits
-// to be compared is at most a run, not a rank and not a log.
-// The first unreadable run of either log ends the diff with an error.
+// to be compared is at most a block (clog2.MaxBlockRecords records), not
+// a rank and not a log. The first unreadable block of either log ends the
+// diff with an error.
 func diffStreams(ra, rb io.Reader, labelA, labelB string, opts DiffOptions) (*DiffReport, error) {
 	sides := [2]diffSide{{label: labelA}, {label: labelB}}
 	for side, r := range [2]io.Reader{ra, rb} {
@@ -360,7 +359,7 @@ func diffStreams(ra, rb io.Reader, labelA, labelB string, opts DiffOptions) (*Di
 		if err != nil {
 			return nil, fmt.Errorf("analyze: diff %s: %w", sides[side].label, err)
 		}
-		sides[side].br, sides[side].recs = br, make([]clog2.Record, 0, diffRun)
+		sides[side].br = br
 	}
 	d := &differ{context: opts.withDefaults().Context, ranks: map[int32]*rankDiff{}}
 	for !d.ended[0] || !d.ended[1] {

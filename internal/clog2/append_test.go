@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -101,7 +102,7 @@ func randomRecord(rng *rand.Rand, t RecType) Record {
 func TestAppendRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 4000; i++ {
-		typ := RecStateDef + RecType(i%int(numRecTypes-RecStateDef))
+		typ := RecStateDef + RecType(i%int(RecSrcLoc+1-RecStateDef))
 		rec := randomRecord(rng, typ)
 		prefix := []byte("kept")
 		enc, err := AppendRecord(prefix, &rec)
@@ -150,6 +151,7 @@ func TestAppendRejects(t *testing.T) {
 		{"string one byte past the limit", 0, long, "clog2: string of 65536 bytes exceeds format limit"},
 		{"long text", 0, Record{Type: RecSrcLoc, Text: long.Name}, "clog2: string of 65536 bytes exceeds format limit"},
 		{"end-block marker as a record", 0, Record{Type: RecEndBlock}, "clog2: cannot write record type EndBlock"},
+		{"block-start marker as a record", 0, Record{Type: RecBeginBlock}, "clog2: cannot write record type BeginBlock"},
 		{"unknown type", 0, Record{Type: numRecTypes}, "clog2: cannot write record type RecType(?)"},
 		{"negative rank", -1, Record{Type: RecBareEvt}, "clog2: block with negative rank -1"},
 	}
@@ -175,21 +177,26 @@ func TestAppendRejects(t *testing.T) {
 			t.Errorf("%s: WriteBlock gives %v", c.name, err)
 		}
 	}
-	// Rank 255 is 256 on the wire, whose first byte is the end-log marker:
-	// a file would end there for every reader, so a Writer refuses it.
-	w, err := NewWriter(io.Discard, 300)
+	// A block holds at most MaxBlockRecords records, whatever its rank: a
+	// bigger one is refused with dst as it was, a full one is written.
+	w, err := NewWriter(io.Discard, MaxRanks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rank := range []int32{254, 256, 510} {
-		if err := w.WriteBlock(rank, nil); err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
+	full := make([]Record, MaxBlockRecords+1)
+	for i := range full {
+		full[i] = Record{Type: RecBareEvt, Time: float64(i), Rank: 255, ID: 2}
 	}
-	for _, rank := range []int32{255, 511} {
-		want := fmt.Sprintf("clog2: a block of rank %d would begin with the end-log marker", rank)
-		if err := w.WriteBlock(rank, nil); err == nil || err.Error() != want {
-			t.Errorf("rank %d: WriteBlock gives %v, want %s", rank, err, want)
+	want := fmt.Sprintf("clog2: a block of %d records, past MaxBlockRecords (%d)", MaxBlockRecords+1, MaxBlockRecords)
+	if err := w.WriteBlock(255, full); err == nil || err.Error() != want {
+		t.Errorf("WriteBlock of %d records gives %v, want %s", len(full), err, want)
+	}
+	if got, err := AppendBlock([]byte("kept"), 255, full); err == nil || err.Error() != want || string(got) != "kept" {
+		t.Errorf("AppendBlock of %d records gives %d bytes, %v", len(full), len(got), err)
+	}
+	for _, rank := range []int32{255, 256, MaxRanks - 1} {
+		if err := w.WriteBlock(rank, full[:MaxBlockRecords]); err != nil {
+			t.Errorf("rank %d: a full block: %v", rank, err)
 		}
 	}
 }
@@ -201,7 +208,7 @@ func TestAppendRejects(t *testing.T) {
 func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	long := strings.Repeat("x", math.MaxUint16)
-	for _, perBlock := range []int{0, 1, 700, 5000} { // 5000 records: three buffers' worth
+	for _, perBlock := range []int{0, 1, 700, MaxBlockRecords} { // a full block: three buffers' worth
 		want := AppendHeader(nil, 4)
 		var written bytes.Buffer
 		ww, err := NewWriter(&written, 4)
@@ -262,15 +269,18 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // The first write the underlying writer refuses fails the block being
 // written and everything after it.
 func TestWriterErrorIsSticky(t *testing.T) {
-	recs := make([]Record, 10000)
+	recs := make([]Record, MaxBlockRecords)
 	for i := range recs {
 		recs[i] = Record{Type: RecMsgEvt, Time: float64(i)}
 	}
-	w, err := NewWriter(&failAfter{n: writerBufSize}, 1)
+	w, err := NewWriter(&failAfter{n: 2 * writerBufSize}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBlock(0, recs); err != io.ErrShortWrite {
+	for i := 0; i < 3 && err == nil; i++ { // 106 KB a block: the writer fails within three
+		err = w.WriteBlock(0, recs)
+	}
+	if err != io.ErrShortWrite {
 		t.Fatalf("WriteBlock over a failing writer: %v", err)
 	}
 	if err := w.WriteBlock(0, recs[:1]); err != io.ErrShortWrite {
@@ -281,69 +291,47 @@ func TestWriterErrorIsSticky(t *testing.T) {
 	}
 }
 
-// runCaps are the buffers the run contract is checked at: Each's pooled
-// one (0), and NextRun's own around a record and around a run.
-var runCaps = []int{0, 1, 2, RunRecords - 1, RunRecords, RunRecords + 1}
+// bufCaps are the buffers NextReuse is checked with: none, and room around
+// a record and around a full block.
+var bufCaps = []int{0, 1, 2, MaxBlockRecords - 1, MaxBlockRecords, MaxBlockRecords + 1}
 
-// drainRuns reassembles blocks from the runs NextRun decodes into a buffer
-// of the given capacity (0: from the runs Each hands out) and checks the
-// run contract on the way: a run fits the buffer and lies in it, one rank
-// a block, no empty run inside a block, the block's start known from its
-// first run, its end 0 until the run that is called last.
-func drainRuns(t testing.TB, br *BlockReader, capacity int) (blocks []Block, bounds [][2]int64, err error) {
-	open := false
-	take := func(run Block, limit int) {
-		start, end := br.BlockBounds()
-		if len(run.Records) > limit {
-			t.Fatalf("a run of %d records in room for %d", len(run.Records), limit)
-		}
-		if !open {
-			blocks = append(blocks, Block{Rank: run.Rank, Records: []Record{}})
-			bounds = append(bounds, [2]int64{start, 0})
-		}
-		b := &blocks[len(blocks)-1]
-		if b.Rank != run.Rank || bounds[len(bounds)-1][0] != start {
-			t.Fatalf("a run of rank %d at %d inside the block of rank %d at %d", run.Rank, start, b.Rank, bounds[len(bounds)-1][0])
-		}
-		if open && len(run.Records) == 0 {
-			t.Fatal("an empty run inside a block")
-		}
-		b.Records = append(b.Records, run.Records...)
-		bounds[len(bounds)-1][1] = end
-		open = end == 0
+// drainWith is drain through Each (capacity < 0), with the bounds
+// BlockBounds gives inside fn, or through NextReuse into one buffer of the
+// given capacity, which it must use while a block fits it; blocks are
+// copied.
+func drainWith(t testing.TB, br *BlockReader, capacity int) (d drained) {
+	keep := func(b Block) error {
+		s, e := br.BlockBounds()
+		d.blocks = append(d.blocks, Block{Rank: b.Rank, Records: slices.Clone(b.Records)})
+		d.bounds = append(d.bounds, [2]int64{s, e})
+		return nil
 	}
-	if capacity == 0 {
-		err = br.Each(func(run Block) error { take(run, RunRecords); return nil })
-	} else {
-		buf := make([]Record, 3, capacity+3)[3:] // the buffer need not start its array
-		for err == nil {
-			var run Block
-			var last bool
-			if run, last, err = br.NextRun(buf); err == nil {
-				take(run, capacity)
-				if last == open {
-					t.Fatalf("last is %v on a run whose block ends at %d", last, bounds[len(bounds)-1][1])
-				}
-				if len(run.Records) > 0 && &run.Records[0] != &buf[:1][0] {
-					t.Fatal("a run decoded outside the buffer it was given")
-				}
+	if capacity < 0 {
+		d.err = br.Each(keep)
+		return d
+	}
+	buf := make([]Record, 3, capacity+3)[3:] // the buffer need not start its array
+	for {
+		b, err := br.NextReuse(buf)
+		if err != nil {
+			if err != io.EOF {
+				d.err = err
 			}
+			return d
 		}
-		if err == io.EOF {
-			err = nil
+		if n := len(b.Records); n > 0 && n <= capacity && &b.Records[0] != &buf[:1][0] {
+			t.Fatalf("a block of %d records decoded outside a buffer with room for %d", n, capacity)
 		}
+		keep(b)
 	}
-	if err == nil && open {
-		t.Fatal("the stream ended inside a block")
-	}
-	return blocks, bounds, err
 }
 
-// NextRun hands out exactly the blocks Next returns, with Next's bounds,
-// in runs: on blocks of every size around the run length, at every
-// capacity in runCaps, from every kind of source.
-func TestEachRunsAreNextsBlocks(t *testing.T) {
-	sizes := []int{0, 1, RunRecords - 1, RunRecords, RunRecords + 1, 3*RunRecords + 1, 0, 2 * RunRecords}
+// Each hands out exactly the blocks NextReuse returns, with NextReuse's
+// bounds, and NextReuse returns the same blocks into a buffer of any
+// capacity: on blocks of every size up to MaxBlockRecords, from every kind
+// of source.
+func TestEachIsNextReuse(t *testing.T) {
+	sizes := []int{0, 1, 2, MaxBlockRecords - 1, MaxBlockRecords, 0, MaxBlockRecords / 2}
 	var file bytes.Buffer
 	w, err := NewWriter(&file, len(sizes))
 	if err != nil {
@@ -373,28 +361,19 @@ func TestEachRunsAreNextsBlocks(t *testing.T) {
 			return NewBlockReader(iotest.OneByteReader(bytes.NewReader(file.Bytes())))
 		},
 	} {
-		for _, capacity := range runCaps {
+		for _, capacity := range append([]int{-1}, bufCaps...) {
 			br, err := open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks, bounds, err := drainRuns(t, br, capacity)
-			if err != nil || len(blocks) != len(sizes) {
-				t.Fatalf("%s, capacity %d: %d blocks, %v", name, capacity, len(blocks), err)
-			}
-			for i := range blocks {
-				if !sameBlock(blocks[i], want.blocks[i]) || bounds[i] != want.bounds[i] {
-					t.Fatalf("%s, capacity %d, block %d: runs give %d records at %v, NextReuse %d at %v",
-						name, capacity, i, len(blocks[i].Records), bounds[i], len(want.blocks[i].Records), want.bounds[i])
-				}
-			}
+			compareDrained(t, fmt.Sprintf("%s, capacity %d (-1: Each)", name, capacity), drainWith(t, br, capacity), want, false)
 		}
 	}
 }
 
-// NextRun ends a block that breaks off, declares the wrong count or is not
-// terminated with the error NextReuse gives for it, whatever the capacity; a
-// buffer without capacity is refused by name; Each passes fn's error on.
+// Each ends with the error NextReuse gives for a block that breaks off,
+// declares the wrong count or is not terminated, whatever the capacity,
+// and hands over no record of that block; it passes fn's error on.
 func TestEachErrors(t *testing.T) {
 	valid := validFileBytes(t)
 	cases := map[string][]byte{
@@ -403,17 +382,21 @@ func TestEachErrors(t *testing.T) {
 		"negative count":  corruptRecordCount(t, -1),
 		"count too large": corruptRecordCount(t, int32(len(sampleRecords())+1)),
 		"count too small": corruptRecordCount(t, int32(len(sampleRecords())-1)),
+		"count past max":  corruptRecordCount(t, MaxBlockRecords+1),
 	}
 	for name, data := range cases {
-		want := drain(NewBlockReader(bytes.NewReader(data))).err
-		for _, capacity := range runCaps {
+		want := drain(NewBlockReader(bytes.NewReader(data)))
+		if want.err == nil {
+			t.Fatalf("%s: NextReuse reads it", name)
+		}
+		for _, capacity := range append([]int{-1}, bufCaps...) {
 			br, err := NewBlockReader(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, got := drainRuns(t, br, capacity)
-			if want == nil || got == nil || got.Error() != want.Error() {
-				t.Errorf("%s, capacity %d: runs give %v, NextReuse %v", name, capacity, got, want)
+			got := drainWith(t, br, capacity)
+			if got.err == nil || got.err.Error() != want.err.Error() || len(got.blocks) != len(want.blocks) {
+				t.Errorf("%s, capacity %d (-1: Each): %d blocks and %v, NextReuse %d and %v", name, capacity, len(got.blocks), got.err, len(want.blocks), want.err)
 			}
 		}
 	}
@@ -421,47 +404,34 @@ func TestEachErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, buf := range [][]Record{nil, {}, make([]Record, 4)[4:]} {
-		if _, _, err := br.NextRun(buf); err == nil || !strings.Contains(err.Error(), "NextRun") {
-			t.Fatalf("NextRun without room for a record: %v", err)
-		}
-	}
 	if err := br.Each(func(Block) error { return io.ErrClosedPipe }); err != io.ErrClosedPipe {
 		t.Fatalf("fn's error came back as %v", err)
 	}
 }
 
-// A block NextRun began can be finished by NextReuse, which returns what is
-// left of it, or forgotten by SeekTo, which starts over at a block header.
-func TestHalfReadBlock(t *testing.T) {
+// SeekTo starts over at a block header, from the block after the one read
+// or from the one before it.
+func TestSeekTo(t *testing.T) {
 	valid := validFileBytes(t)
 	want := drain(NewBlockReader(bytes.NewReader(valid)))
 	br, err := NewBlockReaderAt(bytes.NewReader(valid), want.bounds[0][0], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]Record, 0, 2)
-	for _, seek := range []bool{false, true} {
-		if run, last, err := br.NextRun(buf); err != nil || last || len(run.Records) != 2 {
-			t.Fatalf("first run: %d records, last %v, %v", len(run.Records), last, err)
-		}
-		first, rest := want.blocks[0], 2
-		if seek {
-			if err := br.SeekTo(want.bounds[1][0]); err != nil {
-				t.Fatal(err)
-			}
-			first, rest = want.blocks[1], 0
-		}
-		b, err := br.NextReuse(nil)
-		if err != nil || !sameBlock(b, Block{Rank: first.Rank, Records: first.Records[rest:]}) {
-			t.Fatalf("seek %v: NextReuse after half a block gives %d records of rank %d, %v", seek, len(b.Records), b.Rank, err)
-		}
-		if _, end := br.BlockBounds(); end == 0 {
-			t.Fatalf("seek %v: no block end after NextReuse", seek)
-		}
-		if err := br.SeekTo(want.bounds[0][0]); err != nil {
+	for _, i := range []int{0, 1, 0, 0} {
+		if err := br.SeekTo(want.bounds[i][0]); err != nil {
 			t.Fatal(err)
 		}
+		b, err := br.NextReuse(nil)
+		if s, e := br.BlockBounds(); err != nil || !sameBlock(b, want.blocks[i]) || [2]int64{s, e} != want.bounds[i] {
+			t.Fatalf("block %d after SeekTo: %d records of rank %d at [%d,%d), %v", i, len(b.Records), b.Rank, s, e, err)
+		}
+	}
+	if _, err := br.NextReuse(nil); err != nil {
+		t.Fatalf("the block after: %v", err)
+	}
+	if _, err := br.NextReuse(nil); err != io.EOF {
+		t.Fatalf("after the last block: %v", err)
 	}
 }
 

@@ -7,7 +7,8 @@
 // state and event definitions, bare events, cargo events (with the MPE
 // 40-byte text limit), point-to-point message events, and timeshift
 // records from clock synchronisation — terminated by an end-log marker,
-// behind which a Writer puts the log's block table (table.go).
+// behind which a Writer puts the log's block table (table.go). A block
+// opens with a block-start marker and holds at most MaxBlockRecords records.
 // Like real CLOG-2, the file is unmerged and unsorted across ranks: sorting
 // and pairing are the converter's job, and diagnosing problems by reading
 // the raw records is exactly the use case the paper quotes for keeping the
@@ -21,23 +22,24 @@ type RecType uint8
 
 // Record types.
 const (
-	RecEndLog    RecType = iota // end of file
-	RecEndBlock                 // end of one rank's block
-	RecStateDef                 // define a state: id, colour, name
-	RecEventDef                 // define a solo event: id, colour, name
-	RecConstDef                 // named integer constant
-	RecBareEvt                  // event with no payload
-	RecCargoEvt                 // event with ≤40 bytes of text cargo
-	RecMsgEvt                   // message send or receive half
-	RecTimeShift                // clock-synchronisation offset applied to this rank
-	RecSrcLoc                   // source-location annotation
+	RecEndLog     RecType = iota // end of file
+	RecEndBlock                  // end of one rank's block
+	RecStateDef                  // define a state: id, colour, name
+	RecEventDef                  // define a solo event: id, colour, name
+	RecConstDef                  // named integer constant
+	RecBareEvt                   // event with no payload
+	RecCargoEvt                  // event with ≤40 bytes of text cargo
+	RecMsgEvt                    // message send or receive half
+	RecTimeShift                 // clock-synchronisation offset applied to this rank
+	RecSrcLoc                    // source-location annotation
+	RecBeginBlock                // start of one rank's block (io.go: AppendBlockHeader)
 	numRecTypes
 )
 
 // String implements fmt.Stringer.
 func (t RecType) String() string {
 	names := [...]string{"EndLog", "EndBlock", "StateDef", "EventDef",
-		"ConstDef", "BareEvt", "CargoEvt", "MsgEvt", "TimeShift", "SrcLoc"}
+		"ConstDef", "BareEvt", "CargoEvt", "MsgEvt", "TimeShift", "SrcLoc", "BeginBlock"}
 	if int(t) < len(names) {
 		return names[t]
 	}

@@ -50,7 +50,7 @@ func newOracleReader(r io.Reader) (*oracleReader, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nranks); err != nil {
 		return nil, fmt.Errorf("clog2: reading rank count: %w", err)
 	}
-	if nranks < 1 || nranks > 1<<20 {
+	if nranks < 1 || nranks > MaxRanks {
 		return nil, fmt.Errorf("clog2: implausible rank count %d", nranks)
 	}
 	return &oracleReader{r: br, off: int64(HeaderSize)}, nil
@@ -93,19 +93,18 @@ func (d *oracleReader) NextReuse([]Record) (Block, error) {
 		d.done = true
 		return Block{}, io.EOF
 	}
-	rank := d.get32() - 1
+	if t := RecType(d.getByte()); d.err == nil && t != RecBeginBlock {
+		return Block{}, fmt.Errorf("clog2: %v where a block begins", t)
+	}
+	rank := d.get32()
 	n := d.get32()
 	if d.err != nil {
 		return Block{}, d.err
 	}
-	if n < 0 || n > 1<<28 {
-		return Block{}, fmt.Errorf("clog2: implausible record count %d", n)
+	if n < 0 || n > MaxBlockRecords {
+		return Block{}, fmt.Errorf("clog2: a block of rank %d declares %d records (MaxBlockRecords is %d)", rank, n, MaxBlockRecords)
 	}
-	prealloc := n
-	if prealloc > maxRecordPrealloc {
-		prealloc = maxRecordPrealloc
-	}
-	recs := make([]Record, 0, prealloc)
+	recs := make([]Record, 0, n)
 	for i := int32(0); i < n; i++ {
 		rec, err := d.readRecord()
 		if err != nil {
@@ -438,9 +437,7 @@ func TestDecoderMatchesOracleOnEveryTruncation(t *testing.T) {
 // rawFile hand-assembles a one-block file around record bytes the Writer refuses
 // to produce (cargo longer than MaxCargo).
 func rawFile(records int32, body []byte) []byte {
-	out := append([]byte(Magic), 1, 0, 0, 0)       // one rank
-	out = binary.LittleEndian.AppendUint32(out, 1) // rank 0, +1 on the wire
-	out = binary.LittleEndian.AppendUint32(out, uint32(records))
+	out := AppendBlockHeader(AppendHeader(nil, 1), 0, int(records))
 	out = append(out, body...)
 	return append(out, byte(RecEndBlock), byte(RecEndLog))
 }
@@ -462,15 +459,15 @@ func TestDecoderMatchesOracleOnOverlongCargo(t *testing.T) {
 		var body []byte
 		// Enough records around it that the long cargo is met both wholly
 		// buffered and straddling a refill.
-		for i := 0; i < 5000; i++ {
+		for i := 0; i < 4000; i++ {
 			body = append(body, rawCargoEvt(float64(i), cargo[:i%MaxCargo])...)
 			if i%1000 == 500 {
 				body = append(body, rawCargoEvt(float64(i), cargo)...)
 			}
 		}
-		data := rawFile(5005, body)
+		data := rawFile(4004, body)
 		sameAsOracleAllShapes(t, fmt.Sprintf("cargo %d", n), data)
-		for _, cut := range []int{len(data) - 3, len(data) / 2, HeaderSize + 8 + 19 + n/2} {
+		for _, cut := range []int{len(data) - 3, len(data) / 2, firstRecord + 19 + n/2} {
 			sameAsOracle(t, fmt.Sprintf("cargo %d cut %d", n, cut), data[:cut], sourceShapes[0].wrap, false)
 		}
 		br, err := NewBlockReader(bytes.NewReader(data))
@@ -500,7 +497,7 @@ func TestDecoderMatchesOracleOnLongNameAcrossRefill(t *testing.T) {
 		}
 		recs = append(recs, Record{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: name[:300], Name: name},
 			Record{Type: RecMsgEvt, Time: 9, Dir: DirRecv, Aux1: 1, Aux2: 2, Aux3: 3})
-		if err := w.WriteBlock(0, recs); err != nil {
+		if err := w.WriteCut(NewCut(0, MaxBlockRecords, recs)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -511,12 +508,12 @@ func TestDecoderMatchesOracleOnLongNameAcrossRefill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := br.NextReuse(nil)
-		if err != nil {
+		var got []Record
+		if err := br.Each(func(b Block) error { got = append(got, b.Records...); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if b.Records[lead].Name != name || len(br.d.buf) != decodeBufSize {
-			t.Fatalf("lead %d: name of %d bytes, buffer of %d", lead, len(b.Records[lead].Name), len(br.d.buf))
+		if got[lead].Name != name || len(br.d.buf) != decodeBufSize {
+			t.Fatalf("lead %d: name of %d bytes, buffer of %d", lead, len(got[lead].Name), len(br.d.buf))
 		}
 	}
 }
@@ -588,7 +585,7 @@ func TestStalledSourceEndsInErrNoProgress(t *testing.T) {
 	got := drain(NewBlockReader(&stallReader{valid[:boundary]}))
 	want := drain(newOracleReader(&stallReader{valid[:boundary]}))
 	compareDrained(t, "stall at a block boundary", got, want, false)
-	for _, cut := range []int{boundary, boundary - 3, HeaderSize + 2, HeaderSize + 8 + 5, 3} {
+	for _, cut := range []int{boundary, boundary - 3, HeaderSize + 2, firstRecord + 5, 3} {
 		d := drain(NewBlockReader(&stallReader{valid[:cut]}))
 		if !errors.Is(d.err, io.ErrNoProgress) {
 			t.Fatalf("stall after %d bytes: %v", cut, d.err)
@@ -596,13 +593,13 @@ func TestStalledSourceEndsInErrNoProgress(t *testing.T) {
 	}
 }
 
-// NextRunIn keeps exactly the records a full decode yields that are not
+// NextIn keeps exactly the records a full decode yields that are not
 // bare, cargo or message records stamped outside its window, in order,
 // however the source hands its bytes over (one at a time, records
 // straddle every refill of the decode buffer and take the path that
-// decodes them and drops them after), and the counts it reports add up to
-// each block's declared count.
-func TestNextRunInKeepsWhatTheWindowKeeps(t *testing.T) {
+// decodes them and drops them after), and the count it reports is each
+// block's declared count.
+func TestNextInKeepsWhatTheWindowKeeps(t *testing.T) {
 	data := bigLog(t, 5000, 3)
 	_, full, err := readBlocks(bytes.NewReader(data))
 	if err != nil {
@@ -617,7 +614,7 @@ func TestNextRunInKeepsWhatTheWindowKeeps(t *testing.T) {
 			}
 			buf := make([]Record, 0, 700)
 			for bi, b := range full {
-				var want, got []Record
+				var want []Record
 				for _, r := range b.Records {
 					switch r.Type {
 					case RecBareEvt, RecCargoEvt, RecMsgEvt:
@@ -627,24 +624,16 @@ func TestNextRunInKeepsWhatTheWindowKeeps(t *testing.T) {
 					}
 					want = append(want, r)
 				}
-				read := int32(0)
-				for last := false; !last; {
-					var run Block
-					var n int32
-					if run, n, last, err = br.NextRunIn(buf[:0], w[0], w[1]); err != nil {
-						t.Fatalf("window %v, %s, block %d: %v", w, sh.name, bi, err)
-					}
-					if run.Rank != b.Rank || len(run.Records) > int(n) {
-						t.Fatalf("window %v, %s, block %d: a run of %d records of rank %d read %d", w, sh.name, bi, len(run.Records), run.Rank, n)
-					}
-					read += n
-					got = append(got, run.Records...)
+				got, n, err := br.NextIn(buf[:0], w[0], w[1])
+				if err != nil {
+					t.Fatalf("window %v, %s, block %d: %v", w, sh.name, bi, err)
 				}
-				if int(read) != len(b.Records) || !slices.Equal(got, want) {
-					t.Fatalf("window %v, %s, block %d: read %d of %d records, kept %d, want %d", w, sh.name, bi, read, len(b.Records), len(got), len(want))
+				if got.Rank != b.Rank || int(n) != len(b.Records) || !slices.Equal(got.Records, want) {
+					t.Fatalf("window %v, %s, block %d: rank %d, read %d of %d records, kept %d, want %d", w, sh.name, bi, got.Rank, n, len(b.Records), len(got.Records), len(want))
 				}
+				buf = got.Records
 			}
-			if _, _, _, err := br.NextRunIn(buf[:0], w[0], w[1]); err != io.EOF {
+			if _, _, err := br.NextIn(buf[:0], w[0], w[1]); err != io.EOF {
 				t.Fatalf("window %v, %s: after the last block, err = %v", w, sh.name, err)
 			}
 		}

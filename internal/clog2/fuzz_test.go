@@ -32,26 +32,32 @@ func validFileBytes(t testing.TB) []byte {
 	return buf.Bytes()[:w.Table().LogSize()]
 }
 
-// corruptHeader returns a valid file with the block's declared record
-// count overwritten by n (little-endian), leaving the payload intact.
+// blockHeaderSize is a block header's length: the block-start marker, the
+// rank and the record count. firstRecord is the offset of a file's first
+// record.
+const (
+	blockHeaderSize = 1 + 4 + 4
+	firstRecord     = HeaderSize + blockHeaderSize
+)
+
+// corruptRecordCount returns a valid file with the first block's declared
+// record count overwritten by n (little-endian), leaving the payload intact.
 func corruptRecordCount(t testing.TB, n int32) []byte {
 	t.Helper()
 	data := append([]byte(nil), validFileBytes(t)...)
-	// Layout: magic(10) + nranks(4) + rank(4) + nrec(4) + ...
-	off := len(Magic) + 4 + 4
-	binary.LittleEndian.PutUint32(data[off:], uint32(n))
+	binary.LittleEndian.PutUint32(data[firstRecord-4:], uint32(n))
 	return data
 }
 
-// readBlocks reads the log r holds through EachBlock: the header's rank
-// count, a copy of each block EachBlock handed over and its error (nil at
-// the end-log marker), or the header's error and nothing else.
+// readBlocks reads the log r holds through Each: the header's rank count,
+// a copy of each block Each handed over and its error (nil at the end-log
+// marker), or the header's error and nothing else.
 func readBlocks(r io.Reader) (numRanks int, blocks []Block, err error) {
 	br, err := NewBlockReader(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	err = br.EachBlock(func(b Block) error {
+	err = br.Each(func(b Block) error {
 		blocks = append(blocks, Block{Rank: b.Rank, Records: slices.Clone(b.Records)})
 		return nil
 	})
@@ -61,21 +67,23 @@ func readBlocks(r io.Reader) (numRanks int, blocks []Block, err error) {
 // FuzzReadFile feeds arbitrary bytes to every reader entry point. The
 // contract under fuzzing: return errors, never panic, never over-allocate
 // from untrusted length fields — and every way of reading the stream must
-// agree on what a file contains: EachBlock, NextReuse, and runs of any
-// capacity (room is the capacity NextRun is given, less one).
+// agree on what a file contains: Each, and NextReuse into a buffer of any
+// capacity (room).
 func FuzzReadFile(f *testing.F) {
 	valid := validFileBytes(f)
 	f.Add(valid, uint8(0))
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte(Magic), uint8(2))                                                // header cut before rank count
-	f.Add(valid[:len(Magic)+4+4], uint8(3))                                       // truncated inside a block header
+	f.Add(valid[:firstRecord-1], uint8(3))                                        // truncated inside a block header
 	f.Add(valid[:len(valid)-1], uint8(4))                                         // missing end-log marker
 	f.Add(valid[:len(valid)/2], uint8(5))                                         // torn mid-block
 	f.Add(corruptRecordCount(f, -5), uint8(6))                                    // negative record count
 	f.Add(corruptRecordCount(f, 1<<28), uint8(7))                                 // huge record count
+	f.Add(corruptRecordCount(f, MaxBlockRecords+1), uint8(7))                     // one past the bound
 	f.Add(bytes.Replace(valid, []byte(Magic), []byte("XLOG-R0260"), 1), uint8(8)) // bad magic
+	f.Add(bytes.Replace(valid, []byte(Magic), []byte("CLOG-R0260"), 1), uint8(8)) // an earlier version
 	bad := append([]byte(nil), valid...)
-	bad[len(Magic)+4+4+4] = 0xEE // clobber first record's type byte
+	bad[firstRecord] = 0xEE // clobber first record's type byte
 	f.Add(bad, uint8(9))
 	f.Add(rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1))), uint8(10)) // cargo the decoder cuts
 	f.Add(append(append([]byte(nil), valid...), 0), uint8(11))                          // a byte after the end-log marker
@@ -90,25 +98,33 @@ func FuzzReadFile(f *testing.F) {
 		// replaced on blocks, bounds and error class.
 		whole := drain(NewBlockReader(bytes.NewReader(data)))
 		compareDrained(t, "fuzz input", whole, drain(newOracleReader(bytes.NewReader(data))), false)
-		// EachBlock hands over the blocks NextReuse returns before its
-		// first error, and reports a clean end exactly when NextReuse
-		// reaches io.EOF, with NextReuse's error otherwise.
+		// Each hands over the blocks NextReuse returns before its first
+		// error, and reports a clean end exactly when NextReuse reaches
+		// io.EOF, with NextReuse's error otherwise; so does NextReuse into a
+		// buffer of any capacity.
 		_, blocks, err := readBlocks(bytes.NewReader(data))
 		if fmt.Sprint(err) != fmt.Sprint(whole.err) {
-			t.Fatalf("EachBlock ends in %v, NextReuse in %v", err, whole.err)
+			t.Fatalf("Each ends in %v, NextReuse in %v", err, whole.err)
 		}
 		if len(blocks) != len(whole.blocks) {
-			t.Fatalf("EachBlock handed over %d blocks, NextReuse returned %d", len(blocks), len(whole.blocks))
+			t.Fatalf("Each handed over %d blocks, NextReuse returned %d", len(blocks), len(whole.blocks))
 		}
 		for i := range blocks {
 			if !sameBlock(blocks[i], whole.blocks[i]) {
-				t.Fatalf("block %d differs between EachBlock and NextReuse", i)
+				t.Fatalf("block %d differs between Each and NextReuse", i)
 			}
+		}
+		if br, oerr := NewBlockReader(bytes.NewReader(data)); oerr == nil {
+			into := drainWith(t, br, int(room))
+			if fmt.Sprint(into.err) != fmt.Sprint(whole.err) {
+				t.Fatalf("capacity %d: NextReuse ends in %v, into nil in %v", room, into.err, whole.err)
+			}
+			compareDrained(t, fmt.Sprintf("capacity %d", room), into, whole, false)
 		}
 		// ScanTable, over the same rule, tables exactly those blocks.
 		tab, terr := ScanTable(bytes.NewReader(data))
 		if fmt.Sprint(terr) != fmt.Sprint(err) {
-			t.Fatalf("ScanTable ends in %v, EachBlock in %v", terr, err)
+			t.Fatalf("ScanTable ends in %v, Each in %v", terr, err)
 		}
 		if tab != nil && len(tab.Blocks) != len(blocks) {
 			t.Fatalf("ScanTable has %d entries for %d complete blocks", len(tab.Blocks), len(blocks))
@@ -116,29 +132,6 @@ func FuzzReadFile(f *testing.F) {
 		for i := range blocks {
 			if m := tab.Blocks[i]; [2]int64{m.Offset, m.Offset + m.Length} != whole.bounds[i] || int(m.Records) != len(blocks[i].Records) {
 				t.Fatalf("ScanTable's entry %d %+v is not the block at %v of %d records", i, m, whole.bounds[i], len(blocks[i].Records))
-			}
-		}
-		// NextRun hands out, in runs of any capacity, and Each in its own,
-		// the blocks NextReuse returns, with its bounds and its error.
-		for _, capacity := range []int{0, 1 + int(room)} {
-			br, oerr := NewBlockReader(bytes.NewReader(data))
-			if oerr != nil {
-				break
-			}
-			runs, bounds, rerr := drainRuns(t, br, capacity)
-			if errClass(rerr) != errClass(whole.err) {
-				t.Fatalf("capacity %d: runs end in %v, NextReuse in %v", capacity, rerr, whole.err)
-			}
-			if rerr != nil && len(runs) > len(whole.blocks) {
-				runs = runs[:len(whole.blocks)] // the runs of the block that failed
-			}
-			if len(runs) != len(whole.blocks) {
-				t.Fatalf("capacity %d: runs make %d blocks, NextReuse %d", capacity, len(runs), len(whole.blocks))
-			}
-			for i := range runs {
-				if !sameBlock(runs[i], whole.blocks[i]) || bounds[i] != whole.bounds[i] {
-					t.Fatalf("capacity %d: block %d at %v differs between runs and NextReuse (at %v)", capacity, i, bounds[i], whole.bounds[i])
-				}
 			}
 		}
 		// Whatever decodes re-encodes to the bytes it was decoded from,
@@ -149,7 +142,7 @@ func FuzzReadFile(f *testing.F) {
 		for i, b := range whole.blocks {
 			raw := data[whole.bounds[i][0]:whole.bounds[i][1]]
 			enc, eerr := AppendBlock(nil, b.Rank, b.Records)
-			body := raw[8 : len(raw)-1]
+			body := raw[blockHeaderSize : len(raw)-1]
 			n, size, cerr := checkTimed(body, b.Rank, len(body))
 			checked := cerr == nil && size == len(body) && n == len(b.Records)
 			if exact := eerr == nil && len(enc) == len(raw); exact != bytes.Equal(enc, raw) || checked && !exact {
@@ -169,18 +162,20 @@ func TestReaderRejectsCorruptInputs(t *testing.T) {
 		"empty":             {},
 		"magic only":        []byte(Magic),
 		"bad magic":         bytes.Replace(validFileBytes(t), []byte(Magic), []byte("XLOG-R0260"), 1),
-		"torn block header": validFileBytes(t)[:len(Magic)+4+4],
+		"torn block header": validFileBytes(t)[:firstRecord-1],
+		"earlier version":   bytes.Replace(validFileBytes(t), []byte(Magic), []byte("CLOG-R0260"), 1),
 		"no end-log":        validFileBytes(t)[:len(validFileBytes(t))-1],
 		"torn mid-block":    validFileBytes(t)[:len(validFileBytes(t))/2],
 		"negative count":    corruptRecordCount(t, -1),
 		"huge count":        corruptRecordCount(t, 1<<28),
+		"count past max":    corruptRecordCount(t, MaxBlockRecords+1),
 	}
 	bad := validFileBytes(t)
-	bad[len(Magic)+4+4+4] = 0xEE
+	bad[firstRecord] = 0xEE
 	cases["bad record type"] = bad
 	for name, data := range cases {
 		if _, _, err := readBlocks(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: EachBlock succeeded", name)
+			t.Errorf("%s: Each succeeded", name)
 		}
 		if d := drain(NewBlockReader(bytes.NewReader(data))); d.err == nil {
 			t.Errorf("%s: NextReuse succeeded", name)
@@ -188,8 +183,18 @@ func TestReaderRejectsCorruptInputs(t *testing.T) {
 	}
 }
 
+// A log of an earlier version is refused with both versions named.
+func TestReaderNamesAnEarlierVersion(t *testing.T) {
+	data := bytes.Replace(validFileBytes(t), []byte(Magic), []byte("CLOG-R0260"), 1)
+	_, err := NewBlockReader(bytes.NewReader(data))
+	if want := "clog2: a CLOG-R0260 log; this version reads " + Magic + " only"; err == nil || err.Error() != want {
+		t.Fatalf("NewBlockReader gives %v, want %s", err, want)
+	}
+}
+
 // A header declaring 2^28 records must not reserve gigabytes before the
-// decoder has seen a single valid record (maxRecordPrealloc caps it).
+// decoder has seen a single valid record: it is refused, as is any count
+// past MaxBlockRecords, before a record is decoded.
 func TestReaderNoOverAllocationOnHugeCount(t *testing.T) {
 	data := corruptRecordCount(t, 1<<28)
 	allocs := testing.AllocsPerRun(5, func() {

@@ -2,23 +2,37 @@ package clog2
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 )
 
 // Magic begins every file; the trailing digits are this format's version.
-const Magic = "CLOG-R0260"
+// Only this version is read: a file of an earlier one is refused by name
+// (checkMagic).
+const Magic = "CLOG-R0261"
 
 // HeaderSize is the byte length of the file header (magic plus the
 // little-endian int32 rank count): the offset of the first block.
 const HeaderSize = len(Magic) + 4
+
+// MaxRanks is the most ranks a log header may declare: a Writer refuses
+// more, and so does every reader.
+const MaxRanks = 1 << 20
+
+// MaxBlockRecords is the most records a block holds: a Writer refuses a
+// bigger block by name, and a reader refuses a header that declares more
+// before it decodes a record, so that no reader holds more than one
+// 4 096-record buffer (576 KiB) of a log. The length a reader decodes at a
+// time buys no speed: a 400 000-record log walked in 7.1-8.4 ms (1.3-1.6
+// GB/s) at every length from 128 to 4 096 records on the 2-CPU bench box
+// (2 MiB of L2 a core). The merge writes blocks of 512 (mpe's
+// blockRecords).
+const MaxBlockRecords = 4096
 
 // Writer emits a CLOG-2 file incrementally: a header, then blocks of
 // records, then Close writes the end-log marker and the log's block table
@@ -49,7 +63,7 @@ const MaxTimedRecord = 19 + MaxCargo
 
 // NewWriter writes the file header for numRanks ranks onto w.
 func NewWriter(w io.Writer, numRanks int) (*Writer, error) {
-	if numRanks < 1 {
+	if numRanks < 1 || numRanks > MaxRanks {
 		return nil, fmt.Errorf("clog2: writer with %d ranks", numRanks)
 	}
 	return &Writer{w: w, buf: AppendHeader(make([]byte, 0, writerBufSize), numRanks), table: Table{NumRanks: numRanks}}, nil
@@ -69,9 +83,10 @@ func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 // WriteBlock appends one rank's block: recs, encoded here, then the
 // records pages hold already encoded, whole and of the timed types (an mpe
 // rank's pages, or pieces of them cut at record boundaries; checkTimed),
-// neither decoded nor encoded again. The block header
-// carries the total. A Writer over an underlying writer enters the block
-// in its table; under AppendBlock, which has no pages, there is none.
+// neither decoded nor encoded again. The block header carries the total,
+// which may not pass MaxBlockRecords. A Writer over an underlying writer
+// enters the block in its table; under AppendBlock, which has no pages,
+// there is none.
 func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if err := w.writable(); err != nil {
 		return err
@@ -79,17 +94,15 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if rank < 0 {
 		return fmt.Errorf("clog2: block with negative rank %d", rank)
 	}
-	if w.w != nil && byte(rank+1) == byte(RecEndLog) {
-		// The format's limit (see BlockReader.header): a reader would stop
-		// at this block and read the log as ending there.
-		return fmt.Errorf("clog2: a block of rank %d would begin with the end-log marker", rank)
-	}
 	m := newBlockMeta(rank, w.Offset())
 	m.addRecords(recs)
 	for _, p := range pages {
 		if err := m.addEncoded(p); err != nil {
 			return err
 		}
+	}
+	if m.Records > MaxBlockRecords {
+		return fmt.Errorf("clog2: a block of %d records, past MaxBlockRecords (%d)", m.Records, MaxBlockRecords)
 	}
 	buf := AppendBlockHeader(w.buf, rank, int(m.Records))
 	for i := range recs {
@@ -141,9 +154,15 @@ type Cut struct {
 }
 
 // NewCut starts the cut of rank's records into blocks of at most perBlock
-// records, the first led by lead (and counting it).
+// records, led by lead: the lead fills blocks of its own but for its last
+// perBlock records or fewer, which open the block the pages begin.
 func NewCut(rank int32, perBlock int, lead []Record) *Cut {
-	return &Cut{rank: rank, perBlock: max(perBlock, 1), lead: lead, n: len(lead)}
+	perBlock = max(perBlock, 1)
+	n := len(lead)
+	if n > 0 {
+		n = (n-1)%perBlock + 1
+	}
+	return &Cut{rank: rank, perBlock: perBlock, lead: lead, n: n}
 }
 
 // Add checks page as checkTimed does, refusing by name what a Writer would
@@ -170,6 +189,11 @@ func (c *Cut) Records() int { return c.records }
 // WriteCut writes c's blocks, its lead records first.
 func (w *Writer) WriteCut(c *Cut) error {
 	lead, start := c.lead, 0
+	for ; len(lead) > c.perBlock; lead = lead[c.perBlock:] {
+		if err := w.WriteBlock(c.rank, lead[:c.perBlock]); err != nil {
+			return err
+		}
+	}
 	for _, end := range append(c.ends, len(c.pieces)) {
 		if err := w.WriteBlock(c.rank, lead, c.pieces[start:end]...); err != nil {
 			return err
@@ -179,11 +203,13 @@ func (w *Writer) WriteCut(c *Cut) error {
 	return nil
 }
 
-// AppendBlockHeader appends the header of a block of n records of rank.
-// Ranks are shifted by +1 on the wire so a block header's first byte can
-// never equal the RecEndLog marker (see BlockReader.header).
+// AppendBlockHeader appends the header of a block of n records of rank:
+// the block-start marker, then the rank and the count as little-endian
+// int32s. A block ends with the end-block marker and the log with the
+// end-log marker, so a reader between two blocks tells a block from the
+// end of the log by the marker byte alone, whatever the rank.
 func AppendBlockHeader(dst []byte, rank int32, n int) []byte {
-	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, uint32(rank+1)), uint32(n))
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(append(dst, byte(RecBeginBlock)), uint32(rank)), uint32(n))
 }
 
 // AppendBlock appends the bare encoding of one rank block, what
@@ -308,7 +334,7 @@ func checkTimed(p []byte, rank int32, max int) (n, size int, err error) {
 		switch {
 		case t == RecCargoEvt && len(q) >= 19 && binary.LittleEndian.Uint16(q[17:]) > MaxCargo:
 			return n, size, fmt.Errorf("clog2: cargo of %d bytes exceeds the %d a writer emits", binary.LittleEndian.Uint16(q[17:]), MaxCargo)
-		case t == RecEndLog || t == RecEndBlock:
+		case t == RecEndLog || t == RecEndBlock || t == RecBeginBlock:
 			return n, size, fmt.Errorf("clog2: marker %v at byte %d among records", t, size)
 		case m == 0 && t >= RecBareEvt && t <= RecTimeShift:
 			return n, size, fmt.Errorf("clog2: %v record at byte %d cut short by the end at %d", t, size, len(p))
@@ -369,34 +395,18 @@ func WriteFileAtomic(path string, fill func(io.Writer) error) (err error) {
 	return os.Rename(name, path)
 }
 
-// maxRecordPrealloc caps the record-slice capacity reserved from a block
-// header's declared count, so a corrupt or hostile header cannot force a
-// multi-gigabyte allocation before a single record has been decoded.
-const maxRecordPrealloc = 4096
-
-// RunRecords is the most records Each decodes before it calls fn, and the
-// size of its one buffer (576 KiB). The length buys no speed: a 400 000-
-// record block walks in 7.1-8.4 ms (1.3-1.6 GB/s) at every length from 128
-// to 4096 on the 2-CPU bench box (2 MiB of L2 a core). So it is set by
-// what it should not split: a block of a generated log (2 048 records and
-// a few) and a rank of the paper's demos (4 457 records a rank in the
-// thumbnail run) are one run or two.
-const RunRecords = 4096
-
 // decodeBufSize is the size of a streaming decoder's one buffer. It holds
 // the longest field the format can declare (a 65 535-byte string) whole,
 // so the buffer is never grown and never sized from a length field.
 const decodeBufSize = 64 << 10
 
-// BlockReader streams a CLOG-2 file one bounded run of records at a time
-// (NextRun, and Each over it) or one whole block at a time (NextReuse, and
-// EachBlock over it); no reader holds more than one block of the log.
+// BlockReader streams a CLOG-2 file one whole block at a time (NextIn and
+// NextReuse, and Each over them): no reader holds more than one block, of
+// at most MaxBlockRecords records, of the log.
 type BlockReader struct {
 	d        decoder
 	numRanks int
 	done     bool
-	// rank and left are the block in hand and its records still to decode.
-	rank, left int32
 	// rs is the underlying seekable source when the reader was opened via
 	// NewBlockReaderAt; nil for plain streams (SeekTo then fails).
 	rs io.ReadSeeker
@@ -416,19 +426,31 @@ func newBlockReader(dec decoder) (*BlockReader, error) {
 	if err := d.fill(len(Magic)); err != nil {
 		return nil, fmt.Errorf("clog2: reading magic: %w", err)
 	}
-	if magic := d.buf[d.r : d.r+len(Magic)]; string(magic) != Magic {
-		return nil, fmt.Errorf("clog2: bad magic %q (not a CLOG-2 file?)", magic)
+	if err := checkMagic(d.buf[d.r : d.r+len(Magic)]); err != nil {
+		return nil, fmt.Errorf("clog2: %w", err)
 	}
 	d.r += len(Magic)
 	if err := d.fill(4); err != nil {
 		return nil, fmt.Errorf("clog2: reading rank count: %w", err)
 	}
 	nranks := d.get32()
-	if nranks < 1 || nranks > 1<<20 {
+	if nranks < 1 || nranks > MaxRanks {
 		return nil, fmt.Errorf("clog2: implausible rank count %d", nranks)
 	}
 	br.numRanks = int(nranks)
 	return br, nil
+}
+
+// checkMagic refuses a file header that does not begin with Magic, naming
+// the version of one that begins as an earlier version's does.
+func checkMagic(magic []byte) error {
+	switch {
+	case string(magic) == Magic:
+		return nil
+	case string(magic[:len("CLOG-R")]) == "CLOG-R":
+		return fmt.Errorf("a %s log; this version reads %s only", magic, Magic)
+	}
+	return fmt.Errorf("bad magic %q (not a CLOG-2 file?)", magic)
 }
 
 // NewBlockReaderAt opens a block iterator positioned at offset in rs — a
@@ -437,7 +459,7 @@ func newBlockReader(dec decoder) (*BlockReader, error) {
 // caller brings numRanks, typically from the table); the returned reader
 // supports SeekTo for jumping between blocks.
 func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReader, error) {
-	if numRanks < 1 || numRanks > 1<<20 {
+	if numRanks < 1 || numRanks > MaxRanks {
 		return nil, fmt.Errorf("clog2: implausible rank count %d", numRanks)
 	}
 	if offset < int64(HeaderSize) {
@@ -454,8 +476,7 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 }
 
 // SeekTo repositions the reader at a block-start offset, discarding any
-// buffered bytes and what was left of a half-read block. Only readers
-// opened with NewBlockReaderAt are seekable.
+// buffered bytes. Only readers opened with NewBlockReaderAt are seekable.
 func (br *BlockReader) SeekTo(offset int64) error {
 	if br.rs == nil {
 		return fmt.Errorf("clog2: block reader over a plain stream is not seekable")
@@ -467,7 +488,7 @@ func (br *BlockReader) SeekTo(offset int64) error {
 		return err
 	}
 	br.d = decoder{src: br.rs, buf: br.d.buf, base: offset}
-	br.done, br.left = false, 0
+	br.done = false
 	return nil
 }
 
@@ -475,105 +496,57 @@ func (br *BlockReader) SeekTo(offset int64) error {
 func (br *BlockReader) NumRanks() int { return br.numRanks }
 
 // BlockBounds returns the byte range [start, end) of the block most
-// recently returned by NextReuse: its header through its end-block
-// marker. Zero before the first successful NextReuse. After NextRun it
-// describes the block the run belongs to, and end is 0 until that block's
-// last run.
+// recently returned (inside Each's fn, the block fn holds): its header
+// through its end-block marker. Zero before the first block.
 func (br *BlockReader) BlockBounds() (start, end int64) { return br.lastStart, br.lastEnd }
 
 // NextReuse returns the next block, or io.EOF after the end-log marker,
-// decoded into buf's backing array, grown as append would (buf may be nil:
-// the records are then the caller's). The returned Block.Records aliases
-// buf and is only valid until the next NextReuse call with the same
-// buffer. The block, or what NextRun left of it, is decoded whole,
-// whatever it holds: a caller that only walks the records uses NextRun or
-// Each.
+// decoded whole into buf's backing array when the block fits it, and into
+// a new array of the block's size otherwise (buf may be nil: the records
+// are then the caller's). The returned Block.Records aliases buf and is
+// only valid until the next call with the same buffer.
 func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
-	if err := br.header(); err != nil {
-		return Block{}, err
-	}
-	recs, err := br.d.readBlock(buf, br.rank, br.left, "block")
-	br.left = 0
-	if err != nil {
-		return Block{}, err
-	}
-	br.lastEnd = br.d.offset()
-	return Block{Rank: br.rank, Records: recs}, nil
+	b, _, err := br.NextIn(buf, math.Inf(-1), math.Inf(1))
+	return b, err
 }
 
-// header makes the next block the block in hand, unless one is half read:
-// where it starts, its rank and how many records it declares; io.EOF at
-// the end-log marker.
-func (br *BlockReader) header() error {
-	if br.left > 0 {
-		return nil
-	}
+// NextIn is NextReuse over the inclusive time window [t0, t1]: a bare,
+// cargo or message record stamped outside it (t < t0 || t > t1) is
+// stepped over undecoded, read no further than its type, time and length,
+// and every other record is decoded as NextReuse decodes it. n is the
+// count the block's header declared, the records kept and stepped over, so
+// a caller can hold the block to a count it was told. A record whose
+// fixed layout is not whole in the decode buffer is decoded in full and
+// dropped afterwards if it is stamped outside, so which records come back
+// never depends on the buffering. With both bounds infinite nothing is
+// stepped over and n is len(b.Records). The block is handed over only once
+// its end-block marker has been read.
+func (br *BlockReader) NextIn(buf []Record, t0, t1 float64) (b Block, n int32, err error) {
 	if br.done {
-		return io.EOF
+		return Block{}, 0, io.EOF
 	}
 	d := &br.d
 	if !d.need(1) {
-		return d.err
+		return Block{}, 0, d.err
 	}
-	start := d.offset()
-	// Block ranks are +1 on the wire, so a leading 0 byte is the end-log
-	// marker, not a header. (Known limit of the format: the header of rank
-	// 255, 256 on the wire, begins with a 0 byte too and ends the log.)
+	// Between two blocks the next byte is a block-start marker or the
+	// end-log marker.
 	if RecType(d.buf[d.r]) == RecEndLog {
 		d.r++
 		br.done = true
-		return io.EOF
+		return Block{}, 0, io.EOF
 	}
+	start := d.offset()
 	rank, n, err := d.blockHeader()
 	if err == nil {
-		br.rank, br.left, br.lastStart, br.lastEnd = rank, n, start, 0
-	}
-	return err
-}
-
-// NextRun returns the next run of the stream, or io.EOF after the end-log
-// marker: at most cap(buf) consecutive records of one block, decoded into
-// buf's backing array, under that block's rank. A block arrives as one run
-// or several, an empty block as one empty run, so no block, however long,
-// is ever held whole; run.Records is valid until buf is decoded into
-// again. last marks a block's final run, handed over once its end-block
-// marker has been checked: from then until the next call BlockBounds gives
-// the block's full extent, on earlier runs its end is 0. A buf without
-// capacity could never finish a block and is refused.
-func (br *BlockReader) NextRun(buf []Record) (run Block, last bool, err error) {
-	run, _, last, err = br.NextRunIn(buf, math.Inf(-1), math.Inf(1))
-	return run, last, err
-}
-
-// NextRunIn is NextRun over the inclusive time window [t0, t1]: a bare,
-// cargo or message record stamped outside it (t < t0 || t > t1) is
-// stepped over undecoded, read no further than its type, time and length,
-// and every other record is decoded as NextRun decodes it. The run holds
-// at most cap(buf) of the records kept, consecutive in the block; read is
-// how many of the block's records the call went through, kept and stepped
-// over, so a caller can hold a block to the count it declared. A record
-// whose fixed layout is not whole in the decode buffer is decoded in full
-// and dropped afterwards if it is stamped outside, so which records come
-// back never depends on the buffering. With both bounds
-// infinite nothing is stepped over and read is len(run.Records).
-func (br *BlockReader) NextRunIn(buf []Record, t0, t1 float64) (run Block, read int32, last bool, err error) {
-	if cap(buf) == 0 {
-		return Block{}, 0, false, errors.New("clog2: NextRun needs a buffer with room for a record")
-	}
-	if err := br.header(); err != nil {
-		return Block{}, 0, false, err
-	}
-	recs, read, err := br.d.readRecordsIn(buf[:0], br.left, t0, t1)
-	br.left -= read
-	if last = br.left == 0; last && err == nil {
-		err = br.d.endBlock(br.rank, "block")
-		br.lastEnd = br.d.offset()
+		b.Records, err = d.readBlock(buf, rank, n, t0, t1, "block")
 	}
 	if err != nil {
-		br.left = 0
-		return Block{}, 0, false, err
+		return Block{}, 0, err
 	}
-	return Block{Rank: br.rank, Records: recs}, read, last, nil
+	br.lastStart, br.lastEnd = start, d.offset()
+	b.Rank = rank
+	return b, n, nil
 }
 
 // decodePool holds the decode buffers of readers over a stream: a reader
@@ -591,66 +564,37 @@ func (br *BlockReader) Release() {
 	*br = BlockReader{numRanks: br.numRanks, done: true}
 }
 
-// RunBuffer is a run's worth of records from the pool Each draws on, for a
-// caller that drives NextRun itself: NextRun(buf[:0]) until done, then Free.
-type RunBuffer [RunRecords]Record
+// blockPool holds the block buffers Each and Walk decode into: a block's
+// worth of records, 576 KiB, that a walk would otherwise allocate and
+// clear each time.
+var blockPool = sync.Pool{New: func() any { return new([MaxBlockRecords]Record) }}
 
-var runPool = sync.Pool{New: func() any { return new(RunBuffer) }}
+// Each walks every remaining block of the stream, in file order, and
+// returns nil after the end-log marker, the one clean end of a log: fn
+// gets each block whole, decoded into one pooled buffer, so b.Records is
+// valid until fn returns. Otherwise it returns the error of the first
+// block it could not read, or fn's. This is the rule for a log that may
+// be torn (a spill fragment of an aborted run, a log cut short): the
+// blocks fn got before an error are the log's complete blocks, and no
+// record of the block that failed reaches fn. Whether the failure is a
+// torn tail or a corrupt log is the caller's to say: a log whose block
+// table validates (ReadTable) is never torn.
+func (br *BlockReader) Each(fn func(b Block) error) error {
+	return br.EachIn(math.Inf(-1), math.Inf(1), fn)
+}
 
-// NewRunBuffer takes a buffer from the pool; its records are stale.
-func NewRunBuffer() *RunBuffer { return runPool.Get().(*RunBuffer) }
-
-// Free returns b to the pool: no run decoded into it may be used after.
-func (b *RunBuffer) Free() { runPool.Put(b) }
-
-// EachBlock walks every remaining block of the stream whole, in file
-// order: fn gets each block NextReuse decodes into one buffer, valid until
-// fn returns. It returns nil after the end-log marker, the one clean end of
-// a log, and otherwise the error of the first block it could not read, or
-// fn's. This is the rule for a log that may be torn (a spill fragment of an
-// aborted run, a log cut short): a block is handed over only once it has
-// been read to its end-block marker, so the blocks fn got before an error
-// are the log's complete blocks, and no record of the block that failed
-// reaches fn. Whether the failure is a torn tail or a corrupt log is the
-// caller's to say: a log whose block table validates (ReadTable) is never
-// torn.
-func (br *BlockReader) EachBlock(fn func(b Block) error) error {
-	var buf []Record
+// EachIn is Each over NextIn's window [t0, t1]: fn gets every block, empty
+// ones included, holding the records NextIn keeps.
+func (br *BlockReader) EachIn(t0, t1 float64, fn func(b Block) error) error {
+	buf := blockPool.Get().(*[MaxBlockRecords]Record)
+	defer blockPool.Put(buf)
 	for {
-		b, err := br.NextReuse(buf)
+		b, _, err := br.NextIn(buf[:0], t0, t1)
 		if err == io.EOF {
 			return nil
 		}
 		if err == nil {
 			err = fn(b)
-		}
-		if err != nil {
-			return err
-		}
-		buf = b.Records[:0]
-	}
-}
-
-// Each walks every remaining record of the stream, in file order, and
-// returns nil after the end-log marker: it calls fn with each run NextRun
-// yields into one pooled buffer of RunRecords records, so run.Records is
-// valid until fn returns, and inside fn BlockBounds is as NextRun left it.
-func (br *BlockReader) Each(fn func(run Block) error) error {
-	return br.EachIn(math.Inf(-1), math.Inf(1), fn)
-}
-
-// EachIn is Each over NextRunIn's window [t0, t1]: fn gets every run,
-// empty ones included, of the records NextRunIn keeps.
-func (br *BlockReader) EachIn(t0, t1 float64, fn func(run Block) error) error {
-	buf := NewRunBuffer()
-	defer buf.Free()
-	for {
-		run, _, _, err := br.NextRunIn(buf[:0], t0, t1)
-		if err == io.EOF {
-			return nil
-		}
-		if err == nil {
-			err = fn(run)
 		}
 		if err != nil {
 			return err
@@ -737,42 +681,38 @@ func (d *decoder) need(n int) bool {
 	return true
 }
 
-// blockHeader decodes a block header's rank (the +1 wire shift undone)
-// and record count.
+// blockHeader decodes a block header: the block-start marker, the rank
+// and a record count that may not pass MaxBlockRecords, refused before a
+// record is decoded.
 func (d *decoder) blockHeader() (rank, n int32, err error) {
-	rank = d.get32() - 1
+	if t := RecType(d.getByte()); d.err == nil && t != RecBeginBlock {
+		return 0, 0, fmt.Errorf("clog2: %v where a block begins", t)
+	}
+	rank = d.get32()
 	n = d.get32()
 	if d.err != nil {
 		return 0, 0, d.err
 	}
-	if n < 0 || n > 1<<28 {
-		return 0, 0, fmt.Errorf("clog2: implausible record count %d", n)
+	if n < 0 || n > MaxBlockRecords {
+		return 0, 0, fmt.Errorf("clog2: a block of rank %d declares %d records (MaxBlockRecords is %d)", rank, n, MaxBlockRecords)
 	}
 	return rank, n, nil
 }
 
-// readRecords appends the next n records to recs, which grows as append
-// would when it is full: readBlock's loop over a whole block.
-func (d *decoder) readRecords(recs []Record, n int32) ([]Record, error) {
-	for ; n > 0; n-- {
-		if len(recs) == cap(recs) {
-			recs = slices.Grow(recs, 1)
-		}
-		recs = recs[:len(recs)+1]
-		if err := d.readRecord(&recs[len(recs)-1]); err != nil {
-			return nil, err
-		}
+// readBlock decodes the n records a block header declared into buf's
+// backing array, or a new one of n records when buf has no room for them,
+// then the end-block marker. Of the bare, cargo and message records it
+// keeps those stamped inside [t0, t1]: one outside is stepped over when its
+// fixed layout is buffered whole, and dropped after readRecord otherwise.
+func (d *decoder) readBlock(buf []Record, rank, n int32, t0, t1 float64, what string) ([]Record, error) {
+	recs := buf[:0]
+	if cap(recs) < int(n) || recs == nil {
+		recs = make([]Record, 0, n)
 	}
-	return recs, nil
-}
-
-// readRecordsIn is NextRunIn's record loop: it appends up to n records,
-// and no more than recs has room for, over the window [t0, t1]: a bare, cargo or message record stamped outside
-// the window is stepped over when its fixed layout is buffered whole, and
-// dropped after readRecord otherwise. read counts both kinds.
-func (d *decoder) readRecordsIn(recs []Record, n int32, t0, t1 float64) (_ []Record, read int32, err error) {
-	for ; read < n && len(recs) < cap(recs); read++ {
-		if b := d.buf[d.r:d.w]; len(b) >= 9 { // type and time
+	windowed := t0 > math.Inf(-1) || t1 < math.Inf(1) // else no record is outside
+	for ; n > 0; n-- {
+		if windowed && d.w-d.r >= 9 { // type and time
+			b := d.buf[d.r:d.w]
 			if t := leF64(b[1:]); (t < t0 || t > t1) && RecType(b[0]) != RecTimeShift {
 				if size := TimedSize(b); size > 0 {
 					d.r += size
@@ -783,30 +723,16 @@ func (d *decoder) readRecordsIn(recs []Record, n int32, t0, t1 float64) (_ []Rec
 		recs = recs[:len(recs)+1]
 		r := &recs[len(recs)-1]
 		if err := d.readRecord(r); err != nil {
-			return nil, read, err
+			return nil, err
 		}
-		if r.Time < t0 || r.Time > t1 {
+		if windowed && (r.Time < t0 || r.Time > t1) {
 			switch r.Type {
 			case RecBareEvt, RecCargoEvt, RecMsgEvt:
 				recs = recs[:len(recs)-1]
 			}
 		}
 	}
-	return recs, read, nil
-}
-
-// readBlock decodes the n records a block header declared into buf's
-// backing array (grown as append would), then the end-block marker.
-func (d *decoder) readBlock(buf []Record, rank, n int32, what string) ([]Record, error) {
-	recs := buf[:0]
-	if cap(recs) == 0 {
-		recs = make([]Record, 0, min(n, maxRecordPrealloc))
-	}
-	recs, err := d.readRecords(recs, n)
-	if err == nil {
-		err = d.endBlock(rank, what)
-	}
-	return recs, err
+	return recs, d.endBlock(rank, what)
 }
 
 // endBlock consumes the end-block marker that follows a block's records.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Spill segment framing: the one spill format.
@@ -30,8 +31,10 @@ import (
 // cascades past the segment boundary. Per-rank sequence numbers make
 // interior losses detectable as gaps.
 
-// SegVersion is the current spill segment format version.
-const SegVersion = 2
+// SegVersion is the current spill segment format version. Version 3
+// frames the blocks of CLOG-R0261 (a block-start marker, the rank as it is,
+// at most MaxBlockRecords records); version 2 framed those of CLOG-R0260.
+const SegVersion = 3
 
 // SegHeaderSize is the byte size of a segment header (marker through CRC).
 const SegHeaderSize = 25
@@ -183,7 +186,7 @@ func DecodeBlockPayload(data []byte) (Block, error) {
 	if rank < 0 {
 		return Block{}, fmt.Errorf("clog2: block payload with negative rank %d", rank)
 	}
-	recs, err := d.readBlock(nil, rank, n, "block payload")
+	recs, err := d.readBlock(nil, rank, n, math.Inf(-1), math.Inf(1), "block payload")
 	if err != nil {
 		return Block{}, err
 	}

@@ -227,9 +227,9 @@ func TestScanSegmentsDegenerate(t *testing.T) {
 	}
 	// An unknown version must not validate even with a correct CRC layout.
 	bad := AppendSegment(nil, 0, 0, p)
-	bad[4] = 3
+	bad[4] = SegVersion + 1
 	if segs, _ := ScanSegments(bad); len(segs) != 0 {
-		t.Fatal("future-version segment validated as v2")
+		t.Fatal("future-version segment validated as the current one")
 	}
 }
 

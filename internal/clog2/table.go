@@ -137,24 +137,6 @@ type Table struct {
 	Blocks       []BlockMeta
 }
 
-// AddRun accounts one run of the block br is in, as NextRun or Each hands
-// it out: the block's first run opens its entry at the offset br reports,
-// and its last run closes it.
-func (t *Table) AddRun(br *BlockReader, run Block) {
-	start, end := br.BlockBounds()
-	// A closed entry has a length (a block is 9 bytes at least): none
-	// means the last entry is the block this run belongs to.
-	if n := len(t.Blocks); n == 0 || t.Blocks[n-1].Length != 0 {
-		t.Blocks = append(t.Blocks, newBlockMeta(run.Rank, start))
-	}
-	m := &t.Blocks[len(t.Blocks)-1]
-	m.addRecords(run.Records)
-	t.TotalRecords += int64(len(run.Records))
-	if end != 0 {
-		m.Length = end - m.Offset
-	}
-}
-
 // LogSize is the length of the log t describes, header through end-log
 // marker: the offset its table starts at.
 func (t *Table) LogSize() int64 {
@@ -164,24 +146,27 @@ func (t *Table) LogSize() int64 {
 	return int64(HeaderSize) + 1
 }
 
-// ScanTable reads the log r holds to its end-log marker, in Each's runs,
+// ScanTable reads the log r holds to its end-log marker, block by block,
 // and returns the table a Writer ends it with: for a log that has none, and
 // to check one that has. A log that cannot be read to its end-log marker
-// is held to EachBlock's rule: the table is that of its complete blocks,
-// returned beside the error of the first block that could not be read, and
-// the runs read of that block are dropped from it. The table is nil only
-// when r does not begin with a log header.
+// is held to Each's rule: the table is that of its complete blocks,
+// returned beside the error of the first block that could not be read. The
+// table is nil only when r does not begin with a log header.
 func ScanTable(r io.Reader) (*Table, error) {
 	br, err := NewBlockReader(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{NumRanks: br.NumRanks()}
-	err = br.Each(func(run Block) error { t.AddRun(br, run); return nil })
-	if n := len(t.Blocks) - 1; err != nil && n >= 0 && t.Blocks[n].Length == 0 {
-		t.TotalRecords -= int64(t.Blocks[n].Records)
-		t.Blocks = t.Blocks[:n]
-	}
+	err = br.Each(func(b Block) error {
+		start, end := br.BlockBounds()
+		m := newBlockMeta(b.Rank, start)
+		m.addRecords(b.Records)
+		m.Length = end - start
+		t.Blocks = append(t.Blocks, m)
+		t.TotalRecords += int64(m.Records)
+		return nil
+	})
 	return t, err
 }
 
@@ -210,7 +195,7 @@ func AppendTable(dst []byte, t *Table) []byte {
 // end-log marker without a gap, and a record total they sum to. Every
 // failure wraps ErrNoTable and names the reason. An entry that passes all
 // of that and still lies about its block (a rank, a record count) is found
-// by the reader of that block: Walk checks each run it reads.
+// by the reader of that block: Walk checks each block it reads.
 func ReadTable(r io.ReaderAt, size int64) (*Table, error) {
 	if size < int64(HeaderSize+1+tableHeadSize+FooterSize) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a log with a table", ErrNoTable, size)
@@ -220,11 +205,11 @@ func ReadTable(r io.ReaderAt, size int64) (*Table, error) {
 	if err := readAt(r, head[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: reading the header: %v", ErrNoTable, err)
 	}
-	if string(head[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrNoTable, head[:len(Magic)])
+	if err := checkMagic(head[:len(Magic)]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoTable, err)
 	}
 	numRanks := le32(head[len(Magic):])
-	if numRanks < 1 || numRanks > 1<<20 {
+	if numRanks < 1 || numRanks > MaxRanks {
 		return nil, fmt.Errorf("%w: implausible rank count %d", ErrNoTable, numRanks)
 	}
 	if err := readAt(r, foot[:], size-int64(FooterSize)); err != nil {

@@ -143,22 +143,23 @@ func readTableFile(f *os.File) (*Table, error) {
 // Walk is the one place that decides between the table and the scan. It
 // opens the log at path once and visits, in file order, the blocks that
 // can hold a record q matches: those its validated table selects (Select,
-// then scan's checked reading), or every block of the file. begin
-// takes the log's rank count and returns the visitor for one attempt. When
-// the table validates and then disagrees with a block mid-scan, Walk calls
+// then scan's checked reading), or every block of the file. begin takes
+// the log's rank count and returns the visitor for one attempt. When the
+// table validates and then disagrees with a block mid-scan, Walk calls
 // begin again and reads every block, so a consumer keeps only what its
-// latest begin started: the disagreement can come after runs of the lying
-// block were delivered. Any other error, the visitor's own among them,
-// ends the walk at once; a window CheckWindow refuses ends it before the
-// log is opened. A visitor may only walk the records it is handed: every
-// block, selected or not, comes in runs (NextRunIn over q's window), and a
-// run holds every record of its block in file order except the bare,
-// cargo and message records stamped outside [q.T0, q.T1], which the
-// decoder steps over undecoded because Matches drops them anyway.
-// Definitions, time shifts, source locations and records that fail q's
-// rank or channel filter are handed over; a run may be empty.
-// tableUsed says what the answer rests on: true, the table selected the
-// blocks; false, it could not and every block was read.
+// latest begin started: the blocks before the one the table lies about
+// were delivered. Any other error, the visitor's own among them, ends the
+// walk at once; a window CheckWindow refuses ends it before the log is
+// opened. The full scan hands blocks over as Each does, so when it fails
+// the visitor has had the log's complete blocks. A visitor may only walk
+// the records it is handed: every block, selected or not, comes whole
+// (NextIn over q's window), holding every record of the block in file
+// order except the bare, cargo and message records stamped outside
+// [q.T0, q.T1], which the decoder steps over undecoded because Matches
+// drops them anyway. Definitions, time shifts, source locations and
+// records that fail q's rank or channel filter are handed over; a block
+// may be empty. tableUsed says what the answer rests on: true, the table
+// selected the blocks; false, it could not and every block was read.
 func Walk(path string, q Query, begin func(numRanks int) func(Block) error) (tableUsed bool, err error) {
 	if err := CheckWindow(q.T0, q.T1); err != nil {
 		return false, fmt.Errorf("clog2: %w", err)
@@ -185,18 +186,15 @@ func Walk(path string, q Query, begin func(numRanks int) func(Block) error) (tab
 
 // scan visits the selected blocks of the log rs holds in file order,
 // seeking over everything in between; consecutive selected blocks are
-// read without a seek. fn gets each block in runs (NextRunIn over q's
-// window, into the buffer Each would use) that share that buffer: it
-// must not retain them. Both buffers of the scan go back to their pools
-// when it returns, so a window allocates what it keeps and not what it
-// reads through. Every run is checked against the block's table entry (its
-// rank, and a running count of the records read, kept or stepped over,
-// that may not pass the entry's and must equal it on the last run); a
-// mismatch, or a block that does not decode, means the table lies about
-// the file and surfaces as an ErrCorrupt-wrapped error, so callers can
-// degrade to the full scan. A lie about a block's length can surface after
-// fn has seen earlier runs of that block: what fn built is then to be
-// thrown away. The file system's errors and fn's are returned as they are.
+// read without a seek. fn gets each block whole (NextIn over q's window,
+// into the buffer Each would use), and must not retain it. Both buffers of
+// the scan go back to their pools when it returns, so a window allocates
+// what it keeps and not what it reads through. Every block is checked
+// against its table entry (its rank, the count its header declares and
+// where it ends) before fn gets it; a mismatch, or a block that does not
+// decode, means the table lies about the file and surfaces as an
+// ErrCorrupt-wrapped error, so callers can degrade to the full scan. The
+// file system's errors and fn's are returned as they are.
 func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) error {
 	if len(sel) == 0 {
 		return nil
@@ -211,9 +209,9 @@ func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) 
 		return err
 	}
 	defer br.Release()
+	buf := blockPool.Get().(*[MaxBlockRecords]Record)
+	defer blockPool.Put(buf)
 	pos := t.Blocks[sel[0]].Offset
-	buf := NewRunBuffer()
-	defer buf.Free()
 	for _, i := range sel {
 		bm := &t.Blocks[i]
 		if bm.Offset != pos {
@@ -221,24 +219,20 @@ func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) 
 				return err
 			}
 		}
-		for n, last := int32(0), false; !last; {
-			var run Block
-			var read int32
-			if run, read, last, err = br.NextRunIn(buf[:0], q.T0, q.T1); err != nil {
-				if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
-					return err
-				}
-				return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
-			}
-			n += read
-			if run.Rank != bm.Rank || n > bm.Records || last && n != bm.Records {
-				return fmt.Errorf("%w: block %d at offset %d does not match its table entry", ErrCorrupt, i, bm.Offset)
-			}
-			if err := fn(run); err != nil {
+		b, n, err := br.NextIn(buf[:0], q.T0, q.T1)
+		if err != nil {
+			if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
 				return err
 			}
+			return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
 		}
 		pos = bm.Offset + bm.Length
+		if _, end := br.BlockBounds(); b.Rank != bm.Rank || n != bm.Records || end != pos {
+			return fmt.Errorf("%w: block %d at offset %d does not match its table entry", ErrCorrupt, i, bm.Offset)
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
 	}
 	return nil
 }

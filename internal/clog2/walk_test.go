@@ -122,9 +122,9 @@ func restamp(data []byte) []byte {
 	return data
 }
 
-// writeLongLog writes a two-rank log whose first block (rank 0: two
-// definitions, then events) holds 10 000 records, more than two runs of a
-// scan, and whose second is short.
+// writeLongLog writes a two-rank log whose rank 0 logs 10 000 records (two
+// definitions, then events) in three blocks, two of them full, and whose
+// rank 1 logs one block of one record.
 func writeLongLog(t *testing.T) string {
 	t.Helper()
 	long := []Record{
@@ -139,7 +139,7 @@ func writeLongLog(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBlock(0, long); err != nil {
+	if err := w.WriteCut(NewCut(0, MaxBlockRecords, long)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteBlock(1, []Record{{Type: RecBareEvt, Rank: 1, Time: 0.5, ID: 7}}); err != nil {
@@ -153,16 +153,16 @@ func writeLongLog(t *testing.T) string {
 	return path
 }
 
-// longBlockLies are the ways the entry of writeLongLog's first block can
-// disagree with the block while every sum ReadTable checks still adds up.
+// longBlockLies are the ways the entry of writeLongLog's second block can
+// disagree with the block while every sum ReadTable checks still adds up:
+// a scan finds out after it delivered the first block.
 var longBlockLies = []struct {
 	name string
 	lie  func(ix *Table)
-	runs int // runs of the block a scan delivers before it finds out
 }{
-	{"one record fewer", func(ix *Table) { ix.Blocks[0].Records--; ix.TotalRecords-- }, 2},
-	{"one record more", func(ix *Table) { ix.Blocks[0].Records++; ix.TotalRecords++ }, 2},
-	{"wrong rank", func(ix *Table) { ix.Blocks[0].Rank = 1 }, 0},
+	{"one record fewer", func(ix *Table) { ix.Blocks[1].Records--; ix.TotalRecords-- }},
+	{"one record more", func(ix *Table) { ix.Blocks[1].Records++; ix.TotalRecords++ }},
+	{"wrong rank", func(ix *Table) { ix.Blocks[1].Rank = 1 }},
 }
 
 // The table a Writer ends a log with reads back as what it wrote, is the
@@ -383,11 +383,11 @@ func validates(t *testing.T, path string, ix *Table) {
 // A table that passes every structural check but lies about the file
 // must be caught by scan's per-block verification.
 func TestScanFileDetectsLyingIndex(t *testing.T) {
-	scan := func(path string, ix *Table) (runs int, err error) {
+	scan := func(path string, ix *Table) (blocks int, err error) {
 		t.Helper()
 		validates(t, path, ix)
-		err = scanFile(path, ix, ix.Select(MatchAll()), MatchAll(), func(Block) error { runs++; return nil })
-		return runs, err
+		err = scanFile(path, ix, ix.Select(MatchAll()), MatchAll(), func(Block) error { blocks++; return nil })
+		return blocks, err
 	}
 	path := writeLog(t)
 	ix := mustLoad(t, path)
@@ -397,18 +397,18 @@ func TestScanFileDetectsLyingIndex(t *testing.T) {
 	if _, err := scan(path, ix); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("lying table: err = %v, want ErrCorrupt", err)
 	}
-	// A block of several runs: a lie about its length is found on its last
-	// run, after the earlier ones were handed over.
+	// A lie about a block is found before the block is handed over, after
+	// the blocks before it were.
 	path = writeLongLog(t)
 	for _, c := range longBlockLies {
 		ix := mustLoad(t, writeLongLog(t))
 		c.lie(ix)
-		if runs, err := scan(path, ix); !errors.Is(err, ErrCorrupt) || runs != c.runs {
-			t.Errorf("%s: err = %v after %d runs, want ErrCorrupt after %d", c.name, err, runs, c.runs)
+		if blocks, err := scan(path, ix); !errors.Is(err, ErrCorrupt) || blocks != 1 {
+			t.Errorf("%s: err = %v after %d blocks, want ErrCorrupt after 1", c.name, err, blocks)
 		}
 	}
-	if runs, err := scan(path, mustLoad(t, writeLongLog(t))); err != nil || runs != 4 {
-		t.Errorf("honest table: err = %v after %d runs, want nil after 4", err, runs)
+	if blocks, err := scan(path, mustLoad(t, writeLongLog(t))); err != nil || blocks != 4 {
+		t.Errorf("honest table: err = %v after %d blocks, want nil after 4", err, blocks)
 	}
 }
 
@@ -611,7 +611,7 @@ func TestWalk(t *testing.T) {
 		// cannot see and scan finds after the earlier blocks.
 		{"stale", func(t *testing.T, path string, ix *Table, sel []int) {
 			data := readFile(t, path)
-			binary.LittleEndian.PutUint32(data[ix.Blocks[sel[len(sel)-1]].Offset:], 1) // rank 0, +1 on the wire
+			binary.LittleEndian.PutUint32(data[ix.Blocks[sel[len(sel)-1]].Offset+1:], 0) // behind the block-start marker
 			writeFile(t, path, data)
 		}, false, 2},
 		{"corrupt", func(t *testing.T, path string, ix *Table, _ []int) {
@@ -801,9 +801,9 @@ func walkWindow(t *testing.T) {
 	}
 }
 
-// A table that lies about a block of several runs is caught after some
-// of them were delivered: Walk starts the consumer over, and what the
-// second begin collects is what the plain scan reads.
+// A table that lies about a block is caught after the blocks before it
+// were delivered: Walk starts the consumer over, and what the second begin
+// collects is what the plain scan reads.
 func TestWalkLyingLongBlock(t *testing.T) {
 	for _, c := range longBlockLies {
 		path := writeLongLog(t)
@@ -825,8 +825,8 @@ func TestWalkLyingLongBlock(t *testing.T) {
 		if err != nil || used || len(attempts) != 2 {
 			t.Fatalf("%s: Walk = %v, %v after %d begin(s); want false, nil, 2", c.name, used, err, len(attempts))
 		}
-		if got := len(attempts[0]); got != c.runs*RunRecords {
-			t.Errorf("%s: the abandoned attempt saw %d records, want %d runs", c.name, got, c.runs)
+		if got := len(attempts[0]); got != MaxBlockRecords {
+			t.Errorf("%s: the abandoned attempt saw %d records, want the first block's %d", c.name, got, MaxBlockRecords)
 		}
 		writeFile(t, path, readFile(t, path)[:logSize])
 		if used, err := Walk(path, q, collect); err != nil || used {

@@ -59,7 +59,7 @@ func TestQueryOrderMatchesOracle(t *testing.T) {
 		br, err := clog2.NewBlockReader(r)
 		var blocks []clog2.Block
 		if err == nil {
-			err = br.EachBlock(func(b clog2.Block) error {
+			err = br.Each(func(b clog2.Block) error {
 				recs := slices.Clone(b.Records)
 				for k := range recs {
 					recs[k].Time = float64(k / 3)

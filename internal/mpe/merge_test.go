@@ -207,7 +207,7 @@ func TestFinishMergeMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var blocks []clog2.Block
-			err = br.EachBlock(func(b clog2.Block) error {
+			err = br.Each(func(b clog2.Block) error {
 				blocks = append(blocks, clog2.Block{Rank: b.Rank, Records: slices.Clone(b.Records)})
 				return cw.WriteBlock(b.Rank, b.Records)
 			})
@@ -302,7 +302,7 @@ func refusedMerge(t *testing.T, name string, indexed bool, mutate func(page []by
 	if err != nil {
 		t.Fatalf("%s: the output of a failed merge has no log header: %v", name, err)
 	}
-	err = br.EachBlock(func(b clog2.Block) error {
+	err = br.Each(func(b clog2.Block) error {
 		if b.Rank == 2 {
 			t.Errorf("%s: a block of the refused rank reached the output", name)
 		}
@@ -429,23 +429,5 @@ func TestFinishCopiesNoRankLog(t *testing.T) {
 	t.Logf("Finish allocated %d bytes for rank 1's log of %d", got, logBytes)
 	if got >= uint64(logBytes/4) {
 		t.Fatalf("Finish allocated %d bytes, a quarter or more of rank 1's %d-byte log", got, logBytes)
-	}
-}
-
-// Rank 255's block header begins with the end-log byte (the format's
-// limit): a 256-rank merge fails naming it, where writing it would end
-// the log there for every reader.
-func TestFinishRefusesRank255(t *testing.T) {
-	w := mpi.NewWorld(256, mpi.Options{})
-	g := NewGroup(w, true)
-	errs := w.Run(func(r *mpi.Rank) error {
-		if r.ID() == 0 {
-			return g.Logger(0).Finish(io.Discard)
-		}
-		return g.Logger(r.ID()).Finish(nil)
-	})
-	const want = "clog2: a block of rank 255 would begin with the end-log marker"
-	if errs[0] == nil || errs[0].Error() != want {
-		t.Fatalf("a 256-rank Finish gives %v, want %s", errs[0], want)
 	}
 }

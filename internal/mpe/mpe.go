@@ -430,11 +430,12 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	return cw.Table(), nil
 }
 
-// blockRecords is the most records the merge puts in a block, so that a
-// block's time fence covers a stretch of a rank's run (clog2.Table.Select).
-// A rank of the thumbnail demo logs about 4 500 records: at 512 it is nine
+// blockRecords is the most records the merge, salvage and the defs spill
+// put in a block, so that a block's time fence covers a stretch of a rank's
+// run (clog2.Table.Select), well inside clog2.MaxBlockRecords. A rank of
+// the thumbnail demo logs about 4 500 records: at 512 it is nine
 // blocks and a 1 % window visits about one a rank, where one block a rank
-// had every window visit them all (idx.visited_ratio 1.0). A block costs 73
+// had every window visit them all (idx.visited_ratio 1.0). A block costs 74
 // bytes (header, end marker, table entry), 0.5 % of 512 records.
 const blockRecords = 512
 

@@ -271,7 +271,7 @@ func loadSpillDefs(prefix string) (defs []clog2.Record, numRanks int, note strin
 	}
 	// The payload has no block table, so a block that cannot be read is a
 	// torn tail: the complete blocks before it stand.
-	_ = br.EachBlock(func(b clog2.Block) error {
+	_ = br.Each(func(b clog2.Block) error {
 		defs = append(defs, b.Records...)
 		return nil
 	})
@@ -343,6 +343,11 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 	perRank := map[int][]clog2.Record{}
 	maxRank := -1
 	for _, frag := range FindSpillFragments(prefix) {
+		if frag.Rank >= clog2.MaxRanks {
+			rep.Ranks = append(rep.Ranks, RankSalvage{Rank: frag.Rank, Path: frag.Path, Note: "skipped: past the ranks a log holds"})
+			rep.Warnings = append(rep.Warnings, fmt.Sprintf("rank %d fragment skipped: a log holds ranks 0 to %d", frag.Rank, clog2.MaxRanks-1))
+			continue
+		}
 		data, err := os.ReadFile(frag.Path)
 		if err != nil {
 			rep.Ranks = append(rep.Ranks, RankSalvage{
@@ -392,7 +397,7 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	if err := w.WriteBlock(0, defs); err != nil {
+	if err := w.WriteCut(clog2.NewCut(0, blockRecords, defs)); err != nil {
 		return rep, err
 	}
 	ranks := make([]int, 0, len(perRank))
@@ -404,9 +409,10 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 		recs := perRank[rank]
 		// Spill fragments carry one batch per segment/block; coalesce per
 		// rank, ordered by timestamp (stable, so equal stamps keep their
-		// original sequence and cannot desync state pairing).
+		// original sequence and cannot desync state pairing), and cut into
+		// blocks as Finish cuts a rank's log.
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-		if err := w.WriteBlock(int32(rank), recs); err != nil {
+		if err := w.WriteCut(clog2.NewCut(int32(rank), blockRecords, recs)); err != nil {
 			return rep, err
 		}
 		rep.RanksRecovered++

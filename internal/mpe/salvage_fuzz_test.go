@@ -33,7 +33,7 @@ func FuzzSalvageFragment(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-7]) // torn tail
 	f.Add([]byte{})
-	f.Add([]byte("CLOG-R0260 but then lies"))
+	f.Add([]byte(clog2.Magic + " but then lies"))
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)

@@ -389,3 +389,28 @@ func TestSalvageRecoveryPct(t *testing.T) {
 		t.Errorf("all-lost RecoveryPct = %v, want 0", got)
 	}
 }
+
+// A fragment whose file name puts its rank past clog2.MaxRanks is skipped
+// with a warning: the log salvage writes opens in every reader, where a
+// stray x.rank2000000.spill used to make a 2 000 001-rank log that no
+// reader would open.
+func TestSalvageSkipsAFragmentPastMaxRanks(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run.clog2")
+	abortedRun(t, prefix)
+	const rank = 2_000_000
+	frame, err := clog2.AppendBlock(make([]byte, clog2.SegHeaderSize), rank, []clog2.Record{{Type: clog2.RecBareEvt, Time: 1, Rank: rank, ID: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clog2.FinalizeSegmentHeader(frame, rank, 0)
+	if err := os.WriteFile(fmt.Sprintf("%s.rank%d.spill", prefix, rank), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, merged := salvageToFile(t, prefix)
+	if rep.NumRanks != 3 || rep.RanksRecovered != 3 || !strings.Contains(strings.Join(rep.Warnings, "\n"), "rank 2000000 fragment skipped") {
+		t.Fatalf("salvage over a rank-%d fragment: %d ranks, %d recovered, warnings %q", rank, rep.NumRanks, rep.RanksRecovered, rep.Warnings)
+	}
+	if table, err := clog2.ScanTable(bytes.NewReader(merged)); err != nil || table.NumRanks != 3 {
+		t.Fatalf("the salvaged log: %v", err)
+	}
+}

@@ -76,17 +76,25 @@ func spillDefsPath(prefix string) string { return prefix + ".defs.spill" }
 
 // SpillDefs writes the definition tables to the defs spill file. Pilot
 // calls it once, after all states and events are described (at
-// PI_StartAll). The defs — a complete miniature CLOG-2 file — are wrapped
-// in a single checksummed segment, so salvage can tell a damaged defs
-// table from an intact one and fall back to synthesized defs.
+// PI_StartAll). The defs — a complete miniature CLOG-2 file, in blocks of
+// blockRecords as Finish writes them — are wrapped in a single checksummed
+// segment, so salvage can tell a damaged defs table from an intact one and
+// fall back to synthesized defs.
 func (g *Group) SpillDefs() error {
 	prefix := g.SpillPrefix()
 	if prefix == "" || !g.enabled {
 		return nil
 	}
-	frame, err := clog2.AppendBlock(clog2.AppendHeader(make([]byte, clog2.SegHeaderSize), g.world.Size()), 0, g.defRecords())
-	if err != nil {
-		return err
+	frame := clog2.AppendHeader(make([]byte, clog2.SegHeaderSize), g.world.Size())
+	for defs := g.defRecords(); ; {
+		n := min(len(defs), blockRecords)
+		var err error
+		if frame, err = clog2.AppendBlock(frame, 0, defs[:n]); err != nil {
+			return err
+		}
+		if defs = defs[n:]; len(defs) == 0 {
+			break
+		}
 	}
 	frame = append(frame, byte(clog2.RecEndLog))
 	clog2.FinalizeSegmentHeader(frame, 0, 0)

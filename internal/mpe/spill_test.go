@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/clog2"
@@ -213,3 +214,42 @@ func BenchmarkSpillStatePair(b *testing.B) {
 
 // SpillError reports the first spill-write failure, if any (diagnostics).
 func (l *Logger) SpillError() error { return l.spErr }
+
+// More definitions than a block holds records are cut into blocks of
+// blockRecords wherever they are written: in the defs spill, which salvage
+// reads back whole, and at the head of rank 0's log in Finish.
+func TestDefinitionsAreCutIntoBlocks(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run.clog2")
+	w := mpi.NewWorld(1, mpi.Options{})
+	g := NewGroup(w, true)
+	g.EnableSpill(prefix)
+	const states = 2*blockRecords + 3
+	for i := 0; i < states; i++ {
+		g.DescribeState("S", "red")
+	}
+	if err := g.SpillDefs(); err != nil {
+		t.Fatal(err)
+	}
+	if defs, numRanks, note := loadSpillDefs(prefix); len(defs) != states || numRanks != 1 || note != "" {
+		t.Fatalf("the defs spill reads back %d defs of %d ranks (%q), want %d", len(defs), numRanks, note, states)
+	}
+	var buf bytes.Buffer
+	errs := w.Run(func(r *mpi.Rank) error { return g.Logger(0).Finish(&buf) })
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	table, err := clog2.ScanTable(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defs []int32
+	for _, b := range table.Blocks {
+		defs = append(defs, b.Defs)
+		if b.Records > blockRecords {
+			t.Fatalf("a block of %d records", b.Records)
+		}
+	}
+	if want := []int32{blockRecords, blockRecords, 3}; !slices.Equal(defs, want) {
+		t.Fatalf("the blocks hold %v definitions, want %v", defs, want)
+	}
+}

@@ -47,15 +47,15 @@ func fullSpanRecords(n int) [][]clog2.Record {
 	return recs
 }
 
-// convertRanks writes each rank's records as one block of a CLOG-2 log and
-// converts it.
+// convertRanks writes each rank's records in blocks of a CLOG-2 log, as
+// long as a block may be, and converts it.
 func convertRanks(tb testing.TB, recs [][]clog2.Record) *slog2.File {
 	tb.Helper()
 	var log bytes.Buffer
 	w, err := clog2.NewWriter(&log, len(recs))
 	for rank, rs := range recs {
 		if err == nil {
-			err = w.WriteBlock(int32(rank), rs)
+			err = w.WriteCut(clog2.NewCut(int32(rank), clog2.MaxBlockRecords, rs))
 		}
 	}
 	if err == nil {

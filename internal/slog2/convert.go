@@ -236,7 +236,7 @@ func (p *partition) addBlock(b *clog2.Block) error {
 }
 
 // ConvertReader streams a CLOG-2 file from r straight into the conversion,
-// one run of records at a time through Each's one buffer — the low-memory
+// one block of records at a time through Each's one buffer — the low-memory
 // path used by vis.ConvertFile and the command-line tools.
 func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 	br, err := clog2.NewBlockReader(r)

@@ -337,8 +337,9 @@ func TestConvertDeterministicAcrossRuns(t *testing.T) {
 
 // The conversion does not depend on where a rank's records are cut into
 // blocks, nor on how the ranks' blocks interleave in the file: the log with
-// each rank's records in one block converts to the bytes of the same
-// records cut into blocks of 1 to 40 records, dealt round the ranks.
+// each rank's records in blocks as long as a block may be converts to the
+// bytes of the same records cut into blocks of 1 to 40 records, dealt
+// round the ranks.
 func TestConvertReaderIgnoresBlockCuts(t *testing.T) {
 	b := randomCLOG(7, 4)
 	whole, repW, err := convert(b.log(t), ConvertOptions{})

@@ -67,7 +67,7 @@ func (b *clogBuilder) recv(rank, src, tag int32, t float64, size int32) {
 }
 
 // log encodes the built log: the definitions as rank 0's first block, then
-// each rank's records as one block, in rank order.
+// each rank's records in blocks as long as a block may be, in rank order.
 func (b *clogBuilder) log(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -77,7 +77,7 @@ func (b *clogBuilder) log(t testing.TB) []byte {
 	}
 	for r := int32(0); r < int32(b.nranks) && err == nil; r++ {
 		if recs, ok := b.blocks[r]; ok {
-			err = w.WriteBlock(r, recs)
+			err = w.WriteCut(clog2.NewCut(r, clog2.MaxBlockRecords, recs))
 		}
 	}
 	if err == nil {

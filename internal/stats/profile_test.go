@@ -10,7 +10,8 @@ import (
 	"repro/internal/clog2"
 )
 
-// writeTestLog encodes blocks of records as a CLOG-2 stream.
+// writeTestLog encodes each rank's records as a CLOG-2 stream, in blocks of
+// at most clog2.MaxBlockRecords.
 func writeTestLog(t *testing.T, numRanks int, blocks map[int32][]clog2.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -20,7 +21,7 @@ func writeTestLog(t *testing.T, numRanks int, blocks map[int32][]clog2.Record) [
 	}
 	for rank := int32(0); rank < int32(numRanks); rank++ {
 		if recs := blocks[rank]; len(recs) > 0 {
-			if err := w.WriteBlock(rank, recs); err != nil {
+			if err := w.WriteCut(clog2.NewCut(rank, clog2.MaxBlockRecords, recs)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -149,7 +149,7 @@ func TestWindowedDegradation(t *testing.T) {
 		// The blocks were rewritten after the table was: the definitions'
 		// block, which every window reads, now names rank 1 in its header.
 		{"stale", func(data []byte, table *clog2.Table) []byte {
-			binary.LittleEndian.PutUint32(data[table.Blocks[0].Offset:], 2) // rank 1, +1 on the wire
+			binary.LittleEndian.PutUint32(data[table.Blocks[0].Offset+1:], 1) // rank 1, behind the block-start marker
 			return data
 		}},
 		{"corrupt", func(data []byte, table *clog2.Table) []byte {
@@ -202,10 +202,9 @@ func TestWindowedDegradation(t *testing.T) {
 	}
 }
 
-// A table that lies about a block of several runs, by one record either
-// way or in its rank, is found out after the profiler has folded some of
-// them: Walk starts it over and the answer is the full scan's, byte for
-// byte.
+// A table that lies about rank 0's second block, by one record either way
+// or in its rank, is found out after the profiler has folded the first:
+// Walk starts it over and the answer is the full scan's, byte for byte.
 func TestWindowedLyingLongBlock(t *testing.T) {
 	long := []clog2.Record{stateDef(1, 2, 3, "PI_Read")}
 	for i := 0; len(long) < 10_000; i++ {
@@ -222,7 +221,7 @@ func TestWindowedLyingLongBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		rewrite(t, path, func(data []byte, table *clog2.Table) []byte {
-			table.TotalRecords += lie(&table.Blocks[0])
+			table.TotalRecords += lie(&table.Blocks[1])
 			return clog2.AppendTable(data[:table.LogSize()], table)
 		})
 		p, used, err := ComputeProfileFileWindowed(path, 0.25, 7.5)
