@@ -163,8 +163,8 @@ func TestIndexedAnswerSkipsUnselectedDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := table.Blocks[1]; b.RankMin <= 0 && 0 <= b.RankMax {
-		t.Fatalf("block 1 holds ranks %d..%d: a rank-0 query selects it", b.RankMin, b.RankMax)
+	if b := table.Blocks[1]; b.Rank == 0 {
+		t.Fatalf("block 1 is rank 0's: a rank-0 query selects it")
 	}
 	dir := t.TempDir()
 	corrupt, scanned := filepath.Join(dir, "corrupt.clog2"), filepath.Join(dir, "scanned.clog2")

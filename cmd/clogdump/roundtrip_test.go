@@ -188,3 +188,34 @@ func TestSalvageCutsARankIntoBlocks(t *testing.T) {
 		t.Fatalf("a 1 %% window visits %d of the %d blocks that hold records", len(sel), timed)
 	}
 }
+
+// With the defs spill and the highest rank's fragment both lost, that rank
+// is named only as a peer: rank 1 of a three-rank world sent to rank 2.
+// Salvage sizes the log's header to every rank its fragments and message
+// halves name, so the log it writes passes clogdump -verify and converts,
+// where a two-rank header would have its own reader refuse rank 1's send.
+func TestSalvageCoversALostRanksPeer(t *testing.T) {
+	dir := t.TempDir()
+	prefix := filepath.Join(dir, "run.clog2")
+	_, g := spilledWorld(t, prefix, []int{3, 3, 3})
+	g.Logger(1).LogSend(2, 7, 64)
+	for _, lost := range []string{prefix + ".defs.spill", prefix + ".rank2.spill"} {
+		if err := os.Remove(lost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	rep, err := mpe.SalvageWithReport(prefix, &out)
+	if err != nil || rep.NumRanks != 3 || rep.RanksRecovered != 2 || !rep.DefsSynthesized {
+		t.Fatalf("salvage: %v, %d ranks, %d recovered, defs synthesized %v", err, rep.NumRanks, rep.RanksRecovered, rep.DefsSynthesized)
+	}
+	path := filepath.Join(dir, "salvaged.clog2")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	verifyBlocks(t, path, 3)
+	f, crep, err := slog2.ConvertReader(bytes.NewReader(out.Bytes()), slog2.ConvertOptions{})
+	if err != nil || f.NumRanks != 3 || crep.States != 6 || crep.UnmatchedSends != 1 {
+		t.Fatalf("converting the salvaged log: %v, report %+v", err, crep)
+	}
+}

@@ -162,29 +162,23 @@ type rankDiff struct {
 type differ struct {
 	context int
 	ranks   map[int32]*rankDiff
-	// last short-circuits the map: a block is one rank's records.
-	lastRank int32
-	last     *rankDiff
-	ended    [2]bool // the side has been read to its end
-	key      []byte  // scratch for the op in hand
+	ended   [2]bool // the side has been read to its end
+	key     []byte  // scratch for the op in hand
 }
 
+// rank is the alignment of rank's ops, looked up once a block: a block
+// holds one rank's records (clog2.Block).
 func (d *differ) rank(rank int32) *rankDiff {
-	if d.last != nil && d.lastRank == rank {
-		return d.last
-	}
 	rd := d.ranks[rank]
 	if rd == nil {
 		rd = &rankDiff{}
 		d.ranks[rank] = rd
 	}
-	d.lastRank, d.last = rank, rd
 	return rd
 }
 
-// op takes the next op of one side.
-func (d *differ) op(side int, rec *clog2.Record) {
-	rd := d.rank(rec.Rank)
+// op takes the next op of one side, of rank rd.
+func (d *differ) op(side int, rd *rankDiff, rec *clog2.Record) {
 	i := rd.n[side]
 	rd.n[side]++
 	switch {
@@ -336,11 +330,12 @@ func (s *diffSide) next(d *differ, side int) error {
 		return fmt.Errorf("analyze: diff %s: %w", s.label, err)
 	}
 	s.recs = b.Records[:0]
+	rd := d.rank(b.Rank)
 	for i := range b.Records {
 		rec := &b.Records[i]
 		switch rec.Type {
 		case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
-			d.op(side, rec)
+			d.op(side, rd, rec)
 			s.ops++
 		}
 	}

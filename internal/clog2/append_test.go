@@ -96,6 +96,17 @@ func randomRecord(rng *rand.Rand, t RecType) Record {
 	return r
 }
 
+// ofBlock makes r keep the rule of a block of rank in a log of numRanks
+// ranks (Block): it carries the block's rank, and a message half names a
+// peer of the log. A definition must still go in a block of rank 0.
+func ofBlock(r Record, rank int32, numRanks int) Record {
+	r.Rank = rank
+	if r.Type == RecMsgEvt {
+		r.Aux1 = int32(uint32(r.Aux1) % uint32(numRanks))
+	}
+	return r
+}
+
 // decode(append(r)) == r for every record type, AppendRecord writes the
 // bytes of the field-by-field encoder it replaced, appends behind what
 // dst holds, and TimedSize reads a timed record's length off its bytes.
@@ -148,33 +159,73 @@ func TestAppendRejects(t *testing.T) {
 		rec  Record
 		want string
 	}{
+		// What AppendRecord refuses.
 		{"string one byte past the limit", 0, long, "clog2: string of 65536 bytes exceeds format limit"},
 		{"long text", 0, Record{Type: RecSrcLoc, Text: long.Name}, "clog2: string of 65536 bytes exceeds format limit"},
 		{"end-block marker as a record", 0, Record{Type: RecEndBlock}, "clog2: cannot write record type EndBlock"},
 		{"block-start marker as a record", 0, Record{Type: RecBeginBlock}, "clog2: cannot write record type BeginBlock"},
 		{"unknown type", 0, Record{Type: numRecTypes}, "clog2: cannot write record type RecType(?)"},
-		{"negative rank", -1, Record{Type: RecBareEvt}, "clog2: block with negative rank -1"},
+		// The rule of a block (Block), which AppendRecord alone does not see.
+		{"negative rank", -1, Record{Type: RecBareEvt, Rank: -1}, "clog2: a block of rank -1 in a log of 1048576 ranks"},
+		{"rank past MaxRanks", MaxRanks, Record{Type: RecBareEvt, Rank: MaxRanks}, "clog2: a block of rank 1048576 in a log of 1048576 ranks"},
+		{"record of another rank", 0, Record{Type: RecBareEvt, Rank: 1}, "clog2: a BareEvt record of rank 1 in a block of rank 0"},
+		{"definition of another rank", 0, Record{Type: RecStateDef, Rank: 1}, "clog2: a StateDef record of rank 1 in a block of rank 0"},
+		{"definition outside rank 0", 1, Record{Type: RecEventDef, Rank: 1}, "clog2: a EventDef record in a block of rank 1: definitions sit in rank 0's blocks"},
+		{"peer past MaxRanks", 0, Record{Type: RecMsgEvt, Aux1: MaxRanks}, "clog2: a message half of rank 0 names peer rank 1048576, outside [0,1048576)"},
+		{"negative peer", 0, Record{Type: RecMsgEvt, Aux1: -1}, "clog2: a message half of rank 0 names peer rank -1, outside [0,1048576)"},
 	}
 	for _, c := range cases {
 		dst := []byte("kept")
-		if c.rank >= 0 {
+		// AppendRecord refuses what is wrong with a record alone; the
+		// rule's refusals ("clog2: a ...") need the block it does not see.
+		if !strings.HasPrefix(c.want, "clog2: a ") {
 			got, err := AppendRecord(dst, &c.rec)
 			if err == nil || err.Error() != c.want || string(got) != "kept" {
 				t.Errorf("%s: AppendRecord gives %q, %v", c.name, got, err)
 			}
 		}
-		good := Record{Type: RecBareEvt, ID: 1}
+		good := Record{Type: RecBareEvt, Rank: c.rank, ID: 1}
 		got, err := AppendBlock(dst, c.rank, []Record{good, c.rec})
 		if err == nil || err.Error() != c.want || string(got) != "kept" {
 			t.Errorf("%s: AppendBlock gives %q, %v", c.name, got, err)
 		}
 		var out bytes.Buffer
-		w, err := NewWriter(&out, 1)
+		w, err := NewWriter(&out, MaxRanks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := w.WriteBlock(c.rank, []Record{good, c.rec}); err == nil || err.Error() != c.want {
 			t.Errorf("%s: WriteBlock gives %v", c.name, err)
+		}
+		if w.Offset() != int64(HeaderSize) {
+			t.Errorf("%s: WriteBlock wrote %d bytes of a block it refused", c.name, w.Offset()-int64(HeaderSize))
+		}
+	}
+	// A Writer bounds ranks and peers by its header's rank count, on records
+	// and on pages alike.
+	msg := Record{Type: RecMsgEvt, Time: 1, Rank: 1, Dir: DirSend, Aux1: 2}
+	page, _ := AppendRecord(nil, &msg)
+	for _, c := range []struct {
+		rank  int32
+		recs  []Record
+		pages [][]byte
+		want  string
+	}{
+		{2, nil, nil, "clog2: a block of rank 2 in a log of 2 ranks"},
+		{1, []Record{msg}, nil, "clog2: a message half of rank 1 names peer rank 2, outside [0,2)"},
+		{1, nil, [][]byte{page}, "clog2: a message half of rank 1 names peer rank 2, outside [0,2) (at byte 0)"},
+		{0, nil, [][]byte{page}, "clog2: a MsgEvt record of rank 1 in a block of rank 0 (at byte 0)"},
+	} {
+		var out bytes.Buffer
+		w, err := NewWriter(&out, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteBlock(c.rank, c.recs, c.pages...); err == nil || err.Error() != c.want {
+			t.Errorf("WriteBlock(%d, %d records, %d pages) gives %v, want %s", c.rank, len(c.recs), len(c.pages), err, c.want)
+		}
+		if w.Offset() != int64(HeaderSize) {
+			t.Errorf("WriteBlock wrote %d bytes of a block it refused", w.Offset()-int64(HeaderSize))
 		}
 	}
 	// A block holds at most MaxBlockRecords records, whatever its rank: a
@@ -195,6 +246,9 @@ func TestAppendRejects(t *testing.T) {
 		t.Errorf("AppendBlock of %d records gives %d bytes, %v", len(full), len(got), err)
 	}
 	for _, rank := range []int32{255, 256, MaxRanks - 1} {
+		for i := range full {
+			full[i].Rank = rank
+		}
 		if err := w.WriteBlock(rank, full[:MaxBlockRecords]); err != nil {
 			t.Errorf("rank %d: a full block: %v", rank, err)
 		}
@@ -217,8 +271,12 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 		}
 		for rank := int32(0); rank < 4; rank++ {
 			recs := make([]Record, perBlock)
+			types := []RecType{RecBareEvt, RecCargoEvt, RecMsgEvt, RecEventDef}
+			if rank != 0 { // definitions sit in rank 0's blocks
+				types[3] = RecTimeShift
+			}
 			for i := range recs {
-				recs[i] = randomRecord(rng, []RecType{RecBareEvt, RecCargoEvt, RecMsgEvt, RecEventDef}[i%4])
+				recs[i] = ofBlock(randomRecord(rng, types[i%4]), rank, 4)
 				if i == 3 { // one definition longer than the Writer's buffer
 					recs[i].Color, recs[i].Name = long, long
 				} else {
@@ -340,8 +398,12 @@ func TestEachIsNextReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for rank, n := range sizes {
 		recs := make([]Record, n)
+		types := []RecType{RecBareEvt, RecCargoEvt, RecMsgEvt, RecTimeShift, RecStateDef}
+		if rank != 0 { // definitions sit in rank 0's blocks
+			types = types[:4]
+		}
 		for i := range recs {
-			recs[i] = randomRecord(rng, []RecType{RecBareEvt, RecCargoEvt, RecMsgEvt, RecTimeShift, RecStateDef}[rng.Intn(5)])
+			recs[i] = ofBlock(randomRecord(rng, types[rng.Intn(len(types))]), int32(rank), len(sizes))
 			recs[i].Color, recs[i].Name = "c", "n" // keep the definitions small
 		}
 		if err := w.WriteBlock(int32(rank), recs); err != nil {
@@ -438,8 +500,8 @@ func TestSeekTo(t *testing.T) {
 // checkTimed takes the timed records a Logger encodes, of its rank, as
 // many as it is asked for, and refuses by name whatever a Writer would
 // not write as it lies: a cargo past MaxCargo (other readers cut it), a
-// marker, a record that is not timed, a record cut short, and a record of
-// another rank.
+// marker, a record that is not timed, a record cut short, a record of
+// another rank and a message half whose peer is no rank of the log.
 func TestCheckTimed(t *testing.T) {
 	var page []byte
 	sizes := []int{0}
@@ -455,12 +517,13 @@ func TestCheckTimed(t *testing.T) {
 	}
 	for max := 0; max <= len(sizes); max++ {
 		want := min(max, len(sizes)-1)
-		if n, size, err := checkTimed(page, 3, max); n != want || size != sizes[want] || err != nil {
+		if n, size, err := checkTimed(page, 3, 4, max, nil); n != want || size != sizes[want] || err != nil {
 			t.Fatalf("at most %d records: %d records in %d bytes, %v; want %d in %d", max, n, size, err, want, sizes[want])
 		}
 	}
 	long := rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1))
 	def, _ := AppendRecord(nil, &Record{Type: RecStateDef, Name: "A"})
+	farPeer, _ := AppendRecord(nil, &Record{Type: RecMsgEvt, Rank: 3, Dir: DirSend, Aux1: 4})
 	cases := map[string]struct {
 		p    []byte
 		want string
@@ -472,10 +535,11 @@ func TestCheckTimed(t *testing.T) {
 		"a definition":             {def, "clog2: StateDef record at byte 0 is not a timed record"},
 		"not a record":             {[]byte("hello"), "clog2: RecType(?) record at byte 0 is not a timed record"},
 		"torn":                     {page[:len(page)-1], fmt.Sprintf("clog2: %v record at byte %d cut short by the end at %d", RecType(page[sizes[len(sizes)-2]]), sizes[len(sizes)-2], len(page)-1)},
-		"another rank":             {rawCargoEvt(1, nil), "clog2: record at byte 0 is of rank 0, not 3"},
+		"another rank":             {append(page[:sizes[1]:sizes[1]], rawCargoEvt(1, nil)...), fmt.Sprintf("clog2: a CargoEvt record of rank 0 in a block of rank 3 (at byte %d)", sizes[1])},
+		"a peer past the ranks":    {farPeer, "clog2: a message half of rank 3 names peer rank 4, outside [0,4) (at byte 0)"},
 	}
 	for name, c := range cases {
-		n, size, err := checkTimed(c.p, 3, len(c.p))
+		n, size, err := checkTimed(c.p, 3, 4, len(c.p), nil)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: checkTimed gives %v, want %s", name, err, c.want)
 		}

@@ -15,7 +15,10 @@
 // two-step pipeline.
 package clog2
 
-import "unicode/utf8"
+import (
+	"fmt"
+	"unicode/utf8"
+)
 
 // RecType identifies a record's body layout.
 type RecType uint8
@@ -155,8 +158,38 @@ func TruncBytes(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// Block is one rank's contiguous run of records.
+// Block is one rank's contiguous run of records, under one rule that a
+// Writer checks before it writes a byte of a block and a reader before it
+// hands one over: its rank is in [0, NumRanks) (checkRank), every record
+// carries it, so definitions (rank 0) sit in rank 0's blocks, and a message
+// half's peer (Aux1) is in [0, NumRanks) (keepsRule). Without a log header
+// (AppendBlock, DecodeBlockPayload) NumRanks is MaxRanks.
 type Block struct {
 	Rank    int32
 	Records []Record
+}
+
+// checkRank refuses, by name, a block rank outside [0, numRanks).
+func checkRank(rank int32, numRanks int) error {
+	if rank < 0 || int(rank) >= numRanks {
+		return fmt.Errorf("clog2: a block of rank %d in a log of %d ranks", rank, numRanks)
+	}
+	return nil
+}
+
+// keepsRule reports whether a record of type t, rank and peer keeps the
+// rule in a block of rank block; recordError names how one does not (apart,
+// so that keepsRule inlines into the decode loop).
+func keepsRule(t RecType, rank, peer, block int32, numRanks int) bool {
+	return rank == block && (block == 0 || !t.IsDef()) && (t != RecMsgEvt || uint(peer) < uint(numRanks))
+}
+
+func recordError(t RecType, rank, peer, block int32, numRanks int) error {
+	switch {
+	case rank != block:
+		return fmt.Errorf("clog2: a %v record of rank %d in a block of rank %d", t, rank, block)
+	case t.IsDef():
+		return fmt.Errorf("clog2: a %v record in a block of rank %d: definitions sit in rank 0's blocks", t, block)
+	}
+	return fmt.Errorf("clog2: a message half of rank %d names peer rank %d, outside [0,%d)", rank, peer, numRanks)
 }

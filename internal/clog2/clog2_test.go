@@ -174,7 +174,7 @@ func TestWriteBlockPagesMatchWriteBlock(t *testing.T) {
 	write := func(recs []Record, pages ...[]byte) ([]byte, *Table) {
 		var buf bytes.Buffer
 		w, _ := NewWriter(&buf, 2)
-		if err := w.WriteBlock(1, recs, pages...); err != nil {
+		if err := w.WriteBlock(0, recs, pages...); err != nil {
 			t.Fatal(err)
 		}
 		w.Close()
@@ -198,7 +198,7 @@ func TestWriteBlockPagesMatchWriteBlock(t *testing.T) {
 	for _, page := range [][]byte{def, timed[:len(timed)-1]} {
 		var buf bytes.Buffer
 		w, _ := NewWriter(&buf, 2)
-		if err := w.WriteBlock(1, nil, page); err == nil {
+		if err := w.WriteBlock(0, nil, page); err == nil {
 			t.Errorf("a page of % x was taken", page)
 		}
 	}
@@ -261,13 +261,18 @@ func TestRecTypeString(t *testing.T) {
 
 // Property: random well-formed records roundtrip byte-exactly.
 func TestRoundtripProperty(t *testing.T) {
-	genRecord := func(rng *rand.Rand) Record {
-		types := []RecType{RecStateDef, RecEventDef, RecConstDef, RecBareEvt,
-			RecCargoEvt, RecMsgEvt, RecTimeShift, RecSrcLoc}
+	// A record of rank's block in a log of numRanks ranks: definitions
+	// only in rank 0's, every peer a rank of the log.
+	genRecord := func(rng *rand.Rand, rank int32, numRanks int) Record {
+		types := []RecType{RecBareEvt, RecCargoEvt, RecMsgEvt, RecTimeShift,
+			RecStateDef, RecEventDef, RecConstDef, RecSrcLoc}
+		if rank != 0 {
+			types = types[:4]
+		}
 		r := Record{
 			Type: types[rng.Intn(len(types))],
 			Time: rng.Float64() * 100,
-			Rank: int32(rng.Intn(16)),
+			Rank: rank,
 		}
 		str := func(n int) string {
 			b := make([]byte, rng.Intn(n))
@@ -293,7 +298,7 @@ func TestRoundtripProperty(t *testing.T) {
 			r.SetCargo(str(MaxCargo))
 		case RecMsgEvt:
 			r.Dir = []uint8{DirSend, DirRecv}[rng.Intn(2)]
-			r.Aux1, r.Aux2, r.Aux3 = int32(rng.Intn(16)), int32(rng.Intn(100)), rng.Int31()
+			r.Aux1, r.Aux2, r.Aux3 = int32(rng.Intn(numRanks)), int32(rng.Intn(100)), rng.Int31()
 		case RecTimeShift:
 			r.Shift = rng.NormFloat64()
 		case RecSrcLoc:
@@ -315,7 +320,7 @@ func TestRoundtripProperty(t *testing.T) {
 			n := int(nRecsRaw % 20)
 			recs := make([]Record, n)
 			for i := range recs {
-				recs[i] = genRecord(rng)
+				recs[i] = genRecord(rng, int32(b), nBlocks)
 			}
 			want[b] = Block{Rank: int32(b), Records: recs}
 			if err := w.WriteBlock(int32(b), recs); err != nil {

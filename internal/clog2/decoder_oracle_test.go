@@ -376,7 +376,11 @@ func bigLog(t testing.TB, n int, seed int64) []byte {
 		recs := make([]Record, 1+rng.Intn(3000))
 		for i := range recs {
 			r := Record{Time: float64(written+i) * 1e-6, Rank: rank}
-			switch k := rng.Intn(40); {
+			k := rng.Intn(40)
+			if rank != 0 && k <= 4 && k != 3 { // definitions sit in rank 0's blocks
+				k = 5
+			}
+			switch {
 			case k == 0:
 				r.Type, r.ID, r.Aux1, r.Aux2 = RecStateDef, int32(i), 2, 3
 				r.Color, r.Name = "red", strings.Repeat("n", rng.Intn(300))
@@ -490,14 +494,14 @@ func TestDecoderMatchesOracleOnLongNameAcrossRefill(t *testing.T) {
 	name := strings.Repeat("x", math.MaxUint16)
 	for _, lead := range []int{0, 100, decodeBufSize/17 - 1, decodeBufSize / 17, decodeBufSize/17 + 3000} {
 		var buf bytes.Buffer
-		w, _ := NewWriter(&buf, 1)
+		w, _ := NewWriter(&buf, 2)
 		recs := make([]Record, lead, lead+2)
 		for i := range recs {
 			recs[i] = Record{Type: RecBareEvt, Time: float64(i), ID: 2}
 		}
 		recs = append(recs, Record{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: name[:300], Name: name},
 			Record{Type: RecMsgEvt, Time: 9, Dir: DirRecv, Aux1: 1, Aux2: 2, Aux3: 3})
-		if err := w.WriteCut(NewCut(0, MaxBlockRecords, recs)); err != nil {
+		if err := w.WriteCut(NewCut(0, 2, MaxBlockRecords, recs)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

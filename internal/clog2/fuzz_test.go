@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -66,8 +67,9 @@ func readBlocks(r io.Reader) (numRanks int, blocks []Block, err error) {
 
 // FuzzReadFile feeds arbitrary bytes to every reader entry point. The
 // contract under fuzzing: return errors, never panic, never over-allocate
-// from untrusted length fields — and every way of reading the stream must
-// agree on what a file contains: Each, and NextReuse into a buffer of any
+// from untrusted length fields, never hand over a block that breaks the
+// rule of a block (Block) — and every way of reading the stream must agree
+// on what a file contains: Each, and NextReuse into a buffer of any
 // capacity (room).
 func FuzzReadFile(f *testing.F) {
 	valid := validFileBytes(f)
@@ -93,11 +95,39 @@ func FuzzReadFile(f *testing.F) {
 	}
 	f.Add(AppendTable(append([]byte(nil), valid...), table), uint8(12)) // as a Writer closes it
 
+	f.Add(bytes.Replace(valid, []byte{byte(RecBeginBlock), 1, 0, 0, 0}, []byte{byte(RecBeginBlock), 2, 0, 0, 0}, 1), uint8(13)) // a block rank past the header's
+
 	f.Fuzz(func(t *testing.T, data []byte, room uint8) {
-		// The slice decoder agrees with the field-by-field decoder it
-		// replaced on blocks, bounds and error class.
 		whole := drain(NewBlockReader(bytes.NewReader(data)))
-		compareDrained(t, "fuzz input", whole, drain(newOracleReader(bytes.NewReader(data))), false)
+		var numRanks int32 // a reader that has read no header hands over nothing
+		if len(data) >= HeaderSize {
+			numRanks = le32(data[len(Magic):])
+		}
+		for i, b := range whole.blocks {
+			if err := breaksRule(b, numRanks); err != nil {
+				t.Fatalf("block %d handed over: %v", i, err)
+			}
+		}
+		// The slice decoder agrees with the field-by-field decoder it
+		// replaced on blocks, bounds and error class, up to the first block
+		// that breaks the rule, which the oracle does not know: the reader
+		// refuses that block, whole (the oracle hands it over) or from the
+		// record that breaks the rule on (the oracle fails further into it).
+		oracle := drain(newOracleReader(bytes.NewReader(data)))
+		n := len(whole.blocks)
+		switch {
+		case !isRuleError(whole.err):
+			compareDrained(t, "fuzz input", whole, oracle, false)
+		case n < len(oracle.blocks):
+			compareDrained(t, "fuzz input", whole, drained{oracle.blocks[:n], oracle.bounds[:n], whole.err}, false)
+			if breaksRule(oracle.blocks[n], numRanks) == nil {
+				t.Fatalf("block %d refused (%v), the oracle's keeps the rule", n, whole.err)
+			}
+		case n > len(oracle.blocks) || oracle.err == nil:
+			t.Fatalf("%d blocks and %v, the oracle's %d and %v", n, whole.err, len(oracle.blocks), oracle.err)
+		default:
+			compareDrained(t, "fuzz input", whole, drained{oracle.blocks, oracle.bounds, whole.err}, false)
+		}
 		// Each hands over the blocks NextReuse returns before its first
 		// error, and reports a clean end exactly when NextReuse reaches
 		// io.EOF, with NextReuse's error otherwise; so does NextReuse into a
@@ -136,23 +166,47 @@ func FuzzReadFile(f *testing.F) {
 		}
 		// Whatever decodes re-encodes to the bytes it was decoded from,
 		// block by block, unless the decoder had to repair it (a cargo cut
-		// to MaxCargo encodes shorter, a negative rank not at all); and
+		// to MaxCargo encodes shorter); and
 		// records checkTimed takes whole needed no repair: it is what lets
 		// the merge write a rank's pages as they lie.
 		for i, b := range whole.blocks {
 			raw := data[whole.bounds[i][0]:whole.bounds[i][1]]
 			enc, eerr := AppendBlock(nil, b.Rank, b.Records)
 			body := raw[blockHeaderSize : len(raw)-1]
-			n, size, cerr := checkTimed(body, b.Rank, len(body))
+			n, size, cerr := checkTimed(body, b.Rank, int(numRanks), len(body), nil)
 			checked := cerr == nil && size == len(body) && n == len(b.Records)
 			if exact := eerr == nil && len(enc) == len(raw); exact != bytes.Equal(enc, raw) || checked && !exact {
 				t.Fatalf("block %d (checked %v): %d bytes re-encode to %d, %v", i, checked, len(raw), len(enc), eerr)
 			}
 		}
-		if n, size, err := checkTimed(data, 0, len(data)); size > len(data) || err == nil && size != len(data) {
+		if n, size, err := checkTimed(data, 0, MaxRanks, len(data), nil); size > len(data) || err == nil && size != len(data) {
 			t.Fatalf("checkTimed over the input: %d records in %d of %d bytes, %v", n, size, len(data), err)
 		}
 	})
+}
+
+// breaksRule is the rule of a block (Block) over a block decoded from a
+// log of numRanks ranks, restated record by record.
+func breaksRule(b Block, numRanks int32) error {
+	if b.Rank < 0 || b.Rank >= numRanks {
+		return fmt.Errorf("rank %d of %d", b.Rank, numRanks)
+	}
+	for i, r := range b.Records {
+		if r.Rank != b.Rank || r.Type.IsDef() && b.Rank != 0 || r.Type == RecMsgEvt && (r.Aux1 < 0 || r.Aux1 >= numRanks) {
+			return fmt.Errorf("record %d (%v of rank %d, peer %d) in a block of rank %d", i, r.Type, r.Rank, r.Aux1, b.Rank)
+		}
+	}
+	return nil
+}
+
+// isRuleError tells the reader's refusals under the rule of a block from
+// its other errors, by the words checkRank and recordError use.
+func isRuleError(err error) bool {
+	if err == nil {
+		return false
+	}
+	msg := err.Error()
+	return strings.Contains(msg, " in a log of ") || strings.Contains(msg, " in a block of rank ") || strings.Contains(msg, " names peer rank ")
 }
 
 // The seed corpus cases, run as a plain test so `go test` covers them
@@ -264,6 +318,9 @@ func TestNextReuseSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 0; b < blocks; b++ {
+		for i := range recs {
+			recs[i].Rank = int32(b % 4)
+		}
 		if err := w.WriteBlock(int32(b%4), recs); err != nil {
 			t.Fatal(err)
 		}

@@ -82,22 +82,25 @@ func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 
 // WriteBlock appends one rank's block: recs, encoded here, then the
 // records pages hold already encoded, whole and of the timed types (an mpe
-// rank's pages, or pieces of them cut at record boundaries; checkTimed),
-// neither decoded nor encoded again. The block header carries the total,
-// which may not pass MaxBlockRecords. A Writer over an underlying writer
-// enters the block in its table; under AppendBlock, which has no pages,
-// there is none.
+// rank's pages, or pieces of them cut at record boundaries), neither
+// decoded nor encoded again. The block header carries the total, which may
+// not pass MaxBlockRecords. A block that breaks the rule of a block
+// (Block), or a page checkTimed refuses, is refused by name before a byte
+// of it is written. A Writer over an underlying writer enters the block in
+// its table; under AppendBlock, which has no pages, there is none.
 func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if err := w.writable(); err != nil {
 		return err
 	}
-	if rank < 0 {
-		return fmt.Errorf("clog2: block with negative rank %d", rank)
+	if err := checkRank(rank, w.table.NumRanks); err != nil {
+		return err
 	}
 	m := newBlockMeta(rank, w.Offset())
-	m.addRecords(recs)
+	if err := m.addRecords(recs, w.table.NumRanks); err != nil {
+		return err
+	}
 	for _, p := range pages {
-		if err := m.addEncoded(p); err != nil {
+		if _, _, err := checkTimed(p, rank, w.table.NumRanks, len(p), &m); err != nil {
 			return err
 		}
 	}
@@ -143,6 +146,7 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 // pieces of the pages the block spans, neither decoded nor encoded again.
 type Cut struct {
 	rank     int32
+	numRanks int
 	perBlock int
 	lead     []Record
 	// pieces are sub-slices of the pages, block after block: block i is
@@ -153,27 +157,27 @@ type Cut struct {
 	records int
 }
 
-// NewCut starts the cut of rank's records into blocks of at most perBlock
-// records, led by lead: the lead fills blocks of its own but for its last
-// perBlock records or fewer, which open the block the pages begin.
-func NewCut(rank int32, perBlock int, lead []Record) *Cut {
+// NewCut starts the cut of rank's records (of a log of numRanks ranks) into
+// blocks of at most perBlock, led by lead: the lead fills blocks of its own
+// but for its last perBlock records or fewer, which open the pages' block.
+func NewCut(rank int32, numRanks, perBlock int, lead []Record) *Cut {
 	perBlock = max(perBlock, 1)
 	n := len(lead)
 	if n > 0 {
 		n = (n-1)%perBlock + 1
 	}
-	return &Cut{rank: rank, perBlock: perBlock, lead: lead, n: n}
+	return &Cut{rank: rank, numRanks: numRanks, perBlock: perBlock, lead: lead, n: n}
 }
 
 // Add checks page as checkTimed does, refusing by name what a Writer would
-// not write as it lies, and cuts its records into the blocks. The page is
-// held, not copied, until WriteCut.
+// not write as it lies before a block of the rank is written, and cuts its
+// records into the blocks. The page is held, not copied, until WriteCut.
 func (c *Cut) Add(page []byte) error {
 	for len(page) > 0 {
 		if c.n >= c.perBlock {
 			c.ends, c.n = append(c.ends, len(c.pieces)), 0
 		}
-		n, size, err := checkTimed(page, c.rank, c.perBlock-c.n)
+		n, size, err := checkTimed(page, c.rank, c.numRanks, c.perBlock-c.n, nil)
 		if err != nil {
 			return err
 		}
@@ -216,7 +220,7 @@ func AppendBlockHeader(dst []byte, rank int32, n int) []byte {
 // WriteBlock puts in a file, to dst: the payload a spill segment frames,
 // and a log assembled in memory. On an error dst comes back as it was.
 func AppendBlock(dst []byte, rank int32, recs []Record) ([]byte, error) {
-	w := Writer{buf: dst}
+	w := Writer{buf: dst, table: Table{NumRanks: MaxRanks}}
 	if err := w.WriteBlock(rank, recs); err != nil {
 		return dst, err
 	}
@@ -318,16 +322,17 @@ func TimedSize(p []byte) int {
 	return n
 }
 
-// checkTimed is the strict check of records that arrive already encoded,
-// a page added to a Cut: it walks at most max records from
-// the start of p and returns how many it walked and the bytes they take.
-// It refuses, by name, a cargo declared longer than MaxCargo (which other
+// checkTimed is the strict check of records that arrive already encoded:
+// a page added to a Cut, and WriteBlock's pages. It walks at most max
+// records from the start of p and returns how many it walked and the bytes
+// they take, counting each into meta's entry when meta is not nil. It
+// refuses, by name, a cargo declared longer than MaxCargo (which other
 // readers cut short), a marker, any other record that is not timed, a
-// record cut short by the end of p, and a record of a rank other than
-// rank. What it takes is then AppendRecord's encoding of the records it
-// decodes to, which is what a Writer writes for them, so it can be
-// written as it lies (WriteBlock's pages).
-func checkTimed(p []byte, rank int32, max int) (n, size int, err error) {
+// record cut short by the end of p, and a record that breaks the rule of a
+// block of rank in a log of numRanks ranks (keepsRule). What it takes is
+// then AppendRecord's encoding of the records it decodes to, which is what
+// a Writer writes for them, so it can be written as it lies.
+func checkTimed(p []byte, rank int32, numRanks, max int, meta *BlockMeta) (n, size int, err error) {
 	for ; n < max && size < len(p); n++ {
 		q := p[size:]
 		t, m := RecType(q[0]), TimedSize(q)
@@ -340,8 +345,16 @@ func checkTimed(p []byte, rank int32, max int) (n, size int, err error) {
 			return n, size, fmt.Errorf("clog2: %v record at byte %d cut short by the end at %d", t, size, len(p))
 		case m == 0:
 			return n, size, fmt.Errorf("clog2: %v record at byte %d is not a timed record", t, size)
-		case le32(q[9:]) != rank:
-			return n, size, fmt.Errorf("clog2: record at byte %d is of rank %d, not %d", size, le32(q[9:]), rank)
+		}
+		var peer, tag int32
+		if t == RecMsgEvt {
+			peer, tag = le32(q[14:]), le32(q[18:])
+		}
+		if !keepsRule(t, le32(q[9:]), peer, rank, numRanks) {
+			return n, size, fmt.Errorf("%w (at byte %d)", recordError(t, le32(q[9:]), peer, rank, numRanks), size)
+		}
+		if meta != nil {
+			meta.add(t, leF64(q[1:]), tag)
 		}
 		size += m
 	}
@@ -537,9 +550,9 @@ func (br *BlockReader) NextIn(buf []Record, t0, t1 float64) (b Block, n int32, e
 		return Block{}, 0, io.EOF
 	}
 	start := d.offset()
-	rank, n, err := d.blockHeader()
+	rank, n, err := d.blockHeader(br.numRanks)
 	if err == nil {
-		b.Records, err = d.readBlock(buf, rank, n, t0, t1, "block")
+		b.Records, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1)
 	}
 	if err != nil {
 		return Block{}, 0, err
@@ -681,10 +694,10 @@ func (d *decoder) need(n int) bool {
 	return true
 }
 
-// blockHeader decodes a block header: the block-start marker, the rank
-// and a record count that may not pass MaxBlockRecords, refused before a
-// record is decoded.
-func (d *decoder) blockHeader() (rank, n int32, err error) {
+// blockHeader decodes a block header: the block-start marker, a rank in
+// [0, numRanks) and a record count that may not pass MaxBlockRecords, both
+// refused before a record is decoded.
+func (d *decoder) blockHeader(numRanks int) (rank, n int32, err error) {
 	if t := RecType(d.getByte()); d.err == nil && t != RecBeginBlock {
 		return 0, 0, fmt.Errorf("clog2: %v where a block begins", t)
 	}
@@ -692,6 +705,9 @@ func (d *decoder) blockHeader() (rank, n int32, err error) {
 	n = d.get32()
 	if d.err != nil {
 		return 0, 0, d.err
+	}
+	if err := checkRank(rank, numRanks); err != nil {
+		return 0, 0, err
 	}
 	if n < 0 || n > MaxBlockRecords {
 		return 0, 0, fmt.Errorf("clog2: a block of rank %d declares %d records (MaxBlockRecords is %d)", rank, n, MaxBlockRecords)
@@ -704,7 +720,8 @@ func (d *decoder) blockHeader() (rank, n int32, err error) {
 // then the end-block marker. Of the bare, cargo and message records it
 // keeps those stamped inside [t0, t1]: one outside is stepped over when its
 // fixed layout is buffered whole, and dropped after readRecord otherwise.
-func (d *decoder) readBlock(buf []Record, rank, n int32, t0, t1 float64, what string) ([]Record, error) {
+// A record it keeps that breaks the rule (keepsRule) fails the block.
+func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64) ([]Record, error) {
 	recs := buf[:0]
 	if cap(recs) < int(n) || recs == nil {
 		recs = make([]Record, 0, n)
@@ -729,18 +746,17 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, t0, t1 float64, what st
 			switch r.Type {
 			case RecBareEvt, RecCargoEvt, RecMsgEvt:
 				recs = recs[:len(recs)-1]
+				continue
 			}
 		}
+		if !keepsRule(r.Type, r.Rank, r.Aux1, rank, numRanks) {
+			return nil, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
+		}
 	}
-	return recs, d.endBlock(rank, what)
-}
-
-// endBlock consumes the end-block marker that follows a block's records.
-func (d *decoder) endBlock(rank int32, what string) error {
-	if tt := RecType(d.getByte()); d.err == nil && tt != RecEndBlock {
-		return fmt.Errorf("clog2: %s for rank %d not terminated (got %v)", what, rank, tt)
+	if t := RecType(d.getByte()); d.err == nil && t != RecEndBlock {
+		return nil, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
 	}
-	return d.err
+	return recs, d.err
 }
 
 // readRecord decodes one record into *r, overwriting every field.

@@ -20,11 +20,13 @@ func offsetsLog(t *testing.T) []byte {
 	}
 	for rank := int32(0); rank < 3; rank++ {
 		recs := []Record{
-			{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"},
 			{Type: RecBareEvt, Rank: rank, Time: float64(rank), ID: 2},
 			{Type: RecMsgEvt, Rank: rank, Time: float64(rank) + 0.5,
 				Dir: DirSend, Aux1: (rank + 1) % 3, Aux2: 4, Aux3: 32},
-			{Type: RecSrcLoc, Rank: rank, Aux1: 17, Text: "file.go"},
+		}
+		if rank == 0 { // definitions sit in rank 0's blocks
+			recs = append([]Record{{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"}}, recs...)
+			recs = append(recs, Record{Type: RecSrcLoc, Aux1: 17, Text: "file.go"})
 		}
 		if err := w.WriteBlock(rank, recs); err != nil {
 			t.Fatal(err)

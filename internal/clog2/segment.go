@@ -174,19 +174,21 @@ func validSegmentAt(data []byte, i int) (Segment, bool) {
 	}, true
 }
 
-// DecodeBlockPayload parses one bare block encoding, as produced by
-// AppendBlock, decoding straight out of data. Trailing bytes after the
-// end-block marker are an error: a segment payload is exactly one block.
-func DecodeBlockPayload(data []byte) (Block, error) {
+// DecodeBlockPayload parses one bare block encoding of rank's, as produced
+// by AppendBlock, decoding straight out of data; a block of another rank,
+// or one that breaks the rule of a block (Block), is refused. Trailing
+// bytes after the end-block marker are an error: a segment payload is
+// exactly one block.
+func DecodeBlockPayload(data []byte, rank int32) (Block, error) {
 	d := decoder{buf: data, w: len(data)}
-	rank, n, err := d.blockHeader()
+	got, n, err := d.blockHeader(MaxRanks)
 	if err != nil {
 		return Block{}, err
 	}
-	if rank < 0 {
-		return Block{}, fmt.Errorf("clog2: block payload with negative rank %d", rank)
+	if got != rank {
+		return Block{}, fmt.Errorf("clog2: a block payload of rank %d, not %d", got, rank)
 	}
-	recs, err := d.readBlock(nil, rank, n, math.Inf(-1), math.Inf(1), "block payload")
+	recs, err := d.readBlock(nil, rank, n, MaxRanks, math.Inf(-1), math.Inf(1))
 	if err != nil {
 		return Block{}, err
 	}

@@ -85,7 +85,7 @@ func FuzzSalvageSegments(f *testing.F) {
 			recovered += int64(clog2.SegHeaderSize + len(s.Payload))
 			// Payload decode must not panic either; errors are fine (a
 			// CRC-valid frame holding a non-block payload is corrupt).
-			_, _ = clog2.DecodeBlockPayload(s.Payload)
+			_, _ = clog2.DecodeBlockPayload(s.Payload, s.Rank)
 		}
 		if recovered+stats.BytesQuarantined != int64(len(data)) {
 			t.Fatalf("scan accounting: %d recovered + %d quarantined != %d input",

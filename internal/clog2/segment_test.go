@@ -56,7 +56,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if !bytes.Equal(s.Payload, payloads[i]) {
 			t.Fatalf("segment %d payload differs", i)
 		}
-		b, err := DecodeBlockPayload(s.Payload)
+		b, err := DecodeBlockPayload(s.Payload, 3)
 		if err != nil {
 			t.Fatalf("segment %d payload undecodable: %v", i, err)
 		}
@@ -269,17 +269,49 @@ func TestDecodeBlockPayloadRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBlockPayload(good); err != nil {
+	if _, err := DecodeBlockPayload(good, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeBlockPayload(good[:len(good)-2]); err == nil {
+	if _, err := DecodeBlockPayload(good[:len(good)-2], 1); err == nil {
 		t.Fatal("truncated payload decoded")
 	}
-	if _, err := DecodeBlockPayload(append(append([]byte(nil), good...), 0x00)); err == nil {
+	if _, err := DecodeBlockPayload(append(append([]byte(nil), good...), 0x00), 1); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := DecodeBlockPayload(nil); err == nil {
+	if _, err := DecodeBlockPayload(nil, 1); err == nil {
 		t.Fatal("empty payload decoded")
+	}
+	// The rule of a block, by name: the rank the caller expects, a block
+	// rank inside [0, MaxRanks), every record of the block's rank, every
+	// peer inside [0, MaxRanks). The bytes are built by hand, as no
+	// Writer writes them.
+	msg := Record{Type: RecMsgEvt, Time: 1, Rank: 1, Dir: DirSend, Aux1: 0, Aux2: 7, Aux3: 8}
+	block := func(rank int32, recs ...Record) []byte {
+		p := AppendBlockHeader(nil, rank, len(recs))
+		for i := range recs {
+			p, _ = AppendRecord(p, &recs[i])
+		}
+		return append(p, byte(RecEndBlock))
+	}
+	otherRank, badPeer, negPeer := msg, msg, msg
+	otherRank.Rank = 2
+	badPeer.Aux1 = MaxRanks
+	negPeer.Aux1 = -1
+	for _, c := range []struct {
+		payload []byte
+		rank    int32
+		want    string
+	}{
+		{good, 2, "clog2: a block payload of rank 1, not 2"},
+		{block(-1, msg), -1, "clog2: a block of rank -1 in a log of 1048576 ranks"},
+		{block(MaxRanks, msg), MaxRanks, "clog2: a block of rank 1048576 in a log of 1048576 ranks"},
+		{block(1, msg, otherRank), 1, "clog2: a MsgEvt record of rank 2 in a block of rank 1"},
+		{block(1, badPeer), 1, "clog2: a message half of rank 1 names peer rank 1048576, outside [0,1048576)"},
+		{block(1, negPeer), 1, "clog2: a message half of rank 1 names peer rank -1, outside [0,1048576)"},
+	} {
+		if _, err := DecodeBlockPayload(c.payload, c.rank); err == nil || err.Error() != c.want {
+			t.Errorf("DecodeBlockPayload: %v, want %q", err, c.want)
+		}
 	}
 }
 
@@ -291,7 +323,7 @@ func TestDecodeBlockPayloadAllocatesOnlyRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		b, err := DecodeBlockPayload(payload)
+		b, err := DecodeBlockPayload(payload, 3)
 		if err != nil || b.Rank != 3 || len(b.Records) != 1 {
 			t.Fatalf("%+v, err %v", b, err)
 		}

@@ -17,20 +17,21 @@ import (
 // a query needs (Walk, walk.go) reads the footer, then the table, and
 // trusts neither before ReadTable has validated both. Little-endian:
 //
-//	table   totalRecords i64, nblocks u32, then per block (64 bytes):
+//	table   totalRecords i64, nblocks u32, then per block (56 bytes):
 //	          offset i64, length i64, rank i32, records i32, defs i32, msgs i32,
-//	          tmin f64, tmax f64, rankMin i32, rankMax i32, chanMin i32, chanMax i32
+//	          tmin f64, tmax f64, chanMin i32, chanMax i32
 //	footer  tableOffset i64, crc32 u32 (IEEE, over the table), TableMagic
 
-// TableMagic ends the footer; its digits are the table's version.
-const TableMagic = "CLOGTAB-01"
+// TableMagic ends the footer; its digits are the table's version, the one
+// version read (an earlier table is ErrNoTable: the scan answers).
+const TableMagic = "CLOGTAB-02"
 
 // FooterSize is the byte length of the footer.
 const FooterSize = 8 + 4 + len(TableMagic)
 
 const (
 	tableHeadSize  = 8 + 4
-	tableEntrySize = 64
+	tableEntrySize = 56
 	// maxTableSize caps the table ReadTable buffers, so a hostile footer
 	// cannot force an unbounded allocation. 64 MiB of entries indexes about
 	// a terabyte of log at the merge's block granularity.
@@ -48,7 +49,7 @@ type BlockMeta struct {
 	// Offset/Length bracket the block's bytes (header through end-block
 	// marker) — the seek target for NewBlockReaderAt.
 	Offset, Length int64
-	// Rank is the block header's rank.
+	// Rank is the block header's rank, every record's (Block).
 	Rank int32
 	// Records counts all records in the block; Defs the definition records
 	// among them (RecType.IsDef: the records a windowed consumer processes
@@ -58,9 +59,6 @@ type BlockMeta struct {
 	// (events, messages, timeshifts — everything a time window filters).
 	// Valid only when Records > Defs; else TMin > TMax.
 	TMin, TMax float64
-	// RankMin/RankMax fence the Rank field of non-definition records
-	// (normally all equal to Rank, but salvaged logs may interleave).
-	RankMin, RankMax int32
 	// ChanMin/ChanMax fence the channel (tag) of MsgEvt records. Valid only
 	// when Msgs > 0.
 	ChanMin, ChanMax int32
@@ -72,42 +70,28 @@ func newBlockMeta(rank int32, offset int64) BlockMeta {
 		Rank:    rank,
 		TMin:    math.Inf(1),
 		TMax:    math.Inf(-1),
-		RankMin: math.MaxInt32,
-		RankMax: math.MinInt32,
 		ChanMin: math.MaxInt32,
 		ChanMax: math.MinInt32,
 	}
 }
 
-// addRecords counts recs into the entry and widens its fences over them.
-func (m *BlockMeta) addRecords(recs []Record) {
+// addRecords counts recs into the entry and widens its fences over them,
+// refusing the first record that breaks the rule of a block of m.Rank in a
+// log of numRanks ranks (keepsRule).
+func (m *BlockMeta) addRecords(recs []Record, numRanks int) error {
 	for i := range recs {
 		r := &recs[i]
-		m.add(r.Type, r.Time, r.Rank, r.Aux2)
-	}
-}
-
-// addEncoded is addRecords over records p holds encoded, whole and of the
-// timed types: it reads the fields the fences need where they lie.
-func (m *BlockMeta) addEncoded(p []byte) error {
-	for len(p) > 0 {
-		n := TimedSize(p)
-		if n == 0 {
-			return fmt.Errorf("clog2: an encoded %v record is not timed or is cut short", RecType(p[0]))
+		if !keepsRule(r.Type, r.Rank, r.Aux1, m.Rank, numRanks) {
+			return recordError(r.Type, r.Rank, r.Aux1, m.Rank, numRanks)
 		}
-		var tag int32
-		if RecType(p[0]) == RecMsgEvt {
-			tag = le32(p[18:])
-		}
-		m.add(RecType(p[0]), leF64(p[1:]), le32(p[9:]), tag)
-		p = p[n:]
+		m.add(r.Type, r.Time, r.Aux2)
 	}
 	return nil
 }
 
 // add counts one record of type t into the entry: a definition by its type
-// alone, any other by its time and rank, and a message half by its tag too.
-func (m *BlockMeta) add(t RecType, time float64, rank, tag int32) {
+// alone, any other by its time, and a message half by its tag too.
+func (m *BlockMeta) add(t RecType, time float64, tag int32) {
 	m.Records++
 	if t.IsDef() {
 		m.Defs++
@@ -120,8 +104,6 @@ func (m *BlockMeta) add(t RecType, time float64, rank, tag int32) {
 	if time > m.TMax {
 		m.TMax = time
 	}
-	m.RankMin = min(m.RankMin, rank)
-	m.RankMax = max(m.RankMax, rank)
 	if t == RecMsgEvt {
 		m.Msgs++
 		m.ChanMin = min(m.ChanMin, tag)
@@ -161,7 +143,9 @@ func ScanTable(r io.Reader) (*Table, error) {
 	err = br.Each(func(b Block) error {
 		start, end := br.BlockBounds()
 		m := newBlockMeta(b.Rank, start)
-		m.addRecords(b.Records)
+		if err := m.addRecords(b.Records, t.NumRanks); err != nil {
+			return err
+		}
 		m.Length = end - start
 		t.Blocks = append(t.Blocks, m)
 		t.TotalRecords += int64(m.Records)
@@ -181,7 +165,7 @@ func AppendTable(dst []byte, t *Table) []byte {
 		dst = le.AppendUint64(le.AppendUint64(dst, uint64(b.Offset)), uint64(b.Length))
 		dst = append32(dst, b.Rank, b.Records, b.Defs, b.Msgs)
 		dst = le.AppendUint64(le.AppendUint64(dst, math.Float64bits(b.TMin)), math.Float64bits(b.TMax))
-		dst = append32(dst, b.RankMin, b.RankMax, b.ChanMin, b.ChanMax)
+		dst = append32(dst, b.ChanMin, b.ChanMax)
 	}
 	crc := crc32.ChecksumIEEE(dst[base:])
 	return append(le.AppendUint32(le.AppendUint64(dst, uint64(t.LogSize())), crc), TableMagic...)
@@ -264,7 +248,7 @@ func decodeTable(tab []byte, numRanks int, end int64) (*Table, error) {
 			Offset: int64(binary.LittleEndian.Uint64(e)), Length: int64(binary.LittleEndian.Uint64(e[8:])),
 			Rank: le32(e[16:]), Records: le32(e[20:]), Defs: le32(e[24:]), Msgs: le32(e[28:]),
 			TMin: leF64(e[32:]), TMax: leF64(e[40:]),
-			RankMin: le32(e[48:]), RankMax: le32(e[52:]), ChanMin: le32(e[56:]), ChanMax: le32(e[60:]),
+			ChanMin: le32(e[48:]), ChanMax: le32(e[52:]),
 		}
 		if b.Offset != next || b.Length <= 0 || b.Length > end-next {
 			return nil, fmt.Errorf("%w: block %d spans [%d,+%d), the log's next block starts at %d and its end-log marker is at %d",

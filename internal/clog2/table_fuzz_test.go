@@ -21,10 +21,12 @@ func fuzzSeedLog(f *testing.F) []byte {
 	}
 	for rank := int32(0); rank < 2; rank++ {
 		recs := []Record{
-			{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"},
 			{Type: RecBareEvt, Rank: rank, Time: float64(rank) + 0.5, ID: 2},
 			{Type: RecMsgEvt, Rank: rank, Time: float64(rank) + 0.7,
 				Dir: DirSend, Aux1: 1 - rank, Aux2: 5, Aux3: 64},
+		}
+		if rank == 0 { // definitions sit in rank 0's blocks
+			recs = append([]Record{{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"}}, recs...)
 		}
 		if err := w.WriteBlock(rank, recs); err != nil {
 			f.Fatal(err)
@@ -44,8 +46,14 @@ func fuzzSeedLog(f *testing.F) []byte {
 // is caught by it as corrupt; and, for every log the plain scan reads to
 // its end, that windows derived from the input (infinite bounds, record
 // times, NaN ones among them) are refused by CheckWindow or answered, by
-// the table's selection and by the degraded scan alike, with exactly the
-// records the plain scan keeps under Matches.
+// the degraded scan and by the table's selection alike, with exactly the
+// records the plain scan keeps under Matches. The selection is held to
+// that only when the table is the one ScanTable makes of the log, which
+// clogdump -verify checks: the CRC covers the table, not the blocks, so a
+// record whose time moved outside its entry's fence under a valid table
+// (testdata/fuzz/FuzzReadTable/d9fa0bbb13450dc8, a block of rank 1, which
+// holds no definition for IncludeDefs to select it by) makes Select skip
+// a block no reader of the blocks it selects can see.
 func FuzzReadTable(f *testing.F) {
 	valid := fuzzSeedLog(f)
 	f.Add(valid)
@@ -78,6 +86,7 @@ func FuzzReadTable(f *testing.F) {
 		decoded := err == nil
 
 		var ix *Table
+		truthful := true // ix is the table a scan makes of the log
 		if table, err := ReadTable(bytes.NewReader(data), int64(len(data))); err != nil {
 			if !errors.Is(err, ErrNoTable) {
 				t.Fatalf("ReadTable failed without ErrNoTable: %v", err)
@@ -87,6 +96,9 @@ func FuzzReadTable(f *testing.F) {
 				t.Fatalf("accepted tail does not re-encode identically:\n in  %x\n out %x", data[table.LogSize():], re)
 			}
 			ix = table
+			if own, err := ScanTable(bytes.NewReader(data)); err == nil && !bytes.Equal(AppendTable(nil, own), AppendTable(nil, ix)) {
+				truthful = false
+			}
 			all := make([]int, len(ix.Blocks))
 			for i := range all {
 				all[i] = i
@@ -102,6 +114,9 @@ func FuzzReadTable(f *testing.F) {
 			}
 		}
 		if decoded {
+			if !truthful {
+				ix = nil
+			}
 			fuzzWindows(t, data, ix, plain)
 		}
 	})

@@ -15,8 +15,10 @@ import (
 // index SLOG-2 keeps on the render side.
 //
 // The table is strictly an accelerator: whenever the full scan of a log
-// succeeds, every answer computed through the table is identical to the
-// full scan's, and Walk degrades to the full scan when a log has no table
+// succeeds and the table is the one ScanTable makes of it (a fence that
+// lies under a valid CRC drops records unseen: `clogdump -verify` finds
+// it), every answer computed through the table is identical to the full
+// scan's, and Walk degrades to the full scan when a log has no table
 // (an older writer, a cut), when the table fails validation, or when it
 // lies about a block it selected. A query reads only the blocks it
 // selects, so damage in a block it does not select cannot reach its
@@ -88,7 +90,7 @@ func blockMatches(b *BlockMeta, q Query) bool {
 	if b.TMax < q.T0 || b.TMin > q.T1 {
 		return false
 	}
-	if q.Rank >= 0 && (q.Rank < b.RankMin || q.Rank > b.RankMax) {
+	if q.Rank >= 0 && q.Rank != b.Rank {
 		return false
 	}
 	if q.Chan >= 0 {

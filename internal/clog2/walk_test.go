@@ -139,7 +139,7 @@ func writeLongLog(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteCut(NewCut(0, MaxBlockRecords, long)); err != nil {
+	if err := w.WriteCut(NewCut(0, 2, MaxBlockRecords, long)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WriteBlock(1, []Record{{Type: RecBareEvt, Rank: 1, Time: 0.5, ID: 7}}); err != nil {
@@ -520,7 +520,7 @@ func TestLoadRejectsBlockTablePastEOF(t *testing.T) {
 	path := writeLog(t)
 	data := readFile(t, path)
 	at := int(mustLoad(t, path).LogSize())
-	last := at + 12 + 7*64 // the eighth entry's offset field
+	last := at + 12 + 7*tableEntrySize // the eighth entry's offset field
 	binary.LittleEndian.PutUint64(data[last+8:], binary.LittleEndian.Uint64(data[last+8:])+1<<20)
 	writeFile(t, path, restamp(data))
 	if _, err := LoadTable(path); !errors.Is(err, ErrNoTable) {
@@ -607,11 +607,27 @@ func TestWalk(t *testing.T) {
 		}, false, 1},
 		{"ok", func(*testing.T, string, *Table, []int) {}, true, 1},
 		// The blocks were rewritten after the table was: the last block the
-		// query selects now names rank 0 in its header, which ReadTable
+		// query selects is now rank 0's, header and records, which ReadTable
 		// cannot see and scan finds after the earlier blocks.
 		{"stale", func(t *testing.T, path string, ix *Table, sel []int) {
 			data := readFile(t, path)
-			binary.LittleEndian.PutUint32(data[ix.Blocks[sel[len(sel)-1]].Offset+1:], 0) // behind the block-start marker
+			m := ix.Blocks[sel[len(sel)-1]]
+			br, err := NewBlockReaderAt(bytes.NewReader(data), m.Offset, ix.NumRanks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := br.NextReuse(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range b.Records {
+				b.Records[i].Rank = 0
+			}
+			enc, err := AppendBlock(nil, 0, b.Records)
+			if err != nil || int64(len(enc)) != m.Length {
+				t.Fatalf("rank 0's copy of the block: %d bytes, %v", len(enc), err)
+			}
+			copy(data[m.Offset:], enc)
 			writeFile(t, path, data)
 		}, false, 2},
 		{"corrupt", func(t *testing.T, path string, ix *Table, _ []int) {
@@ -620,7 +636,7 @@ func TestWalk(t *testing.T) {
 		// A table of another version under a valid CRC.
 		{"previous version", func(t *testing.T, path string, _ *Table, _ []int) {
 			data := readFile(t, path)
-			copy(data[len(data)-len(TableMagic):], "CLOGTAB-00")
+			copy(data[len(data)-len(TableMagic):], "CLOGTAB-01")
 			writeFile(t, path, data)
 		}, false, 1},
 		// Valid CRC, valid sums, but the last block the query selects

@@ -334,7 +334,7 @@ func TestFinishRejectsHostilePayloads(t *testing.T) {
 	}{
 		{"truncated mid-record", whole(func(p []byte) []byte { return p[:len(p)-30] }), "cut short by the end at"},
 		{"end message cut short", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n)[:7] }, "an end message of 7 bytes, not a record count"},
-		{"a record of another rank", whole(func(p []byte) []byte { p[9] = 1; return p }), "record at byte 0 is of rank 1, not 2"},
+		{"a record of another rank", whole(func(p []byte) []byte { p[9] = 1; return p }), "a CargoEvt record of rank 1 in a block of rank 2 (at byte 0)"},
 		{"count one too many", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n + 1) }, "it counts 11 records, its pages hold 10"},
 		{"count one too few", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n - 1) }, "it counts 9 records, its pages hold 10"},
 		{"a marker after the records", whole(func(p []byte) []byte { return append(p, byte(clog2.RecEndBlock)) }), "marker EndBlock at byte"},
@@ -363,7 +363,17 @@ func TestFinishRefusesARecordOfAnotherRank(t *testing.T) {
 	refusedMerge(t, "another rank", false, func(p []byte, n int) ([][]byte, []byte) {
 		binary.LittleEndian.PutUint32(p[9:], 0)
 		return [][]byte{p}, endCount(n)
-	}, "clog2: record at byte 0 is of rank 0, not 2")
+	}, "clog2: a CargoEvt record of rank 0 in a block of rank 2 (at byte 0)")
+}
+
+// A message half naming a peer outside the world is refused before a
+// block of its rank is written, as the Writer and every reader would
+// refuse its block.
+func TestFinishRefusesAPeerOutsideTheWorld(t *testing.T) {
+	refusedMerge(t, "peer outside", false, func(p []byte, n int) ([][]byte, []byte) {
+		msg, _ := clog2.AppendRecord(nil, &clog2.Record{Type: clog2.RecMsgEvt, Time: 1, Rank: 2, Dir: clog2.DirSend, Aux1: 3, Aux2: 1, Aux3: 8})
+		return [][]byte{append(p, msg...)}, endCount(n + 1)
+	}, fmt.Sprintf("clog2: a message half of rank 2 names peer rank 3, outside [0,3) (at byte %d)", pageLen10()))
 }
 
 func TestFinishRefusesARecordCutAtThePageEnd(t *testing.T) {

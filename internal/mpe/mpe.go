@@ -406,7 +406,7 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cut := clog2.NewCut(0, blockRecords, l.g.defRecords())
+	cut := clog2.NewCut(0, l.rank.Size(), blockRecords, l.g.defRecords())
 	for i := 0; i < len(l.pages) && err == nil; i++ {
 		err = cut.Add(l.pages[i])
 	}
@@ -435,8 +435,8 @@ func (l *Logger) FinishIndexed(w io.Writer) (*clog2.Table, error) {
 // run (clog2.Table.Select), well inside clog2.MaxBlockRecords. A rank of
 // the thumbnail demo logs about 4 500 records: at 512 it is nine
 // blocks and a 1 % window visits about one a rank, where one block a rank
-// had every window visit them all (idx.visited_ratio 1.0). A block costs 74
-// bytes (header, end marker, table entry), 0.5 % of 512 records.
+// had every window visit them all (idx.visited_ratio 1.0). A block costs 66
+// bytes (header, end marker, table entry), 0.4 % of 512 records.
 const blockRecords = 512
 
 // collect writes rank src's log, its pages up to the end message, which
@@ -444,7 +444,7 @@ const blockRecords = 512
 // log refused leaves nothing of itself in the merged file. The pages are
 // held in rank 0's emptied l.pages, for release to pool them.
 func (l *Logger) collect(cw *clog2.Writer, src int) error {
-	cut := clog2.NewCut(int32(src), blockRecords, nil)
+	cut := clog2.NewCut(int32(src), l.rank.Size(), blockRecords, nil)
 	for {
 		m, err := l.rank.RecvCtx(mpi.CtxLog, src, mpi.AnyTag)
 		if err != nil {

@@ -238,8 +238,8 @@ func salvageFragment(rank int, path string, data []byte) ([]clog2.Record, RankSa
 		if int64(seg.Seq) > maxSeq {
 			maxSeq = int64(seg.Seq)
 		}
-		block, err := clog2.DecodeBlockPayload(seg.Payload)
-		if err != nil || int(seg.Rank) != rank || int(block.Rank) != rank {
+		block, err := clog2.DecodeBlockPayload(seg.Payload, int32(rank))
+		if err != nil || int(seg.Rank) != rank {
 			rs.SegmentsSkipped++
 			continue
 		}
@@ -341,7 +341,7 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 	rep := &SalvageReport{Prefix: prefix}
 
 	perRank := map[int][]clog2.Record{}
-	maxRank := -1
+	maxRank := -1 // the highest rank a fragment or a message half names: the header covers it
 	for _, frag := range FindSpillFragments(prefix) {
 		if frag.Rank >= clog2.MaxRanks {
 			rep.Ranks = append(rep.Ranks, RankSalvage{Rank: frag.Rank, Path: frag.Path, Note: "skipped: past the ranks a log holds"})
@@ -364,8 +364,11 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 		}
 		if len(recs) > 0 {
 			perRank[frag.Rank] = recs
-			if frag.Rank > maxRank {
-				maxRank = frag.Rank
+			maxRank = max(maxRank, frag.Rank)
+			for i := range recs {
+				if recs[i].Type == clog2.RecMsgEvt {
+					maxRank = max(maxRank, int(recs[i].Aux1))
+				}
 			}
 		}
 	}
@@ -384,20 +387,12 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 			fmt.Sprintf("definitions synthesized from observed etypes (%d defs); state and event names were lost with the defs spill", len(defs)))
 	}
 
-	numRanks := defsRanks
-	if maxRank+1 > numRanks {
-		numRanks = maxRank + 1
-	}
-	if numRanks < 1 {
-		numRanks = 1
-	}
-	rep.NumRanks = numRanks
-
-	w, err := clog2.NewWriter(out, numRanks)
+	rep.NumRanks = max(defsRanks, maxRank+1, 1)
+	w, err := clog2.NewWriter(out, rep.NumRanks)
 	if err != nil {
 		return rep, err
 	}
-	if err := w.WriteCut(clog2.NewCut(0, blockRecords, defs)); err != nil {
+	if err := w.WriteCut(clog2.NewCut(0, rep.NumRanks, blockRecords, defs)); err != nil {
 		return rep, err
 	}
 	ranks := make([]int, 0, len(perRank))
@@ -412,7 +407,7 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 		// original sequence and cannot desync state pairing), and cut into
 		// blocks as Finish cuts a rank's log.
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-		if err := w.WriteCut(clog2.NewCut(int32(rank), blockRecords, recs)); err != nil {
+		if err := w.WriteCut(clog2.NewCut(int32(rank), rep.NumRanks, blockRecords, recs)); err != nil {
 			return rep, err
 		}
 		rep.RanksRecovered++

@@ -398,10 +398,10 @@ func TestSalvageSkipsAFragmentPastMaxRanks(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run.clog2")
 	abortedRun(t, prefix)
 	const rank = 2_000_000
-	frame, err := clog2.AppendBlock(make([]byte, clog2.SegHeaderSize), rank, []clog2.Record{{Type: clog2.RecBareEvt, Time: 1, Rank: rank, ID: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// AppendBlock refuses the rank, so the frame is built by hand.
+	frame := clog2.AppendBlockHeader(make([]byte, clog2.SegHeaderSize), rank, 1)
+	frame, _ = clog2.AppendRecord(frame, &clog2.Record{Type: clog2.RecBareEvt, Time: 1, Rank: rank, ID: 2})
+	frame = append(frame, byte(clog2.RecEndBlock))
 	clog2.FinalizeSegmentHeader(frame, rank, 0)
 	if err := os.WriteFile(fmt.Sprintf("%s.rank%d.spill", prefix, rank), frame, 0o644); err != nil {
 		t.Fatal(err)

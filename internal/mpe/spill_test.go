@@ -22,7 +22,7 @@ func readV2Fragment(t testing.TB, path string) []clog2.Record {
 	segs, _ := clog2.ScanSegments(data)
 	var recs []clog2.Record
 	for _, s := range segs {
-		b, err := clog2.DecodeBlockPayload(s.Payload)
+		b, err := clog2.DecodeBlockPayload(s.Payload, s.Rank)
 		if err != nil {
 			t.Fatalf("segment seq=%d undecodable: %v", s.Seq, err)
 		}

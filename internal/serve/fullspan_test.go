@@ -55,7 +55,7 @@ func convertRanks(tb testing.TB, recs [][]clog2.Record) *slog2.File {
 	w, err := clog2.NewWriter(&log, len(recs))
 	for rank, rs := range recs {
 		if err == nil {
-			err = w.WriteCut(clog2.NewCut(int32(rank), clog2.MaxBlockRecords, rs))
+			err = w.WriteCut(clog2.NewCut(int32(rank), len(recs), clog2.MaxBlockRecords, rs))
 		}
 	}
 	if err == nil {

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/clog2"
 	"repro/internal/slog2"
+	"repro/vis"
 )
 
 // Errors the HTTP layer maps onto status codes.
@@ -112,17 +113,6 @@ type TraceInfo struct {
 	Index string `json:"index,omitempty"`
 }
 
-// validID rejects ids that could traverse outside the repository dir.
-func validID(id string) bool {
-	if id == "" || len(id) > 255 {
-		return false
-	}
-	if strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
-		return false
-	}
-	return id[0] != '.'
-}
-
 // List enumerates the repository's traces by scanning the directory;
 // nothing is decoded.
 func (r *Repo) List() ([]TraceInfo, error) {
@@ -137,7 +127,7 @@ func (r *Repo) List() ([]TraceInfo, error) {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".slog2")
-		if !validID(id) {
+		if !vis.ValidTraceID(id) {
 			continue
 		}
 		info, err := e.Info()
@@ -158,11 +148,11 @@ func (r *Repo) List() ([]TraceInfo, error) {
 }
 
 // IndexStatus is the state of the block table of id's registered raw
-// CLOG-2, validated as every reader does (clog2.LoadTable: about 64 bytes
+// CLOG-2, validated as every reader does (clog2.LoadTable: about 56 bytes
 // a block): "ok" when it validates, "degraded" when every query of the log
 // is answered by the full scan, and "" when id has no raw log.
 func (r *Repo) IndexStatus(id string) string {
-	if !validID(id) {
+	if !vis.ValidTraceID(id) {
 		return ""
 	}
 	switch _, err := clog2.LoadTable(filepath.Join(r.dir, id+".clog2")); {
@@ -179,7 +169,7 @@ func (r *Repo) IndexStatus(id string) string {
 // so a rewritten file is computed again. ErrBadID for an id that could
 // escape the repository; ErrNotFound when there is no such file.
 func (r *Repo) stat(id, ext string) (path, gen string, size int64, err error) {
-	if !validID(id) {
+	if !vis.ValidTraceID(id) {
 		return "", "", 0, ErrBadID
 	}
 	path = filepath.Join(r.dir, id+ext)

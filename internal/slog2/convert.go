@@ -54,10 +54,7 @@ type Report struct {
 	UnmatchedSends int
 	UnmatchedRecvs int
 	NestingErrors  int // mismatched state start/end pairs
-	// OutOfRange counts records and message halves dropped because their
-	// rank, or their peer's, lies outside [0, NumRanks).
-	OutOfRange int
-	Warnings   []string
+	Warnings       []string
 }
 
 func (r *Report) warnf(format string, args ...any) {
@@ -99,9 +96,6 @@ type rankLog struct {
 	// piece is cargoOff/textPiece.
 	texts []string
 	text  strings.Builder
-	// badPeers counts, by peer, the rank's message halves whose peer lies
-	// outside [0, numRanks).
-	badPeers map[int]int
 }
 
 // add appends tr with its cargo, starting a chunk when the last one is
@@ -169,30 +163,25 @@ type partition struct {
 	eventDefs []clog2.Record
 	perRank   map[int]*rankLog
 	msgs      clog2.Messages
-	// dropped counts, by rank, the records whose rank lies outside
-	// [0, numRanks): ReadFile rejects a drawable on such a rank.
-	dropped map[int]int
 	// nonFinite counts, by rank, the records stamped NaN or ±Inf, which
 	// the fold skips too.
 	nonFinite map[int]int
 }
 
 func newPartition(numRanks int) *partition {
-	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}}
-}
-
-func count(m *map[int]int, rank int32) {
-	if *m == nil {
-		*m = map[int]int{}
-	}
-	(*m)[int(rank)]++
+	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}, nonFinite: map[int]int{}}
 }
 
 // addBlock copies what the conversion needs out of b, whose records the
-// caller is free to overwrite afterwards.
+// caller is free to overwrite afterwards. The reader has held b to the rule
+// of a block (clog2.Block): every record is of b's rank, and every message
+// half's peer is a rank of the log.
 func (p *partition) addBlock(b *clog2.Block) error {
-	var rl *rankLog // the log of rank cur; blocks rarely mix ranks
-	cur := int32(-1)
+	rl := p.perRank[int(b.Rank)]
+	if rl == nil {
+		rl = &rankLog{}
+		p.perRank[int(b.Rank)] = rl
+	}
 	for i := range b.Records {
 		rec := &b.Records[i]
 		switch {
@@ -205,30 +194,18 @@ func (p *partition) addBlock(b *clog2.Block) error {
 			continue
 		case rec.Type == clog2.RecConstDef || rec.Type == clog2.RecTimeShift || rec.Type == clog2.RecSrcLoc:
 			continue
-		case rec.Rank < 0 || int(rec.Rank) >= p.numRanks:
-			count(&p.dropped, rec.Rank)
-			continue
 		case math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0):
-			count(&p.nonFinite, rec.Rank)
+			p.nonFinite[int(b.Rank)]++
 			continue
 		}
-		if rl == nil || rec.Rank != cur {
-			cur = rec.Rank
-			if rl = p.perRank[int(cur)]; rl == nil {
-				rl = &rankLog{}
-				p.perRank[int(cur)] = rl
-			}
-		}
-		switch {
-		case rec.Type == clog2.RecMsgEvt && (rec.Aux1 < 0 || int(rec.Aux1) >= p.numRanks):
-			count(&rl.badPeers, rec.Aux1)
-		case rec.Type == clog2.RecMsgEvt:
+		switch rec.Type {
+		case clog2.RecMsgEvt:
 			p.msgs.Add(rec.Rank, rec.Aux1, rec.Aux2, rec.Dir, clog2.MsgHalf{Time: rec.Time, Size: rec.Aux3})
-		case rec.Type == clog2.RecBareEvt || rec.Type == clog2.RecCargoEvt:
+		case clog2.RecBareEvt, clog2.RecCargoEvt:
 			tr := timed{t: rec.Time}
 			tr.kind, tr.id = p.etypes.Classify(rec.ID)
 			if !rl.add(tr, rec.CargoBytes()) {
-				return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", cur)
+				return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", b.Rank)
 			}
 		}
 	}
@@ -255,7 +232,6 @@ func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 type rankResult struct {
 	states, events int
 	nesting        int
-	badPeers       int // message halves dropped for a peer outside [0, numRanks)
 	warnings       []string
 }
 
@@ -299,7 +275,7 @@ func orderByTime(chunks [][]timed) [][]timed {
 // states and events, which have room for the rank's every end and solo
 // event. stateCat/eventCat are read-only shared tables, so many pairRank
 // calls may run concurrently on disjoint states and events.
-func pairRank(rank, numRanks int, rl *rankLog, stateCat, eventCat map[int32]int, states []State, events []Event) *rankResult {
+func pairRank(rank int, rl *rankLog, stateCat, eventCat map[int32]int, states []State, events []Event) *rankResult {
 	// Ties on time resolve to original record sequence, so a state-end and
 	// the next state-start logged at an identical (coarse-resolution)
 	// timestamp can never reorder and desynchronize the pairing stack. A
@@ -362,10 +338,6 @@ func pairRank(rank, numRanks int, rl *rankLog, stateCat, eventCat map[int32]int,
 		rr.nesting++
 		rr.warnf("rank %d: state %d opened at %v never closed", rank, o.ID, o.Start)
 	}
-	for _, peer := range sortedKeys(rl.badPeers) {
-		rr.badPeers += rl.badPeers[peer]
-		rr.warnf("rank %d: %d message half(s) dropped, peer rank %d outside [0,%d)", rank, rl.badPeers[peer], peer, numRanks)
-	}
 	return rr
 }
 
@@ -406,10 +378,6 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindEvent})
 	}
 
-	for _, rank := range sortedKeys(p.dropped) {
-		rep.OutOfRange += p.dropped[rank]
-		rep.warnf("rank %d: %d record(s) dropped, rank outside [0,%d)", rank, p.dropped[rank], p.numRanks)
-	}
 	for _, rank := range sortedKeys(p.nonFinite) {
 		rep.warnf("rank %d: %d record(s) dropped, timestamp not finite", rank, p.nonFinite[rank])
 	}
@@ -445,7 +413,7 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 					return
 				}
 				rank := ranks[i]
-				results[i] = pairRank(rank, p.numRanks, p.perRank[rank], stateCat, eventCat,
+				results[i] = pairRank(rank, p.perRank[rank], stateCat, eventCat,
 					states[stateAt[i]:stateAt[i+1]], events[eventAt[i]:eventAt[i+1]])
 			}
 		}()
@@ -462,7 +430,6 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 		nStates += rr.states
 		nEvents += rr.events
 		rep.NestingErrors += rr.nesting
-		rep.OutOfRange += rr.badPeers
 		rep.Warnings = append(rep.Warnings, rr.warnings...)
 	}
 	clear(states[nStates:])

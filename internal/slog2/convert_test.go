@@ -3,6 +3,7 @@ package slog2
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -555,63 +556,50 @@ func TestOrderByTimeMatchesSortSliceReference(t *testing.T) {
 }
 
 // A record on a rank the header does not declare, or a message half whose
-// peer is no such rank, used to convert silently into a file slog2.Read
-// rejects. They are dropped, warned about once per offending rank and
-// counted; what is in range survives, and the file reads back.
-func TestConvertDropsOutOfRangeRanks(t *testing.T) {
-	b := newCLOG(2)
-	b.defState(1, "PI_Write", "green")
-	b.defEvent(1, "MsgArrival", "yellow")
-	b.state(0, 1, 1.0, 1.2, "line: 10")
-	b.state(1, 1, 1.1, 1.4, "line: 11")
-	b.event(1, 1, 1.3, "ev")
-	b.send(0, 1, 5, 1.05, 8)
-	b.recv(1, 0, 5, 1.15, 8)
-	b.state(7, 1, 2.0, 2.5, "nobody's") // two records on rank 7
-	b.blocks[1] = append(b.blocks[1], b.blocks[7]...)
-	delete(b.blocks, 7)
-	b.send(0, -5, 5, 1.5, 8) // a send to peer -5
-	b.recv(1, 9, 5, 1.6, 8)  // a receive from peer 9
-	b.recv(1, 9, 6, 1.7, 8)
-	data := b.log(t)
-
-	var ref []byte
-	for _, workers := range []int{1, 4} {
-		f, rep, err := ConvertReader(bytes.NewReader(data), ConvertOptions{Workers: workers})
+// peer is no such rank, used to convert with a warning into a file that
+// had dropped it, while the fold under the profile kept it. No writer
+// writes such a log: the Writer refuses the block by name, and the reader
+// refuses the same block built byte by byte, so the conversion fails,
+// naming it, at every worker count.
+func TestConvertRefusesOutOfRangeRanks(t *testing.T) {
+	good := newCLOG(2)
+	good.defState(1, "PI_Write", "green")
+	good.state(0, 1, 1.0, 1.2, "line: 10")
+	good.state(1, 1, 1.1, 1.4, "line: 11")
+	bare := clog2.Record{Type: clog2.RecBareEvt, Time: 2, Rank: 7, ID: 2}
+	msg := func(rank, peer int32) clog2.Record {
+		return clog2.Record{Type: clog2.RecMsgEvt, Time: 1.5, Rank: rank, Dir: clog2.DirSend, Aux1: peer, Aux2: 5, Aux3: 8}
+	}
+	for _, c := range []struct {
+		rank int32
+		rec  clog2.Record
+		want string
+	}{
+		{7, bare, "clog2: a block of rank 7 in a log of 2 ranks"},
+		{1, bare, "clog2: a BareEvt record of rank 7 in a block of rank 1"},
+		{0, msg(0, -5), "clog2: a message half of rank 0 names peer rank -5, outside [0,2)"},
+		{1, msg(1, 9), "clog2: a message half of rank 1 names peer rank 9, outside [0,2)"},
+	} {
+		w, err := clog2.NewWriter(io.Discard, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.OutOfRange != 5 || rep.States != 2 || rep.Events != 1 || rep.Arrows != 1 ||
-			rep.UnmatchedSends != 0 || rep.UnmatchedRecvs != 0 {
-			t.Fatalf("report %+v", rep)
+		if err := w.WriteBlock(c.rank, []clog2.Record{c.rec}); err == nil || err.Error() != c.want {
+			t.Errorf("WriteBlock(%d, %+v): %v, want %s", c.rank, c.rec, err, c.want)
 		}
-		var dropped []string
-		for _, w := range rep.Warnings {
-			if strings.Contains(w, "dropped") {
-				dropped = append(dropped, w)
-			}
-		}
-		want := []string{
-			"rank 7: 2 record(s) dropped, rank outside [0,2)",
-			"rank 0: 1 message half(s) dropped, peer rank -5 outside [0,2)",
-			"rank 1: 2 message half(s) dropped, peer rank 9 outside [0,2)",
-		}
-		if strings.Join(dropped, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("warnings:\n%s", strings.Join(dropped, "\n"))
-		}
-		out := encodeSLOG(t, f)
-		back, err := Read(bytes.NewReader(out))
+		// The good log with the block appended before its end-log marker.
+		data := good.log(t)
+		tab, err := clog2.ReadTable(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
-			t.Fatalf("converted file does not read back: %v", err)
+			t.Fatal(err)
 		}
-		states, arrows, events := back.All()
-		if len(states) != 2 || len(arrows) != 1 || len(events) != 1 {
-			t.Fatalf("read back %d states, %d arrows, %d events", len(states), len(arrows), len(events))
-		}
-		if ref == nil {
-			ref = out
-		} else if !bytes.Equal(out, ref) {
-			t.Fatalf("workers %d: bytes differ from the sequential conversion", workers)
+		raw := clog2.AppendBlockHeader(slices.Clone(data[:tab.LogSize()-1]), c.rank, 1)
+		raw, _ = clog2.AppendRecord(raw, &c.rec)
+		raw = append(raw, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
+		for _, workers := range []int{1, 4} {
+			if _, _, err := ConvertReader(bytes.NewReader(raw), ConvertOptions{Workers: workers}); err == nil || err.Error() != c.want {
+				t.Errorf("workers %d: converting a block of rank %d holding %+v: %v, want %s", workers, c.rank, c.rec, err, c.want)
+			}
 		}
 	}
 }

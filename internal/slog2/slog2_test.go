@@ -77,7 +77,7 @@ func (b *clogBuilder) log(t testing.TB) []byte {
 	}
 	for r := int32(0); r < int32(b.nranks) && err == nil; r++ {
 		if recs, ok := b.blocks[r]; ok {
-			err = w.WriteCut(clog2.NewCut(r, clog2.MaxBlockRecords, recs))
+			err = w.WriteCut(clog2.NewCut(r, b.nranks, clog2.MaxBlockRecords, recs))
 		}
 	}
 	if err == nil {

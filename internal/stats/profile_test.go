@@ -21,7 +21,7 @@ func writeTestLog(t *testing.T, numRanks int, blocks map[int32][]clog2.Record) [
 	}
 	for rank := int32(0); rank < int32(numRanks); rank++ {
 		if recs := blocks[rank]; len(recs) > 0 {
-			if err := w.WriteCut(clog2.NewCut(rank, clog2.MaxBlockRecords, recs)); err != nil {
+			if err := w.WriteCut(clog2.NewCut(rank, numRanks, clog2.MaxBlockRecords, recs)); err != nil {
 				t.Fatal(err)
 			}
 		}

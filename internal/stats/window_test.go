@@ -2,12 +2,13 @@ package stats
 
 import (
 	"bytes"
-	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/clog2"
@@ -146,10 +147,28 @@ func TestWindowedDegradation(t *testing.T) {
 	}{
 		// What a writer before tables left: the log and nothing behind it.
 		{"missing", func(data []byte, table *clog2.Table) []byte { return data[:table.LogSize()] }},
-		// The blocks were rewritten after the table was: the definitions'
-		// block, which every window reads, now names rank 1 in its header.
+		// The blocks were rewritten after the table was: rank 1's first
+		// block, which the window reads, is now rank 0's, header and
+		// records.
 		{"stale", func(data []byte, table *clog2.Table) []byte {
-			binary.LittleEndian.PutUint32(data[table.Blocks[0].Offset+1:], 1) // rank 1, behind the block-start marker
+			i := slices.IndexFunc(table.Blocks, func(m clog2.BlockMeta) bool { return m.Rank == 1 })
+			m := table.Blocks[i]
+			br, err := clog2.NewBlockReaderAt(bytes.NewReader(data), m.Offset, table.NumRanks)
+			if err != nil {
+				panic(err)
+			}
+			b, err := br.NextReuse(nil)
+			if err != nil {
+				panic(err)
+			}
+			for i := range b.Records {
+				b.Records[i].Rank = 0
+			}
+			enc, err := clog2.AppendBlock(nil, 0, b.Records)
+			if err != nil || int64(len(enc)) != m.Length {
+				panic(fmt.Sprintf("rank 0's copy of the block: %d bytes, %v", len(enc), err))
+			}
+			copy(data[m.Offset:], enc)
 			return data
 		}},
 		{"corrupt", func(data []byte, table *clog2.Table) []byte {
@@ -161,7 +180,7 @@ func TestWindowedDegradation(t *testing.T) {
 		}},
 		// A table of another version under a valid CRC.
 		{"previous version", func(data []byte, _ *clog2.Table) []byte {
-			copy(data[len(data)-len(clog2.TableMagic):], "CLOGTAB-00")
+			copy(data[len(data)-len(clog2.TableMagic):], "CLOGTAB-01")
 			return data
 		}},
 		// A table that lies about the file under a valid CRC: ReadTable

@@ -131,10 +131,10 @@ func ProfilePath(slogPath string) string {
 // repoDir/<id>.profile.json (the bytes pilot-profile -json prints, which
 // the service never reads). A log that does not convert registers
 // nothing, and a failed copy fails the registration before the .slog2 is
-// written, so every trace registered here can answer its profile. The id
-// must be a valid pilot-serve trace id (no separators, no leading dot).
+// written, so every trace registered here can answer its profile. An id
+// ValidTraceID refuses is refused before the log is read.
 func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *Report, *Profile, error) {
-	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") || id[0] == '.' {
+	if !ValidTraceID(id) {
 		return nil, nil, nil, fmt.Errorf("vis: invalid repository trace id %q", id)
 	}
 	info, err := os.Stat(repoDir)
@@ -163,6 +163,15 @@ func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *
 		return nil, nil, nil, fmt.Errorf("vis: writing profile: %w", err)
 	}
 	return f, rep, p, nil
+}
+
+// ValidTraceID is the one rule for a trace id, which names the files of a
+// trace in a pilot-serve repository (<id>.slog2, <id>.clog2): 1 to 255
+// bytes, no path separator, no "..", no leading dot, so that no id reaches
+// outside the repository directory. PipelineToRepo registers and the
+// service answers only the ids it accepts.
+func ValidTraceID(id string) bool {
+	return id != "" && len(id) <= 255 && !strings.ContainsAny(id, "/\\") && !strings.Contains(id, "..") && id[0] != '.'
 }
 
 // registerRawLog copies the raw CLOG-2 to dst through a temporary file

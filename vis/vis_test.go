@@ -191,61 +191,78 @@ func TestPipelineToRepo(t *testing.T) {
 }
 
 // A log with a state pair on a rank its header does not declare, and a
-// send to a negative peer, used to register a trace pilot-serve answered
-// 422 for: the converter wrote drawables its own reader rejects. They are
-// dropped with a warning, and the registered trace serves its tile.
-func TestPipelineToRepoOutOfRangeRankServes(t *testing.T) {
-	clog := filepath.Join(t.TempDir(), "stray.clog2")
-	fh, err := os.Create(clog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := clog2.NewWriter(fh, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+// send to a negative peer, used to register a trace whose timeline had
+// dropped both with a warning while its profile counted them. No writer
+// writes such a log: the Writer refuses each block by name, and a log built
+// byte by byte around them is refused by the reader, so PipelineToRepo
+// fails naming the block and registers nothing.
+func TestPipelineToRepoRefusesOutOfRangeRanks(t *testing.T) {
 	evt := func(rank int32, time float64, etype int32) clog2.Record {
 		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: time, ID: etype}
 	}
-	for _, blk := range [][]clog2.Record{
-		{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}},
-		{evt(0, 1, 2), evt(0, 2, 3),
-			{Type: clog2.RecMsgEvt, Rank: 0, Time: 1.5, Dir: clog2.DirSend, Aux1: -5, Aux2: 1, Aux3: 8}},
-		{evt(1, 1, 2), evt(1, 3, 3), evt(7, 1, 2), evt(7, 2, 3)},
+	send := clog2.Record{Type: clog2.RecMsgEvt, Rank: 0, Time: 1.5, Dir: clog2.DirSend, Aux1: -5, Aux2: 1, Aux3: 8}
+	for _, c := range []struct {
+		rank int32
+		recs []clog2.Record
+		want string
+	}{
+		{0, []clog2.Record{evt(0, 1, 2), evt(0, 2, 3), send}, "clog2: a message half of rank 0 names peer rank -5, outside [0,2)"},
+		{7, []clog2.Record{evt(7, 1, 2), evt(7, 2, 3)}, "clog2: a block of rank 7 in a log of 2 ranks"},
 	} {
-		if err := w.WriteBlock(blk[0].Rank, blk); err != nil {
+		w, err := clog2.NewWriter(io.Discard, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := w.WriteBlock(c.rank, c.recs); err == nil || err.Error() != c.want {
+			t.Errorf("WriteBlock(%d): %v, want %s", c.rank, err, c.want)
+		}
+		log := clog2.AppendHeader(nil, 2)
+		for _, blk := range []struct {
+			rank int32
+			recs []clog2.Record
+		}{
+			{0, []clog2.Record{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}}},
+			{1, []clog2.Record{evt(1, 1, 2), evt(1, 3, 3)}},
+			{c.rank, c.recs},
+		} {
+			log = clog2.AppendBlockHeader(log, blk.rank, len(blk.recs))
+			for i := range blk.recs {
+				log, _ = clog2.AppendRecord(log, &blk.recs[i])
+			}
+			log = append(log, byte(clog2.RecEndBlock))
+		}
+		clog := filepath.Join(t.TempDir(), "stray.clog2")
+		if err := os.WriteFile(clog, append(log, byte(clog2.RecEndLog)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		repoDir := t.TempDir()
+		if _, _, _, err := vis.PipelineToRepo(clog, repoDir, "stray", vis.ConvertOptions{}); err == nil || err.Error() != c.want {
+			t.Errorf("PipelineToRepo of a block of rank %d: %v, want %s", c.rank, err, c.want)
+		}
+		if ents, err := os.ReadDir(repoDir); err != nil || len(ents) != 0 {
+			t.Errorf("the repository holds %v after a refused registration (%v)", ents, err)
+		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// A trace id is held to the one rule pilot-serve holds it to
+// (vis.ValidTraceID) before the log is read: a 256-byte id used to pass
+// PipelineToRepo's own check, convert the whole log and fail only at the
+// file system's name limit.
+func TestPipelineToRepoRefusesALongIDFirst(t *testing.T) {
 	repoDir := t.TempDir()
-	_, rep, _, err := vis.PipelineToRepo(clog, repoDir, "stray", vis.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
+	missing := filepath.Join(t.TempDir(), "never-read.clog2")
+	for _, id := range []string{strings.Repeat("x", 256), "", "a/b", `a\b`, "..", ".hidden"} {
+		if vis.ValidTraceID(id) {
+			t.Errorf("ValidTraceID(%.20q) holds", id)
+		}
+		_, _, _, err := vis.PipelineToRepo(missing, repoDir, id, vis.ConvertOptions{})
+		if err == nil || !strings.HasPrefix(err.Error(), "vis: invalid repository trace id") {
+			t.Errorf("id of %d bytes: %v, want the id refused before the log is opened", len(id), err)
+		}
 	}
-	if rep.States != 2 || rep.OutOfRange != 3 {
-		t.Fatalf("report %+v", rep)
-	}
-	s, err := serve.New(serve.Config{RepoDir: repoDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/trace/stray/tile?t0=0&t1=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || bytes.Count(body, []byte(`"rank":`)) != 2 {
-		t.Fatalf("tile of the registered trace: status %d, body %.200q", resp.StatusCode, body)
+	if !vis.ValidTraceID(strings.Repeat("x", 255)) {
+		t.Error("a 255-byte id refused")
 	}
 }
 
