@@ -156,11 +156,13 @@ func dump(w, warn io.Writer, path string, q clog2.Query, match func(*clog2.Recor
 
 // torn is the one rule for a log that cannot be read to its end-log marker
 // (err, from clog2's Each): when its block table validates the log is
-// corrupt, and err stands; without one it is torn, a spill fragment from an
-// aborted run, and its complete blocks stand, with a warning to warn that
-// says what is shown of them.
+// corrupt, and err stands; without one, a log cut short is torn, a spill
+// fragment from an aborted run, and its complete blocks stand, with a
+// warning to warn that says what is shown of them. A log refused for what
+// it holds (a block that breaks the rule of a block) is not torn: err
+// stands.
 func torn(warn io.Writer, err error, hasTable bool, shown string) error {
-	if err == nil || hasTable {
+	if err == nil || hasTable || !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return err
 	}
 	fmt.Fprintln(warn, "warning: file is torn (no end-log marker); "+shown)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -344,6 +345,51 @@ func TestVerify(t *testing.T) {
 		var out, errOut bytes.Buffer
 		if code := run(append(append([]string{"-verify"}, filter...), golden("lab2")), &out, &errOut); code != 2 || out.Len() != 0 {
 			t.Errorf("clogdump -verify %v: exit %d, stdout %q; want 2, nothing", filter, code, out.String())
+		}
+	}
+}
+
+// A log whose rank goes back in time breaks the rule of a block
+// (clog2.Block): -verify exits 1 naming the rank and both stamps, as a dump
+// of the log does. No Writer writes one, so the log is a Writer's with one
+// stamp overwritten: rank 1's second block, behind a block of rank 0, goes
+// back before rank 1's first. Under the table the Writer wrote and cut
+// off at its end-log marker alike: a log without a table used to be
+// called torn, and exit 0, whatever the scan refused it for.
+func TestVerifyRefusesABackwardStamp(t *testing.T) {
+	bare := func(rank int32, at float64) clog2.Record {
+		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: at, ID: 2}
+	}
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at int64
+	for _, b := range []clog2.Block{{Rank: 1, Records: []clog2.Record{bare(1, 0.5), bare(1, 0.75)}}, {Rank: 0, Records: []clog2.Record{bare(0, 0)}}, {Rank: 1, Records: []clog2.Record{bare(1, 1)}}} {
+		at = w.Offset()
+		if err := w.WriteBlock(b.Rank, b.Records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data[at+9+1:], math.Float64bits(0.5)) // behind the block header and the type byte
+	dir := t.TempDir()
+	const want = "clog2: a BareEvt record of rank 1 stamped 0.5, before its rank's 0.75"
+	for name, log := range map[string][]byte{"back.clog2": data, "back-untabled.clog2": data[:w.Table().LogSize()]} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-verify", path}, {path}} {
+			var out, errOut bytes.Buffer
+			code := run(args, &out, &errOut)
+			if code != 1 || !strings.Contains(errOut.String(), want) || strings.Contains(errOut.String(), "torn") {
+				t.Errorf("clogdump %v %s: exit %d, stdout %q, stderr %q; want 1 and %s", args[:len(args)-1], name, code, out.String(), errOut.String(), want)
+			}
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 )
 
 // tb builds a synthetic CLOG-2 image in memory: one block per rank,
-// records appended in call order.
+// records appended in call order, which must be each rank's time order
+// (the rule of a block, clog2.Block).
 type tb struct {
 	t        testing.TB
 	numRanks int
@@ -116,10 +117,10 @@ func (b *tb) withReadWrite() *tb {
 func TestCleanTraceIsClean(t *testing.T) {
 	b := newTB(t, 2).withReadWrite()
 	// Balanced causal messages, short states.
-	b.msg(0, 0.10, clog2.DirSend, 1, 7, 8)
-	b.msg(1, 0.11, clog2.DirRecv, 0, 7, 8)
 	b.state(0, 0.0, 0.001, 4, 5)
+	b.msg(0, 0.10, clog2.DirSend, 1, 7, 8)
 	b.state(1, 0.1, 0.101, 2, 3)
+	b.msg(1, 0.11, clog2.DirRecv, 0, 7, 8)
 	rep := b.analyze(Options{})
 	if !rep.Clean || len(rep.Findings) != 0 {
 		t.Fatalf("expected clean report, got findings %+v", rep.Findings)
@@ -378,17 +379,36 @@ func TestSingleRankTrace(t *testing.T) {
 	}
 }
 
-func TestHostileTimestampsDropped(t *testing.T) {
-	b := newTB(t, 1).withReadWrite()
-	b.bare(0, math.NaN(), 2)
-	b.bare(0, math.Inf(1), 3)
-	b.state(0, 0, 0.01, 2, 3)
-	rep := b.analyze(Options{})
-	if rep.Records != 2 {
-		t.Fatalf("records = %d, want 2 (non-finite dropped)", rep.Records)
-	}
-	if _, err := rep.JSON(); err != nil {
-		t.Fatalf("JSON: %v", err)
+// A record stamped NaN or ±Inf used to be counted by the profile and
+// dropped by the analyzer, then dropped by both. It breaks the rule of a
+// block (clog2.Block) now: a Writer refuses it, and the analyzer refuses a
+// log byte-built to hold it, by name, wherever it lies in its rank's run.
+func TestHostileTimestampsRefused(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		times []float64
+		want  string
+	}{
+		{"NaN first", []float64{math.NaN(), math.Inf(1), 0, 0.01}, "clog2: a BareEvt record of rank 0 stamped NaN"},
+		{"+Inf first", []float64{math.Inf(1), math.NaN(), 0, 0.01}, "clog2: a BareEvt record of rank 0 stamped +Inf"},
+		{"-Inf after a state", []float64{0, 0.01, math.Inf(-1), 0.02}, "clog2: a BareEvt record of rank 0 stamped -Inf"},
+	} {
+		b := newTB(t, 1).withReadWrite()
+		for i, at := range c.times {
+			b.bare(0, at, int32(2+i%2))
+		}
+		recs := append(append([]clog2.Record(nil), b.defs...), b.recs[0]...)
+		if _, err := clog2.AppendBlock(nil, 0, recs); err == nil || err.Error() != c.want {
+			t.Errorf("%s: AppendBlock gives %v, want %s", c.name, err, c.want)
+		}
+		log := clog2.AppendBlockHeader(clog2.AppendHeader(nil, 1), 0, len(recs))
+		for i := range recs {
+			log, _ = clog2.AppendRecord(log, &recs[i])
+		}
+		log = append(log, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
+		if _, err := AnalyzeBytes(log, Options{}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: AnalyzeBytes gives %v, want %s", c.name, err, c.want)
+		}
 	}
 }
 

@@ -311,14 +311,16 @@ func TestDiffMatchesOracleAtWindowEdges(t *testing.T) {
 		for _, k := range []int{0, 1, 2, 3, 7, 8, nOps - 9, nOps - 8, nOps - 4, nOps - 3, nOps - 2, nOps - 1} {
 			// One op of rank 1 changed.
 			mut := cloneOps(base)
-			mut[1][opIndex(mut[1], k)] = clog2.Record{Type: clog2.RecBareEvt, Rank: 1, ID: 777}
+			i := opIndex(mut[1], k)
+			mut[1][i] = clog2.Record{Type: clog2.RecBareEvt, Rank: 1, Time: mut[1][i].Time, ID: 777}
 			mustMatchOracle(t, fmt.Sprintf("mismatch at op %d", k), a, encodeLog(t, ranks, layOut(rng, mut, 16)), opts)
 			// Rank 1 cut short before that op (cut to nothing: the rank is missing).
 			cut := cloneOps(base)
 			cut[1] = cut[1][:opIndex(cut[1], k)]
 			mustMatchOracle(t, fmt.Sprintf("truncated at op %d", k), a, encodeLog(t, ranks, layOut(rng, cut, 16)), opts)
 			// Both at once, on different ranks, so First has to choose.
-			cut[2][opIndex(cut[2], k)] = clog2.Record{Type: clog2.RecBareEvt, Rank: 2, ID: 31337}
+			i = opIndex(cut[2], k)
+			cut[2][i] = clog2.Record{Type: clog2.RecBareEvt, Rank: 2, Time: cut[2][i].Time, ID: 31337}
 			mustMatchOracle(t, fmt.Sprintf("two divergences at op %d", k), a, encodeLog(t, ranks, layOut(rng, cut, 16)), opts)
 		}
 		gone := cloneOps(base)
@@ -348,11 +350,11 @@ func TestDiffMatchesOracleAcrossBlockLayouts(t *testing.T) {
 			case 0:
 				other[r][i].Aux3++ // a keyed field of a message, or nothing at all
 			case 1:
-				other[r][i] = clog2.Record{Type: clog2.RecBareEvt, Rank: r, ID: 999}
+				other[r][i] = clog2.Record{Type: clog2.RecBareEvt, Rank: r, Time: other[r][i].Time, ID: 999}
 			case 2:
 				other[r] = other[r][:i]
 			case 3:
-				other[r] = append(other[r], clog2.Record{Type: clog2.RecBareEvt, Rank: r, ID: 5})
+				other[r] = append(other[r], clog2.Record{Type: clog2.RecBareEvt, Rank: r, Time: 1, ID: 5}) // after every op genOps stamps
 			}
 		}
 		a := encodeLog(t, ranks, layOut(rng, base, 1+rng.Intn(40)))

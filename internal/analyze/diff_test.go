@@ -11,9 +11,9 @@ import (
 
 func TestDiffIdentical(t *testing.T) {
 	b := newTB(t, 2).withReadWrite()
+	b.state(0, 0, 0.01, 4, 5)
 	b.msg(0, 0.1, clog2.DirSend, 1, 5, 8)
 	b.msg(1, 0.2, clog2.DirRecv, 0, 5, 8)
-	b.state(0, 0, 0.01, 4, 5)
 	data := b.bytes()
 	rep, err := DiffBytes(data, data, "a.clog2", "b.clog2", DiffOptions{})
 	if err != nil {
@@ -32,8 +32,8 @@ func TestDiffIgnoresTimestamps(t *testing.T) {
 	mk := func(shift float64) []byte {
 		b := newTB(t, 2).withReadWrite()
 		b.msg(0, 0.1+shift, clog2.DirSend, 1, 5, 8)
-		b.msg(1, 0.2+shift, clog2.DirRecv, 0, 5, 8)
 		b.state(1, shift, 0.01+shift, 2, 3)
+		b.msg(1, 0.2+shift, clog2.DirRecv, 0, 5, 8)
 		return b.bytes()
 	}
 	rep, err := DiffBytes(mk(0), mk(10.5), "a", "b", DiffOptions{})

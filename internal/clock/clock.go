@@ -17,8 +17,11 @@ import (
 // Source yields wallclock readings in seconds. Implementations must be safe
 // for concurrent use.
 type Source interface {
-	// Now returns the current reading of this clock in seconds. Readings
-	// are non-decreasing for well-formed sources.
+	// Now returns the current reading of this clock in seconds: a finite
+	// reading no earlier than the one before it. The contract is the
+	// logger's: a rank logs its records in the order it stamps them, and a
+	// log whose rank goes back in time is refused (clog2.Block), at the
+	// wrap-up merge by name.
 	Now() float64
 }
 
@@ -41,10 +44,12 @@ func (r *Real) Now() float64 { return time.Since(r.epoch).Seconds() }
 //	reading = truncate((base + Offset) * (1 + Drift), Resolution)
 //
 // Offset is in seconds. Drift is dimensionless (5e-6 means the clock gains
-// 5 microseconds per second). Resolution, if positive, truncates readings to
-// a multiple of itself — this reproduces the limited resolution of
-// MPI_Wtime that the paper identifies as the cause of the "Equal Drawables"
-// conversion warning.
+// 5 microseconds per second) and greater than -1. Resolution, if positive,
+// truncates readings to a multiple of itself — this reproduces the limited
+// resolution of MPI_Wtime that the paper identifies as the cause of the
+// "Equal Drawables" conversion warning. Each step of the reading is
+// non-decreasing in the base's, so a Skewed source keeps the Source
+// contract whenever its base does, at every resolution boundary.
 type Skewed struct {
 	Base       Source
 	Offset     float64
@@ -97,29 +102,4 @@ func (m *Manual) Advance(d float64) {
 		panic(fmt.Sprintf("clock: Manual.Advance by negative %v", d))
 	}
 	m.now += d
-}
-
-// Monotonic wraps any Source and clamps readings so they never decrease.
-// Useful when a Skewed source with negative drift is sampled around a
-// resolution boundary.
-type Monotonic struct {
-	Base Source
-
-	mu   sync.Mutex
-	last float64
-}
-
-// NewMonotonic wraps base in a Monotonic clamp.
-func NewMonotonic(base Source) *Monotonic { return &Monotonic{Base: base} }
-
-// Now implements Source.
-func (m *Monotonic) Now() float64 {
-	t := m.Base.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t < m.last {
-		t = m.last
-	}
-	m.last = t
-	return t
 }

@@ -116,29 +116,28 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestMonotonicClampsBackwardSteps(t *testing.T) {
-	m := NewManual(0)
-	// A skewed clock with strong negative drift plus a manual base that we
-	// sample before and after an offset-induced step could go backwards;
-	// emulate directly with a wrapper source.
-	seq := []float64{1, 2, 1.5, 3}
-	i := 0
-	src := sourceFunc(func() float64 { v := seq[i%len(seq)]; i++; return v })
-	mono := NewMonotonic(src)
-	var prev float64
-	for j := 0; j < len(seq); j++ {
-		now := mono.Now()
-		if now < prev {
-			t.Fatalf("Monotonic went backwards: %v -> %v", prev, now)
+// A Skewed reading never steps back while its base does not: not at a
+// resolution boundary, and not under the strongest negative drift, where
+// the clamp that used to wrap a Skewed source for it had nothing to do.
+func TestSkewedNeverStepsBack(t *testing.T) {
+	for _, drift := range []float64{-0.9, -1e-4, 0, 5e-6} {
+		for _, res := range []float64{0, 1e-6, 1e-4, 0.3} {
+			for _, offset := range []float64{-2.5, 0, 1e-3} {
+				base := NewManual(0)
+				s := NewSkewed(base, offset, drift, res)
+				prev := s.Now()
+				for i := 0; i < 20000; i++ {
+					base.Advance(float64(i%7) * 1e-5)
+					now := s.Now()
+					if now < prev {
+						t.Fatalf("drift %v, resolution %v, offset %v: %v after %v", drift, res, offset, now, prev)
+					}
+					prev = now
+				}
+			}
 		}
-		prev = now
 	}
-	_ = m
 }
-
-type sourceFunc func() float64
-
-func (f sourceFunc) Now() float64 { return f() }
 
 // Property: Skewed with positive resolution always yields a multiple of the
 // resolution (within floating error).

@@ -107,6 +107,23 @@ func ofBlock(r Record, rank int32, numRanks int) Record {
 	return r
 }
 
+// inTimeOrder restamps recs, one rank's block, to keep the rule of a
+// block on its own (Block): a timed record stamped NaN, ±Inf or before the
+// timed record before it takes that record's stamp, or 0 when it is the
+// first. Definitions keep theirs.
+func inTimeOrder(recs []Record) []Record {
+	last := noStamp
+	for i := range recs {
+		if r := &recs[i]; !r.Type.IsDef() {
+			if !inOrder(r.Time, last) {
+				r.Time = max(last, 0)
+			}
+			last = r.Time
+		}
+	}
+	return recs
+}
+
 // decode(append(r)) == r for every record type, AppendRecord writes the
 // bytes of the field-by-field encoder it replaced, appends behind what
 // dst holds, and TimedSize reads a timed record's length off its bytes.
@@ -173,6 +190,10 @@ func TestAppendRejects(t *testing.T) {
 		{"definition outside rank 0", 1, Record{Type: RecEventDef, Rank: 1}, "clog2: a EventDef record in a block of rank 1: definitions sit in rank 0's blocks"},
 		{"peer past MaxRanks", 0, Record{Type: RecMsgEvt, Aux1: MaxRanks}, "clog2: a message half of rank 0 names peer rank 1048576, outside [0,1048576)"},
 		{"negative peer", 0, Record{Type: RecMsgEvt, Aux1: -1}, "clog2: a message half of rank 0 names peer rank -1, outside [0,1048576)"},
+		{"backward in a block", 0, Record{Type: RecCargoEvt, Time: -0.5}, "clog2: a CargoEvt record of rank 0 stamped -0.5, before its rank's 0"},
+		{"stamped NaN", 0, Record{Type: RecMsgEvt, Time: math.NaN()}, "clog2: a MsgEvt record of rank 0 stamped NaN"},
+		{"stamped +Inf", 0, Record{Type: RecTimeShift, Time: math.Inf(1)}, "clog2: a TimeShift record of rank 0 stamped +Inf"},
+		{"stamped -Inf", 0, Record{Type: RecBareEvt, Time: math.Inf(-1)}, "clog2: a BareEvt record of rank 0 stamped -Inf"},
 	}
 	for _, c := range cases {
 		dst := []byte("kept")
@@ -228,6 +249,55 @@ func TestAppendRejects(t *testing.T) {
 			t.Errorf("WriteBlock wrote %d bytes of a block it refused", w.Offset()-int64(HeaderSize))
 		}
 	}
+	// A Writer holds a rank's block to the rank's last stamp in the blocks
+	// before it, whatever lies between them, on records and on pages alike;
+	// a Cut holds each page to the pages added before it. A definition's
+	// stamp is no stamp.
+	at := func(rank int32, t float64) Record { return Record{Type: RecBareEvt, Rank: rank, Time: t} }
+	back, _ := AppendRecord(nil, &Record{Type: RecBareEvt, Rank: 1, Time: 0.5})
+	const backWant = "clog2: a BareEvt record of rank 1 stamped 0.5, before its rank's 0.75"
+	for _, c := range []struct {
+		recs  []Record
+		pages [][]byte
+		want  string
+	}{
+		{[]Record{at(1, 0.5)}, nil, backWant},
+		{nil, [][]byte{back}, backWant + " (at byte 0)"},
+	} {
+		var out bytes.Buffer
+		w, err := NewWriter(&out, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []Block{
+			{1, []Record{at(1, 0.5), at(1, 0.75)}},
+			{0, []Record{{Type: RecStateDef, Time: 9}, at(0, 0)}},
+			{0, []Record{{Type: RecStateDef, Time: -9}, at(0, 0)}},
+		} {
+			if err := w.WriteBlock(b.Rank, b.Records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size := w.Offset()
+		if err := w.WriteBlock(1, c.recs, c.pages...); err == nil || err.Error() != c.want {
+			t.Errorf("backward across two blocks of a rank, %d pages: WriteBlock gives %v, want %s", len(c.pages), err, c.want)
+		}
+		if w.Offset() != size {
+			t.Errorf("WriteBlock wrote %d bytes of a block it refused", w.Offset()-size)
+		}
+		if err := w.WriteBlock(1, []Record{at(1, 0.75)}); err != nil {
+			t.Errorf("a block stamped at the rank's last stamp: %v", err)
+		}
+	}
+	ahead, _ := AppendRecord(nil, &Record{Type: RecBareEvt, Rank: 1, Time: 0.75})
+	c := NewCut(1, 2, 2, nil)
+	if err := c.Add(ahead); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Add(back); err == nil || err.Error() != backWant+" (at byte 0)" {
+		t.Errorf("a page that goes back before the page added before it: Cut.Add gives %v", err)
+	}
+
 	// A block holds at most MaxBlockRecords records, whatever its rank: a
 	// bigger one is refused with dst as it was, a full one is written.
 	w, err := NewWriter(io.Discard, MaxRanks)
@@ -283,6 +353,7 @@ func TestWriterIsHeaderBlocksMarker(t *testing.T) {
 					recs[i].Color, recs[i].Name = "", recs[i].Name[:len(recs[i].Name)%300]
 				}
 			}
+			inTimeOrder(recs)
 			start := len(want)
 			if want, err = AppendBlock(want, rank, recs); err != nil {
 				t.Fatal(err)
@@ -329,7 +400,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestWriterErrorIsSticky(t *testing.T) {
 	recs := make([]Record, MaxBlockRecords)
 	for i := range recs {
-		recs[i] = Record{Type: RecMsgEvt, Time: float64(i)}
+		recs[i] = Record{Type: RecMsgEvt} // one stamp: the blocks stay in time order
 	}
 	w, err := NewWriter(&failAfter{n: 2 * writerBufSize}, 1)
 	if err != nil {
@@ -406,7 +477,7 @@ func TestEachIsNextReuse(t *testing.T) {
 			recs[i] = ofBlock(randomRecord(rng, types[rng.Intn(len(types))]), int32(rank), len(sizes))
 			recs[i].Color, recs[i].Name = "c", "n" // keep the definitions small
 		}
-		if err := w.WriteBlock(int32(rank), recs); err != nil {
+		if err := w.WriteBlock(int32(rank), inTimeOrder(recs)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -517,7 +588,7 @@ func TestCheckTimed(t *testing.T) {
 	}
 	for max := 0; max <= len(sizes); max++ {
 		want := min(max, len(sizes)-1)
-		if n, size, err := checkTimed(page, 3, 4, max, nil); n != want || size != sizes[want] || err != nil {
+		if n, size, err := checkTimed(page, 3, 4, max, &BlockMeta{Rank: 3}, stamp(noStamp)); n != want || size != sizes[want] || err != nil {
 			t.Fatalf("at most %d records: %d records in %d bytes, %v; want %d in %d", max, n, size, err, want, sizes[want])
 		}
 	}
@@ -536,10 +607,13 @@ func TestCheckTimed(t *testing.T) {
 		"not a record":             {[]byte("hello"), "clog2: RecType(?) record at byte 0 is not a timed record"},
 		"torn":                     {page[:len(page)-1], fmt.Sprintf("clog2: %v record at byte %d cut short by the end at %d", RecType(page[sizes[len(sizes)-2]]), sizes[len(sizes)-2], len(page)-1)},
 		"another rank":             {append(page[:sizes[1]:sizes[1]], rawCargoEvt(1, nil)...), fmt.Sprintf("clog2: a CargoEvt record of rank 0 in a block of rank 3 (at byte %d)", sizes[1])},
+		"back in time":             {append(page[:sizes[2]:sizes[2]], page[:sizes[1]]...), fmt.Sprintf("clog2: a BareEvt record of rank 3 stamped 1.5, before its rank's 2.25 (at byte %d)", sizes[2])},
+		"stamped NaN":              {append(page[:sizes[1]:sizes[1]], rawTimed(RecBareEvt, math.NaN(), 3)...), fmt.Sprintf("clog2: a BareEvt record of rank 3 stamped NaN (at byte %d)", sizes[1])},
+		"stamped -Inf first":       {rawTimed(RecMsgEvt, math.Inf(-1), 3), "clog2: a MsgEvt record of rank 3 stamped -Inf (at byte 0)"},
 		"a peer past the ranks":    {farPeer, "clog2: a message half of rank 3 names peer rank 4, outside [0,4) (at byte 0)"},
 	}
 	for name, c := range cases {
-		n, size, err := checkTimed(c.p, 3, 4, len(c.p), nil)
+		n, size, err := checkTimed(c.p, 3, 4, len(c.p), &BlockMeta{Rank: 3}, stamp(noStamp))
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: checkTimed gives %v, want %s", name, err, c.want)
 		}
@@ -548,6 +622,9 @@ func TestCheckTimed(t *testing.T) {
 		}
 	}
 }
+
+// stamp is a rank's last stamp, for checkTimed to hold a page to.
+func stamp(last float64) *float64 { return &last }
 
 // BenchmarkAppendRecord encodes the record mix of a logged Pilot run (two
 // cargo events and a message half a call) into one reused buffer.

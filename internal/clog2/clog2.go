@@ -9,14 +9,16 @@
 // records from clock synchronisation — terminated by an end-log marker,
 // behind which a Writer puts the log's block table (table.go). A block
 // opens with a block-start marker and holds at most MaxBlockRecords records.
-// Like real CLOG-2, the file is unmerged and unsorted across ranks: sorting
-// and pairing are the converter's job, and diagnosing problems by reading
-// the raw records is exactly the use case the paper quotes for keeping the
-// two-step pipeline.
+// Like real CLOG-2, the file is unmerged across ranks, and each rank's
+// records are in the order the rank logged them, which is time order (the
+// rule of a block, Block): pairing is the reader's job, done once in file
+// order (fold.go), and diagnosing problems by reading the raw records is
+// exactly the use case the paper quotes for keeping the two-step pipeline.
 package clog2
 
 import (
 	"fmt"
+	"math"
 	"unicode/utf8"
 )
 
@@ -161,9 +163,13 @@ func TruncBytes(b []byte, n int) []byte {
 // Block is one rank's contiguous run of records, under one rule that a
 // Writer checks before it writes a byte of a block and a reader before it
 // hands one over: its rank is in [0, NumRanks) (checkRank), every record
-// carries it, so definitions (rank 0) sit in rank 0's blocks, and a message
-// half's peer (Aux1) is in [0, NumRanks) (keepsRule). Without a log header
-// (AppendBlock, DecodeBlockPayload) NumRanks is MaxRanks.
+// carries it, so definitions (rank 0) sit in rank 0's blocks, a message
+// half's peer (Aux1) is in [0, NumRanks) (keepsRule), and every timed
+// record (bare, cargo, message, timeshift: not a definition) is stamped
+// with a finite time no earlier than the timed record of its rank before it
+// in file order (inOrder), in this block or an earlier one. Without a log
+// header (AppendBlock, DecodeBlockPayload) NumRanks is MaxRanks and the
+// order is the block's own.
 type Block struct {
 	Rank    int32
 	Records []Record
@@ -192,4 +198,20 @@ func recordError(t RecType, rank, peer, block int32, numRanks int) error {
 		return fmt.Errorf("clog2: a %v record in a block of rank %d: definitions sit in rank 0's blocks", t, block)
 	}
 	return fmt.Errorf("clog2: a message half of rank %d names peer rank %d, outside [0,%d)", rank, peer, numRanks)
+}
+
+// noStamp is the last stamp of a rank with no timed record yet: every
+// finite time is at or after it, and -Inf is not.
+const noStamp = -math.MaxFloat64
+
+// inOrder reports whether a timed record stamped at keeps the rule after
+// its rank's last stamp: at is finite (a NaN fails both comparisons) and no
+// earlier than last. stampError names how one does not.
+func inOrder(at, last float64) bool { return at >= last && at <= math.MaxFloat64 }
+
+func stampError(t RecType, rank int32, at, last float64) error {
+	if inOrder(at, noStamp) {
+		return fmt.Errorf("clog2: a %v record of rank %d stamped %v, before its rank's %v", t, rank, at, last)
+	}
+	return fmt.Errorf("clog2: a %v record of rank %d stamped %v", t, rank, at)
 }

@@ -322,7 +322,7 @@ func TestRoundtripProperty(t *testing.T) {
 			for i := range recs {
 				recs[i] = genRecord(rng, int32(b), nBlocks)
 			}
-			want[b] = Block{Rank: int32(b), Records: recs}
+			want[b] = Block{Rank: int32(b), Records: inTimeOrder(recs)}
 			if err := w.WriteBlock(int32(b), recs); err != nil {
 				return false
 			}

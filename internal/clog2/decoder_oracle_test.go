@@ -455,6 +455,13 @@ func rawCargoEvt(t float64, cargo []byte) []byte {
 	return append(out, cargo...)
 }
 
+// rawTimed is the encoding of a timed record of type t with no payload,
+// stamped at, of rank.
+func rawTimed(t RecType, at float64, rank int32) []byte {
+	out, _ := AppendRecord(nil, &Record{Type: t, Time: at, Rank: rank})
+	return out
+}
+
 // A hostile file may declare more cargo than MaxCargo: the first MaxCargo
 // bytes are kept, the rest consumed, and the next record still decodes.
 func TestDecoderMatchesOracleOnOverlongCargo(t *testing.T) {
@@ -500,7 +507,7 @@ func TestDecoderMatchesOracleOnLongNameAcrossRefill(t *testing.T) {
 			recs[i] = Record{Type: RecBareEvt, Time: float64(i), ID: 2}
 		}
 		recs = append(recs, Record{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: name[:300], Name: name},
-			Record{Type: RecMsgEvt, Time: 9, Dir: DirRecv, Aux1: 1, Aux2: 2, Aux3: 3})
+			Record{Type: RecMsgEvt, Time: float64(lead), Dir: DirRecv, Aux1: 1, Aux2: 2, Aux3: 3})
 		if err := w.WriteCut(NewCut(0, 2, MaxBlockRecords, recs)); err != nil {
 			t.Fatal(err)
 		}

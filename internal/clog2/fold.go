@@ -2,7 +2,6 @@ package clog2
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"strconv"
 )
@@ -193,13 +192,13 @@ func (q *queues) get(k MsgKey) []MsgHalf {
 // Match pairs message halves first in, first out per key, in time order:
 // the i-th send of a key with its i-th receive. It walks the keys in
 // (Src, Dst, Tag) order and hands visit each key's sends and receives in
-// time order: sends[i] and recvs[i] are a matched pair for every i below
-// the shorter length, and what the longer side holds past it is
-// unmatched. A key's halves are sorted, stably, only when they were added
-// out of time order. The slices stay valid, and in that order, after
-// visit returns, until the next Add: the converter merges the keys' runs
-// of sends into one time order after the walk, which is right only
-// because each run arrives sorted.
+// the order they were added: sends[i] and recvs[i] are a matched pair for
+// every i below the shorter length, and what the longer side holds past it
+// is unmatched. A key's sends are one rank's and its receives another's,
+// so halves added in file order are in time order (Block). The slices stay
+// valid, and in that order, after visit returns, until the next Add: the
+// converter merges the keys' runs of sends into one time order after the
+// walk, which is right only because each run arrives in time order.
 func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
 	keys := make([]MsgKey, 0, len(m.sends.byKey)+len(m.recvs.byKey))
 	for k := range m.sends.byKey {
@@ -214,21 +213,7 @@ func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
 		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Tag, b.Tag))
 	})
 	for _, k := range keys {
-		sends, recvs := m.sends.get(k), m.recvs.get(k)
-		sortByTime(sends)
-		sortByTime(recvs)
-		visit(k, sends, recvs)
-	}
-}
-
-// sortByTime sorts hs by time, stably, unless it already is: the one
-// pass a log in time order costs.
-func sortByTime(hs []MsgHalf) {
-	for i := 1; i < len(hs); i++ {
-		if cmp.Less(hs[i].Time, hs[i-1].Time) {
-			slices.SortStableFunc(hs, func(a, b MsgHalf) int { return cmp.Compare(a.Time, b.Time) })
-			return
-		}
+		visit(k, m.sends.get(k), m.recvs.get(k))
 	}
 }
 
@@ -244,15 +229,16 @@ func sortByTime(hs []MsgHalf) {
 //   - Definitions are absorbed whatever the window (Etypes.Define).
 //     Definitions, constants, source locations and the block and log
 //     markers are never counted.
-//   - Every other record is counted when its timestamp is finite and
-//     inside the inclusive window [T0, T1], and skipped whole otherwise:
-//     a skipped record touches no count, no wall span and no stack. A
-//     state that opened before T0 and ends inside the window is therefore
-//     an orphan end, and one that opens inside and ends after T1
-//     contributes nothing.
-//   - A counted record adds one to its rank's Records and widens the
-//     rank's [First, Last] span. Ranks exist by first appearance; the
-//     header's rank count sizes nothing.
+//   - Every other record is counted when its timestamp is inside the
+//     inclusive window [T0, T1], and skipped whole otherwise: a skipped
+//     record touches no count, no wall span and no stack. A state that
+//     opened before T0 and ends inside the window is therefore an orphan
+//     end, and one that opens inside and ends after T1 contributes
+//     nothing. The reader has held every stamp to be finite and each
+//     rank's to be in time order (Block).
+//   - A counted record adds one to its rank's Records and is the rank's
+//     Last; its first is the rank's First. Ranks exist by first
+//     appearance; the header's rank count sizes nothing.
 //   - A message half is StepMsg. A time shift (and any record type this
 //     list does not name) is StepShift: counted, and nothing else.
 //   - A bare or cargo event is what Etypes.Classify makes of its etype:
@@ -304,8 +290,9 @@ type FoldRank struct {
 	Rank int32
 	// Index numbers the ranks densely in order of first appearance.
 	Index int
-	// Records counts the rank's counted records; First and Last are
-	// the earliest and latest of their timestamps.
+	// Records counts the rank's counted records; First and Last are the
+	// first and the last of their timestamps, which the reader puts in
+	// time order.
 	Records     int64
 	First, Last float64
 
@@ -337,25 +324,20 @@ func (f *Fold) Add(rec *Record) Step {
 		return StepSkip
 	}
 	t := rec.Time
-	if math.IsNaN(t) || math.IsInf(t, 0) || t < f.t0 || t > f.t1 {
+	if t < f.t0 || t > f.t1 {
 		return StepSkip
 	}
 	r := f.Rank
 	if r == nil || r.Rank != rec.Rank {
 		if r = f.byRank[rec.Rank]; r == nil {
-			r = &FoldRank{Rank: rec.Rank, Index: len(f.ranks), First: t, Last: t}
+			r = &FoldRank{Rank: rec.Rank, Index: len(f.ranks), First: t}
 			f.byRank[rec.Rank] = r
 			f.ranks = append(f.ranks, r)
 		}
 		f.Rank = r
 	}
 	r.Records++
-	if t < r.First {
-		r.First = t
-	}
-	if t > r.Last {
-		r.Last = t
-	}
+	r.Last = t
 
 	switch rec.Type {
 	case RecMsgEvt:

@@ -59,6 +59,9 @@ func TestFold(t *testing.T) {
 		t0, t1 float64
 		recs   []Record
 		want   foldResult
+		// refused, when set, is the reader's refusal of recs as one block
+		// of rank 0: records the fold is never handed.
+		refused string
 	}{
 		{
 			name: "nesting with self time",
@@ -141,35 +144,32 @@ func TestFold(t *testing.T) {
 			},
 		},
 		{
-			// A time shift is counted and widens the span; so is a message
-			// half; constants, source locations and markers are not.
+			// A message half is counted and spans the rank; so is a time
+			// shift; constants, source locations and markers are not.
 			name: "what counts",
 			t0:   -inf, t1: inf,
 			recs: []Record{
-				{Type: RecTimeShift, Rank: 1, Time: 9, Shift: 0.5},
 				{Type: RecMsgEvt, Rank: 1, Time: 3, Dir: DirSend},
+				{Type: RecTimeShift, Rank: 1, Time: 9, Shift: 0.5},
 				{Type: RecConstDef, Rank: 1, Time: 100},
 				{Type: RecSrcLoc, Rank: 1, Time: 100},
 				{Type: RecEventDef, ID: SoloBase + 1, Name: "Mark"},
 				{Type: RecEndBlock}, {Type: RecEndLog},
 			},
 			want: foldResult{
-				steps: []Step{StepShift, StepMsg, StepSkip, StepSkip, StepSkip, StepSkip, StepSkip},
+				steps: []Step{StepMsg, StepShift, StepSkip, StepSkip, StepSkip, StepSkip, StepSkip},
 				ranks: [][4]float64{{1, 2, 3, 9}},
 			},
 		},
 		{
-			// Non-finite timestamps are skipped whole: no count, no span, no
-			// push, no pop. The state they would have closed stays open.
+			// Non-finite timestamps used to be skipped whole by the fold.
+			// They break the rule of a block (Block), so no reader hands
+			// them over: the fold tests no stamp.
 			name: "non-finite times",
 			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 1, 2), foldEvt(0, inf, 3), foldEvt(0, math.NaN(), 3), foldEvt(0, -inf, 2),
-				Record{Type: RecMsgEvt, Rank: 3, Time: math.NaN()}, foldEvt(0, 2, 3)),
-			want: foldResult{
-				steps:  append(skip2, StepOpen, StepSkip, StepSkip, StepSkip, StepSkip, StepClose),
-				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 1, End: 2, Dur: 1, Self: 1}},
-				ranks:  [][4]float64{{0, 2, 1, 2}},
-			},
+				Record{Type: RecMsgEvt, Time: math.NaN()}, foldEvt(0, 2, 3)),
+			refused: "clog2: a BareEvt record of rank 0 stamped +Inf",
 		},
 		{
 			// Ranks index by first appearance, whatever their ids; a rank id
@@ -184,18 +184,33 @@ func TestFold(t *testing.T) {
 			},
 		},
 		{
-			// An end before its start in time: duration and self floor at 0.
+			// An end before its start in time, which no reader hands over
+			// either: the fold pairs what it is handed, Dur and Self floor
+			// at 0, and the rank spans its first stamp to its last.
 			name: "negative duration floors at zero",
 			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 5, 2), foldEvt(0, 3, 3)),
 			want: foldResult{
 				steps:  append(skip2, StepOpen, StepClose),
 				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 5, End: 3}},
-				ranks:  [][4]float64{{0, 2, 3, 5}},
+				ranks:  [][4]float64{{0, 2, 5, 3}},
 			},
+			refused: "clog2: a BareEvt record of rank 0 stamped 3, before its rank's 5",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.refused != "" {
+				log := AppendBlockHeader(AppendHeader(nil, 1), 0, len(tc.recs))
+				for i := range tc.recs {
+					log, _ = AppendRecord(log, &tc.recs[i])
+				}
+				if _, _, err := readBlocks(bytes.NewReader(append(log, byte(RecEndBlock), byte(RecEndLog)))); err == nil || err.Error() != tc.refused {
+					t.Errorf("the reader gives %v, want %s", err, tc.refused)
+				}
+				if tc.want.steps == nil {
+					return
+				}
+			}
 			got := runFold(tc.t0, tc.t1, tc.recs)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("fold\n got %+v\nwant %+v", got, tc.want)

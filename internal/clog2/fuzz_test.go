@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -103,8 +104,9 @@ func FuzzReadFile(f *testing.F) {
 		if len(data) >= HeaderSize {
 			numRanks = le32(data[len(Magic):])
 		}
+		last := map[int32]float64{} // each rank's last stamp in the blocks handed over
 		for i, b := range whole.blocks {
-			if err := breaksRule(b, numRanks); err != nil {
+			if err := breaksRule(b, numRanks, last); err != nil {
 				t.Fatalf("block %d handed over: %v", i, err)
 			}
 		}
@@ -120,7 +122,7 @@ func FuzzReadFile(f *testing.F) {
 			compareDrained(t, "fuzz input", whole, oracle, false)
 		case n < len(oracle.blocks):
 			compareDrained(t, "fuzz input", whole, drained{oracle.blocks[:n], oracle.bounds[:n], whole.err}, false)
-			if breaksRule(oracle.blocks[n], numRanks) == nil {
+			if breaksRule(oracle.blocks[n], numRanks, last) == nil {
 				t.Fatalf("block %d refused (%v), the oracle's keeps the rule", n, whole.err)
 			}
 		case n > len(oracle.blocks) || oracle.err == nil:
@@ -173,21 +175,22 @@ func FuzzReadFile(f *testing.F) {
 			raw := data[whole.bounds[i][0]:whole.bounds[i][1]]
 			enc, eerr := AppendBlock(nil, b.Rank, b.Records)
 			body := raw[blockHeaderSize : len(raw)-1]
-			n, size, cerr := checkTimed(body, b.Rank, int(numRanks), len(body), nil)
+			n, size, cerr := checkTimed(body, b.Rank, int(numRanks), len(body), &BlockMeta{Rank: b.Rank}, stamp(noStamp))
 			checked := cerr == nil && size == len(body) && n == len(b.Records)
 			if exact := eerr == nil && len(enc) == len(raw); exact != bytes.Equal(enc, raw) || checked && !exact {
 				t.Fatalf("block %d (checked %v): %d bytes re-encode to %d, %v", i, checked, len(raw), len(enc), eerr)
 			}
 		}
-		if n, size, err := checkTimed(data, 0, MaxRanks, len(data), nil); size > len(data) || err == nil && size != len(data) {
+		if n, size, err := checkTimed(data, 0, MaxRanks, len(data), &BlockMeta{}, stamp(noStamp)); size > len(data) || err == nil && size != len(data) {
 			t.Fatalf("checkTimed over the input: %d records in %d of %d bytes, %v", n, size, len(data), err)
 		}
 	})
 }
 
 // breaksRule is the rule of a block (Block) over a block decoded from a
-// log of numRanks ranks, restated record by record.
-func breaksRule(b Block, numRanks int32) error {
+// log of numRanks ranks, restated record by record, after the blocks whose
+// ranks' last stamps last holds; it enters the block's.
+func breaksRule(b Block, numRanks int32, last map[int32]float64) error {
 	if b.Rank < 0 || b.Rank >= numRanks {
 		return fmt.Errorf("rank %d of %d", b.Rank, numRanks)
 	}
@@ -195,18 +198,26 @@ func breaksRule(b Block, numRanks int32) error {
 		if r.Rank != b.Rank || r.Type.IsDef() && b.Rank != 0 || r.Type == RecMsgEvt && (r.Aux1 < 0 || r.Aux1 >= numRanks) {
 			return fmt.Errorf("record %d (%v of rank %d, peer %d) in a block of rank %d", i, r.Type, r.Rank, r.Aux1, b.Rank)
 		}
+		if r.Type.IsDef() {
+			continue
+		}
+		if prev, ok := last[b.Rank]; math.IsNaN(r.Time) || math.IsInf(r.Time, 0) || ok && r.Time < prev {
+			return fmt.Errorf("record %d (%v of rank %d) stamped %v after %v", i, r.Type, r.Rank, r.Time, prev)
+		}
+		last[b.Rank] = r.Time
 	}
 	return nil
 }
 
 // isRuleError tells the reader's refusals under the rule of a block from
-// its other errors, by the words checkRank and recordError use.
+// its other errors, by the words checkRank, recordError and stampError use.
 func isRuleError(err error) bool {
 	if err == nil {
 		return false
 	}
 	msg := err.Error()
-	return strings.Contains(msg, " in a log of ") || strings.Contains(msg, " in a block of rank ") || strings.Contains(msg, " names peer rank ")
+	return strings.Contains(msg, " in a log of ") || strings.Contains(msg, " in a block of rank ") || strings.Contains(msg, " names peer rank ") ||
+		strings.Contains(msg, " stamped ")
 }
 
 // The seed corpus cases, run as a plain test so `go test` covers them
@@ -319,7 +330,7 @@ func TestNextReuseSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	for b := 0; b < blocks; b++ {
 		for i := range recs {
-			recs[i].Rank = int32(b % 4)
+			recs[i].Rank, recs[i].Time = int32(b%4), float64(b*perBlock+i) // a rank's blocks in time order
 		}
 		if err := w.WriteBlock(int32(b%4), recs); err != nil {
 			t.Fatal(err)

@@ -52,7 +52,8 @@ type Writer struct {
 	off    int64
 	closed bool
 	err    error
-	table  Table // an entry for each block written, unless w is nil
+	table  Table             // an entry for each block written, unless w is nil
+	last   map[int32]float64 // each rank's last stamp in the table's blocks (Block)
 }
 
 const writerBufSize = 64 << 10
@@ -66,7 +67,7 @@ func NewWriter(w io.Writer, numRanks int) (*Writer, error) {
 	if numRanks < 1 || numRanks > MaxRanks {
 		return nil, fmt.Errorf("clog2: writer with %d ranks", numRanks)
 	}
-	return &Writer{w: w, buf: AppendHeader(make([]byte, 0, writerBufSize), numRanks), table: Table{NumRanks: numRanks}}, nil
+	return &Writer{w: w, buf: AppendHeader(make([]byte, 0, writerBufSize), numRanks), table: Table{NumRanks: numRanks}, last: map[int32]float64{}}, nil
 }
 
 // AppendHeader appends the file header for numRanks ranks.
@@ -87,7 +88,8 @@ func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 // not pass MaxBlockRecords. A block that breaks the rule of a block
 // (Block), or a page checkTimed refuses, is refused by name before a byte
 // of it is written. A Writer over an underlying writer enters the block in
-// its table; under AppendBlock, which has no pages, there is none.
+// its table and holds the rank's next block to its last stamp; under
+// AppendBlock, which has no pages, there is neither.
 func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if err := w.writable(); err != nil {
 		return err
@@ -95,12 +97,16 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if err := checkRank(rank, w.table.NumRanks); err != nil {
 		return err
 	}
+	last, ok := w.last[rank]
+	if !ok {
+		last = noStamp
+	}
 	m := newBlockMeta(rank, w.Offset())
-	if err := m.addRecords(recs, w.table.NumRanks); err != nil {
+	if err := m.addRecords(recs, w.table.NumRanks, &last); err != nil {
 		return err
 	}
 	for _, p := range pages {
-		if _, _, err := checkTimed(p, rank, w.table.NumRanks, len(p), &m); err != nil {
+		if _, _, err := checkTimed(p, rank, w.table.NumRanks, len(p), &m, &last); err != nil {
 			return err
 		}
 	}
@@ -135,6 +141,7 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 		m.Length = w.Offset() - m.Offset
 		w.table.Blocks = append(w.table.Blocks, m)
 		w.table.TotalRecords += int64(m.Records)
+		w.last[rank] = last
 	}
 	return w.err
 }
@@ -149,6 +156,7 @@ type Cut struct {
 	numRanks int
 	perBlock int
 	lead     []Record
+	last     float64 // the pages' last stamp
 	// pieces are sub-slices of the pages, block after block: block i is
 	// pieces[ends[i-1]:ends[i]], and the block still open holds n records.
 	pieces  [][]byte
@@ -166,18 +174,19 @@ func NewCut(rank int32, numRanks, perBlock int, lead []Record) *Cut {
 	if n > 0 {
 		n = (n-1)%perBlock + 1
 	}
-	return &Cut{rank: rank, numRanks: numRanks, perBlock: perBlock, lead: lead, n: n}
+	return &Cut{rank: rank, numRanks: numRanks, perBlock: perBlock, lead: lead, n: n, last: noStamp}
 }
 
-// Add checks page as checkTimed does, refusing by name what a Writer would
-// not write as it lies before a block of the rank is written, and cuts its
-// records into the blocks. The page is held, not copied, until WriteCut.
+// Add checks page as checkTimed does, after the pages added before it,
+// refusing by name what a Writer would not write as it lies before a block
+// of the rank is written, and cuts its records into the blocks. The page is
+// held, not copied, until WriteCut.
 func (c *Cut) Add(page []byte) error {
 	for len(page) > 0 {
 		if c.n >= c.perBlock {
 			c.ends, c.n = append(c.ends, len(c.pieces)), 0
 		}
-		n, size, err := checkTimed(page, c.rank, c.numRanks, c.perBlock-c.n, nil)
+		n, size, err := checkTimed(page, c.rank, c.numRanks, c.perBlock-c.n, &BlockMeta{Rank: c.rank}, &c.last)
 		if err != nil {
 			return err
 		}
@@ -325,14 +334,14 @@ func TimedSize(p []byte) int {
 // checkTimed is the strict check of records that arrive already encoded:
 // a page added to a Cut, and WriteBlock's pages. It walks at most max
 // records from the start of p and returns how many it walked and the bytes
-// they take, counting each into meta's entry when meta is not nil. It
-// refuses, by name, a cargo declared longer than MaxCargo (which other
-// readers cut short), a marker, any other record that is not timed, a
+// they take, counting each into meta's entry after the rank's last stamp
+// *last. It refuses, by name, a cargo declared longer than MaxCargo (which
+// other readers cut short), a marker, any other record that is not timed, a
 // record cut short by the end of p, and a record that breaks the rule of a
-// block of rank in a log of numRanks ranks (keepsRule). What it takes is
-// then AppendRecord's encoding of the records it decodes to, which is what
-// a Writer writes for them, so it can be written as it lies.
-func checkTimed(p []byte, rank int32, numRanks, max int, meta *BlockMeta) (n, size int, err error) {
+// block of rank in a log of numRanks ranks (keepsRule, then meta.add). What
+// it takes is then AppendRecord's encoding of the records it decodes to,
+// which is what a Writer writes for them, so it can be written as it lies.
+func checkTimed(p []byte, rank int32, numRanks, max int, meta *BlockMeta, last *float64) (n, size int, err error) {
 	for ; n < max && size < len(p); n++ {
 		q := p[size:]
 		t, m := RecType(q[0]), TimedSize(q)
@@ -353,8 +362,8 @@ func checkTimed(p []byte, rank int32, numRanks, max int, meta *BlockMeta) (n, si
 		if !keepsRule(t, le32(q[9:]), peer, rank, numRanks) {
 			return n, size, fmt.Errorf("%w (at byte %d)", recordError(t, le32(q[9:]), peer, rank, numRanks), size)
 		}
-		if meta != nil {
-			meta.add(t, leF64(q[1:]), tag)
+		if err := meta.add(t, leF64(q[1:]), tag, last); err != nil {
+			return n, size, fmt.Errorf("%w (at byte %d)", err, size)
 		}
 		size += m
 	}
@@ -420,6 +429,7 @@ type BlockReader struct {
 	d        decoder
 	numRanks int
 	done     bool
+	last     map[int32]float64 // each rank's last stamp in the blocks read (Block)
 	// rs is the underlying seekable source when the reader was opened via
 	// NewBlockReaderAt; nil for plain streams (SeekTo then fails).
 	rs io.ReadSeeker
@@ -434,7 +444,7 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 }
 
 func newBlockReader(dec decoder) (*BlockReader, error) {
-	br := &BlockReader{d: dec}
+	br := &BlockReader{d: dec, last: map[int32]float64{}}
 	d := &br.d
 	if err := d.fill(len(Magic)); err != nil {
 		return nil, fmt.Errorf("clog2: reading magic: %w", err)
@@ -485,11 +495,15 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 		d:        decoder{src: rs, buf: decodePool.Get().(*[decodeBufSize]byte)[:], base: offset},
 		numRanks: numRanks,
 		rs:       rs,
+		last:     map[int32]float64{},
 	}, nil
 }
 
 // SeekTo repositions the reader at a block-start offset, discarding any
-// buffered bytes. Only readers opened with NewBlockReaderAt are seekable.
+// buffered bytes. A forward seek keeps the ranks' last stamps (the blocks
+// read across it are a subsequence of the log, in order if the log is) and
+// a backward one forgets them. Only readers opened with NewBlockReaderAt
+// are seekable.
 func (br *BlockReader) SeekTo(offset int64) error {
 	if br.rs == nil {
 		return fmt.Errorf("clog2: block reader over a plain stream is not seekable")
@@ -499,6 +513,9 @@ func (br *BlockReader) SeekTo(offset int64) error {
 	}
 	if _, err := br.rs.Seek(offset, io.SeekStart); err != nil {
 		return err
+	}
+	if offset < br.d.offset() {
+		clear(br.last)
 	}
 	br.d = decoder{src: br.rs, buf: br.d.buf, base: offset}
 	br.done = false
@@ -532,8 +549,9 @@ func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
 // fixed layout is not whole in the decode buffer is decoded in full and
 // dropped afterwards if it is stamped outside, so which records come back
 // never depends on the buffering. With both bounds infinite nothing is
-// stepped over and n is len(b.Records). The block is handed over only once
-// its end-block marker has been read.
+// stepped over and n is len(b.Records). A stamp stepped over is held to the
+// rule of a block as one kept is. The block is handed over only once its
+// end-block marker has been read.
 func (br *BlockReader) NextIn(buf []Record, t0, t1 float64) (b Block, n int32, err error) {
 	if br.done {
 		return Block{}, 0, io.EOF
@@ -552,7 +570,13 @@ func (br *BlockReader) NextIn(buf []Record, t0, t1 float64) (b Block, n int32, e
 	start := d.offset()
 	rank, n, err := d.blockHeader(br.numRanks)
 	if err == nil {
-		b.Records, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1)
+		last, ok := br.last[rank]
+		if !ok {
+			last = noStamp
+		}
+		if b.Records, last, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, last); err == nil {
+			br.last[rank] = last
+		}
 	}
 	if err != nil {
 		return Block{}, 0, err
@@ -717,11 +741,13 @@ func (d *decoder) blockHeader(numRanks int) (rank, n int32, err error) {
 
 // readBlock decodes the n records a block header declared into buf's
 // backing array, or a new one of n records when buf has no room for them,
-// then the end-block marker. Of the bare, cargo and message records it
-// keeps those stamped inside [t0, t1]: one outside is stepped over when its
-// fixed layout is buffered whole, and dropped after readRecord otherwise.
-// A record it keeps that breaks the rule (keepsRule) fails the block.
-func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64) ([]Record, error) {
+// then the end-block marker, and returns them with the rank's last stamp,
+// last before the block. Of the bare, cargo and message records it keeps
+// those stamped inside [t0, t1]: one outside is stepped over when its fixed
+// layout is buffered whole, and dropped after readRecord otherwise. A timed
+// record stamped out of order (inOrder), kept or not, and a record it keeps
+// that breaks the rule (keepsRule) fail the block.
+func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1, last float64) ([]Record, float64, error) {
 	recs := buf[:0]
 	if cap(recs) < int(n) || recs == nil {
 		recs = make([]Record, 0, n)
@@ -732,6 +758,10 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 			b := d.buf[d.r:d.w]
 			if t := leF64(b[1:]); (t < t0 || t > t1) && RecType(b[0]) != RecTimeShift {
 				if size := TimedSize(b); size > 0 {
+					if !inOrder(t, last) {
+						return nil, last, stampError(RecType(b[0]), rank, t, last)
+					}
+					last = t
 					d.r += size
 					continue
 				}
@@ -740,23 +770,26 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 		recs = recs[:len(recs)+1]
 		r := &recs[len(recs)-1]
 		if err := d.readRecord(r); err != nil {
-			return nil, err
+			return nil, last, err
 		}
-		if windowed && (r.Time < t0 || r.Time > t1) {
-			switch r.Type {
-			case RecBareEvt, RecCargoEvt, RecMsgEvt:
+		if !r.Type.IsDef() {
+			if !inOrder(r.Time, last) {
+				return nil, last, stampError(r.Type, rank, r.Time, last)
+			}
+			last = r.Time
+			if windowed && (r.Time < t0 || r.Time > t1) && r.Type != RecTimeShift {
 				recs = recs[:len(recs)-1]
 				continue
 			}
 		}
 		if !keepsRule(r.Type, r.Rank, r.Aux1, rank, numRanks) {
-			return nil, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
+			return nil, last, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
 		}
 	}
 	if t := RecType(d.getByte()); d.err == nil && t != RecEndBlock {
-		return nil, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
+		return nil, last, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
 	}
-	return recs, d.err
+	return recs, last, d.err
 }
 
 // readRecord decodes one record into *r, overwriting every field.

@@ -56,8 +56,9 @@ type BlockMeta struct {
 	// wherever its window lies); Msgs the MsgEvt records.
 	Records, Defs, Msgs int32
 	// TMin/TMax fence the timestamps of the block's non-definition records
-	// (events, messages, timeshifts — everything a time window filters).
-	// Valid only when Records > Defs; else TMin > TMax.
+	// (events, messages, timeshifts — everything a time window filters):
+	// the first and the last of them, which the rule of a block puts in
+	// time order. Valid only when Records > Defs; else TMin > TMax.
 	TMin, TMax float64
 	// ChanMin/ChanMax fence the channel (tag) of MsgEvt records. Valid only
 	// when Msgs > 0.
@@ -77,38 +78,43 @@ func newBlockMeta(rank int32, offset int64) BlockMeta {
 
 // addRecords counts recs into the entry and widens its fences over them,
 // refusing the first record that breaks the rule of a block of m.Rank in a
-// log of numRanks ranks (keepsRule).
-func (m *BlockMeta) addRecords(recs []Record, numRanks int) error {
+// log of numRanks ranks (keepsRule, then add).
+func (m *BlockMeta) addRecords(recs []Record, numRanks int, last *float64) error {
 	for i := range recs {
 		r := &recs[i]
 		if !keepsRule(r.Type, r.Rank, r.Aux1, m.Rank, numRanks) {
 			return recordError(r.Type, r.Rank, r.Aux1, m.Rank, numRanks)
 		}
-		m.add(r.Type, r.Time, r.Aux2)
+		if err := m.add(r.Type, r.Time, r.Aux2, last); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // add counts one record of type t into the entry: a definition by its type
-// alone, any other by its time, and a message half by its tag too.
-func (m *BlockMeta) add(t RecType, time float64, tag int32) {
+// alone, any other by its time, which it refuses out of order after the
+// rank's last stamp *last (inOrder) and makes *last and the fence's TMax,
+// and a message half by its tag too.
+func (m *BlockMeta) add(t RecType, time float64, tag int32, last *float64) error {
 	m.Records++
 	if t.IsDef() {
 		m.Defs++
-		return
+		return nil
 	}
-	// Comparisons, not min and max: a NaN time stays out of the fence.
-	if time < m.TMin {
+	if !inOrder(time, *last) {
+		return stampError(t, m.Rank, time, *last)
+	}
+	*last, m.TMax = time, time
+	if m.Records-m.Defs == 1 {
 		m.TMin = time
-	}
-	if time > m.TMax {
-		m.TMax = time
 	}
 	if t == RecMsgEvt {
 		m.Msgs++
 		m.ChanMin = min(m.ChanMin, tag)
 		m.ChanMax = max(m.ChanMax, tag)
 	}
+	return nil
 }
 
 // Table is a log's block table: an entry for every block, in file order.
@@ -143,7 +149,8 @@ func ScanTable(r io.Reader) (*Table, error) {
 	err = br.Each(func(b Block) error {
 		start, end := br.BlockBounds()
 		m := newBlockMeta(b.Rank, start)
-		if err := m.addRecords(b.Records, t.NumRanks); err != nil {
+		last := noStamp // the reader has held the block to the rank's last
+		if err := m.addRecords(b.Records, t.NumRanks, &last); err != nil {
 			return err
 		}
 		m.Length = end - start

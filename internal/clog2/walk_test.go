@@ -607,8 +607,9 @@ func TestWalk(t *testing.T) {
 		}, false, 1},
 		{"ok", func(*testing.T, string, *Table, []int) {}, true, 1},
 		// The blocks were rewritten after the table was: the last block the
-		// query selects is now rank 0's, header and records, which ReadTable
-		// cannot see and scan finds after the earlier blocks.
+		// query selects is now rank 0's, header and records, stamped after
+		// rank 0's blocks before it, which ReadTable cannot see and scan
+		// finds after the earlier blocks.
 		{"stale", func(t *testing.T, path string, ix *Table, sel []int) {
 			data := readFile(t, path)
 			m := ix.Blocks[sel[len(sel)-1]]
@@ -620,8 +621,15 @@ func TestWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var after float64 // rank 0's last stamp before the block
+			for _, e := range ix.Blocks[:sel[len(sel)-1]] {
+				if e.Rank == 0 && e.Records > e.Defs {
+					after = e.TMax
+				}
+			}
 			for i := range b.Records {
 				b.Records[i].Rank = 0
+				b.Records[i].Time += after
 			}
 			enc, err := AppendBlock(nil, 0, b.Records)
 			if err != nil || int64(len(enc)) != m.Length {
@@ -998,5 +1006,131 @@ func TestHostileTails(t *testing.T) {
 				t.Errorf("%s, %+v: %d record(s), the scan's %d, or they differ", name, q, len(got), len(want))
 			}
 		}
+	}
+}
+
+// A timed record stamped NaN, ±Inf or before the timed record of its rank
+// before it breaks the rule of a block (Block). No Writer writes one, so
+// each log here is a Writer's with one stamp overwritten where it lies,
+// under the table the Writer wrote. Every reader refuses it by name: Each,
+// NextIn on a record it keeps and on one its window steps over, ScanTable,
+// Walk through the table (which then finds the table's block unreadable and
+// scans, to the same refusal) and DecodeBlockPayload, which holds a block
+// to the rule on its own.
+func TestReadersRefuseStampsOutOfOrder(t *testing.T) {
+	bare := func(rank int32, at float64) Record { return Record{Type: RecBareEvt, Rank: rank, Time: at, ID: 2} }
+	for _, c := range []struct {
+		name   string
+		blocks []Block
+		// The stamp of record rec of block blk becomes at; NextIn over
+		// window steps over the record when at is a number outside it.
+		blk, rec int
+		at       float64
+		window   [2]float64
+		want     string
+	}{
+		{"backward in a block", []Block{{1, []Record{bare(1, 1), bare(1, 2)}}}, 0, 1, 0.5, [2]float64{0.9, 2},
+			"clog2: a BareEvt record of rank 1 stamped 0.5, before its rank's 1"},
+		{"backward across two blocks of a rank with another rank's block between them",
+			[]Block{{1, []Record{bare(1, 0.5), bare(1, 0.75)}}, {0, []Record{bare(0, 0)}}, {1, []Record{bare(1, 1)}}}, 2, 0, 0.5, [2]float64{0.6, 2},
+			"clog2: a BareEvt record of rank 1 stamped 0.5, before its rank's 0.75"},
+		{"stamped NaN", []Block{{1, []Record{bare(1, 1), bare(1, 2)}}}, 0, 1, math.NaN(), [2]float64{0.9, 2},
+			"clog2: a BareEvt record of rank 1 stamped NaN"},
+		{"stamped +Inf", []Block{{1, []Record{bare(1, 1), bare(1, 2)}}}, 0, 1, math.Inf(1), [2]float64{0.9, 2},
+			"clog2: a BareEvt record of rank 1 stamped +Inf"},
+		{"stamped -Inf first", []Block{{1, []Record{bare(1, 1), bare(1, 2)}}}, 0, 0, math.Inf(-1), [2]float64{0.9, 2},
+			"clog2: a BareEvt record of rank 1 stamped -Inf"},
+	} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range c.blocks {
+			if err := w.WriteBlock(b.Rank, b.Records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, m := buf.Bytes(), w.Table().Blocks[c.blk]
+		binary.LittleEndian.PutUint64(data[m.Offset+blockHeaderSize+17*int64(c.rec)+1:], math.Float64bits(c.at))
+		path := filepath.Join(t.TempDir(), "back.clog2")
+		writeFile(t, path, data)
+		mustLoad(t, path) // the Writer's table, which a stamp does not touch
+
+		refused := func(what string, err error) {
+			t.Helper()
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: %s gives %v, want %s", c.name, what, err, c.want)
+			}
+		}
+		_, _, err = readBlocks(bytes.NewReader(data))
+		refused("Each", err)
+		for _, win := range [][2]float64{{math.Inf(-1), math.Inf(1)}, c.window} {
+			br, err := NewBlockReader(bytes.NewReader(data))
+			for err == nil {
+				_, _, err = br.NextIn(nil, win[0], win[1])
+			}
+			refused(fmt.Sprintf("NextIn over %v", win), err)
+		}
+		_, err = ScanTable(bytes.NewReader(data))
+		refused("ScanTable", err)
+		for _, win := range [][2]float64{{math.Inf(-1), math.Inf(1)}, c.window} {
+			q := MatchAll()
+			q.T0, q.T1 = win[0], win[1]
+			begins := 0
+			used, err := Walk(path, q, func(int) func(Block) error {
+				begins++
+				return func(Block) error { return nil }
+			})
+			refused(fmt.Sprintf("Walk over %v", win), err)
+			if used || begins != 2 {
+				t.Errorf("%s: Walk over %v used the table %v, began %d times; want the table's block refused, then the scan", c.name, win, used, begins)
+			}
+		}
+		_, err = DecodeBlockPayload(data[m.Offset:m.Offset+m.Length], m.Rank)
+		if c.blk == 0 {
+			refused("DecodeBlockPayload", err)
+		} else if err != nil { // a breach across blocks: the block keeps the rule on its own
+			t.Errorf("%s: DecodeBlockPayload gives %v", c.name, err)
+		}
+	}
+}
+
+// A backward seek forgets the ranks' last stamps, so that reading a rank's
+// later block and then seeking back to its earlier one refuses nothing; a
+// forward seek keeps them.
+func TestSeekBackForgetsStamps(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []int64
+	for _, stamp := range []float64{1, 2, 3} {
+		at = append(at, w.Offset())
+		if err := w.WriteBlock(0, []Record{{Type: RecBareEvt, Time: stamp}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBlockReaderAt(bytes.NewReader(buf.Bytes()), at[2], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []int64{at[2], at[0], at[2], at[1]} {
+		if err := br.SeekTo(to); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := br.NextReuse(nil); err != nil {
+			t.Errorf("the block at %d, read after a seek: %v", to, err)
+		}
+	}
+	if br.last[0] != 2 {
+		t.Errorf("rank 0's last stamp %v after the last block read, want 2", br.last[0])
 	}
 }

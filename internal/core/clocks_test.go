@@ -8,7 +8,7 @@ func coarseClocks(n int, resolution float64) []clock.Source {
 	base := clock.NewReal()
 	out := make([]clock.Source, n)
 	for i := range out {
-		out[i] = clock.NewMonotonic(clock.NewSkewed(base, 0, 0, resolution))
+		out[i] = clock.NewSkewed(base, 0, 0, resolution)
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func RunA1(opt Options) (*A1Result, error) {
 		for i := range clocks {
 			// 100 µs resolution: coarse like an old MPI_Wtime, but finer
 			// than the 1 ms spread so the workaround can take effect.
-			clocks[i] = clock.NewMonotonic(clock.NewSkewed(base, 0, 0, 1e-4))
+			clocks[i] = clock.NewSkewed(base, 0, 0, 1e-4)
 		}
 		cfg := core.Config{
 			NumProcs:     workers + 1,

@@ -9,9 +9,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clock"
@@ -338,7 +340,11 @@ func TestFinishRejectsHostilePayloads(t *testing.T) {
 		{"count one too many", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n + 1) }, "it counts 11 records, its pages hold 10"},
 		{"count one too few", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p}, endCount(n - 1) }, "it counts 9 records, its pages hold 10"},
 		{"a marker after the records", whole(func(p []byte) []byte { return append(p, byte(clog2.RecEndBlock)) }), "marker EndBlock at byte"},
-		{"the page sent twice", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p, p}, endCount(n) }, "it counts 10 records, its pages hold 20"},
+		{"the page sent twice", func(p []byte, n int) ([][]byte, []byte) { return [][]byte{p, p}, endCount(n) }, "a CargoEvt record of rank 2 stamped 101.0001, before its rank's 101.001"},
+		{"a page whose record goes back", whole(func(p []byte) []byte { binary.LittleEndian.PutUint64(p[30:], 0); return p }),
+			"clog2: a CargoEvt record of rank 2 stamped 0, before its rank's 101.0001 (at byte 29)"},
+		{"a record stamped NaN", whole(func(p []byte) []byte { binary.LittleEndian.PutUint64(p[30:], math.Float64bits(math.NaN())); return p }),
+			"clog2: a CargoEvt record of rank 2 stamped NaN (at byte 29)"},
 		{"cargo length, low bit flipped", whole(func(p []byte) []byte { p[firstCargoLen] ^= 1; return p }), ""},
 		{"cargo length, high byte flipped", whole(func(p []byte) []byte { p[firstCargoLen+1] ^= 1; return p }), "cargo of 266 bytes exceeds the 40 a writer emits"},
 		{"well-formed cargo of 41 bytes", func(p []byte, n int) ([][]byte, []byte) {
@@ -371,7 +377,7 @@ func TestFinishRefusesARecordOfAnotherRank(t *testing.T) {
 // refuse its block.
 func TestFinishRefusesAPeerOutsideTheWorld(t *testing.T) {
 	refusedMerge(t, "peer outside", false, func(p []byte, n int) ([][]byte, []byte) {
-		msg, _ := clog2.AppendRecord(nil, &clog2.Record{Type: clog2.RecMsgEvt, Time: 1, Rank: 2, Dir: clog2.DirSend, Aux1: 3, Aux2: 1, Aux3: 8})
+		msg, _ := clog2.AppendRecord(nil, &clog2.Record{Type: clog2.RecMsgEvt, Time: 1000, Rank: 2, Dir: clog2.DirSend, Aux1: 3, Aux2: 1, Aux3: 8})
 		return [][]byte{append(p, msg...)}, endCount(n + 1)
 	}, fmt.Sprintf("clog2: a message half of rank 2 names peer rank 3, outside [0,3) (at byte %d)", pageLen10()))
 }
@@ -386,6 +392,46 @@ func TestFinishRefusesAMarkerInAPage(t *testing.T) {
 	refusedMerge(t, "marker", false, func(p []byte, n int) ([][]byte, []byte) {
 		return [][]byte{append(p[:19+10:19+10], append([]byte{byte(clog2.RecEndLog)}, p[19+10:]...)...)}, endCount(n)
 	}, "clog2: marker EndLog at byte 29 among records")
+}
+
+// stepBack is a clock that breaks clock.Source's contract: its third
+// reading goes back ten seconds, and it counts on from there.
+type stepBack struct {
+	mu sync.Mutex
+	n  float64
+}
+
+func (c *stepBack) Now() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n++; c.n == 3 {
+		c.n -= 10
+	}
+	return c.n
+}
+
+// A rank whose clock went back logs records out of time order, which
+// breaks the rule of a block: Finish refuses the rank by name, with both
+// stamps, and writes none of its blocks.
+func TestFinishRefusesAClockThatWentBack(t *testing.T) {
+	w := mpi.NewWorld(2, mpi.Options{Clocks: []clock.Source{clock.NewManual(100), &stepBack{}}})
+	g := NewGroup(w, true)
+	e := g.DescribeEvent("E", "yellow")
+	var out bytes.Buffer
+	errs := w.Run(func(r *mpi.Rank) error {
+		l := g.Logger(r.ID())
+		if r.ID() == 0 {
+			return l.Finish(&out)
+		}
+		for i := 0; i < 4; i++ {
+			l.Event(e, "x")
+		}
+		return l.Finish(nil)
+	})
+	want := regexp.MustCompile(`^mpe: parsing rank 1 log: clog2: a CargoEvt record of rank 1 stamped \S+, before its rank's \S+ \(at byte 40\)$`)
+	if errs[1] != nil || errs[0] == nil || !want.MatchString(errs[0].Error()) {
+		t.Fatalf("Finish gives %v on rank 0 and %v on rank 1, want %s on rank 0", errs[0], errs[1], want)
+	}
 }
 
 func TestFinishRefusesAWrongEndCount(t *testing.T) {

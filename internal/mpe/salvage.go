@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -36,7 +37,9 @@ type RankSalvage struct {
 	// SegmentsRecovered counts segments decoded into records.
 	SegmentsRecovered int
 	// SegmentsSkipped counts frames that validated (CRC) but could not
-	// be decoded — a writer bug or version skew, normally zero.
+	// be decoded, or that hold a record stamped before the rank's records
+	// recovered ahead of them (a frame out of place) — a writer bug or
+	// version skew, normally zero.
 	SegmentsSkipped int
 	// SegmentsMissing counts sequence numbers known to have been written
 	// (they fall below the highest seq seen) whose segments were lost to
@@ -230,6 +233,7 @@ func salvageFragment(rank int, path string, data []byte) ([]clog2.Record, RankSa
 	var recs []clog2.Record
 	seen := make(map[uint64]bool, len(segs))
 	maxSeq := int64(-1)
+	last := math.Inf(-1) // the rank's last stamp recovered
 	for _, seg := range segs {
 		if seen[seg.Seq] {
 			continue // duplicate frame; first occurrence won
@@ -239,7 +243,7 @@ func salvageFragment(rank int, path string, data []byte) ([]clog2.Record, RankSa
 			maxSeq = int64(seg.Seq)
 		}
 		block, err := clog2.DecodeBlockPayload(seg.Payload, int32(rank))
-		if err != nil || int(seg.Rank) != rank {
+		if err != nil || int(seg.Rank) != rank || !stampedAfter(block.Records, &last) {
 			rs.SegmentsSkipped++
 			continue
 		}
@@ -250,6 +254,20 @@ func salvageFragment(rank int, path string, data []byte) ([]clog2.Record, RankSa
 	rs.SegmentsMissing = int(rs.SegmentsWritten) - rs.SegmentsRecovered - rs.SegmentsSkipped
 	rs.Records = len(recs)
 	return recs, rs
+}
+
+// stampedAfter reports whether recs, a block in time order, holds no timed
+// record stamped before *last, which it moves on to the block's last stamp.
+func stampedAfter(recs []clog2.Record, last *float64) bool {
+	for _, r := range recs {
+		if !r.Type.IsDef() {
+			if r.Time < *last {
+				return false // the first timed record: the rest are no earlier
+			}
+			*last = r.Time
+		}
+	}
+	return true
 }
 
 // loadSpillDefs reads the defs spill: one segment whose payload is a
@@ -401,13 +419,10 @@ func SalvageWithReport(prefix string, out io.Writer) (*SalvageReport, error) {
 	}
 	sort.Ints(ranks)
 	for _, rank := range ranks {
-		recs := perRank[rank]
-		// Spill fragments carry one batch per segment/block; coalesce per
-		// rank, ordered by timestamp (stable, so equal stamps keep their
-		// original sequence and cannot desync state pairing), and cut into
-		// blocks as Finish cuts a rank's log.
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-		if err := w.WriteCut(clog2.NewCut(int32(rank), rep.NumRanks, blockRecords, recs)); err != nil {
+		// A fragment's segments, a record each, are in the order the rank
+		// logged them, which is time order: its records are cut into blocks
+		// as Finish cuts a rank's log.
+		if err := w.WriteCut(clog2.NewCut(int32(rank), rep.NumRanks, blockRecords, perRank[rank])); err != nil {
 			return rep, err
 		}
 		rep.RanksRecovered++

@@ -326,6 +326,51 @@ func TestSalvageHighRankWidensWorld(t *testing.T) {
 	}
 }
 
+// A fragment's segments are in the order its rank logged them, which is
+// time order. A segment out of place (CRC-valid, stamped before the
+// segments recovered ahead of it) is counted skipped, as one that does not
+// decode is, and the rest of the fragment is salvaged in order.
+func TestSalvageSkipsASegmentOutOfPlace(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run.clog2")
+	abortedRun(t, prefix)
+	var frag []byte
+	for seq, at := range []float64{1, 3, 2, 4} {
+		payload, err := clog2.AppendBlock(nil, 1, []clog2.Record{{Type: clog2.RecBareEvt, Time: at, Rank: 1, ID: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := len(frag)
+		frag = append(append(frag, make([]byte, clog2.SegHeaderSize)...), payload...)
+		clog2.FinalizeSegmentHeader(frag[at:], 1, uint64(seq))
+	}
+	if err := os.WriteFile(prefix+".rank1.spill", frag, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, merged := salvageToFile(t, prefix)
+	r := rep.Ranks[1]
+	if r.SegmentsRecovered != 3 || r.SegmentsSkipped != 1 || r.SegmentsMissing != 0 || r.Records != 3 {
+		t.Fatalf("rank 1: %+v, want 3 segments recovered and 1 skipped", r)
+	}
+	br, err := clog2.NewBlockReader(bytes.NewReader(merged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []float64
+	if err := br.Each(func(b clog2.Block) error {
+		for _, rec := range b.Records {
+			if rec.Rank == 1 {
+				times = append(times, rec.Time)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("merged log: %v", err)
+	}
+	if fmt.Sprint(times) != "[1 3 4]" {
+		t.Fatalf("rank 1's salvaged stamps %v, want [1 3 4]", times)
+	}
+}
+
 // An unreadable fragment (pure garbage) is quarantined wholesale and
 // warned about; the other ranks still salvage.
 func TestSalvageGarbageFragment(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,8 +82,8 @@ const maxChunk = 16 << 10
 // straddles two pieces.
 const textPiece = 64 << 10
 
-// rankLog is one rank's events in file order (the per-rank sequence used
-// as the sort tie-break), in chunks, and their cargo text, in pieces.
+// rankLog is one rank's events in file order, which the reader holds to
+// time order (clog2.Block), in chunks, and their cargo text, in pieces.
 type rankLog struct {
 	chunks [][]timed
 	n      int // records in all chunks
@@ -163,19 +162,17 @@ type partition struct {
 	eventDefs []clog2.Record
 	perRank   map[int]*rankLog
 	msgs      clog2.Messages
-	// nonFinite counts, by rank, the records stamped NaN or ±Inf, which
-	// the fold skips too.
-	nonFinite map[int]int
 }
 
 func newPartition(numRanks int) *partition {
-	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}, nonFinite: map[int]int{}}
+	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}}
 }
 
 // addBlock copies what the conversion needs out of b, whose records the
 // caller is free to overwrite afterwards. The reader has held b to the rule
-// of a block (clog2.Block): every record is of b's rank, and every message
-// half's peer is a rank of the log.
+// of a block (clog2.Block): every record is of b's rank, every message
+// half's peer is a rank of the log, and every stamp is finite and no
+// earlier than the rank's stamp before it.
 func (p *partition) addBlock(b *clog2.Block) error {
 	rl := p.perRank[int(b.Rank)]
 	if rl == nil {
@@ -193,9 +190,6 @@ func (p *partition) addBlock(b *clog2.Block) error {
 			}
 			continue
 		case rec.Type == clog2.RecConstDef || rec.Type == clog2.RecTimeShift || rec.Type == clog2.RecSrcLoc:
-			continue
-		case math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0):
-			p.nonFinite[int(b.Rank)]++
 			continue
 		}
 		switch rec.Type {
@@ -239,55 +233,20 @@ func (rr *rankResult) warnf(format string, args ...any) {
 	rr.warnings = append(rr.warnings, fmt.Sprintf(format, args...))
 }
 
-// byTime orders records by time alone; under a stable sort, ties keep
-// their original sequence.
-func byTime(a, b timed) int { return cmpLess(a.t, b.t) }
-
-// orderByTime puts one rank's records in (time, original sequence) order:
-// one pass over the chunks when they already are, as in every merged log,
-// else a stable sort by time of the chunks laid end to end, returned as
-// one chunk.
-func orderByTime(chunks [][]timed) [][]timed {
-	prev := math.Inf(-1)
-	for _, c := range chunks {
-		for i := range c {
-			if c[i].t < prev {
-				n := 0
-				for _, c := range chunks {
-					n += len(c)
-				}
-				all := make([]timed, 0, n)
-				for _, c := range chunks {
-					all = append(all, c...)
-				}
-				slices.SortStableFunc(all, byTime)
-				return [][]timed{all}
-			}
-			prev = c[i].t
-		}
-	}
-	return chunks
-}
-
-// pairRank runs the per-rank pairing phase: put the rank's events in
-// (time, original sequence) order, pair starts and ends on a clog2.Stack
-// into states, and turn solo events into events. They are written to
-// states and events, which have room for the rank's every end and solo
-// event. stateCat/eventCat are read-only shared tables, so many pairRank
-// calls may run concurrently on disjoint states and events.
+// pairRank runs the per-rank pairing phase: pair the rank's starts and
+// ends on a clog2.Stack into states in file order, which is time order,
+// and turn solo events into events. They are written to states and
+// events, which have room for the rank's every end and solo event.
+// stateCat/eventCat are read-only shared tables, so many pairRank calls may
+// run concurrently on disjoint states and events.
 func pairRank(rank int, rl *rankLog, stateCat, eventCat map[int32]int, states []State, events []Event) *rankResult {
-	// Ties on time resolve to original record sequence, so a state-end and
-	// the next state-start logged at an identical (coarse-resolution)
-	// timestamp can never reorder and desynchronize the pairing stack. A
-	// merged log is already in that order, rank by rank.
-	chunks := orderByTime(rl.chunks)
 	// Every cargo of the rank is a substring of a piece of its text; a
 	// start's Ref on the stack is where its cargo lies.
 	cargo := rl.cargoOf
 
 	rr := &rankResult{}
 	var stack clog2.Stack
-	for _, c := range chunks {
+	for _, c := range rl.chunks {
 		for i := range c {
 			rec := &c[i]
 			ref := uint64(rec.cargoOff)<<8 | uint64(rec.cargoLen)
@@ -376,10 +335,6 @@ func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, erro
 	for _, d := range p.eventDefs {
 		eventCat[d.ID] = len(cats)
 		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindEvent})
-	}
-
-	for _, rank := range sortedKeys(p.nonFinite) {
-		rep.warnf("rank %d: %d record(s) dropped, timestamp not finite", rank, p.nonFinite[rank])
 	}
 
 	// Phase 2: per-rank pairing, fanned out over the worker pool. Rank i

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -251,8 +250,8 @@ func TestConvertFrameTreeMatchesDefinition(t *testing.T) {
 // The arrows come out of the k-way merge of the keys' runs in the order a
 // stable sort by Start gives the runs laid end to end in key order, with
 // their warnings: on random message queues with ties on Start across
-// keys, sends and receives added out of time order within a key, keys
-// that have only sends or only receives, and sizes that disagree.
+// keys, halves added in time order (a rank's file order, clog2.Block),
+// keys that have only sends or only receives, and sizes that disagree.
 func TestConvertArrowMergeEqualsStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -262,10 +261,12 @@ func TestConvertArrowMergeEqualsStableSort(t *testing.T) {
 			b.Add(rank, peer, tag, dir, h)
 		}
 		keys := 1 + rng.Intn(12)
+		now := 0.0
 		for i := rng.Intn(300); i > 0; i-- {
 			k := int32(rng.Intn(keys))
 			src, dst, tag := k%3, (k+1)%3, k/3
-			h := clog2.MsgHalf{Time: float64(rng.Intn(40)) / 4, Size: int32(rng.Intn(2) * 8)}
+			now += float64(rng.Intn(3)) / 4 // a third of the halves tie with the one before
+			h := clog2.MsgHalf{Time: now, Size: int32(rng.Intn(2) * 8)}
 			switch {
 			case k%5 == 1: // only sends
 				add(src, dst, tag, clog2.DirSend, h)
@@ -504,53 +505,6 @@ func TestConvertCargoFillingATextPiece(t *testing.T) {
 	for _, s := range states {
 		if s.StartCargo != cargo || s.EndCargo != "" {
 			t.Fatalf("state %+v, want start cargo %q", s, cargo)
-		}
-	}
-}
-
-// orderByTime against the index sort it replaced: sort.Slice over record
-// indices with (time, index) as the key — on sorted, reversed, shuffled
-// and heavily tied input, cut into chunks.
-func TestOrderByTimeMatchesSortSliceReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(400)
-		recs := make([]timed, n)
-		for i := range recs {
-			recs[i].id = int32(i) // the original sequence
-			switch trial % 4 {
-			case 0: // already in order, with ties
-				recs[i].t = float64(i / 3)
-			case 1: // reversed
-				recs[i].t = float64(n - i)
-			case 2: // coarse clock: mostly ties
-				recs[i].t = float64(rng.Intn(5))
-			default:
-				recs[i].t = rng.Float64()
-			}
-		}
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ra, rb := &recs[order[a]], &recs[order[b]]
-			if ra.t != rb.t {
-				return ra.t < rb.t
-			}
-			return order[a] < order[b]
-		})
-		// The rank's log comes in chunks, cut anywhere.
-		var chunks [][]timed
-		for rest := recs; len(rest) > 0; {
-			k := 1 + rng.Intn(len(rest))
-			chunks, rest = append(chunks, rest[:k:k]), rest[k:]
-		}
-		recs = slices.Concat(orderByTime(chunks)...)
-		for i := range recs {
-			if int(recs[i].id) != order[i] {
-				t.Fatalf("trial %d: position %d holds record %d, reference %d", trial, i, recs[i].id, order[i])
-			}
 		}
 	}
 }

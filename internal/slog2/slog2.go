@@ -304,16 +304,6 @@ func orderBits(t float64) uint64 {
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-func cmpLess(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case b < a:
-		return 1
-	}
-	return 0
-}
-
 // pick returns, in SortRefs order, the drawables in the frames under
 // [t0, t1] that at admits, keyed by the time it gives. The frames are
 // walked twice, to count and then to fill a slice of that size: a window

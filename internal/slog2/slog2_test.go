@@ -2,6 +2,7 @@ package slog2
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"math"
 	"math/rand"
@@ -68,6 +69,9 @@ func (b *clogBuilder) recv(rank, src, tag int32, t float64, size int32) {
 
 // log encodes the built log: the definitions as rank 0's first block, then
 // each rank's records in blocks as long as a block may be, in rank order.
+// A rank's records go in time order, as a logger stamps them (the rule of a
+// block, clog2.Block): stably sorted, so records built at one time keep the
+// order they were built in.
 func (b *clogBuilder) log(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -77,6 +81,7 @@ func (b *clogBuilder) log(t testing.TB) []byte {
 	}
 	for r := int32(0); r < int32(b.nranks) && err == nil; r++ {
 		if recs, ok := b.blocks[r]; ok {
+			slices.SortStableFunc(recs, func(a, b clog2.Record) int { return cmp.Compare(a.Time, b.Time) })
 			err = w.WriteCut(clog2.NewCut(r, b.nranks, clog2.MaxBlockRecords, recs))
 		}
 	}
@@ -87,6 +92,20 @@ func (b *clogBuilder) log(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// rawLog encodes blocks as they are, with no Writer to refuse one that
+// breaks the rule of a block (clog2.Block): a log written outside the tree.
+func rawLog(nranks int, blocks ...clog2.Block) []byte {
+	log := clog2.AppendHeader(nil, nranks)
+	for _, b := range blocks {
+		log = clog2.AppendBlockHeader(log, b.Rank, len(b.Records))
+		for i := range b.Records {
+			log, _ = clog2.AppendRecord(log, &b.Records[i])
+		}
+		log = append(log, byte(clog2.RecEndBlock))
+	}
+	return append(log, byte(clog2.RecEndLog))
 }
 
 // convert is ConvertReader over an encoded log.
@@ -203,6 +222,7 @@ func TestConvertNestingErrors(t *testing.T) {
 		states               []state
 		arrows               []arrow
 		warning              string
+		refused              string // the reader's refusal of the records as they lie
 	}{{
 		name:  "unpaired",
 		ranks: 1,
@@ -233,19 +253,32 @@ func TestConvertNestingErrors(t *testing.T) {
 		arrows:  []arrow{{2, 1, 2, 3}},
 		warning: "message 0->1 tag 5: 1 send(s) without receive",
 	}, {
+		// The converter used to sort this rank and drop the NaN end; no
+		// reader hands either over now (clog2.Block).
 		name:  "out-of-order rank with a NaN end",
 		ranks: 1,
 		recs: []clog2.Record{
 			evt(0, 3, 2), evt(0, math.NaN(), 3), evt(0, 4, 3),
 			evt(0, 1, 2), evt(0, 2, 3),
 		},
-		states:  []state{{0, 0, 1, 2}, {0, 0, 3, 4}},
-		warning: "rank 0: 1 record(s) dropped, timestamp not finite",
+		refused: "clog2: a CargoEvt record of rank 0 stamped NaN",
+	}, {
+		name:    "out-of-order rank",
+		ranks:   1,
+		recs:    []clog2.Record{evt(0, 3, 2), evt(0, 4, 3), evt(0, 1, 2), evt(0, 2, 3)},
+		refused: "clog2: a CargoEvt record of rank 0 stamped 1, before its rank's 4",
 	}} {
 		t.Run(c.name, func(t *testing.T) {
 			b := newCLOG(c.ranks)
 			b.defState(1, "A", "red")
 			b.defState(2, "B", "green")
+			if c.refused != "" {
+				log := rawLog(c.ranks, clog2.Block{Rank: 0, Records: append(b.defs, c.recs...)})
+				if _, _, err := convert(log, ConvertOptions{}); err == nil || err.Error() != c.refused {
+					t.Errorf("ConvertReader gives %v, want %s", err, c.refused)
+				}
+				return
+			}
 			for _, r := range c.recs {
 				b.blocks[r.Rank] = append(b.blocks[r.Rank], r)
 			}

@@ -8,6 +8,19 @@ import (
 	"testing"
 )
 
+// cmpLess orders a before b when a < b, and puts the two level otherwise:
+// the comparison of the stable sorts the tests hold the package's own
+// orders to.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
 // checkSortRefs sorts a copy of refs with SortRefs and another with the
 // stable comparison sort it replaced, and wants the same refs in the same
 // order: the same pointers, not only the same times.

@@ -149,7 +149,7 @@ func TestWindowedDegradation(t *testing.T) {
 		{"missing", func(data []byte, table *clog2.Table) []byte { return data[:table.LogSize()] }},
 		// The blocks were rewritten after the table was: rank 1's first
 		// block, which the window reads, is now rank 0's, header and
-		// records.
+		// records, stamped after rank 0's blocks before it.
 		{"stale", func(data []byte, table *clog2.Table) []byte {
 			i := slices.IndexFunc(table.Blocks, func(m clog2.BlockMeta) bool { return m.Rank == 1 })
 			m := table.Blocks[i]
@@ -161,8 +161,15 @@ func TestWindowedDegradation(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
+			var after float64 // rank 0's last stamp before the block
+			for _, e := range table.Blocks[:i] {
+				if e.Rank == 0 && e.Records > e.Defs {
+					after = e.TMax
+				}
+			}
 			for i := range b.Records {
 				b.Records[i].Rank = 0
+				b.Records[i].Time += after
 			}
 			enc, err := clog2.AppendBlock(nil, 0, b.Records)
 			if err != nil || int64(len(enc)) != m.Length {

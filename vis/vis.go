@@ -166,12 +166,16 @@ func PipelineToRepo(clogPath, repoDir, id string, opts ConvertOptions) (*File, *
 }
 
 // ValidTraceID is the one rule for a trace id, which names the files of a
-// trace in a pilot-serve repository (<id>.slog2, <id>.clog2): 1 to 255
+// trace in a pilot-serve repository (<id>.slog2, <id>.clog2): 1 to 231
 // bytes, no path separator, no "..", no leading dot, so that no id reaches
-// outside the repository directory. PipelineToRepo registers and the
-// service answers only the ids it accepts.
+// outside the repository directory and every name PipelineToRepo makes of
+// it fits the common 255-byte limit. The longest is the temporary file
+// clog2.WriteFileAtomic writes <id>.clog2 and <id>.slog2 through, 24 bytes
+// past the id: ".clog2" (6), ".tmp-" (5) and a uint64 in base 36 (up to 13
+// digits); 255 - 24 = 231. PipelineToRepo registers and the service answers
+// only the ids it accepts.
 func ValidTraceID(id string) bool {
-	return id != "" && len(id) <= 255 && !strings.ContainsAny(id, "/\\") && !strings.Contains(id, "..") && id[0] != '.'
+	return id != "" && len(id) <= 231 && !strings.ContainsAny(id, "/\\") && !strings.Contains(id, "..") && id[0] != '.'
 }
 
 // registerRawLog copies the raw CLOG-2 to dst through a temporary file

@@ -190,6 +190,21 @@ func TestPipelineToRepo(t *testing.T) {
 	}
 }
 
+// rawLog encodes blocks as they are, behind a header of numRanks ranks and
+// up to the end-log marker, with no Writer to refuse one that breaks the
+// rule of a block (clog2.Block): a log written outside the tree.
+func rawLog(numRanks int, blocks ...clog2.Block) []byte {
+	log := clog2.AppendHeader(nil, numRanks)
+	for _, b := range blocks {
+		log = clog2.AppendBlockHeader(log, b.Rank, len(b.Records))
+		for i := range b.Records {
+			log, _ = clog2.AppendRecord(log, &b.Records[i])
+		}
+		log = append(log, byte(clog2.RecEndBlock))
+	}
+	return append(log, byte(clog2.RecEndLog))
+}
+
 // A log with a state pair on a rank its header does not declare, and a
 // send to a negative peer, used to register a trace whose timeline had
 // dropped both with a warning while its profile counted them. No writer
@@ -200,7 +215,7 @@ func TestPipelineToRepoRefusesOutOfRangeRanks(t *testing.T) {
 	evt := func(rank int32, time float64, etype int32) clog2.Record {
 		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: time, ID: etype}
 	}
-	send := clog2.Record{Type: clog2.RecMsgEvt, Rank: 0, Time: 1.5, Dir: clog2.DirSend, Aux1: -5, Aux2: 1, Aux3: 8}
+	send := clog2.Record{Type: clog2.RecMsgEvt, Rank: 0, Time: 2.5, Dir: clog2.DirSend, Aux1: -5, Aux2: 1, Aux3: 8}
 	for _, c := range []struct {
 		rank int32
 		recs []clog2.Record
@@ -216,23 +231,12 @@ func TestPipelineToRepoRefusesOutOfRangeRanks(t *testing.T) {
 		if err := w.WriteBlock(c.rank, c.recs); err == nil || err.Error() != c.want {
 			t.Errorf("WriteBlock(%d): %v, want %s", c.rank, err, c.want)
 		}
-		log := clog2.AppendHeader(nil, 2)
-		for _, blk := range []struct {
-			rank int32
-			recs []clog2.Record
-		}{
-			{0, []clog2.Record{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}}},
-			{1, []clog2.Record{evt(1, 1, 2), evt(1, 3, 3)}},
-			{c.rank, c.recs},
-		} {
-			log = clog2.AppendBlockHeader(log, blk.rank, len(blk.recs))
-			for i := range blk.recs {
-				log, _ = clog2.AppendRecord(log, &blk.recs[i])
-			}
-			log = append(log, byte(clog2.RecEndBlock))
-		}
+		log := rawLog(2,
+			clog2.Block{Rank: 0, Records: []clog2.Record{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}}},
+			clog2.Block{Rank: 1, Records: []clog2.Record{evt(1, 1, 2), evt(1, 3, 3)}},
+			clog2.Block{Rank: c.rank, Records: c.recs})
 		clog := filepath.Join(t.TempDir(), "stray.clog2")
-		if err := os.WriteFile(clog, append(log, byte(clog2.RecEndLog)), 0o644); err != nil {
+		if err := os.WriteFile(clog, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		repoDir := t.TempDir()
@@ -248,11 +252,12 @@ func TestPipelineToRepoRefusesOutOfRangeRanks(t *testing.T) {
 // A trace id is held to the one rule pilot-serve holds it to
 // (vis.ValidTraceID) before the log is read: a 256-byte id used to pass
 // PipelineToRepo's own check, convert the whole log and fail only at the
-// file system's name limit.
+// file system's name limit, and so did one of 232 to 255 bytes, whose
+// temporary file's name passed the limit. A 231-byte id registers.
 func TestPipelineToRepoRefusesALongIDFirst(t *testing.T) {
 	repoDir := t.TempDir()
 	missing := filepath.Join(t.TempDir(), "never-read.clog2")
-	for _, id := range []string{strings.Repeat("x", 256), "", "a/b", `a\b`, "..", ".hidden"} {
+	for _, id := range []string{strings.Repeat("x", 256), strings.Repeat("x", 255), strings.Repeat("x", 232), "", "a/b", `a\b`, "..", ".hidden"} {
 		if vis.ValidTraceID(id) {
 			t.Errorf("ValidTraceID(%.20q) holds", id)
 		}
@@ -261,144 +266,106 @@ func TestPipelineToRepoRefusesALongIDFirst(t *testing.T) {
 			t.Errorf("id of %d bytes: %v, want the id refused before the log is opened", len(id), err)
 		}
 	}
-	if !vis.ValidTraceID(strings.Repeat("x", 255)) {
-		t.Error("a 255-byte id refused")
+	longest := strings.Repeat("x", 231)
+	if !vis.ValidTraceID(longest) {
+		t.Fatal("a 231-byte id refused")
+	}
+	clog := filepath.Join(t.TempDir(), "run.clog2")
+	if err := os.WriteFile(clog, rawLog(1, clog2.Block{Rank: 0, Records: []clog2.Record{
+		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"},
+		{Type: clog2.RecBareEvt, Time: 1, ID: 2}, {Type: clog2.RecBareEvt, Time: 2, ID: 3},
+	}}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := vis.PipelineToRepo(clog, repoDir, longest, vis.ConvertOptions{}); err != nil {
+		t.Fatalf("a 231-byte id: %v", err)
 	}
 }
 
 // A state end stamped +Inf (and one each NaN and -Inf) used to be counted
-// by the profile and dropped by the analyzer: the profile then carried an
-// infinite duration, its JSON would not serialise and the whole log was
-// refused ("vis: writing profile: json: unsupported value: +Inf"). Both
-// now read the log through one fold, which skips such records: the log
-// profiles, registers and serves, and the analyzer counts the profile's
-// records. The converter pairs states by the
-// same policy, so the timeline holds the profile's two states where it
-// used to pair rank 1's start with its NaN end and report three nesting
-// errors.
+// by the profile and dropped by the analyzer, and then skipped by the one
+// fold every reader shares. A stamp that is not finite breaks the rule of a
+// block (clog2.Block) now: a Writer refuses the block by name, and the same
+// block byte-built onto a good log is refused, by name, by the converter,
+// the profile, the analyzer and PipelineToRepo, which registers nothing.
 func TestPipelineToRepoNonFiniteTimestamps(t *testing.T) {
 	evt := func(rank int32, time float64, etype int32) clog2.Record {
 		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: time, ID: etype}
 	}
-	var raw bytes.Buffer
-	w, err := clog2.NewWriter(&raw, 2)
-	if err != nil {
-		t.Fatal(err)
+	good := []clog2.Block{
+		{Rank: 0, Records: []clog2.Record{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}}},
+		{Rank: 1, Records: []clog2.Record{evt(1, 0, 2), evt(1, 0.5, 3)}},
 	}
-	for _, blk := range [][]clog2.Record{
-		{{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"}},
-		{evt(0, 1, 2), evt(0, math.Inf(1), 3), evt(0, 2, 3)},
-		{evt(1, 1, 2), evt(1, math.NaN(), 3), evt(1, math.Inf(-1), 3), evt(1, 3, 3)},
+	for _, c := range []struct {
+		blk  clog2.Block
+		want string
+	}{
+		{clog2.Block{Rank: 0, Records: []clog2.Record{evt(0, 1, 2), evt(0, math.Inf(1), 3), evt(0, 2, 3)}},
+			"clog2: a BareEvt record of rank 0 stamped +Inf"},
+		{clog2.Block{Rank: 1, Records: []clog2.Record{evt(1, 1, 2), evt(1, math.NaN(), 3), evt(1, math.Inf(-1), 3), evt(1, 3, 3)}},
+			"clog2: a BareEvt record of rank 1 stamped NaN"},
+		{clog2.Block{Rank: 1, Records: []clog2.Record{evt(1, 1, 2), evt(1, math.Inf(-1), 3), evt(1, 3, 3)}},
+			"clog2: a BareEvt record of rank 1 stamped -Inf"},
 	} {
-		if err := w.WriteBlock(blk[0].Rank, blk); err != nil {
+		w, err := clog2.NewWriter(io.Discard, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	clog := filepath.Join(t.TempDir(), "inf.clog2")
-	if err := os.WriteFile(clog, raw.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	prof, err := stats.ComputeProfile(bytes.NewReader(raw.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prof.JSON(); err != nil {
-		t.Fatalf("profile does not serialise: %v", err)
-	}
-	if prof.Totals.Records != 4 || prof.Unpaired != 0 || len(prof.States) != 1 || prof.States[0].TotalSec != 3 {
-		t.Fatalf("profile counts the non-finite records: %+v", prof)
-	}
-
-	repoDir := t.TempDir()
-	_, crep, _, err := vis.PipelineToRepo(clog, repoDir, "inf", vis.ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := slog2.ReadFile(filepath.Join(repoDir, "inf.slog2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	states := sf.States(math.Inf(-1), math.Inf(1))
-	for _, r := range states {
-		total += r.D.Duration()
-	}
-	if len(states) != 2 || total != prof.States[0].TotalSec || crep.NestingErrors != 0 {
-		t.Fatalf(".slog2: %d state(s) over %gs and %d nesting error(s); want the profile's 2 over %gs and none (%q)",
-			len(states), total, crep.NestingErrors, prof.States[0].TotalSec, crep.Warnings)
-	}
-	rep, err := analyze.AnalyzeFile(filepath.Join(repoDir, "inf.clog2"), analyze.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The repository keeps the profile beside the raw log; the verdict
-	// reads the log alone and counts the same records.
-	want, err := analyze.Analyze(bytes.NewReader(raw.Bytes()), analyze.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := rep.JSON()
-	if wantJSON, _ := want.JSON(); rep.Records != prof.Totals.Records || !bytes.Equal(got, wantJSON) {
-		t.Fatalf("analyzer: %d record(s), want the profile's %d; verdict from the repository differs from the log's:\n%s",
-			rep.Records, prof.Totals.Records, got)
-	}
-
-	s, err := serve.New(serve.Config{RepoDir: repoDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/trace/inf/tile?t0=0&t1=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tile of the registered trace: status %d, body %.200q", resp.StatusCode, body)
+		if err := w.WriteBlock(c.blk.Rank, c.blk.Records); err == nil || err.Error() != c.want {
+			t.Errorf("WriteBlock: %v, want %s", err, c.want)
+		}
+		raw := rawLog(2, append(good, c.blk)...)
+		clog := filepath.Join(t.TempDir(), "inf.clog2")
+		if err := os.WriteFile(clog, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := slog2.ConvertReader(bytes.NewReader(raw), vis.ConvertOptions{}); err == nil || err.Error() != c.want {
+			t.Errorf("ConvertReader: %v, want %s", err, c.want)
+		}
+		if _, err := stats.ComputeProfile(bytes.NewReader(raw)); err == nil || err.Error() != c.want {
+			t.Errorf("ComputeProfile: %v, want %s", err, c.want)
+		}
+		if _, err := analyze.AnalyzeFile(clog, analyze.Options{}); err == nil || err.Error() != "analyze: "+clog+": "+c.want {
+			t.Errorf("AnalyzeFile: %v, want analyze: %s: %s", err, clog, c.want)
+		}
+		repoDir := t.TempDir()
+		if _, _, _, err := vis.PipelineToRepo(clog, repoDir, "inf", vis.ConvertOptions{}); err == nil || err.Error() != c.want {
+			t.Errorf("PipelineToRepo: %v, want %s", err, c.want)
+		}
+		if ents, err := os.ReadDir(repoDir); err != nil || len(ents) != 0 {
+			t.Errorf("the repository holds %v after a refused registration (%v)", ents, err)
+		}
 	}
 }
 
 // A receive stamped +Inf used to become an arrow ending at +Inf: the file's
-// End was +Inf and the SVG drew NaN and Inf coordinates. The converter now
-// drops the record, as the fold does, and the send is left unmatched.
+// End was +Inf and the SVG drew NaN and Inf coordinates. The converter then
+// dropped the record and left the send unmatched. The stamp breaks the rule
+// of a block now: a Writer refuses rank 1's block by name, and the converter
+// refuses the log byte-built around it before it makes a drawable.
 func TestConvertInfiniteReceive(t *testing.T) {
-	var raw bytes.Buffer
-	w, err := clog2.NewWriter(&raw, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, blk := range [][]clog2.Record{{
+	blocks := []clog2.Block{{Rank: 0, Records: []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "green", Name: "PI_Write"},
 		{Type: clog2.RecBareEvt, Rank: 0, Time: 0, ID: 2},
 		{Type: clog2.RecMsgEvt, Rank: 0, Time: 0.5, Dir: clog2.DirSend, Aux1: 1, Aux2: 1, Aux3: 8},
 		{Type: clog2.RecBareEvt, Rank: 0, Time: 1, ID: 3},
-	}, {
+	}}, {Rank: 1, Records: []clog2.Record{
 		{Type: clog2.RecBareEvt, Rank: 1, Time: 0, ID: 2},
 		{Type: clog2.RecMsgEvt, Rank: 1, Time: math.Inf(1), Dir: clog2.DirRecv, Aux1: 0, Aux2: 1, Aux3: 8},
 		{Type: clog2.RecBareEvt, Rank: 1, Time: 2, ID: 3},
-	}} {
-		if err := w.WriteBlock(blk[len(blk)-1].Rank, blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, rep, err := slog2.ConvertReader(&raw, vis.ConvertOptions{})
+	}}}
+	const want = "clog2: a MsgEvt record of rank 1 stamped +Inf"
+	w, err := clog2.NewWriter(io.Discard, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Start != 0 || f.End != 2 || rep.Arrows != 0 || rep.UnmatchedSends != 1 {
-		t.Fatalf("file over [%v, %v], %d arrow(s), %d unmatched send(s); want [0, 2], none and 1",
-			f.Start, f.End, rep.Arrows, rep.UnmatchedSends)
+	if err := w.WriteBlock(0, blocks[0].Records); err != nil {
+		t.Fatal(err)
 	}
-	if svg := jumpshot.AppendSVG(nil, f, vis.View{}); bytes.Contains(svg, []byte("NaN")) || bytes.Contains(svg, []byte("Inf")) {
-		t.Fatalf("SVG draws a non-finite coordinate: %.300q", svg)
+	if err := w.WriteBlock(1, blocks[1].Records); err == nil || err.Error() != want {
+		t.Errorf("WriteBlock: %v, want %s", err, want)
+	}
+	if f, _, err := slog2.ConvertReader(bytes.NewReader(rawLog(2, blocks...)), vis.ConvertOptions{}); err == nil || err.Error() != want {
+		t.Errorf("ConvertReader: a file %+v and %v, want %s", f, err, want)
 	}
 }
