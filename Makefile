@@ -87,7 +87,7 @@ smoke-serve:
 # scan of the log makes, entry for entry (clogdump -verify exits 1 naming
 # the first entry that differs). A copy cut short of its 22-byte footer
 # (clog2.FooterSize) must report the degraded status, and so must a copy
-# whose table is of the previous table version (CLOGTAB-01), which no
+# whose table is of the previous table version (CLOGTAB-02), which no
 # reader reads. A copy under the previous format's magic must be refused,
 # exit 1, naming that version, and so must a copy with one byte of block
 # 1's rank field flipped (the block begins at byte 2188, its rank at 2189,
@@ -108,10 +108,10 @@ smoke-index:
 	./out/clogdump -verify out/idx-smoke/lab2-r0260.clog2 2> out/idx-smoke/r0260.txt; test $$? -eq 1
 	cat out/idx-smoke/r0260.txt
 	grep -q 'CLOG-R0260 log; this version reads' out/idx-smoke/r0260.txt
-	{ head -c -10 testdata/golden/lab2.clog2; printf CLOGTAB-01; } > out/idx-smoke/lab2-tab01.clog2
-	./out/clogdump -verify out/idx-smoke/lab2-tab01.clog2 > out/idx-smoke/tab01.txt
-	cat out/idx-smoke/tab01.txt
-	grep -q '^table: degraded' out/idx-smoke/tab01.txt
+	{ head -c -10 testdata/golden/lab2.clog2; printf CLOGTAB-02; } > out/idx-smoke/lab2-tab02.clog2
+	./out/clogdump -verify out/idx-smoke/lab2-tab02.clog2 > out/idx-smoke/tab02.txt
+	cat out/idx-smoke/tab02.txt
+	grep -q '^table: degraded' out/idx-smoke/tab02.txt
 	{ head -c 2192 testdata/golden/lab2.clog2; printf '\356'; tail -c +2194 testdata/golden/lab2.clog2; } > out/idx-smoke/lab2-rank.clog2
 	./out/clogdump -verify out/idx-smoke/lab2-rank.clog2 2> out/idx-smoke/rank.txt; test $$? -eq 1
 	cat out/idx-smoke/rank.txt
@@ -193,30 +193,34 @@ bench bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .
 
 # Short fuzz pass over every target fuzz-smoke runs (seed corpora run in
-# plain `make test` as well).
+# plain `make test` as well). Minimization is bounded to 100 runs an input
+# (-fuzzminimizetime 100x, a count, so the work does not depend on the
+# box): by default the engine spends up to 60 s minimizing each input that
+# adds coverage before it counts another execution, and on the golden seeds
+# of FuzzAnalyze and FuzzReadSLOG2 that ate the whole budget.
 fuzz:
-	$(GO) test ./internal/clog2/ -fuzz FuzzReadFile -fuzztime 30s
-	$(GO) test ./internal/clog2/ -fuzz FuzzSalvageSegments -fuzztime 30s
-	$(GO) test ./internal/mpe/ -fuzz FuzzSalvageFragment -fuzztime 30s
-	$(GO) test ./internal/slog2/ -fuzz FuzzReadSLOG2 -fuzztime 30s
-	$(GO) test ./internal/clog2/ -fuzz FuzzReadTable -fuzztime 30s
-	$(GO) test ./internal/analyze/ -fuzz FuzzAnalyze -fuzztime 30s
-	$(GO) test ./internal/jumpshot/ -fuzz FuzzAppendFixed -fuzztime 30s
-	$(GO) test ./internal/serve/ -fuzz FuzzGzip -fuzztime 30s
-	$(GO) test ./internal/serve/ -fuzz FuzzTileFloat -fuzztime 30s
+	$(GO) test ./internal/clog2/ -fuzz FuzzReadFile -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/clog2/ -fuzz FuzzSalvageSegments -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/mpe/ -fuzz FuzzSalvageFragment -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/slog2/ -fuzz FuzzReadSLOG2 -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/clog2/ -fuzz FuzzReadTable -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/analyze/ -fuzz FuzzAnalyze -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/jumpshot/ -fuzz FuzzAppendFixed -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/serve/ -fuzz FuzzGzip -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/serve/ -fuzz FuzzTileFloat -fuzztime 30s -fuzzminimizetime 100x
 
 # CI fuzz smoke: 5 seconds of coverage-guided fuzzing per target. Go only
 # accepts one -fuzz target per invocation, hence one line per target.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime 5s ./internal/clog2/
-	$(GO) test -run '^$$' -fuzz '^FuzzSalvageSegments$$' -fuzztime 5s ./internal/clog2/
-	$(GO) test -run '^$$' -fuzz '^FuzzSalvageFragment$$' -fuzztime 5s ./internal/mpe/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSLOG2$$' -fuzztime 5s ./internal/slog2/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 5s ./internal/clog2/
-	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s ./internal/analyze/
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime 5s ./internal/jumpshot/
-	$(GO) test -run '^$$' -fuzz '^FuzzGzip$$' -fuzztime 5s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzTileFloat$$' -fuzztime 5s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/clog2/
+	$(GO) test -run '^$$' -fuzz '^FuzzSalvageSegments$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/clog2/
+	$(GO) test -run '^$$' -fuzz '^FuzzSalvageFragment$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/mpe/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSLOG2$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/slog2/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTable$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/clog2/
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/analyze/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/jumpshot/
+	$(GO) test -run '^$$' -fuzz '^FuzzGzip$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzTileFloat$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/serve/
 
 # The kill/corrupt chaos harness: a real example under RobustLog is
 # SIGKILLed at seeded points, its spill files further damaged, and every

@@ -19,8 +19,8 @@ import (
 
 // A block holds at most clog2.MaxBlockRecords records (a Writer refuses
 // more, a reader refuses a header that declares more), so a reader that
-// holds a block holds 576 KiB of records at most: over a log of 100 full
-// blocks (409 600 records, 56 MB as []clog2.Record), a scan for the block
+// holds a block holds 480 KiB of records at most: over a log of 100 full
+// blocks (409 600 records, 47 MiB as []clog2.Record), a scan for the block
 // table, the profile, the verdict, a 0.5 % window through the table and the
 // diff of the log against itself each stay under 4 MB.
 //

@@ -217,8 +217,8 @@ func mpeSignature(t *testing.T, path string) map[int32][]string {
 					continue
 				}
 				sig[run.Rank] = append(sig[run.Rank],
-					fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s",
-						r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.Text, r.CargoText()))
+					fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s",
+						r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.CargoText()))
 			}
 			return nil
 		})

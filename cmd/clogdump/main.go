@@ -8,14 +8,15 @@
 //	clogdump [-rank N] [-type NAME] [-defs] [-t0 T] [-t1 T] [-channel C] in.clog2
 //	clogdump -verify in.clog2
 //
-// -t0/-t1 bound the time window (inclusive; definition records are
-// metadata and always pass the window), -rank keeps one rank's records,
-// -type keeps one record type (an unknown name is refused), -defs keeps
-// definitions (clog2.RecType.IsDef), -channel keeps message events on one
-// channel (tag). The records are read through clog2.Walk: when the log
-// ends in a valid block table, a filtered dump seeks straight to the
-// blocks the query can touch instead of decoding the whole log; the
-// output is identical either way.
+// -t0/-t1 bound the time window (inclusive) and -rank keeps one rank's
+// records; definition records are the log's metadata and pass both. These
+// three are the clog2.Query the records are read through (clog2.Walk): when
+// the log ends in a valid block table, a filtered dump seeks straight to
+// the blocks the query can touch instead of decoding the whole log, and the
+// output is identical either way. Of what the query selects, -type keeps
+// one record type (an unknown name is refused), -defs keeps definitions
+// (clog2.RecType.IsDef) and -channel keeps message events on one channel
+// (tag).
 //
 // One rule judges a log that cannot be read to its end-log marker, in a
 // dump and under -verify alike. When its block table validates, the log is
@@ -54,7 +55,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("clogdump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rank := fs.Int("rank", -1, "only records from this rank")
+	rank := fs.Int("rank", -1, "only records from this rank (defs always pass)")
 	typ := fs.String("type", "", "only records of this type (StateDef, CargoEvt, MsgEvt, ...)")
 	defsOnly := fs.Bool("defs", false, "only definition records")
 	t0 := fs.Float64("t0", math.Inf(-1), "only records at or after this timestamp (defs always pass)")
@@ -90,9 +91,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	q := clog2.Query{T0: *t0, T1: *t1, Rank: int32(*rank), Chan: int32(*channel), IncludeDefs: true}
+	q := clog2.Query{T0: *t0, T1: *t1, Rank: int32(*rank), IncludeDefs: true}
 	match := func(rec *clog2.Record) bool {
-		return q.Matches(rec) && (*typ == "" || rec.Type == want) && (!*defsOnly || rec.Type.IsDef())
+		return (*channel < 0 || rec.Type == clog2.RecMsgEvt && rec.Aux2 == int32(*channel)) &&
+			(*typ == "" || rec.Type == want) && (!*defsOnly || rec.Type.IsDef())
 	}
 	if err := dump(stdout, stderr, fs.Arg(0), q, match); err != nil {
 		fmt.Fprintln(stderr, "clogdump:", err)
@@ -104,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // parseType is the record type -type names, in any case; "" names none.
 func parseType(name string) (clog2.RecType, error) {
 	var names []string
-	for t := clog2.RecStateDef; t <= clog2.RecSrcLoc; t++ {
+	for t := clog2.RecStateDef; t <= clog2.RecTimeShift; t++ {
 		if strings.EqualFold(t.String(), name) {
 			return t, nil
 		}
@@ -116,10 +118,10 @@ func parseType(name string) (clog2.RecType, error) {
 	return 0, fmt.Errorf("unknown record type %q (one of %s)", name, strings.Join(names, ", "))
 }
 
-// dump writes the records of the log at path that match to w, through
-// clog2.Walk. The output is buffered until the walk ends, and starts over
-// whenever the walk begins again (a table caught lying mid-scan), so that no
-// half-answer is printed. A log the walk began and could not read to its
+// dump writes the records of the log at path that q selects and match
+// keeps to w, through clog2.Walk. The output is buffered until the walk
+// ends, and starts over whenever the walk begins again (a table caught lying
+// mid-scan), so that no half-answer is printed. A log the walk began and could not read to its
 // end-log marker is judged by torn: the walk has handed over its complete
 // blocks, so a spill fragment from an aborted run is dumped as far as they
 // go, with a warning to warn.
@@ -190,8 +192,6 @@ func formatRecord(r clog2.Record) string {
 		return fmt.Sprintf("%s %s peer=%d tag=%d size=%d", base, dir, r.Aux1, r.Aux2, r.Aux3)
 	case clog2.RecTimeShift:
 		return fmt.Sprintf("%s shift=%+.9f", base, r.Shift)
-	case clog2.RecSrcLoc:
-		return fmt.Sprintf("%s line=%d file=%q", base, r.Aux1, r.Text)
 	}
 	return base
 }

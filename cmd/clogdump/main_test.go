@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,7 +25,8 @@ func golden(name string) string {
 // On every golden, a dump through the log's block table prints what a dump
 // of the same log with its footer cut off prints, which is the full scan's,
 // for every combination of window, rank and channel filters: every rank up
-// to the eighth and up to eight channels the block fences name.
+// to the eighth and up to nine channels the log's messages name, the first
+// eight and the last.
 func TestDumpThroughTableEqualsScan(t *testing.T) {
 	for _, name := range goldens {
 		data, err := os.ReadFile(golden(name))
@@ -46,39 +48,36 @@ func TestDumpThroughTableEqualsScan(t *testing.T) {
 		if _, err := clog2.LoadTable(cut); err == nil {
 			t.Fatalf("%s: a log without its footer still has a table", name)
 		}
-		tmin, tmax, last := math.Inf(1), math.Inf(-1), int32(-1)
-		ranks, channels := []int32{-1}, []int32{-1}
+		tmin, tmax := math.Inf(1), math.Inf(-1)
+		ranks := []int{-1}
 		for r := range min(ix.NumRanks, 8) {
-			ranks = append(ranks, int32(r))
+			ranks = append(ranks, r)
 		}
 		for _, b := range ix.Blocks {
 			if b.Records > b.Defs {
 				tmin, tmax = math.Min(tmin, b.TMin), math.Max(tmax, b.TMax)
 			}
-			if b.Msgs > 0 && len(channels) <= 8 && !slices.Contains(channels, b.ChanMin) {
-				channels = append(channels, b.ChanMin)
-			}
-			if b.Msgs > 0 {
-				last = b.ChanMax
-			}
 		}
-		if !slices.Contains(channels, last) {
-			channels = append(channels, last)
+		channels := messageTags(t, data)
+		if len(channels) > 9 {
+			channels = append(channels[:8], channels[len(channels)-1])
 		}
+		channels = append([]int32{-1}, channels...)
 		mid := tmin + (tmax-tmin)/2
 		for _, w := range [][2]float64{{math.Inf(-1), math.Inf(1)}, {tmin, mid}, {mid, tmax}, {tmax + 1, tmax + 2}} {
 			for _, rank := range ranks {
 				for _, channel := range channels {
-					q := clog2.Query{T0: w[0], T1: w[1], Rank: rank, Chan: channel, IncludeDefs: true}
+					args := []string{"-t0", strconv.FormatFloat(w[0], 'g', -1, 64), "-t1", strconv.FormatFloat(w[1], 'g', -1, 64),
+						"-rank", strconv.Itoa(rank), "-channel", strconv.Itoa(int(channel))}
 					var a, b bytes.Buffer
-					if err := dump(&a, io.Discard, table, q, q.Matches); err != nil {
-						t.Fatal(err)
+					if code := run(append(args, table), &a, io.Discard); code != 0 {
+						t.Fatalf("%s %v: exit %d", name, args, code)
 					}
-					if err := dump(&b, io.Discard, cut, q, q.Matches); err != nil {
-						t.Fatal(err)
+					if code := run(append(args, cut), &b, io.Discard); code != 0 {
+						t.Fatalf("%s %v: exit %d", name, args, code)
 					}
 					if !bytes.Equal(a.Bytes(), b.Bytes()) {
-						t.Errorf("%s %+v: the dump through the table differs from the scan's\ntable: %.300s\nscan:  %.300s", name, q, a.Bytes(), b.Bytes())
+						t.Errorf("%s %v: the dump through the table differs from the scan's\ntable: %.300s\nscan:  %.300s", name, args, a.Bytes(), b.Bytes())
 					}
 					if rank < 0 && channel < 0 && math.IsInf(w[0], -1) {
 						if want := fmt.Sprintf("%d record(s)\n", ix.TotalRecords); !bytes.HasSuffix(a.Bytes(), []byte(want)) {
@@ -87,6 +86,64 @@ func TestDumpThroughTableEqualsScan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// messageTags lists the tags of the message halves in the log data holds,
+// in order of first appearance.
+func messageTags(t *testing.T, data []byte) []int32 {
+	t.Helper()
+	var tags []int32
+	br, err := clog2.NewBlockReader(bytes.NewReader(data))
+	if err == nil {
+		err = br.Each(func(b clog2.Block) error {
+			for _, r := range b.Records {
+				if r.Type == clog2.RecMsgEvt && !slices.Contains(tags, r.Aux2) {
+					tags = append(tags, r.Aux2)
+				}
+			}
+			return nil
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tags
+}
+
+// -channel N keeps what the query hands over that is a message half on
+// channel N: on the lab2 golden, exactly the unfiltered dump's message
+// lines of that channel, for every channel the log names.
+func TestChannelKeepsItsMessageLines(t *testing.T) {
+	path := golden("lab2")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all bytes.Buffer
+	if code := run([]string{path}, &all, io.Discard); code != 0 {
+		t.Fatalf("clogdump: exit %d", code)
+	}
+	lines := strings.Split(strings.TrimSuffix(all.String(), "\n"), "\n")
+	tags := messageTags(t, data)
+	if len(tags) < 2 {
+		t.Fatalf("lab2 names %d channel(s); the test needs two or more", len(tags))
+	}
+	for _, tag := range tags {
+		want := []string{lines[0]}
+		for _, line := range lines[1 : len(lines)-1] {
+			if strings.Contains(line, " MsgEvt ") && strings.Contains(line, fmt.Sprintf(" tag=%d ", tag)) {
+				want = append(want, line)
+			}
+		}
+		want = append(want, fmt.Sprintf("%d record(s)", len(want)-1))
+		var out bytes.Buffer
+		if code := run([]string{"-channel", strconv.Itoa(int(tag)), path}, &out, io.Discard); code != 0 {
+			t.Fatalf("clogdump -channel %d: exit %d", tag, code)
+		}
+		if got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); !slices.Equal(got, want) {
+			t.Errorf("clogdump -channel %d printed %d line(s), the unfiltered dump has %d of its messages", tag, len(got), len(want))
 		}
 	}
 }
@@ -102,8 +159,7 @@ func TestDumpTornLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, warn bytes.Buffer
-	q := clog2.MatchAll()
-	if err := dump(&out, &warn, path, q, q.Matches); err != nil {
+	if err := dump(&out, &warn, path, clog2.MatchAll(), func(*clog2.Record) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got := out.String(); got != "ranks: 1\n"+formatRecord(clog2.Record{Type: clog2.RecBareEvt, Time: 1, ID: 2})+"\n1 record(s)\n" {
@@ -226,12 +282,13 @@ func TestRunRefusesUnknownType(t *testing.T) {
 	}
 }
 
-// -defs keeps what RecType.IsDef calls a definition, source locations
-// among them.
-func TestDefsKeepsSrcLoc(t *testing.T) {
+// -defs keeps what RecType.IsDef calls a definition: state and event
+// definitions and constants.
+func TestDefsKeepsDefinitions(t *testing.T) {
 	recs := []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "red", Name: "A"},
-		{Type: clog2.RecSrcLoc, Aux1: 42, Text: "main.go"},
+		{Type: clog2.RecEventDef, ID: 9, Color: "blue", Name: "E"},
+		{Type: clog2.RecConstDef, ID: 8, Aux1: 42, Name: "K"},
 		{Type: clog2.RecBareEvt, Time: 1, ID: 2},
 	}
 	var buf bytes.Buffer
@@ -245,7 +302,7 @@ func TestDefsKeepsSrcLoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "srcloc.clog2")
+	path := filepath.Join(t.TempDir(), "defs.clog2")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +310,11 @@ func TestDefsKeepsSrcLoc(t *testing.T) {
 	if code := run([]string{"-defs", path}, &out, io.Discard); code != 0 {
 		t.Fatalf("clogdump -defs: exit %d", code)
 	}
-	want := "ranks: 1\n" + formatRecord(recs[0]) + "\n" + formatRecord(recs[1]) + "\n2 record(s)\n"
+	want := "ranks: 1\n"
+	for _, r := range recs[:3] {
+		want += formatRecord(r) + "\n"
+	}
+	want += "3 record(s)\n"
 	if out.String() != want {
 		t.Errorf("clogdump -defs printed\n%s\nwant\n%s", out.String(), want)
 	}

@@ -69,11 +69,11 @@ type collector struct {
 	faults    []faultEvent
 }
 
-// newCollector folds the records in [t0, t1] (math.Inf bounds for no
-// limit).
+// newCollector folds the records a reader hands it over [t0, t1]
+// (math.Inf bounds for no limit), the window its profile states.
 func newCollector(opts Options, t0, t1 float64, numRanks int) *collector {
-	fold := clog2.NewFold(t0, t1)
-	return &collector{opts: opts.withDefaults(), fold: fold, prof: stats.NewProfiler(fold, numRanks)}
+	fold := clog2.NewFold()
+	return &collector{opts: opts.withDefaults(), fold: fold, prof: stats.NewProfiler(fold, numRanks, t0, t1)}
 }
 
 // observe accounts for rec, which the fold has just made step of.
@@ -141,8 +141,10 @@ func scan(r io.Reader, opts Options, t0, t1 float64) (*collector, error) {
 	if err != nil {
 		return nil, err
 	}
+	q := clog2.MatchAll()
+	q.T0, q.T1 = t0, t1
 	c := newCollector(opts, t0, t1, br.NumRanks())
-	return c, br.Each(c.block)
+	return c, br.EachIn(q, c.block)
 }
 
 // wall is the whole-trace record time span; both zero when nothing was
@@ -194,7 +196,7 @@ func AnalyzeFileWindowed(path string, t0, t1 float64) (*Report, error) {
 		return AnalyzeFile(path, Options{})
 	}
 	q := clog2.MatchAll()
-	q.T0, q.T1, q.IncludeDefs = t0, t1, true
+	q.T0, q.T1 = t0, t1
 	var c *collector
 	used, err := clog2.Walk(path, q, func(numRanks int) func(clog2.Block) error {
 		c = newCollector(Options{}, t0, t1, numRanks)

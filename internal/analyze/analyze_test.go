@@ -582,7 +582,7 @@ func TestAnalyzeDecodesTheLogOnce(t *testing.T) {
 	if rep.Records != 400 {
 		t.Fatalf("report %+v", rep)
 	}
-	// The walk's 576 KiB run buffer comes from a sync.Pool, which may miss
+	// The walk's 480 KiB block buffer comes from a sync.Pool, which may miss
 	// (it is per P, and under the race detector drops a Put in four): the
 	// least of a few calls is what the call itself allocates.
 	least := uint64(math.MaxUint64)

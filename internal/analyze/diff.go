@@ -79,16 +79,16 @@ type DiffReport struct {
 	First *Divergence `json:"first,omitempty"`
 }
 
-// appendOpKey appends rec's normalized op in packed form: the ten
+// appendOpKey appends rec's normalized op in packed form: the nine
 // fields the chaos suite's replay-determinism assertions compare, the
-// numbers at fixed offsets and the four texts length-prefixed. Two ops
+// numbers at fixed offsets and the three texts length-prefixed. Two ops
 // are the same op exactly when their keys are the same bytes.
 func appendOpKey(dst []byte, rec *clog2.Record) []byte {
 	dst = append(dst, byte(rec.Type), rec.Dir)
 	for _, v := range [...]int32{rec.ID, rec.Aux1, rec.Aux2, rec.Aux3} {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	for _, s := range [...]string{rec.Name, rec.Color, rec.Text} {
+	for _, s := range [...]string{rec.Name, rec.Color} {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
@@ -104,13 +104,13 @@ func opSignature(key []byte) string {
 		nums[i] = int32(binary.LittleEndian.Uint32(key[2+4*i:]))
 	}
 	rest := key[18:]
-	var texts [3][]byte
+	var texts [2][]byte
 	for i := range texts {
 		n, w := binary.Uvarint(rest)
 		texts[i], rest = rest[w:w+int(n)], rest[w+int(n):]
 	}
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s", clog2.RecType(key[0]),
-		nums[0], nums[1], nums[2], nums[3], key[1], texts[0], texts[1], texts[2], rest[1:])
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s", clog2.RecType(key[0]),
+		nums[0], nums[1], nums[2], nums[3], key[1], texts[0], texts[1], rest[1:])
 }
 
 // opQueue is a FIFO of packed ops in one reusable buffer, each framed

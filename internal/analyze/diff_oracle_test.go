@@ -15,12 +15,12 @@ import (
 )
 
 // The string diff the streaming diff replaced, kept as the reference
-// DiffBytes is held to: every record rendered through a ten-field
+// DiffBytes is held to: every record rendered through a nine-field
 // Sprintf, all of it kept in a per-rank map, then compared.
 
 func oracleSignature(r *clog2.Record) string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s|%s",
-		r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.Text, r.CargoText())
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s",
+		r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.CargoText())
 }
 
 func oracleSequences(r io.Reader) (map[int32][]string, error) {
@@ -178,7 +178,7 @@ func encodeLog(t testing.TB, numRanks int, blocks []clog2.Block) []byte {
 	defs := []clog2.Record{
 		{Type: clog2.RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: "red", Name: "PI_Read"},
 		{Type: clog2.RecEventDef, ID: 9, Color: "yellow", Name: "Mark"},
-		{Type: clog2.RecSrcLoc, Aux1: 12, Text: "main.go"},
+		{Type: clog2.RecConstDef, ID: 12, Aux1: 7, Name: "K"},
 	}
 	if err := w.WriteBlock(0, defs); err != nil {
 		t.Fatal(err)

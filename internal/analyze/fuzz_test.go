@@ -103,7 +103,7 @@ func agreeWithConverter(t *testing.T, data []byte) {
 	}
 	var defs []int32 // state IDs in category order
 	defined := map[int32]bool{}
-	fold := clog2.NewFold(math.Inf(-1), math.Inf(1))
+	fold := clog2.NewFold()
 	var occs []state
 	for _, rec := range recs {
 		if rec.Type == clog2.RecStateDef {

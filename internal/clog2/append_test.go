@@ -49,9 +49,6 @@ func oracleEncode(r *Record) []byte {
 		le(r.Aux3)
 	case RecTimeShift:
 		le(r.Shift)
-	case RecSrcLoc:
-		le(r.Aux1)
-		str(r.Text)
 	}
 	return b.Bytes()
 }
@@ -90,8 +87,6 @@ func randomRecord(rng *rand.Rand, t RecType) Record {
 		r.Dir, r.Aux1, r.Aux2, r.Aux3 = uint8(rng.Intn(256)), i32(), i32(), i32()
 	case RecTimeShift:
 		r.Shift = times[rng.Intn(len(times))]
-	case RecSrcLoc:
-		r.Aux1, r.Text = i32(), str()
 	}
 	return r
 }
@@ -130,7 +125,7 @@ func inTimeOrder(recs []Record) []Record {
 func TestAppendRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 4000; i++ {
-		typ := RecStateDef + RecType(i%int(RecSrcLoc+1-RecStateDef))
+		typ := RecStateDef + RecType(i%int(RecTimeShift+1-RecStateDef))
 		rec := randomRecord(rng, typ)
 		prefix := []byte("kept")
 		enc, err := AppendRecord(prefix, &rec)
@@ -163,7 +158,7 @@ func TestAppendRecordRoundTrip(t *testing.T) {
 }
 
 func hasStrings(t RecType) bool {
-	return t == RecStateDef || t == RecEventDef || t == RecConstDef || t == RecSrcLoc
+	return t == RecStateDef || t == RecEventDef || t == RecConstDef
 }
 
 // What the encoder refuses it refuses as the per-field writer did, with
@@ -178,7 +173,7 @@ func TestAppendRejects(t *testing.T) {
 	}{
 		// What AppendRecord refuses.
 		{"string one byte past the limit", 0, long, "clog2: string of 65536 bytes exceeds format limit"},
-		{"long text", 0, Record{Type: RecSrcLoc, Text: long.Name}, "clog2: string of 65536 bytes exceeds format limit"},
+		{"the reserved type 9", 0, Record{Type: RecTimeShift + 1}, "clog2: cannot write record type RecType(?)"},
 		{"end-block marker as a record", 0, Record{Type: RecEndBlock}, "clog2: cannot write record type EndBlock"},
 		{"block-start marker as a record", 0, Record{Type: RecBeginBlock}, "clog2: cannot write record type BeginBlock"},
 		{"unknown type", 0, Record{Type: numRecTypes}, "clog2: cannot write record type RecType(?)"},

@@ -36,7 +36,7 @@ const (
 	RecCargoEvt                  // event with ≤40 bytes of text cargo
 	RecMsgEvt                    // message send or receive half
 	RecTimeShift                 // clock-synchronisation offset applied to this rank
-	RecSrcLoc                    // source-location annotation
+	_                            // 9: reserved (a retired source location); refused as unknown
 	RecBeginBlock                // start of one rank's block (io.go: AppendBlockHeader)
 	numRecTypes
 )
@@ -44,18 +44,19 @@ const (
 // String implements fmt.Stringer.
 func (t RecType) String() string {
 	names := [...]string{"EndLog", "EndBlock", "StateDef", "EventDef",
-		"ConstDef", "BareEvt", "CargoEvt", "MsgEvt", "TimeShift", "SrcLoc", "BeginBlock"}
-	if int(t) < len(names) {
+		"ConstDef", "BareEvt", "CargoEvt", "MsgEvt", "TimeShift", "", "BeginBlock"}
+	if int(t) < len(names) && names[t] != "" {
 		return names[t]
 	}
 	return "RecType(?)"
 }
 
-// IsDef reports whether t is a definition: metadata a windowed reader
-// processes wherever its window lies, and that no time fence covers.
+// IsDef reports whether t is a definition: metadata a query hands over
+// wherever its window lies (Query.IncludeDefs), and that no time fence
+// covers.
 func (t RecType) IsDef() bool {
 	switch t {
-	case RecStateDef, RecEventDef, RecConstDef, RecSrcLoc:
+	case RecStateDef, RecEventDef, RecConstDef:
 		return true
 	}
 	return false
@@ -82,19 +83,19 @@ type Record struct {
 	// StateDef: ID=state id, Aux1=start etype, Aux2=end etype.
 	// EventDef: ID=etype. ConstDef: ID=etype, Aux1=value.
 	// BareEvt/CargoEvt: ID=etype.
-	// MsgEvt: Dir, Aux1=peer rank, Aux2=tag, Aux3=size.
+	// MsgEvt: Dir, Aux1=peer rank, Aux2=tag, Aux3=size. Dir sits beside
+	// Type, in the bytes Rank's alignment leaves: a Record is 120 bytes.
+	Dir  uint8
 	ID   int32
 	Aux1 int32
 	Aux2 int32
 	Aux3 int32
-	Dir  uint8
 
-	// Color and Name are used by definitions; Text carries the filename
-	// for SrcLoc records. Event cargo lives in the fixed Cargo buffer (see
-	// SetCargo) so the per-event hot path carries no heap strings.
+	// Color and Name are used by definitions. Event cargo lives in the
+	// fixed Cargo buffer (see SetCargo) so the per-event hot path carries
+	// no heap strings.
 	Color string
 	Name  string
-	Text  string
 
 	// Cargo holds the first CargoLen bytes of a cargo event's text,
 	// in-record, matching MPE's fixed 40-byte field. Use SetCargo /

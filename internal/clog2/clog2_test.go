@@ -19,7 +19,6 @@ func sampleRecords() []Record {
 		{Type: RecMsgEvt, Time: 2.5, Rank: 0, Dir: DirSend, Aux1: 1, Aux2: 9, Aux3: 800},
 		{Type: RecMsgEvt, Time: 2.75, Rank: 0, Dir: DirRecv, Aux1: 1, Aux2: 9, Aux3: 800},
 		{Type: RecTimeShift, Time: 3, Rank: 0, Shift: -0.001},
-		{Type: RecSrcLoc, Time: 3.5, Rank: 0, Aux1: 99, Text: "lab2.go"},
 	}
 	recs[4].SetCargo("line: 17 proc: P3")
 	return recs
@@ -265,7 +264,7 @@ func TestRoundtripProperty(t *testing.T) {
 	// only in rank 0's, every peer a rank of the log.
 	genRecord := func(rng *rand.Rand, rank int32, numRanks int) Record {
 		types := []RecType{RecBareEvt, RecCargoEvt, RecMsgEvt, RecTimeShift,
-			RecStateDef, RecEventDef, RecConstDef, RecSrcLoc}
+			RecStateDef, RecEventDef, RecConstDef}
 		if rank != 0 {
 			types = types[:4]
 		}
@@ -301,9 +300,6 @@ func TestRoundtripProperty(t *testing.T) {
 			r.Aux1, r.Aux2, r.Aux3 = int32(rng.Intn(numRanks)), int32(rng.Intn(100)), rng.Int31()
 		case RecTimeShift:
 			r.Shift = rng.NormFloat64()
-		case RecSrcLoc:
-			r.Aux1 = int32(rng.Intn(10000))
-			r.Text = str(30)
 		}
 		return r
 	}

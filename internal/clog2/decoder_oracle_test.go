@@ -154,9 +154,6 @@ func (d *oracleReader) readRecord() (Record, error) {
 		r.Aux3 = d.get32()
 	case RecTimeShift:
 		r.Shift = d.getF64()
-	case RecSrcLoc:
-		r.Aux1 = d.get32()
-		r.Text = d.getStr()
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("clog2: unknown record type %d", r.Type)
@@ -391,7 +388,7 @@ func bigLog(t testing.TB, n int, seed int64) []byte {
 			case k == 3:
 				r.Type, r.Shift = RecTimeShift, rng.Float64()
 			case k == 4:
-				r.Type, r.Aux1, r.Text = RecSrcLoc, int32(i), "prog.go"
+				r.Type, r.ID, r.Aux1, r.Name = RecConstDef, int32(i), 17, "line"
 			case k < 15:
 				r.Type, r.ID = RecBareEvt, int32(rng.Intn(20))
 			case k < 28:
@@ -604,12 +601,12 @@ func TestStalledSourceEndsInErrNoProgress(t *testing.T) {
 	}
 }
 
-// NextIn keeps exactly the records a full decode yields that are not
-// bare, cargo or message records stamped outside its window, in order,
-// however the source hands its bytes over (one at a time, records
-// straddle every refill of the decode buffer and take the path that
-// decodes them and drops them after), and the count it reports is each
-// block's declared count.
+// NextIn keeps exactly the records of a full decode that its query
+// selects (selects), time shifts stamped outside the window stepped over
+// as every timed record is, in order, however the source hands its bytes
+// over (one at a time, records straddle every refill of the decode buffer
+// and take the path that decodes them and drops them after), and the count
+// it reports is each block's declared count.
 func TestNextInKeepsWhatTheWindowKeeps(t *testing.T) {
 	data := bigLog(t, 5000, 3)
 	_, full, err := readBlocks(bytes.NewReader(data))
@@ -617,7 +614,15 @@ func TestNextInKeepsWhatTheWindowKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	inf := math.Inf(1)
+	var queries []Query
 	for _, w := range [][2]float64{{1e-3, 2e-3}, {-inf, 5e-4}, {4e-3, inf}, {3e-3, 3e-3}, {1, 2}, {-inf, inf}} {
+		for _, rank := range []int32{-1, 0, 3} {
+			for _, defs := range []bool{true, false} {
+				queries = append(queries, Query{T0: w[0], T1: w[1], Rank: rank, IncludeDefs: defs})
+			}
+		}
+	}
+	for _, q := range queries {
 		for _, sh := range sourceShapes[:3] {
 			br, err := NewBlockReader(sh.wrap(bytes.NewReader(data)))
 			if err != nil {
@@ -627,25 +632,21 @@ func TestNextInKeepsWhatTheWindowKeeps(t *testing.T) {
 			for bi, b := range full {
 				var want []Record
 				for _, r := range b.Records {
-					switch r.Type {
-					case RecBareEvt, RecCargoEvt, RecMsgEvt:
-						if r.Time < w[0] || r.Time > w[1] {
-							continue
-						}
+					if selects(q, &r) {
+						want = append(want, r)
 					}
-					want = append(want, r)
 				}
-				got, n, err := br.NextIn(buf[:0], w[0], w[1])
+				got, n, err := br.NextIn(buf[:0], q)
 				if err != nil {
-					t.Fatalf("window %v, %s, block %d: %v", w, sh.name, bi, err)
+					t.Fatalf("%+v, %s, block %d: %v", q, sh.name, bi, err)
 				}
 				if got.Rank != b.Rank || int(n) != len(b.Records) || !slices.Equal(got.Records, want) {
-					t.Fatalf("window %v, %s, block %d: rank %d, read %d of %d records, kept %d, want %d", w, sh.name, bi, got.Rank, n, len(b.Records), len(got.Records), len(want))
+					t.Fatalf("%+v, %s, block %d: rank %d, read %d of %d records, kept %d, want %d", q, sh.name, bi, got.Rank, n, len(b.Records), len(got.Records), len(want))
 				}
 				buf = got.Records
 			}
-			if _, _, err := br.NextIn(buf[:0], w[0], w[1]); err != io.EOF {
-				t.Fatalf("window %v, %s: after the last block, err = %v", w, sh.name, err)
+			if _, _, err := br.NextIn(buf[:0], q); err != io.EOF {
+				t.Fatalf("%+v, %s: after the last block, err = %v", q, sh.name, err)
 			}
 		}
 	}

@@ -226,16 +226,14 @@ func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
 //
 // The policy, in full:
 //
-//   - Definitions are absorbed whatever the window (Etypes.Define).
-//     Definitions, constants, source locations and the block and log
-//     markers are never counted.
-//   - Every other record is counted when its timestamp is inside the
-//     inclusive window [T0, T1], and skipped whole otherwise: a skipped
-//     record touches no count, no wall span and no stack. A state that
-//     opened before T0 and ends inside the window is therefore an orphan
-//     end, and one that opens inside and ends after T1 contributes
-//     nothing. The reader has held every stamp to be finite and each
-//     rank's to be in time order (Block).
+//   - Definitions are absorbed (Etypes.Define). Definitions, constants
+//     and the block and log markers are never counted.
+//   - Every other record is counted. A window is the reader's to cut
+//     (Query, NextIn): a record it drops touches no count, no wall span
+//     and no stack, so a state that opened before the window and ends
+//     inside it is an orphan end, and one that opens inside and ends
+//     after it contributes nothing. The reader has held every stamp to be
+//     finite and each rank's to be in time order (Block).
 //   - A counted record adds one to its rank's Records and is the rank's
 //     Last; its first is the rank's First. Ranks exist by first
 //     appearance; the header's rank count sizes nothing.
@@ -258,7 +256,6 @@ type Fold struct {
 	// Unpaired counts the orphan ends seen so far.
 	Unpaired int64
 
-	t0, t1 float64
 	etypes Etypes
 	byRank map[int32]*FoldRank
 	ranks  []*FoldRank
@@ -268,7 +265,7 @@ type Fold struct {
 type Step uint8
 
 const (
-	StepSkip   Step = iota // a definition or marker, or outside the window: not counted
+	StepSkip   Step = iota // a definition or marker: not counted
 	StepShift              // counted, nothing else
 	StepMsg                // a message half
 	StepSolo               // a solo event
@@ -299,14 +296,10 @@ type FoldRank struct {
 	stack Stack
 }
 
-// NewFold returns a fold over the inclusive window [t0, t1]; infinite
-// bounds leave that side open.
-func NewFold(t0, t1 float64) *Fold {
-	return &Fold{t0: t0, t1: t1, byRank: map[int32]*FoldRank{}}
+// NewFold returns an empty fold.
+func NewFold() *Fold {
+	return &Fold{byRank: map[int32]*FoldRank{}}
 }
-
-// Window returns the bounds the fold was built over.
-func (f *Fold) Window() (t0, t1 float64) { return f.t0, f.t1 }
 
 // Ranks returns the ranks seen so far, in Index order.
 func (f *Fold) Ranks() []*FoldRank { return f.ranks }
@@ -320,13 +313,10 @@ func (f *Fold) Add(rec *Record) Step {
 		return StepSkip
 	}
 	switch rec.Type {
-	case RecConstDef, RecSrcLoc, RecEndBlock, RecEndLog:
+	case RecConstDef, RecEndBlock, RecEndLog:
 		return StepSkip
 	}
 	t := rec.Time
-	if t < f.t0 || t > f.t1 {
-		return StepSkip
-	}
 	r := f.Rank
 	if r == nil || r.Rank != rec.Rank {
 		if r = f.byRank[rec.Rank]; r == nil {

@@ -25,8 +25,8 @@ type foldResult struct {
 	ranks [][4]float64
 }
 
-func runFold(t0, t1 float64, recs []Record) foldResult {
-	f := NewFold(t0, t1)
+func runFold(recs []Record) foldResult {
+	f := NewFold()
 	var res foldResult
 	for i := range recs {
 		step := f.Add(&recs[i])
@@ -55,9 +55,11 @@ func TestFold(t *testing.T) {
 	skip2 := []Step{StepSkip, StepSkip}
 
 	for _, tc := range []struct {
-		name   string
-		t0, t1 float64
-		recs   []Record
+		name string
+		recs []Record
+		// window, when set, is a window the reader cuts recs to, as one
+		// block of rank 0, before the fold is handed what it keeps.
+		window []float64
 		want   foldResult
 		// refused, when set, is the reader's refusal of recs as one block
 		// of rank 0: records the fold is never handed.
@@ -65,7 +67,6 @@ func TestFold(t *testing.T) {
 	}{
 		{
 			name: "nesting with self time",
-			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 1, 2), foldEvt(0, 2, 4), foldEvt(0, 3, 5), foldEvt(0, 4, 4), foldEvt(0, 4.5, 5), foldEvt(0, 6, 3)),
 			want: foldResult{
 				steps: append(skip2, StepOpen, StepOpen, StepClose, StepOpen, StepClose, StepClose),
@@ -81,7 +82,6 @@ func TestFold(t *testing.T) {
 			// The end names Outer while Inner is innermost: Inner's entry is
 			// popped, the occurrence is attributed to the state the end names.
 			name: "end naming another state than the innermost open one",
-			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 1, 2), foldEvt(0, 2, 4), foldEvt(0, 5, 3), foldEvt(0, 7, 5)),
 			want: foldResult{
 				steps: append(skip2, StepOpen, StepOpen, StepClose, StepClose),
@@ -94,7 +94,6 @@ func TestFold(t *testing.T) {
 		},
 		{
 			name: "orphan end, and a state left open",
-			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 1, 3), foldEvt(0, 2, 2)),
 			want: foldResult{
 				steps:    append(skip2, StepOrphan, StepOpen),
@@ -104,7 +103,6 @@ func TestFold(t *testing.T) {
 		},
 		{
 			name: "defs-less stream pairs by parity",
-			t0:   -inf, t1: inf,
 			recs: []Record{foldEvt(0, 1, 14), foldEvt(0, 3, 15), foldEvt(0, 4, SoloBase), foldEvt(0, 5, SoloBase-1)},
 			want: foldResult{
 				steps:    []Step{StepOpen, StepClose, StepSolo, StepOrphan},
@@ -117,7 +115,6 @@ func TestFold(t *testing.T) {
 			// A definition beats parity both ways: 7 is odd but defined a
 			// start, 8 even but defined an end.
 			name: "StateDef before parity",
-			t0:   -inf, t1: inf,
 			recs: []Record{foldDef(9, 7, 8, "Odd"), foldEvt(0, 1, 7), foldEvt(0, 2, 8)},
 			want: foldResult{
 				steps:  []Step{StepSkip, StepOpen, StepClose},
@@ -126,18 +123,19 @@ func TestFold(t *testing.T) {
 			},
 		},
 		{
-			// Both edges are inside; the start before T0 is skipped whole, so
-			// its end is an orphan; the definitions sit outside the window
-			// (time 0) and after the first events, and still apply.
-			name: "window edges inclusive, definitions applied whatever the window",
-			t0:   2, t1: 4,
+			// The reader cuts the window: both edges are inside; the start
+			// before T0 is never handed over, so its end is an orphan; the
+			// definitions sit outside the window (time 0) and after the
+			// first events, and still apply.
+			name:   "window edges inclusive, definitions applied whatever the window",
+			window: []float64{2, 4},
 			recs: []Record{
 				foldEvt(0, 1, 2), foldEvt(0, 2, 4),
 				foldDef(1, 2, 3, "Outer"), foldDef(2, 4, 5, "Inner"),
-				foldEvt(0, 4, 5), foldEvt(0, 4, 3), foldEvt(0, math.Nextafter(4, 5), 2), foldEvt(0, math.Nextafter(2, 1), 2),
+				foldEvt(0, 4, 5), foldEvt(0, 4, 3), foldEvt(0, math.Nextafter(4, 5), 2),
 			},
 			want: foldResult{
-				steps:    []Step{StepSkip, StepOpen, StepSkip, StepSkip, StepClose, StepOrphan, StepSkip, StepSkip},
+				steps:    []Step{StepOpen, StepSkip, StepSkip, StepClose, StepOrphan},
 				closed:   []Occurrence{{ID: 2, Name: "Inner", Start: 2, End: 4, Dur: 2, Self: 2}},
 				unpaired: 1,
 				ranks:    [][4]float64{{0, 3, 2, 4}},
@@ -145,19 +143,17 @@ func TestFold(t *testing.T) {
 		},
 		{
 			// A message half is counted and spans the rank; so is a time
-			// shift; constants, source locations and markers are not.
+			// shift; constants and markers are not.
 			name: "what counts",
-			t0:   -inf, t1: inf,
 			recs: []Record{
 				{Type: RecMsgEvt, Rank: 1, Time: 3, Dir: DirSend},
 				{Type: RecTimeShift, Rank: 1, Time: 9, Shift: 0.5},
 				{Type: RecConstDef, Rank: 1, Time: 100},
-				{Type: RecSrcLoc, Rank: 1, Time: 100},
 				{Type: RecEventDef, ID: SoloBase + 1, Name: "Mark"},
 				{Type: RecEndBlock}, {Type: RecEndLog},
 			},
 			want: foldResult{
-				steps: []Step{StepMsg, StepShift, StepSkip, StepSkip, StepSkip, StepSkip, StepSkip},
+				steps: []Step{StepMsg, StepShift, StepSkip, StepSkip, StepSkip, StepSkip},
 				ranks: [][4]float64{{1, 2, 3, 9}},
 			},
 		},
@@ -166,7 +162,6 @@ func TestFold(t *testing.T) {
 			// They break the rule of a block (Block), so no reader hands
 			// them over: the fold tests no stamp.
 			name: "non-finite times",
-			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 1, 2), foldEvt(0, inf, 3), foldEvt(0, math.NaN(), 3), foldEvt(0, -inf, 2),
 				Record{Type: RecMsgEvt, Time: math.NaN()}, foldEvt(0, 2, 3)),
 			refused: "clog2: a BareEvt record of rank 0 stamped +Inf",
@@ -175,7 +170,6 @@ func TestFold(t *testing.T) {
 			// Ranks index by first appearance, whatever their ids; a rank id
 			// far beyond any header's count sizes nothing.
 			name: "ranks first seen out of numeric order",
-			t0:   -inf, t1: inf,
 			recs: with(foldEvt(5, 1, 2), foldEvt(1<<30, 2, 2), foldEvt(-4, 3, 2), foldEvt(5, 4, 3), foldEvt(0, 5, SoloBase+7)),
 			want: foldResult{
 				steps:  append(skip2, StepOpen, StepOpen, StepOpen, StepClose, StepSolo),
@@ -188,7 +182,6 @@ func TestFold(t *testing.T) {
 			// either: the fold pairs what it is handed, Dur and Self floor
 			// at 0, and the rank spans its first stamp to its last.
 			name: "negative duration floors at zero",
-			t0:   -inf, t1: inf,
 			recs: with(foldEvt(0, 5, 2), foldEvt(0, 3, 3)),
 			want: foldResult{
 				steps:  append(skip2, StepOpen, StepClose),
@@ -211,7 +204,23 @@ func TestFold(t *testing.T) {
 					return
 				}
 			}
-			got := runFold(tc.t0, tc.t1, tc.recs)
+			recs := tc.recs
+			if tc.window != nil {
+				log := AppendBlockHeader(AppendHeader(nil, 1), 0, len(recs))
+				for i := range recs {
+					log, _ = AppendRecord(log, &recs[i])
+				}
+				br, err := NewBlockReader(bytes.NewReader(append(log, byte(RecEndBlock), byte(RecEndLog))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _, err := br.NextIn(nil, Query{T0: tc.window[0], T1: tc.window[1], Rank: -1, IncludeDefs: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs = b.Records
+			}
+			got := runFold(recs)
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("fold\n got %+v\nwant %+v", got, tc.want)
 			}
@@ -220,16 +229,13 @@ func TestFold(t *testing.T) {
 }
 
 func TestFoldNamesSoloEvents(t *testing.T) {
-	f := NewFold(math.Inf(-1), math.Inf(1))
+	f := NewFold()
 	f.Add(&Record{Type: RecEventDef, ID: SoloBase + 1, Name: "FaultInjected"})
 	if got := f.EventName(SoloBase + 1); got != "FaultInjected" {
 		t.Fatalf("EventName = %q", got)
 	}
 	if got := f.EventName(SoloBase + 2); got != "" {
 		t.Fatalf("EventName of an undefined etype = %q", got)
-	}
-	if t0, t1 := f.Window(); !math.IsInf(t0, -1) || !math.IsInf(t1, 1) {
-		t.Fatalf("Window = [%g, %g]", t0, t1)
 	}
 }
 

@@ -88,6 +88,9 @@ func FuzzReadFile(f *testing.F) {
 	bad := append([]byte(nil), valid...)
 	bad[firstRecord] = 0xEE // clobber first record's type byte
 	f.Add(bad, uint8(9))
+	retired := append([]byte(nil), valid...)
+	retired[firstRecord] = 9 // the retired source-location type
+	f.Add(retired, uint8(9))
 	f.Add(rawFile(1, rawCargoEvt(1, bytes.Repeat([]byte{'c'}, MaxCargo+1))), uint8(10)) // cargo the decoder cuts
 	f.Add(append(append([]byte(nil), valid...), 0), uint8(11))                          // a byte after the end-log marker
 	table, err := ScanTable(bytes.NewReader(valid))
@@ -189,16 +192,23 @@ func FuzzReadFile(f *testing.F) {
 
 // breaksRule is the rule of a block (Block) over a block decoded from a
 // log of numRanks ranks, restated record by record, after the blocks whose
-// ranks' last stamps last holds; it enters the block's.
+// ranks' last stamps last holds; it enters the block's. A record is a
+// definition (a state, event or constant definition) or timed (a bare,
+// cargo or message event, or a time shift); any other type, the retired
+// source location (9) among them, is no record a block holds.
 func breaksRule(b Block, numRanks int32, last map[int32]float64) error {
 	if b.Rank < 0 || b.Rank >= numRanks {
 		return fmt.Errorf("rank %d of %d", b.Rank, numRanks)
 	}
 	for i, r := range b.Records {
-		if r.Rank != b.Rank || r.Type.IsDef() && b.Rank != 0 || r.Type == RecMsgEvt && (r.Aux1 < 0 || r.Aux1 >= numRanks) {
+		isDef := r.Type == RecStateDef || r.Type == RecEventDef || r.Type == RecConstDef
+		if !isDef && (r.Type < RecBareEvt || r.Type > RecTimeShift) {
+			return fmt.Errorf("record %d of type %d", i, r.Type)
+		}
+		if r.Rank != b.Rank || isDef && b.Rank != 0 || r.Type == RecMsgEvt && (r.Aux1 < 0 || r.Aux1 >= numRanks) {
 			return fmt.Errorf("record %d (%v of rank %d, peer %d) in a block of rank %d", i, r.Type, r.Rank, r.Aux1, b.Rank)
 		}
-		if r.Type.IsDef() {
+		if isDef {
 			continue
 		}
 		if prev, ok := last[b.Rank]; math.IsNaN(r.Time) || math.IsInf(r.Time, 0) || ok && r.Time < prev {

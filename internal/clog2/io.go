@@ -27,7 +27,7 @@ const MaxRanks = 1 << 20
 // MaxBlockRecords is the most records a block holds: a Writer refuses a
 // bigger block by name, and a reader refuses a header that declares more
 // before it decodes a record, so that no reader holds more than one
-// 4 096-record buffer (576 KiB) of a log. The length a reader decodes at a
+// 4 096-record buffer (480 KiB) of a log. The length a reader decodes at a
 // time buys no speed: a 400 000-record log walked in 7.1-8.4 ms (1.3-1.6
 // GB/s) at every length from 128 to 4 096 records on the 2-CPU bench box
 // (2 MiB of L2 a core). The merge writes blocks of 512 (mpe's
@@ -298,8 +298,6 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 		return appendStrs(dst, append32(out, r.ID), r.Color, r.Name)
 	case RecConstDef:
 		return appendStrs(dst, append32(out, r.ID, r.Aux1), r.Name)
-	case RecSrcLoc:
-		return appendStrs(dst, append32(out, r.Aux1), r.Text)
 	}
 	return dst, fmt.Errorf("clog2: cannot write record type %v", r.Type)
 }
@@ -355,14 +353,14 @@ func checkTimed(p []byte, rank int32, numRanks, max int, meta *BlockMeta, last *
 		case m == 0:
 			return n, size, fmt.Errorf("clog2: %v record at byte %d is not a timed record", t, size)
 		}
-		var peer, tag int32
+		var peer int32
 		if t == RecMsgEvt {
-			peer, tag = le32(q[14:]), le32(q[18:])
+			peer = le32(q[14:])
 		}
 		if !keepsRule(t, le32(q[9:]), peer, rank, numRanks) {
 			return n, size, fmt.Errorf("%w (at byte %d)", recordError(t, le32(q[9:]), peer, rank, numRanks), size)
 		}
-		if err := meta.add(t, leF64(q[1:]), tag, last); err != nil {
+		if err := meta.add(t, leF64(q[1:]), last); err != nil {
 			return n, size, fmt.Errorf("%w (at byte %d)", err, size)
 		}
 		size += m
@@ -536,23 +534,23 @@ func (br *BlockReader) BlockBounds() (start, end int64) { return br.lastStart, b
 // are then the caller's). The returned Block.Records aliases buf and is
 // only valid until the next call with the same buffer.
 func (br *BlockReader) NextReuse(buf []Record) (Block, error) {
-	b, _, err := br.NextIn(buf, math.Inf(-1), math.Inf(1))
+	b, _, err := br.NextIn(buf, MatchAll())
 	return b, err
 }
 
-// NextIn is NextReuse over the inclusive time window [t0, t1]: a bare,
-// cargo or message record stamped outside it (t < t0 || t > t1) is
-// stepped over undecoded, read no further than its type, time and length,
-// and every other record is decoded as NextReuse decodes it. n is the
-// count the block's header declared, the records kept and stepped over, so
-// a caller can hold the block to a count it was told. A record whose
-// fixed layout is not whole in the decode buffer is decoded in full and
-// dropped afterwards if it is stamped outside, so which records come back
-// never depends on the buffering. With both bounds infinite nothing is
-// stepped over and n is len(b.Records). A stamp stepped over is held to the
-// rule of a block as one kept is. The block is handed over only once its
+// NextIn is NextReuse cut to q, the one place a query is cut: the block
+// comes with its definitions when q.IncludeDefs, and, when q selects its
+// rank, its timed records stamped inside the inclusive window [q.T0, q.T1].
+// A timed record it does not keep is stepped over undecoded, read no
+// further than its type, time and length; a record whose fixed layout is
+// not whole in the decode buffer is decoded in full and dropped afterwards,
+// so which records come back never depends on the buffering. n is the
+// count the block's header declared, the records kept and dropped, so a
+// caller can hold the block to a count it was told; under MatchAll nothing
+// is dropped and n is len(b.Records). A stamp dropped is held to the rule
+// of a block as one kept is. The block is handed over only once its
 // end-block marker has been read.
-func (br *BlockReader) NextIn(buf []Record, t0, t1 float64) (b Block, n int32, err error) {
+func (br *BlockReader) NextIn(buf []Record, q Query) (b Block, n int32, err error) {
 	if br.done {
 		return Block{}, 0, io.EOF
 	}
@@ -574,7 +572,11 @@ func (br *BlockReader) NextIn(buf []Record, t0, t1 float64) (b Block, n int32, e
 		if !ok {
 			last = noStamp
 		}
-		if b.Records, last, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, last); err == nil {
+		t0, t1 := q.T0, q.T1
+		if q.Rank >= 0 && q.Rank != rank {
+			t0, t1 = math.Inf(1), math.Inf(-1) // no stamp is inside
+		}
+		if b.Records, last, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, q.IncludeDefs, last); err == nil {
 			br.last[rank] = last
 		}
 	}
@@ -602,7 +604,7 @@ func (br *BlockReader) Release() {
 }
 
 // blockPool holds the block buffers Each and Walk decode into: a block's
-// worth of records, 576 KiB, that a walk would otherwise allocate and
+// worth of records, 480 KiB, that a walk would otherwise allocate and
 // clear each time.
 var blockPool = sync.Pool{New: func() any { return new([MaxBlockRecords]Record) }}
 
@@ -617,16 +619,16 @@ var blockPool = sync.Pool{New: func() any { return new([MaxBlockRecords]Record) 
 // torn tail or a corrupt log is the caller's to say: a log whose block
 // table validates (ReadTable) is never torn.
 func (br *BlockReader) Each(fn func(b Block) error) error {
-	return br.EachIn(math.Inf(-1), math.Inf(1), fn)
+	return br.EachIn(MatchAll(), fn)
 }
 
-// EachIn is Each over NextIn's window [t0, t1]: fn gets every block, empty
-// ones included, holding the records NextIn keeps.
-func (br *BlockReader) EachIn(t0, t1 float64, fn func(b Block) error) error {
+// EachIn is Each cut to q (NextIn): fn gets every block, empty ones
+// included, holding the records q selects.
+func (br *BlockReader) EachIn(q Query, fn func(b Block) error) error {
 	buf := blockPool.Get().(*[MaxBlockRecords]Record)
 	defer blockPool.Put(buf)
 	for {
-		b, _, err := br.NextIn(buf[:0], t0, t1)
+		b, _, err := br.NextIn(buf[:0], q)
 		if err == io.EOF {
 			return nil
 		}
@@ -742,21 +744,22 @@ func (d *decoder) blockHeader(numRanks int) (rank, n int32, err error) {
 // readBlock decodes the n records a block header declared into buf's
 // backing array, or a new one of n records when buf has no room for them,
 // then the end-block marker, and returns them with the rank's last stamp,
-// last before the block. Of the bare, cargo and message records it keeps
-// those stamped inside [t0, t1]: one outside is stepped over when its fixed
-// layout is buffered whole, and dropped after readRecord otherwise. A timed
-// record stamped out of order (inOrder), kept or not, and a record it keeps
-// that breaks the rule (keepsRule) fail the block.
-func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1, last float64) ([]Record, float64, error) {
+// last before the block. It keeps the timed records stamped inside [t0, t1],
+// and the definitions when defs: a timed record outside is stepped over
+// when its fixed layout is buffered whole, and any record it does not keep
+// is dropped after readRecord otherwise. A timed record stamped out of
+// order (inOrder), kept or not, and a record it keeps that breaks the rule
+// (keepsRule) fail the block.
+func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64, defs bool, last float64) ([]Record, float64, error) {
 	recs := buf[:0]
 	if cap(recs) < int(n) || recs == nil {
 		recs = make([]Record, 0, n)
 	}
-	windowed := t0 > math.Inf(-1) || t1 < math.Inf(1) // else no record is outside
+	windowed := t0 > math.Inf(-1) || t1 < math.Inf(1) // else no stamp is outside
 	for ; n > 0; n-- {
 		if windowed && d.w-d.r >= 9 { // type and time
 			b := d.buf[d.r:d.w]
-			if t := leF64(b[1:]); (t < t0 || t > t1) && RecType(b[0]) != RecTimeShift {
+			if t := leF64(b[1:]); t < t0 || t > t1 {
 				if size := TimedSize(b); size > 0 {
 					if !inOrder(t, last) {
 						return nil, last, stampError(RecType(b[0]), rank, t, last)
@@ -772,15 +775,17 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1, l
 		if err := d.readRecord(r); err != nil {
 			return nil, last, err
 		}
+		keep := defs
 		if !r.Type.IsDef() {
 			if !inOrder(r.Time, last) {
 				return nil, last, stampError(r.Type, rank, r.Time, last)
 			}
 			last = r.Time
-			if windowed && (r.Time < t0 || r.Time > t1) && r.Type != RecTimeShift {
-				recs = recs[:len(recs)-1]
-				continue
-			}
+			keep = r.Time >= t0 && r.Time <= t1
+		}
+		if !keep {
+			recs = recs[:len(recs)-1]
+			continue
 		}
 		if !keepsRule(r.Type, r.Rank, r.Aux1, rank, numRanks) {
 			return nil, last, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
@@ -849,9 +854,6 @@ func (d *decoder) readRecord(r *Record) error {
 		r.Aux3 = d.get32()
 	case RecTimeShift:
 		r.Shift = d.getF64()
-	case RecSrcLoc:
-		r.Aux1 = d.get32()
-		r.Text = d.getStr()
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("clog2: unknown record type %d", r.Type)

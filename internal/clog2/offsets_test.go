@@ -26,7 +26,7 @@ func offsetsLog(t *testing.T) []byte {
 		}
 		if rank == 0 { // definitions sit in rank 0's blocks
 			recs = append([]Record{{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"}}, recs...)
-			recs = append(recs, Record{Type: RecSrcLoc, Aux1: 17, Text: "file.go"})
+			recs = append(recs, Record{Type: RecConstDef, ID: 8, Aux1: 17, Name: "K"})
 		}
 		if err := w.WriteBlock(rank, recs); err != nil {
 			t.Fatal(err)

@@ -188,7 +188,7 @@ func DecodeBlockPayload(data []byte, rank int32) (Block, error) {
 	if got != rank {
 		return Block{}, fmt.Errorf("clog2: a block payload of rank %d, not %d", got, rank)
 	}
-	recs, _, err := d.readBlock(nil, rank, n, MaxRanks, math.Inf(-1), math.Inf(1), noStamp)
+	recs, _, err := d.readBlock(nil, rank, n, MaxRanks, math.Inf(-1), math.Inf(1), true, noStamp)
 	if err != nil {
 		return Block{}, err
 	}

@@ -17,21 +17,24 @@ import (
 // a query needs (Walk, walk.go) reads the footer, then the table, and
 // trusts neither before ReadTable has validated both. Little-endian:
 //
-//	table   totalRecords i64, nblocks u32, then per block (56 bytes):
-//	          offset i64, length i64, rank i32, records i32, defs i32, msgs i32,
-//	          tmin f64, tmax f64, chanMin i32, chanMax i32
+//	table   nblocks u32, then per block (36 bytes):
+//	          length i64, rank i32, records i32, defs i32, tmin f64, tmax f64
 //	footer  tableOffset i64, crc32 u32 (IEEE, over the table), TableMagic
+//
+// The table holds what a query is tested against and nothing it can
+// derive: a block starts where the one before it ends (the first behind
+// the header), and the log's record total is the sum of the blocks'.
 
 // TableMagic ends the footer; its digits are the table's version, the one
 // version read (an earlier table is ErrNoTable: the scan answers).
-const TableMagic = "CLOGTAB-02"
+const TableMagic = "CLOGTAB-03"
 
 // FooterSize is the byte length of the footer.
 const FooterSize = 8 + 4 + len(TableMagic)
 
 const (
-	tableHeadSize  = 8 + 4
-	tableEntrySize = 56
+	tableHeadSize  = 4
+	tableEntrySize = 36
 	// maxTableSize caps the table ReadTable buffers, so a hostile footer
 	// cannot force an unbounded allocation. 64 MiB of entries indexes about
 	// a terabyte of log at the merge's block granularity.
@@ -47,33 +50,24 @@ var ErrNoTable = errors.New("clog2: no usable block table")
 // holds, the fences a query is tested against.
 type BlockMeta struct {
 	// Offset/Length bracket the block's bytes (header through end-block
-	// marker) — the seek target for NewBlockReaderAt.
+	// marker) — the seek target for NewBlockReaderAt. The table stores the
+	// length; the offset is the end of the block before.
 	Offset, Length int64
 	// Rank is the block header's rank, every record's (Block).
 	Rank int32
 	// Records counts all records in the block; Defs the definition records
-	// among them (RecType.IsDef: the records a windowed consumer processes
-	// wherever its window lies); Msgs the MsgEvt records.
-	Records, Defs, Msgs int32
+	// among them (RecType.IsDef: the records Query.IncludeDefs selects
+	// wherever the window lies).
+	Records, Defs int32
 	// TMin/TMax fence the timestamps of the block's non-definition records
 	// (events, messages, timeshifts — everything a time window filters):
 	// the first and the last of them, which the rule of a block puts in
 	// time order. Valid only when Records > Defs; else TMin > TMax.
 	TMin, TMax float64
-	// ChanMin/ChanMax fence the channel (tag) of MsgEvt records. Valid only
-	// when Msgs > 0.
-	ChanMin, ChanMax int32
 }
 
 func newBlockMeta(rank int32, offset int64) BlockMeta {
-	return BlockMeta{
-		Offset:  offset,
-		Rank:    rank,
-		TMin:    math.Inf(1),
-		TMax:    math.Inf(-1),
-		ChanMin: math.MaxInt32,
-		ChanMax: math.MinInt32,
-	}
+	return BlockMeta{Offset: offset, Rank: rank, TMin: math.Inf(1), TMax: math.Inf(-1)}
 }
 
 // addRecords counts recs into the entry and widens its fences over them,
@@ -85,7 +79,7 @@ func (m *BlockMeta) addRecords(recs []Record, numRanks int, last *float64) error
 		if !keepsRule(r.Type, r.Rank, r.Aux1, m.Rank, numRanks) {
 			return recordError(r.Type, r.Rank, r.Aux1, m.Rank, numRanks)
 		}
-		if err := m.add(r.Type, r.Time, r.Aux2, last); err != nil {
+		if err := m.add(r.Type, r.Time, last); err != nil {
 			return err
 		}
 	}
@@ -94,9 +88,8 @@ func (m *BlockMeta) addRecords(recs []Record, numRanks int, last *float64) error
 
 // add counts one record of type t into the entry: a definition by its type
 // alone, any other by its time, which it refuses out of order after the
-// rank's last stamp *last (inOrder) and makes *last and the fence's TMax,
-// and a message half by its tag too.
-func (m *BlockMeta) add(t RecType, time float64, tag int32, last *float64) error {
+// rank's last stamp *last (inOrder) and makes *last and the fence's TMax.
+func (m *BlockMeta) add(t RecType, time float64, last *float64) error {
 	m.Records++
 	if t.IsDef() {
 		m.Defs++
@@ -109,17 +102,13 @@ func (m *BlockMeta) add(t RecType, time float64, tag int32, last *float64) error
 	if m.Records-m.Defs == 1 {
 		m.TMin = time
 	}
-	if t == RecMsgEvt {
-		m.Msgs++
-		m.ChanMin = min(m.ChanMin, tag)
-		m.ChanMax = max(m.ChanMax, tag)
-	}
 	return nil
 }
 
 // Table is a log's block table: an entry for every block, in file order.
 type Table struct {
-	// NumRanks is the log header's rank count; the table does not store it.
+	// NumRanks is the log header's rank count, and TotalRecords the sum of
+	// the blocks' Records; the table stores neither.
 	NumRanks     int
 	TotalRecords int64
 	Blocks       []BlockMeta
@@ -166,13 +155,11 @@ func ScanTable(r io.Reader) (*Table, error) {
 func AppendTable(dst []byte, t *Table) []byte {
 	le := binary.LittleEndian
 	base := len(dst)
-	dst = le.AppendUint32(le.AppendUint64(dst, uint64(t.TotalRecords)), uint32(len(t.Blocks)))
+	dst = le.AppendUint32(dst, uint32(len(t.Blocks)))
 	for i := range t.Blocks {
 		b := &t.Blocks[i]
-		dst = le.AppendUint64(le.AppendUint64(dst, uint64(b.Offset)), uint64(b.Length))
-		dst = append32(dst, b.Rank, b.Records, b.Defs, b.Msgs)
+		dst = append32(le.AppendUint64(dst, uint64(b.Length)), b.Rank, b.Records, b.Defs)
 		dst = le.AppendUint64(le.AppendUint64(dst, math.Float64bits(b.TMin)), math.Float64bits(b.TMax))
-		dst = append32(dst, b.ChanMin, b.ChanMax)
 	}
 	crc := crc32.ChecksumIEEE(dst[base:])
 	return append(le.AppendUint32(le.AppendUint64(dst, uint64(t.LogSize())), crc), TableMagic...)
@@ -182,11 +169,11 @@ func AppendTable(dst []byte, t *Table) []byte {
 // bytes of it, and returns it once it has validated: the log's header, the
 // footer's signature, a table that lies between the end-log marker and the
 // footer and is no longer than maxTableSize, its CRC, entries whose counts
-// agree with each other and that tile the log from its header to its
-// end-log marker without a gap, and a record total they sum to. Every
-// failure wraps ErrNoTable and names the reason. An entry that passes all
-// of that and still lies about its block (a rank, a record count) is found
-// by the reader of that block: Walk checks each block it reads.
+// agree with each other, and lengths that sum to the end-log marker: the
+// blocks tile the log from its header on. Every failure wraps ErrNoTable
+// and names the reason. An entry that passes all of that and still lies
+// about its block (a rank, a record count) is found by the reader of that
+// block: Walk checks each block it reads.
 func ReadTable(r io.ReaderAt, size int64) (*Table, error) {
 	if size < int64(HeaderSize+1+tableHeadSize+FooterSize) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a log with a table", ErrNoTable, size)
@@ -241,37 +228,29 @@ func readAt(r io.ReaderAt, p []byte, off int64) error {
 // decodeTable parses a table whose CRC held, for a log whose end-log
 // marker is at offset end.
 func decodeTable(tab []byte, numRanks int, end int64) (*Table, error) {
-	t := &Table{NumRanks: numRanks, TotalRecords: int64(binary.LittleEndian.Uint64(tab))}
-	nblocks := int64(binary.LittleEndian.Uint32(tab[8:]))
+	t := &Table{NumRanks: numRanks}
+	nblocks := int64(binary.LittleEndian.Uint32(tab))
 	if got := int64(len(tab) - tableHeadSize); got != nblocks*tableEntrySize {
 		return nil, fmt.Errorf("%w: %d bytes of entries for %d blocks", ErrNoTable, got, nblocks)
 	}
 	t.Blocks = make([]BlockMeta, nblocks)
-	next, sum := int64(HeaderSize), int64(0)
+	next := int64(HeaderSize)
 	for i := range t.Blocks {
 		e := tab[tableHeadSize+i*tableEntrySize:]
 		b := &t.Blocks[i]
-		*b = BlockMeta{
-			Offset: int64(binary.LittleEndian.Uint64(e)), Length: int64(binary.LittleEndian.Uint64(e[8:])),
-			Rank: le32(e[16:]), Records: le32(e[20:]), Defs: le32(e[24:]), Msgs: le32(e[28:]),
-			TMin: leF64(e[32:]), TMax: leF64(e[40:]),
-			ChanMin: le32(e[48:]), ChanMax: le32(e[52:]),
+		*b = BlockMeta{Offset: next, Length: int64(binary.LittleEndian.Uint64(e)),
+			Rank: le32(e[8:]), Records: le32(e[12:]), Defs: le32(e[16:]), TMin: leF64(e[20:]), TMax: leF64(e[28:])}
+		if b.Length <= 0 || b.Length > end-next {
+			return nil, fmt.Errorf("%w: block %d of %d bytes at offset %d, the end-log marker is at %d", ErrNoTable, i, b.Length, next, end)
 		}
-		if b.Offset != next || b.Length <= 0 || b.Length > end-next {
-			return nil, fmt.Errorf("%w: block %d spans [%d,+%d), the log's next block starts at %d and its end-log marker is at %d",
-				ErrNoTable, i, b.Offset, b.Length, next, end)
-		}
-		if b.Records < 0 || b.Defs < 0 || b.Msgs < 0 || b.Defs > b.Records || b.Msgs > b.Records-b.Defs {
+		if b.Records < 0 || b.Defs < 0 || b.Defs > b.Records {
 			return nil, fmt.Errorf("%w: block %d counts are inconsistent", ErrNoTable, i)
 		}
 		next += b.Length
-		sum += int64(b.Records)
+		t.TotalRecords += int64(b.Records)
 	}
 	if next != end {
-		return nil, fmt.Errorf("%w: the blocks end at %d, the end-log marker is at %d", ErrNoTable, next, end)
-	}
-	if sum != t.TotalRecords {
-		return nil, fmt.Errorf("%w: block records sum to %d, the table says %d", ErrNoTable, sum, t.TotalRecords)
+		return nil, fmt.Errorf("%w: the blocks' lengths sum to offset %d, the end-log marker is at %d", ErrNoTable, next, end)
 	}
 	return t, nil
 }

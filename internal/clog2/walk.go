@@ -9,10 +9,10 @@ import (
 	"os"
 )
 
-// The query side of the block table: time, rank and channel queries over a
-// log that seek straight to the blocks a query can touch instead of
-// streaming the whole log — the raw-log analogue of the level-of-detail
-// index SLOG-2 keeps on the render side.
+// The query side of the block table: time and rank queries over a log that
+// seek straight to the blocks a query can touch instead of streaming the
+// whole log — the raw-log analogue of the level-of-detail index SLOG-2
+// keeps on the render side.
 //
 // The table is strictly an accelerator: whenever the full scan of a log
 // succeeds and the table is the one ScanTable makes of it (a fence that
@@ -29,25 +29,26 @@ import (
 // disagreed with a block it selected: the table lies about the log.
 var ErrCorrupt = errors.New("clog2: block table does not match the log")
 
-// Query selects blocks. The zero Query matches nothing useful — start
-// from MatchAll and narrow.
+// Query selects records: the timed records (every record but a
+// definition) of one rank or every rank stamped inside a window, and the
+// definitions. The reader cuts it (NextIn), so a visitor gets exactly what
+// its query selects. The zero Query selects nothing useful — start from
+// MatchAll and narrow.
 type Query struct {
-	// T0/T1 bound the time window (inclusive); non-definition records
-	// with Time outside [T0, T1] are out of scope.
+	// T0/T1 bound the time window (inclusive): a timed record stamped
+	// outside [T0, T1] is not selected.
 	T0, T1 float64
-	// Rank restricts to records of one rank; negative means any.
+	// Rank selects one rank's timed records; negative means every rank's.
 	Rank int32
-	// Chan restricts to messages on one channel; negative means any.
-	Chan int32
-	// IncludeDefs also selects every block containing definition
-	// records, whatever its fences say — windowed profiling needs the
-	// defs to classify states no matter where the window lands.
+	// IncludeDefs selects every definition, whatever the window and the
+	// rank: windowed profiling needs the defs to classify states no
+	// matter where the window lands.
 	IncludeDefs bool
 }
 
-// MatchAll returns the query that selects every block.
+// MatchAll returns the query that selects every record.
 func MatchAll() Query {
-	return Query{T0: math.Inf(-1), T1: math.Inf(1), Rank: -1, Chan: -1}
+	return Query{T0: math.Inf(-1), T1: math.Inf(1), Rank: -1, IncludeDefs: true}
 }
 
 // CheckWindow refuses a time window [t0, t1] that selects nothing by its
@@ -55,8 +56,7 @@ func MatchAll() Query {
 // would read as no bound at all, a window that ends before it starts, and
 // an infinite bound on the wrong side (t0 = +Inf, t1 = -Inf). An infinite
 // bound on its own side is no bound. Walk and every command that takes a
-// window check it here, so that the records a windowed decoder steps over
-// are exactly those Matches drops for their time.
+// window check it here.
 func CheckWindow(t0, t1 float64) error {
 	if math.IsNaN(t0) || math.IsNaN(t1) || t1 < t0 || math.IsInf(t0, 1) || math.IsInf(t1, -1) {
 		return fmt.Errorf("empty time window [%g,%g]", t0, t1)
@@ -67,7 +67,7 @@ func CheckWindow(t0, t1 float64) error {
 // Select returns the indices (in file order) of the blocks a scan for q
 // must visit: blocks whose fences intersect the query, plus — with
 // q.IncludeDefs — every block holding definition records. The selection
-// is conservative: a selected block may hold no matching record, but no
+// is conservative: a selected block may hold no record q selects, but no
 // unselected block can.
 func (t *Table) Select(q Query) []int {
 	sel := make([]int, 0, len(t.Blocks))
@@ -90,36 +90,7 @@ func blockMatches(b *BlockMeta, q Query) bool {
 	if b.TMax < q.T0 || b.TMin > q.T1 {
 		return false
 	}
-	if q.Rank >= 0 && q.Rank != b.Rank {
-		return false
-	}
-	if q.Chan >= 0 {
-		if b.Msgs == 0 || q.Chan < b.ChanMin || q.Chan > b.ChanMax {
-			return false
-		}
-	}
-	return true
-}
-
-// Matches reports whether one decoded record is in scope for q — the
-// record-level filter every consumer applies inside visited blocks, so
-// the indexed and full-scan paths agree answer-for-answer. Definition
-// records are metadata: they skip the time window (their timestamps mark
-// when they were defined, not when anything happened) but still honour
-// the rank and channel filters. A consumer that wants definitions must
-// therefore select blocks with IncludeDefs set; Select's fences only
-// cover non-definition records.
-func (q Query) Matches(r *Record) bool {
-	if !r.Type.IsDef() && (r.Time < q.T0 || r.Time > q.T1) {
-		return false
-	}
-	if q.Rank >= 0 && r.Rank != q.Rank {
-		return false
-	}
-	if q.Chan >= 0 && (r.Type != RecMsgEvt || r.Aux2 != q.Chan) {
-		return false
-	}
-	return true
+	return q.Rank < 0 || q.Rank == b.Rank
 }
 
 // LoadTable reads and validates the block table at the end of the log at
@@ -153,15 +124,11 @@ func readTableFile(f *os.File) (*Table, error) {
 // were delivered. Any other error, the visitor's own among them, ends the
 // walk at once; a window CheckWindow refuses ends it before the log is
 // opened. The full scan hands blocks over as Each does, so when it fails
-// the visitor has had the log's complete blocks. A visitor may only walk
-// the records it is handed: every block, selected or not, comes whole
-// (NextIn over q's window), holding every record of the block in file
-// order except the bare, cargo and message records stamped outside
-// [q.T0, q.T1], which the decoder steps over undecoded because Matches
-// drops them anyway. Definitions, time shifts, source locations and
-// records that fail q's rank or channel filter are handed over; a block
-// may be empty. tableUsed says what the answer rests on: true, the table
-// selected the blocks; false, it could not and every block was read.
+// the visitor has had the log's complete blocks. Either way every block is
+// cut to q by the reader (NextIn): the visitor gets, in file order, exactly
+// the records q selects and tests none of them; a block may be empty.
+// tableUsed says what the answer rests on: true, the table selected the
+// blocks; false, it could not and every block was read.
 func Walk(path string, q Query, begin func(numRanks int) func(Block) error) (tableUsed bool, err error) {
 	if err := CheckWindow(q.T0, q.T1); err != nil {
 		return false, fmt.Errorf("clog2: %w", err)
@@ -183,13 +150,13 @@ func Walk(path string, q Query, begin func(numRanks int) func(Block) error) (tab
 	if err != nil {
 		return false, err
 	}
-	return false, br.EachIn(q.T0, q.T1, begin(br.NumRanks()))
+	return false, br.EachIn(q, begin(br.NumRanks()))
 }
 
 // scan visits the selected blocks of the log rs holds in file order,
 // seeking over everything in between; consecutive selected blocks are
-// read without a seek. fn gets each block whole (NextIn over q's window,
-// into the buffer Each would use), and must not retain it. Both buffers of
+// read without a seek. fn gets each block cut to q (NextIn, into the buffer
+// Each would use), and must not retain it. Both buffers of
 // the scan go back to their pools when it returns, so a window allocates
 // what it keeps and not what it reads through. Every block is checked
 // against its table entry (its rank, the count its header declares and
@@ -221,7 +188,7 @@ func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) 
 				return err
 			}
 		}
-		b, n, err := br.NextIn(buf[:0], q.T0, q.T1)
+		b, n, err := br.NextIn(buf[:0], q)
 		if err != nil {
 			if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
 				return err

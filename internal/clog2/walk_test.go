@@ -18,8 +18,8 @@ import (
 )
 
 // writeLog writes a four-rank log with two blocks per rank, defs up
-// front, and enough variety (messages on several channels, bare and
-// cargo events, a timeshift) to exercise every fence.
+// front, and enough variety (messages, bare events, a timeshift) to
+// exercise every fence.
 func writeLog(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.clog2")
@@ -67,6 +67,16 @@ func writeLog(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// selects is the query's cut spelled out record by record, for the tests
+// to hold the reader to: a definition when q.IncludeDefs, and a timed
+// record of q's rank (any, when negative) stamped inside [q.T0, q.T1].
+func selects(q Query, r *Record) bool {
+	if r.Type.IsDef() {
+		return q.IncludeDefs
+	}
+	return (q.Rank < 0 || r.Rank == q.Rank) && r.Time >= q.T0 && r.Time <= q.T1
 }
 
 // scanFile is scan over the log at path.
@@ -200,33 +210,21 @@ func TestTableCountsAndFences(t *testing.T) {
 	}
 	for name, ix := range map[string]*Table{"written": mustLoad(t, path), "scanned": scanned} {
 		b0 := ix.Blocks[0]
-		if b0.Rank != 0 || b0.Records != 6 || b0.Defs != 3 || b0.Msgs != 1 {
+		if b0.Rank != 0 || b0.Records != 6 || b0.Defs != 3 {
 			t.Errorf("%s: rank-0 first block meta = %+v", name, b0)
 		}
 		if b0.TMin != 0.1 || b0.TMax != 0.3 {
 			t.Errorf("%s: rank-0 time fence = [%v, %v], want [0.1, 0.3] (defs excluded)", name, b0.TMin, b0.TMax)
 		}
-		if b0.ChanMin != 10 || b0.ChanMax != 10 {
-			t.Errorf("%s: rank-0 chan fence = [%d, %d], want [10, 10]", name, b0.ChanMin, b0.ChanMax)
-		}
 	}
 }
 
-// Every filtered answer through the table must equal the full scan, and
-// narrow queries must actually prune blocks (the point of the table).
+// Every answer through the table is the full scan's records the query
+// selects, and narrow queries actually prune blocks (the point of the
+// table).
 func TestSelectScanEqualsFullScan(t *testing.T) {
 	path := writeLog(t)
 	ix := mustLoad(t, path)
-
-	// The consumer contract: a scan that wants definitions selects with
-	// IncludeDefs; one that does not must also drop them record-wise
-	// (Matches alone always passes defs through the time window).
-	matches := func(q Query, r *Record) bool {
-		if !q.IncludeDefs && r.Type.IsDef() {
-			return false
-		}
-		return q.Matches(r)
-	}
 
 	fullScan := func(q Query) []Record {
 		f, err := os.Open(path)
@@ -248,7 +246,7 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range b.Records {
-				if matches(q, &b.Records[i]) {
+				if selects(q, &b.Records[i]) {
 					out = append(out, b.Records[i])
 				}
 			}
@@ -258,7 +256,6 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 
 	narrow := func(mod func(*Query)) Query {
 		q := MatchAll()
-		q.IncludeDefs = true
 		mod(&q)
 		return q
 	}
@@ -271,13 +268,8 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 		{"window", narrow(func(q *Query) { q.T0, q.T1 = 1.0, 1.9 }), true},
 		{"empty-window", narrow(func(q *Query) { q.T0, q.T1 = 99, 100 }), true},
 		{"rank", narrow(func(q *Query) { q.Rank = 2 }), true},
-		{"chan", narrow(func(q *Query) { q.Chan = 11 }), true},
 		{"rank+window", narrow(func(q *Query) { q.Rank = 3; q.T0, q.T1 = 3.0, 3.35 }), true},
-		{"no-defs-window", func() Query {
-			q := MatchAll()
-			q.T0, q.T1 = 2.0, 2.9
-			return q
-		}(), true},
+		{"no-defs-window", narrow(func(q *Query) { q.T0, q.T1, q.IncludeDefs = 2.0, 2.9, false }), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -286,15 +278,7 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 				t.Errorf("query selected all %d blocks; fences pruned nothing", len(sel))
 			}
 			var got []Record
-			err := scanFile(path, ix, sel, tc.q, func(b Block) error {
-				for i := range b.Records {
-					if matches(tc.q, &b.Records[i]) {
-						got = append(got, b.Records[i])
-					}
-				}
-				return nil
-			})
-			if err != nil {
+			if err := scanFile(path, ix, sel, tc.q, collectInto(&got)); err != nil {
 				t.Fatal(err)
 			}
 			want := fullScan(tc.q)
@@ -307,31 +291,6 @@ func TestSelectScanEqualsFullScan(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestQueryMatchesDefs(t *testing.T) {
-	q := Query{T0: 5, T1: 6, Rank: 1, Chan: -1}
-	def := Record{Type: RecStateDef, Rank: 1, Time: 0}
-	if !q.Matches(&def) {
-		t.Error("a definition must pass the time window")
-	}
-	def.Rank = 0
-	if q.Matches(&def) {
-		t.Error("a definition must still honour the rank filter")
-	}
-	evt := Record{Type: RecBareEvt, Rank: 1, Time: 0}
-	if q.Matches(&evt) {
-		t.Error("an out-of-window event matched")
-	}
-	q.Chan = 3
-	msg := Record{Type: RecMsgEvt, Rank: 1, Time: 5.5, Aux2: 3}
-	if !q.Matches(&msg) {
-		t.Error("an in-window message on the channel did not match")
-	}
-	msg.Aux2 = 4
-	if q.Matches(&msg) {
-		t.Error("a message on another channel matched")
 	}
 }
 
@@ -444,13 +403,18 @@ func TestDecodeHostile(t *testing.T) {
 	le32at := func(d []byte, off int, v uint32) { binary.LittleEndian.PutUint32(d[off:], v) }
 	le64at := func(d []byte, off int, v uint64) { binary.LittleEndian.PutUint64(d[off:], v) }
 
-	const entry = 64
 	var (
-		offTotal   = at
-		offNBlocks = at + 8
-		offBlock0  = at + 12
+		offNBlocks = at
+		offBlock0  = at + tableHeadSize
+		offFooter  = len(valid) - FooterSize
 		offSig     = len(valid) - len(TableMagic)
 	)
+	// The table without its last entry, under the footer as written: its
+	// lengths sum short of the end-log marker.
+	short := mustLoad(t, path)
+	short.Blocks = short.Blocks[:len(short.Blocks)-1]
+	fewer := AppendTable(append([]byte(nil), valid[:at]...), short)
+	binary.LittleEndian.PutUint64(fewer[len(fewer)-FooterSize:], uint64(at))
 	cases := []struct {
 		name string
 		data []byte
@@ -462,14 +426,14 @@ func TestDecodeHostile(t *testing.T) {
 		{"zero-ranks", mutate(false, func(d []byte) { le32at(d, len(Magic), 0) })},
 		{"absurd-ranks", mutate(false, func(d []byte) { le32at(d, len(Magic), 1<<21) })},
 		{"huge-block-table", mutate(true, func(d []byte) { le32at(d, offNBlocks, 1<<30) })},
-		{"offset-before-header", mutate(true, func(d []byte) { le64at(d, offBlock0, 0) })},
-		{"negative-length", mutate(true, func(d []byte) { le64at(d, offBlock0+8, ^uint64(0)) })},
+		{"offset-before-header", mutate(false, func(d []byte) { le64at(d, offFooter, 0) })},
+		{"negative-length", mutate(true, func(d []byte) { le64at(d, offBlock0, ^uint64(0)) })},
 		{"overlapping-blocks", mutate(true, func(d []byte) {
 			// Make block 1 start inside block 0.
-			le64at(d, offBlock0+entry, binary.LittleEndian.Uint64(d[offBlock0:])+1)
+			le64at(d, offBlock0, binary.LittleEndian.Uint64(d[offBlock0:])-1)
 		})},
-		{"defs-exceed-records", mutate(true, func(d []byte) { le32at(d, offBlock0+24, 1<<20) })},
-		{"sum-mismatch", mutate(true, func(d []byte) { le64at(d, offTotal, 1) })},
+		{"defs-exceed-records", mutate(true, func(d []byte) { le32at(d, offBlock0+16, 1<<20) })},
+		{"sum-mismatch", restamp(fewer)},
 		{"trailing-bytes", restamp(append(append(append([]byte(nil), valid[:len(valid)-FooterSize]...), make([]byte, 8)...),
 			valid[len(valid)-FooterSize:]...))},
 		{"crc-mismatch", mutate(false, func(d []byte) { d[offBlock0+40] ^= 0xff })},
@@ -520,8 +484,8 @@ func TestLoadRejectsBlockTablePastEOF(t *testing.T) {
 	path := writeLog(t)
 	data := readFile(t, path)
 	at := int(mustLoad(t, path).LogSize())
-	last := at + 12 + 7*tableEntrySize // the eighth entry's offset field
-	binary.LittleEndian.PutUint64(data[last+8:], binary.LittleEndian.Uint64(data[last+8:])+1<<20)
+	last := at + tableHeadSize + 7*tableEntrySize // the eighth entry's length field
+	binary.LittleEndian.PutUint64(data[last:], binary.LittleEndian.Uint64(data[last:])+1<<20)
 	writeFile(t, path, restamp(data))
 	if _, err := LoadTable(path); !errors.Is(err, ErrNoTable) {
 		t.Errorf("block table past EOF: err = %v, want ErrNoTable", err)
@@ -557,6 +521,7 @@ func TestTimeFenceExcludesDefs(t *testing.T) {
 		t.Errorf("defs-only block has a live time fence [%v, %v]", b.TMin, b.TMax)
 	}
 	q := MatchAll()
+	q.IncludeDefs = false
 	if sel := ix.Select(q); len(sel) != 0 {
 		t.Errorf("defs-only block selected by a pure event query: %v", sel)
 	}
@@ -576,11 +541,26 @@ type visit struct {
 	records int
 }
 
-// visits lists the blocks of a table as a walk over them sees them.
-func visits(table *Table) []visit {
+// kept lists the blocks of the log data holds as a walk for q over every
+// block sees them: each block's rank and how many of its records q selects.
+func kept(t *testing.T, data []byte, q Query) []visit {
+	t.Helper()
 	var out []visit
-	for _, b := range table.Blocks {
-		out = append(out, visit{b.Rank, int(b.Records)})
+	br, err := NewBlockReader(bytes.NewReader(data))
+	if err == nil {
+		err = br.Each(func(b Block) error {
+			n := 0
+			for i := range b.Records {
+				if selects(q, &b.Records[i]) {
+					n++
+				}
+			}
+			out = append(out, visit{b.Rank, n})
+			return nil
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -644,7 +624,7 @@ func TestWalk(t *testing.T) {
 		// A table of another version under a valid CRC.
 		{"previous version", func(t *testing.T, path string, _ *Table, _ []int) {
 			data := readFile(t, path)
-			copy(data[len(data)-len(TableMagic):], "CLOGTAB-01")
+			copy(data[len(data)-len(TableMagic):], "CLOGTAB-02")
 			writeFile(t, path, data)
 		}, false, 1},
 		// Valid CRC, valid sums, but the last block the query selects
@@ -663,20 +643,16 @@ func TestWalk(t *testing.T) {
 			// The defs and the last rank: a selection that skips blocks
 			// and still spans more than one.
 			q := MatchAll()
-			q.Rank, q.IncludeDefs = int32(ix.NumRanks-1), true
+			q.Rank = int32(ix.NumRanks - 1)
 			sel := ix.Select(q)
 			if len(sel) < 2 || len(sel) >= len(ix.Blocks) {
 				t.Fatalf("query selects %d of %d blocks; the test needs a proper subset of two or more", len(sel), len(ix.Blocks))
 			}
 			var selected []visit
 			for _, i := range sel {
-				selected = append(selected, visits(ix)[i])
+				selected = append(selected, kept(t, golden, q)[i])
 			}
 			tc.sabotage(t, path, mustLoad(t, path), sel)
-			scanned, err := ScanTable(bytes.NewReader(readFile(t, path)))
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			var attempts [][]visit
 			used, err := Walk(path, q, func(numRanks int) func(Block) error {
@@ -699,7 +675,7 @@ func TestWalk(t *testing.T) {
 			if len(attempts) != tc.begins {
 				t.Fatalf("begin called %d time(s), want %d", len(attempts), tc.begins)
 			}
-			want := visits(scanned)
+			want := kept(t, readFile(t, path), q)
 			if tc.used {
 				want = selected
 			}
@@ -716,16 +692,25 @@ func TestWalk(t *testing.T) {
 	t.Run("window", walkWindow)
 }
 
-// walkWindow is TestWalk's matrix for a time window: whatever state the
-// table is in, the windowed walk hands over the records a full decode
-// keeps under q.Matches, in order, and never a bare, cargo or message
-// record stamped outside the window, which the decoder steps over. The
-// window selects the definitions' block only for its definitions, its
-// timed records all lie outside and are stepped over undecoded, and a
-// table that lies about that block is still caught by its count.
+// walkWindow is TestWalk's matrix for the queries that cut blocks: a
+// window, a rank, and both. Whatever state the table is in, the walk hands
+// over exactly the records of a full decode that the query selects
+// (selects), in order, and the visitor tests none. Each query selects the
+// definitions' block for its definitions alone, its timed records lying
+// outside the query, and a table that lies about that block, or about one
+// whose records the query keeps, is caught by its count.
 func walkWindow(t *testing.T) {
-	q := MatchAll()
-	q.T0, q.T1, q.IncludeDefs = 1.0, 1.9, true
+	var queries []Query
+	for _, cut := range []func(*Query){
+		func(q *Query) { q.T0, q.T1 = 1.0, 1.9 },
+		func(q *Query) { q.Rank = 1 },
+		func(q *Query) { q.Rank, q.T0, q.T1 = 1, 1.35, 1.9 },
+	} {
+		q := MatchAll()
+		cut(&q)
+		queries = append(queries, q)
+	}
+	selections := [][]int{{0, 2, 3}, {0, 2, 3}, {0, 3}}
 	for _, tc := range []struct {
 		name     string
 		sabotage func(t *testing.T, path string, ix *Table)
@@ -748,64 +733,42 @@ func walkWindow(t *testing.T) {
 		}, false, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := writeLog(t)
-			ix := mustLoad(t, path)
-			if sel := ix.Select(q); !reflect.DeepEqual(sel, []int{0, 2, 3}) {
-				t.Fatalf("the window selects blocks %v, the test needs the defs' block and rank 1's", sel)
-			}
-			if b := ix.Blocks[0]; b.TMax >= q.T0 {
-				t.Fatalf("the defs' block has timed records up to %v, inside the window", b.TMax)
-			}
-			var want []Record
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			br, err := NewBlockReader(f)
-			if err == nil {
-				err = br.Each(func(b Block) error {
-					for i := range b.Records {
-						if q.Matches(&b.Records[i]) {
-							want = append(want, b.Records[i])
+			for i, q := range queries {
+				path := writeLog(t)
+				ix := mustLoad(t, path)
+				if sel := ix.Select(q); !reflect.DeepEqual(sel, selections[i]) {
+					t.Fatalf("%+v selects blocks %v, the test needs %v", q, sel, selections[i])
+				}
+				if b := ix.Blocks[0]; b.TMax >= q.T0 && q.Rank < 0 {
+					t.Fatalf("the defs' block has timed records up to %v, inside the window", b.TMax)
+				}
+				_, blocks, err := readBlocks(bytes.NewReader(readFile(t, path)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Record
+				for _, b := range blocks {
+					for _, r := range b.Records {
+						if selects(q, &r) {
+							want = append(want, r)
 						}
 					}
-					return nil
-				})
-			}
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
+				}
 
-			tc.sabotage(t, path, mustLoad(t, path))
-			var handed []Record
-			begins := 0
-			used, err := Walk(path, q, func(int) func(Block) error {
-				begins++
-				handed = handed[:0]
-				return func(b Block) error {
-					handed = append(handed, b.Records...)
-					return nil
+				tc.sabotage(t, path, mustLoad(t, path))
+				var got []Record
+				begins := 0
+				used, err := Walk(path, q, func(int) func(Block) error {
+					begins++
+					got = got[:0]
+					return collectInto(&got)
+				})
+				if err != nil || used != tc.used || begins != tc.begins {
+					t.Fatalf("%+v: Walk = %v, %v after %d begin(s); want %v, nil, %d", q, used, err, begins, tc.used, tc.begins)
 				}
-			})
-			if err != nil || used != tc.used || begins != tc.begins {
-				t.Fatalf("Walk = %v, %v after %d begin(s); want %v, nil, %d", used, err, begins, tc.used, tc.begins)
-			}
-			var got []Record
-			for i := range handed {
-				r := &handed[i]
-				switch r.Type {
-				case RecBareEvt, RecCargoEvt, RecMsgEvt:
-					if r.Time < q.T0 || r.Time > q.T1 {
-						t.Errorf("handed over %v at %v, outside the window", r.Type, r.Time)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v: the walk handed over %d record(s), the full decode selects %d, or they differ", q, len(got), len(want))
 				}
-				if q.Matches(r) {
-					got = append(got, *r)
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("the walk kept %d record(s), the full decode %d, or they differ", len(got), len(want))
 			}
 		})
 	}
@@ -964,13 +927,14 @@ func TestHostileTails(t *testing.T) {
 	for _, mod := range []func(*Query){
 		func(q *Query) {},
 		func(q *Query) { q.Rank = int32(ix.NumRanks - 1) },
-		func(q *Query) { q.Chan = ix.Blocks[1].ChanMin },
 		func(q *Query) {
 			q.T0, q.T1 = ix.Blocks[1].TMin, ix.Blocks[1].TMin+(ix.Blocks[1].TMax-ix.Blocks[1].TMin)/3
 		},
+		func(q *Query) {
+			q.Rank, q.T0, q.T1 = ix.Blocks[1].Rank, ix.Blocks[1].TMin, ix.Blocks[1].TMax
+		},
 	} {
 		q := MatchAll()
-		q.IncludeDefs = true
 		mod(&q)
 		queries = append(queries, q)
 	}
@@ -978,14 +942,7 @@ func TestHostileTails(t *testing.T) {
 		var got []Record
 		used, err := Walk(path, q, func(int) func(Block) error {
 			got = got[:0]
-			return func(b Block) error {
-				for i := range b.Records {
-					if q.Matches(&b.Records[i]) {
-						got = append(got, b.Records[i])
-					}
-				}
-				return nil
-			}
+			return collectInto(&got)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -1071,7 +1028,7 @@ func TestReadersRefuseStampsOutOfOrder(t *testing.T) {
 		for _, win := range [][2]float64{{math.Inf(-1), math.Inf(1)}, c.window} {
 			br, err := NewBlockReader(bytes.NewReader(data))
 			for err == nil {
-				_, _, err = br.NextIn(nil, win[0], win[1])
+				_, _, err = br.NextIn(nil, Query{T0: win[0], T1: win[1], Rank: -1, IncludeDefs: true})
 			}
 			refused(fmt.Sprintf("NextIn over %v", win), err)
 		}

@@ -69,14 +69,11 @@ func TestBuilderCountsAndFences(t *testing.T) {
 			t.Fatal(err)
 		}
 		b0 := ix.Blocks[0]
-		if b0.Rank != 0 || b0.Records != 6 || b0.Defs != 3 || b0.Msgs != 1 {
+		if b0.Rank != 0 || b0.Records != 6 || b0.Defs != 3 {
 			t.Errorf("%s: rank-0 first block meta = %+v", name, b0)
 		}
 		if b0.TMin != 0.1 || b0.TMax != 0.3 {
 			t.Errorf("%s: rank-0 time fence = [%v, %v], want [0.1, 0.3] (defs excluded)", name, b0.TMin, b0.TMax)
-		}
-		if b0.ChanMin != 10 || b0.ChanMax != 10 {
-			t.Errorf("%s: rank-0 chan fence = [%d, %d], want [10, 10]", name, b0.ChanMin, b0.ChanMax)
 		}
 		if sel := ix.Select(MatchAll()); len(sel) != 1 {
 			t.Errorf("%s: MatchAll selects blocks %v, want the one", name, sel)

@@ -27,8 +27,8 @@
 // program never notices. A rank that stays gone past the window (a
 // crashed process, an exhausted reconnect budget) is a lost rank: the
 // transport aborts the world with FaultAbortCode, exactly as an injected
-// crash would, and the layers above fall back to spill-v2 salvage for
-// the dead rank's log segments. Every failure mode lands in one of those
+// crash would, and the layers above fall back to salvaging the dead
+// rank's spill segments (clog2.SegVersion 3). Every failure mode lands in one of those
 // two buckets — transparent recovery or diagnosed abort — never a hang.
 package mpi
 

@@ -63,7 +63,7 @@ func (r *Report) warnf(format string, args ...any) {
 // timed is what the converter keeps of one bare or cargo event: its time,
 // what clog2.Etypes.Classify made of its etype as it streamed in, and
 // where its cargo text sits in the rank's arena — 24 bytes where a
-// clog2.Record is 136.
+// clog2.Record is 120.
 type timed struct {
 	t        float64
 	id       int32
@@ -189,7 +189,7 @@ func (p *partition) addBlock(b *clog2.Block) error {
 				p.eventDefs = append(p.eventDefs, *rec)
 			}
 			continue
-		case rec.Type == clog2.RecConstDef || rec.Type == clog2.RecTimeShift || rec.Type == clog2.RecSrcLoc:
+		case rec.Type == clog2.RecConstDef || rec.Type == clog2.RecTimeShift:
 			continue
 		}
 		switch rec.Type {

@@ -129,20 +129,33 @@ type stateAgg struct {
 type Profiler struct {
 	fold     *clog2.Fold
 	numRanks int
+	window   *ProfileWindow      // nil when unbounded
 	states   map[int32]*stateAgg // keyed by state def ID (or parity etype/2)
 	ranks    []RankProfile       // by FoldRank.Index
 	chans    map[int32]*ChannelProfile
 }
 
 // NewProfiler returns a Profiler observing fold; numRanks is the rank
-// count from the log's header.
-func NewProfiler(fold *clog2.Fold, numRanks int) *Profiler {
-	return &Profiler{
+// count from the log's header, and [t0, t1] the window the fold's records
+// were read over (math.Inf bounds for no limit), which the profile states.
+func NewProfiler(fold *clog2.Fold, numRanks int, t0, t1 float64) *Profiler {
+	pp := &Profiler{
 		fold:     fold,
 		numRanks: numRanks,
 		states:   map[int32]*stateAgg{},
 		chans:    map[int32]*ChannelProfile{},
 	}
+	if !math.IsInf(t0, -1) || !math.IsInf(t1, 1) {
+		lo, hi := t0, t1 // on the heap only for a bounded window
+		pp.window = &ProfileWindow{}
+		if !math.IsInf(lo, -1) {
+			pp.window.T0 = &lo
+		}
+		if !math.IsInf(hi, 1) {
+			pp.window.T1 = &hi
+		}
+	}
+	return pp
 }
 
 // rank returns the accumulator of the rank the fold last counted.
@@ -214,16 +227,7 @@ func (pp *Profiler) observeBlock(b clog2.Block) error {
 
 // Profile assembles the sorted tables and returns the Profile.
 func (pp *Profiler) Profile() *Profile {
-	p := &Profile{Schema: ProfileSchema, NumRanks: pp.numRanks, Unpaired: pp.fold.Unpaired}
-	if t0, t1 := pp.fold.Window(); !math.IsInf(t0, -1) || !math.IsInf(t1, 1) {
-		p.Window = &ProfileWindow{}
-		if !math.IsInf(t0, -1) {
-			p.Window.T0 = &t0
-		}
-		if !math.IsInf(t1, 1) {
-			p.Window.T1 = &t1
-		}
-	}
+	p := &Profile{Schema: ProfileSchema, NumRanks: pp.numRanks, Unpaired: pp.fold.Unpaired, Window: pp.window}
 	chanIDs := make([]int, 0, len(pp.chans))
 	for id := range pp.chans {
 		chanIDs = append(chanIDs, int(id))
@@ -289,8 +293,10 @@ func ComputeProfileWindowed(r io.Reader, t0, t1 float64) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	pp := NewProfiler(clog2.NewFold(t0, t1), br.NumRanks())
-	if err := br.Each(pp.observeBlock); err != nil {
+	q := clog2.MatchAll()
+	q.T0, q.T1 = t0, t1
+	pp := NewProfiler(clog2.NewFold(), br.NumRanks(), t0, t1)
+	if err := br.EachIn(q, pp.observeBlock); err != nil {
 		return nil, err
 	}
 	return pp.Profile(), nil

@@ -282,8 +282,8 @@ func TestComputeProfileBadInput(t *testing.T) {
 // them by rank id, and a rank whose only record opened a state (so the
 // observer never touched it) keeps its record count and span.
 func TestProfileRanksSortedWhateverTheFoldOrder(t *testing.T) {
-	fold := clog2.NewFold(math.Inf(-1), math.Inf(1))
-	pp := NewProfiler(fold, 4)
+	fold := clog2.NewFold()
+	pp := NewProfiler(fold, 4, math.Inf(-1), math.Inf(1))
 	for _, rec := range []clog2.Record{
 		bare(3, 1.0, clog2.SoloBase+1),
 		msg(1, 2.0, clog2.DirSend, 3, 7, 64),

@@ -1,10 +1,9 @@
 // The windowed profile path, accelerated by the log's block table:
 // profile only the blocks whose time fences intersect [t0, t1]. clog2.Walk
 // decides whether the table selects those blocks or every block is read;
-// either way the blocks feed the same Profiler in file order, so the
-// answers are identical by construction: the table only skips blocks that
-// contain no in-window non-definition records, and definition-bearing
-// blocks are always visited (IncludeDefs).
+// either way the reader hands the same Profiler the records the window
+// selects, definitions included (IncludeDefs), in file order, so the
+// answers are identical by construction.
 package stats
 
 import (
@@ -21,10 +20,10 @@ import (
 // block.
 func ComputeProfileFileWindowed(path string, t0, t1 float64) (*Profile, bool, error) {
 	q := clog2.MatchAll()
-	q.T0, q.T1, q.IncludeDefs = t0, t1, true
+	q.T0, q.T1 = t0, t1
 	var pp *Profiler
 	used, err := clog2.Walk(path, q, func(numRanks int) func(clog2.Block) error {
-		pp = NewProfiler(clog2.NewFold(t0, t1), numRanks)
+		pp = NewProfiler(clog2.NewFold(), numRanks, t0, t1)
 		return pp.observeBlock
 	})
 	if err != nil {

@@ -187,7 +187,7 @@ func TestWindowedDegradation(t *testing.T) {
 		}},
 		// A table of another version under a valid CRC.
 		{"previous version", func(data []byte, _ *clog2.Table) []byte {
-			copy(data[len(data)-len(clog2.TableMagic):], "CLOGTAB-01")
+			copy(data[len(data)-len(clog2.TableMagic):], "CLOGTAB-02")
 			return data
 		}},
 		// A table that lies about the file under a valid CRC: ReadTable
