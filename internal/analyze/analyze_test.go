@@ -632,7 +632,7 @@ func AnalyzeBytes(data []byte, opts Options) (*Report, error) {
 
 // DiffBytes diffs two in-memory CLOG-2 images.
 func DiffBytes(a, b []byte, nameA, nameB string, opts DiffOptions) (*DiffReport, error) {
-	return diffStreams(bytes.NewReader(a), bytes.NewReader(b), nameA, nameB, opts)
+	return diffLogs(bytes.NewReader(a), bytes.NewReader(b), nameA, nameB, opts)
 }
 
 // HasDetector reports whether any finding came from the named detector.

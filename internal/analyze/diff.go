@@ -10,14 +10,14 @@
 package analyze
 
 import (
-	"bytes"
-	"encoding/binary"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/clog2"
@@ -79,294 +79,248 @@ type DiffReport struct {
 	First *Divergence `json:"first,omitempty"`
 }
 
-// appendOpKey appends rec's normalized op in packed form: the nine
-// fields the chaos suite's replay-determinism assertions compare, the
-// numbers at fixed offsets and the three texts length-prefixed. Two ops
-// are the same op exactly when their keys are the same bytes.
-func appendOpKey(dst []byte, rec *clog2.Record) []byte {
-	dst = append(dst, byte(rec.Type), rec.Dir)
-	for _, v := range [...]int32{rec.ID, rec.Aux1, rec.Aux2, rec.Aux3} {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+// logFile is a log the diff reads: it seeks to a rank's blocks and reads
+// the block table at the end.
+type logFile interface {
+	io.ReadSeeker
+	io.ReaderAt
+}
+
+// cursor walks one log rank by rank: a block holds one rank's records in
+// time order (clog2.Block), so a rank's ops are its blocks' in file order,
+// found through the log's block table.
+type cursor struct {
+	f       logFile
+	label   string       // names the log in errors
+	t       *clog2.Table // entries sorted by rank, in file order within one
+	scanned bool         // t is ScanTable's, so it cannot lie
+	lied    bool         // a block did not match t's entry for it
+	br      *clog2.BlockReader
+	next    int            // the entry of the next block to read
+	buf     []clog2.Record // the block in hand
+	recs    []clog2.Record // its records not yet read
+}
+
+// open takes the log's block table: the one it ends with when that
+// validates and scan is false, else the one ScanTable makes of it. A log
+// that cannot be read to its end-log marker ends the diff with that error.
+func (c *cursor) open(scan bool) error {
+	c.t, c.lied = nil, false
+	if !scan {
+		size, err := c.f.Seek(0, io.SeekEnd)
+		if err != nil {
+			return err
+		}
+		c.t, _ = clog2.ReadTable(c.f, size) // why it has none is the scan's to find
 	}
-	for _, s := range [...]string{rec.Name, rec.Color} {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
+	if c.scanned = c.t == nil; c.scanned {
+		if _, err := c.f.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		t, err := clog2.ScanTable(c.f)
+		if err != nil {
+			return fmt.Errorf("analyze: diff %s: %w", c.label, err)
+		}
+		c.t = t
 	}
-	dst = append(dst, rec.CargoLen)
-	return append(dst, rec.CargoBytes()...)
+	slices.SortStableFunc(c.t.Blocks, func(a, b clog2.BlockMeta) int { return cmp.Compare(a.Rank, b.Rank) })
+	return nil
 }
 
-// opSignature renders a packed op as the timestamp-free text a report
-// shows. Only the context lines of a divergence are ever rendered.
-func opSignature(key []byte) string {
-	var nums [4]int32
-	for i := range nums {
-		nums[i] = int32(binary.LittleEndian.Uint32(key[2+4*i:]))
+// rewind puts the cursor before rank 0's first block, with a reader of its
+// own: a rank's last stamp is held across its blocks only.
+func (c *cursor) rewind() (err error) {
+	c.release()
+	c.next, c.recs = 0, nil
+	c.br, err = clog2.NewBlockReaderAt(c.f, int64(clog2.HeaderSize), c.t.NumRanks)
+	return err
+}
+
+func (c *cursor) release() {
+	if c.br != nil {
+		c.br.Release()
+		c.br = nil
 	}
-	rest := key[18:]
-	var texts [2][]byte
-	for i := range texts {
-		n, w := binary.Uvarint(rest)
-		texts[i], rest = rest[w:w+int(n)], rest[w+int(n):]
+}
+
+// op returns rank's next op, or nil once its blocks are read: events,
+// state transitions and message halves; definitions and timeshifts are
+// metadata and excluded. The op is the record with its times zeroed and
+// its cargo past CargoLen cleared, so two ops are the same op exactly when
+// they are ==. It is valid until the next call.
+func (c *cursor) op(rank int32) (*clog2.Record, error) {
+	for {
+		for len(c.recs) > 0 {
+			rec := &c.recs[0]
+			c.recs = c.recs[1:]
+			switch rec.Type {
+			case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
+				rec.Time, rec.Shift = 0, 0
+				clear(rec.Cargo[rec.CargoLen:])
+				return rec, nil
+			}
+		}
+		if c.next == len(c.t.Blocks) || c.t.Blocks[c.next].Rank != rank {
+			return nil, nil
+		}
+		b, err := c.br.NextAt(c.buf[:0], clog2.MatchAll(), &c.t.Blocks[c.next])
+		if err != nil {
+			c.lied = !c.scanned && errors.Is(err, clog2.ErrCorrupt)
+			return nil, fmt.Errorf("analyze: diff %s: %w", c.label, err)
+		}
+		c.next++
+		c.buf, c.recs = b.Records[:0], b.Records
 	}
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s", clog2.RecType(key[0]),
-		nums[0], nums[1], nums[2], nums[3], key[1], texts[0], texts[1], rest[1:])
 }
 
-// opQueue is a FIFO of packed ops in one reusable buffer, each framed
-// by its length.
-type opQueue struct {
-	buf  []byte
-	head int // offset of the oldest op's frame
-	n    int // ops queued
-}
-
-func (q *opQueue) push(rec *clog2.Record) {
-	if q.n == 0 {
-		q.buf, q.head = q.buf[:0], 0
-	} else if q.head > len(q.buf)/2 {
-		// Mostly consumed: slide the rest down instead of growing.
-		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
-		q.head = 0
-	}
-	at := len(q.buf)
-	q.buf = appendOpKey(append(q.buf, 0, 0, 0, 0), rec)
-	binary.LittleEndian.PutUint32(q.buf[at:], uint32(len(q.buf)-at-4))
-	q.n++
-}
-
-// pop returns the oldest op; the slice is valid until the next push.
-func (q *opQueue) pop() []byte {
-	at := q.head + 4
-	end := at + int(binary.LittleEndian.Uint32(q.buf[q.head:]))
-	q.head = end
-	q.n--
-	return q.buf[at:end]
-}
-
-// rankDiff is one rank's alignment state. Until the rank diverges the
-// two sides' ops are compared pairwise in order: the side that is ahead
-// waits in pending, and the last Context matched ops (the same on both
-// sides) are kept for the report. After the divergence ops are only
-// counted, the first Context of each side going into the report.
-type rankDiff struct {
-	n       [2]int // ops seen per side
-	pending opQueue
-	ahead   int      // the side pending belongs to
-	recent  [][]byte // ring of the last matched ops: op i is in slot i mod Context
-	div     *Divergence
-	owed    [2]int // context lines each side may still add after the divergence
-}
-
-// differ aligns two logs as their blocks arrive; sides are 0 = A, 1 = B.
+// differ diffs two logs rank against rank; sides are 0 = A, 1 = B.
 type differ struct {
 	context int
-	ranks   map[int32]*rankDiff
-	ended   [2]bool // the side has been read to its end
-	key     []byte  // scratch for the op in hand
+	sides   [2]*cursor
+	recent  []clog2.Record // ring of the rank's last matched ops: op i is in slot i mod context
 }
 
-// rank is the alignment of rank's ops, looked up once a block: a block
-// holds one rank's records (clog2.Block).
-func (d *differ) rank(rank int32) *rankDiff {
-	rd := d.ranks[rank]
-	if rd == nil {
-		rd = &rankDiff{}
-		d.ranks[rank] = rd
-	}
-	return rd
-}
-
-// op takes the next op of one side, of rank rd.
-func (d *differ) op(side int, rd *rankDiff, rec *clog2.Record) {
-	i := rd.n[side]
-	rd.n[side]++
-	switch {
-	case rd.div != nil:
-		if rd.owed[side] > 0 {
-			d.key = appendOpKey(d.key[:0], rec)
-			rd.trail(side, i, d.key)
-		}
-	case rd.pending.n > 0 && rd.ahead != side:
-		d.key = appendOpKey(d.key[:0], rec)
-		theirs := rd.pending.pop()
-		if !bytes.Equal(theirs, d.key) {
-			rd.diverge(d.context, rec.Rank, i, "mismatch", side, d.key, theirs)
-		} else if d.context > 0 {
-			if i < d.context {
-				rd.recent = append(rd.recent, nil)
-			}
-			slot := &rd.recent[i%d.context]
-			*slot = append((*slot)[:0], d.key...)
-		}
-	case d.ended[1-side]:
-		// Nothing is pending and the other side is over: it stops short.
-		d.key = appendOpKey(d.key[:0], rec)
-		rd.diverge(d.context, rec.Rank, i, shortKind(1-side, i), side, d.key, nil)
-	default:
-		rd.pending.push(rec)
-		rd.ahead = side
-	}
-}
-
-// end marks one side as read to its end: it stops short on every rank
-// the other side is ahead on.
-func (d *differ) end(side int) {
-	d.ended[side] = true
-	for rank, rd := range d.ranks {
-		if rd.div == nil && rd.pending.n > 0 && rd.ahead != side {
-			i := rd.n[side]
-			rd.diverge(d.context, rank, i, shortKind(side, i), rd.ahead, rd.pending.pop(), nil)
+// run diffs every rank of either log's header, from rank 0 on. A table
+// entry no rank reached lies about its rank.
+func (d *differ) run() (*DiffReport, error) {
+	rep := &DiffReport{Schema: DiffSchema, FileA: d.sides[0].label, FileB: d.sides[1].label, Divergences: []Divergence{}}
+	for _, c := range d.sides {
+		if err := c.rewind(); err != nil {
+			return nil, err
 		}
 	}
-}
-
-// shortKind names the divergence of a side whose sequence ends at op i.
-func shortKind(side, i int) string {
-	if i == 0 {
-		return "ab"[side:side+1] + "-missing-rank"
-	}
-	return "ab"[side:side+1] + "-short"
-}
-
-// diverge records the rank's first divergence, at op i: mine is side's
-// op there and theirs the other side's, nil when that side has ended.
-// What is still pending follows op i on the side that is ahead.
-func (rd *rankDiff) diverge(context int, rank int32, i int, kind string, side int, mine, theirs []byte) {
-	dv := &Divergence{Rank: int(rank), Op: i, Kind: kind}
-	rd.div = dv
-	var ops [2][]byte
-	ops[side], ops[1-side] = mine, theirs
-	if ops[0] != nil {
-		dv.A = opSignature(ops[0])
-	}
-	if ops[1] != nil {
-		dv.B = opSignature(ops[1])
-	}
-	if context > 0 {
-		for k := max(0, i-context); k < i; k++ {
-			dv.addLine(0, ' ', k, rd.recent[k%context])
-			dv.addLine(1, ' ', k, rd.recent[k%context])
+	for rank := range int32(max(d.sides[0].t.NumRanks, d.sides[1].t.NumRanks)) {
+		dv, err := d.rank(rank)
+		if err != nil {
+			return nil, err
 		}
-		for s, key := range ops {
-			if key != nil {
-				dv.addLine(s, '>', i, key)
-				rd.owed[s] = context
-			}
+		if dv != nil {
+			rep.Divergences = append(rep.Divergences, *dv)
 		}
 	}
-	rd.recent = nil
-	for k := i + 1; rd.pending.n > 0; k++ {
-		rd.trail(rd.ahead, k, rd.pending.pop())
-	}
-	rd.pending = opQueue{}
-}
-
-// trail adds an op after the divergence to side's context while that
-// side is still owed lines.
-func (rd *rankDiff) trail(side, k int, key []byte) {
-	if rd.owed[side] > 0 {
-		rd.owed[side]--
-		rd.div.addLine(side, ' ', k, key)
-	}
-}
-
-// addLine appends op k to one side's context, one line per op,
-// prefixed with its index and marked when it is the divergence itself.
-func (dv *Divergence) addLine(side int, marker byte, k int, key []byte) {
-	lines := &dv.ContextA
-	if side == 1 {
-		lines = &dv.ContextB
-	}
-	*lines = append(*lines, fmt.Sprintf("%c op %d: %s", marker, k, opSignature(key)))
-}
-
-// report closes the alignment once both sides have ended.
-func (d *differ) report(nameA, nameB string) *DiffReport {
-	rep := &DiffReport{
-		Schema:      DiffSchema,
-		FileA:       nameA,
-		FileB:       nameB,
-		Divergences: []Divergence{},
-	}
-	for _, rd := range d.ranks {
-		if rd.div != nil {
-			rd.div.LenA, rd.div.LenB = rd.n[0], rd.n[1]
-			rep.Divergences = append(rep.Divergences, *rd.div)
+	for _, c := range d.sides {
+		if c.next < len(c.t.Blocks) {
+			c.lied = !c.scanned
+			return nil, fmt.Errorf("analyze: diff %s: %w: an entry of rank %d", c.label, clog2.ErrCorrupt, c.t.Blocks[c.next].Rank)
 		}
 	}
-	sort.Slice(rep.Divergences, func(i, j int) bool { return rep.Divergences[i].Rank < rep.Divergences[j].Rank })
 	rep.Identical = len(rep.Divergences) == 0
 	if !rep.Identical {
+		// In rank order, so the earliest op ties to the smallest rank.
 		first := rep.Divergences[0]
 		for _, dv := range rep.Divergences[1:] {
-			if dv.Op < first.Op || (dv.Op == first.Op && dv.Rank < first.Rank) {
+			if dv.Op < first.Op {
 				first = dv
 			}
 		}
 		rep.First = &first
 	}
-	return rep
+	return rep, nil
 }
 
-// diffSide is one of the two logs being read.
-type diffSide struct {
-	br    *clog2.BlockReader
-	label string         // names the log in errors
-	recs  []clog2.Record // NextReuse's buffer
-	ops   int            // ops read so far
+// rank compares the two sides' ops of rank in order and returns its first
+// divergence, nil when they agree.
+func (d *differ) rank(rank int32) (*Divergence, error) {
+	d.recent = d.recent[:0]
+	var ops [2]*clog2.Record
+	for i := 0; ; i++ {
+		for s, c := range d.sides {
+			var err error
+			if ops[s], err = c.op(rank); err != nil {
+				return nil, err
+			}
+		}
+		switch {
+		case ops[0] == nil && ops[1] == nil:
+			return nil, nil
+		case ops[0] == nil || ops[1] == nil || *ops[0] != *ops[1]:
+			return d.diverge(rank, i, ops)
+		case i < d.context:
+			d.recent = append(d.recent, *ops[0])
+		case d.context > 0:
+			d.recent[i%d.context] = *ops[0]
+		}
+	}
 }
 
-// next reads one block and hands its ops to d: events, state
-// transitions and message halves in rank order; definitions, timeshifts
-// and block markers are metadata and excluded.
-func (s *diffSide) next(d *differ, side int) error {
-	b, err := s.br.NextReuse(s.recs)
-	if err == io.EOF {
-		d.end(side)
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("analyze: diff %s: %w", s.label, err)
-	}
-	s.recs = b.Records[:0]
-	rd := d.rank(b.Rank)
-	for i := range b.Records {
-		rec := &b.Records[i]
-		switch rec.Type {
-		case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
-			d.op(side, rd, rec)
-			s.ops++
+// diverge fixes rank's divergence at op i, where ops holds each side's op,
+// nil on a side whose ops have ended (truncation; at op 0 a missing rank).
+// The ring gives both sides the leading context; each side's ops from i on
+// are counted, and up to context of them after i are its trailing context.
+func (d *differ) diverge(rank int32, i int, ops [2]*clog2.Record) (*Divergence, error) {
+	dv := &Divergence{Rank: int(rank), Op: i, Kind: "mismatch"}
+	for s, op := range ops {
+		if op == nil {
+			dv.Kind = "ab"[s:s+1] + "-short"
+			if i == 0 {
+				dv.Kind = "ab"[s:s+1] + "-missing-rank"
+			}
 		}
 	}
-	return nil
+	for s, c := range d.sides {
+		sig, lines, n := &dv.A, &dv.ContextA, &dv.LenA
+		if s == 1 {
+			sig, lines, n = &dv.B, &dv.ContextB, &dv.LenB
+		}
+		for k := max(0, i-d.context); k < i; k++ {
+			*lines = append(*lines, opLine(' ', k, &d.recent[k%d.context]))
+		}
+		*n = i
+		for op := ops[s]; op != nil; *n++ {
+			marker := byte(' ')
+			if *n == i {
+				*sig, marker = signature(op), '>'
+			}
+			if *n <= i+d.context {
+				*lines = append(*lines, opLine(marker, *n, op))
+			}
+			var err error
+			if op, err = c.op(rank); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return dv, nil
 }
 
-// diffStreams aligns two CLOG-2 streams, reading them a block at a time
-// and always from the side that has shown fewer ops, so that what waits
-// to be compared is at most a block (clog2.MaxBlockRecords records), not
-// a rank and not a log. The first unreadable block of either log ends the
-// diff with an error.
-func diffStreams(ra, rb io.Reader, labelA, labelB string, opts DiffOptions) (*DiffReport, error) {
-	sides := [2]diffSide{{label: labelA}, {label: labelB}}
-	for side, r := range [2]io.Reader{ra, rb} {
-		br, err := clog2.NewBlockReader(r)
-		if err != nil {
-			return nil, fmt.Errorf("analyze: diff %s: %w", sides[side].label, err)
-		}
-		sides[side].br = br
-	}
-	d := &differ{context: opts.withDefaults().Context, ranks: map[int32]*rankDiff{}}
-	for !d.ended[0] || !d.ended[1] {
-		side := 0
-		if d.ended[0] || (!d.ended[1] && sides[1].ops < sides[0].ops) {
-			side = 1
-		}
-		if err := sides[side].next(d, side); err != nil {
+// opLine is op k's context line, marked when it is the divergence itself.
+func opLine(marker byte, k int, op *clog2.Record) string {
+	return fmt.Sprintf("%c op %d: %s", marker, k, signature(op))
+}
+
+// signature renders an op as the timestamp-free text a report shows. Only
+// a divergence and its context lines are ever rendered.
+func signature(r *clog2.Record) string {
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%s|%s|%s",
+		r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.CargoBytes())
+}
+
+// diffLogs diffs two logs rank against rank, a block of each at a time.
+// When a table that validated lies about a block, the diff starts again
+// with the table ScanTable makes of that log, as clog2.Walk falls back to
+// the scan. A log that cannot be read ends the diff with its error, under
+// its label.
+func diffLogs(fa, fb logFile, labelA, labelB string, opts DiffOptions) (*DiffReport, error) {
+	d := &differ{context: opts.withDefaults().Context, sides: [2]*cursor{{f: fa, label: labelA}, {f: fb, label: labelB}}}
+	for _, c := range d.sides {
+		defer c.release()
+		if err := c.open(false); err != nil {
 			return nil, err
 		}
 	}
-	return d.report(labelA, labelB), nil
+	for {
+		rep, err := d.run()
+		if !d.sides[0].lied && !d.sides[1].lied {
+			return rep, err
+		}
+		for _, c := range d.sides {
+			if c.lied {
+				if err := c.open(true); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
 }
 
 // DiffFiles diffs two CLOG-2 files.
@@ -381,7 +335,7 @@ func DiffFiles(pathA, pathB string, opts DiffOptions) (*DiffReport, error) {
 		return nil, err
 	}
 	defer fb.Close()
-	rep, err := diffStreams(fa, fb, pathA, pathB, opts)
+	rep, err := diffLogs(fa, fb, pathA, pathB, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -332,9 +332,9 @@ func TestDiffMatchesOracleAtWindowEdges(t *testing.T) {
 	}
 }
 
-// The case the pending queue exists for: the same ops with the blocks
-// cut differently and written in a different rank order on each side,
-// down to one side writing every rank whole, in reverse.
+// The same ops with the blocks cut differently and written in a different
+// rank order on each side, down to one side writing every rank whole, in
+// reverse: a rank's ops are the same whatever the layout.
 func TestDiffMatchesOracleAcrossBlockLayouts(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -427,5 +427,120 @@ func TestDiffAllocationDoesNotGrowWithTheLog(t *testing.T) {
 	t.Logf("50k ops: %d B allocated, 400k ops: %d B", small, large)
 	if float64(large) >= 1.5*float64(small) {
 		t.Errorf("allocation grew %.2fx from 50k to 400k ops, want < 1.5x", float64(large)/float64(small))
+	}
+}
+
+// The diff reads each log rank by rank through its block table, so how
+// either log lays its ranks out does not reach its memory: a log whose
+// ranks are interleaved block by block against the same ops written one
+// whole rank at a time, in reverse rank order, allocates under one and a
+// half times as much at eight times the ops (aligning the two streams
+// held one side's other ranks until the other side reached them: 7.4 MB
+// at 50k ops, 65 MB at 400k).
+func TestDiffAllocationDoesNotGrowAcrossLayouts(t *testing.T) {
+	layouts := func(ops int) (interleaved, whole []byte) {
+		const ranks, perBlock = 8, 512
+		var blocks []clog2.Block
+		perRank := map[int32][]clog2.Record{}
+		for n, rank := 0, int32(0); n < ops; n, rank = n+perBlock, (rank+1)%ranks {
+			recs := make([]clog2.Record, perBlock)
+			for i := range recs {
+				recs[i] = clog2.Record{Type: clog2.RecCargoEvt, Rank: rank, Time: float64(n+i) * 1e-6, ID: int32(2 + i%2)}
+				recs[i].SetCargo(fmt.Sprintf("line: gen.go:%d", i%97))
+			}
+			blocks = append(blocks, clog2.Block{Rank: rank, Records: recs})
+			perRank[rank] = append(perRank[rank], recs...)
+		}
+		var reversed []clog2.Block
+		for rank := int32(ranks) - 1; rank >= 0; rank-- {
+			for recs := perRank[rank]; len(recs) > 0; {
+				n := min(len(recs), clog2.MaxBlockRecords)
+				reversed = append(reversed, clog2.Block{Rank: rank, Records: recs[:n]})
+				recs = recs[n:]
+			}
+		}
+		return encodeLog(t, ranks, blocks), encodeLog(t, ranks, reversed)
+	}
+	allocated := func(ops int) uint64 {
+		a, b := layouts(ops)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		rep, err := DiffBytes(a, b, "a", "b", DiffOptions{})
+		if err != nil || !rep.Identical {
+			t.Fatalf("%d ops in two layouts: %v, identical %v", ops, err, rep != nil && rep.Identical)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	small, large := allocated(50_000), allocated(400_000)
+	t.Logf("50k ops: %d B allocated, 400k ops: %d B", small, large)
+	if float64(large) >= 1.5*float64(small) {
+		t.Errorf("allocation grew %.2fx from 50k to 400k ops, want < 1.5x", float64(large)/float64(small))
+	}
+}
+
+// lieAbout returns log with a block table that validates but says what
+// lie makes of the true one.
+func lieAbout(t *testing.T, log []byte, lie func(*clog2.Table)) []byte {
+	t.Helper()
+	table, err := clog2.ReadTable(bytes.NewReader(log), int64(len(log)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lie(table)
+	out := clog2.AppendTable(append([]byte(nil), log[:table.LogSize()]...), table)
+	if _, err := clog2.ReadTable(bytes.NewReader(out), int64(len(out))); err != nil {
+		t.Fatalf("the doctored table does not validate: %v", err)
+	}
+	return out
+}
+
+// The diff walks the ranks of either header, so logs that declare
+// different rank counts diff as the oracle's rank sets say; and a table
+// that validates but lies about a block's rank is caught by the block it
+// lies about, or by the rank no walk reaches, and the log's scan is read
+// instead.
+func TestDiffMatchesOracleAcrossRankCountsAndLyingTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ops := genOps(rng, 3, 60)
+	three := encodeLog(t, 3, layOut(rng, ops, 8))
+	five := encodeLog(t, 5, layOut(rng, ops, 8))
+	fewer := cloneOps(ops)
+	delete(fewer, 2)
+	for _, recs := range fewer {
+		for i := range recs {
+			recs[i].Aux1 %= 2 // a message's peer, in a two-rank log
+		}
+	}
+	two := encodeLog(t, 2, layOut(rng, fewer, 8))
+	// The first blocks of ranks 1 and 2 trade ranks; or rank 2's first
+	// block claims a rank only a five-rank log has, or one neither has.
+	relabel := func(swap bool, rank int32) func(*clog2.Table) {
+		return func(table *clog2.Table) {
+			first := map[int32]int{}
+			for i := len(table.Blocks) - 1; i >= 0; i-- {
+				first[table.Blocks[i].Rank] = i
+			}
+			if swap {
+				table.Blocks[first[1]].Rank = 2
+			}
+			table.Blocks[first[2]].Rank = rank
+		}
+	}
+	logs := map[string][]byte{
+		"three ranks": three, "five ranks": five, "two ranks": two,
+		"swapped ranks":       lieAbout(t, three, relabel(true, 1)),
+		"a rank of five":      lieAbout(t, three, relabel(false, 4)),
+		"a rank of neither":   lieAbout(t, three, relabel(false, 7)),
+		"two ranks, lying":    lieAbout(t, two, relabel(false, 0)),
+		"five ranks, swapped": lieAbout(t, five, relabel(true, 1)),
+	}
+	for na, a := range logs {
+		for nb, b := range logs {
+			for _, ctx := range []int{0, 2} {
+				mustMatchOracle(t, na+" vs "+nb, a, b, DiffOptions{Context: ctx})
+			}
+		}
 	}
 }

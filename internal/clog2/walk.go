@@ -155,15 +155,13 @@ func Walk(path string, q Query, begin func(numRanks int) func(Block) error) (tab
 
 // scan visits the selected blocks of the log rs holds in file order,
 // seeking over everything in between; consecutive selected blocks are
-// read without a seek. fn gets each block cut to q (NextIn, into the buffer
-// Each would use), and must not retain it. Both buffers of
-// the scan go back to their pools when it returns, so a window allocates
-// what it keeps and not what it reads through. Every block is checked
-// against its table entry (its rank, the count its header declares and
-// where it ends) before fn gets it; a mismatch, or a block that does not
-// decode, means the table lies about the file and surfaces as an
-// ErrCorrupt-wrapped error, so callers can degrade to the full scan. The
-// file system's errors and fn's are returned as they are.
+// read without a seek. fn gets each block cut to q (NextAt, into the
+// buffer Each would use), and must not retain it. Both buffers of the scan
+// go back to their pools when it returns, so a window allocates what it
+// keeps and not what it reads through. A block that does not match its
+// table entry surfaces as an ErrCorrupt-wrapped error, so callers can
+// degrade to the full scan; the file system's errors and fn's are returned
+// as they are.
 func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) error {
 	if len(sel) == 0 {
 		return nil
@@ -180,28 +178,39 @@ func scan(rs io.ReadSeeker, t *Table, sel []int, q Query, fn func(Block) error) 
 	defer br.Release()
 	buf := blockPool.Get().(*[MaxBlockRecords]Record)
 	defer blockPool.Put(buf)
-	pos := t.Blocks[sel[0]].Offset
 	for _, i := range sel {
-		bm := &t.Blocks[i]
-		if bm.Offset != pos {
-			if err := br.SeekTo(bm.Offset); err != nil {
-				return err
-			}
+		b, err := br.NextAt(buf[:0], q, &t.Blocks[i])
+		if err == nil {
+			err = fn(b)
 		}
-		b, n, err := br.NextIn(buf[:0], q)
 		if err != nil {
-			if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
-				return err
-			}
-			return fmt.Errorf("%w: block %d at offset %d: %v", ErrCorrupt, i, bm.Offset, err)
-		}
-		pos = bm.Offset + bm.Length
-		if _, end := br.BlockBounds(); b.Rank != bm.Rank || n != bm.Records || end != pos {
-			return fmt.Errorf("%w: block %d at offset %d does not match its table entry", ErrCorrupt, i, bm.Offset)
-		}
-		if err := fn(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// NextAt is NextIn at the block the table entry m places, seeking to it
+// unless the reader stands there, and checked against m: its rank, the
+// count its header declares and where it ends. A block that does not
+// decode or does not match means the table lies about the file, an
+// ErrCorrupt-wrapped error; the file system's errors are returned as they
+// are. Only readers opened with NewBlockReaderAt can seek.
+func (br *BlockReader) NextAt(buf []Record, q Query, m *BlockMeta) (Block, error) {
+	if m.Offset != br.d.offset() {
+		if err := br.SeekTo(m.Offset); err != nil {
+			return Block{}, err
+		}
+	}
+	b, n, err := br.NextIn(buf, q)
+	if err != nil {
+		if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
+			return Block{}, err
+		}
+		return Block{}, fmt.Errorf("%w: block at offset %d: %v", ErrCorrupt, m.Offset, err)
+	}
+	if b.Rank != m.Rank || n != m.Records || br.lastEnd != m.Offset+m.Length {
+		return Block{}, fmt.Errorf("%w: block at offset %d does not match its table entry", ErrCorrupt, m.Offset)
+	}
+	return b, nil
 }

@@ -287,8 +287,13 @@ func ComputeProfile(r io.Reader) (*Profile, error) {
 
 // ComputeProfileWindowed is ComputeProfile restricted to records whose
 // timestamps fall in the inclusive window [t0, t1]. An unbounded window
-// reproduces ComputeProfile exactly, without the Window field.
+// reproduces ComputeProfile exactly, without the Window field. A window
+// clog2.CheckWindow refuses is refused before r is read, as
+// ComputeProfileFileWindowed refuses it.
 func ComputeProfileWindowed(r io.Reader, t0, t1 float64) (*Profile, error) {
+	if err := clog2.CheckWindow(t0, t1); err != nil {
+		return nil, fmt.Errorf("stats: %w", err)
+	}
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
 		return nil, err

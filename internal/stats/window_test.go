@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/clog2"
@@ -410,4 +411,43 @@ func BenchmarkWindowedProfile(b *testing.B) {
 	}
 	b.ReportMetric(float64(decoded)/float64(len(windows)), "decoded/op")
 	b.ReportMetric(float64(read-decoded)/float64(len(windows)), "skipped/op")
+}
+
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// A window clog2.CheckWindow refuses is refused alike by the profile of a
+// stream and of a file, by CheckWindow's name for it and before a byte of
+// the log is read, so Profile.Window never carries a NaN to json.Marshal.
+func TestWindowedRefusesEmptyWindows(t *testing.T) {
+	path := copyGolden(t, "lab2")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, w := range [][2]float64{{nan, nan}, {nan, 1}, {0, nan}, {0.5, 0.25}} {
+		want := clog2.CheckWindow(w[0], w[1])
+		if want == nil {
+			t.Fatalf("CheckWindow(%g, %g) refuses nothing", w[0], w[1])
+		}
+		src := &readCounter{r: bytes.NewReader(data)}
+		p, err := ComputeProfileWindowed(src, w[0], w[1])
+		if err == nil || !strings.HasSuffix(err.Error(), want.Error()) || p != nil || src.n != 0 {
+			t.Errorf("ComputeProfileWindowed(%g, %g) = %v after %d bytes, want CheckWindow's %q before any", w[0], w[1], err, src.n, want)
+		}
+		p, _, err = ComputeProfileFileWindowed(path, w[0], w[1])
+		if err == nil || !strings.HasSuffix(err.Error(), want.Error()) || p != nil {
+			t.Errorf("ComputeProfileFileWindowed(%g, %g) = %v, want CheckWindow's %q", w[0], w[1], err, want)
+		}
+	}
 }
