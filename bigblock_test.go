@@ -136,22 +136,28 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 			return rep.Records, nil
 		}},
 	}
+	// A block buffer comes from a sync.Pool, which a collection empties
+	// (two, from its victim cache) and which may miss: the least of three
+	// calls is what a call itself allocates.
 	for _, c := range calls {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		records, err := c.call()
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			records, err := c.call()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if records < c.want {
+				t.Fatalf("%s saw %d records, want at least %d", c.name, records, c.want)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if records < c.want {
-			t.Fatalf("%s saw %d records, want at least %d", c.name, records, c.want)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-			t.Errorf("%s allocated %d bytes over 100 blocks of %d records: it holds more than a block of them", c.name, got, clog2.MaxBlockRecords)
+		if least > 4<<20 {
+			t.Errorf("%s allocated %d bytes over 100 blocks of %d records: it holds more than a block of them", c.name, least, clog2.MaxBlockRecords)
 		} else {
-			t.Logf("%s allocated %d bytes", c.name, got)
+			t.Logf("%s allocated %d bytes", c.name, least)
 		}
 	}
 

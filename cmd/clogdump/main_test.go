@@ -417,6 +417,50 @@ func TestVerify(t *testing.T) {
 // back before rank 1's first. Under the table the Writer wrote and cut
 // off at its end-log marker alike: a log without a table used to be
 // called torn, and exit 0, whatever the scan refused it for.
+// A definition after a timed record breaks the rule of a block: no writer
+// writes one, so the log is built byte by byte, with a table that counts
+// the late block and without any, and -verify and a dump each exit 1
+// naming the breach.
+func TestVerifyRefusesADefinitionAfterATimedRecord(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := clog2.NewWriter(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBlock(1, []clog2.Record{{Type: clog2.RecBareEvt, Rank: 1, Time: 1, ID: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tab := w.Table()
+	log := buf.Bytes()[:tab.LogSize()-1] // up to the end-log marker
+	at := int64(len(log))
+	log = clog2.AppendBlockHeader(log, 0, 1)
+	log, err = clog2.AppendRecord(log, &clog2.Record{Type: clog2.RecConstDef, ID: 7, Aux1: 42, Name: "answer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log = append(log, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
+	tab.Blocks = append(tab.Blocks, clog2.BlockMeta{Offset: at, Length: int64(len(log)) - 1 - at, Rank: 0, Records: 1, Defs: 1, TMin: math.Inf(1), TMax: math.Inf(-1)})
+	tab.TotalRecords++
+	dir := t.TempDir()
+	const want = "clog2: a ConstDef record after the log's first timed record"
+	for name, data := range map[string][]byte{"late.clog2": clog2.AppendTable(slices.Clone(log), tab), "late-untabled.clog2": log} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-verify", path}, {path}} {
+			var out, errOut bytes.Buffer
+			code := run(args, &out, &errOut)
+			if code != 1 || !strings.Contains(errOut.String(), want) || strings.Contains(errOut.String(), "torn") {
+				t.Errorf("clogdump %v %s: exit %d, stdout %q, stderr %q; want 1 and %s", args[:len(args)-1], name, code, out.String(), errOut.String(), want)
+			}
+		}
+	}
+}
+
 func TestVerifyRefusesABackwardStamp(t *testing.T) {
 	bare := func(rank int32, at float64) clog2.Record {
 		return clog2.Record{Type: clog2.RecBareEvt, Rank: rank, Time: at, ID: 2}

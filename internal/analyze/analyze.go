@@ -107,7 +107,7 @@ func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
 		rp, occ := c.ranks[fr.Index], &c.fold.Closed
 		st := rp.states[occ.ID]
 		if st == nil {
-			st = &rankState{name: occ.Name}
+			st = &rankState{name: c.fold.StateName(occ.ID)}
 			rp.states[occ.ID] = st
 		}
 		if occ.Dur > st.max {
@@ -117,7 +117,7 @@ func (c *collector) observe(step clog2.Step, rec *clog2.Record) {
 		} else if occ.Dur > st.second {
 			st.second = occ.Dur
 		}
-		if colors.CategoryOf(occ.Name) == colors.Output {
+		if colors.CategoryOf(st.name) == colors.Output {
 			rp.outBlockedSec += occ.Self
 		}
 	}

@@ -97,8 +97,9 @@ type cursor struct {
 	lied    bool         // a block did not match t's entry for it
 	br      *clog2.BlockReader
 	next    int            // the entry of the next block to read
-	buf     []clog2.Record // the block in hand
+	buf     []clog2.Record // the block in hand, in a buffer lent by clog2
 	recs    []clog2.Record // its records not yet read
+	back    func()         // gives buf back
 }
 
 // open takes the log's block table: the one it ends with when that
@@ -127,19 +128,27 @@ func (c *cursor) open(scan bool) error {
 	return nil
 }
 
-// rewind puts the cursor before rank 0's first block, with a reader of its
-// own: a rank's last stamp is held across its blocks only.
+// rewind puts the cursor before rank 0's first block, with a reader and a
+// block buffer of its own: a rank's last stamp is held across its blocks
+// only.
 func (c *cursor) rewind() (err error) {
 	c.release()
-	c.next, c.recs = 0, nil
+	c.next = 0
+	c.buf, c.back = clog2.LendBlockBuffer()
 	c.br, err = clog2.NewBlockReaderAt(c.f, int64(clog2.HeaderSize), c.t.NumRanks)
 	return err
 }
 
+// release gives the reader's decode buffer and the block buffer back to
+// their pools.
 func (c *cursor) release() {
 	if c.br != nil {
 		c.br.Release()
 		c.br = nil
+	}
+	if c.back != nil {
+		c.back()
+		c.buf, c.recs, c.back = nil, nil, nil
 	}
 }
 

@@ -395,6 +395,15 @@ func TestDiffMatchesOracleOnDamagedLogs(t *testing.T) {
 	}
 }
 
+// coldPools empties clog2's buffer pools and their victim caches (two
+// collections), so that a diff allocates its block buffers whether or not
+// the diff before it handed them back: with them warm, what a diff
+// allocates is its two block tables alone, which grow with the blocks.
+func coldPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
 // The diff's memory follows the ranks and the skew between the two block
 // layouts, not the number of records: eight times the ops, less than one
 // and a half times the allocation (the string diff: eight times).
@@ -413,6 +422,7 @@ func TestDiffAllocationDoesNotGrowWithTheLog(t *testing.T) {
 		return encodeLog(t, ranks, blocks)
 	}
 	allocated := func(log []byte) uint64 {
+		coldPools()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
@@ -463,6 +473,7 @@ func TestDiffAllocationDoesNotGrowAcrossLayouts(t *testing.T) {
 	}
 	allocated := func(ops int) uint64 {
 		a, b := layouts(ops)
+		coldPools()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc

@@ -102,11 +102,21 @@ func ofBlock(r Record, rank int32, numRanks int) Record {
 	return r
 }
 
-// inTimeOrder restamps recs, one rank's block, to keep the rule of a
-// block on its own (Block): a timed record stamped NaN, ±Inf or before the
-// timed record before it takes that record's stamp, or 0 when it is the
-// first. Definitions keep theirs.
+// inTimeOrder moves and restamps recs, one rank's block, to keep the rule
+// of a block on its own (Block): the definitions go first, in their order,
+// and a timed record stamped NaN, ±Inf or before the timed record before it
+// takes that record's stamp, or 0 when it is the first. Definitions keep
+// their stamps.
 func inTimeOrder(recs []Record) []Record {
+	slices.SortStableFunc(recs, func(a, b Record) int {
+		switch {
+		case a.Type.IsDef() == b.Type.IsDef():
+			return 0
+		case a.Type.IsDef():
+			return -1
+		}
+		return 1
+	})
 	last := noStamp
 	for i := range recs {
 		if r := &recs[i]; !r.Type.IsDef() {
@@ -201,7 +211,11 @@ func TestAppendRejects(t *testing.T) {
 			}
 		}
 		good := Record{Type: RecBareEvt, Rank: c.rank, ID: 1}
-		got, err := AppendBlock(dst, c.rank, []Record{good, c.rec})
+		recs := []Record{good, c.rec}
+		if c.rec.Type.IsDef() { // definitions lead the log
+			recs[0], recs[1] = c.rec, good
+		}
+		got, err := AppendBlock(dst, c.rank, recs)
 		if err == nil || err.Error() != c.want || string(got) != "kept" {
 			t.Errorf("%s: AppendBlock gives %q, %v", c.name, got, err)
 		}
@@ -210,7 +224,7 @@ func TestAppendRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteBlock(c.rank, []Record{good, c.rec}); err == nil || err.Error() != c.want {
+		if err := w.WriteBlock(c.rank, recs); err == nil || err.Error() != c.want {
 			t.Errorf("%s: WriteBlock gives %v", c.name, err)
 		}
 		if w.Offset() != int64(HeaderSize) {
@@ -265,9 +279,10 @@ func TestAppendRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range []Block{
-			{1, []Record{at(1, 0.5), at(1, 0.75)}},
-			{0, []Record{{Type: RecStateDef, Time: 9}, at(0, 0)}},
+			{0, []Record{{Type: RecStateDef, Time: 9}}},
 			{0, []Record{{Type: RecStateDef, Time: -9}, at(0, 0)}},
+			{1, []Record{at(1, 0.5), at(1, 0.75)}},
+			{0, []Record{at(0, 0)}},
 		} {
 			if err := w.WriteBlock(b.Rank, b.Records); err != nil {
 				t.Fatal(err)
@@ -291,6 +306,57 @@ func TestAppendRejects(t *testing.T) {
 	}
 	if err := c.Add(back); err == nil || err.Error() != backWant+" (at byte 0)" {
 		t.Errorf("a page that goes back before the page added before it: Cut.Add gives %v", err)
+	}
+
+	// Definitions lead the log: a Writer refuses a definition after a timed
+	// record of its block or of any block it wrote before, a record's or a
+	// page's, whatever the rank, and a Cut's lead as it writes it; nothing of
+	// the block is written.
+	def := Record{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "s"}
+	const defWant = "clog2: a StateDef record after the log's first timed record"
+	page0, _ := AppendRecord(nil, &Record{Type: RecBareEvt, Time: 1})
+	page1, _ := AppendRecord(nil, &Record{Type: RecBareEvt, Rank: 1, Time: 1})
+	for _, c := range []struct {
+		name   string
+		before []Block
+		pages  [][]byte // of the last block before
+		recs   []Record // of rank 0, refused
+	}{
+		{"within a block", nil, nil, []Record{def, at(0, 1), def}},
+		{"across two blocks of rank 0", []Block{{0, []Record{def, at(0, 1)}}}, nil, []Record{def}},
+		{"after a page of rank 0", []Block{{0, []Record{def}}}, [][]byte{page0}, []Record{def}},
+		{"after another rank's block", []Block{{0, []Record{def}}, {1, []Record{at(1, 1)}}}, nil, []Record{def}},
+		{"after another rank's page", []Block{{0, []Record{def}}, {1, nil}}, [][]byte{page1}, []Record{def}},
+	} {
+		var out bytes.Buffer
+		w, err := NewWriter(&out, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range c.before {
+			var pages [][]byte
+			if i == len(c.before)-1 {
+				pages = c.pages
+			}
+			if err := w.WriteBlock(b.Rank, b.Records, pages...); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		size := w.Offset()
+		if err := w.WriteBlock(0, c.recs); err == nil || err.Error() != defWant {
+			t.Errorf("a definition after a timed record, %s: WriteBlock gives %v, want %s", c.name, err, defWant)
+		}
+		if err := w.WriteCut(NewCut(0, 2, 512, c.recs)); err == nil || err.Error() != defWant {
+			t.Errorf("a definition after a timed record, %s: WriteCut of the lead gives %v, want %s", c.name, err, defWant)
+		}
+		if w.Offset() != size {
+			t.Errorf("a definition after a timed record, %s: %d bytes of a refused block written", c.name, w.Offset()-size)
+		}
+		if c.before == nil {
+			if got, err := AppendBlock([]byte("kept"), 0, c.recs); err == nil || err.Error() != defWant || string(got) != "kept" {
+				t.Errorf("a definition after a timed record, %s: AppendBlock gives %q, %v", c.name, got, err)
+			}
+		}
 	}
 
 	// A block holds at most MaxBlockRecords records, whatever its rank: a

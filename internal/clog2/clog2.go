@@ -168,9 +168,11 @@ func TruncBytes(b []byte, n int) []byte {
 // half's peer (Aux1) is in [0, NumRanks) (keepsRule), and every timed
 // record (bare, cargo, message, timeshift: not a definition) is stamped
 // with a finite time no earlier than the timed record of its rank before it
-// in file order (inOrder), in this block or an earlier one. Without a log
-// header (AppendBlock, DecodeBlockPayload) NumRanks is MaxRanks and the
-// order is the block's own.
+// in file order (inOrder), in this block or an earlier one; and definitions
+// lead the log: no definition follows a timed record of any rank in file
+// order (defError), so a reader knows every definition before the first
+// record it names. Without a log header (AppendBlock, DecodeBlockPayload)
+// NumRanks is MaxRanks and the order is the block's own.
 type Block struct {
 	Rank    int32
 	Records []Record
@@ -199,6 +201,11 @@ func recordError(t RecType, rank, peer, block int32, numRanks int) error {
 		return fmt.Errorf("clog2: a %v record in a block of rank %d: definitions sit in rank 0's blocks", t, block)
 	}
 	return fmt.Errorf("clog2: a message half of rank %d names peer rank %d, outside [0,%d)", rank, peer, numRanks)
+}
+
+// defError names a definition of type t that follows a timed record.
+func defError(t RecType) error {
+	return fmt.Errorf("clog2: a %v record after the log's first timed record", t)
 }
 
 // noStamp is the last stamp of a rank with no timed record yet: every

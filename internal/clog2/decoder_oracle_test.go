@@ -369,12 +369,21 @@ func bigLog(t testing.TB, n int, seed int64) []byte {
 		t.Fatal(err)
 	}
 	for written := 0; written < n; {
+		// Definitions lead the log (Block): about its first twentieth is
+		// rank 0's definitions, of every kind and size.
+		lead := written < n/20
 		rank := int32(rng.Intn(8))
+		if lead {
+			rank = 0
+		}
 		recs := make([]Record, 1+rng.Intn(3000))
 		for i := range recs {
 			r := Record{Time: float64(written+i) * 1e-6, Rank: rank}
 			k := rng.Intn(40)
-			if rank != 0 && k <= 4 && k != 3 { // definitions sit in rank 0's blocks
+			switch {
+			case lead:
+				k = []int{0, 1, 2, 4}[k%4]
+			case k <= 4 && k != 3:
 				k = 5
 			}
 			switch {
@@ -496,12 +505,13 @@ func TestDecoderMatchesOracleOnOverlongCargo(t *testing.T) {
 // the first buffer-full: the decoder must compact and refill, never grow.
 func TestDecoderMatchesOracleOnLongNameAcrossRefill(t *testing.T) {
 	name := strings.Repeat("x", math.MaxUint16)
-	for _, lead := range []int{0, 100, decodeBufSize/17 - 1, decodeBufSize / 17, decodeBufSize/17 + 3000} {
+	const pad = 23 // a ConstDef without a name: definitions lead the log
+	for _, lead := range []int{0, 100, decodeBufSize/pad - 1, decodeBufSize / pad, decodeBufSize/pad + 3000} {
 		var buf bytes.Buffer
 		w, _ := NewWriter(&buf, 2)
 		recs := make([]Record, lead, lead+2)
 		for i := range recs {
-			recs[i] = Record{Type: RecBareEvt, Time: float64(i), ID: 2}
+			recs[i] = Record{Type: RecConstDef, ID: int32(i), Aux1: 2}
 		}
 		recs = append(recs, Record{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Color: name[:300], Name: name},
 			Record{Type: RecMsgEvt, Time: float64(lead), Dir: DirRecv, Aux1: 1, Aux2: 2, Aux3: 3})

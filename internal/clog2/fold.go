@@ -87,8 +87,8 @@ func (e *Etypes) nameOf(id int32) string {
 type Stack struct{ open []Opened }
 
 // Opened is one open state: the state its start named, when it started,
-// and Ref, which the caller chooses (the converter keeps where its start
-// record's cargo lies there; the fold ignores it).
+// and Ref, which the fold's caller chooses (Fold.SetRef: the converter keeps
+// where its start record's cargo lies there; the fold ignores it).
 type Opened struct {
 	ID       int32
 	Start    float64
@@ -103,11 +103,10 @@ func (s *Stack) Push(id int32, t float64, ref uint64) {
 
 // Close pairs an end of state id at t with the innermost open state: it
 // pops that state and returns it with the occurrence the pair makes,
-// which takes its ID from the end (the caller adds the Name). Dur is
-// End-Start, Self is Dur less the Dur of the states closed directly
-// inside it, both floored at zero. An end with nothing open is an orphan:
-// ok is false and nothing changes. The caller tells a mismatched end by
-// top.ID != id.
+// which takes its ID from the end. Dur is End-Start, Self is Dur less the
+// Dur of the states closed directly inside it, both floored at zero. An
+// end with nothing open is an orphan: ok is false and nothing changes. The
+// caller tells a mismatched end by top.ID != id.
 func (s *Stack) Close(id int32, t float64) (top Opened, occ Occurrence, ok bool) {
 	n := len(s.open)
 	if n == 0 {
@@ -121,9 +120,6 @@ func (s *Stack) Close(id int32, t float64) (top Opened, occ Occurrence, ok bool)
 	}
 	return top, Occurrence{ID: id, Start: top.Start, End: t, Dur: dur, Self: max(dur-top.childSec, 0)}, true
 }
-
-// Open returns the states still open, outermost first.
-func (s *Stack) Open() []Opened { return s.open }
 
 // MsgKey is one message queue: MPE pairs a send with a receive of the
 // same source, destination and tag ("MPE_Log_send and MPE_Log_receive
@@ -221,13 +217,15 @@ func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
 // tools share: which records count, which rank they belong to, and how
 // a rank's state starts and ends pair up. A consumer feeds records to
 // Add in file order and switches on the Step it returns; what it keeps
-// per rank it keeps in a slice indexed by FoldRank.Index. The converter
-// reads a log by the same Etypes, Stack and Messages (DESIGN §4).
+// per rank it keeps in a slice indexed by FoldRank.Index. The profile,
+// the verdict and the converter are its observers (DESIGN §4).
 //
 // The policy, in full:
 //
-//   - Definitions are absorbed (Etypes.Define). Definitions, constants
-//     and the block and log markers are never counted.
+//   - Definitions are absorbed (Etypes.Define). They lead the log (Block):
+//     the reader refuses one after a timed record, so each is absorbed
+//     before the first record that names it. Definitions, constants and
+//     the block and log markers are never counted.
 //   - Every other record is counted. A window is the reader's to cut
 //     (Query, NextIn): a record it drops touches no count, no wall span
 //     and no stack, so a state that opened before the window and ends
@@ -243,16 +241,21 @@ func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
 //     StepSolo, or a state start or end.
 //   - A start pushes onto its rank's Stack (StepOpen). An end closes the
 //     innermost open state of its rank, whichever state it names
-//     (StepClose); the occurrence takes its ID and Name from the end
-//     record and its Start from the popped entry.
+//     (StepClose); the occurrence takes its ID from the end record (its
+//     name is StateName's) and its Start from the popped entry (Popped).
 //   - An end with nothing open is counted in Unpaired and otherwise
 //     ignored (StepOrphan).
-//   - States still open when the stream ends contribute nothing.
+//   - States still open when the stream ends contribute nothing; each
+//     rank's are FoldRank.Open.
 type Fold struct {
 	// Rank is the rank of the record Add last counted.
 	Rank *FoldRank
-	// Closed is the occurrence the last StepClose closed.
+	// Closed is the occurrence the last StepClose closed, and Popped the
+	// open state it popped: the state its start named (an end that names
+	// another closes it all the same) and the Ref SetRef gave it. After a
+	// StepOrphan, Closed holds the state the end names and its End alone.
 	Closed Occurrence
+	Popped Opened
 	// Unpaired counts the orphan ends seen so far.
 	Unpaired int64
 
@@ -277,7 +280,6 @@ const (
 // Occurrence is one closed state occurrence.
 type Occurrence struct {
 	ID         int32
-	Name       string
 	Start, End float64
 	Dur, Self  float64
 }
@@ -303,6 +305,20 @@ func NewFold() *Fold {
 
 // Ranks returns the ranks seen so far, in Index order.
 func (f *Fold) Ranks() []*FoldRank { return f.ranks }
+
+// SetRef sets the Ref of the state the last StepOpen pushed.
+func (f *Fold) SetRef(ref uint64) {
+	open := f.Rank.stack.open
+	open[len(open)-1].Ref = ref
+}
+
+// Open returns the rank's states still open, outermost first: once the
+// stream has ended, those that never closed.
+func (r *FoldRank) Open() []Opened { return r.stack.open }
+
+// StateName returns the name a StateDef gave state id, else "state id".
+// Definitions lead the log, so a state's name is the same at every close.
+func (f *Fold) StateName(id int32) string { return f.etypes.nameOf(id) }
 
 // EventName returns the name an EventDef gave a solo etype, "" if none.
 func (f *Fold) EventName(etype int32) string { return f.etypes.eventName[etype] }
@@ -343,13 +359,13 @@ func (f *Fold) Add(rec *Record) Step {
 		r.stack.Push(id, t, 0)
 		return StepOpen
 	default:
-		_, occ, ok := r.stack.Close(id, t)
+		top, occ, ok := r.stack.Close(id, t)
 		if !ok {
 			f.Unpaired++
+			f.Closed = Occurrence{ID: id, End: t}
 			return StepOrphan
 		}
-		occ.Name = f.etypes.nameOf(id)
-		f.Closed = occ
+		f.Closed, f.Popped = occ, top
 		return StepClose
 	}
 }

@@ -19,10 +19,18 @@ func foldEvt(rank int32, t float64, etype int32) Record {
 // foldResult is everything a fold reports, flattened for comparison.
 type foldResult struct {
 	steps    []Step
-	closed   []Occurrence
+	closed   []named
 	unpaired int64
 	// ranks in Index order: rank id, records, first, last.
 	ranks [][4]float64
+}
+
+// named is an Occurrence with the name the fold gives its state.
+type named struct {
+	ID         int32
+	Name       string
+	Start, End float64
+	Dur, Self  float64
 }
 
 func runFold(recs []Record) foldResult {
@@ -32,7 +40,8 @@ func runFold(recs []Record) foldResult {
 		step := f.Add(&recs[i])
 		res.steps = append(res.steps, step)
 		if step == StepClose {
-			res.closed = append(res.closed, f.Closed)
+			o := f.Closed
+			res.closed = append(res.closed, named{o.ID, f.StateName(o.ID), o.Start, o.End, o.Dur, o.Self})
 		}
 		if step != StepSkip && f.Rank.Rank != recs[i].Rank {
 			panic("Fold.Rank is not the counted record's rank")
@@ -70,7 +79,7 @@ func TestFold(t *testing.T) {
 			recs: with(foldEvt(0, 1, 2), foldEvt(0, 2, 4), foldEvt(0, 3, 5), foldEvt(0, 4, 4), foldEvt(0, 4.5, 5), foldEvt(0, 6, 3)),
 			want: foldResult{
 				steps: append(skip2, StepOpen, StepOpen, StepClose, StepOpen, StepClose, StepClose),
-				closed: []Occurrence{
+				closed: []named{
 					{ID: 2, Name: "Inner", Start: 2, End: 3, Dur: 1, Self: 1},
 					{ID: 2, Name: "Inner", Start: 4, End: 4.5, Dur: 0.5, Self: 0.5},
 					{ID: 1, Name: "Outer", Start: 1, End: 6, Dur: 5, Self: 3.5},
@@ -85,7 +94,7 @@ func TestFold(t *testing.T) {
 			recs: with(foldEvt(0, 1, 2), foldEvt(0, 2, 4), foldEvt(0, 5, 3), foldEvt(0, 7, 5)),
 			want: foldResult{
 				steps: append(skip2, StepOpen, StepOpen, StepClose, StepClose),
-				closed: []Occurrence{
+				closed: []named{
 					{ID: 1, Name: "Outer", Start: 2, End: 5, Dur: 3, Self: 3},
 					{ID: 2, Name: "Inner", Start: 1, End: 7, Dur: 6, Self: 3},
 				},
@@ -106,7 +115,7 @@ func TestFold(t *testing.T) {
 			recs: []Record{foldEvt(0, 1, 14), foldEvt(0, 3, 15), foldEvt(0, 4, SoloBase), foldEvt(0, 5, SoloBase-1)},
 			want: foldResult{
 				steps:    []Step{StepOpen, StepClose, StepSolo, StepOrphan},
-				closed:   []Occurrence{{ID: 7, Name: "state 7", Start: 1, End: 3, Dur: 2, Self: 2}},
+				closed:   []named{{ID: 7, Name: "state 7", Start: 1, End: 3, Dur: 2, Self: 2}},
 				unpaired: 1,
 				ranks:    [][4]float64{{0, 4, 1, 5}},
 			},
@@ -118,25 +127,24 @@ func TestFold(t *testing.T) {
 			recs: []Record{foldDef(9, 7, 8, "Odd"), foldEvt(0, 1, 7), foldEvt(0, 2, 8)},
 			want: foldResult{
 				steps:  []Step{StepSkip, StepOpen, StepClose},
-				closed: []Occurrence{{ID: 9, Name: "Odd", Start: 1, End: 2, Dur: 1, Self: 1}},
+				closed: []named{{ID: 9, Name: "Odd", Start: 1, End: 2, Dur: 1, Self: 1}},
 				ranks:  [][4]float64{{0, 2, 1, 2}},
 			},
 		},
 		{
 			// The reader cuts the window: both edges are inside; the start
 			// before T0 is never handed over, so its end is an orphan; the
-			// definitions sit outside the window (time 0) and after the
-			// first events, and still apply.
+			// definitions sit outside the window (time 0), and still apply.
 			name:   "window edges inclusive, definitions applied whatever the window",
 			window: []float64{2, 4},
 			recs: []Record{
-				foldEvt(0, 1, 2), foldEvt(0, 2, 4),
 				foldDef(1, 2, 3, "Outer"), foldDef(2, 4, 5, "Inner"),
+				foldEvt(0, 1, 2), foldEvt(0, 2, 4),
 				foldEvt(0, 4, 5), foldEvt(0, 4, 3), foldEvt(0, math.Nextafter(4, 5), 2),
 			},
 			want: foldResult{
-				steps:    []Step{StepOpen, StepSkip, StepSkip, StepClose, StepOrphan},
-				closed:   []Occurrence{{ID: 2, Name: "Inner", Start: 2, End: 4, Dur: 2, Self: 2}},
+				steps:    []Step{StepSkip, StepSkip, StepOpen, StepClose, StepOrphan},
+				closed:   []named{{ID: 2, Name: "Inner", Start: 2, End: 4, Dur: 2, Self: 2}},
 				unpaired: 1,
 				ranks:    [][4]float64{{0, 3, 2, 4}},
 			},
@@ -146,14 +154,14 @@ func TestFold(t *testing.T) {
 			// shift; constants and markers are not.
 			name: "what counts",
 			recs: []Record{
-				{Type: RecMsgEvt, Rank: 1, Time: 3, Dir: DirSend},
-				{Type: RecTimeShift, Rank: 1, Time: 9, Shift: 0.5},
 				{Type: RecConstDef, Rank: 1, Time: 100},
 				{Type: RecEventDef, ID: SoloBase + 1, Name: "Mark"},
+				{Type: RecMsgEvt, Rank: 1, Time: 3, Dir: DirSend},
+				{Type: RecTimeShift, Rank: 1, Time: 9, Shift: 0.5},
 				{Type: RecEndBlock}, {Type: RecEndLog},
 			},
 			want: foldResult{
-				steps: []Step{StepMsg, StepShift, StepSkip, StepSkip, StepSkip, StepSkip},
+				steps: []Step{StepSkip, StepSkip, StepMsg, StepShift, StepSkip, StepSkip},
 				ranks: [][4]float64{{1, 2, 3, 9}},
 			},
 		},
@@ -173,7 +181,7 @@ func TestFold(t *testing.T) {
 			recs: with(foldEvt(5, 1, 2), foldEvt(1<<30, 2, 2), foldEvt(-4, 3, 2), foldEvt(5, 4, 3), foldEvt(0, 5, SoloBase+7)),
 			want: foldResult{
 				steps:  append(skip2, StepOpen, StepOpen, StepOpen, StepClose, StepSolo),
-				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 1, End: 4, Dur: 3, Self: 3}},
+				closed: []named{{ID: 1, Name: "Outer", Start: 1, End: 4, Dur: 3, Self: 3}},
 				ranks:  [][4]float64{{5, 2, 1, 4}, {1 << 30, 1, 2, 2}, {-4, 1, 3, 3}, {0, 1, 5, 5}},
 			},
 		},
@@ -185,7 +193,7 @@ func TestFold(t *testing.T) {
 			recs: with(foldEvt(0, 5, 2), foldEvt(0, 3, 3)),
 			want: foldResult{
 				steps:  append(skip2, StepOpen, StepClose),
-				closed: []Occurrence{{ID: 1, Name: "Outer", Start: 5, End: 3}},
+				closed: []named{{ID: 1, Name: "Outer", Start: 5, End: 3}},
 				ranks:  [][4]float64{{0, 2, 5, 3}},
 			},
 			refused: "clog2: a BareEvt record of rank 0 stamped 3, before its rank's 5",

@@ -192,7 +192,8 @@ func FuzzReadFile(f *testing.F) {
 
 // breaksRule is the rule of a block (Block) over a block decoded from a
 // log of numRanks ranks, restated record by record, after the blocks whose
-// ranks' last stamps last holds; it enters the block's. A record is a
+// ranks' last stamps last holds (so the log has had a timed record when
+// last is not empty); it enters the block's. A record is a
 // definition (a state, event or constant definition) or timed (a bare,
 // cargo or message event, or a time shift); any other type, the retired
 // source location (9) among them, is no record a block holds.
@@ -209,6 +210,9 @@ func breaksRule(b Block, numRanks int32, last map[int32]float64) error {
 			return fmt.Errorf("record %d (%v of rank %d, peer %d) in a block of rank %d", i, r.Type, r.Rank, r.Aux1, b.Rank)
 		}
 		if isDef {
+			if len(last) > 0 { // definitions lead the log
+				return fmt.Errorf("record %d (%v) after the log's first timed record", i, r.Type)
+			}
 			continue
 		}
 		if prev, ok := last[b.Rank]; math.IsNaN(r.Time) || math.IsInf(r.Time, 0) || ok && r.Time < prev {
@@ -220,14 +224,15 @@ func breaksRule(b Block, numRanks int32, last map[int32]float64) error {
 }
 
 // isRuleError tells the reader's refusals under the rule of a block from
-// its other errors, by the words checkRank, recordError and stampError use.
+// its other errors, by the words checkRank, recordError, stampError and
+// defError use.
 func isRuleError(err error) bool {
 	if err == nil {
 		return false
 	}
 	msg := err.Error()
 	return strings.Contains(msg, " in a log of ") || strings.Contains(msg, " in a block of rank ") || strings.Contains(msg, " names peer rank ") ||
-		strings.Contains(msg, " stamped ")
+		strings.Contains(msg, " stamped ") || strings.Contains(msg, " after the log's first timed record")
 }
 
 // The seed corpus cases, run as a plain test so `go test` covers them

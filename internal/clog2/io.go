@@ -54,6 +54,7 @@ type Writer struct {
 	err    error
 	table  Table             // an entry for each block written, unless w is nil
 	last   map[int32]float64 // each rank's last stamp in the table's blocks (Block)
+	timed  bool              // whether the table's blocks hold a timed record (Block)
 }
 
 const writerBufSize = 64 << 10
@@ -88,8 +89,9 @@ func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 // not pass MaxBlockRecords. A block that breaks the rule of a block
 // (Block), or a page checkTimed refuses, is refused by name before a byte
 // of it is written. A Writer over an underlying writer enters the block in
-// its table and holds the rank's next block to its last stamp; under
-// AppendBlock, which has no pages, there is neither.
+// its table, holds the rank's next block to its last stamp and, once a
+// block has held a timed record, refuses a definition in every later one;
+// under AppendBlock, which has no pages, there is none of that.
 func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 	if err := w.writable(); err != nil {
 		return err
@@ -102,7 +104,7 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 		last = noStamp
 	}
 	m := newBlockMeta(rank, w.Offset())
-	if err := m.addRecords(recs, w.table.NumRanks, &last); err != nil {
+	if err := m.addRecords(recs, w.table.NumRanks, &last, w.timed); err != nil {
 		return err
 	}
 	for _, p := range pages {
@@ -142,6 +144,7 @@ func (w *Writer) WriteBlock(rank int32, recs []Record, pages ...[]byte) error {
 		w.table.Blocks = append(w.table.Blocks, m)
 		w.table.TotalRecords += int64(m.Records)
 		w.last[rank] = last
+		w.timed = w.timed || m.Records > m.Defs
 	}
 	return w.err
 }
@@ -428,6 +431,7 @@ type BlockReader struct {
 	numRanks int
 	done     bool
 	last     map[int32]float64 // each rank's last stamp in the blocks read (Block)
+	timed    bool              // whether the blocks read held a timed record (Block)
 	// rs is the underlying seekable source when the reader was opened via
 	// NewBlockReaderAt; nil for plain streams (SeekTo then fails).
 	rs io.ReadSeeker
@@ -498,10 +502,10 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 }
 
 // SeekTo repositions the reader at a block-start offset, discarding any
-// buffered bytes. A forward seek keeps the ranks' last stamps (the blocks
-// read across it are a subsequence of the log, in order if the log is) and
-// a backward one forgets them. Only readers opened with NewBlockReaderAt
-// are seekable.
+// buffered bytes. A forward seek keeps the ranks' last stamps and whether a
+// timed record has been read (the blocks read across it are a subsequence
+// of the log, in order if the log is) and a backward one forgets them. Only
+// readers opened with NewBlockReaderAt are seekable.
 func (br *BlockReader) SeekTo(offset int64) error {
 	if br.rs == nil {
 		return fmt.Errorf("clog2: block reader over a plain stream is not seekable")
@@ -514,6 +518,7 @@ func (br *BlockReader) SeekTo(offset int64) error {
 	}
 	if offset < br.d.offset() {
 		clear(br.last)
+		br.timed = false
 	}
 	br.d = decoder{src: br.rs, buf: br.d.buf, base: offset}
 	br.done = false
@@ -576,8 +581,9 @@ func (br *BlockReader) NextIn(buf []Record, q Query) (b Block, n int32, err erro
 		if q.Rank >= 0 && q.Rank != rank {
 			t0, t1 = math.Inf(1), math.Inf(-1) // no stamp is inside
 		}
-		if b.Records, last, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, q.IncludeDefs, last); err == nil {
-			br.last[rank] = last
+		timed := br.timed
+		if b.Records, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, q.IncludeDefs, &last, &timed); err == nil {
+			br.last[rank], br.timed = last, timed
 		}
 	}
 	if err != nil {
@@ -607,6 +613,15 @@ func (br *BlockReader) Release() {
 // worth of records, 480 KiB, that a walk would otherwise allocate and
 // clear each time.
 var blockPool = sync.Pool{New: func() any { return new([MaxBlockRecords]Record) }}
+
+// LendBlockBuffer lends a buffer from the pool Each and Walk decode into,
+// room for a block of MaxBlockRecords records, to a caller that pulls its
+// own blocks (NextAt into buf[:0]); giveBack returns it once no record of
+// it is held.
+func LendBlockBuffer() (buf []Record, giveBack func()) {
+	b := blockPool.Get().(*[MaxBlockRecords]Record)
+	return b[:0], func() { blockPool.Put(b) }
+}
 
 // Each walks every remaining block of the stream, in file order, and
 // returns nil after the end-log marker, the one clean end of a log: fn
@@ -743,14 +758,15 @@ func (d *decoder) blockHeader(numRanks int) (rank, n int32, err error) {
 
 // readBlock decodes the n records a block header declared into buf's
 // backing array, or a new one of n records when buf has no room for them,
-// then the end-block marker, and returns them with the rank's last stamp,
-// last before the block. It keeps the timed records stamped inside [t0, t1],
+// then the end-block marker, and returns them. *last is the rank's last
+// stamp and *timed whether the log has had a timed record, before the block
+// and then after it. It keeps the timed records stamped inside [t0, t1],
 // and the definitions when defs: a timed record outside is stepped over
 // when its fixed layout is buffered whole, and any record it does not keep
 // is dropped after readRecord otherwise. A timed record stamped out of
-// order (inOrder), kept or not, and a record it keeps that breaks the rule
-// (keepsRule) fail the block.
-func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64, defs bool, last float64) ([]Record, float64, error) {
+// order (inOrder) and a definition after a timed record, kept or not, and a
+// record it keeps that breaks the rule (keepsRule) fail the block.
+func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64, defs bool, last *float64, timed *bool) ([]Record, error) {
 	recs := buf[:0]
 	if cap(recs) < int(n) || recs == nil {
 		recs = make([]Record, 0, n)
@@ -761,10 +777,10 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 			b := d.buf[d.r:d.w]
 			if t := leF64(b[1:]); t < t0 || t > t1 {
 				if size := TimedSize(b); size > 0 {
-					if !inOrder(t, last) {
-						return nil, last, stampError(RecType(b[0]), rank, t, last)
+					if !inOrder(t, *last) {
+						return nil, stampError(RecType(b[0]), rank, t, *last)
 					}
-					last = t
+					*last, *timed = t, true
 					d.r += size
 					continue
 				}
@@ -773,14 +789,18 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 		recs = recs[:len(recs)+1]
 		r := &recs[len(recs)-1]
 		if err := d.readRecord(r); err != nil {
-			return nil, last, err
+			return nil, err
 		}
 		keep := defs
-		if !r.Type.IsDef() {
-			if !inOrder(r.Time, last) {
-				return nil, last, stampError(r.Type, rank, r.Time, last)
+		if r.Type.IsDef() {
+			if *timed {
+				return nil, defError(r.Type)
 			}
-			last = r.Time
+		} else {
+			if !inOrder(r.Time, *last) {
+				return nil, stampError(r.Type, rank, r.Time, *last)
+			}
+			*last, *timed = r.Time, true
 			keep = r.Time >= t0 && r.Time <= t1
 		}
 		if !keep {
@@ -788,13 +808,13 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 			continue
 		}
 		if !keepsRule(r.Type, r.Rank, r.Aux1, rank, numRanks) {
-			return nil, last, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
+			return nil, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
 		}
 	}
 	if t := RecType(d.getByte()); d.err == nil && t != RecEndBlock {
-		return nil, last, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
+		return nil, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
 	}
-	return recs, last, d.err
+	return recs, d.err
 }
 
 // readRecord decodes one record into *r, overwriting every field.

@@ -24,9 +24,9 @@ func offsetsLog(t *testing.T) []byte {
 			{Type: RecMsgEvt, Rank: rank, Time: float64(rank) + 0.5,
 				Dir: DirSend, Aux1: (rank + 1) % 3, Aux2: 4, Aux3: 32},
 		}
-		if rank == 0 { // definitions sit in rank 0's blocks
-			recs = append([]Record{{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"}}, recs...)
-			recs = append(recs, Record{Type: RecConstDef, ID: 8, Aux1: 17, Name: "K"})
+		if rank == 0 { // definitions lead rank 0's first block
+			recs = append([]Record{{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "A", Color: "red"},
+				{Type: RecConstDef, ID: 8, Aux1: 17, Name: "K"}}, recs...)
 		}
 		if err := w.WriteBlock(rank, recs); err != nil {
 			t.Fatal(err)

@@ -72,12 +72,16 @@ func newBlockMeta(rank int32, offset int64) BlockMeta {
 
 // addRecords counts recs into the entry and widens its fences over them,
 // refusing the first record that breaks the rule of a block of m.Rank in a
-// log of numRanks ranks (keepsRule, then add).
-func (m *BlockMeta) addRecords(recs []Record, numRanks int, last *float64) error {
+// log of numRanks ranks (keepsRule, a definition after a timed record of
+// the entry or, when timed, of the log before it, then add).
+func (m *BlockMeta) addRecords(recs []Record, numRanks int, last *float64, timed bool) error {
 	for i := range recs {
 		r := &recs[i]
 		if !keepsRule(r.Type, r.Rank, r.Aux1, m.Rank, numRanks) {
 			return recordError(r.Type, r.Rank, r.Aux1, m.Rank, numRanks)
+		}
+		if r.Type.IsDef() && (timed || m.Records > m.Defs) {
+			return defError(r.Type)
 		}
 		if err := m.add(r.Type, r.Time, last); err != nil {
 			return err
@@ -138,8 +142,8 @@ func ScanTable(r io.Reader) (*Table, error) {
 	err = br.Each(func(b Block) error {
 		start, end := br.BlockBounds()
 		m := newBlockMeta(b.Rank, start)
-		last := noStamp // the reader has held the block to the rank's last
-		if err := m.addRecords(b.Records, t.NumRanks, &last); err != nil {
+		last := noStamp // the reader has held the block to the log before it
+		if err := m.addRecords(b.Records, t.NumRanks, &last, false); err != nil {
 			return err
 		}
 		m.Length = end - start

@@ -1056,6 +1056,105 @@ func TestReadersRefuseStampsOutOfOrder(t *testing.T) {
 	}
 }
 
+// byteBuilt encodes blocks as a Writer does, with no check of the rule of a
+// block, under the table a Writer would put behind them.
+func byteBuilt(numRanks int, blocks []Block) []byte {
+	log := AppendHeader(nil, numRanks)
+	tab := Table{NumRanks: numRanks}
+	for _, b := range blocks {
+		m, last := newBlockMeta(b.Rank, int64(len(log))), noStamp
+		log = AppendBlockHeader(log, b.Rank, len(b.Records))
+		for i := range b.Records {
+			log, _ = AppendRecord(log, &b.Records[i])
+			m.add(b.Records[i].Type, b.Records[i].Time, &last)
+		}
+		log = append(log, byte(RecEndBlock))
+		m.Length = int64(len(log)) - m.Offset
+		tab.Blocks = append(tab.Blocks, m)
+	}
+	return AppendTable(append(log, byte(RecEndLog)), &tab)
+}
+
+// A definition that follows a timed record, of its block or of an earlier
+// one of any rank, breaks the rule of a block (Block). No Writer writes one,
+// so each log here is built byte by byte, under the table a Writer would
+// write. Every reader refuses it by name: Each, NextIn at full span and
+// with the timed record stepped over by the window, ScanTable, Walk through
+// the table (which finds the block unreadable and scans, to the same
+// refusal), a reader that seeks forward past the timed record's block, and
+// DecodeBlockPayload when the breach is within one block.
+func TestReadersRefuseADefinitionAfterATimedRecord(t *testing.T) {
+	def := Record{Type: RecStateDef, ID: 1, Aux1: 2, Aux2: 3, Name: "s"}
+	bare := func(rank int32, at float64) Record { return Record{Type: RecBareEvt, Rank: rank, Time: at, ID: 2} }
+	const want = "clog2: a StateDef record after the log's first timed record"
+	for _, c := range []struct {
+		name   string
+		blocks []Block
+	}{
+		{"within a block", []Block{{0, []Record{bare(0, 1), def}}}},
+		{"across two blocks of rank 0", []Block{{0, []Record{bare(0, 1)}}, {0, []Record{def}}}},
+		{"after another rank's block", []Block{{1, []Record{bare(1, 1)}}, {0, []Record{def, bare(0, 2)}}}},
+	} {
+		data := byteBuilt(2, c.blocks)
+		path := filepath.Join(t.TempDir(), "late.clog2")
+		writeFile(t, path, data)
+		tab := mustLoad(t, path)
+		refused := func(what string, err error) {
+			t.Helper()
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: %s gives %v, want %s", c.name, what, err, want)
+			}
+		}
+		_, _, err := readBlocks(bytes.NewReader(data))
+		refused("Each", err)
+		for _, win := range [][2]float64{{math.Inf(-1), math.Inf(1)}, {1.5, 3}} {
+			br, err := NewBlockReader(bytes.NewReader(data))
+			for err == nil {
+				_, _, err = br.NextIn(nil, Query{T0: win[0], T1: win[1], Rank: -1, IncludeDefs: true})
+			}
+			refused(fmt.Sprintf("NextIn over %v", win), err)
+		}
+		_, err = ScanTable(bytes.NewReader(data))
+		refused("ScanTable", err)
+		begins := 0
+		used, err := Walk(path, MatchAll(), func(int) func(Block) error {
+			begins++
+			return func(Block) error { return nil }
+		})
+		refused("Walk", err)
+		if used || begins != 2 {
+			t.Errorf("%s: Walk used the table %v, began %d times; want the table's block refused, then the scan", c.name, used, begins)
+		}
+		last := tab.Blocks[len(tab.Blocks)-1]
+		if len(tab.Blocks) > 1 {
+			br, err := NewBlockReaderAt(bytes.NewReader(data), tab.Blocks[0].Offset, 2)
+			if err == nil {
+				_, err = br.NextReuse(nil)
+			}
+			if err == nil {
+				err = br.SeekTo(last.Offset) // where it stands: a forward seek
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = br.NextReuse(nil)
+			refused("NextReuse after a forward seek", err)
+			if err := br.SeekTo(last.Offset); err != nil { // back: forgotten
+				t.Fatal(err)
+			}
+			if _, err := br.NextReuse(nil); err != nil {
+				t.Errorf("%s: the definition's block, read after a backward seek: %v", c.name, err)
+			}
+		}
+		_, err = DecodeBlockPayload(data[last.Offset:last.Offset+last.Length], last.Rank)
+		if len(c.blocks) == 1 {
+			refused("DecodeBlockPayload", err)
+		} else if err != nil { // a breach across blocks: the block keeps the rule on its own
+			t.Errorf("%s: DecodeBlockPayload gives %v", c.name, err)
+		}
+	}
+}
+
 // A backward seek forgets the ranks' last stamps, so that reading a rank's
 // later block and then seeking back to its earlier one refuses nothing; a
 // forward seek keeps them.

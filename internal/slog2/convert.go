@@ -1,14 +1,12 @@
 package slog2
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/clog2"
 	"repro/internal/mpe"
@@ -27,11 +25,11 @@ const MaxTreeDepth = 24
 type ConvertOptions struct {
 	// FrameCapacity is the maximum drawable count per frame (0 = default).
 	FrameCapacity int
-	// Workers is the worker-pool size for the per-rank pairing phase and
-	// for concurrent sibling-frame construction. 0 means
-	// runtime.GOMAXPROCS(0). The output is byte-identical at every worker count:
-	// drawables are ordered by (rank, time, sequence) before frame
-	// insertion, so parallelism never changes the result.
+	// Workers is the worker count of the frame-tree build, which hands
+	// subtrees to spare workers. 0 means runtime.GOMAXPROCS(0). The output
+	// is byte-identical at every worker count: drawables are laid out in
+	// (rank, time, sequence) order before frame insertion, so parallelism
+	// never changes the result.
 	Workers int
 }
 
@@ -60,357 +58,274 @@ func (r *Report) warnf(format string, args ...any) {
 	r.Warnings = append(r.Warnings, fmt.Sprintf(format, args...))
 }
 
-// timed is what the converter keeps of one bare or cargo event: its time,
-// what clog2.Etypes.Classify made of its etype as it streamed in, and
-// where its cargo text sits in the rank's arena — 24 bytes where a
-// clog2.Record is 120.
-type timed struct {
-	t        float64
-	id       int32
-	cargoOff uint32
-	kind     clog2.EtypeKind
-	cargoLen uint8
+// paired is what the converter keeps of a state as it closes, and solo of
+// a solo event: times, category and where their cargo lies in the log's
+// text (cargoText), 40 and 24 bytes without a pointer for the collector to
+// scan. They become States and Events in the final layout.
+type paired struct {
+	start, end       float64
+	startRef, endRef uint64
+	cat              int32
 }
 
-// maxChunk is the most records a chunk of a rank's log holds: chunks
-// double up to it, so a long rank is kept in pieces of 384 KiB that are
-// never copied to grow, and a short one in one small piece.
-const maxChunk = 16 << 10
-
-// textPiece is the most cargo text one piece of a rank's text holds, so
-// that a long rank's text is never copied to grow either; a cargo never
-// straddles two pieces.
-const textPiece = 64 << 10
-
-// rankLog is one rank's events in file order, which the reader holds to
-// time order (clog2.Block), in chunks, and their cargo text, in pieces.
-type rankLog struct {
-	chunks [][]timed
-	n      int // records in all chunks
-	// ends and solos count the state ends and solo events among them:
-	// what the rank's pairing can at most produce.
-	ends, solos int
-	// texts are the full pieces of the rank's cargo text and text the one
-	// being filled. A cargoOff counts from the start of texts[0], so its
-	// piece is cargoOff/textPiece.
-	texts []string
-	text  strings.Builder
+type solo struct {
+	t   float64
+	ref uint64
+	cat int32 // among the event definitions
 }
 
-// add appends tr with its cargo, starting a chunk when the last one is
-// full and a piece of text when the cargo does not fit the last one. It
-// adds nothing and reports false once the rank's text would pass what a
-// cargoOff can address.
-func (rl *rankLog) add(tr timed, cargo []byte) bool {
-	if rl.text.Len()+len(cargo) > textPiece {
-		rl.texts = append(rl.texts, rl.text.String())
-		rl.text = strings.Builder{}
-	}
-	at := len(rl.texts)*textPiece + rl.text.Len()
-	if uint64(at)+uint64(len(cargo)) > math.MaxUint32 {
-		return false
-	}
-	if rl.text.Cap()-rl.text.Len() < len(cargo) {
-		// The first piece doubles from 1 KiB, where appending would grow
-		// it by a quarter; every later one is whole from the start.
-		grow := max(1024-rl.text.Cap(), len(cargo))
-		if len(rl.texts) > 0 {
-			grow = textPiece
-		}
-		rl.text.Grow(grow)
-	}
-	rl.text.Write(cargo)
-	tr.cargoOff, tr.cargoLen = uint32(at), uint8(len(cargo))
+// maxChunk is the most drawables a chunk of a rank's holds: chunks double
+// up to it, so a long rank is kept in pieces that are never copied to grow,
+// and a short one in one small piece.
+const maxChunk = 4 << 10
 
-	last := len(rl.chunks) - 1
-	if last < 0 || len(rl.chunks[last]) == cap(rl.chunks[last]) {
-		rl.chunks = append(rl.chunks, make([]timed, 0, min(max(rl.n, 256), maxChunk)))
+// chunks is one rank's drawables of a kind, in file order.
+type chunks[T any] struct {
+	cs [][]T
+	n  int
+}
+
+func (c *chunks[T]) add(x T) {
+	last := len(c.cs) - 1
+	if last < 0 || len(c.cs[last]) == cap(c.cs[last]) {
+		c.cs = append(c.cs, make([]T, 0, min(max(c.n, 64), maxChunk)))
 		last++
 	}
-	rl.chunks[last] = append(rl.chunks[last], tr)
-	rl.n++
-	switch tr.kind {
-	case clog2.EtypeEnd:
-		rl.ends++
-	case clog2.EtypeSolo:
-		rl.solos++
-	}
-	return true
+	c.cs[last] = append(c.cs[last], x)
+	c.n++
 }
 
-// cargoOf returns the cargo text a start or an end carries, given as
-// cargoOff<<8 | cargoLen. An empty cargo may be addressed just past a full
-// piece, where no piece begins until a later cargo needs one.
-func (rl *rankLog) cargoOf(ref uint64) string {
+// textPiece is the most cargo text one piece of the log's text holds, so
+// that the text is never copied to grow; a cargo never straddles two
+// pieces.
+const textPiece = 64 << 10
+
+// cargoText is the log's cargo text, in pieces that a strings.Builder
+// hands out as strings without a copy. A cargo's ref is its offset in the
+// text, shifted left by 8, or'd with its length; an empty cargo's is 0.
+type cargoText struct {
+	pieces []string
+	cur    strings.Builder
+}
+
+func (c *cargoText) add(cargo []byte) uint64 {
+	if len(cargo) == 0 {
+		return 0
+	}
+	if c.cur.Len()+len(cargo) > textPiece {
+		c.pieces = append(c.pieces, c.cur.String())
+		c.cur = strings.Builder{}
+	}
+	if c.cur.Cap()-c.cur.Len() < len(cargo) {
+		// The first piece doubles from 1 KiB, where appending would grow
+		// it by a quarter; every later one is whole from the start.
+		grow := max(1024-c.cur.Cap(), len(cargo))
+		if len(c.pieces) > 0 {
+			grow = textPiece
+		}
+		c.cur.Grow(grow)
+	}
+	at := len(c.pieces)*textPiece + c.cur.Len()
+	c.cur.Write(cargo)
+	return uint64(at)<<8 | uint64(len(cargo))
+}
+
+// of returns the cargo ref addresses, once seal has taken the last piece.
+func (c *cargoText) of(ref uint64) string {
 	off, n := ref>>8, ref&0xff
 	if n == 0 {
 		return ""
 	}
-	if off/textPiece == uint64(len(rl.texts)) {
-		return rl.text.String()[off%textPiece:][:n]
-	}
-	return rl.texts[off/textPiece][off%textPiece:][:n]
+	return c.pieces[off/textPiece][off%textPiece:][:n]
 }
 
-// partition is the phase-1 product: definition records in file order,
-// each rank's events and every message half. perRank is keyed, not
-// indexed, by rank: a header may declare 2^20 ranks and log on two.
-type partition struct {
-	numRanks  int
-	etypes    clog2.Etypes
-	stateDefs []clog2.Record
-	eventDefs []clog2.Record
-	perRank   map[int]*rankLog
+func (c *cargoText) seal() { c.pieces = append(c.pieces, c.cur.String()) }
+
+// rankDraws is what the converter keeps of one rank: its states and
+// events in file order, which the reader holds to time order, its nesting
+// errors and its warnings in that order.
+type rankDraws struct {
+	states   chunks[paired]
+	events   chunks[solo]
+	nesting  int
+	warnings []string
+}
+
+func (rd *rankDraws) warnf(format string, args ...any) {
+	rd.warnings = append(rd.warnings, fmt.Sprintf(format, args...))
+}
+
+// converter is the fold's third observer, beside the profile and the
+// verdict: it pairs a rank's states as its blocks stream in. Definitions
+// lead the log (clog2.Block), so a category is known before any record
+// names it.
+type converter struct {
+	fold      *clog2.Fold
+	stateCats []Category
+	eventCats []Category
+	stateCat  map[int32]int32 // state id -> index in stateCats
+	eventCat  map[int32]int32 // solo etype -> index in eventCats
+	ranks     []rankDraws     // by FoldRank.Index
 	msgs      clog2.Messages
-}
-
-func newPartition(numRanks int) *partition {
-	return &partition{numRanks: numRanks, perRank: map[int]*rankLog{}}
-}
-
-// addBlock copies what the conversion needs out of b, whose records the
-// caller is free to overwrite afterwards. The reader has held b to the rule
-// of a block (clog2.Block): every record is of b's rank, every message
-// half's peer is a rank of the log, and every stamp is finite and no
-// earlier than the rank's stamp before it.
-func (p *partition) addBlock(b *clog2.Block) error {
-	rl := p.perRank[int(b.Rank)]
-	if rl == nil {
-		rl = &rankLog{}
-		p.perRank[int(b.Rank)] = rl
-	}
-	for i := range b.Records {
-		rec := &b.Records[i]
-		switch {
-		case p.etypes.Define(rec):
-			if rec.Type == clog2.RecStateDef {
-				p.stateDefs = append(p.stateDefs, *rec)
-			} else {
-				p.eventDefs = append(p.eventDefs, *rec)
-			}
-			continue
-		case rec.Type == clog2.RecConstDef || rec.Type == clog2.RecTimeShift:
-			continue
-		}
-		switch rec.Type {
-		case clog2.RecMsgEvt:
-			p.msgs.Add(rec.Rank, rec.Aux1, rec.Aux2, rec.Dir, clog2.MsgHalf{Time: rec.Time, Size: rec.Aux3})
-		case clog2.RecBareEvt, clog2.RecCargoEvt:
-			tr := timed{t: rec.Time}
-			tr.kind, tr.id = p.etypes.Classify(rec.ID)
-			if !rl.add(tr, rec.CargoBytes()) {
-				return fmt.Errorf("slog2: rank %d logs more than 4 GiB of cargo text", b.Rank)
-			}
-		}
-	}
-	return nil
+	text      cargoText
 }
 
 // ConvertReader streams a CLOG-2 file from r straight into the conversion,
 // one block of records at a time through Each's one buffer — the low-memory
-// path used by vis.ConvertFile and the command-line tools.
+// path used by vis.ConvertFile and the command-line tools. The reader has
+// held every block to the rule of a block (clog2.Block), so every record is
+// of its block's rank, every peer a rank of the log, each rank's records
+// come in time order, and the definitions first.
 func ConvertReader(r io.Reader, opts ConvertOptions) (*File, *Report, error) {
 	br, err := clog2.NewBlockReader(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := newPartition(br.NumRanks())
-	if err := br.Each(func(b clog2.Block) error { return p.addBlock(&b) }); err != nil {
+	c := &converter{fold: clog2.NewFold(), stateCat: map[int32]int32{}, eventCat: map[int32]int32{}}
+	if err := br.Each(func(b clog2.Block) error {
+		for i := range b.Records {
+			c.add(&b.Records[i])
+		}
+		return nil
+	}); err != nil {
 		return nil, nil, err
 	}
-	return convertPartitioned(p, opts)
+	f, rep := c.finish(br.NumRanks(), opts)
+	return f, rep, nil
 }
 
-// rankResult is what one rank's pairing reports beside the drawables it
-// writes: how many of each, and its diagnostics in (time, sequence) order.
-type rankResult struct {
-	states, events int
-	nesting        int
-	warnings       []string
-}
-
-func (rr *rankResult) warnf(format string, args ...any) {
-	rr.warnings = append(rr.warnings, fmt.Sprintf(format, args...))
-}
-
-// pairRank runs the per-rank pairing phase: pair the rank's starts and
-// ends on a clog2.Stack into states in file order, which is time order,
-// and turn solo events into events. They are written to states and
-// events, which have room for the rank's every end and solo event.
-// stateCat/eventCat are read-only shared tables, so many pairRank calls may
-// run concurrently on disjoint states and events.
-func pairRank(rank int, rl *rankLog, stateCat, eventCat map[int32]int, states []State, events []Event) *rankResult {
-	// Every cargo of the rank is a substring of a piece of its text; a
-	// start's Ref on the stack is where its cargo lies.
-	cargo := rl.cargoOf
-
-	rr := &rankResult{}
-	var stack clog2.Stack
-	for _, c := range rl.chunks {
-		for i := range c {
-			rec := &c[i]
-			ref := uint64(rec.cargoOff)<<8 | uint64(rec.cargoLen)
-			switch rec.kind {
-			case clog2.EtypeStart:
-				stack.Push(rec.id, rec.t, ref)
-			case clog2.EtypeEnd:
-				top, _, ok := stack.Close(rec.id, rec.t)
-				if !ok {
-					rr.nesting++
-					rr.warnf("rank %d: end of state %d at %v with no open state", rank, rec.id, rec.t)
-					continue
-				}
-				if top.ID != rec.id {
-					rr.nesting++
-					rr.warnf("rank %d: state %d closed while %d open at %v", rank, rec.id, top.ID, rec.t)
-				}
-				end := cargo(ref)
-				if end == mpe.SyntheticEndCargo {
-					// The logger closed this state for us at wrap-up; it is
-					// still a nesting error in the program being debugged.
-					rr.nesting++
-					rr.warnf("rank %d: state %d left open, closed synthetically at %v", rank, rec.id, rec.t)
-				}
-				cat, ok := stateCat[rec.id]
-				if !ok {
-					rr.warnf("rank %d: state %d has no definition", rank, rec.id)
-					continue
-				}
-				states[rr.states] = State{
-					Rank: rank, Cat: cat,
-					Start: top.Start, End: rec.t,
-					StartCargo: cargo(top.Ref), EndCargo: end,
-				}
-				rr.states++
-			case clog2.EtypeSolo:
-				cat, ok := eventCat[rec.id]
-				if !ok {
-					rr.warnf("rank %d: event %d has no definition", rank, rec.id-clog2.SoloBase)
-					continue
-				}
-				events[rr.events] = Event{Rank: rank, Cat: cat, Time: rec.t, Cargo: cargo(ref)}
-				rr.events++
-			}
+// add observes one record through the fold.
+func (c *converter) add(rec *clog2.Record) {
+	step := c.fold.Add(rec)
+	switch step {
+	case clog2.StepSkip:
+		switch rec.Type {
+		case clog2.RecStateDef:
+			c.stateCat[rec.ID] = int32(len(c.stateCats))
+			c.stateCats = append(c.stateCats, Category{Name: rec.Name, Color: rec.Color, Kind: KindState})
+		case clog2.RecEventDef:
+			c.eventCat[rec.ID] = int32(len(c.eventCats))
+			c.eventCats = append(c.eventCats, Category{Name: rec.Name, Color: rec.Color, Kind: KindEvent})
 		}
+		return
+	case clog2.StepShift:
+		return
+	case clog2.StepMsg:
+		c.msgs.Add(rec.Rank, rec.Aux1, rec.Aux2, rec.Dir, clog2.MsgHalf{Time: rec.Time, Size: rec.Aux3})
+		return
+	case clog2.StepOpen:
+		c.fold.SetRef(c.text.add(rec.CargoBytes()))
+		return
 	}
-	for _, o := range stack.Open() {
-		rr.nesting++
-		rr.warnf("rank %d: state %d opened at %v never closed", rank, o.ID, o.Start)
+	fr := c.fold.Rank
+	for len(c.ranks) <= fr.Index {
+		c.ranks = append(c.ranks, rankDraws{})
 	}
-	return rr
+	rd := &c.ranks[fr.Index]
+	switch step {
+	case clog2.StepSolo:
+		cat, ok := c.eventCat[rec.ID]
+		if !ok {
+			rd.warnf("rank %d: event %d has no definition", fr.Rank, rec.ID-clog2.SoloBase)
+			return
+		}
+		rd.events.add(solo{t: rec.Time, ref: c.text.add(rec.CargoBytes()), cat: cat})
+	case clog2.StepOrphan:
+		rd.nesting++
+		rd.warnf("rank %d: end of state %d at %v with no open state", fr.Rank, c.fold.Closed.ID, rec.Time)
+	case clog2.StepClose:
+		id, top := c.fold.Closed.ID, &c.fold.Popped
+		if top.ID != id {
+			rd.nesting++
+			rd.warnf("rank %d: state %d closed while %d open at %v", fr.Rank, id, top.ID, rec.Time)
+		}
+		if string(rec.CargoBytes()) == mpe.SyntheticEndCargo {
+			// The logger closed this state for us at wrap-up; it is still a
+			// nesting error in the program being debugged.
+			rd.nesting++
+			rd.warnf("rank %d: state %d left open, closed synthetically at %v", fr.Rank, id, rec.Time)
+		}
+		cat, ok := c.stateCat[id]
+		if !ok {
+			rd.warnf("rank %d: state %d has no definition", fr.Rank, id)
+			return
+		}
+		rd.states.add(paired{start: top.Start, end: rec.Time, startRef: top.Ref, endRef: c.text.add(rec.CargoBytes()), cat: cat})
+	}
 }
 
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// convertPartitioned runs phases 2..4: per-rank pairing on a worker pool,
-// the cross-rank arrow join, and the frame-tree build. Every merge step
-// iterates ranks and message keys in sorted order, so the output — down to
-// warning order — is identical at any worker count. Each kind's drawables
-// live in one array from the phase that makes them to the frames that
-// hold them (DESIGN §4).
-func convertPartitioned(p *partition, opts ConvertOptions) (*File, *Report, error) {
+// finish lays each kind of drawable out in one array of exactly its
+// drawables, in rank order and, within a rank, in file order: the global
+// (rank, time, sequence) order frames need. Then come the cross-rank arrow
+// join and the frame-tree build. Warnings come rank by rank, then by
+// message key, so the output — down to warning order — is the same at any
+// worker count. Each kind's drawables live in one array from the layout to
+// the frames that hold them (DESIGN §4).
+func (c *converter) finish(numRanks int, opts ConvertOptions) (*File, *Report) {
 	capacity := opts.FrameCapacity
 	if capacity <= 0 {
 		capacity = DefaultFrameCapacity
 	}
-	workers := opts.workers()
 	rep := &Report{}
 
-	// Category table: states first, then events, in file order; a state
-	// is keyed by its ID and an event by its etype.
-	var cats []Category
-	stateCat := map[int32]int{}
-	eventCat := map[int32]int{}
-	for _, d := range p.stateDefs {
-		stateCat[d.ID] = len(cats)
-		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindState})
-	}
-	for _, d := range p.eventDefs {
-		eventCat[d.ID] = len(cats)
-		cats = append(cats, Category{Name: d.Name, Color: d.Color, Kind: KindEvent})
-	}
-
-	// Phase 2: per-rank pairing, fanned out over the worker pool. Rank i
-	// writes its states from stateAt[i] and its events from eventAt[i]
-	// on: stretches of one array a kind, in ascending rank order, as long
-	// as the rank's ends and solo events. That is what it writes unless an
-	// end closes nothing or names an undefined state; the ranks behind
-	// such a gap then move down over it, so that states and events end up
-	// in global (rank, time, sequence) order, the order frames need.
-	ranks := sortedKeys(p.perRank)
-	stateAt, eventAt := make([]int, len(ranks)+1), make([]int, len(ranks)+1)
-	for i, rank := range ranks {
-		stateAt[i+1] = stateAt[i] + p.perRank[rank].ends
-		eventAt[i+1] = eventAt[i] + p.perRank[rank].solos
-	}
-	states := make([]State, stateAt[len(ranks)])
-	events := make([]Event, eventAt[len(ranks)])
-	results := make([]*rankResult, len(ranks))
-	if w := len(ranks); workers > w {
-		workers = w
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(ranks) {
-					return
-				}
-				rank := ranks[i]
-				results[i] = pairRank(rank, p.perRank[rank], stateCat, eventCat,
-					states[stateAt[i]:stateAt[i+1]], events[eventAt[i]:eventAt[i+1]])
-			}
-		}()
-	}
-	wg.Wait()
+	// Category table: states first, then events, in file order.
+	cats := append(c.stateCats, c.eventCats...)
+	eventBase := len(c.stateCats)
+	c.text.seal()
 	var nStates, nEvents int
-	for i, rr := range results {
-		if nStates != stateAt[i] {
-			copy(states[nStates:], states[stateAt[i]:stateAt[i]+rr.states])
-		}
-		if nEvents != eventAt[i] {
-			copy(events[nEvents:], events[eventAt[i]:eventAt[i]+rr.events])
-		}
-		nStates += rr.states
-		nEvents += rr.events
-		rep.NestingErrors += rr.nesting
-		rep.Warnings = append(rep.Warnings, rr.warnings...)
+	for i := range c.ranks {
+		nStates += c.ranks[i].states.n
+		nEvents += c.ranks[i].events.n
 	}
-	clear(states[nStates:])
-	clear(events[nEvents:])
-	states, events = states[:nStates:nStates], events[:nEvents:nEvents]
+	states := make([]State, 0, nStates)
+	events := make([]Event, 0, nEvents)
+	ranks := slices.Clone(c.fold.Ranks())
+	slices.SortFunc(ranks, func(a, b *clog2.FoldRank) int { return cmp.Compare(a.Rank, b.Rank) })
+	for _, fr := range ranks {
+		rank := int(fr.Rank)
+		if fr.Index < len(c.ranks) {
+			rd := &c.ranks[fr.Index]
+			for _, cs := range rd.states.cs {
+				for _, p := range cs {
+					states = append(states, State{Rank: rank, Cat: int(p.cat), Start: p.start, End: p.end,
+						StartCargo: c.text.of(p.startRef), EndCargo: c.text.of(p.endRef)})
+				}
+			}
+			for _, cs := range rd.events.cs {
+				for _, e := range cs {
+					events = append(events, Event{Rank: rank, Cat: eventBase + int(e.cat), Time: e.t, Cargo: c.text.of(e.ref)})
+				}
+			}
+			rep.NestingErrors += rd.nesting
+			rep.Warnings = append(rep.Warnings, rd.warnings...)
+		}
+		for _, o := range fr.Open() {
+			rep.NestingErrors++
+			rep.warnf("rank %d: state %d opened at %v never closed", rank, o.ID, o.Start)
+		}
+	}
+	c.ranks = nil // the chunks go before the frames are built
 
-	// Phase 3 — the only cross-rank join.
-	arrows := joinMessages(&p.msgs, rep)
+	// The only cross-rank join.
+	arrows := joinMessages(&c.msgs, rep)
 
 	rep.EqualDrawables = countEqualDrawables(states, arrows, events, rep)
 
 	// Time bounds.
 	minT, maxT := bounds(states, arrows, events)
 	f := &File{
-		NumRanks:   p.numRanks,
+		NumRanks:   numRanks,
 		Start:      minT,
 		End:        maxT,
 		Categories: cats,
 		Warnings:   rep.Warnings,
 	}
-	f.Root = buildFrames(minT, maxT, states, arrows, events, capacity, workers)
+	f.Root = buildFrames(minT, maxT, states, arrows, events, capacity, opts.workers())
 
 	rep.States = len(states)
 	rep.Arrows = len(arrows)
 	rep.Events = len(events)
-	return f, rep, nil
+	return f, rep
 }
 
 // joinMessages makes the arrows: clog2.Messages pairs sends with

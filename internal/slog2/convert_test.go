@@ -484,9 +484,9 @@ func TestConvertSyntheticEndCounted(t *testing.T) {
 	}
 }
 
-// A rank whose cargo text fills a piece of its text to the byte, followed
-// by an end that carries none: the empty cargo is addressed past the full
-// piece, where no piece begins until a later cargo needs one.
+// Cargo text that fills a piece of the log's text to the byte, each start's
+// followed by an end that carries none: every cargo reads back from its
+// piece, the last one's from the piece sealed when the log ended.
 func TestConvertCargoFillingATextPiece(t *testing.T) {
 	const cargo = "line: 01"
 	b := newCLOG(1)
@@ -559,14 +559,15 @@ func TestConvertRefusesOutOfRangeRanks(t *testing.T) {
 }
 
 // The converter's allocation, per record of a synthesized 200 000-record
-// log: 111 B (amd64), against 177 B when each rank's pairing had its own
-// result slices, every level of the frame tree copied its drawables and
-// arrows were sorted after the fact. The ceiling is that measurement and
-// a fifth more; the least of three conversions is what is held to it,
-// because the decoder's buffers come from pools that the race detector
-// drops a Put of in four.
+// log: 74 B (amd64), against 94 B when every bare and cargo event was
+// copied into its rank's log before a pairing pass, and 177 B when each
+// rank's pairing had its own result slices, every level of the frame tree
+// copied its drawables and arrows were sorted after the fact. The ceiling
+// is that measurement and a fifth more; the least of three conversions is
+// what is held to it, because the decoder's buffers come from pools that
+// the race detector drops a Put of in four.
 func TestConvertReaderAllocationCeiling(t *testing.T) {
-	const ranks, records, ceiling = 8, 200_000, 133
+	const ranks, records, ceiling = 8, 200_000, 89
 	b := newCLOG(ranks)
 	b.defState(1, "PI_Write", "green")
 	b.defState(2, "PI_Read", "red")

@@ -194,7 +194,7 @@ func (pp *Profiler) Observe(step clog2.Step, rec *clog2.Record) {
 		occ := &pp.fold.Closed
 		a := pp.states[occ.ID]
 		if a == nil {
-			a = &stateAgg{name: occ.Name}
+			a = &stateAgg{name: pp.fold.StateName(occ.ID)}
 			a.durHist.min.Store(math.MaxInt64)
 			pp.states[occ.ID] = a
 		}
@@ -205,7 +205,7 @@ func (pp *Profiler) Observe(step clog2.Step, rec *clog2.Record) {
 			a.max = occ.Dur
 		}
 		a.durHist.observe(int64(occ.Dur * 1e9))
-		switch colors.CategoryOf(occ.Name) {
+		switch colors.CategoryOf(a.name) {
 		case colors.Input, colors.Output:
 			pp.rank().BlockedSec += occ.Self
 		default:

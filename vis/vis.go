@@ -39,9 +39,9 @@ type (
 )
 
 // ConvertFile converts the CLOG-2 file at path. Blocks are streamed from
-// it one at a time (clog2.BlockReader), so the raw log is never fully
-// materialized; the per-rank pairing phases run on a worker pool sized by
-// opts.Workers (0 = GOMAXPROCS).
+// it one at a time (clog2.BlockReader) and each rank's states are paired as
+// they arrive, so the raw log is never fully materialized; the frame-tree
+// build hands subtrees to as many as opts.Workers workers (0 = GOMAXPROCS).
 func ConvertFile(path string, opts ConvertOptions) (*File, *Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
