@@ -158,7 +158,7 @@ lines:
 # written and nothing compared (the committed numbers are bench/'s, see
 # BENCHMARK.json). The parallel CLOG-2 -> SLOG-2 pipeline at several
 # worker counts, the bare CLOG-2 scan (MB/s), the fold under the profile
-# (MB/s, next to the scan's) and the sequential converter (B/op) on a
+# (MB/s, next to the scan's) and the converter (B/op), both at -cpu 1,2, on a
 # 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000 state
 # pairs, and 2 of 100 000: a rank's block in megabytes) and the record
 # encoder under it; the SLOG-2 codec both ways on a synthesized file of
@@ -169,10 +169,10 @@ lines:
 # gzip encoder alone over the golden tiles, against compress/gzip at
 # BestSpeed, and over one large SVG and one large JSON tile (MB/s,
 # ratio), and one JSON tile time against strconv; a 1 % windowed
-# profile through the block
-# table (records decoded and stepped over an op); and the three rows
-# bench/ does not measure yet: a state pair written through to the spill,
-# one live-metrics observation with the collector on and off, and a raw
+# profile through the block table (records decoded and stepped over an
+# op), at -cpu 1,2; and the three rows bench/ does not measure yet: a
+# state pair written through to the spill, one live-metrics observation
+# with the collector on and off, and a raw
 # round trip per rank substrate (in-process, unix socket, TCP; the last
 # two spawn the test binary as rank 1); a call-site location both ways
 # (frame chain, runtime.Callers); last, the layer-knockout rows of a Pilot
@@ -182,12 +182,14 @@ lines:
 # `make ci` instead of rotting.
 bench-smoke: BENCHTIME = -benchtime 1x
 bench bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkFoldProfile|BenchmarkConvertReader|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkFoldProfile|BenchmarkConvertReader' -cpu 1,2 -benchmem $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem $(BENCHTIME) ./internal/clog2/
 	$(GO) test -run '^$$' -bench 'BenchmarkWrite|BenchmarkRead' -benchmem $(BENCHTIME) ./internal/slog2/
 	$(GO) test -run '^$$' -bench 'BenchmarkMailbox|BenchmarkTransportPingPong' -benchmem $(BENCHTIME) ./internal/mpi/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpillStatePair' -benchmem $(BENCHTIME) ./internal/mpe/
-	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved|BenchmarkWindowedProfile' -benchmem $(BENCHTIME) ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkSendObserved' -benchmem $(BENCHTIME) ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkWindowedProfile' -cpu 1,2 -benchmem $(BENCHTIME) ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkColdTile|BenchmarkFullSpanTile|BenchmarkGzip|BenchmarkTileFloat' -benchmem $(BENCHTIME) ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkCallerLoc' -benchmem $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkChannelRoundTrip' -benchmem $(or $(BENCHTIME),-benchtime 100000x) .

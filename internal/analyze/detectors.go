@@ -20,7 +20,7 @@ import (
 
 // buildReport runs every detector and assembles the Report.
 func buildReport(c *collector, usedIndex bool) *Report {
-	prof := c.prof.Profile()
+	prof := c.profile
 	first, last := c.wall()
 	rep := &Report{
 		Schema:             Schema,
@@ -153,7 +153,7 @@ func detectStraggler(c *collector, prof *stats.Profile) []Finding {
 		name        string
 	}
 	tops := map[int32]*top{}
-	for _, rp := range sortedRanks(c) {
+	for _, rp := range c.ranks {
 		for id, st := range rp.states {
 			t := tops[id]
 			if t == nil {
@@ -165,7 +165,7 @@ func detectStraggler(c *collector, prof *stats.Profile) []Finding {
 					t.second = t.max
 					t.max = d
 					if d == st.max {
-						t.rank, t.start = rp.fr.Rank, st.maxStart
+						t.rank, t.start = rp.fold.Rank, st.maxStart
 					}
 				} else if d > t.second {
 					t.second = d
@@ -212,20 +212,20 @@ func detectStraggler(c *collector, prof *stats.Profile) []Finding {
 // the critical-path signature of a slow or faulted link.
 func detectDominator(c *collector) []Finding {
 	var fs []Finding
-	for _, rp := range sortedRanks(c) {
-		wall := rp.fr.Last - rp.fr.First
+	for _, rp := range c.ranks {
+		wall := rp.fold.Last - rp.fold.First
 		if rp.outBlockedSec < calibrated.DominatorMinSec || rp.outBlockedSec < calibrated.DominatorShare*wall {
 			continue
 		}
 		fs = append(fs, Finding{
 			Detector:  DetDominator,
 			Severity:  "warning",
-			Rank:      int(rp.fr.Rank),
+			Rank:      int(rp.fold.Rank),
 			Channel:   -1,
 			Value:     rp.outBlockedSec,
 			Threshold: calibrated.DominatorMinSec,
 			Detail: fmt.Sprintf("rank %d spent %.3fs of %.3fs wall (%.0f%%) blocked in output operations",
-				rp.fr.Rank, rp.outBlockedSec, wall, 100*rp.outBlockedSec/math.Max(wall, 1e-12)),
+				rp.fold.Rank, rp.outBlockedSec, wall, 100*rp.outBlockedSec/math.Max(wall, 1e-12)),
 		})
 	}
 	return fs
@@ -402,12 +402,4 @@ func detectFaults(c *collector) []Finding {
 		})
 	}
 	return fs
-}
-
-// sortedRanks returns the collector's ranks by ascending rank id, for
-// deterministic detector iteration.
-func sortedRanks(c *collector) []*rankPass {
-	rs := append([]*rankPass(nil), c.ranks...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i].fr.Rank < rs[j].fr.Rank })
-	return rs
 }

@@ -17,8 +17,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/clog2"
 )
@@ -79,89 +81,24 @@ type DiffReport struct {
 	First *Divergence `json:"first,omitempty"`
 }
 
-// logFile is a log the diff reads: it seeks to a rank's blocks and reads
-// the block table at the end.
-type logFile interface {
-	io.ReadSeeker
-	io.ReaderAt
+// side is one log's rank in hand: a cursor on its blocks (a block holds
+// one rank's records in time order, clog2.Block, so a rank's ops are its
+// blocks' in file order) and the records of the block it reads.
+type side struct {
+	c    *clog2.RankCursor
+	recs []clog2.Record // the block's records not yet read
 }
 
-// cursor walks one log rank by rank: a block holds one rank's records in
-// time order (clog2.Block), so a rank's ops are its blocks' in file order,
-// found through the log's block table.
-type cursor struct {
-	f       logFile
-	label   string       // names the log in errors
-	t       *clog2.Table // entries sorted by rank, in file order within one
-	scanned bool         // t is ScanTable's, so it cannot lie
-	lied    bool         // a block did not match t's entry for it
-	br      *clog2.BlockReader
-	next    int            // the entry of the next block to read
-	buf     []clog2.Record // the block in hand, in a buffer lent by clog2
-	recs    []clog2.Record // its records not yet read
-	back    func()         // gives buf back
-}
-
-// open takes the log's block table: the one it ends with when that
-// validates and scan is false, else the one ScanTable makes of it. A log
-// that cannot be read to its end-log marker ends the diff with that error.
-func (c *cursor) open(scan bool) error {
-	c.t, c.lied = nil, false
-	if !scan {
-		size, err := c.f.Seek(0, io.SeekEnd)
-		if err != nil {
-			return err
-		}
-		c.t, _ = clog2.ReadTable(c.f, size) // why it has none is the scan's to find
-	}
-	if c.scanned = c.t == nil; c.scanned {
-		if _, err := c.f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		t, err := clog2.ScanTable(c.f)
-		if err != nil {
-			return fmt.Errorf("analyze: diff %s: %w", c.label, err)
-		}
-		c.t = t
-	}
-	slices.SortStableFunc(c.t.Blocks, func(a, b clog2.BlockMeta) int { return cmp.Compare(a.Rank, b.Rank) })
-	return nil
-}
-
-// rewind puts the cursor before rank 0's first block, with a reader and a
-// block buffer of its own: a rank's last stamp is held across its blocks
-// only.
-func (c *cursor) rewind() (err error) {
-	c.release()
-	c.next = 0
-	c.buf, c.back = clog2.LendBlockBuffer()
-	c.br, err = clog2.NewBlockReaderAt(c.f, int64(clog2.HeaderSize), c.t.NumRanks)
-	return err
-}
-
-// release gives the reader's decode buffer and the block buffer back to
-// their pools.
-func (c *cursor) release() {
-	if c.br != nil {
-		c.br.Release()
-		c.br = nil
-	}
-	if c.back != nil {
-		c.back()
-		c.buf, c.recs, c.back = nil, nil, nil
-	}
-}
-
-// op returns rank's next op, or nil once its blocks are read: events,
+// op returns the rank's next op, or nil once its blocks are read: events,
 // state transitions and message halves; definitions and timeshifts are
 // metadata and excluded. The op is the record with its times zeroed and
 // its cargo past CargoLen cleared, so two ops are the same op exactly when
 // they are ==. It is valid until the next call.
-func (c *cursor) op(rank int32) (*clog2.Record, error) {
+func (s *side) op() (*clog2.Record, error) {
 	for {
-		for len(c.recs) > 0 {
-			rec := &c.recs[0]
-			c.recs = c.recs[1:]
+		for len(s.recs) > 0 {
+			rec := &s.recs[0]
+			s.recs = s.recs[1:]
 			switch rec.Type {
 			case clog2.RecBareEvt, clog2.RecCargoEvt, clog2.RecMsgEvt:
 				rec.Time, rec.Shift = 0, 0
@@ -169,73 +106,32 @@ func (c *cursor) op(rank int32) (*clog2.Record, error) {
 				return rec, nil
 			}
 		}
-		if c.next == len(c.t.Blocks) || c.t.Blocks[c.next].Rank != rank {
+		b, err := s.c.Next()
+		if err == io.EOF {
 			return nil, nil
 		}
-		b, err := c.br.NextAt(c.buf[:0], clog2.MatchAll(), &c.t.Blocks[c.next])
 		if err != nil {
-			c.lied = !c.scanned && errors.Is(err, clog2.ErrCorrupt)
-			return nil, fmt.Errorf("analyze: diff %s: %w", c.label, err)
+			return nil, err
 		}
-		c.next++
-		c.buf, c.recs = b.Records[:0], b.Records
+		s.recs = b.Records
 	}
 }
 
-// differ diffs two logs rank against rank; sides are 0 = A, 1 = B.
+// differ diffs one rank of two logs; sides are 0 = A, 1 = B.
 type differ struct {
 	context int
-	sides   [2]*cursor
+	sides   [2]side
 	recent  []clog2.Record // ring of the rank's last matched ops: op i is in slot i mod context
-}
-
-// run diffs every rank of either log's header, from rank 0 on. A table
-// entry no rank reached lies about its rank.
-func (d *differ) run() (*DiffReport, error) {
-	rep := &DiffReport{Schema: DiffSchema, FileA: d.sides[0].label, FileB: d.sides[1].label, Divergences: []Divergence{}}
-	for _, c := range d.sides {
-		if err := c.rewind(); err != nil {
-			return nil, err
-		}
-	}
-	for rank := range int32(max(d.sides[0].t.NumRanks, d.sides[1].t.NumRanks)) {
-		dv, err := d.rank(rank)
-		if err != nil {
-			return nil, err
-		}
-		if dv != nil {
-			rep.Divergences = append(rep.Divergences, *dv)
-		}
-	}
-	for _, c := range d.sides {
-		if c.next < len(c.t.Blocks) {
-			c.lied = !c.scanned
-			return nil, fmt.Errorf("analyze: diff %s: %w: an entry of rank %d", c.label, clog2.ErrCorrupt, c.t.Blocks[c.next].Rank)
-		}
-	}
-	rep.Identical = len(rep.Divergences) == 0
-	if !rep.Identical {
-		// In rank order, so the earliest op ties to the smallest rank.
-		first := rep.Divergences[0]
-		for _, dv := range rep.Divergences[1:] {
-			if dv.Op < first.Op {
-				first = dv
-			}
-		}
-		rep.First = &first
-	}
-	return rep, nil
 }
 
 // rank compares the two sides' ops of rank in order and returns its first
 // divergence, nil when they agree.
 func (d *differ) rank(rank int32) (*Divergence, error) {
-	d.recent = d.recent[:0]
 	var ops [2]*clog2.Record
 	for i := 0; ; i++ {
-		for s, c := range d.sides {
+		for s := range d.sides {
 			var err error
-			if ops[s], err = c.op(rank); err != nil {
+			if ops[s], err = d.sides[s].op(); err != nil {
 				return nil, err
 			}
 		}
@@ -266,7 +162,7 @@ func (d *differ) diverge(rank int32, i int, ops [2]*clog2.Record) (*Divergence, 
 			}
 		}
 	}
-	for s, c := range d.sides {
+	for s := range d.sides {
 		sig, lines, n := &dv.A, &dv.ContextA, &dv.LenA
 		if s == 1 {
 			sig, lines, n = &dv.B, &dv.ContextB, &dv.LenB
@@ -284,7 +180,7 @@ func (d *differ) diverge(rank int32, i int, ops [2]*clog2.Record) (*Divergence, 
 				*lines = append(*lines, opLine(marker, *n, op))
 			}
 			var err error
-			if op, err = c.op(rank); err != nil {
+			if op, err = d.sides[s].op(); err != nil {
 				return nil, err
 			}
 		}
@@ -304,47 +200,74 @@ func signature(r *clog2.Record) string {
 		r.Type, r.ID, r.Aux1, r.Aux2, r.Aux3, r.Dir, r.Name, r.Color, r.CargoBytes())
 }
 
-// diffLogs diffs two logs rank against rank, a block of each at a time.
-// When a table that validated lies about a block, the diff starts again
-// with the table ScanTable makes of that log, as clog2.Walk falls back to
-// the scan. A log that cannot be read ends the diff with its error, under
-// its label.
-func diffLogs(fa, fb logFile, labelA, labelB string, opts DiffOptions) (*DiffReport, error) {
-	d := &differ{context: opts.withDefaults().Context, sides: [2]*cursor{{f: fa, label: labelA}, {f: fb, label: labelB}}}
-	for _, c := range d.sides {
-		defer c.release()
-		if err := c.open(false); err != nil {
-			return nil, err
+// diffLogs diffs two logs rank against rank, every rank of either
+// header, on up to workers workers: a per-rank walk of the two together
+// (clog2.WalkRanks), which reads each log through its block table and,
+// when a table that validated lies about a block, through the table
+// ScanTable makes of that log. A log that cannot be read ends the diff
+// with its error, under its label.
+func diffLogs(srcs [2]clog2.Source, labels [2]string, opts DiffOptions, workers int) (*DiffReport, error) {
+	context := opts.withDefaults().Context
+	var mu sync.Mutex
+	var divs []Divergence
+	_, err := clog2.WalkRanks(srcs[:], clog2.MatchAll(), workers, func(logs []*clog2.RankLog) (int, func(int, []*clog2.RankCursor) error) {
+		divs = nil
+		return max(logs[0].NumRanks, logs[1].NumRanks), func(i int, cs []*clog2.RankCursor) error {
+			d := differ{context: context}
+			for s, c := range cs {
+				c.Open(int32(i))
+				d.sides[s].c = c
+			}
+			dv, err := d.rank(int32(i))
+			if dv != nil {
+				mu.Lock()
+				divs = append(divs, *dv)
+				mu.Unlock()
+			}
+			return err
 		}
+	})
+	if le := (*clog2.LogError)(nil); errors.As(err, &le) {
+		return nil, fmt.Errorf("analyze: diff %s: %w", labels[le.Log], le.Err)
 	}
-	for {
-		rep, err := d.run()
-		if !d.sides[0].lied && !d.sides[1].lied {
-			return rep, err
-		}
-		for _, c := range d.sides {
-			if c.lied {
-				if err := c.open(true); err != nil {
-					return nil, err
-				}
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(divs, func(a, b Divergence) int { return cmp.Compare(a.Rank, b.Rank) })
+	rep := &DiffReport{Schema: DiffSchema, FileA: labels[0], FileB: labels[1], Divergences: divs, Identical: len(divs) == 0}
+	if rep.Divergences == nil {
+		rep.Divergences = []Divergence{}
+	}
+	if !rep.Identical {
+		// In rank order, so the earliest op ties to the smallest rank.
+		first := rep.Divergences[0]
+		for _, dv := range rep.Divergences[1:] {
+			if dv.Op < first.Op {
+				first = dv
 			}
 		}
+		rep.First = &first
 	}
+	return rep, nil
 }
 
-// DiffFiles diffs two CLOG-2 files.
+// DiffFiles diffs two CLOG-2 files rank against rank, on GOMAXPROCS
+// workers.
 func DiffFiles(pathA, pathB string, opts DiffOptions) (*DiffReport, error) {
-	fa, err := os.Open(pathA)
-	if err != nil {
-		return nil, err
+	var srcs [2]clog2.Source
+	for i, path := range []string{pathA, pathB} {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		info, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = clog2.Source{R: f, Size: info.Size()}
 	}
-	defer fa.Close()
-	fb, err := os.Open(pathB)
-	if err != nil {
-		return nil, err
-	}
-	defer fb.Close()
-	rep, err := diffLogs(fa, fb, pathA, pathB, opts)
+	rep, err := diffLogs(srcs, [2]string{pathA, pathB}, opts, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}

@@ -359,6 +359,38 @@ func TestAppendRejects(t *testing.T) {
 		}
 	}
 
+	// A Cut's lead longer than a block is held to the rule whole, and before
+	// the pages' first record, before its first block is written: a lead
+	// that breaks the rule in its second block, or one stamped after the
+	// pages, leaves 0 bytes written.
+	for _, c := range []struct {
+		name  string
+		lead  []Record
+		pages [][]byte
+		want  string
+	}{
+		{"a definition in the lead's second block", []Record{def, at(0, 1), def}, nil, defWant},
+		{"a lead stamped after the pages", []Record{def, at(0, 0.5), at(0, 2)}, [][]byte{page0},
+			"clog2: a BareEvt record of rank 0 stamped 1, before its rank's 2"},
+	} {
+		w, err := NewWriter(&bytes.Buffer{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := NewCut(0, 2, 2, c.lead)
+		for _, p := range c.pages {
+			if err := cut.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.WriteCut(cut); err == nil || err.Error() != c.want {
+			t.Errorf("%s: WriteCut gives %v, want %s", c.name, err, c.want)
+		}
+		if w.Offset() != int64(HeaderSize) {
+			t.Errorf("%s: WriteCut wrote %d bytes of a Cut it refused", c.name, w.Offset()-int64(HeaderSize))
+		}
+	}
+
 	// A block holds at most MaxBlockRecords records, whatever its rank: a
 	// bigger one is refused with dst as it was, a full one is written.
 	w, err := NewWriter(io.Discard, MaxRanks)

@@ -2,6 +2,7 @@ package clog2
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"strconv"
 )
@@ -74,13 +75,27 @@ func (e *Etypes) Classify(etype int32) (kind EtypeKind, id int32) {
 	return EtypeEnd, etype / 2
 }
 
-// nameOf is the name a StateDef gave state id, else "state id".
-func (e *Etypes) nameOf(id int32) string {
+// NewEtypes reads defs, a log's definitions in file order, as Define does
+// one at a time.
+func NewEtypes(defs []Record) *Etypes {
+	e := &Etypes{}
+	for i := range defs {
+		e.Define(&defs[i])
+	}
+	return e
+}
+
+// StateName is the name a StateDef gave state id, else "state id".
+// Definitions lead the log, so a state's name is the same at every close.
+func (e *Etypes) StateName(id int32) string {
 	if name, ok := e.stateName[id]; ok {
 		return name
 	}
 	return "state " + strconv.Itoa(int(id))
 }
+
+// EventName is the name an EventDef gave a solo etype, "" if none.
+func (e *Etypes) EventName(etype int32) string { return e.eventName[etype] }
 
 // Stack is one rank's open states, innermost last: a start pushes, and an
 // end closes the innermost open state whichever state it names.
@@ -185,6 +200,23 @@ func (q *queues) get(k MsgKey) []MsgHalf {
 	return nil
 }
 
+// Join moves o's halves into m, leaving o empty: o holds what a walk of one
+// rank filed, m what the walks of other ranks did. A key's sends are its
+// Src's and its receives its Dst's, so no queue is filled from two ranks
+// and the queues join as they are, each in its rank's time order.
+func (m *Messages) Join(o *Messages) {
+	m.sends.join(&o.sends)
+	m.recvs.join(&o.recvs)
+}
+
+func (q *queues) join(o *queues) {
+	if q.byKey == nil {
+		q.byKey = map[MsgKey]*[]MsgHalf{}
+	}
+	maps.Copy(q.byKey, o.byKey)
+	*o = queues{}
+}
+
 // Match pairs message halves first in, first out per key, in time order:
 // the i-th send of a key with its i-th receive. It walks the keys in
 // (Src, Dst, Tag) order and hands visit each key's sends and receives in
@@ -213,43 +245,47 @@ func (m *Messages) Match(visit func(k MsgKey, sends, recvs []MsgHalf)) {
 	}
 }
 
-// Fold is the one reading of a merged CLOG-2 stream that the post-run
-// tools share: which records count, which rank they belong to, and how
-// a rank's state starts and ends pair up. A consumer feeds records to
-// Add in file order and switches on the Step it returns; what it keeps
-// per rank it keeps in a slice indexed by FoldRank.Index. The profile,
-// the verdict and the converter are its observers (DESIGN §4).
+// Fold is the one reading of a rank's records that the post-run tools
+// share: which records count and how the rank's state starts and ends pair
+// up. A block holds one rank's records in time order (Block), so a rank
+// folds on its own: a per-rank walk (EachRank) hands each rank's blocks to
+// a Fold of its own, the rank's records in file order, and a consumer
+// switches on the Step Add returns and merges its ranks in rank order
+// after the walk. The profile, the verdict and the converter are its
+// observers (DESIGN §4).
 //
 // The policy, in full:
 //
-//   - Definitions are absorbed (Etypes.Define). They lead the log (Block):
-//     the reader refuses one after a timed record, so each is absorbed
-//     before the first record that names it. Definitions, constants and
-//     the block and log markers are never counted.
+//   - Definitions are the walk's: they lead the log (Block), and the walk
+//     decodes them once, before any rank's first record, into the Etypes
+//     every rank's Fold reads. Add counts no definition, constant or
+//     marker (StepSkip).
 //   - Every other record is counted. A window is the reader's to cut
 //     (Query, NextIn): a record it drops touches no count, no wall span
 //     and no stack, so a state that opened before the window and ends
 //     inside it is an orphan end, and one that opens inside and ends
 //     after it contributes nothing. The reader has held every stamp to be
-//     finite and each rank's to be in time order (Block).
-//   - A counted record adds one to its rank's Records and is the rank's
-//     Last; its first is the rank's First. Ranks exist by first
-//     appearance; the header's rank count sizes nothing.
+//     finite and the rank's to be in time order (Block).
+//   - A counted record adds one to Records and is the rank's Last; its
+//     first is the rank's First.
 //   - A message half is StepMsg. A time shift (and any record type this
 //     list does not name) is StepShift: counted, and nothing else.
 //   - A bare or cargo event is what Etypes.Classify makes of its etype:
 //     StepSolo, or a state start or end.
-//   - A start pushes onto its rank's Stack (StepOpen). An end closes the
-//     innermost open state of its rank, whichever state it names
-//     (StepClose); the occurrence takes its ID from the end record (its
-//     name is StateName's) and its Start from the popped entry (Popped).
+//   - A start pushes onto the rank's Stack (StepOpen). An end closes the
+//     innermost open state, whichever state it names (StepClose); the
+//     occurrence takes its ID from the end record (its name is
+//     Etypes.StateName's) and its Start from the popped entry (Popped).
 //   - An end with nothing open is counted in Unpaired and otherwise
 //     ignored (StepOrphan).
-//   - States still open when the stream ends contribute nothing; each
-//     rank's are FoldRank.Open.
+//   - States still open when the rank's records end contribute nothing;
+//     they are Open.
 type Fold struct {
-	// Rank is the rank of the record Add last counted.
-	Rank *FoldRank
+	// Rank is the rank folded. Records counts its counted records; First
+	// and Last are the first and the last of their timestamps.
+	Rank        int32
+	Records     int64
+	First, Last float64
 	// Closed is the occurrence the last StepClose closed, and Popped the
 	// open state it popped: the state its start named (an end that names
 	// another closes it all the same) and the Ref SetRef gave it. After a
@@ -259,9 +295,8 @@ type Fold struct {
 	// Unpaired counts the orphan ends seen so far.
 	Unpaired int64
 
-	etypes Etypes
-	byRank map[int32]*FoldRank
-	ranks  []*FoldRank
+	etypes *Etypes
+	stack  Stack
 }
 
 // Step says what Add made of a record.
@@ -284,66 +319,35 @@ type Occurrence struct {
 	Dur, Self  float64
 }
 
-// FoldRank is one rank's share of the fold.
-type FoldRank struct {
-	Rank int32
-	// Index numbers the ranks densely in order of first appearance.
-	Index int
-	// Records counts the rank's counted records; First and Last are the
-	// first and the last of their timestamps, which the reader puts in
-	// time order.
-	Records     int64
-	First, Last float64
-
-	stack Stack
+// NewFold returns an empty fold of rank's records, which reads their
+// etypes through e. Folds of the same log share e: nothing writes it once
+// the walk has begun.
+func NewFold(e *Etypes, rank int32) *Fold {
+	return &Fold{Rank: rank, etypes: e}
 }
-
-// NewFold returns an empty fold.
-func NewFold() *Fold {
-	return &Fold{byRank: map[int32]*FoldRank{}}
-}
-
-// Ranks returns the ranks seen so far, in Index order.
-func (f *Fold) Ranks() []*FoldRank { return f.ranks }
 
 // SetRef sets the Ref of the state the last StepOpen pushed.
 func (f *Fold) SetRef(ref uint64) {
-	open := f.Rank.stack.open
+	open := f.stack.open
 	open[len(open)-1].Ref = ref
 }
 
 // Open returns the rank's states still open, outermost first: once the
-// stream has ended, those that never closed.
-func (r *FoldRank) Open() []Opened { return r.stack.open }
+// rank's records have ended, those that never closed.
+func (f *Fold) Open() []Opened { return f.stack.open }
 
-// StateName returns the name a StateDef gave state id, else "state id".
-// Definitions lead the log, so a state's name is the same at every close.
-func (f *Fold) StateName(id int32) string { return f.etypes.nameOf(id) }
-
-// EventName returns the name an EventDef gave a solo etype, "" if none.
-func (f *Fold) EventName(etype int32) string { return f.etypes.eventName[etype] }
-
-// Add folds one record in.
+// Add folds one of the rank's records in.
 func (f *Fold) Add(rec *Record) Step {
-	if f.etypes.Define(rec) {
-		return StepSkip
-	}
-	switch rec.Type {
-	case RecConstDef, RecEndBlock, RecEndLog:
+	switch {
+	case rec.Type.IsDef(), rec.Type == RecEndBlock, rec.Type == RecEndLog:
 		return StepSkip
 	}
 	t := rec.Time
-	r := f.Rank
-	if r == nil || r.Rank != rec.Rank {
-		if r = f.byRank[rec.Rank]; r == nil {
-			r = &FoldRank{Rank: rec.Rank, Index: len(f.ranks), First: t}
-			f.byRank[rec.Rank] = r
-			f.ranks = append(f.ranks, r)
-		}
-		f.Rank = r
+	if f.Records == 0 {
+		f.First = t
 	}
-	r.Records++
-	r.Last = t
+	f.Records++
+	f.Last = t
 
 	switch rec.Type {
 	case RecMsgEvt:
@@ -356,10 +360,10 @@ func (f *Fold) Add(rec *Record) Step {
 	case EtypeSolo:
 		return StepSolo
 	case EtypeStart:
-		r.stack.Push(id, t, 0)
+		f.stack.Push(id, t, 0)
 		return StepOpen
 	default:
-		top, occ, ok := r.stack.Close(id, t)
+		top, occ, ok := f.stack.Close(id, t)
 		if !ok {
 			f.Unpaired++
 			f.Closed = Occurrence{ID: id, End: t}

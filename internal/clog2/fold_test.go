@@ -33,26 +33,40 @@ type named struct {
 	Dur, Self  float64
 }
 
+// runFold folds recs as a per-rank walk does: the definitions they lead
+// with are the Etypes every rank reads, and each rank's records go to a
+// Fold of its own, in order. Ranks are listed in order of first appearance.
 func runFold(recs []Record) foldResult {
-	f := NewFold()
+	n := 0
+	for n < len(recs) && recs[n].Type.IsDef() {
+		n++
+	}
+	e := NewEtypes(recs[:n])
 	var res foldResult
-	for i := range recs {
+	var folds []*Fold
+	byRank := map[int32]*Fold{}
+	for i := range recs[:n] {
+		res.steps = append(res.steps, NewFold(e, 0).Add(&recs[i]))
+	}
+	for i := n; i < len(recs); i++ {
+		f := byRank[recs[i].Rank]
+		if f == nil {
+			f = NewFold(e, recs[i].Rank)
+			byRank[f.Rank] = f
+			folds = append(folds, f)
+		}
 		step := f.Add(&recs[i])
 		res.steps = append(res.steps, step)
 		if step == StepClose {
 			o := f.Closed
-			res.closed = append(res.closed, named{o.ID, f.StateName(o.ID), o.Start, o.End, o.Dur, o.Self})
-		}
-		if step != StepSkip && f.Rank.Rank != recs[i].Rank {
-			panic("Fold.Rank is not the counted record's rank")
+			res.closed = append(res.closed, named{o.ID, e.StateName(o.ID), o.Start, o.End, o.Dur, o.Self})
 		}
 	}
-	res.unpaired = f.Unpaired
-	for i, r := range f.Ranks() {
-		if r.Index != i {
-			panic("FoldRank.Index is not dense in order of first appearance")
+	for _, f := range folds {
+		res.unpaired += f.Unpaired
+		if f.Records > 0 {
+			res.ranks = append(res.ranks, [4]float64{float64(f.Rank), float64(f.Records), f.First, f.Last})
 		}
-		res.ranks = append(res.ranks, [4]float64{float64(r.Rank), float64(r.Records), r.First, r.Last})
 	}
 	return res
 }
@@ -237,12 +251,11 @@ func TestFold(t *testing.T) {
 }
 
 func TestFoldNamesSoloEvents(t *testing.T) {
-	f := NewFold()
-	f.Add(&Record{Type: RecEventDef, ID: SoloBase + 1, Name: "FaultInjected"})
-	if got := f.EventName(SoloBase + 1); got != "FaultInjected" {
+	e := NewEtypes([]Record{{Type: RecEventDef, ID: SoloBase + 1, Name: "FaultInjected"}})
+	if got := e.EventName(SoloBase + 1); got != "FaultInjected" {
 		t.Fatalf("EventName = %q", got)
 	}
-	if got := f.EventName(SoloBase + 2); got != "" {
+	if got := e.EventName(SoloBase + 2); got != "" {
 		t.Fatalf("EventName of an undefined etype = %q", got)
 	}
 }

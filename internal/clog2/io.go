@@ -202,8 +202,32 @@ func (c *Cut) Add(page []byte) error {
 // Records counts the records of the pages added.
 func (c *Cut) Records() int { return c.records }
 
-// WriteCut writes c's blocks, its lead records first.
+// WriteCut writes c's blocks, its lead records first. The lead is held to
+// the rule of a block whole, after the rank's blocks before it and before
+// the pages' first record, before a block of it is written, as Add holds
+// each page before WriteCut: a Cut the Writer refuses leaves nothing of
+// itself written.
 func (w *Writer) WriteCut(c *Cut) error {
+	if err := w.writable(); err != nil {
+		return err
+	}
+	if err := checkRank(c.rank, w.table.NumRanks); err != nil {
+		return err
+	}
+	last, ok := w.last[c.rank]
+	if !ok {
+		last = noStamp
+	}
+	m := newBlockMeta(c.rank, 0)
+	if err := m.addRecords(c.lead, w.table.NumRanks, &last, w.timed); err != nil {
+		return err
+	}
+	if len(c.pieces) > 0 {
+		first := c.pieces[0]
+		if at := leF64(first[1:]); !inOrder(at, last) {
+			return stampError(RecType(first[0]), c.rank, at, last)
+		}
+	}
 	lead, start := c.lead, 0
 	for ; len(lead) > c.perBlock; lead = lead[c.perBlock:] {
 		if err := w.WriteBlock(c.rank, lead[:c.perBlock]); err != nil {
@@ -435,8 +459,10 @@ type BlockReader struct {
 	// rs is the underlying seekable source when the reader was opened via
 	// NewBlockReaderAt; nil for plain streams (SeekTo then fails).
 	rs io.ReadSeeker
-	// lastStart/lastEnd are what BlockBounds reports.
+	// lastStart/lastEnd are what BlockBounds reports, and lastDefs counts
+	// the definitions of that block, kept or not (NextAt checks it).
 	lastStart, lastEnd int64
+	lastDefs           int32
 }
 
 // NewBlockReader reads the file header from r and returns a streaming
@@ -493,12 +519,19 @@ func NewBlockReaderAt(rs io.ReadSeeker, offset int64, numRanks int) (*BlockReade
 	if _, err := rs.Seek(offset, io.SeekStart); err != nil {
 		return nil, err
 	}
+	return readerAt(rs, offset, numRanks), nil
+}
+
+// readerAt is NewBlockReaderAt without its checks, over rs standing at
+// offset: for a caller whose numRanks a header or table held, and which
+// seeks to a block before it reads one (NextAt).
+func readerAt(rs io.ReadSeeker, offset int64, numRanks int) *BlockReader {
 	return &BlockReader{
 		d:        decoder{src: rs, buf: decodePool.Get().(*[decodeBufSize]byte)[:], base: offset},
 		numRanks: numRanks,
 		rs:       rs,
 		last:     map[int32]float64{},
-	}, nil
+	}
 }
 
 // SeekTo repositions the reader at a block-start offset, discarding any
@@ -517,12 +550,20 @@ func (br *BlockReader) SeekTo(offset int64) error {
 		return err
 	}
 	if offset < br.d.offset() {
-		clear(br.last)
-		br.timed = false
+		br.forget()
 	}
 	br.d = decoder{src: br.rs, buf: br.d.buf, base: offset}
 	br.done = false
 	return nil
+}
+
+// forget drops what the reader holds of the blocks it has read (each
+// rank's last stamp, whether a timed record came), as a backward seek
+// does: for a reader that goes on to another rank's blocks of the same
+// log, read on their own (EachRank).
+func (br *BlockReader) forget() {
+	clear(br.last)
+	br.timed = false
 }
 
 // NumRanks returns the rank count from the file header.
@@ -582,7 +623,7 @@ func (br *BlockReader) NextIn(buf []Record, q Query) (b Block, n int32, err erro
 			t0, t1 = math.Inf(1), math.Inf(-1) // no stamp is inside
 		}
 		timed := br.timed
-		if b.Records, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, q.IncludeDefs, &last, &timed); err == nil {
+		if b.Records, br.lastDefs, err = d.readBlock(buf, rank, n, br.numRanks, t0, t1, q.IncludeDefs, &last, &timed); err == nil {
 			br.last[rank], br.timed = last, timed
 		}
 	}
@@ -609,19 +650,10 @@ func (br *BlockReader) Release() {
 	*br = BlockReader{numRanks: br.numRanks, done: true}
 }
 
-// blockPool holds the block buffers Each and Walk decode into: a block's
-// worth of records, 480 KiB, that a walk would otherwise allocate and
-// clear each time.
+// blockPool holds the block buffers Each, Walk and the per-rank walk's
+// cursors decode into: a block's worth of records, 480 KiB, that a walk
+// would otherwise allocate and clear each time.
 var blockPool = sync.Pool{New: func() any { return new([MaxBlockRecords]Record) }}
-
-// LendBlockBuffer lends a buffer from the pool Each and Walk decode into,
-// room for a block of MaxBlockRecords records, to a caller that pulls its
-// own blocks (NextAt into buf[:0]); giveBack returns it once no record of
-// it is held.
-func LendBlockBuffer() (buf []Record, giveBack func()) {
-	b := blockPool.Get().(*[MaxBlockRecords]Record)
-	return b[:0], func() { blockPool.Put(b) }
-}
 
 // Each walks every remaining block of the stream, in file order, and
 // returns nil after the end-log marker, the one clean end of a log: fn
@@ -758,16 +790,16 @@ func (d *decoder) blockHeader(numRanks int) (rank, n int32, err error) {
 
 // readBlock decodes the n records a block header declared into buf's
 // backing array, or a new one of n records when buf has no room for them,
-// then the end-block marker, and returns them. *last is the rank's last
-// stamp and *timed whether the log has had a timed record, before the block
-// and then after it. It keeps the timed records stamped inside [t0, t1],
+// then the end-block marker, and returns them and how many of the n are
+// definitions. *last is the rank's last stamp and *timed whether the log
+// has had a timed record, before the block and then after it. It keeps the timed records stamped inside [t0, t1],
 // and the definitions when defs: a timed record outside is stepped over
 // when its fixed layout is buffered whole, and any record it does not keep
 // is dropped after readRecord otherwise. A timed record stamped out of
 // order (inOrder) and a definition after a timed record, kept or not, and a
 // record it keeps that breaks the rule (keepsRule) fail the block.
-func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64, defs bool, last *float64, timed *bool) ([]Record, error) {
-	recs := buf[:0]
+func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 float64, defs bool, last *float64, timed *bool) (recs []Record, ndefs int32, err error) {
+	recs = buf[:0]
 	if cap(recs) < int(n) || recs == nil {
 		recs = make([]Record, 0, n)
 	}
@@ -778,7 +810,7 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 			if t := leF64(b[1:]); t < t0 || t > t1 {
 				if size := TimedSize(b); size > 0 {
 					if !inOrder(t, *last) {
-						return nil, stampError(RecType(b[0]), rank, t, *last)
+						return nil, 0, stampError(RecType(b[0]), rank, t, *last)
 					}
 					*last, *timed = t, true
 					d.r += size
@@ -789,16 +821,17 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 		recs = recs[:len(recs)+1]
 		r := &recs[len(recs)-1]
 		if err := d.readRecord(r); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		keep := defs
 		if r.Type.IsDef() {
 			if *timed {
-				return nil, defError(r.Type)
+				return nil, 0, defError(r.Type)
 			}
+			ndefs++
 		} else {
 			if !inOrder(r.Time, *last) {
-				return nil, stampError(r.Type, rank, r.Time, *last)
+				return nil, 0, stampError(r.Type, rank, r.Time, *last)
 			}
 			*last, *timed = r.Time, true
 			keep = r.Time >= t0 && r.Time <= t1
@@ -808,13 +841,13 @@ func (d *decoder) readBlock(buf []Record, rank, n int32, numRanks int, t0, t1 fl
 			continue
 		}
 		if !keepsRule(r.Type, r.Rank, r.Aux1, rank, numRanks) {
-			return nil, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
+			return nil, 0, recordError(r.Type, r.Rank, r.Aux1, rank, numRanks)
 		}
 	}
 	if t := RecType(d.getByte()); d.err == nil && t != RecEndBlock {
-		return nil, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
+		return nil, 0, fmt.Errorf("clog2: block for rank %d not terminated (got %v)", rank, t)
 	}
-	return recs, d.err
+	return recs, ndefs, d.err
 }
 
 // readRecord decodes one record into *r, overwriting every field.

@@ -189,7 +189,7 @@ func DecodeBlockPayload(data []byte, rank int32) (Block, error) {
 		return Block{}, fmt.Errorf("clog2: a block payload of rank %d, not %d", got, rank)
 	}
 	last, timed := noStamp, false
-	recs, err := d.readBlock(nil, rank, n, MaxRanks, math.Inf(-1), math.Inf(1), true, &last, &timed)
+	recs, _, err := d.readBlock(nil, rank, n, MaxRanks, math.Inf(-1), math.Inf(1), true, &last, &timed)
 	if err != nil {
 		return Block{}, err
 	}

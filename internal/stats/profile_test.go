@@ -278,21 +278,28 @@ func TestComputeProfileBadInput(t *testing.T) {
 	}
 }
 
-// The fold numbers ranks by first appearance; the profile still lists
-// them by rank id, and a rank whose only record opened a state (so the
-// observer never touched it) keeps its record count and span.
+// Each rank folds on its own and the profile merges them as the walk hands
+// them over, in rank order: a rank whose only record opened a state (so
+// its observer saw nothing) keeps its record count and span, and a rank
+// that counted no record (a window cut all of its blocks) has no row.
 func TestProfileRanksSortedWhateverTheFoldOrder(t *testing.T) {
-	fold := clog2.NewFold()
-	pp := NewProfiler(fold, 4, math.Inf(-1), math.Inf(1))
-	for _, rec := range []clog2.Record{
-		bare(3, 1.0, clog2.SoloBase+1),
-		msg(1, 2.0, clog2.DirSend, 3, 7, 64),
-		bare(3, 4.0, clog2.SoloBase+1),
-		bare(2, 3.0, 2),
+	e := clog2.NewEtypes(nil)
+	pp := NewProfiler(e, 4, math.Inf(-1), math.Inf(1))
+	var ranks []*RankProfiler
+	for _, recs := range [][]clog2.Record{
+		{msg(1, 2.0, clog2.DirSend, 3, 7, 64)},
+		{bare(2, 3.0, 2)},
+		{bare(3, 1.0, clog2.SoloBase+1), bare(3, 4.0, clog2.SoloBase+1)},
+		nil,
 	} {
-		pp.Observe(fold.Add(&rec), &rec)
+		rank := int32(len(ranks) + 1)
+		rp := pp.Rank(clog2.NewFold(e, rank))
+		if err := rp.Visit(clog2.Block{Rank: rank, Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+		ranks = append(ranks, rp)
 	}
-	p := pp.Profile()
+	p := pp.Profile(ranks)
 	want := []RankProfile{
 		{Rank: 1, Records: 1, Sends: 1, SendBytes: 64},
 		{Rank: 2, Records: 1},
