@@ -21,8 +21,9 @@ import (
 // more, a reader refuses a header that declares more), so a reader that
 // holds a block holds 480 KiB of records at most: over a log of 100 full
 // blocks (409 600 records, 47 MiB as []clog2.Record), a scan for the block
-// table, the profile, the verdict, a 0.5 % window through the table and the
-// diff of the log against itself each stay under 4 MB.
+// table, the profile, the verdict of the file and of a stream, a 0.5 %
+// window through the table and the diff of the log against itself each
+// stay under 4 MB.
 //
 // A window through the table, once the pools are warm, allocates what it
 // keeps: over a log of 200 blocks of 2 048 records a 1 % window stays under
@@ -122,6 +123,13 @@ func TestBigBlockReadersAllocateBounded(t *testing.T) {
 				return 0, errors.New("the log differs from itself")
 			}
 			return 1, nil
+		}},
+		{"analyze.AnalyzeFile", whole, func() (int64, error) {
+			rep, err := analyze.AnalyzeFile(path, analyze.Options{})
+			if err != nil {
+				return 0, err
+			}
+			return rep.Records, nil
 		}},
 		{"analyze.Analyze", whole, func() (int64, error) {
 			f, err := os.Open(path)

@@ -71,8 +71,8 @@ func depthOf(fr *Frame) int {
 	return 1 + max(depthOf(fr.Left), depthOf(fr.Right))
 }
 
-// The tentpole guarantee: parallel conversion output is byte-identical to
-// sequential output, including warning order, at every worker count: on
+// Parallel conversion output is byte-identical to sequential output,
+// including warning order, at every worker count and as a stream: on
 // messy logs, and on one whose frame tree is deep enough that the builder
 // hands subtrees below its first block of levels to spare workers.
 func TestConvertParallelByteIdentical(t *testing.T) {
@@ -95,9 +95,15 @@ func TestConvertParallelByteIdentical(t *testing.T) {
 			t.Fatalf("the deep log's tree is %d levels deep, want %d or more", depthOf(ref.Root), 2*blockDepth)
 		}
 		refBytes := encodeSLOG(t, ref)
-		for workers := 1; workers <= 8; workers++ {
+		for workers := 0; workers <= 8; workers++ {
 			c.opts.Workers = workers
-			got, gotRep, err := convert(c.log, c.opts)
+			var got *File
+			var gotRep *Report
+			if workers == 0 { // as a stream, in one pass
+				got, gotRep, err = ConvertReader(bytes.NewReader(c.log), c.opts)
+			} else {
+				got, gotRep, err = convert(c.log, c.opts)
+			}
 			if err != nil {
 				t.Fatalf("log %d workers %d: %v", i, workers, err)
 			}
@@ -550,8 +556,11 @@ func TestConvertRefusesOutOfRangeRanks(t *testing.T) {
 		raw := clog2.AppendBlockHeader(slices.Clone(data[:tab.LogSize()-1]), c.rank, 1)
 		raw, _ = clog2.AppendRecord(raw, &c.rec)
 		raw = append(raw, byte(clog2.RecEndBlock), byte(clog2.RecEndLog))
+		if _, _, err := ConvertReader(bytes.NewReader(raw), ConvertOptions{}); err == nil || err.Error() != c.want {
+			t.Errorf("a stream: converting a block of rank %d holding %+v: %v, want %s", c.rank, c.rec, err, c.want)
+		}
 		for _, workers := range []int{1, 4} {
-			if _, _, err := ConvertReader(bytes.NewReader(raw), ConvertOptions{Workers: workers}); err == nil || err.Error() != c.want {
+			if _, _, err := convert(raw, ConvertOptions{Workers: workers}); err == nil || err.Error() != c.want {
 				t.Errorf("workers %d: converting a block of rank %d holding %+v: %v, want %s", workers, c.rank, c.rec, err, c.want)
 			}
 		}

@@ -108,9 +108,10 @@ func rawLog(nranks int, blocks ...clog2.Block) []byte {
 	return append(log, byte(clog2.RecEndLog))
 }
 
-// convert is ConvertReader over an encoded log.
+// convert converts an encoded log as a file is converted: rank by rank
+// through its block table, on opts.Workers workers.
 func convert(log []byte, opts ConvertOptions) (*File, *Report, error) {
-	return ConvertReader(bytes.NewReader(log), opts)
+	return ConvertInput(clog2.TableInput(clog2.Source{R: bytes.NewReader(log), Size: int64(len(log))}), opts)
 }
 
 func TestConvertBasicStatesAndArrow(t *testing.T) {

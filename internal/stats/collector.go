@@ -431,6 +431,13 @@ func (h *hist) snapshot() HistSnapshot {
 // mergeHists folds per-rank snapshots of the same histogram into one.
 func mergeHists(hs []HistSnapshot) HistSnapshot {
 	out := HistSnapshot{Min: math.MaxInt64}
+	n := 0
+	for _, h := range hs {
+		n = max(n, len(h.Buckets))
+	}
+	if n > 0 {
+		out.Buckets = make([]int64, n)
+	}
 	for _, h := range hs {
 		if h.Count == 0 {
 			continue
@@ -444,9 +451,6 @@ func mergeHists(hs []HistSnapshot) HistSnapshot {
 			out.Min = h.Min
 		}
 		for i, n := range h.Buckets {
-			for len(out.Buckets) <= i {
-				out.Buckets = append(out.Buckets, 0)
-			}
 			out.Buckets[i] += n
 		}
 	}
