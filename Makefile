@@ -158,31 +158,32 @@ lines:
 # written and nothing compared (the committed numbers are bench/'s, see
 # BENCHMARK.json). The parallel CLOG-2 -> SLOG-2 pipeline at several
 # worker counts, the bare CLOG-2 scan (MB/s), the fold under the profile
-# (MB/s, next to the scan's) and the converter (B/op), both at -cpu 1,2, on a
-# 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000 state
-# pairs, and 2 of 100 000: a rank's block in megabytes) and the record
-# encoder under it; the SLOG-2 codec both ways on a synthesized file of
-# 200 000 drawables with cargo (MB/s, allocs/op: one to write, under four
-# a frame to read); what a pilot-serve tile-cache miss costs (render +
-# ETag + gzip, MB/s and B/op), the full-span tile of 100 000 drawables
-# over 8 ranks as SVG and as JSON (render alone, MB/s and B/op), the
-# gzip encoder alone over the golden tiles, against compress/gzip at
-# BestSpeed, and over one large SVG and one large JSON tile (MB/s,
-# ratio), and one JSON tile time against strconv; a 1 % windowed
-# profile through the block table (records decoded and stepped over an
-# op), at -cpu 1,2; and the three rows bench/ does not measure yet: a
-# state pair written through to the spill, one live-metrics observation
-# with the collector on and off, and a raw
-# round trip per rank substrate (in-process, unix socket, TCP; the last
-# two spawn the test binary as rank 1); a call-site location both ways
-# (frame chain, runtime.Callers); last, the layer-knockout rows of a Pilot
-# round trip (check level, MPE log, spill), at a fixed count because a
-# logged row keeps its log in memory. bench-smoke runs every one of them once
+# (MB/s, next to the scan's) and the converter (B/op), both at -cpu 1,2,
+# on a 500 000-record log, plus the MPE wrap-up merge (8 ranks of 1000
+# state pairs, and 2 of 100 000: a rank's block in megabytes) and the
+# record encoder under it; the thumbnail demo's codec on one 192×128 image
+# (Synthetic, Encode at quality 75, Decode); the SLOG-2 codec both ways on
+# a synthesized file of 200 000 drawables with cargo (MB/s, allocs/op: one
+# to write, under four a frame to read); what a pilot-serve tile-cache
+# miss costs (render + ETag + gzip, MB/s and B/op), the full-span tile of
+# 100 000 drawables over 8 ranks as SVG and as JSON (render alone, MB/s
+# and B/op), the gzip encoder alone over the golden tiles, against
+# compress/gzip at BestSpeed, and over one large SVG and one large JSON
+# tile (MB/s, ratio), and one JSON tile time against strconv; a 1 %
+# windowed profile through the block table (records decoded and stepped
+# over an op), at -cpu 1,2; and the three rows bench/ does not measure
+# yet: a state pair written through to the spill, one live-metrics
+# observation with the collector on and off, and a raw round trip per rank
+# substrate (in-process, unix socket, TCP; the last two spawn the test
+# binary as rank 1); a call-site location both ways (frame chain,
+# runtime.Callers); last, the layer-knockout rows of a Pilot round trip
+# (check level, MPE log, spill), at a fixed count because a logged row
+# keeps its log in memory. bench-smoke runs every one of them once
 # (-benchtime 1x), so a benchmark whose body fails at run time fails
 # `make ci` instead of rotting.
 bench-smoke: BENCHTIME = -benchtime 1x
 bench bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG' -benchmem $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkConvertParallel|BenchmarkBlockReaderScan|BenchmarkMPE_FinishMerge|BenchmarkF1_ConvertCLOGToSLOG|BenchmarkJpeglite' -benchmem $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkFoldProfile|BenchmarkConvertReader' -cpu 1,2 -benchmem $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendRecord' -benchmem $(BENCHTIME) ./internal/clog2/
 	$(GO) test -run '^$$' -bench 'BenchmarkWrite|BenchmarkRead' -benchmem $(BENCHTIME) ./internal/slog2/
@@ -210,6 +211,7 @@ fuzz:
 	$(GO) test ./internal/jumpshot/ -fuzz FuzzAppendFixed -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve/ -fuzz FuzzGzip -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve/ -fuzz FuzzTileFloat -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/jpeglite/ -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 100x
 
 # CI fuzz smoke: 5 seconds of coverage-guided fuzzing per target. Go only
 # accepts one -fuzz target per invocation, hence one line per target.
@@ -223,6 +225,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFixed$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/jumpshot/
 	$(GO) test -run '^$$' -fuzz '^FuzzGzip$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzTileFloat$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/jpeglite/
 
 # The kill/corrupt chaos harness: a real example under RobustLog is
 # SIGKILLed at seeded points, its spill files further damaged, and every

@@ -563,6 +563,13 @@ func BenchmarkChannelRoundTrip(b *testing.B) {
 	}
 }
 
+func BenchmarkJpegliteSynthetic(b *testing.B) {
+	b.SetBytes(192 * 128)
+	for i := 0; i < b.N; i++ {
+		jpeglite.Synthetic(192, 128, int64(i))
+	}
+}
+
 func BenchmarkJpegliteEncode(b *testing.B) {
 	im := jpeglite.Synthetic(192, 128, 1)
 	b.SetBytes(int64(len(im.Pix)))

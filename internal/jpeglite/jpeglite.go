@@ -33,16 +33,40 @@ func (im *Image) At(x, y int) byte { return im.Pix[y*im.W+x] }
 // Set writes the pixel at (x, y).
 func (im *Image) Set(x, y int, v byte) { im.Pix[y*im.W+x] = v }
 
+// synthStack bounds the column and diagonal terms Synthetic keeps on the
+// stack (w + (w+h) of them: 512 at the demo's 192×128); a larger image
+// takes them from the heap.
+const synthStack = 1024
+
 // Synthetic generates a deterministic test image: a gradient plus
 // sinusoidal texture plus hash noise, varied by seed so every "photo" in a
 // batch differs.
 func Synthetic(w, h int, seed int64) *Image {
 	im := NewImage(w, h)
 	fs := float64(seed%97) + 3
+	// Each texture term depends on x, y or x+y alone, so it is computed
+	// once a column (sx), once a row (cy) and once a diagonal d = x+y (sd)
+	// and added per pixel in the order a per-pixel evaluation adds it.
+	// Every product is rounded where it is made (float64(...)), so no
+	// GOARCH fuses it into the sum that follows.
+	var stack [synthStack]float64
+	terms := stack[:]
+	if n := w + w + h; n > len(terms) {
+		terms = make([]float64, n)
+	}
+	sx, sd := terms[:w], terms[w:w+w+h]
+	for x := range sx {
+		sx[x] = float64(60 * math.Sin(float64(x)/fs))
+	}
+	for d := range sd {
+		sd[d] = float64(40 * math.Sin(float64(d)/23))
+	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			g := 128 + 60*math.Sin(float64(x)/fs) + 50*math.Cos(float64(y)/(fs*0.7))
-			g += 40 * math.Sin(float64(x+y)/23)
+		cy := float64(50 * math.Cos(float64(y)/(fs*0.7)))
+		row, diag := im.Pix[y*w:(y+1)*w], sd[y:y+w]
+		for x := range row {
+			g := 128 + sx[x] + cy
+			g += diag[x]
 			n := hash2(uint64(x)+uint64(seed)<<20, uint64(y)) % 17
 			v := g + float64(n) - 8
 			if v < 0 {
@@ -51,7 +75,7 @@ func Synthetic(w, h int, seed int64) *Image {
 			if v > 255 {
 				v = 255
 			}
-			im.Set(x, y, byte(v))
+			row[x] = byte(v)
 		}
 	}
 	return im
@@ -158,55 +182,83 @@ func quantTable(quality int) [64]int {
 	return q
 }
 
-// dct8 computes a 1-D 8-point DCT-II in place.
-func dct8(v *[8]float64) {
-	var out [8]float64
-	for k := 0; k < 8; k++ {
-		var sum float64
-		for n := 0; n < 8; n++ {
-			sum += v[n] * cosTable[n][k]
-		}
-		c := 0.5
-		if k == 0 {
-			c = 1 / (2 * math.Sqrt2)
-		}
-		out[k] = sum * c
-	}
-	*v = out
-}
+// The two 1-D transforms compute their defining sums term by term, each
+// product rounded where it is made (float64(a*b): an explicit conversion
+// forbids fusing it into the add that follows, so the results are the
+// same on every GOARCH) and added in ascending index order.
 
-// idct8 computes the inverse 1-D 8-point DCT in place.
-func idct8(v *[8]float64) {
-	var out [8]float64
-	for n := 0; n < 8; n++ {
-		var sum float64
-		for k := 0; k < 8; k++ {
-			c := 1.0
-			if k == 0 {
-				c = 1 / math.Sqrt2
-			}
-			sum += c * v[k] * cosTable[n][k]
-		}
-		out[n] = sum / 2
-	}
-	*v = out
-}
-
-var cosTable = func() [8][8]float64 {
+// dctCos[k][n] = cos((2n+1)kπ/16): row k is the basis vector of frequency
+// k, so both transforms read it contiguously.
+var dctCos = func() [8][8]float64 {
 	var t [8][8]float64
-	for n := 0; n < 8; n++ {
-		for k := 0; k < 8; k++ {
-			t[n][k] = math.Cos((2*float64(n) + 1) * float64(k) * math.Pi / 16)
+	for k := range t {
+		for n := range t[k] {
+			t[k][n] = math.Cos((2*float64(n) + 1) * float64(k) * math.Pi / 16)
 		}
 	}
 	return t
 }()
+
+// dctScale is the DCT-II's normalisation of coefficient k.
+var dctScale = [8]float64{1 / (2 * math.Sqrt2), 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+
+// idctDC is the weight of the DC term in the inverse transform; the other
+// terms weigh 1.
+const idctDC = 1 / math.Sqrt2
+
+// dct8 computes a 1-D 8-point DCT-II in place.
+func dct8(v *[8]float64) {
+	x0, x1, x2, x3, x4, x5, x6, x7 := v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]
+	for k := range v {
+		t := &dctCos[k]
+		var sum float64
+		sum += float64(x0 * t[0])
+		sum += float64(x1 * t[1])
+		sum += float64(x2 * t[2])
+		sum += float64(x3 * t[3])
+		sum += float64(x4 * t[4])
+		sum += float64(x5 * t[5])
+		sum += float64(x6 * t[6])
+		sum += float64(x7 * t[7])
+		v[k] = float64(sum * dctScale[k])
+	}
+}
+
+// idct8 computes the inverse 1-D 8-point DCT in place. A zero coefficient
+// is skipped, as libjpeg's jidctint skips zero AC terms: its products are
+// ±0, and adding ±0 to a sum that starts at +0 (and so is never −0)
+// changes nothing. An all-zero vector comes back +0 everywhere.
+func idct8(v *[8]float64) {
+	var o0, o1, o2, o3, o4, o5, o6, o7 float64
+	for k, c := range v {
+		if c == 0 {
+			continue
+		}
+		if k == 0 {
+			c = float64(c * idctDC)
+		}
+		t := &dctCos[k]
+		o0 += float64(c * t[0])
+		o1 += float64(c * t[1])
+		o2 += float64(c * t[2])
+		o3 += float64(c * t[3])
+		o4 += float64(c * t[4])
+		o5 += float64(c * t[5])
+		o6 += float64(c * t[6])
+		o7 += float64(c * t[7])
+	}
+	*v = [8]float64{o0 / 2, o1 / 2, o2 / 2, o3 / 2, o4 / 2, o5 / 2, o6 / 2, o7 / 2}
+}
 
 const magic = "JPLT"
 
 // Encode compresses im at the given quality (1–100).
 func Encode(im *Image, quality int) []byte {
 	q := quantTable(quality)
+	var qf [64]float64
+	for i, d := range q {
+		qf[i] = float64(d)
+	}
 	bw := (im.W + 7) / 8
 	bh := (im.H + 7) / 8
 
@@ -218,46 +270,35 @@ func Encode(im *Image, quality int) []byte {
 	binary.LittleEndian.PutUint16(hdr[8:], uint16(quality))
 	out = append(out, hdr[:]...)
 
-	var block [8][8]float64
-	coeffs := make([]int32, 0, 64)
+	// block holds rows; cols holds the row-transformed block transposed,
+	// a column to an array, for the column pass and the quantiser.
+	var block, cols [8][8]float64
+	var coeffs [64]int32
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
 			// Load block with edge replication, level-shifted by -128.
-			for y := 0; y < 8; y++ {
-				sy := by*8 + y
-				if sy >= im.H {
-					sy = im.H - 1
-				}
-				for x := 0; x < 8; x++ {
-					sx := bx*8 + x
-					if sx >= im.W {
-						sx = im.W - 1
-					}
-					block[y][x] = float64(im.At(sx, sy)) - 128
+			for y := range block {
+				sy := min(by*8+y, im.H-1)
+				row := im.Pix[sy*im.W : (sy+1)*im.W]
+				for x := range block[y] {
+					block[y][x] = float64(row[min(bx*8+x, im.W-1)]) - 128
 				}
 			}
 			// 2-D DCT: rows then columns.
-			for y := 0; y < 8; y++ {
+			for y := range block {
 				dct8(&block[y])
+				for x, c := range block[y] {
+					cols[x][y] = c
+				}
 			}
-			for x := 0; x < 8; x++ {
-				var col [8]float64
-				for y := 0; y < 8; y++ {
-					col[y] = block[y][x]
-				}
-				dct8(&col)
-				for y := 0; y < 8; y++ {
-					block[y][x] = col[y]
-				}
+			for x := range cols {
+				dct8(&cols[x])
 			}
 			// Quantise in zigzag order.
-			coeffs = coeffs[:0]
-			for i := 0; i < 64; i++ {
-				pos := zigzag[i]
-				c := block[pos/8][pos%8] / float64(q[pos])
-				coeffs = append(coeffs, int32(math.Round(c)))
+			for i, pos := range zigzag {
+				coeffs[i] = int32(math.Round(cols[pos%8][pos/8] / qf[pos]))
 			}
-			out = appendRLE(out, coeffs)
+			out = appendRLE(out, coeffs[:])
 		}
 	}
 	return out
@@ -304,19 +345,23 @@ func Decode(data []byte) (*Image, error) {
 	if w <= 0 || h <= 0 || w > 1<<16 || h > 1<<16 {
 		return nil, fmt.Errorf("jpeglite: implausible dimensions %dx%d", w, h)
 	}
-	q := quantTable(quality)
-	im := NewImage(w, h)
 	bw := (w + 7) / 8
 	bh := (h + 7) / 8
 	pos := 14
+	// Every block ends with its own 0xFF marker: a stream shorter than one
+	// byte a block is refused before its image is allocated.
+	if len(data)-pos < bw*bh {
+		return nil, fmt.Errorf("jpeglite: truncated block stream: %d bytes for %d blocks", len(data)-pos, bw*bh)
+	}
+	q := quantTable(quality)
+	im := NewImage(w, h)
 
-	coeffs := make([]int32, 64)
-	var block [8][8]float64
+	// cols holds the dequantised block transposed, a column to an array,
+	// for the column pass; the row pass gathers each row of its result.
+	var cols [8][8]float64
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
-			for i := range coeffs {
-				coeffs[i] = 0
-			}
+			cols = [8][8]float64{}
 			idx := 0
 			for {
 				if pos >= len(data) {
@@ -336,59 +381,49 @@ func Decode(data []byte) (*Image, error) {
 				if idx >= 64 {
 					return nil, fmt.Errorf("jpeglite: coefficient index %d out of block", idx)
 				}
-				coeffs[idx] = v
+				// Dequantise out of zigzag order.
+				if v != 0 {
+					p := zigzag[idx]
+					cols[p%8][p/8] = float64(v) * float64(q[p])
+				}
 				idx++
 			}
-			// Dequantise out of zigzag order.
-			for y := range block {
-				for x := range block[y] {
-					block[y][x] = 0
-				}
-			}
-			for i := 0; i < 64; i++ {
-				if coeffs[i] == 0 {
-					continue
-				}
-				p := zigzag[i]
-				block[p/8][p%8] = float64(coeffs[i]) * float64(q[p])
-			}
 			// Inverse 2-D DCT: columns then rows.
-			for x := 0; x < 8; x++ {
-				var col [8]float64
-				for y := 0; y < 8; y++ {
-					col[y] = block[y][x]
-				}
-				idct8(&col)
-				for y := 0; y < 8; y++ {
-					block[y][x] = col[y]
-				}
+			for x := range cols {
+				idct8(&cols[x])
 			}
-			for y := 0; y < 8; y++ {
-				idct8(&block[y])
-			}
-			for y := 0; y < 8; y++ {
-				sy := by*8 + y
-				if sy >= h {
-					continue
+			for y := 0; y < 8 && by*8+y < h; y++ {
+				var row [8]float64
+				for x := range row {
+					row[x] = cols[x][y]
 				}
-				for x := 0; x < 8; x++ {
-					sx := bx*8 + x
-					if sx >= w {
-						continue
-					}
-					v := math.Round(block[y][x] + 128)
-					if v < 0 {
-						v = 0
-					}
-					if v > 255 {
-						v = 255
-					}
-					im.Set(sx, sy, byte(v))
+				idct8(&row)
+				pix := im.Pix[(by*8+y)*w+bx*8:]
+				for x := 0; x < 8 && bx*8+x < w; x++ {
+					pix[x] = pixel(row[x] + 128)
 				}
 			}
 		}
 	}
 	return im, nil
+}
+
+// pixel is math.Round(s) clamped to [0, 255], as a byte. Inside the
+// range, Round rounds half away from zero: the integer part of s, plus
+// one when the fraction is at least a half. s−floor(s) is exact for
+// s ≥ 0.5 (Sterbenz), so no rounding of that subtraction can move it.
+func pixel(s float64) byte {
+	switch {
+	case s < 0.5:
+		return 0
+	case s >= 254.5:
+		return 255
+	}
+	i := int(s)
+	if s-float64(i) >= 0.5 {
+		i++
+	}
+	return byte(i)
 }
 
 func readVarint(b []byte) (int32, int, error) {

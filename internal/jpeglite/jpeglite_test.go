@@ -1,8 +1,10 @@
 package jpeglite
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +125,23 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			t.Errorf("truncated decode at %d succeeded", cut)
 		}
 	}
+	// A bare header claiming 8192×8192 pixels (a million blocks, each at
+	// least its 0xFF marker) is refused before the 64 MiB image it
+	// describes is allocated.
+	hdr := append([]byte("JPLT"), make([]byte, 10)...)
+	binary.LittleEndian.PutUint32(hdr[4:], 8192)
+	binary.LittleEndian.PutUint32(hdr[8:], 8192)
+	binary.LittleEndian.PutUint16(hdr[12:], 75)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(hdr)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("Decode of a bare 8192x8192 header succeeded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("Decode of a bare 8192x8192 header allocated %d bytes before refusing it", got)
+	}
 }
 
 func TestCropCenter(t *testing.T) {
@@ -169,13 +188,12 @@ func TestPSNRSizeMismatch(t *testing.T) {
 	}
 }
 
-// Property: DCT/IDCT roundtrip reproduces arbitrary 8-vectors.
+// Property: DCT/IDCT roundtrip reproduces arbitrary 8-vectors, dense and
+// sparse (idct8 skips zero coefficients, and a sparse pixel vector has
+// sparse transforms in the other direction: the inverse of a sparse
+// coefficient vector must be the pixels it came from).
 func TestDCTRoundtripProperty(t *testing.T) {
-	f := func(raw [8]int8) bool {
-		var v [8]float64
-		for i, x := range raw {
-			v[i] = float64(x)
-		}
+	roundtrips := func(v [8]float64) bool {
 		orig := v
 		dct8(&v)
 		idct8(&v)
@@ -186,8 +204,72 @@ func TestDCTRoundtripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	dense := func(raw [8]int8) bool {
+		var v [8]float64
+		for i, x := range raw {
+			v[i] = float64(x)
+		}
+		return roundtrips(v)
+	}
+	// at places one, two or three of raw's values; the rest stay 0.
+	sparse := func(raw [3]int8, at [3]uint8) bool {
+		var v [8]float64
+		for j, i := range at {
+			v[i%8] = float64(raw[j])
+		}
+		// And the other way: a sparse coefficient vector through idct8
+		// then dct8.
+		c := v
+		idct8(&c)
+		dct8(&c)
+		for i := range c {
+			if math.Abs(c[i]-v[i]) > 1e-9 {
+				return false
+			}
+		}
+		return roundtrips(v)
+	}
+	for _, f := range []any{dense, sparse} {
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The zero vector, with signed zeros in it, comes back +0 everywhere.
+	negZero := math.Copysign(0, -1)
+	for _, v := range [][8]float64{{}, {negZero, 0, negZero, 0, 0, 0, 0, negZero}, {negZero, negZero, negZero, negZero, negZero, negZero, negZero, negZero}} {
+		idct8(&v)
+		for i, x := range v {
+			if x != 0 || math.Signbit(x) {
+				t.Fatalf("idct8 of a zero vector: element %d is %v (sign bit %v), want +0", i, x, math.Signbit(x))
+			}
+		}
+	}
+}
+
+// Synthetic, Encode and Decode allocate what they did when the kernels
+// recomputed every value: Synthetic's per-column and per-diagonal terms
+// stay on the stack at the demo's size, and the transforms allocate
+// nothing. The counts are the image and its pixels (Synthetic, Decode),
+// and the output buffer with its two growths (Encode at quality 75).
+func TestJpegliteAllocations(t *testing.T) {
+	im := Synthetic(192, 128, 1)
+	data := Encode(im, 75)
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"Synthetic", 2, func() { Synthetic(192, 128, 1) }},
+		{"Encode", 3, func() { Encode(im, 75) }},
+		{"Decode", 2, func() {
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(20, c.f); got > c.max {
+			t.Errorf("%s: %v allocations a call, want at most %v", c.name, got, c.max)
+		}
 	}
 }
 
